@@ -48,8 +48,17 @@ impl ClassCounts {
         objects: &ObjectSet,
         classes: &HashMap<ObjectId, ClassId, S>,
     ) -> Self {
+        ClassCounts::of_ids(objects.iter(), classes)
+    }
+
+    /// [`of`](Self::of) over any identifier sequence (order does not matter;
+    /// the interner aggregates straight from a set's bitmap, in slot order).
+    pub fn of_ids<S: std::hash::BuildHasher>(
+        objects: impl IntoIterator<Item = ObjectId>,
+        classes: &HashMap<ObjectId, ClassId, S>,
+    ) -> Self {
         let mut counts: Vec<(ClassId, u32)> = Vec::new();
-        for id in objects.iter() {
+        for id in objects {
             if let Some(&class) = classes.get(&id) {
                 match counts.binary_search_by_key(&class, |&(c, _)| c) {
                     Ok(idx) => counts[idx].1 += 1,

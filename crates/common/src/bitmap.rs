@@ -1,37 +1,76 @@
 //! Word-parallel dense bitmaps over a growing object universe.
 //!
 //! The MCOS maintenance algorithms are chains of set intersections, subset
-//! and disjointness tests over small object sets. The interner already makes
-//! set *identity* O(1); this module makes the set *algebra* word-parallel:
-//! every interned set is mirrored as a dense bitmap over the feed's object
-//! universe, so an intersection count is a loop of `AND` + `count_ones` over
-//! a handful of `u64` words instead of a branchy linear merge over sorted
-//! slices.
+//! and disjointness tests over small object sets. The interner makes set
+//! *identity* O(1); this module makes the set *algebra* word-parallel and is
+//! the **only stored form** of an interned set: one dense bitmap over the
+//! feed's object universe per set, so an intersection is a loop of `AND` +
+//! `count_ones` over a handful of `u64` words, and the content index hashes
+//! and compares those same words. A sorted [`ObjectSet`](crate::ObjectSet)
+//! exists only at the edges (frames in, results out) and is rebuilt from
+//! the bits on demand through the universe's `slot → ObjectId` table.
 //!
-//! [`BitmapArena`] stores one fixed-stride bitmap per arena entry in a
+//! [`BitmapArena`] stores one fixed-stride bitmap per interned set in a
 //! single flat `Vec<u64>`:
 //!
 //! * the **stride** is the number of words per entry. All entries share it,
 //!   so entry `i` occupies `words[i * stride .. (i + 1) * stride]` — no
 //!   per-entry allocation, no pointer chasing, and the pairwise kernels
 //!   below walk two contiguous word runs;
-//! * the **universe** maps each observed `ObjectId` to a dense bit slot
-//!   (owned by the [`SetInterner`](crate::SetInterner), which assigns slots
-//!   first-seen). When a new slot exceeds the current stride the arena
-//!   re-strides: every entry is copied into a wider layout (amortised —
-//!   strides double);
-//! * a compaction epoch rebuilds the arena from the live sets with a fresh,
-//!   re-densified universe, which is what keeps long-running unbounded
-//!   feeds bounded (see `SetInterner::compact`).
-//!
-//! The kernels treat the shorter entry as zero-padded: entries created
-//! before a re-stride are always compared correctly against wider ones
-//! because re-striding preserves content and all entries share one stride.
+//! * the [`UniverseMap`] maps each observed `ObjectId` to a dense bit slot
+//!   and back (owned by the [`SetInterner`](crate::SetInterner), which
+//!   assigns slots first-seen). When a new slot exceeds the current stride
+//!   the arena re-strides: every entry is copied into a wider, zero-padded
+//!   layout (amortised — strides double). [`hash_run`] ignores trailing
+//!   zero words, so a re-stride never changes an entry's hash;
+//! * a compaction epoch keeps the live entries and rewrites their bits
+//!   through an `old slot → new slot` table against a re-densified universe
+//!   ([`UniverseMap::retain_slots`], [`BitmapArena::retain_remapped`]),
+//!   which is what keeps long-running unbounded feeds bounded (see
+//!   `SetInterner::compact`).
 
+use crate::hash::{FxHashMap, K};
 use crate::ids::ObjectId;
 
 /// Bits per bitmap word.
 const WORD_BITS: usize = u64::BITS as usize;
+
+/// Sets bit `slot` in a word run, growing the run with zero words as needed.
+#[inline]
+pub fn set_bit(run: &mut Vec<u64>, slot: u32) {
+    let word = slot as usize / WORD_BITS;
+    if run.len() <= word {
+        run.resize(word + 1, 0);
+    }
+    run[word] |= 1u64 << (slot as usize % WORD_BITS);
+}
+
+/// The set bit slots of a word run, ascending.
+pub fn slots_of(run: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    run.iter().enumerate().flat_map(|(index, &word)| {
+        let base = (index * WORD_BITS) as u32;
+        std::iter::successors((word != 0).then_some(word), |&rest| {
+            let rest = rest & (rest - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |rest| base + rest.trailing_zeros())
+    })
+}
+
+/// Hashes a word run's content. Trailing zero words are skipped, so an entry
+/// hashes the same before and after the arena re-strides (the stride-
+/// independent form the interner's content index relies on). Same multiply-
+/// xor fold as [`FxHasher`](crate::FxHasher); the high bits carry the mix.
+#[inline]
+pub fn hash_run(run: &[u64]) -> u64 {
+    let used = run
+        .iter()
+        .rposition(|&word| word != 0)
+        .map_or(0, |last| last + 1);
+    run[..used].iter().fold(0u64, |hash, &word| {
+        (hash.rotate_left(5) ^ word).wrapping_mul(K)
+    })
+}
 
 /// A flat arena of fixed-stride `u64` bitmaps, one per interned set.
 ///
@@ -41,8 +80,8 @@ const WORD_BITS: usize = u64::BITS as usize;
 pub struct BitmapArena {
     /// All bitmaps, concatenated: entry `i` is `words[i*stride..(i+1)*stride]`.
     words: Vec<u64>,
-    /// Words per entry (grows as the universe grows; never shrinks except
-    /// through [`BitmapArena::clear`]).
+    /// Words per entry (grows as the universe grows; shrinks only through
+    /// [`BitmapArena::retain_remapped`]).
     stride: usize,
     /// Number of entries pushed.
     entries: usize,
@@ -59,18 +98,6 @@ impl BitmapArena {
         }
     }
 
-    /// Number of entries.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.entries
-    }
-
-    /// Whether the arena holds no entries.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
-    }
-
     /// Words per entry.
     #[inline]
     pub fn stride(&self) -> usize {
@@ -80,15 +107,6 @@ impl BitmapArena {
     /// Bytes held by the bitmap words.
     pub fn bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
-    }
-
-    /// Removes every entry, resetting the stride (used by compaction, which
-    /// rebuilds against a re-densified universe).
-    pub fn clear(&mut self) {
-        self.words.clear();
-        self.words.shrink_to_fit();
-        self.stride = 1;
-        self.entries = 0;
     }
 
     /// Grows the stride so that bit `max_slot` fits, re-laying out every
@@ -111,16 +129,14 @@ impl BitmapArena {
         self.stride = new_stride;
     }
 
-    /// Appends one entry with the given bit slots set. Every slot must fit
-    /// the current stride (callers run [`BitmapArena::ensure_slot`] first).
-    pub fn push(&mut self, slots: impl IntoIterator<Item = u32>) {
+    /// Appends one entry holding `run`, zero-padded to the stride. The run
+    /// must fit the current stride (callers run
+    /// [`BitmapArena::ensure_slot`] first).
+    pub fn push_run(&mut self, run: &[u64]) {
+        debug_assert!(run.len() <= self.stride, "run beyond stride");
         let base = self.words.len();
+        self.words.extend_from_slice(run);
         self.words.resize(base + self.stride, 0);
-        for slot in slots {
-            let slot = slot as usize;
-            debug_assert!(slot / WORD_BITS < self.stride, "slot beyond stride");
-            self.words[base + slot / WORD_BITS] |= 1u64 << (slot % WORD_BITS);
-        }
         self.entries += 1;
     }
 
@@ -130,102 +146,74 @@ impl BitmapArena {
         &self.words[index * self.stride..(index + 1) * self.stride]
     }
 
-    /// `|a ∩ b|` — one AND + popcount per word pair.
-    ///
-    /// The loop is unrolled 4-wide with independent accumulators: the four
-    /// popcounts per chunk have no data dependency on each other, so the
-    /// autovectorizer can issue wide AND + popcount over whole chunks and
-    /// the scalar fallback still overlaps four dependency chains instead of
-    /// serialising one `sum`. The word remainder (strides not divisible by
-    /// 4) runs the plain scalar tail, and strides below a full chunk — the
-    /// common small-universe arenas, stride 1–3 — skip the chunk iterators
-    /// entirely so the unrolling costs them nothing per call.
+    /// Writes `a ∩ b` into `out` (resized to the stride) and returns
+    /// `|a ∩ b|`: the interner's memo-miss kernel, which needs the count to
+    /// recognise disjoint and subset pairs and the words only when the
+    /// intersection turns out to be a new set.
     #[inline]
-    pub fn and_count(&self, a: usize, b: usize) -> usize {
-        let (a, b) = (self.entry(a), self.entry(b));
-        if a.len() < 4 {
-            return a
-                .iter()
-                .zip(b)
-                .map(|(&x, &y)| (x & y).count_ones() as usize)
-                .sum();
-        }
-        let mut wide = a.chunks_exact(4);
-        let mut with = b.chunks_exact(4);
-        let mut acc = [0usize; 4];
-        for (x, y) in (&mut wide).zip(&mut with) {
-            acc[0] += (x[0] & y[0]).count_ones() as usize;
-            acc[1] += (x[1] & y[1]).count_ones() as usize;
-            acc[2] += (x[2] & y[2]).count_ones() as usize;
-            acc[3] += (x[3] & y[3]).count_ones() as usize;
-        }
-        let mut count = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-        for (&x, &y) in wide.remainder().iter().zip(with.remainder()) {
+    pub fn and_into(&self, a: usize, b: usize, out: &mut Vec<u64>) -> usize {
+        let mut count = 0;
+        out.clear();
+        out.extend(self.entry(a).iter().zip(self.entry(b)).map(|(&x, &y)| {
             count += (x & y).count_ones() as usize;
-        }
+            x & y
+        }));
         count
     }
 
     /// Whether `a ⊆ b` — true when no word of `a` has a bit outside `b`.
-    ///
-    /// Violation bits of each 4-word chunk are OR-folded into one word
-    /// before the (per-chunk) early-exit test, so the hot all-subset path
-    /// is a branch every four words instead of every word. Sub-chunk
-    /// strides take the plain word loop directly.
     #[inline]
     pub fn is_subset(&self, a: usize, b: usize) -> bool {
-        let (a, b) = (self.entry(a), self.entry(b));
-        if a.len() < 4 {
-            return a.iter().zip(b).all(|(&x, &y)| x & !y == 0);
-        }
-        let mut wide = a.chunks_exact(4);
-        let mut with = b.chunks_exact(4);
-        for (x, y) in (&mut wide).zip(&mut with) {
-            let violation = (x[0] & !y[0]) | (x[1] & !y[1]) | (x[2] & !y[2]) | (x[3] & !y[3]);
-            if violation != 0 {
-                return false;
-            }
-        }
-        wide.remainder()
+        self.entry(a)
             .iter()
-            .zip(with.remainder())
+            .zip(self.entry(b))
             .all(|(&x, &y)| x & !y == 0)
     }
 
-    /// Whether `a ∩ b = ∅`.
-    ///
-    /// Same shape as [`is_subset`](Self::is_subset): overlap bits OR-fold
-    /// across each 4-word chunk, early-exiting once per chunk. Sub-chunk
-    /// strides take the plain word loop directly.
-    #[inline]
-    pub fn is_disjoint(&self, a: usize, b: usize) -> bool {
-        let (a, b) = (self.entry(a), self.entry(b));
-        if a.len() < 4 {
-            return a.iter().zip(b).all(|(&x, &y)| x & y == 0);
-        }
-        let mut wide = a.chunks_exact(4);
-        let mut with = b.chunks_exact(4);
-        for (x, y) in (&mut wide).zip(&mut with) {
-            let overlap = (x[0] & y[0]) | (x[1] & y[1]) | (x[2] & y[2]) | (x[3] & y[3]);
-            if overlap != 0 {
-                return false;
+    /// The union of the given entries: every bit slot some entry uses.
+    pub fn union_of(&self, entries: impl IntoIterator<Item = usize>) -> Vec<u64> {
+        let mut union = vec![0u64; self.stride];
+        for entry in entries {
+            for (acc, &word) in union.iter_mut().zip(self.entry(entry)) {
+                *acc |= word;
             }
         }
-        wide.remainder()
-            .iter()
-            .zip(with.remainder())
-            .all(|(&x, &y)| x & y == 0)
+        union
+    }
+
+    /// Compaction: keeps exactly the entries listed in `keep` (in that
+    /// order), moving every set bit from its old slot to `slot_map[old]`.
+    /// Stride and capacity are sized once for the `slots`-object universe
+    /// the map targets; the stride stays on [`ensure_slot`](Self::ensure_slot)'s
+    /// doubling ladder so a universe that grows back does not immediately
+    /// re-stride.
+    pub fn retain_remapped(&mut self, keep: &[usize], slot_map: &[u32], slots: usize) {
+        let stride = slots.div_ceil(WORD_BITS).next_power_of_two();
+        let mut words = vec![0u64; keep.len() * stride];
+        for (new, &old) in keep.iter().enumerate() {
+            let target = &mut words[new * stride..(new + 1) * stride];
+            for slot in slots_of(self.entry(old)) {
+                let slot = slot_map[slot as usize] as usize;
+                target[slot / WORD_BITS] |= 1u64 << (slot % WORD_BITS);
+            }
+        }
+        self.words = words;
+        self.stride = stride;
+        self.entries = keep.len();
     }
 }
 
-/// The dense `ObjectId → bit slot` universe map owned by an interner.
+/// The dense `ObjectId ↔ bit slot` universe map owned by an interner.
 ///
 /// Slots are handed out first-seen and never reused within an epoch; a
-/// compaction epoch starts a fresh map covering only the objects of the
-/// surviving sets (re-densification).
+/// compaction epoch keeps only the slots some surviving set uses and
+/// renumbers them densely (re-densification).
 #[derive(Debug, Default, Clone)]
 pub struct UniverseMap {
-    slots: crate::hash::FxHashMap<ObjectId, u32>,
+    slots: FxHashMap<ObjectId, u32>,
+    /// Reverse table: `objects[slot]` is the object holding `slot`. Lets a
+    /// bitmap be turned back into tracker ids without a stored sorted copy.
+    objects: Vec<ObjectId>,
 }
 
 impl UniverseMap {
@@ -237,20 +225,24 @@ impl UniverseMap {
     /// Number of objects observed.
     #[inline]
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.objects.len()
     }
 
     /// Whether no object has been observed.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.objects.is_empty()
     }
 
     /// The slot of `id`, assigning the next free one on first sight.
     #[inline]
     pub fn slot_of(&mut self, id: ObjectId) -> u32 {
-        let next = self.slots.len() as u32;
-        *self.slots.entry(id).or_insert(next)
+        let next = self.objects.len() as u32;
+        let slot = *self.slots.entry(id).or_insert(next);
+        if slot == next {
+            self.objects.push(id);
+        }
+        slot
     }
 
     /// The slot of `id`, if observed.
@@ -259,20 +251,47 @@ impl UniverseMap {
         self.slots.get(&id).copied()
     }
 
-    /// Iterates over every object currently holding a bit slot (arbitrary
-    /// order — callers needing determinism must sort).
-    pub fn object_ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.slots.keys().copied()
+    /// The object holding `slot` (which must have been assigned).
+    #[inline]
+    pub fn object_at(&self, slot: u32) -> ObjectId {
+        self.objects[slot as usize]
     }
 
-    /// Approximate bytes held by the map.
+    /// Every object currently holding a bit slot, in slot order.
+    pub fn object_ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        self.objects.iter().copied()
+    }
+
+    /// Approximate bytes held by the map and its reverse table.
     pub fn bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<(ObjectId, u32, u64)>()
+            + self.objects.capacity() * std::mem::size_of::<ObjectId>()
     }
 
-    /// Drops every mapping (compaction re-densifies from live sets).
-    pub fn clear(&mut self) {
-        self.slots = crate::hash::FxHashMap::default();
+    /// Compaction: keeps the slots whose bit is set in `live` (a word run
+    /// over the current slots) and renumbers them densely in slot order.
+    /// Returns the `old slot → new slot` table (entries of dropped slots
+    /// are meaningless) and the objects that lost their slot.
+    pub fn retain_slots(&mut self, live: &[u64]) -> (Vec<u32>, Vec<ObjectId>) {
+        let old = std::mem::take(&mut self.objects);
+        let mut slot_map = vec![0u32; old.len()];
+        let mut retired = Vec::new();
+        let mut kept = Vec::with_capacity(live.iter().map(|w| w.count_ones() as usize).sum());
+        for (slot, &id) in old.iter().enumerate() {
+            if (live[slot / WORD_BITS] >> (slot % WORD_BITS)) & 1 == 1 {
+                slot_map[slot] = kept.len() as u32;
+                kept.push(id);
+            } else {
+                retired.push(id);
+            }
+        }
+        self.slots = kept
+            .iter()
+            .zip(0u32..)
+            .map(|(&id, slot)| (id, slot))
+            .collect();
+        self.objects = kept;
+        (slot_map, retired)
     }
 }
 
@@ -280,13 +299,26 @@ impl UniverseMap {
 mod tests {
     use super::*;
 
+    fn run_of(slots: &[u32]) -> Vec<u64> {
+        let mut run = Vec::new();
+        for &slot in slots {
+            set_bit(&mut run, slot);
+        }
+        run
+    }
+
+    /// `|a ∩ b|` through the one counting kernel the arena has.
+    fn and_count(arena: &BitmapArena, a: usize, b: usize) -> usize {
+        arena.and_into(a, b, &mut Vec::new())
+    }
+
     fn arena_with(sets: &[&[u32]]) -> BitmapArena {
         let mut arena = BitmapArena::new();
         for slots in sets {
             if let Some(&max) = slots.iter().max() {
                 arena.ensure_slot(max);
             }
-            arena.push(slots.iter().copied());
+            arena.push_run(&run_of(slots));
         }
         arena
     }
@@ -294,12 +326,10 @@ mod tests {
     #[test]
     fn and_count_subset_disjoint_on_one_word() {
         let arena = arena_with(&[&[0, 2, 5], &[2, 5, 9], &[1, 3], &[]]);
-        assert_eq!(arena.and_count(0, 1), 2);
-        assert_eq!(arena.and_count(0, 2), 0);
-        assert!(arena.is_disjoint(0, 2));
-        assert!(!arena.is_disjoint(0, 1));
+        assert_eq!(and_count(&arena, 0, 1), 2);
+        assert_eq!(and_count(&arena, 0, 2), 0);
         assert!(arena.is_subset(3, 0), "empty set is a subset of anything");
-        assert!(arena.is_disjoint(3, 0));
+        assert_eq!(and_count(&arena, 3, 0), 0);
         assert!(!arena.is_subset(0, 1));
         let sub = arena_with(&[&[2, 5], &[0, 2, 5]]);
         assert!(sub.is_subset(0, 1));
@@ -307,104 +337,65 @@ mod tests {
     }
 
     #[test]
-    fn restride_preserves_existing_entries() {
+    fn restride_preserves_existing_entries_and_their_hashes() {
         let mut arena = arena_with(&[&[0, 63]]);
         assert_eq!(arena.stride(), 1);
+        let hash = hash_run(arena.entry(0));
         arena.ensure_slot(64);
         assert_eq!(arena.stride(), 2);
-        arena.push([64u32, 0].iter().copied());
-        assert_eq!(arena.and_count(0, 1), 1, "bit 0 survives the re-stride");
+        arena.push_run(&run_of(&[64, 0]));
+        assert_eq!(and_count(&arena, 0, 1), 1, "bit 0 survives the re-stride");
         assert!(!arena.is_subset(1, 0));
         arena.ensure_slot(1000);
         assert!(arena.stride() >= 16);
-        assert_eq!(arena.and_count(0, 1), 1);
+        assert_eq!(and_count(&arena, 0, 1), 1);
+        assert_eq!(hash_run(arena.entry(0)), hash, "zero padding is not hashed");
+        assert_ne!(hash_run(arena.entry(1)), hash);
     }
 
     #[test]
     fn multi_word_kernels() {
-        let mut arena = BitmapArena::new();
-        arena.ensure_slot(200);
-        arena.push([0u32, 64, 129, 200].iter().copied());
-        arena.push([64u32, 129].iter().copied());
-        arena.push([1u32, 65].iter().copied());
-        assert_eq!(arena.and_count(0, 1), 2);
+        let arena = arena_with(&[&[0, 64, 129, 200], &[64, 129], &[1, 65]]);
+        assert_eq!(and_count(&arena, 0, 1), 2);
         assert!(arena.is_subset(1, 0));
-        assert!(arena.is_disjoint(0, 2));
-        assert!(arena.is_disjoint(1, 2));
+        assert_eq!(and_count(&arena, 0, 2), 0);
+        let mut out = vec![7; 9];
+        assert_eq!(arena.and_into(0, 1, &mut out), 2);
+        assert_eq!(slots_of(&out).collect::<Vec<_>>(), vec![64, 129]);
+        assert_eq!(out.len(), arena.stride());
+        assert_eq!(
+            slots_of(&arena.union_of([1, 2])).collect::<Vec<_>>(),
+            vec![1, 64, 65, 129]
+        );
     }
 
     #[test]
-    fn clear_resets_layout() {
-        let mut arena = arena_with(&[&[100]]);
+    fn retain_remapped_rewrites_bits_and_shrinks_the_stride() {
+        let mut arena = arena_with(&[&[], &[3, 100], &[100, 130], &[7]]);
         assert!(arena.stride() > 1);
-        arena.clear();
-        assert_eq!(arena.len(), 0);
+        // Keep entries 0 and 2; slots 100 → 0 and 130 → 1 survive.
+        let mut slot_map = vec![u32::MAX; 131];
+        slot_map[100] = 0;
+        slot_map[130] = 1;
+        arena.retain_remapped(&[0, 2], &slot_map, 2);
         assert_eq!(arena.stride(), 1);
-        arena.push([0u32].iter().copied());
-        assert_eq!(arena.len(), 1);
+        assert_eq!(slots_of(arena.entry(0)).count(), 0);
+        assert_eq!(slots_of(arena.entry(1)).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(arena.bytes(), 2 * 8, "sized once, exactly");
     }
 
-    #[test]
-    fn unrolled_kernels_match_scalar_reference_across_strides_and_tails() {
-        // Deterministic sweep of every chunk remainder (stride % 4 in
-        // 0..=3), including the stride-1 arena, against the pre-unroll
-        // scalar word loops.
-        for stride_words in 1usize..=9 {
-            let max_slot = (stride_words * 64 - 1) as u32;
-            let a: Vec<u32> = (0..=max_slot).filter(|s| s % 3 == 0).collect();
-            let b: Vec<u32> = (0..=max_slot)
-                .filter(|s| s % 5 == 0 || s % 7 == 1)
-                .collect();
-            let arena = arena_with(&[&a, &b, &[]]);
-            assert_eq!(arena.stride(), stride_words);
-            assert_eq!(arena.and_count(0, 1), scalar_and_count(&arena, 0, 1));
-            assert_eq!(arena.is_subset(0, 1), scalar_is_subset(&arena, 0, 1));
-            assert_eq!(arena.is_disjoint(0, 1), scalar_is_disjoint(&arena, 0, 1));
-            assert!(arena.is_subset(2, 0) && arena.is_disjoint(2, 1));
-        }
-    }
-
-    /// The pre-unroll one-word-at-a-time kernels, kept as the reference the
-    /// 4-wide production loops are checked against.
-    fn scalar_and_count(arena: &BitmapArena, a: usize, b: usize) -> usize {
-        arena
-            .entry(a)
-            .iter()
-            .zip(arena.entry(b))
-            .map(|(&x, &y)| (x & y).count_ones() as usize)
-            .sum()
-    }
-
-    fn scalar_is_subset(arena: &BitmapArena, a: usize, b: usize) -> bool {
-        arena
-            .entry(a)
-            .iter()
-            .zip(arena.entry(b))
-            .all(|(&x, &y)| x & !y == 0)
-    }
-
-    fn scalar_is_disjoint(arena: &BitmapArena, a: usize, b: usize) -> bool {
-        arena
-            .entry(a)
-            .iter()
-            .zip(arena.entry(b))
-            .all(|(&x, &y)| x & y == 0)
-    }
-
-    mod unroll_proptests {
+    mod kernel_proptests {
         use super::*;
         use proptest::prelude::*;
         use std::collections::BTreeSet;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
-            // Random slot sets over a universe whose word count sweeps every
-            // `chunks_exact(4)` remainder: universes up to 64 bits exercise
-            // the stride-1 arena, larger ones the unrolled body plus tail
-            // words. Raw slots reduce modulo the universe so every sampled
-            // universe size sees dense occupancy.
+            // Random slot sets over universes from one word to nine: raw
+            // slots reduce modulo the universe so every sampled universe
+            // size sees dense occupancy.
             #[test]
-            fn kernels_agree_with_scalar_reference_and_set_oracle(
+            fn kernels_agree_with_the_set_oracle(
                 universe in 1u32..=576,
                 raw_a in proptest::collection::vec(0u32..576, 0..48),
                 raw_b in proptest::collection::vec(0u32..576, 0..48),
@@ -413,18 +404,18 @@ mod tests {
                 let b: Vec<u32> = raw_b.iter().map(|s| s % universe).collect();
                 let mut arena = BitmapArena::new();
                 arena.ensure_slot(universe - 1);
-                arena.push(a.iter().copied());
-                arena.push(b.iter().copied());
-                // The pre-unroll scalar loops...
-                prop_assert_eq!(arena.and_count(0, 1), scalar_and_count(&arena, 0, 1));
-                prop_assert_eq!(arena.is_subset(0, 1), scalar_is_subset(&arena, 0, 1));
-                prop_assert_eq!(arena.is_disjoint(0, 1), scalar_is_disjoint(&arena, 0, 1));
-                // ...and the independent sorted-set oracle.
+                arena.push_run(&run_of(&a));
+                arena.push_run(&run_of(&b));
                 let sa: BTreeSet<u32> = a.iter().copied().collect();
                 let sb: BTreeSet<u32> = b.iter().copied().collect();
-                prop_assert_eq!(arena.and_count(0, 1), sa.intersection(&sb).count());
                 prop_assert_eq!(arena.is_subset(0, 1), sa.is_subset(&sb));
-                prop_assert_eq!(arena.is_disjoint(0, 1), sa.is_disjoint(&sb));
+                let mut out = Vec::new();
+                prop_assert_eq!(arena.and_into(0, 1, &mut out), sa.intersection(&sb).count());
+                prop_assert_eq!(
+                    slots_of(&out).collect::<Vec<_>>(),
+                    sa.intersection(&sb).copied().collect::<Vec<_>>()
+                );
+                prop_assert_eq!(slots_of(arena.entry(0)).collect::<Vec<_>>(), sa.into_iter().collect::<Vec<_>>());
             }
         }
     }
@@ -437,9 +428,23 @@ mod tests {
         assert_eq!(universe.slot_of(ObjectId(40)), 0, "stable on re-query");
         assert_eq!(universe.get(ObjectId(7)), Some(1));
         assert_eq!(universe.get(ObjectId(8)), None);
+        assert_eq!(universe.object_at(1), ObjectId(7));
         assert_eq!(universe.len(), 2);
-        universe.clear();
-        assert!(universe.is_empty());
-        assert_eq!(universe.slot_of(ObjectId(7)), 0, "re-densified");
+    }
+
+    #[test]
+    fn universe_retain_slots_renumbers_in_slot_order() {
+        let mut universe = UniverseMap::new();
+        for id in [40, 7, 99, 3] {
+            universe.slot_of(ObjectId(id));
+        }
+        let (slot_map, retired) = universe.retain_slots(&run_of(&[1, 3]));
+        assert_eq!(retired, vec![ObjectId(40), ObjectId(99)]);
+        assert_eq!((slot_map[1], slot_map[3]), (0, 1));
+        assert_eq!(universe.len(), 2);
+        assert_eq!(universe.get(ObjectId(7)), Some(0));
+        assert_eq!(universe.object_at(1), ObjectId(3));
+        assert_eq!(universe.get(ObjectId(40)), None);
+        assert_eq!(universe.slot_of(ObjectId(40)), 2, "re-densified");
     }
 }

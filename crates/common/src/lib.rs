@@ -10,14 +10,14 @@
 //! * [`ClassStore`], the reference-counted object → class store shared by an
 //!   engine, its interner and its pruner (and, optionally, across multi-feed
 //!   shards), with epoch-boundary eviction — see [`class_store`];
-//! * [`ObjectSet`], the sorted, deduplicated object-identifier set used for
-//!   every co-occurrence computation — see [`object_set`];
+//! * [`ObjectSet`], the sorted, deduplicated object-identifier set frames
+//!   arrive as and results leave as — see [`object_set`];
 //! * [`SetInterner`] and [`SetId`], the per-feed object-set arena that turns
 //!   set hashing/equality into integer operations, memoizes intersections,
 //!   caches per-set class counts and compacts itself in epochs — see
 //!   [`interner`];
 //! * [`BitmapArena`] and [`UniverseMap`], the dense fixed-stride bitmaps the
-//!   interner mirrors every set into so intersections, subset and
+//!   interner stores every set as, so intersections, subset and
 //!   disjointness tests run word-parallel — see [`bitmap`];
 //! * [`ClassCounts`], the per-class aggregate of one object set that CNF
 //!   queries are evaluated against — see [`aggregates`];

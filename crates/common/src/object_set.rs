@@ -1,11 +1,20 @@
 //! Sorted object-identifier sets.
 //!
-//! Every algorithm in the MCOS generation layer is driven by intersections of
-//! small object sets (typically 5–15 objects per frame, per the paper's
-//! Table 6). [`ObjectSet`] stores identifiers as a sorted, deduplicated
-//! boxed slice: intersections, subset tests and equality are all linear merges
-//! over contiguous memory, the representation hashes cheaply and can be used
-//! directly as a hash-map key for state lookup.
+//! [`ObjectSet`] is the set type at the system's edges: a frame's detections
+//! arrive as one, result states and matches leave as one, snapshots persist
+//! them, and the reference oracles compute with nothing else. It stores
+//! identifiers (typically 5–15 per frame, per the paper's Table 6) as a
+//! sorted, deduplicated shared slice, so equality, ordering and hashing are
+//! linear over contiguous memory and the linear-merge algebra below is
+//! obviously right — which is what makes it the oracle the differential
+//! suites check the hot path against.
+//!
+//! The hot path does not run on it: the maintainers hold
+//! [`SetId`](crate::SetId) handles, and the
+//! [`SetInterner`](crate::SetInterner) stores each interned set as a dense
+//! bitmap only, materialising an `ObjectSet` from the bits
+//! ([`SetInterner::resolve`](crate::SetInterner::resolve)) when a result,
+//! verdict or snapshot needs tracker ids.
 
 use std::fmt;
 use std::ops::Deref;
@@ -142,52 +151,6 @@ impl ObjectSet {
         n
     }
 
-    /// Computes the union of two sets.
-    pub fn union(&self, other: &ObjectSet) -> ObjectSet {
-        let mut out = Vec::with_capacity(self.len() + other.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        let (a, b) = (&self.ids, &other.ids);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
-        ObjectSet { ids: out.into() }
-    }
-
-    /// Computes the set difference `self \ other`.
-    pub fn difference(&self, other: &ObjectSet) -> ObjectSet {
-        let mut out = Vec::with_capacity(self.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        let (a, b) = (&self.ids, &other.ids);
-        while i < a.len() {
-            if j >= b.len() || a[i] < b[j] {
-                out.push(a[i]);
-                i += 1;
-            } else if a[i] > b[j] {
-                j += 1;
-            } else {
-                i += 1;
-                j += 1;
-            }
-        }
-        ObjectSet { ids: out.into() }
-    }
-
     /// Returns `true` when `self ⊆ other`.
     pub fn is_subset_of(&self, other: &ObjectSet) -> bool {
         if self.len() > other.len() {
@@ -199,11 +162,6 @@ impl ObjectSet {
     /// Returns `true` when `self ⊂ other` (proper subset).
     pub fn is_proper_subset_of(&self, other: &ObjectSet) -> bool {
         self.len() < other.len() && self.is_subset_of(other)
-    }
-
-    /// Returns `true` when the two sets share no object.
-    pub fn is_disjoint_from(&self, other: &ObjectSet) -> bool {
-        self.intersection_len(other) == 0
     }
 }
 
@@ -261,9 +219,7 @@ mod tests {
         assert!(e.is_empty());
         assert_eq!(e.len(), 0);
         assert!(e.is_subset_of(&set(&[1, 2])));
-        assert!(e.is_disjoint_from(&set(&[1])));
         assert_eq!(e.intersect(&set(&[1, 2])), ObjectSet::empty());
-        assert_eq!(e.union(&set(&[1, 2])), set(&[1, 2]));
     }
 
     #[test]
@@ -273,15 +229,6 @@ mod tests {
         assert_eq!(a.intersect(&b), set(&[2, 3, 8]));
         assert_eq!(a.intersection_len(&b), 3);
         assert_eq!(b.intersect(&a), set(&[2, 3, 8]));
-    }
-
-    #[test]
-    fn union_and_difference() {
-        let a = set(&[1, 3, 5]);
-        let b = set(&[2, 3, 6]);
-        assert_eq!(a.union(&b), set(&[1, 2, 3, 5, 6]));
-        assert_eq!(a.difference(&b), set(&[1, 5]));
-        assert_eq!(b.difference(&a), set(&[2, 6]));
     }
 
     #[test]
@@ -360,24 +307,6 @@ mod proptests {
             let expected: BTreeSet<u32> = to_btree(&sa).intersection(&to_btree(&sb)).copied().collect();
             prop_assert_eq!(to_btree(&sa.intersect(&sb)), expected);
             prop_assert_eq!(sa.intersection_len(&sb), sa.intersect(&sb).len());
-        }
-
-        #[test]
-        fn union_agrees_with_btreeset(a in proptest::collection::vec(0u32..64, 0..32),
-                                      b in proptest::collection::vec(0u32..64, 0..32)) {
-            let sa = ObjectSet::from_raw(a.iter().copied());
-            let sb = ObjectSet::from_raw(b.iter().copied());
-            let expected: BTreeSet<u32> = to_btree(&sa).union(&to_btree(&sb)).copied().collect();
-            prop_assert_eq!(to_btree(&sa.union(&sb)), expected);
-        }
-
-        #[test]
-        fn difference_agrees_with_btreeset(a in proptest::collection::vec(0u32..64, 0..32),
-                                           b in proptest::collection::vec(0u32..64, 0..32)) {
-            let sa = ObjectSet::from_raw(a.iter().copied());
-            let sb = ObjectSet::from_raw(b.iter().copied());
-            let expected: BTreeSet<u32> = to_btree(&sa).difference(&to_btree(&sb)).copied().collect();
-            prop_assert_eq!(to_btree(&sa.difference(&sb)), expected);
         }
 
         #[test]

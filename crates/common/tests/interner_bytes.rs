@@ -1,0 +1,89 @@
+//! The interner's byte gauges against a counting allocator.
+//!
+//! `arena_bytes()` and `bitmap_bytes()` feed the benchmark's gated
+//! `state_bytes_peak`; this test pins them to what the process actually
+//! holds, so the number cannot be made small by redefining it. Own test
+//! binary (the allocator is process-global) with a single `#[test]` (no
+//! sibling test allocates while the measurement runs).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use tvq_common::{ObjectSet, SetId, SetInterner};
+
+/// Bytes currently allocated and not yet freed. `Relaxed`: a statistic read
+/// on the one thread that does all the allocating.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter updates touch no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_add(new_size, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with `layout`; `new_size` is the
+        // caller's to vouch for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// A deterministic feed-like family: windows of 4–19 consecutive objects
+/// sliding over a 300-object universe (a five-word stride), so neighbours
+/// overlap properly and intersections mint new sets.
+fn nth_set(n: u32) -> ObjectSet {
+    let start = n * 7 % 281;
+    ObjectSet::from_raw(start..start + 4 + n % 16)
+}
+
+#[test]
+fn gauges_match_the_allocator() {
+    const SETS: u32 = 3_000;
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut interner = SetInterner::new();
+    let mut previous = SetId::EMPTY;
+    for n in 0..SETS {
+        let id = interner.intern(&nth_set(n));
+        interner.intersect(id, previous);
+        previous = id;
+    }
+    let held = LIVE.load(Ordering::Relaxed) - before;
+    let gauge = interner.arena_bytes()
+        + interner.bitmap_bytes()
+        + interner.memo_slots() * std::mem::size_of::<[SetId; 3]>();
+    assert!(interner.len() > 1_000, "the family must mint many sets");
+    assert!(interner.memo_slots() > 0);
+    let ratio = held as f64 / gauge as f64;
+    assert!(
+        (0.8..=1.25).contains(&ratio),
+        "allocator holds {held} B, gauges report {gauge} B (ratio {ratio:.3}, {} sets)",
+        interner.len()
+    );
+
+    // Compaction must give the memory back, not just stop counting it.
+    let live: Vec<SetId> = (1..1_000).map(SetId::from_raw).collect();
+    interner.compact(&live);
+    let held = LIVE.load(Ordering::Relaxed) - before;
+    let gauge = interner.arena_bytes() + interner.bitmap_bytes();
+    let ratio = held as f64 / gauge as f64;
+    assert!(
+        (0.8..=1.25).contains(&ratio),
+        "after compaction: allocator holds {held} B, gauges report {gauge} B (ratio {ratio:.3})"
+    );
+}

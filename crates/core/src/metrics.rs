@@ -39,11 +39,12 @@ pub struct MaintenanceMetrics {
     /// back to the live set, so on compacting configurations this plateaus
     /// instead of tracking the lifetime total.
     pub interned_sets: u64,
-    /// Approximate bytes held by the interner arena (set payloads plus
-    /// per-entry bookkeeping). A gauge, sampled after each frame.
+    /// Bytes the interner holds per set beside its bitmap (cardinality and
+    /// class-count-handle columns, content index). A gauge, sampled after
+    /// each frame.
     pub arena_bytes: u64,
-    /// Approximate bytes held by the interner's dense bitmaps and universe
-    /// map. A gauge, sampled after each frame.
+    /// Bytes held by the interner's dense bitmaps and universe map (with
+    /// its reverse table). A gauge, sampled after each frame.
     pub bitmap_bytes: u64,
     /// Interner compaction epochs run so far.
     pub compactions: u64,

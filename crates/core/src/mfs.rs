@@ -31,7 +31,7 @@ use crate::compaction::{CompactionOutcome, CompactionPolicy};
 use crate::maintainer::{check_order, StateMaintainer};
 use crate::metrics::MaintenanceMetrics;
 use crate::prune::{PrunerVerdictCache, SharedPruner};
-use crate::result_set::ResultStateSet;
+use crate::result_set::{ReportedSets, ResultStateSet};
 use crate::snapshot;
 
 /// The Marked Frame Set state maintainer.
@@ -45,6 +45,7 @@ pub struct MfsMaintainer {
     interner: SetInterner,
     states: FxHashMap<SetId, MarkedFrameSet>,
     results: ResultStateSet,
+    reported: ReportedSets,
     metrics: MaintenanceMetrics,
     pruner: Option<SharedPruner>,
     verdicts: PrunerVerdictCache,
@@ -81,6 +82,7 @@ impl MfsMaintainer {
             interner,
             states: FxHashMap::default(),
             results: ResultStateSet::new(),
+            reported: ReportedSets::default(),
             metrics: MaintenanceMetrics::new(),
             pruner: None,
             verdicts: PrunerVerdictCache::new(),
@@ -122,12 +124,13 @@ impl MfsMaintainer {
             .into_iter()
             .filter_map(|(sid, frames)| table.remap(sid).map(|new| (new, frames)))
             .collect();
+        self.reported.clear();
         self.verdicts.remap(table);
     }
 
     /// Exposes the live states (object set → marked frame set) for the
     /// worked-example assertions.
-    pub fn states(&self) -> impl Iterator<Item = (&ObjectSet, &MarkedFrameSet)> {
+    pub fn states(&self) -> impl Iterator<Item = (ObjectSet, &MarkedFrameSet)> {
         self.states
             .iter()
             .map(|(&sid, frames)| (self.interner.resolve(sid), frames))
@@ -274,12 +277,13 @@ impl MfsMaintainer {
         for (&sid, frames) in &self.states {
             if frames.has_marked() && self.spec.satisfies_duration(frames.len()) {
                 self.results.insert_with_counts(
-                    self.interner.resolve(sid).clone(),
+                    self.reported.set_of(&self.interner, sid),
                     frames,
                     self.interner.cached_counts(sid),
                 );
             }
         }
+        self.reported.retain_reported(&self.results);
     }
 }
 
@@ -412,7 +416,7 @@ mod tests {
     fn states_at(m: &MfsMaintainer) -> Vec<(ObjectSet, Vec<(u64, bool)>)> {
         let mut v: Vec<(ObjectSet, Vec<(u64, bool)>)> = m
             .states()
-            .map(|(s, f)| (s.clone(), f.iter().map(|(fr, mk)| (fr.raw(), mk)).collect()))
+            .map(|(s, f)| (s, f.iter().map(|(fr, mk)| (fr.raw(), mk)).collect()))
             .collect();
         v.sort();
         v

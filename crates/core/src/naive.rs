@@ -40,7 +40,7 @@ use tvq_common::{
 use crate::compaction::{CompactionOutcome, CompactionPolicy};
 use crate::maintainer::{check_order, StateMaintainer};
 use crate::metrics::MaintenanceMetrics;
-use crate::result_set::ResultStateSet;
+use crate::result_set::{ReportedSets, ResultStateSet};
 use crate::snapshot;
 
 /// Sentinel for "group not assigned yet" (states created this frame).
@@ -124,6 +124,7 @@ pub struct NaiveMaintainer {
     /// re-key pass.
     dirty: Vec<u32>,
     results: ResultStateSet,
+    reported: ReportedSets,
     metrics: MaintenanceMetrics,
     last_frame: Option<FrameId>,
 }
@@ -146,6 +147,7 @@ impl NaiveMaintainer {
             groups: GroupTable::default(),
             dirty: Vec::new(),
             results: ResultStateSet::new(),
+            reported: ReportedSets::default(),
             metrics: MaintenanceMetrics::new(),
             last_frame: None,
         }
@@ -153,7 +155,7 @@ impl NaiveMaintainer {
 
     /// Exposes the live states (object set → frame set) for inspection in
     /// tests and the worked-example assertions.
-    pub fn states(&self) -> impl Iterator<Item = (&ObjectSet, &MarkedFrameSet)> {
+    pub fn states(&self) -> impl Iterator<Item = (ObjectSet, &MarkedFrameSet)> {
         self.states
             .iter()
             .map(|(&sid, slot)| (self.interner.resolve(sid), &slot.frames))
@@ -174,6 +176,7 @@ impl NaiveMaintainer {
             }
             group.max = table.remap(group.max).expect("group max is a live state");
         }
+        self.reported.clear();
     }
 
     /// Group-driven window expiry: every member of a group shares its frame
@@ -434,11 +437,12 @@ impl NaiveMaintainer {
             }
             let frames = &self.states[&group.max].frames;
             self.results.insert_with_counts(
-                self.interner.resolve(group.max).clone(),
+                self.reported.set_of(&self.interner, group.max),
                 frames,
                 self.interner.cached_counts(group.max),
             );
         }
+        self.reported.retain_reported(&self.results);
     }
 
     /// Verifies the group invariants (every member shares the group's exact

@@ -132,7 +132,7 @@ impl PrunerVerdictCache {
             return false;
         }
         let counts = interner.cached_counts(sid);
-        if pruner.should_terminate_with(interner.resolve(sid), counts.as_deref()) {
+        if pruner.should_terminate_with(&interner.resolve(sid), counts.as_deref()) {
             self.terminated.insert(sid);
             *states_terminated += 1;
             true

@@ -8,7 +8,7 @@
 //! that the three maintainers can be compared state-for-state.
 //!
 //! When the producing maintainer runs on top of a
-//! [`SetInterner`](tvq_common::SetInterner) with a class source, each entry
+//! [`SetInterner`] with a class source, each entry
 //! also carries the interner's cached [`ClassCounts`] for its object set, so
 //! the CNF evaluator downstream skips the per-frame histogram rebuild.
 //! Cached counts are an evaluation accelerator, not part of the result
@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tvq_common::{ClassCounts, FrameId, MarkedFrameSet, ObjectSet};
+use tvq_common::{ClassCounts, FrameId, FxHashMap, MarkedFrameSet, ObjectSet, SetId, SetInterner};
 
 use crate::state::State;
 
@@ -137,6 +137,44 @@ impl ResultStateSet {
     /// comparing maintainers, since frame sets are compared separately.
     pub fn object_sets(&self) -> Vec<ObjectSet> {
         self.states.keys().cloned().collect()
+    }
+}
+
+/// The materialised object sets of the states a maintainer currently
+/// reports, by handle.
+///
+/// The interner stores bitmaps only, so turning a handle into the sorted
+/// [`ObjectSet`] the query layer wants costs an allocation and a sort
+/// ([`SetInterner::resolve`]). Result states recur frame after frame; this
+/// cache pays that once per *reported* state and makes every later frame an
+/// `Arc` bump, without parking a sorted copy on every live state.
+#[derive(Debug, Default)]
+pub(crate) struct ReportedSets {
+    sets: FxHashMap<SetId, ObjectSet>,
+}
+
+impl ReportedSets {
+    /// The object set behind `sid`, materialised on first report.
+    pub fn set_of(&mut self, interner: &SetInterner, sid: SetId) -> ObjectSet {
+        self.sets
+            .entry(sid)
+            .or_insert_with(|| interner.resolve(sid))
+            .clone()
+    }
+
+    /// Drops the sets of states that left `results`. Call once `results`
+    /// has been rebuilt from [`set_of`](Self::set_of) values only: the cache
+    /// then holds every reported set, so equal sizes mean nothing is stale.
+    pub fn retain_reported(&mut self, results: &ResultStateSet) {
+        if self.sets.len() != results.len() {
+            self.sets.retain(|_, set| results.contains(set));
+        }
+    }
+
+    /// Forgets everything: a compaction epoch re-issues every handle, and
+    /// like the intersection memo this cache refills on the next frame.
+    pub fn clear(&mut self) {
+        self.sets.clear();
     }
 }
 

@@ -94,7 +94,7 @@ pub fn take_opt_frame(dec: &mut Decoder<'_>) -> Result<Option<FrameId>> {
 pub fn put_interner(enc: &mut Encoder, interner: &SetInterner) {
     enc.put_usize(interner.len() - 1);
     for set in interner.arena_sets() {
-        put_object_set(enc, set);
+        put_object_set(enc, &set);
     }
     enc.put_u64(interner.epoch());
 }

@@ -8,8 +8,8 @@
 //! exactly as described in Section 4.3.4 of the paper.
 
 use tvq_common::{
-    Decoder, Encoder, Error, FrameId, FxHashMap, MarkedFrameSet, ObjectSet, RemapTable, Result,
-    SetId, SetInterner,
+    Decoder, Encoder, Error, FrameId, FxHashMap, MarkedFrameSet, RemapTable, Result, SetId,
+    SetInterner,
 };
 
 use crate::snapshot;
@@ -23,12 +23,9 @@ pub(crate) const NEVER: u64 = u64::MAX;
 /// A node of the Strict State Graph.
 #[derive(Debug)]
 pub(crate) struct Node {
-    /// Interned handle of the state's object set — the key every hot-path
-    /// lookup and comparison uses.
+    /// Interned handle of the state's object set — the key every lookup
+    /// and comparison uses, and the only form of the set a node holds.
     pub sid: SetId,
-    /// The state's object set (resolved once at insertion; an `Arc` clone of
-    /// the interned set, kept for subset tests and result reporting).
-    pub set: ObjectSet,
     /// The state's marked frame set.
     pub frames: MarkedFrameSet,
     /// Children: states generated from this one (proper subsets).
@@ -53,10 +50,9 @@ pub(crate) struct Node {
 }
 
 impl Node {
-    fn new(sid: SetId, set: ObjectSet) -> Self {
+    fn new(sid: SetId) -> Self {
         Node {
             sid,
-            set,
             frames: MarkedFrameSet::new(),
             children: Vec::new(),
             parents: Vec::new(),
@@ -116,14 +112,14 @@ impl StateGraph {
         self.by_set.get(&sid).copied()
     }
 
-    /// Inserts a new node for the interned set `sid` (resolved as `set`);
-    /// the handle must not already be present.
-    pub fn insert(&mut self, sid: SetId, set: ObjectSet) -> NodeId {
+    /// Inserts a new node for the interned set `sid`; the handle must not
+    /// already be present.
+    pub fn insert(&mut self, sid: SetId) -> NodeId {
         debug_assert!(
             !self.by_set.contains_key(&sid),
-            "duplicate node for {set:?}"
+            "duplicate node for {sid:?}"
         );
-        let node = Node::new(sid, set);
+        let node = Node::new(sid);
         let id = match self.free.pop() {
             Some(id) => {
                 self.nodes[id] = node;
@@ -347,8 +343,8 @@ impl StateGraph {
     }
 
     /// Rebuilds a graph written by [`encode`](Self::encode) against the
-    /// restored interner (node object sets are re-resolved from their
-    /// handles rather than persisted twice). Every structural violation —
+    /// restored interner (nodes persist handles, not object sets). Every
+    /// structural violation —
     /// dangling handles, out-of-range or asymmetric edges, a free list that
     /// does not cover exactly the dead slots — is corrupt data and surfaces
     /// as [`Error::Corrupt`], never a panic or a silently patched graph.
@@ -360,7 +356,6 @@ impl StateGraph {
             if !dec.take_bool()? {
                 nodes.push(Node {
                     sid: SetId::EMPTY,
-                    set: ObjectSet::empty(),
                     frames: MarkedFrameSet::new(),
                     children: Vec::new(),
                     parents: Vec::new(),
@@ -404,7 +399,6 @@ impl StateGraph {
             }
             nodes.push(Node {
                 sid,
-                set: interner.resolve(sid).clone(),
                 frames,
                 children,
                 parents,
@@ -502,27 +496,27 @@ impl StateGraph {
 
     /// Verifies Properties 1 and 2 over the whole graph (test support).
     #[cfg(test)]
-    pub fn check_invariants(&self) {
+    pub fn check_invariants(&self, interner: &SetInterner) {
+        let set_of = |id: NodeId| interner.resolve(self.nodes[id].sid);
         for (&sid, &id) in &self.by_set {
             let node = &self.nodes[id];
             assert!(node.alive);
             assert_eq!(node.sid, sid);
             for &child in &node.children {
                 assert!(
-                    self.nodes[child].set.is_proper_subset_of(&node.set),
+                    set_of(child).is_proper_subset_of(&set_of(id)),
                     "property 1 violated: {:?} -> {:?}",
-                    node.set,
-                    self.nodes[child].set
+                    set_of(id),
+                    set_of(child)
                 );
             }
             for (i, &a) in node.children.iter().enumerate() {
                 for &b in node.children.iter().skip(i + 1) {
-                    let sa = &self.nodes[a].set;
-                    let sb = &self.nodes[b].set;
+                    let (sa, sb) = (set_of(a), set_of(b));
                     assert!(
-                        !sa.is_subset_of(sb) && !sb.is_subset_of(sa),
+                        !sa.is_subset_of(&sb) && !sb.is_subset_of(&sa),
                         "property 2 violated under {:?}: {sa:?} vs {sb:?}",
-                        node.set
+                        set_of(id)
                     );
                 }
             }
@@ -533,7 +527,7 @@ impl StateGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tvq_common::SetInterner;
+    use tvq_common::{ObjectSet, SetInterner};
 
     fn set(ids: &[u32]) -> ObjectSet {
         ObjectSet::from_raw(ids.iter().copied())
@@ -541,9 +535,8 @@ mod tests {
 
     /// Test helper: interns `ids` and inserts the node.
     fn insert(g: &mut StateGraph, interner: &mut SetInterner, ids: &[u32]) -> NodeId {
-        let s = set(ids);
-        let sid = interner.intern(&s);
-        g.insert(sid, s)
+        let sid = interner.intern(&set(ids));
+        g.insert(sid)
     }
 
     #[test]
@@ -566,7 +559,7 @@ mod tests {
         // {2,3} is not a subset of {1,2}: the edge is refused.
         g.attach(a, b, &interner);
         assert!(g.node(a).children.is_empty());
-        g.check_invariants();
+        g.check_invariants(&interner);
     }
 
     /// The example of Figure 3: adding {ABF} below {ABCF} must rewire the
@@ -591,7 +584,7 @@ mod tests {
         assert!(g.node(abf).children.contains(&ab));
         // {ABD} still points at {AB} (Figure 3d).
         assert!(g.node(abd).children.contains(&ab));
-        g.check_invariants();
+        g.check_invariants(&interner);
     }
 
     #[test]
@@ -606,7 +599,7 @@ mod tests {
         g.attach(abc, a, &interner);
         assert!(!g.node(abc).children.contains(&a));
         assert!(g.node(ab).children.contains(&a));
-        g.check_invariants();
+        g.check_invariants(&interner);
     }
 
     #[test]
@@ -638,7 +631,7 @@ mod tests {
         assert!(g.node(abcd).children.contains(&ab));
         // Both of the removed node's edges are accounted for.
         assert_eq!(g.edges_removed, removed_edges_before + 2);
-        g.check_invariants();
+        g.check_invariants(&interner);
     }
 
     #[test]
@@ -694,7 +687,7 @@ mod tests {
         assert_eq!(back.edges_added, g.edges_added);
         assert_eq!(back.edges_removed, g.edges_removed);
         assert!(!back.is_alive(a) && back.is_alive(b));
-        let c = back.insert(interner.intern(&set(&[3])), set(&[3]));
+        let c = back.insert(interner.intern(&set(&[3])));
         assert_eq!(c, a, "recycled slot must survive the round trip");
     }
 

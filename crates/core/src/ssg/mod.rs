@@ -51,7 +51,7 @@ use crate::compaction::{CompactionOutcome, CompactionPolicy};
 use crate::maintainer::{check_order, StateMaintainer};
 use crate::metrics::MaintenanceMetrics;
 use crate::prune::{PrunerVerdictCache, SharedPruner};
-use crate::result_set::ResultStateSet;
+use crate::result_set::{ReportedSets, ResultStateSet};
 use crate::snapshot;
 
 use graph::{NodeId, StateGraph};
@@ -69,6 +69,7 @@ pub struct SsgMaintainer {
     /// Principal states in their order of arrival (kept while alive).
     roots: Vec<NodeId>,
     results: ResultStateSet,
+    reported: ReportedSets,
     /// Handles of the states reported in `results` (revalidated first on the
     /// next frame — the `SR'_i` part of `SR_{i'} = SR'_i ∪ SR_{G'}`).
     prev_results: Vec<SetId>,
@@ -119,6 +120,7 @@ impl SsgMaintainer {
             graph: StateGraph::new(),
             roots: Vec::new(),
             results: ResultStateSet::new(),
+            reported: ReportedSets::default(),
             prev_results: Vec::new(),
             metrics: MaintenanceMetrics::new(),
             pruner: None,
@@ -174,6 +176,7 @@ impl SsgMaintainer {
                 .expect("result states are live graph nodes");
         }
         self.prev_results.sort_unstable();
+        self.reported.clear();
         self.verdicts.remap(table);
     }
 
@@ -184,7 +187,10 @@ impl SsgMaintainer {
             .into_iter()
             .map(|id| {
                 let node = self.graph.node(id);
-                (node.set.clone(), node.frames.iter().collect())
+                (
+                    self.interner.resolve(node.sid),
+                    node.frames.iter().collect(),
+                )
             })
             .collect()
     }
@@ -230,7 +236,7 @@ impl SsgMaintainer {
                 if self.terminate_if_hopeless(sid) {
                     return None;
                 }
-                let id = self.graph.insert(sid, self.interner.resolve(sid).clone());
+                let id = self.graph.insert(sid);
                 self.metrics.states_created += 1;
                 touched.push(id);
                 id
@@ -374,7 +380,7 @@ impl SsgMaintainer {
     /// candidates already reachable from the new principal.
     fn connect_new_principal(&mut self, ns: NodeId) {
         let mut ordered = std::mem::take(&mut self.candidates_scratch);
-        ordered.sort_by_key(|&id| std::cmp::Reverse(self.graph.node(id).set.len()));
+        ordered.sort_by_key(|&id| std::cmp::Reverse(self.interner.len_of(self.graph.node(id).sid)));
         ordered.dedup();
         self.cnps_reachable.clear();
         for &candidate in &ordered {
@@ -472,13 +478,14 @@ impl SsgMaintainer {
             let node = self.graph.node(id);
             if node.frames.has_marked() && self.spec.satisfies_duration(node.frames.len()) {
                 self.results.insert_with_counts(
-                    node.set.clone(),
+                    self.reported.set_of(&self.interner, node.sid),
                     &node.frames,
                     self.interner.cached_counts(node.sid),
                 );
                 self.prev_results.push(node.sid);
             }
         }
+        self.reported.retain_reported(&self.results);
         self.candidates_scratch = candidates;
         self.prev_results.sort_unstable();
         self.prev_results.dedup();
@@ -515,7 +522,7 @@ impl StateMaintainer for SsgMaintainer {
             let ns = match self.graph.id_of(frame_sid) {
                 Some(id) => id,
                 None => {
-                    let id = self.graph.insert(frame_sid, objects.clone());
+                    let id = self.graph.insert(frame_sid);
                     self.metrics.states_created += 1;
                     id
                 }

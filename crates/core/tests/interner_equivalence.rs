@@ -8,9 +8,12 @@
 //!   `states()` / `results()` an `ObjectSet`-keyed implementation would —
 //!   checked against the brute-force reference oracle (which still hashes
 //!   plain object sets) and against each other;
-//! * the interner's memoized `intersect` agrees with the plain
-//!   `ObjectSet::intersect` linear merge, including the `Arc::ptr_eq` fast
-//!   path and the cache fast paths (`a ∩ a`, empty operands).
+//! * the interner's memoized `intersect` (bitmap words in, bitmap words
+//!   out) agrees with the plain `ObjectSet::intersect` linear merge — the
+//!   oracle — including the `Arc::ptr_eq` fast path and the cache fast
+//!   paths (`a ∩ a`, empty operands), and handles resolve back to the
+//!   sorted sets they were interned from across universe growth,
+//!   relabelling and compaction.
 
 use proptest::prelude::*;
 
@@ -61,32 +64,50 @@ proptest! {
         for (set, frames) in mfs.states() {
             // Resolved sets are canonical (sorted, deduplicated) and
             // re-intern to a stable handle that resolves back bitwise.
-            let sid = check.intern(set);
+            let sid = check.intern(&set);
             prop_assert_eq!(check.resolve(sid).as_slice(), set.as_slice());
             prop_assert!(frames.len() <= 4);
         }
         for (set, _) in naive.states() {
-            let sid = check.intern(set);
+            let sid = check.intern(&set);
             prop_assert_eq!(check.resolve(sid), set);
         }
     }
 
     /// The memoized intersect agrees with the linear merge for arbitrary set
-    /// pairs — on the first (miss) call and on the repeat (hit) call.
+    /// pairs — on the first (miss) call and on the repeat (hit) call — under
+    /// identifier labellings whose slot order differs from identifier order,
+    /// with the universe grown past 64/128/256 slots between interning and
+    /// intersecting (handles must not move), and across a compaction.
     #[test]
     fn memoized_intersect_agrees_with_linear_merge(
         a in proptest::collection::vec(0u32..64, 0..24),
         b in proptest::collection::vec(0u32..64, 0..24),
+        labelling in 0usize..3,
+        growth in 0usize..4,
     ) {
-        let sa = ObjectSet::from_raw(a.iter().copied());
-        let sb = ObjectSet::from_raw(b.iter().copied());
+        // Bijections on 0..67 (prime): identity, a scramble, a reversal.
+        let multiplier = [1u32, 29, 66][labelling];
+        let relabel = |ids: &[u32]| ObjectSet::from_raw(ids.iter().map(|id| id * multiplier % 67));
+        let (sa, sb) = (relabel(&a), relabel(&b));
         let expected = sa.intersect(&sb);
 
         let mut interner = SetInterner::new();
         let ia = interner.intern(&sa);
         let ib = interner.intern(&sb);
+        for boundary in [64u32, 128, 256].into_iter().take(growth) {
+            interner.intern(&ObjectSet::from_raw(1000..1000 + boundary));
+            prop_assert_eq!(interner.get(&sa), Some(ia));
+            prop_assert_eq!(interner.intern(&sb), ib);
+        }
+        // A lookup of a set holding an unseen object assigns no slot.
+        let universe = interner.universe_len();
+        prop_assert_eq!(interner.get(&ObjectSet::from_raw([1, 9999])), None);
+        prop_assert_eq!(interner.universe_len(), universe);
+        prop_assert_eq!(interner.resolve(ia), sa.clone());
+
         let miss = interner.intersect(ia, ib);
-        prop_assert_eq!(interner.resolve(miss), &expected);
+        prop_assert_eq!(interner.resolve(miss), expected.clone());
         // Second call is answered from the cache (or a fast path) and must
         // agree; the commuted pair shares the same answer.
         let hit = interner.intersect(ia, ib);
@@ -99,6 +120,13 @@ proptest! {
         }
         if sb.is_subset_of(&sa) && sa != sb {
             prop_assert_eq!(miss, ib);
+        }
+        // Contents survive the epoch change that rewrites every bitmap.
+        let table = interner.compact(&[ia, ib, miss]);
+        for (old, set) in [(ia, &sa), (ib, &sb), (miss, &expected)] {
+            let new = table.remap(old).expect("kept live");
+            prop_assert_eq!(&interner.resolve(new), set);
+            prop_assert_eq!(interner.get(set), Some(new));
         }
     }
 
@@ -215,7 +243,7 @@ fn memo_collisions_do_not_corrupt_answers() {
                 let expected = sets[i].intersect(&sets[j]);
                 assert_eq!(
                     interner.resolve(got),
-                    &expected,
+                    expected,
                     "wrong intersection for pair ({i}, {j})"
                 );
             }
