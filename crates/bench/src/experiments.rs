@@ -1,16 +1,22 @@
-//! One experiment per table/figure of the paper's evaluation section.
+//! One experiment per table/figure of the paper's evaluation section, the
+//! three beyond-the-paper scenarios with their gates, and the
+//! [`EXPERIMENTS`] table the `repro` driver (and the smoke tests) resolve
+//! them through by name.
 //!
-//! Every function generates the required workload(s), measures the methods
-//! the corresponding figure compares, and returns per-dataset [`Series`]
-//! ready to be printed with [`format_table`]. Absolute times differ from the
-//! paper (different language, hardware and — for the vision stage — a
+//! Every figure function generates the required workload(s), measures the
+//! methods the corresponding figure compares, and returns per-dataset
+//! [`Series`] ready to be printed with [`format_table`]. Absolute times differ
+//! from the paper (different language, hardware and — for the vision stage — a
 //! simulator instead of GPUs); what must match is the *shape*: which method
 //! wins on which dataset, and how the gap evolves with each parameter.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use tvq_common::{DatasetStats, FeedId, VideoRelation, WindowSpec};
+use tvq_common::{
+    ClassId, DatasetStats, FeedId, FrameId, FrameObjects, MemoConfig, ObjectId, VideoRelation,
+    WindowSpec,
+};
 use tvq_core::{CompactionPolicy, MaintainerKind, MaintenanceMetrics};
 use tvq_engine::{
     EngineConfig, FeedFrame, MultiFeedConfig, MultiFeedEngine, SchedulingStats,
@@ -18,48 +24,59 @@ use tvq_engine::{
 };
 use tvq_query::{generate_workload, CnfEvaluator, GeqOnlyPruner, WorkloadConfig};
 use tvq_video::{
-    generate, generate_with_id_reuse, interleave, long_churn_feed, skewed_grid, CameraFeed,
-    ChurnProfile, DatasetProfile, SkewProfile,
+    generate, generate_with_id_reuse, interleave, long_churn_feed, skewed_grid, ChurnProfile,
+    DatasetProfile, SkewProfile,
 };
 
 use crate::harness::{
-    format_table, measure_mcos_generation, measure_query_evaluation, time_mcos_generation,
-    time_query_evaluation, Scale, Series,
+    format_table, measure_mcos_generation, measure_query_evaluation, text_table, Scale, Series,
 };
-use crate::report::MaintainerTiming;
+use crate::report::{JsonValue, MaintainerTiming, ScenarioReport};
 
 /// Seed used by every experiment so that runs are reproducible.
 pub const SEED: u64 = 20210614;
 
-fn paper_window() -> WindowSpec {
-    WindowSpec::paper_default()
-}
-
-fn profiles() -> Vec<DatasetProfile> {
-    DatasetProfile::all()
-}
-
-fn mcos_methods() -> [MaintainerKind; 3] {
+/// The three MCOS maintainers under their display names.
+fn mcos_methods() -> [(&'static str, MaintainerKind); 3] {
     [
         MaintainerKind::Naive,
         MaintainerKind::Mfs,
         MaintainerKind::Ssg,
     ]
+    .map(|kind| (kind.name(), kind))
+}
+
+/// One dataset's table of a figure: a [`Series`] per method, a point per x
+/// value, each timed by `seconds(method, x)`.
+fn series_group<M: Copy, X: ToString>(
+    dataset: &str,
+    methods: &[(&str, M)],
+    xs: &[X],
+    seconds: impl Fn(M, &X) -> f64,
+) -> (String, Vec<Series>) {
+    let series = methods
+        .iter()
+        .map(|&(name, method)| Series {
+            method: name.to_owned(),
+            points: xs
+                .iter()
+                .map(|x| (x.to_string(), seconds(method, x)))
+                .collect(),
+        })
+        .collect();
+    (dataset.to_owned(), series)
 }
 
 /// **Table 6** — dataset statistics: the Table-6 target values versus the
-/// statistics measured on the synthesised relation of each profile.
+/// statistics measured on the synthesised relation of each profile (the
+/// header and rows; the title comes from the [`EXPERIMENTS`] entry).
 pub fn table6(scale: Scale) -> String {
     let mut out = String::from(
-        "Table 6: dataset statistics (paper target vs. synthesised relation)\n\
-         dataset |       frames |      objects |        Obj/F |      Occ/Obj |        F/Obj\n\
+        "dataset |       frames |      objects |        Obj/F |      Occ/Obj |        F/Obj\n\
          --------+--------------+--------------+--------------+--------------+-------------\n",
     );
-    for profile in profiles() {
-        let profile = match scale {
-            Scale::Paper => profile,
-            Scale::Quick => profile.truncated(scale.frames(profile.frames)),
-        };
+    for profile in DatasetProfile::all() {
+        let profile = profile.truncated(scale.frames(profile.frames));
         let target = profile.target_stats();
         let measured = DatasetStats::of(&generate(&profile, SEED));
         out.push_str(&format!(
@@ -97,27 +114,18 @@ pub fn fig4_frame_counts(profile: &DatasetProfile) -> Vec<usize> {
 /// **Figure 4** — MCOS generation time as the number of processed frames
 /// grows (w = 300, d = 240), per dataset, for NAIVE/MFS/SSG.
 pub fn fig4(scale: Scale) -> Vec<(String, Vec<Series>)> {
-    let window = scale.window(paper_window());
-    profiles()
+    let window = scale.window(WindowSpec::paper_default());
+    DatasetProfile::all()
         .into_iter()
         .map(|profile| {
             let relation = generate(&profile, SEED);
-            let series = mcos_methods()
-                .iter()
-                .map(|&kind| Series {
-                    method: kind.name().to_owned(),
-                    points: fig4_frame_counts(&profile)
-                        .into_iter()
-                        .map(|frames| {
-                            let frames = scale.frames(frames);
-                            let truncated = relation.truncated(frames);
-                            let elapsed = time_mcos_generation(&truncated, window, kind);
-                            (frames.to_string(), elapsed.as_secs_f64())
-                        })
-                        .collect(),
-                })
+            let frame_counts: Vec<usize> = fig4_frame_counts(&profile)
+                .into_iter()
+                .map(|frames| scale.frames(frames))
                 .collect();
-            (profile.name.to_owned(), series)
+            series_group(profile.name, &mcos_methods(), &frame_counts, |kind, &n| {
+                measure_mcos_generation(&relation.truncated(n), window, kind).seconds
+            })
         })
         .collect()
 }
@@ -125,45 +133,32 @@ pub fn fig4(scale: Scale) -> Vec<(String, Vec<Series>)> {
 /// **Figure 5** — MCOS generation time as the duration threshold `d` varies
 /// (w = 300, d ∈ {180, 210, 240, 270}).
 pub fn fig5(scale: Scale) -> Vec<(String, Vec<Series>)> {
-    sweep_window_parameter(scale, &[180, 210, 240, 270], |window, d, scale| {
-        scale.window(WindowSpec::new(window.window(), d).expect("duration <= window"))
+    sweep_window_parameter(scale, &[180, 210, 240, 270], |window, d| {
+        WindowSpec::new(window.window(), d)
     })
 }
 
 /// **Figure 6** — MCOS generation time as the window size `w` varies
 /// (d = 240, w ∈ {300, 400, 500, 600}).
 pub fn fig6(scale: Scale) -> Vec<(String, Vec<Series>)> {
-    sweep_window_parameter(scale, &[300, 400, 500, 600], |window, w, scale| {
-        scale.window(WindowSpec::new(w, window.duration()).expect("duration <= window"))
+    sweep_window_parameter(scale, &[300, 400, 500, 600], |window, w| {
+        WindowSpec::new(w, window.duration())
     })
 }
 
 fn sweep_window_parameter(
     scale: Scale,
     xs: &[usize],
-    make_spec: impl Fn(WindowSpec, usize, Scale) -> WindowSpec,
+    make_spec: impl Fn(WindowSpec, usize) -> tvq_common::Result<WindowSpec>,
 ) -> Vec<(String, Vec<Series>)> {
-    let base = paper_window();
-    profiles()
+    DatasetProfile::all()
         .into_iter()
         .map(|profile| {
-            let frames = scale.frames(profile.frames);
-            let relation = generate(&profile, SEED).truncated(frames);
-            let series = mcos_methods()
-                .iter()
-                .map(|&kind| Series {
-                    method: kind.name().to_owned(),
-                    points: xs
-                        .iter()
-                        .map(|&x| {
-                            let spec = make_spec(base, x, scale);
-                            let elapsed = time_mcos_generation(&relation, spec, kind);
-                            (x.to_string(), elapsed.as_secs_f64())
-                        })
-                        .collect(),
-                })
-                .collect();
-            (profile.name.to_owned(), series)
+            let relation = generate(&profile, SEED).truncated(scale.frames(profile.frames));
+            series_group(profile.name, &mcos_methods(), xs, |kind, &x| {
+                let spec = make_spec(WindowSpec::paper_default(), x).expect("duration <= window");
+                measure_mcos_generation(&relation, scale.window(spec), kind).seconds
+            })
         })
         .collect()
 }
@@ -171,29 +166,20 @@ fn sweep_window_parameter(
 /// **Figure 7** — MCOS generation time as the occlusion (id reuse) parameter
 /// `po` varies from 0 to 3 (w = 300, d = 240).
 pub fn fig7(scale: Scale) -> Vec<(String, Vec<Series>)> {
-    let window = scale.window(paper_window());
-    profiles()
+    let window = scale.window(WindowSpec::paper_default());
+    DatasetProfile::all()
         .into_iter()
         .map(|profile| {
-            let frames = scale.frames(profile.frames);
-            let profile = profile.truncated(frames);
-            let relations: Vec<(u32, VideoRelation)> = (0..=3u32)
-                .map(|po| (po, generate_with_id_reuse(&profile, po, SEED)))
+            let profile = profile.truncated(scale.frames(profile.frames));
+            let relations: Vec<VideoRelation> = (0..=3u32)
+                .map(|po| generate_with_id_reuse(&profile, po, SEED))
                 .collect();
-            let series = mcos_methods()
-                .iter()
-                .map(|&kind| Series {
-                    method: kind.name().to_owned(),
-                    points: relations
-                        .iter()
-                        .map(|(po, relation)| {
-                            let elapsed = time_mcos_generation(relation, window, kind);
-                            (po.to_string(), elapsed.as_secs_f64())
-                        })
-                        .collect(),
-                })
-                .collect();
-            (profile.name.to_owned(), series)
+            series_group(
+                profile.name,
+                &mcos_methods(),
+                &[0usize, 1, 2, 3],
+                |kind, &po| measure_mcos_generation(&relations[po], window, kind).seconds,
+            )
         })
         .collect()
 }
@@ -202,87 +188,38 @@ pub fn fig7(scale: Scale) -> Vec<(String, Vec<Series>)> {
 /// number of registered queries varies from 10 to 50, on V1 (synthetic) and
 /// M2 (real), for NAIVE/MFS/SSG.
 pub fn fig8(scale: Scale) -> Vec<(String, Vec<Series>)> {
-    let window = scale.window(paper_window());
+    let window = scale.window(WindowSpec::paper_default());
+    let query_counts = [10usize, 20, 30, 40, 50];
     [DatasetProfile::v1(), DatasetProfile::m2()]
         .into_iter()
         .map(|profile| {
-            let frames = scale.frames(profile.frames);
-            let relation = generate(&profile, SEED).truncated(frames);
-            let series = mcos_methods()
-                .iter()
-                .map(|&kind| Series {
-                    method: kind.name().to_owned(),
-                    points: [10usize, 20, 30, 40, 50]
-                        .iter()
-                        .map(|&n| {
-                            let workload = generate_workload(&WorkloadConfig::figure_8(n), SEED);
-                            let evaluator = CnfEvaluator::new(workload);
-                            let elapsed =
-                                time_query_evaluation(&relation, window, kind, &evaluator, None);
-                            (n.to_string(), elapsed.as_secs_f64())
-                        })
-                        .collect(),
-                })
-                .collect();
-            (profile.name.to_owned(), series)
+            let relation = generate(&profile, SEED).truncated(scale.frames(profile.frames));
+            series_group(profile.name, &mcos_methods(), &query_counts, |kind, &n| {
+                let workload = generate_workload(&WorkloadConfig::figure_8(n), SEED);
+                let evaluator = CnfEvaluator::new(workload);
+                measure_query_evaluation(&relation, window, kind, &evaluator, None).seconds
+            })
         })
         .collect()
 }
 
-/// The five method variants compared in Figure 9.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fig9Method {
-    /// NAIVE with CNFEvalE evaluation only.
-    NaiveE,
-    /// MFS with CNFEvalE evaluation only.
-    MfsE,
-    /// SSG with CNFEvalE evaluation only.
-    SsgE,
-    /// MFS with the Section 5.3 pruning strategy.
-    MfsO,
-    /// SSG with the Section 5.3 pruning strategy.
-    SsgO,
-}
-
-impl Fig9Method {
-    /// All five variants in the paper's legend order.
-    pub const ALL: [Fig9Method; 5] = [
-        Fig9Method::NaiveE,
-        Fig9Method::MfsE,
-        Fig9Method::SsgE,
-        Fig9Method::MfsO,
-        Fig9Method::SsgO,
-    ];
-
-    /// Display name matching the paper.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Fig9Method::NaiveE => "NAIVE_E",
-            Fig9Method::MfsE => "MFS_E",
-            Fig9Method::SsgE => "SSG_E",
-            Fig9Method::MfsO => "MFS_O",
-            Fig9Method::SsgO => "SSG_O",
-        }
-    }
-
-    fn kind(&self) -> MaintainerKind {
-        match self {
-            Fig9Method::NaiveE => MaintainerKind::Naive,
-            Fig9Method::MfsE | Fig9Method::MfsO => MaintainerKind::Mfs,
-            Fig9Method::SsgE | Fig9Method::SsgO => MaintainerKind::Ssg,
-        }
-    }
-
-    fn pruned(&self) -> bool {
-        matches!(self, Fig9Method::MfsO | Fig9Method::SsgO)
-    }
-}
+/// The five method variants compared in Figure 9, in the paper's legend
+/// order: display name, maintainer, and whether the Section 5.3 pruning
+/// strategy is on (`_O`) or evaluation is CNFEvalE only (`_E`).
+pub const FIG9_METHODS: [(&str, (MaintainerKind, bool)); 5] = [
+    ("NAIVE_E", (MaintainerKind::Naive, false)),
+    ("MFS_E", (MaintainerKind::Mfs, false)),
+    ("SSG_E", (MaintainerKind::Ssg, false)),
+    ("MFS_O", (MaintainerKind::Mfs, true)),
+    ("SSG_O", (MaintainerKind::Ssg, true)),
+];
 
 /// **Figure 9** — total time with 100 `>=`-only queries as the smallest
 /// threshold `n_min` varies from 1 to 9, on the real datasets (D1, D2, M1,
 /// M2), comparing the `_E` variants with the pruning `_O` variants.
 pub fn fig9(scale: Scale) -> Vec<(String, Vec<Series>)> {
-    let window = scale.window(paper_window());
+    let window = scale.window(WindowSpec::paper_default());
+    let n_mins = [1u32, 3, 5, 7, 9];
     [
         DatasetProfile::d1(),
         DatasetProfile::d2(),
@@ -291,36 +228,23 @@ pub fn fig9(scale: Scale) -> Vec<(String, Vec<Series>)> {
     ]
     .into_iter()
     .map(|profile| {
-        let frames = scale.frames(profile.frames);
-        let relation = generate(&profile, SEED).truncated(frames);
+        let relation = generate(&profile, SEED).truncated(scale.frames(profile.frames));
         let classes = Arc::new(relation.object_classes().clone());
-        let series = Fig9Method::ALL
-            .iter()
-            .map(|method| Series {
-                method: method.name().to_owned(),
-                points: [1u32, 3, 5, 7, 9]
-                    .iter()
-                    .map(|&n_min| {
-                        let workload = generate_workload(&WorkloadConfig::figure_9(n_min), SEED);
-                        let evaluator = Arc::new(CnfEvaluator::new(workload));
-                        let pruner = if method.pruned() {
-                            GeqOnlyPruner::shared(Arc::clone(&evaluator), Arc::clone(&classes))
-                        } else {
-                            None
-                        };
-                        let elapsed = time_query_evaluation(
-                            &relation,
-                            window,
-                            method.kind(),
-                            &evaluator,
-                            pruner,
-                        );
-                        (n_min.to_string(), elapsed.as_secs_f64())
-                    })
-                    .collect(),
-            })
-            .collect();
-        (profile.name.to_owned(), series)
+        series_group(
+            profile.name,
+            &FIG9_METHODS,
+            &n_mins,
+            |(kind, pruned), &n_min| {
+                let workload = generate_workload(&WorkloadConfig::figure_9(n_min), SEED);
+                let evaluator = Arc::new(CnfEvaluator::new(workload));
+                let pruner = if pruned {
+                    GeqOnlyPruner::shared(Arc::clone(&evaluator), Arc::clone(&classes))
+                } else {
+                    None
+                };
+                measure_query_evaluation(&relation, window, kind, &evaluator, pruner).seconds
+            },
+        )
     })
     .collect()
 }
@@ -331,258 +255,81 @@ pub fn fig9(scale: Scale) -> Vec<(String, Vec<Series>)> {
 /// relation (the vision stage is a simulator), so only the relative ordering
 /// of NAIVE/MFS/SSG is comparable.
 pub fn fig10(scale: Scale) -> Vec<Series> {
-    let window = scale.window(paper_window());
+    let window = scale.window(WindowSpec::paper_default());
     let num_queries = 50;
     let mut series: Vec<Series> = mcos_methods()
         .iter()
-        .map(|&kind| Series {
-            method: kind.name().to_owned(),
+        .map(|&(name, _)| Series {
+            method: name.to_owned(),
             points: Vec::new(),
         })
         .collect();
-    for profile in profiles() {
-        let frames = scale.frames(profile.frames);
-        let relation = generate(&profile, SEED).truncated(frames);
+    for profile in DatasetProfile::all() {
+        let relation = generate(&profile, SEED).truncated(scale.frames(profile.frames));
         let workload = generate_workload(&WorkloadConfig::figure_8(num_queries), SEED);
         let evaluator = CnfEvaluator::new(workload);
-        for (idx, &kind) in mcos_methods().iter().enumerate() {
-            let elapsed = time_query_evaluation(&relation, window, kind, &evaluator, None);
-            series[idx].points.push((
-                profile.name.to_owned(),
-                elapsed.as_secs_f64() / num_queries as f64,
-            ));
+        for (idx, &(_, kind)) in mcos_methods().iter().enumerate() {
+            let timing = measure_query_evaluation(&relation, window, kind, &evaluator, None);
+            series[idx]
+                .points
+                .push((profile.name.to_owned(), timing.seconds / num_queries as f64));
         }
     }
     series
 }
 
-/// Instrumented per-maintainer summary shared by the single-feed `repro_*`
-/// binaries' `--json` reports: every production maintainer ingests the V1
-/// (sparse) and M2 (dense) classed feeds at the given scale, once for MCOS
-/// generation alone and once with a 20-query CNF workload evaluated per
-/// frame, and reports throughput plus work counters.
+/// Instrumented per-maintainer summary shared by the `--json` reports of
+/// Table 6 and Figures 4–10 (measured once per `repro` invocation): every
+/// production maintainer ingests the V1 (sparse) and M2 (dense) classed
+/// feeds at the given scale, once for MCOS generation alone and once with a
+/// 20-query CNF workload evaluated per frame, and reports throughput plus
+/// work counters.
 pub fn instrumented_summary(scale: Scale) -> Vec<MaintainerTiming> {
-    let window = scale.window(paper_window());
+    let window = scale.window(WindowSpec::paper_default());
     let workload = generate_workload(&WorkloadConfig::figure_8(20), SEED);
     let evaluator = CnfEvaluator::new(workload);
     let mut timings = Vec::new();
     for profile in [DatasetProfile::v1(), DatasetProfile::m2()] {
-        let frames = scale.frames(profile.frames);
-        let relation = generate(&profile, SEED).truncated(frames);
-        for kind in mcos_methods() {
-            let mcos = measure_mcos_generation(&relation, window, kind);
-            timings.push(mcos.into_timing(format!("{}/{}/mcos", kind.name(), profile.name)));
-            let eval = measure_query_evaluation(&relation, window, kind, &evaluator, None);
-            timings.push(eval.into_timing(format!("{}/{}/eval", kind.name(), profile.name)));
+        let relation = generate(&profile, SEED).truncated(scale.frames(profile.frames));
+        for (name, kind) in mcos_methods() {
+            let mut mcos = measure_mcos_generation(&relation, window, kind);
+            mcos.method = format!("{name}/{}/mcos", profile.name);
+            let mut eval = measure_query_evaluation(&relation, window, kind, &evaluator, None);
+            eval.method = format!("{name}/{}/eval", profile.name);
+            timings.extend([mcos, eval]);
         }
     }
     timings
 }
 
-/// Batch size used by the multi-feed scaling experiment.
-pub const MULTI_FEED_BATCH: usize = 64;
-
-/// Builds the heterogeneous camera deployment the multi-feed experiment
-/// runs on: `feeds` cameras cycling through the paper's dataset profiles,
-/// truncated per scale.
-pub fn multi_feed_deployment(feeds: usize, scale: Scale) -> Vec<CameraFeed> {
-    let all = profiles();
-    let deployment: Vec<DatasetProfile> = (0..feeds)
-        .map(|i| {
-            let profile = &all[i % all.len()];
-            profile.truncated(scale.frames(profile.frames).min(300))
-        })
-        .collect();
-    tvq_video::generate_feeds(&deployment, SEED)
-}
-
-/// Interleaves a deployment into the round-robin `FeedFrame` batches the
-/// multi-feed engine ingests. Split out so benchmarks can prepare batches
-/// once, outside the timed section.
-pub fn multi_feed_batches(feeds: &[CameraFeed]) -> Vec<Vec<FeedFrame>> {
-    interleave(feeds, MULTI_FEED_BATCH)
-        .into_iter()
-        .map(|batch| batch.into_iter().map(FeedFrame::from).collect())
-        .collect()
-}
-
-/// Ingests pre-built batches through a fresh sharded engine and returns the
-/// wall-clock seconds spent inside the `push_batch` loop plus the total
-/// number of matches (to keep the work honest). Engine construction and
-/// batch preparation are excluded from the measurement.
-pub fn run_multi_feed_prepared(
-    batches: &[Vec<FeedFrame>],
-    workers: usize,
-    window: WindowSpec,
-) -> (f64, u64) {
-    let mut engine = build_multi_feed_engine(workers, window, MaintainerKind::Ssg);
-    let (duration, matches) = ingest_batches(&mut engine, batches);
-    (duration.as_secs_f64(), matches)
-}
-
-/// Builds the sharded engine all multi-feed measurements run on.
-fn build_multi_feed_engine(
-    workers: usize,
-    window: WindowSpec,
-    kind: MaintainerKind,
-) -> MultiFeedEngine {
-    let config =
-        MultiFeedConfig::new(EngineConfig::new(window).with_maintainer(kind)).with_workers(workers);
-    MultiFeedEngine::builder(config)
-        .with_query_text("car >= 2 AND person >= 1")
-        .expect("query parses")
-        .with_query_text("car >= 3")
-        .expect("query parses")
-        .build()
-        .expect("engine builds")
-}
-
-/// The timed ingestion loop shared by the bench path (which stops here) and
-/// the instrumented path (which additionally collects the report).
-fn ingest_batches(
-    engine: &mut MultiFeedEngine,
-    batches: &[Vec<FeedFrame>],
-) -> (std::time::Duration, u64) {
-    let start = Instant::now();
-    let mut matches = 0u64;
-    for batch in batches {
-        let results = engine.push_batch(batch).expect("batch is accepted");
-        matches += results
-            .iter()
-            .map(|r| r.result.matches.len() as u64)
-            .sum::<u64>();
-    }
-    (start.elapsed(), matches)
-}
-
-/// One instrumented multi-feed ingestion run: the shared
-/// [`Measurement`](crate::harness::Measurement)
-/// (time, frames, merged metrics — one conversion path to
-/// [`MaintainerTiming`]) plus the total match count that keeps the work
-/// honest.
-#[derive(Debug, Clone)]
-pub struct MultiFeedMeasurement {
-    /// Timing, frame count and merged per-feed maintenance metrics.
-    pub measurement: crate::harness::Measurement,
-    /// Total query matches across all frames.
-    pub matches: u64,
-}
-
-impl MultiFeedMeasurement {
-    /// Wall-clock seconds spent inside the `push_batch` loop.
-    pub fn seconds(&self) -> f64 {
-        self.measurement.duration.as_secs_f64()
-    }
-
-    /// Converts the measurement into a named [`MaintainerTiming`].
-    pub fn into_timing(self, method: impl Into<String>) -> MaintainerTiming {
-        self.measurement.into_timing(method)
-    }
-}
-
-/// Ingests pre-built batches through a fresh sharded engine using the given
-/// MCOS maintainer and returns the instrumented measurement (time, matches,
-/// frames and merged metrics). Engine construction and batch preparation are
-/// excluded from the timed section; the final [`MultiFeedEngine::report`]
-/// collection happens after timing stops.
-pub fn measure_multi_feed(
-    batches: &[Vec<FeedFrame>],
-    workers: usize,
-    window: WindowSpec,
-    kind: MaintainerKind,
-) -> MultiFeedMeasurement {
-    let mut engine = build_multi_feed_engine(workers, window, kind);
-    let (duration, matches) = ingest_batches(&mut engine, batches);
-    let report = engine.report().expect("report is collected");
-    MultiFeedMeasurement {
-        measurement: crate::harness::Measurement {
-            duration,
-            frames: report.total_frames(),
-            metrics: report.metrics,
-        },
-        matches,
-    }
-}
-
-/// A stable surveillance scene: per camera, 24 tracked objects (alternating
-/// car/person classes) that all co-occur, with a rolling occlusion hiding
-/// one object for a stretch of frames at a time. Frame object sets repeat
-/// for long runs — the workload sliding-window MCOS maintenance is designed
-/// for, and the one where the interner's memoization pays most.
-pub fn stable_scene(feeds: u32, frames: u64) -> Vec<CameraFeed> {
+/// A stable surveillance scene: 24 tracked objects (alternating car/person
+/// classes) that all co-occur, with a rolling occlusion hiding one object
+/// for a stretch of frames at a time. Frame object sets repeat for long runs
+/// — the workload sliding-window MCOS maintenance is designed for, and the
+/// one where the interner's memoization pays most.
+fn stable_scene(frames: u64) -> Vec<FrameObjects> {
     const OBJECTS: u32 = 24;
-    (0..feeds)
-        .map(|f| CameraFeed {
-            feed: tvq_common::FeedId(f),
-            frames: (0..frames)
-                .map(|i| {
-                    let occluded = ((i / 40) % u64::from(OBJECTS)) as u32;
-                    let detections = (0..OBJECTS)
-                        .filter(|&obj| !(obj == occluded && i % 40 < 12))
-                        .map(|obj| {
-                            (
-                                tvq_common::ObjectId(obj + f * 100),
-                                tvq_common::ClassId((obj % 2) as u16),
-                            )
-                        })
-                        .collect();
-                    tvq_common::FrameObjects::new(tvq_common::FrameId(i), detections)
-                })
-                .collect(),
+    (0..frames)
+        .map(|i| {
+            let occluded = ((i / 40) % u64::from(OBJECTS)) as u32;
+            let detections = (0..OBJECTS)
+                .filter(|&obj| !(obj == occluded && i % 40 < 12))
+                .map(|obj| (ObjectId(obj), ClassId((obj % 2) as u16)))
+                .collect();
+            FrameObjects::new(FrameId(i), detections)
         })
         .collect()
-}
-
-/// Instrumented per-maintainer summary for the multi-feed scenario: a
-/// four-camera deployment ingested per maintainer kind and worker-pool
-/// size, plus the stable-scene workload for all three maintainers (NAIVE
-/// rejoined once its result collection went incremental; it remains far
-/// slower than MFS/SSG — its state table is the intersection closure).
-pub fn instrumented_multifeed(scale: Scale) -> Vec<MaintainerTiming> {
-    let window = scale.window(WindowSpec::new(60, 45).expect("static spec is valid"));
-    let batches = multi_feed_batches(&multi_feed_deployment(4, scale));
-    let mut timings = Vec::new();
-    for kind in mcos_methods() {
-        for workers in [1usize, 4] {
-            let timing = measure_multi_feed(&batches, workers, window, kind);
-            timings.push(timing.into_timing(format!("{}/4feeds/{workers}w", kind.name())));
-        }
-    }
-    let stable = multi_feed_batches(&stable_scene(4, 600));
-    let stable_window = WindowSpec::new(60, 40).expect("static spec is valid");
-    for kind in mcos_methods() {
-        let timing = measure_multi_feed(&stable, 1, stable_window, kind);
-        timings.push(timing.into_timing(format!("{}/stable/1w", kind.name())));
-    }
-    timings
-}
-
-/// The window the skewed-grid scenario runs under.
-pub fn skew_window(scale: Scale) -> WindowSpec {
-    scale.window(WindowSpec::new(30, 20).expect("static spec is valid"))
-}
-
-/// The skewed-grid profile the scenario ingests: the [`SkewProfile`]
-/// default (12 cameras, 2 hot colliding under mod-4 sharding, hotspot flip
-/// at half-time), frame budget per scale.
-pub fn skew_profile(scale: Scale) -> SkewProfile {
-    SkewProfile::new(match scale {
-        Scale::Paper => 600,
-        Scale::Quick => 240,
-    })
 }
 
 /// One skewed-grid ingestion run of one scheduler configuration.
 #[derive(Debug, Clone)]
 pub struct SkewRun {
-    /// Configuration name: `static/1w`, `static/4w` or `rebalance/4w`.
-    pub method: String,
+    /// Configuration name (`static/1w`, `static/4w` or `rebalance/4w`),
+    /// wall-clock seconds inside the `push_batch` loop, frames ingested and
+    /// the merged fleet metrics (which include the scheduler's counters).
+    pub timing: MaintainerTiming,
     /// Worker-pool size of the run.
     pub workers: usize,
-    /// Wall-clock seconds spent inside the `push_batch` loop.
-    pub seconds: f64,
-    /// Frames ingested.
-    pub frames: u64,
     /// Total query matches (the honesty check across configurations).
     pub matches: u64,
     /// FNV-1a hash over every `(feed, frame, query matches)` result in
@@ -592,25 +339,10 @@ pub struct SkewRun {
     pub transcript: u64,
     /// The engine's worker-time telemetry (busy vs critical-path nanos).
     pub sched: SchedulingStats,
-    /// Merged fleet metrics (includes the scheduler-owned counters).
-    pub metrics: MaintenanceMetrics,
 }
 
-impl SkewRun {
-    /// Converts the run into the shared [`MaintainerTiming`] JSON row.
-    pub fn timing(&self) -> MaintainerTiming {
-        MaintainerTiming {
-            method: self.method.clone(),
-            seconds: self.seconds,
-            frames: self.frames,
-            metrics: self.metrics.clone(),
-        }
-    }
-}
-
-fn fnv(hash: u64, value: u64) -> u64 {
-    // FNV-1a over the value's little-endian bytes.
-    let mut hash = hash;
+/// FNV-1a over the value's little-endian bytes.
+fn fnv(mut hash: u64, value: u64) -> u64 {
     for byte in value.to_le_bytes() {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x100_0000_01b3);
@@ -623,10 +355,15 @@ fn fnv(hash: u64, value: u64) -> u64 {
 /// collide on one of them by construction), and four workers with
 /// work-stealing rebalancing — and returns the instrumented runs. All three
 /// must produce identical transcripts; the rebalanced run is the only one
-/// whose schedule can spread the hot cameras.
+/// whose schedule can spread the hot cameras. The grid is the
+/// [`SkewProfile`] default (12 cameras, 2 hot colliding under mod-4
+/// sharding, hotspot flip at half-time).
 pub fn skew(scale: Scale) -> Vec<SkewRun> {
-    let window = skew_window(scale);
-    let grid = skewed_grid(&skew_profile(scale));
+    let window = scale.window(WindowSpec::new(30, 20).expect("static spec is valid"));
+    let grid = skewed_grid(&SkewProfile::new(match scale {
+        Scale::Paper => 600,
+        Scale::Quick => 240,
+    }));
     // Three frames per camera per batch: big enough to amortise channel
     // traffic, small enough that the load EWMA tracks the hotspot flip
     // within a few batches.
@@ -670,14 +407,16 @@ pub fn skew(scale: Scale) -> Vec<SkewRun> {
         let seconds = start.elapsed().as_secs_f64();
         let report = engine.report().expect("report is collected");
         SkewRun {
-            method: method.to_owned(),
+            timing: MaintainerTiming {
+                method: method.to_owned(),
+                seconds,
+                frames: report.total_frames(),
+                metrics: report.metrics,
+            },
             workers,
-            seconds,
-            frames: report.total_frames(),
             matches,
             transcript,
             sched: engine.scheduling_stats(),
-            metrics: report.metrics,
         }
     })
     .collect()
@@ -733,7 +472,7 @@ impl SkewVerdict {
 pub fn skew_verdict(runs: &[SkewRun]) -> SkewVerdict {
     let find = |method: &str| {
         runs.iter()
-            .find(|run| run.method == method)
+            .find(|run| run.timing.method == method)
             .unwrap_or_else(|| panic!("skew run set misses {method}"))
     };
     let static1 = find("static/1w");
@@ -745,88 +484,116 @@ pub fn skew_verdict(runs: &[SkewRun]) -> SkewVerdict {
         static4_parallelism: static4.sched.schedule_parallelism(),
         rebalance_beats_static: rebalance.sched.critical_path_nanos
             < static4.sched.critical_path_nanos,
-        wall_clock_speedup: static1.seconds / rebalance.seconds.max(f64::EPSILON),
+        wall_clock_speedup: static1.timing.seconds / rebalance.timing.seconds.max(f64::EPSILON),
         cores: std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1),
     }
 }
 
-/// One sampled point of a long-churn run's memory trajectory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChurnSample {
-    /// Frame index the sample was taken after.
-    pub frame: u64,
-    /// Distinct sets in the interner arena at that frame.
-    pub interned_sets: u64,
-    /// Interner arena bytes at that frame.
-    pub arena_bytes: u64,
-    /// Bitmap + universe bytes at that frame.
-    pub bitmap_bytes: u64,
-    /// Compaction epochs run so far.
-    pub compactions: u64,
+/// What a bounded-memory scenario reads off the engine after every frame.
+struct Probe<const N: usize> {
+    /// The gated byte count (interner arena / class store + lifecycle maps).
+    bytes: u64,
+    /// The population behind it (interned sets / tracked objects).
+    population: u64,
+    /// Compaction (retirement) epochs run so far.
+    epochs: u64,
+    /// The gauges recorded in the sampled trajectory.
+    gauges: [u64; N],
 }
 
-/// One instrumented long-churn ingestion run.
+/// One instrumented ingestion run of a bounded-memory scenario, with
+/// compaction (and with it epoch retirement) off or on. `N` is the number of
+/// gauges sampled along the way: see [`CHURN_GAUGES`] and
+/// [`ID_REUSE_GAUGES`].
 #[derive(Debug, Clone)]
-pub struct ChurnRun {
-    /// `"<METHOD>/on"` or `"<METHOD>/off"` (compaction enabled/disabled).
-    pub method: String,
-    /// Wall-clock seconds spent in the ingestion loop.
-    pub seconds: f64,
-    /// Frames ingested.
-    pub frames: u64,
-    /// The maintainer's counters after the run.
-    pub metrics: MaintenanceMetrics,
-    /// Sampled memory trajectory (~100 evenly spaced points).
-    pub trajectory: Vec<ChurnSample>,
-    /// Largest `arena_bytes` observed at any frame.
-    pub peak_arena_bytes: u64,
-    /// Largest `interned_sets` observed at any frame.
-    pub peak_interned_sets: u64,
-    /// `arena_bytes` on the frame *before* the first compaction epoch ran —
-    /// the arena ceiling the policy triggered at. `None` when the run never
-    /// compacted. The CI gate bounds `peak_arena_bytes` against twice this.
-    pub arena_bytes_at_first_compaction: Option<u64>,
+pub struct MemoryRun<const N: usize> {
+    /// `"<METHOD>/on"` or `"<METHOD>/off"`, wall-clock seconds in the
+    /// ingestion loop, frames ingested and the engine's counters after the
+    /// run.
+    pub timing: MaintainerTiming,
+    /// Sampled memory trajectory (~100 evenly spaced points): the frame
+    /// index and the gauges after it.
+    pub trajectory: Vec<(u64, [u64; N])>,
+    /// Largest gated byte count observed at any frame.
+    pub peak_bytes: u64,
+    /// Largest population observed at any frame.
+    pub peak_population: u64,
+    /// The gated byte count around the first epoch — the ceiling the policy
+    /// triggered at. `None` when the run never compacted. The gates bound
+    /// `peak_bytes` against twice this.
+    pub first_epoch_ceiling: Option<u64>,
 }
 
-impl ChurnRun {
-    /// Converts the run into a [`MaintainerTiming`] row for the report.
-    pub fn timing(&self) -> MaintainerTiming {
-        MaintainerTiming {
-            method: self.method.clone(),
-            seconds: self.seconds,
-            frames: self.frames,
-            metrics: self.metrics.clone(),
-        }
+impl<const N: usize> MemoryRun<N> {
+    /// Whether the run had compaction enabled (the `/on` half of a pair).
+    pub fn enabled(&self) -> bool {
+        self.timing.method.ends_with("/on")
     }
 
-    /// The CI gate (see `repro_long_churn --gate`): with compaction on,
-    /// peak arena bytes must stay within `2 ×` the ceiling the first
+    /// The footprint plateaus instead of growing with the feed: the peak
+    /// stays within `2 ×` the first-epoch ceiling, across at least
+    /// `min_epochs` epochs. Runs that never compacted fail.
+    fn plateaus(&self, min_epochs: u64) -> bool {
+        self.first_epoch_ceiling.is_some_and(|first| {
+            self.timing.metrics.compactions >= min_epochs
+                && self.peak_bytes <= first.saturating_mul(2)
+        })
+    }
+}
+
+/// A long-churn run: `bytes` is the interner arena, `population` the
+/// interned sets.
+pub type ChurnRun = MemoryRun<4>;
+
+/// The gauges a [`ChurnRun`] samples.
+pub const CHURN_GAUGES: [&str; 4] = [
+    "interned_sets",
+    "arena_bytes",
+    "bitmap_bytes",
+    "compactions",
+];
+
+impl ChurnRun {
+    /// The gate (`repro long_churn` and `tests/gates.rs`): with compaction
+    /// on, peak arena bytes must stay within `2 ×` the ceiling the first
     /// compaction epoch triggered at — i.e. the arena plateaus instead of
     /// growing monotonically. Runs that never compacted fail the gate.
     pub fn passes_arena_gate(&self) -> bool {
-        match self.arena_bytes_at_first_compaction {
-            Some(first) => self.peak_arena_bytes <= first.saturating_mul(2),
-            None => false,
-        }
+        self.plateaus(1)
     }
 }
 
-/// The window every long-churn run uses (smaller than the paper default:
-/// the workload's point is object turnover, not window stress).
-pub fn long_churn_window() -> WindowSpec {
-    WindowSpec::new(60, 40).expect("static spec is valid")
+/// An id-reuse run: `bytes` is the engine-side footprint (class store plus
+/// lifecycle maps), `population` the tracked internal ids.
+pub type IdReuseRun = MemoryRun<5>;
+
+/// The gauges an [`IdReuseRun`] samples.
+pub const ID_REUSE_GAUGES: [&str; 5] = [
+    "tracked_objects",
+    "class_map_bytes",
+    "lifecycle_bytes",
+    "compactions",
+    "objects_retired",
+];
+
+impl IdReuseRun {
+    /// The gate (`repro id_reuse` and `tests/gates.rs`): with retirement on,
+    /// the engine-side footprint must plateau — peak within `2 ×` the
+    /// first-retirement ceiling — and the run must span enough epochs
+    /// (≥ 50) for the plateau to mean something. Runs that never retired
+    /// fail.
+    pub fn passes_engine_memory_gate(&self) -> bool {
+        self.plateaus(50)
+    }
 }
 
-/// The compaction policy the `/on` runs use: checked every 32 frames,
-/// compact once less than half of an at-least-512-entry arena is live —
-/// tight enough to produce several epochs even at `--quick` scale.
-pub fn long_churn_policy() -> CompactionPolicy {
-    CompactionPolicy {
-        check_interval: 32,
-        max_live_ratio: 0.5,
-        min_interned: 512,
+/// Frame budget of the long-churn and id-reuse feeds.
+fn turnover_frames(scale: Scale) -> u64 {
+    match scale {
+        Scale::Paper => 10_000,
+        Scale::Quick => 2_400,
     }
 }
 
@@ -838,35 +605,79 @@ pub fn long_churn_policy() -> CompactionPolicy {
 /// frames/sec and the `interned_sets`/`arena_bytes` trajectory: monotone
 /// growth with compaction off, a plateau with it on.
 pub fn long_churn(scale: Scale) -> Vec<ChurnRun> {
-    let frames = match scale {
-        Scale::Paper => 10_000,
-        Scale::Quick => 2_400,
+    let feed = long_churn_feed(FeedId(0), &ChurnProfile::new(turnover_frames(scale)));
+    // Checked every 32 frames, compact once less than half of an
+    // at-least-512-entry arena is live — tight enough to produce several
+    // epochs even at `--quick` scale.
+    let policy = CompactionPolicy {
+        check_interval: 32,
+        max_live_ratio: 0.5,
+        min_interned: 512,
     };
-    let profile = ChurnProfile::new(frames);
-    let feed = long_churn_feed(FeedId(0), &profile);
-    let mut runs = Vec::new();
-    for kind in [MaintainerKind::Mfs, MaintainerKind::Ssg] {
-        for compaction in [None, Some(long_churn_policy())] {
-            let label = format!(
-                "{}/{}",
-                kind.name(),
-                if compaction.is_some() { "on" } else { "off" }
-            );
-            runs.push(run_long_churn(&feed.frames, kind, compaction, label));
+    off_on_runs(&feed.frames, policy, |engine| {
+        // Borrowed maintainer counters: the per-frame sampling stays free
+        // of the lock + clone the full `metrics()` accessor pays.
+        let m = engine.maintainer_metrics();
+        Probe {
+            bytes: m.arena_bytes,
+            population: m.interned_sets,
+            epochs: m.compactions,
+            gauges: [
+                m.interned_sets,
+                m.arena_bytes,
+                m.bitmap_bytes,
+                m.compactions,
+            ],
         }
-    }
-    runs
+    })
+}
+
+/// **Id reuse** — tracker identifiers recycled across class boundaries
+/// (see [`tvq_video::id_reuse`]), ingested end-to-end once with epoch
+/// retirement off (compaction disabled — the append-history baseline whose
+/// class store and lifecycle maps grow with every generation ever seen)
+/// and once with it on, for MFS and SSG. The interesting read-outs are the
+/// `tracked_objects` / engine-bytes trajectory — a plateau with retirement
+/// versus monotone growth without — plus correct reuse semantics at full
+/// speed (generation counts in the metrics).
+pub fn id_reuse(scale: Scale) -> Vec<IdReuseRun> {
+    let profile = tvq_video::IdReuseProfile::new(turnover_frames(scale));
+    let feed = tvq_video::id_reuse_feed(FeedId(0), &profile);
+    // Checked every 16 frames and triggered by any meaningful slack, so a
+    // quick-scale run still spans the ≥ 50 epochs the gate demands.
+    let policy = CompactionPolicy {
+        check_interval: 16,
+        max_live_ratio: 0.9,
+        min_interned: 64,
+    };
+    off_on_runs(&feed.frames, policy, |engine| {
+        let m = engine.metrics();
+        Probe {
+            bytes: m.class_map_bytes + m.lifecycle_bytes,
+            population: m.tracked_objects,
+            epochs: m.compactions,
+            gauges: [
+                m.tracked_objects,
+                m.class_map_bytes,
+                m.lifecycle_bytes,
+                m.compactions,
+                m.objects_retired,
+            ],
+        }
+    })
 }
 
 /// Builds the engine every churn/id-reuse/memo run uses: the shared
-/// two-query workload over the 60/40 window, with the run's maintainer,
-/// compaction and memo knobs applied.
+/// two-query workload over a 60/40 window (smaller than the paper default:
+/// the workloads' point is object turnover, not window stress), with the
+/// run's maintainer, compaction and memo knobs applied.
 fn build_churn_bench_engine(
     kind: MaintainerKind,
     compaction: Option<CompactionPolicy>,
-    memo: Option<tvq_common::MemoConfig>,
+    memo: Option<MemoConfig>,
 ) -> TemporalVideoQueryEngine {
-    let mut config = EngineConfig::new(long_churn_window())
+    let window = WindowSpec::new(60, 40).expect("static spec is valid");
+    let mut config = EngineConfig::new(window)
         .with_maintainer(kind)
         .with_compaction(compaction);
     if let Some(memo) = memo {
@@ -881,262 +692,84 @@ fn build_churn_bench_engine(
         .expect("engine builds")
 }
 
-fn run_long_churn(
-    frames: &[tvq_common::FrameObjects],
-    kind: MaintainerKind,
-    compaction: Option<CompactionPolicy>,
+/// Times `frames` through `engine`; `after_frame(engine, index)` runs inside
+/// the timed loop after every frame.
+fn ingest(
+    mut engine: TemporalVideoQueryEngine,
+    frames: &[FrameObjects],
     method: String,
-) -> ChurnRun {
-    let mut engine = build_churn_bench_engine(kind, compaction, None);
-
-    let sample_every = (frames.len() as u64 / 100).max(1);
-    let mut trajectory = Vec::with_capacity(128);
-    let mut peak_arena = 0u64;
-    let mut peak_interned = 0u64;
-    let mut prev_arena = 0u64;
-    let mut first_compaction_ceiling = None;
-    let mut matches = 0u64;
+    mut after_frame: impl FnMut(&TemporalVideoQueryEngine, usize),
+) -> MaintainerTiming {
+    let mut matches = 0usize;
     let start = Instant::now();
     for (index, frame) in frames.iter().enumerate() {
         matches += engine
             .observe(frame)
             .expect("frames in order")
             .matches
-            .len() as u64;
-        // Borrowed maintainer counters: the per-frame sampling stays free
-        // of the lock + clone the full `metrics()` accessor pays.
-        let metrics = engine.maintainer_metrics();
-        peak_arena = peak_arena.max(metrics.arena_bytes);
-        peak_interned = peak_interned.max(metrics.interned_sets);
-        if first_compaction_ceiling.is_none() && metrics.compactions > 0 {
-            first_compaction_ceiling = Some(prev_arena.max(metrics.arena_bytes));
-        }
-        prev_arena = metrics.arena_bytes;
-        let index = index as u64;
-        if index.is_multiple_of(sample_every) || index + 1 == frames.len() as u64 {
-            trajectory.push(ChurnSample {
-                frame: frame.fid.raw(),
-                interned_sets: metrics.interned_sets,
-                arena_bytes: metrics.arena_bytes,
-                bitmap_bytes: metrics.bitmap_bytes,
-                compactions: metrics.compactions,
-            });
-        }
+            .len();
+        after_frame(&engine, index);
     }
     let seconds = start.elapsed().as_secs_f64();
     std::hint::black_box(matches);
-    ChurnRun {
+    MaintainerTiming {
         method,
         seconds,
         frames: frames.len() as u64,
         metrics: engine.metrics(),
-        trajectory,
-        peak_arena_bytes: peak_arena,
-        peak_interned_sets: peak_interned,
-        arena_bytes_at_first_compaction: first_compaction_ceiling,
     }
 }
 
-/// One sampled point of an id-reuse run's engine-side memory trajectory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IdReuseSample {
-    /// Frame index the sample was taken after.
-    pub frame: u64,
-    /// Internal ids the engine tracked at that frame.
-    pub tracked_objects: u64,
-    /// Class-store bytes at that frame.
-    pub class_map_bytes: u64,
-    /// Object-lifecycle bytes (bindings, tracking set, aliases).
-    pub lifecycle_bytes: u64,
-    /// Compaction (retirement) epochs run so far.
-    pub compactions: u64,
-    /// Objects retired so far.
-    pub objects_retired: u64,
-}
-
-/// One instrumented id-reuse ingestion run.
-#[derive(Debug, Clone)]
-pub struct IdReuseRun {
-    /// `"<METHOD>/on"` or `"<METHOD>/off"` (retirement enabled/disabled).
-    pub method: String,
-    /// Wall-clock seconds spent in the ingestion loop.
-    pub seconds: f64,
-    /// Frames ingested.
-    pub frames: u64,
-    /// The engine's counters after the run.
-    pub metrics: MaintenanceMetrics,
-    /// Sampled engine-side memory trajectory (~100 evenly spaced points).
-    pub trajectory: Vec<IdReuseSample>,
-    /// Largest `class_map_bytes + lifecycle_bytes` observed at any frame.
-    pub peak_engine_bytes: u64,
-    /// Largest `tracked_objects` observed at any frame.
-    pub peak_tracked_objects: u64,
-    /// Engine-side bytes on the frame the first retirement epoch ran —
-    /// the ceiling the gate bounds the peak against. `None` when the run
-    /// never retired.
-    pub engine_bytes_at_first_retirement: Option<u64>,
-}
-
-impl IdReuseRun {
-    /// Converts the run into a [`MaintainerTiming`] row for the report.
-    pub fn timing(&self) -> MaintainerTiming {
-        MaintainerTiming {
-            method: self.method.clone(),
-            seconds: self.seconds,
-            frames: self.frames,
-            metrics: self.metrics.clone(),
-        }
-    }
-
-    /// The CI gate (see `repro_id_reuse --gate`): with retirement on, the
-    /// engine-side footprint (class store + lifecycle maps) must plateau —
-    /// peak within `2 ×` the first-retirement ceiling — and the run must
-    /// span enough epochs (≥ 50) for the plateau to mean something. Runs
-    /// that never retired fail.
-    pub fn passes_engine_memory_gate(&self) -> bool {
-        match self.engine_bytes_at_first_retirement {
-            Some(first) => {
-                self.metrics.compactions >= 50 && self.peak_engine_bytes <= first.saturating_mul(2)
-            }
-            None => false,
-        }
-    }
-}
-
-/// One memo-policy comparison run (NAIVE on the stable scene).
-#[derive(Debug, Clone)]
-pub struct MemoRun {
-    /// `"fixed32k"` or `"adaptive"`.
-    pub method: String,
-    /// Wall-clock seconds spent in the ingestion loop.
-    pub seconds: f64,
-    /// Frames ingested.
-    pub frames: u64,
-    /// The engine's counters after the run (`intersection_cache_*` are the
-    /// interesting ones).
-    pub metrics: MaintenanceMetrics,
-}
-
-impl MemoRun {
-    /// Memo hit rate over the run (0 when no intersections happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.metrics.intersection_cache_hits + self.metrics.intersection_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.metrics.intersection_cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Converts the run into a [`MaintainerTiming`] row for the report.
-    pub fn timing(&self) -> MaintainerTiming {
-        MaintainerTiming {
-            method: format!("NAIVE/stable/{}", self.method),
-            seconds: self.seconds,
-            frames: self.frames,
-            metrics: self.metrics.clone(),
-        }
-    }
-}
-
-/// The window every id-reuse run uses (matches the long-churn window).
-pub fn id_reuse_window() -> WindowSpec {
-    long_churn_window()
-}
-
-/// The retirement policy the `/on` runs use: checked every 16 frames and
-/// triggered by any meaningful slack, so a quick-scale run still spans the
-/// ≥ 50 epochs the gate demands.
-pub fn id_reuse_policy() -> CompactionPolicy {
-    CompactionPolicy {
-        check_interval: 16,
-        max_live_ratio: 0.9,
-        min_interned: 64,
-    }
-}
-
-/// **Id reuse** — tracker identifiers recycled across class boundaries
-/// (see [`tvq_video::id_reuse`]), ingested end-to-end once with epoch
-/// retirement off (compaction disabled — the append-history baseline whose
-/// class store and lifecycle maps grow with every generation ever seen)
-/// and once with it on, for MFS and SSG. The interesting read-outs are the
-/// `tracked_objects` / engine-bytes trajectory — a plateau with retirement
-/// versus monotone growth without — plus correct reuse semantics at full
-/// speed (generation counts in the metrics).
-pub fn id_reuse(scale: Scale) -> Vec<IdReuseRun> {
-    let frames = match scale {
-        Scale::Paper => 10_000,
-        Scale::Quick => 2_400,
-    };
-    let profile = tvq_video::IdReuseProfile::new(frames);
-    let feed = tvq_video::id_reuse_feed(FeedId(0), &profile);
+/// Ingests `frames` with MFS and SSG, each with compaction off and then on
+/// under `policy`, probing the engine after every frame.
+fn off_on_runs<const N: usize>(
+    frames: &[FrameObjects],
+    policy: CompactionPolicy,
+    probe: impl Fn(&TemporalVideoQueryEngine) -> Probe<N>,
+) -> Vec<MemoryRun<N>> {
+    let sample_every = (frames.len() / 100).max(1);
     let mut runs = Vec::new();
     for kind in [MaintainerKind::Mfs, MaintainerKind::Ssg] {
-        for compaction in [None, Some(id_reuse_policy())] {
-            let label = format!(
-                "{}/{}",
-                kind.name(),
-                if compaction.is_some() { "on" } else { "off" }
+        for (label, compaction) in [("off", None), ("on", Some(policy))] {
+            let mut trajectory = Vec::with_capacity(128);
+            let (mut peak_bytes, mut peak_population, mut prev_bytes) = (0u64, 0u64, 0u64);
+            let mut first_epoch_ceiling = None;
+            let timing = ingest(
+                build_churn_bench_engine(kind, compaction, None),
+                frames,
+                format!("{}/{label}", kind.name()),
+                |engine, index| {
+                    let now = probe(engine);
+                    peak_bytes = peak_bytes.max(now.bytes);
+                    peak_population = peak_population.max(now.population);
+                    if first_epoch_ceiling.is_none() && now.epochs > 0 {
+                        first_epoch_ceiling = Some(prev_bytes.max(now.bytes));
+                    }
+                    prev_bytes = now.bytes;
+                    if index % sample_every == 0 || index + 1 == frames.len() {
+                        trajectory.push((frames[index].fid.raw(), now.gauges));
+                    }
+                },
             );
-            runs.push(run_id_reuse(&feed.frames, kind, compaction, label));
+            runs.push(MemoryRun {
+                timing,
+                trajectory,
+                peak_bytes,
+                peak_population,
+                first_epoch_ceiling,
+            });
         }
     }
     runs
 }
 
-fn run_id_reuse(
-    frames: &[tvq_common::FrameObjects],
-    kind: MaintainerKind,
-    compaction: Option<CompactionPolicy>,
-    method: String,
-) -> IdReuseRun {
-    let mut engine = build_churn_bench_engine(kind, compaction, None);
-
-    let sample_every = (frames.len() as u64 / 100).max(1);
-    let mut trajectory = Vec::with_capacity(128);
-    let mut peak_bytes = 0u64;
-    let mut peak_tracked = 0u64;
-    let mut prev_bytes = 0u64;
-    let mut first_retirement_ceiling = None;
-    let mut matches = 0u64;
-    let start = Instant::now();
-    for (index, frame) in frames.iter().enumerate() {
-        matches += engine
-            .observe(frame)
-            .expect("frames in order")
-            .matches
-            .len() as u64;
-        let metrics = engine.metrics();
-        let engine_bytes = metrics.class_map_bytes + metrics.lifecycle_bytes;
-        peak_bytes = peak_bytes.max(engine_bytes);
-        peak_tracked = peak_tracked.max(metrics.tracked_objects);
-        if first_retirement_ceiling.is_none() && metrics.compactions > 0 {
-            first_retirement_ceiling = Some(prev_bytes.max(engine_bytes));
-        }
-        prev_bytes = engine_bytes;
-        let index = index as u64;
-        if index.is_multiple_of(sample_every) || index + 1 == frames.len() as u64 {
-            trajectory.push(IdReuseSample {
-                frame: frame.fid.raw(),
-                tracked_objects: metrics.tracked_objects,
-                class_map_bytes: metrics.class_map_bytes,
-                lifecycle_bytes: metrics.lifecycle_bytes,
-                compactions: metrics.compactions,
-                objects_retired: metrics.objects_retired,
-            });
-        }
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    std::hint::black_box(matches);
-    IdReuseRun {
-        method,
-        seconds,
-        frames: frames.len() as u64,
-        metrics: engine.metrics(),
-        trajectory,
-        peak_engine_bytes: peak_bytes,
-        peak_tracked_objects: peak_tracked,
-        engine_bytes_at_first_retirement: first_retirement_ceiling,
+/// Intersection-memo hit rate of a run (0 when no intersections happened).
+pub fn memo_hit_rate(metrics: &MaintenanceMetrics) -> f64 {
+    let total = metrics.intersection_cache_hits + metrics.intersection_cache_misses;
+    if total == 0 {
+        0.0
+    } else {
+        metrics.intersection_cache_hits as f64 / total as f64
     }
 }
 
@@ -1149,98 +782,530 @@ fn run_id_reuse(
 /// identical on every run — but the reported seconds are wall-clock, so
 /// the two variants run as **three interleaved A/B pairs** on one core and
 /// each reports its best round (never comparing timings taken minutes
-/// apart).
-pub fn id_reuse_memo_comparison() -> Vec<MemoRun> {
+/// apart). Returns the `fixed32k` run, then the `adaptive` one.
+pub fn id_reuse_memo_comparison() -> Vec<MaintainerTiming> {
     const ROUNDS: usize = 3;
-    let feed = &stable_scene(1, 600)[0];
+    let frames = stable_scene(600);
     let variants = [
-        ("fixed32k", tvq_common::MemoConfig::fixed(15)),
-        ("adaptive", tvq_common::MemoConfig::adaptive()),
+        ("fixed32k", MemoConfig::fixed(15)),
+        ("adaptive", MemoConfig::adaptive()),
     ];
-    let mut best: Vec<Option<MemoRun>> = vec![None, None];
+    let mut best: Vec<Option<MaintainerTiming>> = vec![None, None];
     for _ in 0..ROUNDS {
-        for (index, &(label, memo)) in variants.iter().enumerate() {
-            let mut engine = build_churn_bench_engine(
-                MaintainerKind::Naive,
-                Some(CompactionPolicy::default_policy()),
-                Some(memo),
-            );
-            let mut matches = 0u64;
-            let start = Instant::now();
-            for frame in &feed.frames {
-                matches += engine
-                    .observe(frame)
-                    .expect("frames in order")
-                    .matches
-                    .len() as u64;
-            }
-            let seconds = start.elapsed().as_secs_f64();
-            std::hint::black_box(matches);
-            let run = MemoRun {
-                method: label.to_owned(),
-                seconds,
-                frames: feed.frames.len() as u64,
-                metrics: engine.metrics(),
-            };
-            match &mut best[index] {
-                Some(incumbent) if incumbent.seconds <= run.seconds => {}
-                slot => *slot = Some(run),
+        for (slot, (label, memo)) in best.iter_mut().zip(variants) {
+            let policy = Some(CompactionPolicy::default_policy());
+            let engine = build_churn_bench_engine(MaintainerKind::Naive, policy, Some(memo));
+            let run = ingest(engine, &frames, label.to_owned(), |_, _| {});
+            if slot
+                .as_ref()
+                .is_none_or(|incumbent| run.seconds < incumbent.seconds)
+            {
+                *slot = Some(run);
             }
         }
     }
-    best.into_iter()
-        .map(|run| run.expect("rounds ran"))
+    best.into_iter().flatten().collect()
+}
+
+/// Renders a per-dataset experiment as printable text: one table per
+/// dataset, separated by blank lines.
+pub fn render(title: &str, x_label: &str, results: &[(String, Vec<Series>)]) -> String {
+    let tables: Vec<String> = results
+        .iter()
+        .map(|(dataset, series)| {
+            format_table(&format!("{title} — dataset {dataset}"), x_label, series)
+        })
+        .collect();
+    tables.join("\n")
+}
+
+/// One gate of a scenario: a claim about the run, spelled out with the
+/// measured numbers, and whether it held.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gate {
+    /// Whether the claim held.
+    pub ok: bool,
+    /// The claim, e.g. `MFS/on: peak 21632 <= 2 x first-epoch ceiling Some(20480)`.
+    pub claim: String,
+}
+
+impl Gate {
+    /// The line `repro` prints: `gate OK   <claim>` or `gate FAIL <claim>`.
+    pub fn line(&self) -> String {
+        let verdict = if self.ok { "OK  " } else { "FAIL" };
+        format!("gate {verdict} {}", self.claim)
+    }
+}
+
+/// What running one experiment produces.
+#[derive(Debug, Clone)]
+pub struct Output {
+    /// The human-readable tables.
+    pub text: String,
+    /// The `BENCH_<name>.json` payload: the series behind the tables, plus
+    /// each scenario's own timings and extras.
+    pub report: ScenarioReport,
+    /// Gate verdicts; empty for the paper's table and figures.
+    pub gates: Vec<Gate>,
+}
+
+/// How an [`Experiment`] measures and renders itself.
+#[derive(Clone, Copy)]
+pub enum Run {
+    /// A finished text table under the experiment's title (Table 6).
+    Text(fn(Scale) -> String),
+    /// One timing table per dataset (Figures 4–9).
+    PerDataset(fn(Scale) -> Vec<(String, Vec<Series>)>),
+    /// One timing table (Figure 10).
+    Flat(fn(Scale) -> Vec<Series>),
+    /// A beyond-the-paper scenario: renders itself and carries gates.
+    Gated(fn(&Experiment, Scale) -> Output),
+}
+
+/// One row of the [`EXPERIMENTS`] table.
+pub struct Experiment {
+    /// The name `repro <name>` selects and `BENCH_<name>.json` carries.
+    pub name: &'static str,
+    /// Title printed above the experiment's table(s).
+    pub title: &'static str,
+    /// Label of the first column.
+    pub x_label: &'static str,
+    /// How to run it.
+    pub run: Run,
+}
+
+impl Experiment {
+    /// Whether the experiment carries gates (known without running it).
+    pub fn has_gates(&self) -> bool {
+        matches!(self.run, Run::Gated(_))
+    }
+
+    /// Runs the experiment at `scale`.
+    pub fn run(&self, scale: Scale) -> Output {
+        let (text, series) = match self.run {
+            Run::Text(table) => (format!("{}\n{}", self.title, table(scale)), Vec::new()),
+            Run::PerDataset(figure) => {
+                let groups = figure(scale);
+                (render(self.title, self.x_label, &groups), groups)
+            }
+            Run::Flat(figure) => {
+                let series = figure(scale);
+                let text = format_table(self.title, self.x_label, &series);
+                (text, vec![("all".to_owned(), series)])
+            }
+            Run::Gated(scenario) => return scenario(self, scale),
+        };
+        Output {
+            text,
+            report: ScenarioReport {
+                series,
+                ..ScenarioReport::new(self.name, scale)
+            },
+            gates: Vec::new(),
+        }
+    }
+}
+
+/// Every experiment `repro` can run, in the order `repro all` runs them:
+/// the paper's Table 6 and Figures 4–10, then the gated scenarios.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "table6",
+        title: "Table 6: dataset statistics (paper target vs. synthesised relation)",
+        x_label: "dataset",
+        run: Run::Text(table6),
+    },
+    Experiment {
+        name: "fig4",
+        title: "Figure 4: MCOS generation time vs. total frames",
+        x_label: "frames",
+        run: Run::PerDataset(fig4),
+    },
+    Experiment {
+        name: "fig5",
+        title: "Figure 5: MCOS generation time vs. duration d",
+        x_label: "d (frames)",
+        run: Run::PerDataset(fig5),
+    },
+    Experiment {
+        name: "fig6",
+        title: "Figure 6: MCOS generation time vs. window size w",
+        x_label: "w (frames)",
+        run: Run::PerDataset(fig6),
+    },
+    Experiment {
+        name: "fig7",
+        title: "Figure 7: MCOS generation time vs. occlusion parameter po",
+        x_label: "po",
+        run: Run::PerDataset(fig7),
+    },
+    Experiment {
+        name: "fig8",
+        title: "Figure 8: total time vs. number of queries",
+        x_label: "queries",
+        run: Run::PerDataset(fig8),
+    },
+    Experiment {
+        name: "fig9",
+        title: "Figure 9: total time vs. n_min (>=-only queries)",
+        x_label: "n_min",
+        run: Run::PerDataset(fig9),
+    },
+    Experiment {
+        name: "fig10",
+        title: "Figure 10: end-to-end average time per query (50 queries)",
+        x_label: "dataset",
+        run: Run::Flat(fig10),
+    },
+    Experiment {
+        name: "long_churn",
+        title: "Long churn: unbounded object turnover, compaction off vs. on",
+        x_label: "method",
+        run: Run::Gated(long_churn_output),
+    },
+    Experiment {
+        name: "id_reuse",
+        title: "Id reuse: recycled tracker ids, retirement off vs. on",
+        x_label: "method",
+        run: Run::Gated(id_reuse_output),
+    },
+    Experiment {
+        name: "skew",
+        title: "Skewed feeds: hot-camera collision, static sharding vs. work stealing",
+        x_label: "method",
+        run: Run::Gated(skew_output),
+    },
+];
+
+/// Looks an experiment up by name.
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS
+        .iter()
+        .find(|experiment| experiment.name == name)
+}
+
+/// One scenario table row: the `method`, `seconds` and `frames/sec` cells
+/// every row starts with, then the scenario's own.
+fn scenario_row<const N: usize>(timing: &MaintainerTiming, rest: [String; N]) -> Vec<String> {
+    let lead = [
+        timing.method.clone(),
+        format!("{:.3}", timing.seconds),
+        format!("{:.0}", timing.frames_per_sec()),
+    ];
+    lead.into_iter().chain(rest).collect()
+}
+
+/// The runs' sampled trajectories as report extras: per run, a
+/// `trajectory/<method>` array of one `{frame, <gauge>...}` object per sample.
+fn trajectories_json<const N: usize>(
+    gauges: [&str; N],
+    runs: &[MemoryRun<N>],
+) -> Vec<(String, JsonValue)> {
+    let sample = |(frame, values): &(u64, [u64; N])| {
+        let named = gauges.iter().zip(values);
+        let fields = std::iter::once(("frame", frame)).chain(named.map(|(name, v)| (*name, v)));
+        JsonValue::Obj(fields.map(|(k, &v)| (k.to_owned(), v.into())).collect())
+    };
+    let trajectory = |run: &MemoryRun<N>| {
+        let key = format!("trajectory/{}", run.timing.method);
+        (key, run.trajectory.iter().map(sample).collect())
+    };
+    runs.iter().map(trajectory).collect()
+}
+
+fn long_churn_output(experiment: &Experiment, scale: Scale) -> Output {
+    let runs = long_churn(scale);
+    let rows: Vec<Vec<String>> = runs
+        .iter()
+        .map(|run| {
+            let epochs = run.timing.metrics.compactions;
+            let cells = [run.peak_population, run.peak_bytes, epochs];
+            scenario_row(&run.timing, cells.map(|cell| cell.to_string()))
+        })
+        .collect();
+    let columns = [
+        (experiment.x_label, 10),
+        ("seconds", 10),
+        ("frames/sec", 12),
+        ("peak interned", 14),
+        ("peak arena B", 14),
+        ("compactions", 12),
+    ];
+    let on = || runs.iter().filter(|run| run.enabled());
+    let gate_inputs = on().map(|run| {
+        JsonValue::obj([
+            ("method", run.timing.method.as_str().into()),
+            ("peak_arena_bytes", run.peak_bytes.into()),
+            ("peak_interned_sets", run.peak_population.into()),
+            (
+                "arena_bytes_at_first_compaction",
+                run.first_epoch_ceiling.into(),
+            ),
+            ("passes_arena_gate", run.passes_arena_gate().into()),
+        ])
+    });
+    let mut extras = trajectories_json(CHURN_GAUGES, &runs);
+    extras.push(("gate".to_owned(), gate_inputs.collect()));
+    Output {
+        text: text_table(experiment.title, &columns, &rows),
+        report: ScenarioReport {
+            maintainers: runs.iter().map(|run| run.timing.clone()).collect(),
+            extras,
+            ..ScenarioReport::new(experiment.name, scale)
+        },
+        gates: on()
+            .map(|run| Gate {
+                ok: run.passes_arena_gate(),
+                claim: format!(
+                    "{}: peak {} <= 2 x first-epoch ceiling {:?}",
+                    run.timing.method, run.peak_bytes, run.first_epoch_ceiling
+                ),
+            })
+            .collect(),
+    }
+}
+
+/// The baseline half of the id-reuse gate: each `/off` run must demonstrably
+/// outgrow its retiring `/on` twin (factor 2 — in practice it is far larger
+/// and keeps growing with the feed length). One `(method, outgrows)` pair
+/// per maintainer.
+pub fn baseline_outgrows(runs: &[IdReuseRun]) -> Vec<(String, bool)> {
+    (runs.iter().filter(|run| run.enabled()))
+        .filter_map(|on| {
+            let base = on.timing.method.trim_end_matches("/on");
+            let off = runs
+                .iter()
+                .find(|run| run.timing.method == format!("{base}/off"))?;
+            let outgrows = off.peak_bytes >= on.peak_bytes.saturating_mul(2);
+            Some((base.to_owned(), outgrows))
+        })
         .collect()
 }
 
-/// Convenience wrapper: [`multi_feed_batches`] + [`run_multi_feed_prepared`].
-pub fn run_multi_feed(feeds: &[CameraFeed], workers: usize, window: WindowSpec) -> (f64, u64) {
-    run_multi_feed_prepared(&multi_feed_batches(feeds), workers, window)
-}
-
-/// **Multi-feed scaling** — total ingestion time for N concurrent camera
-/// feeds (cycling through the six dataset profiles) as the worker-pool size
-/// grows. One series per pool size, one x value per deployment width. Going
-/// beyond the paper: this measures the sharding axis the production system
-/// scales along rather than a figure of the evaluation section.
-pub fn multi_feed(scale: Scale) -> Vec<Series> {
-    let window = scale.window(WindowSpec::new(60, 45).expect("static spec is valid"));
-    let feed_counts: &[usize] = match scale {
-        Scale::Paper => &[2, 4, 6, 12],
-        Scale::Quick => &[2, 4, 6],
-    };
-    let worker_counts: &[usize] = &[1, 2, 4];
-    let mut series: Vec<Series> = worker_counts
+fn id_reuse_output(experiment: &Experiment, scale: Scale) -> Output {
+    let runs = id_reuse(scale);
+    let memo = id_reuse_memo_comparison();
+    let rows: Vec<Vec<String>> = runs
         .iter()
-        .map(|workers| Series {
-            method: format!("{workers}w"),
-            points: Vec::new(),
+        .map(|run| {
+            let metrics = &run.timing.metrics;
+            let (epochs, generations) = (metrics.compactions, metrics.generations_started);
+            let cells = [run.peak_population, run.peak_bytes, epochs, generations];
+            scenario_row(&run.timing, cells.map(|cell| cell.to_string()))
         })
         .collect();
-    // Each deployment is deterministic and worker-independent: generate it
-    // (and its batches) once per feed count, not once per series point.
-    for &feeds in feed_counts {
-        let batches = multi_feed_batches(&multi_feed_deployment(feeds, scale));
-        for (index, &workers) in worker_counts.iter().enumerate() {
-            let (seconds, _) = run_multi_feed_prepared(&batches, workers, window);
-            series[index].points.push((feeds.to_string(), seconds));
-        }
+    let columns = [
+        (experiment.x_label, 10),
+        ("seconds", 10),
+        ("frames/sec", 12),
+        ("tracked", 10),
+        ("engine bytes", 14),
+        ("epochs", 10),
+        ("generations", 12),
+    ];
+    let memo_rows: Vec<Vec<String>> = memo
+        .iter()
+        .map(|run| {
+            vec![
+                run.method.clone(),
+                run.metrics.intersection_cache_hits.to_string(),
+                run.metrics.intersection_cache_misses.to_string(),
+                format!("{:.1}%", memo_hit_rate(&run.metrics) * 100.0),
+                run.metrics.intersection_cache_resizes.to_string(),
+                run.metrics.intersection_cache_slots.to_string(),
+            ]
+        })
+        .collect();
+    let memo_columns = [
+        (experiment.x_label, 10),
+        ("hits", 10),
+        ("misses", 12),
+        ("hit rate", 12),
+        ("resizes", 10),
+        ("slots", 10),
+    ];
+    let text = format!(
+        "{}\n{}",
+        text_table(experiment.title, &columns, &rows),
+        text_table(
+            "Intersection memo on NAIVE/stable (fixed 32k vs. adaptive)",
+            &memo_columns,
+            &memo_rows
+        )
+    );
+
+    let on = || runs.iter().filter(|run| run.enabled());
+    let outgrows = baseline_outgrows(&runs);
+    let (fixed_rate, adaptive_rate) = (
+        memo_hit_rate(&memo[0].metrics) * 100.0,
+        memo_hit_rate(&memo[1].metrics) * 100.0,
+    );
+    let mut gates: Vec<Gate> = on()
+        .map(|run| Gate {
+            ok: run.passes_engine_memory_gate(),
+            claim: format!(
+                "{}: peak {}B <= 2 x first-epoch ceiling {:?} over {} epochs",
+                run.timing.method,
+                run.peak_bytes,
+                run.first_epoch_ceiling,
+                run.timing.metrics.compactions
+            ),
+        })
+        .collect();
+    gates.extend(outgrows.iter().map(|(method, ok)| Gate {
+        ok: *ok,
+        claim: format!("{method}: append-history baseline outgrows the retiring run"),
+    }));
+    gates.push(Gate {
+        ok: adaptive_rate > fixed_rate,
+        claim: format!("memo: adaptive hit rate {adaptive_rate:.1}% > fixed {fixed_rate:.1}%"),
+    });
+
+    let memo_timings = memo.iter().map(|run| MaintainerTiming {
+        method: format!("NAIVE/stable/{}", run.method),
+        ..run.clone()
+    });
+    let gate_inputs = on().map(|run| {
+        let metrics = &run.timing.metrics;
+        JsonValue::obj([
+            ("method", run.timing.method.as_str().into()),
+            ("peak_engine_bytes", run.peak_bytes.into()),
+            ("peak_tracked_objects", run.peak_population.into()),
+            ("retirement_epochs", metrics.compactions.into()),
+            ("generations_started", metrics.generations_started.into()),
+            ("objects_retired", metrics.objects_retired.into()),
+            (
+                "engine_bytes_at_first_retirement",
+                run.first_epoch_ceiling.into(),
+            ),
+            (
+                "passes_engine_memory_gate",
+                run.passes_engine_memory_gate().into(),
+            ),
+        ])
+    });
+    let outgrows_json = outgrows.iter().map(|(method, ok)| {
+        JsonValue::obj([
+            ("method", method.as_str().into()),
+            ("outgrows", (*ok).into()),
+        ])
+    });
+    let memo_json = memo.iter().map(|run| {
+        JsonValue::obj([
+            ("method", run.method.as_str().into()),
+            ("hits", run.metrics.intersection_cache_hits.into()),
+            ("misses", run.metrics.intersection_cache_misses.into()),
+            ("resizes", run.metrics.intersection_cache_resizes.into()),
+            ("slots", run.metrics.intersection_cache_slots.into()),
+            ("hit_rate", memo_hit_rate(&run.metrics).into()),
+            ("seconds", run.seconds.into()),
+        ])
+    });
+    let mut extras = trajectories_json(ID_REUSE_GAUGES, &runs);
+    extras.push(("gate".to_owned(), gate_inputs.collect()));
+    extras.push(("baseline_outgrows".to_owned(), outgrows_json.collect()));
+    extras.push(("memo".to_owned(), memo_json.collect()));
+    Output {
+        text,
+        report: ScenarioReport {
+            maintainers: (runs.iter().map(|run| run.timing.clone()))
+                .chain(memo_timings)
+                .collect(),
+            extras,
+            ..ScenarioReport::new(experiment.name, scale)
+        },
+        gates,
     }
-    series
 }
 
-/// Renders a per-dataset experiment as printable text.
-pub fn render(title: &str, x_label: &str, results: &[(String, Vec<Series>)]) -> String {
-    let mut out = String::new();
-    for (dataset, series) in results {
-        out.push_str(&format_table(
-            &format!("{title} — dataset {dataset}"),
-            x_label,
-            series,
-        ));
-        out.push('\n');
+fn skew_output(experiment: &Experiment, scale: Scale) -> Output {
+    let runs = skew(scale);
+    let verdict = skew_verdict(&runs);
+    let rows: Vec<Vec<String>> = runs
+        .iter()
+        .map(|run| {
+            let cells = [
+                format!("{:.2}", run.sched.schedule_parallelism()),
+                run.timing.metrics.feeds_migrated.to_string(),
+                run.matches.to_string(),
+                format!("{:08x}", run.transcript >> 32),
+            ];
+            scenario_row(&run.timing, cells)
+        })
+        .collect();
+    let columns = [
+        (experiment.x_label, 14),
+        ("seconds", 9),
+        ("frames/sec", 12),
+        ("parallelism", 13),
+        ("migrations", 11),
+        ("matches", 10),
+        ("transcript", 12),
+    ];
+    let text = format!(
+        "{}transcripts identical: {}; rebalance beats static critical path: {}; \
+         wall-clock speedup vs 1w: {:.2}x ({} cores{})\n",
+        text_table(experiment.title, &columns, &rows),
+        verdict.identical_transcripts,
+        verdict.rebalance_beats_static,
+        verdict.wall_clock_speedup,
+        verdict.cores,
+        if verdict.wall_clock_gate_active() {
+            ""
+        } else {
+            "; wall-clock gate inactive below 4 cores"
+        },
+    );
+    let runs_json = runs.iter().map(|run| {
+        let (sched, metrics) = (&run.sched, &run.timing.metrics);
+        let transcript = format!("{:016x}", run.transcript);
+        JsonValue::obj([
+            ("method", run.timing.method.as_str().into()),
+            ("workers", (run.workers as u64).into()),
+            ("matches", run.matches.into()),
+            ("transcript", transcript.as_str().into()),
+            ("busy_nanos", sched.busy_nanos.into()),
+            ("critical_path_nanos", sched.critical_path_nanos.into()),
+            ("schedule_parallelism", sched.schedule_parallelism().into()),
+            ("feeds_migrated", metrics.feeds_migrated.into()),
+            ("rebalances", metrics.rebalances.into()),
+            (
+                "per_shard_queue_depth",
+                metrics.per_shard_queue_depth.into(),
+            ),
+        ])
+    });
+    let v = &verdict;
+    let gate_json = JsonValue::obj([
+        ("identical_transcripts", v.identical_transcripts.into()),
+        ("rebalance_parallelism", v.rebalance_parallelism.into()),
+        ("static4_parallelism", v.static4_parallelism.into()),
+        ("rebalance_beats_static", v.rebalance_beats_static.into()),
+        ("wall_clock_speedup", v.wall_clock_speedup.into()),
+        ("cores", (v.cores as u64).into()),
+        ("wall_clock_gate_active", v.wall_clock_gate_active().into()),
+        ("passes", v.passes().into()),
+    ]);
+    Output {
+        text,
+        report: ScenarioReport {
+            maintainers: runs.iter().map(|run| run.timing.clone()).collect(),
+            extras: vec![
+                ("runs".to_owned(), runs_json.collect()),
+                ("gate".to_owned(), gate_json),
+            ],
+            ..ScenarioReport::new(experiment.name, scale)
+        },
+        gates: vec![Gate {
+            ok: verdict.passes(),
+            claim: format!(
+                "parallelism {:.2} >= 1.5, static {:.2}, wall-clock {:.2}x",
+                verdict.rebalance_parallelism,
+                verdict.static4_parallelism,
+                verdict.wall_clock_speedup
+            ),
+        }],
     }
-    out
 }
 
 #[cfg(test)]
@@ -1249,7 +1314,7 @@ mod tests {
 
     #[test]
     fn fig4_frame_counts_end_at_the_dataset_length() {
-        for profile in profiles() {
+        for profile in DatasetProfile::all() {
             let counts = fig4_frame_counts(&profile);
             assert_eq!(*counts.last().unwrap(), profile.frames);
             assert!(counts.windows(2).all(|w| w[0] < w[1]));
@@ -1274,25 +1339,11 @@ mod tests {
 
     #[test]
     fn fig9_methods_cover_the_paper_legend() {
-        let names: Vec<&str> = Fig9Method::ALL.iter().map(|m| m.name()).collect();
+        let names: Vec<&str> = FIG9_METHODS.iter().map(|&(name, _)| name).collect();
         assert_eq!(names, vec!["NAIVE_E", "MFS_E", "SSG_E", "MFS_O", "SSG_O"]);
-        assert!(Fig9Method::MfsO.pruned());
-        assert!(!Fig9Method::SsgE.pruned());
-    }
-
-    #[test]
-    fn multi_feed_scaling_is_complete_and_matches_are_worker_independent() {
-        let deployment = multi_feed_deployment(4, Scale::Quick);
-        assert_eq!(deployment.len(), 4);
-        let window = WindowSpec::new(20, 12).unwrap();
-        let (_, matches_1w) = run_multi_feed(&deployment, 1, window);
-        let (_, matches_4w) = run_multi_feed(&deployment, 4, window);
-        assert_eq!(matches_1w, matches_4w, "sharding changed the answers");
-        let series = multi_feed(Scale::Quick);
-        assert_eq!(series.len(), 3);
-        for s in &series {
-            assert_eq!(s.points.len(), 3, "{}", s.method);
-            assert!(s.points.iter().all(|&(_, v)| v.is_finite() && v >= 0.0));
+        for (name, (kind, pruned)) in FIG9_METHODS {
+            assert!(name.starts_with(kind.name()), "{name}");
+            assert_eq!(pruned, name.ends_with("_O"), "{name}");
         }
     }
 

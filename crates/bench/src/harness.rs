@@ -1,12 +1,12 @@
 //! Measurement and reporting utilities shared by all experiments.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use tvq_common::{VideoRelation, WindowSpec};
-use tvq_core::{MaintainerKind, MaintenanceMetrics, SharedPruner};
+use tvq_core::{MaintainerKind, SharedPruner};
 use tvq_query::{evaluate_result_set, CnfEvaluator};
 
-use crate::report::{json_requested, write_if_requested, MaintainerTiming, ScenarioReport};
+use crate::report::MaintainerTiming;
 
 /// Experiment scale: the paper's configuration or a reduced one for smoke
 /// runs and CI.
@@ -20,15 +20,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses command-line arguments (`--quick` selects [`Scale::Quick`]).
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Paper
-        }
-    }
-
     /// Scales a frame count.
     pub fn frames(&self, paper_frames: usize) -> usize {
         match self {
@@ -49,23 +40,6 @@ impl Scale {
     }
 }
 
-/// The shared `--json` tail of every `repro_*` binary: when the flag was
-/// passed, builds the scenario report with `build` (starting from an empty
-/// [`ScenarioReport`] for `scenario` at `scale`) and writes it to
-/// `BENCH_<scenario>.json`, printing the destination. Without the flag this
-/// is free — `build` never runs, so the instrumented measurements behind
-/// the JSON payloads only execute when asked for.
-pub fn emit_json_report(
-    scenario: &str,
-    scale: Scale,
-    build: impl FnOnce(ScenarioReport) -> ScenarioReport,
-) {
-    if !json_requested() {
-        return;
-    }
-    write_if_requested(&build(ScenarioReport::new(scenario, scale)));
-}
-
 /// One measured series: a method name and its `(x, seconds)` points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Series {
@@ -75,93 +49,46 @@ pub struct Series {
     pub points: Vec<(String, f64)>,
 }
 
-/// Times MCOS generation only (the measurement behind Figures 4-7): every
-/// frame of the relation is pushed through a fresh maintainer of the given
-/// kind and the total wall-clock time is returned.
-pub fn time_mcos_generation(
-    relation: &VideoRelation,
-    spec: WindowSpec,
-    kind: MaintainerKind,
-) -> Duration {
-    measure_mcos_generation(relation, spec, kind).duration
-}
-
-/// One instrumented ingestion run: wall-clock time plus the maintainer's
-/// work counters, the raw material of the `--json` bench reports.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// Wall-clock time of the ingestion loop.
-    pub duration: Duration,
-    /// Frames pushed through the maintainer.
-    pub frames: u64,
-    /// The maintainer's counters after the run.
-    pub metrics: MaintenanceMetrics,
-}
-
-impl Measurement {
-    /// Converts the measurement into a named [`MaintainerTiming`].
-    pub fn into_timing(self, method: impl Into<String>) -> MaintainerTiming {
-        MaintainerTiming {
-            method: method.into(),
-            seconds: self.duration.as_secs_f64(),
-            frames: self.frames,
-            metrics: self.metrics,
-        }
-    }
-}
-
-/// Instrumented variant of [`time_mcos_generation`]: also returns the frame
-/// count and the maintainer's metrics (peak states, intersections, ...).
+/// Measures MCOS generation only (the measurement behind Figures 4-7):
+/// every frame of the relation is pushed through a fresh maintainer of the
+/// given kind. Returns the wall-clock seconds of the ingestion loop, the
+/// frame count and the maintainer's counters, under the kind's name.
 pub fn measure_mcos_generation(
     relation: &VideoRelation,
     spec: WindowSpec,
     kind: MaintainerKind,
-) -> Measurement {
+) -> MaintainerTiming {
     let mut maintainer = kind.build(spec);
-    let mut frames = 0u64;
     let start = Instant::now();
     for frame in relation.frames() {
         maintainer
             .advance(frame.fid, &frame.objects)
             .expect("frames arrive in order");
-        frames += 1;
     }
-    let duration = start.elapsed();
-    Measurement {
-        duration,
-        frames,
+    let seconds = start.elapsed().as_secs_f64();
+    MaintainerTiming {
+        method: kind.name().to_owned(),
+        seconds,
+        frames: relation.num_frames() as u64,
         metrics: maintainer.metrics().clone(),
     }
 }
 
-/// Times MCOS generation plus CNF evaluation over the Result State Set of
+/// Measures MCOS generation plus CNF evaluation over the Result State Set of
 /// every window (the measurement behind Figures 8 and 9). When a pruner is
 /// supplied the maintainer runs in its `_O` variant (Section 5.3).
-pub fn time_query_evaluation(
-    relation: &VideoRelation,
-    spec: WindowSpec,
-    kind: MaintainerKind,
-    evaluator: &CnfEvaluator,
-    pruner: Option<SharedPruner>,
-) -> Duration {
-    measure_query_evaluation(relation, spec, kind, evaluator, pruner).duration
-}
-
-/// Instrumented variant of [`time_query_evaluation`]: also returns the frame
-/// count and the maintainer's metrics.
 pub fn measure_query_evaluation(
     relation: &VideoRelation,
     spec: WindowSpec,
     kind: MaintainerKind,
     evaluator: &CnfEvaluator,
     pruner: Option<SharedPruner>,
-) -> Measurement {
+) -> MaintainerTiming {
     let mut maintainer = match pruner {
         Some(pruner) => kind.build_with_pruner(spec, pruner),
         None => kind.build(spec),
     };
     let classes = relation.object_classes();
-    let mut frames = 0u64;
     let start = Instant::now();
     let mut matches = 0usize;
     for frame in relation.frames() {
@@ -169,44 +96,55 @@ pub fn measure_query_evaluation(
             .advance(frame.fid, &frame.objects)
             .expect("frames arrive in order");
         matches += evaluate_result_set(evaluator, maintainer.results(), classes).len();
-        frames += 1;
     }
-    let duration = start.elapsed();
+    let seconds = start.elapsed().as_secs_f64();
     std::hint::black_box(matches);
-    Measurement {
-        duration,
-        frames,
+    MaintainerTiming {
+        method: kind.name().to_owned(),
+        seconds,
+        frames: relation.num_frames() as u64,
         metrics: maintainer.metrics().clone(),
     }
+}
+
+/// Renders an aligned text table: the title, one right-aligned header per
+/// `(label, width)` column, a rule spanning the table, then one line per
+/// row. The one renderer behind every table `repro` prints.
+pub(crate) fn text_table(title: &str, columns: &[(&str, usize)], rows: &[Vec<String>]) -> String {
+    let line = |cells: Vec<&str>| {
+        let cells: Vec<String> = (cells.iter().zip(columns))
+            .map(|(cell, &(_, width))| format!("{cell:>width$}"))
+            .collect();
+        cells.join(" ")
+    };
+    let header = line(columns.iter().map(|&(label, _)| label).collect());
+    let rule = "-".repeat(header.chars().count());
+    let mut out = format!("{title}\n{header}\n{rule}\n");
+    for row in rows {
+        out.push_str(&line(row.iter().map(String::as_str).collect()));
+        out.push('\n');
+    }
+    out
 }
 
 /// Formats series as an aligned text table with one row per x value and one
 /// column per method, mirroring the layout of the paper's figures.
 pub fn format_table(title: &str, x_label: &str, series: &[Series]) -> String {
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
-    let xs: Vec<String> = series
-        .first()
-        .map(|s| s.points.iter().map(|(x, _)| x.clone()).collect())
-        .unwrap_or_default();
-    // Header.
-    out.push_str(&format!("{x_label:>12}"));
-    for s in series {
-        out.push_str(&format!(" {:>12}", s.method));
-    }
-    out.push('\n');
-    out.push_str(&"-".repeat(12 + 13 * series.len()));
-    out.push('\n');
-    for (row, x) in xs.iter().enumerate() {
-        out.push_str(&format!("{x:>12}"));
-        for s in series {
-            let value = s.points.get(row).map(|(_, v)| *v).unwrap_or(f64::NAN);
-            out.push_str(&format!(" {value:>11.3}s"));
-        }
-        out.push('\n');
-    }
-    out
+    let columns: Vec<(&str, usize)> = std::iter::once(x_label)
+        .chain(series.iter().map(|s| s.method.as_str()))
+        .map(|label| (label, 12))
+        .collect();
+    let xs = series.first().map_or(&[][..], |s| &s.points[..]);
+    let rows: Vec<Vec<String>> = (xs.iter().enumerate())
+        .map(|(row, (x, _))| {
+            let values = series.iter().map(|s| {
+                let value = s.points.get(row).map_or(f64::NAN, |&(_, v)| v);
+                format!("{value:.3}s")
+            });
+            std::iter::once(x.clone()).chain(values).collect()
+        })
+        .collect();
+    text_table(title, &columns, &rows)
 }
 
 #[cfg(test)]
@@ -228,14 +166,16 @@ mod tests {
     fn timing_helpers_run_and_return_nonzero_durations() {
         let relation = generate(&DatasetProfile::v1().truncated(120), 1);
         let spec = WindowSpec::new(20, 12).unwrap();
-        let d = time_mcos_generation(&relation, spec, MaintainerKind::Mfs);
-        assert!(d > Duration::ZERO);
+        let timing = measure_mcos_generation(&relation, spec, MaintainerKind::Mfs);
+        assert!(timing.seconds > 0.0);
+        assert_eq!((timing.method.as_str(), timing.frames), ("MFS", 120));
         let evaluator = CnfEvaluator::new(tvq_query::generate_workload(
             &tvq_query::WorkloadConfig::figure_8(5),
             1,
         ));
-        let d = time_query_evaluation(&relation, spec, MaintainerKind::Ssg, &evaluator, None);
-        assert!(d > Duration::ZERO);
+        let timing =
+            measure_query_evaluation(&relation, spec, MaintainerKind::Ssg, &evaluator, None);
+        assert!(timing.seconds > 0.0);
     }
 
     #[test]

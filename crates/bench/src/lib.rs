@@ -1,33 +1,32 @@
 //! Benchmark harness reproducing the paper's evaluation section.
 //!
-//! Every table and figure of Section 6 has a corresponding experiment in
-//! [`experiments`] and a `repro_*` binary that prints the same rows/series
-//! the paper reports:
+//! Every table and figure of Section 6, and each beyond-the-paper scenario,
+//! is one row of [`experiments::EXPERIMENTS`]; the single `repro` binary
+//! runs rows by name (`repro list` prints them):
 //!
-//! | Paper artefact | Experiment | Binary |
-//! |----------------|------------|--------|
-//! | Table 6 (dataset statistics) | [`experiments::table6`] | `repro_table6` |
-//! | Figure 4 (time vs #frames) | [`experiments::fig4`] | `repro_fig4` |
-//! | Figure 5 (time vs duration d) | [`experiments::fig5`] | `repro_fig5` |
-//! | Figure 6 (time vs window w) | [`experiments::fig6`] | `repro_fig6` |
-//! | Figure 7 (time vs occlusion po) | [`experiments::fig7`] | `repro_fig7` |
-//! | Figure 8 (time vs #queries) | [`experiments::fig8`] | `repro_fig8` |
-//! | Figure 9 (pruning vs n_min) | [`experiments::fig9`] | `repro_fig9` |
-//! | Figure 10 (end-to-end per query) | [`experiments::fig10`] | `repro_fig10` |
+//! | `repro <name>` | Experiment | Reproduces |
+//! |----------------|------------|------------|
+//! | `table6` | [`experiments::table6`] | Table 6 (dataset statistics) |
+//! | `fig4` | [`experiments::fig4`] | Figure 4 (time vs #frames) |
+//! | `fig5` | [`experiments::fig5`] | Figure 5 (time vs duration d) |
+//! | `fig6` | [`experiments::fig6`] | Figure 6 (time vs window w) |
+//! | `fig7` | [`experiments::fig7`] | Figure 7 (time vs occlusion po) |
+//! | `fig8` | [`experiments::fig8`] | Figure 8 (time vs #queries) |
+//! | `fig9` | [`experiments::fig9`] | Figure 9 (pruning vs n_min) |
+//! | `fig10` | [`experiments::fig10`] | Figure 10 (end-to-end per query) |
+//! | `long_churn` | [`experiments::long_churn`] | arena plateau under compaction (gated) |
+//! | `id_reuse` | [`experiments::id_reuse`] | engine-memory plateau under retirement, adaptive memo (gated) |
+//! | `skew` | [`experiments::skew`] | work stealing vs static sharding (gated) |
 //!
-//! Beyond the paper, the multi-feed scaling scenario
-//! ([`experiments::multi_feed`], binary `repro_multifeed`) measures sharded
-//! ingestion of N concurrent camera feeds per worker-pool size.
-//!
-//! Binaries accept `--quick` to run a reduced-size configuration (shorter
-//! feeds, smaller windows) that preserves the qualitative comparison while
-//! finishing in seconds; the default configuration mirrors the paper's
-//! parameters (w = 300, d = 240, full feed lengths). Passing `--json`
-//! additionally writes a machine-readable `BENCH_<scenario>.json` report
-//! (frames/sec, peak state counts, per-maintainer timings) — see [`report`].
-//!
-//! Criterion micro-benchmarks live under `benches/` and exercise the same
-//! code paths on reduced inputs.
+//! `--quick` runs a reduced-size configuration (shorter feeds, smaller
+//! windows) that preserves the qualitative comparison while finishing in
+//! seconds; the default mirrors the paper's parameters (w = 300, d = 240,
+//! full feed lengths). `--json` additionally writes one machine-readable
+//! `BENCH_<name>.json` per experiment — see [`report`]. A gated scenario
+//! always prints its `gate OK` / `gate FAIL` lines and any FAIL makes the
+//! process exit 1; the deterministic halves of the gates are also tier-1
+//! tests (`tests/gates.rs`). Timing numbers live in `perf/` (`tvq-perf`),
+//! the repository's one benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,8 +35,5 @@ pub mod experiments;
 pub mod harness;
 pub mod report;
 
-pub use harness::{
-    emit_json_report, format_table, measure_mcos_generation, measure_query_evaluation,
-    time_mcos_generation, time_query_evaluation, Measurement, Scale, Series,
-};
-pub use report::{json_requested, write_if_requested, JsonValue, MaintainerTiming, ScenarioReport};
+pub use harness::{format_table, measure_mcos_generation, measure_query_evaluation, Scale, Series};
+pub use report::{JsonValue, MaintainerTiming, ScenarioReport};

@@ -1,9 +1,8 @@
 //! Machine-readable benchmark reports.
 //!
-//! Every `repro_*` binary accepts a `--json` flag; when present, the binary
-//! writes a `BENCH_<scenario>.json` file next to the working directory in
-//! addition to its human-readable table. The file records the performance
-//! trajectory the ROADMAP asks for: frames/second, peak state counts and
+//! With `--json` the `repro` driver writes one `BENCH_<experiment>.json`
+//! file into the working directory per requested experiment, next to its
+//! human-readable tables: frames/second, peak state counts and
 //! per-maintainer timings, plus the raw series behind the printed tables.
 //!
 //! The build environment has no crates.io access, so the JSON encoder is a
@@ -86,6 +85,50 @@ impl JsonValue {
     }
 }
 
+impl JsonValue {
+    /// An object from `(key, value)` pairs, in the order given.
+    pub fn obj<const N: usize>(fields: [(&str, JsonValue); N]) -> JsonValue {
+        JsonValue::Obj(fields.map(|(key, value)| (key.to_owned(), value)).into())
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(value: bool) -> Self {
+        JsonValue::Bool(value)
+    }
+}
+
+impl From<u64> for JsonValue {
+    fn from(value: u64) -> Self {
+        JsonValue::Int(value)
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(value: f64) -> Self {
+        JsonValue::Num(value)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(value: &str) -> Self {
+        JsonValue::Str(value.to_owned())
+    }
+}
+
+/// `None` renders as `null`.
+impl From<Option<u64>> for JsonValue {
+    fn from(value: Option<u64>) -> Self {
+        value.map_or(JsonValue::Null, JsonValue::Int)
+    }
+}
+
+impl<T: Into<JsonValue>> FromIterator<T> for JsonValue {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        JsonValue::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
 fn escape_into(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -129,74 +172,36 @@ impl MaintainerTiming {
     }
 
     fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("method".into(), JsonValue::Str(self.method.clone())),
-            ("seconds".into(), JsonValue::Num(self.seconds)),
-            ("frames".into(), JsonValue::Int(self.frames)),
+        let m = &self.metrics;
+        JsonValue::obj([
+            ("method", self.method.as_str().into()),
+            ("seconds", self.seconds.into()),
+            ("frames", self.frames.into()),
+            ("frames_per_sec", self.frames_per_sec().into()),
+            ("peak_live_states", m.peak_live_states.into()),
+            ("states_created", m.states_created.into()),
+            ("states_visited", m.states_visited.into()),
+            ("intersections", m.intersections.into()),
+            ("interned_sets", m.interned_sets.into()),
+            ("arena_bytes", m.arena_bytes.into()),
+            ("bitmap_bytes", m.bitmap_bytes.into()),
+            ("compactions", m.compactions.into()),
+            ("intersection_cache_hits", m.intersection_cache_hits.into()),
             (
-                "frames_per_sec".into(),
-                JsonValue::Num(self.frames_per_sec()),
+                "intersection_cache_misses",
+                m.intersection_cache_misses.into(),
             ),
-            (
-                "peak_live_states".into(),
-                JsonValue::Int(self.metrics.peak_live_states),
-            ),
-            (
-                "states_created".into(),
-                JsonValue::Int(self.metrics.states_created),
-            ),
-            (
-                "states_visited".into(),
-                JsonValue::Int(self.metrics.states_visited),
-            ),
-            (
-                "intersections".into(),
-                JsonValue::Int(self.metrics.intersections),
-            ),
-            (
-                "interned_sets".into(),
-                JsonValue::Int(self.metrics.interned_sets),
-            ),
-            (
-                "arena_bytes".into(),
-                JsonValue::Int(self.metrics.arena_bytes),
-            ),
-            (
-                "bitmap_bytes".into(),
-                JsonValue::Int(self.metrics.bitmap_bytes),
-            ),
-            (
-                "compactions".into(),
-                JsonValue::Int(self.metrics.compactions),
-            ),
-            (
-                "intersection_cache_hits".into(),
-                JsonValue::Int(self.metrics.intersection_cache_hits),
-            ),
-            (
-                "intersection_cache_misses".into(),
-                JsonValue::Int(self.metrics.intersection_cache_misses),
-            ),
-            (
-                "wal_records".into(),
-                JsonValue::Int(self.metrics.wal_records),
-            ),
-            ("wal_bytes".into(), JsonValue::Int(self.metrics.wal_bytes)),
-            (
-                "snapshots_written".into(),
-                JsonValue::Int(self.metrics.snapshots_written),
-            ),
-            (
-                "snapshot_bytes".into(),
-                JsonValue::Int(self.metrics.snapshot_bytes),
-            ),
-            ("fsyncs".into(), JsonValue::Int(self.metrics.fsyncs)),
-            ("recoveries".into(), JsonValue::Int(self.metrics.recoveries)),
+            ("wal_records", m.wal_records.into()),
+            ("wal_bytes", m.wal_bytes.into()),
+            ("snapshots_written", m.snapshots_written.into()),
+            ("snapshot_bytes", m.snapshot_bytes.into()),
+            ("fsyncs", m.fsyncs.into()),
+            ("recoveries", m.recoveries.into()),
         ])
     }
 }
 
-/// The machine-readable result of one `repro_*` scenario.
+/// The machine-readable result of one `repro` experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioReport {
     /// Scenario name; determines the output file `BENCH_<scenario>.json`.
@@ -214,7 +219,8 @@ pub struct ScenarioReport {
 }
 
 impl ScenarioReport {
-    /// Creates a report for a scenario measured at `scale`.
+    /// Creates an empty report for a scenario measured at `scale`; callers
+    /// fill `maintainers`, `series` and `extras` in.
     pub fn new(scenario: impl Into<String>, scale: Scale) -> Self {
         ScenarioReport {
             scenario: scenario.into(),
@@ -228,66 +234,28 @@ impl ScenarioReport {
         }
     }
 
-    /// Attaches instrumented per-maintainer timings.
-    pub fn with_maintainers(mut self, maintainers: Vec<MaintainerTiming>) -> Self {
-        self.maintainers = maintainers;
-        self
-    }
-
-    /// Attaches per-dataset series groups (the per-figure table data).
-    pub fn with_groups(mut self, groups: &[(String, Vec<Series>)]) -> Self {
-        self.series.extend(groups.iter().cloned());
-        self
-    }
-
-    /// Attaches one flat series group (figures without a dataset axis).
-    pub fn with_series(mut self, group: impl Into<String>, series: &[Series]) -> Self {
-        self.series.push((group.into(), series.to_vec()));
-        self
-    }
-
-    /// Attaches a scenario-specific JSON section under `key`.
-    pub fn with_extra(mut self, key: impl Into<String>, value: JsonValue) -> Self {
-        self.extras.push((key.into(), value));
-        self
-    }
-
     /// Renders the report as a JSON document.
     pub fn to_json(&self) -> String {
-        let series = self
-            .series
-            .iter()
-            .flat_map(|(group, series)| {
-                series.iter().map(move |s| {
-                    JsonValue::Obj(vec![
-                        ("group".into(), JsonValue::Str(group.clone())),
-                        ("method".into(), JsonValue::Str(s.method.clone())),
-                        (
-                            "points".into(),
-                            JsonValue::Arr(
-                                s.points
-                                    .iter()
-                                    .map(|(x, seconds)| {
-                                        JsonValue::Obj(vec![
-                                            ("x".into(), JsonValue::Str(x.clone())),
-                                            ("seconds".into(), JsonValue::Num(*seconds)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
+        let series = self.series.iter().flat_map(|(group, series)| {
+            series.iter().map(move |s| {
+                let points = s.points.iter().map(|(x, seconds)| {
+                    JsonValue::obj([("x", x.as_str().into()), ("seconds", (*seconds).into())])
+                });
+                JsonValue::obj([
+                    ("group", group.as_str().into()),
+                    ("method", s.method.as_str().into()),
+                    ("points", points.collect()),
+                ])
             })
-            .collect();
+        });
         let mut fields = vec![
-            ("scenario".into(), JsonValue::Str(self.scenario.clone())),
-            ("scale".into(), JsonValue::Str(self.scale.clone())),
+            ("scenario".to_owned(), self.scenario.as_str().into()),
+            ("scale".to_owned(), self.scale.as_str().into()),
             (
-                "maintainers".into(),
-                JsonValue::Arr(self.maintainers.iter().map(|m| m.to_json()).collect()),
+                "maintainers".to_owned(),
+                self.maintainers.iter().map(|m| m.to_json()).collect(),
             ),
-            ("series".into(), JsonValue::Arr(series)),
+            ("series".to_owned(), series.collect()),
         ];
         fields.extend(self.extras.iter().cloned());
         JsonValue::Obj(fields).render()
@@ -305,23 +273,6 @@ impl ScenarioReport {
         body.push('\n');
         std::fs::write(&path, body)?;
         Ok(path)
-    }
-}
-
-/// Whether the command line requested machine-readable output (`--json`).
-pub fn json_requested() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
-
-/// Writes `report` when `--json` was passed, printing the destination; the
-/// shared tail of every `repro_*` main.
-pub fn write_if_requested(report: &ScenarioReport) {
-    if !json_requested() {
-        return;
-    }
-    match report.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(error) => eprintln!("failed to write {}: {error}", report.path().display()),
     }
 }
 
@@ -352,15 +303,15 @@ mod tests {
             metrics: MaintenanceMetrics::new(),
         };
         assert!((timing.frames_per_sec() - 200.0).abs() < 1e-9);
-        let report = ScenarioReport::new("unit", Scale::Quick)
-            .with_maintainers(vec![timing])
-            .with_series(
-                "all",
-                &[Series {
-                    method: "SSG".into(),
-                    points: vec![("4".into(), 0.25)],
-                }],
-            );
+        let series = vec![Series {
+            method: "SSG".into(),
+            points: vec![("4".into(), 0.25)],
+        }];
+        let report = ScenarioReport {
+            maintainers: vec![timing],
+            series: vec![("all".into(), series)],
+            ..ScenarioReport::new("unit", Scale::Quick)
+        };
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         for needle in [

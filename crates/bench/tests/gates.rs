@@ -1,0 +1,90 @@
+//! The deterministic halves of the scenario gates, as tier-1 assertions.
+//!
+//! `repro long_churn | id_reuse | skew` print these verdicts as `gate OK` /
+//! `gate FAIL` lines; here the same `experiments::*` functions run at
+//! `Scale::Quick` and the verdicts are asserted, so a regression fails
+//! `cargo test` instead of only a CI smoke job. Everything asserted is an
+//! exact count — identical on every run and machine. The timing-derived skew
+//! checks (schedule parallelism ≥ 1.5, wall-clock speedup) stay with the
+//! driver.
+//!
+//! One test per scenario so they run in parallel.
+
+use tvq_bench::experiments::{self, memo_hit_rate};
+use tvq_bench::Scale;
+
+#[test]
+fn long_churn_arena_plateaus_under_compaction() {
+    let runs = experiments::long_churn(Scale::Quick);
+    let methods: Vec<&str> = runs.iter().map(|run| run.timing.method.as_str()).collect();
+    assert_eq!(methods, ["MFS/off", "MFS/on", "SSG/off", "SSG/on"]);
+    for run in &runs {
+        let method = &run.timing.method;
+        assert_eq!(
+            run.passes_arena_gate(),
+            run.enabled(),
+            "{method}: peak arena {} B vs first-epoch ceiling {:?} ({} epochs)",
+            run.peak_bytes,
+            run.first_epoch_ceiling,
+            run.timing.metrics.compactions
+        );
+    }
+}
+
+#[test]
+fn id_reuse_engine_memory_plateaus_and_the_baseline_outgrows_it() {
+    let runs = experiments::id_reuse(Scale::Quick);
+    let methods: Vec<&str> = runs.iter().map(|run| run.timing.method.as_str()).collect();
+    assert_eq!(methods, ["MFS/off", "MFS/on", "SSG/off", "SSG/on"]);
+    for run in &runs {
+        let method = &run.timing.method;
+        assert_eq!(
+            run.passes_engine_memory_gate(),
+            run.enabled(),
+            "{method}: peak engine {} B vs first-retirement ceiling {:?} over {} epochs",
+            run.peak_bytes,
+            run.first_epoch_ceiling,
+            run.timing.metrics.compactions
+        );
+    }
+    assert_eq!(
+        experiments::baseline_outgrows(&runs),
+        [("MFS".to_owned(), true), ("SSG".to_owned(), true)]
+    );
+}
+
+#[test]
+fn adaptive_memo_beats_the_fixed_one_on_the_stable_scene() {
+    let memo = experiments::id_reuse_memo_comparison();
+    let methods: Vec<&str> = memo.iter().map(|run| run.method.as_str()).collect();
+    assert_eq!(methods, ["fixed32k", "adaptive"]);
+    let (fixed, adaptive) = (
+        memo_hit_rate(&memo[0].metrics),
+        memo_hit_rate(&memo[1].metrics),
+    );
+    assert!(
+        adaptive > fixed,
+        "adaptive hit rate {adaptive} <= fixed {fixed}"
+    );
+}
+
+#[test]
+fn skew_scheduling_never_changes_results_and_does_migrate() {
+    let runs = experiments::skew(Scale::Quick);
+    assert_eq!(runs.len(), 3);
+    let verdict = experiments::skew_verdict(&runs);
+    assert!(
+        verdict.identical_transcripts,
+        "transcripts differ: {:x?}",
+        runs.iter().map(|run| run.transcript).collect::<Vec<_>>()
+    );
+    assert!(runs.iter().all(|run| run.matches == runs[0].matches));
+    for run in &runs {
+        let migrated = run.timing.metrics.feeds_migrated;
+        if run.timing.method == "rebalance/4w" {
+            assert!(migrated >= 1, "the rebalanced run never migrated a feed");
+        } else {
+            assert_eq!(migrated, 0, "{} migrated feeds", run.timing.method);
+        }
+    }
+}

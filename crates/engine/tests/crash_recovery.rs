@@ -138,16 +138,28 @@ fn apply(
 }
 
 /// Runs the full script durably with no faults; also reports the maximum
-/// number of live WAL segments seen (proof the sweep covers rotation).
-fn run_uninterrupted(io: SharedIo, dir: &Path) -> (Reference, usize) {
+/// number of live WAL segments seen (proof the sweep covers rotation) and
+/// the checkpoint interval the run exhibited: the largest number of WAL
+/// records between consecutive snapshots (epochs only land a snapshot when
+/// the compaction check retired something, so this is workload-dependent).
+fn run_uninterrupted(io: SharedIo, dir: &Path) -> (Reference, usize, u64) {
     let mut engine = build_engine();
     engine.attach_durability(io.clone(), dir).unwrap();
     engine.set_wal_rotate_bytes(ROTATE_BYTES);
+    let bootstrap = engine.metrics();
+    let (mut last_snaps, mut wal_at_snap) = (bootstrap.snapshots_written, bootstrap.wal_records);
+    let mut checkpoint_gap = 0u64;
     let mut results = Vec::new();
     let mut max_segments = 0usize;
     for op in script() {
         if let Some(result) = apply(&mut engine, &op).unwrap() {
             results.push(result);
+        }
+        let m = engine.metrics();
+        if m.snapshots_written > last_snaps {
+            checkpoint_gap = checkpoint_gap.max(m.wal_records - wal_at_snap);
+            last_snaps = m.snapshots_written;
+            wal_at_snap = m.wal_records;
         }
         let segments = io
             .list(dir)
@@ -158,12 +170,14 @@ fn run_uninterrupted(io: SharedIo, dir: &Path) -> (Reference, usize) {
         max_segments = max_segments.max(segments);
     }
     engine.sync_store().unwrap();
+    // The unsnapshotted tail after the last epoch is also a possible replay.
+    checkpoint_gap = checkpoint_gap.max(engine.metrics().wal_records - wal_at_snap);
     let reference = Reference {
         results,
         catalog_version: engine.catalog_version(),
         metrics: scrub(&engine.metrics()),
     };
-    (reference, max_segments)
+    (reference, max_segments, checkpoint_gap)
 }
 
 /// Runs the script through a faulty IO until the injected crash (or to
@@ -187,13 +201,14 @@ fn run_until_crash(io: SharedIo, dir: &Path) -> Vec<FrameResult> {
 }
 
 /// Recovers from the post-reboot disk, resumes the script from the durable
-/// cursor, and returns the reconstructed full transcript.
+/// cursor, and returns the reconstructed full transcript plus the number of
+/// WAL records recovery replayed (0 for a fresh restart).
 fn recover_and_resume(
     disk: &MemDisk,
     dir: &Path,
     acked: &[FrameResult],
     reference: &Reference,
-) -> Reference {
+) -> (Reference, u64) {
     let io = disk.io();
     let ops = script();
 
@@ -211,11 +226,12 @@ fn recover_and_resume(
             }
         }
         engine.sync_store().unwrap();
-        return Reference {
+        let fresh = Reference {
             results,
             catalog_version: engine.catalog_version(),
             metrics: scrub(&engine.metrics()),
         };
+        return (fresh, 0);
     }
 
     let (mut engine, report) = TemporalVideoQueryEngine::recover(io, dir).unwrap();
@@ -276,11 +292,12 @@ fn recover_and_resume(
         }
     }
     engine.sync_store().unwrap();
-    Reference {
+    let resumed = Reference {
         results,
         catalog_version: engine.catalog_version(),
         metrics: scrub(&engine.metrics()),
-    }
+    };
+    (resumed, report.records_replayed)
 }
 
 fn assert_matches_reference(case: &str, run: &Reference, reference: &Reference) {
@@ -299,13 +316,17 @@ fn assert_matches_reference(case: &str, run: &Reference, reference: &Reference) 
     assert_eq!(run.metrics, reference.metrics, "{case}: final metrics");
 }
 
+/// Slack on the replay-depth bound: the deferred snapshot flush plus the
+/// fsync-before-ack window each admit one extra in-flight record.
+const REPLAY_SLACK: u64 = 2;
+
 /// The tentpole: every injected crash point, under every torn-tail policy,
 /// recovers to a continuation indistinguishable from a run that never
-/// crashed.
+/// crashed — and never replays more of the WAL than one checkpoint interval.
 #[test]
 fn every_crash_point_recovers_identically() {
     let dir = Path::new("/sweep");
-    let (reference, max_segments) = {
+    let (reference, max_segments, checkpoint_gap) = {
         let disk = MemDisk::new();
         run_uninterrupted(disk.io(), dir)
     };
@@ -336,9 +357,14 @@ fn every_crash_point_recovers_identically() {
             let faulty_io: SharedIo = faulty.clone();
             let acked = run_until_crash(faulty_io, dir);
             assert!(faulty.crashed(), "crash point {crash_at} was never reached");
-            let resumed = recover_and_resume(&disk, dir, &acked, &reference);
+            let (resumed, records_replayed) = recover_and_resume(&disk, dir, &acked, &reference);
             let case = format!("crash at op {crash_at} ({torn:?})");
             assert_matches_reference(&case, &resumed, &reference);
+            assert!(
+                records_replayed <= checkpoint_gap + REPLAY_SLACK,
+                "{case}: replayed {records_replayed} WAL records, more than one checkpoint \
+                 interval ({checkpoint_gap}) + {REPLAY_SLACK} in flight"
+            );
         }
     }
 }
@@ -347,7 +373,7 @@ fn every_crash_point_recovers_identically() {
 #[test]
 fn clean_restart_resumes_exactly() {
     let dir = Path::new("/clean");
-    let (reference, _) = {
+    let (reference, _, _) = {
         let disk = MemDisk::new();
         run_uninterrupted(disk.io(), dir)
     };
@@ -425,7 +451,7 @@ fn attach_and_recover_refuse_misuse() {
 #[test]
 fn snapshot_bit_flip_falls_back_to_previous_epoch() {
     let dir = Path::new("/snapflip");
-    let (reference, _) = {
+    let (reference, _, _) = {
         let disk = MemDisk::new();
         run_uninterrupted(disk.io(), dir)
     };
