@@ -281,25 +281,6 @@ impl MarkedFrameSet {
         self.frames = merged;
         self.marked = marked;
     }
-
-    /// Copies every mark of `other` onto the corresponding frames of `self`
-    /// (frames of `other` absent from `self` are ignored). Optionally skips
-    /// one frame, which implements the "∀ f ≠ i" clause of Frame Marking
-    /// Rule 2.
-    pub fn copy_marks_from(&mut self, other: &MarkedFrameSet, skip: Option<FrameId>) {
-        for frame in other.marked_frames() {
-            if Some(frame) == skip {
-                continue;
-            }
-            self.mark(frame);
-        }
-    }
-
-    /// Returns the frames as a plain vector (useful for assertions and
-    /// result reporting).
-    pub fn to_frame_vec(&self) -> Vec<FrameId> {
-        self.frames().collect()
-    }
 }
 
 impl fmt::Debug for MarkedFrameSet {
@@ -384,7 +365,7 @@ mod tests {
         let mut s = fs(&[(0, true), (1, false), (2, true), (3, false)]);
         let removed = s.expire_before(FrameId(2));
         assert_eq!(removed, 2);
-        assert_eq!(s.to_frame_vec(), vec![FrameId(2), FrameId(3)]);
+        assert_eq!(s.frames().collect::<Vec<_>>(), [FrameId(2), FrameId(3)]);
         assert_eq!(s.marked_count(), 1);
         // Expiring before an older frame is a no-op.
         assert_eq!(s.expire_before(FrameId(1)), 0);
@@ -420,16 +401,6 @@ mod tests {
         let mut c = fs(&[(1, false)]);
         c.merge_from(&MarkedFrameSet::new());
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn copy_marks_respects_skip_and_membership() {
-        let mut target = fs(&[(1, false), (2, false), (3, false)]);
-        let source = fs(&[(1, true), (3, true), (9, true)]);
-        target.copy_marks_from(&source, Some(FrameId(3)));
-        assert!(target.is_marked(FrameId(1)));
-        assert!(!target.is_marked(FrameId(3)));
-        assert!(!target.contains(FrameId(9)));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! relation frame by frame and is the only interface between the vision
 //! substrate and the query-processing layers.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use crate::class::ClassRegistry;
 use crate::error::{Error, Result};
@@ -189,12 +189,6 @@ impl VideoRelation {
         &self.registry
     }
 
-    /// Mutable access to the registry (used when ingesting external data that
-    /// introduces new classes).
-    pub fn registry_mut(&mut self) -> &mut ClassRegistry {
-        &mut self.registry
-    }
-
     /// The global class of an object (objects keep one class for the whole
     /// feed — trackers do not change an object's class).
     pub fn class_of(&self, id: ObjectId) -> Option<ClassId> {
@@ -239,23 +233,6 @@ impl VideoRelation {
                 .collect(),
             registry: self.registry.clone(),
         }
-    }
-
-    /// Returns a copy of the relation keeping only objects of the given
-    /// classes (the paper drops objects whose class no query requests before
-    /// they reach MCOS generation).
-    pub fn filtered_to_classes(&self, keep: &HashSet<ClassId>) -> VideoRelation {
-        let mut out = VideoRelation::new(self.registry.clone());
-        for frame in &self.frames {
-            let detections: Vec<(ObjectId, ClassId)> = frame
-                .classes
-                .iter()
-                .copied()
-                .filter(|(_, class)| keep.contains(class))
-                .collect();
-            out.push_frame(FrameObjects::new(frame.fid, detections));
-        }
-        out
     }
 
     /// Total number of `(fid, id, class)` tuples.
@@ -369,20 +346,6 @@ mod tests {
         let t = vr.truncated(2);
         assert_eq!(t.num_frames(), 2);
         assert_eq!(t.num_objects(), 3); // A, B, C (B appears in both frames)
-    }
-
-    #[test]
-    fn class_filtering_drops_objects() {
-        let vr = small_relation();
-        let person = vr.registry().id("person").unwrap();
-        let keep: HashSet<ClassId> = [person].into_iter().collect();
-        let filtered = vr.filtered_to_classes(&keep);
-        assert_eq!(filtered.num_frames(), vr.num_frames());
-        assert!(filtered.frame(FrameId(0)).unwrap().is_empty());
-        assert_eq!(
-            filtered.frame(FrameId(1)).unwrap().objects,
-            ObjectSet::from_raw([1])
-        );
     }
 
     #[test]

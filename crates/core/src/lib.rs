@@ -25,6 +25,14 @@
 //! used by the differential tests; [`prune::StatePruner`] is the hook through
 //! which the query layer terminates hopeless states (Section 5.3).
 //!
+//! The three interner-backed maintainers share one crate-private substrate
+//! (`substrate.rs`): window spec, interner, [`ResultStateSet`], metrics,
+//! optional pruner with its verdict cache, frame cursor — plus frame-order
+//! checking, pruner judgement, result reporting, the compaction epoch and
+//! the shared snapshot parts. Each adds only its state structure and its
+//! algorithm. MFS and SSG are durable; NAIVE and the reference oracle are
+//! baselines that do not support snapshots.
+//!
 //! # Example
 //!
 //! ```
@@ -62,7 +70,7 @@ pub mod reference;
 pub mod result_set;
 pub mod snapshot;
 pub mod ssg;
-pub mod state;
+mod substrate;
 
 pub use compaction::{CompactionOutcome, CompactionPolicy};
 pub use lifecycle::{LiveBinding, ObjectLifecycle};
@@ -74,4 +82,3 @@ pub use prune::{MinCardinalityPruner, NeverPrune, PrunerVerdictCache, SharedPrun
 pub use reference::{mcos_of_window, ReferenceMaintainer};
 pub use result_set::{ResultState, ResultStateSet};
 pub use ssg::SsgMaintainer;
-pub use state::State;

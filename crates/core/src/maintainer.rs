@@ -23,9 +23,6 @@ use crate::ssg::SsgMaintainer;
 /// it) can live behind a mutex shared across server connection threads;
 /// every production maintainer is plain owned data plus `Arc`s already.
 pub trait StateMaintainer: Send {
-    /// The window specification the maintainer was configured with.
-    fn spec(&self) -> WindowSpec;
-
     /// Processes the next frame of the feed. Frames must arrive with strictly
     /// increasing identifiers; the maintainer slides its window accordingly.
     fn advance(&mut self, frame: FrameId, objects: &ObjectSet) -> Result<()>;
@@ -77,7 +74,8 @@ pub trait StateMaintainer: Send {
     /// Pruner verdict caches are *not* serialized — verdicts are
     /// re-derivable under the live catalog, so only the
     /// `states_terminated` counter may drift after recovery. The default
-    /// errors: the brute-force reference oracle is not durable.
+    /// errors: the two baselines (NAIVE and the brute-force reference
+    /// oracle) are not durable.
     fn snapshot_state(&self, enc: &mut Encoder) -> Result<()> {
         let _ = enc;
         Err(Error::Store(format!(
@@ -195,17 +193,11 @@ impl MaintainerKind {
         pruner: Option<SharedPruner>,
         interner: SetInterner,
     ) -> Box<dyn StateMaintainer> {
-        match (self, pruner) {
-            (MaintainerKind::Naive, _) => Box::new(NaiveMaintainer::with_interner(spec, interner)),
-            (MaintainerKind::Mfs, None) => Box::new(MfsMaintainer::with_interner(spec, interner)),
-            (MaintainerKind::Mfs, Some(pruner)) => Box::new(
-                MfsMaintainer::with_pruner_and_interner(spec, pruner, interner),
-            ),
-            (MaintainerKind::Ssg, None) => Box::new(SsgMaintainer::with_interner(spec, interner)),
-            (MaintainerKind::Ssg, Some(pruner)) => Box::new(
-                SsgMaintainer::with_pruner_and_interner(spec, pruner, interner),
-            ),
-            (MaintainerKind::Reference, _) => Box::new(ReferenceMaintainer::new(spec)),
+        match self {
+            MaintainerKind::Naive => Box::new(NaiveMaintainer::with_options(spec, interner)),
+            MaintainerKind::Mfs => Box::new(MfsMaintainer::with_options(spec, interner, pruner)),
+            MaintainerKind::Ssg => Box::new(SsgMaintainer::with_options(spec, interner, pruner)),
+            MaintainerKind::Reference => Box::new(ReferenceMaintainer::new(spec)),
         }
     }
 }
@@ -254,10 +246,17 @@ mod tests {
     #[test]
     fn reference_maintainer_is_not_durable() {
         let spec = WindowSpec::new(4, 2).unwrap();
-        let mut maintainer = MaintainerKind::Reference.build(spec);
-        let mut enc = Encoder::new();
-        assert!(maintainer.snapshot_state(&mut enc).is_err());
-        assert!(maintainer.restore_state(&mut Decoder::new(&[])).is_err());
+        for kind in [MaintainerKind::Reference, MaintainerKind::Naive] {
+            let mut maintainer = kind.build(spec);
+            let mut enc = Encoder::new();
+            let err = maintainer.snapshot_state(&mut enc).unwrap_err();
+            assert!(matches!(err, Error::Store(_)), "{kind}: {err}");
+            assert!(enc.is_empty(), "{kind} wrote snapshot bytes before failing");
+            let err = maintainer
+                .restore_state(&mut Decoder::new(&[]))
+                .unwrap_err();
+            assert!(matches!(err, Error::Store(_)), "{kind}: {err}");
+        }
     }
 
     #[test]
@@ -270,7 +269,6 @@ mod tests {
             MaintainerKind::Reference,
         ] {
             let maintainer = kind.build(spec);
-            assert_eq!(maintainer.spec(), spec);
             assert_eq!(maintainer.live_states(), 0);
             assert_eq!(maintainer.name(), kind.name());
         }

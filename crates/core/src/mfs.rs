@@ -23,16 +23,17 @@
 //! so they are never materialised again while they remain hopeless.
 
 use tvq_common::{
-    Decoder, Encoder, Error, FrameId, FxHashMap, MarkedFrameSet, ObjectSet, RemapTable, Result,
-    SetId, SetInterner, WindowSpec,
+    Decoder, Encoder, Error, FrameId, FxHashMap, MarkedFrameSet, ObjectSet, Result, SetId,
+    SetInterner, WindowSpec,
 };
 
 use crate::compaction::{CompactionOutcome, CompactionPolicy};
-use crate::maintainer::{check_order, StateMaintainer};
+use crate::maintainer::StateMaintainer;
 use crate::metrics::MaintenanceMetrics;
-use crate::prune::{PrunerVerdictCache, SharedPruner};
-use crate::result_set::{ReportedSets, ResultStateSet};
+use crate::prune::SharedPruner;
+use crate::result_set::ResultStateSet;
 use crate::snapshot;
+use crate::substrate::Substrate;
 
 /// The Marked Frame Set state maintainer.
 ///
@@ -41,15 +42,8 @@ use crate::snapshot;
 /// intersection pass is answered from the interner's memo after the first
 /// occurrence of each `(state, frame-set)` pair.
 pub struct MfsMaintainer {
-    spec: WindowSpec,
-    interner: SetInterner,
+    core: Substrate,
     states: FxHashMap<SetId, MarkedFrameSet>,
-    results: ResultStateSet,
-    reported: ReportedSets,
-    metrics: MaintenanceMetrics,
-    pruner: Option<SharedPruner>,
-    verdicts: PrunerVerdictCache,
-    last_frame: Option<FrameId>,
     /// Pooled pass-1 appender list, reused so the steady-state frame loop
     /// (where every live state is contained in the arriving frame) does not
     /// allocate.
@@ -59,73 +53,32 @@ pub struct MfsMaintainer {
 impl std::fmt::Debug for MfsMaintainer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MfsMaintainer")
-            .field("spec", &self.spec)
+            .field("spec", &self.core.spec)
             .field("live_states", &self.states.len())
-            .field("terminated", &self.verdicts.terminated_len())
             .finish()
     }
 }
 
 impl MfsMaintainer {
     /// Creates an MFS maintainer for the given window specification, with a
-    /// private interner (no class source).
+    /// private interner (no class source) and no pruner.
     pub fn new(spec: WindowSpec) -> Self {
-        MfsMaintainer::with_interner(spec, SetInterner::new())
+        MfsMaintainer::with_options(spec, SetInterner::new(), None)
     }
 
     /// Creates an MFS maintainer around a caller-provided interner (the
-    /// engine wires one per feed, sharing its object → class map so result
-    /// states carry precomputed class counts).
-    pub fn with_interner(spec: WindowSpec, interner: SetInterner) -> Self {
+    /// engine wires one per feed, sharing its object → class map) and an
+    /// optional pruner — with one this is the `MFS_O` variant of Section 5.3.
+    pub fn with_options(
+        spec: WindowSpec,
+        interner: SetInterner,
+        pruner: Option<SharedPruner>,
+    ) -> Self {
         MfsMaintainer {
-            spec,
-            interner,
+            core: Substrate::new(spec, interner, pruner),
             states: FxHashMap::default(),
-            results: ResultStateSet::new(),
-            reported: ReportedSets::default(),
-            metrics: MaintenanceMetrics::new(),
-            pruner: None,
-            verdicts: PrunerVerdictCache::new(),
-            last_frame: None,
             appenders_scratch: Vec::new(),
         }
-    }
-
-    /// Creates the `MFS_O` variant: new states are checked against the
-    /// pruner and terminated when no query can ever be satisfied by them
-    /// (Section 5.3).
-    pub fn with_pruner(spec: WindowSpec, pruner: SharedPruner) -> Self {
-        MfsMaintainer::with_pruner_and_interner(spec, pruner, SetInterner::new())
-    }
-
-    /// The `MFS_O` variant around a caller-provided interner.
-    pub fn with_pruner_and_interner(
-        spec: WindowSpec,
-        pruner: SharedPruner,
-        interner: SetInterner,
-    ) -> Self {
-        let mut maintainer = MfsMaintainer::with_interner(spec, interner);
-        maintainer.pruner = Some(pruner);
-        maintainer
-    }
-
-    /// Read access to the maintainer's interner (arena and memo statistics).
-    pub fn interner(&self) -> &SetInterner {
-        &self.interner
-    }
-
-    /// Re-keys every handle-held structure through a compaction epoch's
-    /// remap table. Must be called with the table produced by compacting
-    /// this maintainer's own interner against its own live handles —
-    /// [`StateMaintainer::maybe_compact`] is the normal entry point.
-    pub fn remap(&mut self, table: &RemapTable) {
-        let states = std::mem::take(&mut self.states);
-        self.states = states
-            .into_iter()
-            .filter_map(|(sid, frames)| table.remap(sid).map(|new| (new, frames)))
-            .collect();
-        self.reported.clear();
-        self.verdicts.remap(table);
     }
 
     /// Exposes the live states (object set → marked frame set) for the
@@ -133,25 +86,7 @@ impl MfsMaintainer {
     pub fn states(&self) -> impl Iterator<Item = (ObjectSet, &MarkedFrameSet)> {
         self.states
             .iter()
-            .map(|(&sid, frames)| (self.interner.resolve(sid), frames))
-    }
-
-    fn is_terminated(&self, sid: SetId) -> bool {
-        self.verdicts.is_terminated(sid)
-    }
-
-    /// Consults the pruner for a new object set via the shared per-handle
-    /// verdict cache.
-    fn terminate_if_hopeless(&mut self, sid: SetId) -> bool {
-        let Some(pruner) = &self.pruner else {
-            return false;
-        };
-        self.verdicts.judge(
-            pruner.as_ref(),
-            &self.interner,
-            sid,
-            &mut self.metrics.states_terminated,
-        )
+            .map(|(&sid, frames)| (self.core.interner.resolve(sid), frames))
     }
 
     fn expire(&mut self, oldest: FrameId) {
@@ -166,14 +101,14 @@ impl MfsMaintainer {
             }
             keep
         });
-        self.metrics.states_pruned += pruned;
+        self.core.metrics.states_pruned += pruned;
     }
 
     fn process_frame(&mut self, frame: FrameId, objects: &ObjectSet) {
         if objects.is_empty() {
             return;
         }
-        let frame_sid = self.interner.intern(objects);
+        let frame_sid = self.core.interner.intern(objects);
 
         // Pass 1 (read-only): intersect every live state with the arriving
         // frame, recording which states are fully contained in the frame and
@@ -183,8 +118,8 @@ impl MfsMaintainer {
         appenders.clear();
         let mut derived: FxHashMap<SetId, Vec<(SetId, Vec<FrameId>)>> = FxHashMap::default();
         for (&sid, frames) in self.states.iter() {
-            self.metrics.intersections += 1;
-            let inter = self.interner.intersect(sid, frame_sid);
+            self.core.metrics.intersections += 1;
+            let inter = self.core.interner.intersect(sid, frame_sid);
             if inter.is_empty_set() {
                 continue;
             }
@@ -202,14 +137,14 @@ impl MfsMaintainer {
                     .push((sid, frames.marked_frames().collect()));
             }
         }
-        self.metrics.states_visited += self.states.len() as u64;
+        self.core.metrics.states_visited += self.states.len() as u64;
 
         // Pass 2a: append the arriving frame (unmarked) to fully contained
         // states.
         for sid in appenders.drain(..) {
             if let Some(frames) = self.states.get_mut(&sid) {
                 frames.push(frame, false);
-                self.metrics.frames_appended += 1;
+                self.core.metrics.frames_appended += 1;
             }
         }
         self.appenders_scratch = appenders;
@@ -230,7 +165,7 @@ impl MfsMaintainer {
                 }
                 continue;
             }
-            if self.is_terminated(target) {
+            if self.core.is_terminated(target) {
                 continue;
             }
             let mut frames = MarkedFrameSet::new();
@@ -248,16 +183,16 @@ impl MfsMaintainer {
                     }
                 }
             }
-            if self.terminate_if_hopeless(target) {
+            if self.core.terminate_if_hopeless(target) {
                 continue;
             }
             self.states.insert(target, frames);
-            self.metrics.states_created += 1;
+            self.core.metrics.states_created += 1;
         }
 
         // Pass 2c: the arriving frame's own object set becomes (or stays) a
         // state, and the arriving frame is its key frame (Rule 1).
-        if !self.is_terminated(frame_sid) && !self.terminate_if_hopeless(frame_sid) {
+        if !self.core.is_terminated(frame_sid) && !self.core.terminate_if_hopeless(frame_sid) {
             match self.states.get_mut(&frame_sid) {
                 Some(frames) => {
                     frames.push(frame, true);
@@ -266,51 +201,38 @@ impl MfsMaintainer {
                 None => {
                     self.states
                         .insert(frame_sid, MarkedFrameSet::singleton(frame, true));
-                    self.metrics.states_created += 1;
+                    self.core.metrics.states_created += 1;
                 }
             }
         }
     }
 
     fn collect_results(&mut self) {
-        self.results.clear();
+        self.core.begin_results(self.states.len());
         for (&sid, frames) in &self.states {
-            if frames.has_marked() && self.spec.satisfies_duration(frames.len()) {
-                self.results.insert_with_counts(
-                    self.reported.set_of(&self.interner, sid),
-                    frames,
-                    self.interner.cached_counts(sid),
-                );
+            if frames.has_marked() && self.core.spec.satisfies_duration(frames.len()) {
+                self.core.report(sid, frames);
             }
         }
-        self.reported.retain_reported(&self.results);
+        self.core.end_results();
     }
 }
 
 impl StateMaintainer for MfsMaintainer {
-    fn spec(&self) -> WindowSpec {
-        self.spec
-    }
-
     fn advance(&mut self, frame: FrameId, objects: &ObjectSet) -> Result<()> {
-        check_order(self.last_frame, frame)?;
-        self.last_frame = Some(frame);
-        self.metrics.frames_processed += 1;
-
-        self.expire(self.spec.oldest_valid(frame));
+        let oldest = self.core.begin_frame(frame)?;
+        self.expire(oldest);
         self.process_frame(frame, objects);
-        self.metrics.observe_live_states(self.states.len());
-        self.metrics.observe_interner(&self.interner);
         self.collect_results();
         Ok(())
     }
 
     fn results(&self) -> &ResultStateSet {
-        &self.results
+        &self.core.results
     }
 
     fn metrics(&self) -> &MaintenanceMetrics {
-        &self.metrics
+        &self.core.metrics
     }
 
     fn live_states(&self) -> usize {
@@ -318,7 +240,7 @@ impl StateMaintainer for MfsMaintainer {
     }
 
     fn name(&self) -> &'static str {
-        if self.pruner.is_some() {
+        if self.core.has_pruner() {
             "MFS_O"
         } else {
             "MFS"
@@ -326,28 +248,22 @@ impl StateMaintainer for MfsMaintainer {
     }
 
     fn maybe_compact(&mut self, policy: &CompactionPolicy) -> Option<CompactionOutcome> {
-        if !policy.should_compact(self.states.len() + 1, self.interner.len()) {
-            return None;
-        }
-        let live: Vec<SetId> = self.states.keys().copied().collect();
-        let mut table = self.interner.compact(&live);
-        self.remap(&table);
-        self.metrics.compactions += 1;
-        self.metrics.observe_interner(&self.interner);
-        Some(CompactionOutcome {
-            epoch: table.epoch(),
-            retired_sets: table.retired(),
-            retired_objects: table.take_retired_objects(),
-        })
+        let (table, outcome) = self.core.compact(policy, self.states.len(), || {
+            self.states.keys().copied().collect()
+        })?;
+        self.states = std::mem::take(&mut self.states)
+            .into_iter()
+            .filter_map(|(sid, frames)| table.remap(sid).map(|new| (new, frames)))
+            .collect();
+        Some(outcome)
     }
 
     fn pruner_changed(&mut self) {
-        self.verdicts.clear();
+        self.core.pruner_changed();
     }
 
     fn snapshot_state(&self, enc: &mut Encoder) -> Result<()> {
-        snapshot::put_interner(enc, &self.interner);
-        snapshot::put_opt_frame(enc, self.last_frame);
+        self.core.put_head(enc);
         // Handle order makes the byte stream deterministic across runs.
         let mut sids: Vec<SetId> = self.states.keys().copied().collect();
         sids.sort_unstable();
@@ -356,23 +272,17 @@ impl StateMaintainer for MfsMaintainer {
             snapshot::put_set_id(enc, sid);
             snapshot::put_frame_set(enc, &self.states[&sid]);
         }
-        snapshot::put_metrics(enc, &self.metrics);
+        self.core.put_metrics(enc);
         Ok(())
     }
 
     fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
-        if !self.states.is_empty() || self.last_frame.is_some() {
-            return Err(Error::Store(
-                "restore_state requires a freshly built maintainer".into(),
-            ));
-        }
-        snapshot::restore_interner(dec, &mut self.interner)?;
-        self.last_frame = snapshot::take_opt_frame(dec)?;
+        self.core.take_head(dec)?;
         let states = dec.take_len()?;
         for _ in 0..states {
             let sid = snapshot::take_set_id(dec)?;
             let frames = snapshot::take_frame_set(dec)?;
-            if sid.is_empty_set() || sid.raw() as usize >= self.interner.len() {
+            if sid.is_empty_set() || sid.raw() as usize >= self.core.interner.len() {
                 return Err(Error::Corrupt(format!(
                     "MFS state references handle {} outside the restored arena",
                     sid.raw()
@@ -385,10 +295,7 @@ impl StateMaintainer for MfsMaintainer {
                 )));
             }
         }
-        self.metrics = snapshot::take_metrics(dec)?;
-        // Verdicts and results are rebuilt lazily: the next `advance`
-        // re-collects results, and the pruner re-judges handles on demand.
-        Ok(())
+        self.core.take_metrics(dec)
     }
 }
 
@@ -533,7 +440,7 @@ mod tests {
     fn termination_suppresses_small_states() {
         let spec = WindowSpec::new(4, 1).unwrap();
         let pruner = Arc::new(MinCardinalityPruner { min_objects: 2 });
-        let mut m = MfsMaintainer::with_pruner(spec, pruner);
+        let mut m = MfsMaintainer::with_options(spec, SetInterner::new(), Some(pruner));
         m.advance(FrameId(0), &set(&[1])).unwrap();
         // The single-object state is terminated, not materialised.
         assert_eq!(m.live_states(), 0);
@@ -620,7 +527,7 @@ mod tests {
 
         // A state entry pointing outside the arena is corrupt, not a panic.
         let mut enc = tvq_common::Encoder::new();
-        snapshot::put_interner(&mut enc, original.interner());
+        snapshot::put_interner(&mut enc, &original.core.interner);
         snapshot::put_opt_frame(&mut enc, Some(FrameId(0)));
         enc.put_usize(1);
         enc.put_u32(77); // dangling handle

@@ -105,10 +105,6 @@ impl ReferenceMaintainer {
 }
 
 impl StateMaintainer for ReferenceMaintainer {
-    fn spec(&self) -> WindowSpec {
-        self.spec
-    }
-
     fn advance(&mut self, frame: FrameId, objects: &ObjectSet) -> Result<()> {
         check_order(self.last_frame, frame)?;
         self.last_frame = Some(frame);

@@ -19,8 +19,6 @@ use std::sync::Arc;
 
 use tvq_common::{ClassCounts, FrameId, FxHashMap, MarkedFrameSet, ObjectSet, SetId, SetInterner};
 
-use crate::state::State;
-
 /// A satisfied, valid state as reported to the query layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResultState {
@@ -79,11 +77,6 @@ impl ResultStateSet {
                 counts,
             },
         );
-    }
-
-    /// Inserts a result state from a [`State`].
-    pub fn insert_state(&mut self, state: &State) {
-        self.insert(state.objects.clone(), &state.frames);
     }
 
     /// Number of result states.
@@ -269,14 +262,6 @@ mod tests {
         rs.clear();
         assert!(rs.is_empty());
         assert_eq!(rs.to_vec().len(), 0);
-    }
-
-    #[test]
-    fn insert_state_uses_state_parts() {
-        let state = State::new(set(&[4, 5]), frames(&[1, 2, 3]));
-        let mut rs = ResultStateSet::new();
-        rs.insert_state(&state);
-        assert_eq!(rs.frames_of(&set(&[4, 5])).unwrap().len(), 3);
     }
 
     #[test]

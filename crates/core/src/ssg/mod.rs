@@ -43,16 +43,16 @@
 mod graph;
 
 use tvq_common::{
-    Decoder, Encoder, Error, FrameId, FxHashSet, ObjectSet, RemapTable, Result, SetId, SetInterner,
-    WindowSpec,
+    Decoder, Encoder, Error, FrameId, FxHashSet, ObjectSet, Result, SetId, SetInterner, WindowSpec,
 };
 
 use crate::compaction::{CompactionOutcome, CompactionPolicy};
-use crate::maintainer::{check_order, StateMaintainer};
+use crate::maintainer::StateMaintainer;
 use crate::metrics::MaintenanceMetrics;
-use crate::prune::{PrunerVerdictCache, SharedPruner};
-use crate::result_set::{ReportedSets, ResultStateSet};
+use crate::prune::SharedPruner;
+use crate::result_set::ResultStateSet;
 use crate::snapshot;
+use crate::substrate::Substrate;
 
 use graph::{NodeId, StateGraph};
 
@@ -63,20 +63,13 @@ use graph::{NodeId, StateGraph};
 /// intersections of the traversal cascade are answered from the interner's
 /// memo after their first occurrence.
 pub struct SsgMaintainer {
-    spec: WindowSpec,
-    interner: SetInterner,
+    core: Substrate,
     graph: StateGraph,
     /// Principal states in their order of arrival (kept while alive).
     roots: Vec<NodeId>,
-    results: ResultStateSet,
-    reported: ReportedSets,
-    /// Handles of the states reported in `results` (revalidated first on the
-    /// next frame — the `SR'_i` part of `SR_{i'} = SR'_i ∪ SR_{G'}`).
+    /// Handles of the states reported in the results (revalidated first on
+    /// the next frame — the `SR'_i` part of `SR_{i'} = SR'_i ∪ SR_{G'}`).
     prev_results: Vec<SetId>,
-    metrics: MaintenanceMetrics,
-    pruner: Option<SharedPruner>,
-    verdicts: PrunerVerdictCache,
-    last_frame: Option<FrameId>,
     frames_since_sweep: usize,
     /// Reusable buffers for the traversal's child snapshots (one per
     /// recursion depth), so `visit_children` never allocates in steady state.
@@ -96,7 +89,7 @@ pub struct SsgMaintainer {
 impl std::fmt::Debug for SsgMaintainer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SsgMaintainer")
-            .field("spec", &self.spec)
+            .field("spec", &self.core.spec)
             .field("live_states", &self.graph.len())
             .field("principal_states", &self.roots.len())
             .finish()
@@ -105,27 +98,24 @@ impl std::fmt::Debug for SsgMaintainer {
 
 impl SsgMaintainer {
     /// Creates an SSG maintainer for the given window specification, with a
-    /// private interner (no class source).
+    /// private interner (no class source) and no pruner.
     pub fn new(spec: WindowSpec) -> Self {
-        SsgMaintainer::with_interner(spec, SetInterner::new())
+        SsgMaintainer::with_options(spec, SetInterner::new(), None)
     }
 
     /// Creates an SSG maintainer around a caller-provided interner (the
-    /// engine wires one per feed, sharing its object → class map so result
-    /// states carry precomputed class counts).
-    pub fn with_interner(spec: WindowSpec, interner: SetInterner) -> Self {
+    /// engine wires one per feed, sharing its object → class map) and an
+    /// optional pruner — with one this is the `SSG_O` variant of Section 5.3.
+    pub fn with_options(
+        spec: WindowSpec,
+        interner: SetInterner,
+        pruner: Option<SharedPruner>,
+    ) -> Self {
         SsgMaintainer {
-            spec,
-            interner,
+            core: Substrate::new(spec, interner, pruner),
             graph: StateGraph::new(),
             roots: Vec::new(),
-            results: ResultStateSet::new(),
-            reported: ReportedSets::default(),
             prev_results: Vec::new(),
-            metrics: MaintenanceMetrics::new(),
-            pruner: None,
-            verdicts: PrunerVerdictCache::new(),
-            last_frame: None,
             frames_since_sweep: 0,
             child_scratch: Vec::new(),
             touched_scratch: Vec::new(),
@@ -137,47 +127,9 @@ impl SsgMaintainer {
         }
     }
 
-    /// Creates the `SSG_O` variant (Section 5.3): new states are checked
-    /// against the pruner and terminated when hopeless.
-    pub fn with_pruner(spec: WindowSpec, pruner: SharedPruner) -> Self {
-        SsgMaintainer::with_pruner_and_interner(spec, pruner, SetInterner::new())
-    }
-
-    /// The `SSG_O` variant around a caller-provided interner.
-    pub fn with_pruner_and_interner(
-        spec: WindowSpec,
-        pruner: SharedPruner,
-        interner: SetInterner,
-    ) -> Self {
-        let mut maintainer = SsgMaintainer::with_interner(spec, interner);
-        maintainer.pruner = Some(pruner);
-        maintainer
-    }
-
     /// Number of principal states currently tracked.
     pub fn principal_states(&self) -> usize {
         self.roots.len()
-    }
-
-    /// Read access to the maintainer's interner (arena and memo statistics).
-    pub fn interner(&self) -> &SetInterner {
-        &self.interner
-    }
-
-    /// Re-keys every handle-held structure — graph nodes, the handle index,
-    /// the revalidation list and the verdict cache — through a compaction
-    /// epoch's remap table. [`StateMaintainer::maybe_compact`] is the
-    /// normal entry point.
-    pub fn remap(&mut self, table: &RemapTable) {
-        self.graph.remap(table);
-        for sid in &mut self.prev_results {
-            *sid = table
-                .remap(*sid)
-                .expect("result states are live graph nodes");
-        }
-        self.prev_results.sort_unstable();
-        self.reported.clear();
-        self.verdicts.remap(table);
     }
 
     /// Exposes the live states (object set, frames, marked frames) for tests.
@@ -188,29 +140,11 @@ impl SsgMaintainer {
             .map(|id| {
                 let node = self.graph.node(id);
                 (
-                    self.interner.resolve(node.sid),
+                    self.core.interner.resolve(node.sid),
                     node.frames.iter().collect(),
                 )
             })
             .collect()
-    }
-
-    fn is_terminated(&self, sid: SetId) -> bool {
-        self.verdicts.is_terminated(sid)
-    }
-
-    /// Consults the pruner for a new object set via the shared per-handle
-    /// verdict cache.
-    fn terminate_if_hopeless(&mut self, sid: SetId) -> bool {
-        let Some(pruner) = &self.pruner else {
-            return false;
-        };
-        self.verdicts.judge(
-            pruner.as_ref(),
-            &self.interner,
-            sid,
-            &mut self.metrics.states_terminated,
-        )
     }
 
     /// Ensures a state with the interned object set `sid` exists, is
@@ -227,17 +161,17 @@ impl SsgMaintainer {
         if sid.is_empty_set() || sid == self.graph.node(parent).sid {
             return None;
         }
-        if self.is_terminated(sid) {
+        if self.core.is_terminated(sid) {
             return None;
         }
         let id = match self.graph.id_of(sid) {
             Some(id) => id,
             None => {
-                if self.terminate_if_hopeless(sid) {
+                if self.core.terminate_if_hopeless(sid) {
                     return None;
                 }
                 let id = self.graph.insert(sid);
-                self.metrics.states_created += 1;
+                self.core.metrics.states_created += 1;
                 touched.push(id);
                 id
             }
@@ -246,14 +180,14 @@ impl SsgMaintainer {
             self.graph.node_mut(id).frames.expire_before(oldest);
             self.graph.node_mut(id).frames.push(frame, false);
             self.graph.node_mut(id).touched = frame.raw();
-            self.metrics.frames_appended += 1;
+            self.core.metrics.frames_appended += 1;
             touched.push(id);
         }
         // Frame-set completeness and Rule-2 mark inheritance: the parent's
         // frames all contain the parent's object set, hence this subset too.
         let (target, source) = self.graph.pair_mut(id, parent);
         target.frames.merge_from(&source.frames);
-        self.graph.attach(parent, id, &self.interner);
+        self.graph.attach(parent, id, &self.core.interner);
         Some(id)
     }
 
@@ -277,11 +211,11 @@ impl SsgMaintainer {
         }
         self.graph.node_mut(node).visited = frame.raw();
         touched.push(node);
-        self.metrics.states_visited += 1;
+        self.core.metrics.states_visited += 1;
 
         let node_sid = self.graph.node(node).sid;
-        self.metrics.intersections += 1;
-        let inter = self.interner.intersect(node_sid, frame_sid);
+        self.core.metrics.intersections += 1;
+        let inter = self.core.interner.intersect(node_sid, frame_sid);
         self.graph.node_mut(node).last_inter = inter;
 
         if inter.is_empty_set() {
@@ -300,7 +234,7 @@ impl SsgMaintainer {
         // so this subtree cannot represent it; materialise it under the parent.
         if let Some(parent) = parent {
             if !p_inter.is_empty_set()
-                && self.interner.len_of(p_inter) > self.interner.len_of(inter)
+                && self.core.interner.len_of(p_inter) > self.core.interner.len_of(inter)
                 && p_inter != frame_sid
             {
                 self.ensure_state(p_inter, parent, frame, oldest, touched);
@@ -314,7 +248,7 @@ impl SsgMaintainer {
             if self.graph.node(node).touched != frame.raw() {
                 self.graph.node_mut(node).frames.push(frame, false);
                 self.graph.node_mut(node).touched = frame.raw();
-                self.metrics.frames_appended += 1;
+                self.core.metrics.frames_appended += 1;
             }
             if let Some(parent) = parent {
                 if p_inter == node_sid {
@@ -331,7 +265,7 @@ impl SsgMaintainer {
                 let (target, source) = self.graph.pair_mut(ns, node);
                 target.frames.merge_from(&source.frames);
             }
-            self.graph.attach(node, ns, &self.interner);
+            self.graph.attach(node, ns, &self.core.interner);
             self.visit_children(node, inter, frame, frame_sid, ns, oldest, touched);
         } else {
             // A proper, new intersection: descend first (a child subtree may
@@ -380,7 +314,9 @@ impl SsgMaintainer {
     /// candidates already reachable from the new principal.
     fn connect_new_principal(&mut self, ns: NodeId) {
         let mut ordered = std::mem::take(&mut self.candidates_scratch);
-        ordered.sort_by_key(|&id| std::cmp::Reverse(self.interner.len_of(self.graph.node(id).sid)));
+        ordered.sort_by_key(|&id| {
+            std::cmp::Reverse(self.core.interner.len_of(self.graph.node(id).sid))
+        });
         ordered.dedup();
         self.cnps_reachable.clear();
         for &candidate in &ordered {
@@ -390,7 +326,7 @@ impl SsgMaintainer {
             if self.cnps_reachable.contains(&candidate) {
                 continue;
             }
-            self.graph.attach(ns, candidate, &self.interner);
+            self.graph.attach(ns, candidate, &self.core.interner);
             // Incremental DFS: regions already known to be reachable are not
             // re-traversed, so the whole CNPS pass is bounded by the size of
             // the subgraph below the new principal.
@@ -426,8 +362,8 @@ impl SsgMaintainer {
     }
 
     fn remove_node(&mut self, id: NodeId) {
-        self.graph.remove(id, &self.interner);
-        self.metrics.states_pruned += 1;
+        self.graph.remove(id, &self.core.interner);
+        self.core.metrics.states_pruned += 1;
         if let Some(pos) = self.roots.iter().position(|&r| r == id) {
             self.roots.remove(pos);
         }
@@ -468,7 +404,7 @@ impl SsgMaintainer {
         }
         candidates.extend_from_slice(touched);
 
-        self.results.clear();
+        self.core.begin_results(self.graph.len());
         self.prev_results.clear();
         for id in candidates.drain(..) {
             if !self.graph.node(id).alive {
@@ -476,16 +412,12 @@ impl SsgMaintainer {
             }
             self.graph.node_mut(id).frames.expire_before(oldest);
             let node = self.graph.node(id);
-            if node.frames.has_marked() && self.spec.satisfies_duration(node.frames.len()) {
-                self.results.insert_with_counts(
-                    self.reported.set_of(&self.interner, node.sid),
-                    &node.frames,
-                    self.interner.cached_counts(node.sid),
-                );
+            if node.frames.has_marked() && self.core.spec.satisfies_duration(node.frames.len()) {
+                self.core.report(node.sid, &node.frames);
                 self.prev_results.push(node.sid);
             }
         }
-        self.reported.retain_reported(&self.results);
+        self.core.end_results();
         self.candidates_scratch = candidates;
         self.prev_results.sort_unstable();
         self.prev_results.dedup();
@@ -493,29 +425,22 @@ impl SsgMaintainer {
 }
 
 impl StateMaintainer for SsgMaintainer {
-    fn spec(&self) -> WindowSpec {
-        self.spec
-    }
-
     fn advance(&mut self, frame: FrameId, objects: &ObjectSet) -> Result<()> {
-        check_order(self.last_frame, frame)?;
-        self.last_frame = Some(frame);
-        self.metrics.frames_processed += 1;
-        let oldest = self.spec.oldest_valid(frame);
+        let oldest = self.core.begin_frame(frame)?;
 
         self.frames_since_sweep += 1;
-        if self.frames_since_sweep >= self.spec.window() {
+        if self.frames_since_sweep >= self.core.spec.window() {
             self.sweep(oldest);
             self.frames_since_sweep = 0;
         }
 
         let mut touched = std::mem::take(&mut self.touched_scratch);
         touched.clear();
-        let frame_sid = self.interner.intern(objects);
+        let frame_sid = self.core.interner.intern(objects);
 
         if !frame_sid.is_empty_set()
-            && !self.is_terminated(frame_sid)
-            && !self.terminate_if_hopeless(frame_sid)
+            && !self.core.is_terminated(frame_sid)
+            && !self.core.terminate_if_hopeless(frame_sid)
         {
             // The arriving frame's own object set becomes (or stays) the new
             // principal state.
@@ -523,7 +448,7 @@ impl StateMaintainer for SsgMaintainer {
                 Some(id) => id,
                 None => {
                     let id = self.graph.insert(frame_sid);
-                    self.metrics.states_created += 1;
+                    self.core.metrics.states_created += 1;
                     id
                 }
             };
@@ -607,10 +532,8 @@ impl StateMaintainer for SsgMaintainer {
         touched.sort_unstable();
         touched.dedup();
         self.prune_touched(&touched, oldest);
-        self.metrics.edges_added = self.graph.edges_added;
-        self.metrics.edges_removed = self.graph.edges_removed;
-        self.metrics.observe_live_states(self.graph.len());
-        self.metrics.observe_interner(&self.interner);
+        self.core.metrics.edges_added = self.graph.edges_added;
+        self.core.metrics.edges_removed = self.graph.edges_removed;
         self.collect_results(&touched, oldest);
         touched.clear();
         self.touched_scratch = touched;
@@ -618,11 +541,11 @@ impl StateMaintainer for SsgMaintainer {
     }
 
     fn results(&self) -> &ResultStateSet {
-        &self.results
+        &self.core.results
     }
 
     fn metrics(&self) -> &MaintenanceMetrics {
-        &self.metrics
+        &self.core.metrics
     }
 
     fn live_states(&self) -> usize {
@@ -630,7 +553,7 @@ impl StateMaintainer for SsgMaintainer {
     }
 
     fn name(&self) -> &'static str {
-        if self.pruner.is_some() {
+        if self.core.has_pruner() {
             "SSG_O"
         } else {
             "SSG"
@@ -638,28 +561,25 @@ impl StateMaintainer for SsgMaintainer {
     }
 
     fn maybe_compact(&mut self, policy: &CompactionPolicy) -> Option<CompactionOutcome> {
-        if !policy.should_compact(self.graph.len() + 1, self.interner.len()) {
-            return None;
+        let (table, outcome) = self
+            .core
+            .compact(policy, self.graph.len(), || self.graph.live_sids())?;
+        self.graph.remap(&table);
+        for sid in &mut self.prev_results {
+            *sid = table
+                .remap(*sid)
+                .expect("result states are live graph nodes");
         }
-        let live = self.graph.live_sids();
-        let mut table = self.interner.compact(&live);
-        self.remap(&table);
-        self.metrics.compactions += 1;
-        self.metrics.observe_interner(&self.interner);
-        Some(CompactionOutcome {
-            epoch: table.epoch(),
-            retired_sets: table.retired(),
-            retired_objects: table.take_retired_objects(),
-        })
+        self.prev_results.sort_unstable();
+        Some(outcome)
     }
 
     fn pruner_changed(&mut self) {
-        self.verdicts.clear();
+        self.core.pruner_changed();
     }
 
     fn snapshot_state(&self, enc: &mut Encoder) -> Result<()> {
-        snapshot::put_interner(enc, &self.interner);
-        snapshot::put_opt_frame(enc, self.last_frame);
+        self.core.put_head(enc);
         enc.put_usize(self.frames_since_sweep);
         self.graph.encode(enc);
         enc.put_usize(self.roots.len());
@@ -670,20 +590,14 @@ impl StateMaintainer for SsgMaintainer {
         for &sid in &self.prev_results {
             snapshot::put_set_id(enc, sid);
         }
-        snapshot::put_metrics(enc, &self.metrics);
+        self.core.put_metrics(enc);
         Ok(())
     }
 
     fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
-        if self.last_frame.is_some() || self.graph.len() != 0 || self.interner.len() != 1 {
-            return Err(Error::Store(
-                "SSG restore requires a freshly built maintainer".into(),
-            ));
-        }
-        snapshot::restore_interner(dec, &mut self.interner)?;
-        self.last_frame = snapshot::take_opt_frame(dec)?;
+        self.core.take_head(dec)?;
         self.frames_since_sweep = dec.take_usize()?;
-        self.graph = StateGraph::decode(dec, &self.interner)?;
+        self.graph = StateGraph::decode(dec, &self.core.interner)?;
         let root_count = dec.take_len()?;
         let mut roots = Vec::with_capacity(root_count);
         for _ in 0..root_count {
@@ -711,11 +625,10 @@ impl StateMaintainer for SsgMaintainer {
         prev_results.sort_unstable();
         prev_results.dedup();
         self.prev_results = prev_results;
-        self.metrics = snapshot::take_metrics(dec)?;
-        // `results` stays empty: the next frame's collect_results revalidates
-        // `prev_results` by handle, reproducing the reported set exactly.
-        // Verdicts are re-judged lazily under the live catalog.
-        Ok(())
+        // The results stay empty: the next frame's collect_results
+        // revalidates `prev_results` by handle, reproducing the reported set
+        // exactly.
+        self.core.take_metrics(dec)
     }
 }
 
@@ -822,7 +735,7 @@ mod tests {
     fn termination_suppresses_hopeless_states() {
         let spec = WindowSpec::new(4, 1).unwrap();
         let pruner = Arc::new(MinCardinalityPruner { min_objects: 2 });
-        let mut m = SsgMaintainer::with_pruner(spec, pruner);
+        let mut m = SsgMaintainer::with_options(spec, SetInterner::new(), Some(pruner));
         m.advance(FrameId(0), &set(&[1, 2])).unwrap();
         m.advance(FrameId(1), &set(&[2, 3])).unwrap();
         // {2} = {1,2} ∩ {2,3} is hopeless and never materialised.
@@ -909,7 +822,7 @@ mod tests {
 
         // A root entry naming no live graph node is corrupt, not a panic.
         let mut enc = Encoder::new();
-        snapshot::put_interner(&mut enc, original.interner());
+        snapshot::put_interner(&mut enc, &original.core.interner);
         snapshot::put_opt_frame(&mut enc, Some(FrameId(0)));
         enc.put_usize(1); // frames_since_sweep
         original.graph.encode(&mut enc);

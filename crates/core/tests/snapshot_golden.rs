@@ -1,0 +1,62 @@
+//! Golden digests of the maintainers' on-disk state.
+//!
+//! `snapshot_state` bytes are what the durability layer persists inside
+//! every epoch snapshot, so a refactor of the maintainers must not move a
+//! byte of them. The constants below were computed at the commit *before*
+//! the shared maintainer substrate was introduced (PR 18, `e469b48`) by
+//! running this very file there; a mismatch means snapshots written by an
+//! older build no longer describe the state this build would write.
+
+use std::sync::Arc;
+
+use tvq_common::codec::crc32;
+use tvq_common::{shared_class_store, Encoder, SetInterner, WindowSpec};
+use tvq_core::{CompactionPolicy, MaintainerKind, MinCardinalityPruner};
+use tvq_testkit::classed_feed;
+
+/// Runs a fixed classed feed through `kind` (pruner attached, compaction
+/// forced every fourth frame), snapshots every tenth frame, and digests the
+/// concatenated snapshots as `(len, crc32)`.
+fn snapshot_digest(kind: MaintainerKind) -> (usize, u32) {
+    let store = shared_class_store();
+    let mut maintainer = kind.build_with_options(
+        WindowSpec::new(12, 3).unwrap(),
+        Some(Arc::new(MinCardinalityPruner { min_objects: 2 })),
+        SetInterner::with_classes(Arc::clone(&store)),
+    );
+    let policy = CompactionPolicy::every(4);
+    let mut enc = Encoder::new();
+    for frame in classed_feed(20211, 150, 24, 0.3, 3) {
+        {
+            let mut classes = store.write().unwrap();
+            for &(id, class) in &frame.classes {
+                classes.register(id, class);
+            }
+        }
+        maintainer.advance(frame.fid, &frame.objects).unwrap();
+        let seen = frame.fid.raw() + 1;
+        if seen % policy.check_interval == 0 {
+            maintainer.maybe_compact(&policy);
+        }
+        if seen % 10 == 0 {
+            maintainer.snapshot_state(&mut enc).unwrap();
+        }
+    }
+    assert!(maintainer.metrics().compactions > 0, "epochs must have run");
+    assert!(
+        maintainer.metrics().states_terminated > 0,
+        "pruner must bite"
+    );
+    let bytes = enc.into_bytes();
+    (bytes.len(), crc32(&bytes))
+}
+
+#[test]
+fn mfs_snapshot_bytes_match_the_pre_substrate_build() {
+    assert_eq!(snapshot_digest(MaintainerKind::Mfs), (1477, 3_062_641_714));
+}
+
+#[test]
+fn ssg_snapshot_bytes_match_the_pre_substrate_build() {
+    assert_eq!(snapshot_digest(MaintainerKind::Ssg), (2998, 1_248_216_494));
+}

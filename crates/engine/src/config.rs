@@ -3,24 +3,13 @@
 use tvq_common::{MemoConfig, WindowSpec};
 use tvq_core::{CompactionPolicy, MaintainerKind};
 
-/// How the engine picks its MCOS-generation strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaintainerSelection {
-    /// Always use the given strategy.
-    Fixed(MaintainerKind),
-    /// Pick MFS or SSG from the feed's statistics (see
-    /// [`choose_maintainer`](crate::adaptive::choose_maintainer)); falls back
-    /// to SSG when no statistics are available.
-    Auto,
-}
-
 /// Configuration of the end-to-end engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     /// Sliding-window specification (window length and duration threshold).
     pub window: WindowSpec,
-    /// Strategy selection.
-    pub maintainer: MaintainerSelection,
+    /// The MCOS-generation strategy.
+    pub maintainer: MaintainerKind,
     /// Whether to enable the Section 5.3 pruning strategy when the query
     /// workload permits it (all conditions `>=`).
     pub pruning: bool,
@@ -49,7 +38,7 @@ impl EngineConfig {
     pub fn new(window: WindowSpec) -> Self {
         EngineConfig {
             window,
-            maintainer: MaintainerSelection::Fixed(MaintainerKind::Ssg),
+            maintainer: MaintainerKind::Ssg,
             pruning: true,
             compaction: Some(CompactionPolicy::default_policy()),
             memo: MemoConfig::adaptive(),
@@ -61,15 +50,9 @@ impl EngineConfig {
         EngineConfig::new(WindowSpec::paper_default())
     }
 
-    /// Selects a fixed maintenance strategy.
+    /// Selects the maintenance strategy.
     pub fn with_maintainer(mut self, kind: MaintainerKind) -> Self {
-        self.maintainer = MaintainerSelection::Fixed(kind);
-        self
-    }
-
-    /// Lets the engine pick the strategy from feed statistics.
-    pub fn with_adaptive_maintainer(mut self) -> Self {
-        self.maintainer = MaintainerSelection::Auto;
+        self.maintainer = kind;
         self
     }
 
@@ -201,10 +184,7 @@ mod tests {
         assert_eq!(config.window.window(), 300);
         assert_eq!(config.window.duration(), 240);
         assert!(config.pruning);
-        assert_eq!(
-            config.maintainer,
-            MaintainerSelection::Fixed(MaintainerKind::Ssg)
-        );
+        assert_eq!(config.maintainer, MaintainerKind::Ssg);
         assert_eq!(config.memo, MemoConfig::adaptive());
         assert_eq!(
             config.with_memo(MemoConfig::fixed(15)).memo,
@@ -242,12 +222,7 @@ mod tests {
         let config = EngineConfig::new(WindowSpec::new(10, 5).unwrap())
             .with_maintainer(MaintainerKind::Mfs)
             .with_pruning(false);
-        assert_eq!(
-            config.maintainer,
-            MaintainerSelection::Fixed(MaintainerKind::Mfs)
-        );
+        assert_eq!(config.maintainer, MaintainerKind::Mfs);
         assert!(!config.pruning);
-        let auto = config.with_adaptive_maintainer();
-        assert_eq!(auto.maintainer, MaintainerSelection::Auto);
     }
 }

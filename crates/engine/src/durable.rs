@@ -91,6 +91,9 @@ impl TemporalVideoQueryEngine {
         if self.durability.is_some() {
             return Err(Error::Store("durability is already attached".into()));
         }
+        // Encoded first: a maintainer that cannot snapshot (the NAIVE and
+        // reference baselines) refuses here, before the directory is touched.
+        let payload = persist::encode_engine(self, &[])?;
         let lock = DirLock::acquire(io.clone(), dir)?;
         let mut snaps = SnapshotStore::open(io.clone(), dir)?;
         if snaps.load_latest()?.is_some() {
@@ -108,7 +111,6 @@ impl TemporalVideoQueryEngine {
             )));
         }
         let seq = wal.next_seq() - 1;
-        let payload = persist::encode_engine(self, &[])?;
         snaps.save(seq, &payload)?;
         self.durability = Some(Durability {
             _lock: lock,
@@ -120,12 +122,6 @@ impl TemporalVideoQueryEngine {
             recoveries: 0,
         });
         Ok(())
-    }
-
-    /// [`attach_durability`](Self::attach_durability) against the real
-    /// filesystem.
-    pub fn attach_durability_at(&mut self, dir: &Path) -> Result<()> {
-        self.attach_durability(RealIo::shared(), dir)
     }
 
     /// Whether a durability attachment is active.
@@ -255,18 +251,6 @@ impl TemporalVideoQueryEngine {
             d.wal.sync()?;
         }
         Ok(())
-    }
-
-    /// Forces a snapshot now (marks one due and flushes it), regardless of
-    /// compaction epochs. Errs without a durability attachment.
-    pub fn snapshot_now(&mut self) -> Result<()> {
-        match &mut self.durability {
-            Some(d) => {
-                d.snapshot_due = true;
-                self.flush_due_snapshot()
-            }
-            None => Err(Error::Store("no durability attachment".into())),
-        }
     }
 
     /// Overrides the WAL's segment-rotation threshold. No-op without a

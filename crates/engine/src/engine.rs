@@ -10,17 +10,14 @@
 use std::sync::{Arc, PoisonError, RwLock};
 
 use tvq_common::{
-    ClassRegistry, ClassStore, DatasetStats, Error, FrameId, FrameObjects, ObjectId, ObjectSet,
-    QueryId, Result, SetInterner, SharedClassMap, VideoRelation,
+    ClassRegistry, ClassStore, Error, FrameId, FrameObjects, ObjectId, ObjectSet, QueryId, Result,
+    SetInterner, SharedClassMap,
 };
-use tvq_core::{
-    MaintainerKind, MaintenanceMetrics, ObjectLifecycle, SharedPruner, StateMaintainer, StatePruner,
-};
+use tvq_core::{MaintenanceMetrics, ObjectLifecycle, SharedPruner, StateMaintainer, StatePruner};
 use tvq_query::{evaluate_result_set, ClassCounts, CnfQuery, QueryMatch};
 
-use crate::adaptive::choose_maintainer;
 use crate::catalog::{QueryCatalog, SharedCatalog};
-use crate::config::{EngineConfig, MaintainerSelection};
+use crate::config::EngineConfig;
 use crate::durable::Durability;
 use crate::persist;
 
@@ -106,7 +103,6 @@ pub struct EngineBuilder {
     config: EngineConfig,
     registry: ClassRegistry,
     queries: Vec<CnfQuery>,
-    stats: Option<DatasetStats>,
     class_store: Option<SharedClassMap>,
     allow_empty: bool,
     catalog_seed: u64,
@@ -120,7 +116,6 @@ impl EngineBuilder {
             config,
             registry: ClassRegistry::with_default_classes(),
             queries: Vec::new(),
-            stats: None,
             class_store: None,
             allow_empty: false,
             catalog_seed: 0,
@@ -175,12 +170,6 @@ impl EngineBuilder {
         Ok(self)
     }
 
-    /// Supplies feed statistics for adaptive maintainer selection.
-    pub fn with_feed_stats(mut self, stats: DatasetStats) -> Self {
-        self.stats = Some(stats);
-        self
-    }
-
     /// Builds the engine.
     pub fn build(self) -> Result<TemporalVideoQueryEngine> {
         if self.queries.is_empty() && !self.allow_empty {
@@ -189,14 +178,6 @@ impl EngineBuilder {
             ));
         }
         let catalog = QueryCatalog::new(self.queries, self.catalog_seed)?;
-        let kind = match self.config.maintainer {
-            MaintainerSelection::Fixed(kind) => kind,
-            MaintainerSelection::Auto => self
-                .stats
-                .as_ref()
-                .map(choose_maintainer)
-                .unwrap_or(MaintainerKind::Ssg),
-        };
         let classes: SharedClassMap = self
             .class_store
             .unwrap_or_else(|| Arc::new(RwLock::new(ClassStore::new())));
@@ -204,7 +185,6 @@ impl EngineBuilder {
             self.config,
             self.registry,
             catalog,
-            kind,
             classes,
         ))
     }
@@ -217,9 +197,6 @@ pub struct TemporalVideoQueryEngine {
     /// The versioned query workload. The engine is its sole writer;
     /// the maintainer's [`LivePruner`] follows it through the shared cell.
     pub(crate) catalog: QueryCatalog,
-    /// The *resolved* maintenance strategy (`Auto` selection pinned at
-    /// build time) — what snapshots persist and recovery rebuilds.
-    pub(crate) kind: MaintainerKind,
     pub(crate) maintainer: Box<dyn StateMaintainer>,
     /// Generation-aware tracker-id resolution, class-store registration and
     /// epoch retirement (see [`ObjectLifecycle`]). Holds the engine's
@@ -259,7 +236,6 @@ impl TemporalVideoQueryEngine {
         config: EngineConfig,
         registry: ClassRegistry,
         catalog: QueryCatalog,
-        kind: MaintainerKind,
         classes: SharedClassMap,
     ) -> TemporalVideoQueryEngine {
         // The per-feed interner shares the engine's live class store, so
@@ -280,12 +256,13 @@ impl TemporalVideoQueryEngine {
         } else {
             None
         };
-        let maintainer = kind.build_with_options(config.window, pruner, interner);
+        let maintainer = config
+            .maintainer
+            .build_with_options(config.window, pruner, interner);
         TemporalVideoQueryEngine {
             config,
             registry,
             catalog,
-            kind,
             maintainer,
             lifecycle: ObjectLifecycle::new(classes),
             frames_since_compaction_check: 0,
@@ -575,22 +552,13 @@ impl TemporalVideoQueryEngine {
             matches,
         })
     }
-
-    /// Processes a whole structured relation, returning one [`FrameResult`]
-    /// per frame.
-    pub fn process_relation(&mut self, relation: &VideoRelation) -> Result<Vec<FrameResult>> {
-        let mut results = Vec::with_capacity(relation.num_frames());
-        for frame in relation.frames() {
-            results.push(self.observe(frame)?);
-        }
-        Ok(results)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tvq_common::{ClassId, WindowSpec};
+    use tvq_core::MaintainerKind;
 
     fn frame(fid: u64, detections: &[(u32, u16)]) -> FrameObjects {
         FrameObjects::new(
@@ -714,28 +682,6 @@ mod tests {
             let b = without_pruning.observe(f).unwrap();
             assert_eq!(a, b, "pruning changed the result at frame {}", f.fid);
         }
-    }
-
-    #[test]
-    fn adaptive_selection_uses_feed_statistics() {
-        let stats = DatasetStats {
-            frames: 1000,
-            objects: 300,
-            objects_per_frame: 11.0,
-            occlusions_per_object: 3.0,
-            frames_per_object: 20.0,
-        };
-        let engine = TemporalVideoQueryEngine::builder(
-            EngineConfig::default()
-                .with_adaptive_maintainer()
-                .with_pruning(false),
-        )
-        .with_query_text("person >= 3")
-        .unwrap()
-        .with_feed_stats(stats)
-        .build()
-        .unwrap();
-        assert_eq!(engine.strategy(), "SSG");
     }
 
     #[test]
@@ -991,26 +937,5 @@ mod tests {
         }
         let result = engine.observe(&frame(4, &[(1, 1)])).unwrap();
         assert!(result.any(), "queries added to an idle engine take effect");
-    }
-
-    #[test]
-    fn process_relation_runs_every_frame() {
-        let mut relation = VideoRelation::with_default_classes();
-        relation.push_detections(vec![(ObjectId(1), ClassId(1)), (ObjectId(2), ClassId(0))]);
-        relation.push_detections(vec![(ObjectId(1), ClassId(1)), (ObjectId(2), ClassId(0))]);
-        relation.push_detections(vec![(ObjectId(1), ClassId(1))]);
-        let mut engine = TemporalVideoQueryEngine::builder(
-            EngineConfig::new(WindowSpec::new(3, 2).unwrap())
-                .with_maintainer(MaintainerKind::Naive),
-        )
-        .with_query_text("car >= 1 AND person >= 1")
-        .unwrap()
-        .build()
-        .unwrap();
-        let results = engine.process_relation(&relation).unwrap();
-        assert_eq!(results.len(), 3);
-        assert!(!results[0].any());
-        assert!(results[1].any());
-        assert!(results[2].any());
     }
 }

@@ -18,10 +18,10 @@
 //!
 //! The central type is [`TemporalVideoQueryEngine`]: register CNF queries
 //! (textual or structured), stream frames into it, and receive the matches of
-//! every sliding window. [`pipeline::run_workload`] packages a complete run
-//! with timing for the benchmark harness, and [`adaptive::choose_maintainer`]
-//! picks MFS vs SSG from feed statistics following the trade-off the paper
-//! establishes.
+//! every sliding window. [`pipeline::run_workload`] packages a timed run
+//! for the examples. The strategy is the one [`EngineConfig::maintainer`]
+//! names: there is no automatic MFS-vs-SSG selection (`tvq-perf` contradicts
+//! the paper's §6.2 heuristic on every film; see ARCHITECTURE.md).
 //!
 //! For deployments serving many cameras at once, [`MultiFeedEngine`] (see
 //! [`multi`]) shards feed-tagged frames across a worker pool, runs one
@@ -61,7 +61,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod adaptive;
 pub mod catalog;
 pub mod config;
 pub mod durable;
@@ -71,9 +70,8 @@ pub mod persist;
 pub mod pipeline;
 pub mod subscribe;
 
-pub use adaptive::choose_maintainer;
 pub use catalog::{CatalogSnapshot, QueryCatalog, SharedCatalog};
-pub use config::{EngineConfig, MaintainerSelection, MultiFeedConfig};
+pub use config::{EngineConfig, MultiFeedConfig};
 pub use durable::RecoveryReport;
 pub use engine::{EngineBuilder, FrameResult, TemporalVideoQueryEngine};
 pub use multi::{

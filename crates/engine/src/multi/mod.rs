@@ -79,9 +79,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tvq_common::{
-    ClassRegistry, DatasetStats, Error, FeedId, FrameObjects, QueryId, Result, SharedClassMap,
-};
+use tvq_common::{ClassRegistry, Error, FeedId, FrameObjects, QueryId, Result, SharedClassMap};
 use tvq_core::MaintenanceMetrics;
 use tvq_query::CnfQuery;
 use tvq_store::{RealIo, SharedIo};
@@ -247,7 +245,6 @@ impl SchedulingStats {
 struct EngineSpec {
     config: EngineConfig,
     registry: ClassRegistry,
-    stats: Option<DatasetStats>,
     /// One class store for every per-feed engine, when the deployment
     /// opted into [`MultiFeedConfig::shared_class_store`]. Reference
     /// counting in the store keeps one shard's epoch retirement from
@@ -308,9 +305,6 @@ impl EngineSpec {
         for query in queries {
             builder = builder.with_query(query.clone());
         }
-        if let Some(stats) = self.stats.clone() {
-            builder = builder.with_feed_stats(stats);
-        }
         if let Some(store) = &self.class_store {
             builder = builder.with_class_store(Arc::clone(store));
         }
@@ -325,7 +319,6 @@ pub struct MultiFeedBuilder {
     config: MultiFeedConfig,
     registry: ClassRegistry,
     queries: Vec<CnfQuery>,
-    stats: Option<DatasetStats>,
     allow_empty: bool,
     store: Option<(SharedIo, PathBuf)>,
 }
@@ -338,7 +331,6 @@ impl MultiFeedBuilder {
             config,
             registry: ClassRegistry::with_default_classes(),
             queries: Vec::new(),
-            stats: None,
             allow_empty: false,
             store: None,
         }
@@ -371,13 +363,6 @@ impl MultiFeedBuilder {
         let query = tvq_query::parse_query(text, id, &mut self.registry)?;
         self.queries.push(query);
         Ok(self)
-    }
-
-    /// Supplies feed statistics for adaptive maintainer selection (applied
-    /// uniformly to every per-feed engine).
-    pub fn with_feed_stats(mut self, stats: DatasetStats) -> Self {
-        self.stats = Some(stats);
-        self
     }
 
     /// Makes the fleet durable under `dir` through the given store: every
@@ -446,7 +431,6 @@ impl MultiFeedBuilder {
         let spec = Arc::new(EngineSpec {
             config: self.config.engine,
             registry: registry.clone(),
-            stats: self.stats,
             class_store: self
                 .config
                 .shared_class_store
@@ -1705,6 +1689,30 @@ mod tests {
         );
         assert_eq!(fleet_report.metrics.recoveries, 4, "one per recovered feed");
         assert_eq!(fleet_report.catalog_version, 2);
+    }
+
+    /// A damaged master catalog must never decode: a flipped bit inside a
+    /// persisted threshold (`car >= 1` → `car >= 65`) is still well-formed
+    /// `TVQF`, and only the checksum keeps every feed from being
+    /// fast-forwarded to a silently different query. Every byte of the file
+    /// is covered, and the intact file still restarts afterwards.
+    #[test]
+    fn damaged_fleet_catalog_is_corrupt_never_a_different_query() {
+        let disk = tvq_store::MemDisk::new();
+        durable_fleet(&disk, 2).sync_store().unwrap();
+        let path = Path::new("/fleet").join(FLEET_CATALOG);
+        let len = disk.io().read(&path).unwrap().len();
+        for offset in 0..len {
+            assert!(disk.flip_bit(&path, offset));
+            let err = MultiFeedEngine::builder(config(2))
+                .with_store(disk.io(), Path::new("/fleet"))
+                .build()
+                .err()
+                .unwrap_or_else(|| panic!("flipped byte {offset} of {len} went unnoticed"));
+            assert!(matches!(err, Error::Corrupt(_)), "byte {offset}: {err}");
+            assert!(disk.flip_bit(&path, offset), "flip it back");
+        }
+        assert_eq!(durable_fleet(&disk, 2).queries().len(), 1);
     }
 
     /// Non-durable fleets keep the fail-fast contract: a lost worker is an

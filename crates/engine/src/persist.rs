@@ -22,7 +22,7 @@
 
 use std::sync::{Arc, PoisonError, RwLock};
 
-use tvq_common::codec::{Decoder, Encoder};
+use tvq_common::codec::{crc32, Decoder, Encoder};
 use tvq_common::{
     ClassId, ClassRegistry, ClassStore, Error, FrameId, FrameObjects, MemoConfig, ObjectId,
     QueryId, Result, SharedClassMap, WindowSpec,
@@ -31,7 +31,7 @@ use tvq_core::{CompactionPolicy, LiveBinding, MaintainerKind, ObjectLifecycle};
 use tvq_query::{CmpOp, CnfQuery, Condition};
 
 use crate::catalog::QueryCatalog;
-use crate::config::{EngineConfig, MaintainerSelection};
+use crate::config::EngineConfig;
 use crate::engine::TemporalVideoQueryEngine;
 
 /// Magic of the engine snapshot payload (inside the store's `TVQS` framing).
@@ -162,13 +162,14 @@ fn take_query(dec: &mut Decoder<'_>) -> Result<CnfQuery> {
 /// Magic of the fleet-catalog payload (`TVQF`): the multi-feed scheduler's
 /// master registry, query set and catalog version.
 const FLEET_MAGIC: [u8; 4] = *b"TVQF";
-/// Version of the fleet-catalog payload.
-const FLEET_VERSION: u32 = 1;
+/// Version of the fleet-catalog payload (2 added the CRC-32 trailer).
+const FLEET_VERSION: u32 = 2;
 
-/// Serializes the multi-feed scheduler's master catalog. Written *ahead*
-/// of each broadcast (and at fleet build), so after any crash the master
-/// version is at least every feed's — restart fast-forwards recovered
-/// feeds to the master, never the reverse.
+/// Serializes the multi-feed scheduler's master catalog, closed by the
+/// CRC-32 of everything before it (the snapshot store's framing). Written
+/// *ahead* of each broadcast (and at fleet build), so after any crash the
+/// master version is at least every feed's — restart fast-forwards
+/// recovered feeds to the master, never the reverse.
 pub(crate) fn encode_fleet_catalog(
     registry: &ClassRegistry,
     queries: &[CnfQuery],
@@ -185,13 +186,24 @@ pub(crate) fn encode_fleet_catalog(
     for query in queries {
         put_query(&mut enc, query);
     }
-    enc.into_bytes()
+    let mut bytes = enc.into_bytes();
+    let crc = crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
 }
 
 /// Rebuilds the fleet master catalog persisted by
-/// [`encode_fleet_catalog`]: `(registry, queries, version)`.
+/// [`encode_fleet_catalog`]: `(registry, queries, version)`. A checksum
+/// mismatch is [`Error::Corrupt`] — there is no older generation to fall
+/// back to, because the master must never fall behind a feed.
 pub(crate) fn decode_fleet_catalog(payload: &[u8]) -> Result<(ClassRegistry, Vec<CnfQuery>, u64)> {
-    let mut dec = Decoder::new(payload);
+    let (body, crc) = payload
+        .split_last_chunk::<4>()
+        .ok_or_else(|| Error::Corrupt("fleet catalog shorter than its checksum".into()))?;
+    if crc32(body).to_le_bytes() != *crc {
+        return Err(Error::Corrupt("fleet catalog checksum mismatch".into()));
+    }
+    let mut dec = Decoder::new(body);
     dec.check_header(FLEET_MAGIC, FLEET_VERSION)?;
     let version = dec.take_u64()?;
     let labels = dec.take_len()?;
@@ -227,17 +239,12 @@ pub(crate) fn encode_engine(engine: &TemporalVideoQueryEngine, sidecar: &[u8]) -
     let config = &engine.config;
     enc.put_usize(config.window.window());
     enc.put_usize(config.window.duration());
-    match config.maintainer {
-        MaintainerSelection::Auto => enc.put_u8(0),
-        MaintainerSelection::Fixed(kind) => {
-            enc.put_u8(1);
-            enc.put_u8(kind.codec_tag());
-        }
-    }
-    // The *resolved* strategy: Auto selection depends on feed statistics
-    // that are not persisted, so recovery rebuilds the maintainer that
-    // actually ran, not whatever Auto would re-pick.
-    enc.put_u8(engine.kind.codec_tag());
+    // Three strategy bytes, kept from TVQE version 1's first builds: a
+    // selection tag (always 1, "fixed"; 0 was the removed `Auto` knob), the
+    // selected kind, and the kind that actually ran — now always the same.
+    enc.put_u8(1);
+    enc.put_u8(config.maintainer.codec_tag());
+    enc.put_u8(config.maintainer.codec_tag());
     enc.put_bool(config.pruning);
     match &config.compaction {
         None => enc.put_bool(false),
@@ -339,14 +346,21 @@ pub(crate) fn restore_engine(payload: &[u8]) -> Result<(TemporalVideoQueryEngine
     let duration = dec.take_usize()?;
     let window = WindowSpec::new(window, duration)
         .map_err(|e| Error::Corrupt(format!("snapshot window spec: {e}")))?;
-    let maintainer = match dec.take_u8()? {
-        0 => MaintainerSelection::Auto,
-        1 => MaintainerSelection::Fixed(MaintainerKind::from_codec_tag(dec.take_u8()?)?),
+    // See `encode_engine`: tag 0 snapshots come from builds that still had
+    // `Auto`; the maintainer they ran is the resolved-kind byte that follows.
+    let selected = match dec.take_u8()? {
+        0 => None,
+        1 => Some(MaintainerKind::from_codec_tag(dec.take_u8()?)?),
         other => {
             return Err(Error::Codec(format!("unknown selection tag {other}")));
         }
     };
-    let kind = MaintainerKind::from_codec_tag(dec.take_u8()?)?;
+    let maintainer = MaintainerKind::from_codec_tag(dec.take_u8()?)?;
+    if let Some(selected) = selected.filter(|&selected| selected != maintainer) {
+        return Err(Error::Corrupt(format!(
+            "snapshot selects {selected} but ran {maintainer}"
+        )));
+    }
     let pruning = dec.take_bool()?;
     let compaction = if dec.take_bool()? {
         Some(CompactionPolicy {
@@ -448,7 +462,7 @@ pub(crate) fn restore_engine(payload: &[u8]) -> Result<(TemporalVideoQueryEngine
     let frames_since_compaction_check = dec.take_u64()?;
 
     let mut engine =
-        TemporalVideoQueryEngine::assemble(config, registry, catalog, kind, Arc::clone(&classes));
+        TemporalVideoQueryEngine::assemble(config, registry, catalog, Arc::clone(&classes));
     engine.lifecycle = ObjectLifecycle::restore(
         classes,
         live,
@@ -573,6 +587,51 @@ mod tests {
         assert_eq!(a.generations_started, b.generations_started);
         assert_eq!(a.objects_retired, b.objects_retired);
         assert_eq!(a.compactions, b.compactions);
+    }
+
+    /// The three strategy bytes of `TVQE` version 1 outlive the `Auto`
+    /// knob: the encoder still writes `1, kind, kind`, a tag-0 snapshot
+    /// from an `Auto` build restores onto the resolved kind that follows
+    /// it, and a tag-1 snapshot whose two kinds disagree is corrupt.
+    #[test]
+    fn selection_bytes_stay_readable_without_the_auto_knob() {
+        let window = WindowSpec::new(6, 3).unwrap();
+        let mut engine = TemporalVideoQueryEngine::builder(
+            EngineConfig::new(window).with_maintainer(MaintainerKind::Mfs),
+        )
+        .with_query_text("car >= 1")
+        .unwrap()
+        .build()
+        .unwrap();
+        for fid in 0..4 {
+            engine.observe_applied(&frame(fid, &[(1, 1)], &[])).unwrap();
+        }
+        let payload = encode_engine(&engine, &[]).unwrap();
+        let mut prefix = Encoder::new();
+        prefix.put_header(MAGIC, VERSION);
+        prefix.put_usize(window.window());
+        prefix.put_usize(window.duration());
+        let at = prefix.len();
+        let mfs = MaintainerKind::Mfs.codec_tag();
+        assert_eq!(payload[at..at + 3], [1, mfs, mfs]);
+
+        // What an `Auto` build that resolved to MFS wrote: tag 0, no
+        // selected kind, then the resolved kind.
+        let mut auto = payload.clone();
+        auto[at] = 0;
+        auto.remove(at + 1);
+        let (mut restored, _) = restore_engine(&auto).unwrap();
+        assert_eq!(restored.config().maintainer, MaintainerKind::Mfs);
+        let next = frame(4, &[(1, 1)], &[]);
+        assert_eq!(
+            restored.observe_applied(&next).unwrap(),
+            engine.observe_applied(&next).unwrap()
+        );
+
+        let mut mismatched = payload;
+        mismatched[at + 1] = MaintainerKind::Ssg.codec_tag();
+        let err = restore_engine(&mismatched).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err}");
     }
 
     #[test]

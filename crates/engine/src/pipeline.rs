@@ -1,9 +1,10 @@
 //! End-to-end runs with timing breakdowns.
 //!
-//! Helpers used by the examples and by the benchmark harness: run a query
-//! workload over a structured relation with a given MCOS-generation strategy
-//! and report how long each stage took, mirroring the measurements behind the
-//! paper's figures.
+//! A helper for two examples (`occlusion_robustness`,
+//! `traffic_monitoring`) and `tests/end_to_end.rs`: run a query workload over
+//! a structured relation with a given MCOS-generation strategy and report
+//! how long the run took. The `repro` driver and `tvq-perf` time the engine
+//! themselves and do not use it.
 
 use std::time::{Duration, Instant};
 

@@ -210,11 +210,6 @@ impl SubscriptionHub {
         self.subscribers.get(&id)
     }
 
-    /// Iterates subscribers in id order.
-    pub fn subscriptions(&self) -> impl Iterator<Item = (SubscriberId, &Subscription)> {
-        self.subscribers.iter().map(|(&id, sub)| (id, sub))
-    }
-
     /// Number of live subscribers.
     pub fn len(&self) -> usize {
         self.subscribers.len()

@@ -26,8 +26,8 @@
 
 use std::path::Path;
 
-use tvq_common::{ClassId, FrameId, FrameObjects, ObjectId, QueryId, WindowSpec};
-use tvq_core::{CompactionPolicy, MaintenanceMetrics};
+use tvq_common::{ClassId, Error, FrameId, FrameObjects, ObjectId, QueryId, WindowSpec};
+use tvq_core::{CompactionPolicy, MaintainerKind, MaintenanceMetrics};
 use tvq_engine::{EngineConfig, FrameResult, TemporalVideoQueryEngine};
 use tvq_query::{CnfQuery, Condition};
 use tvq_store::{MemDisk, SharedIo, TornTail};
@@ -443,6 +443,32 @@ fn attach_and_recover_refuse_misuse() {
     );
     let recovered = TemporalVideoQueryEngine::recover(disk.io(), dir);
     assert!(recovered.is_ok(), "recover is the restart path");
+}
+
+/// NAIVE is a baseline, not a durable product: attaching durability is a
+/// typed refusal that touches nothing on disk and acknowledges nothing, and
+/// the engine keeps serving frames in memory.
+#[test]
+fn naive_engines_refuse_durability_and_keep_observing() {
+    let dir = Path::new("/naive");
+    let disk = MemDisk::new();
+    let mut engine = TemporalVideoQueryEngine::builder(
+        EngineConfig::new(WindowSpec::new(4, 2).unwrap()).with_maintainer(MaintainerKind::Naive),
+    )
+    .with_query(geq(0, 1, 1))
+    .build()
+    .unwrap();
+    engine.observe(&frame(0, &[(1, 1)], &[])).unwrap();
+
+    let err = engine.attach_durability(disk.io(), dir).unwrap_err();
+    assert!(matches!(err, Error::Store(_)), "{err}");
+    assert!(!engine.is_durable());
+    assert_eq!(disk.total_bytes(), 0, "nothing may reach the disk");
+    assert!(!TemporalVideoQueryEngine::has_data(&disk.io(), dir));
+
+    let result = engine.observe(&frame(1, &[(1, 1)], &[])).unwrap();
+    assert!(result.any(), "the car is two frames old: duration 2 is met");
+    assert_eq!(engine.metrics().wal_records, 0);
 }
 
 /// A bit flip in the newest snapshot: recovery falls back to the previous

@@ -3,8 +3,7 @@
 //! Generates a structured relation with the statistics of the paper's D2
 //! dataset (dense traffic, static camera), registers several monitoring
 //! queries, and compares the three MCOS-generation strategies end to end —
-//! the same comparison behind Figure 10 — including what the adaptive
-//! selector would have picked.
+//! the same comparison behind Figure 10.
 //!
 //! Run with:
 //! ```text
@@ -13,7 +12,7 @@
 
 use tvq_common::{DatasetStats, QueryId, WindowSpec};
 use tvq_core::MaintainerKind;
-use tvq_engine::{choose_maintainer, run_workload};
+use tvq_engine::run_workload;
 use tvq_query::{parse_query, CnfQuery};
 use tvq_video::{generate, DatasetProfile};
 
@@ -73,11 +72,4 @@ fn main() {
             report.metrics.states_pruned
         );
     }
-    println!();
-    println!(
-        "adaptive selector recommends: {} (Obj/F = {:.1}, F/Obj = {:.1})",
-        choose_maintainer(&stats),
-        stats.objects_per_frame,
-        stats.frames_per_object
-    );
 }

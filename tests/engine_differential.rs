@@ -1,9 +1,8 @@
 //! End-to-end differential tests: a full [`TemporalVideoQueryEngine`] built
-//! on MFS or SSG (with or without pruning, fixed or adaptively selected) must
-//! report, frame for frame, exactly the matches of a naive-engine oracle —
+//! on MFS or SSG (with or without pruning) must report, frame for frame, exactly the matches of a naive-engine oracle —
 //! the same engine wired to the NAIVE maintainer with pruning disabled.
 
-use tvq_common::{DatasetStats, FrameObjects, WindowSpec};
+use tvq_common::{FrameObjects, WindowSpec};
 use tvq_core::MaintainerKind;
 use tvq_engine::{EngineConfig, FrameResult, TemporalVideoQueryEngine};
 use tvq_testkit::classed_feed;
@@ -12,15 +11,11 @@ use tvq_testkit::classed_feed;
 fn run_engine(
     config: EngineConfig,
     queries: &[&str],
-    stats: Option<DatasetStats>,
     feed: &[FrameObjects],
 ) -> (Vec<FrameResult>, &'static str) {
     let mut builder = TemporalVideoQueryEngine::builder(config);
     for text in queries {
         builder = builder.with_query_text(text).unwrap();
-    }
-    if let Some(stats) = stats {
-        builder = builder.with_feed_stats(stats);
     }
     let mut engine = builder.build().unwrap();
     let results = feed
@@ -35,7 +30,7 @@ fn naive_oracle(window: WindowSpec, queries: &[&str], feed: &[FrameObjects]) -> 
     let config = EngineConfig::new(window)
         .with_maintainer(MaintainerKind::Naive)
         .with_pruning(false);
-    run_engine(config, queries, None, feed).0
+    run_engine(config, queries, feed).0
 }
 
 fn assert_engine_matches_oracle(
@@ -43,10 +38,9 @@ fn assert_engine_matches_oracle(
     queries: &[&str],
     feed: &[FrameObjects],
     config: EngineConfig,
-    stats: Option<DatasetStats>,
 ) {
     let expected = naive_oracle(window, queries, feed);
-    let (got, strategy) = run_engine(config, queries, stats, feed);
+    let (got, strategy) = run_engine(config, queries, feed);
     assert_eq!(expected.len(), got.len());
     for (e, g) in expected.iter().zip(&got) {
         assert_eq!(
@@ -80,7 +74,7 @@ fn engines_agree_with_the_naive_oracle_across_strategies_and_pruning() {
                     let config = EngineConfig::new(window)
                         .with_maintainer(kind)
                         .with_pruning(pruning);
-                    assert_engine_matches_oracle(window, queries, &feed, config, None);
+                    assert_engine_matches_oracle(window, queries, &feed, config);
                 }
             }
         }
@@ -93,49 +87,36 @@ fn engines_agree_with_the_naive_oracle_under_heavy_occlusion() {
         let feed = classed_feed(seed, 30, 5, 0.5, 2);
         let window = WindowSpec::new(6, 2).unwrap();
         let config = EngineConfig::new(window).with_maintainer(MaintainerKind::Ssg);
-        assert_engine_matches_oracle(window, &["car >= 1 AND person >= 1"], &feed, config, None);
-    }
-}
-
-fn stats(objects_per_frame: f64, frames_per_object: f64) -> DatasetStats {
-    DatasetStats {
-        frames: 1000,
-        objects: 200,
-        objects_per_frame,
-        occlusions_per_object: 3.0,
-        frames_per_object,
+        assert_engine_matches_oracle(window, &["car >= 1 AND person >= 1"], &feed, config);
     }
 }
 
 #[test]
-fn adaptive_selection_picks_the_expected_strategy_and_stays_equivalent() {
+fn pruned_strategies_report_their_name_and_stay_equivalent() {
     let feed = classed_feed(11, 35, 6, 0.3, 2);
     let window = WindowSpec::new(5, 3).unwrap();
     let queries: &[&str] = &["car >= 1 AND person >= 1"];
-    // Dense feed statistics → SSG; sparse, long-lived → MFS; the engine must
-    // agree with the naive oracle either way.
-    for (feed_stats, expected_strategy) in
-        [(stats(11.0, 50.0), "SSG_O"), (stats(5.0, 80.0), "MFS_O")]
-    {
-        let config = EngineConfig::new(window).with_adaptive_maintainer();
+    for (kind, expected_strategy) in [
+        (MaintainerKind::Ssg, "SSG_O"),
+        (MaintainerKind::Mfs, "MFS_O"),
+    ] {
+        let config = EngineConfig::new(window).with_maintainer(kind);
         let expected = naive_oracle(window, queries, &feed);
-        let (got, strategy) = run_engine(config, queries, Some(feed_stats), &feed);
+        let (got, strategy) = run_engine(config, queries, &feed);
         assert_eq!(strategy, expected_strategy);
         assert_eq!(
             expected, got,
-            "adaptive engine ({strategy}) diverged from the oracle"
+            "engine ({strategy}) diverged from the oracle"
         );
     }
 }
 
 #[test]
-fn adaptive_selection_without_stats_falls_back_to_ssg() {
+fn default_config_runs_ssg_and_matches_the_oracle() {
     let feed = classed_feed(13, 20, 5, 0.2, 2);
     let window = WindowSpec::new(4, 2).unwrap();
-    let config = EngineConfig::new(window)
-        .with_adaptive_maintainer()
-        .with_pruning(false);
-    let (got, strategy) = run_engine(config, &["person >= 1"], None, &feed);
+    let config = EngineConfig::new(window).with_pruning(false);
+    let (got, strategy) = run_engine(config, &["person >= 1"], &feed);
     assert_eq!(strategy, "SSG");
     let expected = naive_oracle(window, &["person >= 1"], &feed);
     assert_eq!(expected, got);
