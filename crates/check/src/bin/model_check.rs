@@ -4,20 +4,17 @@
 //! non-zero after printing the shortest counterexample trace.
 //!
 //! Usage: `model_check [--lifecycle-depth N] [--engine-depth N]
-//! [--catalog-depth N] [--skip-engine] [--workers N] [--symmetry]
-//! [--spill-dir DIR]`
+//! [--catalog-depth N] [--skip-engine] [--workers N] [--symmetry]`
 //!
 //! `--symmetry` explores each model's symmetry quotient (feed/class swaps
 //! for the lifecycle model, version-residue rotation for the catalog
-//! model), `--workers N` shards the frontier across N threads, and
-//! `--spill-dir DIR` keeps canonical states in per-shard logs on the real
-//! filesystem instead of RAM. All three are report-preserving: any
-//! configuration prints byte-identical output for the same depths.
+//! model) and `--workers N` shards the frontier across N threads. Both are
+//! report-preserving: any configuration prints byte-identical output for
+//! the same depths.
 
 use std::process::ExitCode;
 
 use tvq_check::{conformance, CatalogModel, LifecycleModel, Machine, Report, Traversal};
-use tvq_store::RealIo;
 
 struct Args {
     lifecycle_depth: usize,
@@ -26,15 +23,13 @@ struct Args {
     skip_engine: bool,
     workers: usize,
     symmetry: bool,
-    spill_dir: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
     // Defaults sized for a sub-minute release-mode CI run: lifecycle 6 is
     // ~700k states / 2.1M transitions, engine 5 replays 104k states through
     // two real engines, catalog 8 is the full ~20k-state fixpoint region.
-    // Deeper lifecycle runs want `--symmetry` (≈4× fewer canonical states)
-    // and, past depth 9, `--spill-dir`.
+    // Deeper lifecycle runs want `--symmetry` (≈4× fewer canonical states).
     let mut args = Args {
         lifecycle_depth: 6,
         engine_depth: 5,
@@ -42,15 +37,12 @@ fn parse_args() -> Result<Args, String> {
         skip_engine: false,
         workers: 1,
         symmetry: false,
-        spill_dir: None,
     };
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            iter.next().ok_or_else(|| format!("{name} needs a value"))
-        };
         let mut depth = |name: &str| -> Result<usize, String> {
-            value(name)?.parse().map_err(|e| format!("{name}: {e}"))
+            let value = iter.next().ok_or_else(|| format!("{name} needs a value"))?;
+            value.parse().map_err(|e| format!("{name}: {e}"))
         };
         match flag.as_str() {
             "--lifecycle-depth" => args.lifecycle_depth = depth("--lifecycle-depth")?,
@@ -59,7 +51,6 @@ fn parse_args() -> Result<Args, String> {
             "--skip-engine" => args.skip_engine = true,
             "--workers" => args.workers = depth("--workers")?.max(1),
             "--symmetry" => args.symmetry = true,
-            "--spill-dir" => args.spill_dir = Some(value("--spill-dir")?),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -67,18 +58,11 @@ fn parse_args() -> Result<Args, String> {
 }
 
 impl Args {
-    /// Applies the shared exploration flags to a traversal, giving each
-    /// model its own spill subdirectory.
-    fn configure<M: Machine>(&self, traversal: Traversal<M>, name: &str) -> Traversal<M> {
-        let traversal = traversal
+    /// Applies the shared exploration flags to a traversal.
+    fn configure<M: Machine>(&self, traversal: Traversal<M>) -> Traversal<M> {
+        traversal
             .with_workers(self.workers)
-            .with_symmetry(self.symmetry);
-        match &self.spill_dir {
-            Some(dir) => {
-                traversal.with_spill(RealIo::shared(), std::path::Path::new(dir).join(name))
-            }
-            None => traversal,
-        }
+            .with_symmetry(self.symmetry)
     }
 }
 
@@ -100,10 +84,7 @@ fn main() -> ExitCode {
     // Lifecycle model with component-level conformance replay: every edge's
     // witness path drives ObjectLifecycle + SetInterner + shared ClassStore
     // (one independent replay stack per worker lane).
-    let lifecycle = args.configure(
-        Traversal::new(LifecycleModel, args.lifecycle_depth),
-        "lifecycle",
-    );
+    let lifecycle = args.configure(Traversal::new(LifecycleModel, args.lifecycle_depth));
     let report =
         lifecycle.run_sharded(|_worker| |path: &[_], _: &_| conformance::replay_component(path));
     ok &= run("lifecycle (component replay)", &report);
@@ -113,14 +94,14 @@ fn main() -> ExitCode {
     if args.skip_engine {
         println!("model lifecycle (engine replay): skipped");
     } else {
-        let engine = args.configure(Traversal::new(LifecycleModel, args.engine_depth), "engine");
+        let engine = args.configure(Traversal::new(LifecycleModel, args.engine_depth));
         let report =
             engine.run_sharded(|_worker| |path: &[_], _: &_| conformance::replay_engine(path));
         ok &= run("lifecycle (engine replay)", &report);
     }
 
     // Catalog-swap model with verdict-cache conformance replay.
-    let catalog = args.configure(Traversal::new(CatalogModel, args.catalog_depth), "catalog");
+    let catalog = args.configure(Traversal::new(CatalogModel, args.catalog_depth));
     let report =
         catalog.run_sharded(|_worker| |path: &[_], _: &_| conformance::replay_catalog(path));
     ok &= run("catalog-swap (verdict-cache replay)", &report);

@@ -205,41 +205,6 @@ impl Machine for CatalogModel {
     fn sym_state(&self, g: &CatalogSym, state: &CatalogState) -> CatalogState {
         g.apply(state)
     }
-
-    fn encode_state(&self, state: &CatalogState, out: &mut Vec<u8>) -> bool {
-        out.push(state.vmod);
-        for slot in &state.entries {
-            out.push(match slot {
-                None => 0,
-                Some(false) => 1,
-                Some(true) => 2,
-            });
-        }
-        out.push(state.window.len() as u8);
-        out.extend_from_slice(&state.window);
-        true
-    }
-
-    fn decode_state(&self, bytes: &[u8]) -> Option<CatalogState> {
-        let (&vmod, rest) = bytes.split_first()?;
-        let entries: Vec<Option<bool>> = rest
-            .get(..MASKS as usize)?
-            .iter()
-            .map(|&b| match b {
-                0 => Some(None),
-                1 => Some(Some(false)),
-                2 => Some(Some(true)),
-                _ => None,
-            })
-            .collect::<Option<_>>()?;
-        let rest = &rest[MASKS as usize..];
-        let (&window_len, window) = rest.split_first()?;
-        (window.len() == window_len as usize).then(|| CatalogState {
-            vmod,
-            entries,
-            window: window.to_vec(),
-        })
-    }
 }
 
 #[cfg(test)]

@@ -13,9 +13,8 @@
 //!   explicit-state model checker: breadth-first enumeration of every
 //!   reachable canonical state within a depth bound, invariants checked at
 //!   every state, shortest counterexample trace on violation. The frontier
-//!   can be sharded across worker threads (`--workers`), explored in the
-//!   quotient of a model-declared symmetry group (`--symmetry`), and
-//!   spilled to per-shard disk logs (`--spill-dir`) — all three are
+//!   can be sharded across worker threads (`--workers`) and explored in the
+//!   quotient of a model-declared symmetry group (`--symmetry`) — both are
 //!   report-preserving, so any configuration prints the same counters and
 //!   counterexamples;
 //! * [`lifecycle_model`] and [`catalog_model`] — the two protocol models:
@@ -51,4 +50,4 @@ pub use lifecycle_model::{
     Internal, LifecycleAction, LifecycleModel, LifecycleState, LifecycleSym,
 };
 pub use machine::Machine;
-pub use traversal::{DepthStats, Report, SpillError, Traversal, Violation};
+pub use traversal::{DepthStats, Report, Traversal, Violation};

@@ -431,37 +431,6 @@ impl LifecycleModel {
     }
 }
 
-/// Byte-codec helpers for the spill path. Counts all fit in a `u8` in this
-/// bounded universe; every collection is length-prefixed, so the encoding
-/// is injective.
-fn put_internal(out: &mut Vec<u8>, id: Internal) {
-    match id {
-        Internal::Ext(e) => out.extend_from_slice(&[0, e]),
-        Internal::Alias(k) => out.extend_from_slice(&[1, k]),
-    }
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Cursor<'_> {
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.at)?;
-        self.at += 1;
-        Some(b)
-    }
-
-    fn internal(&mut self) -> Option<Internal> {
-        match self.u8()? {
-            0 => Some(Internal::Ext(self.u8()?)),
-            1 => Some(Internal::Alias(self.u8()?)),
-            _ => None,
-        }
-    }
-}
-
 impl Machine for LifecycleModel {
     type State = LifecycleState;
     type Action = LifecycleAction;
@@ -634,76 +603,6 @@ impl Machine for LifecycleModel {
 
     fn sym_state(&self, g: &LifecycleSym, state: &LifecycleState) -> LifecycleState {
         g.apply(state)
-    }
-
-    fn encode_state(&self, state: &LifecycleState, out: &mut Vec<u8>) -> bool {
-        out.push(state.store.len() as u8);
-        for &(id, class, refs) in &state.store {
-            put_internal(out, id);
-            out.extend_from_slice(&[class, refs]);
-        }
-        for feed in &state.feeds {
-            out.push(feed.bindings.len() as u8);
-            for &(ext, internal, class) in &feed.bindings {
-                out.push(ext);
-                put_internal(out, internal);
-                out.push(class);
-            }
-            out.push(feed.aliases.len() as u8);
-            for &(label, ext) in &feed.aliases {
-                out.extend_from_slice(&[label, ext]);
-            }
-            out.push(feed.registered.len() as u8);
-            for &id in &feed.registered {
-                put_internal(out, id);
-            }
-            out.push(feed.window.len() as u8);
-            for frame in &feed.window {
-                match frame {
-                    None => out.push(0),
-                    Some(id) => {
-                        out.push(1);
-                        put_internal(out, *id);
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    fn decode_state(&self, bytes: &[u8]) -> Option<LifecycleState> {
-        let mut cur = Cursor { bytes, at: 0 };
-        let mut state = LifecycleState::default();
-        for _ in 0..cur.u8()? {
-            let id = cur.internal()?;
-            let class = cur.u8()?;
-            let refs = cur.u8()?;
-            state.store.push((id, class, refs));
-        }
-        for feed in &mut state.feeds {
-            for _ in 0..cur.u8()? {
-                let ext = cur.u8()?;
-                let internal = cur.internal()?;
-                let class = cur.u8()?;
-                feed.bindings.push((ext, internal, class));
-            }
-            for _ in 0..cur.u8()? {
-                let label = cur.u8()?;
-                let ext = cur.u8()?;
-                feed.aliases.push((label, ext));
-            }
-            for _ in 0..cur.u8()? {
-                feed.registered.push(cur.internal()?);
-            }
-            for _ in 0..cur.u8()? {
-                feed.window.push(match cur.u8()? {
-                    0 => None,
-                    1 => Some(cur.internal()?),
-                    _ => return None,
-                });
-            }
-        }
-        (cur.at == bytes.len()).then_some(state)
     }
 }
 

@@ -8,20 +8,14 @@
 //! traversed alone (fast, pure invariant checking) or in lock-step with the
 //! real code (conformance checking).
 //!
-//! Beyond the four core methods, a machine may declare two optional
-//! capabilities the traversal exploits:
-//!
-//! * a **symmetry group** ([`Machine::Sym`] + [`Machine::reduce`]): a group
-//!   of state bijections that commute with the transition relation and
-//!   preserve the invariant. The traversal then deduplicates on orbit
-//!   representatives (quotient exploration) and reconstructs *concrete*
-//!   counterexample/replay paths by relabelling actions through the
-//!   accumulated group element, so conformance replay still drives the real
-//!   implementation with genuine runs;
-//! * a **state codec** ([`Machine::encode_state`] /
-//!   [`Machine::decode_state`]): an injective byte encoding of canonical
-//!   states, enabling the disk-backed seen-set/frontier spill for runs too
-//!   deep to fit in memory.
+//! Beyond the four core methods, a machine may declare a **symmetry
+//! group** ([`Machine::Sym`] + [`Machine::reduce`]): a group of state
+//! bijections that commute with the transition relation and preserve the
+//! invariant. The traversal then deduplicates on orbit representatives
+//! (quotient exploration) and reconstructs *concrete* counterexample/replay
+//! paths by relabelling actions through the accumulated group element, so
+//! conformance replay still drives the real implementation with genuine
+//! runs.
 
 /// A finite state-transition system with per-state invariants.
 ///
@@ -127,26 +121,5 @@ pub trait Machine {
             "models overriding `reduce` must override `sym_state`"
         );
         state.clone()
-    }
-
-    // ------------------------------------------------------------------
-    // State codec (optional; required only for the disk-backed spill).
-    // ------------------------------------------------------------------
-
-    /// Encodes a canonical state into `out`, returning `false` when the
-    /// model does not support spilling. The encoding must be **injective
-    /// and functional**: equal states produce equal bytes and distinct
-    /// states produce distinct bytes — the spill's exact dedup compares
-    /// encoded forms byte for byte.
-    fn encode_state(&self, _state: &Self::State, _out: &mut Vec<u8>) -> bool {
-        false
-    }
-
-    /// Decodes a state previously produced by
-    /// [`encode_state`](Self::encode_state); `None` on malformed bytes
-    /// (surfaced by the traversal as a corruption error, never a silently
-    /// wrong state).
-    fn decode_state(&self, _bytes: &[u8]) -> Option<Self::State> {
-        None
     }
 }

@@ -1,6 +1,6 @@
 //! Exhaustive breadth-first traversal: symmetry-reduced, shardable across
-//! worker threads, optionally disk-backed — with canonical-state dedup and
-//! shortest-counterexample extraction.
+//! worker threads — with canonical-state dedup and shortest-counterexample
+//! extraction.
 //!
 //! The traversal explores every state a [`Machine`] can reach within a
 //! depth bound, checking the machine's invariant at every examined edge and
@@ -10,7 +10,7 @@
 //! printed counterexample is minimal in length, which is what makes it
 //! readable.
 //!
-//! Three orthogonal scaling levers, all preserving the exact sequential
+//! Two orthogonal scaling levers, both preserving the exact sequential
 //! semantics (identical reports, byte for byte, whatever the
 //! configuration):
 //!
@@ -29,58 +29,16 @@
 //!   merge that orders newly discovered states by (parent rank, action
 //!   index). That order is exactly the order a sequential BFS discovers
 //!   them in, which is what makes reports worker-count-independent.
-//! * **Disk spill** ([`Traversal::with_spill`]): canonical states live in
-//!   per-shard append-only logs on a [`StoreIo`](tvq_store::StoreIo) (checksummed records, RAM
-//!   keeps only a hash → location index), so frontiers beyond RAM fit on a
-//!   real disk. Dedup stays *exact* — hash hits are resolved by reading the
-//!   stored bytes back and comparing — and any IO failure or checksum
-//!   mismatch aborts the run with a [`SpillError`], never a silently wrong
-//!   verdict.
 //!
 //! When a level produces violations, the whole level is still completed
 //! (counters stay configuration-independent), every violation is collected,
 //! and the list is sorted by (trace length, message, state) so the primary
 //! counterexample — and the rendered report — is stable across runs,
-//! worker counts, and backings.
-
-use std::io;
-use std::path::{Path, PathBuf};
+//! and worker counts.
 
 use tvq_common::{FxHashMap, FxHashSet, FxHasher};
-use tvq_store::SharedIo;
 
 use crate::machine::Machine;
-
-/// Why a spill-backed traversal could not complete. `run`/`run_with`
-/// panic on these; the `try_` variants surface them. A traversal that
-/// returns an error has made **no** verdict — it is never a wrong
-/// "no violation".
-#[derive(Debug)]
-pub enum SpillError {
-    /// The backing [`StoreIo`](tvq_store::StoreIo) failed (e.g. an injected crash).
-    Io(io::Error),
-    /// A spilled record failed its length, checksum, or decode check.
-    Corrupt(String),
-    /// Spill was requested but the machine has no state codec
-    /// ([`Machine::encode_state`] returned `false`).
-    Unsupported,
-}
-
-impl std::fmt::Display for SpillError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpillError::Io(e) => write!(f, "spill io error: {e}"),
-            SpillError::Corrupt(why) => write!(f, "spill corruption: {why}"),
-            SpillError::Unsupported => write!(f, "machine does not support state spill"),
-        }
-    }
-}
-
-impl std::error::Error for SpillError {}
-
-fn corrupt(why: &str) -> SpillError {
-    SpillError::Corrupt(why.to_owned())
-}
 
 /// Per-depth exploration counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -112,11 +70,9 @@ pub struct Report<M: Machine> {
     pub workers: usize,
     /// Whether symmetry reduction was enabled.
     pub symmetry: bool,
-    /// Whether states were spilled to a [`StoreIo`](tvq_store::StoreIo) backing.
-    pub spilled: bool,
     /// Every violation found on the first violating level, sorted by
-    /// (trace length, message, state) — deterministic across runs, worker
-    /// counts, and backings. Empty means every reachable state within the
+    /// (trace length, message, state) — deterministic across runs and
+    /// worker counts. Empty means every reachable state within the
     /// bound satisfies every invariant (and every edge replayed
     /// conformantly, when a replay hook was supplied).
     pub violations: Vec<Violation<M>>,
@@ -159,11 +115,10 @@ impl<M: Machine> Report<M> {
         );
         let _ = writeln!(
             out,
-            "  workers {}, symmetry {} ({} symmetry-relabeled edges), spill {}",
+            "  workers {}, symmetry {} ({} symmetry-relabeled edges)",
             self.workers,
             if self.symmetry { "on" } else { "off" },
-            self.symmetry_relabels,
-            if self.spilled { "on" } else { "off" }
+            self.symmetry_relabels
         );
         out.push_str("  depth    states    transitions\n");
         for (depth, stats) in self.per_depth.iter().enumerate() {
@@ -206,40 +161,20 @@ pub struct Traversal<M: Machine> {
     max_depth: usize,
     workers: usize,
     symmetry: bool,
-    spill: Option<(SharedIo, PathBuf)>,
 }
 
-/// Per-node bookkeeping shared by every backing: the predecessor link used
-/// to rebuild the shortest concrete witness path, the accumulated symmetry
-/// element σ (concrete state = `sym_state(σ, representative)`), and the
-/// worker lane owning the node's representative.
+/// Per-node bookkeeping: the predecessor link used to rebuild the shortest
+/// concrete witness path, the accumulated symmetry element σ (concrete
+/// state = `sym_state(σ, representative)`), and the worker lane owning the
+/// node's representative.
 struct Meta<M: Machine> {
     parent: Option<(u32, M::Action)>,
     sym: M::Sym,
     home: u16,
 }
 
-/// Where representative states live: in RAM (indexed by node id) or in
-/// per-lane spill logs (located by byte range).
-enum Backing<M: Machine> {
-    Mem(Vec<M::State>),
-    Disk(Vec<(u64, u32)>),
-}
-
-/// One lane's seen-set shard.
-enum LaneSeen<M: Machine> {
-    Mem(FxHashSet<M::State>),
-    Disk {
-        /// state hash → candidate record locations in this lane's log.
-        index: FxHashMap<u64, Vec<(u64, u32)>>,
-        /// Current length of this lane's log file.
-        len: u64,
-    },
-}
-
 /// A successor produced by phase A, routed to the lane owning its hash.
 struct Candidate<M: Machine> {
-    hash: u64,
     repr: M::State,
     sym: M::Sym,
     parent: u32,
@@ -254,8 +189,7 @@ struct Fresh<M: Machine> {
     action: M::Action,
     sym: M::Sym,
     home: u16,
-    state: Option<M::State>,
-    loc: (u64, u32),
+    state: M::State,
 }
 
 /// Phase A output for one lane.
@@ -273,44 +207,7 @@ fn hash_state<S: std::hash::Hash>(state: &S) -> u64 {
     hasher.finish()
 }
 
-fn checksum(payload: &[u8]) -> u32 {
-    use std::hash::Hasher as _;
-    let mut hasher = FxHasher::default();
-    hasher.write(payload);
-    hasher.finish() as u32
-}
-
-/// Appends one `[len][payload][checksum]` record to `buf`, returning the
-/// record's total length.
-fn push_record(buf: &mut Vec<u8>, payload: &[u8]) -> u32 {
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf.extend_from_slice(&checksum(payload).to_le_bytes());
-    (payload.len() + 8) as u32
-}
-
-/// Validates one record read back from a spill log, returning its payload.
-fn parse_record(record: &[u8]) -> Result<&[u8], SpillError> {
-    if record.len() < 8 {
-        return Err(corrupt("spill record shorter than its header"));
-    }
-    let payload_len = u32::from_le_bytes(record[0..4].try_into().expect("4-byte slice")) as usize;
-    if payload_len + 8 != record.len() {
-        return Err(corrupt("spill record length mismatch"));
-    }
-    let payload = &record[4..4 + payload_len];
-    let stored = u32::from_le_bytes(record[4 + payload_len..].try_into().expect("4-byte slice"));
-    if stored != checksum(payload) {
-        return Err(corrupt("spill record checksum mismatch"));
-    }
-    Ok(payload)
-}
-
-fn shard_path(dir: &Path, lane: u16) -> PathBuf {
-    dir.join(format!("shard-{lane:03}.log"))
-}
-
-/// The hook type [`Traversal::try_run`] fills its lanes with.
+/// The hook type [`Traversal::run`] fills its lanes with.
 type NoopHook<M> = fn(&[<M as Machine>::Action], &<M as Machine>::State) -> Result<(), String>;
 
 fn noop_hook<M: Machine>(_: &[M::Action], _: &M::State) -> Result<(), String> {
@@ -319,14 +216,13 @@ fn noop_hook<M: Machine>(_: &[M::Action], _: &M::State) -> Result<(), String> {
 
 impl<M: Machine> Traversal<M> {
     /// Creates a traversal exploring up to `max_depth` actions deep
-    /// (sequential, no symmetry reduction, fully in-memory).
+    /// (sequential, no symmetry reduction).
     pub fn new(machine: M, max_depth: usize) -> Self {
         Traversal {
             machine,
             max_depth,
             workers: 1,
             symmetry: false,
-            spill: None,
         }
     }
 
@@ -345,14 +241,6 @@ impl<M: Machine> Traversal<M> {
         self
     }
 
-    /// Spills canonical states to per-lane logs under `dir` on the given
-    /// [`StoreIo`](tvq_store::StoreIo) (requires the machine to implement the state codec).
-    /// Existing shard files under `dir` are reset.
-    pub fn with_spill(mut self, io: SharedIo, dir: impl Into<PathBuf>) -> Self {
-        self.spill = Some((io, dir.into()));
-        self
-    }
-
     /// The machine under traversal.
     pub fn machine(&self) -> &M {
         &self.machine
@@ -367,17 +255,9 @@ where
     M::Sym: Send + Sync,
 {
     /// Explores the model alone (no conformance replay), honoring the
-    /// configured worker count. Panics on [`SpillError`] (only possible
-    /// when a spill backing is configured); use [`try_run`](Self::try_run)
-    /// to handle spill failures.
+    /// configured worker count.
     pub fn run(&self) -> Report<M> {
-        self.try_run().expect("traversal aborted")
-    }
-
-    /// Fallible variant of [`run`](Self::run).
-    pub fn try_run(&self) -> Result<Report<M>, SpillError> {
-        let lanes = self.workers;
-        let mut hooks: Vec<NoopHook<M>> = vec![noop_hook::<M>; lanes];
+        let mut hooks: Vec<NoopHook<M>> = vec![noop_hook::<M>; self.workers];
         self.explore(&mut hooks)
     }
 
@@ -398,16 +278,7 @@ where
     where
         F: FnMut(&[M::Action], &M::State) -> Result<(), String> + Send,
     {
-        self.try_run_with(on_edge).expect("traversal aborted")
-    }
-
-    /// Fallible variant of [`run_with`](Self::run_with).
-    pub fn try_run_with<F>(&self, on_edge: F) -> Result<Report<M>, SpillError>
-    where
-        F: FnMut(&[M::Action], &M::State) -> Result<(), String> + Send,
-    {
-        let mut hooks = [on_edge];
-        self.explore(&mut hooks)
+        self.explore(&mut [on_edge])
     }
 
     /// Explores with the configured worker count, building one independent
@@ -419,15 +290,6 @@ where
         F: Fn(usize) -> H,
         H: FnMut(&[M::Action], &M::State) -> Result<(), String> + Send,
     {
-        self.try_run_sharded(per_worker).expect("traversal aborted")
-    }
-
-    /// Fallible variant of [`run_sharded`](Self::run_sharded).
-    pub fn try_run_sharded<F, H>(&self, per_worker: F) -> Result<Report<M>, SpillError>
-    where
-        F: Fn(usize) -> H,
-        H: FnMut(&[M::Action], &M::State) -> Result<(), String> + Send,
-    {
         let mut hooks: Vec<H> = (0..self.workers).map(per_worker).collect();
         self.explore(&mut hooks)
     }
@@ -435,7 +297,7 @@ where
     /// The level-synchronized engine. One lane per hook; every public run
     /// variant funnels here, which is what guarantees identical reports
     /// across configurations.
-    fn explore<H>(&self, hooks: &mut [H]) -> Result<Report<M>, SpillError>
+    fn explore<H>(&self, hooks: &mut [H]) -> Report<M>
     where
         H: FnMut(&[M::Action], &M::State) -> Result<(), String> + Send,
     {
@@ -451,7 +313,6 @@ where
             symmetry_relabels: 0,
             workers: lanes,
             symmetry: self.symmetry,
-            spilled: self.spill.is_some(),
             violations: Vec::new(),
         };
 
@@ -462,7 +323,7 @@ where
                 trace: Vec::new(),
                 state: format!("{initial:?}"),
             });
-            return Ok(report);
+            return report;
         }
         if let Err(message) = hooks[0](&[], &initial) {
             report.violations.push(Violation {
@@ -470,7 +331,7 @@ where
                 trace: Vec::new(),
                 state: format!("{initial:?}"),
             });
-            return Ok(report);
+            return report;
         }
 
         let (repr0, sym0) = if self.symmetry {
@@ -485,43 +346,10 @@ where
             sym: sym0,
             home: home0,
         }];
-        let mut seen: Vec<LaneSeen<M>>;
-        let mut backing: Backing<M>;
-        if let Some((io, dir)) = &self.spill {
-            io.create_dir_all(dir).map_err(SpillError::Io)?;
-            seen = Vec::with_capacity(lanes);
-            for lane in 0..lanes {
-                io.write_file(&shard_path(dir, lane as u16), b"")
-                    .map_err(SpillError::Io)?;
-                seen.push(LaneSeen::Disk {
-                    index: FxHashMap::default(),
-                    len: 0,
-                });
-            }
-            let mut payload = Vec::new();
-            if !self.machine.encode_state(&repr0, &mut payload) {
-                return Err(SpillError::Unsupported);
-            }
-            let mut buf = Vec::new();
-            let record_len = push_record(&mut buf, &payload);
-            io.append(&shard_path(dir, home0), &buf)
-                .map_err(SpillError::Io)?;
-            let LaneSeen::Disk { index, len } = &mut seen[home0 as usize] else {
-                unreachable!("disk backing uses disk lanes");
-            };
-            index.insert(hash_state(&repr0), vec![(0, record_len)]);
-            *len = buf.len() as u64;
-            backing = Backing::Disk(vec![(0, record_len)]);
-        } else {
-            seen = (0..lanes)
-                .map(|_| LaneSeen::Mem(FxHashSet::default()))
-                .collect();
-            let LaneSeen::Mem(set) = &mut seen[home0 as usize] else {
-                unreachable!("mem backing uses mem lanes");
-            };
-            set.insert(repr0.clone());
-            backing = Backing::Mem(vec![repr0]);
-        }
+        // One seen-set shard per lane; representatives indexed by node id.
+        let mut seen: Vec<FxHashSet<M::State>> = vec![FxHashSet::default(); lanes];
+        seen[home0 as usize].insert(repr0.clone());
+        let mut states: Vec<M::State> = vec![repr0];
 
         let mut level: Vec<u32> = vec![0];
         let mut depth = 0usize;
@@ -539,22 +367,22 @@ where
             // successor candidates to the lane owning their hash.
             let expanded: Vec<Expanded<M>> = {
                 let meta_ref = &meta;
-                let backing_ref = &backing;
+                let states_ref = &states;
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = owned
                         .iter()
                         .zip(hooks.iter_mut())
                         .map(|(ids, hook)| {
                             scope.spawn(move || {
-                                self.expand_lane(lanes, ids, meta_ref, backing_ref, hook)
+                                self.expand_lane(lanes, ids, meta_ref, states_ref, hook)
                             })
                         })
                         .collect();
                     handles
                         .into_iter()
                         .map(|handle| handle.join().expect("traversal worker panicked"))
-                        .collect::<Result<Vec<_>, _>>()
-                })?
+                        .collect()
+                })
             };
 
             // Route candidates into per-destination columns (source-lane
@@ -582,14 +410,14 @@ where
                     .zip(seen.iter_mut())
                     .enumerate()
                     .map(|(lane, (candidates, lane_seen))| {
-                        scope.spawn(move || self.dedup_lane(lane as u16, candidates, lane_seen))
+                        scope.spawn(move || dedup_lane(lane as u16, candidates, lane_seen))
                     })
                     .collect();
                 handles
                     .into_iter()
                     .map(|handle| handle.join().expect("traversal worker panicked"))
-                    .collect::<Result<Vec<_>, _>>()
-            })?;
+                    .collect()
+            });
 
             // Phase C: single-threaded merge. Global (parent rank, action
             // index) order is exactly sequential-BFS discovery order, so
@@ -605,12 +433,7 @@ where
                     sym: f.sym,
                     home: f.home,
                 });
-                match &mut backing {
-                    Backing::Mem(states) => {
-                        states.push(f.state.expect("mem backing carries states"))
-                    }
-                    Backing::Disk(locs) => locs.push(f.loc),
-                }
+                states.push(f.state);
                 level.push(id);
             }
             if !level.is_empty() {
@@ -631,7 +454,7 @@ where
             (a.trace.len(), &a.message, &a.state).cmp(&(b.trace.len(), &b.message, &b.state))
         });
         report.violations = violations;
-        Ok(report)
+        report
     }
 
     /// Phase A for one lane: expand every owned node of the current level.
@@ -640,9 +463,9 @@ where
         lanes: usize,
         ids: &[u32],
         meta: &[Meta<M>],
-        backing: &Backing<M>,
+        states: &[M::State],
         hook: &mut H,
-    ) -> Result<Expanded<M>, SpillError>
+    ) -> Expanded<M>
     where
         H: FnMut(&[M::Action], &M::State) -> Result<(), String>,
     {
@@ -654,14 +477,7 @@ where
         };
         let mut actions: Vec<M::Action> = Vec::new();
         for &id in ids {
-            let fetched;
-            let state: &M::State = match backing {
-                Backing::Mem(states) => &states[id as usize],
-                Backing::Disk(_) => {
-                    fetched = self.fetch_state(meta, backing, id)?;
-                    &fetched
-                }
-            };
+            let state = &states[id as usize];
             let sym = &meta[id as usize].sym;
             let mut path = witness(meta, id);
             actions.clear();
@@ -733,10 +549,8 @@ where
                 } else {
                     (next, M::Sym::default())
                 };
-                let hash = hash_state(&repr);
-                let dest = (hash % lanes as u64) as usize;
+                let dest = (hash_state(&repr) % lanes as u64) as usize;
                 out.outbox[dest].push(Candidate {
-                    hash,
                     repr,
                     sym: child_sym,
                     parent: id,
@@ -745,163 +559,7 @@ where
                 });
             }
         }
-        Ok(out)
-    }
-
-    /// Phase B for one lane: exact dedup of routed candidates against this
-    /// lane's seen shard (and against each other), appending the survivors
-    /// to the spill log when disk-backed.
-    fn dedup_lane(
-        &self,
-        lane: u16,
-        candidates: Vec<Candidate<M>>,
-        seen: &mut LaneSeen<M>,
-    ) -> Result<Vec<Fresh<M>>, SpillError> {
-        match seen {
-            LaneSeen::Mem(set) => {
-                // Keyed by representative; the value is the minimal
-                // (parent, action-index) discoverer with its sym/action.
-                type Discoverer<M> = (u32, u32, <M as Machine>::Sym, <M as Machine>::Action);
-                let mut pending: FxHashMap<M::State, Discoverer<M>> = FxHashMap::default();
-                for c in candidates {
-                    if set.contains(&c.repr) {
-                        continue;
-                    }
-                    match pending.entry(c.repr) {
-                        std::collections::hash_map::Entry::Occupied(mut entry) => {
-                            let held = entry.get_mut();
-                            if (c.parent, c.aidx) < (held.0, held.1) {
-                                *held = (c.parent, c.aidx, c.sym, c.action);
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(entry) => {
-                            entry.insert((c.parent, c.aidx, c.sym, c.action));
-                        }
-                    }
-                }
-                let mut fresh: Vec<Fresh<M>> = pending
-                    .into_iter()
-                    .map(|(state, (parent, aidx, sym, action))| Fresh {
-                        parent,
-                        aidx,
-                        action,
-                        sym,
-                        home: lane,
-                        state: Some(state),
-                        loc: (0, 0),
-                    })
-                    .collect();
-                fresh.sort_by_key(|f| (f.parent, f.aidx));
-                for f in &fresh {
-                    set.insert(f.state.clone().expect("mem fresh carries state"));
-                }
-                Ok(fresh)
-            }
-            LaneSeen::Disk { index, len } => {
-                let (io, dir) = self.spill.as_ref().expect("disk lanes imply spill config");
-                let path = shard_path(dir, lane);
-                struct Pend<M: Machine> {
-                    bytes: Vec<u8>,
-                    hash: u64,
-                    parent: u32,
-                    aidx: u32,
-                    sym: M::Sym,
-                    action: M::Action,
-                }
-                let mut pending: FxHashMap<u64, Vec<Pend<M>>> = FxHashMap::default();
-                let mut bytes = Vec::new();
-                for c in candidates {
-                    bytes.clear();
-                    if !self.machine.encode_state(&c.repr, &mut bytes) {
-                        return Err(SpillError::Unsupported);
-                    }
-                    let mut dup = false;
-                    if let Some(locations) = index.get(&c.hash) {
-                        for &(offset, record_len) in locations {
-                            let record = io
-                                .read_range(&path, offset, record_len as usize)
-                                .map_err(SpillError::Io)?;
-                            if parse_record(&record)? == bytes.as_slice() {
-                                dup = true;
-                                break;
-                            }
-                        }
-                    }
-                    if dup {
-                        continue;
-                    }
-                    let bucket = pending.entry(c.hash).or_default();
-                    if let Some(held) = bucket.iter_mut().find(|p| p.bytes == bytes) {
-                        if (c.parent, c.aidx) < (held.parent, held.aidx) {
-                            held.parent = c.parent;
-                            held.aidx = c.aidx;
-                            held.sym = c.sym;
-                            held.action = c.action;
-                        }
-                    } else {
-                        bucket.push(Pend {
-                            bytes: bytes.clone(),
-                            hash: c.hash,
-                            parent: c.parent,
-                            aidx: c.aidx,
-                            sym: c.sym,
-                            action: c.action,
-                        });
-                    }
-                }
-                let mut entries: Vec<Pend<M>> = pending.into_values().flatten().collect();
-                entries.sort_by_key(|e| (e.parent, e.aidx));
-                let mut buf = Vec::new();
-                let mut fresh = Vec::with_capacity(entries.len());
-                for entry in entries {
-                    let offset = *len + buf.len() as u64;
-                    let record_len = push_record(&mut buf, &entry.bytes);
-                    index
-                        .entry(entry.hash)
-                        .or_default()
-                        .push((offset, record_len));
-                    fresh.push(Fresh {
-                        parent: entry.parent,
-                        aidx: entry.aidx,
-                        action: entry.action,
-                        sym: entry.sym,
-                        home: lane,
-                        state: None,
-                        loc: (offset, record_len),
-                    });
-                }
-                if !buf.is_empty() {
-                    io.append(&path, &buf).map_err(SpillError::Io)?;
-                    *len += buf.len() as u64;
-                }
-                Ok(fresh)
-            }
-        }
-    }
-
-    /// Reads one spilled node's representative back from its lane log.
-    fn fetch_state(
-        &self,
-        meta: &[Meta<M>],
-        backing: &Backing<M>,
-        id: u32,
-    ) -> Result<M::State, SpillError> {
-        let Backing::Disk(locs) = backing else {
-            unreachable!("fetch_state is only called for disk backing");
-        };
-        let (io, dir) = self
-            .spill
-            .as_ref()
-            .expect("disk backing implies spill config");
-        let (offset, record_len) = locs[id as usize];
-        let path = shard_path(dir, meta[id as usize].home);
-        let record = io
-            .read_range(&path, offset, record_len as usize)
-            .map_err(SpillError::Io)?;
-        let payload = parse_record(&record)?;
-        self.machine
-            .decode_state(payload)
-            .ok_or_else(|| corrupt("spilled state failed to decode"))
+        out
     }
 
     /// The concrete state a node's representative stands for.
@@ -912,6 +570,49 @@ where
             repr.clone()
         }
     }
+}
+
+/// Phase B for one lane: exact dedup of routed candidates against this
+/// lane's seen shard (and against each other).
+fn dedup_lane<M: Machine>(
+    lane: u16,
+    candidates: Vec<Candidate<M>>,
+    seen: &mut FxHashSet<M::State>,
+) -> Vec<Fresh<M>> {
+    // Keyed by representative; the value is the minimal
+    // (parent, action-index) discoverer with its sym/action.
+    type Discoverer<M> = (u32, u32, <M as Machine>::Sym, <M as Machine>::Action);
+    let mut pending: FxHashMap<M::State, Discoverer<M>> = FxHashMap::default();
+    for c in candidates {
+        if seen.contains(&c.repr) {
+            continue;
+        }
+        match pending.entry(c.repr) {
+            std::collections::hash_map::Entry::Occupied(mut entry) => {
+                let held = entry.get_mut();
+                if (c.parent, c.aidx) < (held.0, held.1) {
+                    *held = (c.parent, c.aidx, c.sym, c.action);
+                }
+            }
+            std::collections::hash_map::Entry::Vacant(entry) => {
+                entry.insert((c.parent, c.aidx, c.sym, c.action));
+            }
+        }
+    }
+    let mut fresh: Vec<Fresh<M>> = pending
+        .into_iter()
+        .map(|(state, (parent, aidx, sym, action))| Fresh {
+            parent,
+            aidx,
+            action,
+            sym,
+            home: lane,
+            state,
+        })
+        .collect();
+    fresh.sort_by_key(|f| (f.parent, f.aidx));
+    seen.extend(fresh.iter().map(|f| f.state.clone()));
+    fresh
 }
 
 /// The shortest concrete action path from the initial state to `id`.

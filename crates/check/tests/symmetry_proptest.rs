@@ -1,5 +1,5 @@
-//! Property tests for the symmetry-group and state-codec contracts that
-//! quotient exploration and the disk spill rely on.
+//! Property tests for the symmetry-group contract that quotient
+//! exploration relies on.
 //!
 //! [`Machine::reduce`] is only sound if the declared group really is a
 //! group of transition-commuting bijections and `reduce` really is
@@ -14,9 +14,7 @@
 //! * **orbit invariance** — every relabelling of a state reduces to the
 //!   same representative (permutation-invariance of the canonical form);
 //! * **equivariance** — group elements commute with the transition
-//!   relation under `sym_action` relabelling, and preserve the invariant;
-//! * **codec round-trip** — `decode_state(encode_state(s)) == s`, and the
-//!   encoding is functional on equal states (byte-exact dedup is sound).
+//!   relation under `sym_action` relabelling, and preserve the invariant.
 
 use proptest::prelude::*;
 use tvq_check::{CatalogModel, CatalogSym, LifecycleModel, LifecycleSym, Machine};
@@ -121,32 +119,6 @@ fn check_equivariance<M: Machine>(
     }
 }
 
-/// Codec round-trip plus functionality at one state.
-fn check_codec<M: Machine>(machine: &M, state: &M::State) {
-    let mut bytes = Vec::new();
-    assert!(
-        machine.encode_state(state, &mut bytes),
-        "both protocol models support spilling"
-    );
-    let mut bytes_again = Vec::new();
-    machine.encode_state(state, &mut bytes_again);
-    assert_eq!(bytes, bytes_again, "encoding is functional");
-    assert_eq!(
-        machine.decode_state(&bytes).as_ref(),
-        Some(state),
-        "decode inverts encode"
-    );
-    // Truncations must be rejected, not misread: injectivity of the codec
-    // extends to "no encoding is a prefix of a different state's bytes".
-    if !bytes.is_empty() {
-        assert_ne!(
-            machine.decode_state(&bytes[..bytes.len() - 1]).as_ref(),
-            Some(state),
-            "a truncated encoding must not decode to the same state"
-        );
-    }
-}
-
 fn catalog_group() -> Vec<CatalogSym> {
     (0..tvq_check::catalog_model::VMOD)
         .map(CatalogSym)
@@ -165,7 +137,6 @@ proptest! {
         for (state, actions) in walk(&machine, &picks) {
             check_reduce_laws(&machine, &LifecycleSym::ALL, &state);
             check_equivariance(&machine, &LifecycleSym::ALL, &state, &actions);
-            check_codec(&machine, &state);
         }
     }
 
@@ -179,7 +150,6 @@ proptest! {
         for (state, actions) in walk(&machine, &picks) {
             check_reduce_laws(&machine, &group, &state);
             check_equivariance(&machine, &group, &state, &actions);
-            check_codec(&machine, &state);
         }
     }
 
@@ -213,29 +183,6 @@ proptest! {
                     );
                 }
             }
-        }
-    }
-
-    /// Malformed spill bytes decode to `None`, never to a wrong state:
-    /// random byte soup and bit-flipped valid encodings either fail to
-    /// decode or decode to something that re-encodes to the mutated bytes.
-    #[test]
-    fn codec_rejects_or_roundtrips_mutated_bytes(
-        picks in proptest::collection::vec(0u32..10_000, 0..12),
-        flip in 0usize..512,
-    ) {
-        let machine = LifecycleModel;
-        let (state, _) = walk(&machine, &picks).pop().unwrap();
-        let mut bytes = Vec::new();
-        machine.encode_state(&state, &mut bytes);
-        prop_assert!(!bytes.is_empty(), "the codec always emits the count prefixes");
-        let at = flip % bytes.len();
-        bytes[at] ^= 1 << (flip % 8);
-        if let Some(decoded) = machine.decode_state(&bytes) {
-            let mut re = Vec::new();
-            machine.encode_state(&decoded, &mut re);
-            prop_assert_eq!(re, bytes, "decode of mutated bytes must stay injective");
-            prop_assert_ne!(decoded, state, "a flipped bit cannot yield the same state");
         }
     }
 }

@@ -161,40 +161,90 @@ impl MaintenanceMetrics {
     /// assert_eq!(global.peak_live_states, 6);
     /// ```
     pub fn merge(&mut self, other: &MaintenanceMetrics) {
-        self.frames_processed += other.frames_processed;
-        self.states_created += other.states_created;
-        self.states_pruned += other.states_pruned;
-        self.states_terminated += other.states_terminated;
-        self.intersections += other.intersections;
-        self.frames_appended += other.frames_appended;
-        self.states_visited += other.states_visited;
-        self.edges_added += other.edges_added;
-        self.edges_removed += other.edges_removed;
-        self.peak_live_states += other.peak_live_states;
-        self.interned_sets += other.interned_sets;
-        self.arena_bytes += other.arena_bytes;
-        self.bitmap_bytes += other.bitmap_bytes;
-        self.compactions += other.compactions;
-        self.intersection_cache_hits += other.intersection_cache_hits;
-        self.intersection_cache_misses += other.intersection_cache_misses;
-        self.intersection_cache_resizes += other.intersection_cache_resizes;
-        self.intersection_cache_slots += other.intersection_cache_slots;
-        self.tracked_objects += other.tracked_objects;
-        self.class_map_bytes += other.class_map_bytes;
-        self.lifecycle_bytes += other.lifecycle_bytes;
-        self.objects_retired += other.objects_retired;
-        self.generations_started += other.generations_started;
-        self.tracks_ended += other.tracks_ended;
-        self.catalog_swaps += other.catalog_swaps;
-        self.per_shard_queue_depth += other.per_shard_queue_depth;
-        self.feeds_migrated += other.feeds_migrated;
-        self.rebalances += other.rebalances;
-        self.wal_bytes += other.wal_bytes;
-        self.wal_records += other.wal_records;
-        self.snapshots_written += other.snapshots_written;
-        self.snapshot_bytes += other.snapshot_bytes;
-        self.fsyncs += other.fsyncs;
-        self.recoveries += other.recoveries;
+        let mut other = other.clone();
+        for (mine, theirs) in self.fields_mut().into_iter().zip(other.fields_mut()) {
+            *mine += *theirs;
+        }
+    }
+
+    /// Every counter, in snapshot order — the one list [`merge`](Self::merge)
+    /// and the snapshot codec iterate. The destructuring is exhaustive (no
+    /// `..`), so a field added to the struct but not here fails to compile
+    /// instead of silently resetting on recovery or dropping out of merged
+    /// reports. New fields go at the end: the order is the on-disk format.
+    pub(crate) fn fields_mut(&mut self) -> [&mut u64; 34] {
+        let MaintenanceMetrics {
+            frames_processed,
+            states_created,
+            states_pruned,
+            states_terminated,
+            intersections,
+            frames_appended,
+            states_visited,
+            edges_added,
+            edges_removed,
+            peak_live_states,
+            interned_sets,
+            arena_bytes,
+            bitmap_bytes,
+            compactions,
+            intersection_cache_hits,
+            intersection_cache_misses,
+            intersection_cache_resizes,
+            intersection_cache_slots,
+            tracked_objects,
+            class_map_bytes,
+            lifecycle_bytes,
+            objects_retired,
+            generations_started,
+            tracks_ended,
+            catalog_swaps,
+            per_shard_queue_depth,
+            feeds_migrated,
+            rebalances,
+            wal_bytes,
+            wal_records,
+            snapshots_written,
+            snapshot_bytes,
+            fsyncs,
+            recoveries,
+        } = self;
+        [
+            frames_processed,
+            states_created,
+            states_pruned,
+            states_terminated,
+            intersections,
+            frames_appended,
+            states_visited,
+            edges_added,
+            edges_removed,
+            peak_live_states,
+            interned_sets,
+            arena_bytes,
+            bitmap_bytes,
+            compactions,
+            intersection_cache_hits,
+            intersection_cache_misses,
+            intersection_cache_resizes,
+            intersection_cache_slots,
+            tracked_objects,
+            class_map_bytes,
+            lifecycle_bytes,
+            objects_retired,
+            generations_started,
+            tracks_ended,
+            catalog_swaps,
+            per_shard_queue_depth,
+            feeds_migrated,
+            rebalances,
+            wal_bytes,
+            wal_records,
+            snapshots_written,
+            snapshot_bytes,
+            fsyncs,
+            recoveries,
+        ]
     }
 
     /// Folds an iterator of metrics into one aggregate via [`merge`](Self::merge).

@@ -130,10 +130,11 @@ pub fn restore_interner(dec: &mut Decoder<'_>, interner: &mut SetInterner) -> Re
 
 /// Appends the metrics as a count-prefixed ordered `u64` field list.
 pub fn put_metrics(enc: &mut Encoder, metrics: &MaintenanceMetrics) {
-    let fields = metrics_fields(metrics);
+    let mut metrics = metrics.clone();
+    let fields = metrics.fields_mut();
     enc.put_usize(fields.len());
     for value in fields {
-        enc.put_u64(value);
+        enc.put_u64(*value);
     }
 }
 
@@ -141,70 +142,19 @@ pub fn put_metrics(enc: &mut Encoder, metrics: &MaintenanceMetrics) {
 /// mismatch (writer and reader disagree about the metrics layout).
 pub fn take_metrics(dec: &mut Decoder<'_>) -> Result<MaintenanceMetrics> {
     let mut metrics = MaintenanceMetrics::new();
-    let expected = metrics_fields(&metrics).len();
+    let fields = metrics.fields_mut();
     let count = dec.take_len()?;
-    if count != expected {
+    if count != fields.len() {
         return Err(Error::Codec(format!(
-            "metrics field count {count} does not match this build's {expected}"
+            "metrics field count {count} does not match this build's {}",
+            fields.len()
         )));
     }
-    let mut values = Vec::with_capacity(count);
-    for _ in 0..count {
-        values.push(dec.take_u64()?);
+    for field in fields {
+        *field = dec.take_u64()?;
     }
-    set_metrics_fields(&mut metrics, &values);
     Ok(metrics)
 }
-
-macro_rules! metrics_field_list {
-    ($($field:ident),* $(,)?) => {
-        fn metrics_fields(metrics: &MaintenanceMetrics) -> Vec<u64> {
-            vec![$(metrics.$field),*]
-        }
-
-        fn set_metrics_fields(metrics: &mut MaintenanceMetrics, values: &[u64]) {
-            let mut iter = values.iter().copied();
-            $(metrics.$field = iter.next().expect("length checked by take_metrics");)*
-        }
-    };
-}
-
-metrics_field_list!(
-    frames_processed,
-    states_created,
-    states_pruned,
-    states_terminated,
-    intersections,
-    frames_appended,
-    states_visited,
-    edges_added,
-    edges_removed,
-    peak_live_states,
-    interned_sets,
-    arena_bytes,
-    bitmap_bytes,
-    compactions,
-    intersection_cache_hits,
-    intersection_cache_misses,
-    intersection_cache_resizes,
-    intersection_cache_slots,
-    tracked_objects,
-    class_map_bytes,
-    lifecycle_bytes,
-    objects_retired,
-    generations_started,
-    tracks_ended,
-    catalog_swaps,
-    per_shard_queue_depth,
-    feeds_migrated,
-    rebalances,
-    wal_bytes,
-    wal_records,
-    snapshots_written,
-    snapshot_bytes,
-    fsyncs,
-    recoveries,
-);
 
 /// Test support: metrics with the interner's memo gauges cleared. The memo
 /// is a cache and deliberately not persisted, so its hit/miss/size counters

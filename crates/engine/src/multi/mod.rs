@@ -96,14 +96,6 @@ use worker::{worker_loop, CatalogOp, ShardResult, WorkerMsg};
 /// worker is gone. Generous: a healthy worker answers in microseconds.
 const SHARD_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// File under a durable fleet's data directory holding the scheduler's
-/// master catalog (registry, query set, version). Always written *ahead*
-/// of broadcasting an op, so the master version is never behind a feed's.
-const FLEET_CATALOG: &str = "fleet-catalog.tvqf";
-/// Scratch name the fleet catalog is staged under before the atomic
-/// rename into [`FLEET_CATALOG`].
-const FLEET_CATALOG_TMP: &str = "fleet-catalog.tmp";
-
 /// One frame of detections tagged with the feed (camera) it came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeedFrame {
@@ -256,41 +248,6 @@ struct EngineSpec {
     store: Option<(SharedIo, PathBuf)>,
 }
 
-/// Atomically publishes the master catalog: staged to a scratch file,
-/// fsynced, renamed into place, directory fsynced — the same recipe the
-/// snapshot store uses, so a crash leaves either the old file or the new.
-fn write_fleet_catalog(
-    io: &SharedIo,
-    root: &Path,
-    registry: &ClassRegistry,
-    queries: &[CnfQuery],
-    version: u64,
-) -> Result<()> {
-    io.create_dir_all(root)?;
-    let payload = persist::encode_fleet_catalog(registry, queries, version);
-    let tmp = root.join(FLEET_CATALOG_TMP);
-    let path = root.join(FLEET_CATALOG);
-    io.write_file(&tmp, &payload)?;
-    io.fsync(&tmp)?;
-    io.rename(&tmp, &path)?;
-    io.fsync_dir(root)?;
-    Ok(())
-}
-
-/// Loads the master catalog a previous fleet persisted under `root`, or
-/// `None` when the directory has never held one.
-fn read_fleet_catalog(
-    io: &SharedIo,
-    root: &Path,
-) -> Result<Option<(ClassRegistry, Vec<CnfQuery>, u64)>> {
-    let path = root.join(FLEET_CATALOG);
-    if !io.exists(&path) {
-        return Ok(None);
-    }
-    let payload = io.read(&path)?;
-    persist::decode_fleet_catalog(&payload).map(Some)
-}
-
 impl EngineSpec {
     /// Builds a per-feed engine for the *current* catalog state: a feed
     /// first seen after swaps must answer under the swapped query set and
@@ -411,14 +368,14 @@ impl MultiFeedBuilder {
         let mut catalog_version = 0u64;
         let mut restarted = false;
         if let Some((io, root)) = &self.store {
-            match read_fleet_catalog(io, root)? {
+            match persist::load_fleet_catalog(io, root)? {
                 Some((persisted_registry, persisted_queries, version)) => {
                     registry = persisted_registry;
                     queries = persisted_queries;
                     catalog_version = version;
                     restarted = true;
                 }
-                None => write_fleet_catalog(io, root, &registry, &queries, 0)?,
+                None => persist::save_fleet_catalog(io, root, &registry, &queries, 0)?,
             }
         }
         // A restarted fleet may legitimately resume with zero queries (all
@@ -647,7 +604,9 @@ impl MultiFeedEngine {
     /// feeds — never the reverse.
     fn persist_catalog(&self, queries: &[CnfQuery], version: u64) -> Result<()> {
         match &self.spec.store {
-            Some((io, root)) => write_fleet_catalog(io, root, &self.registry, queries, version),
+            Some((io, root)) => {
+                persist::save_fleet_catalog(io, root, &self.registry, queries, version)
+            }
             None => Ok(()),
         }
     }
@@ -1695,12 +1654,13 @@ mod tests {
     /// persisted threshold (`car >= 1` → `car >= 65`) is still well-formed
     /// `TVQF`, and only the checksum keeps every feed from being
     /// fast-forwarded to a silently different query. Every byte of the file
-    /// is covered, and the intact file still restarts afterwards.
+    /// is covered, and the intact file still restarts afterwards. A publish
+    /// that fails is [`Error::Store`] naming the step that failed.
     #[test]
     fn damaged_fleet_catalog_is_corrupt_never_a_different_query() {
         let disk = tvq_store::MemDisk::new();
         durable_fleet(&disk, 2).sync_store().unwrap();
-        let path = Path::new("/fleet").join(FLEET_CATALOG);
+        let path = Path::new("/fleet").join(persist::FLEET_CATALOG);
         let len = disk.io().read(&path).unwrap().len();
         for offset in 0..len {
             assert!(disk.flip_bit(&path, offset));
@@ -1713,6 +1673,27 @@ mod tests {
             assert!(disk.flip_bit(&path, offset), "flip it back");
         }
         assert_eq!(durable_fleet(&disk, 2).queries().len(), 1);
+
+        // A failed publish names its step, as a failed snapshot save does.
+        for (op, step) in ["write", "fsync", "rename", "fsync"]
+            .into_iter()
+            .enumerate()
+        {
+            let err = MultiFeedEngine::builder(config(2))
+                .with_query_text("car >= 1")
+                .unwrap()
+                .with_store(
+                    disk.fault_io(op as u64 + 1, tvq_store::TornTail::Drop),
+                    Path::new("/fresh"),
+                )
+                .build()
+                .err()
+                .unwrap_or_else(|| panic!("crash at publish op {op} went unnoticed"));
+            assert!(
+                matches!(&err, Error::Store(m) if m.starts_with(&format!("{step} fleet catalog"))),
+                "op {op}: {err}"
+            );
+        }
     }
 
     /// Non-durable fleets keep the fail-fast contract: a lost worker is an

@@ -20,15 +20,17 @@
 //!
 //! [`StateMaintainer::snapshot_state`]: tvq_core::StateMaintainer::snapshot_state
 
+use std::path::Path;
 use std::sync::{Arc, PoisonError, RwLock};
 
-use tvq_common::codec::{crc32, Decoder, Encoder};
+use tvq_common::codec::{Decoder, Encoder};
 use tvq_common::{
     ClassId, ClassRegistry, ClassStore, Error, FrameId, FrameObjects, MemoConfig, ObjectId,
     QueryId, Result, SharedClassMap, WindowSpec,
 };
 use tvq_core::{CompactionPolicy, LiveBinding, MaintainerKind, ObjectLifecycle};
 use tvq_query::{CmpOp, CnfQuery, Condition};
+use tvq_store::{publish, seal, unseal, SharedIo};
 
 use crate::catalog::QueryCatalog;
 use crate::config::EngineConfig;
@@ -164,17 +166,55 @@ fn take_query(dec: &mut Decoder<'_>) -> Result<CnfQuery> {
 const FLEET_MAGIC: [u8; 4] = *b"TVQF";
 /// Version of the fleet-catalog payload (2 added the CRC-32 trailer).
 const FLEET_VERSION: u32 = 2;
+/// File under a durable fleet's data directory holding the scheduler's
+/// master catalog (registry, query set, version). Always written *ahead*
+/// of broadcasting an op, so the master version is never behind a feed's.
+pub(crate) const FLEET_CATALOG: &str = "fleet-catalog.tvqf";
+/// Scratch name the fleet catalog is staged under before the atomic
+/// rename into [`FLEET_CATALOG`].
+const FLEET_CATALOG_TMP: &str = "fleet-catalog.tmp";
 
-/// Serializes the multi-feed scheduler's master catalog, closed by the
-/// CRC-32 of everything before it (the snapshot store's framing). Written
-/// *ahead* of each broadcast (and at fleet build), so after any crash the
-/// master version is at least every feed's — restart fast-forwards
-/// recovered feeds to the master, never the reverse.
-pub(crate) fn encode_fleet_catalog(
+/// Atomically publishes the master catalog under `root` through the
+/// store's [`publish`] — the snapshot store's recipe, so a crash leaves
+/// either the old file or the new.
+pub(crate) fn save_fleet_catalog(
+    io: &SharedIo,
+    root: &Path,
     registry: &ClassRegistry,
     queries: &[CnfQuery],
     version: u64,
-) -> Vec<u8> {
+) -> Result<()> {
+    io.create_dir_all(root)?;
+    let bytes = encode_fleet_catalog(registry, queries, version);
+    publish(
+        &**io,
+        root,
+        FLEET_CATALOG_TMP,
+        FLEET_CATALOG,
+        &bytes,
+        "fleet catalog",
+    )
+}
+
+/// Loads the master catalog a previous fleet persisted under `root`, or
+/// `None` when the directory has never held one.
+pub(crate) fn load_fleet_catalog(
+    io: &SharedIo,
+    root: &Path,
+) -> Result<Option<(ClassRegistry, Vec<CnfQuery>, u64)>> {
+    let path = root.join(FLEET_CATALOG);
+    if !io.exists(&path) {
+        return Ok(None);
+    }
+    decode_fleet_catalog(&io.read(&path)?).map(Some)
+}
+
+/// Serializes the multi-feed scheduler's master catalog, closed by the
+/// store's [`seal`] (the snapshot store's framing). Written *ahead* of each
+/// broadcast (and at fleet build), so after any crash the master version is
+/// at least every feed's — restart fast-forwards recovered feeds to the
+/// master, never the reverse.
+fn encode_fleet_catalog(registry: &ClassRegistry, queries: &[CnfQuery], version: u64) -> Vec<u8> {
     let mut enc = Encoder::with_capacity(256);
     enc.put_header(FLEET_MAGIC, FLEET_VERSION);
     enc.put_u64(version);
@@ -186,24 +226,15 @@ pub(crate) fn encode_fleet_catalog(
     for query in queries {
         put_query(&mut enc, query);
     }
-    let mut bytes = enc.into_bytes();
-    let crc = crc32(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    bytes
+    seal(enc.into_bytes())
 }
 
 /// Rebuilds the fleet master catalog persisted by
 /// [`encode_fleet_catalog`]: `(registry, queries, version)`. A checksum
 /// mismatch is [`Error::Corrupt`] — there is no older generation to fall
 /// back to, because the master must never fall behind a feed.
-pub(crate) fn decode_fleet_catalog(payload: &[u8]) -> Result<(ClassRegistry, Vec<CnfQuery>, u64)> {
-    let (body, crc) = payload
-        .split_last_chunk::<4>()
-        .ok_or_else(|| Error::Corrupt("fleet catalog shorter than its checksum".into()))?;
-    if crc32(body).to_le_bytes() != *crc {
-        return Err(Error::Corrupt("fleet catalog checksum mismatch".into()));
-    }
-    let mut dec = Decoder::new(body);
+fn decode_fleet_catalog(payload: &[u8]) -> Result<(ClassRegistry, Vec<CnfQuery>, u64)> {
+    let mut dec = Decoder::new(unseal(payload, "fleet catalog")?);
     dec.check_header(FLEET_MAGIC, FLEET_VERSION)?;
     let version = dec.take_u64()?;
     let labels = dec.take_len()?;

@@ -1,43 +1,30 @@
 //! The `tvq-server` binary.
 //!
-//! Two modes:
+//! Binds `--addr` and serves clients until a client issues `SHUTDOWN` (or
+//! the process is killed). With `--data-dir` the engine runs durably: every
+//! acknowledged operation is WAL-logged and fsynced, snapshots land at
+//! compaction epochs, and a restart over the same directory recovers the
+//! catalog and windows.
 //!
-//! * **serve** (default): bind `--addr` and serve clients until a client
-//!   issues `SHUTDOWN` (or the process is killed). With `--data-dir` the
-//!   engine runs durably: every acknowledged operation is WAL-logged and
-//!   fsynced, snapshots land at compaction epochs, and a restart over the
-//!   same directory recovers the catalog and windows.
-//!
-//!   ```text
-//!   tvq-server --addr 127.0.0.1:7878 --window 8 --duration 4 \
-//!       --data-dir /var/lib/tvq
-//!   ```
-//!
-//! * **smoke** (`--smoke [--json]`): spin up a server on an ephemeral
-//!   port, drive a scripted client session through the full command
-//!   surface — register and cancel queries, round-trip a match through a
-//!   subscription, overflow a tiny subscriber queue to observe
-//!   backpressure drops — and gate on the results. `--json` writes
-//!   `BENCH_server_smoke.json` for the CI artifact trail.
+//! ```text
+//! tvq-server --addr 127.0.0.1:7878 --window 8 --duration 4 \
+//!     --data-dir /var/lib/tvq
+//! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use std::fs;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use tvq_common::{Error, Result, WindowSpec};
 use tvq_engine::EngineConfig;
-use tvq_server::{QueryServer, ServerClient};
+use tvq_server::QueryServer;
 
 struct Args {
     addr: String,
     window: usize,
     duration: usize,
     data_dir: Option<std::path::PathBuf>,
-    smoke: bool,
-    json: bool,
 }
 
 fn parse_args() -> Result<Args> {
@@ -46,8 +33,6 @@ fn parse_args() -> Result<Args> {
         window: 8,
         duration: 4,
         data_dir: None,
-        smoke: false,
-        json: false,
     };
     let mut raw = std::env::args().skip(1);
     while let Some(flag) = raw.next() {
@@ -68,8 +53,6 @@ fn parse_args() -> Result<Args> {
                     .map_err(|_| Error::InvalidConfig("bad --duration".to_string()))?
             }
             "--data-dir" => args.data_dir = Some(value("--data-dir")?.into()),
-            "--smoke" => args.smoke = true,
-            "--json" => args.json = true,
             other => {
                 return Err(Error::InvalidConfig(format!("unknown flag {other:?}")));
             }
@@ -86,12 +69,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = if args.smoke {
-        smoke(&args)
-    } else {
-        serve(&args)
-    };
-    match result {
+    match serve(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("tvq-server: {err}");
@@ -100,22 +78,13 @@ fn main() -> ExitCode {
     }
 }
 
-fn config(args: &Args) -> Result<EngineConfig> {
-    Ok(EngineConfig::new(WindowSpec::new(
-        args.window,
-        args.duration,
-    )?))
-}
-
-fn bind(args: &Args, addr: &str) -> Result<QueryServer> {
-    match &args.data_dir {
-        Some(dir) => QueryServer::bind_durable(addr, config(args)?, dir),
-        None => QueryServer::bind(addr, config(args)?),
-    }
-}
-
 fn serve(args: &Args) -> Result<()> {
-    let server = bind(args, args.addr.as_str())?;
+    let config = EngineConfig::new(WindowSpec::new(args.window, args.duration)?);
+    let addr = args.addr.as_str();
+    let server = match &args.data_dir {
+        Some(dir) => QueryServer::bind_durable(addr, config, dir)?,
+        None => QueryServer::bind(addr, config)?,
+    };
     match &args.data_dir {
         Some(dir) => println!(
             "tvq-server listening on {} (durable at {})",
@@ -127,140 +96,4 @@ fn serve(args: &Args) -> Result<()> {
     // Runs until a client issues SHUTDOWN; durable state is flushed and
     // fsynced before the call returns.
     server.run()
-}
-
-/// Extracts `key=<u64>` from a server response.
-fn field(response: &str, key: &str) -> Result<u64> {
-    response
-        .split_whitespace()
-        .find_map(|token| token.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
-        .ok_or_else(|| Error::InvalidConfig(format!("no {key}= field in response {response:?}")))
-}
-
-fn gate(condition: bool, what: &str) -> Result<()> {
-    if condition {
-        Ok(())
-    } else {
-        Err(Error::InvalidConfig(format!("smoke gate failed: {what}")))
-    }
-}
-
-fn smoke(args: &Args) -> Result<()> {
-    let started = Instant::now();
-    let handle = bind(args, "127.0.0.1:0")?.spawn()?;
-    let outcome = smoke_session(args, handle.addr());
-    let stopped = handle.stop();
-    let report = outcome?;
-    stopped?;
-    println!(
-        "server smoke: frames={} delivered={} dropped={} version={} in {:?}",
-        report.frames,
-        report.delivered,
-        report.dropped,
-        report.final_version,
-        started.elapsed()
-    );
-    if args.json {
-        let json = format!(
-            concat!(
-                "{{\"scenario\":\"server_smoke\",\"frames\":{},\"adds\":{},",
-                "\"removes\":{},\"final_version\":{},\"published\":{},",
-                "\"delivered\":{},\"dropped\":{},\"elapsed_ms\":{}}}"
-            ),
-            report.frames,
-            report.adds,
-            report.removes,
-            report.final_version,
-            report.published,
-            report.delivered,
-            report.dropped,
-            started.elapsed().as_millis()
-        );
-        fs::write("BENCH_server_smoke.json", json)?;
-        println!("wrote BENCH_server_smoke.json");
-    }
-    Ok(())
-}
-
-struct SmokeReport {
-    frames: u64,
-    adds: u64,
-    removes: u64,
-    final_version: u64,
-    published: u64,
-    delivered: u64,
-    dropped: u64,
-}
-
-fn smoke_session(args: &Args, addr: std::net::SocketAddr) -> Result<SmokeReport> {
-    let mut client = ServerClient::connect(addr)?;
-
-    // Register: a conjunctive query and a throwaway second one.
-    let added = client.expect_ok("ADD car >= 1 AND person >= 1")?;
-    let pair = field(&added, "id")?;
-    let throwaway = field(&client.expect_ok("ADD bus >= 2")?, "id")?;
-    gate(throwaway == pair + 1, "ids mint sequentially")?;
-
-    // A roomy subscriber and a cap=2 one to force backpressure drops.
-    let roomy = field(&client.expect_ok("SUBSCRIBE cap=1024")?, "sub")?;
-    let tiny = field(
-        &client.expect_ok(&format!("SUBSCRIBE cap=2 {pair}"))?,
-        "sub",
-    )?;
-
-    // Stream frames with a co-occurring car+person: every full window
-    // matches, so the tiny queue overflows well before the stream ends.
-    let frames = (args.window as u64) * 4;
-    for fid in 0..frames {
-        client.expect_ok(&format!("FRAME {fid} 1:car 2:person"))?;
-    }
-
-    // Cancel the throwaway query; the catalog version keeps counting.
-    let removed = client.expect_ok(&format!("REMOVE {throwaway}"))?;
-    let final_version = field(&removed, "version")?;
-    gate(final_version == 3, "two adds + one remove = version 3")?;
-
-    // Match round-trip: the roomy subscriber saw every published event.
-    let poll = client.expect_ok(&format!("POLL {roomy} 4096"))?;
-    let delivered = field(&poll, "events")?;
-    gate(delivered > 0, "at least one match round-tripped")?;
-    gate(
-        poll.lines().skip(1).all(|line| line.starts_with("EVENT")),
-        "poll body is EVENT lines",
-    )?;
-    gate(
-        poll.lines()
-            .any(|line| line.contains(&format!("query={pair}"))),
-        "the conjunctive query's matches were dispatched",
-    )?;
-
-    // Backpressure: the tiny queue kept only its 2 newest events.
-    let tiny_poll = client.expect_ok(&format!("POLL {tiny} 4096"))?;
-    let dropped = field(&tiny_poll, "dropped")?;
-    gate(field(&tiny_poll, "events")? == 2, "tiny queue holds 2")?;
-    gate(dropped > 0, "tiny queue recorded drops")?;
-
-    // A second concurrent connection sees the same state.
-    let mut observer = ServerClient::connect(addr)?;
-    let stats = observer.expect_ok("STATS")?;
-    gate(field(&stats, "queries")? == 1, "one query survives")?;
-    gate(field(&stats, "subscribers")? == 2, "two subscribers")?;
-    let published = field(&stats, "published")?;
-    gate(published >= delivered, "published covers delivered")?;
-    client.quit()?;
-    // Graceful shutdown is part of the smoke surface: the in-band hook
-    // flushes + fsyncs durable state (a no-op without --data-dir) before
-    // the accept loop stops.
-    let bye = observer.expect_ok("SHUTDOWN")?;
-    gate(bye == "OK shutdown", "graceful shutdown acknowledged")?;
-
-    Ok(SmokeReport {
-        frames,
-        adds: 2,
-        removes: 1,
-        final_version,
-        published,
-        delivered,
-        dropped,
-    })
 }

@@ -1,7 +1,7 @@
 //! Minimal synchronous client for the query server — one request frame in,
-//! one response frame out. Used by the smoke binary, the integration
-//! tests, and any harness that wants to drive a server without hand-rolling
-//! the codec.
+//! one response frame out. Used by the integration tests, the benchmark,
+//! and any harness that wants to drive a server without hand-rolling the
+//! codec.
 
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -29,6 +29,12 @@ fn register_match_cancel_round_trip() {
     let added = client.expect_ok("ADD car >= 1 AND person >= 1").unwrap();
     let qid = field(&added, "id");
     assert_eq!(field(&added, "version"), 1);
+    // Ids mint sequentially, and the version counts every catalog change:
+    // two adds + one remove = 3.
+    let throwaway = field(&client.expect_ok("ADD bus >= 2").unwrap(), "id");
+    assert_eq!(throwaway, qid + 1);
+    let removed = client.expect_ok(&format!("REMOVE {throwaway}")).unwrap();
+    assert_eq!(field(&removed, "version"), 3, "{removed}");
     let sub = field(&client.expect_ok("SUBSCRIBE cap=16").unwrap(), "sub");
 
     // Three co-occurring frames fill the duration threshold (window 4/3).
@@ -107,8 +113,15 @@ fn two_clients_share_one_engine() {
     let stats = reader.expect_ok("STATS").unwrap();
     assert_eq!(field(&stats, "frames"), 3, "{stats}");
     assert_eq!(field(&stats, "version"), 1, "{stats}");
+    assert_eq!(field(&stats, "queries"), 1, "{stats}");
+    assert_eq!(field(&stats, "subscribers"), 1, "{stats}");
+    assert!(
+        field(&stats, "published") >= field(&poll, "events"),
+        "{stats}"
+    );
 
+    // The in-band shutdown hook acknowledges before the accept loop stops.
     writer.quit().unwrap();
-    reader.quit().unwrap();
+    assert_eq!(reader.expect_ok("SHUTDOWN").unwrap(), "OK shutdown");
     handle.stop().unwrap();
 }

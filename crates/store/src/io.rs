@@ -32,19 +32,6 @@ pub trait StoreIo: Send + Sync {
     fn list(&self, dir: &Path) -> io::Result<Vec<String>>;
     /// Reads a whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-    /// Reads exactly `len` bytes starting at `offset`; `UnexpectedEof` when
-    /// the range extends past the end of the file. The default reads the
-    /// whole file and slices; implementations with random access (the real
-    /// filesystem, the in-memory disk) override it — large consumers such
-    /// as the model checker's spilled frontier depend on that.
-    fn read_range(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-        let data = self.read(path)?;
-        usize::try_from(offset)
-            .ok()
-            .and_then(|start| data.get(start..start.checked_add(len)?))
-            .map(<[u8]>::to_vec)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "range past EOF"))
-    }
     /// Appends bytes to a file, creating it when missing.
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// Creates or replaces a file with the given contents.
@@ -98,15 +85,6 @@ impl StoreIo for RealIo {
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         std::fs::read(path)
-    }
-
-    fn read_range(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut file = std::fs::File::open(path)?;
-        file.seek(SeekFrom::Start(offset))?;
-        let mut buf = vec![0u8; len];
-        file.read_exact(&mut buf)?;
-        Ok(buf)
     }
 
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -290,16 +268,6 @@ impl StoreIo for MemIo {
             .ok_or_else(|| not_found(path))
     }
 
-    fn read_range(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-        let state = self.disk.lock();
-        let file = state.files.get(path).ok_or_else(|| not_found(path))?;
-        usize::try_from(offset)
-            .ok()
-            .and_then(|start| file.data.get(start..start.checked_add(len)?))
-            .map(<[u8]>::to_vec)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "range past EOF"))
-    }
-
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let mut state = self.disk.lock();
         state
@@ -423,15 +391,6 @@ impl StoreIo for FaultIo {
         .read(path)
     }
 
-    fn read_range(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-        // Reads never crash — the sweep varies only where the write path
-        // dies.
-        MemIo {
-            disk: self.disk.clone(),
-        }
-        .read_range(path, offset, len)
-    }
-
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         self.gate()?;
         MemIo {
@@ -546,44 +505,6 @@ mod tests {
         faulty.write_file(&file, b"never synced").unwrap();
         assert!(faulty.write_file(&file, b"boom").is_err());
         assert_eq!(disk.io().read(&file).unwrap(), b"");
-    }
-
-    #[test]
-    fn read_range_slices_and_rejects_out_of_bounds() {
-        let disk = MemDisk::new();
-        let io = disk.io();
-        let file = Path::new("/d/r").to_path_buf();
-        io.append(&file, b"0123456789").unwrap();
-        assert_eq!(io.read_range(&file, 3, 4).unwrap(), b"3456");
-        assert_eq!(io.read_range(&file, 0, 0).unwrap(), b"");
-        assert_eq!(io.read_range(&file, 10, 0).unwrap(), b"");
-        assert_eq!(
-            io.read_range(&file, 8, 3).unwrap_err().kind(),
-            io::ErrorKind::UnexpectedEof
-        );
-        assert_eq!(
-            io.read_range(&file, 11, 0).unwrap_err().kind(),
-            io::ErrorKind::UnexpectedEof
-        );
-        // The faulty view reads without burning a crash-point op.
-        let faulty = disk.fault_io(1, TornTail::Drop);
-        assert_eq!(faulty.read_range(&file, 3, 4).unwrap(), b"3456");
-        assert!(!faulty.crashed());
-    }
-
-    #[test]
-    fn real_io_read_range_matches_default() {
-        let dir = std::env::temp_dir().join(format!("tvq-io-range-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("r.bin");
-        let io = RealIo;
-        io.write_file(&file, b"abcdefgh").unwrap();
-        assert_eq!(io.read_range(&file, 2, 3).unwrap(), b"cde");
-        assert_eq!(
-            io.read_range(&file, 7, 2).unwrap_err().kind(),
-            io::ErrorKind::UnexpectedEof
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

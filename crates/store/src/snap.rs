@@ -11,13 +11,15 @@
 //! sequence). The payload is opaque to this module — the engine's own
 //! versioned codec lives in `tvq-engine`.
 //!
-//! Writes are crash-atomic: the bytes go to a `.tmp` file, which is
-//! fsynced, renamed into place, and the directory fsynced — a crash at any
-//! point leaves either the old set of snapshots or the old set plus the
-//! complete new one, never a half-written `.snap`. [`load_latest`] walks
-//! snapshots newest-first and falls back past corrupt ones (reporting how
-//! many were skipped), so one bad checkpoint costs an epoch of replay, not
-//! the store.
+//! The trailing checksum is the store's one whole-file seal ([`seal`] /
+//! [`unseal`]) and writes go through its one atomic publish ([`publish`]):
+//! the bytes go to a `.tmp` file, which is fsynced, renamed into place, and
+//! the directory fsynced — a crash at any point leaves either the old set
+//! of snapshots or the old set plus the complete new one, never a
+//! half-written `.snap`. The engine's fleet catalog uses the same pair.
+//! [`load_latest`] walks snapshots newest-first and falls back past corrupt
+//! ones (reporting how many were skipped), so one bad checkpoint costs an
+//! epoch of replay, not the store.
 //!
 //! [`load_latest`]: SnapshotStore::load_latest
 
@@ -26,7 +28,7 @@ use std::path::{Path, PathBuf};
 use tvq_common::codec::{crc32, Decoder, Encoder};
 use tvq_common::{Error, Result};
 
-use crate::io::SharedIo;
+use crate::io::{SharedIo, StoreIo};
 
 const MAGIC: [u8; 4] = *b"TVQS";
 const VERSION: u32 = 1;
@@ -37,6 +39,48 @@ pub const KEEP_SNAPSHOTS: usize = 2;
 
 fn store_err(context: &str, err: std::io::Error) -> Error {
     Error::Store(format!("{context}: {err}"))
+}
+
+/// Closes `body` with the CRC-32 (little-endian) of every byte before it.
+pub fn seal(mut body: Vec<u8>) -> Vec<u8> {
+    let crc = crc32(&body);
+    body.extend_from_slice(&crc.to_le_bytes());
+    body
+}
+
+/// Verifies and strips the trailer [`seal`] wrote, returning the body.
+/// Anything else is [`Error::Corrupt`], naming `what` failed the check.
+pub fn unseal<'a>(bytes: &'a [u8], what: &str) -> Result<&'a [u8]> {
+    let (body, crc) = bytes
+        .split_last_chunk::<4>()
+        .ok_or_else(|| Error::Corrupt(format!("{what} shorter than its checksum")))?;
+    if crc32(body).to_le_bytes() != *crc {
+        return Err(Error::Corrupt(format!("{what} checksum mismatch")));
+    }
+    Ok(body)
+}
+
+/// Atomically replaces `dir/dest` with `bytes`: staged to `dir/tmp`,
+/// fsynced, renamed into place, directory fsynced — after a crash at any
+/// point `dest` holds either its complete old contents or the complete new
+/// ones. A failure is [`Error::Store`] naming the step and `what`.
+pub fn publish(
+    io: &dyn StoreIo,
+    dir: &Path,
+    tmp: &str,
+    dest: &str,
+    bytes: &[u8],
+    what: &str,
+) -> Result<()> {
+    let fail = |verb: &'static str, object: &'static str| {
+        move |e: std::io::Error| Error::Store(format!("{verb} {what} {object}: {e}"))
+    };
+    let (tmp, dest) = (dir.join(tmp), dir.join(dest));
+    io.write_file(&tmp, bytes).map_err(fail("write", "temp"))?;
+    io.fsync(&tmp).map_err(fail("fsync", "temp"))?;
+    io.rename(&tmp, &dest)
+        .map_err(fail("rename", "into place"))?;
+    io.fsync_dir(dir).map_err(fail("fsync", "dir"))
 }
 
 fn snapshot_name(seq: u64) -> String {
@@ -112,23 +156,11 @@ impl SnapshotStore {
         enc.put_u64(seq);
         let mut bytes = enc.into_bytes();
         bytes.extend_from_slice(payload);
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
+        let bytes = seal(bytes);
 
-        let tmp = self.dir.join(format!("snap-{seq:020}.tmp"));
-        let dest = self.dir.join(snapshot_name(seq));
-        self.io
-            .write_file(&tmp, &bytes)
-            .map_err(|e| store_err("write snapshot temp", e))?;
-        self.io
-            .fsync(&tmp)
-            .map_err(|e| store_err("fsync snapshot temp", e))?;
-        self.io
-            .rename(&tmp, &dest)
-            .map_err(|e| store_err("rename snapshot into place", e))?;
-        self.io
-            .fsync_dir(&self.dir)
-            .map_err(|e| store_err("fsync snapshot dir", e))?;
+        let tmp = format!("snap-{seq:020}.tmp");
+        let dest = snapshot_name(seq);
+        publish(&*self.io, &self.dir, &tmp, &dest, &bytes, "snapshot")?;
         self.written += 1;
         self.bytes += bytes.len() as u64;
         self.fsyncs += 2;
@@ -178,17 +210,7 @@ impl SnapshotStore {
             .io
             .read(&path)
             .map_err(|e| store_err("read snapshot", e))?;
-        if bytes.len() < 4 {
-            return Err(Error::Corrupt("snapshot shorter than its checksum".into()));
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(body) != crc {
-            return Err(Error::Corrupt(format!(
-                "snapshot {} checksum mismatch",
-                path.display()
-            )));
-        }
+        let body = unseal(&bytes, &format!("snapshot {}", path.display()))?;
         let mut dec = Decoder::new(body);
         dec.check_header(MAGIC, VERSION)?;
         let stored_seq = dec.take_u64()?;
@@ -232,7 +254,7 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::MemDisk;
+    use crate::io::{MemDisk, TornTail};
 
     fn dir() -> PathBuf {
         PathBuf::from("/snaps")
@@ -297,14 +319,53 @@ mod tests {
         let mut enc = Encoder::new();
         enc.put_header(MAGIC, VERSION + 1);
         enc.put_u64(8);
-        let mut bytes = enc.into_bytes();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
+        let bytes = seal(enc.into_bytes());
         disk.io()
             .write_file(&dir().join(snapshot_name(8)), &bytes)
             .unwrap();
         let err = store.load_latest().unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    /// A crash at every mutating op of [`publish`], under every torn-tail
+    /// policy, leaves the destination holding the complete old sealed
+    /// payload or the complete new one (or, on a first publish, nothing) —
+    /// `unseal` never returns a third.
+    #[test]
+    fn publish_crash_sweep_leaves_old_or_new_never_a_third() {
+        let (old, new) = (seal(b"old payload".to_vec()), seal(b"the new one".to_vec()));
+        let dest = dir().join("file.bin");
+        for first_publish in [true, false] {
+            for torn in [TornTail::Keep, TornTail::Tear, TornTail::Drop] {
+                for crash_at in 1.. {
+                    let disk = MemDisk::new();
+                    if !first_publish {
+                        publish(&*disk.io(), &dir(), "file.tmp", "file.bin", &old, "file").unwrap();
+                    }
+                    let io = disk.fault_io(crash_at, torn);
+                    let result = publish(&*io, &dir(), "file.tmp", "file.bin", &new, "file");
+                    let case = format!("first {first_publish}, {torn:?}, crash at op {crash_at}");
+                    if !disk.io().exists(&dest) {
+                        assert!(first_publish && result.is_err(), "{case}: destination lost");
+                        continue;
+                    }
+                    let bytes = disk.io().read(&dest).unwrap();
+                    let body = unseal(&bytes, "file").unwrap_or_else(|e| panic!("{case}: {e}"));
+                    if !io.crashed() {
+                        result.unwrap();
+                        assert_eq!(body, b"the new one", "{case}");
+                        assert_eq!(crash_at, 5, "publish is exactly four mutating ops");
+                        break;
+                    }
+                    let err = result.unwrap_err().to_string();
+                    assert!(matches!(body, b"old payload" | b"the new one"), "{case}");
+                    assert!(
+                        err.contains("file") && err.contains("injected crash"),
+                        "{err}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! pedestrian videos (M1, M2), characterised by the statistics in Table 6.
 //! We cannot ship those videos, so each profile records the target statistics
 //! and the [statistical generator](crate::generator) synthesises a structured
-//! relation matching them; `repro_table6` then verifies the match.
+//! relation matching them; `repro table6` then verifies the match.
 
 use tvq_common::DatasetStats;
 
