@@ -13,11 +13,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use tvq_common::{
-    ClassId, DatasetStats, FeedId, FrameId, FrameObjects, MemoConfig, ObjectId, VideoRelation,
-    WindowSpec,
-};
-use tvq_core::{CompactionPolicy, MaintainerKind, MaintenanceMetrics};
+use tvq_common::{DatasetStats, FeedId, FrameObjects, VideoRelation, WindowSpec};
+use tvq_core::{CompactionPolicy, MaintainerKind};
 use tvq_engine::{
     EngineConfig, FeedFrame, MultiFeedConfig, MultiFeedEngine, SchedulingStats,
     TemporalVideoQueryEngine,
@@ -300,25 +297,6 @@ pub fn instrumented_summary(scale: Scale) -> Vec<MaintainerTiming> {
         }
     }
     timings
-}
-
-/// A stable surveillance scene: 24 tracked objects (alternating car/person
-/// classes) that all co-occur, with a rolling occlusion hiding one object
-/// for a stretch of frames at a time. Frame object sets repeat for long runs
-/// — the workload sliding-window MCOS maintenance is designed for, and the
-/// one where the interner's memoization pays most.
-fn stable_scene(frames: u64) -> Vec<FrameObjects> {
-    const OBJECTS: u32 = 24;
-    (0..frames)
-        .map(|i| {
-            let occluded = ((i / 40) % u64::from(OBJECTS)) as u32;
-            let detections = (0..OBJECTS)
-                .filter(|&obj| !(obj == occluded && i % 40 < 12))
-                .map(|obj| (ObjectId(obj), ClassId((obj % 2) as u16)))
-                .collect();
-            FrameObjects::new(FrameId(i), detections)
-        })
-        .collect()
 }
 
 /// One skewed-grid ingestion run of one scheduler configuration.
@@ -667,22 +645,18 @@ pub fn id_reuse(scale: Scale) -> Vec<IdReuseRun> {
     })
 }
 
-/// Builds the engine every churn/id-reuse/memo run uses: the shared
-/// two-query workload over a 60/40 window (smaller than the paper default:
-/// the workloads' point is object turnover, not window stress), with the
-/// run's maintainer, compaction and memo knobs applied.
+/// Builds the engine every churn/id-reuse run uses: the shared two-query
+/// workload over a 60/40 window (smaller than the paper default: the
+/// workloads' point is object turnover, not window stress), with the run's
+/// maintainer and compaction knobs applied.
 fn build_churn_bench_engine(
     kind: MaintainerKind,
     compaction: Option<CompactionPolicy>,
-    memo: Option<MemoConfig>,
 ) -> TemporalVideoQueryEngine {
     let window = WindowSpec::new(60, 40).expect("static spec is valid");
-    let mut config = EngineConfig::new(window)
+    let config = EngineConfig::new(window)
         .with_maintainer(kind)
         .with_compaction(compaction);
-    if let Some(memo) = memo {
-        config = config.with_memo(memo);
-    }
     TemporalVideoQueryEngine::builder(config)
         .with_query_text("car >= 2 AND person >= 1")
         .expect("query parses")
@@ -735,7 +709,7 @@ fn off_on_runs<const N: usize>(
             let (mut peak_bytes, mut peak_population, mut prev_bytes) = (0u64, 0u64, 0u64);
             let mut first_epoch_ceiling = None;
             let timing = ingest(
-                build_churn_bench_engine(kind, compaction, None),
+                build_churn_bench_engine(kind, compaction),
                 frames,
                 format!("{}/{label}", kind.name()),
                 |engine, index| {
@@ -761,50 +735,6 @@ fn off_on_runs<const N: usize>(
         }
     }
     runs
-}
-
-/// Intersection-memo hit rate of a run (0 when no intersections happened).
-pub fn memo_hit_rate(metrics: &MaintenanceMetrics) -> f64 {
-    let total = metrics.intersection_cache_hits + metrics.intersection_cache_misses;
-    if total == 0 {
-        0.0
-    } else {
-        metrics.intersection_cache_hits as f64 / total as f64
-    }
-}
-
-/// **Memo adaptivity** — NAIVE over the stable scene (the workload whose
-/// live state count dwarfs any fixed memo): the pre-adaptive fixed
-/// 32k-slot cache versus the adaptive policy. The gate demands the
-/// adaptive run's hit rate beat the fixed baseline's.
-///
-/// The gated quantities (hits, misses, slot counts) are deterministic —
-/// identical on every run — but the reported seconds are wall-clock, so
-/// the two variants run as **three interleaved A/B pairs** on one core and
-/// each reports its best round (never comparing timings taken minutes
-/// apart). Returns the `fixed32k` run, then the `adaptive` one.
-pub fn id_reuse_memo_comparison() -> Vec<MaintainerTiming> {
-    const ROUNDS: usize = 3;
-    let frames = stable_scene(600);
-    let variants = [
-        ("fixed32k", MemoConfig::fixed(15)),
-        ("adaptive", MemoConfig::adaptive()),
-    ];
-    let mut best: Vec<Option<MaintainerTiming>> = vec![None, None];
-    for _ in 0..ROUNDS {
-        for (slot, (label, memo)) in best.iter_mut().zip(variants) {
-            let policy = Some(CompactionPolicy::default_policy());
-            let engine = build_churn_bench_engine(MaintainerKind::Naive, policy, Some(memo));
-            let run = ingest(engine, &frames, label.to_owned(), |_, _| {});
-            if slot
-                .as_ref()
-                .is_none_or(|incumbent| run.seconds < incumbent.seconds)
-            {
-                *slot = Some(run);
-            }
-        }
-    }
-    best.into_iter().flatten().collect()
 }
 
 /// Renders a per-dataset experiment as printable text: one table per
@@ -1084,7 +1014,6 @@ pub fn baseline_outgrows(runs: &[IdReuseRun]) -> Vec<(String, bool)> {
 
 fn id_reuse_output(experiment: &Experiment, scale: Scale) -> Output {
     let runs = id_reuse(scale);
-    let memo = id_reuse_memo_comparison();
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|run| {
@@ -1103,43 +1032,8 @@ fn id_reuse_output(experiment: &Experiment, scale: Scale) -> Output {
         ("epochs", 10),
         ("generations", 12),
     ];
-    let memo_rows: Vec<Vec<String>> = memo
-        .iter()
-        .map(|run| {
-            vec![
-                run.method.clone(),
-                run.metrics.intersection_cache_hits.to_string(),
-                run.metrics.intersection_cache_misses.to_string(),
-                format!("{:.1}%", memo_hit_rate(&run.metrics) * 100.0),
-                run.metrics.intersection_cache_resizes.to_string(),
-                run.metrics.intersection_cache_slots.to_string(),
-            ]
-        })
-        .collect();
-    let memo_columns = [
-        (experiment.x_label, 10),
-        ("hits", 10),
-        ("misses", 12),
-        ("hit rate", 12),
-        ("resizes", 10),
-        ("slots", 10),
-    ];
-    let text = format!(
-        "{}\n{}",
-        text_table(experiment.title, &columns, &rows),
-        text_table(
-            "Intersection memo on NAIVE/stable (fixed 32k vs. adaptive)",
-            &memo_columns,
-            &memo_rows
-        )
-    );
-
     let on = || runs.iter().filter(|run| run.enabled());
     let outgrows = baseline_outgrows(&runs);
-    let (fixed_rate, adaptive_rate) = (
-        memo_hit_rate(&memo[0].metrics) * 100.0,
-        memo_hit_rate(&memo[1].metrics) * 100.0,
-    );
     let mut gates: Vec<Gate> = on()
         .map(|run| Gate {
             ok: run.passes_engine_memory_gate(),
@@ -1156,15 +1050,7 @@ fn id_reuse_output(experiment: &Experiment, scale: Scale) -> Output {
         ok: *ok,
         claim: format!("{method}: append-history baseline outgrows the retiring run"),
     }));
-    gates.push(Gate {
-        ok: adaptive_rate > fixed_rate,
-        claim: format!("memo: adaptive hit rate {adaptive_rate:.1}% > fixed {fixed_rate:.1}%"),
-    });
 
-    let memo_timings = memo.iter().map(|run| MaintainerTiming {
-        method: format!("NAIVE/stable/{}", run.method),
-        ..run.clone()
-    });
     let gate_inputs = on().map(|run| {
         let metrics = &run.timing.metrics;
         JsonValue::obj([
@@ -1190,27 +1076,13 @@ fn id_reuse_output(experiment: &Experiment, scale: Scale) -> Output {
             ("outgrows", (*ok).into()),
         ])
     });
-    let memo_json = memo.iter().map(|run| {
-        JsonValue::obj([
-            ("method", run.method.as_str().into()),
-            ("hits", run.metrics.intersection_cache_hits.into()),
-            ("misses", run.metrics.intersection_cache_misses.into()),
-            ("resizes", run.metrics.intersection_cache_resizes.into()),
-            ("slots", run.metrics.intersection_cache_slots.into()),
-            ("hit_rate", memo_hit_rate(&run.metrics).into()),
-            ("seconds", run.seconds.into()),
-        ])
-    });
     let mut extras = trajectories_json(ID_REUSE_GAUGES, &runs);
     extras.push(("gate".to_owned(), gate_inputs.collect()));
     extras.push(("baseline_outgrows".to_owned(), outgrows_json.collect()));
-    extras.push(("memo".to_owned(), memo_json.collect()));
     Output {
-        text,
+        text: text_table(experiment.title, &columns, &rows),
         report: ScenarioReport {
-            maintainers: (runs.iter().map(|run| run.timing.clone()))
-                .chain(memo_timings)
-                .collect(),
+            maintainers: runs.iter().map(|run| run.timing.clone()).collect(),
             extras,
             ..ScenarioReport::new(experiment.name, scale)
         },

@@ -15,7 +15,7 @@
 //! | `fig9` | [`experiments::fig9`] | Figure 9 (pruning vs n_min) |
 //! | `fig10` | [`experiments::fig10`] | Figure 10 (end-to-end per query) |
 //! | `long_churn` | [`experiments::long_churn`] | arena plateau under compaction (gated) |
-//! | `id_reuse` | [`experiments::id_reuse`] | engine-memory plateau under retirement, adaptive memo (gated) |
+//! | `id_reuse` | [`experiments::id_reuse`] | engine-memory plateau under retirement (gated) |
 //! | `skew` | [`experiments::skew`] | work stealing vs static sharding (gated) |
 //!
 //! `--quick` runs a reduced-size configuration (shorter feeds, smaller

@@ -10,7 +10,7 @@
 //!
 //! One test per scenario so they run in parallel.
 
-use tvq_bench::experiments::{self, memo_hit_rate};
+use tvq_bench::experiments;
 use tvq_bench::Scale;
 
 #[test]
@@ -50,21 +50,6 @@ fn id_reuse_engine_memory_plateaus_and_the_baseline_outgrows_it() {
     assert_eq!(
         experiments::baseline_outgrows(&runs),
         [("MFS".to_owned(), true), ("SSG".to_owned(), true)]
-    );
-}
-
-#[test]
-fn adaptive_memo_beats_the_fixed_one_on_the_stable_scene() {
-    let memo = experiments::id_reuse_memo_comparison();
-    let methods: Vec<&str> = memo.iter().map(|run| run.method.as_str()).collect();
-    assert_eq!(methods, ["fixed32k", "adaptive"]);
-    let (fixed, adaptive) = (
-        memo_hit_rate(&memo[0].metrics),
-        memo_hit_rate(&memo[1].metrics),
-    );
-    assert!(
-        adaptive > fixed,
-        "adaptive hit rate {adaptive} <= fixed {fixed}"
     );
 }
 

@@ -6,31 +6,83 @@
 //! co-occurrence object set: once every key frame has expired from the
 //! window the state is invalid and can be pruned (Theorem 1).
 //!
-//! [`MarkedFrameSet`] stores the frames of one state in arrival order,
-//! together with a mark bit per frame, and maintains counters so that
-//! validity (`has_marked`) and satisfaction (`len() >= d`) are O(1) and
-//! window expiry is O(number of expired frames).
+//! A state's frames all lie in one window, so [`MarkedFrameSet`] is a
+//! window-relative pair of bitsets: a `base` frame id plus, per 64 frames
+//! from it, one word of membership bits and one word of mark bits (bit `i`
+//! of word `j` ↔ frame `base + 64 j + i`). Spans of up to 128 frames live
+//! inline; longer windows (the paper's `w = 300`) spill to the heap. Every
+//! operation the maintainers run per state per frame is a few word
+//! operations: `push`/`mark` set a bit, `expire_before` is a shift,
+//! `len`/`has_marked` are popcounts, `merge_from` (the paper's
+//! `merge(Fs, Fns)`) is align-and-OR, and `inherit_marks` (Frame Marking
+//! Rule 2) is an AND-OR. The set is lossless — it holds exactly the
+//! `(frame, marked)` pairs pushed or merged into it until they are expired —
+//! and makes no assumption that frame ids are consecutive. Its span is only
+//! bounded by the caller expiring before it pushes, which every maintainer
+//! does.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use crate::ids::FrameId;
 
-/// A set of frame identifiers in increasing order, each optionally *marked*
-/// as a key frame.
-#[derive(Clone, Default, PartialEq, Eq)]
+/// The `[present, marked]` bits of 64 consecutive frames.
+type Lanes = [u64; 2];
+const PRESENT: usize = 0;
+const MARKED: usize = 1;
+
+/// Words held inline: spans of up to `64 * INLINE_WORDS` frames never
+/// touch the heap.
+const INLINE_WORDS: usize = 2;
+
+#[derive(Clone)]
+enum Words {
+    Inline([Lanes; INLINE_WORDS]),
+    Heap(Vec<Lanes>),
+}
+
+impl Words {
+    fn zeroed(len: usize) -> Words {
+        if len <= INLINE_WORDS {
+            Words::Inline([[0; 2]; INLINE_WORDS])
+        } else {
+            Words::Heap(vec![[0; 2]; len])
+        }
+    }
+}
+
+/// The set bit positions of `word`, ascending.
+fn bits(mut word: u64) -> impl Iterator<Item = u64> {
+    std::iter::from_fn(move || {
+        if word == 0 {
+            return None;
+        }
+        let bit = u64::from(word.trailing_zeros());
+        word &= word - 1;
+        Some(bit)
+    })
+}
+
+/// A set of frame identifiers, each optionally *marked* as a key frame.
+#[derive(Clone)]
 pub struct MarkedFrameSet {
-    frames: VecDeque<(FrameId, bool)>,
-    marked: usize,
+    /// The frame id of bit 0 of word 0; no member is older.
+    base: u64,
+    words: Words,
+}
+
+impl Default for MarkedFrameSet {
+    fn default() -> Self {
+        MarkedFrameSet {
+            base: 0,
+            words: Words::zeroed(0),
+        }
+    }
 }
 
 impl MarkedFrameSet {
     /// Creates an empty frame set.
     pub fn new() -> Self {
-        MarkedFrameSet {
-            frames: VecDeque::new(),
-            marked: 0,
-        }
+        MarkedFrameSet::default()
     }
 
     /// Creates a frame set containing a single frame.
@@ -40,185 +92,204 @@ impl MarkedFrameSet {
         set
     }
 
+    #[inline]
+    fn words(&self) -> &[Lanes] {
+        match &self.words {
+            Words::Inline(words) => words,
+            Words::Heap(words) => words,
+        }
+    }
+
+    #[inline]
+    fn words_mut(&mut self) -> &mut [Lanes] {
+        match &mut self.words {
+            Words::Inline(words) => words,
+            Words::Heap(words) => words,
+        }
+    }
+
+    /// How many 64-frame words the set holds per lane: 2 while it fits
+    /// inline, the span's word count above that (diagnostics and tests).
+    pub fn word_count(&self) -> usize {
+        self.words().len()
+    }
+
+    fn count(&self, lane: usize) -> usize {
+        self.words()
+            .iter()
+            .map(|word| word[lane].count_ones() as usize)
+            .sum()
+    }
+
     /// Number of frames in the set.
     #[inline]
     pub fn len(&self) -> usize {
-        self.frames.len()
+        self.count(PRESENT)
     }
 
     /// Whether the set contains no frames.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.words().iter().all(|word| word[PRESENT] == 0)
     }
 
     /// Number of marked (key) frames.
     #[inline]
     pub fn marked_count(&self) -> usize {
-        self.marked
+        self.count(MARKED)
     }
 
     /// Whether at least one frame is marked — per Theorem 1 / Theorem 4 this
     /// is exactly the condition under which the owning state is valid.
     #[inline]
     pub fn has_marked(&self) -> bool {
-        self.marked > 0
+        self.words().iter().any(|word| word[MARKED] != 0)
+    }
+
+    fn frame_at(&self, word: usize, bit: u32) -> FrameId {
+        FrameId(self.base + 64 * word as u64 + u64::from(bit))
     }
 
     /// The earliest frame in the set, if any.
     pub fn first(&self) -> Option<FrameId> {
-        self.frames.front().map(|&(f, _)| f)
+        let index = self.words().iter().position(|word| word[PRESENT] != 0)?;
+        Some(self.frame_at(index, self.words()[index][PRESENT].trailing_zeros()))
     }
 
     /// The latest frame in the set, if any.
     pub fn last(&self) -> Option<FrameId> {
-        self.frames.back().map(|&(f, _)| f)
+        let index = self.words().iter().rposition(|word| word[PRESENT] != 0)?;
+        Some(self.frame_at(index, 63 - self.words()[index][PRESENT].leading_zeros()))
+    }
+
+    /// The word index and bit mask of `frame`, when the words cover it.
+    #[inline]
+    fn slot(&self, frame: FrameId) -> Option<(usize, u64)> {
+        let offset = frame.raw().checked_sub(self.base)?;
+        let index = usize::try_from(offset / 64).ok()?;
+        (index < self.words().len()).then_some((index, 1 << (offset % 64)))
+    }
+
+    fn test(&self, frame: FrameId, lane: usize) -> bool {
+        self.slot(frame)
+            .is_some_and(|(index, bit)| self.words()[index][lane] & bit != 0)
     }
 
     /// Whether `frame` is a member of the set.
     pub fn contains(&self, frame: FrameId) -> bool {
-        self.position(frame).is_some()
+        self.test(frame, PRESENT)
     }
 
     /// Whether `frame` is a member and marked.
     pub fn is_marked(&self, frame: FrameId) -> bool {
-        self.position(frame)
-            .map(|idx| self.frames[idx].1)
-            .unwrap_or(false)
+        self.test(frame, MARKED)
     }
 
-    fn position(&self, frame: FrameId) -> Option<usize> {
-        // Frames are stored in increasing order; binary search over the deque.
-        let (front, back) = self.frames.as_slices();
-        if let Ok(idx) = front.binary_search_by_key(&frame, |&(f, _)| f) {
-            return Some(idx);
-        }
-        if let Ok(idx) = back.binary_search_by_key(&frame, |&(f, _)| f) {
-            return Some(front.len() + idx);
-        }
-        None
+    /// Both lanes' bits for the 64 frames from `start` on, wherever `start`
+    /// lies relative to the base — the one place words are shifted.
+    fn lanes_from(&self, start: u64) -> Lanes {
+        let words = self.words();
+        let at = |index: u64| match usize::try_from(index) {
+            Ok(index) if index < words.len() => words[index],
+            _ => [0; 2],
+        };
+        let (low, high, shift) = match start.checked_sub(self.base) {
+            Some(offset) => (at(offset / 64), at(offset / 64 + 1), offset % 64),
+            // `start` lies before the base: word 0 is the high half of the
+            // span if it reaches into it at all.
+            None if self.base - start < 64 => ([0; 2], words[0], 64 - (self.base - start)),
+            None => return [0; 2],
+        };
+        [PRESENT, MARKED].map(|lane| match shift {
+            0 => low[lane],
+            _ => (low[lane] >> shift) | (high[lane] << (64 - shift)),
+        })
     }
 
-    /// Appends a frame. Frames must be appended in strictly increasing order;
-    /// appending a frame already at the tail merges the mark flags (a frame
-    /// stays marked once marked).
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug assertions only) if `frame` is smaller than the current
-    /// last frame.
+    /// Makes every frame of `lo..=hi` addressable, keeping the contents: the
+    /// words are re-laid from the first frame of the union of the set's own
+    /// span and the requested one.
+    fn reserve(&mut self, lo: u64, hi: u64) {
+        if lo >= self.base && (hi - self.base) / 64 < self.words().len() as u64 {
+            return;
+        }
+        let old = std::mem::take(self);
+        let (lo, hi) = match (old.first(), old.last()) {
+            (Some(first), Some(last)) => (lo.min(first.raw()), hi.max(last.raw())),
+            _ => (lo, hi),
+        };
+        self.base = lo;
+        self.words = Words::zeroed(((hi - lo) / 64 + 1) as usize);
+        for (index, word) in self.words_mut().iter_mut().enumerate() {
+            *word = old.lanes_from(lo + 64 * index as u64);
+        }
+    }
+
+    /// Adds a frame; adding one already present merges the mark flags (a
+    /// frame stays marked once marked). Maintainers append in increasing
+    /// order and expire before they push, which is what keeps the span —
+    /// and so the word count — within the window.
     pub fn push(&mut self, frame: FrameId, marked: bool) {
-        if let Some(&(last, last_marked)) = self.frames.back() {
-            debug_assert!(
-                frame >= last,
-                "frames must be appended in increasing order ({last} then {frame})"
-            );
-            if frame == last {
-                if marked && !last_marked {
-                    self.frames.back_mut().expect("non-empty").1 = true;
-                    self.marked += 1;
-                }
-                return;
-            }
-        }
-        self.frames.push_back((frame, marked));
+        self.reserve(frame.raw(), frame.raw());
+        let (index, bit) = self.slot(frame).expect("reserved above");
+        let word = &mut self.words_mut()[index];
+        word[PRESENT] |= bit;
         if marked {
-            self.marked += 1;
+            word[MARKED] |= bit;
         }
     }
 
     /// Marks an existing frame as a key frame. Returns `true` when the frame
     /// is present (whether or not it was already marked).
     pub fn mark(&mut self, frame: FrameId) -> bool {
-        match self.position(frame) {
-            Some(idx) => {
-                if !self.frames[idx].1 {
-                    self.frames[idx].1 = true;
-                    self.marked += 1;
-                }
+        match self.slot(frame) {
+            Some((index, bit)) if self.words()[index][PRESENT] & bit != 0 => {
+                self.words_mut()[index][MARKED] |= bit;
                 true
             }
-            None => false,
+            _ => false,
         }
     }
 
-    /// Removes every frame strictly older than `oldest_valid`, returning how
-    /// many frames were removed.
-    pub fn expire_before(&mut self, oldest_valid: FrameId) -> usize {
-        let mut removed = 0;
-        while let Some(&(frame, marked)) = self.frames.front() {
-            if frame >= oldest_valid {
-                break;
-            }
-            if marked {
-                self.marked -= 1;
-            }
-            self.frames.pop_front();
-            removed += 1;
+    /// Removes every frame strictly older than `oldest_valid` by shifting
+    /// the words down to a base of `oldest_valid`. A jump in frame ids
+    /// larger than the span simply clears the set.
+    pub fn expire_before(&mut self, oldest_valid: FrameId) {
+        let oldest = oldest_valid.raw();
+        if oldest <= self.base {
+            return;
         }
-        removed
+        // In place: word `index` is rebuilt from words at or above it.
+        for index in 0..self.words().len() {
+            let lanes = self.lanes_from(oldest + 64 * index as u64);
+            self.words_mut()[index] = lanes;
+        }
+        self.base = oldest;
+        if let Words::Heap(words) = &mut self.words {
+            let used = words.iter().rposition(|word| word[PRESENT] != 0);
+            let used = used.map_or(0, |index| index + 1);
+            if used <= INLINE_WORDS {
+                let mut inline = [[0; 2]; INLINE_WORDS];
+                inline[..used].copy_from_slice(&words[..used]);
+                self.words = Words::Inline(inline);
+            } else {
+                words.truncate(used);
+            }
+        }
     }
 
     /// Iterates over `(frame, marked)` pairs in increasing frame order.
     pub fn iter(&self) -> impl Iterator<Item = (FrameId, bool)> + '_ {
-        self.frames.iter().copied()
+        let words = self.words().iter().enumerate();
+        words.flat_map(move |(index, &[present, marked])| {
+            bits(present)
+                .map(move |bit| (self.frame_at(index, bit as u32), (marked >> bit) & 1 == 1))
+        })
     }
 
     /// Iterates over the frame identifiers only.
     pub fn frames(&self) -> impl Iterator<Item = FrameId> + '_ {
-        self.frames.iter().map(|&(f, _)| f)
-    }
-
-    /// Iterates over the marked (key) frames only.
-    pub fn marked_frames(&self) -> impl Iterator<Item = FrameId> + '_ {
-        self.frames
-            .iter()
-            .filter_map(|&(f, m)| if m { Some(f) } else { None })
-    }
-
-    /// Returns `true` when merging `other` into `self` would change nothing:
-    /// every frame of `other` is already present, with its mark subsumed.
-    /// Linear scan, no allocation — this is the dominant case in the SSG
-    /// traversal, where a child's frame set usually already covers the
-    /// parent frames being propagated.
-    fn subsumes(&self, other: &MarkedFrameSet) -> bool {
-        if other.len() > self.len() {
-            return false;
-        }
-        match (self.first(), self.last(), other.first(), other.last()) {
-            (Some(first), Some(last), Some(other_first), Some(other_last)) => {
-                if other_first < first || other_last > last {
-                    return false;
-                }
-            }
-            _ => return other.is_empty(),
-        }
-        let mut own = self.frames.iter();
-        'outer: for &(frame, marked) in other.frames.iter() {
-            for &(own_frame, own_marked) in own.by_ref() {
-                if own_frame == frame {
-                    if marked && !own_marked {
-                        return false;
-                    }
-                    continue 'outer;
-                }
-                if own_frame > frame {
-                    return false;
-                }
-            }
-            return false;
-        }
-        true
-    }
-
-    /// Whether the set covers every frame between its first and last member
-    /// (no gaps). O(1) from the counters.
-    #[inline]
-    fn is_contiguous(&self) -> bool {
-        match (self.first(), self.last()) {
-            (Some(first), Some(last)) => last.raw() - first.raw() + 1 == self.len() as u64,
-            _ => true,
-        }
+        self.iter().map(|(frame, _)| frame)
     }
 
     /// Merges the frames (and marks) of `other` into `self`.
@@ -227,70 +298,52 @@ impl MarkedFrameSet {
     /// Marking Procedure: the result contains the union of both frame sets,
     /// and a frame is marked if it is marked in either input.
     pub fn merge_from(&mut self, other: &MarkedFrameSet) {
-        if other.is_empty() {
+        let (Some(first), Some(last)) = (other.first(), other.last()) else {
             return;
+        };
+        self.reserve(first.raw(), last.raw());
+        let base = self.base;
+        for (index, word) in self.words_mut().iter_mut().enumerate() {
+            let lanes = other.lanes_from(base + 64 * index as u64);
+            *word = [word[PRESENT] | lanes[PRESENT], word[MARKED] | lanes[MARKED]];
         }
-        if self.is_empty() {
-            *self = other.clone();
-            return;
-        }
-        // Gap-free fast path: when `self` covers a contiguous frame range
-        // enclosing `other`, every frame of `other` is already present and
-        // the merge reduces to copying marks — the dominant case for
-        // long-lived states that co-occur every frame.
-        if self.is_contiguous() && other.first() >= self.first() && other.last() <= self.last() {
-            if other.marked > 0 {
-                for &(frame, marked) in other.frames.iter() {
-                    if marked {
-                        self.mark(frame);
-                    }
-                }
+    }
+
+    /// Frame Marking Rule 2 as one word-level pass: every key frame of
+    /// `parent` that this set already contains becomes a key frame here,
+    /// except the `arriving` frame (a mark on it is only ever set by the
+    /// frame's own principal state). No frame is added.
+    pub fn inherit_marks(&mut self, parent: &MarkedFrameSet, arriving: FrameId) {
+        let base = self.base;
+        let arriving = self.slot(arriving);
+        for (index, word) in self.words_mut().iter_mut().enumerate() {
+            let mut marks = parent.lanes_from(base + 64 * index as u64)[MARKED] & word[PRESENT];
+            if let Some((_, bit)) = arriving.filter(|&(at, _)| at == index) {
+                marks &= !bit;
             }
-            return;
+            word[MARKED] |= marks;
         }
-        if self.subsumes(other) {
-            return;
-        }
-        let mut merged: VecDeque<(FrameId, bool)> =
-            VecDeque::with_capacity(self.len() + other.len());
-        let mut marked = 0usize;
-        let mut a = self.frames.iter().copied().peekable();
-        let mut b = other.frames.iter().copied().peekable();
-        loop {
-            let next = match (a.peek().copied(), b.peek().copied()) {
-                (None, None) => break,
-                (Some(_), None) => a.next().expect("peeked"),
-                (None, Some(_)) => b.next().expect("peeked"),
-                (Some((fa, ma)), Some((fb, mb))) => {
-                    if fa < fb {
-                        a.next().expect("peeked")
-                    } else if fb < fa {
-                        b.next().expect("peeked")
-                    } else {
-                        a.next();
-                        b.next();
-                        (fa, ma || mb)
-                    }
-                }
-            };
-            if next.1 {
-                marked += 1;
-            }
-            merged.push_back(next);
-        }
-        self.frames = merged;
-        self.marked = marked;
     }
 }
+
+/// Two sets are equal when they hold the same `(frame, marked)` pairs,
+/// whatever base and storage each arrived at.
+impl PartialEq for MarkedFrameSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for MarkedFrameSet {}
 
 impl fmt::Debug for MarkedFrameSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (idx, (frame, marked)) in self.frames.iter().enumerate() {
+        for (idx, (frame, marked)) in self.iter().enumerate() {
             if idx > 0 {
                 write!(f, ",")?;
             }
-            if *marked {
+            if marked {
                 write!(f, "*")?;
             }
             write!(f, "{}", frame.raw())?;
@@ -363,14 +416,14 @@ mod tests {
     #[test]
     fn expiry_removes_old_frames_and_marks() {
         let mut s = fs(&[(0, true), (1, false), (2, true), (3, false)]);
-        let removed = s.expire_before(FrameId(2));
-        assert_eq!(removed, 2);
+        s.expire_before(FrameId(2));
         assert_eq!(s.frames().collect::<Vec<_>>(), [FrameId(2), FrameId(3)]);
         assert_eq!(s.marked_count(), 1);
         // Expiring before an older frame is a no-op.
-        assert_eq!(s.expire_before(FrameId(1)), 0);
+        s.expire_before(FrameId(1));
+        assert_eq!(s.len(), 2);
         // Expire everything.
-        assert_eq!(s.expire_before(FrameId(100)), 2);
+        s.expire_before(FrameId(100));
         assert!(s.is_empty());
         assert!(!s.has_marked());
     }
@@ -459,6 +512,89 @@ mod proptests {
                 // Frames stay strictly increasing.
                 let frames: Vec<_> = s.frames().collect();
                 prop_assert!(frames.windows(2).all(|w| w[0] < w[1]));
+            }
+        }
+
+        /// Model check against a `BTreeMap<frame, marked>`: two sets driven
+        /// through every operation with frame ids up to ~700, id gaps and
+        /// deep expiries, so word boundaries and the inline/heap spill are
+        /// crossed in both directions.
+        #[test]
+        fn agrees_with_a_btreemap_model(
+            ops in proptest::collection::vec((0u8..7, any::<bool>(), 0u64..400, any::<bool>()), 1..160),
+        ) {
+            use std::collections::BTreeMap;
+            let mut sets = [MarkedFrameSet::new(), MarkedFrameSet::new()];
+            let mut models = [BTreeMap::<u64, bool>::new(), BTreeMap::new()];
+            let mut now = 0u64;
+            for (op, second, value, flag) in ops {
+                let (dst, src) = if second { (1, 0) } else { (0, 1) };
+                match op {
+                    0 | 1 => {
+                        // Mostly consecutive frames, now and then a gap wider
+                        // than the inline span.
+                        now += if value < 360 { value % 3 } else { value - 200 };
+                        sets[dst].push(FrameId(now), flag);
+                        *models[dst].entry(now).or_insert(false) |= flag;
+                    }
+                    2 => {
+                        let frame = now.saturating_sub(value % 150);
+                        let present = sets[dst].mark(FrameId(frame));
+                        prop_assert_eq!(present, models[dst].contains_key(&frame));
+                        if let Some(marked) = models[dst].get_mut(&frame) {
+                            *marked = true;
+                        }
+                    }
+                    3 => {
+                        // Expiry runs on both sets, as the maintainers do
+                        // before they push or merge.
+                        let oldest = now.saturating_sub(value);
+                        for (set, model) in sets.iter_mut().zip(&mut models) {
+                            set.expire_before(FrameId(oldest));
+                            model.retain(|&frame, _| frame >= oldest);
+                            if model.is_empty() {
+                                prop_assert_eq!(set.word_count(), INLINE_WORDS);
+                            }
+                        }
+                    }
+                    4 | 5 => {
+                        let source = sets[src].clone();
+                        sets[dst].merge_from(&source);
+                        for (frame, marked) in models[src].clone() {
+                            *models[dst].entry(frame).or_insert(false) |= marked;
+                        }
+                    }
+                    _ => {
+                        let source = sets[src].clone();
+                        sets[dst].inherit_marks(&source, FrameId(now));
+                        for (frame, marked) in models[src].clone() {
+                            if marked && frame != now {
+                                if let Some(own) = models[dst].get_mut(&frame) {
+                                    *own = true;
+                                }
+                            }
+                        }
+                    }
+                }
+                for (set, model) in sets.iter().zip(&models) {
+                    let pairs: Vec<(u64, bool)> = set.iter().map(|(f, m)| (f.raw(), m)).collect();
+                    let expected: Vec<(u64, bool)> = model.iter().map(|(&f, &m)| (f, m)).collect();
+                    prop_assert_eq!(&pairs, &expected);
+                    prop_assert_eq!(set.len(), model.len());
+                    prop_assert_eq!(set.is_empty(), model.is_empty());
+                    prop_assert_eq!(set.marked_count(), model.values().filter(|&&m| m).count());
+                    prop_assert_eq!(set.has_marked(), model.values().any(|&m| m));
+                    prop_assert_eq!(set.first().map(FrameId::raw), model.keys().next().copied());
+                    prop_assert_eq!(set.last().map(FrameId::raw), model.keys().next_back().copied());
+                    for probe in [now, now.saturating_sub(63), now.saturating_sub(64), now + 1] {
+                        prop_assert_eq!(set.contains(FrameId(probe)), model.contains_key(&probe));
+                        prop_assert_eq!(set.is_marked(FrameId(probe)), model.get(&probe) == Some(&true));
+                    }
+                    // Equality is by content, whatever base and storage.
+                    let rebuilt: MarkedFrameSet =
+                        expected.iter().map(|&(f, m)| (FrameId(f), m)).collect();
+                    prop_assert_eq!(set, &rebuilt);
+                }
             }
         }
 

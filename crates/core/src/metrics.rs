@@ -52,7 +52,8 @@ pub struct MaintenanceMetrics {
     pub intersection_cache_hits: u64,
     /// Intersections that missed the memo and ran the word-parallel kernel.
     pub intersection_cache_misses: u64,
-    /// Memo resizes (adaptive grows plus compaction shrinks) so far.
+    /// Always 0: the memo has a fixed size. The field keeps its position
+    /// because the persisted metrics are an ordered field list.
     pub intersection_cache_resizes: u64,
     /// Current memo slot count. A gauge, sampled after each frame.
     pub intersection_cache_slots: u64,
@@ -129,7 +130,6 @@ impl MaintenanceMetrics {
         self.bitmap_bytes = interner.bitmap_bytes() as u64;
         self.intersection_cache_hits = interner.memo_hits();
         self.intersection_cache_misses = interner.memo_misses();
-        self.intersection_cache_resizes = interner.memo_resizes();
         self.intersection_cache_slots = interner.memo_slots() as u64;
     }
 

@@ -48,6 +48,9 @@ pub struct MfsMaintainer {
     /// (where every live state is contained in the arriving frame) does not
     /// allocate.
     appenders_scratch: Vec<SetId>,
+    /// Pooled pass-1 derivation list: a `(target, parent)` pair per live
+    /// state whose intersection with the arriving frame is proper.
+    derived_scratch: Vec<(SetId, SetId)>,
 }
 
 impl std::fmt::Debug for MfsMaintainer {
@@ -78,6 +81,7 @@ impl MfsMaintainer {
             core: Substrate::new(spec, interner, pruner),
             states: FxHashMap::default(),
             appenders_scratch: Vec::new(),
+            derived_scratch: Vec::new(),
         }
     }
 
@@ -112,12 +116,12 @@ impl MfsMaintainer {
 
         // Pass 1 (read-only): intersect every live state with the arriving
         // frame, recording which states are fully contained in the frame and
-        // which object sets are derived, along with the parents' key frames
-        // (snapshot, so that same-frame mark propagation stays deterministic).
+        // which object sets are derived from which parents.
         let mut appenders = std::mem::take(&mut self.appenders_scratch);
+        let mut derived = std::mem::take(&mut self.derived_scratch);
         appenders.clear();
-        let mut derived: FxHashMap<SetId, Vec<(SetId, Vec<FrameId>)>> = FxHashMap::default();
-        for (&sid, frames) in self.states.iter() {
+        derived.clear();
+        for &sid in self.states.keys() {
             self.core.metrics.intersections += 1;
             let inter = self.core.interner.intersect(sid, frame_sid);
             if inter.is_empty_set() {
@@ -125,16 +129,11 @@ impl MfsMaintainer {
             }
             if inter == sid {
                 // Fully contained in the arriving frame: only the frame id
-                // needs to be appended. A state never propagates marks onto
-                // itself, so there is no need to record it as a derivation
-                // source (this is the hot path on feeds with long-lived
-                // objects).
+                // needs to be appended (this is the hot path on feeds with
+                // long-lived objects).
                 appenders.push(sid);
             } else {
-                derived
-                    .entry(inter)
-                    .or_default()
-                    .push((sid, frames.marked_frames().collect()));
+                derived.push((inter, sid));
             }
         }
         self.core.metrics.states_visited += self.states.len() as u64;
@@ -149,18 +148,19 @@ impl MfsMaintainer {
         }
         self.appenders_scratch = appenders;
 
-        // Pass 2b: create states for intersections not yet materialised and
-        // propagate marks (Frame Marking Rule 2) onto existing targets.
-        for (&target, parents) in &derived {
-            if let Some(existing) = self.states.get_mut(&target) {
-                for &(parent_sid, ref parent_marks) in parents {
-                    if parent_sid == target {
-                        continue;
-                    }
-                    for &mark in parent_marks {
-                        if mark != frame {
-                            existing.mark(mark);
-                        }
+        // Pass 2b, one target at a time: propagate marks (Frame Marking
+        // Rule 2) onto a target that exists, create the one that does not.
+        // A target is a subset of the arriving frame and a parent is not, so
+        // no state is both: the parents still carry their pre-frame marks.
+        derived.sort_unstable();
+        for group in derived.chunk_by(|a, b| a.0 == b.0) {
+            let target = group[0].0;
+            if self.states.contains_key(&target) {
+                for (_, parent) in group {
+                    if let [Some(existing), Some(parent)] =
+                        self.states.get_disjoint_mut([&target, parent])
+                    {
+                        existing.inherit_marks(parent, frame);
                     }
                 }
                 continue;
@@ -168,27 +168,20 @@ impl MfsMaintainer {
             if self.core.is_terminated(target) {
                 continue;
             }
+            // A new state co-occurs in every frame any parent does, keeps
+            // their key frames (Rule 2), and gains the arriving frame.
             let mut frames = MarkedFrameSet::new();
-            for &(parent_sid, _) in parents {
-                if let Some(parent_frames) = self.states.get(&parent_sid) {
-                    frames.merge_from(parent_frames);
-                }
+            for (_, parent) in group {
+                frames.merge_from(&self.states[parent]);
             }
             frames.push(frame, false);
-            // Rule 2: marks are inherited from the parents' snapshots.
-            for (_, parent_marks) in parents {
-                for &mark in parent_marks {
-                    if mark != frame {
-                        frames.mark(mark);
-                    }
-                }
-            }
             if self.core.terminate_if_hopeless(target) {
                 continue;
             }
             self.states.insert(target, frames);
             self.core.metrics.states_created += 1;
         }
+        self.derived_scratch = derived;
 
         // Pass 2c: the arriving frame's own object set becomes (or stays) a
         // state, and the arriving frame is its key frame (Rule 1).
@@ -281,7 +274,7 @@ impl StateMaintainer for MfsMaintainer {
         let states = dec.take_len()?;
         for _ in 0..states {
             let sid = snapshot::take_set_id(dec)?;
-            let frames = snapshot::take_frame_set(dec)?;
+            let frames = snapshot::take_frame_set(dec, self.core.spec.window())?;
             if sid.is_empty_set() || sid.raw() as usize >= self.core.interner.len() {
                 return Err(Error::Corrupt(format!(
                     "MFS state references handle {} outside the restored arena",

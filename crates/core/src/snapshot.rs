@@ -67,16 +67,39 @@ pub fn put_frame_set(enc: &mut Encoder, frames: &MarkedFrameSet) {
     }
 }
 
-/// Reads a marked frame set written by [`put_frame_set`].
-pub fn take_frame_set(dec: &mut Decoder<'_>) -> Result<MarkedFrameSet> {
+/// Reads a marked frame set written by [`put_frame_set`] by a maintainer
+/// over a window of `window` frames.
+pub fn take_frame_set(dec: &mut Decoder<'_>, window: usize) -> Result<MarkedFrameSet> {
     let len = dec.take_len()?;
-    let mut pairs = Vec::with_capacity(len);
+    let mut frames = MarkedFrameSet::new();
     for _ in 0..len {
         let frame = FrameId(dec.take_u64()?);
         let marked = dec.take_bool()?;
-        pairs.push((frame, marked));
+        push_decoded(&mut frames, frame, marked, window)?;
     }
-    Ok(pairs.into_iter().collect())
+    Ok(frames)
+}
+
+/// Appends a decoded frame, rejecting what no maintainer writes: frames out
+/// of order, or further apart than one window. A frame set's storage grows
+/// with its span, so the span of untrusted input is bounded here.
+pub fn push_decoded(
+    frames: &mut MarkedFrameSet,
+    frame: FrameId,
+    marked: bool,
+    window: usize,
+) -> Result<()> {
+    let first = frames.first().unwrap_or(frame);
+    if frames.last().is_some_and(|last| last >= frame) || frame.raw() - first.raw() >= window as u64
+    {
+        return Err(Error::Corrupt(format!(
+            "frame {} is out of order or beyond the {window}-frame window of a set starting at {}",
+            frame.raw(),
+            first.raw()
+        )));
+    }
+    frames.push(frame, marked);
+    Ok(())
 }
 
 /// Appends an optional frame id.
@@ -189,13 +212,17 @@ mod tests {
         put_frame_set(&mut enc, &frames);
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
-        let back = take_frame_set(&mut dec).unwrap();
+        let back = take_frame_set(&mut dec, 8).unwrap();
         dec.finish().unwrap();
         assert_eq!(
             back.iter().collect::<Vec<_>>(),
             frames.iter().collect::<Vec<_>>()
         );
         assert_eq!(back.marked_count(), 2);
+        // The same bytes under a narrower window are corrupt, not a set
+        // whose storage the input chose.
+        let err = take_frame_set(&mut Decoder::new(&bytes), 4).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err}");
     }
 
     #[test]

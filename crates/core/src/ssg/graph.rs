@@ -41,10 +41,9 @@ pub(crate) struct Node {
     /// Frame id of the last frame appended to this node's frame set.
     pub touched: u64,
     /// In-window frames whose object set equals this node's object set
-    /// (non-empty while the node is a principal state). Ascending; stored
-    /// as a deque so window expiry pops the front in O(expired) instead of
-    /// re-scanning the whole list every frame.
-    pub principal_frames: std::collections::VecDeque<FrameId>,
+    /// (non-empty while the node is a principal state), each of them a key
+    /// frame: the marks a derived state inherits from this principal.
+    pub principal_frames: MarkedFrameSet,
     /// Whether the node is live (false once removed; slots are reused).
     pub alive: bool,
 }
@@ -59,7 +58,7 @@ impl Node {
             visited: NEVER,
             last_inter: SetId::EMPTY,
             touched: NEVER,
-            principal_frames: std::collections::VecDeque::new(),
+            principal_frames: MarkedFrameSet::new(),
             alive: true,
         }
     }
@@ -292,7 +291,7 @@ impl StateGraph {
         self.by_set.remove(&self.nodes[id].sid);
         self.nodes[id].alive = false;
         self.nodes[id].frames = MarkedFrameSet::new();
-        self.nodes[id].principal_frames.clear();
+        self.nodes[id].principal_frames = MarkedFrameSet::new();
         self.free.push(id);
     }
 
@@ -330,7 +329,7 @@ impl StateGraph {
             snapshot::put_set_id(enc, node.last_inter);
             enc.put_u64(node.touched);
             enc.put_usize(node.principal_frames.len());
-            for &frame in &node.principal_frames {
+            for frame in node.principal_frames.frames() {
                 enc.put_u64(frame.raw());
             }
         }
@@ -348,22 +347,19 @@ impl StateGraph {
     /// dangling handles, out-of-range or asymmetric edges, a free list that
     /// does not cover exactly the dead slots — is corrupt data and surfaces
     /// as [`Error::Corrupt`], never a panic or a silently patched graph.
-    pub fn decode(dec: &mut Decoder<'_>, interner: &SetInterner) -> Result<StateGraph> {
+    pub fn decode(
+        dec: &mut Decoder<'_>,
+        interner: &SetInterner,
+        window: usize,
+    ) -> Result<StateGraph> {
         let slots = dec.take_len()?;
         let mut nodes = Vec::with_capacity(slots);
         let mut by_set = FxHashMap::default();
         for id in 0..slots {
             if !dec.take_bool()? {
                 nodes.push(Node {
-                    sid: SetId::EMPTY,
-                    frames: MarkedFrameSet::new(),
-                    children: Vec::new(),
-                    parents: Vec::new(),
-                    visited: NEVER,
-                    last_inter: SetId::EMPTY,
-                    touched: NEVER,
-                    principal_frames: std::collections::VecDeque::new(),
                     alive: false,
+                    ..Node::new(SetId::EMPTY)
                 });
                 continue;
             }
@@ -380,7 +376,7 @@ impl StateGraph {
                     sid.raw()
                 )));
             }
-            let frames = snapshot::take_frame_set(dec)?;
+            let frames = snapshot::take_frame_set(dec, window)?;
             let children = Self::take_edge_list(dec, slots)?;
             let parents = Self::take_edge_list(dec, slots)?;
             let visited = dec.take_u64()?;
@@ -393,9 +389,10 @@ impl StateGraph {
             }
             let touched = dec.take_u64()?;
             let count = dec.take_len()?;
-            let mut principal_frames = std::collections::VecDeque::with_capacity(count);
+            let mut principal_frames = MarkedFrameSet::new();
             for _ in 0..count {
-                principal_frames.push_back(FrameId(dec.take_u64()?));
+                let frame = FrameId(dec.take_u64()?);
+                snapshot::push_decoded(&mut principal_frames, frame, true, window)?;
             }
             nodes.push(Node {
                 sid,
@@ -680,7 +677,7 @@ mod tests {
         g.encode(&mut enc);
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
-        let mut back = StateGraph::decode(&mut dec, &interner).unwrap();
+        let mut back = StateGraph::decode(&mut dec, &interner, 8).unwrap();
         dec.finish().unwrap();
 
         assert_eq!(back.len(), 1);
@@ -700,14 +697,15 @@ mod tests {
         g.attach(a, b, &interner);
         let mut enc = Encoder::new();
         g.encode(&mut enc);
-        let mut clean = StateGraph::decode(&mut Decoder::new(enc.as_bytes()), &interner).unwrap();
+        let mut clean =
+            StateGraph::decode(&mut Decoder::new(enc.as_bytes()), &interner, 8).unwrap();
         assert_eq!(clean.node(a).children, vec![b]);
 
         // Drop one direction of the edge: the snapshot is now corrupt.
         clean.node_mut(b).parents.clear();
         let mut enc = Encoder::new();
         clean.encode(&mut enc);
-        let err = StateGraph::decode(&mut Decoder::new(enc.as_bytes()), &interner).unwrap_err();
+        let err = StateGraph::decode(&mut Decoder::new(enc.as_bytes()), &interner, 8).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err}");
     }
 

@@ -39,11 +39,22 @@
 //! set); (2) invalid nodes are removed after the traversal, reconnecting
 //! their parents to their children, so reachability from principal states is
 //! preserved.
+//!
+//! **Window expiry** reaches a node when a frame first does: on the
+//! traversal's visit, or when `ensure_state` touches a node the traversal
+//! has not visited, and always before a frame is pushed, merged or marked
+//! there. Every frame set the traversal reads or writes therefore holds
+//! in-window frames only — a merge never copies an expired frame — and a
+//! set's span, which is what its storage grows with, stays within one
+//! window however far the frame ids jump. A node no frame reaches keeps its
+//! stale frames until it is next reached, revalidated as a previous result,
+//! or swept (once per window of frames).
 
 mod graph;
 
 use tvq_common::{
-    Decoder, Encoder, Error, FrameId, FxHashSet, ObjectSet, Result, SetId, SetInterner, WindowSpec,
+    Decoder, Encoder, Error, FrameId, FxHashSet, MarkedFrameSet, ObjectSet, Result, SetId,
+    SetInterner, WindowSpec,
 };
 
 use crate::compaction::{CompactionOutcome, CompactionPolicy};
@@ -75,13 +86,11 @@ pub struct SsgMaintainer {
     /// recursion depth), so `visit_children` never allocates in steady state.
     child_scratch: Vec<Vec<NodeId>>,
     /// Pooled per-frame buffers (touched list, root snapshot, CNPS
-    /// candidates, principal-mark copies, CNPS reachability set + DFS
-    /// stack): cleared and reused so the steady-state advance loop performs
-    /// no transient allocations.
+    /// candidates, CNPS reachability set + DFS stack): cleared and reused
+    /// so the steady-state advance loop performs no transient allocations.
     touched_scratch: Vec<NodeId>,
     roots_scratch: Vec<NodeId>,
     candidates_scratch: Vec<NodeId>,
-    marks_scratch: Vec<FrameId>,
     cnps_reachable: FxHashSet<NodeId>,
     cnps_stack: Vec<NodeId>,
 }
@@ -121,7 +130,6 @@ impl SsgMaintainer {
             touched_scratch: Vec::new(),
             roots_scratch: Vec::new(),
             candidates_scratch: Vec::new(),
-            marks_scratch: Vec::new(),
             cnps_reachable: FxHashSet::default(),
             cnps_stack: Vec::new(),
         }
@@ -132,17 +140,14 @@ impl SsgMaintainer {
         self.roots.len()
     }
 
-    /// Exposes the live states (object set, frames, marked frames) for tests.
-    pub fn states(&self) -> Vec<(ObjectSet, Vec<(FrameId, bool)>)> {
+    /// Exposes the live states (object set, marked frame set) for tests.
+    pub fn states(&self) -> Vec<(ObjectSet, MarkedFrameSet)> {
         self.graph
             .live_ids()
             .into_iter()
             .map(|id| {
                 let node = self.graph.node(id);
-                (
-                    self.core.interner.resolve(node.sid),
-                    node.frames.iter().collect(),
-                )
+                (self.core.interner.resolve(node.sid), node.frames.clone())
             })
             .collect()
     }
@@ -210,6 +215,7 @@ impl SsgMaintainer {
             return;
         }
         self.graph.node_mut(node).visited = frame.raw();
+        self.graph.node_mut(node).frames.expire_before(oldest);
         touched.push(node);
         self.core.metrics.states_visited += 1;
 
@@ -346,16 +352,11 @@ impl SsgMaintainer {
     }
 
     /// Removes invalid (unmarked) touched nodes and refreshes root
-    /// bookkeeping. This pass owns window expiry for visited nodes: the
-    /// traversal itself never expires (merges tolerate stale frames; they
-    /// are trimmed here before validity is judged).
-    fn prune_touched(&mut self, touched: &[NodeId], oldest: FrameId) {
+    /// bookkeeping. Every touched node was expired when the frame first
+    /// reached it, so validity is judged on in-window frames only.
+    fn prune_touched(&mut self, touched: &[NodeId]) {
         for &id in touched {
-            if !self.graph.node(id).alive {
-                continue;
-            }
-            self.graph.node_mut(id).frames.expire_before(oldest);
-            if !self.graph.node(id).frames.has_marked() {
+            if self.graph.node(id).alive && !self.graph.node(id).frames.has_marked() {
                 self.remove_node(id);
             }
         }
@@ -374,19 +375,12 @@ impl SsgMaintainer {
     /// traversals without paying a full scan on every frame.
     fn sweep(&mut self, oldest: FrameId) {
         for id in self.graph.live_ids() {
-            self.graph.node_mut(id).frames.expire_before(oldest);
-            Self::expire_principal_frames(self.graph.node_mut(id), oldest);
-            if !self.graph.node(id).frames.has_marked() {
+            let node = self.graph.node_mut(id);
+            node.frames.expire_before(oldest);
+            node.principal_frames.expire_before(oldest);
+            if !node.frames.has_marked() {
                 self.remove_node(id);
             }
-        }
-    }
-
-    /// Drops expired principal-creation frames: the deque is ascending, so
-    /// this pops the front in O(expired) rather than re-scanning the list.
-    fn expire_principal_frames(node: &mut graph::Node, oldest: FrameId) {
-        while node.principal_frames.front().is_some_and(|&f| f < oldest) {
-            node.principal_frames.pop_front();
         }
     }
 
@@ -457,8 +451,8 @@ impl StateMaintainer for SsgMaintainer {
                 node.frames.expire_before(oldest);
                 node.frames.push(frame, true);
                 node.touched = frame.raw();
-                Self::expire_principal_frames(node, oldest);
-                node.principal_frames.push_back(frame);
+                node.principal_frames.expire_before(oldest);
+                node.principal_frames.push(frame, true);
             }
             touched.push(ns);
 
@@ -495,17 +489,21 @@ impl StateMaintainer for SsgMaintainer {
                 }
                 if let Some(candidate) = self.graph.id_of(candidate_sid) {
                     self.candidates_scratch.push(candidate);
-                    // Copy the creation frames into the pooled scratch (the
-                    // candidate may be the root itself, so the marks cannot
-                    // be applied while borrowing its frame list).
-                    self.marks_scratch.clear();
-                    self.marks_scratch
-                        .extend(self.graph.node(root).principal_frames.iter().copied());
-                    let candidate_node = self.graph.node_mut(candidate);
-                    for &f in &self.marks_scratch {
-                        if f >= oldest {
-                            candidate_node.frames.mark(f);
-                        }
+                    // The candidate was expired when the frame reached it,
+                    // so only in-window creation frames find a frame to
+                    // mark. It may be the root itself.
+                    debug_assert!(self
+                        .graph
+                        .node(candidate)
+                        .frames
+                        .first()
+                        .is_none_or(|first| first >= oldest));
+                    if candidate == root {
+                        let node = self.graph.node_mut(root);
+                        node.frames.inherit_marks(&node.principal_frames, frame);
+                    } else {
+                        let (target, source) = self.graph.pair_mut(candidate, root);
+                        target.frames.inherit_marks(&source.principal_frames, frame);
                     }
                 }
             }
@@ -523,7 +521,8 @@ impl StateMaintainer for SsgMaintainer {
         for index in 0..self.roots.len() {
             let root = self.roots[index];
             if self.graph.node(root).alive {
-                Self::expire_principal_frames(self.graph.node_mut(root), oldest);
+                let node = self.graph.node_mut(root);
+                node.principal_frames.expire_before(oldest);
             }
         }
         // A node can be pushed several times per frame (visit + state
@@ -531,7 +530,7 @@ impl StateMaintainer for SsgMaintainer {
         // process each once.
         touched.sort_unstable();
         touched.dedup();
-        self.prune_touched(&touched, oldest);
+        self.prune_touched(&touched);
         self.core.metrics.edges_added = self.graph.edges_added;
         self.core.metrics.edges_removed = self.graph.edges_removed;
         self.collect_results(&touched, oldest);
@@ -597,7 +596,7 @@ impl StateMaintainer for SsgMaintainer {
     fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
         self.core.take_head(dec)?;
         self.frames_since_sweep = dec.take_usize()?;
-        self.graph = StateGraph::decode(dec, &self.core.interner)?;
+        self.graph = StateGraph::decode(dec, &self.core.interner, self.core.spec.window())?;
         let root_count = dec.take_len()?;
         let mut roots = Vec::with_capacity(root_count);
         for _ in 0..root_count {

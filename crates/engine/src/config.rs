@@ -24,16 +24,13 @@ pub struct EngineConfig {
     /// identifiers, so disabling compaction also re-enables the
     /// grow-with-history engine-side footprint.
     pub compaction: Option<CompactionPolicy>,
-    /// Sizing policy of the interner's intersection memo. The adaptive
-    /// default grows the cache when the sampled miss rate shows the live
-    /// pair working set has outgrown it; [`MemoConfig::fixed`] pins the
-    /// pre-adaptive behaviour (used by benches as a baseline).
+    /// Size of the interner's intersection memo (4096 slots by default).
     pub memo: MemoConfig,
 }
 
 impl EngineConfig {
     /// Creates a configuration with the given window, SSG maintenance,
-    /// pruning enabled, the default compaction policy and the adaptive
+    /// pruning enabled, the default compaction policy and the default
     /// intersection memo.
     pub fn new(window: WindowSpec) -> Self {
         EngineConfig {
@@ -41,7 +38,7 @@ impl EngineConfig {
             maintainer: MaintainerKind::Ssg,
             pruning: true,
             compaction: Some(CompactionPolicy::default_policy()),
-            memo: MemoConfig::adaptive(),
+            memo: MemoConfig::default(),
         }
     }
 
@@ -68,7 +65,7 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the intersection-memo sizing policy.
+    /// Sets the intersection-memo size.
     pub fn with_memo(mut self, memo: MemoConfig) -> Self {
         self.memo = memo;
         self
@@ -185,10 +182,10 @@ mod tests {
         assert_eq!(config.window.duration(), 240);
         assert!(config.pruning);
         assert_eq!(config.maintainer, MaintainerKind::Ssg);
-        assert_eq!(config.memo, MemoConfig::adaptive());
+        assert_eq!(config.memo, MemoConfig { bits: 12 });
         assert_eq!(
-            config.with_memo(MemoConfig::fixed(15)).memo,
-            MemoConfig::fixed(15)
+            config.with_memo(MemoConfig { bits: 15 }).memo,
+            MemoConfig { bits: 15 }
         );
     }
 

@@ -286,10 +286,13 @@ pub(crate) fn encode_engine(engine: &TemporalVideoQueryEngine, sidecar: &[u8]) -
             enc.put_usize(policy.min_interned);
         }
     }
-    enc.put_u32(config.memo.initial_bits);
-    enc.put_u32(config.memo.max_bits);
-    enc.put_u32(config.memo.sample_window);
-    enc.put_f64(config.memo.grow_miss_rate);
+    // Four memo words, kept from TVQE version 1's adaptive memo (initial
+    // bits, max bits, sample window, grow threshold): what a fixed size
+    // serialised as then. Only the first is read back.
+    enc.put_u32(config.memo.bits);
+    enc.put_u32(config.memo.bits);
+    enc.put_u32(u32::MAX);
+    enc.put_f64(2.0);
 
     // Class registry (labels in ClassId order).
     enc.put_usize(engine.registry.len());
@@ -403,11 +406,12 @@ pub(crate) fn restore_engine(payload: &[u8]) -> Result<(TemporalVideoQueryEngine
         None
     };
     let memo = MemoConfig {
-        initial_bits: dec.take_u32()?,
-        max_bits: dec.take_u32()?,
-        sample_window: dec.take_u32()?,
-        grow_miss_rate: dec.take_f64()?,
+        bits: dec.take_u32()?,
     };
+    // The three dead words of the adaptive policy (see `encode_engine`).
+    dec.take_u32()?;
+    dec.take_u32()?;
+    dec.take_f64()?;
     let config = EngineConfig {
         window,
         maintainer,
@@ -663,6 +667,49 @@ mod tests {
         mismatched[at + 1] = MaintainerKind::Ssg.codec_tag();
         let err = restore_engine(&mismatched).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err}");
+    }
+
+    /// The four memo words of `TVQE` version 1 outlive the adaptive memo:
+    /// the encoder writes what a fixed size serialised as, and a snapshot
+    /// from an adaptive build (`12, 20, 4096, 0.5`) restores at its initial
+    /// size.
+    #[test]
+    fn memo_words_stay_readable_without_the_adaptive_memo() {
+        let window = WindowSpec::new(6, 3).unwrap();
+        let config = EngineConfig::new(window).with_compaction(None);
+        let mut engine = TemporalVideoQueryEngine::builder(config)
+            .with_query_text("car >= 1")
+            .unwrap()
+            .build()
+            .unwrap();
+        for fid in 0..4 {
+            engine.observe_applied(&frame(fid, &[(1, 1)], &[])).unwrap();
+        }
+        let payload = encode_engine(&engine, &[]).unwrap();
+        let mut prefix = Encoder::new();
+        prefix.put_header(MAGIC, VERSION);
+        prefix.put_usize(window.window());
+        prefix.put_usize(window.duration());
+        // Three strategy bytes, the pruning flag, "no compaction policy".
+        let at = prefix.len() + 5;
+        let words = |words: [u32; 3], rate: f64| {
+            let mut enc = Encoder::new();
+            words.into_iter().for_each(|word| enc.put_u32(word));
+            enc.put_f64(rate);
+            enc.into_bytes()
+        };
+        let written = words([12, 12, u32::MAX], 2.0);
+        assert_eq!(payload[at..at + written.len()], written);
+
+        let mut adaptive = payload.clone();
+        adaptive.splice(at..at + written.len(), words([12, 20, 4096], 0.5));
+        let (mut restored, _) = restore_engine(&adaptive).unwrap();
+        assert_eq!(restored.config().memo, MemoConfig { bits: 12 });
+        let next = frame(4, &[(1, 1)], &[]);
+        assert_eq!(
+            restored.observe_applied(&next).unwrap(),
+            engine.observe_applied(&next).unwrap()
+        );
     }
 
     #[test]

@@ -48,6 +48,11 @@ pub trait StoreIo: Send + Sync {
     fn fsync_dir(&self, dir: &Path) -> io::Result<()>;
     /// Whether the path names an existing file.
     fn exists(&self, path: &Path) -> bool;
+    /// Identifies the backing store: two handles answer alike exactly when
+    /// a path names the same file through both. [`DirLock`](crate::DirLock)
+    /// keys its in-process registry by it, so separate in-memory disks may
+    /// each hold `/data` while two views of one disk may not.
+    fn disk_id(&self) -> usize;
 }
 
 /// Shared handle to a [`StoreIo`] implementation.
@@ -125,6 +130,11 @@ impl StoreIo for RealIo {
 
     fn exists(&self, path: &Path) -> bool {
         path.is_file()
+    }
+
+    fn disk_id(&self) -> usize {
+        // The one real filesystem; a `MemDisk`'s id is a heap address.
+        0
     }
 }
 
@@ -227,6 +237,12 @@ impl MemDisk {
         self.lock().files.values().map(|f| f.data.len()).sum()
     }
 
+    /// The address of the shared state: every view of this disk holds the
+    /// `Arc`, so the address is unique for as long as any handle lives.
+    fn id(&self) -> usize {
+        Arc::as_ptr(&self.state) as usize
+    }
+
     fn lock(&self) -> std::sync::MutexGuard<'_, MemState> {
         // The state is plain data; a panicking holder cannot leave it
         // logically torn in a way tests should hide.
@@ -327,6 +343,10 @@ impl StoreIo for MemIo {
 
     fn exists(&self, path: &Path) -> bool {
         self.disk.lock().files.contains_key(path)
+    }
+
+    fn disk_id(&self) -> usize {
+        self.disk.id()
     }
 }
 
@@ -449,6 +469,10 @@ impl StoreIo for FaultIo {
 
     fn exists(&self, path: &Path) -> bool {
         self.disk.lock().files.contains_key(path)
+    }
+
+    fn disk_id(&self) -> usize {
+        self.disk.id()
     }
 }
 

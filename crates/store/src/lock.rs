@@ -4,9 +4,11 @@
 //! a data directory must be opened by at most one engine at a time. The
 //! guard is two-layered:
 //!
-//! * a **process-wide registry** of held directories catches double-opens
-//!   inside one process (the common hazard in tests, where many engines
-//!   share one [`MemDisk`](crate::io::MemDisk));
+//! * a **process-wide registry** of held `(disk, directory)` pairs catches
+//!   double-opens inside one process (the common hazard in tests, where
+//!   many engines share one [`MemDisk`](crate::io::MemDisk)); the disk is
+//!   part of the key, so engines on separate in-memory disks may use the
+//!   same path at once;
 //! * a **`LOCK` file** holding the owner's pid catches a second process.
 //!   A leftover `LOCK` whose pid no longer runs (checked via `/proc`) is
 //!   stale — crashes must not brick the store — and is reclaimed.
@@ -24,8 +26,12 @@ use crate::io::SharedIo;
 
 const LOCK_FILE: &str = "LOCK";
 
-fn held() -> &'static Mutex<BTreeSet<PathBuf>> {
-    static HELD: OnceLock<Mutex<BTreeSet<PathBuf>>> = OnceLock::new();
+/// The held directories, each under its disk's
+/// [`disk_id`](crate::io::StoreIo::disk_id).
+type Held = BTreeSet<(usize, PathBuf)>;
+
+fn held() -> &'static Mutex<Held> {
+    static HELD: OnceLock<Mutex<Held>> = OnceLock::new();
     HELD.get_or_init(|| Mutex::new(BTreeSet::new()))
 }
 
@@ -36,13 +42,14 @@ fn pid_is_live(pid: u32) -> bool {
 /// An exclusive lock on a data directory, released on drop.
 pub struct DirLock {
     io: SharedIo,
-    dir: PathBuf,
+    /// The registry entry: the disk's id and the directory.
+    key: (usize, PathBuf),
 }
 
 impl std::fmt::Debug for DirLock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DirLock")
-            .field("dir", &self.dir)
+            .field("dir", &self.key.1)
             .finish_non_exhaustive()
     }
 }
@@ -55,9 +62,10 @@ impl DirLock {
         io.create_dir_all(dir)
             .map_err(|e| Error::Store(format!("create data dir: {e}")))?;
 
+        let key = (io.disk_id(), dir.to_path_buf());
         {
             let mut held = held().lock().unwrap_or_else(PoisonError::into_inner);
-            if !held.insert(dir.to_path_buf()) {
+            if !held.insert(key.clone()) {
                 return Err(Error::Store(format!(
                     "data dir {} is already open in this process",
                     dir.display()
@@ -71,7 +79,7 @@ impl DirLock {
             held()
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .remove(dir);
+                .remove(&key);
         };
 
         let path = dir.join(LOCK_FILE);
@@ -106,20 +114,17 @@ impl DirLock {
             release();
             return Err(Error::Store(format!("write LOCK file: {e}")));
         }
-        Ok(DirLock {
-            io,
-            dir: dir.to_path_buf(),
-        })
+        Ok(DirLock { io, key })
     }
 }
 
 impl Drop for DirLock {
     fn drop(&mut self) {
         let mut held = held().lock().unwrap_or_else(PoisonError::into_inner);
-        held.remove(&self.dir);
+        held.remove(&self.key);
         // Best-effort: with fault injection the "disk" may be dead, and the
         // stale-pid check makes the leftover file harmless.
-        let _ = self.io.remove(&self.dir.join(LOCK_FILE));
+        let _ = self.io.remove(&self.key.1.join(LOCK_FILE));
     }
 }
 
@@ -137,6 +142,18 @@ mod tests {
         assert!(err.to_string().contains("already open"), "{err}");
         drop(lock);
         let _relock = DirLock::acquire(disk.io(), &dir).unwrap();
+    }
+
+    #[test]
+    fn separate_disks_may_hold_the_same_path_at_once() {
+        let (one, other) = (MemDisk::new(), MemDisk::new());
+        let dir = PathBuf::from("/shared-name");
+        let _held = DirLock::acquire(one.io(), &dir).unwrap();
+        let _also_held = DirLock::acquire(other.io(), &dir).unwrap();
+        // A crash-injecting view is still the same disk.
+        let faulty: SharedIo = one.fault_io(u64::MAX, crate::io::TornTail::Drop);
+        let err = DirLock::acquire(faulty, &dir).unwrap_err();
+        assert!(err.to_string().contains("already open"), "{err}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! property the multi-feed engine's merged reports could not be compared
 //! against single-feed oracles.
 
-use tvq_common::{MemoConfig, WindowSpec};
+use tvq_common::WindowSpec;
 use tvq_core::{CompactionPolicy, MaintainerKind};
 use tvq_engine::{EngineConfig, TemporalVideoQueryEngine};
 use tvq_testkit::multi_feed_classed;
@@ -76,68 +76,6 @@ fn forced_compaction_is_deterministic_and_invisible() {
                  the regression suite is not exercising the epoch lifecycle"
             );
         }
-    }
-}
-
-/// Intersection-memo resizing is deterministic and semantically invisible:
-/// a memo so small it is forced through grow transitions mid-run produces
-/// (a) twin-identical results *and metrics* — the adaptation inputs are
-/// deterministic, so two identical engines resize at identical probes —
-/// and (b) the same results as an engine with the fixed 32k cache, frame
-/// for frame. A cache can change only speed, never answers.
-#[test]
-fn forced_memo_resizes_are_semantically_invisible() {
-    let tiny = MemoConfig {
-        initial_bits: 1,
-        max_bits: 6,
-        sample_window: 16,
-        grow_miss_rate: 0.1,
-    };
-    for kind in [
-        MaintainerKind::Naive,
-        MaintainerKind::Mfs,
-        MaintainerKind::Ssg,
-    ] {
-        let resizing = EngineConfig::new(WindowSpec::new(6, 3).unwrap())
-            .with_maintainer(kind)
-            .with_memo(tiny);
-        let fixed = resizing.with_memo(MemoConfig::fixed(15));
-        let mut resizes = 0u64;
-        for feed in &multi_feed_classed(17, 3, 48, 8, 0.3, 2) {
-            let mut a = build(resizing);
-            let mut b = build(resizing);
-            let mut reference = build(fixed);
-            for frame in &feed.frames {
-                let ra = a.observe(frame).unwrap();
-                let rb = b.observe(frame).unwrap();
-                let rr = reference.observe(frame).unwrap();
-                assert_eq!(ra, rb, "{kind:?} twin runs diverged at {}", frame.fid);
-                assert_eq!(
-                    a.metrics(),
-                    b.metrics(),
-                    "{kind:?} twin metrics diverged at feed {} frame {}",
-                    feed.feed,
-                    frame.fid
-                );
-                assert_eq!(
-                    ra, rr,
-                    "{kind:?} memo resizing changed results at feed {} frame {}",
-                    feed.feed, frame.fid
-                );
-            }
-            assert_eq!(a.live_states(), reference.live_states());
-            resizes += a.metrics().intersection_cache_resizes;
-            assert_eq!(
-                reference.metrics().intersection_cache_resizes,
-                0,
-                "the fixed memo must never resize"
-            );
-        }
-        assert!(
-            resizes > 0,
-            "{kind:?}: the tiny memo never resized — the suite is not \
-             exercising the adaptation path"
-        );
     }
 }
 
