@@ -369,7 +369,7 @@ pub fn replay_component(path: &[LifecycleAction]) -> Result<(), String> {
                 // it, proving the quotient explores concrete runs on both
                 // feeds, not just the representative's feed 0.
                 #[cfg(feature = "check-mutants")]
-                let skip_retire = feed == 1 && tvq_core::mutants::asymmetric_retire();
+                let skip_retire = feed == 1 && crate::mutants::asymmetric_retire();
                 #[cfg(not(feature = "check-mutants"))]
                 let skip_retire = false;
                 if !skip_retire {

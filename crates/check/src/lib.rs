@@ -42,6 +42,8 @@ pub mod catalog_model;
 pub mod conformance;
 pub mod lifecycle_model;
 pub mod machine;
+#[cfg(feature = "check-mutants")]
+pub mod mutants;
 pub mod traversal;
 
 pub use catalog_model::{CatalogAction, CatalogModel, CatalogState, CatalogSym};

@@ -253,7 +253,7 @@ mod mutants {
         fn new(end_tracks_noop: bool, asymmetric_retire: bool) -> Self {
             let lock = MUTANT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
             tvq_core::mutants::set_end_tracks_noop(end_tracks_noop);
-            tvq_core::mutants::set_asymmetric_retire(asymmetric_retire);
+            tvq_check::mutants::set_asymmetric_retire(asymmetric_retire);
             Arm { _lock: lock }
         }
     }
@@ -261,7 +261,7 @@ mod mutants {
     impl Drop for Arm<'_> {
         fn drop(&mut self) {
             tvq_core::mutants::set_end_tracks_noop(true);
-            tvq_core::mutants::set_asymmetric_retire(false);
+            tvq_check::mutants::set_asymmetric_retire(false);
         }
     }
 

@@ -114,11 +114,6 @@ impl ClassRegistry {
         self.labels.get(id.raw() as usize)
     }
 
-    /// Returns the label for `id` or an error when the identifier is unknown.
-    pub fn require_label(&self, id: ClassId) -> Result<&ClassLabel> {
-        self.label(id).ok_or(Error::UnknownClassId(id.raw()))
-    }
-
     /// Number of registered classes.
     pub fn len(&self) -> usize {
         self.labels.len()
@@ -180,7 +175,6 @@ mod tests {
         let id = registry.register("bicycle");
         assert_eq!(registry.label(id).unwrap().as_str(), "bicycle");
         assert!(registry.label(ClassId(99)).is_none());
-        assert!(registry.require_label(ClassId(99)).is_err());
     }
 
     #[test]

@@ -36,14 +36,7 @@ pub enum Error {
         /// Byte offset in the input at which the failure was detected.
         position: usize,
     },
-    /// A CSV record for a video relation was malformed.
-    MalformedRecord {
-        /// 1-based line number of the bad record.
-        line: usize,
-        /// Description of the problem.
-        message: String,
-    },
-    /// Wrapper around I/O errors raised while reading or writing relations.
+    /// Wrapper around I/O errors raised by sockets, threads and the store.
     Io(std::io::Error),
     /// A configuration value was outside its legal range.
     InvalidConfig(String),
@@ -86,9 +79,6 @@ impl fmt::Display for Error {
             Error::UnknownClassId(id) => write!(f, "unknown class id {id}"),
             Error::QueryParse { message, position } => {
                 write!(f, "query parse error at byte {position}: {message}")
-            }
-            Error::MalformedRecord { line, message } => {
-                write!(f, "malformed relation record on line {line}: {message}")
             }
             Error::Io(err) => write!(f, "I/O error: {err}"),
             Error::InvalidConfig(message) => write!(f, "invalid configuration: {message}"),
@@ -149,12 +139,6 @@ mod tests {
             position: 14,
         };
         assert!(e.to_string().contains("14"));
-
-        let e = Error::MalformedRecord {
-            line: 3,
-            message: "missing class column".into(),
-        };
-        assert!(e.to_string().contains("line 3"));
 
         let e = Error::ShardLost {
             worker: 2,

@@ -22,6 +22,7 @@
 //! does.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::ids::FrameId;
 
@@ -206,6 +207,17 @@ impl MarkedFrameSet {
         })
     }
 
+    /// The contents independent of base and storage: the first frame, then
+    /// both lanes' words from it through the last frame. Nothing for an
+    /// empty set.
+    fn canonical(&self) -> impl Iterator<Item = u64> + '_ {
+        let span = self.first().zip(self.last());
+        span.into_iter().flat_map(move |(first, last)| {
+            let words = (first.raw()..=last.raw()).step_by(64);
+            std::iter::once(first.raw()).chain(words.flat_map(move |start| self.lanes_from(start)))
+        })
+    }
+
     /// Makes every frame of `lo..=hi` addressable, keeping the contents: the
     /// words are re-laid from the first frame of the union of the set's own
     /// span and the requested one.
@@ -330,11 +342,20 @@ impl MarkedFrameSet {
 /// whatever base and storage each arrived at.
 impl PartialEq for MarkedFrameSet {
     fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
+        self.canonical().eq(other.canonical())
     }
 }
 
 impl Eq for MarkedFrameSet {}
+
+/// Consistent with `Eq`: both read the canonical words.
+impl Hash for MarkedFrameSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for word in self.canonical() {
+            state.write_u64(word);
+        }
+    }
+}
 
 impl fmt::Debug for MarkedFrameSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -518,12 +539,17 @@ mod proptests {
         /// Model check against a `BTreeMap<frame, marked>`: two sets driven
         /// through every operation with frame ids up to ~700, id gaps and
         /// deep expiries, so word boundaries and the inline/heap spill are
-        /// crossed in both directions.
+        /// crossed in both directions. Sets that compare equal hash equal.
         #[test]
         fn agrees_with_a_btreemap_model(
             ops in proptest::collection::vec((0u8..7, any::<bool>(), 0u64..400, any::<bool>()), 1..160),
         ) {
             use std::collections::BTreeMap;
+            let hash_of = |set: &MarkedFrameSet| {
+                let mut hasher = std::collections::hash_map::DefaultHasher::new();
+                set.hash(&mut hasher);
+                hasher.finish()
+            };
             let mut sets = [MarkedFrameSet::new(), MarkedFrameSet::new()];
             let mut models = [BTreeMap::<u64, bool>::new(), BTreeMap::new()];
             let mut now = 0u64;
@@ -594,6 +620,10 @@ mod proptests {
                     let rebuilt: MarkedFrameSet =
                         expected.iter().map(|&(f, m)| (FrameId(f), m)).collect();
                     prop_assert_eq!(set, &rebuilt);
+                    prop_assert_eq!(hash_of(set), hash_of(&rebuilt));
+                }
+                if sets[0] == sets[1] {
+                    prop_assert_eq!(hash_of(&sets[0]), hash_of(&sets[1]));
                 }
             }
         }

@@ -39,14 +39,6 @@ pub struct QueryId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FeedId(pub u32);
 
-/// Identifier of a ground-truth track in the scene simulator.
-///
-/// Distinct from [`ObjectId`]: the simulated tracker may split one physical
-/// track into several object identifiers (identity switches), which is exactly
-/// the error mode the paper's occlusion semantics are designed to tolerate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct TrackId(pub u64);
-
 macro_rules! impl_id {
     ($name:ident, $inner:ty, $prefix:literal) => {
         impl $name {
@@ -87,7 +79,6 @@ impl_id!(FrameId, u64, "f");
 impl_id!(ObjectId, u32, "o");
 impl_id!(ClassId, u16, "c");
 impl_id!(QueryId, u32, "q");
-impl_id!(TrackId, u64, "t");
 impl_id!(FeedId, u32, "feed");
 
 impl FrameId {
@@ -115,7 +106,6 @@ mod tests {
         assert_eq!(ObjectId(9).to_string(), "o9");
         assert_eq!(ClassId(1).to_string(), "c1");
         assert_eq!(QueryId(12).to_string(), "q12");
-        assert_eq!(TrackId(4).to_string(), "t4");
         assert_eq!(FeedId(2).to_string(), "feed2");
     }
 

@@ -29,7 +29,6 @@
 //!   — see [`relation`];
 //! * sliding-window configuration ([`WindowSpec`]) — see [`window`];
 //! * dataset statistics in the shape of the paper's Table 6 — see [`stats`];
-//! * a small CSV reader/writer for video relations — see [`io`];
 //! * the crate-wide error type — see [`error`].
 //!
 //! The terminology follows the paper *Evaluating Temporal Queries Over Video
@@ -50,7 +49,6 @@ pub mod frame_set;
 pub mod hash;
 pub mod ids;
 pub mod interner;
-pub mod io;
 pub mod object_set;
 pub mod relation;
 pub mod stats;
@@ -64,7 +62,7 @@ pub use codec::{crc32, Decoder, Encoder};
 pub use error::{Error, Result};
 pub use frame_set::MarkedFrameSet;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use ids::{ClassId, FeedId, FrameId, ObjectId, QueryId, TrackId};
+pub use ids::{ClassId, FeedId, FrameId, ObjectId, QueryId};
 pub use interner::{MemoConfig, RemapTable, SetId, SetInterner};
 pub use object_set::ObjectSet;
 pub use relation::{FrameObjects, ObjectRecord, VideoRelation};

@@ -2,8 +2,8 @@
 //!
 //! The three strategies differ in how they derive the states of a window;
 //! everything around that is the same job and is done here, once. A
-//! strategy owns a [`Substrate`] next to its own state table / graph /
-//! group table and leaves to it: frame-order checking, pruner judgement,
+//! strategy owns a [`Substrate`] next to its own state table or graph and
+//! leaves to it: frame-order checking, pruner judgement,
 //! result reporting, the compaction epoch, `pruner_changed`, and the
 //! interner / cursor / metrics parts of the snapshot.
 

@@ -1,8 +1,8 @@
 //! The end-to-end temporal video query engine.
 //!
 //! [`TemporalVideoQueryEngine`] wires the three layers of the paper's
-//! architecture together: it consumes per-frame detections (from the
-//! simulated vision pipeline, the statistical generator, or ingested CSV),
+//! architecture together: it consumes per-frame detections (from a
+//! tracker or the statistical generators — it is agnostic to the source),
 //! feeds the class-filtered object sets to an MCOS maintainer, and evaluates
 //! the registered CNF queries over the resulting Result State Set, producing
 //! [`QueryMatch`]es per frame.

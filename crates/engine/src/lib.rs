@@ -18,8 +18,7 @@
 //!
 //! The central type is [`TemporalVideoQueryEngine`]: register CNF queries
 //! (textual or structured), stream frames into it, and receive the matches of
-//! every sliding window. [`pipeline::run_workload`] packages a timed run
-//! for the examples. The strategy is the one [`EngineConfig::maintainer`]
+//! every sliding window. The strategy is the one [`EngineConfig::maintainer`]
 //! names: there is no automatic MFS-vs-SSG selection (`tvq-perf` contradicts
 //! the paper's §6.2 heuristic on every film; see ARCHITECTURE.md).
 //!
@@ -67,7 +66,6 @@ pub mod durable;
 pub mod engine;
 pub mod multi;
 pub mod persist;
-pub mod pipeline;
 pub mod subscribe;
 
 pub use catalog::{CatalogSnapshot, QueryCatalog, SharedCatalog};
@@ -79,5 +77,4 @@ pub use multi::{
     SchedulingStats, ShardMap,
 };
 pub use persist::WalRecord;
-pub use pipeline::{run_workload, RunReport};
 pub use subscribe::{MatchEvent, SubscriberId, Subscription, SubscriptionHub};

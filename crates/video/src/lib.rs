@@ -1,21 +1,15 @@
-//! Video-feed substrate: the simulated vision stack.
+//! Video-feed substrate: synthetic feeds in the shape of the paper's datasets.
 //!
 //! The paper's architecture (Figure 2) starts with an Object Detection &
 //! Tracking module built on Faster R-CNN and Deep SORT. That module's only
 //! interaction with the rest of the system is the structured relation
-//! `VR(fid, id, class)`, so this crate provides two ways to produce such a
-//! relation without the real vision models:
+//! `VR(fid, id, class)`, so this crate synthesises that relation directly,
+//! without the vision models:
 //!
-//! * a **scene-level simulation** — ground-truth objects moving through a
-//!   2-D world ([`scene`]), observed by a static or panning [`camera`],
-//!   detected by a [`detector`] that honours occlusion and misses, and
-//!   tracked by a [`tracker`] that bridges short occlusions, commits identity
-//!   switches after long ones, and implements the paper's `po` id-reuse
-//!   parameter; the [`pipeline`] module wires the four together;
-//! * a **statistical generator** ([`generator`]) that directly synthesises a
-//!   relation matching the Table-6 statistics of one of the paper's six
-//!   evaluation datasets ([`profiles`]), which is what the benchmark harness
-//!   uses;
+//! * a **statistical generator** ([`generator`]) that produces a relation
+//!   matching the Table-6 statistics of one of the paper's six evaluation
+//!   datasets ([`profiles`]), with the paper's `po` id-reuse parameter —
+//!   what every experiment, benchmark film and differential suite runs on;
 //! * a **multi-camera generator** ([`multifeed`]) that synthesises N
 //!   independent feeds tagged with `FeedId`s and interleaves them into the
 //!   round-robin batches the sharded multi-feed engine ingests;
@@ -31,34 +25,22 @@
 //!   maintenance work, with a mid-run hotspot flip — the workload that
 //!   exercises the multi-feed engine's work-stealing scheduler.
 //!
-//! Real detector output can also be ingested from CSV via
-//! [`tvq_common::io`]; everything downstream is agnostic to the source.
+//! Real detector output enters the same way a generated feed does: as
+//! `FrameObjects` handed to the engine, which is agnostic to the source.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod camera;
 pub mod churn;
-pub mod detector;
 pub mod generator;
-pub mod geometry;
 pub mod id_reuse;
 pub mod multifeed;
-pub mod pipeline;
 pub mod profiles;
-pub mod scene;
 pub mod skewed_grid;
-pub mod tracker;
 
-pub use camera::Camera;
 pub use churn::{long_churn_feed, ChurnProfile};
-pub use detector::{Detection, DetectorConfig, SimulatedDetector};
 pub use generator::{apply_id_reuse, generate, generate_with_id_reuse};
-pub use geometry::{BoundingBox, Point};
 pub use id_reuse::{id_reuse_feed, IdReuseProfile};
 pub use multifeed::{feed_seed, generate_camera_grid, generate_feeds, interleave, CameraFeed};
-pub use pipeline::ScenePipeline;
 pub use profiles::DatasetProfile;
-pub use scene::{populate_scene, Motion, Scene, SceneObject};
 pub use skewed_grid::{skewed_grid, SkewProfile};
-pub use tracker::{SimulatedTracker, TrackerConfig};

@@ -18,7 +18,7 @@
 
 use tvq_common::{DatasetStats, QueryId, WindowSpec};
 use tvq_core::MaintainerKind;
-use tvq_engine::run_workload;
+use tvq_engine::{EngineConfig, TemporalVideoQueryEngine};
 use tvq_query::parse_query;
 use tvq_video::{generate_with_id_reuse, DatasetProfile};
 
@@ -38,19 +38,24 @@ fn main() {
         let stats = DatasetStats::of(&relation);
         for (label, duration) in [("strict d=w", window), ("tolerant d=0.8w", window * 8 / 10)] {
             let spec = WindowSpec::new(window, duration).expect("valid window");
-            let report = run_workload(
-                &relation,
-                std::slice::from_ref(&query),
-                spec,
-                MaintainerKind::Mfs,
-                false,
-            )
-            .expect("workload runs");
+            let config = EngineConfig::new(spec)
+                .with_maintainer(MaintainerKind::Mfs)
+                .with_pruning(false);
+            let mut engine = TemporalVideoQueryEngine::builder(config)
+                .with_registry(registry.clone())
+                .with_query(query.clone())
+                .build()
+                .expect("engine builds");
+            let mut matching_frames = 0;
+            for frame in relation.frames() {
+                if engine.observe(frame).expect("in-order frames").any() {
+                    matching_frames += 1;
+                }
+            }
             println!(
-                "{po:2} | {:7.2} | {label:15} | {:15} | {:17}",
+                "{po:2} | {:7.2} | {label:15} | {matching_frames:15} | {:17}",
                 stats.occlusions_per_object,
-                report.matching_frames,
-                report.metrics.peak_live_states
+                engine.metrics().peak_live_states
             );
         }
     }

@@ -3,75 +3,58 @@
 //! segment in which the same car and the same two people appear jointly for
 //! at least 3 seconds (90 frames at 30 fps).
 //!
-//! The footage is produced by the simulated vision stack: a ground-truth
-//! scene containing the suspects plus unrelated traffic, observed through a
-//! static camera, detected and tracked with occlusion and identity-switch
-//! effects.
+//! The footage is scripted: background traffic and pedestrians from the
+//! statistical generator (a V1-shaped feed), plus the suspects — a parked
+//! car and two loitering people whom the tracker briefly loses behind
+//! occlusions, which the duration threshold tolerates.
 //!
 //! Run with:
 //! ```text
 //! cargo run --example surveillance_incident
 //! ```
 
-use tvq_common::{ClassId, DatasetStats, WindowSpec};
+use tvq_common::{ClassId, FrameObjects, ObjectId, WindowSpec};
 use tvq_engine::{EngineConfig, TemporalVideoQueryEngine};
-use tvq_video::{populate_scene, Camera, Motion, Point, Scene, SceneObject, ScenePipeline};
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use tvq_video::{generate, DatasetProfile};
 
 // The class ids of the default registry.
 const PERSON: ClassId = ClassId(0);
 const CAR: ClassId = ClassId(1);
 
-fn staged_scene() -> Scene {
-    let mut scene = Scene::new(1920.0, 1080.0, 1200);
-    // Background traffic and pedestrians.
-    let mut rng = StdRng::seed_from_u64(2024);
-    populate_scene(
-        &mut scene,
-        &mut rng,
-        40,
-        &[(PERSON, 1.0), (CAR, 1.5), (ClassId(2), 0.3)],
-        60..=400,
-    );
-    // The incident: a parked car and two loitering people share the frame
-    // between frames 300 and 700.
-    scene.add_object(SceneObject {
-        track: Default::default(),
-        class: CAR,
-        enters_at: 280,
-        leaves_at: 720,
-        spawn: Point::new(900.0, 600.0),
-        width: 120.0,
-        height: 70.0,
-        motion: Motion::Loiter { step: 0.2 },
-        depth: 5.0,
-    });
-    for (offset, x) in [(300u64, 830.0f64), (320, 1010.0)] {
-        scene.add_object(SceneObject {
-            track: Default::default(),
-            class: PERSON,
-            enters_at: offset,
-            leaves_at: 700,
-            spawn: Point::new(x, 640.0),
-            width: 30.0,
-            height: 80.0,
-            motion: Motion::Loiter { step: 1.0 },
-            depth: 4.0,
-        });
-    }
-    scene
+/// 1,200 frames of background with the incident planted: the car is in view
+/// over frames 280..720, the two people from frames 300 and 320 until 700,
+/// each occluded for a few frames.
+fn staged_feed() -> Vec<FrameObjects> {
+    let background = generate(&DatasetProfile::v1().truncated(1200), 2024);
+    let suspect_car = ObjectId(10_000);
+    // (id, first frame in view, frames in which the tracker loses the person)
+    let suspects = [
+        (ObjectId(10_001), 300u64, 415..424u64),
+        (ObjectId(10_002), 320, 560..566),
+    ];
+    background
+        .frames()
+        .map(|frame| {
+            let fid = frame.fid.raw();
+            let mut detections = frame.classes.clone();
+            if (280..720).contains(&fid) {
+                detections.push((suspect_car, CAR));
+            }
+            for (person, enters_at, occluded) in &suspects {
+                if (*enters_at..700).contains(&fid) && !occluded.contains(&fid) {
+                    detections.push((*person, PERSON));
+                }
+            }
+            FrameObjects::new(frame.fid, detections)
+        })
+        .collect()
 }
 
 fn main() {
-    // 1. Simulated detection & tracking over the staged scene.
-    let pipeline = ScenePipeline::new(staged_scene(), Camera::fixed(1920.0, 1080.0));
-    let relation = pipeline.run(7);
-    println!(
-        "detection/tracking produced: {}",
-        DatasetStats::of(&relation)
-    );
+    // 1. The structured relation detection & tracking would deliver.
+    let feed = staged_feed();
+    let detections: usize = feed.iter().map(FrameObjects::len).sum();
+    println!("footage: {} frames, {detections} detections", feed.len());
 
     // 2. The witness query: same car and same two people jointly for >= 90 of
     //    the last 120 frames (the duration threshold tolerates occlusions).
@@ -85,7 +68,7 @@ fn main() {
     // 3. Stream the footage and collect matching segments (runs of frames
     //    with at least one match).
     let mut segments: Vec<(u64, u64)> = Vec::new();
-    for frame in relation.frames() {
+    for frame in &feed {
         let result = engine.observe(frame).expect("in-order frames");
         if result.any() {
             let fid = frame.fid.raw();

@@ -10,9 +10,11 @@
 //! cargo run --release --example traffic_monitoring
 //! ```
 
+use std::time::Instant;
+
 use tvq_common::{DatasetStats, QueryId, WindowSpec};
 use tvq_core::MaintainerKind;
-use tvq_engine::run_workload;
+use tvq_engine::{EngineConfig, TemporalVideoQueryEngine};
 use tvq_query::{parse_query, CnfQuery};
 use tvq_video::{generate, DatasetProfile};
 
@@ -61,15 +63,33 @@ fn main() {
     println!("method | total time | per frame | matches | states created | states pruned");
     println!("-------+------------+-----------+---------+----------------+--------------");
     for kind in MaintainerKind::PRODUCTION {
-        let report = run_workload(&relation, &queries, window, kind, false).expect("workload runs");
+        let config = EngineConfig::new(window)
+            .with_maintainer(kind)
+            .with_pruning(false);
+        let mut builder = TemporalVideoQueryEngine::builder(config).with_registry(registry.clone());
+        for query in &queries {
+            builder = builder.with_query(query.clone());
+        }
+        let mut engine = builder.build().expect("engine builds");
+        let start = Instant::now();
+        let mut total_matches = 0;
+        for frame in relation.frames() {
+            total_matches += engine
+                .observe(frame)
+                .expect("in-order frames")
+                .matches
+                .len();
+        }
+        let elapsed = start.elapsed();
+        let metrics = engine.metrics();
         println!(
             "{:6} | {:>10.2?} | {:>9.1?} | {:7} | {:14} | {:13}",
-            report.strategy,
-            report.elapsed,
-            report.per_frame(),
-            report.total_matches,
-            report.metrics.states_created,
-            report.metrics.states_pruned
+            engine.strategy(),
+            elapsed,
+            elapsed / relation.num_frames() as u32,
+            total_matches,
+            metrics.states_created,
+            metrics.states_pruned
         );
     }
 }

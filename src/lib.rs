@@ -5,8 +5,8 @@
 //! layered crates so examples, integration tests and downstream users can
 //! depend on one name:
 //!
-//! * [`common`] — shared ids, object/frame sets, windows, relations, I/O;
-//! * [`video`] — the simulated vision substrate producing `VR(fid, id, class)`;
+//! * [`common`] — shared ids, object/frame sets, windows, relations;
+//! * [`video`] — synthetic feeds in the shape of `VR(fid, id, class)`;
 //! * [`core`] — MCOS generation (NAIVE / MFS / SSG + reference oracle);
 //! * [`query`] — CNF query model, parser, evaluator and pruning;
 //! * [`engine`] — the end-to-end engine wiring all layers together.

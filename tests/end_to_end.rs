@@ -1,62 +1,50 @@
-//! End-to-end integration: simulated vision stack → MCOS generation → CNF
-//! query evaluation, across crates.
+//! End-to-end integration: a feed → MCOS generation → CNF query evaluation,
+//! across crates.
 
-use tvq_common::{ClassId, DatasetStats, WindowSpec};
+use tvq_common::{ClassId, FrameObjects, ObjectId, QueryId, WindowSpec};
 use tvq_core::MaintainerKind;
-use tvq_engine::{run_workload, EngineConfig, TemporalVideoQueryEngine};
-use tvq_video::{populate_scene, Camera, Motion, Point, Scene, SceneObject, ScenePipeline};
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use tvq_engine::{EngineConfig, TemporalVideoQueryEngine};
+use tvq_video::{generate, DatasetProfile};
 
 const PERSON: ClassId = ClassId(0);
 const CAR: ClassId = ClassId(1);
 
-/// A scene with a planted co-occurrence (a car and two people together for
-/// 200 frames) plus background clutter.
-fn staged_scene() -> Scene {
-    let mut scene = Scene::new(1000.0, 800.0, 600);
-    // Background clutter is vehicles only, so that only the planted people can
-    // satisfy the "two people" part of the query.
-    let mut rng = StdRng::seed_from_u64(77);
-    populate_scene(
-        &mut scene,
-        &mut rng,
-        25,
-        &[(CAR, 1.0), (ClassId(2), 0.4)],
-        40..=150,
-    );
-    scene.add_object(SceneObject {
-        track: Default::default(),
-        class: CAR,
-        enters_at: 200,
-        leaves_at: 420,
-        spawn: Point::new(400.0, 300.0),
-        width: 100.0,
-        height: 60.0,
-        motion: Motion::Loiter { step: 0.1 },
-        depth: 2.0,
-    });
-    for x in [340.0, 480.0] {
-        scene.add_object(SceneObject {
-            track: Default::default(),
-            class: PERSON,
-            enters_at: 210,
-            leaves_at: 410,
-            spawn: Point::new(x, 330.0),
-            width: 25.0,
-            height: 70.0,
-            motion: Motion::Loiter { step: 0.5 },
-            depth: 1.0,
-        });
-    }
-    scene
+/// 600 frames of D1-shaped background with a planted co-occurrence: a car
+/// (frames 200..420) and two people (frames 210..410) together, each person
+/// briefly occluded inside the window.
+fn staged_feed() -> Vec<FrameObjects> {
+    let background = generate(&DatasetProfile::d1().truncated(600), 77);
+    let suspect_car = ObjectId(10_000);
+    // (id, frames in which the tracker loses the person)
+    let suspects = [
+        (ObjectId(10_001), 260..268u64),
+        (ObjectId(10_002), 330..336),
+    ];
+    background
+        .frames()
+        .map(|frame| {
+            let fid = frame.fid.raw();
+            // Background is vehicles only, so that only the planted people can
+            // satisfy the "two people" part of the query.
+            let mut detections = frame.classes.clone();
+            detections.retain(|&(_, class)| class != PERSON);
+            if (200..420).contains(&fid) {
+                detections.push((suspect_car, CAR));
+            }
+            for (person, occluded) in &suspects {
+                if (210..410).contains(&fid) && !occluded.contains(&fid) {
+                    detections.push((*person, PERSON));
+                }
+            }
+            FrameObjects::new(frame.fid, detections)
+        })
+        .collect()
 }
 
 #[test]
 fn planted_incident_is_found_by_every_strategy() {
-    let relation = ScenePipeline::new(staged_scene(), Camera::fixed(1000.0, 800.0)).run(3);
-    assert!(relation.num_frames() == 600);
+    let feed = staged_feed();
+    assert!(feed.len() == 600);
 
     for kind in MaintainerKind::PRODUCTION {
         let mut engine = TemporalVideoQueryEngine::builder(
@@ -68,7 +56,7 @@ fn planted_incident_is_found_by_every_strategy() {
         .unwrap();
 
         let mut matching_frames: Vec<u64> = Vec::new();
-        for frame in relation.frames() {
+        for frame in &feed {
             if engine.observe(frame).unwrap().any() {
                 matching_frames.push(frame.fid.raw());
             }
@@ -87,53 +75,47 @@ fn planted_incident_is_found_by_every_strategy() {
 
 #[test]
 fn strategies_agree_end_to_end_on_a_profile_feed() {
-    let relation = tvq_video::generate(&tvq_video::DatasetProfile::d1().truncated(200), 21);
+    let relation = generate(&DatasetProfile::d1().truncated(200), 21);
     let mut registry = relation.registry().clone();
     let queries: Vec<_> = ["car >= 4", "car >= 2 AND person >= 1", "truck >= 1"]
         .iter()
         .enumerate()
-        .map(|(i, text)| {
-            tvq_query::parse_query(text, tvq_common::QueryId(i as u32), &mut registry).unwrap()
-        })
+        .map(|(i, text)| tvq_query::parse_query(text, QueryId(i as u32), &mut registry).unwrap())
         .collect();
     let window = WindowSpec::new(40, 25).unwrap();
 
-    let reports: Vec<_> = MaintainerKind::PRODUCTION
+    // Per strategy: (total matches, matching frames, peak live states).
+    let runs: Vec<(usize, usize, u64)> = MaintainerKind::PRODUCTION
         .iter()
-        .map(|&kind| run_workload(&relation, &queries, window, kind, false).unwrap())
+        .map(|&kind| {
+            let mut builder = TemporalVideoQueryEngine::builder(
+                EngineConfig::new(window)
+                    .with_maintainer(kind)
+                    .with_pruning(false),
+            )
+            .with_registry(registry.clone());
+            for query in &queries {
+                builder = builder.with_query(query.clone());
+            }
+            let mut engine = builder.build().unwrap();
+            let (mut total_matches, mut matching_frames) = (0, 0);
+            for frame in relation.frames() {
+                let result = engine.observe(frame).unwrap();
+                total_matches += result.matches.len();
+                matching_frames += usize::from(result.any());
+            }
+            (
+                total_matches,
+                matching_frames,
+                engine.metrics().peak_live_states,
+            )
+        })
         .collect();
-    for pair in reports.windows(2) {
-        assert_eq!(pair[0].total_matches, pair[1].total_matches);
-        assert_eq!(pair[0].matching_frames, pair[1].matching_frames);
+    for pair in runs.windows(2) {
+        assert_eq!(pair[0].0, pair[1].0);
+        assert_eq!(pair[0].1, pair[1].1);
     }
     // MFS and SSG must not manage more states than NAIVE.
-    assert!(reports[1].metrics.peak_live_states <= reports[0].metrics.peak_live_states);
-    assert!(reports[2].metrics.peak_live_states <= reports[0].metrics.peak_live_states);
-}
-
-#[test]
-fn csv_round_trip_preserves_query_results() {
-    let relation = tvq_video::generate(&tvq_video::DatasetProfile::m1().truncated(150), 5);
-    let csv = tvq_common::io::relation_to_csv_string(&relation).unwrap();
-    let reloaded =
-        tvq_common::io::read_relation_csv(csv.as_bytes(), relation.registry().clone()).unwrap();
-    // Trailing empty frames carry no CSV records; compare on the common prefix.
-    let relation = relation.truncated(reloaded.num_frames());
-    assert_eq!(DatasetStats::of(&relation), DatasetStats::of(&reloaded));
-
-    let mut registry = relation.registry().clone();
-    let query =
-        tvq_query::parse_query("person >= 3", tvq_common::QueryId(0), &mut registry).unwrap();
-    let window = WindowSpec::new(30, 20).unwrap();
-    let a = run_workload(
-        &relation,
-        std::slice::from_ref(&query),
-        window,
-        MaintainerKind::Ssg,
-        false,
-    )
-    .unwrap();
-    let b = run_workload(&reloaded, &[query], window, MaintainerKind::Ssg, false).unwrap();
-    assert_eq!(a.total_matches, b.total_matches);
-    assert_eq!(a.matching_frames, b.matching_frames);
+    assert!(runs[1].2 <= runs[0].2);
+    assert!(runs[2].2 <= runs[0].2);
 }
