@@ -8,6 +8,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::codec::{Decoder, Encoder};
 use crate::error::{Error, Result};
 use crate::ids::ClassId;
 
@@ -131,6 +132,31 @@ impl ClassRegistry {
             .enumerate()
             .map(|(idx, label)| (ClassId(idx as u16), label))
     }
+
+    /// Appends the labels in [`ClassId`] order.
+    pub fn encode(&self, enc: &mut Encoder) {
+        enc.put_usize(self.labels.len());
+        for label in &self.labels {
+            enc.put_str(label.as_str());
+        }
+    }
+
+    /// Reads a registry written by [`encode`](Self::encode): labels
+    /// registered in order reproduce their ids, so a label that lands on
+    /// another id (a repeat, or one past the `u16` id space) is corrupt.
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<ClassRegistry> {
+        let labels = dec.take_len()?;
+        let mut registry = ClassRegistry::new();
+        for index in 0..labels {
+            let label = dec.take_str()?;
+            if index > usize::from(u16::MAX) || registry.register(label).raw() as usize != index {
+                return Err(Error::Corrupt(format!(
+                    "registry label {index} ({label:?}) does not register as class {index}"
+                )));
+            }
+        }
+        Ok(registry)
+    }
 }
 
 impl Default for ClassRegistry {
@@ -193,6 +219,26 @@ mod tests {
             .map(|(_, l)| l.as_str().to_owned())
             .collect();
         assert_eq!(labels, vec!["person", "car", "truck", "bus"]);
+    }
+
+    #[test]
+    fn codec_round_trips_and_rejects_repeated_labels() {
+        let mut registry = ClassRegistry::with_default_classes();
+        registry.register("bicycle");
+        let mut enc = Encoder::new();
+        registry.encode(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        let back = ClassRegistry::decode(&mut dec).unwrap();
+        dec.finish().unwrap();
+        assert!(back.iter().eq(registry.iter()));
+
+        let mut enc = Encoder::new();
+        enc.put_usize(2);
+        enc.put_str("car");
+        enc.put_str(" CAR");
+        let err = ClassRegistry::decode(&mut Decoder::new(&enc.into_bytes())).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err}");
     }
 
     #[test]

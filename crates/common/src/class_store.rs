@@ -22,9 +22,7 @@
 //!   is *reused* with a different class is a new object: the lifecycle layer
 //!   assigns it a fresh internal identifier (or the old one after eviction
 //!   proved nothing references it), so a live entry's class never changes
-//!   under anyone's feet;
-//! * **evictions are observable** — [`ClassStore::evictions`] counts them,
-//!   which the benches use to demonstrate the plateau.
+//!   under anyone's feet.
 //!
 //! The store keeps the plain `ObjectId → ClassId` map intact (see
 //! [`ClassStore::classes`]) so aggregation call sites
@@ -33,6 +31,8 @@
 
 use std::sync::{Arc, RwLock};
 
+use crate::codec::{Decoder, Encoder};
+use crate::error::{Error, Result};
 use crate::hash::FxHashMap;
 use crate::ids::{ClassId, ObjectId};
 
@@ -100,11 +100,6 @@ impl ClassStore {
         self.classes.is_empty()
     }
 
-    /// Entries evicted so far (last reference released).
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
     /// Approximate bytes held by the store's maps.
     pub fn bytes(&self) -> usize {
         self.classes.capacity() * std::mem::size_of::<(ObjectId, ClassId, u64)>()
@@ -168,9 +163,7 @@ impl ClassStore {
     /// sorted by identifier. Test hook: the model checker compares the
     /// store's observable state against its model's after every action, and
     /// a sorted tuple list is directly comparable where the internal hash
-    /// maps are not — and the durability codec persists exactly this list
-    /// (plus [`alias_floor`](Self::alias_floor) and
-    /// [`evictions`](Self::evictions)).
+    /// maps are not. [`encode`](Self::encode) persists exactly this list.
     pub fn snapshot(&self) -> Vec<(ObjectId, ClassId, u32)> {
         let mut entries: Vec<(ObjectId, ClassId, u32)> = self
             .classes
@@ -181,26 +174,45 @@ impl ClassStore {
         entries
     }
 
-    /// Rebuilds a store from a [`snapshot`](Self::snapshot) plus the alias
-    /// cursor and eviction counter. `next_alias` must be restored exactly:
-    /// aliases count down from `u32::MAX` and are never reused, so resetting
-    /// the cursor would re-mint an alias some persisted binding already
-    /// carries.
-    pub fn restore(
-        entries: impl IntoIterator<Item = (ObjectId, ClassId, u32)>,
-        next_alias: u32,
-        evictions: u64,
-    ) -> Self {
-        let mut store = ClassStore::new();
+    /// Appends the live entries sorted by identifier, then the alias cursor
+    /// and the eviction counter.
+    pub fn encode(&self, enc: &mut Encoder) {
+        let entries = self.snapshot();
+        enc.put_usize(entries.len());
         for (id, class, refs) in entries {
-            store.classes.insert(id, class);
-            if refs > 0 {
-                store.refs.insert(id, refs);
-            }
+            enc.put_u32(id.raw());
+            enc.put_u16(class.raw());
+            enc.put_u32(refs);
         }
-        store.next_alias = next_alias;
-        store.evictions = evictions;
-        store
+        enc.put_u32(self.next_alias);
+        enc.put_u64(self.evictions);
+    }
+
+    /// Reads a store written by [`encode`](Self::encode), rejecting what it
+    /// never writes: identifiers not strictly increasing (a repeat would
+    /// silently keep the last entry) and an entry nobody references (it
+    /// could never be evicted). The alias cursor is restored exactly:
+    /// aliases count down from `u32::MAX` and are never reused, so resetting
+    /// it would re-mint an alias some persisted binding already carries.
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<ClassStore> {
+        let mut store = ClassStore::new();
+        let mut previous = None;
+        for _ in 0..dec.take_len()? {
+            let id = ObjectId(dec.take_u32()?);
+            let class = ClassId(dec.take_u16()?);
+            let refs = dec.take_u32()?;
+            if previous >= Some(id) || refs == 0 {
+                return Err(Error::Corrupt(format!(
+                    "class store entry {id} (refs {refs}) is out of order, repeated or unreferenced"
+                )));
+            }
+            previous = Some(id);
+            store.classes.insert(id, class);
+            store.refs.insert(id, refs);
+        }
+        store.next_alias = dec.take_u32()?;
+        store.evictions = dec.take_u64()?;
+        Ok(store)
     }
 }
 
@@ -229,7 +241,7 @@ mod tests {
         assert_eq!(store.len(), 1);
         store.release(ObjectId(1));
         assert!(store.is_empty());
-        assert_eq!(store.evictions(), 1);
+        assert_eq!(store.evictions, 1);
         assert_eq!(store.class_of(ObjectId(1)), None);
     }
 
@@ -255,7 +267,7 @@ mod tests {
     fn releasing_unknown_ids_is_a_noop() {
         let mut store = ClassStore::new();
         store.release(ObjectId(9));
-        assert_eq!(store.evictions(), 0);
+        assert_eq!(store.evictions, 0);
     }
 
     #[test]

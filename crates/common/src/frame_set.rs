@@ -24,6 +24,8 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
+use crate::codec::{Decoder, Encoder};
+use crate::error::{Error, Result};
 use crate::ids::FrameId;
 
 /// The `[present, marked]` bits of 64 consecutive frames.
@@ -251,6 +253,47 @@ impl MarkedFrameSet {
         }
     }
 
+    /// Appends the set as `(frame, marked)` pairs in window order.
+    pub fn encode(&self, enc: &mut Encoder) {
+        enc.put_usize(self.len());
+        for (frame, marked) in self.iter() {
+            enc.put_u64(frame.raw());
+            enc.put_bool(marked);
+        }
+    }
+
+    /// Reads a set written by [`encode`](Self::encode) by a maintainer over
+    /// a window of `window` frames.
+    pub fn decode(dec: &mut Decoder<'_>, window: usize) -> Result<MarkedFrameSet> {
+        let len = dec.take_len()?;
+        let mut frames = MarkedFrameSet::new();
+        for _ in 0..len {
+            let frame = FrameId(dec.take_u64()?);
+            let marked = dec.take_bool()?;
+            frames.push_decoded(frame, marked, window)?;
+        }
+        Ok(frames)
+    }
+
+    /// [`push`](Self::push) for untrusted input: rejects what no maintainer
+    /// writes — frames out of order, or further apart than one window. The
+    /// storage grows with the span, so the span of decoded input is bounded
+    /// here.
+    pub fn push_decoded(&mut self, frame: FrameId, marked: bool, window: usize) -> Result<()> {
+        let first = self.first().unwrap_or(frame);
+        if self.last().is_some_and(|last| last >= frame)
+            || frame.raw() - first.raw() >= window as u64
+        {
+            return Err(Error::Corrupt(format!(
+                "frame {} is out of order or beyond the {window}-frame window of a set starting at {}",
+                frame.raw(),
+                first.raw()
+            )));
+        }
+        self.push(frame, marked);
+        Ok(())
+    }
+
     /// Marks an existing frame as a key frame. Returns `true` when the frame
     /// is present (whether or not it was already marked).
     pub fn mark(&mut self, frame: FrameId) -> bool {
@@ -475,6 +518,23 @@ mod tests {
         let mut c = fs(&[(1, false)]);
         c.merge_from(&MarkedFrameSet::new());
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn frame_set_round_trips_with_marks() {
+        let frames = fs(&[(3, true), (4, false), (7, true)]);
+        let mut enc = Encoder::new();
+        frames.encode(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        let back = MarkedFrameSet::decode(&mut dec, 8).unwrap();
+        dec.finish().unwrap();
+        assert_eq!(back, frames);
+        assert_eq!(back.marked_count(), 2);
+        // The same bytes under a narrower window are corrupt, not a set
+        // whose storage the input chose.
+        let err = MarkedFrameSet::decode(&mut Decoder::new(&bytes), 4).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err}");
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! are identical — and deterministic: identical runs compact at identical
 //! frames into identical arenas.
 
+use tvq_common::{Decoder, Encoder, Result};
+
 /// What one compaction epoch did, reported upward by
 /// [`StateMaintainer::maybe_compact`](crate::StateMaintainer::maybe_compact).
 ///
@@ -86,6 +88,22 @@ impl CompactionPolicy {
         arena > live
             && arena >= self.min_interned
             && (live as f64) < self.max_live_ratio * (arena as f64)
+    }
+
+    /// Appends the three thresholds in declaration order.
+    pub fn encode(&self, enc: &mut Encoder) {
+        enc.put_u64(self.check_interval);
+        enc.put_f64(self.max_live_ratio);
+        enc.put_usize(self.min_interned);
+    }
+
+    /// Reads a policy written by [`encode`](Self::encode).
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<CompactionPolicy> {
+        Ok(CompactionPolicy {
+            check_interval: dec.take_u64()?,
+            max_live_ratio: dec.take_f64()?,
+            min_interned: dec.take_usize()?,
+        })
     }
 }
 

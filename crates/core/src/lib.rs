@@ -68,7 +68,6 @@ pub mod naive;
 pub mod prune;
 pub mod reference;
 pub mod result_set;
-pub mod snapshot;
 pub mod ssg;
 mod substrate;
 

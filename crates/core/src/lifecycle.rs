@@ -41,7 +41,9 @@
 
 use std::sync::PoisonError;
 
-use tvq_common::{ClassId, FxHashMap, FxHashSet, ObjectId, SharedClassMap};
+use tvq_common::{
+    ClassId, Decoder, Encoder, Error, FxHashMap, FxHashSet, ObjectId, Result, SharedClassMap,
+};
 
 /// The current binding of one external (tracker) identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -288,45 +290,73 @@ impl ObjectLifecycle {
         entries
     }
 
-    /// The live external → binding entries as a sorted list. Introspection
-    /// hook shared by the model checker and the durability codec (which
-    /// persists exactly this list plus [`registered_ids`](Self::registered_ids),
-    /// [`alias_entries`](Self::alias_entries) and the three counters).
-    pub fn live_bindings(&self) -> Vec<(ObjectId, LiveBinding)> {
-        let mut entries: Vec<(ObjectId, LiveBinding)> = self
+    /// Appends the lifecycle's persistent state, every list sorted by its
+    /// key: live bindings by external id, tracked internal ids, alias
+    /// translations by alias, then the three monotone counters. The class
+    /// store is persisted by its owner, not here.
+    pub fn encode(&self, enc: &mut Encoder) {
+        let mut live: Vec<(ObjectId, LiveBinding)> = self
             .live
             .iter()
             .map(|(&external, &binding)| (external, binding))
             .collect();
-        entries.sort_unstable_by_key(|&(external, _)| external);
-        entries
+        live.sort_unstable_by_key(|&(external, _)| external);
+        enc.put_usize(live.len());
+        for (external, binding) in live {
+            enc.put_u32(external.raw());
+            enc.put_u32(binding.internal.raw());
+            enc.put_u16(binding.class.raw());
+            enc.put_u64(binding.generation);
+        }
+        let registered = self.registered_ids();
+        enc.put_usize(registered.len());
+        for id in registered {
+            enc.put_u32(id.raw());
+        }
+        let aliases = self.alias_entries();
+        enc.put_usize(aliases.len());
+        for (alias, external) in aliases {
+            enc.put_u32(alias.raw());
+            enc.put_u32(external.raw());
+        }
+        enc.put_u64(self.next_generation);
+        enc.put_u64(self.retired_total);
+        enc.put_u64(self.tracks_ended);
     }
 
-    /// Rebuilds a lifecycle from its persisted observable state around a
-    /// (freshly restored) class store. The counters must be restored
-    /// exactly: `next_generation` is the engine-wide monotone generation
-    /// source, so resetting it would hand a recovered binding a generation
-    /// some pre-crash binding already carries.
-    #[allow(clippy::too_many_arguments)]
-    pub fn restore(
-        store: SharedClassMap,
-        live: impl IntoIterator<Item = (ObjectId, LiveBinding)>,
-        registered: impl IntoIterator<Item = ObjectId>,
-        aliases: impl IntoIterator<Item = (ObjectId, ObjectId)>,
-        next_generation: u64,
-        retired_total: u64,
-        tracks_ended: u64,
-    ) -> Self {
-        ObjectLifecycle {
-            store,
-            live: live.into_iter().collect(),
-            registered: registered.into_iter().collect(),
-            aliases: aliases.into_iter().collect(),
-            next_generation,
-            retired_total,
-            tracks_ended,
-            pending: Vec::new(),
+    /// Reads a lifecycle written by [`encode`](Self::encode) around the
+    /// (already restored) class `store`. A list whose keys do not strictly
+    /// increase is corrupt: the encoder sorts them, and collecting a repeat
+    /// into a map would silently keep the last entry. The counters are
+    /// restored exactly — `next_generation` is the engine-wide monotone
+    /// generation source, so resetting it would hand a recovered binding a
+    /// generation some pre-crash binding already carries.
+    pub fn decode(dec: &mut Decoder<'_>, store: SharedClassMap) -> Result<ObjectLifecycle> {
+        let mut lifecycle = ObjectLifecycle::new(store);
+        let mut previous = None;
+        for _ in 0..dec.take_len()? {
+            let external = increasing("live binding", &mut previous, ObjectId(dec.take_u32()?))?;
+            let binding = LiveBinding {
+                internal: ObjectId(dec.take_u32()?),
+                class: ClassId(dec.take_u16()?),
+                generation: dec.take_u64()?,
+            };
+            lifecycle.live.insert(external, binding);
         }
+        let mut previous = None;
+        for _ in 0..dec.take_len()? {
+            let id = increasing("registered id", &mut previous, ObjectId(dec.take_u32()?))?;
+            lifecycle.registered.insert(id);
+        }
+        let mut previous = None;
+        for _ in 0..dec.take_len()? {
+            let alias = increasing("alias", &mut previous, ObjectId(dec.take_u32()?))?;
+            lifecycle.aliases.insert(alias, ObjectId(dec.take_u32()?));
+        }
+        lifecycle.next_generation = dec.take_u64()?;
+        lifecycle.retired_total = dec.take_u64()?;
+        lifecycle.tracks_ended = dec.take_u64()?;
+        Ok(lifecycle)
     }
 
     /// Internal ids retired so far (lifetime counter).
@@ -351,6 +381,17 @@ impl ObjectLifecycle {
             + self.registered.capacity() * std::mem::size_of::<(ObjectId, u64)>()
             + self.aliases.capacity() * std::mem::size_of::<(ObjectId, ObjectId, u64)>()
     }
+}
+
+/// Accepts `key` as the next entry of the decoded `list` only when it is
+/// greater than the `previous` one.
+fn increasing(list: &str, previous: &mut Option<ObjectId>, key: ObjectId) -> Result<ObjectId> {
+    if previous.replace(key) >= Some(key) {
+        return Err(Error::Corrupt(format!(
+            "{list} list is out of order or repeats {key}"
+        )));
+    }
+    Ok(key)
 }
 
 #[cfg(test)]

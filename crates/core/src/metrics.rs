@@ -7,6 +7,8 @@
 
 use std::fmt;
 
+use tvq_common::{Decoder, Encoder, Error, Result};
+
 /// Counters accumulated by a state maintainer over its lifetime.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MaintenanceMetrics {
@@ -168,11 +170,11 @@ impl MaintenanceMetrics {
     }
 
     /// Every counter, in snapshot order — the one list [`merge`](Self::merge)
-    /// and the snapshot codec iterate. The destructuring is exhaustive (no
+    /// and the codec below iterate. The destructuring is exhaustive (no
     /// `..`), so a field added to the struct but not here fails to compile
     /// instead of silently resetting on recovery or dropping out of merged
     /// reports. New fields go at the end: the order is the on-disk format.
-    pub(crate) fn fields_mut(&mut self) -> [&mut u64; 34] {
+    fn fields_mut(&mut self) -> [&mut u64; 34] {
         let MaintenanceMetrics {
             frames_processed,
             states_created,
@@ -247,6 +249,49 @@ impl MaintenanceMetrics {
         ]
     }
 
+    /// Appends the counters as a count-prefixed ordered `u64` list.
+    pub fn encode(&self, enc: &mut Encoder) {
+        let mut metrics = self.clone();
+        let fields = metrics.fields_mut();
+        enc.put_usize(fields.len());
+        for value in fields {
+            enc.put_u64(*value);
+        }
+    }
+
+    /// Reads metrics written by [`encode`](Self::encode), rejecting a
+    /// field-count mismatch (writer and reader disagree about the layout).
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<MaintenanceMetrics> {
+        let mut metrics = MaintenanceMetrics::new();
+        let fields = metrics.fields_mut();
+        let count = dec.take_len()?;
+        if count != fields.len() {
+            return Err(Error::Codec(format!(
+                "metrics field count {count} does not match this build's {}",
+                fields.len()
+            )));
+        }
+        for field in fields {
+            *field = dec.take_u64()?;
+        }
+        Ok(metrics)
+    }
+
+    /// Test support: the metrics with the interner's memo gauges cleared.
+    /// The memo is a cache and deliberately not persisted, so its
+    /// hit/miss/size counters drift after recovery while every result stays
+    /// identical; continuation equality is asserted modulo these four fields.
+    #[cfg(test)]
+    pub(crate) fn without_cache_gauges(&self) -> MaintenanceMetrics {
+        MaintenanceMetrics {
+            intersection_cache_hits: 0,
+            intersection_cache_misses: 0,
+            intersection_cache_resizes: 0,
+            intersection_cache_slots: 0,
+            ..self.clone()
+        }
+    }
+
     /// Folds an iterator of metrics into one aggregate via [`merge`](Self::merge).
     pub fn merged<'a>(parts: impl IntoIterator<Item = &'a MaintenanceMetrics>) -> Self {
         let mut total = MaintenanceMetrics::new();
@@ -311,6 +356,29 @@ impl fmt::Display for MaintenanceMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn metrics_round_trip_and_reject_field_count_skew() {
+        let mut metrics = MaintenanceMetrics::new();
+        metrics.frames_processed = 17;
+        metrics.wal_bytes = 1024;
+        metrics.recoveries = 2;
+        let mut enc = Encoder::new();
+        metrics.encode(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        assert_eq!(MaintenanceMetrics::decode(&mut dec).unwrap(), metrics);
+        dec.finish().unwrap();
+
+        let mut enc = Encoder::new();
+        enc.put_usize(3);
+        for value in [1u64, 2, 3] {
+            enc.put_u64(value);
+        }
+        let bytes = enc.into_bytes();
+        let err = MaintenanceMetrics::decode(&mut Decoder::new(&bytes)).unwrap_err();
+        assert!(matches!(err, Error::Codec(_)), "{err}");
+    }
 
     #[test]
     fn defaults_are_zero() {

@@ -32,7 +32,6 @@ use crate::maintainer::StateMaintainer;
 use crate::metrics::MaintenanceMetrics;
 use crate::prune::SharedPruner;
 use crate::result_set::ResultStateSet;
-use crate::snapshot;
 use crate::substrate::Substrate;
 
 /// The Marked Frame Set state maintainer.
@@ -262,10 +261,10 @@ impl StateMaintainer for MfsMaintainer {
         sids.sort_unstable();
         enc.put_usize(sids.len());
         for sid in sids {
-            snapshot::put_set_id(enc, sid);
-            snapshot::put_frame_set(enc, &self.states[&sid]);
+            enc.put_u32(sid.raw());
+            self.states[&sid].encode(enc);
         }
-        self.core.put_metrics(enc);
+        self.core.metrics.encode(enc);
         Ok(())
     }
 
@@ -273,8 +272,8 @@ impl StateMaintainer for MfsMaintainer {
         self.core.take_head(dec)?;
         let states = dec.take_len()?;
         for _ in 0..states {
-            let sid = snapshot::take_set_id(dec)?;
-            let frames = snapshot::take_frame_set(dec, self.core.spec.window())?;
+            let sid = SetId::from_raw(dec.take_u32()?);
+            let frames = MarkedFrameSet::decode(dec, self.core.spec.window())?;
             if sid.is_empty_set() || sid.raw() as usize >= self.core.interner.len() {
                 return Err(Error::Corrupt(format!(
                     "MFS state references handle {} outside the restored arena",
@@ -288,7 +287,8 @@ impl StateMaintainer for MfsMaintainer {
                 )));
             }
         }
-        self.core.take_metrics(dec)
+        self.core.metrics = MaintenanceMetrics::decode(dec)?;
+        Ok(())
     }
 }
 
@@ -497,8 +497,8 @@ mod tests {
         // Memo gauges drift (the intersection cache is not persisted); every
         // other counter must agree.
         assert_eq!(
-            snapshot::scrub_cache_gauges(restored.metrics()),
-            snapshot::scrub_cache_gauges(original.metrics())
+            restored.metrics().without_cache_gauges(),
+            original.metrics().without_cache_gauges()
         );
     }
 
@@ -520,12 +520,11 @@ mod tests {
 
         // A state entry pointing outside the arena is corrupt, not a panic.
         let mut enc = tvq_common::Encoder::new();
-        snapshot::put_interner(&mut enc, &original.core.interner);
-        snapshot::put_opt_frame(&mut enc, Some(FrameId(0)));
+        original.core.put_head(&mut enc);
         enc.put_usize(1);
         enc.put_u32(77); // dangling handle
-        snapshot::put_frame_set(&mut enc, &MarkedFrameSet::singleton(FrameId(0), true));
-        snapshot::put_metrics(&mut enc, original.metrics());
+        MarkedFrameSet::singleton(FrameId(0), true).encode(&mut enc);
+        original.metrics().encode(&mut enc);
         let bytes = enc.into_bytes();
         let mut fresh = MfsMaintainer::new(spec);
         let err = fresh

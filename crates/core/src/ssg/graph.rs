@@ -12,8 +12,6 @@ use tvq_common::{
     SetInterner,
 };
 
-use crate::snapshot;
-
 /// Index of a node inside the graph's slab.
 pub(crate) type NodeId = usize;
 
@@ -317,8 +315,8 @@ impl StateGraph {
             if !node.alive {
                 continue;
             }
-            snapshot::put_set_id(enc, node.sid);
-            snapshot::put_frame_set(enc, &node.frames);
+            enc.put_u32(node.sid.raw());
+            node.frames.encode(enc);
             for list in [&node.children, &node.parents] {
                 enc.put_usize(list.len());
                 for &edge in list {
@@ -326,7 +324,7 @@ impl StateGraph {
                 }
             }
             enc.put_u64(node.visited);
-            snapshot::put_set_id(enc, node.last_inter);
+            enc.put_u32(node.last_inter.raw());
             enc.put_u64(node.touched);
             enc.put_usize(node.principal_frames.len());
             for frame in node.principal_frames.frames() {
@@ -363,7 +361,7 @@ impl StateGraph {
                 });
                 continue;
             }
-            let sid = snapshot::take_set_id(dec)?;
+            let sid = SetId::from_raw(dec.take_u32()?);
             if sid.is_empty_set() || sid.raw() as usize >= interner.len() {
                 return Err(Error::Corrupt(format!(
                     "graph node {id} holds dangling handle {}",
@@ -376,11 +374,11 @@ impl StateGraph {
                     sid.raw()
                 )));
             }
-            let frames = snapshot::take_frame_set(dec, window)?;
+            let frames = MarkedFrameSet::decode(dec, window)?;
             let children = Self::take_edge_list(dec, slots)?;
             let parents = Self::take_edge_list(dec, slots)?;
             let visited = dec.take_u64()?;
-            let last_inter = snapshot::take_set_id(dec)?;
+            let last_inter = SetId::from_raw(dec.take_u32()?);
             if last_inter.raw() as usize >= interner.len() {
                 return Err(Error::Corrupt(format!(
                     "graph node {id} caches dangling intersection handle {}",
@@ -392,7 +390,7 @@ impl StateGraph {
             let mut principal_frames = MarkedFrameSet::new();
             for _ in 0..count {
                 let frame = FrameId(dec.take_u64()?);
-                snapshot::push_decoded(&mut principal_frames, frame, true, window)?;
+                principal_frames.push_decoded(frame, true, window)?;
             }
             nodes.push(Node {
                 sid,

@@ -62,7 +62,6 @@ use crate::maintainer::StateMaintainer;
 use crate::metrics::MaintenanceMetrics;
 use crate::prune::SharedPruner;
 use crate::result_set::ResultStateSet;
-use crate::snapshot;
 use crate::substrate::Substrate;
 
 use graph::{NodeId, StateGraph};
@@ -587,9 +586,9 @@ impl StateMaintainer for SsgMaintainer {
         }
         enc.put_usize(self.prev_results.len());
         for &sid in &self.prev_results {
-            snapshot::put_set_id(enc, sid);
+            enc.put_u32(sid.raw());
         }
-        self.core.put_metrics(enc);
+        self.core.metrics.encode(enc);
         Ok(())
     }
 
@@ -612,7 +611,7 @@ impl StateMaintainer for SsgMaintainer {
         let result_count = dec.take_len()?;
         let mut prev_results = Vec::with_capacity(result_count);
         for _ in 0..result_count {
-            let sid = snapshot::take_set_id(dec)?;
+            let sid = SetId::from_raw(dec.take_u32()?);
             if self.graph.id_of(sid).is_none() {
                 return Err(Error::Corrupt(format!(
                     "result list references handle {} with no live graph node",
@@ -627,7 +626,8 @@ impl StateMaintainer for SsgMaintainer {
         // The results stay empty: the next frame's collect_results
         // revalidates `prev_results` by handle, reproducing the reported set
         // exactly.
-        self.core.take_metrics(dec)
+        self.core.metrics = MaintenanceMetrics::decode(dec)?;
+        Ok(())
     }
 }
 
@@ -800,8 +800,8 @@ mod tests {
         // Memo gauges drift (the intersection cache is not persisted); every
         // other counter must agree.
         assert_eq!(
-            snapshot::scrub_cache_gauges(restored.metrics()),
-            snapshot::scrub_cache_gauges(original.metrics())
+            restored.metrics().without_cache_gauges(),
+            original.metrics().without_cache_gauges()
         );
     }
 
@@ -821,14 +821,13 @@ mod tests {
 
         // A root entry naming no live graph node is corrupt, not a panic.
         let mut enc = Encoder::new();
-        snapshot::put_interner(&mut enc, &original.core.interner);
-        snapshot::put_opt_frame(&mut enc, Some(FrameId(0)));
+        original.core.put_head(&mut enc);
         enc.put_usize(1); // frames_since_sweep
         original.graph.encode(&mut enc);
         enc.put_usize(1);
         enc.put_usize(17); // dangling root slot
         enc.put_usize(0); // no previous results
-        snapshot::put_metrics(&mut enc, original.metrics());
+        original.metrics().encode(&mut enc);
         let bytes = enc.into_bytes();
         let mut fresh = SsgMaintainer::new(spec);
         let err = fresh.restore_state(&mut Decoder::new(&bytes)).unwrap_err();

@@ -17,7 +17,6 @@ use crate::maintainer::check_order;
 use crate::metrics::MaintenanceMetrics;
 use crate::prune::{PrunerVerdictCache, SharedPruner};
 use crate::result_set::{ReportedSets, ResultStateSet};
-use crate::snapshot;
 
 /// What every interner-backed maintainer holds besides its own states.
 pub(crate) struct Substrate {
@@ -139,35 +138,24 @@ impl Substrate {
     }
 
     /// Opens a maintainer snapshot: interner arena and frame cursor. The
-    /// strategy's own state follows, then [`put_metrics`](Self::put_metrics).
+    /// strategy's own state follows, then the `metrics`.
     pub(crate) fn put_head(&self, enc: &mut Encoder) {
-        snapshot::put_interner(enc, &self.interner);
-        snapshot::put_opt_frame(enc, self.last_frame);
-    }
-
-    /// Closes a maintainer snapshot with the work counters.
-    pub(crate) fn put_metrics(&self, enc: &mut Encoder) {
-        snapshot::put_metrics(enc, &self.metrics);
+        self.interner.encode(enc);
+        enc.put_opt_u64(self.last_frame.map(FrameId::raw));
     }
 
     /// Reads what [`put_head`](Self::put_head) wrote, into a freshly built
-    /// maintainer only (nothing advanced, nothing interned).
+    /// maintainer only (nothing advanced, nothing interned). Verdicts and
+    /// results are not persisted: the next `advance` re-collects results and
+    /// the pruner re-judges handles on demand.
     pub(crate) fn take_head(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
         if self.last_frame.is_some() {
             return Err(Error::Store(
                 "restore_state requires a freshly built maintainer".into(),
             ));
         }
-        snapshot::restore_interner(dec, &mut self.interner)?;
-        self.last_frame = snapshot::take_opt_frame(dec)?;
-        Ok(())
-    }
-
-    /// Reads what [`put_metrics`](Self::put_metrics) wrote. Verdicts and
-    /// results are not persisted: the next `advance` re-collects results and
-    /// the pruner re-judges handles on demand.
-    pub(crate) fn take_metrics(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
-        self.metrics = snapshot::take_metrics(dec)?;
+        self.interner.restore_into_fresh(dec)?;
+        self.last_frame = dec.take_opt_u64()?.map(FrameId);
         Ok(())
     }
 }

@@ -35,7 +35,7 @@
 
 use std::sync::{Arc, PoisonError, RwLock};
 
-use tvq_common::{ClassId, Error, FxHashSet, QueryId, Result};
+use tvq_common::{ClassId, Decoder, Encoder, Error, FxHashSet, QueryId, Result};
 use tvq_query::{CnfEvaluator, CnfQuery};
 
 /// One immutable version of the query workload: the evaluator (whose mask
@@ -136,13 +136,38 @@ impl QueryCatalog {
         })
     }
 
-    /// Rebuilds a catalog from its persisted observable state: the query
-    /// set at `version`, seeded so [`swaps`](Self::swaps) keeps counting
-    /// from `seed_version` — a recovered engine reports the same swap count
-    /// as one that never restarted.
-    pub(crate) fn restore(queries: Vec<CnfQuery>, version: u64, seed_version: u64) -> Result<Self> {
-        debug_assert!(seed_version <= version);
-        let mut catalog = QueryCatalog::new(queries, version)?;
+    /// Appends the catalog: version, seed and the registered queries.
+    /// Persisting the seed keeps [`swaps`](Self::swaps) (version − seed)
+    /// exact across restarts.
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        enc.put_u64(self.version());
+        enc.put_u64(self.seed_version);
+        let queries = self.current.queries();
+        enc.put_usize(queries.len());
+        for query in queries {
+            query.encode(enc);
+        }
+    }
+
+    /// Reads a catalog written by [`encode`](Self::encode): the query set
+    /// at its version, still counting swaps from the persisted seed — a
+    /// recovered engine reports the same swap count as one that never
+    /// restarted. A query set [`new`](Self::new) would refuse is corrupt.
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+        let version = dec.take_u64()?;
+        let seed_version = dec.take_u64()?;
+        if seed_version > version {
+            return Err(Error::Corrupt(format!(
+                "catalog seed {seed_version} exceeds version {version}"
+            )));
+        }
+        let count = dec.take_len()?;
+        let mut queries = Vec::with_capacity(count);
+        for _ in 0..count {
+            queries.push(CnfQuery::decode(dec)?);
+        }
+        let mut catalog = QueryCatalog::new(queries, version)
+            .map_err(|e| Error::Corrupt(format!("snapshot catalog: {e}")))?;
         catalog.seed_version = seed_version;
         Ok(catalog)
     }

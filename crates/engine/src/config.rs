@@ -1,6 +1,6 @@
 //! Engine configuration.
 
-use tvq_common::{MemoConfig, WindowSpec};
+use tvq_common::{Decoder, Encoder, Error, MemoConfig, Result, WindowSpec};
 use tvq_core::{CompactionPolicy, MaintainerKind};
 
 /// Configuration of the end-to-end engine.
@@ -69,6 +69,71 @@ impl EngineConfig {
     pub fn with_memo(mut self, memo: MemoConfig) -> Self {
         self.memo = memo;
         self
+    }
+
+    /// Appends the configuration as `TVQE` version 1 lays it out. Two runs
+    /// of legacy bytes outlive the knobs they described and are written as
+    /// those knobs' fixed settings serialised:
+    ///
+    /// * three strategy bytes — a selection tag (always 1, "fixed"; 0 was
+    ///   the removed `Auto` choice, written without the next byte), the
+    ///   selected kind, and the kind that actually ran, now always equal;
+    /// * four memo words of the removed adaptive memo — initial bits, max
+    ///   bits, sample window, grow threshold. Only the first is read back.
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        enc.put_usize(self.window.window());
+        enc.put_usize(self.window.duration());
+        enc.put_u8(1);
+        enc.put_u8(self.maintainer.codec_tag());
+        enc.put_u8(self.maintainer.codec_tag());
+        enc.put_bool(self.pruning);
+        enc.put_bool(self.compaction.is_some());
+        if let Some(policy) = &self.compaction {
+            policy.encode(enc);
+        }
+        enc.put_u32(self.memo.bits);
+        enc.put_u32(self.memo.bits);
+        enc.put_u32(u32::MAX);
+        enc.put_f64(2.0);
+    }
+
+    /// Reads a configuration written by [`encode`](Self::encode), or by a
+    /// build that still had `Auto` (tag 0: the maintainer is the resolved
+    /// kind that follows) or the adaptive memo (restored at its initial
+    /// size).
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<EngineConfig> {
+        let window = WindowSpec::new(dec.take_usize()?, dec.take_usize()?)
+            .map_err(|e| Error::Corrupt(format!("snapshot window spec: {e}")))?;
+        let selected = match dec.take_u8()? {
+            0 => None,
+            1 => Some(MaintainerKind::from_codec_tag(dec.take_u8()?)?),
+            other => {
+                return Err(Error::Codec(format!("unknown selection tag {other}")));
+            }
+        };
+        let maintainer = MaintainerKind::from_codec_tag(dec.take_u8()?)?;
+        if let Some(selected) = selected.filter(|&selected| selected != maintainer) {
+            return Err(Error::Corrupt(format!(
+                "snapshot selects {selected} but ran {maintainer}"
+            )));
+        }
+        let pruning = dec.take_bool()?;
+        let compaction = (dec.take_bool()?)
+            .then(|| CompactionPolicy::decode(dec))
+            .transpose()?;
+        let memo = MemoConfig {
+            bits: dec.take_u32()?,
+        };
+        dec.take_u32()?;
+        dec.take_u32()?;
+        dec.take_f64()?;
+        Ok(EngineConfig {
+            window,
+            maintainer,
+            pruning,
+            compaction,
+            memo,
+        })
     }
 }
 

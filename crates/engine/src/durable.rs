@@ -26,13 +26,14 @@
 //! A compaction epoch marks a snapshot *due*; the snapshot is written
 //! lazily at the next durable operation (or an explicit
 //! [`sync_store`](TemporalVideoQueryEngine::sync_store)), covering
-//! everything logged so far. Deferring the write keeps the caller's
-//! sidecar — updated after `observe` returns — consistent with the state
-//! the snapshot captures. The WAL is pruned through the *previous*
-//! retained snapshot's sequence, never the newest: the store keeps
-//! [`KEEP_SNAPSHOTS`](tvq_store::snap::KEEP_SNAPSHOTS) generations as
-//! corruption fallbacks, and a fallback is only usable while the records
-//! after *its* sequence still exist.
+//! everything logged so far. The write is deferred because the epoch runs
+//! inside `observe`, after the frame is applied but before its record is
+//! logged, and a snapshot must hold exactly the state the WAL sequence it
+//! names produces. The WAL is pruned through the *previous* retained
+//! snapshot's sequence, never the newest: the store keeps two generations
+//! ([`KEEP_SNAPSHOTS`](tvq_store::snap::KEEP_SNAPSHOTS)) as corruption
+//! fallbacks, and one is only usable while the records after *its*
+//! sequence still exist.
 
 use std::path::Path;
 
@@ -53,8 +54,6 @@ pub(crate) struct Durability {
     snapshot_due: bool,
     /// Sequence of the previous retained snapshot — the WAL prune cursor.
     prev_snapshot_seq: Option<u64>,
-    /// Caller-owned opaque blob persisted inside each snapshot.
-    sidecar: Vec<u8>,
     /// Recoveries this engine went through (1 after `recover`).
     pub(crate) recoveries: u64,
 }
@@ -76,8 +75,6 @@ pub struct RecoveryReport {
     pub wal_truncation: Option<String>,
     /// Bytes discarded from the WAL's torn tail.
     pub wal_truncated_bytes: u64,
-    /// The sidecar blob persisted with the snapshot (empty when unused).
-    pub sidecar: Vec<u8>,
 }
 
 impl TemporalVideoQueryEngine {
@@ -93,7 +90,7 @@ impl TemporalVideoQueryEngine {
         }
         // Encoded first: a maintainer that cannot snapshot (the NAIVE and
         // reference baselines) refuses here, before the directory is touched.
-        let payload = persist::encode_engine(self, &[])?;
+        let payload = persist::encode_engine(self)?;
         let lock = DirLock::acquire(io.clone(), dir)?;
         let mut snaps = SnapshotStore::open(io.clone(), dir)?;
         if snaps.load_latest()?.is_some() {
@@ -118,7 +115,6 @@ impl TemporalVideoQueryEngine {
             snaps,
             snapshot_due: false,
             prev_snapshot_seq: Some(seq),
-            sidecar: Vec::new(),
             recoveries: 0,
         });
         Ok(())
@@ -134,13 +130,7 @@ impl TemporalVideoQueryEngine {
     /// [`attach_durability`](Self::attach_durability) and
     /// [`recover`](Self::recover).
     pub fn has_data(io: &SharedIo, dir: &Path) -> bool {
-        io.list(dir)
-            .map(|names| {
-                names
-                    .iter()
-                    .any(|n| n.starts_with("snap-") && n.ends_with(".snap"))
-            })
-            .unwrap_or(false)
+        SnapshotStore::has_snapshots(io, dir)
     }
 
     /// Rebuilds an engine from `dir`: newest valid snapshot plus WAL tail
@@ -157,7 +147,7 @@ impl TemporalVideoQueryEngine {
                 dir.display()
             ))
         })?;
-        let (mut engine, sidecar) = persist::restore_engine(&loaded.payload)?;
+        let mut engine = persist::restore_engine(&loaded.payload)?;
         let (wal, wal_report) = Wal::open(io, dir)?;
         match wal.first_seq() {
             Some(first) if first > loaded.seq + 1 => {
@@ -186,7 +176,6 @@ impl TemporalVideoQueryEngine {
             snapshots_skipped: loaded.skipped,
             wal_truncation: wal_report.truncation,
             wal_truncated_bytes: wal_report.truncated_bytes,
-            sidecar: sidecar.clone(),
             ..RecoveryReport::default()
         };
         for (seq, body) in wal.read_from(loaded.seq)? {
@@ -221,7 +210,6 @@ impl TemporalVideoQueryEngine {
             // crash loop cannot grow the unpruned tail without bound.
             snapshot_due: true,
             prev_snapshot_seq: Some(loaded.seq),
-            sidecar,
             recoveries: 1,
         });
         Ok((engine, report))
@@ -230,16 +218,6 @@ impl TemporalVideoQueryEngine {
     /// [`recover`](Self::recover) against the real filesystem.
     pub fn recover_at(dir: &Path) -> Result<(Self, RecoveryReport)> {
         Self::recover(RealIo::shared(), dir)
-    }
-
-    /// Replaces the opaque sidecar blob persisted inside the next snapshot.
-    /// No-op without a durability attachment. The multi-feed worker stores
-    /// its per-feed tally here; embedders can persist any small piece of
-    /// engine-adjacent state the same way.
-    pub fn set_durable_sidecar(&mut self, sidecar: Vec<u8>) {
-        if let Some(d) = &mut self.durability {
-            d.sidecar = sidecar;
-        }
     }
 
     /// Flushes pending durability work: writes a due snapshot and fsyncs
@@ -277,11 +255,8 @@ impl TemporalVideoQueryEngine {
         if !due {
             return Ok(());
         }
-        let sidecar = std::mem::take(&mut self.durability.as_mut().expect("checked above").sidecar);
-        let payload = persist::encode_engine(self, &sidecar);
+        let payload = persist::encode_engine(self)?;
         let d = self.durability.as_mut().expect("checked above");
-        d.sidecar = sidecar;
-        let payload = payload?;
         let seq = d.wal.next_seq() - 1;
         d.snaps.save(seq, &payload)?;
         if let Some(prev) = d.prev_snapshot_seq {

@@ -206,6 +206,12 @@ pub struct TemporalVideoQueryEngine {
     pub(crate) lifecycle: ObjectLifecycle,
     /// Frames since the compaction policy was last consulted.
     pub(crate) frames_since_compaction_check: u64,
+    /// Query matches reported over the engine's lifetime. Like
+    /// `matching_frames`, bumped where frames are applied, so WAL replay
+    /// rolls it forward; both are persisted in the snapshot trailer.
+    pub(crate) total_matches: u64,
+    /// Frames that reported at least one match.
+    pub(crate) matching_frames: u64,
     /// WAL + snapshot attachment, when the engine runs durably (see
     /// [`durable`](crate::durable)).
     pub(crate) durability: Option<Durability>,
@@ -266,6 +272,8 @@ impl TemporalVideoQueryEngine {
             maintainer,
             lifecycle: ObjectLifecycle::new(classes),
             frames_since_compaction_check: 0,
+            total_matches: 0,
+            matching_frames: 0,
             durability: None,
         }
     }
@@ -423,6 +431,12 @@ impl TemporalVideoQueryEngine {
         &self.lifecycle
     }
 
+    /// Lifetime `(total matches, frames with at least one match)` over
+    /// every frame this engine processed — across restarts when durable.
+    pub fn match_counters(&self) -> (u64, u64) {
+        (self.total_matches, self.matching_frames)
+    }
+
     /// Number of states currently materialised by the maintainer.
     pub fn live_states(&self) -> usize {
         self.maintainer.live_states()
@@ -511,9 +525,9 @@ impl TemporalVideoQueryEngine {
             }
         }
         if compacted {
-            // The snapshot itself is deferred to the next durable operation
-            // so the caller's sidecar (updated after this call returns) is
-            // captured consistently.
+            // The snapshot itself is deferred to the next durable operation:
+            // this frame's record is not in the WAL yet, and a snapshot
+            // covers exactly the records logged before it.
             self.mark_snapshot_due();
         }
         let mut matches = {
@@ -547,6 +561,8 @@ impl TemporalVideoQueryEngine {
                 }
             }
         }
+        self.total_matches += matches.len() as u64;
+        self.matching_frames += u64::from(!matches.is_empty());
         Ok(FrameResult {
             frame: frame.fid,
             matches,

@@ -15,7 +15,6 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
-use tvq_common::codec::{Decoder, Encoder};
 use tvq_common::{FeedId, FrameObjects, QueryId, Result};
 use tvq_query::CnfQuery;
 
@@ -27,15 +26,6 @@ use crate::engine::{FrameResult, TemporalVideoQueryEngine};
 pub(super) enum CatalogOp {
     Add(CnfQuery),
     Remove(QueryId),
-}
-
-/// A feed's complete worker-side state. Boxed wherever it travels, so a
-/// migration ships one pointer through a channel instead of deep-copying the
-/// engine (whose footprint PR 5 bounded, making this move cheap *and*
-/// small).
-pub(super) struct FeedState {
-    pub(super) engine: TemporalVideoQueryEngine,
-    pub(super) tally: FeedTally,
 }
 
 pub(super) enum WorkerMsg {
@@ -59,18 +49,20 @@ pub(super) enum WorkerMsg {
         version: u64,
         op: CatalogOp,
     },
-    /// Hand the named feed's state back to the scheduler (the first half of
-    /// a migration). Replies `None` when this worker never built the feed —
-    /// the scheduler then just re-pins and the new worker builds lazily.
+    /// Hand the named feed's engine back to the scheduler (the first half
+    /// of a migration). Replies `None` when this worker never built the
+    /// feed — the scheduler then just re-pins and the new worker builds
+    /// lazily. The engine travels boxed (one pointer through a channel),
+    /// its whole-lifetime frame and match counters inside it.
     Migrate {
         feed: FeedId,
-        reply: Sender<Option<Box<FeedState>>>,
+        reply: Sender<Option<Box<TemporalVideoQueryEngine>>>,
     },
-    /// Install a migrated feed's state (the second half of a migration,
+    /// Install a migrated feed's engine (the second half of a migration,
     /// sent to the feed's new worker after the old one handed it over).
     Adopt {
         feed: FeedId,
-        state: Box<FeedState>,
+        state: Box<TemporalVideoQueryEngine>,
     },
     Collect {
         reply: Sender<Vec<FeedReport>>,
@@ -88,57 +80,8 @@ pub(super) enum WorkerMsg {
 /// [`SchedulingStats`](super::SchedulingStats)).
 pub(super) type ShardResult = (u64, usize, Vec<(usize, FeedId, Result<FrameResult>)>, u64);
 
-/// Running per-feed tallies a worker keeps alongside each engine. They
-/// travel with the engine on migration, so reports stay whole-lifetime
-/// accurate no matter how many workers served the feed.
-#[derive(Default)]
-pub(super) struct FeedTally {
-    pub(super) frames: u64,
-    pub(super) total_matches: u64,
-    pub(super) matching_frames: u64,
-}
-
-impl FeedTally {
-    fn record(&mut self, result: &FrameResult) {
-        self.frames += 1;
-        self.total_matches += result.matches.len() as u64;
-        if result.any() {
-            self.matching_frames += 1;
-        }
-    }
-}
-
-/// Serializes a feed's running tallies for the engine snapshot's sidecar,
-/// so a recovered feed reports whole-lifetime counts — not counts since
-/// the last restart.
-fn encode_tally(tally: &FeedTally) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_u64(tally.frames);
-    enc.put_u64(tally.total_matches);
-    enc.put_u64(tally.matching_frames);
-    enc.into_bytes()
-}
-
-/// Rebuilds the tally persisted by [`encode_tally`]. An empty sidecar
-/// (a bootstrap snapshot taken before the feed's first frame) is a fresh
-/// tally.
-fn decode_tally(bytes: &[u8]) -> Result<FeedTally> {
-    if bytes.is_empty() {
-        return Ok(FeedTally::default());
-    }
-    let mut dec = Decoder::new(bytes);
-    let tally = FeedTally {
-        frames: dec.take_u64()?,
-        total_matches: dec.take_u64()?,
-        matching_frames: dec.take_u64()?,
-    };
-    dec.finish()?;
-    Ok(tally)
-}
-
-/// Builds (or, on a durable fleet, recovers) the state of a feed this
-/// worker serves for the first time. Recovery rolls the persisted tally
-/// forward over the replayed WAL tail and fast-forwards the engine's
+/// Builds (or, on a durable fleet, recovers) the engine of a feed this
+/// worker serves for the first time. Recovery fast-forwards the engine's
 /// catalog to the fleet's current version — the swaps it missed while the
 /// feed's previous worker was down land at the same stream position the
 /// broadcast originally had (ops only ever broadcast between batches).
@@ -147,31 +90,21 @@ fn materialise_feed(
     feed: FeedId,
     queries: &[CnfQuery],
     version: u64,
-) -> Result<Box<FeedState>> {
+) -> Result<Box<TemporalVideoQueryEngine>> {
     let Some((io, root)) = &spec.store else {
-        return Ok(Box::new(FeedState {
-            engine: spec.build_engine(queries, version)?,
-            tally: FeedTally::default(),
-        }));
+        return Ok(Box::new(spec.build_engine(queries, version)?));
     };
     let dir = root.join(format!("feed-{}", feed.0));
-    if TemporalVideoQueryEngine::has_data(io, &dir) {
-        let (mut engine, report) = TemporalVideoQueryEngine::recover(io.clone(), &dir)?;
-        let mut tally = decode_tally(&report.sidecar)?;
-        for result in &report.replayed_frames {
-            tally.record(result);
-        }
+    let engine = if TemporalVideoQueryEngine::has_data(io, &dir) {
+        let (mut engine, _) = TemporalVideoQueryEngine::recover(io.clone(), &dir)?;
         engine.reconcile_catalog(queries, version)?;
-        engine.set_durable_sidecar(encode_tally(&tally));
-        Ok(Box::new(FeedState { engine, tally }))
+        engine
     } else {
         let mut engine = spec.build_engine(queries, version)?;
         engine.attach_durability(io.clone(), &dir)?;
-        Ok(Box::new(FeedState {
-            engine,
-            tally: FeedTally::default(),
-        }))
-    }
+        engine
+    };
+    Ok(Box::new(engine))
 }
 
 pub(super) fn worker_loop(
@@ -183,7 +116,7 @@ pub(super) fn worker_loop(
     results: Sender<ShardResult>,
 ) {
     // BTreeMap so collection iterates feeds in ascending id order.
-    let mut engines: BTreeMap<FeedId, Box<FeedState>> = BTreeMap::new();
+    let mut engines: BTreeMap<FeedId, Box<TemporalVideoQueryEngine>> = BTreeMap::new();
     // The worker-local view of the current catalog: engines for feeds first
     // seen *after* a swap must be built from this, not the build-time spec,
     // or a late-arriving feed would answer (and report metrics) under a
@@ -199,12 +132,12 @@ pub(super) fn worker_loop(
                     CatalogOp::Remove(id) => current_queries.retain(|q| q.id != *id),
                 }
                 current_version = version;
-                for state in engines.values_mut() {
+                for engine in engines.values_mut() {
                     // Centrally validated; per-engine application cannot
                     // fail (ids are fleet-unique and present everywhere).
                     let applied = match &op {
-                        CatalogOp::Add(query) => state.engine.add_query(query.clone()),
-                        CatalogOp::Remove(id) => state.engine.remove_query(*id),
+                        CatalogOp::Add(query) => engine.add_query(query.clone()),
+                        CatalogOp::Remove(id) => engine.remove_query(*id),
                     };
                     debug_assert!(applied.is_ok(), "validated catalog op rejected");
                 }
@@ -214,11 +147,11 @@ pub(super) fn worker_loop(
                 let mut outcomes: Vec<(usize, FeedId, Result<FrameResult>)> =
                     Vec::with_capacity(frames.len());
                 for (seq, feed, frame) in frames {
-                    let state = match engines.entry(feed) {
+                    let engine = match engines.entry(feed) {
                         Entry::Occupied(entry) => entry.into_mut(),
                         Entry::Vacant(vacant) => {
                             match materialise_feed(&spec, feed, &current_queries, current_version) {
-                                Ok(state) => vacant.insert(state),
+                                Ok(engine) => vacant.insert(engine),
                                 Err(error) => {
                                     // Without a store, unreachable in
                                     // practice (the builder validated the
@@ -230,17 +163,7 @@ pub(super) fn worker_loop(
                             }
                         }
                     };
-                    let outcome = state.engine.observe(&frame);
-                    if let Ok(result) = &outcome {
-                        state.tally.record(result);
-                        // Keep the sidecar one op behind the WAL: the next
-                        // flushed snapshot covers this frame, so its tally
-                        // must too.
-                        if state.engine.is_durable() {
-                            state.engine.set_durable_sidecar(encode_tally(&state.tally));
-                        }
-                    }
-                    outcomes.push((seq, feed, outcome));
+                    outcomes.push((seq, feed, engine.observe(&frame)));
                 }
                 let busy = started.elapsed().as_nanos() as u64;
                 if results.send((epoch, index, outcomes, busy)).is_err() {
@@ -264,23 +187,26 @@ pub(super) fn worker_loop(
             WorkerMsg::Collect { reply } => {
                 let reports = engines
                     .iter()
-                    .map(|(&feed, state)| FeedReport {
-                        feed,
-                        strategy: state.engine.strategy().to_owned(),
-                        frames: state.tally.frames,
-                        total_matches: state.tally.total_matches,
-                        matching_frames: state.tally.matching_frames,
-                        live_states: state.engine.live_states(),
-                        catalog_version: state.engine.catalog_version(),
-                        metrics: state.engine.metrics(),
+                    .map(|(&feed, engine)| {
+                        let (total_matches, matching_frames) = engine.match_counters();
+                        FeedReport {
+                            feed,
+                            strategy: engine.strategy().to_owned(),
+                            frames: engine.maintainer_metrics().frames_processed,
+                            total_matches,
+                            matching_frames,
+                            live_states: engine.live_states(),
+                            catalog_version: engine.catalog_version(),
+                            metrics: engine.metrics(),
+                        }
                     })
                     .collect();
                 let _ = reply.send(reports);
             }
             WorkerMsg::Sync { reply } => {
                 let mut outcome: Result<()> = Ok(());
-                for state in engines.values_mut() {
-                    let flushed = state.engine.sync_store();
+                for engine in engines.values_mut() {
+                    let flushed = engine.sync_store();
                     if outcome.is_ok() {
                         outcome = flushed;
                     }
@@ -292,7 +218,7 @@ pub(super) fn worker_loop(
     // Inbox closed (shutdown or a scheduler-side kill): flush so nothing
     // acknowledged — or checkpointable — is left behind, then drop the
     // engines, releasing their per-feed directory locks for a respawn.
-    for state in engines.values_mut() {
-        let _ = state.engine.sync_store();
+    for engine in engines.values_mut() {
+        let _ = engine.sync_store();
     }
 }

@@ -1,35 +1,36 @@
-//! The engine's durable formats: WAL record bodies and the snapshot codec.
+//! The engine's durable formats: WAL record bodies, the engine snapshot and
+//! the fleet catalog.
 //!
-//! The storage layer (`tvq-store`) frames, checksums and fsyncs *opaque*
-//! byte strings; this module is where those bytes get their meaning. Two
-//! formats live here:
+//! Every persisted type owns its bytes: `encode`/`decode` sit next to
+//! [`ClassRegistry`], [`ClassStore`], [`CnfQuery`], [`EngineConfig`],
+//! [`QueryCatalog`], [`ObjectLifecycle`] and the maintainers' state. This
+//! module only says which of them make up an artifact and in what order;
+//! the storage layer (`tvq-store`) frames, seals and publishes the result
+//! as *opaque* byte strings. Three formats:
 //!
 //! * **WAL records** — every state-changing engine operation (an observed
 //!   frame, a query registration, a query cancellation) as a tagged body.
 //!   Replaying the records after a snapshot, in sequence order, through the
 //!   same code paths the live engine used reproduces its state exactly.
 //! * **engine snapshots** (`TVQE`) — the complete engine at a WAL sequence
-//!   boundary: configuration, class registry, class store, query catalog,
-//!   object lifecycle, the maintainer's own versioned state blob (see
-//!   [`StateMaintainer::snapshot_state`]), and an opaque caller sidecar
-//!   (the multi-feed worker persists its per-feed tally there).
+//!   boundary, as the section list of `encode_engine`.
+//! * **the fleet catalog** (`TVQF`) — the multi-feed scheduler's master
+//!   registry, query set and catalog version.
 //!
-//! Both formats are versioned through [`tvq_common::codec`] headers and
-//! fail with clean [`Error::Codec`] / [`Error::Corrupt`] errors on version
-//! skew or damage — corrupt state is *detected*, never silently replayed.
-//!
-//! [`StateMaintainer::snapshot_state`]: tvq_core::StateMaintainer::snapshot_state
+//! All are versioned through [`tvq_common::codec`] headers and fail with
+//! clean [`Error::Codec`] / [`Error::Corrupt`] errors on version skew or
+//! damage — corrupt state is *detected*, never silently replayed.
 
 use std::path::Path;
 use std::sync::{Arc, PoisonError, RwLock};
 
 use tvq_common::codec::{Decoder, Encoder};
 use tvq_common::{
-    ClassId, ClassRegistry, ClassStore, Error, FrameId, FrameObjects, MemoConfig, ObjectId,
-    QueryId, Result, SharedClassMap, WindowSpec,
+    ClassId, ClassRegistry, ClassStore, Error, FrameId, FrameObjects, ObjectId, QueryId, Result,
+    SharedClassMap,
 };
-use tvq_core::{CompactionPolicy, LiveBinding, MaintainerKind, ObjectLifecycle};
-use tvq_query::{CmpOp, CnfQuery, Condition};
+use tvq_core::ObjectLifecycle;
+use tvq_query::CnfQuery;
 use tvq_store::{publish, seal, unseal, SharedIo};
 
 use crate::catalog::QueryCatalog;
@@ -77,7 +78,7 @@ pub fn encode_frame_record(frame: &FrameObjects) -> Vec<u8> {
 pub fn encode_add_query_record(query: &CnfQuery) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_u8(RECORD_ADD_QUERY);
-    put_query(&mut enc, query);
+    query.encode(&mut enc);
     enc.into_bytes()
 }
 
@@ -110,7 +111,7 @@ pub fn decode_record(body: &[u8]) -> Result<WalRecord> {
             }
             WalRecord::Frame(FrameObjects::new(fid, classes).with_track_ends(track_ends))
         }
-        RECORD_ADD_QUERY => WalRecord::AddQuery(take_query(&mut dec)?),
+        RECORD_ADD_QUERY => WalRecord::AddQuery(CnfQuery::decode(&mut dec)?),
         RECORD_REMOVE_QUERY => WalRecord::RemoveQuery(QueryId(dec.take_u32()?)),
         other => {
             return Err(Error::Codec(format!("unknown wal record tag {other}")));
@@ -120,49 +121,7 @@ pub fn decode_record(body: &[u8]) -> Result<WalRecord> {
     Ok(record)
 }
 
-fn put_query(enc: &mut Encoder, query: &CnfQuery) {
-    enc.put_u32(query.id.0);
-    enc.put_usize(query.clauses.len());
-    for clause in &query.clauses {
-        enc.put_usize(clause.len());
-        for condition in clause {
-            enc.put_u16(condition.class.raw());
-            enc.put_u8(match condition.op {
-                CmpOp::Le => 0,
-                CmpOp::Eq => 1,
-                CmpOp::Ge => 2,
-            });
-            enc.put_u32(condition.value);
-        }
-    }
-}
-
-fn take_query(dec: &mut Decoder<'_>) -> Result<CnfQuery> {
-    let id = QueryId(dec.take_u32()?);
-    let clause_count = dec.take_len()?;
-    let mut clauses = Vec::with_capacity(clause_count);
-    for _ in 0..clause_count {
-        let condition_count = dec.take_len()?;
-        let mut clause = Vec::with_capacity(condition_count);
-        for _ in 0..condition_count {
-            let class = ClassId(dec.take_u16()?);
-            let op = match dec.take_u8()? {
-                0 => CmpOp::Le,
-                1 => CmpOp::Eq,
-                2 => CmpOp::Ge,
-                other => {
-                    return Err(Error::Codec(format!("unknown comparison tag {other}")));
-                }
-            };
-            clause.push(Condition::new(class, op, dec.take_u32()?));
-        }
-        clauses.push(clause);
-    }
-    Ok(CnfQuery::new(id, clauses))
-}
-
-/// Magic of the fleet-catalog payload (`TVQF`): the multi-feed scheduler's
-/// master registry, query set and catalog version.
+/// Magic of the fleet-catalog payload (`TVQF`).
 const FLEET_MAGIC: [u8; 4] = *b"TVQF";
 /// Version of the fleet-catalog payload (2 added the CRC-32 trailer).
 const FLEET_VERSION: u32 = 2;
@@ -209,22 +168,19 @@ pub(crate) fn load_fleet_catalog(
     decode_fleet_catalog(&io.read(&path)?).map(Some)
 }
 
-/// Serializes the multi-feed scheduler's master catalog, closed by the
-/// store's [`seal`] (the snapshot store's framing). Written *ahead* of each
-/// broadcast (and at fleet build), so after any crash the master version is
-/// at least every feed's — restart fast-forwards recovered feeds to the
-/// master, never the reverse.
+/// Serializes the multi-feed scheduler's master catalog — header, version,
+/// registry, queries — closed by the store's [`seal`] (the snapshot store's
+/// framing). Written *ahead* of each broadcast (and at fleet build), so
+/// after any crash the master version is at least every feed's — restart
+/// fast-forwards recovered feeds to the master, never the reverse.
 fn encode_fleet_catalog(registry: &ClassRegistry, queries: &[CnfQuery], version: u64) -> Vec<u8> {
     let mut enc = Encoder::with_capacity(256);
     enc.put_header(FLEET_MAGIC, FLEET_VERSION);
     enc.put_u64(version);
-    enc.put_usize(registry.len());
-    for (_, label) in registry.iter() {
-        enc.put_str(label.as_str());
-    }
+    registry.encode(&mut enc);
     enc.put_usize(queries.len());
     for query in queries {
-        put_query(&mut enc, query);
+        query.encode(&mut enc);
     }
     seal(enc.into_bytes())
 }
@@ -237,292 +193,86 @@ fn decode_fleet_catalog(payload: &[u8]) -> Result<(ClassRegistry, Vec<CnfQuery>,
     let mut dec = Decoder::new(unseal(payload, "fleet catalog")?);
     dec.check_header(FLEET_MAGIC, FLEET_VERSION)?;
     let version = dec.take_u64()?;
-    let labels = dec.take_len()?;
-    let mut registry = ClassRegistry::new();
-    for index in 0..labels {
-        let id = registry.register(dec.take_str()?);
-        if id.raw() as usize != index {
-            return Err(Error::Corrupt(format!(
-                "fleet registry label {index} re-registered as class {}",
-                id.raw()
-            )));
-        }
-    }
+    let registry = ClassRegistry::decode(&mut dec)?;
     let count = dec.take_len()?;
     let mut queries = Vec::with_capacity(count);
     for _ in 0..count {
-        queries.push(take_query(&mut dec)?);
+        queries.push(CnfQuery::decode(&mut dec)?);
     }
     dec.finish()?;
     Ok((registry, queries, version))
 }
 
-/// Serializes the complete engine state as a `TVQE` snapshot payload.
-/// `sidecar` is the caller-owned opaque blob persisted alongside (empty
-/// when unused); it rides in the snapshot so worker-level state (e.g. the
-/// multi-feed per-feed tally) survives restarts with the engine it
-/// describes.
-pub(crate) fn encode_engine(engine: &TemporalVideoQueryEngine, sidecar: &[u8]) -> Result<Vec<u8>> {
+/// Serializes the complete engine state as a `TVQE` snapshot payload: the
+/// sections below, in this order, each written by the type that owns it.
+pub(crate) fn encode_engine(engine: &TemporalVideoQueryEngine) -> Result<Vec<u8>> {
     let mut enc = Encoder::with_capacity(4096);
     enc.put_header(MAGIC, VERSION);
-
-    // Configuration.
-    let config = &engine.config;
-    enc.put_usize(config.window.window());
-    enc.put_usize(config.window.duration());
-    // Three strategy bytes, kept from TVQE version 1's first builds: a
-    // selection tag (always 1, "fixed"; 0 was the removed `Auto` knob), the
-    // selected kind, and the kind that actually ran — now always the same.
-    enc.put_u8(1);
-    enc.put_u8(config.maintainer.codec_tag());
-    enc.put_u8(config.maintainer.codec_tag());
-    enc.put_bool(config.pruning);
-    match &config.compaction {
-        None => enc.put_bool(false),
-        Some(policy) => {
-            enc.put_bool(true);
-            enc.put_u64(policy.check_interval);
-            enc.put_f64(policy.max_live_ratio);
-            enc.put_usize(policy.min_interned);
-        }
-    }
-    // Four memo words, kept from TVQE version 1's adaptive memo (initial
-    // bits, max bits, sample window, grow threshold): what a fixed size
-    // serialised as then. Only the first is read back.
-    enc.put_u32(config.memo.bits);
-    enc.put_u32(config.memo.bits);
-    enc.put_u32(u32::MAX);
-    enc.put_f64(2.0);
-
-    // Class registry (labels in ClassId order).
-    enc.put_usize(engine.registry.len());
-    for (_, label) in engine.registry.iter() {
-        enc.put_str(label.as_str());
-    }
-
-    // Class store: sorted live entries plus the alias cursor and the
-    // eviction counter (both monotone — resetting either would re-mint
-    // identifiers persisted bindings already carry).
-    {
-        let store = engine
-            .lifecycle
-            .store()
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        let entries = store.snapshot();
-        enc.put_usize(entries.len());
-        for (id, class, refs) in entries {
-            enc.put_u32(id.raw());
-            enc.put_u16(class.raw());
-            enc.put_u32(refs);
-        }
-        enc.put_u32(store.alias_floor());
-        enc.put_u64(store.evictions());
-    }
-
-    // Query catalog: version, seed and the registered queries. Persisting
-    // the seed keeps `catalog_swaps` (version - seed) exact across restarts.
-    enc.put_u64(engine.catalog.version());
-    enc.put_u64(engine.catalog.version() - engine.catalog.swaps());
-    let queries = engine.catalog.snapshot().queries();
-    enc.put_usize(queries.len());
-    for query in queries {
-        put_query(&mut enc, query);
-    }
-
-    // Object lifecycle: live bindings, tracked internals, alias
-    // translations, and the three monotone counters.
-    let live = engine.lifecycle.live_bindings();
-    enc.put_usize(live.len());
-    for (external, binding) in live {
-        enc.put_u32(external.raw());
-        enc.put_u32(binding.internal.raw());
-        enc.put_u16(binding.class.raw());
-        enc.put_u64(binding.generation);
-    }
-    let registered = engine.lifecycle.registered_ids();
-    enc.put_usize(registered.len());
-    for id in registered {
-        enc.put_u32(id.raw());
-    }
-    let aliases = engine.lifecycle.alias_entries();
-    enc.put_usize(aliases.len());
-    for (alias, external) in aliases {
-        enc.put_u32(alias.raw());
-        enc.put_u32(external.raw());
-    }
-    enc.put_u64(engine.lifecycle.generations_started());
-    enc.put_u64(engine.lifecycle.retired_total());
-    enc.put_u64(engine.lifecycle.tracks_ended());
-
+    engine.config.encode(&mut enc);
+    engine.registry.encode(&mut enc);
+    engine
+        .lifecycle
+        .store()
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .encode(&mut enc);
+    engine.catalog.encode(&mut enc);
+    engine.lifecycle.encode(&mut enc);
     // Engine-side cursor.
     enc.put_u64(engine.frames_since_compaction_check);
-
     // The maintainer's own versioned blob, length-prefixed so its format
     // can evolve independently of the envelope.
     let mut blob = Encoder::with_capacity(4096);
     engine.maintainer.snapshot_state(&mut blob)?;
     enc.put_bytes(blob.as_bytes());
-
-    enc.put_bytes(sidecar);
+    // Trailer: the feed counters, in the byte string (and the encoding) a
+    // multi-feed worker's tally used to ride in. The frame count repeats
+    // the maintainer's `frames_processed` and is not read back.
+    let mut counters = Encoder::new();
+    counters.put_u64(engine.maintainer.metrics().frames_processed);
+    counters.put_u64(engine.total_matches);
+    counters.put_u64(engine.matching_frames);
+    enc.put_bytes(counters.as_bytes());
     Ok(enc.into_bytes())
 }
 
-/// Rebuilds an engine from a `TVQE` snapshot payload, returning it together
-/// with the persisted sidecar. The engine comes back *without* a durability
-/// attachment — `recover` wires that up after replaying the WAL tail.
-pub(crate) fn restore_engine(payload: &[u8]) -> Result<(TemporalVideoQueryEngine, Vec<u8>)> {
+/// Rebuilds an engine from a `TVQE` snapshot payload. The engine comes back
+/// *without* a durability attachment — `recover` wires that up after
+/// replaying the WAL tail.
+pub(crate) fn restore_engine(payload: &[u8]) -> Result<TemporalVideoQueryEngine> {
     let mut dec = Decoder::new(payload);
     dec.check_header(MAGIC, VERSION)?;
-
-    // Configuration.
-    let window = dec.take_usize()?;
-    let duration = dec.take_usize()?;
-    let window = WindowSpec::new(window, duration)
-        .map_err(|e| Error::Corrupt(format!("snapshot window spec: {e}")))?;
-    // See `encode_engine`: tag 0 snapshots come from builds that still had
-    // `Auto`; the maintainer they ran is the resolved-kind byte that follows.
-    let selected = match dec.take_u8()? {
-        0 => None,
-        1 => Some(MaintainerKind::from_codec_tag(dec.take_u8()?)?),
-        other => {
-            return Err(Error::Codec(format!("unknown selection tag {other}")));
-        }
-    };
-    let maintainer = MaintainerKind::from_codec_tag(dec.take_u8()?)?;
-    if let Some(selected) = selected.filter(|&selected| selected != maintainer) {
-        return Err(Error::Corrupt(format!(
-            "snapshot selects {selected} but ran {maintainer}"
-        )));
+    let config = EngineConfig::decode(&mut dec)?;
+    let registry = ClassRegistry::decode(&mut dec)?;
+    let classes: SharedClassMap = Arc::new(RwLock::new(ClassStore::decode(&mut dec)?));
+    let catalog = QueryCatalog::decode(&mut dec)?;
+    let lifecycle = ObjectLifecycle::decode(&mut dec, Arc::clone(&classes))?;
+    let mut engine = TemporalVideoQueryEngine::assemble(config, registry, catalog, classes);
+    engine.lifecycle = lifecycle;
+    engine.frames_since_compaction_check = dec.take_u64()?;
+    let mut blob = Decoder::new(dec.take_bytes()?);
+    engine.maintainer.restore_state(&mut blob)?;
+    blob.finish()?;
+    // An empty trailer (a snapshot from before the counters were engine
+    // state, taken by an engine outside a fleet) restores them as zero.
+    let counters = dec.take_bytes()?;
+    if !counters.is_empty() {
+        let mut counters = Decoder::new(counters);
+        counters.take_u64()?;
+        engine.total_matches = counters.take_u64()?;
+        engine.matching_frames = counters.take_u64()?;
+        counters.finish()?;
     }
-    let pruning = dec.take_bool()?;
-    let compaction = if dec.take_bool()? {
-        Some(CompactionPolicy {
-            check_interval: dec.take_u64()?,
-            max_live_ratio: dec.take_f64()?,
-            min_interned: dec.take_usize()?,
-        })
-    } else {
-        None
-    };
-    let memo = MemoConfig {
-        bits: dec.take_u32()?,
-    };
-    // The three dead words of the adaptive policy (see `encode_engine`).
-    dec.take_u32()?;
-    dec.take_u32()?;
-    dec.take_f64()?;
-    let config = EngineConfig {
-        window,
-        maintainer,
-        pruning,
-        compaction,
-        memo,
-    };
-
-    // Class registry: labels registered in order reproduce their ids.
-    let labels = dec.take_len()?;
-    let mut registry = ClassRegistry::new();
-    for index in 0..labels {
-        let id = registry.register(dec.take_str()?);
-        if id.raw() as usize != index {
-            return Err(Error::Corrupt(format!(
-                "registry label {index} re-registered as class {}",
-                id.raw()
-            )));
-        }
-    }
-
-    // Class store.
-    let entry_count = dec.take_len()?;
-    let mut entries = Vec::with_capacity(entry_count);
-    for _ in 0..entry_count {
-        let id = ObjectId(dec.take_u32()?);
-        let class = ClassId(dec.take_u16()?);
-        let refs = dec.take_u32()?;
-        entries.push((id, class, refs));
-    }
-    let alias_floor = dec.take_u32()?;
-    let evictions = dec.take_u64()?;
-    let classes: SharedClassMap = Arc::new(RwLock::new(ClassStore::restore(
-        entries,
-        alias_floor,
-        evictions,
-    )));
-
-    // Query catalog.
-    let version = dec.take_u64()?;
-    let seed_version = dec.take_u64()?;
-    if seed_version > version {
-        return Err(Error::Corrupt(format!(
-            "catalog seed {seed_version} exceeds version {version}"
-        )));
-    }
-    let query_count = dec.take_len()?;
-    let mut queries = Vec::with_capacity(query_count);
-    for _ in 0..query_count {
-        queries.push(take_query(&mut dec)?);
-    }
-    let catalog = QueryCatalog::restore(queries, version, seed_version)
-        .map_err(|e| Error::Corrupt(format!("snapshot catalog: {e}")))?;
-
-    // Object lifecycle.
-    let live_count = dec.take_len()?;
-    let mut live = Vec::with_capacity(live_count);
-    for _ in 0..live_count {
-        let external = ObjectId(dec.take_u32()?);
-        let binding = LiveBinding {
-            internal: ObjectId(dec.take_u32()?),
-            class: ClassId(dec.take_u16()?),
-            generation: dec.take_u64()?,
-        };
-        live.push((external, binding));
-    }
-    let registered_count = dec.take_len()?;
-    let mut registered = Vec::with_capacity(registered_count);
-    for _ in 0..registered_count {
-        registered.push(ObjectId(dec.take_u32()?));
-    }
-    let alias_count = dec.take_len()?;
-    let mut aliases = Vec::with_capacity(alias_count);
-    for _ in 0..alias_count {
-        let alias = ObjectId(dec.take_u32()?);
-        let external = ObjectId(dec.take_u32()?);
-        aliases.push((alias, external));
-    }
-    let generations = dec.take_u64()?;
-    let retired_total = dec.take_u64()?;
-    let tracks_ended = dec.take_u64()?;
-
-    let frames_since_compaction_check = dec.take_u64()?;
-
-    let mut engine =
-        TemporalVideoQueryEngine::assemble(config, registry, catalog, Arc::clone(&classes));
-    engine.lifecycle = ObjectLifecycle::restore(
-        classes,
-        live,
-        registered,
-        aliases,
-        generations,
-        retired_total,
-        tracks_ended,
-    );
-    engine.frames_since_compaction_check = frames_since_compaction_check;
-
-    let blob = dec.take_bytes()?;
-    let mut maintainer_dec = Decoder::new(blob);
-    engine.maintainer.restore_state(&mut maintainer_dec)?;
-    maintainer_dec.finish()?;
-
-    let sidecar = dec.take_bytes()?.to_vec();
     dec.finish()?;
-    Ok((engine, sidecar))
+    Ok(engine)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tvq_common::ObjectSet;
+    use tvq_common::{MemoConfig, ObjectSet, WindowSpec};
+    use tvq_core::{CompactionPolicy, MaintainerKind};
+    use tvq_query::Condition;
 
     fn frame(fid: u64, detections: &[(u32, u16)], ends: &[u32]) -> FrameObjects {
         FrameObjects::new(
@@ -575,8 +325,6 @@ mod tests {
 
     #[test]
     fn engine_snapshot_round_trips_mid_stream() {
-        use tvq_core::CompactionPolicy;
-
         let build = || {
             TemporalVideoQueryEngine::builder(
                 EngineConfig::new(WindowSpec::new(6, 3).unwrap())
@@ -599,9 +347,9 @@ mod tests {
             engine.observe_applied(f).unwrap();
         }
 
-        let payload = encode_engine(&engine, b"tally").unwrap();
-        let (mut restored, sidecar) = restore_engine(&payload).unwrap();
-        assert_eq!(sidecar, b"tally");
+        let payload = encode_engine(&engine).unwrap();
+        let mut restored = restore_engine(&payload).unwrap();
+        assert_eq!(restored.match_counters(), engine.match_counters());
         assert_eq!(restored.catalog_version(), engine.catalog_version());
         assert_eq!(restored.metrics().catalog_swaps, 1);
         assert_eq!(restored.strategy(), engine.strategy());
@@ -641,7 +389,7 @@ mod tests {
         for fid in 0..4 {
             engine.observe_applied(&frame(fid, &[(1, 1)], &[])).unwrap();
         }
-        let payload = encode_engine(&engine, &[]).unwrap();
+        let payload = encode_engine(&engine).unwrap();
         let mut prefix = Encoder::new();
         prefix.put_header(MAGIC, VERSION);
         prefix.put_usize(window.window());
@@ -655,7 +403,7 @@ mod tests {
         let mut auto = payload.clone();
         auto[at] = 0;
         auto.remove(at + 1);
-        let (mut restored, _) = restore_engine(&auto).unwrap();
+        let mut restored = restore_engine(&auto).unwrap();
         assert_eq!(restored.config().maintainer, MaintainerKind::Mfs);
         let next = frame(4, &[(1, 1)], &[]);
         assert_eq!(
@@ -685,7 +433,7 @@ mod tests {
         for fid in 0..4 {
             engine.observe_applied(&frame(fid, &[(1, 1)], &[])).unwrap();
         }
-        let payload = encode_engine(&engine, &[]).unwrap();
+        let payload = encode_engine(&engine).unwrap();
         let mut prefix = Encoder::new();
         prefix.put_header(MAGIC, VERSION);
         prefix.put_usize(window.window());
@@ -703,13 +451,170 @@ mod tests {
 
         let mut adaptive = payload.clone();
         adaptive.splice(at..at + written.len(), words([12, 20, 4096], 0.5));
-        let (mut restored, _) = restore_engine(&adaptive).unwrap();
+        let mut restored = restore_engine(&adaptive).unwrap();
         assert_eq!(restored.config().memo, MemoConfig { bits: 12 });
         let next = frame(4, &[(1, 1)], &[]);
         assert_eq!(
             restored.observe_applied(&next).unwrap(),
             engine.observe_applied(&next).unwrap()
         );
+    }
+
+    /// The fixed script behind [`engine_snapshot_bytes_are_pinned`]: 40
+    /// frames, compaction every 4, one mid-stream registration, and track
+    /// ends on an id that returns while its old generation is still in the
+    /// window (so the snapshot carries alias bookkeeping).
+    fn pinned_script(kind: MaintainerKind) -> TemporalVideoQueryEngine {
+        let mut engine = TemporalVideoQueryEngine::builder(
+            EngineConfig::new(WindowSpec::new(6, 3).unwrap())
+                .with_maintainer(kind)
+                .with_compaction(Some(CompactionPolicy::every(4))),
+        )
+        .with_query_text("car >= 1 AND person >= 1")
+        .unwrap()
+        .build()
+        .unwrap();
+        let (mut total_matches, mut matching_frames) = (0u64, 0u64);
+        for i in 0..40u64 {
+            if i == 17 {
+                engine.add_query_text("truck >= 2").unwrap();
+            }
+            let ends: &[u32] = if i % 7 == 3 { &[2] } else { &[] };
+            let n = i as u32;
+            let detections = [(n % 4 + 1, 1), (5, 1), (9, 0), (n % 2 + 23, 2), (30, 2)];
+            let result = engine.observe(&frame(i, &detections, ends)).unwrap();
+            total_matches += result.matches.len() as u64;
+            matching_frames += u64::from(result.any());
+        }
+        assert!(engine.lifecycle.has_aliases(), "script mints no alias");
+        assert!(engine.metrics().compactions > 0, "script never compacts");
+        assert!(total_matches > matching_frames && matching_frames > 0);
+        assert!(matching_frames < 40);
+        assert_eq!(engine.match_counters(), (total_matches, matching_frames));
+        engine
+    }
+
+    /// `(len, crc32)` of the `TVQE` payload a fleet worker's snapshot holds
+    /// after [`pinned_script`], computed at the parent of PR 23 — before any
+    /// type owned its bytes, and with the worker's `(frames, matches,
+    /// matching frames)` tally passed in as an opaque sidecar where the
+    /// engine now writes its own counters. A refactor must leave the
+    /// constants alone; equal bytes are what show a snapshot written on
+    /// either side of it restores on the other.
+    #[test]
+    fn engine_snapshot_bytes_are_pinned() {
+        let pins = [MaintainerKind::Mfs, MaintainerKind::Ssg].map(|kind| {
+            let payload = encode_engine(&pinned_script(kind)).unwrap();
+            (payload.len(), tvq_common::crc32(&payload))
+        });
+        assert_eq!(pins, [(318, 3275419092), (406, 1372973875)]);
+    }
+
+    /// The same pin for the sealed `TVQF` fleet catalog.
+    #[test]
+    fn fleet_catalog_bytes_are_pinned() {
+        let mut registry = ClassRegistry::with_default_classes();
+        let bicycle = registry.register("bicycle");
+        let queries = [
+            CnfQuery::new(
+                QueryId(0),
+                vec![
+                    vec![
+                        Condition::at_least(ClassId(1), 2),
+                        Condition::at_most(ClassId(0), 1),
+                    ],
+                    vec![Condition::exactly(bicycle, 300)],
+                ],
+            ),
+            CnfQuery::conjunction(QueryId(7), vec![Condition::at_least(ClassId(3), 1)]),
+        ];
+        let payload = encode_fleet_catalog(&registry, &queries, 1 << 40);
+        assert_eq!(
+            (payload.len(), tvq_common::crc32(&payload)),
+            (66, 558161692)
+        );
+    }
+
+    /// The class-store, live-binding, registered-id and alias lists are
+    /// written strictly increasing by key, every class-store entry with at
+    /// least one reference. A list that repeats or reorders a key, or an
+    /// unreferenced entry, is corrupt — not a map that kept the last entry.
+    #[test]
+    fn decoders_reject_lists_no_encoder_writes() {
+        let engine = TemporalVideoQueryEngine::builder(EngineConfig::default())
+            .with_query_text("car >= 1")
+            .unwrap()
+            .build()
+            .unwrap();
+        // A `TVQE` payload of a frameless engine around hand-built lists:
+        // class-store `(id, refs)` entries, then the keys of the three
+        // lifecycle lists.
+        let payload = |store: &[(u32, u32)], live: &[u32], registered: &[u32], aliases: &[u32]| {
+            let mut enc = Encoder::new();
+            enc.put_header(MAGIC, VERSION);
+            engine.config.encode(&mut enc);
+            engine.registry.encode(&mut enc);
+            enc.put_usize(store.len());
+            for &(id, refs) in store {
+                enc.put_u32(id);
+                enc.put_u16(1);
+                enc.put_u32(refs);
+            }
+            enc.put_u32(u32::MAX - 2);
+            enc.put_u64(0);
+            engine.catalog.encode(&mut enc);
+            enc.put_usize(live.len());
+            for &external in live {
+                enc.put_u32(external);
+                enc.put_u32(external);
+                enc.put_u16(1);
+                enc.put_u64(0);
+            }
+            enc.put_usize(registered.len());
+            for &id in registered {
+                enc.put_u32(id);
+            }
+            enc.put_usize(aliases.len());
+            for &alias in aliases {
+                enc.put_u32(alias);
+                enc.put_u32(1);
+            }
+            (0..4).for_each(|_| enc.put_u64(0)); // three counters, the cursor
+            let mut blob = Encoder::new();
+            engine.maintainer.snapshot_state(&mut blob).unwrap();
+            enc.put_bytes(blob.as_bytes());
+            enc.put_bytes(&[]);
+            enc.into_bytes()
+        };
+        let (a, b) = (u32::MAX - 1, u32::MAX);
+        let (store, keys, aliases) = ([(1, 1), (2, 3)], [1, 2], [a, b]);
+        restore_engine(&payload(&store, &keys, &keys, &aliases))
+            .expect("the hand-built layout is the real one");
+
+        let cases = [
+            (
+                "class store",
+                payload(&[(2, 1), (2, 1)], &keys, &keys, &aliases),
+            ),
+            (
+                "class store",
+                payload(&[(2, 1), (1, 1)], &keys, &keys, &aliases),
+            ),
+            (
+                "class store",
+                payload(&[(1, 1), (2, 0)], &keys, &keys, &aliases),
+            ),
+            ("live binding", payload(&store, &[2, 2], &keys, &aliases)),
+            ("registered id", payload(&store, &keys, &[2, 1], &aliases)),
+            ("alias", payload(&store, &keys, &keys, &[b, b])),
+        ];
+        for (list, bytes) in cases {
+            let err = restore_engine(&bytes).unwrap_err();
+            assert!(
+                matches!(&err, Error::Corrupt(message) if message.contains(list)),
+                "{list}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -854,12 +759,11 @@ mod tests {
                 duration_raw in 0usize..8,
                 every_raw in 0u64..6,
                 steps in raw_steps(),
-                sidecar in vec(0u8..=255, 0..16),
             ) {
                 let mut engine = run_workload(window, duration_raw, every_raw, &steps);
-                let payload = encode_engine(&engine, &sidecar).unwrap();
-                let (mut restored, got) = restore_engine(&payload).unwrap();
-                prop_assert_eq!(got, sidecar);
+                let payload = encode_engine(&engine).unwrap();
+                let mut restored = restore_engine(&payload).unwrap();
+                prop_assert_eq!(restored.match_counters(), engine.match_counters());
                 prop_assert_eq!(restored.catalog_version(), engine.catalog_version());
                 prop_assert_eq!(restored.live_states(), engine.live_states());
                 prop_assert_eq!(restored.strategy(), engine.strategy());
@@ -931,9 +835,56 @@ mod tests {
                 cut_raw in any::<u64>(),
             ) {
                 let engine = run_workload(window, duration_raw, every_raw, &steps);
-                let payload = encode_engine(&engine, b"tally").unwrap();
+                let payload = encode_engine(&engine).unwrap();
                 let cut = (cut_raw % payload.len() as u64) as usize;
                 prop_assert!(restore_engine(&payload[..cut]).is_err());
+            }
+
+            /// Random bytes rarely get past a 4-byte magic; a valid payload
+            /// with a few bytes overwritten reaches every per-type decoder.
+            /// Whatever still restores must also keep running, and a fleet
+            /// catalog must not survive at all (its CRC covers every byte).
+            #[test]
+            fn mutated_payloads_fail_or_keep_running(
+                window in 2usize..9,
+                duration_raw in 0usize..8,
+                every_raw in 0u64..6,
+                steps in raw_steps(),
+                edits in vec((any::<u64>(), 1u8..=255), 1..5),
+            ) {
+                let engine = run_workload(window, duration_raw, every_raw, &steps);
+                let mutate = |bytes: &mut [u8]| {
+                    let len = bytes.len() as u64;
+                    for &(at, mask) in &edits {
+                        bytes[(at % len) as usize] ^= mask;
+                    }
+                };
+                let mut payload = encode_engine(&engine).unwrap();
+                mutate(&mut payload);
+                // Two mutations leave a legal engine that the frames below
+                // must not drive: a memo size that asks the first
+                // intersection for up to 12 GiB, and an alias cursor lowered
+                // into the tracker ids they use (ids at or above the floor
+                // break the lifecycle's input contract).
+                let restored = restore_engine(&payload).ok().filter(|engine| {
+                    let floor = engine.lifecycle.store().read().unwrap().alias_floor();
+                    engine.config.memo.bits <= 20 && floor > 1 << 16
+                });
+                if let Some(mut restored) = restored {
+                    let fid0 = engine.metrics().frames_processed;
+                    for i in 0..10u64 {
+                        let detections = [(i as u32 % 5, 1), ((i as u32 + 3) % 7, (i % 4) as u16)];
+                        let _ = restored.observe(&frame(fid0 + i, &detections, &[11]));
+                    }
+                }
+
+                let sealed =
+                    encode_fleet_catalog(&engine.registry, engine.queries(), engine.catalog_version());
+                let mut mutated = sealed.clone();
+                mutate(&mut mutated);
+                if mutated != sealed {
+                    prop_assert!(decode_fleet_catalog(&mutated).is_err());
+                }
             }
         }
     }

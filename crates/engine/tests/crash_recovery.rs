@@ -382,21 +382,26 @@ fn clean_restart_resumes_exactly() {
     let ops = script();
     let split = 11usize;
     let mut results = Vec::new();
-    {
+    let counters = {
         let mut engine = build_engine();
         engine.attach_durability(disk.io(), dir).unwrap();
         engine.set_wal_rotate_bytes(ROTATE_BYTES);
-        engine.set_durable_sidecar(b"feed-tally".to_vec());
         for op in &ops[..split] {
             if let Some(result) = apply(&mut engine, op).unwrap() {
                 results.push(result);
             }
         }
         engine.sync_store().unwrap();
-    }
+        engine.match_counters()
+    };
+    assert!(counters.0 > 0, "the prefix reports matches");
 
     let (mut engine, report) = TemporalVideoQueryEngine::recover(disk.io(), dir).unwrap();
-    assert_eq!(report.sidecar, b"feed-tally", "sidecar survives restart");
+    assert_eq!(
+        engine.match_counters(),
+        counters,
+        "match counters survive restart"
+    );
     assert!(
         report.wal_truncation.is_none(),
         "clean shutdown tears nothing"

@@ -5,7 +5,7 @@
 //! — the example `q2` of Section 5.2. Queries are evaluated against the
 //! class-count aggregates of a maximum co-occurrence object set.
 
-use tvq_common::{ClassId, QueryId};
+use tvq_common::{ClassId, Decoder, Encoder, Error, QueryId};
 
 use crate::aggregates::ClassCounts;
 use crate::condition::{CmpOp, Condition};
@@ -81,6 +81,52 @@ impl CnfQuery {
     /// `n_min` when aggregated over a workload).
     pub fn min_threshold(&self) -> Option<u32> {
         self.clauses.iter().flatten().map(|c| c.value).min()
+    }
+
+    /// Appends the query: id, then each clause as a list of
+    /// `(class, operator tag, value)` conditions. Shared by the WAL's
+    /// add-query record, the engine snapshot and the fleet catalog.
+    pub fn encode(&self, enc: &mut Encoder) {
+        enc.put_u32(self.id.0);
+        enc.put_usize(self.clauses.len());
+        for clause in &self.clauses {
+            enc.put_usize(clause.len());
+            for condition in clause {
+                enc.put_u16(condition.class.raw());
+                enc.put_u8(match condition.op {
+                    CmpOp::Le => 0,
+                    CmpOp::Eq => 1,
+                    CmpOp::Ge => 2,
+                });
+                enc.put_u32(condition.value);
+            }
+        }
+    }
+
+    /// Reads a query written by [`encode`](Self::encode). Structural
+    /// validity is the catalog's check ([`validate`](Self::validate)).
+    pub fn decode(dec: &mut Decoder<'_>) -> tvq_common::Result<CnfQuery> {
+        let id = QueryId(dec.take_u32()?);
+        let clause_count = dec.take_len()?;
+        let mut clauses = Vec::with_capacity(clause_count);
+        for _ in 0..clause_count {
+            let condition_count = dec.take_len()?;
+            let mut clause = Vec::with_capacity(condition_count);
+            for _ in 0..condition_count {
+                let class = ClassId(dec.take_u16()?);
+                let op = match dec.take_u8()? {
+                    0 => CmpOp::Le,
+                    1 => CmpOp::Eq,
+                    2 => CmpOp::Ge,
+                    other => {
+                        return Err(Error::Codec(format!("unknown comparison tag {other}")));
+                    }
+                };
+                clause.push(Condition::new(class, op, dec.take_u32()?));
+            }
+            clauses.push(clause);
+        }
+        Ok(CnfQuery::new(id, clauses))
     }
 }
 

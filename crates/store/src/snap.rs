@@ -148,6 +148,14 @@ impl SnapshotStore {
         })
     }
 
+    /// Whether `dir` holds any snapshot file — valid or not — without
+    /// opening (creating, sweeping) the store. An unreadable or missing
+    /// directory holds none.
+    pub fn has_snapshots(io: &SharedIo, dir: &Path) -> bool {
+        io.list(dir)
+            .is_ok_and(|names| names.iter().any(|name| parse_snapshot_name(name).is_some()))
+    }
+
     /// Writes a snapshot covering WAL sequence `seq`, atomically, then
     /// drops all but the newest [`KEEP_SNAPSHOTS`] snapshots.
     pub fn save(&mut self, seq: u64, payload: &[u8]) -> Result<()> {
