@@ -87,13 +87,6 @@ impl FrameId {
     pub const fn next(self) -> FrameId {
         FrameId(self.0 + 1)
     }
-
-    /// Returns the distance (in frames) from `other` to `self`, saturating at
-    /// zero when `other` is later than `self`.
-    #[inline]
-    pub const fn distance_from(self, other: FrameId) -> u64 {
-        self.0.saturating_sub(other.0)
-    }
 }
 
 #[cfg(test)]
@@ -121,8 +114,6 @@ mod tests {
     #[test]
     fn frame_arithmetic() {
         assert_eq!(FrameId(5).next(), FrameId(6));
-        assert_eq!(FrameId(10).distance_from(FrameId(4)), 6);
-        assert_eq!(FrameId(4).distance_from(FrameId(10)), 0);
     }
 
     #[test]

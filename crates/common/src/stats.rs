@@ -126,17 +126,6 @@ pub struct StatsError {
     pub frames_per_object_pct: f64,
 }
 
-impl StatsError {
-    /// The largest relative error across all five statistics.
-    pub fn max_pct(&self) -> f64 {
-        self.frames_pct
-            .max(self.objects_pct)
-            .max(self.objects_per_frame_pct)
-            .max(self.occlusions_per_object_pct)
-            .max(self.frames_per_object_pct)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,7 +191,6 @@ mod tests {
         let err = a.relative_error_to(&b);
         assert!((err.objects_pct - 50.0).abs() < 1e-9);
         assert_eq!(err.frames_pct, 0.0);
-        assert!((err.max_pct() - 50.0).abs() < 1e-9);
     }
 
     #[test]

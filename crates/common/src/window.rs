@@ -48,16 +48,6 @@ impl WindowSpec {
         self.duration
     }
 
-    /// Returns a copy with a different duration threshold.
-    pub fn with_duration(self, duration: usize) -> Result<Self> {
-        WindowSpec::new(self.window, duration)
-    }
-
-    /// Returns a copy with a different window length.
-    pub fn with_window(self, window: usize) -> Result<Self> {
-        WindowSpec::new(window, self.duration)
-    }
-
     /// The oldest frame identifier still inside the window that ends at
     /// `current` (inclusive). With a window of `w` frames, the window at
     /// frame `i` covers frames `max(0, i - w + 1) ..= i`.
@@ -154,14 +144,5 @@ mod tests {
         assert!(!spec.satisfies_duration(2));
         assert!(spec.satisfies_duration(3));
         assert!(spec.satisfies_duration(10));
-    }
-
-    #[test]
-    fn with_builders_revalidate() {
-        let spec = WindowSpec::new(10, 3).unwrap();
-        assert_eq!(spec.with_duration(5).unwrap().duration(), 5);
-        assert!(spec.with_duration(11).is_err());
-        assert_eq!(spec.with_window(20).unwrap().window(), 20);
-        assert!(spec.with_window(2).is_err());
     }
 }

@@ -300,15 +300,6 @@ impl MaintenanceMetrics {
         }
         total
     }
-
-    /// Average number of states visited per processed frame.
-    pub fn visited_per_frame(&self) -> f64 {
-        if self.frames_processed == 0 {
-            0.0
-        } else {
-            self.states_visited as f64 / self.frames_processed as f64
-        }
-    }
 }
 
 impl fmt::Display for MaintenanceMetrics {
@@ -384,7 +375,6 @@ mod tests {
     fn defaults_are_zero() {
         let m = MaintenanceMetrics::new();
         assert_eq!(m.frames_processed, 0);
-        assert_eq!(m.visited_per_frame(), 0.0);
         assert_eq!(m.peak_live_states, 0);
     }
 
@@ -483,14 +473,6 @@ mod tests {
         assert_eq!(merged, a);
         let empty = std::iter::empty::<&MaintenanceMetrics>();
         assert_eq!(MaintenanceMetrics::merged(empty), MaintenanceMetrics::new());
-    }
-
-    #[test]
-    fn visited_per_frame_divides() {
-        let mut m = MaintenanceMetrics::new();
-        m.frames_processed = 4;
-        m.states_visited = 10;
-        assert!((m.visited_per_frame() - 2.5).abs() < 1e-12);
     }
 
     #[test]

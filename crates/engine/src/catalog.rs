@@ -95,6 +95,54 @@ impl CatalogSnapshot {
     }
 }
 
+/// The catalog rules, written once for every holder of a query list (the
+/// catalog below, and the fleet's master copy in [`multi`](crate::multi),
+/// which must know the next list *before* it persists and applies an op):
+/// queries validate, ids are unique, the next id is max + 1, and removing
+/// an unknown id is an error. Each op returns the next list and leaves the
+/// current one untouched.
+pub(crate) fn check_queries(queries: &[CnfQuery]) -> Result<()> {
+    let mut seen: FxHashSet<QueryId> = FxHashSet::default();
+    for query in queries {
+        query.validate().map_err(Error::InvalidConfig)?;
+        if !seen.insert(query.id) {
+            return Err(Error::InvalidConfig(format!(
+                "duplicate query id {:?}",
+                query.id
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The smallest query id above every id in use.
+pub(crate) fn next_query_id(queries: &[CnfQuery]) -> QueryId {
+    QueryId(queries.iter().map(|q| q.id.0 + 1).max().unwrap_or(0))
+}
+
+/// `queries` plus `query`; fails if it is malformed or its id is taken.
+pub(crate) fn with_query(queries: &[CnfQuery], query: CnfQuery) -> Result<Vec<CnfQuery>> {
+    query.validate().map_err(Error::InvalidConfig)?;
+    if queries.iter().any(|q| q.id == query.id) {
+        return Err(Error::InvalidConfig(format!(
+            "query id {:?} is already registered",
+            query.id
+        )));
+    }
+    let mut next = queries.to_vec();
+    next.push(query);
+    Ok(next)
+}
+
+/// `queries` minus the query `id` names; fails if none does.
+pub(crate) fn without_query(queries: &[CnfQuery], id: QueryId) -> Result<Vec<CnfQuery>> {
+    let next: Vec<CnfQuery> = queries.iter().filter(|q| q.id != id).cloned().collect();
+    if next.len() == queries.len() {
+        return Err(Error::InvalidConfig(format!("unknown query id {id:?}")));
+    }
+    Ok(next)
+}
+
 /// The shared cell a [`QueryCatalog`]'s owner and its pruner read the
 /// current snapshot through. Readers clone the inner `Arc` (cheap) and
 /// never hold the lock across real work.
@@ -109,7 +157,7 @@ pub struct QueryCatalog {
     cell: SharedCatalog,
     current: Arc<CatalogSnapshot>,
     /// Version the catalog was seeded at (swaps applied *here* = version -
-    /// seed; multi-feed workers seed lazily built engines at the fleet's
+    /// seed; the multi-feed engine seeds lazily built engines at its
     /// current version).
     seed_version: u64,
 }
@@ -118,16 +166,7 @@ impl QueryCatalog {
     /// Validates the queries (well-formed CNF, unique ids) and builds
     /// version `seed` of the catalog.
     pub fn new(queries: Vec<CnfQuery>, seed: u64) -> Result<Self> {
-        let mut seen: FxHashSet<QueryId> = FxHashSet::default();
-        for query in &queries {
-            query.validate().map_err(Error::InvalidConfig)?;
-            if !seen.insert(query.id) {
-                return Err(Error::InvalidConfig(format!(
-                    "duplicate query id {:?}",
-                    query.id
-                )));
-            }
-        }
+        check_queries(&queries)?;
         let current = Arc::new(CatalogSnapshot::build(seed, queries));
         Ok(QueryCatalog {
             cell: Arc::new(RwLock::new(Arc::clone(&current))),
@@ -175,7 +214,7 @@ impl QueryCatalog {
     /// Replaces the whole query set and jumps straight to `version`,
     /// publishing through the *existing* shared cell (followers keep
     /// working). Used when a recovered engine must catch up with catalog
-    /// swaps it missed while its worker was down: the version jump makes
+    /// swaps it missed while it was lost: the version jump makes
     /// [`swaps`](Self::swaps) report the same count as an engine that
     /// applied every op live.
     pub(crate) fn force(&mut self, queries: Vec<CnfQuery>, version: u64) -> Result<()> {
@@ -185,19 +224,8 @@ impl QueryCatalog {
                 self.current.version()
             )));
         }
-        let mut seen: FxHashSet<QueryId> = FxHashSet::default();
-        for query in &queries {
-            query.validate().map_err(Error::InvalidConfig)?;
-            if !seen.insert(query.id) {
-                return Err(Error::InvalidConfig(format!(
-                    "duplicate query id {:?}",
-                    query.id
-                )));
-            }
-        }
-        let next = Arc::new(CatalogSnapshot::build(version, queries));
-        *self.cell.write().unwrap_or_else(PoisonError::into_inner) = Arc::clone(&next);
-        self.current = next;
+        check_queries(&queries)?;
+        self.publish(version, queries);
         Ok(())
     }
 
@@ -227,52 +255,27 @@ impl QueryCatalog {
     ///
     /// [`add_query`]: Self::add_query
     pub fn next_query_id(&self) -> QueryId {
-        QueryId(
-            self.current
-                .queries()
-                .iter()
-                .map(|q| q.id.0 + 1)
-                .max()
-                .unwrap_or(0),
-        )
+        next_query_id(self.current.queries())
     }
 
     /// Registers a query, publishing a new catalog version. Fails (leaving
     /// the catalog untouched) if the query is malformed or its id is taken.
     pub fn add_query(&mut self, query: CnfQuery) -> Result<()> {
-        query.validate().map_err(Error::InvalidConfig)?;
-        if self.current.queries().iter().any(|q| q.id == query.id) {
-            return Err(Error::InvalidConfig(format!(
-                "query id {:?} is already registered",
-                query.id
-            )));
-        }
-        let mut queries = self.current.queries().to_vec();
-        queries.push(query);
-        self.publish(queries);
+        let queries = with_query(self.current.queries(), query)?;
+        self.publish(self.version() + 1, queries);
         Ok(())
     }
 
     /// Cancels a query by id, publishing a new catalog version. Fails
     /// (leaving the catalog untouched) if the id is unknown.
     pub fn remove_query(&mut self, id: QueryId) -> Result<()> {
-        let before = self.current.queries().len();
-        let queries: Vec<CnfQuery> = self
-            .current
-            .queries()
-            .iter()
-            .filter(|q| q.id != id)
-            .cloned()
-            .collect();
-        if queries.len() == before {
-            return Err(Error::InvalidConfig(format!("unknown query id {id:?}")));
-        }
-        self.publish(queries);
+        let queries = without_query(self.current.queries(), id)?;
+        self.publish(self.version() + 1, queries);
         Ok(())
     }
 
-    fn publish(&mut self, queries: Vec<CnfQuery>) {
-        let next = Arc::new(CatalogSnapshot::build(self.current.version() + 1, queries));
+    fn publish(&mut self, version: u64, queries: Vec<CnfQuery>) {
+        let next = Arc::new(CatalogSnapshot::build(version, queries));
         // Snapshots are immutable, so a poisoned cell still holds a usable
         // Arc; recover the guard rather than cascade the panic.
         *self.cell.write().unwrap_or_else(PoisonError::into_inner) = Arc::clone(&next);

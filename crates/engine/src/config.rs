@@ -65,12 +65,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the intersection-memo size.
-    pub fn with_memo(mut self, memo: MemoConfig) -> Self {
-        self.memo = memo;
-        self
-    }
-
     /// Appends the configuration as `TVQE` version 1 lays it out. Two runs
     /// of legacy bytes outlive the knobs they described and are written as
     /// those knobs' fixed settings serialised:
@@ -248,10 +242,6 @@ mod tests {
         assert!(config.pruning);
         assert_eq!(config.maintainer, MaintainerKind::Ssg);
         assert_eq!(config.memo, MemoConfig { bits: 12 });
-        assert_eq!(
-            config.with_memo(MemoConfig { bits: 15 }).memo,
-            MemoConfig { bits: 15 }
-        );
     }
 
     #[test]

@@ -371,7 +371,7 @@ impl TemporalVideoQueryEngine {
 
     /// Fast-forwards the catalog to the fleet's master query set at
     /// `version`, skipping the intermediate swaps this engine missed while
-    /// its worker was down. No-op when already current. Publishes through
+    /// it was lost. No-op when already current. Publishes through
     /// the existing shared cell (the live pruner keeps observing swaps) and
     /// schedules a snapshot so the catch-up is durable before the next
     /// logged operation.

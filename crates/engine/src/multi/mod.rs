@@ -1,36 +1,48 @@
 //! Sharded multi-feed engine with deterministic work stealing.
 //!
-//! The single-feed [`TemporalVideoQueryEngine`] answers CNF co-occurrence
-//! queries over *one* camera feed. A production deployment watches many
-//! cameras at once; [`MultiFeedEngine`] scales the same query semantics to N
-//! concurrent feeds by sharding feeds across a fixed pool of worker threads
-//! (plain `std::thread` + `std::sync::mpsc` channels — no extra
-//! dependencies):
+//! The paper's three layers run per feed and share nothing across feeds, so
+//! a deployment watching N cameras is exactly N single-feed
+//! [`TemporalVideoQueryEngine`]s, each fed its own frames in order.
+//! [`MultiFeedEngine`] owns those engines, keyed by [`FeedId`], plus a pool
+//! of stateless worker threads (plain `std::thread` + `std::sync::mpsc`) to
+//! run them on:
 //!
-//! * feed placement is an epoch-versioned, rebalanceable [`ShardMap`]: every
-//!   feed starts on the static default `feed mod workers`, and the scheduler
-//!   migrates hot feeds to idle workers at batch boundaries (work stealing,
-//!   driven by a deterministic per-feed load EWMA — see [`scheduler`]);
-//!   within any assignment, each feed's frames are always processed in
-//!   order by exactly one thread;
-//! * each worker lazily materialises one single-feed engine per feed it
-//!   currently serves, built from a shared immutable query registry;
-//!   migrations move the whole per-feed engine (bounded since the object
-//!   lifecycle work, so the move is one boxed pointer through a channel);
-//! * [`MultiFeedEngine::push_batch`] ingests a batch of feed-tagged frames,
-//!   fans them out to the shards, and returns the per-frame results in the
-//!   batch's input order — independent of thread scheduling *and* of feed
-//!   placement;
-//! * [`MultiFeedEngine::report`] merges per-feed results and
-//!   [`MaintenanceMetrics`] into a global report ordered by [`FeedId`], so
-//!   cross-feed output is deterministic.
+//! * [`MultiFeedEngine::push_batch`] hands each worker its share of a batch
+//!   *together with the engines the frames belong to*, and returns the
+//!   per-frame results in the batch's input order once every share has come
+//!   home;
+//! * which worker gets a feed's share is an epoch-versioned [`ShardMap`]:
+//!   the static default `feed mod workers`, until the scheduler re-pins hot
+//!   feeds to idle workers at a batch boundary (work stealing, driven by a
+//!   deterministic per-feed load EWMA — see [`scheduler`]);
+//! * [`MultiFeedEngine::report`] reads the engines and merges their
+//!   [`MaintenanceMetrics`] in ascending feed order.
 //!
-//! Because each per-feed engine is exactly a single-feed engine fed the same
-//! frames in the same order — no matter which worker holds it, or how many
-//! times it migrated — a sharded run is frame-for-frame identical to N
-//! independent single-feed runs, with rebalancing on or off; the
+//! Each per-feed engine is exactly a single-feed engine fed the same frames
+//! in the same order, whichever thread ran which share, so a sharded run is
+//! frame-for-frame identical to N independent single-feed runs; the
 //! differential suite pins this down across worker counts, rebalance
-//! settings, and forced per-batch migrations.
+//! settings, forced per-batch migrations and interleaved catalog ops.
+//!
+//! # Ownership
+//!
+//! Between batches every engine is at home, so a migration is a re-pin, a
+//! report is a read, and a catalog op or
+//! [`sync_store`](MultiFeedEngine::sync_store) is a loop over the engines on
+//! the caller's thread, whose errors reach the caller. Three rules hold:
+//!
+//! 1. **One place.** A feed's engine is at home or inside the one job that
+//!    carries it. `push_batch` returns — `Ok` or `Err` — only after every
+//!    share it managed to send has come home, so an aborted batch strands
+//!    nothing and `report` never finds a feed missing.
+//! 2. **Lost is lost.** An engine that never comes back (its worker died or
+//!    timed out mid-share), or that failed a catalog op, makes its feed
+//!    *lost*. A durable fleet recovers it from the store at its next frame,
+//!    fast-forwarded to the master catalog; a non-durable fleet answers
+//!    [`Error::ShardLost`] for it from then on and refuses to re-pin it —
+//!    never a silently fresh engine.
+//! 3. **Drop flushes.** Dropping the fleet flushes the engines at home
+//!    (`sync_store`, errors ignored), then closes the pool.
 //!
 //! # Example
 //!
@@ -74,7 +86,7 @@ mod worker;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -84,16 +96,18 @@ use tvq_core::MaintenanceMetrics;
 use tvq_query::CnfQuery;
 use tvq_store::{RealIo, SharedIo};
 
+use crate::catalog;
 use crate::config::{EngineConfig, MultiFeedConfig};
 use crate::engine::{FrameResult, TemporalVideoQueryEngine};
 use crate::persist;
 
 use scheduler::LoadTracker;
 pub use scheduler::ShardMap;
-use worker::{worker_loop, CatalogOp, ShardResult, WorkerMsg};
+use worker::{worker_loop, Engines, Job};
 
-/// How long a batch waits for a missing shard result before concluding the
-/// worker is gone. Generous: a healthy worker answers in microseconds.
+/// How long a batch waits for a share before concluding its worker hangs
+/// (a worker that *died* is noticed at once: it drops the batch's sender).
+/// Generous: a healthy worker answers in microseconds.
 const SHARD_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// One frame of detections tagged with the feed (camera) it came from.
@@ -144,9 +158,8 @@ pub struct FeedReport {
     /// States currently materialised by the feed's maintainer.
     pub live_states: usize,
     /// The query-catalog version the feed's engine answered under when the
-    /// report was taken. Every feed of a healthy fleet reports the same
-    /// version: catalog ops broadcast through the same FIFO channels as
-    /// frames, so by collection time every shard has applied every swap.
+    /// report was taken: the fleet's, since every catalog op is applied to
+    /// every engine before it returns.
     pub catalog_version: u64,
     /// The feed's maintenance work counters. The scheduler-owned fields
     /// (`per_shard_queue_depth`, `feeds_migrated`, `rebalances`) are always
@@ -232,15 +245,15 @@ impl SchedulingStats {
     }
 }
 
-/// The shared immutable query registry: everything a worker needs to build
-/// the single-feed engine of a feed it sees for the first time.
+/// The shared immutable build recipe: everything a worker needs to build
+/// the single-feed engine of a feed that arrives without one.
 struct EngineSpec {
     config: EngineConfig,
     registry: ClassRegistry,
     /// One class store for every per-feed engine, when the deployment
     /// opted into [`MultiFeedConfig::shared_class_store`]. Reference
-    /// counting in the store keeps one shard's epoch retirement from
-    /// evicting entries another shard still tracks.
+    /// counting in the store keeps one feed's epoch retirement from
+    /// evicting entries another feed still tracks.
     class_store: Option<SharedClassMap>,
     /// The fleet's store and data directory, when durability is on: each
     /// per-feed engine persists under `<dir>/feed-<id>`, and the master
@@ -271,7 +284,7 @@ impl EngineSpec {
 
 /// Builder for [`MultiFeedEngine`]. Mirrors the single-feed
 /// [`EngineBuilder`](crate::EngineBuilder): queries registered here form the
-/// shared immutable registry every per-feed engine is built from.
+/// catalog every per-feed engine is built from.
 pub struct MultiFeedBuilder {
     config: MultiFeedConfig,
     registry: ClassRegistry,
@@ -324,11 +337,11 @@ impl MultiFeedBuilder {
 
     /// Makes the fleet durable under `dir` through the given store: every
     /// per-feed engine gets a WAL and epoch snapshots in `<dir>/feed-<id>`,
-    /// the master catalog persists in `<dir>/fleet-catalog.tvqf`, dead
-    /// workers are respawned transparently (their feeds recovered from the
-    /// store), and building over a directory that already holds fleet data
-    /// *restarts* it — the persisted catalog supersedes the builder's
-    /// queries and registry.
+    /// the master catalog persists in `<dir>/fleet-catalog.tvqf`, lost
+    /// feeds and dead workers are replaced transparently (the feeds
+    /// recovered from the store), and building over a directory that
+    /// already holds fleet data *restarts* it — the persisted catalog
+    /// supersedes the builder's queries and registry.
     pub fn with_store(mut self, io: SharedIo, dir: &Path) -> Self {
         self.store = Some((io, dir.to_path_buf()));
         self
@@ -397,19 +410,16 @@ impl MultiFeedBuilder {
         // Validate the shared spec once, up front, so that per-feed engine
         // construction inside the workers cannot fail later.
         spec.build_engine(&queries, catalog_version)?;
-        let (results_tx, results_rx) = mpsc::channel();
         let workers = (0..self.config.workers)
-            .map(|index| spawn_worker(index, &spec, queries.clone(), catalog_version, &results_tx))
+            .map(|index| spawn_worker(index, &spec))
             .collect::<Result<Vec<Worker>>>()?;
         Ok(MultiFeedEngine {
             shards: ShardMap::new(self.config.workers),
             config: self.config,
             spec,
             workers,
-            results: results_rx,
-            results_tx,
-            epoch: 0,
-            queries,
+            engines: BTreeMap::new(),
+            queries: Arc::new(queries),
             registry,
             catalog_version,
             loads: LoadTracker::new(),
@@ -422,22 +432,14 @@ impl MultiFeedBuilder {
     }
 }
 
-/// Spawns one worker thread, seeded with the scheduler's current master
-/// catalog — fresh pools pass the build-time set; respawns pass whatever
-/// the fleet has swapped to since.
-fn spawn_worker(
-    index: usize,
-    spec: &Arc<EngineSpec>,
-    queries: Vec<CnfQuery>,
-    version: u64,
-    results: &Sender<ShardResult>,
-) -> Result<Worker> {
+/// Spawns one worker thread. It holds no state, so a replacement for a dead
+/// worker is spawned exactly like the original.
+fn spawn_worker(index: usize, spec: &Arc<EngineSpec>) -> Result<Worker> {
     let (inbox_tx, inbox_rx) = mpsc::channel();
     let spec = Arc::clone(spec);
-    let results = results.clone();
     let handle = std::thread::Builder::new()
         .name(format!("tvq-shard-{index}"))
-        .spawn(move || worker_loop(index, spec, queries, version, inbox_rx, results))
+        .spawn(move || worker_loop(index, spec, inbox_rx))
         .map_err(Error::Io)?;
     Ok(Worker {
         inbox: Some(inbox_tx),
@@ -446,34 +448,54 @@ fn spawn_worker(
 }
 
 struct Worker {
-    /// `None` only during shutdown (see `Drop for MultiFeedEngine`).
-    inbox: Option<Sender<WorkerMsg>>,
+    /// `None` once the worker is being shut down.
+    inbox: Option<Sender<Job>>,
     handle: Option<JoinHandle<()>>,
 }
 
-/// A pool of single-feed engines sharded across worker threads, answering
-/// the same CNF queries over N camera feeds concurrently.
+impl Worker {
+    /// Queues `job` for the thread, or gives it back if the thread is gone.
+    fn send(&self, job: Job) -> std::result::Result<(), Job> {
+        match &self.inbox {
+            Some(inbox) => inbox.send(job).map_err(|undelivered| undelivered.0),
+            None => Err(job),
+        }
+    }
+}
+
+impl Drop for Worker {
+    /// Closes the inbox, which ends the worker loop, and joins: the thread
+    /// and any directory lock it still held are gone before a replacement.
+    fn drop(&mut self) {
+        self.inbox.take();
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// N single-feed engines, one per camera feed, answering the same CNF
+/// queries and run on a pool of worker threads.
 ///
-/// See the [module documentation](self) for the sharding model and a usage
+/// See the [module documentation](self) for the ownership model and a usage
 /// example. Constructed via [`MultiFeedEngine::builder`].
 pub struct MultiFeedEngine {
     config: MultiFeedConfig,
-    /// The shared immutable build recipe, kept so dead workers can be
-    /// respawned (durable fleets only — see `respawn_worker`).
+    /// The shared immutable build recipe workers materialise feeds from.
     spec: Arc<EngineSpec>,
     workers: Vec<Worker>,
-    results: Receiver<ShardResult>,
-    /// A live clone of the results sender, handed to respawned workers.
-    results_tx: Sender<ShardResult>,
-    /// Monotonic batch counter; see `WorkerMsg::Frames::epoch`.
-    epoch: u64,
-    /// The master query list: the engine validates catalog ops against it
-    /// before broadcasting, so workers can apply them infallibly.
-    queries: Vec<CnfQuery>,
+    /// Every feed's engine, at home whenever no batch is in flight. A slot
+    /// is empty while its engine is out on a job — and for good if it never
+    /// comes back or fails a catalog op: that is what *lost* means
+    /// (ownership rule 2).
+    engines: BTreeMap<FeedId, Option<Box<TemporalVideoQueryEngine>>>,
+    /// The master query list: every engine at home mirrors it, and jobs
+    /// carry it for the engines workers materialise.
+    queries: Arc<Vec<CnfQuery>>,
     /// The master class registry, used to parse textual queries added over
     /// [`add_query_text`](Self::add_query_text).
     registry: ClassRegistry,
-    /// The fleet-wide catalog version (one increment per broadcast op).
+    /// The fleet-wide catalog version (one increment per catalog op).
     catalog_version: u64,
     /// The rebalanceable feed placement (see [`ShardMap`]).
     shards: ShardMap,
@@ -551,132 +573,122 @@ impl MultiFeedEngine {
         &self.queries
     }
 
-    /// Registers a query across the whole fleet. The swap is epoch-aligned:
-    /// it queues behind every frame already pushed and ahead of every frame
-    /// pushed later, identically on every shard, so result ordering by
-    /// `(seq, feed)` is unchanged and reruns are deterministic.
+    /// Registers a query across the whole fleet: behind every frame already
+    /// pushed and ahead of every frame pushed later, for every feed alike.
+    ///
+    /// On a durable fleet an `Err` from a *feed's* store does not undo the
+    /// op (the master catalog is already published): the feed that could
+    /// not log it is lost and recovers under the new catalog.
     pub fn add_query(&mut self, query: CnfQuery) -> Result<()> {
-        query.validate().map_err(Error::InvalidConfig)?;
-        if self.queries.iter().any(|q| q.id == query.id) {
-            return Err(Error::InvalidConfig(format!(
-                "query id {:?} is already registered",
-                query.id
-            )));
-        }
-        let mut next = self.queries.clone();
-        next.push(query.clone());
-        self.persist_catalog(&next, self.catalog_version + 1)?;
-        self.broadcast(CatalogOp::Add(query))?;
-        self.queries = next;
-        Ok(())
+        let next = catalog::with_query(&self.queries, query.clone())?;
+        self.swap_catalog(next, |engine| engine.add_query(query.clone()))
     }
 
     /// Parses and registers a textual query (e.g. `"car >= 2"`) across the
     /// fleet, minting the next free query id.
     pub fn add_query_text(&mut self, text: &str) -> Result<QueryId> {
-        let id = QueryId(self.queries.iter().map(|q| q.id.0 + 1).max().unwrap_or(0));
+        let id = catalog::next_query_id(&self.queries);
         let query = tvq_query::parse_query(text, id, &mut self.registry)?;
         self.add_query(query)?;
         Ok(id)
     }
 
-    /// Cancels a query across the whole fleet (same alignment guarantees
-    /// as [`add_query`](Self::add_query)).
+    /// Cancels a query across the whole fleet (same alignment and error
+    /// contract as [`add_query`](Self::add_query)).
     pub fn remove_query(&mut self, id: QueryId) -> Result<()> {
-        if !self.queries.iter().any(|q| q.id == id) {
-            return Err(Error::InvalidConfig(format!("unknown query id {id:?}")));
-        }
-        let next: Vec<CnfQuery> = self
-            .queries
-            .iter()
-            .filter(|q| q.id != id)
-            .cloned()
-            .collect();
-        self.persist_catalog(&next, self.catalog_version + 1)?;
-        self.broadcast(CatalogOp::Remove(id))?;
-        self.queries = next;
-        Ok(())
+        let next = catalog::without_query(&self.queries, id)?;
+        self.swap_catalog(next, |engine| engine.remove_query(id))
     }
 
-    /// Durable fleets publish the post-op master catalog *before* the op
-    /// broadcasts: after any crash the persisted master version is at
-    /// least every feed's, so a restart only ever fast-forwards recovered
-    /// feeds — never the reverse.
-    fn persist_catalog(&self, queries: &[CnfQuery], version: u64) -> Result<()> {
-        match &self.spec.store {
-            Some((io, root)) => {
-                persist::save_fleet_catalog(io, root, &self.registry, queries, version)
-            }
-            None => Ok(()),
-        }
-    }
-
-    fn broadcast(&mut self, op: CatalogOp) -> Result<()> {
+    /// Moves the fleet to the already-validated query list `next`. Durable
+    /// fleets publish the master catalog *before* any engine applies the
+    /// op: after any crash the persisted master version is at least every
+    /// feed's, so a restart only ever fast-forwards recovered feeds — never
+    /// the reverse. Publishing commits the op; an engine whose own `apply`
+    /// then fails is lost, and the first such error is returned.
+    fn swap_catalog(
+        &mut self,
+        next: Vec<CnfQuery>,
+        apply: impl Fn(&mut TemporalVideoQueryEngine) -> Result<()>,
+    ) -> Result<()> {
         let version = self.catalog_version + 1;
-        for index in 0..self.workers.len() {
-            self.send_to_worker(
-                index,
-                WorkerMsg::Catalog {
-                    version,
-                    op: op.clone(),
-                },
-                0,
-            )?;
+        if let Some((io, root)) = &self.spec.store {
+            persist::save_fleet_catalog(io, root, &self.registry, &next, version)?;
         }
+        self.queries = Arc::new(next);
         self.catalog_version = version;
-        Ok(())
+        let mut outcome = Ok(());
+        for slot in self.engines.values_mut() {
+            if let Some(Err(error)) = slot.as_deref_mut().map(&apply) {
+                *slot = None;
+                outcome = outcome.and(Err(error));
+            }
+        }
+        outcome
     }
 
-    /// Sends `message` to `worker`, transparently respawning a dead worker
-    /// once when the fleet is durable — the replacement recovers its feeds
-    /// from the store, so nothing acknowledged is lost. A non-durable
-    /// fleet, or a second failure, surfaces [`Error::ShardLost`].
-    fn send_to_worker(
+    /// Whether `feed` can never be served again: lost, with no store to
+    /// recover it from.
+    fn is_dead(&self, feed: FeedId) -> bool {
+        !self.is_durable() && self.engines.get(&feed).is_some_and(Option::is_none)
+    }
+
+    /// Puts engines back into their feeds' slots.
+    fn come_home(&mut self, engines: Engines) {
+        for (feed, engine) in engines {
+            self.engines.insert(feed, Some(engine));
+        }
+    }
+
+    /// Sends `worker` its share of a batch along with the engines of the
+    /// share's feeds. On failure the engines are home before the error is.
+    fn send_share(
         &mut self,
         worker: usize,
-        message: WorkerMsg,
-        queue_depth: usize,
+        frames: Vec<(usize, FeedId, FrameObjects)>,
+        home: &Sender<worker::Done>,
     ) -> Result<()> {
-        let mut message = Some(message);
-        let mut respawned = false;
-        while let Some(msg) = message.take() {
-            let outcome = match self.workers[worker].inbox.as_ref() {
-                Some(inbox) => inbox.send(msg).map_err(|e| e.0),
-                None => Err(msg),
-            };
-            if let Err(returned) = outcome {
-                if !self.is_durable() || respawned {
-                    return Err(Error::ShardLost {
-                        worker,
-                        queue_depth,
-                    });
-                }
-                self.respawn_worker(worker)?;
-                respawned = true;
-                message = Some(returned);
+        let lost = Error::ShardLost {
+            worker,
+            queue_depth: frames.len(),
+        };
+        if frames.iter().any(|&(_, feed, _)| self.is_dead(feed)) {
+            return Err(lost);
+        }
+        let mut engines = Engines::new();
+        for &(_, feed, _) in &frames {
+            if let Some(engine) = self.engines.get_mut(&feed).and_then(Option::take) {
+                engines.insert(feed, engine);
             }
         }
-        Ok(())
+        let job = Job {
+            frames,
+            engines,
+            queries: Arc::clone(&self.queries),
+            version: self.catalog_version,
+            home: home.clone(),
+        };
+        self.deliver(worker, job).map_err(|job| {
+            self.come_home(job.engines);
+            lost
+        })
     }
 
-    /// Replaces a dead worker's thread. Joining the old thread *first*
-    /// matters: its engines must drop — flushing their stores and
-    /// releasing the per-feed directory locks — before the replacement
-    /// re-opens them. The new thread starts from the scheduler's master
-    /// catalog and recovers each of its feeds lazily from the store.
-    fn respawn_worker(&mut self, index: usize) -> Result<()> {
-        self.workers[index].inbox.take();
-        if let Some(handle) = self.workers[index].handle.take() {
-            let _ = handle.join();
+    /// Hands `job` to worker `worker`, replacing a dead worker once when
+    /// the fleet is durable (the replacement recovers the job's feeds from
+    /// the store); gives the job back if nobody can take it.
+    fn deliver(&mut self, worker: usize, job: Job) -> std::result::Result<(), Job> {
+        let Err(job) = self.workers[worker].send(job) else {
+            return Ok(());
+        };
+        if !self.is_durable() {
+            return Err(job);
         }
-        self.workers[index] = spawn_worker(
-            index,
-            &self.spec,
-            self.queries.clone(),
-            self.catalog_version,
-            &self.results_tx,
-        )?;
-        Ok(())
+        let Ok(replacement) = spawn_worker(worker, &self.spec) else {
+            return Err(job);
+        };
+        self.workers[worker] = replacement;
+        self.workers[worker].send(job)
     }
 
     /// Processes a single feed-tagged frame. Equivalent to a one-element
@@ -697,20 +709,21 @@ impl MultiFeedEngine {
     /// same batches produce the same results for any worker-pool size and
     /// any rebalance settings.
     ///
+    /// Shares go out in worker order; if one cannot be sent (or never comes
+    /// home) the batch fails with [`Error::ShardLost`], but only after every
+    /// share that *was* sent has been processed and is home again.
+    ///
     /// Batch boundaries are also where the scheduler acts: after the
     /// results are in, the batch's per-feed costs update the load model,
     /// and every [`rebalance_interval`](MultiFeedConfig::rebalance_interval)
     /// batches a rebalance pass may migrate feeds (see
     /// [`rebalance_now`](Self::rebalance_now)).
     pub fn push_batch(&mut self, batch: &[FeedFrame]) -> Result<Vec<FeedFrameResult>> {
-        self.epoch += 1;
-        let epoch = self.epoch;
         // Group the batch per shard (preserving batch order within each
         // shard, which preserves per-feed frame order) so each worker
-        // receives one message per batch. Batch cost units (one per frame
+        // receives one job per batch. Batch cost units (one per frame
         // plus one per detection) feed the deterministic load model.
-        let mut shares: Vec<Vec<(usize, FeedId, FrameObjects)>> =
-            (0..self.workers.len()).map(|_| Vec::new()).collect();
+        let mut shares = vec![Vec::new(); self.workers.len()];
         let mut costs: BTreeMap<FeedId, u64> = BTreeMap::new();
         for (seq, tagged) in batch.iter().enumerate() {
             *costs.entry(tagged.feed).or_insert(0) += 1 + tagged.frame.classes.len() as u64;
@@ -720,62 +733,57 @@ impl MultiFeedEngine {
                 tagged.frame.clone(),
             ));
         }
-        // Queue depths per shard: the skew gauge, and what a ShardLost
-        // error reports as the lost worker's backlog.
-        let mut pending: Vec<usize> = shares.iter().map(Vec::len).collect();
-        for &depth in &pending {
-            self.peak_shard_depth = self.peak_shard_depth.max(depth as u64);
-        }
-        let mut outstanding = 0usize;
+        // Frames each worker still owes: the skew gauge, and what a
+        // ShardLost error reports as the lost worker's backlog.
+        let mut owed = vec![0usize; self.workers.len()];
+        let mut failure = None;
+        let (home_tx, home) = mpsc::channel();
         for (worker, frames) in shares.into_iter().enumerate() {
-            if frames.is_empty() {
+            let depth = frames.len();
+            self.peak_shard_depth = self.peak_shard_depth.max(depth as u64);
+            if depth == 0 || failure.is_some() {
                 continue;
             }
-            let queue_depth = frames.len();
-            self.send_to_worker(worker, WorkerMsg::Frames { epoch, frames }, queue_depth)?;
-            outstanding += 1;
+            match self.send_share(worker, frames, &home_tx) {
+                Ok(()) => owed[worker] = depth,
+                Err(error) => failure = Some(error),
+            }
         }
-        let mut slots: Vec<Option<(FeedId, Result<FrameResult>)>> =
-            (0..batch.len()).map(|_| None).collect();
-        let mut busy = vec![0u64; self.workers.len()];
-        // A worker replies once per share, so the wait must cover a whole
+        drop(home_tx);
+        let mut slots: Vec<Option<Result<FrameResult>>> = batch.iter().map(|_| None).collect();
+        let (mut busy, mut busiest) = (0u64, 0u64);
+        // A worker answers once per share, so the wait must cover a whole
         // share of frames, not one: scale the timeout with the batch size
         // (generous — a healthy maintainer processes a frame in well under
         // 100ms) on top of the fixed allowance.
         let timeout = SHARD_TIMEOUT + Duration::from_millis(100) * batch.len() as u32;
-        while outstanding > 0 {
-            let (result_epoch, worker, outcomes, nanos) = match self.results.recv_timeout(timeout) {
-                Ok(result) => result,
-                Err(_) => {
-                    // Name the shard that owes the first outstanding
-                    // result, and how many frames it still owes.
-                    let worker = slots
-                        .iter()
-                        .position(|slot| slot.is_none())
-                        .map(|seq| self.shards.worker_of(batch[seq].feed))
-                        .unwrap_or(0);
-                    return Err(Error::ShardLost {
-                        worker,
-                        queue_depth: pending.get(worker).copied().unwrap_or(0),
-                    });
-                }
+        while let Some(worker) = owed.iter().position(|&depth| depth > 0) {
+            let Ok(done) = home.recv_timeout(timeout) else {
+                // Every worker still owing died (the channel closed) or
+                // hangs (the timeout). The slots of the engines they
+                // carried stay empty: those feeds are lost.
+                failure.get_or_insert(Error::ShardLost {
+                    worker,
+                    queue_depth: owed[worker],
+                });
+                break;
             };
-            if result_epoch != epoch {
-                // Leftover from a batch that aborted mid-send: discard.
-                continue;
+            owed[done.worker] = 0;
+            busy += done.busy_nanos;
+            busiest = busiest.max(done.busy_nanos);
+            self.come_home(done.engines);
+            for (seq, outcome) in done.outcomes {
+                slots[seq] = Some(outcome);
             }
-            busy[worker] += nanos;
-            pending[worker] = 0;
-            for (seq, feed, outcome) in outcomes {
-                slots[seq] = Some((feed, outcome));
-            }
-            outstanding -= 1;
+        }
+        if let Some(error) = failure {
+            return Err(error);
         }
         // Worker-time telemetry: the batch cannot finish before its
         // busiest shard, so only that share counts toward the critical
         // path.
-        self.sched.busy_nanos += busy.iter().sum::<u64>();
-        self.sched.critical_path_nanos += busy.iter().copied().max().unwrap_or(0);
+        self.sched.busy_nanos += busy;
+        self.sched.critical_path_nanos += busiest;
         self.sched.batches += 1;
         // Fold the batch's deterministic costs into the load model, then
         // rebalance if the interval came up.
@@ -790,11 +798,10 @@ impl MultiFeedEngine {
         // Surface the earliest (by batch position) per-frame error so the
         // failure report is deterministic too.
         let mut out = Vec::with_capacity(batch.len());
-        for slot in slots {
-            let (feed, outcome) = slot.expect("every sequence number is reported exactly once");
+        for (tagged, slot) in batch.iter().zip(slots) {
             out.push(FeedFrameResult {
-                feed,
-                result: outcome?,
+                feed: tagged.feed,
+                result: slot.expect("every sent frame is answered exactly once")?,
             });
         }
         Ok(out)
@@ -803,31 +810,31 @@ impl MultiFeedEngine {
     /// Runs one rebalance pass immediately (regardless of
     /// [`rebalance_interval`](MultiFeedConfig::rebalance_interval)):
     /// plans greedy migrations from the current load model (see
-    /// [`scheduler`]) and executes them. Returns the number of feeds
+    /// [`scheduler`]) and re-pins the feeds. Returns the number of feeds
     /// migrated (zero when the load is already balanced).
     ///
     /// Rebalancing never changes results — only which worker computes
     /// them; see the [module documentation](self).
     pub fn rebalance_now(&mut self) -> Result<usize> {
-        let plan = scheduler::plan_migrations(
+        let mut plan = scheduler::plan_migrations(
             self.loads.loads(),
             &self.shards,
             self.config.steal_threshold,
         );
-        if plan.is_empty() {
-            return Ok(0);
-        }
+        plan.retain(|&(feed, _)| !self.is_dead(feed));
         for &(feed, worker) in &plan {
-            self.execute_migration(feed, worker)?;
+            self.shards.pin(feed, worker);
         }
-        self.rebalances += 1;
+        self.rebalances += u64::from(!plan.is_empty());
         self.feeds_migrated += plan.len() as u64;
         Ok(plan.len())
     }
 
-    /// Manually re-pins `feed` to `worker`, migrating its engine state if
-    /// the feed has one. A no-op when the feed is already there. Like
-    /// automatic rebalancing, a manual migration is invisible to results.
+    /// Manually re-pins `feed` to `worker`: the feed's next share runs
+    /// there. A no-op when the feed is already there. Like automatic
+    /// rebalancing, a manual migration is invisible to results. A feed a
+    /// non-durable fleet has lost stays where it was lost
+    /// ([`Error::ShardLost`]).
     pub fn migrate_feed(&mut self, feed: FeedId, worker: usize) -> Result<()> {
         if worker >= self.workers.len() {
             return Err(Error::InvalidConfig(format!(
@@ -835,87 +842,46 @@ impl MultiFeedEngine {
                 self.workers.len()
             )));
         }
-        if self.shards.worker_of(feed) == worker {
-            return Ok(());
-        }
-        self.execute_migration(feed, worker)?;
-        self.feeds_migrated += 1;
-        Ok(())
-    }
-
-    /// The migration protocol: ask the old worker to hand the feed's
-    /// engine over (drained by construction — migrations only run between
-    /// batches, when no frames are in flight), give it to the new worker,
-    /// re-pin. FIFO inbox ordering makes this safe against in-flight
-    /// catalog ops: an op queued before `Migrate` is applied by the old
-    /// worker before hand-over, and the new worker sees its own copy of
-    /// that op before `Adopt`, so the moved engine gets every op exactly
-    /// once.
-    fn execute_migration(&mut self, feed: FeedId, to: usize) -> Result<()> {
         let from = self.shards.worker_of(feed);
-        if from == to {
-            return Ok(());
+        if self.is_dead(feed) {
+            return Err(Error::ShardLost {
+                worker: from,
+                queue_depth: 0,
+            });
         }
-        let lost = |worker: usize| Error::ShardLost {
-            worker,
-            queue_depth: 0,
-        };
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let from_inbox = self.workers[from]
-            .inbox
-            .as_ref()
-            .ok_or_else(|| lost(from))?;
-        from_inbox
-            .send(WorkerMsg::Migrate {
-                feed,
-                reply: reply_tx,
-            })
-            .map_err(|_| lost(from))?;
-        let state = reply_rx
-            .recv_timeout(SHARD_TIMEOUT)
-            .map_err(|_| lost(from))?;
-        if let Some(state) = state {
-            let to_inbox = self.workers[to].inbox.as_ref().ok_or_else(|| lost(to))?;
-            to_inbox
-                .send(WorkerMsg::Adopt { feed, state })
-                .map_err(|_| lost(to))?;
+        if from != worker {
+            self.shards.pin(feed, worker);
+            self.feeds_migrated += 1;
         }
-        self.shards.pin(feed, to);
         Ok(())
     }
 
     /// Collects a deterministic global report: one [`FeedReport`] per feed
-    /// in ascending feed-id order plus the merged metrics.
-    ///
-    /// The collection message queues behind any frames already sent to each
-    /// worker, so a report taken after [`push_batch`](Self::push_batch)
-    /// returns reflects every frame of that batch.
+    /// in ascending feed-id order plus the merged metrics. Every engine is
+    /// at home between batches, so the report reflects every frame of every
+    /// batch that returned. While a feed is lost the fleet has no honest
+    /// answer for it, and the report is [`Error::ShardLost`] naming the
+    /// feed's worker.
     pub fn report(&self) -> Result<MultiFeedReport> {
-        let mut feeds: Vec<FeedReport> = Vec::new();
-        for (index, worker) in self.workers.iter().enumerate() {
-            let lost = || Error::ShardLost {
-                worker: index,
-                queue_depth: 0,
-            };
-            let inbox = worker.inbox.as_ref().ok_or_else(lost)?;
-            let (reply_tx, reply_rx) = mpsc::channel();
-            inbox
-                .send(WorkerMsg::Collect { reply: reply_tx })
-                .map_err(|_| lost())?;
-            let part = reply_rx.recv_timeout(SHARD_TIMEOUT).map_err(|_| lost())?;
-            feeds.extend(part);
-        }
-        feeds.sort_by_key(|report| report.feed);
-        // Version-aware merge: the collect message queued behind every
-        // catalog op on every shard, so each feed must report the fleet's
-        // current version — a mismatch would mean some shard merged
-        // metrics computed under a different query set.
-        debug_assert!(
-            feeds
-                .iter()
-                .all(|report| report.catalog_version == self.catalog_version),
-            "a shard reported under a stale catalog version"
-        );
+        let feeds = (self.engines.iter())
+            .map(|(&feed, slot)| {
+                let engine = slot.as_ref().ok_or(Error::ShardLost {
+                    worker: self.shards.worker_of(feed),
+                    queue_depth: 0,
+                })?;
+                let (total_matches, matching_frames) = engine.match_counters();
+                Ok(FeedReport {
+                    feed,
+                    strategy: engine.strategy().to_owned(),
+                    frames: engine.maintainer_metrics().frames_processed,
+                    total_matches,
+                    matching_frames,
+                    live_states: engine.live_states(),
+                    catalog_version: engine.catalog_version(),
+                    metrics: engine.metrics(),
+                })
+            })
+            .collect::<Result<Vec<FeedReport>>>()?;
         let mut metrics = MaintenanceMetrics::merged(feeds.iter().map(|report| &report.metrics));
         // The scheduler-owned counters exist fleet-wide only: per-feed
         // engines can't know them, so they are injected here rather than
@@ -931,57 +897,38 @@ impl MultiFeedEngine {
     }
 
     /// Flushes every per-feed engine's durable state: due snapshots are
-    /// written and the WALs fsynced. No-op on a non-durable fleet; dead
-    /// workers are skipped (the per-operation fsync discipline already
-    /// made all their acknowledged work durable). Dropping the engine
-    /// flushes too — this is the explicit, fallible graceful-shutdown
-    /// path.
+    /// written and the WALs fsynced, one feed after another on the caller's
+    /// thread; the first failure is returned after every feed was tried.
+    /// No-op on a non-durable fleet; lost feeds are skipped (the
+    /// per-operation fsync discipline already made all their acknowledged
+    /// work durable). Dropping the engine flushes too — this is the
+    /// explicit, fallible graceful-shutdown path.
     pub fn sync_store(&mut self) -> Result<()> {
-        if !self.is_durable() {
-            return Ok(());
+        let mut outcome = Ok(());
+        for engine in self.engines.values_mut().flatten() {
+            outcome = outcome.and(engine.sync_store());
         }
-        let mut waits = Vec::new();
-        for (index, worker) in self.workers.iter().enumerate() {
-            let Some(inbox) = worker.inbox.as_ref() else {
-                continue;
-            };
-            let (reply_tx, reply_rx) = mpsc::channel();
-            if inbox.send(WorkerMsg::Sync { reply: reply_tx }).is_ok() {
-                waits.push((index, reply_rx));
-            }
-        }
-        for (index, reply) in waits {
-            reply
-                .recv_timeout(SHARD_TIMEOUT)
-                .map_err(|_| Error::ShardLost {
-                    worker: index,
-                    queue_depth: 0,
-                })??;
-        }
-        Ok(())
+        outcome
     }
 
-    /// Simulates a worker crash by dropping its inbox (the worker loop
-    /// then exits as if the thread had died). Test-only: exercises the
-    /// ShardLost diagnostics and the aborted-batch cleanup path.
+    /// Simulates worker `index` dying mid-share: its inbox closes (the
+    /// thread exits) and the engines pinned to it — what a share in flight
+    /// would have carried — are lost.
     #[cfg(test)]
     fn kill_worker(&mut self, index: usize) {
         self.workers[index].inbox.take();
+        for (&feed, slot) in &mut self.engines {
+            if self.shards.worker_of(feed) == index {
+                *slot = None;
+            }
+        }
     }
 }
 
 impl Drop for MultiFeedEngine {
+    /// Ownership rule 3; the workers then drop, which joins them.
     fn drop(&mut self) {
-        // Closing every inbox ends the worker loops; then join so no thread
-        // outlives the engine.
-        for worker in &mut self.workers {
-            worker.inbox.take();
-        }
-        for worker in &mut self.workers {
-            if let Some(handle) = worker.handle.take() {
-                let _ = handle.join();
-            }
-        }
+        let _ = self.sync_store();
     }
 }
 
@@ -1249,7 +1196,7 @@ mod tests {
     #[test]
     fn shard_lost_names_the_worker_and_its_queue_depth() {
         let mut engine = engine(2);
-        // Warm both feeds so both workers hold engines.
+        // Warm both feeds so both workers have an engine pinned to them.
         for fid in 0..2u64 {
             let batch = vec![
                 FeedFrame::new(FeedId(0), frame(fid, &[(1, 1), (2, 0)])),
@@ -1279,10 +1226,10 @@ mod tests {
         }
     }
 
-    /// The aborted-batch cleanup path: when a batch dies on a lost shard
-    /// *after* a healthy worker already received (and answers) its share,
-    /// the stale results of the aborted epoch must be discarded — not
-    /// spliced into the next batch.
+    /// The aborted-batch path: when a batch dies on a lost shard *after* a
+    /// healthy worker already received its share, that share is processed
+    /// and comes home before the error returns — its results are dropped
+    /// with the batch, never spliced into the next one.
     #[test]
     fn aborted_batches_do_not_leak_stale_results() {
         let mut oracle = engine(1);
@@ -1297,9 +1244,9 @@ mod tests {
         }
         engine.kill_worker(1);
         // Worker 0 (healthy, listed first) gets its share and processes
-        // frame 2 of feed 0; the batch then aborts on worker 1's closed
-        // inbox. Feed 0's frame 2 result is now sitting in the results
-        // channel, stamped with the aborted epoch.
+        // frame 2 of feed 0; the batch then aborts on worker 1's lost
+        // feed. Feed 0's frame 2 result went home on the aborted batch's
+        // own channel.
         let aborted = vec![
             FeedFrame::new(FeedId(0), frame(2, &[(1, 1), (2, 0)])),
             FeedFrame::new(FeedId(1), frame(2, &[(1, 1)])),
@@ -1309,10 +1256,10 @@ mod tests {
             Err(Error::ShardLost { worker: 1, .. })
         ));
         // The next batch only touches feed 0 (worker 0). Its results must
-        // be frame 3's — the stale frame-2 result from the aborted epoch
-        // is discarded by the epoch check, and the oracle (which never
-        // aborted but processed the same accepted frames) must agree on
-        // everything the engine *returns*.
+        // be frame 3's — the frame-2 result died with the aborted batch's
+        // channel — and the oracle (which never aborted but processed the
+        // same accepted frames) must agree on everything the engine
+        // *returns*.
         oracle.push(FeedId(0), frame(2, &[(1, 1), (2, 0)])).unwrap();
         let expected = oracle.push(FeedId(0), frame(3, &[(1, 1), (2, 0)])).unwrap();
         let got = engine.push(FeedId(0), frame(3, &[(1, 1), (2, 0)])).unwrap();
@@ -1361,10 +1308,9 @@ mod tests {
         assert!(report.feeds.iter().all(|feed| feed.catalog_version == 2));
     }
 
-    /// A catalog swap broadcast *before* a migration must reach the
-    /// migrated engine exactly once: the old worker applies it before
-    /// handing the engine over, and the new worker's own copy of the op
-    /// (queued ahead of the adoption) must not touch the engine again.
+    /// A catalog swap followed at once by a migration must reach the
+    /// migrated engine exactly once: the swap is applied to the engine at
+    /// home, and the re-pin moves no state.
     #[test]
     fn migration_and_catalog_swaps_interleave_exactly_once() {
         let mut subject = engine(2);
@@ -1379,8 +1325,7 @@ mod tests {
                     .unwrap();
             }
         }
-        // Swap, then immediately migrate feed 1 onto worker 0 (the swap is
-        // still in both workers' inboxes when the migration executes).
+        // Swap, then immediately migrate feed 1 onto worker 0.
         let person_s = subject.add_query_text("person >= 1").unwrap();
         let person_o = oracle.add_query_text("person >= 1").unwrap();
         assert_eq!(person_s, person_o);
@@ -1514,10 +1459,10 @@ mod tests {
     }
 
     /// The respawn path: killing a worker of a durable fleet must be
-    /// invisible — the next frame push (and the next catalog broadcast)
-    /// respawns it, the replacement recovers its feeds from the store, and
-    /// every result and per-feed tally matches a fleet that never lost a
-    /// worker.
+    /// invisible — a catalog op skips the lost feeds, the next frame push
+    /// respawns the worker, the replacement recovers its feeds from the
+    /// store under the master catalog, and every result and per-feed tally
+    /// matches a fleet that never lost a worker.
     #[test]
     fn durable_fleet_survives_worker_loss_transparently() {
         let disk = tvq_store::MemDisk::new();
@@ -1530,8 +1475,8 @@ mod tests {
             let got = subject.push_batch(&batch).unwrap();
             assert_eq!(got, expected, "pre-crash frame {fid}");
         }
-        // Crash worker 1, then swap the catalog: the broadcast must heal
-        // the pool rather than error.
+        // Crash worker 1, then swap the catalog: the op must succeed on
+        // the feeds still at home rather than error.
         subject.kill_worker(1);
         let person_s = subject.add_query_text("person >= 1").unwrap();
         let person_o = oracle.add_query_text("person >= 1").unwrap();
@@ -1604,8 +1549,8 @@ mod tests {
             }
             fleet.sync_store().unwrap();
             person_o
-            // Dropping the fleet joins the workers, which flush and
-            // release every per-feed directory lock.
+            // Dropping the fleet flushes the engines and releases every
+            // per-feed directory lock.
         };
         let mut fleet = durable_fleet(&disk, 2);
         assert_eq!(
@@ -1694,6 +1639,146 @@ mod tests {
                 "op {op}: {err}"
             );
         }
+    }
+
+    /// A feed's store failing inside a catalog op used to vanish into a
+    /// worker thread (`debug_assert!` there, nothing in release). Now the
+    /// caller gets the error, and whatever the crash point — inside the
+    /// master publish or inside any feed's WAL append/fsync — a fleet
+    /// reopened on the healthy disk has every feed at the master version
+    /// and continues like a fleet that applied (or never saw) the op.
+    #[test]
+    fn durable_fleet_surfaces_a_failed_catalog_op_and_restarts_coherent() {
+        let warm = |fleet: &mut MultiFeedEngine| {
+            for fid in 0..3u64 {
+                fleet.push_batch(&mixed_batch(fid)).unwrap();
+            }
+        };
+        let on = |io: SharedIo| {
+            MultiFeedEngine::builder(config(2))
+                .with_query_text("car >= 1 AND person >= 1")
+                .unwrap()
+                .with_store(io, Path::new("/fleet"))
+                .build()
+                .unwrap()
+        };
+        // A fault-free pass counts the store operations the op spans.
+        let (before, after) = {
+            let io = tvq_store::MemDisk::new().fault_io(u64::MAX, tvq_store::TornTail::Drop);
+            let mut fleet = on(io.clone());
+            warm(&mut fleet);
+            let before = io.ops();
+            fleet.add_query_text("person >= 1").unwrap();
+            (before, io.ops())
+        };
+        assert!(after - before > 4, "the op reaches the feeds' WALs");
+        for crash_at in before + 1..=after {
+            for torn in tvq_store::TornTail::ALL {
+                let disk = tvq_store::MemDisk::new();
+                let mut fleet = on(disk.fault_io(crash_at, torn));
+                warm(&mut fleet);
+                let err = fleet.add_query_text("person >= 1").unwrap_err();
+                assert!(matches!(err, Error::Store(_)), "op {crash_at}: {err}");
+                drop(fleet);
+
+                let mut fleet = on(disk.io());
+                let mut oracle = engine(2);
+                warm(&mut oracle);
+                if fleet.catalog_version() == 1 {
+                    oracle.add_query_text("person >= 1").unwrap();
+                } else {
+                    assert!(
+                        crash_at <= before + 4,
+                        "past the publish the op is in force"
+                    );
+                }
+                for fid in 3..6u64 {
+                    assert_eq!(
+                        fleet.push_batch(&mixed_batch(fid)).unwrap(),
+                        oracle.push_batch(&mixed_batch(fid)).unwrap(),
+                        "op {crash_at} {torn:?} frame {fid}"
+                    );
+                }
+                let report = fleet.report().unwrap();
+                assert_eq!(report.feeds.len(), 4);
+                assert!(report
+                    .feeds
+                    .iter()
+                    .all(|feed| feed.catalog_version == fleet.catalog_version()));
+            }
+        }
+    }
+
+    /// Ownership rule 1: a share that cannot be delivered brings its
+    /// engines back home, and the shares that were delivered come home
+    /// before the error does — so the report still lists every feed.
+    #[test]
+    fn aborted_batches_strand_no_engine() {
+        let mut engine = engine(2);
+        for feed in [0u32, 2] {
+            engine
+                .push(FeedId(feed), frame(0, &[(1, 1), (2, 0)]))
+                .unwrap();
+        }
+        // Worker 1 dies idle, then feed 2 (engine and all) is pinned to it.
+        engine.kill_worker(1);
+        engine.migrate_feed(FeedId(2), 1).unwrap();
+        let aborted = vec![
+            FeedFrame::new(FeedId(0), frame(1, &[(1, 1), (2, 0)])),
+            FeedFrame::new(FeedId(2), frame(1, &[(1, 1), (2, 0)])),
+        ];
+        assert!(matches!(
+            engine.push_batch(&aborted),
+            Err(Error::ShardLost {
+                worker: 1,
+                queue_depth: 1
+            })
+        ));
+        let report = engine.report().unwrap();
+        let frames: Vec<(FeedId, u64)> = report.feeds.iter().map(|f| (f.feed, f.frames)).collect();
+        assert_eq!(frames, vec![(FeedId(0), 2), (FeedId(2), 1)]);
+        // Feed 2 was never lost: back on a live worker it simply continues.
+        engine.migrate_feed(FeedId(2), 0).unwrap();
+        let resumed = engine.push(FeedId(2), frame(1, &[(1, 1), (2, 0)])).unwrap();
+        assert_eq!(resumed.result.frame, FrameId(1));
+        assert_eq!(engine.report().unwrap().total_frames(), 4);
+    }
+
+    /// Ownership rule 2 without a store: a lost feed stays lost. Neither a
+    /// manual re-pin nor a rebalance pass (which the dead worker's load
+    /// would otherwise attract) may hand its frames to a fresh engine.
+    #[test]
+    fn lost_feeds_of_a_non_durable_fleet_are_never_resurrected() {
+        let mut engine = engine(2);
+        let hot: Vec<(u32, u16)> = (0..20u32).map(|k| (k + 1, (k % 2) as u16)).collect();
+        for fid in 0..4u64 {
+            let batch: Vec<FeedFrame> = [1u32, 3]
+                .iter()
+                .map(|&feed| FeedFrame::new(FeedId(feed), frame(fid, &hot)))
+                .collect();
+            engine.push_batch(&batch).unwrap();
+        }
+        // Both hot feeds sit on worker 1 while worker 0 idles: the planner
+        // would move one of them.
+        engine.kill_worker(1);
+        assert_eq!(engine.rebalance_now().unwrap(), 0);
+        for feed in [1u32, 3] {
+            assert!(matches!(
+                engine.migrate_feed(FeedId(feed), 0),
+                Err(Error::ShardLost { worker: 1, .. })
+            ));
+            assert_eq!(engine.shard_of(FeedId(feed)), 1);
+            assert!(matches!(
+                engine.push(FeedId(feed), frame(4, &hot)),
+                Err(Error::ShardLost { worker: 1, .. })
+            ));
+        }
+        assert!(matches!(
+            engine.report(),
+            Err(Error::ShardLost { worker: 1, .. })
+        ));
+        // The rest of the fleet is unaffected.
+        engine.push(FeedId(0), frame(0, &hot)).unwrap();
     }
 
     /// Non-durable fleets keep the fail-fast contract: a lost worker is an

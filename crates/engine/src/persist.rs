@@ -127,7 +127,7 @@ const FLEET_MAGIC: [u8; 4] = *b"TVQF";
 const FLEET_VERSION: u32 = 2;
 /// File under a durable fleet's data directory holding the scheduler's
 /// master catalog (registry, query set, version). Always written *ahead*
-/// of broadcasting an op, so the master version is never behind a feed's.
+/// of applying an op, so the master version is never behind a feed's.
 pub(crate) const FLEET_CATALOG: &str = "fleet-catalog.tvqf";
 /// Scratch name the fleet catalog is staged under before the atomic
 /// rename into [`FLEET_CATALOG`].
@@ -170,7 +170,7 @@ pub(crate) fn load_fleet_catalog(
 
 /// Serializes the multi-feed scheduler's master catalog — header, version,
 /// registry, queries — closed by the store's [`seal`] (the snapshot store's
-/// framing). Written *ahead* of each broadcast (and at fleet build), so
+/// framing). Written *ahead* of each catalog op (and at fleet build), so
 /// after any crash the master version is at least every feed's — restart
 /// fast-forwards recovered feeds to the master, never the reverse.
 fn encode_fleet_catalog(registry: &ClassRegistry, queries: &[CnfQuery], version: u64) -> Vec<u8> {

@@ -3,7 +3,7 @@
 //! and any harness that wants to drive a server without hand-rolling the
 //! codec.
 
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use tvq_common::{Error, Result};
@@ -16,17 +16,18 @@ use crate::protocol::{read_frame, write_frame};
 /// [`request`]: Self::request
 pub struct ServerClient {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
 }
 
 impl ServerClient {
     /// Connects to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(ServerClient {
             reader,
-            writer: BufWriter::new(stream),
+            writer: stream,
         })
     }
 

@@ -15,7 +15,9 @@ use std::io::{self, Read, Write};
 /// gigabytes.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame as a single `write_all`: prefix and
+/// payload handed over separately leave a socket as two segments, and the
+/// second then waits for the peer's delayed ACK of the first.
 pub fn write_frame(writer: &mut impl Write, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
     if bytes.len() > MAX_FRAME_LEN {
@@ -25,8 +27,10 @@ pub fn write_frame(writer: &mut impl Write, payload: &str) -> io::Result<()> {
         ));
     }
     let len = u32::try_from(bytes.len()).expect("MAX_FRAME_LEN fits in u32");
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(bytes);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 

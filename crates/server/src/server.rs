@@ -25,7 +25,7 @@
 //! counted as `ignored` rather than rejected, mirroring the engine's own
 //! relevant-class filter.
 
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,8 +45,6 @@ use crate::protocol::{read_frame_bytes, write_frame};
 struct ServerState {
     engine: TemporalVideoQueryEngine,
     hub: SubscriptionHub,
-    frames: u64,
-    matches: u64,
 }
 
 impl ServerState {
@@ -54,8 +52,6 @@ impl ServerState {
         ServerState {
             engine,
             hub: SubscriptionHub::new(),
-            frames: 0,
-            matches: 0,
         }
     }
 
@@ -103,7 +99,7 @@ impl ServerState {
     }
 
     fn remove(&mut self, rest: &str) -> Result<String> {
-        let id = parse_u32(rest, "REMOVE needs a query id")?;
+        let id: u32 = parse(rest, "REMOVE needs a query id")?;
         self.engine.remove_query(tvq_common::QueryId(id))?;
         self.hub.retract_query(tvq_common::QueryId(id));
         Ok(format!(
@@ -118,11 +114,9 @@ impl ServerState {
         let mut filter = tvq_common::FxHashSet::default();
         for token in rest.split_whitespace() {
             if let Some(cap) = token.strip_prefix("cap=") {
-                capacity = cap
-                    .parse()
-                    .map_err(|_| Error::InvalidConfig(format!("bad capacity {cap:?}")))?;
+                capacity = parse(cap, "bad capacity")?;
             } else {
-                filter.insert(tvq_common::QueryId(parse_u32(token, "bad query id")?));
+                filter.insert(tvq_common::QueryId(parse(token, "bad query id")?));
             }
         }
         let filter = if filter.is_empty() {
@@ -135,14 +129,14 @@ impl ServerState {
     }
 
     fn unsubscribe(&mut self, rest: &str) -> Result<String> {
-        let id = parse_u64(rest, "UNSUBSCRIBE needs a subscriber id")?;
+        let id: u64 = parse(rest, "UNSUBSCRIBE needs a subscriber id")?;
         self.hub.unsubscribe(SubscriberId(id))?;
         Ok(format!("OK unsubscribed={id}"))
     }
 
     fn frame(&mut self, rest: &str) -> Result<String> {
         let mut tokens = rest.split_whitespace();
-        let fid = parse_u64(tokens.next().unwrap_or(""), "FRAME needs a frame id")?;
+        let fid: u64 = parse(tokens.next().unwrap_or(""), "FRAME needs a frame id")?;
         let mut detections = Vec::new();
         let mut ends = Vec::new();
         let mut ignored = 0usize;
@@ -154,13 +148,13 @@ impl ServerState {
             }
             if in_ends {
                 for id in token.split(',').filter(|s| !s.is_empty()) {
-                    ends.push(ObjectId(parse_u32(id, "bad END object id")?));
+                    ends.push(ObjectId(parse(id, "bad END object id")?));
                 }
             } else {
                 let (id, label) = token.split_once(':').ok_or_else(|| {
                     Error::InvalidConfig(format!("bad detection {token:?} (want <id>:<label>)"))
                 })?;
-                let object = ObjectId(parse_u32(id, "bad object id")?);
+                let object = ObjectId(parse(id, "bad object id")?);
                 match self.engine.registry().id(label) {
                     Some(class) => detections.push((object, class)),
                     // A label no query has ever mentioned cannot influence
@@ -171,8 +165,6 @@ impl ServerState {
         }
         let frame = FrameObjects::new(FrameId(fid), detections).with_track_ends(ends);
         let result = self.engine.observe(&frame)?;
-        self.frames += 1;
-        self.matches += result.matches.len() as u64;
         let events = self.hub.publish(FeedId(0), result.frame, &result.matches);
         Ok(format!(
             "OK frame={} matches={} events={} ignored={}",
@@ -185,12 +177,12 @@ impl ServerState {
 
     fn poll(&mut self, rest: &str) -> Result<String> {
         let mut tokens = rest.split_whitespace();
-        let sub = SubscriberId(parse_u64(
+        let sub = SubscriberId(parse(
             tokens.next().unwrap_or(""),
             "POLL needs a subscriber id",
         )?);
         let max = match tokens.next() {
-            Some(raw) => parse_u64(raw, "bad POLL max")? as usize,
+            Some(raw) => parse(raw, "bad POLL max")?,
             None => usize::MAX,
         };
         let events = self.hub.poll(sub, max)?;
@@ -230,8 +222,8 @@ impl ServerState {
             self.engine.catalog_version(),
             self.engine.queries().len(),
             self.engine.strategy(),
-            self.frames,
-            self.matches,
+            metrics.frames_processed,
+            self.engine.match_counters().0,
             self.hub.len(),
             self.hub.published(),
             self.hub.total_dropped(),
@@ -241,13 +233,7 @@ impl ServerState {
     }
 }
 
-fn parse_u32(raw: &str, what: &str) -> Result<u32> {
-    raw.trim()
-        .parse()
-        .map_err(|_| Error::InvalidConfig(format!("{what}: {raw:?}")))
-}
-
-fn parse_u64(raw: &str, what: &str) -> Result<u64> {
+fn parse<T: std::str::FromStr>(raw: &str, what: &str) -> Result<T> {
     raw.trim()
         .parse()
         .map_err(|_| Error::InvalidConfig(format!("{what}: {raw:?}")))
@@ -349,39 +335,16 @@ impl QueryServer {
     /// [`spawn`](Self::spawn)). Durable state is flushed and fsynced
     /// before returning.
     pub fn run(self) -> Result<()> {
-        let shared = self.shared;
-        for stream in self.listener.incoming() {
-            if shared.stopping.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let shared = Arc::clone(&shared);
-            let _ = std::thread::Builder::new()
-                .name("tvq-server-conn".to_string())
-                .spawn(move || serve_connection(stream, &shared));
-        }
-        shared.sync()
+        accept_loop(self.listener, &self.shared);
+        self.shared.sync()
     }
 
     /// Starts the accept loop on a background thread.
     pub fn spawn(self) -> Result<ServerHandle> {
         let shared = Arc::clone(&self.shared);
-        let listener = self.listener;
-        let accept_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
             .name("tvq-server-accept".to_string())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_shared.stopping.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let shared = Arc::clone(&accept_shared);
-                    let _ = std::thread::Builder::new()
-                        .name("tvq-server-conn".to_string())
-                        .spawn(move || serve_connection(stream, &shared));
-                }
-            })
+            .spawn(move || accept_loop(self.listener, &self.shared))
             .map_err(Error::Io)?;
         Ok(ServerHandle {
             shared,
@@ -390,14 +353,32 @@ impl QueryServer {
     }
 }
 
+/// Hands every accepted connection its own thread until the stop flag is
+/// observed (whoever sets it pokes the listener awake with a throwaway
+/// connection).
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
+    for stream in listener.incoming() {
+        if shared.stopping.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        let shared = Arc::clone(shared);
+        let _ = std::thread::Builder::new()
+            .name("tvq-server-conn".to_string())
+            .spawn(move || serve_connection(stream, &shared));
+    }
+}
+
 /// Serves one client connection until `QUIT`, `SHUTDOWN`, EOF, or an I/O
 /// error.
 fn serve_connection(stream: TcpStream, shared: &Shared) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
-    let mut writer = BufWriter::new(stream);
+    // A response is one write (see `write_frame`); without Nagle it leaves
+    // at once instead of waiting out the peer's delayed ACK.
+    let Ok(clone) = stream.set_nodelay(true).and_then(|()| stream.try_clone()) else {
+        return;
+    };
+    let mut reader = BufReader::new(clone);
+    let mut writer = stream;
     while let Ok(Some(payload)) = read_frame_bytes(&mut reader) {
         // A frame that is not UTF-8 is a malformed *command*, not a broken
         // *connection*: the framing layer already consumed the whole

@@ -95,6 +95,33 @@ fn overflowing_subscriber_counts_drops_and_keeps_newest() {
     handle.stop().unwrap();
 }
 
+/// A response past the old 8 KiB write buffer must still leave as one
+/// segment train: prefix and payload written separately met Nagle and the
+/// peer's delayed ACK, and every such `POLL` took ~44 ms.
+#[test]
+fn large_poll_responses_do_not_stall() {
+    let handle = start();
+    let mut client = ServerClient::connect(handle.addr()).unwrap();
+    client.expect_ok("ADD car >= 1").unwrap();
+    let sub = field(&client.expect_ok("SUBSCRIBE cap=64").unwrap(), "sub");
+    let cars: String = (0..600).map(|id| format!(" {}:car", 10_000 + id)).collect();
+    // Best of three rounds, so one scheduling hiccup on a busy host is
+    // not a failure; the stall hit every round.
+    let mut best = std::time::Duration::MAX;
+    for round in 0..3 {
+        for fid in round * 8..round * 8 + 8 {
+            client.expect_ok(&format!("FRAME {fid}{cars}")).unwrap();
+        }
+        let started = std::time::Instant::now();
+        let poll = client.expect_ok(&format!("POLL {sub}")).unwrap();
+        best = best.min(started.elapsed());
+        assert!(poll.len() > 16 * 1024, "only {} bytes", poll.len());
+    }
+    assert!(best.as_millis() < 20, "POLL round trip took {best:?}");
+    client.quit().unwrap();
+    handle.stop().unwrap();
+}
+
 #[test]
 fn two_clients_share_one_engine() {
     let handle = start();

@@ -201,10 +201,11 @@ impl MemDisk {
         MemDisk::default()
     }
 
-    /// A clean (fault-free) view of the disk — what a process sees when it
-    /// starts after a crash, or a test harness inspecting the "disk".
+    /// A clean view of the disk — what a process sees when it starts after
+    /// a crash, or a test harness inspecting the "disk": the fault view
+    /// with a crash point no run reaches.
     pub fn io(&self) -> SharedIo {
-        Arc::new(MemIo { disk: self.clone() })
+        self.fault_io(u64::MAX, TornTail::Drop)
     }
 
     /// A faulty view that injects a crash at mutating operation number
@@ -250,104 +251,8 @@ impl MemDisk {
     }
 }
 
-/// Fault-free view of a [`MemDisk`].
-struct MemIo {
-    disk: MemDisk,
-}
-
 fn not_found(path: &Path) -> io::Error {
     io::Error::new(io::ErrorKind::NotFound, format!("{}", path.display()))
-}
-
-impl StoreIo for MemIo {
-    fn create_dir_all(&self, _dir: &Path) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-        let state = self.disk.lock();
-        Ok(state
-            .files
-            .keys()
-            .filter(|p| p.parent() == Some(dir))
-            .filter_map(|p| p.file_name())
-            .map(|n| n.to_string_lossy().into_owned())
-            .collect())
-    }
-
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let state = self.disk.lock();
-        state
-            .files
-            .get(path)
-            .map(|f| f.data.clone())
-            .ok_or_else(|| not_found(path))
-    }
-
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut state = self.disk.lock();
-        state
-            .files
-            .entry(path.to_path_buf())
-            .or_default()
-            .data
-            .extend_from_slice(bytes);
-        Ok(())
-    }
-
-    fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut state = self.disk.lock();
-        let file = state.files.entry(path.to_path_buf()).or_default();
-        file.data = bytes.to_vec();
-        file.synced = 0;
-        Ok(())
-    }
-
-    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
-        let mut state = self.disk.lock();
-        let file = state.files.get_mut(path).ok_or_else(|| not_found(path))?;
-        file.data.truncate(len as usize);
-        file.synced = file.synced.min(file.data.len());
-        Ok(())
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let mut state = self.disk.lock();
-        let mut file = state.files.remove(from).ok_or_else(|| not_found(from))?;
-        // Modeled atomic and durable (see the MemDisk docs): the renamed
-        // file keeps its data-durability state.
-        file.synced = file.synced.min(file.data.len());
-        state.files.insert(to.to_path_buf(), file);
-        Ok(())
-    }
-
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        let mut state = self.disk.lock();
-        state
-            .files
-            .remove(path)
-            .map(|_| ())
-            .ok_or_else(|| not_found(path))
-    }
-
-    fn fsync(&self, path: &Path) -> io::Result<()> {
-        let mut state = self.disk.lock();
-        let file = state.files.get_mut(path).ok_or_else(|| not_found(path))?;
-        file.synced = file.data.len();
-        Ok(())
-    }
-
-    fn fsync_dir(&self, _dir: &Path) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        self.disk.lock().files.contains_key(path)
-    }
-
-    fn disk_id(&self) -> usize {
-        self.disk.id()
-    }
 }
 
 /// Crash-injecting view of a [`MemDisk`].
@@ -398,73 +303,87 @@ impl StoreIo for FaultIo {
     }
 
     fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-        MemIo {
-            disk: self.disk.clone(),
-        }
-        .list(dir)
+        let state = self.disk.lock();
+        Ok(state
+            .files
+            .keys()
+            .filter(|p| p.parent() == Some(dir))
+            .filter_map(|p| p.file_name())
+            .map(|n| n.to_string_lossy().into_owned())
+            .collect())
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        MemIo {
-            disk: self.disk.clone(),
-        }
-        .read(path)
+        let state = self.disk.lock();
+        state
+            .files
+            .get(path)
+            .map(|f| f.data.clone())
+            .ok_or_else(|| not_found(path))
     }
 
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         self.gate()?;
-        MemIo {
-            disk: self.disk.clone(),
-        }
-        .append(path, bytes)
+        let mut state = self.disk.lock();
+        state
+            .files
+            .entry(path.to_path_buf())
+            .or_default()
+            .data
+            .extend_from_slice(bytes);
+        Ok(())
     }
 
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         self.gate()?;
-        MemIo {
-            disk: self.disk.clone(),
-        }
-        .write_file(path, bytes)
+        let mut state = self.disk.lock();
+        let file = state.files.entry(path.to_path_buf()).or_default();
+        file.data = bytes.to_vec();
+        file.synced = 0;
+        Ok(())
     }
 
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
         self.gate()?;
-        MemIo {
-            disk: self.disk.clone(),
-        }
-        .truncate(path, len)
+        let mut state = self.disk.lock();
+        let file = state.files.get_mut(path).ok_or_else(|| not_found(path))?;
+        file.data.truncate(len as usize);
+        file.synced = file.synced.min(file.data.len());
+        Ok(())
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         self.gate()?;
-        MemIo {
-            disk: self.disk.clone(),
-        }
-        .rename(from, to)
+        let mut state = self.disk.lock();
+        let mut file = state.files.remove(from).ok_or_else(|| not_found(from))?;
+        // Modeled atomic and durable (see the MemDisk docs): the renamed
+        // file keeps its data-durability state.
+        file.synced = file.synced.min(file.data.len());
+        state.files.insert(to.to_path_buf(), file);
+        Ok(())
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
         self.gate()?;
-        MemIo {
-            disk: self.disk.clone(),
-        }
-        .remove(path)
+        let mut state = self.disk.lock();
+        state
+            .files
+            .remove(path)
+            .map(|_| ())
+            .ok_or_else(|| not_found(path))
     }
 
     fn fsync(&self, path: &Path) -> io::Result<()> {
         self.gate()?;
-        MemIo {
-            disk: self.disk.clone(),
-        }
-        .fsync(path)
+        let mut state = self.disk.lock();
+        let file = state.files.get_mut(path).ok_or_else(|| not_found(path))?;
+        file.synced = file.data.len();
+        Ok(())
     }
 
-    fn fsync_dir(&self, dir: &Path) -> io::Result<()> {
+    fn fsync_dir(&self, _dir: &Path) -> io::Result<()> {
         self.gate()?;
-        MemIo {
-            disk: self.disk.clone(),
-        }
-        .fsync_dir(dir)
+        Ok(())
     }
 
     fn exists(&self, path: &Path) -> bool {

@@ -277,8 +277,9 @@ pub fn assert_multifeed_equals_single(
 /// [`assert_multifeed_equals_single`] with full control over the
 /// [`MultiFeedConfig`] (rebalance cadence, steal threshold, class-store
 /// sharing) plus an option to *force* a migration of every feed to a
-/// rotating worker after every batch — the adversarial schedule for the
-/// determinism-under-migration differential suite.
+/// rotating worker after every batch, with a query registered or cancelled
+/// fleet-wide (and on every oracle) after every other one — the adversarial
+/// schedule for the determinism-under-migration differential suite.
 pub fn assert_multifeed_config_equals_single(
     feeds: &[CameraFeed],
     multi_config: MultiFeedConfig,
@@ -305,6 +306,9 @@ pub fn assert_multifeed_config_equals_single(
     }
     let mut multi = builder.build().expect("multi-feed engine builds");
     let workers = multi.num_workers();
+    // The query the adversarial schedule keeps adding and removing; every
+    // second one is not `>=`-only, which also switches pruning off and on.
+    let mut extra = None;
 
     for (round, batch) in interleave(feeds, batch_size).into_iter().enumerate() {
         let tagged: Vec<FeedFrame> = batch.into_iter().map(FeedFrame::from).collect();
@@ -332,6 +336,22 @@ pub fn assert_multifeed_config_equals_single(
                 multi
                     .migrate_feed(feed.feed, target)
                     .expect("migration succeeds");
+            }
+            // Catalog ops land between the same two frames of every feed,
+            // whichever worker ran its last share or runs its next.
+            if round % 4 == 1 {
+                let text = ["person >= 2", "car <= 1"][round / 4 % 2];
+                let id = multi.add_query_text(text).expect("fleet-wide add");
+                for single in singles.values_mut() {
+                    assert_eq!(single.add_query_text(text).expect("oracle add"), id);
+                }
+                extra = Some(id);
+            } else if round % 4 == 3 {
+                let id = extra.take().expect("added two rounds ago");
+                multi.remove_query(id).expect("fleet-wide remove");
+                for single in singles.values_mut() {
+                    single.remove_query(id).expect("oracle remove");
+                }
             }
         }
     }
@@ -375,6 +395,7 @@ pub fn assert_multifeed_config_equals_single(
             report.metrics.feeds_migrated > 0,
             "forced migrations were not recorded"
         );
+        assert!(report.catalog_version > 0, "no catalog op was interleaved");
     }
 }
 

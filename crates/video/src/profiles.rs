@@ -157,16 +157,6 @@ impl DatasetProfile {
         }
     }
 
-    /// A custom profile derived from this one with a different target number
-    /// of objects per frame — the paper's "videos with different
-    /// configurations" used to study the effect of object density.
-    pub fn with_objects_per_frame(&self, objects_per_frame: f64) -> DatasetProfile {
-        let mut profile = self.clone();
-        profile.objects =
-            ((objects_per_frame * self.frames as f64) / self.frames_per_object).round() as usize;
-        profile
-    }
-
     /// A copy truncated to the first `frames` frames (scales the object count
     /// proportionally so density is preserved).
     pub fn truncated(&self, frames: usize) -> DatasetProfile {
@@ -221,13 +211,6 @@ mod tests {
         assert!(DatasetProfile::by_name("m2").is_some());
         assert!(DatasetProfile::by_name("M2").is_some());
         assert!(DatasetProfile::by_name("X9").is_none());
-    }
-
-    #[test]
-    fn density_override_scales_object_count() {
-        let base = DatasetProfile::v1();
-        let denser = base.with_objects_per_frame(base.objects_per_frame() * 2.0);
-        assert!((denser.objects as f64 / base.objects as f64 - 2.0).abs() < 0.05);
     }
 
     #[test]
