@@ -2,15 +2,14 @@
 //!
 //! ```text
 //! repro list
-//! repro <name>... | all [--quick] [--json]
+//! repro <name>... | all [--quick]
 //! ```
 //!
 //! `--quick` selects the reduced scale (the default is the paper's, which
-//! takes many minutes); `--json` also writes one `BENCH_<name>.json` per
-//! requested experiment into the working directory. A gated scenario always
-//! prints its `gate OK` / `gate FAIL` lines. Exit code 0 when everything ran
-//! and every gate held, 1 on any `gate FAIL` (or unwritable report), 2 — with
-//! the usage on stderr and nothing run — on an unknown flag, an unknown
+//! takes many minutes). Each experiment prints its tables; a gated scenario
+//! also prints its `gate OK` / `gate FAIL` lines. Exit code 0 when
+//! everything ran and every gate held, 1 on any `gate FAIL`, 2 — with the
+//! usage on stderr and nothing run — on an unknown flag, an unknown
 //! experiment name or an empty name list.
 
 use std::process::ExitCode;
@@ -19,7 +18,7 @@ use tvq_bench::experiments::{self, Gate, Output, EXPERIMENTS};
 use tvq_bench::Scale;
 
 const USAGE: &str = "usage: repro list
-       repro <name>... | all [--quick] [--json]
+       repro <name>... | all [--quick]
 `repro list` prints the experiment names.";
 
 /// A parsed command line; `Run` names are validated against the table.
@@ -29,18 +28,16 @@ enum Command {
     Run {
         names: Vec<&'static str>,
         scale: Scale,
-        json: bool,
     },
 }
 
 /// Parses the arguments after the program name; `Err` is the message that
 /// precedes the usage text (exit code 2).
 fn parse(args: &[String]) -> Result<Command, String> {
-    let (mut scale, mut json, mut names) = (Scale::Paper, false, Vec::new());
+    let (mut scale, mut names) = (Scale::Paper, Vec::new());
     for arg in args {
         match arg.as_str() {
             "--quick" => scale = Scale::Quick,
-            "--json" => json = true,
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             name => names.push(name),
         }
@@ -61,7 +58,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
         }
         _ => names.iter().map(known).collect::<Result<_, _>>()?,
     };
-    Ok(Command::Run { names, scale, json })
+    Ok(Command::Run { names, scale })
 }
 
 /// The process exit code for a finished run: 1 when any gate failed.
@@ -83,19 +80,12 @@ fn listing() -> String {
         .collect()
 }
 
-fn run(names: &[&str], scale: Scale, json: bool) -> u8 {
+fn run(names: &[&str], scale: Scale) -> u8 {
     println!("Reproduction run at {scale:?} scale\n");
-    // Shared by the reports of Table 6 and every figure: measured at most
-    // once per invocation, and only when a report is written.
-    let mut summary = None;
     let mut code = 0;
     for name in names {
         let experiment = experiments::find(name).expect("names were validated by `parse`");
-        let Output {
-            text,
-            mut report,
-            gates,
-        } = experiment.run(scale);
+        let Output { text, gates } = experiment.run(scale);
         print!("{text}");
         for gate in &gates {
             if gate.ok {
@@ -105,20 +95,6 @@ fn run(names: &[&str], scale: Scale, json: bool) -> u8 {
             }
         }
         code = code.max(exit_code(&gates));
-        if json {
-            if !experiment.has_gates() {
-                report.maintainers = summary
-                    .get_or_insert_with(|| experiments::instrumented_summary(scale))
-                    .clone();
-            }
-            match report.write() {
-                Ok(path) => println!("wrote {}", path.display()),
-                Err(error) => {
-                    eprintln!("failed to write {}: {error}", report.path().display());
-                    code = 1;
-                }
-            }
-        }
         println!();
     }
     code
@@ -131,7 +107,7 @@ fn main() -> ExitCode {
             print!("{}", listing());
             ExitCode::SUCCESS
         }
-        Ok(Command::Run { names, scale, json }) => ExitCode::from(run(&names, scale, json)),
+        Ok(Command::Run { names, scale }) => ExitCode::from(run(&names, scale)),
         Err(message) => {
             eprintln!("repro: {message}\n{USAGE}");
             ExitCode::from(2)
@@ -147,26 +123,20 @@ mod tests {
         parse(&args.iter().map(|arg| (*arg).to_owned()).collect::<Vec<_>>())
     }
 
-    fn run_of(names: &[&'static str], scale: Scale, json: bool) -> Result<Command, String> {
+    fn run_of(names: &[&'static str], scale: Scale) -> Result<Command, String> {
         let names = names.to_vec();
-        Ok(Command::Run { names, scale, json })
+        Ok(Command::Run { names, scale })
     }
 
     #[test]
     fn names_and_flags_parse_in_any_order() {
         assert_eq!(
             parse_strs(&["fig4", "--quick", "table6"]),
-            run_of(&["fig4", "table6"], Scale::Quick, false)
+            run_of(&["fig4", "table6"], Scale::Quick)
         );
-        assert_eq!(
-            parse_strs(&["--json", "skew"]),
-            run_of(&["skew"], Scale::Paper, true)
-        );
+        assert_eq!(parse_strs(&["skew"]), run_of(&["skew"], Scale::Paper));
         let all: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
-        assert_eq!(
-            parse_strs(&["all", "--quick", "--json"]),
-            run_of(&all, Scale::Quick, true)
-        );
+        assert_eq!(parse_strs(&["--quick", "all"]), run_of(&all, Scale::Quick));
         assert_eq!(parse_strs(&["list"]), Ok(Command::List));
     }
 
@@ -174,6 +144,7 @@ mod tests {
     fn typos_and_empty_selections_are_usage_errors() {
         for args in [
             &["--quik"][..],
+            &["--json", "skew"],
             &["table6", "--gate"],
             &["fig11"],
             &["fig4", "all"],
@@ -185,6 +156,7 @@ mod tests {
         }
         let message = |args| parse_strs(args).unwrap_err();
         assert_eq!(message(&["--quik"]), "unknown flag `--quik`");
+        assert_eq!(message(&["all", "--json"]), "unknown flag `--json`");
         assert_eq!(message(&["fig11"]), "unknown experiment `fig11`");
     }
 

@@ -26,9 +26,9 @@ use tvq_video::{
 };
 
 use crate::harness::{
-    format_table, measure_mcos_generation, measure_query_evaluation, text_table, Scale, Series,
+    format_table, measure_mcos_generation, measure_query_evaluation, text_table, MaintainerTiming,
+    Scale, Series,
 };
-use crate::report::{JsonValue, MaintainerTiming, ScenarioReport};
 
 /// Seed used by every experiment so that runs are reproducible.
 pub const SEED: u64 = 20210614;
@@ -121,7 +121,7 @@ pub fn fig4(scale: Scale) -> Vec<(String, Vec<Series>)> {
                 .map(|frames| scale.frames(frames))
                 .collect();
             series_group(profile.name, &mcos_methods(), &frame_counts, |kind, &n| {
-                measure_mcos_generation(&relation.truncated(n), window, kind).seconds
+                measure_mcos_generation(&relation.truncated(n), window, kind)
             })
         })
         .collect()
@@ -154,7 +154,7 @@ fn sweep_window_parameter(
             let relation = generate(&profile, SEED).truncated(scale.frames(profile.frames));
             series_group(profile.name, &mcos_methods(), xs, |kind, &x| {
                 let spec = make_spec(WindowSpec::paper_default(), x).expect("duration <= window");
-                measure_mcos_generation(&relation, scale.window(spec), kind).seconds
+                measure_mcos_generation(&relation, scale.window(spec), kind)
             })
         })
         .collect()
@@ -175,7 +175,7 @@ pub fn fig7(scale: Scale) -> Vec<(String, Vec<Series>)> {
                 profile.name,
                 &mcos_methods(),
                 &[0usize, 1, 2, 3],
-                |kind, &po| measure_mcos_generation(&relations[po], window, kind).seconds,
+                |kind, &po| measure_mcos_generation(&relations[po], window, kind),
             )
         })
         .collect()
@@ -194,7 +194,7 @@ pub fn fig8(scale: Scale) -> Vec<(String, Vec<Series>)> {
             series_group(profile.name, &mcos_methods(), &query_counts, |kind, &n| {
                 let workload = generate_workload(&WorkloadConfig::figure_8(n), SEED);
                 let evaluator = CnfEvaluator::new(workload);
-                measure_query_evaluation(&relation, window, kind, &evaluator, None).seconds
+                measure_query_evaluation(&relation, window, kind, &evaluator, None)
             })
         })
         .collect()
@@ -239,7 +239,7 @@ pub fn fig9(scale: Scale) -> Vec<(String, Vec<Series>)> {
                 } else {
                     None
                 };
-                measure_query_evaluation(&relation, window, kind, &evaluator, pruner).seconds
+                measure_query_evaluation(&relation, window, kind, &evaluator, pruner)
             },
         )
     })
@@ -266,37 +266,13 @@ pub fn fig10(scale: Scale) -> Vec<Series> {
         let workload = generate_workload(&WorkloadConfig::figure_8(num_queries), SEED);
         let evaluator = CnfEvaluator::new(workload);
         for (idx, &(_, kind)) in mcos_methods().iter().enumerate() {
-            let timing = measure_query_evaluation(&relation, window, kind, &evaluator, None);
+            let seconds = measure_query_evaluation(&relation, window, kind, &evaluator, None);
             series[idx]
                 .points
-                .push((profile.name.to_owned(), timing.seconds / num_queries as f64));
+                .push((profile.name.to_owned(), seconds / num_queries as f64));
         }
     }
     series
-}
-
-/// Instrumented per-maintainer summary shared by the `--json` reports of
-/// Table 6 and Figures 4–10 (measured once per `repro` invocation): every
-/// production maintainer ingests the V1 (sparse) and M2 (dense) classed
-/// feeds at the given scale, once for MCOS generation alone and once with a
-/// 20-query CNF workload evaluated per frame, and reports throughput plus
-/// work counters.
-pub fn instrumented_summary(scale: Scale) -> Vec<MaintainerTiming> {
-    let window = scale.window(WindowSpec::paper_default());
-    let workload = generate_workload(&WorkloadConfig::figure_8(20), SEED);
-    let evaluator = CnfEvaluator::new(workload);
-    let mut timings = Vec::new();
-    for profile in [DatasetProfile::v1(), DatasetProfile::m2()] {
-        let relation = generate(&profile, SEED).truncated(scale.frames(profile.frames));
-        for (name, kind) in mcos_methods() {
-            let mut mcos = measure_mcos_generation(&relation, window, kind);
-            mcos.method = format!("{name}/{}/mcos", profile.name);
-            let mut eval = measure_query_evaluation(&relation, window, kind, &evaluator, None);
-            eval.method = format!("{name}/{}/eval", profile.name);
-            timings.extend([mcos, eval]);
-        }
-    }
-    timings
 }
 
 /// One skewed-grid ingestion run of one scheduler configuration.
@@ -306,8 +282,6 @@ pub struct SkewRun {
     /// wall-clock seconds inside the `push_batch` loop, frames ingested and
     /// the merged fleet metrics (which include the scheduler's counters).
     pub timing: MaintainerTiming,
-    /// Worker-pool size of the run.
-    pub workers: usize,
     /// Total query matches (the honesty check across configurations).
     pub matches: u64,
     /// FNV-1a hash over every `(feed, frame, query matches)` result in
@@ -391,7 +365,6 @@ pub fn skew(scale: Scale) -> Vec<SkewRun> {
                 frames: report.total_frames(),
                 metrics: report.metrics,
             },
-            workers,
             matches,
             transcript,
             sched: engine.scheduling_stats(),
@@ -470,30 +443,23 @@ pub fn skew_verdict(runs: &[SkewRun]) -> SkewVerdict {
 }
 
 /// What a bounded-memory scenario reads off the engine after every frame.
-struct Probe<const N: usize> {
+struct Probe {
     /// The gated byte count (interner arena / class store + lifecycle maps).
     bytes: u64,
     /// The population behind it (interned sets / tracked objects).
     population: u64,
     /// Compaction (retirement) epochs run so far.
     epochs: u64,
-    /// The gauges recorded in the sampled trajectory.
-    gauges: [u64; N],
 }
 
-/// One instrumented ingestion run of a bounded-memory scenario, with
-/// compaction (and with it epoch retirement) off or on. `N` is the number of
-/// gauges sampled along the way: see [`CHURN_GAUGES`] and
-/// [`ID_REUSE_GAUGES`].
+/// One ingestion run of a bounded-memory scenario ([`long_churn`],
+/// [`id_reuse`]), with compaction (and with it epoch retirement) off or on.
 #[derive(Debug, Clone)]
-pub struct MemoryRun<const N: usize> {
+pub struct MemoryRun {
     /// `"<METHOD>/on"` or `"<METHOD>/off"`, wall-clock seconds in the
     /// ingestion loop, frames ingested and the engine's counters after the
     /// run.
     pub timing: MaintainerTiming,
-    /// Sampled memory trajectory (~100 evenly spaced points): the frame
-    /// index and the gauges after it.
-    pub trajectory: Vec<(u64, [u64; N])>,
     /// Largest gated byte count observed at any frame.
     pub peak_bytes: u64,
     /// Largest population observed at any frame.
@@ -504,7 +470,7 @@ pub struct MemoryRun<const N: usize> {
     pub first_epoch_ceiling: Option<u64>,
 }
 
-impl<const N: usize> MemoryRun<N> {
+impl MemoryRun {
     /// Whether the run had compaction enabled (the `/on` half of a pair).
     pub fn enabled(&self) -> bool {
         self.timing.method.ends_with("/on")
@@ -519,49 +485,21 @@ impl<const N: usize> MemoryRun<N> {
                 && self.peak_bytes <= first.saturating_mul(2)
         })
     }
-}
 
-/// A long-churn run: `bytes` is the interner arena, `population` the
-/// interned sets.
-pub type ChurnRun = MemoryRun<4>;
-
-/// The gauges a [`ChurnRun`] samples.
-pub const CHURN_GAUGES: [&str; 4] = [
-    "interned_sets",
-    "arena_bytes",
-    "bitmap_bytes",
-    "compactions",
-];
-
-impl ChurnRun {
-    /// The gate (`repro long_churn` and `tests/gates.rs`): with compaction
-    /// on, peak arena bytes must stay within `2 ×` the ceiling the first
-    /// compaction epoch triggered at — i.e. the arena plateaus instead of
-    /// growing monotonically. Runs that never compacted fail the gate.
+    /// The long-churn gate (`repro long_churn` and `tests/gates.rs`), where
+    /// the gated bytes are the interner arena: with compaction on, the peak
+    /// must stay within `2 ×` the ceiling the first compaction epoch
+    /// triggered at — the arena plateaus instead of growing monotonically.
+    /// Runs that never compacted fail the gate.
     pub fn passes_arena_gate(&self) -> bool {
         self.plateaus(1)
     }
-}
 
-/// An id-reuse run: `bytes` is the engine-side footprint (class store plus
-/// lifecycle maps), `population` the tracked internal ids.
-pub type IdReuseRun = MemoryRun<5>;
-
-/// The gauges an [`IdReuseRun`] samples.
-pub const ID_REUSE_GAUGES: [&str; 5] = [
-    "tracked_objects",
-    "class_map_bytes",
-    "lifecycle_bytes",
-    "compactions",
-    "objects_retired",
-];
-
-impl IdReuseRun {
-    /// The gate (`repro id_reuse` and `tests/gates.rs`): with retirement on,
-    /// the engine-side footprint must plateau — peak within `2 ×` the
-    /// first-retirement ceiling — and the run must span enough epochs
-    /// (≥ 50) for the plateau to mean something. Runs that never retired
-    /// fail.
+    /// The id-reuse gate (`repro id_reuse` and `tests/gates.rs`), where the
+    /// gated bytes are the engine-side footprint (class store plus
+    /// lifecycle maps): with retirement on, it must plateau — peak within
+    /// `2 ×` the first-retirement ceiling — across enough epochs (≥ 50)
+    /// for the plateau to mean something. Runs that never retired fail.
     pub fn passes_engine_memory_gate(&self) -> bool {
         self.plateaus(50)
     }
@@ -580,9 +518,9 @@ fn turnover_frames(scale: Scale) -> u64 {
 /// population with a fresh object id every few frames, ingested end-to-end
 /// (classed queries evaluated per frame) once with compaction off and once
 /// with it on, for MFS and SSG. The interesting read-outs are sustained
-/// frames/sec and the `interned_sets`/`arena_bytes` trajectory: monotone
-/// growth with compaction off, a plateau with it on.
-pub fn long_churn(scale: Scale) -> Vec<ChurnRun> {
+/// frames/sec and the peak `interned_sets`/`arena_bytes`: monotone growth
+/// with compaction off, a plateau with it on.
+pub fn long_churn(scale: Scale) -> Vec<MemoryRun> {
     let feed = long_churn_feed(FeedId(0), &ChurnProfile::new(turnover_frames(scale)));
     // Checked every 32 frames, compact once less than half of an
     // at-least-512-entry arena is live — tight enough to produce several
@@ -600,12 +538,6 @@ pub fn long_churn(scale: Scale) -> Vec<ChurnRun> {
             bytes: m.arena_bytes,
             population: m.interned_sets,
             epochs: m.compactions,
-            gauges: [
-                m.interned_sets,
-                m.arena_bytes,
-                m.bitmap_bytes,
-                m.compactions,
-            ],
         }
     })
 }
@@ -615,10 +547,10 @@ pub fn long_churn(scale: Scale) -> Vec<ChurnRun> {
 /// retirement off (compaction disabled — the append-history baseline whose
 /// class store and lifecycle maps grow with every generation ever seen)
 /// and once with it on, for MFS and SSG. The interesting read-outs are the
-/// `tracked_objects` / engine-bytes trajectory — a plateau with retirement
-/// versus monotone growth without — plus correct reuse semantics at full
-/// speed (generation counts in the metrics).
-pub fn id_reuse(scale: Scale) -> Vec<IdReuseRun> {
+/// peak `tracked_objects` / engine bytes — a plateau with retirement versus
+/// monotone growth without — plus correct reuse semantics at full speed
+/// (generation counts in the metrics).
+pub fn id_reuse(scale: Scale) -> Vec<MemoryRun> {
     let profile = tvq_video::IdReuseProfile::new(turnover_frames(scale));
     let feed = tvq_video::id_reuse_feed(FeedId(0), &profile);
     // Checked every 16 frames and triggered by any meaningful slack, so a
@@ -634,13 +566,6 @@ pub fn id_reuse(scale: Scale) -> Vec<IdReuseRun> {
             bytes: m.class_map_bytes + m.lifecycle_bytes,
             population: m.tracked_objects,
             epochs: m.compactions,
-            gauges: [
-                m.tracked_objects,
-                m.class_map_bytes,
-                m.lifecycle_bytes,
-                m.compactions,
-                m.objects_retired,
-            ],
         }
     })
 }
@@ -666,23 +591,23 @@ fn build_churn_bench_engine(
         .expect("engine builds")
 }
 
-/// Times `frames` through `engine`; `after_frame(engine, index)` runs inside
-/// the timed loop after every frame.
+/// Times `frames` through `engine`; `after_frame(engine)` runs inside the
+/// timed loop after every frame.
 fn ingest(
     mut engine: TemporalVideoQueryEngine,
     frames: &[FrameObjects],
     method: String,
-    mut after_frame: impl FnMut(&TemporalVideoQueryEngine, usize),
+    mut after_frame: impl FnMut(&TemporalVideoQueryEngine),
 ) -> MaintainerTiming {
     let mut matches = 0usize;
     let start = Instant::now();
-    for (index, frame) in frames.iter().enumerate() {
+    for frame in frames {
         matches += engine
             .observe(frame)
             .expect("frames in order")
             .matches
             .len();
-        after_frame(&engine, index);
+        after_frame(&engine);
     }
     let seconds = start.elapsed().as_secs_f64();
     std::hint::black_box(matches);
@@ -696,23 +621,21 @@ fn ingest(
 
 /// Ingests `frames` with MFS and SSG, each with compaction off and then on
 /// under `policy`, probing the engine after every frame.
-fn off_on_runs<const N: usize>(
+fn off_on_runs(
     frames: &[FrameObjects],
     policy: CompactionPolicy,
-    probe: impl Fn(&TemporalVideoQueryEngine) -> Probe<N>,
-) -> Vec<MemoryRun<N>> {
-    let sample_every = (frames.len() / 100).max(1);
+    probe: impl Fn(&TemporalVideoQueryEngine) -> Probe,
+) -> Vec<MemoryRun> {
     let mut runs = Vec::new();
     for kind in [MaintainerKind::Mfs, MaintainerKind::Ssg] {
         for (label, compaction) in [("off", None), ("on", Some(policy))] {
-            let mut trajectory = Vec::with_capacity(128);
             let (mut peak_bytes, mut peak_population, mut prev_bytes) = (0u64, 0u64, 0u64);
             let mut first_epoch_ceiling = None;
             let timing = ingest(
                 build_churn_bench_engine(kind, compaction),
                 frames,
                 format!("{}/{label}", kind.name()),
-                |engine, index| {
+                |engine| {
                     let now = probe(engine);
                     peak_bytes = peak_bytes.max(now.bytes);
                     peak_population = peak_population.max(now.population);
@@ -720,14 +643,10 @@ fn off_on_runs<const N: usize>(
                         first_epoch_ceiling = Some(prev_bytes.max(now.bytes));
                     }
                     prev_bytes = now.bytes;
-                    if index % sample_every == 0 || index + 1 == frames.len() {
-                        trajectory.push((frames[index].fid.raw(), now.gauges));
-                    }
                 },
             );
             runs.push(MemoryRun {
                 timing,
-                trajectory,
                 peak_bytes,
                 peak_population,
                 first_epoch_ceiling,
@@ -772,9 +691,6 @@ impl Gate {
 pub struct Output {
     /// The human-readable tables.
     pub text: String,
-    /// The `BENCH_<name>.json` payload: the series behind the tables, plus
-    /// each scenario's own timings and extras.
-    pub report: ScenarioReport,
     /// Gate verdicts; empty for the paper's table and figures.
     pub gates: Vec<Gate>,
 }
@@ -794,7 +710,7 @@ pub enum Run {
 
 /// One row of the [`EXPERIMENTS`] table.
 pub struct Experiment {
-    /// The name `repro <name>` selects and `BENCH_<name>.json` carries.
+    /// The name `repro <name>` selects.
     pub name: &'static str,
     /// Title printed above the experiment's table(s).
     pub title: &'static str,
@@ -812,25 +728,14 @@ impl Experiment {
 
     /// Runs the experiment at `scale`.
     pub fn run(&self, scale: Scale) -> Output {
-        let (text, series) = match self.run {
-            Run::Text(table) => (format!("{}\n{}", self.title, table(scale)), Vec::new()),
-            Run::PerDataset(figure) => {
-                let groups = figure(scale);
-                (render(self.title, self.x_label, &groups), groups)
-            }
-            Run::Flat(figure) => {
-                let series = figure(scale);
-                let text = format_table(self.title, self.x_label, &series);
-                (text, vec![("all".to_owned(), series)])
-            }
+        let text = match self.run {
+            Run::Text(table) => format!("{}\n{}", self.title, table(scale)),
+            Run::PerDataset(figure) => render(self.title, self.x_label, &figure(scale)),
+            Run::Flat(figure) => format_table(self.title, self.x_label, &figure(scale)),
             Run::Gated(scenario) => return scenario(self, scale),
         };
         Output {
             text,
-            report: ScenarioReport {
-                series,
-                ..ScenarioReport::new(self.name, scale)
-            },
             gates: Vec::new(),
         }
     }
@@ -925,24 +830,6 @@ fn scenario_row<const N: usize>(timing: &MaintainerTiming, rest: [String; N]) ->
     lead.into_iter().chain(rest).collect()
 }
 
-/// The runs' sampled trajectories as report extras: per run, a
-/// `trajectory/<method>` array of one `{frame, <gauge>...}` object per sample.
-fn trajectories_json<const N: usize>(
-    gauges: [&str; N],
-    runs: &[MemoryRun<N>],
-) -> Vec<(String, JsonValue)> {
-    let sample = |(frame, values): &(u64, [u64; N])| {
-        let named = gauges.iter().zip(values);
-        let fields = std::iter::once(("frame", frame)).chain(named.map(|(name, v)| (*name, v)));
-        JsonValue::Obj(fields.map(|(k, &v)| (k.to_owned(), v.into())).collect())
-    };
-    let trajectory = |run: &MemoryRun<N>| {
-        let key = format!("trajectory/{}", run.timing.method);
-        (key, run.trajectory.iter().map(sample).collect())
-    };
-    runs.iter().map(trajectory).collect()
-}
-
 fn long_churn_output(experiment: &Experiment, scale: Scale) -> Output {
     let runs = long_churn(scale);
     let rows: Vec<Vec<String>> = runs
@@ -961,29 +848,9 @@ fn long_churn_output(experiment: &Experiment, scale: Scale) -> Output {
         ("peak arena B", 14),
         ("compactions", 12),
     ];
-    let on = || runs.iter().filter(|run| run.enabled());
-    let gate_inputs = on().map(|run| {
-        JsonValue::obj([
-            ("method", run.timing.method.as_str().into()),
-            ("peak_arena_bytes", run.peak_bytes.into()),
-            ("peak_interned_sets", run.peak_population.into()),
-            (
-                "arena_bytes_at_first_compaction",
-                run.first_epoch_ceiling.into(),
-            ),
-            ("passes_arena_gate", run.passes_arena_gate().into()),
-        ])
-    });
-    let mut extras = trajectories_json(CHURN_GAUGES, &runs);
-    extras.push(("gate".to_owned(), gate_inputs.collect()));
     Output {
         text: text_table(experiment.title, &columns, &rows),
-        report: ScenarioReport {
-            maintainers: runs.iter().map(|run| run.timing.clone()).collect(),
-            extras,
-            ..ScenarioReport::new(experiment.name, scale)
-        },
-        gates: on()
+        gates: (runs.iter().filter(|run| run.enabled()))
             .map(|run| Gate {
                 ok: run.passes_arena_gate(),
                 claim: format!(
@@ -999,7 +866,7 @@ fn long_churn_output(experiment: &Experiment, scale: Scale) -> Output {
 /// outgrow its retiring `/on` twin (factor 2 — in practice it is far larger
 /// and keeps growing with the feed length). One `(method, outgrows)` pair
 /// per maintainer.
-pub fn baseline_outgrows(runs: &[IdReuseRun]) -> Vec<(String, bool)> {
+pub fn baseline_outgrows(runs: &[MemoryRun]) -> Vec<(String, bool)> {
     (runs.iter().filter(|run| run.enabled()))
         .filter_map(|on| {
             let base = on.timing.method.trim_end_matches("/on");
@@ -1032,9 +899,7 @@ fn id_reuse_output(experiment: &Experiment, scale: Scale) -> Output {
         ("epochs", 10),
         ("generations", 12),
     ];
-    let on = || runs.iter().filter(|run| run.enabled());
-    let outgrows = baseline_outgrows(&runs);
-    let mut gates: Vec<Gate> = on()
+    let mut gates: Vec<Gate> = (runs.iter().filter(|run| run.enabled()))
         .map(|run| Gate {
             ok: run.passes_engine_memory_gate(),
             claim: format!(
@@ -1046,46 +911,13 @@ fn id_reuse_output(experiment: &Experiment, scale: Scale) -> Output {
             ),
         })
         .collect();
-    gates.extend(outgrows.iter().map(|(method, ok)| Gate {
-        ok: *ok,
+    let outgrows = baseline_outgrows(&runs);
+    gates.extend(outgrows.into_iter().map(|(method, ok)| Gate {
+        ok,
         claim: format!("{method}: append-history baseline outgrows the retiring run"),
     }));
-
-    let gate_inputs = on().map(|run| {
-        let metrics = &run.timing.metrics;
-        JsonValue::obj([
-            ("method", run.timing.method.as_str().into()),
-            ("peak_engine_bytes", run.peak_bytes.into()),
-            ("peak_tracked_objects", run.peak_population.into()),
-            ("retirement_epochs", metrics.compactions.into()),
-            ("generations_started", metrics.generations_started.into()),
-            ("objects_retired", metrics.objects_retired.into()),
-            (
-                "engine_bytes_at_first_retirement",
-                run.first_epoch_ceiling.into(),
-            ),
-            (
-                "passes_engine_memory_gate",
-                run.passes_engine_memory_gate().into(),
-            ),
-        ])
-    });
-    let outgrows_json = outgrows.iter().map(|(method, ok)| {
-        JsonValue::obj([
-            ("method", method.as_str().into()),
-            ("outgrows", (*ok).into()),
-        ])
-    });
-    let mut extras = trajectories_json(ID_REUSE_GAUGES, &runs);
-    extras.push(("gate".to_owned(), gate_inputs.collect()));
-    extras.push(("baseline_outgrows".to_owned(), outgrows_json.collect()));
     Output {
         text: text_table(experiment.title, &columns, &rows),
-        report: ScenarioReport {
-            maintainers: runs.iter().map(|run| run.timing.clone()).collect(),
-            extras,
-            ..ScenarioReport::new(experiment.name, scale)
-        },
         gates,
     }
 }
@@ -1128,46 +960,8 @@ fn skew_output(experiment: &Experiment, scale: Scale) -> Output {
             "; wall-clock gate inactive below 4 cores"
         },
     );
-    let runs_json = runs.iter().map(|run| {
-        let (sched, metrics) = (&run.sched, &run.timing.metrics);
-        let transcript = format!("{:016x}", run.transcript);
-        JsonValue::obj([
-            ("method", run.timing.method.as_str().into()),
-            ("workers", (run.workers as u64).into()),
-            ("matches", run.matches.into()),
-            ("transcript", transcript.as_str().into()),
-            ("busy_nanos", sched.busy_nanos.into()),
-            ("critical_path_nanos", sched.critical_path_nanos.into()),
-            ("schedule_parallelism", sched.schedule_parallelism().into()),
-            ("feeds_migrated", metrics.feeds_migrated.into()),
-            ("rebalances", metrics.rebalances.into()),
-            (
-                "per_shard_queue_depth",
-                metrics.per_shard_queue_depth.into(),
-            ),
-        ])
-    });
-    let v = &verdict;
-    let gate_json = JsonValue::obj([
-        ("identical_transcripts", v.identical_transcripts.into()),
-        ("rebalance_parallelism", v.rebalance_parallelism.into()),
-        ("static4_parallelism", v.static4_parallelism.into()),
-        ("rebalance_beats_static", v.rebalance_beats_static.into()),
-        ("wall_clock_speedup", v.wall_clock_speedup.into()),
-        ("cores", (v.cores as u64).into()),
-        ("wall_clock_gate_active", v.wall_clock_gate_active().into()),
-        ("passes", v.passes().into()),
-    ]);
     Output {
         text,
-        report: ScenarioReport {
-            maintainers: runs.iter().map(|run| run.timing.clone()).collect(),
-            extras: vec![
-                ("runs".to_owned(), runs_json.collect()),
-                ("gate".to_owned(), gate_json),
-            ],
-            ..ScenarioReport::new(experiment.name, scale)
-        },
         gates: vec![Gate {
             ok: verdict.passes(),
             claim: format!(

@@ -21,19 +21,19 @@
 //! `--quick` runs a reduced-size configuration (shorter feeds, smaller
 //! windows) that preserves the qualitative comparison while finishing in
 //! seconds; the default mirrors the paper's parameters (w = 300, d = 240,
-//! full feed lengths). `--json` additionally writes one machine-readable
-//! `BENCH_<name>.json` per experiment — see [`report`]. A gated scenario
-//! always prints its `gate OK` / `gate FAIL` lines and any FAIL makes the
-//! process exit 1; the deterministic halves of the gates are also tier-1
-//! tests (`tests/gates.rs`). Timing numbers live in `perf/` (`tvq-perf`),
-//! the repository's one benchmark.
+//! full feed lengths). An experiment prints its text tables and nothing
+//! else. A gated scenario always prints its `gate OK` / `gate FAIL` lines
+//! and any FAIL makes the process exit 1; the deterministic halves of the
+//! gates are also tier-1 tests (`tests/gates.rs`). Timing numbers live in
+//! `perf/` (`tvq-perf`), the repository's one benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod harness;
-pub mod report;
 
-pub use harness::{format_table, measure_mcos_generation, measure_query_evaluation, Scale, Series};
-pub use report::{JsonValue, MaintainerTiming, ScenarioReport};
+pub use harness::{
+    format_table, measure_mcos_generation, measure_query_evaluation, MaintainerTiming, Scale,
+    Series,
+};

@@ -8,21 +8,44 @@
 
 use std::process::Command;
 
-use tvq_bench::experiments::{self, Output, EXPERIMENTS, FIG9_METHODS};
-use tvq_bench::{Scale, Series};
+use tvq_bench::experiments::{self, Experiment, Output, Run, EXPERIMENTS, FIG9_METHODS};
+use tvq_bench::{format_table, Scale, Series};
+
+fn lookup(name: &str) -> &'static Experiment {
+    experiments::find(name).unwrap_or_else(|| panic!("{name} not in the table"))
+}
 
 fn run_quick(name: &str) -> Output {
-    let experiment = experiments::find(name).unwrap_or_else(|| panic!("{name} not in the table"));
+    let experiment = lookup(name);
     let output = experiment.run(Scale::Quick);
     assert!(output.text.starts_with(experiment.title), "{name}: title");
     assert!(output.gates.is_empty(), "{name}: paper rows carry no gates");
     output
 }
 
-/// Runs a figure and asserts the common shape of its result: at least one
-/// group, the expected methods per group, and every point finite.
+/// Runs a figure through its row's figure function and asserts the common
+/// shape of its result: at least one group (Figure 10's one table is the
+/// group `all`), the expected methods per group, and every point finite.
 fn figure_rows(figure: &str, expected_methods: &[&str]) -> Vec<(String, Vec<Series>)> {
-    let results = run_quick(figure).report.series;
+    let experiment = lookup(figure);
+    let (results, text) = match experiment.run {
+        Run::PerDataset(run) => {
+            let groups = run(Scale::Quick);
+            let text = experiments::render(experiment.title, experiment.x_label, &groups);
+            (groups, text)
+        }
+        Run::Flat(run) => {
+            let series = run(Scale::Quick);
+            let text = format_table(experiment.title, experiment.x_label, &series);
+            (vec![("all".to_owned(), series)], text)
+        }
+        _ => panic!("{figure} is not a figure"),
+    };
+    assert!(text.starts_with(experiment.title), "{figure}: title");
+    assert!(
+        !experiment.has_gates(),
+        "{figure}: paper rows carry no gates"
+    );
     assert!(!results.is_empty(), "{figure}: no datasets");
     for (dataset, series) in &results {
         let methods: Vec<&str> = series.iter().map(|s| s.method.as_str()).collect();

@@ -14,8 +14,8 @@
 //!   an object holds one reference ([`ClassStore::register`]); when the
 //!   object is retired at a compaction epoch boundary the engine releases it
 //!   ([`ClassStore::release`]) and the entry is evicted once the last
-//!   reference drops. Multi-feed deployments that opt into one store across
-//!   shards therefore never lose a mapping another shard still relies on;
+//!   reference drops. Engines sharing one store therefore never lose a
+//!   mapping another sharer still relies on;
 //! * **classes are immutable per entry** — `register` is first-writer-wins
 //!   for as long as an entry is live, mirroring the tracker contract that an
 //!   object identifier keeps one class for its lifetime. An identifier that
@@ -140,10 +140,8 @@ impl ClassStore {
     /// Mints a fresh alias identifier, unique across every lifecycle
     /// sharing this store (aliases are never reused, even after the
     /// generation behind one retires). Identifiers currently registered —
-    /// e.g. an external tracker id straying into the top of the `u32`
-    /// range — are skipped, so a minted alias never collides with a live
-    /// entry even in release builds; trackers should still keep external
-    /// ids below [`alias_floor`](Self::alias_floor).
+    /// e.g. an external tracker id at the top of the `u32` range — are
+    /// skipped, so a minted alias never collides with a live entry.
     pub fn mint_alias(&mut self) -> ObjectId {
         while self.refs.contains_key(&ObjectId(self.next_alias)) {
             self.next_alias -= 1;
@@ -217,8 +215,8 @@ impl ClassStore {
 }
 
 /// Shared handle to a [`ClassStore`]: the engine, its interner and its
-/// pruner all read the same store; multi-feed deployments may share one
-/// across shards. The lock is written only when a frame introduces
+/// pruner all read the same store; several engines may share one. The lock
+/// is written only when a frame introduces
 /// first-time objects or a compaction epoch retires some.
 pub type SharedClassMap = Arc<RwLock<ClassStore>>;
 

@@ -8,8 +8,8 @@
 //! * the class-label registry mapping human-readable labels such as `"car"`
 //!   to dense [`ClassId`]s — see [`class`];
 //! * [`ClassStore`], the reference-counted object → class store shared by an
-//!   engine, its interner and its pruner (and, optionally, across multi-feed
-//!   shards), with epoch-boundary eviction — see [`class_store`];
+//!   engine, its interner and its pruner (and, optionally, across engines),
+//!   with epoch-boundary eviction — see [`class_store`];
 //! * [`ObjectSet`], the sorted, deduplicated object-identifier set frames
 //!   arrive as and results leave as — see [`object_set`];
 //! * [`SetInterner`] and [`SetId`], the per-feed object-set arena that turns

@@ -141,10 +141,10 @@ impl ObjectLifecycle {
                         continue;
                     }
                 }
-                debug_assert!(
-                    external.raw() < store.alias_floor(),
-                    "external id {external} collides with the alias range"
-                );
+                // A tracker id in the alias range cannot collide: `mint_alias`
+                // skips registered ids, and the `taken` check below mints an
+                // alias when a tracker id equals a live alias.
+                //
                 // The old binding (if any) keeps its store reference until
                 // the interner retires it; the newcomer gets an internal id
                 // nothing live can reference: the external id itself when

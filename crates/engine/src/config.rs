@@ -150,15 +150,6 @@ pub struct MultiFeedConfig {
     /// Number of worker threads the feeds are sharded across. Must be at
     /// least 1; feed `f` is pinned to worker `f mod workers`.
     pub workers: usize,
-    /// Whether every per-feed engine registers into **one** shared class
-    /// store instead of a private store each. Only sound when the feeds
-    /// share a global object-id space (e.g. a multi-camera rig with
-    /// cross-camera re-identification): the store is first-writer-wins per
-    /// live entry, so colliding per-camera id spaces would cross-pollute
-    /// classes. Entries are reference counted, so one shard's epoch
-    /// retirement never evicts a mapping another shard still tracks.
-    /// Default `false` (private stores, the pre-sharing behaviour).
-    pub shared_class_store: bool,
     /// How many ingested batches pass between automatic rebalance passes of
     /// the work-stealing scheduler. `0` disables automatic rebalancing
     /// entirely (feeds stay on their static `feed mod workers` shards unless
@@ -190,7 +181,6 @@ impl MultiFeedConfig {
         MultiFeedConfig {
             engine,
             workers: Self::DEFAULT_WORKERS,
-            shared_class_store: false,
             rebalance_interval: Self::DEFAULT_REBALANCE_INTERVAL,
             steal_threshold: Self::DEFAULT_STEAL_THRESHOLD,
         }
@@ -199,14 +189,6 @@ impl MultiFeedConfig {
     /// Sets the worker-pool size.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Shares one class store across every per-feed engine (see
-    /// [`shared_class_store`](Self::shared_class_store) for when this is
-    /// sound).
-    pub fn with_shared_class_store(mut self, shared: bool) -> Self {
-        self.shared_class_store = shared;
         self
     }
 
@@ -249,8 +231,6 @@ mod tests {
         let config = MultiFeedConfig::default();
         assert_eq!(config.workers, MultiFeedConfig::DEFAULT_WORKERS);
         assert_eq!(config.engine, EngineConfig::default());
-        assert!(!config.shared_class_store, "private stores by default");
-        assert!(config.with_shared_class_store(true).shared_class_store);
         assert_eq!(
             config.rebalance_interval,
             MultiFeedConfig::DEFAULT_REBALANCE_INTERVAL

@@ -143,7 +143,8 @@ impl EngineBuilder {
     /// Registers into a caller-provided (possibly shared) class store
     /// instead of a private one. Sharing is only sound across feeds with a
     /// common object-id space; the store's reference counts keep eviction
-    /// correct across sharers either way.
+    /// correct across sharers either way. Sharing is in memory only: a
+    /// durable engine recovers into a private store.
     pub fn with_class_store(mut self, store: SharedClassMap) -> Self {
         self.class_store = Some(store);
         self
@@ -878,6 +879,56 @@ mod tests {
             .matches
             .iter()
             .any(|m| m.objects == ObjectSet::from_raw([1]) && m.frames.len() == 3));
+    }
+
+    /// Tracker ids at the top of `u32` share the range the class store
+    /// mints aliases from (downward from `u32::MAX`). They must neither
+    /// panic nor change a match: the feed with every id `k` renamed to
+    /// `u32::MAX - k` reports the low-id feed's matches, renamed.
+    #[test]
+    fn tracker_ids_in_the_alias_range_match_like_low_ids() {
+        // Id 1 turns from person into car at frame 4, so the high run mints
+        // an alias past the live tracker ids `MAX`, `MAX - 1` and `MAX - 2`;
+        // id 3 then arrives as the tracker id equal to that alias.
+        let feed: Vec<Vec<(u32, u16)>> = (0..10)
+            .map(|fid| match fid {
+                0..=3 => vec![(0, 1), (1, 0), (2, 1)],
+                _ => vec![(0, 1), (1, 1), (3, 0)],
+            })
+            .collect();
+        let run = |kind, rename: fn(u32) -> u32| {
+            let mut engine = TemporalVideoQueryEngine::builder(small_config(kind))
+                .with_query_text("car >= 1 AND person >= 1")
+                .unwrap()
+                .with_query_text("car >= 2")
+                .unwrap()
+                .build()
+                .unwrap();
+            let mut matches = Vec::new();
+            for (fid, detections) in feed.iter().enumerate() {
+                let renamed: Vec<(u32, u16)> = (detections.iter())
+                    .map(|&(id, class)| (rename(id), class))
+                    .collect();
+                for m in engine
+                    .observe(&frame(fid as u64, &renamed))
+                    .unwrap()
+                    .matches
+                {
+                    let mut objects: Vec<u32> =
+                        m.objects.iter().map(|id| rename(id.raw())).collect();
+                    objects.sort_unstable();
+                    matches.push((fid, m.query, objects, m.frames.to_vec()));
+                }
+            }
+            matches.sort();
+            matches
+        };
+        for kind in [MaintainerKind::Mfs, MaintainerKind::Ssg] {
+            let low = run(kind, |id| id);
+            // The reuse generation of id 1 (an alias in both runs) matches.
+            assert!(low.iter().any(|m| m.2 == [0, 1, 3]), "{kind:?}: {low:?}");
+            assert_eq!(run(kind, |id| u32::MAX - id), low, "{kind:?}");
+        }
     }
 
     #[test]

@@ -91,7 +91,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tvq_common::{ClassRegistry, Error, FeedId, FrameObjects, QueryId, Result, SharedClassMap};
+use tvq_common::{ClassRegistry, Error, FeedId, FrameObjects, QueryId, Result};
 use tvq_core::MaintenanceMetrics;
 use tvq_query::CnfQuery;
 use tvq_store::{RealIo, SharedIo};
@@ -250,11 +250,6 @@ impl SchedulingStats {
 struct EngineSpec {
     config: EngineConfig,
     registry: ClassRegistry,
-    /// One class store for every per-feed engine, when the deployment
-    /// opted into [`MultiFeedConfig::shared_class_store`]. Reference
-    /// counting in the store keeps one feed's epoch retirement from
-    /// evicting entries another feed still tracks.
-    class_store: Option<SharedClassMap>,
     /// The fleet's store and data directory, when durability is on: each
     /// per-feed engine persists under `<dir>/feed-<id>`, and the master
     /// catalog under `<dir>/fleet-catalog.tvqf`.
@@ -274,9 +269,6 @@ impl EngineSpec {
             .with_catalog_seed(version);
         for query in queries {
             builder = builder.with_query(query.clone());
-        }
-        if let Some(store) = &self.class_store {
-            builder = builder.with_class_store(Arc::clone(store));
         }
         builder.build()
     }
@@ -401,10 +393,6 @@ impl MultiFeedBuilder {
         let spec = Arc::new(EngineSpec {
             config: self.config.engine,
             registry: registry.clone(),
-            class_store: self
-                .config
-                .shared_class_store
-                .then(tvq_common::shared_class_store),
             store: self.store,
         });
         // Validate the shared spec once, up front, so that per-feed engine

@@ -864,8 +864,8 @@ mod tests {
                 // Two mutations leave a legal engine that the frames below
                 // must not drive: a memo size that asks the first
                 // intersection for up to 12 GiB, and an alias cursor lowered
-                // into the tracker ids they use (ids at or above the floor
-                // break the lifecycle's input contract).
+                // into the tracker ids they use (minting skips those ids and
+                // can run the cursor out of the alias range).
                 let restored = restore_engine(&payload).ok().filter(|engine| {
                     let floor = engine.lifecycle.store().read().unwrap().alias_floor();
                     engine.config.memo.bits <= 20 && floor > 1 << 16

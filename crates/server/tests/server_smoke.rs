@@ -122,6 +122,19 @@ fn large_poll_responses_do_not_stall() {
     handle.stop().unwrap();
 }
 
+/// A tracker id at the top of `u32` lies in the class store's alias range;
+/// it is a valid id, not a reason to panic while the engine lock is held.
+#[test]
+fn tracker_id_in_the_alias_range_is_served() {
+    let handle = start();
+    let mut client = ServerClient::connect(handle.addr()).unwrap();
+    client.expect_ok("ADD car >= 1").unwrap();
+    client.expect_ok("FRAME 0 4294967295:car").unwrap();
+    client.expect_ok("PING").unwrap();
+    client.quit().unwrap();
+    handle.stop().unwrap();
+}
+
 #[test]
 fn two_clients_share_one_engine() {
     let handle = start();

@@ -10,11 +10,13 @@
 //! forced per-batch migrations, and the skewed camera grid the
 //! work-stealing scheduler exists for.
 
-use tvq_common::{ClassId, FeedId, FrameId, FrameObjects, ObjectId, WindowSpec};
-use tvq_core::{CompactionPolicy, MaintainerKind};
-use tvq_engine::{
-    EngineConfig, FeedFrame, MultiFeedConfig, MultiFeedEngine, TemporalVideoQueryEngine,
+use std::sync::Arc;
+
+use tvq_common::{
+    shared_class_store, ClassId, FrameId, FrameObjects, ObjectId, SharedClassMap, WindowSpec,
 };
+use tvq_core::{CompactionPolicy, MaintainerKind};
+use tvq_engine::{EngineConfig, MultiFeedConfig, TemporalVideoQueryEngine};
 use tvq_testkit::{
     assert_multifeed_config_equals_single, assert_multifeed_equals_single, multi_feed_classed,
     skewed_grid, SkewProfile,
@@ -141,8 +143,8 @@ fn skewed_grid_with_rebalancing_matches_oracles() {
     }
 }
 
-/// Shard sharing: with one class store across shards, epoch retirement on
-/// one shard must never evict a class mapping another shard still tracks.
+/// Store sharing: with one class store across engines, epoch retirement in
+/// one engine must never evict a class mapping another engine still tracks.
 /// Feed 0 churns through throwaway objects (its early ids retire under the
 /// forced compaction policy) while feed 1 keeps observing the same global
 /// ids 1 and 2 every frame; feed 1's results must stay frame-for-frame
@@ -152,20 +154,18 @@ fn shared_store_retirement_on_one_shard_does_not_starve_another() {
     let engine_config = EngineConfig::new(WindowSpec::new(4, 2).unwrap())
         .with_maintainer(MaintainerKind::Ssg)
         .with_compaction(Some(CompactionPolicy::every(1)));
-    let mut multi = MultiFeedEngine::builder(
-        MultiFeedConfig::new(engine_config)
-            .with_workers(2)
-            .with_shared_class_store(true),
-    )
-    .with_query_text("car >= 1 AND person >= 1")
-    .unwrap()
-    .build()
-    .unwrap();
-    let mut oracle = TemporalVideoQueryEngine::builder(engine_config)
-        .with_query_text("car >= 1 AND person >= 1")
-        .unwrap()
-        .build()
-        .unwrap();
+    let store = shared_class_store();
+    let build = |store: Option<&SharedClassMap>| {
+        let mut builder = TemporalVideoQueryEngine::builder(engine_config)
+            .with_query_text("car >= 1 AND person >= 1")
+            .unwrap();
+        if let Some(store) = store {
+            builder = builder.with_class_store(Arc::clone(store));
+        }
+        builder.build().unwrap()
+    };
+    let mut feeds = [build(Some(&store)), build(Some(&store))];
+    let mut oracle = build(None);
 
     let churn_frame = |fid: u64| {
         // Feed 0 sees the shared pair briefly, then rotating throwaway
@@ -197,29 +197,25 @@ fn shared_store_retirement_on_one_shard_does_not_starve_another() {
     };
 
     for fid in 0..40u64 {
-        let batch = vec![
-            FeedFrame::new(FeedId(0), churn_frame(fid)),
-            FeedFrame::new(FeedId(1), stable_frame(fid)),
-        ];
-        let results = multi.push_batch(&batch).unwrap();
+        feeds[0].observe(&churn_frame(fid)).unwrap();
+        let result = feeds[1].observe(&stable_frame(fid)).unwrap();
         let expected = oracle.observe(&stable_frame(fid)).unwrap();
         assert_eq!(
-            results[1].result, expected,
+            result, expected,
             "feed 1 diverged from its oracle at frame {fid} — a shared-store \
-             eviction took a mapping a live shard still needed"
+             eviction took a mapping a live sharer still needed"
         );
     }
 
-    let report = multi.report().unwrap();
-    let feed0 = &report.feeds[0];
+    let feed0 = feeds[0].metrics();
     assert!(
-        feed0.metrics.objects_retired > 0,
+        feed0.objects_retired > 0,
         "feed 0 never retired anything — the test is not exercising \
          shared-store eviction (compactions: {})",
-        feed0.metrics.compactions
+        feed0.compactions
     );
     assert!(
-        report.feeds[1].matching_frames >= 38,
+        feeds[1].match_counters().1 >= 38,
         "feed 1 should keep matching throughout"
     );
 }
