@@ -51,15 +51,15 @@ pub enum Error {
     /// The durability store could not be opened or operated (directory
     /// missing, lock held by another live engine, no usable snapshot).
     Store(String),
-    /// A shard worker of the multi-feed engine terminated unexpectedly
-    /// (panicked or dropped its channel), so a batch could not complete.
+    /// A worker's share of a multi-feed batch failed: its thread panicked
+    /// (losing every feed it carried) or could not be spawned, or it holds
+    /// a feed a non-durable fleet has lost — which also answers this
+    /// outside a batch.
     ShardLost {
-        /// Index of the lost worker within the engine's worker pool.
+        /// Index of the worker (shard) whose share failed.
         worker: usize,
-        /// Frames that were queued to (or still owed by) the lost worker
-        /// when the failure was detected — the shard's queue depth at the
-        /// point of loss, so operators can tell an idle-death from a
-        /// worker that died mid-backlog.
+        /// Frames in the failed share — zero when a lost feed is refused
+        /// outside a batch.
         queue_depth: usize,
     },
 }
@@ -91,8 +91,8 @@ impl fmt::Display for Error {
             } => {
                 write!(
                     f,
-                    "multi-feed shard worker {worker} terminated unexpectedly \
-                     ({queue_depth} frame(s) queued to it)"
+                    "multi-feed worker {worker} failed its share of \
+                     {queue_depth} frame(s) (lost feed, panic or spawn failure)"
                 )
             }
         }

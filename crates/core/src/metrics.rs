@@ -108,7 +108,7 @@ pub struct MaintenanceMetrics {
     pub fsyncs: u64,
     /// Recoveries performed (snapshot load plus WAL tail replay). Normally
     /// 0 or 1 per engine; per-feed on the multi-feed engine, so a merged
-    /// report counts every respawned shard's replays.
+    /// report counts every recovered feed's replays.
     pub recoveries: u64,
 }
 

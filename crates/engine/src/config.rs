@@ -141,14 +141,16 @@ impl Default for EngineConfig {
 /// ([`MultiFeedEngine`](crate::MultiFeedEngine)).
 ///
 /// Every camera feed is served by a per-feed single-feed engine configured
-/// with the embedded [`EngineConfig`]; feeds are sharded across a fixed pool
-/// of `workers` OS threads.
+/// with the embedded [`EngineConfig`]; feeds are sharded across `workers`
+/// shares, and each batch runs every non-empty share on its own scoped
+/// thread.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiFeedConfig {
     /// Configuration applied to every per-feed engine.
     pub engine: EngineConfig,
-    /// Number of worker threads the feeds are sharded across. Must be at
-    /// least 1; feed `f` is pinned to worker `f mod workers`.
+    /// Number of workers (shares, hence threads per batch) the feeds are
+    /// sharded across. Must be at least 1; feed `f` starts on worker
+    /// `f mod workers`.
     pub workers: usize,
     /// How many ingested batches pass between automatic rebalance passes of
     /// the work-stealing scheduler. `0` disables automatic rebalancing
@@ -166,7 +168,7 @@ pub struct MultiFeedConfig {
 }
 
 impl MultiFeedConfig {
-    /// Default worker-pool size when none is requested explicitly.
+    /// Default worker count when none is requested explicitly.
     pub const DEFAULT_WORKERS: usize = 4;
 
     /// Default automatic-rebalance cadence, in batches.
@@ -186,7 +188,7 @@ impl MultiFeedConfig {
         }
     }
 
-    /// Sets the worker-pool size.
+    /// Sets the worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self

@@ -23,11 +23,13 @@
 //! the paper's §6.2 heuristic on every film; see ARCHITECTURE.md).
 //!
 //! For deployments serving many cameras at once, [`MultiFeedEngine`] (see
-//! [`multi`]) shards feed-tagged frames across a worker pool, runs one
-//! single-feed engine per feed, and merges per-feed results and metrics into
-//! a deterministic feed-id-ordered report. Feed placement is a rebalanceable
-//! [`ShardMap`]: a deterministic work-stealing scheduler migrates hot feeds
-//! to idle workers at batch boundaries without changing any result.
+//! [`multi`]) owns one single-feed engine per feed, runs each batch's
+//! per-worker shares on scoped threads that borrow those engines (they
+//! never leave the fleet's map; a panicked share loses its feeds), and
+//! merges per-feed results and metrics into a deterministic
+//! feed-id-ordered report. Feed placement is a rebalanceable [`ShardMap`]:
+//! a deterministic work-stealing scheduler migrates hot feeds to idle
+//! workers at batch boundaries without changing any result.
 //!
 //! # Quickstart
 //!

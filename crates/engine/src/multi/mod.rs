@@ -3,14 +3,14 @@
 //! The paper's three layers run per feed and share nothing across feeds, so
 //! a deployment watching N cameras is exactly N single-feed
 //! [`TemporalVideoQueryEngine`]s, each fed its own frames in order.
-//! [`MultiFeedEngine`] owns those engines, keyed by [`FeedId`], plus a pool
-//! of stateless worker threads (plain `std::thread` + `std::sync::mpsc`) to
-//! run them on:
+//! [`MultiFeedEngine`] owns those engines, keyed by [`FeedId`], and runs
+//! each batch as a fork/join:
 //!
-//! * [`MultiFeedEngine::push_batch`] hands each worker its share of a batch
-//!   *together with the engines the frames belong to*, and returns the
-//!   per-frame results in the batch's input order once every share has come
-//!   home;
+//! * [`MultiFeedEngine::push_batch`] splits a batch into one share per
+//!   worker and runs every non-empty share on its own scoped thread
+//!   (`std::thread::scope`), which borrows the engines of the share's feeds
+//!   from the fleet's map; the per-frame results come back in the batch's
+//!   input order once every thread has joined;
 //! * which worker gets a feed's share is an epoch-versioned [`ShardMap`]:
 //!   the static default `feed mod workers`, until the scheduler re-pins hot
 //!   feeds to idle workers at a batch boundary (work stealing, driven by a
@@ -26,23 +26,24 @@
 //!
 //! # Ownership
 //!
-//! Between batches every engine is at home, so a migration is a re-pin, a
-//! report is a read, and a catalog op or
+//! The engines never leave the fleet's map: a share's thread only borrows
+//! them, and hands back the engines it built for feeds that had none. So a
+//! migration is a re-pin, a report is a read, and a catalog op or
 //! [`sync_store`](MultiFeedEngine::sync_store) is a loop over the engines on
 //! the caller's thread, whose errors reach the caller. Three rules hold:
 //!
-//! 1. **One place.** A feed's engine is at home or inside the one job that
-//!    carries it. `push_batch` returns — `Ok` or `Err` — only after every
-//!    share it managed to send has come home, so an aborted batch strands
-//!    nothing and `report` never finds a feed missing.
-//! 2. **Lost is lost.** An engine that never comes back (its worker died or
-//!    timed out mid-share), or that failed a catalog op, makes its feed
-//!    *lost*. A durable fleet recovers it from the store at its next frame,
-//!    fast-forwarded to the master catalog; a non-durable fleet answers
-//!    [`Error::ShardLost`] for it from then on and refuses to re-pin it —
-//!    never a silently fresh engine.
-//! 3. **Drop flushes.** Dropping the fleet flushes the engines at home
-//!    (`sync_store`, errors ignored), then closes the pool.
+//! 1. **Engines stay home.** `push_batch` returns — `Ok` or `Err` — only
+//!    after every thread it spawned has joined, so no engine is ever
+//!    anywhere but in its slot between calls. A share whose thread cannot
+//!    be spawned runs nothing and loses nothing.
+//! 2. **Lost is lost.** A share whose thread panics loses every feed it
+//!    carried (the engines may be torn mid-frame), and an engine that fails
+//!    a catalog op loses its feed. A durable fleet recovers a lost feed
+//!    from the store at its next frame, fast-forwarded to the master
+//!    catalog; a non-durable fleet answers [`Error::ShardLost`] for it from
+//!    then on and refuses to re-pin it — never a silently fresh engine.
+//! 3. **Drop flushes.** Dropping the fleet flushes its engines
+//!    (`sync_store`, errors ignored).
 //!
 //! # Example
 //!
@@ -86,10 +87,6 @@ mod worker;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{self, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use tvq_common::{ClassRegistry, Error, FeedId, FrameObjects, QueryId, Result};
 use tvq_core::MaintenanceMetrics;
@@ -103,12 +100,6 @@ use crate::persist;
 
 use scheduler::LoadTracker;
 pub use scheduler::ShardMap;
-use worker::{worker_loop, Engines, Job};
-
-/// How long a batch waits for a share before concluding its worker hangs
-/// (a worker that *died* is noticed at once: it drops the batch's sender).
-/// Generous: a healthy worker answers in microseconds.
-const SHARD_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// One frame of detections tagged with the feed (camera) it came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -211,7 +202,7 @@ impl MultiFeedReport {
 
 /// Cumulative worker-time telemetry of a [`MultiFeedEngine`].
 ///
-/// Workers time each share they process; the engine folds those
+/// Each share's thread times the share; the engine folds those
 /// measurements into two totals whose ratio is the parallel speedup the
 /// *schedule itself* admits (what the deployment would gain over one worker
 /// given at least `workers` cores — independent of how many cores the
@@ -245,8 +236,8 @@ impl SchedulingStats {
     }
 }
 
-/// The shared immutable build recipe: everything a worker needs to build
-/// the single-feed engine of a feed that arrives without one.
+/// The immutable build recipe: everything a share's thread needs to build
+/// the single-feed engine of a feed that has none.
 struct EngineSpec {
     config: EngineConfig,
     registry: ClassRegistry,
@@ -330,10 +321,10 @@ impl MultiFeedBuilder {
     /// Makes the fleet durable under `dir` through the given store: every
     /// per-feed engine gets a WAL and epoch snapshots in `<dir>/feed-<id>`,
     /// the master catalog persists in `<dir>/fleet-catalog.tvqf`, lost
-    /// feeds and dead workers are replaced transparently (the feeds
-    /// recovered from the store), and building over a directory that
-    /// already holds fleet data *restarts* it — the persisted catalog
-    /// supersedes the builder's queries and registry.
+    /// feeds are recovered from the store at their next frame, and
+    /// building over a directory that already holds fleet data *restarts*
+    /// it — the persisted catalog supersedes the builder's queries and
+    /// registry.
     pub fn with_store(mut self, io: SharedIo, dir: &Path) -> Self {
         self.store = Some((io, dir.to_path_buf()));
         self
@@ -344,7 +335,7 @@ impl MultiFeedBuilder {
         self.with_store(RealIo::shared(), dir)
     }
 
-    /// Builds the engine, spawning the worker pool.
+    /// Builds the engine.
     pub fn build(self) -> Result<MultiFeedEngine> {
         if self.config.workers == 0 {
             return Err(Error::InvalidConfig(
@@ -367,7 +358,7 @@ impl MultiFeedBuilder {
         // master catalog is a *restart*: the persisted registry, query set
         // and version supersede the builder's (exactly as single-engine
         // `recover` ignores the builder). A fresh durable fleet persists
-        // its build-time catalog as version 0 before any worker runs.
+        // its build-time catalog as version 0 before any frame runs.
         let mut registry = self.registry;
         let mut queries = self.queries;
         let mut catalog_version = 0u64;
@@ -390,24 +381,20 @@ impl MultiFeedBuilder {
                 "at least one query must be registered".to_owned(),
             ));
         }
-        let spec = Arc::new(EngineSpec {
+        let spec = EngineSpec {
             config: self.config.engine,
             registry: registry.clone(),
             store: self.store,
-        });
-        // Validate the shared spec once, up front, so that per-feed engine
-        // construction inside the workers cannot fail later.
+        };
+        // Validate the spec once, up front, so that per-feed engine
+        // construction inside a share cannot fail later.
         spec.build_engine(&queries, catalog_version)?;
-        let workers = (0..self.config.workers)
-            .map(|index| spawn_worker(index, &spec))
-            .collect::<Result<Vec<Worker>>>()?;
         Ok(MultiFeedEngine {
             shards: ShardMap::new(self.config.workers),
             config: self.config,
             spec,
-            workers,
             engines: BTreeMap::new(),
-            queries: Arc::new(queries),
+            queries,
             registry,
             catalog_version,
             loads: LoadTracker::new(),
@@ -420,66 +407,21 @@ impl MultiFeedBuilder {
     }
 }
 
-/// Spawns one worker thread. It holds no state, so a replacement for a dead
-/// worker is spawned exactly like the original.
-fn spawn_worker(index: usize, spec: &Arc<EngineSpec>) -> Result<Worker> {
-    let (inbox_tx, inbox_rx) = mpsc::channel();
-    let spec = Arc::clone(spec);
-    let handle = std::thread::Builder::new()
-        .name(format!("tvq-shard-{index}"))
-        .spawn(move || worker_loop(index, spec, inbox_rx))
-        .map_err(Error::Io)?;
-    Ok(Worker {
-        inbox: Some(inbox_tx),
-        handle: Some(handle),
-    })
-}
-
-struct Worker {
-    /// `None` once the worker is being shut down.
-    inbox: Option<Sender<Job>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Worker {
-    /// Queues `job` for the thread, or gives it back if the thread is gone.
-    fn send(&self, job: Job) -> std::result::Result<(), Job> {
-        match &self.inbox {
-            Some(inbox) => inbox.send(job).map_err(|undelivered| undelivered.0),
-            None => Err(job),
-        }
-    }
-}
-
-impl Drop for Worker {
-    /// Closes the inbox, which ends the worker loop, and joins: the thread
-    /// and any directory lock it still held are gone before a replacement.
-    fn drop(&mut self) {
-        self.inbox.take();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// N single-feed engines, one per camera feed, answering the same CNF
-/// queries and run on a pool of worker threads.
+/// queries, each batch run on one scoped thread per non-empty share.
 ///
 /// See the [module documentation](self) for the ownership model and a usage
 /// example. Constructed via [`MultiFeedEngine::builder`].
 pub struct MultiFeedEngine {
     config: MultiFeedConfig,
-    /// The shared immutable build recipe workers materialise feeds from.
-    spec: Arc<EngineSpec>,
-    workers: Vec<Worker>,
-    /// Every feed's engine, at home whenever no batch is in flight. A slot
-    /// is empty while its engine is out on a job — and for good if it never
-    /// comes back or fails a catalog op: that is what *lost* means
-    /// (ownership rule 2).
+    /// The immutable build recipe shares materialise feeds from.
+    spec: EngineSpec,
+    /// Every feed's engine. An empty slot is a *lost* feed: its share's
+    /// thread panicked or it failed a catalog op (ownership rule 2).
     engines: BTreeMap<FeedId, Option<Box<TemporalVideoQueryEngine>>>,
-    /// The master query list: every engine at home mirrors it, and jobs
-    /// carry it for the engines workers materialise.
-    queries: Arc<Vec<CnfQuery>>,
+    /// The master query list: every engine mirrors it, and shares build
+    /// the engines they materialise from it.
+    queries: Vec<CnfQuery>,
     /// The master class registry, used to parse textual queries added over
     /// [`add_query_text`](Self::add_query_text).
     registry: ClassRegistry,
@@ -505,7 +447,7 @@ impl std::fmt::Debug for MultiFeedEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MultiFeedEngine")
             .field("config", &self.config)
-            .field("workers", &self.workers.len())
+            .field("workers", &self.config.workers)
             .field("shard_map_version", &self.shards.version())
             .finish()
     }
@@ -522,9 +464,10 @@ impl MultiFeedEngine {
         &self.config
     }
 
-    /// Number of worker threads in the pool.
+    /// Number of workers (shards) feeds are placed on: a batch runs at most
+    /// this many threads.
     pub fn num_workers(&self) -> usize {
-        self.workers.len()
+        self.config.workers
     }
 
     /// The current feed placement.
@@ -603,7 +546,7 @@ impl MultiFeedEngine {
         if let Some((io, root)) = &self.spec.store {
             persist::save_fleet_catalog(io, root, &self.registry, &next, version)?;
         }
-        self.queries = Arc::new(next);
+        self.queries = next;
         self.catalog_version = version;
         let mut outcome = Ok(());
         for slot in self.engines.values_mut() {
@@ -621,64 +564,6 @@ impl MultiFeedEngine {
         !self.is_durable() && self.engines.get(&feed).is_some_and(Option::is_none)
     }
 
-    /// Puts engines back into their feeds' slots.
-    fn come_home(&mut self, engines: Engines) {
-        for (feed, engine) in engines {
-            self.engines.insert(feed, Some(engine));
-        }
-    }
-
-    /// Sends `worker` its share of a batch along with the engines of the
-    /// share's feeds. On failure the engines are home before the error is.
-    fn send_share(
-        &mut self,
-        worker: usize,
-        frames: Vec<(usize, FeedId, FrameObjects)>,
-        home: &Sender<worker::Done>,
-    ) -> Result<()> {
-        let lost = Error::ShardLost {
-            worker,
-            queue_depth: frames.len(),
-        };
-        if frames.iter().any(|&(_, feed, _)| self.is_dead(feed)) {
-            return Err(lost);
-        }
-        let mut engines = Engines::new();
-        for &(_, feed, _) in &frames {
-            if let Some(engine) = self.engines.get_mut(&feed).and_then(Option::take) {
-                engines.insert(feed, engine);
-            }
-        }
-        let job = Job {
-            frames,
-            engines,
-            queries: Arc::clone(&self.queries),
-            version: self.catalog_version,
-            home: home.clone(),
-        };
-        self.deliver(worker, job).map_err(|job| {
-            self.come_home(job.engines);
-            lost
-        })
-    }
-
-    /// Hands `job` to worker `worker`, replacing a dead worker once when
-    /// the fleet is durable (the replacement recovers the job's feeds from
-    /// the store); gives the job back if nobody can take it.
-    fn deliver(&mut self, worker: usize, job: Job) -> std::result::Result<(), Job> {
-        let Err(job) = self.workers[worker].send(job) else {
-            return Ok(());
-        };
-        if !self.is_durable() {
-            return Err(job);
-        }
-        let Ok(replacement) = spawn_worker(worker, &self.spec) else {
-            return Err(job);
-        };
-        self.workers[worker] = replacement;
-        self.workers[worker].send(job)
-    }
-
     /// Processes a single feed-tagged frame. Equivalent to a one-element
     /// [`push_batch`](Self::push_batch).
     pub fn push(&mut self, feed: FeedId, frame: FrameObjects) -> Result<FeedFrameResult> {
@@ -694,12 +579,15 @@ impl MultiFeedEngine {
     /// order (the usual streaming contract); frames of different feeds may
     /// be interleaved arbitrarily. Each feed's frames are processed by its
     /// current worker in batch order, so results are deterministic: the
-    /// same batches produce the same results for any worker-pool size and
-    /// any rebalance settings.
+    /// same batches produce the same results for any worker count and any
+    /// rebalance settings.
     ///
-    /// Shares go out in worker order; if one cannot be sent (or never comes
-    /// home) the batch fails with [`Error::ShardLost`], but only after every
-    /// share that *was* sent has been processed and is home again.
+    /// Each worker's non-empty share runs on its own scoped thread, and the
+    /// call returns only after every thread has joined. A share holding a
+    /// feed a non-durable fleet has lost, or whose thread cannot be
+    /// spawned, runs nothing and loses nothing; a share whose thread panics
+    /// loses every feed it carried. Every other share runs, and the batch
+    /// then fails with the lowest-indexed share's [`Error::ShardLost`].
     ///
     /// Batch boundaries are also where the scheduler acts: after the
     /// results are in, the batch's per-feed costs update the load model,
@@ -707,61 +595,82 @@ impl MultiFeedEngine {
     /// batches a rebalance pass may migrate feeds (see
     /// [`rebalance_now`](Self::rebalance_now)).
     pub fn push_batch(&mut self, batch: &[FeedFrame]) -> Result<Vec<FeedFrameResult>> {
-        // Group the batch per shard (preserving batch order within each
-        // shard, which preserves per-feed frame order) so each worker
-        // receives one job per batch. Batch cost units (one per frame
+        // Group the batch's positions per shard, in batch order (which
+        // preserves per-feed frame order). Batch cost units (one per frame
         // plus one per detection) feed the deterministic load model.
-        let mut shares = vec![Vec::new(); self.workers.len()];
+        let mut shares = vec![Vec::new(); self.config.workers];
         let mut costs: BTreeMap<FeedId, u64> = BTreeMap::new();
         for (seq, tagged) in batch.iter().enumerate() {
             *costs.entry(tagged.feed).or_insert(0) += 1 + tagged.frame.classes.len() as u64;
-            shares[self.shards.worker_of(tagged.feed)].push((
-                seq,
-                tagged.feed,
-                tagged.frame.clone(),
-            ));
+            shares[self.shards.worker_of(tagged.feed)].push(seq);
         }
-        // Frames each worker still owes: the skew gauge, and what a
-        // ShardLost error reports as the lost worker's backlog.
-        let mut owed = vec![0usize; self.workers.len()];
-        let mut failure = None;
-        let (home_tx, home) = mpsc::channel();
-        for (worker, frames) in shares.into_iter().enumerate() {
-            let depth = frames.len();
-            self.peak_shard_depth = self.peak_shard_depth.max(depth as u64);
-            if depth == 0 || failure.is_some() {
-                continue;
-            }
-            match self.send_share(worker, frames, &home_tx) {
-                Ok(()) => owed[worker] = depth,
-                Err(error) => failure = Some(error),
+        let depth = shares.iter().map(Vec::len).max().unwrap_or(0);
+        self.peak_shard_depth = self.peak_shard_depth.max(depth as u64);
+        // An empty share has nothing to run; one holding a feed the fleet
+        // can never serve again must not run.
+        let runnable: Vec<bool> = (shares.iter())
+            .map(|share| {
+                !share.is_empty() && !share.iter().any(|&seq| self.is_dead(batch[seq].feed))
+            })
+            .collect();
+        // Lend each share the engines of its feeds.
+        let mut lent: Vec<BTreeMap<FeedId, &mut TemporalVideoQueryEngine>> =
+            shares.iter().map(|_| BTreeMap::new()).collect();
+        for (&feed, slot) in &mut self.engines {
+            if let Some(engine) = slot.as_deref_mut().filter(|_| costs.contains_key(&feed)) {
+                lent[self.shards.worker_of(feed)].insert(feed, engine);
             }
         }
-        drop(home_tx);
+        let (spec, queries, version) = (&self.spec, &self.queries[..], self.catalog_version);
+        let joined: Vec<_> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (shares.iter().zip(lent).zip(runnable).enumerate())
+                .map(|(worker, ((share, lent), runnable))| {
+                    if !runnable {
+                        return None;
+                    }
+                    let run = move || worker::run_share(spec, queries, version, batch, share, lent);
+                    (std::thread::Builder::new().name(format!("tvq-shard-{worker}")))
+                        .spawn_scoped(scope, run)
+                        .ok()
+                })
+                .collect();
+            (threads.into_iter())
+                .map(|thread| thread.map(|thread| thread.join()))
+                .collect()
+        });
         let mut slots: Vec<Option<Result<FrameResult>>> = batch.iter().map(|_| None).collect();
         let (mut busy, mut busiest) = (0u64, 0u64);
-        // A worker answers once per share, so the wait must cover a whole
-        // share of frames, not one: scale the timeout with the batch size
-        // (generous — a healthy maintainer processes a frame in well under
-        // 100ms) on top of the fixed allowance.
-        let timeout = SHARD_TIMEOUT + Duration::from_millis(100) * batch.len() as u32;
-        while let Some(worker) = owed.iter().position(|&depth| depth > 0) {
-            let Ok(done) = home.recv_timeout(timeout) else {
-                // Every worker still owing died (the channel closed) or
-                // hangs (the timeout). The slots of the engines they
-                // carried stay empty: those feeds are lost.
+        let mut failure = None;
+        for (worker, (share, joined)) in shares.iter().zip(joined).enumerate() {
+            let failed = match joined {
+                Some(Ok(done)) => {
+                    busy += done.busy_nanos;
+                    busiest = busiest.max(done.busy_nanos);
+                    for (feed, engine) in done.built {
+                        self.engines.insert(feed, Some(engine));
+                    }
+                    for (seq, outcome) in done.outcomes {
+                        slots[seq] = Some(outcome);
+                    }
+                    false
+                }
+                // The thread panicked mid-share, so the engines it carried
+                // may be torn: every feed of the share is lost.
+                Some(Err(_)) => {
+                    for &seq in share {
+                        self.engines.insert(batch[seq].feed, None);
+                    }
+                    true
+                }
+                // A share holding a lost feed, or whose thread could not be
+                // spawned, ran nothing and loses nothing.
+                None => !share.is_empty(),
+            };
+            if failed {
                 failure.get_or_insert(Error::ShardLost {
                     worker,
-                    queue_depth: owed[worker],
+                    queue_depth: share.len(),
                 });
-                break;
-            };
-            owed[done.worker] = 0;
-            busy += done.busy_nanos;
-            busiest = busiest.max(done.busy_nanos);
-            self.come_home(done.engines);
-            for (seq, outcome) in done.outcomes {
-                slots[seq] = Some(outcome);
             }
         }
         if let Some(error) = failure {
@@ -789,7 +698,7 @@ impl MultiFeedEngine {
         for (tagged, slot) in batch.iter().zip(slots) {
             out.push(FeedFrameResult {
                 feed: tagged.feed,
-                result: slot.expect("every sent frame is answered exactly once")?,
+                result: slot.expect("every share ran, answering each frame once")?,
             });
         }
         Ok(out)
@@ -824,10 +733,10 @@ impl MultiFeedEngine {
     /// non-durable fleet has lost stays where it was lost
     /// ([`Error::ShardLost`]).
     pub fn migrate_feed(&mut self, feed: FeedId, worker: usize) -> Result<()> {
-        if worker >= self.workers.len() {
+        if worker >= self.config.workers {
             return Err(Error::InvalidConfig(format!(
-                "cannot migrate {feed} to worker {worker}: the pool has {} workers",
-                self.workers.len()
+                "cannot migrate {feed} to worker {worker}: the fleet has {} workers",
+                self.config.workers
             )));
         }
         let from = self.shards.worker_of(feed);
@@ -845,9 +754,9 @@ impl MultiFeedEngine {
     }
 
     /// Collects a deterministic global report: one [`FeedReport`] per feed
-    /// in ascending feed-id order plus the merged metrics. Every engine is
-    /// at home between batches, so the report reflects every frame of every
-    /// batch that returned. While a feed is lost the fleet has no honest
+    /// in ascending feed-id order plus the merged metrics. The engines never
+    /// leave the fleet's map, so the report reflects every frame every
+    /// share applied. While a feed is lost the fleet has no honest
     /// answer for it, and the report is [`Error::ShardLost`] naming the
     /// feed's worker.
     pub fn report(&self) -> Result<MultiFeedReport> {
@@ -898,23 +807,10 @@ impl MultiFeedEngine {
         }
         outcome
     }
-
-    /// Simulates worker `index` dying mid-share: its inbox closes (the
-    /// thread exits) and the engines pinned to it — what a share in flight
-    /// would have carried — are lost.
-    #[cfg(test)]
-    fn kill_worker(&mut self, index: usize) {
-        self.workers[index].inbox.take();
-        for (&feed, slot) in &mut self.engines {
-            if self.shards.worker_of(feed) == index {
-                *slot = None;
-            }
-        }
-    }
 }
 
 impl Drop for MultiFeedEngine {
-    /// Ownership rule 3; the workers then drop, which joins them.
+    /// Ownership rule 3.
     fn drop(&mut self) {
         let _ = self.sync_store();
     }
@@ -923,8 +819,22 @@ impl Drop for MultiFeedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
     use tvq_common::{ClassId, FrameId, ObjectId, WindowSpec};
     use tvq_core::MaintainerKind;
+
+    impl MultiFeedEngine {
+        /// Loses the feeds pinned to worker `index`, as a panic in its
+        /// share would.
+        fn kill_worker(&mut self, index: usize) {
+            for (&feed, slot) in &mut self.engines {
+                if self.shards.worker_of(feed) == index {
+                    *slot = None;
+                }
+            }
+        }
+    }
 
     fn frame(fid: u64, detections: &[(u32, u16)]) -> FrameObjects {
         FrameObjects::new(
@@ -1214,10 +1124,9 @@ mod tests {
         }
     }
 
-    /// The aborted-batch path: when a batch dies on a lost shard *after* a
-    /// healthy worker already received its share, that share is processed
-    /// and comes home before the error returns — its results are dropped
-    /// with the batch, never spliced into the next one.
+    /// The aborted-batch path: when a batch fails on a lost shard, the
+    /// healthy shares still run before the error returns — their results
+    /// are dropped with the batch, never spliced into the next one.
     #[test]
     fn aborted_batches_do_not_leak_stale_results() {
         let mut oracle = engine(1);
@@ -1231,10 +1140,8 @@ mod tests {
             oracle.push_batch(&batch).unwrap();
         }
         engine.kill_worker(1);
-        // Worker 0 (healthy, listed first) gets its share and processes
-        // frame 2 of feed 0; the batch then aborts on worker 1's lost
-        // feed. Feed 0's frame 2 result went home on the aborted batch's
-        // own channel.
+        // Worker 0's share runs frame 2 of feed 0; the batch then fails on
+        // worker 1's lost feed, dropping feed 0's frame-2 result.
         let aborted = vec![
             FeedFrame::new(FeedId(0), frame(2, &[(1, 1), (2, 0)])),
             FeedFrame::new(FeedId(1), frame(2, &[(1, 1)])),
@@ -1244,8 +1151,8 @@ mod tests {
             Err(Error::ShardLost { worker: 1, .. })
         ));
         // The next batch only touches feed 0 (worker 0). Its results must
-        // be frame 3's — the frame-2 result died with the aborted batch's
-        // channel — and the oracle (which never aborted but processed the
+        // be frame 3's — the frame-2 result died with the aborted batch —
+        // and the oracle (which never aborted but processed the
         // same accepted frames) must agree on everything the engine
         // *returns*.
         oracle.push(FeedId(0), frame(2, &[(1, 1), (2, 0)])).unwrap();
@@ -1340,7 +1247,7 @@ mod tests {
 
     /// The stale-spec regression: a feed first seen *after* catalog swaps
     /// must answer under the swapped query set (and report the fleet's
-    /// version), not the query set the pool was built with.
+    /// version), not the query set the fleet was built with.
     #[test]
     fn feeds_arriving_after_a_swap_use_the_current_catalog() {
         let mut engine = engine(2);
@@ -1446,11 +1353,11 @@ mod tests {
             .collect()
     }
 
-    /// The respawn path: killing a worker of a durable fleet must be
-    /// invisible — a catalog op skips the lost feeds, the next frame push
-    /// respawns the worker, the replacement recovers its feeds from the
-    /// store under the master catalog, and every result and per-feed tally
-    /// matches a fleet that never lost a worker.
+    /// The recovery path: losing a worker's feeds in a durable fleet must
+    /// be invisible — a catalog op skips the lost feeds, the next frame
+    /// push recovers them from the store under the master catalog, and
+    /// every result and per-feed tally matches a fleet that never lost a
+    /// feed.
     #[test]
     fn durable_fleet_survives_worker_loss_transparently() {
         let disk = tvq_store::MemDisk::new();
@@ -1464,7 +1371,7 @@ mod tests {
             assert_eq!(got, expected, "pre-crash frame {fid}");
         }
         // Crash worker 1, then swap the catalog: the op must succeed on
-        // the feeds still at home rather than error.
+        // the feeds still in the fleet rather than error.
         subject.kill_worker(1);
         let person_s = subject.add_query_text("person >= 1").unwrap();
         let person_o = oracle.add_query_text("person >= 1").unwrap();
@@ -1473,7 +1380,7 @@ mod tests {
             let batch = mixed_batch(fid);
             let expected = oracle.push_batch(&batch).unwrap();
             let got = subject.push_batch(&batch).unwrap();
-            assert_eq!(got, expected, "post-respawn frame {fid}");
+            assert_eq!(got, expected, "post-recovery frame {fid}");
         }
         // Crash the other worker; the frames path heals this one.
         subject.kill_worker(0);
@@ -1481,7 +1388,7 @@ mod tests {
             let batch = mixed_batch(fid);
             let expected = oracle.push_batch(&batch).unwrap();
             let got = subject.push_batch(&batch).unwrap();
-            assert_eq!(got, expected, "second-respawn frame {fid}");
+            assert_eq!(got, expected, "second-recovery frame {fid}");
         }
         let subject_report = subject.report().unwrap();
         let oracle_report = oracle.report().unwrap();
@@ -1503,7 +1410,7 @@ mod tests {
         );
         assert!(
             subject_report.metrics.recoveries > 0,
-            "the respawned workers recovered their feeds from the store"
+            "the lost feeds were recovered from the store"
         );
     }
 
@@ -1697,41 +1604,6 @@ mod tests {
         }
     }
 
-    /// Ownership rule 1: a share that cannot be delivered brings its
-    /// engines back home, and the shares that were delivered come home
-    /// before the error does — so the report still lists every feed.
-    #[test]
-    fn aborted_batches_strand_no_engine() {
-        let mut engine = engine(2);
-        for feed in [0u32, 2] {
-            engine
-                .push(FeedId(feed), frame(0, &[(1, 1), (2, 0)]))
-                .unwrap();
-        }
-        // Worker 1 dies idle, then feed 2 (engine and all) is pinned to it.
-        engine.kill_worker(1);
-        engine.migrate_feed(FeedId(2), 1).unwrap();
-        let aborted = vec![
-            FeedFrame::new(FeedId(0), frame(1, &[(1, 1), (2, 0)])),
-            FeedFrame::new(FeedId(2), frame(1, &[(1, 1), (2, 0)])),
-        ];
-        assert!(matches!(
-            engine.push_batch(&aborted),
-            Err(Error::ShardLost {
-                worker: 1,
-                queue_depth: 1
-            })
-        ));
-        let report = engine.report().unwrap();
-        let frames: Vec<(FeedId, u64)> = report.feeds.iter().map(|f| (f.feed, f.frames)).collect();
-        assert_eq!(frames, vec![(FeedId(0), 2), (FeedId(2), 1)]);
-        // Feed 2 was never lost: back on a live worker it simply continues.
-        engine.migrate_feed(FeedId(2), 0).unwrap();
-        let resumed = engine.push(FeedId(2), frame(1, &[(1, 1), (2, 0)])).unwrap();
-        assert_eq!(resumed.result.frame, FrameId(1));
-        assert_eq!(engine.report().unwrap().total_frames(), 4);
-    }
-
     /// Ownership rule 2 without a store: a lost feed stays lost. Neither a
     /// manual re-pin nor a rebalance pass (which the dead worker's load
     /// would otherwise attract) may hand its frames to a fresh engine.
@@ -1769,7 +1641,7 @@ mod tests {
         engine.push(FeedId(0), frame(0, &hot)).unwrap();
     }
 
-    /// Non-durable fleets keep the fail-fast contract: a lost worker is an
+    /// Non-durable fleets keep the fail-fast contract: a lost feed is an
     /// error, never a silent partial answer (`shard_lost_names_the_worker`
     /// pins the diagnostics; this pins that durability is what opts into
     /// healing).
@@ -1784,6 +1656,117 @@ mod tests {
         ));
         assert!(!engine.is_durable());
         engine.sync_store().unwrap();
+    }
+
+    /// A view of a [`MemDisk`](tvq_store::MemDisk) that panics on an
+    /// `append` under `/fleet/feed-1` while armed.
+    struct PanicOnFeed1 {
+        disk: SharedIo,
+        armed: AtomicBool,
+    }
+
+    impl tvq_store::StoreIo for PanicOnFeed1 {
+        fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+            self.disk.create_dir_all(dir)
+        }
+        fn list(&self, dir: &Path) -> std::io::Result<Vec<String>> {
+            self.disk.list(dir)
+        }
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            self.disk.read(path)
+        }
+        fn append(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            if self.armed.load(Ordering::SeqCst) && path.starts_with("/fleet/feed-1") {
+                panic!("injected panic appending to {}", path.display());
+            }
+            self.disk.append(path, bytes)
+        }
+        fn write_file(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            self.disk.write_file(path, bytes)
+        }
+        fn truncate(&self, path: &Path, len: u64) -> std::io::Result<()> {
+            self.disk.truncate(path, len)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.disk.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> std::io::Result<()> {
+            self.disk.remove(path)
+        }
+        fn fsync(&self, path: &Path) -> std::io::Result<()> {
+            self.disk.fsync(path)
+        }
+        fn fsync_dir(&self, dir: &Path) -> std::io::Result<()> {
+            self.disk.fsync_dir(dir)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.disk.exists(path)
+        }
+        fn disk_id(&self) -> usize {
+            self.disk.disk_id()
+        }
+    }
+
+    /// Ownership rule 2 with a share that really panics: feed 1's thread
+    /// dies logging frame 3. The batch names that share, the other share's
+    /// frame is applied, and feed 1 is recovered from the store at its next
+    /// frame — holding exactly the frames it acknowledged.
+    #[test]
+    fn a_panicking_share_loses_its_feeds_and_the_store_recovers_them() {
+        let io = Arc::new(PanicOnFeed1 {
+            disk: tvq_store::MemDisk::new().io(),
+            armed: AtomicBool::new(false),
+        });
+        let mut fleet = MultiFeedEngine::builder(config(2))
+            .with_query_text("car >= 1 AND person >= 1")
+            .unwrap()
+            .with_store(io.clone(), Path::new("/fleet"))
+            .build()
+            .unwrap();
+        let mut oracle = engine(2);
+        let pair = |fid: u64| -> Vec<FeedFrame> {
+            (0..2u32)
+                .map(|feed| FeedFrame::new(FeedId(feed), frame(fid, &[(1, 1), (2, 0)])))
+                .collect()
+        };
+        for fid in 0..3u64 {
+            assert_eq!(
+                fleet.push_batch(&pair(fid)).unwrap(),
+                oracle.push_batch(&pair(fid)).unwrap()
+            );
+        }
+        io.armed.store(true, Ordering::SeqCst);
+        assert!(matches!(
+            fleet.push_batch(&pair(3)),
+            Err(Error::ShardLost {
+                worker: 1,
+                queue_depth: 1
+            })
+        ));
+        io.armed.store(false, Ordering::SeqCst);
+        assert!(matches!(
+            fleet.report(),
+            Err(Error::ShardLost { worker: 1, .. })
+        ));
+        // Only feed 0's frame 3 was applied and acknowledged to the store.
+        oracle.push_batch(&pair(3)[..1]).unwrap();
+        for fid in 4..8u64 {
+            assert_eq!(
+                fleet.push_batch(&pair(fid)).unwrap(),
+                oracle.push_batch(&pair(fid)).unwrap(),
+                "frame {fid}"
+            );
+        }
+        let tallies = |report: MultiFeedReport| -> Vec<(u64, u64, u64)> {
+            (report.feeds.iter())
+                .map(|f| (f.frames, f.total_matches, f.matching_frames))
+                .collect()
+        };
+        let report = fleet.report().unwrap();
+        assert_eq!(report.metrics.recoveries, 1, "feed 1, once");
+        let tallies = (tallies(report), tallies(oracle.report().unwrap()));
+        assert_eq!(tallies.0, tallies.1);
+        assert_eq!((tallies.0[0].0, tallies.0[1].0), (8, 7));
     }
 
     #[test]

@@ -42,16 +42,8 @@ fn parse_args() -> Result<Args> {
         };
         match flag.as_str() {
             "--addr" => args.addr = value("--addr")?,
-            "--window" => {
-                args.window = value("--window")?
-                    .parse()
-                    .map_err(|_| Error::InvalidConfig("bad --window".to_string()))?
-            }
-            "--duration" => {
-                args.duration = value("--duration")?
-                    .parse()
-                    .map_err(|_| Error::InvalidConfig("bad --duration".to_string()))?
-            }
+            "--window" => args.window = number(value("--window")?, "--window")?,
+            "--duration" => args.duration = number(value("--duration")?, "--duration")?,
             "--data-dir" => args.data_dir = Some(value("--data-dir")?.into()),
             other => {
                 return Err(Error::InvalidConfig(format!("unknown flag {other:?}")));
@@ -61,15 +53,13 @@ fn parse_args() -> Result<Args> {
     Ok(args)
 }
 
+fn number(raw: String, flag: &str) -> Result<usize> {
+    raw.parse()
+        .map_err(|_| Error::InvalidConfig(format!("bad {flag}")))
+}
+
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(err) => {
-            eprintln!("tvq-server: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match serve(&args) {
+    match parse_args().and_then(|args| serve(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("tvq-server: {err}");
@@ -85,14 +75,10 @@ fn serve(args: &Args) -> Result<()> {
         Some(dir) => QueryServer::bind_durable(addr, config, dir)?,
         None => QueryServer::bind(addr, config)?,
     };
-    match &args.data_dir {
-        Some(dir) => println!(
-            "tvq-server listening on {} (durable at {})",
-            server.local_addr()?,
-            dir.display()
-        ),
-        None => println!("tvq-server listening on {}", server.local_addr()?),
-    }
+    let durable = (args.data_dir.as_ref())
+        .map(|dir| format!(" (durable at {})", dir.display()))
+        .unwrap_or_default();
+    println!("tvq-server listening on {}{durable}", server.local_addr()?);
     // Runs until a client issues SHUTDOWN; durable state is flushed and
     // fsynced before the call returns.
     server.run()

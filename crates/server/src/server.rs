@@ -13,7 +13,7 @@
 //! | `SUBSCRIBE [cap=<n>] [<qid>...]` | register a match subscriber; no ids = all queries |
 //! | `UNSUBSCRIBE <sub>` | drop a subscriber and its queue |
 //! | `FRAME <fid> [<id>:<label>...] [END <id>,...]` | ingest one frame; `END` ids are track ends |
-//! | `POLL <sub> [max]` | drain up to `max` queued match events |
+//! | `POLL <sub> [max]` | drain up to `max` queued match events (as many as fit one frame) |
 //! | `STATS` | catalog version, counters, strategy |
 //! | `SHUTDOWN` | flush + fsync durable state, then stop the server |
 //! | `PING` / `QUIT` | liveness / close |
@@ -25,6 +25,7 @@
 //! counted as `ignored` rather than rejected, mirroring the engine's own
 //! relevant-class filter.
 
+use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
@@ -33,10 +34,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use tvq_common::{Error, FeedId, FrameId, FrameObjects, ObjectId, Result};
-use tvq_engine::{EngineConfig, SubscriberId, SubscriptionHub, TemporalVideoQueryEngine};
+use tvq_engine::{
+    EngineConfig, MatchEvent, SubscriberId, Subscription, SubscriptionHub, TemporalVideoQueryEngine,
+};
 use tvq_store::{RealIo, SharedIo};
 
-use crate::protocol::{read_frame_bytes, write_frame};
+use crate::protocol::{read_frame_bytes, write_frame, MAX_FRAME_LEN};
 
 /// Everything a connection needs to serve a command. One mutex guards the
 /// whole state: commands are short (the per-frame engine work dominates)
@@ -45,6 +48,9 @@ use crate::protocol::{read_frame_bytes, write_frame};
 struct ServerState {
     engine: TemporalVideoQueryEngine,
     hub: SubscriptionHub,
+    /// Per subscriber, the event a `POLL` drained but could not fit: it
+    /// heads that subscriber's queue.
+    held: BTreeMap<SubscriberId, Arc<MatchEvent>>,
 }
 
 impl ServerState {
@@ -52,6 +58,7 @@ impl ServerState {
         ServerState {
             engine,
             hub: SubscriptionHub::new(),
+            held: BTreeMap::new(),
         }
     }
 
@@ -59,10 +66,8 @@ impl ServerState {
     /// this free of socket types makes the whole command surface testable
     /// in-process.
     fn execute(&mut self, line: &str) -> String {
-        match self.try_execute(line) {
-            Ok(response) => response,
-            Err(err) => format!("ERR {err}"),
-        }
+        self.try_execute(line)
+            .unwrap_or_else(|err| format!("ERR {err}"))
     }
 
     fn try_execute(&mut self, line: &str) -> Result<String> {
@@ -102,6 +107,7 @@ impl ServerState {
         let id: u32 = parse(rest, "REMOVE needs a query id")?;
         self.engine.remove_query(tvq_common::QueryId(id))?;
         self.hub.retract_query(tvq_common::QueryId(id));
+        self.held.retain(|_, event| event.matched.query.0 != id);
         Ok(format!(
             "OK removed={} version={}",
             id,
@@ -119,11 +125,7 @@ impl ServerState {
                 filter.insert(tvq_common::QueryId(parse(token, "bad query id")?));
             }
         }
-        let filter = if filter.is_empty() {
-            None
-        } else {
-            Some(filter)
-        };
+        let filter = (!filter.is_empty()).then_some(filter);
         let sub = self.hub.subscribe(capacity, filter);
         Ok(format!("OK sub={}", sub.0))
     }
@@ -131,6 +133,7 @@ impl ServerState {
     fn unsubscribe(&mut self, rest: &str) -> Result<String> {
         let id: u64 = parse(rest, "UNSUBSCRIBE needs a subscriber id")?;
         self.hub.unsubscribe(SubscriberId(id))?;
+        self.held.remove(&SubscriberId(id));
         Ok(format!("OK unsubscribed={id}"))
     }
 
@@ -175,6 +178,9 @@ impl ServerState {
         ))
     }
 
+    /// Drains events one at a time until `max`, the queue's end, or an
+    /// event that would push the reply past [`MAX_FRAME_LEN`]: that one is
+    /// held, and `remaining=` counts it.
     fn poll(&mut self, rest: &str) -> Result<String> {
         let mut tokens = rest.split_whitespace();
         let sub = SubscriberId(parse(
@@ -185,34 +191,38 @@ impl ServerState {
             Some(raw) => parse(raw, "bad POLL max")?,
             None => usize::MAX,
         };
-        let events = self.hub.poll(sub, max)?;
-        let (dropped, remaining) = self
-            .hub
-            .subscription(sub)
-            .map(|s| (s.dropped(), s.queued()))
-            .unwrap_or((0, 0));
-        let mut response = format!(
-            "OK events={} dropped={} remaining={}",
-            events.len(),
-            dropped,
-            remaining
-        );
-        for event in events {
-            let objects: Vec<String> = event
-                .matched
-                .objects
-                .iter()
+        self.hub.poll(sub, 0)?; // rejects an unknown subscriber
+        let queued = |hub: &SubscriptionHub| hub.subscription(sub).map_or(0, Subscription::queued);
+        let dropped = self.hub.subscription(sub).map_or(0, Subscription::dropped);
+        let header = |events: usize, remaining: usize| {
+            format!("OK events={events} dropped={dropped} remaining={remaining}")
+        };
+        let (mut events, mut lines) = (0, String::new());
+        while events < max {
+            let next = self.held.remove(&sub);
+            let Some(event) = next.or_else(|| self.hub.poll(sub, 1).ok()?.pop()) else {
+                break;
+            };
+            let objects: Vec<String> = (event.matched.objects.iter())
                 .map(|o| o.0.to_string())
                 .collect();
-            response.push_str(&format!(
+            let line = format!(
                 "\nEVENT seq={} frame={} query={} objects={}",
                 event.seq,
                 event.frame.0,
                 event.matched.query.0,
                 objects.join(",")
-            ));
+            );
+            let after = header(events + 1, queued(&self.hub)).len() + lines.len() + line.len();
+            if after > MAX_FRAME_LEN {
+                self.held.insert(sub, event);
+                break;
+            }
+            lines.push_str(&line);
+            events += 1;
         }
-        Ok(response)
+        let held = usize::from(self.held.contains_key(&sub));
+        Ok(header(events, queued(&self.hub) + held) + &lines)
     }
 
     fn stats(&self) -> String {

@@ -122,6 +122,41 @@ fn large_poll_responses_do_not_stall() {
     handle.stop().unwrap();
 }
 
+/// A `POLL` whose reply would pass `MAX_FRAME_LEN` used to drain every
+/// event, fail to write the reply and drop the connection — the matches
+/// were gone. It now stops short of the limit and leaves the rest queued.
+#[test]
+fn oversized_polls_split_instead_of_destroying_events() {
+    let config = EngineConfig::new(WindowSpec::new(2, 1).unwrap());
+    let handle = QueryServer::bind("127.0.0.1:0", config)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut client = ServerClient::connect(handle.addr()).unwrap();
+    client.expect_ok("ADD car >= 1").unwrap();
+    let sub = field(&client.expect_ok("SUBSCRIBE cap=100000").unwrap(), "sub");
+    let cars: String = (0..1000)
+        .map(|id| format!(" {}:car", 100_000 + id))
+        .collect();
+    for fid in 0..200 {
+        client.expect_ok(&format!("FRAME {fid}{cars}")).unwrap();
+    }
+    let mut seqs = Vec::new();
+    for expect_more in [true, false] {
+        let poll = client.expect_ok(&format!("POLL {sub}")).unwrap();
+        assert_eq!(
+            field(&poll, "remaining") > 0,
+            expect_more,
+            "{}",
+            &poll[..60]
+        );
+        seqs.extend(poll.lines().skip(1).map(|line| field(line, "seq")));
+    }
+    assert_eq!(seqs, (0..200).collect::<Vec<u64>>());
+    client.quit().unwrap();
+    handle.stop().unwrap();
+}
+
 /// A tracker id at the top of `u32` lies in the class store's alias range;
 /// it is a valid id, not a reason to panic while the engine lock is held.
 #[test]

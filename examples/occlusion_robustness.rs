@@ -3,13 +3,18 @@
 //! The paper's query semantics deliberately require an MCOS to appear in
 //! only `d` of the last `w` frames, because real trackers lose objects
 //! behind occlusions. This example generates the same pedestrian-heavy feed
-//! (an M2-like profile) with increasing amounts of artificial occlusion (the
-//! `po` id-reuse parameter of Section 6.2 / Figure 7) and shows how
+//! (an M2-like profile, 400 frames) with increasing amounts of artificial
+//! occlusion (the `po` id-reuse parameter of Section 6.2 / Figure 7) and
+//! prints, per `po`, the frames matching a strict (`d = w`) and a tolerant
+//! (`d = 0.8 w`) query, and the MFS maintainer's peak live states. It shows
+//! that
 //!
-//! * a strict query (`d = w`) stops matching as soon as occlusions appear,
-//!   while a tolerant one (`d = 0.8 w`) keeps finding the co-occurrences;
-//! * the number of states the maintainers manage grows with occlusion, which
-//!   is exactly the effect Figure 7 measures.
+//! * the tolerant query matches in well over twice as many frames as the
+//!   strict one;
+//! * matching frames do not move with `po`: `person >= 2` is met by any two
+//!   pedestrians, whatever ids the tracker gives them;
+//! * the states the maintainer manages grow once occlusion appears — the
+//!   effect Figure 7 measures.
 //!
 //! Run with:
 //! ```text
@@ -32,7 +37,7 @@ fn main() {
     println!("po | occ/obj | duration        | matching frames | peak states (MFS)");
     println!("---+---------+-----------------+-----------------+------------------");
 
-    let window = 60;
+    let window = 20;
     for po in 0..=3u32 {
         let relation = generate_with_id_reuse(&profile, po, 11);
         let stats = DatasetStats::of(&relation);
@@ -62,9 +67,10 @@ fn main() {
 
     println!();
     println!(
-        "Reading: with occlusions (larger po), the strict query loses matches that the\n\
-         tolerant duration threshold retains, and every additional occlusion inflates\n\
-         the number of states the maintainer has to manage — the effect Figure 7\n\
+        "Reading: the tolerant duration threshold matches in far more frames than\n\
+         the strict one at every po. Occlusion does not change how many frames match,\n\
+         because any two pedestrians satisfy person >= 2, but it does raise the\n\
+         peak number of states the maintainer has to manage — the effect Figure 7\n\
          quantifies for NAIVE, MFS and SSG."
     );
 }
