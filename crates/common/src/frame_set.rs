@@ -353,6 +353,16 @@ impl MarkedFrameSet {
     /// Marking Procedure: the result contains the union of both frame sets,
     /// and a frame is marked if it is marked in either input.
     pub fn merge_from(&mut self, other: &MarkedFrameSet) {
+        // Two inline sets on one base — the traversal's common case, since
+        // expiry rebases every set it reaches — merge word by word.
+        if let (Words::Inline(mine), Words::Inline(theirs)) = (&mut self.words, &other.words) {
+            if self.base == other.base {
+                for (word, lanes) in mine.iter_mut().zip(theirs) {
+                    *word = [word[PRESENT] | lanes[PRESENT], word[MARKED] | lanes[MARKED]];
+                }
+                return;
+            }
+        }
         let (Some(first), Some(last)) = (other.first(), other.last()) else {
             return;
         };

@@ -8,8 +8,7 @@
 //! exactly as described in Section 4.3.4 of the paper.
 
 use tvq_common::{
-    Decoder, Encoder, Error, FrameId, FxHashMap, MarkedFrameSet, RemapTable, Result, SetId,
-    SetInterner,
+    Decoder, Encoder, Error, FrameId, MarkedFrameSet, RemapTable, Result, SetId, SetInterner,
 };
 
 /// Index of a node inside the graph's slab.
@@ -17,6 +16,9 @@ pub(crate) type NodeId = usize;
 
 /// Sentinel for "never visited".
 pub(crate) const NEVER: u64 = u64::MAX;
+
+/// A handle with no live node in [`StateGraph`]'s handle index.
+const VACANT: NodeId = NodeId::MAX;
 
 /// A node of the Strict State Graph.
 #[derive(Debug)]
@@ -38,6 +40,10 @@ pub(crate) struct Node {
     pub last_inter: SetId,
     /// Frame id of the last frame appended to this node's frame set.
     pub touched: u64,
+    /// Frame id of the last frame whose traversal ensured the state holding
+    /// `last_inter` below this node. Not persisted: it only ever matches
+    /// the frame being processed.
+    pub ensured: u64,
     /// In-window frames whose object set equals this node's object set
     /// (non-empty while the node is a principal state), each of them a key
     /// frame: the marks a derived state inherits from this principal.
@@ -56,6 +62,7 @@ impl Node {
             visited: NEVER,
             last_inter: SetId::EMPTY,
             touched: NEVER,
+            ensured: NEVER,
             principal_frames: MarkedFrameSet::new(),
             alive: true,
         }
@@ -66,8 +73,12 @@ impl Node {
 #[derive(Debug, Default)]
 pub(crate) struct StateGraph {
     nodes: Vec<Node>,
+    /// Exactly the dead slots.
     free: Vec<NodeId>,
-    by_set: FxHashMap<SetId, NodeId>,
+    /// The live node of each handle, or [`VACANT`]: handles are dense
+    /// arena indices, so the index is a table over them. Not persisted —
+    /// [`decode`](Self::decode) and [`remap`](Self::remap) rebuild it.
+    by_set: Vec<NodeId>,
     pub edges_added: u64,
     pub edges_removed: u64,
 }
@@ -79,7 +90,7 @@ impl StateGraph {
 
     /// Number of live nodes.
     pub fn len(&self) -> usize {
-        self.by_set.len()
+        self.nodes.len() - self.free.len()
     }
 
     pub fn node(&self, id: NodeId) -> &Node {
@@ -106,16 +117,14 @@ impl StateGraph {
 
     /// Looks up the live node holding the interned set `sid`.
     pub fn id_of(&self, sid: SetId) -> Option<NodeId> {
-        self.by_set.get(&sid).copied()
+        let id = *self.by_set.get(sid.raw() as usize)?;
+        (id != VACANT).then_some(id)
     }
 
     /// Inserts a new node for the interned set `sid`; the handle must not
     /// already be present.
     pub fn insert(&mut self, sid: SetId) -> NodeId {
-        debug_assert!(
-            !self.by_set.contains_key(&sid),
-            "duplicate node for {sid:?}"
-        );
+        debug_assert!(self.id_of(sid).is_none(), "duplicate node for {sid:?}");
         let node = Node::new(sid);
         let id = match self.free.pop() {
             Some(id) => {
@@ -127,45 +136,50 @@ impl StateGraph {
                 self.nodes.len() - 1
             }
         };
-        self.by_set.insert(sid, id);
+        let at = sid.raw() as usize;
+        if at >= self.by_set.len() {
+            self.by_set.resize(at + 1, VACANT);
+        }
+        self.by_set[at] = id;
         id
     }
 
     /// The interned handles of all live nodes — the live list a compaction
     /// epoch preserves.
     pub fn live_sids(&self) -> Vec<SetId> {
-        self.by_set.keys().copied().collect()
+        self.nodes
+            .iter()
+            .filter(|n| n.alive)
+            .map(|n| n.sid)
+            .collect()
     }
 
     /// Re-keys the graph through a compaction epoch's remap table: every
-    /// live node's `sid` (and the handle index over them) moves to its new
-    /// value. Per-node `last_inter` hints are remapped too — a hint whose
-    /// set was retired resets to the empty handle; the hint is only read
-    /// within the frame that wrote it, so this is bookkeeping hygiene, not
-    /// a behaviour change.
+    /// live node's `sid` moves to its new value and the handle index is
+    /// rebuilt over them. Per-node `last_inter` hints are remapped too — a
+    /// hint whose set was retired resets to the empty handle; the hint is
+    /// only read within the frame that wrote it, so this is bookkeeping
+    /// hygiene, not a behaviour change.
     pub fn remap(&mut self, table: &RemapTable) {
-        let mut by_set = FxHashMap::default();
-        for (&old_sid, &id) in &self.by_set {
+        self.by_set = vec![VACANT; table.live()];
+        for id in self.live_ids() {
             let node = &mut self.nodes[id];
             node.sid = table
-                .remap(old_sid)
+                .remap(node.sid)
                 .expect("every live node's set is in the compaction live list");
             node.last_inter = table.remap(node.last_inter).unwrap_or(SetId::EMPTY);
-            by_set.insert(node.sid, id);
+            self.by_set[node.sid.raw() as usize] = id;
         }
-        self.by_set = by_set;
     }
 
-    /// Identifiers of all live nodes, in ascending slab order.
-    ///
-    /// Sorted so that bulk operations (the maintainer's periodic sweep)
-    /// process nodes in a deterministic order: removal rewires edges, so
-    /// iterating in `HashMap` order would make the edge counters — and the
-    /// intermediate graph shape — differ between identical runs.
+    /// Identifiers of all live nodes, in ascending slab order — the
+    /// deterministic order bulk operations (the maintainer's periodic
+    /// sweep) need: removal rewires edges, so the order shapes the edge
+    /// counters and the intermediate graph.
     pub fn live_ids(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self.by_set.values().copied().collect();
-        ids.sort_unstable();
-        ids
+        (0..self.nodes.len())
+            .filter(|&id| self.nodes[id].alive)
+            .collect()
     }
 
     fn add_edge(&mut self, parent: NodeId, child: NodeId) {
@@ -213,7 +227,9 @@ impl StateGraph {
         }
         // Fast path: the edge already exists (states are re-derived from the
         // same parent frame after frame) — skip the sibling scan entirely.
-        if self.nodes[child].parents.contains(&parent) {
+        // Looked up in the parent's child list, which is far shorter than
+        // the child's parent list.
+        if self.nodes[parent].children.contains(&child) {
             return;
         }
         if !Self::is_proper_subset(interner, self.nodes[child].sid, self.nodes[parent].sid) {
@@ -222,15 +238,13 @@ impl StateGraph {
         // Index loop instead of cloning the sibling vector: the only
         // mutation of `parent.children` inside the loop is the
         // `remove_edge` swap_remove at the current index (the recursive
-        // `attach` calls only touch the subtrees below `sibling`/`child`),
-        // so holding the index steady after a removal visits every sibling
-        // exactly once.
+        // `attach` calls only touch the subtrees below `sibling`/`child`,
+        // and `parent` is in neither), so holding the index steady after a
+        // removal visits every sibling exactly once — and `child`, absent
+        // on entry, never shows up among them.
         let mut index = 0;
         while index < self.nodes[parent].children.len() {
             let sibling = self.nodes[parent].children[index];
-            if sibling == child {
-                return;
-            }
             if !self.nodes[sibling].alive {
                 index += 1;
                 continue;
@@ -286,7 +300,7 @@ impl StateGraph {
                 }
             }
         }
-        self.by_set.remove(&self.nodes[id].sid);
+        self.by_set[self.nodes[id].sid.raw() as usize] = VACANT;
         self.nodes[id].alive = false;
         self.nodes[id].frames = MarkedFrameSet::new();
         self.nodes[id].principal_frames = MarkedFrameSet::new();
@@ -307,7 +321,7 @@ impl StateGraph {
     /// per-node traversal scratch (`visited`, `last_inter`, `touched`) is
     /// persisted as-is: it is only read within the frame that wrote it, and
     /// round-tripping it keeps restored state byte-comparable to the
-    /// original.
+    /// original. The `ensured` stamp and the handle index are not written.
     pub fn encode(&self, enc: &mut Encoder) {
         enc.put_usize(self.nodes.len());
         for node in &self.nodes {
@@ -352,7 +366,7 @@ impl StateGraph {
     ) -> Result<StateGraph> {
         let slots = dec.take_len()?;
         let mut nodes = Vec::with_capacity(slots);
-        let mut by_set = FxHashMap::default();
+        let mut by_set = vec![VACANT; interner.len()];
         for id in 0..slots {
             if !dec.take_bool()? {
                 nodes.push(Node {
@@ -368,7 +382,7 @@ impl StateGraph {
                     sid.raw()
                 )));
             }
-            if by_set.insert(sid, id).is_some() {
+            if std::mem::replace(&mut by_set[sid.raw() as usize], id) != VACANT {
                 return Err(Error::Corrupt(format!(
                     "two graph nodes hold handle {}",
                     sid.raw()
@@ -400,6 +414,7 @@ impl StateGraph {
                 visited,
                 last_inter,
                 touched,
+                ensured: NEVER,
                 principal_frames,
                 alive: true,
             });
@@ -493,10 +508,15 @@ impl StateGraph {
     #[cfg(test)]
     pub fn check_invariants(&self, interner: &SetInterner) {
         let set_of = |id: NodeId| interner.resolve(self.nodes[id].sid);
-        for (&sid, &id) in &self.by_set {
+        let indexed = self.by_set.iter().filter(|&&id| id != VACANT).count();
+        assert_eq!(
+            indexed,
+            self.len(),
+            "the handle index holds exactly the live nodes"
+        );
+        for id in self.live_ids() {
             let node = &self.nodes[id];
-            assert!(node.alive);
-            assert_eq!(node.sid, sid);
+            assert_eq!(self.id_of(node.sid), Some(id));
             for &child in &node.children {
                 assert!(
                     set_of(child).is_proper_subset_of(&set_of(id)),

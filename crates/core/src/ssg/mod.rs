@@ -6,9 +6,9 @@
 //! principal states by intersection, directly or transitively, so processing
 //! a new frame only requires traversing the graph from the principal states
 //! and *stopping as soon as an intersection becomes empty*: whole subtrees of
-//! states that share nothing with the arriving frame are skipped, which is
-//! the source of SSG's advantage over MFS on feeds with many distinct object
-//! sets per window.
+//! states that share nothing with the arriving frame are skipped. (On dense
+//! windows that rarely happens — the traversal visits nearly every live
+//! state, and MFS is faster on every film we run; see README.)
 //!
 //! The implementation follows the paper's procedures:
 //!
@@ -49,6 +49,16 @@
 //! window however far the frame ids jump. A node no frame reaches keeps its
 //! stale frames until it is next reached, revalidated as a previous result,
 //! or swept (once per window of frames).
+//!
+//! **Each step runs once per frame.** A node is visited at most once (its
+//! `visited` stamp), has the frame appended at most once (`touched`), and
+//! derives its intersection state at most once (`ensured`). The last holds
+//! because every `ensure_state` call is `ensure_state(X.last_inter, X)` for
+//! an `X` visited this frame that does not contain the frame, so nothing
+//! later in the frame adds frames or marks to `X`, and a repeat would find
+//! the derived state already holding `X`'s frames and reachable from `X`.
+//! The nodes a frame touches are a bitset over slab slots, read out in
+//! ascending slot order for pruning and result collection.
 
 mod graph;
 
@@ -66,12 +76,25 @@ use crate::substrate::Substrate;
 
 use graph::{NodeId, StateGraph};
 
+/// The arriving frame as State Traversal sees it.
+#[derive(Clone, Copy)]
+struct Arrival {
+    frame: FrameId,
+    /// The frame's interned object set.
+    sid: SetId,
+    /// The new principal state: the node holding `sid`.
+    ns: NodeId,
+    oldest: FrameId,
+}
+
 /// The Strict State Graph state maintainer.
 ///
-/// The graph index, the termination cache and every traversal comparison
-/// operate on interned [`SetId`] handles; the repeated `parent ∩ frame`
-/// intersections of the traversal cascade are answered from the interner's
-/// memo after their first occurrence.
+/// The graph's handle index, the termination cache and every traversal
+/// comparison operate on interned [`SetId`] handles. Each visit intersects
+/// its state with the arriving frame once; on dense feeds that is nearly
+/// always a real word-parallel AND (the interner's memo hit ratio is 0.066
+/// on the `dense-embedded` benchmark film). Every per-node step runs at
+/// most once per frame — see the module docs.
 pub struct SsgMaintainer {
     core: Substrate,
     graph: StateGraph,
@@ -81,10 +104,12 @@ pub struct SsgMaintainer {
     /// the next frame — the `SR'_i` part of `SR_{i'} = SR'_i ∪ SR_{G'}`).
     prev_results: Vec<SetId>,
     frames_since_sweep: usize,
+    /// The slab slots this frame touched, one bit each.
+    touched: Vec<u64>,
     /// Reusable buffers for the traversal's child snapshots (one per
     /// recursion depth), so `visit_children` never allocates in steady state.
     child_scratch: Vec<Vec<NodeId>>,
-    /// Pooled per-frame buffers (touched list, root snapshot, CNPS
+    /// Pooled per-frame buffers (touched read-out, root snapshot, CNPS
     /// candidates, CNPS reachability set + DFS stack): cleared and reused
     /// so the steady-state advance loop performs no transient allocations.
     touched_scratch: Vec<NodeId>,
@@ -125,6 +150,7 @@ impl SsgMaintainer {
             roots: Vec::new(),
             prev_results: Vec::new(),
             frames_since_sweep: 0,
+            touched: Vec::new(),
             child_scratch: Vec::new(),
             touched_scratch: Vec::new(),
             roots_scratch: Vec::new(),
@@ -151,108 +177,94 @@ impl SsgMaintainer {
             .collect()
     }
 
-    /// Ensures a state with the interned object set `sid` exists, is
-    /// attached under `parent`, and carries the arriving frame. Returns its
-    /// id unless the set is terminated.
-    fn ensure_state(
-        &mut self,
-        sid: SetId,
-        parent: NodeId,
-        frame: FrameId,
-        oldest: FrameId,
-        touched: &mut Vec<NodeId>,
-    ) -> Option<NodeId> {
-        if sid.is_empty_set() || sid == self.graph.node(parent).sid {
-            return None;
+    /// Marks the slab slot `id` touched by this frame.
+    fn touch(&mut self, id: NodeId) {
+        let word = id / 64;
+        if word >= self.touched.len() {
+            self.touched.resize(word + 1, 0);
         }
+        self.touched[word] |= 1 << (id % 64);
+    }
+
+    /// Ensures the state holding `sid` — always `parent.last_inter`, its
+    /// intersection with the arriving frame — exists, is attached under
+    /// `parent`, and carries the frame, unless `sid` is empty, `parent`'s
+    /// own set or the frame's (the new principal already holds it). Runs
+    /// once per parent per frame (the module docs say why a repeat is a
+    /// no-op).
+    fn ensure_state(&mut self, sid: SetId, parent: NodeId, at: Arrival) {
+        let node = self.graph.node_mut(parent);
+        debug_assert_eq!(sid, node.last_inter);
+        if node.ensured == at.frame.raw() || sid.is_empty_set() || sid == node.sid || sid == at.sid
+        {
+            return;
+        }
+        node.ensured = at.frame.raw();
         if self.core.is_terminated(sid) {
-            return None;
+            return;
         }
         let id = match self.graph.id_of(sid) {
             Some(id) => id,
             None => {
                 if self.core.terminate_if_hopeless(sid) {
-                    return None;
+                    return;
                 }
-                let id = self.graph.insert(sid);
                 self.core.metrics.states_created += 1;
-                touched.push(id);
-                id
+                self.graph.insert(sid)
             }
         };
-        if self.graph.node(id).touched != frame.raw() {
-            self.graph.node_mut(id).frames.expire_before(oldest);
-            self.graph.node_mut(id).frames.push(frame, false);
-            self.graph.node_mut(id).touched = frame.raw();
+        let node = self.graph.node_mut(id);
+        if node.touched != at.frame.raw() {
+            node.frames.expire_before(at.oldest);
+            node.frames.push(at.frame, false);
+            node.touched = at.frame.raw();
             self.core.metrics.frames_appended += 1;
-            touched.push(id);
+            self.touch(id);
         }
         // Frame-set completeness and Rule-2 mark inheritance: the parent's
         // frames all contain the parent's object set, hence this subset too.
         let (target, source) = self.graph.pair_mut(id, parent);
         target.frames.merge_from(&source.frames);
         self.graph.attach(parent, id, &self.core.interner);
-        Some(id)
     }
 
     /// State Traversal (Algorithm 1), visiting `node` with `p_inter` being the
-    /// intersection of the parent state with the arriving frame (whose
-    /// interned object set is `frame_sid`).
-    #[allow(clippy::too_many_arguments)]
-    fn st_visit(
-        &mut self,
-        node: NodeId,
-        parent: Option<NodeId>,
-        p_inter: SetId,
-        frame: FrameId,
-        frame_sid: SetId,
-        ns: NodeId,
-        oldest: FrameId,
-        touched: &mut Vec<NodeId>,
-    ) {
-        if !self.graph.node(node).alive || self.graph.node(node).visited == frame.raw() {
+    /// intersection of the parent state with the arriving frame.
+    fn st_visit(&mut self, node: NodeId, parent: Option<NodeId>, p_inter: SetId, at: Arrival) {
+        let state = self.graph.node_mut(node);
+        if !state.alive || state.visited == at.frame.raw() {
             return;
         }
-        self.graph.node_mut(node).visited = frame.raw();
-        self.graph.node_mut(node).frames.expire_before(oldest);
-        touched.push(node);
+        state.visited = at.frame.raw();
+        state.frames.expire_before(at.oldest);
+        let node_sid = state.sid;
+        self.touch(node);
         self.core.metrics.states_visited += 1;
-
-        let node_sid = self.graph.node(node).sid;
         self.core.metrics.intersections += 1;
-        let inter = self.core.interner.intersect(node_sid, frame_sid);
+        let inter = self.core.interner.intersect(node_sid, at.sid);
         self.graph.node_mut(node).last_inter = inter;
 
-        if inter.is_empty_set() {
-            // No descendant of this node can intersect the frame either, but
-            // the parent's intersection may still need to be materialised
-            // (lines 5-8 of Algorithm 1).
-            if let (Some(parent), false) = (parent, p_inter.is_empty_set()) {
-                if p_inter != frame_sid {
-                    self.ensure_state(p_inter, parent, frame, oldest, touched);
-                }
-            }
-            return;
-        }
-
-        // Lines 11-16: the parent's intersection is strictly larger than ours,
-        // so this subtree cannot represent it; materialise it under the parent.
+        // Lines 5-8 and 11-16 of Algorithm 1: the parent's intersection is
+        // strictly larger than ours (for an empty one: is not empty), so this
+        // subtree cannot represent it; materialise it under the parent.
         if let Some(parent) = parent {
-            if !p_inter.is_empty_set()
-                && self.core.interner.len_of(p_inter) > self.core.interner.len_of(inter)
-                && p_inter != frame_sid
-            {
-                self.ensure_state(p_inter, parent, frame, oldest, touched);
+            if self.core.interner.len_of(p_inter) > self.core.interner.len_of(inter) {
+                self.ensure_state(p_inter, parent, at);
             }
+        }
+        if inter.is_empty_set() {
+            // No descendant of this node can intersect the frame either.
+            return;
         }
 
         if inter == node_sid {
             // The whole state co-occurs in the arriving frame: append it
             // (lines 18-21) and inherit the parent's frames when the parent's
             // intersection is exactly this state (line 19).
-            if self.graph.node(node).touched != frame.raw() {
-                self.graph.node_mut(node).frames.push(frame, false);
-                self.graph.node_mut(node).touched = frame.raw();
+            let state = self.graph.node_mut(node);
+            if state.touched != at.frame.raw() {
+                state.frames.push(at.frame, false);
+                state.touched = at.frame.raw();
                 self.core.metrics.frames_appended += 1;
             }
             if let Some(parent) = parent {
@@ -261,37 +273,27 @@ impl SsgMaintainer {
                     target.frames.merge_from(&source.frames);
                 }
             }
-            self.visit_children(node, inter, frame, frame_sid, ns, oldest, touched);
-        } else if inter == frame_sid {
+            self.visit_children(node, inter, at);
+        } else if inter == at.sid {
             // The arriving frame's object set is a proper subset of this
             // state: the new principal co-occurs in all of this state's frames
             // (lines 22-24).
-            if ns != node {
-                let (target, source) = self.graph.pair_mut(ns, node);
+            if at.ns != node {
+                let (target, source) = self.graph.pair_mut(at.ns, node);
                 target.frames.merge_from(&source.frames);
             }
-            self.graph.attach(node, ns, &self.core.interner);
-            self.visit_children(node, inter, frame, frame_sid, ns, oldest, touched);
+            self.graph.attach(node, at.ns, &self.core.interner);
+            self.visit_children(node, inter, at);
         } else {
             // A proper, new intersection: descend first (a child subtree may
             // already own it), then make sure it exists under this node
             // (lines 25-29).
-            self.visit_children(node, inter, frame, frame_sid, ns, oldest, touched);
-            self.ensure_state(inter, node, frame, oldest, touched);
+            self.visit_children(node, inter, at);
+            self.ensure_state(inter, node, at);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn visit_children(
-        &mut self,
-        node: NodeId,
-        inter: SetId,
-        frame: FrameId,
-        frame_sid: SetId,
-        ns: NodeId,
-        oldest: FrameId,
-        touched: &mut Vec<NodeId>,
-    ) {
+    fn visit_children(&mut self, node: NodeId, inter: SetId, at: Arrival) {
         // Snapshot: the traversal below may attach new children to `node`,
         // and those must not be revisited within this frame. The snapshot
         // buffer is pooled per recursion depth, so steady-state traversal
@@ -300,16 +302,7 @@ impl SsgMaintainer {
         children.clear();
         children.extend_from_slice(&self.graph.node(node).children);
         for &child in &children {
-            self.st_visit(
-                child,
-                Some(node),
-                inter,
-                frame,
-                frame_sid,
-                ns,
-                oldest,
-                touched,
-            );
+            self.st_visit(child, Some(node), inter, at);
         }
         self.child_scratch.push(children);
     }
@@ -350,23 +343,10 @@ impl SsgMaintainer {
         self.candidates_scratch = ordered;
     }
 
-    /// Removes invalid (unmarked) touched nodes and refreshes root
-    /// bookkeeping. Every touched node was expired when the frame first
-    /// reached it, so validity is judged on in-window frames only.
-    fn prune_touched(&mut self, touched: &[NodeId]) {
-        for &id in touched {
-            if self.graph.node(id).alive && !self.graph.node(id).frames.has_marked() {
-                self.remove_node(id);
-            }
-        }
-    }
-
     fn remove_node(&mut self, id: NodeId) {
         self.graph.remove(id, &self.core.interner);
         self.core.metrics.states_pruned += 1;
-        if let Some(pos) = self.roots.iter().position(|&r| r == id) {
-            self.roots.remove(pos);
-        }
+        self.roots.retain(|&root| root != id);
     }
 
     /// Periodic full sweep: expires frames of nodes that were never visited
@@ -427,33 +407,30 @@ impl StateMaintainer for SsgMaintainer {
             self.frames_since_sweep = 0;
         }
 
-        let mut touched = std::mem::take(&mut self.touched_scratch);
-        touched.clear();
         let frame_sid = self.core.interner.intern(objects);
-
         if !frame_sid.is_empty_set()
             && !self.core.is_terminated(frame_sid)
             && !self.core.terminate_if_hopeless(frame_sid)
         {
             // The arriving frame's own object set becomes (or stays) the new
             // principal state.
-            let ns = match self.graph.id_of(frame_sid) {
-                Some(id) => id,
-                None => {
-                    let id = self.graph.insert(frame_sid);
-                    self.core.metrics.states_created += 1;
-                    id
-                }
+            let ns = self.graph.id_of(frame_sid).unwrap_or_else(|| {
+                self.core.metrics.states_created += 1;
+                self.graph.insert(frame_sid)
+            });
+            let node = self.graph.node_mut(ns);
+            node.frames.expire_before(oldest);
+            node.frames.push(frame, true);
+            node.touched = frame.raw();
+            node.principal_frames.expire_before(oldest);
+            node.principal_frames.push(frame, true);
+            self.touch(ns);
+            let at = Arrival {
+                frame,
+                sid: frame_sid,
+                ns,
+                oldest,
             };
-            {
-                let node = self.graph.node_mut(ns);
-                node.frames.expire_before(oldest);
-                node.frames.push(frame, true);
-                node.touched = frame.raw();
-                node.principal_frames.expire_before(oldest);
-                node.principal_frames.push(frame, true);
-            }
-            touched.push(ns);
 
             // State Traversal from every principal state in arrival order.
             // Traversing the new principal first extends its existing
@@ -463,30 +440,15 @@ impl StateMaintainer for SsgMaintainer {
             roots_snapshot.push(ns);
             roots_snapshot.extend_from_slice(&self.roots);
             self.candidates_scratch.clear();
+            // All roots are alive: nothing is removed until the traversal ends.
             for &root in &roots_snapshot {
-                if !self.graph.node(root).alive {
-                    continue;
-                }
-                self.st_visit(
-                    root,
-                    None,
-                    SetId::EMPTY,
-                    frame,
-                    frame_sid,
-                    ns,
-                    oldest,
-                    &mut touched,
-                );
+                self.st_visit(root, None, SetId::EMPTY, at);
                 // Candidate for CNPS plus principal-based marking: the state
                 // holding this principal's intersection with the new frame is
-                // pinned down by the principal's creation frames. The
-                // traversal above just visited this root, so its intersection
-                // with the frame is already recorded on the node.
-                let candidate_sid = self.graph.node(root).last_inter;
-                if candidate_sid.is_empty_set() {
-                    continue;
-                }
-                if let Some(candidate) = self.graph.id_of(candidate_sid) {
+                // pinned down by the principal's creation frames. The visit
+                // above recorded that intersection on the root (an empty one
+                // names no node).
+                if let Some(candidate) = self.graph.id_of(self.graph.node(root).last_inter) {
                     self.candidates_scratch.push(candidate);
                     // The candidate was expired when the frame reached it,
                     // so only in-window creation frames find a frame to
@@ -515,21 +477,29 @@ impl StateMaintainer for SsgMaintainer {
         }
 
         // Drop principal status of roots whose creating frames all expired and
-        // prune nodes invalidated by this frame's expiry. Index loop: the
-        // expiry only touches graph nodes, never the root list itself.
-        for index in 0..self.roots.len() {
-            let root = self.roots[index];
-            if self.graph.node(root).alive {
-                let node = self.graph.node_mut(root);
+        // prune nodes invalidated by this frame's expiry.
+        for &root in &self.roots {
+            let node = self.graph.node_mut(root);
+            if node.alive {
                 node.principal_frames.expire_before(oldest);
             }
         }
-        // A node can be pushed several times per frame (visit + state
-        // creation + frame append); dedup so the pruning and result passes
-        // process each once.
-        touched.sort_unstable();
-        touched.dedup();
-        self.prune_touched(&touched);
+        // Read the touched slots out in ascending order, clearing the bits.
+        let mut touched = std::mem::take(&mut self.touched_scratch);
+        for (index, word) in self.touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                touched.push(index * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        // Remove the touched nodes this frame invalidated (each was expired
+        // when the frame first reached it: validity is judged in-window).
+        for &id in &touched {
+            if self.graph.node(id).alive && !self.graph.node(id).frames.has_marked() {
+                self.remove_node(id);
+            }
+        }
         self.core.metrics.edges_added = self.graph.edges_added;
         self.core.metrics.edges_removed = self.graph.edges_removed;
         self.collect_results(&touched, oldest);
@@ -799,6 +769,64 @@ mod tests {
         }
         // Memo gauges drift (the intersection cache is not persisted); every
         // other counter must agree.
+        assert_eq!(
+            restored.metrics().without_cache_gauges(),
+            original.metrics().without_cache_gauges()
+        );
+    }
+
+    /// Neither the per-frame stamps nor the handle index are persisted:
+    /// restore and every compaction epoch rebuild them. A snapshot taken
+    /// mid-way through a dense `w=60` film, restored into a fresh maintainer
+    /// and run on across forced epochs, must stay equal to the uninterrupted
+    /// run — results on every frame, every counter but the memo's.
+    #[test]
+    fn restore_then_compaction_epochs_match_the_uninterrupted_run() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        // Nine object slots, each present 70 % of the time; a slot's object
+        // id changes every 40 frames (staggered), so sets churn and every
+        // epoch retires some.
+        let film: Vec<ObjectSet> = (0..360u32)
+            .map(|i| {
+                let present = (0..9u32).filter(|_| rng.gen_bool(0.7)).collect::<Vec<_>>();
+                ObjectSet::from_raw(present.into_iter().map(|s| s * 100 + (i + s * 9) / 40))
+            })
+            .collect();
+        let spec = WindowSpec::new(60, 20).unwrap();
+        let policy = CompactionPolicy::every(30);
+        let step = |m: &mut SsgMaintainer, i: usize| {
+            m.advance(FrameId(i as u64), &film[i]).unwrap();
+            (i + 1)
+                .is_multiple_of(30)
+                .then(|| m.maybe_compact(&policy))
+                .flatten()
+        };
+        let mut original = SsgMaintainer::new(spec);
+        for i in 0..150 {
+            step(&mut original, i);
+        }
+        let mut enc = Encoder::new();
+        original.snapshot_state(&mut enc).unwrap();
+        let mut restored = SsgMaintainer::new(spec);
+        restored
+            .restore_state(&mut Decoder::new(enc.as_bytes()))
+            .unwrap();
+        restored.graph.check_invariants(&restored.core.interner);
+        let mut epochs = 0;
+        for i in 150..film.len() {
+            let outcome = step(&mut original, i);
+            assert_eq!(step(&mut restored, i), outcome, "epoch at frame {i}");
+            if outcome.is_some() {
+                // The rebuilt handle index holds exactly the live nodes.
+                restored.graph.check_invariants(&restored.core.interner);
+                epochs += 1;
+            }
+            assert_eq!(restored.results(), original.results(), "frame {i}");
+        }
+        assert!(epochs >= 2, "only {epochs} epochs after the restore");
+        assert!(original.live_states() > 100 && !original.results().is_empty());
+        assert_eq!(restored.states(), original.states());
         assert_eq!(
             restored.metrics().without_cache_gauges(),
             original.metrics().without_cache_gauges()

@@ -3,9 +3,10 @@
 //! without query-driven pruning leaving the *query answers* unchanged.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use tvq_common::{FrameId, ObjectSet, WindowSpec};
-use tvq_core::{MaintainerKind, StateMaintainer};
+use tvq_core::{MaintainerKind, MinCardinalityPruner, SharedPruner, StateMaintainer};
 use tvq_video::{generate_with_id_reuse, DatasetProfile};
 
 fn result_fingerprint(maintainer: &dyn StateMaintainer) -> BTreeSet<(ObjectSet, Vec<FrameId>)> {
@@ -79,6 +80,54 @@ fn equivalence_under_artificial_occlusion() {
             WindowSpec::new(20, 12).unwrap(),
         );
     }
+}
+
+/// The benchmark's dense window (`w=60, d=40`, as `dense-embedded` runs it)
+/// on a D2-shaped feed: a window wider than one 64-frame word boundary
+/// crossing. SSG and SSG_O must equal MFS on every frame, and SSG's work
+/// counters are pinned to the values recorded before State Traversal was
+/// made to do each step once per frame — that change must not move them.
+#[test]
+fn equivalence_at_the_benchmark_window() {
+    let spec = WindowSpec::new(60, 40).unwrap();
+    let pruner: SharedPruner = Arc::new(MinCardinalityPruner { min_objects: 2 });
+    let relation = generate_with_id_reuse(&DatasetProfile::d2().truncated(400), 0, 1);
+    let mut mfs = MaintainerKind::Mfs.build(spec);
+    let mut ssg = MaintainerKind::Ssg.build(spec);
+    let mut ssg_o = MaintainerKind::Ssg.build_with_pruner(spec, pruner.clone());
+    for frame in relation.frames() {
+        for maintainer in [&mut mfs, &mut ssg, &mut ssg_o] {
+            maintainer.advance(frame.fid, &frame.objects).unwrap();
+        }
+        let expected = result_fingerprint(mfs.as_ref());
+        assert_eq!(
+            result_fingerprint(ssg.as_ref()),
+            expected,
+            "SSG at frame {}",
+            frame.fid
+        );
+        let pruned: BTreeSet<_> = expected
+            .into_iter()
+            .filter(|(set, _)| !pruner.should_terminate(set))
+            .collect();
+        let ssg_o_results = result_fingerprint(ssg_o.as_ref());
+        assert_eq!(ssg_o_results, pruned, "SSG_O at frame {}", frame.fid);
+    }
+    let m = ssg.metrics();
+    let counters = [
+        m.states_visited,
+        m.intersections,
+        m.states_created,
+        m.frames_appended,
+        m.edges_added,
+        m.edges_removed,
+        m.peak_live_states,
+        m.interned_sets,
+    ];
+    assert_eq!(
+        counters,
+        [574_327, 574_327, 15_897, 51_873, 103_353, 102_946, 5_200, 15_527]
+    );
 }
 
 #[test]
