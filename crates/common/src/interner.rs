@@ -24,7 +24,8 @@
 //!   the memo-miss path of [`intersect`](SetInterner::intersect) ANDs the
 //!   two entries into a scratch run while counting the overlap, hashes it,
 //!   probes, and appends the words only when the result is a genuinely new
-//!   set — no allocation either way;
+//!   set — no allocation either way ([`intersect_within`](SetInterner::intersect_within)
+//!   takes a known superset or a likely answer that can spare the probe);
 //! * **materialises tracker ids on demand** —
 //!   [`resolve`](SetInterner::resolve) rebuilds a sorted [`ObjectSet`] from
 //!   a handle's bits for the few consumers that need one (result
@@ -32,8 +33,7 @@
 //! * **memoizes intersections** — a direct-mapped cache of
 //!   `(SetId, SetId) → SetId` entries, normalised so the commutative pair
 //!   shares one slot. Sliding windows re-present the same set pairs frame
-//!   after frame, and the SSG cascade re-requests the same `parent ∩ frame`
-//!   pair within one frame; a recency cache catches both at O(1) cost. The
+//!   after frame, and a recency cache catches them at O(1) cost. The
 //!   cache has a fixed size ([`MemoConfig`], 4096 slots by default): a miss
 //!   costs a word-AND, so a table that grows past the CPU cache loses more
 //!   on every probe than its extra hits save;
@@ -529,6 +529,15 @@ impl SetInterner {
     /// without hashing anything. Only a *proper* intersection is hashed and
     /// probed, and only a *new* one appends its words — nothing allocates.
     pub fn intersect(&mut self, a: SetId, b: SetId) -> SetId {
+        self.intersect_within(a, b, SetId::EMPTY, SetId::EMPTY)
+    }
+
+    /// [`intersect`](Self::intersect) with two hints that let a memo miss
+    /// skip the content-index probe: `bound` contains `a ∩ b` (or is empty),
+    /// so an overlap of its size *is* `bound`; `guess` is any handle and
+    /// wins only if its words equal the scratch run. Both are read after
+    /// the memo lookup, so answers and memo counters are `intersect`'s.
+    pub fn intersect_within(&mut self, a: SetId, b: SetId, bound: SetId, guess: SetId) -> SetId {
         if a == b {
             return a;
         }
@@ -556,6 +565,12 @@ impl SetInterner {
             a
         } else if overlap == self.len_of(b) {
             b
+        } else if overlap == self.len_of(bound) {
+            debug_assert_eq!(self.bitmaps.entry(bound.index()), &self.scratch[..]);
+            bound
+        } else if overlap == self.len_of(guess) && self.bitmaps.entry(guess.index()) == self.scratch
+        {
+            guess
         } else {
             let run = std::mem::take(&mut self.scratch);
             let id = self.find_or_insert(&run, overlap);
@@ -1048,6 +1063,55 @@ mod proptests {
                     let inter = interner.intersect(a, b);
                     prop_assert_eq!(interner.resolve(inter), sa.intersect(sb));
                 }
+            }
+        }
+
+        /// The hints of `intersect_within` never change an answer or the
+        /// memo: for every pair, any bound containing the intersection and
+        /// any guess, it returns the handle `intersect` returns on a twin
+        /// interner, with the same hit and miss counts and no other set.
+        #[test]
+        fn hinted_intersections_answer_like_plain_ones(
+            raw in wide_sets(),
+            extra in proptest::collection::vec(0u32..64, 0..6),
+            picks in proptest::collection::vec(0usize..64, 1..32),
+        ) {
+            let sets = widen(&raw);
+            let (mut plain, mut hinted) = (SetInterner::new(), SetInterner::new());
+            // Every pair's intersection widened by `extra` is a valid bound;
+            // interning them (and the exact intersections, on odd pairs) up
+            // front keeps the twins' arenas identical.
+            let extra = widen(&[extra]);
+            let mut bounds = Vec::new();
+            let mut ids = Vec::new();
+            for s in sets.iter() {
+                ids.push(plain.intern(s));
+                hinted.intern(s);
+            }
+            for (i, sa) in sets.iter().enumerate() {
+                for (j, sb) in sets.iter().enumerate() {
+                    let inter = sa.intersect(sb);
+                    let bound: ObjectSet = inter.iter().chain(extra[0].iter()).collect();
+                    bounds.push(plain.intern(&bound));
+                    hinted.intern(&bound);
+                    if (i + j) % 2 == 1 {
+                        ids.push(plain.intern(&inter));
+                        hinted.intern(&inter);
+                    }
+                }
+            }
+            let guesses: Vec<SetId> = ids.iter().chain(&bounds).copied().collect();
+            let n = sets.len();
+            for (k, &pick) in picks.iter().enumerate() {
+                let (i, j) = (pick % n, (pick / n + k) % n);
+                let (a, b) = (ids[i], ids[j]);
+                let bound = if k % 3 == 0 { SetId::EMPTY } else { bounds[i * n + j] };
+                let guess = guesses[(pick + k) % guesses.len()];
+                let expected = plain.intersect(a, b);
+                prop_assert_eq!(hinted.intersect_within(a, b, bound, guess), expected);
+                prop_assert_eq!(hinted.memo_hits(), plain.memo_hits());
+                prop_assert_eq!(hinted.memo_misses(), plain.memo_misses());
+                prop_assert_eq!(hinted.len(), plain.len());
             }
         }
 

@@ -34,6 +34,13 @@ pub trait StatePruner {
         let _ = counts;
         self.should_terminate(objects)
     }
+
+    /// Whether the pruner can terminate anything right now. An inactive
+    /// pruner answers `false` for every set, so the verdict cache skips it
+    /// and caches nothing.
+    fn is_active(&self) -> bool {
+        true
+    }
 }
 
 /// Per-handle cache of a pruner's verdicts, shared by the MFS and SSG
@@ -116,7 +123,8 @@ impl PrunerVerdictCache {
 
     /// Returns the cached verdict for `sid`, consulting `pruner` on a cache
     /// miss (passing the interner's cached class counts so query-driven
-    /// pruners skip re-aggregation). Counts a fresh termination in
+    /// pruners skip re-aggregation) unless it is inactive, which keeps the
+    /// set and caches nothing. Counts a fresh termination in
     /// `states_terminated`.
     pub fn judge(
         &mut self,
@@ -128,7 +136,7 @@ impl PrunerVerdictCache {
         if self.terminated.contains(&sid) {
             return true;
         }
-        if self.cleared.contains(&sid) {
+        if self.cleared.contains(&sid) || !pruner.is_active() {
             return false;
         }
         let counts = interner.cached_counts(sid);
@@ -176,6 +184,7 @@ pub type SharedPruner = std::sync::Arc<dyn StatePruner + Send + Sync>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn set(ids: &[u32]) -> ObjectSet {
         ObjectSet::from_raw(ids.iter().copied())
@@ -196,6 +205,80 @@ mod tests {
         // Downward monotone: any subset of a terminated set is terminated.
         assert!(p.should_terminate(&set(&[1])));
         assert!(p.should_terminate(&ObjectSet::empty()));
+    }
+
+    /// A cardinality pruner behind a switch. A `gated` one reports the
+    /// switch through `is_active`; an ungated one always claims to be
+    /// active and answers `false` while off, so it is consulted throughout —
+    /// the reference. Consultations made while off are counted.
+    struct Switched {
+        on: AtomicBool,
+        gated: bool,
+        consulted_off: AtomicUsize,
+    }
+
+    impl StatePruner for Switched {
+        fn should_terminate(&self, objects: &ObjectSet) -> bool {
+            if !self.on.load(Ordering::SeqCst) {
+                self.consulted_off.fetch_add(1, Ordering::SeqCst);
+                return false;
+            }
+            objects.len() < 3
+        }
+
+        fn is_active(&self) -> bool {
+            !self.gated || self.on.load(Ordering::SeqCst)
+        }
+    }
+
+    /// An inactive pruner is never consulted, and skipping it changes no
+    /// verdict: across inactive → active → inactive swaps (each announced
+    /// through `pruner_changed`) MFS and SSG report what they report with a
+    /// pruner that is consulted throughout, and terminate as many states.
+    #[test]
+    fn inactive_pruners_are_skipped_without_changing_verdicts() {
+        use crate::maintainer::MaintainerKind;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::sync::Arc;
+        use tvq_common::{FrameId, SetInterner, WindowSpec};
+
+        let mut rng = StdRng::seed_from_u64(5);
+        let film: Vec<ObjectSet> = (0..240)
+            .map(|_| ObjectSet::from_raw((0..8u32).filter(|_| rng.gen_bool(0.5))))
+            .collect();
+        let spec = WindowSpec::new(12, 4).unwrap();
+        for kind in [MaintainerKind::Mfs, MaintainerKind::Ssg] {
+            let switched = |gated| {
+                Arc::new(Switched {
+                    on: AtomicBool::new(false),
+                    gated,
+                    consulted_off: AtomicUsize::new(0),
+                })
+            };
+            let (gated, always) = (switched(true), switched(false));
+            let build = |pruner: &Arc<Switched>| {
+                let shared: SharedPruner = Arc::clone(pruner) as SharedPruner;
+                kind.build_with_options(spec, Some(shared), SetInterner::new())
+            };
+            let (mut fast, mut slow) = (build(&gated), build(&always));
+            for (i, frame) in film.iter().enumerate() {
+                if i % 80 == 40 || i % 80 == 0 && i > 0 {
+                    let on = i % 80 == 40;
+                    for (pruner, m) in [(&gated, &mut fast), (&always, &mut slow)] {
+                        pruner.on.store(on, Ordering::SeqCst);
+                        m.pruner_changed();
+                    }
+                }
+                fast.advance(FrameId(i as u64), frame).unwrap();
+                slow.advance(FrameId(i as u64), frame).unwrap();
+                assert_eq!(fast.results(), slow.results(), "{kind:?} frame {i}");
+            }
+            let terminated = fast.metrics().states_terminated;
+            assert!(terminated > 0, "{kind:?}: the active stretches must prune");
+            assert_eq!(terminated, slow.metrics().states_terminated, "{kind:?}");
+            assert_eq!(gated.consulted_off.load(Ordering::SeqCst), 0, "{kind:?}");
+            assert!(always.consulted_off.load(Ordering::SeqCst) > 0, "{kind:?}");
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! exactly as described in Section 4.3.4 of the paper.
 
 use tvq_common::{
-    Decoder, Encoder, Error, FrameId, MarkedFrameSet, RemapTable, Result, SetId, SetInterner,
+    Decoder, Encoder, Error, FrameId, FxHashSet, MarkedFrameSet, RemapTable, Result, SetId,
+    SetInterner,
 };
 
 /// Index of a node inside the graph's slab.
@@ -34,9 +35,10 @@ pub(crate) struct Node {
     pub parents: Vec<NodeId>,
     /// Frame id of the last State Traversal that visited this node.
     pub visited: u64,
-    /// This node's intersection with the frame of its last visit (valid
-    /// while `visited` matches the current frame) — lets the CNPS candidate
-    /// pass reuse the traversal's work instead of intersecting again.
+    /// This node's intersection with the frame of its last visit. While
+    /// `visited` matches the current frame the CNPS candidate pass and
+    /// `attach` read it instead of intersecting or testing subsets again;
+    /// the next visit offers it to the interner as its guess.
     pub last_inter: SetId,
     /// Frame id of the last frame appended to this node's frame set.
     pub touched: u64,
@@ -157,9 +159,9 @@ impl StateGraph {
     /// Re-keys the graph through a compaction epoch's remap table: every
     /// live node's `sid` moves to its new value and the handle index is
     /// rebuilt over them. Per-node `last_inter` hints are remapped too — a
-    /// hint whose set was retired resets to the empty handle; the hint is
-    /// only read within the frame that wrote it, so this is bookkeeping
-    /// hygiene, not a behaviour change.
+    /// hint whose set was retired resets to the empty handle (no guess for
+    /// the next visit); a guess is compared, never trusted, so this only
+    /// keeps it useful.
     pub fn remap(&mut self, table: &RemapTable) {
         self.by_set = vec![VACANT; table.live()];
         for id in self.live_ids() {
@@ -200,12 +202,30 @@ impl StateGraph {
         }
     }
 
-    /// Proper-subset test on interned handles: distinct handles are distinct
-    /// sets, so a word-parallel `a ⊆ b` plus a handle inequality decides
-    /// strictness — allocation-free and without touching (or polluting) the
-    /// interner's intersection memo.
-    fn is_proper_subset(interner: &SetInterner, a: SetId, b: SetId) -> bool {
-        a != b && interner.is_subset_of(a, b)
+    /// `(sid ⊊ node, node ⊊ sid)`: by handle for a node visited at `frame`
+    /// (see [`attach`](Self::attach)), else on the bitmaps, which leaves the
+    /// intersection memo alone (distinct handles are distinct sets).
+    fn relation(
+        &self,
+        node: NodeId,
+        sid: SetId,
+        interner: &SetInterner,
+        frame: Option<u64>,
+    ) -> (bool, bool) {
+        let node = &self.nodes[node];
+        if node.sid == sid {
+            return (false, false);
+        }
+        let bitmaps = || {
+            let inside = interner.is_subset_of(sid, node.sid);
+            (inside, !inside && interner.is_subset_of(node.sid, sid))
+        };
+        if frame != Some(node.visited) {
+            return bitmaps();
+        }
+        let answer = (node.last_inter == sid, node.last_inter == node.sid);
+        debug_assert_eq!(answer, bitmaps(), "handle answer for {sid:?}");
+        answer
     }
 
     /// Connects `child` under `parent`, enforcing Properties 1 and 2.
@@ -219,9 +239,20 @@ impl StateGraph {
     ///   moved below the new child — the "Modifying Existing Edges" step of
     ///   Section 4.3.4.
     ///
-    /// Subset tests run word-parallel over the interner's dense bitmaps, so
-    /// repeated attachments of the same state pair cost a few AND words.
-    pub fn attach(&mut self, parent: NodeId, child: NodeId, interner: &SetInterner) {
+    /// State Traversal passes its `frame` when `child` holds
+    /// `I = parent.last_inter = parent ∩ F`. Every `t` the walk compares
+    /// lies below `parent`, so `t ∩ F ⊆ I`, and for a `t` visited this frame
+    /// `I ⊊ t ⟺ t.last_inter == I` and `t ⊊ I ⟺ t.last_inter == t.sid`.
+    /// A containing sibling that ensured its intersection this frame already
+    /// holds `I` below it, so the walk ends there. Other tests (and every
+    /// test without a `frame`) run word-parallel on the interner's bitmaps.
+    pub fn attach(
+        &mut self,
+        parent: NodeId,
+        child: NodeId,
+        interner: &SetInterner,
+        frame: Option<u64>,
+    ) {
         if parent == child {
             return;
         }
@@ -232,7 +263,8 @@ impl StateGraph {
         if self.nodes[parent].children.contains(&child) {
             return;
         }
-        if !Self::is_proper_subset(interner, self.nodes[child].sid, self.nodes[parent].sid) {
+        let sid = self.nodes[child].sid;
+        if !self.relation(parent, sid, interner, frame).0 {
             return;
         }
         // Index loop instead of cloning the sibling vector: the only
@@ -249,15 +281,21 @@ impl StateGraph {
                 index += 1;
                 continue;
             }
-            if Self::is_proper_subset(interner, self.nodes[child].sid, self.nodes[sibling].sid) {
-                // A tighter ancestor exists among the siblings; attach below it.
-                self.attach(sibling, child, interner);
+            let (inside, holds) = self.relation(sibling, sid, interner, frame);
+            if inside {
+                // A tighter ancestor exists among the siblings; attach below
+                // it, unless it already did so this frame.
+                if frame == Some(self.nodes[sibling].ensured) {
+                    debug_assert!(self.reaches(sibling, child));
+                    return;
+                }
+                self.attach(sibling, child, interner, frame);
                 return;
             }
-            if Self::is_proper_subset(interner, self.nodes[sibling].sid, self.nodes[child].sid) {
+            if holds {
                 // The new child is a tighter parent for this sibling.
                 self.remove_edge(parent, sibling);
-                self.attach(child, sibling, interner);
+                self.attach(child, sibling, interner, None);
             } else {
                 index += 1;
             }
@@ -296,7 +334,7 @@ impl StateGraph {
             }
             for &child in &children {
                 if self.nodes[child].alive {
-                    self.attach(parent, child, interner);
+                    self.attach(parent, child, interner, None);
                 }
             }
         }
@@ -319,9 +357,11 @@ impl StateGraph {
     /// identity. Dead slots carry only their `alive = false` marker
     /// ([`remove`](Self::remove) already emptied their lists and frames);
     /// per-node traversal scratch (`visited`, `last_inter`, `touched`) is
-    /// persisted as-is: it is only read within the frame that wrote it, and
-    /// round-tripping it keeps restored state byte-comparable to the
-    /// original. The `ensured` stamp and the handle index are not written.
+    /// persisted as-is, which keeps restored state byte-comparable to the
+    /// original. The stamps are only read within the frame that wrote them;
+    /// `last_inter` also feeds the next visit's guess, where a stale one
+    /// costs one compare and is never trusted. The `ensured` stamp and the
+    /// handle index are not written.
     pub fn encode(&self, enc: &mut Encoder) {
         enc.put_usize(self.nodes.len());
         for node in &self.nodes {
@@ -487,25 +527,23 @@ impl StateGraph {
         Ok(ids)
     }
 
-    /// All nodes reachable from `start` (inclusive) by following child edges
-    /// (test support).
-    #[cfg(test)]
-    pub fn reachable(&self, start: NodeId) -> Vec<NodeId> {
-        let mut seen = vec![start];
-        let mut stack = vec![start];
+    /// Whether `target` is `from` or lies below it (debug-build checks).
+    fn reaches(&self, from: NodeId, target: NodeId) -> bool {
+        let mut seen = FxHashSet::default();
+        let mut stack = vec![from];
         while let Some(id) = stack.pop() {
-            for &child in &self.nodes[id].children {
-                if self.nodes[child].alive && !seen.contains(&child) {
-                    seen.push(child);
-                    stack.push(child);
-                }
+            if id == target {
+                return true;
             }
+            stack.extend(self.nodes[id].children.iter().filter(|&&c| seen.insert(c)));
         }
-        seen
+        false
     }
+}
 
+#[cfg(test)]
+impl StateGraph {
     /// Verifies Properties 1 and 2 over the whole graph (test support).
-    #[cfg(test)]
     pub fn check_invariants(&self, interner: &SetInterner) {
         let set_of = |id: NodeId| interner.resolve(self.nodes[id].sid);
         let indexed = self.by_set.iter().filter(|&&id| id != VACANT).count();
@@ -572,7 +610,7 @@ mod tests {
         let a = insert(&mut g, &mut interner, &[1, 2]);
         let b = insert(&mut g, &mut interner, &[2, 3]);
         // {2,3} is not a subset of {1,2}: the edge is refused.
-        g.attach(a, b, &interner);
+        g.attach(a, b, &interner, None);
         assert!(g.node(a).children.is_empty());
         g.check_invariants(&interner);
     }
@@ -587,11 +625,11 @@ mod tests {
         let abcf = insert(&mut g, &mut interner, &[1, 2, 3, 6]);
         let abd = insert(&mut g, &mut interner, &[1, 2, 4]);
         let ab = insert(&mut g, &mut interner, &[1, 2]);
-        g.attach(abcf, ab, &interner);
-        g.attach(abd, ab, &interner);
+        g.attach(abcf, ab, &interner, None);
+        g.attach(abd, ab, &interner, None);
 
         let abf = insert(&mut g, &mut interner, &[1, 2, 6]);
-        g.attach(abcf, abf, &interner);
+        g.attach(abcf, abf, &interner, None);
 
         // {AB} is now reached through {ABF}, not directly from {ABCF}.
         assert!(!g.node(abcf).children.contains(&ab));
@@ -608,10 +646,10 @@ mod tests {
         let mut g = StateGraph::new();
         let abc = insert(&mut g, &mut interner, &[1, 2, 3]);
         let ab = insert(&mut g, &mut interner, &[1, 2]);
-        g.attach(abc, ab, &interner);
+        g.attach(abc, ab, &interner, None);
         let a = insert(&mut g, &mut interner, &[1]);
         // Attaching {A} to {ABC} must land it under {AB}, the tighter parent.
-        g.attach(abc, a, &interner);
+        g.attach(abc, a, &interner, None);
         assert!(!g.node(abc).children.contains(&a));
         assert!(g.node(ab).children.contains(&a));
         g.check_invariants(&interner);
@@ -623,8 +661,8 @@ mod tests {
         let mut g = StateGraph::new();
         let abc = insert(&mut g, &mut interner, &[1, 2, 3]);
         let ab = insert(&mut g, &mut interner, &[1, 2]);
-        g.attach(abc, ab, &interner);
-        g.attach(abc, ab, &interner);
+        g.attach(abc, ab, &interner, None);
+        g.attach(abc, ab, &interner, None);
         assert_eq!(g.node(abc).children.len(), 1);
         assert_eq!(g.node(ab).parents.len(), 1);
         assert_eq!(g.edges_added, 1);
@@ -637,8 +675,8 @@ mod tests {
         let abcd = insert(&mut g, &mut interner, &[1, 2, 3, 4]);
         let abc = insert(&mut g, &mut interner, &[1, 2, 3]);
         let ab = insert(&mut g, &mut interner, &[1, 2]);
-        g.attach(abcd, abc, &interner);
-        g.attach(abc, ab, &interner);
+        g.attach(abcd, abc, &interner, None);
+        g.attach(abc, ab, &interner, None);
         let removed_edges_before = g.edges_removed;
         g.remove(abc, &interner);
         assert_eq!(g.len(), 2);
@@ -669,17 +707,12 @@ mod tests {
         let abc = insert(&mut g, &mut interner, &[1, 2, 3]);
         let ab = insert(&mut g, &mut interner, &[1, 2]);
         let cd = insert(&mut g, &mut interner, &[3, 4]);
-        g.attach(abcd, abc, &interner);
-        g.attach(abc, ab, &interner);
-        g.attach(abcd, cd, &interner);
-        let mut reachable = g.reachable(abc);
-        reachable.sort_unstable();
-        assert_eq!(
-            reachable,
-            vec![abc, ab].into_iter().collect::<Vec<_>>().tap_sorted()
-        );
-        let all = g.reachable(abcd);
-        assert_eq!(all.len(), 4);
+        g.attach(abcd, abc, &interner, None);
+        g.attach(abc, ab, &interner, None);
+        g.attach(abcd, cd, &interner, None);
+        assert!(g.reaches(abc, abc) && g.reaches(abc, ab));
+        assert!(!g.reaches(abc, cd) && !g.reaches(abc, abcd));
+        assert!([abc, ab, cd].iter().all(|&id| g.reaches(abcd, id)));
     }
 
     #[test]
@@ -688,7 +721,7 @@ mod tests {
         let mut g = StateGraph::new();
         let a = insert(&mut g, &mut interner, &[1]);
         let b = insert(&mut g, &mut interner, &[1, 2]);
-        g.attach(b, a, &interner);
+        g.attach(b, a, &interner, None);
         g.remove(a, &interner);
 
         let mut enc = Encoder::new();
@@ -712,7 +745,7 @@ mod tests {
         let mut g = StateGraph::new();
         let a = insert(&mut g, &mut interner, &[1, 2]);
         let b = insert(&mut g, &mut interner, &[1]);
-        g.attach(a, b, &interner);
+        g.attach(a, b, &interner, None);
         let mut enc = Encoder::new();
         g.encode(&mut enc);
         let mut clean =
@@ -725,15 +758,5 @@ mod tests {
         clean.encode(&mut enc);
         let err = StateGraph::decode(&mut Decoder::new(enc.as_bytes()), &interner, 8).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err}");
-    }
-
-    trait TapSorted {
-        fn tap_sorted(self) -> Self;
-    }
-    impl TapSorted for Vec<NodeId> {
-        fn tap_sorted(mut self) -> Self {
-            self.sort_unstable();
-            self
-        }
     }
 }

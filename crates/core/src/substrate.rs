@@ -71,7 +71,7 @@ impl Substrate {
     }
 
     /// Judges a new object set through the per-handle verdict cache;
-    /// `false` without a pruner.
+    /// `false` without an active pruner.
     pub(crate) fn terminate_if_hopeless(&mut self, sid: SetId) -> bool {
         let Some(pruner) = &self.pruner else {
             return false;

@@ -95,6 +95,11 @@ impl StatePruner for LivePruner {
             None => self.should_terminate(objects),
         }
     }
+
+    fn is_active(&self) -> bool {
+        let snapshot = self.catalog.read().unwrap_or_else(PoisonError::into_inner);
+        snapshot.prune_active()
+    }
 }
 
 /// Builder for [`TemporalVideoQueryEngine`].
