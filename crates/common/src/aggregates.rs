@@ -6,9 +6,11 @@
 //! per-class counts using the feed's object → class mapping.
 //!
 //! This type lives in `tvq-common` (rather than the query crate) because the
-//! [`SetInterner`](crate::SetInterner) caches one `ClassCounts` per interned
-//! object set: the counts are computed once, when a set is first seen, and
-//! every later evaluation of the same set reuses them.
+//! [`SetInterner`](crate::SetInterner) aggregates a handle's counts straight
+//! from its bitmap ([`counts_of`](crate::SetInterner::counts_of)). It does
+//! so only for the sets an answer or a pruner verdict reads, and those
+//! callers keep the result: a reported set's counts are computed once while
+//! it stays reported, a judged set's once per verdict.
 //!
 //! Counts are stored as a sorted `(class, count)` vector: an MCOS touches a
 //! handful of classes, so a binary search over contiguous memory beats a

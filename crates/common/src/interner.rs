@@ -10,9 +10,9 @@
 //! **The dense bitmap is the only stored form of an interned set.** The
 //! interner owns a [`UniverseMap`] assigning each observed `ObjectId` a bit
 //! slot (and back), and a [`BitmapArena`] holding one fixed-stride `u64`
-//! bitmap per handle. Beside the bitmap a set costs a `u32` cardinality, a
-//! class-counts handle and its share of the content index — no sorted
-//! slice, no `ObjectSet`-keyed map. On top of that the interner:
+//! bitmap per handle. Beside the bitmap a set costs a `u32` cardinality and
+//! its share of the content index — no sorted slice, no `ObjectSet`-keyed
+//! map, no class counts. On top of that the interner:
 //!
 //! * **indexes content by the bitmap words** — an open-addressed table of
 //!   bare `SetId`s (linear probing, at most half full), hashed with
@@ -37,13 +37,15 @@
 //!   cache has a fixed size ([`MemoConfig`], 4096 slots by default): a miss
 //!   costs a word-AND, so a table that grows past the CPU cache loses more
 //!   on every probe than its extra hits save;
-//! * **caches class counts** — when constructed with a class source
-//!   ([`SetInterner::with_classes`]), a [`ClassCounts`] aggregate is computed
-//!   once per set, at intern time, and shared as an `Arc`. A live class
-//!   entry never changes (the [`ClassStore`](crate::ClassStore) is
-//!   first-writer-wins, and identifier reuse mints fresh internal ids), so
-//!   counts computed at intern time stay correct for the lifetime of the
-//!   set.
+//! * **counts classes on demand** — when constructed with a class source
+//!   ([`SetInterner::with_classes`]), [`counts_of`](SetInterner::counts_of)
+//!   aggregates a handle's bits into a [`ClassCounts`]. Nothing is computed
+//!   at intern time: most interned sets are never reported nor judged, so
+//!   the callers that do read counts (result reporting, the once-per-set
+//!   pruner verdict) keep what they computed. Keeping it is sound because a
+//!   live class entry never changes (the [`ClassStore`](crate::ClassStore)
+//!   is first-writer-wins, identifier reuse mints fresh internal ids) and a
+//!   live set's objects are never retired.
 //!
 //! Within one epoch the arena and the memo are **append-only**: interning is
 //! cheap and ids stay stable, at the cost of memory that grows with the
@@ -56,7 +58,7 @@
 //! compaction between frames when live-set occupancy falls below a
 //! configured ratio.
 
-use std::sync::{Arc, PoisonError};
+use std::sync::PoisonError;
 
 use crate::aggregates::ClassCounts;
 use crate::bitmap::{hash_run, set_bit, slots_of, BitmapArena, UniverseMap};
@@ -198,7 +200,7 @@ const MEMO_FREE: (SetId, SetId) = (SetId::EMPTY, SetId::EMPTY);
 const MIN_INDEX_SLOTS: usize = 16;
 
 /// The object-set arena with word-parallel set algebra, intersection
-/// memoization, class-count caching and epoch compaction. See the
+/// memoization, on-demand class counts and epoch compaction. See the
 /// [module docs](self).
 #[derive(Debug, Default)]
 pub struct SetInterner {
@@ -206,8 +208,6 @@ pub struct SetInterner {
     bitmaps: BitmapArena,
     /// `SetId` → number of objects in the set.
     lens: Vec<u32>,
-    /// `SetId` → class counts at intern time.
-    counts: Vec<Arc<ClassCounts>>,
     /// Content index: open-addressed, power-of-two sized, at most half full.
     /// A slot holds the raw `SetId` of an entry, hashed and compared on that
     /// entry's bitmap words; 0 marks a free slot (the empty set is never
@@ -225,9 +225,6 @@ pub struct SetInterner {
     memo_config: MemoConfig,
     /// The shared class store, when class counts are wanted.
     classes: Option<SharedClassMap>,
-    /// The one empty aggregate every set shares when there is no class
-    /// source (and the empty set always).
-    no_counts: Arc<ClassCounts>,
     memo_hits: u64,
     memo_misses: u64,
     memo_entries: usize,
@@ -235,8 +232,8 @@ pub struct SetInterner {
 }
 
 impl SetInterner {
-    /// Creates an interner without a class source: cached counts are empty
-    /// and [`SetInterner::cached_counts`] returns `None`.
+    /// Creates an interner without a class source:
+    /// [`SetInterner::counts_of`] returns `None`.
     pub fn new() -> Self {
         let mut interner = SetInterner::default();
         interner.push_entry(&[], 0);
@@ -244,22 +241,17 @@ impl SetInterner {
         interner
     }
 
-    /// Creates an interner that computes [`ClassCounts`] for every set at
-    /// intern time from the shared object → class map.
+    /// Creates an interner that can aggregate any set's [`ClassCounts`]
+    /// ([`counts_of`](Self::counts_of)) from the shared object → class map.
     ///
-    /// Every object of a set must already be present in the map when the set
-    /// is first interned; the engine guarantees this by registering the
-    /// classes of a frame's detections before the frame reaches the
-    /// maintainer, and every maintained set is a subset of observed frames.
+    /// Every object of a set must be present in the map while the set is
+    /// live; the engine guarantees this by registering the classes of a
+    /// frame's detections before the frame reaches the maintainer, and by
+    /// releasing an object's class only once a compaction epoch retired it.
     pub fn with_classes(classes: SharedClassMap) -> Self {
         let mut interner = SetInterner::new();
         interner.classes = Some(classes);
         interner
-    }
-
-    /// Whether the interner was constructed with a class source.
-    pub fn has_class_source(&self) -> bool {
-        self.classes.is_some()
     }
 
     /// Sets the intersection-memo size. Meant for construction time (the
@@ -319,7 +311,7 @@ impl SetInterner {
     /// Reads what [`encode`](Self::encode) wrote into a freshly built
     /// interner (same class store, same memo policy, nothing interned yet):
     /// re-interning the sets in handle order reproduces identical handles,
-    /// universe slots, bitmaps and cached class counts. Each set must land
+    /// universe slots and bitmaps. Each set must land
     /// on the handle it was persisted under — a duplicate or out-of-order
     /// arena is corrupt data, and silently re-keying it would detach every
     /// handle-keyed map restored afterwards.
@@ -374,13 +366,11 @@ impl SetInterner {
         self.memo.len()
     }
 
-    /// Bytes held per set beside its bitmap: the cardinality and
-    /// class-count-handle columns plus the content index. Bitmap storage is
-    /// reported separately by [`SetInterner::bitmap_bytes`].
+    /// Bytes held per set beside its bitmap: the cardinality column plus
+    /// the content index. Bitmap storage is reported separately by
+    /// [`SetInterner::bitmap_bytes`].
     pub fn arena_bytes(&self) -> usize {
-        self.lens.capacity() * std::mem::size_of::<u32>()
-            + self.counts.capacity() * std::mem::size_of::<Arc<ClassCounts>>()
-            + self.index.capacity() * std::mem::size_of::<u32>()
+        (self.lens.capacity() + self.index.capacity()) * std::mem::size_of::<u32>()
     }
 
     /// Bytes held by the dense bitmaps (the scratch run included) and the
@@ -463,20 +453,8 @@ impl SetInterner {
     fn push_entry(&mut self, run: &[u64], len: usize) -> SetId {
         debug_assert!(self.lens.len() < u32::MAX as usize, "interner arena full");
         let id = SetId(self.lens.len() as u32);
-        let counts = match &self.classes {
-            // Live store entries are immutable, so a poisoned lock still
-            // holds usable data; recover instead of cascading panics (same
-            // reasoning as the engine's LivePruner).
-            Some(lock) => {
-                let store = lock.read().unwrap_or_else(PoisonError::into_inner);
-                let objects = slots_of(run).map(|slot| self.universe.object_at(slot));
-                Arc::new(ClassCounts::of_ids(objects, store.classes()))
-            }
-            None => Arc::clone(&self.no_counts),
-        };
         self.bitmaps.push_run(run);
         self.lens.push(len as u32);
-        self.counts.push(counts);
         id
     }
 
@@ -499,14 +477,22 @@ impl SetInterner {
         self.lens[id.index()] as usize
     }
 
-    /// The class counts cached for a handle, when the interner has a class
-    /// source. `None` otherwise — callers must then aggregate on demand.
-    pub fn cached_counts(&self, id: SetId) -> Option<Arc<ClassCounts>> {
-        if self.classes.is_some() {
-            Some(Arc::clone(&self.counts[id.index()]))
-        } else {
-            None
-        }
+    /// The class counts of the set behind a handle, aggregated from its
+    /// bits now, when the interner has a class source. `None` otherwise —
+    /// callers must then aggregate the resolved set themselves. Allocates:
+    /// a caller that reads the same handle again keeps the result.
+    pub fn counts_of(&self, id: SetId) -> Option<ClassCounts> {
+        // Live store entries are immutable, so a poisoned lock still holds
+        // usable data; recover instead of cascading panics (same reasoning
+        // as the engine's LivePruner).
+        let store = self
+            .classes
+            .as_ref()?
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        let objects =
+            slots_of(self.bitmaps.entry(id.index())).map(|slot| self.universe.object_at(slot));
+        Some(ClassCounts::of_ids(objects, store.classes()))
     }
 
     /// Whether `a ⊆ b`, word-parallel and allocation-free. Unlike routing
@@ -593,7 +579,7 @@ impl SetInterner {
     }
 
     /// Starts a new compaction epoch: keeps the given live handles (their
-    /// bitmaps, cardinalities and class counts), drops everything else,
+    /// bitmaps and cardinalities), drops everything else,
     /// re-densifies the universe and returns the [`RemapTable`] translating
     /// old handles to their replacements.
     ///
@@ -627,10 +613,6 @@ impl SetInterner {
             map[old] = Some(SetId(new as u32));
         }
         self.lens = keep.iter().map(|&old| self.lens[old]).collect();
-        self.counts = keep
-            .iter()
-            .map(|&old| Arc::clone(&self.counts[old]))
-            .collect();
         self.rebuild_index();
         // The memo references retired handles; drop it wholesale (it refills
         // within a window's worth of frames).
@@ -653,7 +635,7 @@ mod tests {
     use super::*;
     use crate::class_store::ClassStore;
     use crate::ids::ClassId;
-    use std::sync::RwLock;
+    use std::sync::{Arc, RwLock};
 
     fn set(ids: &[u32]) -> ObjectSet {
         ObjectSet::from_raw(ids.iter().copied())
@@ -744,29 +726,31 @@ mod tests {
     }
 
     #[test]
-    fn class_counts_are_cached_at_intern_time() {
+    fn class_counts_are_computed_on_demand() {
         let classes: SharedClassMap = Arc::new(RwLock::new(ClassStore::preloaded([
             (ObjectId(1), ClassId(0)),
             (ObjectId(2), ClassId(1)),
             (ObjectId(3), ClassId(1)),
         ])));
         let mut interner = SetInterner::with_classes(Arc::clone(&classes));
-        assert!(interner.has_class_source());
         let id = interner.intern(&set(&[1, 2, 3]));
-        let counts = interner.cached_counts(id).expect("class source present");
+        let counts = interner.counts_of(id).expect("class source present");
         assert_eq!(counts.count(ClassId(0)), 1);
         assert_eq!(counts.count(ClassId(1)), 2);
-        // Cached counts are shared, not recomputed.
-        let again = interner.cached_counts(id).unwrap();
-        assert!(Arc::ptr_eq(&counts, &again));
+        assert_eq!(interner.counts_of(SetId::EMPTY), Some(ClassCounts::new()));
+        // Interning reads no class: an object registered after its set was
+        // interned is counted by the next read.
+        let late = interner.intern(&set(&[1, 4]));
+        classes.write().unwrap().register(ObjectId(4), ClassId(2));
+        let counts = interner.counts_of(late).unwrap();
+        assert_eq!((counts.count(ClassId(0)), counts.count(ClassId(2))), (1, 1));
     }
 
     #[test]
     fn no_class_source_means_no_cached_counts() {
         let mut interner = SetInterner::new();
         let id = interner.intern(&set(&[1]));
-        assert!(interner.cached_counts(id).is_none());
-        assert!(!interner.has_class_source());
+        assert!(interner.counts_of(id).is_none());
     }
 
     #[test]
@@ -784,7 +768,7 @@ mod tests {
         assert!(classes.is_poisoned());
         let mut interner = SetInterner::with_classes(classes);
         let id = interner.intern(&set(&[1]));
-        let counts = interner.cached_counts(id).unwrap();
+        let counts = interner.counts_of(id).unwrap();
         assert_eq!(counts.count(ClassId(2)), 1);
     }
 
@@ -874,7 +858,7 @@ mod tests {
         let a = interner.intern(&set(&[1]));
         let b = interner.intern(&set(&[2]));
         let c = interner.intern(&set(&[1, 2]));
-        let counts_before = interner.cached_counts(c).unwrap();
+        let counts_before = interner.counts_of(c).unwrap();
 
         let table = interner.compact(&[c, a, b]);
         let (na, nb, nc) = (
@@ -883,12 +867,10 @@ mod tests {
             table.remap(c).unwrap(),
         );
         assert!(na < nb && nb < nc, "survivors keep their relative order");
-        // Cached counts travel with the surviving entries (same Arc).
-        assert!(Arc::ptr_eq(
-            &interner.cached_counts(nc).unwrap(),
-            &counts_before
-        ));
-        assert_eq!(interner.cached_counts(na).unwrap().count(ClassId(0)), 1);
+        // Counts read through the re-densified universe equal the old ones.
+        assert_eq!(interner.counts_of(nc).unwrap(), counts_before);
+        assert_eq!(interner.counts_of(na).unwrap().count(ClassId(0)), 1);
+        assert_eq!(interner.counts_of(nb).unwrap().count(ClassId(1)), 1);
     }
 
     #[test]
@@ -986,10 +968,7 @@ mod tests {
             restored.universe_object_ids(),
             original.universe_object_ids()
         );
-        assert_eq!(
-            restored.cached_counts(d).map(|c| (*c).clone()),
-            original.cached_counts(d).map(|c| (*c).clone())
-        );
+        assert_eq!(restored.counts_of(d), original.counts_of(d));
         // Fresh intersections agree handle-for-handle.
         assert_eq!(restored.intersect(a, d), original.intersect(a, d));
         // Only a freshly built interner may be restored into.

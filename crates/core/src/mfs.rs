@@ -37,9 +37,9 @@ use crate::substrate::Substrate;
 /// The Marked Frame Set state maintainer.
 ///
 /// All state maps are keyed by interned [`SetId`] handles: hashing, equality
-/// and state lookup are O(1) integer operations, and the per-frame
-/// intersection pass is answered from the interner's memo after the first
-/// occurrence of each `(state, frame-set)` pair.
+/// and state lookup are O(1) integer operations. The per-frame intersection
+/// pass makes one interner call per live state, mostly a word-AND over two
+/// bitmaps (the memo hits 0.066 of the time on `dense-embedded`).
 pub struct MfsMaintainer {
     core: Substrate,
     states: FxHashMap<SetId, MarkedFrameSet>,
@@ -151,7 +151,8 @@ impl MfsMaintainer {
         // Rule 2) onto a target that exists, create the one that does not.
         // A target is a subset of the arriving frame and a parent is not, so
         // no state is both: the parents still carry their pre-frame marks.
-        derived.sort_unstable();
+        // The packed key orders like the tuple, in one `u64` compare.
+        derived.sort_unstable_by_key(|&(t, p)| (u64::from(t.raw()) << 32) | u64::from(p.raw()));
         for group in derived.chunk_by(|a, b| a.0 == b.0) {
             let target = group[0].0;
             if self.states.contains_key(&target) {

@@ -24,10 +24,11 @@ pub trait StatePruner {
     /// MCOS) can never satisfy any registered query, nor can any subset.
     fn should_terminate(&self, objects: &ObjectSet) -> bool;
 
-    /// Variant consulted by interner-backed maintainers: when the set's
-    /// class counts are already cached, a query-driven pruner can decide
-    /// from them directly and skip re-aggregating the object set. The
-    /// default ignores the counts and defers to
+    /// Variant consulted by interner-backed maintainers: when the interner
+    /// has a class source, the verdict cache aggregates the set's class
+    /// counts once, from its bitmap, and passes them here, so a query-driven
+    /// pruner can decide from them directly and skip re-aggregating the
+    /// object set. The default ignores the counts and defers to
     /// [`should_terminate`](Self::should_terminate); the verdict must be
     /// identical either way.
     fn should_terminate_with(&self, objects: &ObjectSet, counts: Option<&ClassCounts>) -> bool {
@@ -46,9 +47,10 @@ pub trait StatePruner {
 /// Per-handle cache of a pruner's verdicts, shared by the MFS and SSG
 /// maintainers.
 ///
-/// Both polarities are cached: a set's class counts are fixed at intern
-/// time, so a pruner's verdict for a given handle is stable and each set is
-/// judged at most once. The stability argument leans on the object
+/// Both polarities are cached: a handle's class counts cannot change while
+/// it is live, so a pruner's verdict for a given handle is stable and each
+/// set is judged — and its counts aggregated — at most once. The stability
+/// argument leans on the object
 /// lifecycle's invariant that **an internal object id's class is immutable
 /// for its lifetime**: tracker-id reuse with a different class mints a
 /// fresh internal id (so the reused id lands in *different* sets with
@@ -122,10 +124,10 @@ impl PrunerVerdictCache {
     }
 
     /// Returns the cached verdict for `sid`, consulting `pruner` on a cache
-    /// miss (passing the interner's cached class counts so query-driven
-    /// pruners skip re-aggregation) unless it is inactive, which keeps the
-    /// set and caches nothing. Counts a fresh termination in
-    /// `states_terminated`.
+    /// miss (passing the set's class counts, aggregated by the interner once
+    /// for this verdict, so query-driven pruners skip re-aggregation) unless
+    /// it is inactive, which keeps the set and caches nothing. Counts a
+    /// fresh termination in `states_terminated`.
     pub fn judge(
         &mut self,
         pruner: &(dyn StatePruner + Send + Sync),
@@ -139,8 +141,8 @@ impl PrunerVerdictCache {
         if self.cleared.contains(&sid) || !pruner.is_active() {
             return false;
         }
-        let counts = interner.cached_counts(sid);
-        if pruner.should_terminate_with(&interner.resolve(sid), counts.as_deref()) {
+        let counts = interner.counts_of(sid);
+        if pruner.should_terminate_with(&interner.resolve(sid), counts.as_ref()) {
             self.terminated.insert(sid);
             *states_terminated += 1;
             true

@@ -9,10 +9,11 @@
 //!
 //! When the producing maintainer runs on top of a
 //! [`SetInterner`] with a class source, each entry
-//! also carries the interner's cached [`ClassCounts`] for its object set, so
-//! the CNF evaluator downstream skips the per-frame histogram rebuild.
-//! Cached counts are an evaluation accelerator, not part of the result
-//! semantics: equality between result sets ignores them.
+//! also carries the [`ClassCounts`] of its object set, computed once when
+//! the set is first reported and kept while it stays reported
+//! (`ReportedSets`), so the CNF evaluator downstream skips the per-frame
+//! histogram rebuild. Cached counts are an evaluation accelerator, not part
+//! of the result semantics: equality between result sets ignores them.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -29,9 +30,9 @@ pub struct ResultState {
 }
 
 /// One result entry: the state's frame set plus (optionally) the class
-/// counts cached by the producing maintainer's interner. The frame set is
-/// `Arc`-shared so downstream consumers (one `QueryMatch` per satisfied
-/// query) reference it without re-allocating.
+/// counts the producing maintainer keeps for the reported set. The frame
+/// set is `Arc`-shared so downstream consumers (one `QueryMatch` per
+/// satisfied query) reference it without re-allocating.
 #[derive(Debug, Clone)]
 struct Entry {
     frames: Arc<[FrameId]>,
@@ -133,25 +134,30 @@ impl ResultStateSet {
     }
 }
 
-/// The materialised object sets of the states a maintainer currently
-/// reports, by handle.
+/// A reported set's sorted objects and (with a class source) class counts.
+type Reported = (ObjectSet, Option<Arc<ClassCounts>>);
+
+/// The materialised object sets and class counts of the states a maintainer
+/// currently reports, by handle.
 ///
-/// The interner stores bitmaps only, so turning a handle into the sorted
-/// [`ObjectSet`] the query layer wants costs an allocation and a sort
-/// ([`SetInterner::resolve`]). Result states recur frame after frame; this
-/// cache pays that once per *reported* state and makes every later frame an
-/// `Arc` bump, without parking a sorted copy on every live state.
+/// The interner stores bitmaps only, so the sorted [`ObjectSet`] the query
+/// layer wants costs an allocation and a sort ([`SetInterner::resolve`]),
+/// and its counts an aggregation ([`SetInterner::counts_of`]). Result
+/// states recur frame after frame; this cache pays both once per *reported*
+/// state and makes every later frame two `Arc` bumps. Kept counts stay
+/// right: an internal id's class never changes, and a live set's objects
+/// are never retired.
 #[derive(Debug, Default)]
 pub(crate) struct ReportedSets {
-    sets: FxHashMap<SetId, ObjectSet>,
+    sets: FxHashMap<SetId, Reported>,
 }
 
 impl ReportedSets {
-    /// The object set behind `sid`, materialised on first report.
-    pub fn set_of(&mut self, interner: &SetInterner, sid: SetId) -> ObjectSet {
+    /// The object set and counts behind `sid`, materialised on first report.
+    pub fn set_of(&mut self, interner: &SetInterner, sid: SetId) -> Reported {
         self.sets
             .entry(sid)
-            .or_insert_with(|| interner.resolve(sid))
+            .or_insert_with(|| (interner.resolve(sid), interner.counts_of(sid).map(Arc::new)))
             .clone()
     }
 
@@ -160,7 +166,7 @@ impl ReportedSets {
     /// then holds every reported set, so equal sizes mean nothing is stale.
     pub fn retain_reported(&mut self, results: &ResultStateSet) {
         if self.sets.len() != results.len() {
-            self.sets.retain(|_, set| results.contains(set));
+            self.sets.retain(|_, (set, _)| results.contains(set));
         }
     }
 
@@ -281,6 +287,43 @@ mod tests {
         assert_eq!(cached[0].as_deref(), Some(&*counts));
         let uncached: Vec<_> = without.iter_with_counts().map(|(_, _, c)| c).collect();
         assert!(uncached[0].is_none());
+    }
+
+    /// A set's class counts are aggregated once, when it is first reported,
+    /// and every later frame that reports it shares them.
+    #[test]
+    fn reported_counts_are_computed_once_while_reported() {
+        use crate::maintainer::MaintainerKind;
+        use tvq_common::{shared_class_store, ObjectId, WindowSpec};
+
+        let store = shared_class_store();
+        for id in 1..=3u32 {
+            (store.write().unwrap()).register(ObjectId(id), ClassId((id % 2) as u16));
+        }
+        let pair = set(&[1, 2]);
+        for kind in [MaintainerKind::Mfs, MaintainerKind::Ssg] {
+            let interner = SetInterner::with_classes(Arc::clone(&store));
+            let mut m = kind.build_with_options(WindowSpec::new(3, 2).unwrap(), None, interner);
+            let mut first: Option<Arc<ClassCounts>> = None;
+            for fid in 0..8u64 {
+                let objects = set(if fid % 2 == 0 { &[1, 2] } else { &[1, 2, 3] });
+                m.advance(FrameId(fid), &objects).unwrap();
+                let found = m.results().iter_with_counts().find(|(s, ..)| **s == pair);
+                let Some((_, _, counts)) = found else {
+                    continue;
+                };
+                let counts = Arc::clone(counts.expect("class source present"));
+                assert_eq!(
+                    *counts,
+                    ClassCounts::from_map(HashMap::from([(ClassId(0), 1), (ClassId(1), 1)]))
+                );
+                match &first {
+                    None => first = Some(counts),
+                    Some(first) => assert!(Arc::ptr_eq(first, &counts), "{kind:?} frame {fid}"),
+                }
+            }
+            assert!(first.is_some(), "{kind:?}: {{1, 2}} is never reported");
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub(crate) struct Substrate {
     pub(crate) interner: SetInterner,
     /// The Result State Set of the window ending at `last_frame`.
     pub(crate) results: ResultStateSet,
-    /// Materialised object sets of the reported states, by handle.
+    /// Materialised object sets and class counts of the reported states,
+    /// by handle.
     reported: ReportedSets,
     pub(crate) metrics: MaintenanceMetrics,
     /// The Section 5.3 pruner (the `_O` variants) and its verdicts.
@@ -99,14 +100,11 @@ impl Substrate {
 
     /// Reports the satisfied, valid state behind `sid`.
     pub(crate) fn report(&mut self, sid: SetId, frames: &MarkedFrameSet) {
-        self.results.insert_with_counts(
-            self.reported.set_of(&self.interner, sid),
-            frames,
-            self.interner.cached_counts(sid),
-        );
+        let (objects, counts) = self.reported.set_of(&self.interner, sid);
+        self.results.insert_with_counts(objects, frames, counts);
     }
 
-    /// Forgets the object sets of states that left the results.
+    /// Forgets the object sets and counts of states that left the results.
     pub(crate) fn end_results(&mut self) {
         self.reported.retain_reported(&self.results);
     }

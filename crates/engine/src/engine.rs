@@ -85,8 +85,8 @@ impl StatePruner for LivePruner {
         objects: &ObjectSet,
         counts: Option<&tvq_common::ClassCounts>,
     ) -> bool {
-        // The interner computed these counts from the same shared class map
-        // at intern time; skip the lock and the re-aggregation.
+        // Aggregated from the same shared class map, once per judged
+        // handle; skip the lock and the re-aggregation.
         match counts {
             Some(counts) => match self.active_evaluator() {
                 Some(evaluator) => !evaluator.any_satisfied(counts),
@@ -250,9 +250,9 @@ impl TemporalVideoQueryEngine {
         catalog: QueryCatalog,
         classes: SharedClassMap,
     ) -> TemporalVideoQueryEngine {
-        // The per-feed interner shares the engine's live class store, so
-        // every interned set gets its class counts computed exactly once and
-        // the evaluator skips the per-frame histogram rebuild.
+        // The per-feed interner shares the engine's live class store, so a
+        // reported set's class counts are computed once while it stays
+        // reported and the evaluator skips the per-frame histogram rebuild.
         let interner =
             SetInterner::with_classes(Arc::clone(&classes)).with_memo_config(config.memo);
         // The pruner is attached whenever pruning is configured — even if
@@ -798,6 +798,63 @@ mod tests {
             Some(ClassId(1)),
             "the stale car class must be gone"
         );
+    }
+
+    /// Counts are computed when a set is first reported, not when it is
+    /// interned, so nothing but the soundness argument (an internal id's
+    /// class never changes, a live set's objects are never retired) keeps
+    /// them right. Every frame, each reported set's counts must equal a
+    /// fresh aggregation of its objects, across compaction epochs, an id
+    /// reused under a new class while still live (an alias), and the same
+    /// id coming back after retirement.
+    #[test]
+    fn reported_counts_match_a_fresh_aggregation_across_epochs_and_reuse() {
+        use tvq_core::CompactionPolicy;
+        for kind in [MaintainerKind::Mfs, MaintainerKind::Ssg] {
+            let mut engine = TemporalVideoQueryEngine::builder(
+                EngineConfig::new(WindowSpec::new(4, 2).unwrap())
+                    .with_maintainer(kind)
+                    .with_compaction(Some(CompactionPolicy::every(2))),
+            )
+            .with_query_text("car >= 1")
+            .unwrap()
+            .with_query_text("person >= 1")
+            .unwrap()
+            .build()
+            .unwrap();
+            let (mut checked, mut aliased) = (0usize, false);
+            for fid in 0..24u64 {
+                // Id 1: a car, then a person while the car is in the window
+                // (alias), then gone long enough to retire, then a car again.
+                let one = match fid {
+                    0..=3 => vec![(1, 1)],
+                    4..=7 => vec![(1, 0)],
+                    8..=15 => vec![],
+                    _ => vec![(1, 1)],
+                };
+                let detections: Vec<(u32, u16)> = (one.into_iter())
+                    .chain([(2, 0), (3 + (fid / 3) as u32 % 4, 1)])
+                    .collect();
+                engine.observe(&frame(fid, &detections)).unwrap();
+                aliased |= engine.lifecycle().has_aliases();
+                let store = engine.lifecycle().store().read().unwrap();
+                for (objects, _, counts) in engine.maintainer.results().iter_with_counts() {
+                    let counts = counts.expect("the engine's interner has a class source");
+                    assert_eq!(
+                        **counts,
+                        ClassCounts::of(objects, store.classes()),
+                        "{kind:?} frame {fid}: {objects:?}"
+                    );
+                    checked += 1;
+                }
+            }
+            let metrics = engine.metrics();
+            assert!(aliased, "{kind:?}: the script must mint an alias");
+            assert!(metrics.compactions > 0, "{kind:?}: {metrics:?}");
+            assert!(metrics.objects_retired > 0, "{kind:?}: {metrics:?}");
+            assert!(metrics.generations_started >= 3, "{kind:?}: {metrics:?}");
+            assert!(checked > 24, "{kind:?}: only {checked} reported sets");
+        }
     }
 
     /// The PR-5 blind spot: an id the tracker recycles at the **same**

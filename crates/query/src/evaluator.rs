@@ -243,8 +243,8 @@ pub struct QueryMatch {
 /// to the evaluator; every satisfied query yields a [`QueryMatch`] carrying
 /// the state's frame set.
 ///
-/// When a result entry carries class counts cached by the producing
-/// maintainer's interner, those are used directly; otherwise the aggregate
+/// When a result entry carries the class counts its producing maintainer
+/// keeps for the reported set, those are used directly; otherwise the aggregate
 /// is computed from `classes` on the spot.
 pub fn evaluate_result_set<S: std::hash::BuildHasher>(
     evaluator: &CnfEvaluator,

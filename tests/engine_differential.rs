@@ -112,12 +112,12 @@ fn pruned_strategies_report_their_name_and_stay_equivalent() {
 }
 
 #[test]
-fn default_config_runs_ssg_and_matches_the_oracle() {
+fn default_config_runs_mfs_and_matches_the_oracle() {
     let feed = classed_feed(13, 20, 5, 0.2, 2);
     let window = WindowSpec::new(4, 2).unwrap();
     let config = EngineConfig::new(window).with_pruning(false);
     let (got, strategy) = run_engine(config, &["person >= 1"], &feed);
-    assert_eq!(strategy, "SSG");
+    assert_eq!(strategy, "MFS");
     let expected = naive_oracle(window, &["person >= 1"], &feed);
     assert_eq!(expected, got);
 }

@@ -183,9 +183,9 @@ fn shared_store_retirement_on_one_shard_does_not_starve_another() {
     let stable_frame = |fid: u64| {
         // The pair plus a rotating guest: every couple of frames feed 1
         // interns a *new* set containing ids 1 and 2, whose class counts
-        // are aggregated from the shared store at intern time — so a wrong
-        // eviction of 1 or 2 surfaces as a result divergence instead of
-        // hiding behind previously cached counts.
+        // are aggregated from the shared store when it is first reported —
+        // so a wrong eviction of 1 or 2 surfaces as a result divergence
+        // instead of hiding behind previously cached counts.
         FrameObjects::new(
             FrameId(fid),
             vec![
