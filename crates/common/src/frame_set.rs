@@ -382,7 +382,13 @@ impl MarkedFrameSet {
         let base = self.base;
         let arriving = self.slot(arriving);
         for (index, word) in self.words_mut().iter_mut().enumerate() {
-            let mut marks = parent.lanes_from(base + 64 * index as u64)[MARKED] & word[PRESENT];
+            // Sets on one base align word by word, with no shifting.
+            let lanes = if base == parent.base {
+                parent.words().get(index).copied().unwrap_or_default()
+            } else {
+                parent.lanes_from(base + 64 * index as u64)
+            };
+            let mut marks = lanes[MARKED] & word[PRESENT];
             if let Some((_, bit)) = arriving.filter(|&(at, _)| at == index) {
                 marks &= !bit;
             }
@@ -695,6 +701,39 @@ mod proptests {
                 if sets[0] == sets[1] {
                     prop_assert_eq!(hash_of(&sets[0]), hash_of(&sets[1]));
                 }
+            }
+        }
+
+        /// The same-base fast path of `inherit_marks` on two inline sets
+        /// answers like the general path (either side re-laid on an earlier
+        /// base) and like the op on heap-spilled copies of either side. The
+        /// arriving frame falls in word 0, in word 1 or past the span.
+        #[test]
+        fn inherit_marks_fast_path_matches_the_general_path(
+            bits in proptest::collection::vec(any::<u64>(), 8..9),
+            base in 64u64..100_000,
+            arriving in (0u64..3, 0u64..64),
+        ) {
+            let inline = |lanes: &[u64]| MarkedFrameSet {
+                base,
+                words: Words::Inline([0, 1].map(|i| [lanes[i], lanes[i] & lanes[i + 2]])),
+            };
+            let (child, parent) = (inline(&bits[..4]), inline(&bits[4..]));
+            let relaid = |set: &MarkedFrameSet, from: u64| MarkedFrameSet {
+                base: from,
+                words: Words::Heap((0..3).map(|i| set.lanes_from(from + 64 * i)).collect()),
+            };
+            let arriving = FrameId(base + 64 * arriving.0 + arriving.1);
+            let mut fast = child.clone();
+            fast.inherit_marks(&parent, arriving);
+            for (mut general, source) in [
+                (relaid(&child, base), parent.clone()),
+                (child.clone(), relaid(&parent, base)),
+                (child.clone(), relaid(&parent, base - 37)),
+                (relaid(&child, base - 37), parent.clone()),
+            ] {
+                general.inherit_marks(&source, arriving);
+                prop_assert_eq!(&general, &fast);
             }
         }
 

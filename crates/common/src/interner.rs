@@ -21,22 +21,22 @@
 //!   universe crosses 64/128/256… slots never moves an entry;
 //! * **runs the set algebra word-parallel** —
 //!   [`is_subset_of`](SetInterner::is_subset_of) is a word-AND loop, and
-//!   the memo-miss path of [`intersect`](SetInterner::intersect) ANDs the
-//!   two entries into a scratch run while counting the overlap, hashes it,
+//!   [`intersect_uncached`](SetInterner::intersect_uncached) ANDs the two
+//!   entries into a scratch run while counting the overlap, hashes it,
 //!   probes, and appends the words only when the result is a genuinely new
-//!   set — no allocation either way ([`intersect_within`](SetInterner::intersect_within)
-//!   takes a known superset or a likely answer that can spare the probe);
+//!   set — no allocation either way (it takes a known superset or a likely
+//!   answer that can spare the probe);
 //! * **materialises tracker ids on demand** —
 //!   [`resolve`](SetInterner::resolve) rebuilds a sorted [`ObjectSet`] from
 //!   a handle's bits for the few consumers that need one (result
 //!   collection, the once-per-set pruner verdict, snapshots, tests);
-//! * **memoizes intersections** — a direct-mapped cache of
-//!   `(SetId, SetId) → SetId` entries, normalised so the commutative pair
-//!   shares one slot. Sliding windows re-present the same set pairs frame
-//!   after frame, and a recency cache catches them at O(1) cost. The
-//!   cache has a fixed size ([`MemoConfig`], 4096 slots by default): a miss
-//!   costs a word-AND, so a table that grows past the CPU cache loses more
-//!   on every probe than its extra hits save;
+//! * **memoizes intersections** for SSG and NAIVE (MFS calls
+//!   `intersect_uncached` and never allocates the memo) — a direct-mapped
+//!   cache of `(SetId, SetId) → SetId` entries, normalised so the
+//!   commutative pair shares one slot. The cache has a fixed size
+//!   ([`MemoConfig`], 4096 slots by default): a miss costs a word-AND, so a
+//!   table that grows past the CPU cache loses more on every probe than its
+//!   extra hits save;
 //! * **counts classes on demand** — when constructed with a class source
 //!   ([`SetInterner::with_classes`]), [`counts_of`](SetInterner::counts_of)
 //!   aggregates a handle's bits into a [`ClassCounts`]. Nothing is computed
@@ -506,14 +506,9 @@ impl SetInterner {
     /// Memoized intersection: `a ∩ b` as a handle.
     ///
     /// Fast paths: `a ∩ a = a` and `∅ ∩ x = ∅` never touch the cache. The
-    /// cache key is normalised so `(a, b)` and `(b, a)` share one slot.
-    ///
-    /// A miss ANDs the two bitmaps into the scratch run, counting the
-    /// overlap as it goes: disjoint pairs and subset pairs (the two dominant
-    /// cases on tracked feeds — a state either left the scene or is fully
-    /// contained in the arriving frame) resolve to an existing handle
-    /// without hashing anything. Only a *proper* intersection is hashed and
-    /// probed, and only a *new* one appends its words — nothing allocates.
+    /// cache key is normalised so `(a, b)` and `(b, a)` share one slot. A
+    /// miss runs [`intersect_uncached`](Self::intersect_uncached), which
+    /// allocates nothing.
     pub fn intersect(&mut self, a: SetId, b: SetId) -> SetId {
         self.intersect_within(a, b, SetId::EMPTY, SetId::EMPTY)
     }
@@ -542,10 +537,25 @@ impl SetInterner {
             return entry.2;
         }
         self.memo_misses += 1;
+        let id = self.intersect_uncached(a, b, bound, guess);
+        if (entry.0, entry.1) == MEMO_FREE {
+            self.memo_entries += 1;
+        }
+        self.memo[slot] = (lo, hi, id);
+        id
+    }
+
+    /// `a ∩ b` without the memo (neither read, written nor counted): the
+    /// memo-miss path of [`intersect_within`](Self::intersect_within),
+    /// hints included, for callers whose pairs rarely repeat. Disjoint and
+    /// subset pairs resolve without hashing; a proper overlap is settled by
+    /// a hint when it can be, else hashed and probed, and only a new set
+    /// appends its words.
+    pub fn intersect_uncached(&mut self, a: SetId, b: SetId, bound: SetId, guess: SetId) -> SetId {
         let overlap = self
             .bitmaps
             .and_into(a.index(), b.index(), &mut self.scratch);
-        let id = if overlap == 0 {
+        if overlap == 0 {
             SetId::EMPTY
         } else if overlap == self.len_of(a) {
             a
@@ -562,12 +572,7 @@ impl SetInterner {
             let id = self.find_or_insert(&run, overlap);
             self.scratch = run;
             id
-        };
-        if (entry.0, entry.1) == MEMO_FREE {
-            self.memo_entries += 1;
         }
-        self.memo[slot] = (lo, hi, id);
-        id
     }
 
     /// Multiply-folds a normalised pair into a slot index (same constant as
@@ -1043,6 +1048,29 @@ mod proptests {
                     prop_assert_eq!(interner.resolve(inter), sa.intersect(sb));
                 }
             }
+        }
+
+        /// `intersect_uncached` answers every pair like `intersect` on a
+        /// twin interner, interns the same sets, and never allocates,
+        /// reads or counts the memo.
+        #[test]
+        fn uncached_intersections_answer_like_memoized_ones(raw in wide_sets()) {
+            let sets = widen(&raw);
+            let (mut memoized, mut uncached) = (SetInterner::new(), SetInterner::new());
+            let ids: Vec<SetId> = sets.iter().map(|s| memoized.intern(s)).collect();
+            for s in sets.iter() {
+                uncached.intern(s);
+            }
+            for &a in &ids {
+                for &b in &ids {
+                    let expected = memoized.intersect(a, b);
+                    let answer = uncached.intersect_uncached(a, b, SetId::EMPTY, SetId::EMPTY);
+                    prop_assert_eq!(answer, expected);
+                    prop_assert_eq!(uncached.len(), memoized.len());
+                }
+            }
+            prop_assert_eq!(uncached.memo_hits() + uncached.memo_misses(), 0);
+            prop_assert_eq!(uncached.memo_slots(), 0);
         }
 
         /// The hints of `intersect_within` never change an answer or the

@@ -50,14 +50,17 @@ pub struct MaintenanceMetrics {
     pub bitmap_bytes: u64,
     /// Interner compaction epochs run so far.
     pub compactions: u64,
-    /// Intersections answered from the interner's memo cache.
+    /// Intersections answered from the interner's memo cache. Always 0 for
+    /// MFS, which intersects without the memo.
     pub intersection_cache_hits: u64,
     /// Intersections that missed the memo and ran the word-parallel kernel.
+    /// Always 0 for MFS.
     pub intersection_cache_misses: u64,
     /// Always 0: the memo has a fixed size. The field keeps its position
     /// because the persisted metrics are an ordered field list.
     pub intersection_cache_resizes: u64,
-    /// Current memo slot count. A gauge, sampled after each frame.
+    /// Current memo slot count. A gauge, sampled after each frame; 0 for
+    /// MFS, which never allocates the memo.
     pub intersection_cache_slots: u64,
     /// Object identifiers the engine currently tracks (holds class-store
     /// references for). A gauge; bounded by the live window on retiring
@@ -278,7 +281,7 @@ impl MaintenanceMetrics {
     }
 
     /// Test support: the metrics with the interner's memo gauges cleared.
-    /// The memo is a cache and deliberately not persisted, so its
+    /// The memo is a cache and deliberately not persisted, so under SSG its
     /// hit/miss/size counters drift after recovery while every result stays
     /// identical; continuation equality is asserted modulo these four fields.
     #[cfg(test)]

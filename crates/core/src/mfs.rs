@@ -21,10 +21,15 @@
 //! `MFS_O` variant): a [`StatePruner`](crate::StatePruner) is consulted whenever a new state
 //! would be created, and rejected object sets are remembered as *terminated*
 //! so they are never materialised again while they remain hopeless.
+//!
+//! A frame is **one sweep** over a dense state table: each live state is
+//! intersected with the frame once, without the interner's memo (the frame
+//! is usually a set MFS has not met), and the outcome is applied on the
+//! spot — no pair list, no sort, no hash lookup.
 
 use tvq_common::{
-    Decoder, Encoder, Error, FrameId, FxHashMap, MarkedFrameSet, ObjectSet, Result, SetId,
-    SetInterner, WindowSpec,
+    Decoder, Encoder, Error, FrameId, MarkedFrameSet, ObjectSet, Result, SetId, SetInterner,
+    WindowSpec,
 };
 
 use crate::compaction::{CompactionOutcome, CompactionPolicy};
@@ -34,22 +39,22 @@ use crate::prune::SharedPruner;
 use crate::result_set::ResultStateSet;
 use crate::substrate::Substrate;
 
+/// Marks a handle that is not a live state in [`MfsMaintainer::rows`].
+const NO_ROW: u32 = u32::MAX;
+
 /// The Marked Frame Set state maintainer.
 ///
-/// All state maps are keyed by interned [`SetId`] handles: hashing, equality
-/// and state lookup are O(1) integer operations. The per-frame intersection
-/// pass makes one interner call per live state, mostly a word-AND over two
-/// bitmaps (the memo hits 0.066 of the time on `dense-embedded`).
+/// The live states are rows of one vector, each an interned [`SetId`] and
+/// its marked frame set, found by handle through a dense `rows` column. A
+/// frame costs one word-AND over two bitmaps per live state, then a few
+/// word operations on the frame sets.
 pub struct MfsMaintainer {
     core: Substrate,
-    states: FxHashMap<SetId, MarkedFrameSet>,
-    /// Pooled pass-1 appender list, reused so the steady-state frame loop
-    /// (where every live state is contained in the arriving frame) does not
-    /// allocate.
-    appenders_scratch: Vec<SetId>,
-    /// Pooled pass-1 derivation list: a `(target, parent)` pair per live
-    /// state whose intersection with the arriving frame is proper.
-    derived_scratch: Vec<(SetId, SetId)>,
+    /// The live states, in no order the algorithm relies on.
+    states: Vec<(SetId, MarkedFrameSet)>,
+    /// Raw handle → its row in `states`, or [`NO_ROW`]; grown to the
+    /// interner's length when a row is added.
+    rows: Vec<u32>,
 }
 
 impl std::fmt::Debug for MfsMaintainer {
@@ -78,9 +83,8 @@ impl MfsMaintainer {
     ) -> Self {
         MfsMaintainer {
             core: Substrate::new(spec, interner, pruner),
-            states: FxHashMap::default(),
-            appenders_scratch: Vec::new(),
-            derived_scratch: Vec::new(),
+            states: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -89,22 +93,38 @@ impl MfsMaintainer {
     pub fn states(&self) -> impl Iterator<Item = (ObjectSet, &MarkedFrameSet)> {
         self.states
             .iter()
-            .map(|(&sid, frames)| (self.core.interner.resolve(sid), frames))
+            .map(|(sid, frames)| (self.core.interner.resolve(*sid), frames))
+    }
+
+    /// The row holding the live state of `sid`, if it is one.
+    fn row_of(&self, sid: SetId) -> Option<usize> {
+        let row = *self.rows.get(sid.raw() as usize)?;
+        (row != NO_ROW).then_some(row as usize)
+    }
+
+    /// Appends a row for a handle that is not a live state.
+    fn push_row(&mut self, sid: SetId, frames: MarkedFrameSet) {
+        let at = sid.raw() as usize;
+        if at >= self.rows.len() {
+            self.rows.resize(self.core.interner.len(), NO_ROW);
+        }
+        self.rows[at] = self.states.len() as u32;
+        self.states.push((sid, frames));
     }
 
     fn expire(&mut self, oldest: FrameId) {
-        let mut pruned = 0u64;
-        self.states.retain(|_, frames| {
+        let before = self.states.len();
+        let (rows, mut kept) = (&mut self.rows, 0);
+        self.states.retain_mut(|(sid, frames)| {
             frames.expire_before(oldest);
             // A state with no marked frame left is invalid (Theorem 1) and is
             // dropped even though its frame set may still be non-empty.
             let keep = frames.has_marked();
-            if !keep {
-                pruned += 1;
-            }
+            rows[sid.raw() as usize] = if keep { kept } else { NO_ROW };
+            kept += u32::from(keep);
             keep
         });
-        self.core.metrics.states_pruned += pruned;
+        self.core.metrics.states_pruned += (before - self.states.len()) as u64;
     }
 
     fn process_frame(&mut self, frame: FrameId, objects: &ObjectSet) {
@@ -113,87 +133,64 @@ impl MfsMaintainer {
         }
         let frame_sid = self.core.interner.intern(objects);
 
-        // Pass 1 (read-only): intersect every live state with the arriving
-        // frame, recording which states are fully contained in the frame and
-        // which object sets are derived from which parents.
-        let mut appenders = std::mem::take(&mut self.appenders_scratch);
-        let mut derived = std::mem::take(&mut self.derived_scratch);
-        appenders.clear();
-        derived.clear();
-        for &sid in self.states.keys() {
-            self.core.metrics.intersections += 1;
-            let inter = self.core.interner.intersect(sid, frame_sid);
-            if inter.is_empty_set() {
+        // One sweep over the rows live before the frame, applying each
+        // intersection's outcome at once. A proper intersection (a target)
+        // is a subset of the frame and its parent is not, so no row is
+        // both: every parent is read with its pre-frame frames and marks,
+        // and the rows the sweep appends (from `live` on) are never swept.
+        let live = self.states.len();
+        for row in 0..live {
+            let sid = self.states[row].0;
+            let target =
+                self.core
+                    .interner
+                    .intersect_uncached(sid, frame_sid, SetId::EMPTY, SetId::EMPTY);
+            if target.is_empty_set() {
                 continue;
             }
-            if inter == sid {
-                // Fully contained in the arriving frame: only the frame id
-                // needs to be appended (this is the hot path on feeds with
-                // long-lived objects).
-                appenders.push(sid);
-            } else {
-                derived.push((inter, sid));
-            }
-        }
-        self.core.metrics.states_visited += self.states.len() as u64;
-
-        // Pass 2a: append the arriving frame (unmarked) to fully contained
-        // states.
-        for sid in appenders.drain(..) {
-            if let Some(frames) = self.states.get_mut(&sid) {
-                frames.push(frame, false);
+            if target == sid {
+                // Contained in the arriving frame: only the frame id is
+                // appended (the hot path on feeds with long-lived objects).
+                self.states[row].1.push(frame, false);
                 self.core.metrics.frames_appended += 1;
+                continue;
             }
-        }
-        self.appenders_scratch = appenders;
-
-        // Pass 2b, one target at a time: propagate marks (Frame Marking
-        // Rule 2) onto a target that exists, create the one that does not.
-        // A target is a subset of the arriving frame and a parent is not, so
-        // no state is both: the parents still carry their pre-frame marks.
-        // The packed key orders like the tuple, in one `u64` compare.
-        derived.sort_unstable_by_key(|&(t, p)| (u64::from(t.raw()) << 32) | u64::from(p.raw()));
-        for group in derived.chunk_by(|a, b| a.0 == b.0) {
-            let target = group[0].0;
-            if self.states.contains_key(&target) {
-                for (_, parent) in group {
-                    if let [Some(existing), Some(parent)] =
-                        self.states.get_disjoint_mut([&target, parent])
-                    {
-                        existing.inherit_marks(parent, frame);
-                    }
+            if let Some(at) = self.row_of(target) {
+                let [(_, existing), (_, parent)] = self
+                    .states
+                    .get_disjoint_mut([at, row])
+                    .expect("a target is a subset of the frame, its parent is not");
+                if at < live {
+                    // Frame Marking Rule 2 onto a state that existed.
+                    existing.inherit_marks(parent, frame);
+                } else {
+                    // New this sweep: it co-occurs in every frame any parent
+                    // does and keeps their key frames (Rule 2).
+                    existing.merge_from(parent);
                 }
                 continue;
             }
-            if self.core.is_terminated(target) {
+            if self.core.is_terminated(target) || self.core.terminate_if_hopeless(target) {
                 continue;
             }
-            // A new state co-occurs in every frame any parent does, keeps
-            // their key frames (Rule 2), and gains the arriving frame.
-            let mut frames = MarkedFrameSet::new();
-            for (_, parent) in group {
-                frames.merge_from(&self.states[parent]);
-            }
-            frames.push(frame, false);
-            if self.core.terminate_if_hopeless(target) {
-                continue;
-            }
-            self.states.insert(target, frames);
+            let frames = self.states[row].1.clone();
+            self.push_row(target, frames);
             self.core.metrics.states_created += 1;
         }
-        self.derived_scratch = derived;
+        self.core.metrics.intersections += live as u64;
+        self.core.metrics.states_visited += live as u64;
+        // The states the sweep created gain the arriving frame, unmarked.
+        for (_, frames) in &mut self.states[live..] {
+            frames.push(frame, false);
+        }
 
-        // Pass 2c: the arriving frame's own object set becomes (or stays) a
-        // state, and the arriving frame is its key frame (Rule 1).
+        // The arriving frame's own object set becomes (or stays) a state,
+        // and the arriving frame is its key frame (Rule 1).
         if !self.core.is_terminated(frame_sid) && !self.core.terminate_if_hopeless(frame_sid) {
-            match self.states.get_mut(&frame_sid) {
-                Some(frames) => {
-                    frames.push(frame, true);
-                    frames.mark(frame);
-                }
+            match self.row_of(frame_sid) {
+                Some(row) => self.states[row].1.push(frame, true),
                 None => {
-                    self.states
-                        .insert(frame_sid, MarkedFrameSet::singleton(frame, true));
+                    self.push_row(frame_sid, MarkedFrameSet::singleton(frame, true));
                     self.core.metrics.states_created += 1;
                 }
             }
@@ -202,9 +199,9 @@ impl MfsMaintainer {
 
     fn collect_results(&mut self) {
         self.core.begin_results(self.states.len());
-        for (&sid, frames) in &self.states {
+        for (sid, frames) in &self.states {
             if frames.has_marked() && self.core.spec.satisfies_duration(frames.len()) {
-                self.core.report(sid, frames);
+                self.core.report(*sid, frames);
             }
         }
         self.core.end_results();
@@ -242,12 +239,14 @@ impl StateMaintainer for MfsMaintainer {
 
     fn maybe_compact(&mut self, policy: &CompactionPolicy) -> Option<CompactionOutcome> {
         let (table, outcome) = self.core.compact(policy, self.states.len(), || {
-            self.states.keys().copied().collect()
+            self.states.iter().map(|(sid, _)| *sid).collect()
         })?;
-        self.states = std::mem::take(&mut self.states)
-            .into_iter()
-            .filter_map(|(sid, frames)| table.remap(sid).map(|new| (new, frames)))
-            .collect();
+        self.rows.clear();
+        self.rows.resize(self.core.interner.len(), NO_ROW);
+        for (row, (sid, _)) in self.states.iter_mut().enumerate() {
+            *sid = table.remap(*sid).expect("live handles are kept");
+            self.rows[sid.raw() as usize] = row as u32;
+        }
         Some(outcome)
     }
 
@@ -257,13 +256,13 @@ impl StateMaintainer for MfsMaintainer {
 
     fn snapshot_state(&self, enc: &mut Encoder) -> Result<()> {
         self.core.put_head(enc);
-        // Handle order makes the byte stream deterministic across runs.
-        let mut sids: Vec<SetId> = self.states.keys().copied().collect();
-        sids.sort_unstable();
-        enc.put_usize(sids.len());
-        for sid in sids {
+        // Handle order keeps the format independent of row order.
+        let mut sorted: Vec<&(SetId, MarkedFrameSet)> = self.states.iter().collect();
+        sorted.sort_unstable_by_key(|(sid, _)| *sid);
+        enc.put_usize(sorted.len());
+        for (sid, frames) in sorted {
             enc.put_u32(sid.raw());
-            self.states[&sid].encode(enc);
+            frames.encode(enc);
         }
         self.core.metrics.encode(enc);
         Ok(())
@@ -281,12 +280,13 @@ impl StateMaintainer for MfsMaintainer {
                     sid.raw()
                 )));
             }
-            if self.states.insert(sid, frames).is_some() {
+            if self.row_of(sid).is_some() {
                 return Err(Error::Corrupt(format!(
                     "duplicate MFS state for handle {}",
                     sid.raw()
                 )));
             }
+            self.push_row(sid, frames);
         }
         self.core.metrics = MaintenanceMetrics::decode(dec)?;
         Ok(())
@@ -495,12 +495,96 @@ mod tests {
                 "diverged at frame {i}"
             );
         }
-        // Memo gauges drift (the intersection cache is not persisted); every
-        // other counter must agree.
+        // MFS never consults the intersection memo, so no counter drifts.
+        assert_eq!(restored.metrics(), original.metrics());
+    }
+
+    /// Every row's `rows` entry points back to it, and no other entry
+    /// names a row.
+    fn assert_rows_point_back(m: &MfsMaintainer) {
+        for (row, (sid, _)) in m.states.iter().enumerate() {
+            assert_eq!(m.row_of(*sid), Some(row), "handle {}", sid.raw());
+        }
+        let named = m.rows.iter().filter(|&&row| row != NO_ROW).count();
+        assert_eq!(named, m.states.len());
+    }
+
+    #[test]
+    fn rows_point_back_after_expiry_compaction_and_restore() {
+        let spec = WindowSpec::new(3, 1).unwrap();
+        let mut m = MfsMaintainer::new(spec);
+        let policy = CompactionPolicy::every(1);
+        for i in 0..24u64 {
+            // Rotating objects: states expire and old sets retire.
+            let base = (i / 3) as u32 * 10;
+            let extra = base + 2 + (i % 3) as u32;
+            m.advance(FrameId(i), &set(&[base, base + 1, extra]))
+                .unwrap();
+            assert_rows_point_back(&m);
+            m.maybe_compact(&policy);
+            assert_rows_point_back(&m);
+        }
+        assert!(m.metrics().states_pruned > 0);
+        assert!(m.metrics().compactions > 0);
+
+        let mut enc = tvq_common::Encoder::new();
+        m.snapshot_state(&mut enc).unwrap();
+        let bytes = enc.into_bytes();
+        let mut restored = MfsMaintainer::new(spec);
+        restored
+            .restore_state(&mut tvq_common::Decoder::new(&bytes))
+            .unwrap();
+        assert_eq!(restored.live_states(), m.live_states());
+        assert_rows_point_back(&restored);
+    }
+
+    /// The sweep's two less common shapes, against NAIVE: a frame that is
+    /// a proper subset of live states (so its own set is a target, created
+    /// by the sweep and then marked by Rule 1), and targets reached by
+    /// several parents in one frame, first new (merged), then existing
+    /// (marks inherited).
+    #[test]
+    fn frame_targets_and_many_parent_targets_agree_with_naive() {
+        let spec = WindowSpec::new(6, 1).unwrap();
+        let mut mfs = MfsMaintainer::new(spec);
+        let mut naive = crate::naive::NaiveMaintainer::new(spec);
+        let frames = [
+            set(&[1, 2, 3, 9]),
+            set(&[1, 2, 4, 9]),
+            set(&[1, 2, 5, 9]),
+            // {1,2} from four parents, and the frame's own set.
+            set(&[1, 2]),
+            // {1,2,9}, a live state, from three parents.
+            set(&[1, 2, 9]),
+        ];
+        for (i, objects) in frames.iter().enumerate() {
+            mfs.advance(FrameId(i as u64), objects).unwrap();
+            naive.advance(FrameId(i as u64), objects).unwrap();
+            assert_eq!(mfs.results(), naive.results(), "diverged at frame {i}");
+            assert_rows_point_back(&mfs);
+        }
+        let states = states_at(&mfs);
+        let frames_of = |ids: &[u32]| &states.iter().find(|(s, _)| *s == set(ids)).unwrap().1;
+        let (t, f) = (true, false);
         assert_eq!(
-            restored.metrics().without_cache_gauges(),
-            original.metrics().without_cache_gauges()
+            frames_of(&[1, 2]),
+            &[(0, t), (1, t), (2, t), (3, t), (4, f)]
         );
+        assert_eq!(frames_of(&[1, 2, 9]), &[(0, t), (1, t), (2, t), (4, t)]);
+        assert_eq!(mfs.metrics().states_created, 5);
+    }
+
+    #[test]
+    fn mfs_never_consults_the_intersection_memo() {
+        let spec = WindowSpec::new(4, 2).unwrap();
+        let mut m = MfsMaintainer::new(spec);
+        for (i, frame) in paper_frames().iter().cycle().take(12).enumerate() {
+            m.advance(FrameId(i as u64), frame).unwrap();
+        }
+        assert!(m.metrics().intersections > 0);
+        let interner = &m.core.interner;
+        assert_eq!(interner.memo_hits() + interner.memo_misses(), 0);
+        assert_eq!(m.metrics(), &m.metrics().without_cache_gauges());
     }
 
     #[test]
