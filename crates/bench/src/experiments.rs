@@ -275,19 +275,18 @@ pub fn fig10(scale: Scale) -> Vec<Series> {
     series
 }
 
-/// One skewed-grid ingestion run of one scheduler configuration.
+/// One skewed-grid ingestion run at one worker count.
 #[derive(Debug, Clone)]
 pub struct SkewRun {
-    /// Configuration name (`static/1w`, `static/4w` or `rebalance/4w`),
-    /// wall-clock seconds inside the `push_batch` loop, frames ingested and
-    /// the merged fleet metrics (which include the scheduler's counters).
+    /// Configuration name (`1w` or `4w`), wall-clock seconds inside the
+    /// `push_batch` loop, frames ingested and the merged fleet metrics.
     pub timing: MaintainerTiming,
     /// Total query matches (the honesty check across configurations).
     pub matches: u64,
     /// FNV-1a hash over every `(feed, frame, query matches)` result in
     /// ingestion order: two runs with equal transcripts produced
     /// bit-identical results. This is the scenario's determinism gate —
-    /// scheduling may never change results.
+    /// placement may never change results.
     pub transcript: u64,
     /// The engine's worker-time telemetry (busy vs critical-path nanos).
     pub sched: SchedulingStats,
@@ -302,75 +301,66 @@ fn fnv(mut hash: u64, value: u64) -> u64 {
     hash
 }
 
-/// Ingests the skewed camera grid through three scheduler configurations —
-/// one worker (the serial baseline), four static workers (the hot cameras
-/// collide on one of them by construction), and four workers with
-/// work-stealing rebalancing — and returns the instrumented runs. All three
-/// must produce identical transcripts; the rebalanced run is the only one
-/// whose schedule can spread the hot cameras. The grid is the
-/// [`SkewProfile`] default (12 cameras, 2 hot colliding under mod-4
-/// sharding, hotspot flip at half-time).
+/// Ingests the skewed camera grid on one worker (the serial baseline) and on
+/// four, where each batch's placement must spread the hot cameras that
+/// collide under `feed mod 4`, and returns the instrumented runs. Both must
+/// produce identical transcripts. The grid is the [`SkewProfile`] default
+/// (12 cameras, 2 hot colliding under mod-4 sharding, hotspot flip at
+/// half-time).
 pub fn skew(scale: Scale) -> Vec<SkewRun> {
     let window = scale.window(WindowSpec::new(30, 20).expect("static spec is valid"));
     let grid = skewed_grid(&SkewProfile::new(match scale {
         Scale::Paper => 600,
         Scale::Quick => 240,
     }));
-    // Three frames per camera per batch: big enough to amortise channel
-    // traffic, small enough that the load EWMA tracks the hotspot flip
-    // within a few batches.
+    // Three frames per camera per batch.
     let batches: Vec<Vec<FeedFrame>> = interleave(&grid, grid.len() * 3)
         .into_iter()
         .map(|batch| batch.into_iter().map(FeedFrame::from).collect())
         .collect();
-    [
-        ("static/1w", 1usize, 0u64),
-        ("static/4w", 4, 0),
-        ("rebalance/4w", 4, 2),
-    ]
-    .into_iter()
-    .map(|(method, workers, rebalance_interval)| {
-        let config =
-            MultiFeedConfig::new(EngineConfig::new(window).with_maintainer(MaintainerKind::Ssg))
-                .with_workers(workers)
-                .with_rebalance_interval(rebalance_interval)
-                .with_steal_threshold(1.25);
-        let mut engine = MultiFeedEngine::builder(config)
-            .with_query_text("car >= 1 AND person >= 1")
-            .expect("query parses")
-            .with_query_text("car >= 2")
-            .expect("query parses")
-            .build()
-            .expect("engine builds");
-        let start = Instant::now();
-        let mut matches = 0u64;
-        let mut transcript = 0xcbf2_9ce4_8422_2325u64;
-        for batch in &batches {
-            for result in engine.push_batch(batch).expect("batch is accepted") {
-                matches += result.result.matches.len() as u64;
-                transcript = fnv(transcript, u64::from(result.feed.raw()));
-                transcript = fnv(transcript, result.result.frame.0);
-                transcript = fnv(transcript, result.result.matches.len() as u64);
-                for m in &result.result.matches {
-                    transcript = fnv(transcript, u64::from(m.query.0));
+    [("1w", 1usize), ("4w", 4)]
+        .into_iter()
+        .map(|(method, workers)| {
+            let config = MultiFeedConfig::new(
+                EngineConfig::new(window).with_maintainer(MaintainerKind::Ssg),
+            )
+            .with_workers(workers);
+            let mut engine = MultiFeedEngine::builder(config)
+                .with_query_text("car >= 1 AND person >= 1")
+                .expect("query parses")
+                .with_query_text("car >= 2")
+                .expect("query parses")
+                .build()
+                .expect("engine builds");
+            let start = Instant::now();
+            let mut matches = 0u64;
+            let mut transcript = 0xcbf2_9ce4_8422_2325u64;
+            for batch in &batches {
+                for result in engine.push_batch(batch).expect("batch is accepted") {
+                    matches += result.result.matches.len() as u64;
+                    transcript = fnv(transcript, u64::from(result.feed.raw()));
+                    transcript = fnv(transcript, result.result.frame.0);
+                    transcript = fnv(transcript, result.result.matches.len() as u64);
+                    for m in &result.result.matches {
+                        transcript = fnv(transcript, u64::from(m.query.0));
+                    }
                 }
             }
-        }
-        let seconds = start.elapsed().as_secs_f64();
-        let report = engine.report().expect("report is collected");
-        SkewRun {
-            timing: MaintainerTiming {
-                method: method.to_owned(),
-                seconds,
-                frames: report.total_frames(),
-                metrics: report.metrics,
-            },
-            matches,
-            transcript,
-            sched: engine.scheduling_stats(),
-        }
-    })
-    .collect()
+            let seconds = start.elapsed().as_secs_f64();
+            let report = engine.report().expect("report is collected");
+            SkewRun {
+                timing: MaintainerTiming {
+                    method: method.to_owned(),
+                    seconds,
+                    frames: report.total_frames(),
+                    metrics: report.metrics,
+                },
+                matches,
+                transcript,
+                sched: engine.scheduling_stats(),
+            }
+        })
+        .collect()
 }
 
 /// The gate verdict over a [`skew`] run set. The determinism and
@@ -379,20 +369,14 @@ pub fn skew(scale: Scale) -> Vec<SkewRun> {
 /// machine actually has enough cores to show a wall-clock win.
 #[derive(Debug, Clone)]
 pub struct SkewVerdict {
-    /// Every configuration produced bit-identical results.
+    /// Both runs produced bit-identical results.
     pub identical_transcripts: bool,
-    /// Schedule parallelism (busy / critical-path time) of the rebalanced
-    /// 4-worker run. ≥ 1.5 required: the scheduler must spread the hot
-    /// cameras well enough that the schedule itself admits the speedup.
-    pub rebalance_parallelism: f64,
-    /// Schedule parallelism of the static 4-worker run (the colliding hot
-    /// cameras serialise it toward 1 — reported for contrast).
-    pub static4_parallelism: f64,
-    /// The rebalanced schedule's critical path is shorter than the static
-    /// 4-worker one: rebalancing beats static sharding in worker time.
-    pub rebalance_beats_static: bool,
-    /// Wall-clock speedup of the rebalanced 4-worker run over the 1-worker
-    /// baseline (only meaningful with ≥ 4 cores).
+    /// Schedule parallelism (busy / critical-path time) of the 4-worker
+    /// run. ≥ 1.5 required: placement must spread the hot cameras well
+    /// enough that the schedule itself admits the speedup.
+    pub parallelism: f64,
+    /// Wall-clock speedup of the 4-worker run over the 1-worker baseline
+    /// (only meaningful with ≥ 4 cores).
     pub wall_clock_speedup: f64,
     /// Cores the machine offers (`std::thread::available_parallelism`).
     pub cores: usize,
@@ -400,21 +384,19 @@ pub struct SkewVerdict {
 
 impl SkewVerdict {
     /// Whether the wall-clock gate participates in [`Self::passes`] on this
-    /// machine: with fewer than 4 cores a 4-worker pool cannot show a
+    /// machine: with fewer than 4 cores four workers cannot show a
     /// wall-clock win no matter how good the schedule is, so the gate falls
     /// back to the schedule-parallelism criterion alone.
     pub fn wall_clock_gate_active(&self) -> bool {
         self.cores >= 4
     }
 
-    /// The CI gate: identical results, a rebalanced schedule that admits
-    /// ≥ 1.5× parallelism and beats static sharding in worker time, and —
-    /// on machines with enough cores — a ≥ 1.5× wall-clock win over the
-    /// serial baseline.
+    /// The CI gate: identical results, a 4-worker schedule that admits
+    /// ≥ 1.5× parallelism, and — on machines with enough cores — a ≥ 1.5×
+    /// wall-clock win over the serial baseline.
     pub fn passes(&self) -> bool {
         self.identical_transcripts
-            && self.rebalance_parallelism >= 1.5
-            && self.rebalance_beats_static
+            && self.parallelism >= 1.5
             && (!self.wall_clock_gate_active() || self.wall_clock_speedup >= 1.5)
     }
 }
@@ -426,16 +408,11 @@ pub fn skew_verdict(runs: &[SkewRun]) -> SkewVerdict {
             .find(|run| run.timing.method == method)
             .unwrap_or_else(|| panic!("skew run set misses {method}"))
     };
-    let static1 = find("static/1w");
-    let static4 = find("static/4w");
-    let rebalance = find("rebalance/4w");
+    let (one, four) = (find("1w"), find("4w"));
     SkewVerdict {
-        identical_transcripts: runs.iter().all(|run| run.transcript == static1.transcript),
-        rebalance_parallelism: rebalance.sched.schedule_parallelism(),
-        static4_parallelism: static4.sched.schedule_parallelism(),
-        rebalance_beats_static: rebalance.sched.critical_path_nanos
-            < static4.sched.critical_path_nanos,
-        wall_clock_speedup: static1.timing.seconds / rebalance.timing.seconds.max(f64::EPSILON),
+        identical_transcripts: runs.iter().all(|run| run.transcript == one.transcript),
+        parallelism: four.sched.schedule_parallelism(),
+        wall_clock_speedup: one.timing.seconds / four.timing.seconds.max(f64::EPSILON),
         cores: std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1),
@@ -806,7 +783,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "skew",
-        title: "Skewed feeds: hot-camera collision, static sharding vs. work stealing",
+        title: "Skewed feeds: hot cameras colliding under feed mod 4, placed per batch",
         x_label: "method",
         run: Run::Gated(skew_output),
     },
@@ -930,7 +907,6 @@ fn skew_output(experiment: &Experiment, scale: Scale) -> Output {
         .map(|run| {
             let cells = [
                 format!("{:.2}", run.sched.schedule_parallelism()),
-                run.timing.metrics.feeds_migrated.to_string(),
                 run.matches.to_string(),
                 format!("{:08x}", run.transcript >> 32),
             ];
@@ -942,16 +918,13 @@ fn skew_output(experiment: &Experiment, scale: Scale) -> Output {
         ("seconds", 9),
         ("frames/sec", 12),
         ("parallelism", 13),
-        ("migrations", 11),
         ("matches", 10),
         ("transcript", 12),
     ];
     let text = format!(
-        "{}transcripts identical: {}; rebalance beats static critical path: {}; \
-         wall-clock speedup vs 1w: {:.2}x ({} cores{})\n",
+        "{}transcripts identical: {}; wall-clock speedup vs 1w: {:.2}x ({} cores{})\n",
         text_table(experiment.title, &columns, &rows),
         verdict.identical_transcripts,
-        verdict.rebalance_beats_static,
         verdict.wall_clock_speedup,
         verdict.cores,
         if verdict.wall_clock_gate_active() {
@@ -965,10 +938,8 @@ fn skew_output(experiment: &Experiment, scale: Scale) -> Output {
         gates: vec![Gate {
             ok: verdict.passes(),
             claim: format!(
-                "parallelism {:.2} >= 1.5, static {:.2}, wall-clock {:.2}x",
-                verdict.rebalance_parallelism,
-                verdict.static4_parallelism,
-                verdict.wall_clock_speedup
+                "parallelism {:.2} >= 1.5, wall-clock {:.2}x",
+                verdict.parallelism, verdict.wall_clock_speedup
             ),
         }],
     }

@@ -51,7 +51,7 @@ pub struct Series {
 /// input its gates judge.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaintainerTiming {
-    /// Method name (`MFS/on`, `rebalance/4w`, ...).
+    /// Method name (`MFS/on`, `4w`, ...).
     pub method: String,
     /// Wall-clock seconds spent ingesting the workload.
     pub seconds: f64,

@@ -16,7 +16,7 @@
 //! | `fig10` | [`experiments::fig10`] | Figure 10 (end-to-end per query) |
 //! | `long_churn` | [`experiments::long_churn`] | arena plateau under compaction (gated) |
 //! | `id_reuse` | [`experiments::id_reuse`] | engine-memory plateau under retirement (gated) |
-//! | `skew` | [`experiments::skew`] | work stealing vs static sharding (gated) |
+//! | `skew` | [`experiments::skew`] | per-batch placement on 1 vs 4 workers over a skewed grid (gated) |
 //!
 //! `--quick` runs a reduced-size configuration (shorter feeds, smaller
 //! windows) that preserves the qualitative comparison while finishing in

@@ -54,22 +54,20 @@ fn id_reuse_engine_memory_plateaus_and_the_baseline_outgrows_it() {
 }
 
 #[test]
-fn skew_scheduling_never_changes_results_and_does_migrate() {
+fn skew_placement_never_changes_results() {
     let runs = experiments::skew(Scale::Quick);
-    assert_eq!(runs.len(), 3);
+    let methods: Vec<&str> = runs.iter().map(|run| run.timing.method.as_str()).collect();
+    assert_eq!(methods, ["1w", "4w"]);
     let verdict = experiments::skew_verdict(&runs);
     assert!(
         verdict.identical_transcripts,
         "transcripts differ: {:x?}",
         runs.iter().map(|run| run.transcript).collect::<Vec<_>>()
     );
-    assert!(runs.iter().all(|run| run.matches == runs[0].matches));
-    for run in &runs {
-        let migrated = run.timing.metrics.feeds_migrated;
-        if run.timing.method == "rebalance/4w" {
-            assert!(migrated >= 1, "the rebalanced run never migrated a feed");
-        } else {
-            assert_eq!(migrated, 0, "{} migrated feeds", run.timing.method);
-        }
-    }
+    assert_eq!(runs[0].matches, runs[1].matches);
+    // Every merged work counter agrees too; only the share depth depends
+    // on the worker count.
+    let mut four = runs[1].timing.metrics.clone();
+    four.per_shard_queue_depth = runs[0].timing.metrics.per_shard_queue_depth;
+    assert_eq!(four, runs[0].timing.metrics);
 }

@@ -51,17 +51,19 @@ pub enum Error {
     /// The durability store could not be opened or operated (directory
     /// missing, lock held by another live engine, no usable snapshot).
     Store(String),
-    /// A worker's share of a multi-feed batch failed: its thread panicked
-    /// (losing every feed it carried) or could not be spawned, or it holds
-    /// a feed a non-durable fleet has lost — which also answers this
-    /// outside a batch.
+    /// One share of a multi-feed batch failed: its thread panicked (losing
+    /// every feed it carried) or could not be spawned.
     ShardLost {
-        /// Index of the worker (shard) whose share failed.
+        /// Index of the failed share within its batch.
         worker: usize,
-        /// Frames in the failed share — zero when a lost feed is refused
-        /// outside a batch.
+        /// Frames in the failed share.
         queue_depth: usize,
     },
+    /// A multi-feed fleet lost this feed: a share carrying it panicked, or
+    /// its engine failed a catalog op. Reports are refused until a durable
+    /// fleet recovers the feed at its next frame; a fleet without a store
+    /// can never serve it again and refuses every batch holding it.
+    FeedLost(crate::FeedId),
 }
 
 impl fmt::Display for Error {
@@ -91,10 +93,11 @@ impl fmt::Display for Error {
             } => {
                 write!(
                     f,
-                    "multi-feed worker {worker} failed its share of \
-                     {queue_depth} frame(s) (lost feed, panic or spawn failure)"
+                    "multi-feed share {worker} failed with {queue_depth} \
+                     frame(s) (panic or spawn failure)"
                 )
             }
+            Error::FeedLost(feed) => write!(f, "{feed} was lost and the fleet has no store"),
         }
     }
 }
@@ -144,11 +147,14 @@ mod tests {
             worker: 2,
             queue_depth: 17,
         };
-        assert!(e.to_string().contains("worker 2"));
+        assert!(e.to_string().contains("share 2"));
         assert!(
             e.to_string().contains("17 frame(s)"),
-            "the error names the lost shard's queue depth: {e}"
+            "the error names the failed share's queue depth: {e}"
         );
+
+        let e = Error::FeedLost(crate::FeedId(5));
+        assert!(e.to_string().contains("feed5"), "{e}");
     }
 
     #[test]

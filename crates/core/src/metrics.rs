@@ -85,17 +85,18 @@ pub struct MaintenanceMetrics {
     pub tracks_ended: u64,
     /// Query-catalog swaps (add/remove-query operations) applied so far.
     pub catalog_swaps: u64,
-    /// Largest number of frames queued to a single shard by one batch of the
-    /// multi-feed scheduler. A gauge owned by the scheduler (always zero on
+    /// Largest number of frames one batch of the multi-feed engine placed
+    /// on a single share. A gauge only the fleet sets (always zero on
     /// single-feed engines); a value far above `frames_processed / batches /
-    /// workers` means the feed mix is skewed onto one worker.
+    /// workers` means one feed dominates its batches.
     pub per_shard_queue_depth: u64,
-    /// Feed migrations executed by the multi-feed scheduler (work-stealing
-    /// re-pins plus manual `MultiFeedEngine::migrate_feed` calls).
-    /// Scheduler-owned; always zero on single-feed engines.
+    /// Always zero: nothing writes it since the multi-feed engine places
+    /// each batch afresh and no longer migrates feeds. It stays, with its
+    /// place in the codec, because the benchmark surface reads it; a change
+    /// to that surface removes it.
     pub feeds_migrated: u64,
-    /// Rebalance passes that moved at least one feed. Scheduler-owned;
-    /// always zero on single-feed engines.
+    /// Always zero, like `feeds_migrated` (there are no rebalance passes);
+    /// kept for the same reason until the benchmark surface drops it.
     pub rebalances: u64,
     /// Bytes appended to the write-ahead log (record payloads plus framing).
     /// Store-owned; always zero on non-durable engines.

@@ -146,41 +146,24 @@ impl Default for EngineConfig {
 /// ([`MultiFeedEngine`](crate::MultiFeedEngine)).
 ///
 /// Every camera feed is served by a per-feed single-feed engine configured
-/// with the embedded [`EngineConfig`]; feeds are sharded across `workers`
-/// shares, and each batch runs every non-empty share on its own scoped
+/// with the embedded [`EngineConfig`]; each batch places its feeds on
+/// `workers` shares and runs every non-empty share on its own scoped
 /// thread.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiFeedConfig {
     /// Configuration applied to every per-feed engine.
     pub engine: EngineConfig,
-    /// Number of workers (shares, hence threads per batch) the feeds are
-    /// sharded across. Must be at least 1; feed `f` starts on worker
-    /// `f mod workers`.
+    /// Number of workers: the shares, hence at most the threads, each batch
+    /// is split into. Must be at least 1. Every batch places its own feeds
+    /// on the shares by the batch's costs (see
+    /// [`MultiFeedEngine::push_batch`](crate::MultiFeedEngine::push_batch)),
+    /// which never changes results, only which thread computes them.
     pub workers: usize,
-    /// How many ingested batches pass between automatic rebalance passes of
-    /// the work-stealing scheduler. `0` disables automatic rebalancing
-    /// entirely (feeds stay on their static `feed mod workers` shards unless
-    /// migrated manually) — the pre-scheduler behaviour, and the baseline
-    /// the skew benchmarks compare against. Rebalancing never changes
-    /// results, only which worker computes them.
-    pub rebalance_interval: u64,
-    /// How lopsided the load must be before a rebalance pass migrates
-    /// anything: the busiest worker must carry more than `steal_threshold`
-    /// times the idlest worker's load. Must be at least `1.0` (enforced at
-    /// build time); higher values tolerate more skew before stealing,
-    /// `1.0` rebalances on any imbalance the planner can improve.
-    pub steal_threshold: f64,
 }
 
 impl MultiFeedConfig {
     /// Default worker count when none is requested explicitly.
     pub const DEFAULT_WORKERS: usize = 4;
-
-    /// Default automatic-rebalance cadence, in batches.
-    pub const DEFAULT_REBALANCE_INTERVAL: u64 = 8;
-
-    /// Default skew tolerance of the rebalancer.
-    pub const DEFAULT_STEAL_THRESHOLD: f64 = 1.5;
 
     /// Creates a multi-feed configuration with the given per-feed engine
     /// configuration and [`Self::DEFAULT_WORKERS`] workers.
@@ -188,27 +171,12 @@ impl MultiFeedConfig {
         MultiFeedConfig {
             engine,
             workers: Self::DEFAULT_WORKERS,
-            rebalance_interval: Self::DEFAULT_REBALANCE_INTERVAL,
-            steal_threshold: Self::DEFAULT_STEAL_THRESHOLD,
         }
     }
 
     /// Sets the worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Sets the automatic-rebalance cadence (`0` disables rebalancing).
-    pub fn with_rebalance_interval(mut self, batches: u64) -> Self {
-        self.rebalance_interval = batches;
-        self
-    }
-
-    /// Sets the rebalancer's skew tolerance (must be ≥ 1.0 — validated when
-    /// the engine is built).
-    pub fn with_steal_threshold(mut self, threshold: f64) -> Self {
-        self.steal_threshold = threshold;
         self
     }
 }
@@ -238,16 +206,6 @@ mod tests {
         let config = MultiFeedConfig::default();
         assert_eq!(config.workers, MultiFeedConfig::DEFAULT_WORKERS);
         assert_eq!(config.engine, EngineConfig::default());
-        assert_eq!(
-            config.rebalance_interval,
-            MultiFeedConfig::DEFAULT_REBALANCE_INTERVAL
-        );
-        assert_eq!(
-            config.steal_threshold,
-            MultiFeedConfig::DEFAULT_STEAL_THRESHOLD
-        );
-        assert_eq!(config.with_rebalance_interval(0).rebalance_interval, 0);
-        assert_eq!(config.with_steal_threshold(2.0).steal_threshold, 2.0);
         let config = MultiFeedConfig::new(
             EngineConfig::new(WindowSpec::new(5, 2).unwrap()).with_maintainer(MaintainerKind::Mfs),
         )

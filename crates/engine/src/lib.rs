@@ -27,9 +27,9 @@
 //! per-worker shares on scoped threads that borrow those engines (they
 //! never leave the fleet's map; a panicked share loses its feeds), and
 //! merges per-feed results and metrics into a deterministic
-//! feed-id-ordered report. Feed placement is a rebalanceable [`ShardMap`]:
-//! a deterministic work-stealing scheduler migrates hot feeds to idle
-//! workers at batch boundaries without changing any result.
+//! feed-id-ordered report. Each batch places its own feeds on the shares,
+//! costliest first onto the least-loaded share, so a hot camera is spread
+//! in the batch where it appears, without changing any result.
 //!
 //! # Quickstart
 //!
@@ -76,7 +76,7 @@ pub use durable::RecoveryReport;
 pub use engine::{EngineBuilder, FrameResult, TemporalVideoQueryEngine};
 pub use multi::{
     FeedFrame, FeedFrameResult, FeedReport, MultiFeedBuilder, MultiFeedEngine, MultiFeedReport,
-    SchedulingStats, ShardMap,
+    SchedulingStats,
 };
 pub use persist::WalRecord;
 pub use subscribe::{MatchEvent, SubscriberId, Subscription, SubscriptionHub};

@@ -1,4 +1,4 @@
-//! Sharded multi-feed engine with deterministic work stealing.
+//! Sharded multi-feed engine, placing each batch by its own cost.
 //!
 //! The paper's three layers run per feed and share nothing across feeds, so
 //! a deployment watching N cameras is exactly N single-feed
@@ -11,24 +11,25 @@
 //!   (`std::thread::scope`), which borrows the engines of the share's feeds
 //!   from the fleet's map; the per-frame results come back in the batch's
 //!   input order once every thread has joined;
-//! * which worker gets a feed's share is an epoch-versioned [`ShardMap`]:
-//!   the static default `feed mod workers`, until the scheduler re-pins hot
-//!   feeds to idle workers at a batch boundary (work stealing, driven by a
-//!   deterministic per-feed load EWMA — see [`scheduler`]);
+//! * which share gets a feed is a pure function of the batch: feeds go in
+//!   descending cost (frames plus detections), each to the share with the
+//!   least cost so far (see [`push_batch`](MultiFeedEngine::push_batch)).
+//!   Nothing is remembered between batches, so a hotspot is spread in the
+//!   batch where it appears;
 //! * [`MultiFeedEngine::report`] reads the engines and merges their
 //!   [`MaintenanceMetrics`] in ascending feed order.
 //!
 //! Each per-feed engine is exactly a single-feed engine fed the same frames
 //! in the same order, whichever thread ran which share, so a sharded run is
 //! frame-for-frame identical to N independent single-feed runs; the
-//! differential suite pins this down across worker counts, rebalance
-//! settings, forced per-batch migrations and interleaved catalog ops.
+//! differential suite pins this down across worker counts, maintainers,
+//! the skewed camera grid and interleaved catalog ops.
 //!
 //! # Ownership
 //!
 //! The engines never leave the fleet's map: a share's thread only borrows
 //! them, and hands back the engines it built for feeds that had none. So a
-//! migration is a re-pin, a report is a read, and a catalog op or
+//! report is a read, and a catalog op or
 //! [`sync_store`](MultiFeedEngine::sync_store) is a loop over the engines on
 //! the caller's thread, whose errors reach the caller. Three rules hold:
 //!
@@ -40,8 +41,9 @@
 //!    carried (the engines may be torn mid-frame), and an engine that fails
 //!    a catalog op loses its feed. A durable fleet recovers a lost feed
 //!    from the store at its next frame, fast-forwarded to the master
-//!    catalog; a non-durable fleet answers [`Error::ShardLost`] for it from
-//!    then on and refuses to re-pin it — never a silently fresh engine.
+//!    catalog; a non-durable fleet answers [`Error::FeedLost`] for it from
+//!    then on, refusing any batch that holds it before a share runs —
+//!    never a silently fresh engine.
 //! 3. **Drop flushes.** Dropping the fleet flushes its engines
 //!    (`sync_store`, errors ignored).
 //!
@@ -82,7 +84,6 @@
 //! assert_eq!(report.metrics.frames_processed, 6);
 //! ```
 
-pub mod scheduler;
 mod worker;
 
 use std::collections::BTreeMap;
@@ -97,9 +98,6 @@ use crate::catalog;
 use crate::config::{EngineConfig, MultiFeedConfig};
 use crate::engine::{FrameResult, TemporalVideoQueryEngine};
 use crate::persist;
-
-use scheduler::LoadTracker;
-pub use scheduler::ShardMap;
 
 /// One frame of detections tagged with the feed (camera) it came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,9 +150,8 @@ pub struct FeedReport {
     /// report was taken: the fleet's, since every catalog op is applied to
     /// every engine before it returns.
     pub catalog_version: u64,
-    /// The feed's maintenance work counters. The scheduler-owned fields
-    /// (`per_shard_queue_depth`, `feeds_migrated`, `rebalances`) are always
-    /// zero here — they only exist fleet-wide, on
+    /// The feed's maintenance work counters. `per_shard_queue_depth` is
+    /// always zero here — it only exists fleet-wide, on
     /// [`MultiFeedReport::metrics`].
     pub metrics: MaintenanceMetrics,
 }
@@ -167,9 +164,8 @@ pub struct MultiFeedReport {
     /// Per-feed summaries, sorted by feed identifier.
     pub feeds: Vec<FeedReport>,
     /// All per-feed metrics folded with [`MaintenanceMetrics::merge`], plus
-    /// the scheduler-owned counters only the fleet-level engine can know:
-    /// `per_shard_queue_depth` (peak frames one batch queued to a single
-    /// shard), `feeds_migrated` and `rebalances`.
+    /// the one counter only the fleet can know: `per_shard_queue_depth`
+    /// (peak frames one batch queued to a single share).
     pub metrics: MaintenanceMetrics,
     /// The fleet's query-catalog version at collection time. Per-feed
     /// engines seeded after swaps report this same version (not zero), so
@@ -342,18 +338,6 @@ impl MultiFeedBuilder {
                 "multi-feed engine needs at least one worker".to_owned(),
             ));
         }
-        // NaN has no ordering against 1.0, so it is rejected alongside
-        // sub-unity thresholds.
-        let at_least_unity = matches!(
-            self.config.steal_threshold.partial_cmp(&1.0),
-            Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
-        );
-        if !at_least_unity {
-            return Err(Error::InvalidConfig(format!(
-                "steal_threshold must be at least 1.0, got {}",
-                self.config.steal_threshold
-            )));
-        }
         // A durable fleet building over a directory that already holds a
         // master catalog is a *restart*: the persisted registry, query set
         // and version supersede the builder's (exactly as single-engine
@@ -390,17 +374,12 @@ impl MultiFeedBuilder {
         // construction inside a share cannot fail later.
         spec.build_engine(&queries, catalog_version)?;
         Ok(MultiFeedEngine {
-            shards: ShardMap::new(self.config.workers),
             config: self.config,
             spec,
             engines: BTreeMap::new(),
             queries,
             registry,
             catalog_version,
-            loads: LoadTracker::new(),
-            batches_since_rebalance: 0,
-            feeds_migrated: 0,
-            rebalances: 0,
             peak_shard_depth: 0,
             sched: SchedulingStats::default(),
         })
@@ -427,17 +406,7 @@ pub struct MultiFeedEngine {
     registry: ClassRegistry,
     /// The fleet-wide catalog version (one increment per catalog op).
     catalog_version: u64,
-    /// The rebalanceable feed placement (see [`ShardMap`]).
-    shards: ShardMap,
-    /// The deterministic per-feed load model driving rebalancing.
-    loads: LoadTracker,
-    /// Batches ingested since the last automatic rebalance pass.
-    batches_since_rebalance: u64,
-    /// Migrations executed (automatic plus manual re-pins).
-    feeds_migrated: u64,
-    /// Rebalance passes that moved at least one feed.
-    rebalances: u64,
-    /// Peak frames one batch queued to a single shard.
+    /// Peak frames one batch queued to a single share.
     peak_shard_depth: u64,
     /// Worker-time telemetry (see [`SchedulingStats`]).
     sched: SchedulingStats,
@@ -448,7 +417,6 @@ impl std::fmt::Debug for MultiFeedEngine {
         f.debug_struct("MultiFeedEngine")
             .field("config", &self.config)
             .field("workers", &self.config.workers)
-            .field("shard_map_version", &self.shards.version())
             .finish()
     }
 }
@@ -464,21 +432,10 @@ impl MultiFeedEngine {
         &self.config
     }
 
-    /// Number of workers (shards) feeds are placed on: a batch runs at most
-    /// this many threads.
+    /// Number of workers (shares) each batch's feeds are placed on: a batch
+    /// runs at most this many threads.
     pub fn num_workers(&self) -> usize {
         self.config.workers
-    }
-
-    /// The current feed placement.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shards
-    }
-
-    /// The worker index currently serving `feed` (the static default
-    /// `feed mod workers` until a migration re-pins it).
-    pub fn shard_of(&self, feed: FeedId) -> usize {
-        self.shards.worker_of(feed)
     }
 
     /// Cumulative worker-time telemetry (busy vs critical-path time).
@@ -572,60 +529,56 @@ impl MultiFeedEngine {
     }
 
     /// Ingests a batch of feed-tagged frames and returns one result per
-    /// frame, **in the batch's input order** regardless of how the shards
+    /// frame, **in the batch's input order** regardless of how the shares
     /// interleave.
     ///
     /// Within a batch, a feed's frames must appear in increasing frame-id
     /// order (the usual streaming contract); frames of different feeds may
-    /// be interleaved arbitrarily. Each feed's frames are processed by its
-    /// current worker in batch order, so results are deterministic: the
-    /// same batches produce the same results for any worker count and any
-    /// rebalance settings.
+    /// be interleaved arbitrarily. A batch holding a feed a non-durable
+    /// fleet has lost is refused with [`Error::FeedLost`], naming the lowest
+    /// such feed, before any share runs, so it applies nothing.
     ///
-    /// Each worker's non-empty share runs on its own scoped thread, and the
-    /// call returns only after every thread has joined. A share holding a
-    /// feed a non-durable fleet has lost, or whose thread cannot be
-    /// spawned, runs nothing and loses nothing; a share whose thread panics
-    /// loses every feed it carried. Every other share runs, and the batch
-    /// then fails with the lowest-indexed share's [`Error::ShardLost`].
+    /// The batch places its own feeds on the workers' shares, from its own
+    /// costs (one unit per frame plus one per detection): feeds go in
+    /// descending cost, ties by ascending [`FeedId`], each to the share
+    /// with the least cost so far, ties to the lowest index. A share runs
+    /// its frames in batch order, so each feed's frames reach its one engine
+    /// in order, and the same batches produce the same results for any
+    /// worker count.
     ///
-    /// Batch boundaries are also where the scheduler acts: after the
-    /// results are in, the batch's per-feed costs update the load model,
-    /// and every [`rebalance_interval`](MultiFeedConfig::rebalance_interval)
-    /// batches a rebalance pass may migrate feeds (see
-    /// [`rebalance_now`](Self::rebalance_now)).
+    /// Each non-empty share runs on its own scoped thread, and the call
+    /// returns only after every thread has joined. A share whose thread
+    /// cannot be spawned runs nothing and loses nothing; a share whose
+    /// thread panics loses every feed it carried. Every other share runs,
+    /// and the batch then fails with the lowest-indexed failed share's
+    /// [`Error::ShardLost`].
     pub fn push_batch(&mut self, batch: &[FeedFrame]) -> Result<Vec<FeedFrameResult>> {
-        // Group the batch's positions per shard, in batch order (which
-        // preserves per-feed frame order). Batch cost units (one per frame
-        // plus one per detection) feed the deterministic load model.
+        let costs = costs(batch);
+        if let Some(&lost) = costs.keys().find(|&&feed| self.is_dead(feed)) {
+            return Err(Error::FeedLost(lost));
+        }
+        // Group the batch's positions per share, in batch order (which
+        // preserves per-feed frame order).
+        let placement = place(&costs, self.config.workers);
         let mut shares = vec![Vec::new(); self.config.workers];
-        let mut costs: BTreeMap<FeedId, u64> = BTreeMap::new();
         for (seq, tagged) in batch.iter().enumerate() {
-            *costs.entry(tagged.feed).or_insert(0) += 1 + tagged.frame.classes.len() as u64;
-            shares[self.shards.worker_of(tagged.feed)].push(seq);
+            shares[placement[&tagged.feed]].push(seq);
         }
         let depth = shares.iter().map(Vec::len).max().unwrap_or(0);
         self.peak_shard_depth = self.peak_shard_depth.max(depth as u64);
-        // An empty share has nothing to run; one holding a feed the fleet
-        // can never serve again must not run.
-        let runnable: Vec<bool> = (shares.iter())
-            .map(|share| {
-                !share.is_empty() && !share.iter().any(|&seq| self.is_dead(batch[seq].feed))
-            })
-            .collect();
         // Lend each share the engines of its feeds.
         let mut lent: Vec<BTreeMap<FeedId, &mut TemporalVideoQueryEngine>> =
             shares.iter().map(|_| BTreeMap::new()).collect();
         for (&feed, slot) in &mut self.engines {
-            if let Some(engine) = slot.as_deref_mut().filter(|_| costs.contains_key(&feed)) {
-                lent[self.shards.worker_of(feed)].insert(feed, engine);
+            if let (Some(&share), Some(engine)) = (placement.get(&feed), slot.as_deref_mut()) {
+                lent[share].insert(feed, engine);
             }
         }
         let (spec, queries, version) = (&self.spec, &self.queries[..], self.catalog_version);
         let joined: Vec<_> = std::thread::scope(|scope| {
-            let threads: Vec<_> = (shares.iter().zip(lent).zip(runnable).enumerate())
-                .map(|(worker, ((share, lent), runnable))| {
-                    if !runnable {
+            let threads: Vec<_> = (shares.iter().zip(lent).enumerate())
+                .map(|(worker, (share, lent))| {
+                    if share.is_empty() {
                         return None;
                     }
                     let run = move || worker::run_share(spec, queries, version, batch, share, lent);
@@ -662,8 +615,8 @@ impl MultiFeedEngine {
                     }
                     true
                 }
-                // A share holding a lost feed, or whose thread could not be
-                // spawned, ran nothing and loses nothing.
+                // A share whose thread could not be spawned ran nothing and
+                // loses nothing.
                 None => !share.is_empty(),
             };
             if failed {
@@ -677,21 +630,11 @@ impl MultiFeedEngine {
             return Err(error);
         }
         // Worker-time telemetry: the batch cannot finish before its
-        // busiest shard, so only that share counts toward the critical
+        // busiest share, so only that share counts toward the critical
         // path.
         self.sched.busy_nanos += busy;
         self.sched.critical_path_nanos += busiest;
         self.sched.batches += 1;
-        // Fold the batch's deterministic costs into the load model, then
-        // rebalance if the interval came up.
-        self.loads.observe_batch(&costs);
-        if self.config.rebalance_interval > 0 {
-            self.batches_since_rebalance += 1;
-            if self.batches_since_rebalance >= self.config.rebalance_interval {
-                self.batches_since_rebalance = 0;
-                self.rebalance_now()?;
-            }
-        }
         // Surface the earliest (by batch position) per-frame error so the
         // failure report is deterministic too.
         let mut out = Vec::with_capacity(batch.len());
@@ -704,68 +647,16 @@ impl MultiFeedEngine {
         Ok(out)
     }
 
-    /// Runs one rebalance pass immediately (regardless of
-    /// [`rebalance_interval`](MultiFeedConfig::rebalance_interval)):
-    /// plans greedy migrations from the current load model (see
-    /// [`scheduler`]) and re-pins the feeds. Returns the number of feeds
-    /// migrated (zero when the load is already balanced).
-    ///
-    /// Rebalancing never changes results — only which worker computes
-    /// them; see the [module documentation](self).
-    pub fn rebalance_now(&mut self) -> Result<usize> {
-        let mut plan = scheduler::plan_migrations(
-            self.loads.loads(),
-            &self.shards,
-            self.config.steal_threshold,
-        );
-        plan.retain(|&(feed, _)| !self.is_dead(feed));
-        for &(feed, worker) in &plan {
-            self.shards.pin(feed, worker);
-        }
-        self.rebalances += u64::from(!plan.is_empty());
-        self.feeds_migrated += plan.len() as u64;
-        Ok(plan.len())
-    }
-
-    /// Manually re-pins `feed` to `worker`: the feed's next share runs
-    /// there. A no-op when the feed is already there. Like automatic
-    /// rebalancing, a manual migration is invisible to results. A feed a
-    /// non-durable fleet has lost stays where it was lost
-    /// ([`Error::ShardLost`]).
-    pub fn migrate_feed(&mut self, feed: FeedId, worker: usize) -> Result<()> {
-        if worker >= self.config.workers {
-            return Err(Error::InvalidConfig(format!(
-                "cannot migrate {feed} to worker {worker}: the fleet has {} workers",
-                self.config.workers
-            )));
-        }
-        let from = self.shards.worker_of(feed);
-        if self.is_dead(feed) {
-            return Err(Error::ShardLost {
-                worker: from,
-                queue_depth: 0,
-            });
-        }
-        if from != worker {
-            self.shards.pin(feed, worker);
-            self.feeds_migrated += 1;
-        }
-        Ok(())
-    }
-
     /// Collects a deterministic global report: one [`FeedReport`] per feed
     /// in ascending feed-id order plus the merged metrics. The engines never
     /// leave the fleet's map, so the report reflects every frame every
     /// share applied. While a feed is lost the fleet has no honest
-    /// answer for it, and the report is [`Error::ShardLost`] naming the
-    /// feed's worker.
+    /// answer for it, and the report is [`Error::FeedLost`] naming the
+    /// lowest such feed.
     pub fn report(&self) -> Result<MultiFeedReport> {
         let feeds = (self.engines.iter())
             .map(|(&feed, slot)| {
-                let engine = slot.as_ref().ok_or(Error::ShardLost {
-                    worker: self.shards.worker_of(feed),
-                    queue_depth: 0,
-                })?;
+                let engine = slot.as_ref().ok_or(Error::FeedLost(feed))?;
                 let (total_matches, matching_frames) = engine.match_counters();
                 Ok(FeedReport {
                     feed,
@@ -780,12 +671,9 @@ impl MultiFeedEngine {
             })
             .collect::<Result<Vec<FeedReport>>>()?;
         let mut metrics = MaintenanceMetrics::merged(feeds.iter().map(|report| &report.metrics));
-        // The scheduler-owned counters exist fleet-wide only: per-feed
-        // engines can't know them, so they are injected here rather than
-        // merged.
+        // The share depth exists fleet-wide only: per-feed engines can't
+        // know it, so it is injected here rather than merged.
         metrics.per_shard_queue_depth = self.peak_shard_depth;
-        metrics.feeds_migrated = self.feeds_migrated;
-        metrics.rebalances = self.rebalances;
         Ok(MultiFeedReport {
             feeds,
             metrics,
@@ -809,6 +697,34 @@ impl MultiFeedEngine {
     }
 }
 
+/// A batch's cost per feed: one unit per frame plus one per detection.
+fn costs(batch: &[FeedFrame]) -> BTreeMap<FeedId, u64> {
+    let mut costs = BTreeMap::new();
+    for tagged in batch {
+        *costs.entry(tagged.feed).or_insert(0) += 1 + tagged.frame.classes.len() as u64;
+    }
+    costs
+}
+
+/// The share of each feed: feeds in descending cost, ties by ascending
+/// feed, each to the share with the least cost so far, ties to the lowest
+/// index (greedy longest-first, whose busiest share is within 4/3 of the
+/// best split's). A pure function of `costs`.
+fn place(costs: &BTreeMap<FeedId, u64>, workers: usize) -> BTreeMap<FeedId, usize> {
+    let mut order: Vec<(FeedId, u64)> = costs.iter().map(|(&feed, &cost)| (feed, cost)).collect();
+    // Stable, so equal costs keep their ascending feed order.
+    order.sort_by_key(|&(_, cost)| std::cmp::Reverse(cost));
+    let mut loads = vec![0u64; workers];
+    (order.into_iter())
+        .map(|(feed, cost)| {
+            let share = (0..workers).min_by_key(|&share| loads[share]);
+            let share = share.expect("a fleet has at least one worker");
+            loads[share] += cost;
+            (feed, share)
+        })
+        .collect()
+}
+
 impl Drop for MultiFeedEngine {
     /// Ownership rule 3.
     fn drop(&mut self) {
@@ -825,14 +741,9 @@ mod tests {
     use tvq_core::MaintainerKind;
 
     impl MultiFeedEngine {
-        /// Loses the feeds pinned to worker `index`, as a panic in its
-        /// share would.
-        fn kill_worker(&mut self, index: usize) {
-            for (&feed, slot) in &mut self.engines {
-                if self.shards.worker_of(feed) == index {
-                    *slot = None;
-                }
-            }
+        /// Loses `feed`, as a panic in a share carrying it would.
+        fn lose_feed(&mut self, feed: FeedId) {
+            self.engines.insert(feed, None);
         }
     }
 
@@ -871,28 +782,115 @@ mod tests {
         assert!(matches!(err, Err(Error::InvalidConfig(_))));
     }
 
-    #[test]
-    fn builder_rejects_sub_unity_steal_threshold() {
-        for bad in [0.5, 0.0, -1.0, f64::NAN] {
-            let err = MultiFeedEngine::builder(config(2).with_steal_threshold(bad))
-                .with_query_text("car >= 1")
-                .unwrap()
-                .build();
-            assert!(
-                matches!(err, Err(Error::InvalidConfig(_))),
-                "threshold {bad} must be rejected"
-            );
-        }
+    fn costs_of(entries: &[(u32, u64)]) -> BTreeMap<FeedId, u64> {
+        (entries.iter())
+            .map(|&(feed, cost)| (FeedId(feed), cost))
+            .collect()
+    }
+
+    /// The skewed grid `repro skew` runs, in its three-frames-a-camera
+    /// batches.
+    fn skewed_batches() -> Vec<Vec<FeedFrame>> {
+        let grid = tvq_video::skewed_grid(&tvq_video::SkewProfile::new(240));
+        let batches = tvq_video::interleave(&grid, grid.len() * 3);
+        let tagged = |batch: Vec<_>| batch.into_iter().map(FeedFrame::from).collect();
+        batches.into_iter().map(tagged).collect()
     }
 
     #[test]
-    fn feeds_start_on_the_static_default_shards() {
-        let engine = engine(3);
-        assert_eq!(engine.num_workers(), 3);
-        assert_eq!(engine.shard_map().version(), 0);
-        for raw in 0..9u32 {
-            assert_eq!(engine.shard_of(FeedId(raw)), raw as usize % 3);
+    fn the_same_batch_always_gets_the_same_placement() {
+        let batch: Vec<FeedFrame> = (0..12u64)
+            .map(|k| {
+                let feed = (k * 7 % 5) as u32;
+                let detections: Vec<(u32, u16)> =
+                    (0..feed + k as u32 % 4).map(|d| (d, 1)).collect();
+                FeedFrame::new(FeedId(feed), frame(k, &detections))
+            })
+            .collect();
+        let placement = place(&costs(&batch), 3);
+        assert_eq!(placement.len(), 5);
+        assert_eq!(place(&costs(&batch), 3), placement);
+        // Only per-feed costs count, not where in the batch a frame sits.
+        let reversed: Vec<FeedFrame> = batch.iter().rev().cloned().collect();
+        assert_eq!(place(&costs(&reversed), 3), placement);
+    }
+
+    #[test]
+    fn hot_feeds_colliding_under_mod_four_land_on_different_shares() {
+        let costs = costs_of(&[
+            (0, 10),
+            (1, 1000),
+            (2, 10),
+            (3, 10),
+            (4, 10),
+            (5, 1000),
+            (6, 10),
+            (7, 10),
+        ]);
+        let placement = place(&costs, 4);
+        assert_ne!(placement[&FeedId(1)], placement[&FeedId(5)]);
+    }
+
+    #[test]
+    fn a_giant_feed_ends_up_alone_on_its_share() {
+        let placement = place(&costs_of(&[(0, 10), (1, 10), (2, 1000), (3, 10)]), 2);
+        let giant = placement[&FeedId(2)];
+        assert!(
+            (placement.iter()).all(|(&feed, &share)| feed == FeedId(2) || share != giant),
+            "{placement:?}"
+        );
+    }
+
+    #[test]
+    fn placement_ties_break_on_the_lowest_feed_then_the_lowest_share() {
+        let equal = costs_of(&[(5, 3), (4, 3), (3, 3), (2, 3), (1, 3), (0, 3)]);
+        let shares: Vec<usize> = place(&equal, 4).into_values().collect();
+        assert_eq!(shares, [0, 1, 2, 3, 0, 1]);
+        // Feed 7 (8) takes share 0, feeds 2 and 3 (4 each) fill share 1 to
+        // 8, and feed 9 goes to the lower of the two tied shares.
+        let mixed = place(&costs_of(&[(2, 4), (3, 4), (7, 8), (9, 3)]), 2);
+        assert_eq!(mixed.into_values().collect::<Vec<_>>(), [1, 1, 0, 0]);
+    }
+
+    /// On the skewed grid the per-batch critical path in cost units beats
+    /// the `feed mod 4` split the hot set collides under, and stays within
+    /// 4/3 of the lower bound `max(total / 4, largest feed)` every batch.
+    #[test]
+    fn placement_beats_the_static_split_on_the_skewed_grid() {
+        let (mut placed, mut modulo) = (0u64, 0u64);
+        for batch in skewed_batches() {
+            let costs = costs(&batch);
+            let placement = place(&costs, 4);
+            let busiest = |share_of: &dyn Fn(FeedId) -> usize| {
+                let mut loads = [0u64; 4];
+                for (&feed, &cost) in &costs {
+                    loads[share_of(feed)] += cost;
+                }
+                loads.into_iter().max().unwrap()
+            };
+            let critical = busiest(&|feed| placement[&feed]);
+            let total: u64 = costs.values().sum();
+            let largest = costs.values().copied().max().unwrap();
+            assert!(
+                3 * 4 * critical <= 4 * total.max(4 * largest),
+                "critical {critical}, total {total}, largest {largest}"
+            );
+            placed += critical;
+            modulo += busiest(&|feed| feed.raw() as usize % 4);
         }
+        assert!(placed < modulo, "placed {placed} vs feed mod 4 {modulo}");
+    }
+
+    #[test]
+    fn a_feed_changes_share_across_the_hotspot_flip() {
+        let batches = skewed_batches();
+        let placement = |batch: &[FeedFrame]| place(&costs(batch), 4);
+        let (before, after) = (placement(&batches[0]), placement(batches.last().unwrap()));
+        assert_eq!(before.len(), 12);
+        assert!(
+            before.iter().any(|(feed, share)| after[feed] != *share),
+            "{before:?}"
+        );
     }
 
     #[test]
@@ -982,151 +980,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn manual_migration_is_invisible_to_results() {
-        // Oracle: one engine per feed, never migrated.
-        let mut oracle = engine(1);
-        let mut subject = engine(3);
-        for fid in 0..12u64 {
-            let batch: Vec<FeedFrame> = (0..4u32)
-                .map(|feed| {
-                    FeedFrame::new(
-                        FeedId(feed),
-                        frame(fid, &[(feed + 1, 1), (feed + 10, 0), (1, 1)]),
-                    )
-                })
-                .collect();
-            let expected = oracle.push_batch(&batch).unwrap();
-            let got = subject.push_batch(&batch).unwrap();
-            assert_eq!(got, expected, "diverged at frame {fid}");
-            // Bounce every feed to a new worker between batches.
-            for feed in 0..4u32 {
-                let target = (fid as usize + feed as usize) % subject.num_workers();
-                subject.migrate_feed(FeedId(feed), target).unwrap();
-            }
-        }
-        let subject_report = subject.report().unwrap();
-        let oracle_report = oracle.report().unwrap();
-        assert_eq!(subject_report.feeds.len(), oracle_report.feeds.len());
-        for (a, b) in subject_report.feeds.iter().zip(&oracle_report.feeds) {
-            assert_eq!(a, b, "per-feed reports must survive migration intact");
-        }
-        assert!(subject_report.metrics.feeds_migrated > 0);
-        assert!(subject.shard_map().version() > 0);
-    }
-
-    #[test]
-    fn migrating_an_unseen_feed_just_repins() {
-        let mut engine = engine(2);
-        engine.migrate_feed(FeedId(9), 0).unwrap();
-        assert_eq!(engine.shard_of(FeedId(9)), 0);
-        assert_eq!(engine.shard_map().version(), 1);
-        // The feed then materialises on its pinned worker and works.
-        let result = engine.push(FeedId(9), frame(0, &[(1, 1), (2, 0)])).unwrap();
-        assert_eq!(result.feed, FeedId(9));
-        let err = engine.migrate_feed(FeedId(9), 7);
-        assert!(matches!(err, Err(Error::InvalidConfig(_))));
-    }
-
-    #[test]
-    fn automatic_rebalancing_separates_colliding_hot_feeds() {
-        // Feeds 1 and 5 collide on worker 1 under mod-4 sharding; feed 1
-        // and 5 carry ~10x the detections of the cold feeds, so after a
-        // few batches the scheduler must split them.
-        let mut engine = MultiFeedEngine::builder(
-            config(4)
-                .with_rebalance_interval(2)
-                .with_steal_threshold(1.25),
-        )
-        .with_query_text("car >= 1 AND person >= 1")
-        .unwrap()
-        .build()
-        .unwrap();
-        for fid in 0..10u64 {
-            let mut batch = Vec::new();
-            for feed in 0..8u32 {
-                let hot = feed == 1 || feed == 5;
-                let detections: Vec<(u32, u16)> = if hot {
-                    (0..20u32).map(|k| (k + 1, (k % 2) as u16)).collect()
-                } else {
-                    vec![(1, 1), (2, 0)]
-                };
-                batch.push(FeedFrame::new(FeedId(feed), frame(fid, &detections)));
-            }
-            engine.push_batch(&batch).unwrap();
-        }
-        assert_ne!(
-            engine.shard_of(FeedId(1)),
-            engine.shard_of(FeedId(5)),
-            "hot feeds still collide: {:?}",
-            engine.shard_map().pins().collect::<Vec<_>>()
-        );
-        let report = engine.report().unwrap();
-        assert!(report.metrics.rebalances > 0);
-        assert!(report.metrics.feeds_migrated > 0);
-        assert!(report.metrics.per_shard_queue_depth >= 2);
-        assert_eq!(report.total_frames(), 80);
-    }
-
-    #[test]
-    fn rebalancing_disabled_never_migrates() {
-        let mut engine = MultiFeedEngine::builder(config(2).with_rebalance_interval(0))
-            .with_query_text("car >= 1")
-            .unwrap()
-            .build()
-            .unwrap();
-        for fid in 0..8u64 {
-            let batch: Vec<FeedFrame> = (0..4u32)
-                .map(|feed| {
-                    let n = if feed == 0 { 16 } else { 1 };
-                    let detections: Vec<(u32, u16)> = (0..n).map(|k| (k + 1, 1)).collect();
-                    FeedFrame::new(FeedId(feed), frame(fid, &detections))
-                })
-                .collect();
-            engine.push_batch(&batch).unwrap();
-        }
-        assert_eq!(engine.shard_map().version(), 0);
-        let report = engine.report().unwrap();
-        assert_eq!(report.metrics.rebalances, 0);
-        assert_eq!(report.metrics.feeds_migrated, 0);
-    }
-
+    /// A share that panics is named by its index within the batch, with
+    /// its frame count: feed 1's three frames cost more than feed 0's one,
+    /// so they run on share 0, whatever `feed mod 2` would say.
     #[test]
     fn shard_lost_names_the_worker_and_its_queue_depth() {
-        let mut engine = engine(2);
-        // Warm both feeds so both workers have an engine pinned to them.
+        let (io, mut fleet) = PanicOnFeed1::fleet();
         for fid in 0..2u64 {
             let batch = vec![
                 FeedFrame::new(FeedId(0), frame(fid, &[(1, 1), (2, 0)])),
                 FeedFrame::new(FeedId(1), frame(fid, &[(1, 1), (2, 0)])),
             ];
-            engine.push_batch(&batch).unwrap();
+            fleet.push_batch(&batch).unwrap();
         }
-        engine.kill_worker(1);
-        // Feed 1 (worker 1) gets three frames in this batch; the error
-        // must name worker 1 and its 3-frame share.
+        io.armed.store(true, Ordering::SeqCst);
         let batch = vec![
             FeedFrame::new(FeedId(0), frame(2, &[(1, 1), (2, 0)])),
             FeedFrame::new(FeedId(1), frame(2, &[(1, 1)])),
             FeedFrame::new(FeedId(1), frame(3, &[(1, 1)])),
             FeedFrame::new(FeedId(1), frame(4, &[(1, 1)])),
         ];
-        let err = engine.push_batch(&batch).unwrap_err();
-        match err {
+        match fleet.push_batch(&batch).unwrap_err() {
             Error::ShardLost {
                 worker,
                 queue_depth,
             } => {
-                assert_eq!(worker, 1);
-                assert_eq!(queue_depth, 3, "the error reports the lost shard's backlog");
+                assert_eq!(worker, 0);
+                assert_eq!(queue_depth, 3, "the error reports the failed share's size");
             }
             other => panic!("expected ShardLost, got {other:?}"),
         }
     }
 
-    /// The aborted-batch path: when a batch fails on a lost shard, the
-    /// healthy shares still run before the error returns — their results
-    /// are dropped with the batch, never spliced into the next one.
+    /// A batch holding a lost feed is refused before any share runs, so the
+    /// live feed's frame in it is not applied either: sent again, it is
+    /// accepted and answers what the oracle answers.
     #[test]
     fn aborted_batches_do_not_leak_stale_results() {
         let mut oracle = engine(1);
@@ -1139,27 +1027,24 @@ mod tests {
             engine.push_batch(&batch).unwrap();
             oracle.push_batch(&batch).unwrap();
         }
-        engine.kill_worker(1);
-        // Worker 0's share runs frame 2 of feed 0; the batch then fails on
-        // worker 1's lost feed, dropping feed 0's frame-2 result.
+        engine.lose_feed(FeedId(1));
         let aborted = vec![
             FeedFrame::new(FeedId(0), frame(2, &[(1, 1), (2, 0)])),
             FeedFrame::new(FeedId(1), frame(2, &[(1, 1)])),
         ];
         assert!(matches!(
             engine.push_batch(&aborted),
-            Err(Error::ShardLost { worker: 1, .. })
+            Err(Error::FeedLost(FeedId(1)))
         ));
-        // The next batch only touches feed 0 (worker 0). Its results must
-        // be frame 3's — the frame-2 result died with the aborted batch —
-        // and the oracle (which never aborted but processed the
-        // same accepted frames) must agree on everything the engine
-        // *returns*.
-        oracle.push(FeedId(0), frame(2, &[(1, 1), (2, 0)])).unwrap();
-        let expected = oracle.push(FeedId(0), frame(3, &[(1, 1), (2, 0)])).unwrap();
-        let got = engine.push(FeedId(0), frame(3, &[(1, 1), (2, 0)])).unwrap();
-        assert_eq!(got.result.frame, FrameId(3));
-        assert_eq!(got, expected, "stale epoch results leaked into the batch");
+        for fid in 2..4u64 {
+            let expected = oracle
+                .push(FeedId(0), frame(fid, &[(1, 1), (2, 0)]))
+                .unwrap();
+            let got = engine
+                .push(FeedId(0), frame(fid, &[(1, 1), (2, 0)]))
+                .unwrap();
+            assert_eq!(got, expected, "frame {fid}");
+        }
     }
 
     #[test]
@@ -1203,45 +1088,51 @@ mod tests {
         assert!(report.feeds.iter().all(|feed| feed.catalog_version == 2));
     }
 
-    /// A catalog swap followed at once by a migration must reach the
-    /// migrated engine exactly once: the swap is applied to the engine at
-    /// home, and the re-pin moves no state.
+    /// A catalog swap followed at once by a change of placement must reach
+    /// the moved engine exactly once: the swap is applied to the engine at
+    /// home, and the move carries no state.
     #[test]
-    fn migration_and_catalog_swaps_interleave_exactly_once() {
+    fn placement_changes_and_catalog_swaps_interleave_exactly_once() {
         let mut subject = engine(2);
         let mut oracle = engine(1);
+        // Feed 1 costs what feed 0 does (share 1), then more (share 0).
+        let batch = |fid: u64, busy: bool| {
+            let busy: &[(u32, u16)] = if busy { &[(3, 1), (4, 0)] } else { &[] };
+            vec![
+                FeedFrame::new(FeedId(0), frame(fid, &[(1, 1), (2, 0)])),
+                FeedFrame::new(
+                    FeedId(1),
+                    frame(fid, &[&[(1, 1), (2, 0)][..], busy].concat()),
+                ),
+            ]
+        };
+        let share_of_feed_1 = |batch: &[FeedFrame]| place(&costs(batch), 2)[&FeedId(1)];
         for fid in 0..2u64 {
-            for feed in 0..2u32 {
-                subject
-                    .push(FeedId(feed), frame(fid, &[(1, 1), (2, 0)]))
-                    .unwrap();
-                oracle
-                    .push(FeedId(feed), frame(fid, &[(1, 1), (2, 0)]))
-                    .unwrap();
-            }
+            let batch = batch(fid, false);
+            assert_eq!(share_of_feed_1(&batch), 1);
+            assert_eq!(
+                subject.push_batch(&batch).unwrap(),
+                oracle.push_batch(&batch).unwrap()
+            );
         }
-        // Swap, then immediately migrate feed 1 onto worker 0.
         let person_s = subject.add_query_text("person >= 1").unwrap();
         let person_o = oracle.add_query_text("person >= 1").unwrap();
         assert_eq!(person_s, person_o);
-        subject.migrate_feed(FeedId(1), 0).unwrap();
         for fid in 2..6u64 {
-            for feed in 0..2u32 {
-                let got = subject
-                    .push(FeedId(feed), frame(fid, &[(1, 1), (2, 0)]))
-                    .unwrap();
-                let expected = oracle
-                    .push(FeedId(feed), frame(fid, &[(1, 1), (2, 0)]))
-                    .unwrap();
-                assert_eq!(got, expected, "feed {feed} frame {fid}");
-            }
+            let batch = batch(fid, true);
+            assert_eq!(share_of_feed_1(&batch), 0);
+            assert_eq!(
+                subject.push_batch(&batch).unwrap(),
+                oracle.push_batch(&batch).unwrap(),
+                "frame {fid}"
+            );
         }
         let report = subject.report().unwrap();
         assert_eq!(report.catalog_version, 1);
         assert!(report.feeds.iter().all(|f| f.catalog_version == 1));
         assert_eq!(
             report.feeds[1].metrics.catalog_swaps, 1,
-            "the migrated engine saw the swap exactly once"
+            "the moved engine saw the swap exactly once"
         );
     }
 
@@ -1316,18 +1207,16 @@ mod tests {
         let report = engine.report().unwrap();
         assert_eq!(report.num_feeds(), 3);
         let mut summed = MaintenanceMetrics::merged(report.feeds.iter().map(|f| &f.metrics));
-        // The scheduler-owned counters are injected fleet-wide, not merged
-        // from the per-feed metrics (which must report them as zero).
-        assert!(report
-            .feeds
-            .iter()
-            .all(|f| f.metrics.per_shard_queue_depth == 0
-                && f.metrics.feeds_migrated == 0
-                && f.metrics.rebalances == 0));
+        // The share depth is injected fleet-wide, not merged from the
+        // per-feed metrics (which must report it as zero).
+        assert!((report.feeds.iter()).all(|f| f.metrics.per_shard_queue_depth == 0));
         summed.per_shard_queue_depth = report.metrics.per_shard_queue_depth;
-        summed.feeds_migrated = report.metrics.feeds_migrated;
-        summed.rebalances = report.metrics.rebalances;
         assert_eq!(report.metrics, summed);
+        assert_eq!(
+            (report.metrics.feeds_migrated, report.metrics.rebalances),
+            (0, 0),
+            "nothing writes them"
+        );
         assert_eq!(report.metrics.frames_processed, 12);
         assert_eq!(report.metrics.per_shard_queue_depth, 1, "single pushes");
         assert!(report.feeds.windows(2).all(|w| w[0].feed < w[1].feed));
@@ -1370,9 +1259,10 @@ mod tests {
             let got = subject.push_batch(&batch).unwrap();
             assert_eq!(got, expected, "pre-crash frame {fid}");
         }
-        // Crash worker 1, then swap the catalog: the op must succeed on
-        // the feeds still in the fleet rather than error.
-        subject.kill_worker(1);
+        // Lose feeds 1 and 3, then swap the catalog: the op must succeed
+        // on the feeds still in the fleet rather than error.
+        subject.lose_feed(FeedId(1));
+        subject.lose_feed(FeedId(3));
         let person_s = subject.add_query_text("person >= 1").unwrap();
         let person_o = oracle.add_query_text("person >= 1").unwrap();
         assert_eq!(person_s, person_o);
@@ -1382,8 +1272,9 @@ mod tests {
             let got = subject.push_batch(&batch).unwrap();
             assert_eq!(got, expected, "post-recovery frame {fid}");
         }
-        // Crash the other worker; the frames path heals this one.
-        subject.kill_worker(0);
+        // Lose the other two; the frames path heals these.
+        subject.lose_feed(FeedId(0));
+        subject.lose_feed(FeedId(2));
         for fid in 7..9u64 {
             let batch = mixed_batch(fid);
             let expected = oracle.push_batch(&batch).unwrap();
@@ -1604,55 +1495,50 @@ mod tests {
         }
     }
 
-    /// Ownership rule 2 without a store: a lost feed stays lost. Neither a
-    /// manual re-pin nor a rebalance pass (which the dead worker's load
-    /// would otherwise attract) may hand its frames to a fresh engine.
+    /// Ownership rule 2 without a store: a lost feed stays lost. Every batch
+    /// holding it is refused whole, naming the lowest lost feed, and so is
+    /// the report; the rest of the fleet carries on.
     #[test]
     fn lost_feeds_of_a_non_durable_fleet_are_never_resurrected() {
         let mut engine = engine(2);
         let hot: Vec<(u32, u16)> = (0..20u32).map(|k| (k + 1, (k % 2) as u16)).collect();
-        for fid in 0..4u64 {
-            let batch: Vec<FeedFrame> = [1u32, 3]
-                .iter()
+        let batch = |fid: u64, feeds: &[u32]| -> Vec<FeedFrame> {
+            (feeds.iter())
                 .map(|&feed| FeedFrame::new(FeedId(feed), frame(fid, &hot)))
-                .collect();
-            engine.push_batch(&batch).unwrap();
+                .collect()
+        };
+        for fid in 0..4u64 {
+            engine.push_batch(&batch(fid, &[0, 1, 3])).unwrap();
         }
-        // Both hot feeds sit on worker 1 while worker 0 idles: the planner
-        // would move one of them.
-        engine.kill_worker(1);
-        assert_eq!(engine.rebalance_now().unwrap(), 0);
+        engine.lose_feed(FeedId(1));
+        engine.lose_feed(FeedId(3));
         for feed in [1u32, 3] {
             assert!(matches!(
-                engine.migrate_feed(FeedId(feed), 0),
-                Err(Error::ShardLost { worker: 1, .. })
-            ));
-            assert_eq!(engine.shard_of(FeedId(feed)), 1);
-            assert!(matches!(
                 engine.push(FeedId(feed), frame(4, &hot)),
-                Err(Error::ShardLost { worker: 1, .. })
+                Err(Error::FeedLost(lost)) if lost == FeedId(feed)
             ));
         }
         assert!(matches!(
-            engine.report(),
-            Err(Error::ShardLost { worker: 1, .. })
+            engine.push_batch(&batch(4, &[0, 3, 1])),
+            Err(Error::FeedLost(FeedId(1)))
         ));
-        // The rest of the fleet is unaffected.
-        engine.push(FeedId(0), frame(0, &hot)).unwrap();
+        assert!(matches!(engine.report(), Err(Error::FeedLost(FeedId(1)))));
+        // Feed 0's frame 4 was refused with the batch, so it is still next.
+        engine.push(FeedId(0), frame(4, &hot)).unwrap();
     }
 
     /// Non-durable fleets keep the fail-fast contract: a lost feed is an
     /// error, never a silent partial answer (`shard_lost_names_the_worker`
-    /// pins the diagnostics; this pins that durability is what opts into
-    /// healing).
+    /// pins a failed share's diagnostics; this pins that durability is what
+    /// opts into healing).
     #[test]
     fn non_durable_fleets_do_not_respawn() {
         let mut engine = engine(2);
         engine.push(FeedId(1), frame(0, &[(1, 1), (2, 0)])).unwrap();
-        engine.kill_worker(1);
+        engine.lose_feed(FeedId(1));
         assert!(matches!(
             engine.push(FeedId(1), frame(1, &[(1, 1), (2, 0)])),
-            Err(Error::ShardLost { worker: 1, .. })
+            Err(Error::FeedLost(FeedId(1)))
         ));
         assert!(!engine.is_durable());
         engine.sync_store().unwrap();
@@ -1663,6 +1549,23 @@ mod tests {
     struct PanicOnFeed1 {
         disk: SharedIo,
         armed: AtomicBool,
+    }
+
+    impl PanicOnFeed1 {
+        /// A durable two-worker fleet on a disarmed view.
+        fn fleet() -> (Arc<PanicOnFeed1>, MultiFeedEngine) {
+            let io = Arc::new(PanicOnFeed1 {
+                disk: tvq_store::MemDisk::new().io(),
+                armed: AtomicBool::new(false),
+            });
+            let fleet = MultiFeedEngine::builder(config(2))
+                .with_query_text("car >= 1 AND person >= 1")
+                .unwrap()
+                .with_store(io.clone(), Path::new("/fleet"))
+                .build()
+                .unwrap();
+            (io, fleet)
+        }
     }
 
     impl tvq_store::StoreIo for PanicOnFeed1 {
@@ -1713,16 +1616,7 @@ mod tests {
     /// frame — holding exactly the frames it acknowledged.
     #[test]
     fn a_panicking_share_loses_its_feeds_and_the_store_recovers_them() {
-        let io = Arc::new(PanicOnFeed1 {
-            disk: tvq_store::MemDisk::new().io(),
-            armed: AtomicBool::new(false),
-        });
-        let mut fleet = MultiFeedEngine::builder(config(2))
-            .with_query_text("car >= 1 AND person >= 1")
-            .unwrap()
-            .with_store(io.clone(), Path::new("/fleet"))
-            .build()
-            .unwrap();
+        let (io, mut fleet) = PanicOnFeed1::fleet();
         let mut oracle = engine(2);
         let pair = |fid: u64| -> Vec<FeedFrame> {
             (0..2u32)
@@ -1744,10 +1638,7 @@ mod tests {
             })
         ));
         io.armed.store(false, Ordering::SeqCst);
-        assert!(matches!(
-            fleet.report(),
-            Err(Error::ShardLost { worker: 1, .. })
-        ));
+        assert!(matches!(fleet.report(), Err(Error::FeedLost(FeedId(1)))));
         // Only feed 0's frame 3 was applied and acknowledged to the store.
         oracle.push_batch(&pair(3)[..1]).unwrap();
         for fid in 4..8u64 {

@@ -14,7 +14,7 @@
 //!   same code paths the live engine used reproduces its state exactly.
 //! * **engine snapshots** (`TVQE`) — the complete engine at a WAL sequence
 //!   boundary, as the section list of `encode_engine`.
-//! * **the fleet catalog** (`TVQF`) — the multi-feed scheduler's master
+//! * **the fleet catalog** (`TVQF`) — the multi-feed fleet's master
 //!   registry, query set and catalog version.
 //!
 //! All are versioned through [`tvq_common::codec`] headers and fail with
@@ -125,7 +125,7 @@ pub fn decode_record(body: &[u8]) -> Result<WalRecord> {
 const FLEET_MAGIC: [u8; 4] = *b"TVQF";
 /// Version of the fleet-catalog payload (2 added the CRC-32 trailer).
 const FLEET_VERSION: u32 = 2;
-/// File under a durable fleet's data directory holding the scheduler's
+/// File under a durable fleet's data directory holding the fleet's
 /// master catalog (registry, query set, version). Always written *ahead*
 /// of applying an op, so the master version is never behind a feed's.
 pub(crate) const FLEET_CATALOG: &str = "fleet-catalog.tvqf";
@@ -168,7 +168,7 @@ pub(crate) fn load_fleet_catalog(
     decode_fleet_catalog(&io.read(&path)?).map(Some)
 }
 
-/// Serializes the multi-feed scheduler's master catalog — header, version,
+/// Serializes the multi-feed fleet's master catalog — header, version,
 /// registry, queries — closed by the store's [`seal`] (the snapshot store's
 /// framing). Written *ahead* of each catalog op (and at fleet build), so
 /// after any crash the master version is at least every feed's — restart

@@ -23,7 +23,7 @@
 //! * a **skewed camera grid** ([`skewed_grid()`](skewed_grid::skewed_grid)) in which a couple of hot
 //!   cameras colliding on one static shard carry ~90% of the fleet's
 //!   maintenance work, with a mid-run hotspot flip — the workload that
-//!   exercises the multi-feed engine's work-stealing scheduler.
+//!   exercises the multi-feed engine's per-batch placement.
 //!
 //! Real detector output enters the same way a generated feed does: as
 //! `FrameObjects` handed to the engine, which is agnostic to the source.

@@ -6,9 +6,9 @@
 //! far more than an order of magnitude more *work*) than one watching a
 //! loading dock at night. Static `feed mod workers` sharding serialises
 //! whatever hot cameras happen to collide on one worker; this generator
-//! synthesises exactly that adversarial shape, so the scheduler benchmarks
-//! and differential tests can measure and pin down the work-stealing
-//! response:
+//! synthesises exactly that adversarial shape, so the skew benchmark and
+//! the differential tests can measure and pin down how the multi-feed
+//! engine places them:
 //!
 //! * `hot_feeds` of the grid's `feeds` cameras are **hot**: a rolling
 //!   population of `hot_objects` concurrent objects. The rest are cold with
@@ -19,7 +19,7 @@
 //!   pool), the worst case for static sharding;
 //! * halfway through the feed the hotspot **flips** to a disjoint set of
 //!   formerly cold cameras (the intersection rush hour moving across town),
-//!   so a scheduler that migrated once and stopped watching is re-skewed;
+//!   so a placement fixed once would be re-skewed;
 //! * generation is pure arithmetic (no RNG, no wall clock): identical
 //!   profiles produce identical grids on every platform, which the
 //!   determinism suites rely on.

@@ -6,9 +6,8 @@
 //! choices that may never change query results or per-feed metrics. The
 //! heavy lifting lives in `tvq_testkit::assert_multifeed_equals_single`;
 //! this suite sweeps maintainer kinds, pruning, worker counts, batch sizes
-//! and seeds — plus the scheduling dimension: rebalancing on/off/aggressive,
-//! forced per-batch migrations, and the skewed camera grid the
-//! work-stealing scheduler exists for.
+//! and seeds, interleaved fleet-wide catalog ops, and the skewed camera
+//! grid whose hot cameras collide under a static `feed mod 4` split.
 
 use std::sync::Arc;
 
@@ -73,72 +72,47 @@ fn more_workers_than_feeds_is_fine() {
     assert_multifeed_equals_single(&feeds, config(MaintainerKind::Mfs, true), QUERIES, 8, 4);
 }
 
-/// Determinism under work stealing: rebalancing (off, default cadence, and
-/// the most aggressive setting the config allows) must be invisible to
-/// results — every configuration stays frame-for-frame identical to the
-/// single-feed oracles, for both pruning-capable maintainers.
+/// Worker count × maintainer, once plain and once with a query added or
+/// removed fleet-wide every other batch: each batch places its feeds
+/// afresh, so a feed's frames move between shares from batch to batch,
+/// and every run must stay frame-for-frame identical to the single-feed
+/// oracles.
 #[test]
-fn rebalancing_is_invisible_to_results() {
+fn worker_count_and_maintainer_sweeps_match_oracles() {
     for kind in [MaintainerKind::Mfs, MaintainerKind::Ssg] {
-        let feeds = multi_feed_classed(17, 5, 30, 6, 0.25, 2);
-        for workers in [1usize, 2, 4] {
-            for (interval, threshold) in [(0u64, 1.5f64), (8, 1.5), (1, 1.0)] {
+        for (seed, feeds, frames, batch_size, catalog_ops) in
+            [(17u64, 5, 30, 7, false), (29, 4, 24, 5, true)]
+        {
+            let feeds = multi_feed_classed(seed, feeds, frames, 6, 0.25, 2);
+            for workers in [1usize, 2, 4] {
                 assert_multifeed_config_equals_single(
                     &feeds,
-                    MultiFeedConfig::new(config(kind, true))
-                        .with_workers(workers)
-                        .with_rebalance_interval(interval)
-                        .with_steal_threshold(threshold),
+                    MultiFeedConfig::new(config(kind, true)).with_workers(workers),
                     QUERIES,
-                    7,
-                    false,
+                    batch_size,
+                    catalog_ops,
                 );
             }
         }
     }
 }
 
-/// The adversarial schedule: every feed is force-migrated to a rotating
-/// worker after every batch. Migration in any pattern, at any frequency,
-/// must never change results, per-feed metrics, or reports.
+/// The skewed grid (hot cameras colliding under `feed mod 4`, hotspot flip
+/// mid-run) at 4 workers, with and without interleaved catalog ops: the
+/// placement that spreads the hot cameras never changes a result.
 #[test]
-fn forced_migrations_every_batch_are_invisible_to_results() {
-    for kind in [MaintainerKind::Mfs, MaintainerKind::Ssg] {
-        let feeds = multi_feed_classed(29, 4, 24, 6, 0.25, 2);
-        for workers in [2usize, 4] {
-            assert_multifeed_config_equals_single(
-                &feeds,
-                MultiFeedConfig::new(config(kind, true))
-                    .with_workers(workers)
-                    .with_rebalance_interval(3),
-                QUERIES,
-                5,
-                true,
-            );
-        }
-    }
-}
-
-/// The skewed-grid workload the scheduler exists for (hot cameras colliding
-/// on one static shard, hotspot flip mid-run) must also be deterministic:
-/// the rebalanced sharded run stays identical to the single-feed oracles
-/// even while the scheduler is actively migrating the hot feeds.
-#[test]
-fn skewed_grid_with_rebalancing_matches_oracles() {
+fn skewed_grid_at_four_workers_matches_oracles() {
     let mut profile = SkewProfile::new(48);
     profile.feeds = 8;
     profile.hot_objects = 10;
     let feeds = skewed_grid(&profile);
-    for (interval, threshold) in [(0u64, 1.5f64), (2, 1.25)] {
+    for catalog_ops in [false, true] {
         assert_multifeed_config_equals_single(
             &feeds,
-            MultiFeedConfig::new(config(MaintainerKind::Ssg, true))
-                .with_workers(4)
-                .with_rebalance_interval(interval)
-                .with_steal_threshold(threshold),
+            MultiFeedConfig::new(config(MaintainerKind::Ssg, true)).with_workers(4),
             QUERIES,
             8,
-            false,
+            catalog_ops,
         );
     }
 }
