@@ -6,8 +6,8 @@
 //! Usage: `model_check [--lifecycle-depth N] [--engine-depth N]
 //! [--catalog-depth N] [--skip-engine] [--workers N] [--symmetry]`
 //!
-//! `--symmetry` explores each model's symmetry quotient (feed/class swaps
-//! for the lifecycle model, version-residue rotation for the catalog
+//! `--symmetry` explores each model's symmetry quotient (class swap for
+//! the lifecycle model, version-residue rotation for the catalog
 //! model) and `--workers N` shards the frontier across N threads. Both are
 //! report-preserving: any configuration prints byte-identical output for
 //! the same depths.
@@ -26,13 +26,13 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    // Defaults sized for a sub-minute release-mode CI run: lifecycle 6 is
-    // ~700k states / 2.1M transitions, engine 5 replays 104k states through
-    // two real engines, catalog 8 is the full ~20k-state fixpoint region.
-    // Deeper lifecycle runs want `--symmetry` (≈4× fewer canonical states).
+    // Defaults sized for a release-mode CI run of seconds: lifecycle 8 is
+    // ~144k states / 474k transitions, engine 6 replays 15k states through
+    // a real engine, catalog 8 is the full ~20k-state fixpoint region.
+    // Deeper lifecycle runs want `--symmetry` (≈2× fewer canonical states).
     let mut args = Args {
-        lifecycle_depth: 6,
-        engine_depth: 5,
+        lifecycle_depth: 8,
+        engine_depth: 6,
         catalog_depth: 8,
         skip_engine: false,
         workers: 1,
@@ -82,15 +82,15 @@ fn main() -> ExitCode {
     let mut ok = true;
 
     // Lifecycle model with component-level conformance replay: every edge's
-    // witness path drives ObjectLifecycle + SetInterner + shared ClassStore
-    // (one independent replay stack per worker lane).
+    // witness path drives ObjectLifecycle (with its ClassStore) +
+    // SetInterner (one independent replay stack per worker lane).
     let lifecycle = args.configure(Traversal::new(LifecycleModel, args.lifecycle_depth));
     let report =
         lifecycle.run_sharded(|_worker| |path: &[_], _: &_| conformance::replay_component(path));
     ok &= run("lifecycle (component replay)", &report);
 
-    // The same model replayed through two full engines sharing a class
-    // store — shallower (each edge builds two engines) but end to end.
+    // The same model replayed through a full engine — shallower (each edge
+    // builds an engine) but end to end.
     if args.skip_engine {
         println!("model lifecycle (engine replay): skipped");
     } else {

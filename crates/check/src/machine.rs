@@ -54,8 +54,7 @@ pub trait Machine {
 
     /// Applies one action, returning the successor state or a description
     /// of a *transition-level* violation (an operation the protocol forbids
-    /// outright, e.g. releasing a class-store reference that was never
-    /// held).
+    /// outright, e.g. retiring an alias that has no translation entry).
     fn transition(&self, state: &Self::State, action: &Self::Action)
         -> Result<Self::State, String>;
 

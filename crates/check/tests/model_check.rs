@@ -13,9 +13,9 @@
 //!   run against deliberately broken implementations and the checker must
 //!   *find* every planted bug, each with a shortest printed counterexample
 //!   trace. A checker that cannot see a planted bug proves nothing about
-//!   the absence of real ones. The feed-asymmetric retirement mutant runs
-//!   under `--symmetry` specifically: finding a bug that only exists on
-//!   feed 1 proves the quotient replays concrete runs on both feeds.
+//!   the absence of real ones. The class-asymmetric retirement mutant runs
+//!   under `--symmetry` specifically: finding a bug that only exists for
+//!   class 1 proves the quotient replays concrete runs of both classes.
 //!
 //! Depths here are lower than the `model_check` binary's defaults so the
 //! suite stays fast in debug builds; the binary (run in release by CI)
@@ -29,11 +29,11 @@ mod conformant {
     use tvq_check::{Machine, Report};
 
     /// Lifecycle/compaction/remap protocol: ≥10k canonical states, every
-    /// edge replayed through `ObjectLifecycle` + `SetInterner` + shared
-    /// `ClassStore`, zero divergences.
+    /// edge replayed through `ObjectLifecycle` (with its `ClassStore`) +
+    /// `SetInterner`, zero divergences.
     #[test]
     fn lifecycle_model_explores_past_10k_states_and_replays_conformantly() {
-        let report = Traversal::new(LifecycleModel, 4)
+        let report = Traversal::new(LifecycleModel, 6)
             .run_with(|path, _| conformance::replay_component(path));
         assert!(report.ok(), "{}", report.render("lifecycle"));
         assert!(
@@ -43,13 +43,13 @@ mod conformant {
         );
     }
 
-    /// The same action sequences driven end to end through two real engines
-    /// sharing a class store. Shallower — every edge builds two engines —
-    /// but this is the replay that pins match output and `live_states`.
+    /// The same action sequences driven end to end through a real engine.
+    /// Shallower — every edge builds an engine — but this is the replay
+    /// that pins match output and `live_states`.
     #[test]
     fn engine_replay_conforms() {
         let report =
-            Traversal::new(LifecycleModel, 3).run_with(|path, _| conformance::replay_engine(path));
+            Traversal::new(LifecycleModel, 4).run_with(|path, _| conformance::replay_engine(path));
         assert!(report.ok(), "{}", report.render("engine"));
         assert!(
             report.states_explored >= 1_000,
@@ -145,9 +145,11 @@ mod conformant {
             .with_symmetry(true)
             .run_with(|path, _| conformance::replay_component(path));
         assert!(reduced.ok(), "{}", reduced.render("lifecycle quotient"));
+        // The class swap is a two-element group, so the quotient is at most
+        // half the space plus the swap's fixed points.
         assert!(
-            reduced.states_explored * 2 < full.states_explored,
-            "quotient should at least halve the space: {} vs {}",
+            reduced.states_explored * 3 < full.states_explored * 2,
+            "quotient should shrink the space by a third or more: {} vs {}",
             reduced.states_explored,
             full.states_explored
         );
@@ -316,14 +318,14 @@ mod mutants {
         );
     }
 
-    /// The symmetry soundness control: a bug that exists on feed 1 *only*
-    /// (retirement skipped there) must still be found by the
-    /// symmetry-reduced parallel traversal, even though the quotient stores
-    /// representatives that mostly keep feed 0 empty. The replayed
-    /// counterexample must be a concrete run ending in the feed-1 Compact
-    /// whose retirement the mutant swallowed.
+    /// The symmetry soundness control: a bug that exists for class 1
+    /// *only* (retirement skipped when a class-1 object retires) must still
+    /// be found by the symmetry-reduced parallel traversal, even though the
+    /// quotient stores representatives that prefer class 0. The replayed
+    /// counterexample must be a concrete run ending in the Compact whose
+    /// retirement the mutant swallowed.
     #[test]
-    fn symmetry_reduced_checker_catches_the_feed_asymmetric_retire_mutant() {
+    fn symmetry_reduced_checker_catches_the_class_asymmetric_retire_mutant() {
         let _arm = Arm::new(false, true);
         let report = Traversal::new(LifecycleModel, 6)
             .with_symmetry(true)
@@ -334,11 +336,8 @@ mod mutants {
             .violation()
             .expect("the planted mutant must be found");
         assert!(
-            matches!(
-                violation.trace.last(),
-                Some(LifecycleAction::Compact { feed: 1 })
-            ),
-            "shortest counterexample should end at the feed-1 Compact: {:?}",
+            matches!(violation.trace.last(), Some(LifecycleAction::Compact)),
+            "shortest counterexample should end at the swallowed Compact: {:?}",
             violation.trace
         );
         assert!(

@@ -43,9 +43,9 @@
 //!   at intern time: most interned sets are never reported nor judged, so
 //!   the callers that do read counts (result reporting, the once-per-set
 //!   pruner verdict) keep what they computed. Keeping it is sound because a
-//!   live class entry never changes (the [`ClassStore`](crate::ClassStore)
-//!   is first-writer-wins, identifier reuse mints fresh internal ids) and a
-//!   live set's objects are never retired.
+//!   [`ClassStore`](crate::ClassStore) entry never changes while it exists
+//!   (identifier reuse mints fresh internal ids) and a live set's objects
+//!   are never retired.
 //!
 //! Within one epoch the arena and the memo are **append-only**: interning is
 //! cheap and ids stay stable, at the cost of memory that grows with the
@@ -117,7 +117,7 @@ impl SetId {
 /// The table also carries the epoch's **retire set**: the objects whose bit
 /// slots were re-densified away because no surviving set contains them.
 /// Upstream layers use it to drop those identifiers from their own
-/// per-object state (seen-object sets, class-store references), which is
+/// per-object state (bindings, class-store entries), which is
 /// what bounds the *engine-side* memory to the live window.
 #[derive(Debug, Clone)]
 pub struct RemapTable {
@@ -223,7 +223,7 @@ pub struct SetInterner {
     /// reference retired handles) at `2^memo_config.bits` slots.
     memo: Vec<(SetId, SetId, SetId)>,
     memo_config: MemoConfig,
-    /// The shared class store, when class counts are wanted.
+    /// The engine's class store, when class counts are wanted.
     classes: Option<SharedClassMap>,
     memo_hits: u64,
     memo_misses: u64,
@@ -242,12 +242,14 @@ impl SetInterner {
     }
 
     /// Creates an interner that can aggregate any set's [`ClassCounts`]
-    /// ([`counts_of`](Self::counts_of)) from the shared object → class map.
+    /// ([`counts_of`](Self::counts_of)) from the engine's object → class
+    /// map.
     ///
     /// Every object of a set must be present in the map while the set is
-    /// live; the engine guarantees this by registering the classes of a
-    /// frame's detections before the frame reaches the maintainer, and by
-    /// releasing an object's class only once a compaction epoch retired it.
+    /// live; the engine's lifecycle guarantees this by registering the
+    /// classes of a frame's detections before the frame reaches the
+    /// maintainer, and by releasing an object's class only once a compaction
+    /// epoch retired it.
     pub fn with_classes(classes: SharedClassMap) -> Self {
         let mut interner = SetInterner::new();
         interner.classes = Some(classes);

@@ -20,16 +20,16 @@
 //! * the first sighting of an external id binds it to itself (`internal ==
 //!   external`) — the common case costs one map lookup and no translation;
 //! * an external id that reappears **with a different class** while its old
-//!   binding may still be referenced is a new object: it is bound to a
-//!   fresh *alias* internal id (allocated from the top of the id space
-//!   downward), so no live state can absorb the newcomer's frames;
+//!   generation is still registered is a new object: it is bound to a fresh
+//!   *alias* internal id (minted from the top of the id space downward), so
+//!   no live state can absorb the newcomer's frames;
 //! * at compaction epoch boundaries the maintainer reports its **retire
 //!   set** — internal ids no surviving state references. The lifecycle
-//!   releases their class-store references, forgets their bindings and
-//!   aliases, and thereby keeps every per-object map bounded by the live
-//!   window. A retired id that reappears (same or different class) starts a
-//!   **new generation**: it re-binds, re-registers its class and is
-//!   re-judged by the pruner — never trusted from stale state;
+//!   drops their class entries, bindings and aliases, and thereby keeps
+//!   every per-object map bounded by the live window. A retired id that
+//!   reappears (same or different class) starts a **new generation**: it
+//!   re-binds, re-registers its class and is re-judged by the pruner —
+//!   never trusted from stale state;
 //! * a reappearance with the *same* class while the binding is still live is
 //!   indistinguishable from an occlusion the tracker bridged, and is — by
 //!   contract — the same object. This mirrors the tracker guarantee the
@@ -39,10 +39,11 @@
 //! (unique per engine, never reused) so tests, metrics and downstream
 //! consumers can observe reuse explicitly.
 
-use std::sync::PoisonError;
+use std::sync::{Arc, PoisonError, RwLockReadGuard};
 
 use tvq_common::{
-    ClassId, Decoder, Encoder, Error, FxHashMap, FxHashSet, ObjectId, Result, SharedClassMap,
+    shared_class_store, ClassId, ClassStore, Decoder, Encoder, Error, FxHashMap, FxHashSet,
+    ObjectId, Result, SharedClassMap,
 };
 
 /// The current binding of one external (tracker) identifier.
@@ -50,9 +51,7 @@ use tvq_common::{
 pub struct LiveBinding {
     /// The internal identifier downstream structures see.
     pub internal: ObjectId,
-    /// The class this engine observed for the binding (matches the shared
-    /// store except under cross-feed id collisions, which shared stores
-    /// document as unsupported).
+    /// The binding's class (the class store holds the same for `internal`).
     pub class: ClassId,
     /// The binding's generation (engine-wide monotone counter).
     pub generation: u64,
@@ -62,16 +61,15 @@ pub struct LiveBinding {
 /// epoch-boundary retirement. See the [module docs](self).
 #[derive(Debug)]
 pub struct ObjectLifecycle {
+    /// The engine's class store: one entry per registered internal id.
     store: SharedClassMap,
     /// External id → its current binding (the per-frame fast path).
     live: FxHashMap<ObjectId, LiveBinding>,
-    /// Internal ids currently holding one class-store reference each.
-    registered: FxHashSet<ObjectId>,
     /// Alias internal id → the external id it stands for (only reuse
     /// generations appear here; first generations bind to themselves).
-    /// Alias values are minted by the class store so sharers never
-    /// collide; this map only records *this* engine's aliases.
     aliases: FxHashMap<ObjectId, ObjectId>,
+    /// Next alias to mint: counts down from `u32::MAX`, wrapping.
+    next_alias: u32,
     next_generation: u64,
     retired_total: u64,
     tracks_ended: u64,
@@ -80,13 +78,13 @@ pub struct ObjectLifecycle {
 }
 
 impl ObjectLifecycle {
-    /// Creates a lifecycle around a (possibly shared) class store.
+    /// Creates a lifecycle that registers classes into `store`.
     pub fn new(store: SharedClassMap) -> Self {
         ObjectLifecycle {
             store,
             live: FxHashMap::default(),
-            registered: FxHashSet::default(),
             aliases: FxHashMap::default(),
+            next_alias: u32::MAX,
             next_generation: 0,
             retired_total: 0,
             tracks_ended: 0,
@@ -94,7 +92,7 @@ impl ObjectLifecycle {
         }
     }
 
-    /// The shared class store this lifecycle registers into.
+    /// The class store this lifecycle registers into.
     pub fn store(&self) -> &SharedClassMap {
         &self.store
     }
@@ -129,7 +127,7 @@ impl ObjectLifecycle {
         }
         let mut pending = std::mem::take(&mut self.pending);
         {
-            // Entries are immutable while referenced, so a poisoned lock
+            // Entries are immutable while registered, so a poisoned lock
             // still holds usable data (same reasoning as the LivePruner).
             let mut store = self.store.write().unwrap_or_else(PoisonError::into_inner);
             for (external, class) in pending.drain(..) {
@@ -141,33 +139,22 @@ impl ObjectLifecycle {
                         continue;
                     }
                 }
-                // A tracker id in the alias range cannot collide: `mint_alias`
-                // skips registered ids, and the `taken` check below mints an
-                // alias when a tracker id equals a live alias.
-                //
-                // The old binding (if any) keeps its store reference until
-                // the interner retires it; the newcomer gets an internal id
-                // nothing live can reference: the external id itself when
-                // neither this engine nor any store sharer holds it under
-                // a different class, a store-minted alias otherwise (the
-                // store owns the sequence, so two engines sharing it can
-                // never mint the same alias for different objects). The
-                // sharer check matters after *local* retirement: another
-                // shard's live entry for this id is exactly as untouchable
-                // as a local one — inheriting its class would evaluate the
-                // newcomer under the wrong class.
-                let taken = self.registered.contains(&external)
-                    || store.class_of(external).is_some_and(|held| held != class);
-                let internal = if taken {
-                    let alias = store.mint_alias();
+                // The newcomer gets an id nothing live references: the
+                // external id unless it is still registered, else an alias.
+                // Minting skips registered ids and wraps below zero, so it
+                // cannot run out whatever value a restored cursor holds.
+                let internal = if store.class_of(external).is_some() {
+                    while store.class_of(ObjectId(self.next_alias)).is_some() {
+                        self.next_alias = self.next_alias.wrapping_sub(1);
+                    }
+                    let alias = ObjectId(self.next_alias);
+                    self.next_alias = self.next_alias.wrapping_sub(1);
                     self.aliases.insert(alias, external);
                     alias
                 } else {
                     external
                 };
-                let actual = store.register(internal, class);
-                debug_assert_eq!(actual, class, "fresh registrations are first writers");
-                self.registered.insert(internal);
+                store.register(internal, class);
                 let generation = self.next_generation;
                 self.next_generation += 1;
                 self.live.insert(
@@ -193,10 +180,10 @@ impl ObjectLifecycle {
     /// same class *within* an epoch is indistinguishable from a bridged
     /// occlusion and re-binds to the old generation.
     ///
-    /// The ended generation keeps its class-store reference and its alias
-    /// translation (its states may still be live inside the window); both
-    /// are reclaimed by [`retire`](Self::retire) once the interner reports
-    /// the id dead at a compaction epoch.
+    /// The ended generation keeps its class entry and its alias translation
+    /// (its states may still be live inside the window); both are reclaimed
+    /// by [`retire`](Self::retire) once the interner reports the id dead at
+    /// a compaction epoch.
     pub fn end_tracks(&mut self, ends: &[ObjectId]) {
         // Negative-control mutant: reintroduces the pre-PR-5 blind spot
         // where end-of-track events were ignored, so a same-class recycle
@@ -217,18 +204,17 @@ impl ObjectLifecycle {
     }
 
     /// Applies a compaction epoch's retire set: every listed internal id
-    /// releases its class-store reference and its binding/alias entries.
-    /// Ids this lifecycle never registered are skipped (robustness).
+    /// drops its class entry and its binding/alias entries. Ids this
+    /// lifecycle never registered are skipped (robustness).
     pub fn retire(&mut self, retired: &[ObjectId]) {
         if retired.is_empty() {
             return;
         }
         let mut store = self.store.write().unwrap_or_else(PoisonError::into_inner);
         for &internal in retired {
-            if !self.registered.remove(&internal) {
+            if !store.release(internal) {
                 continue;
             }
-            store.release(internal);
             let external = self.aliases.remove(&internal).unwrap_or(internal);
             if self
                 .live
@@ -262,18 +248,22 @@ impl ObjectLifecycle {
         self.live.get(&external).copied()
     }
 
-    /// Internal ids currently tracked (each holds one store reference).
+    /// Internal ids currently tracked (each holds one class entry).
     pub fn tracked_objects(&self) -> usize {
-        self.registered.len()
+        self.read_store().len()
     }
 
-    /// The tracked internal ids as a sorted list. Introspection hook for
-    /// the model checker: conformance replay compares this set against the
-    /// model's (and against the interner's universe) after every action.
-    pub fn registered_ids(&self) -> Vec<ObjectId> {
-        let mut ids: Vec<ObjectId> = self.registered.iter().copied().collect();
-        ids.sort_unstable();
-        ids
+    /// The tracked internal ids with their classes, sorted by id: what
+    /// [`encode`](Self::encode) persists and the model checker replays.
+    pub fn registrations(&self) -> Vec<(ObjectId, ClassId)> {
+        let mut entries: Vec<(ObjectId, ClassId)> = self
+            .read_store()
+            .classes()
+            .iter()
+            .map(|(&id, &class)| (id, class))
+            .collect();
+        entries.sort_unstable();
+        entries
     }
 
     /// The live alias translations as sorted `(alias internal, external)`
@@ -291,9 +281,9 @@ impl ObjectLifecycle {
     }
 
     /// Appends the lifecycle's persistent state, every list sorted by its
-    /// key: live bindings by external id, tracked internal ids, alias
-    /// translations by alias, then the three monotone counters. The class
-    /// store is persisted by its owner, not here.
+    /// key: live bindings by external id, registrations (the class store)
+    /// by internal id, alias translations by alias, then the alias cursor
+    /// and the three monotone counters.
     pub fn encode(&self, enc: &mut Encoder) {
         let mut live: Vec<(ObjectId, LiveBinding)> = self
             .live
@@ -308,10 +298,11 @@ impl ObjectLifecycle {
             enc.put_u16(binding.class.raw());
             enc.put_u64(binding.generation);
         }
-        let registered = self.registered_ids();
-        enc.put_usize(registered.len());
-        for id in registered {
+        let registrations = self.registrations();
+        enc.put_usize(registrations.len());
+        for (id, class) in registrations {
             enc.put_u32(id.raw());
+            enc.put_u16(class.raw());
         }
         let aliases = self.alias_entries();
         enc.put_usize(aliases.len());
@@ -319,20 +310,23 @@ impl ObjectLifecycle {
             enc.put_u32(alias.raw());
             enc.put_u32(external.raw());
         }
+        enc.put_u32(self.next_alias);
         enc.put_u64(self.next_generation);
         enc.put_u64(self.retired_total);
         enc.put_u64(self.tracks_ended);
     }
 
-    /// Reads a lifecycle written by [`encode`](Self::encode) around the
-    /// (already restored) class `store`. A list whose keys do not strictly
-    /// increase is corrupt: the encoder sorts them, and collecting a repeat
-    /// into a map would silently keep the last entry. The counters are
-    /// restored exactly — `next_generation` is the engine-wide monotone
-    /// generation source, so resetting it would hand a recovered binding a
-    /// generation some pre-crash binding already carries.
-    pub fn decode(dec: &mut Decoder<'_>, store: SharedClassMap) -> Result<ObjectLifecycle> {
-        let mut lifecycle = ObjectLifecycle::new(store);
+    /// Reads a lifecycle written by [`encode`](Self::encode), with a fresh
+    /// class store holding the persisted registrations. A list whose keys
+    /// do not strictly increase is corrupt: the encoder sorts them, and
+    /// collecting a repeat into a map would silently keep the last entry.
+    /// The counters are restored exactly — `next_generation` is the
+    /// engine-wide monotone generation source, so resetting it would hand a
+    /// recovered binding a generation some pre-crash binding already
+    /// carries.
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<ObjectLifecycle> {
+        let store = shared_class_store();
+        let mut lifecycle = ObjectLifecycle::new(Arc::clone(&store));
         let mut previous = None;
         for _ in 0..dec.take_len()? {
             let external = increasing("live binding", &mut previous, ObjectId(dec.take_u32()?))?;
@@ -343,16 +337,19 @@ impl ObjectLifecycle {
             };
             lifecycle.live.insert(external, binding);
         }
+        let mut classes = store.write().unwrap_or_else(PoisonError::into_inner);
         let mut previous = None;
         for _ in 0..dec.take_len()? {
             let id = increasing("registered id", &mut previous, ObjectId(dec.take_u32()?))?;
-            lifecycle.registered.insert(id);
+            classes.register(id, ClassId(dec.take_u16()?));
         }
+        drop(classes);
         let mut previous = None;
         for _ in 0..dec.take_len()? {
             let alias = increasing("alias", &mut previous, ObjectId(dec.take_u32()?))?;
             lifecycle.aliases.insert(alias, ObjectId(dec.take_u32()?));
         }
+        lifecycle.next_alias = dec.take_u32()?;
         lifecycle.next_generation = dec.take_u64()?;
         lifecycle.retired_total = dec.take_u64()?;
         lifecycle.tracks_ended = dec.take_u64()?;
@@ -375,11 +372,15 @@ impl ObjectLifecycle {
         self.next_generation
     }
 
-    /// Approximate bytes held by the lifecycle's maps.
+    /// Approximate bytes held by the lifecycle's own maps.
     pub fn bytes(&self) -> usize {
         self.live.capacity() * std::mem::size_of::<(ObjectId, LiveBinding, u64)>()
-            + self.registered.capacity() * std::mem::size_of::<(ObjectId, u64)>()
             + self.aliases.capacity() * std::mem::size_of::<(ObjectId, ObjectId, u64)>()
+    }
+
+    /// The class store, read-locked (a poisoned lock holds usable data).
+    fn read_store(&self) -> RwLockReadGuard<'_, ClassStore> {
+        self.store.read().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -397,11 +398,9 @@ fn increasing(list: &str, previous: &mut Option<ObjectId>, key: ObjectId) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, RwLock};
-    use tvq_common::ClassStore;
 
     fn lifecycle() -> ObjectLifecycle {
-        ObjectLifecycle::new(Arc::new(RwLock::new(ClassStore::new())))
+        ObjectLifecycle::new(shared_class_store())
     }
 
     fn relevant(classes: &[u16]) -> FxHashSet<ClassId> {
@@ -416,6 +415,10 @@ mod tests {
         let mut out = Vec::new();
         lc.resolve_frame(&detections, &relevant(&[0, 1]), &mut out);
         out
+    }
+
+    fn class_of(lc: &ObjectLifecycle, id: ObjectId) -> Option<ClassId> {
+        lc.store().read().unwrap().class_of(id)
     }
 
     #[test]
@@ -434,9 +437,7 @@ mod tests {
             vec![ObjectId(5), ObjectId(7)]
         );
         assert_eq!(lc.generations_started(), 2);
-        let store = lc.store().read().unwrap();
-        assert_eq!(store.class_of(ObjectId(5)), Some(ClassId(1)));
-        assert_eq!(store.ref_count(ObjectId(5)), 1);
+        assert_eq!(class_of(&lc, ObjectId(5)), Some(ClassId(1)));
     }
 
     #[test]
@@ -465,15 +466,13 @@ mod tests {
         assert_eq!(lc.generations_started(), 2);
         assert_eq!(lc.binding_of(ObjectId(5)).unwrap().internal, alias);
         assert_eq!(lc.binding_of(ObjectId(5)).unwrap().class, ClassId(0));
-        let store = lc.store().read().unwrap();
         assert_eq!(
-            store.class_of(ObjectId(5)),
+            class_of(&lc, ObjectId(5)),
             Some(ClassId(1)),
             "old class intact"
         );
-        assert_eq!(store.class_of(alias), Some(ClassId(0)));
+        assert_eq!(class_of(&lc, alias), Some(ClassId(0)));
         // Stable: the alias binding answers the fast path from now on.
-        drop(store);
         assert_eq!(resolve(&mut lc, &[(5, 0)]), vec![alias]);
         assert_eq!(lc.generations_started(), 2);
     }
@@ -488,11 +487,11 @@ mod tests {
         assert!(lc.binding_of(ObjectId(5)).is_none());
         assert!(lc.store().read().unwrap().is_empty());
         // Reappearance after retirement: a new generation, rebound to the
-        // (now unreferenced) external id — even with a different class.
+        // (now unregistered) external id — even with a different class.
         assert_eq!(resolve(&mut lc, &[(5, 0)]), vec![ObjectId(5)]);
         assert_eq!(lc.generations_started(), 2);
         assert_eq!(
-            lc.store().read().unwrap().class_of(ObjectId(5)),
+            class_of(&lc, ObjectId(5)),
             Some(ClassId(0)),
             "fresh class re-resolved, not the stale one"
         );
@@ -507,12 +506,12 @@ mod tests {
         lc.retire(&[alias]);
         assert!(!lc.has_aliases());
         assert!(lc.binding_of(ObjectId(5)).is_none());
-        // Id 5 reappears as a car again: internal 5 is *still referenced*
-        // (the gen-0 registration lives), so a fresh alias is minted rather
-        // than splicing into gen 0.
+        // Id 5 reappears as a car again: internal 5 is *still registered*
+        // (gen 0 lives), so a fresh alias is minted rather than splicing
+        // into gen 0.
         let again = resolve(&mut lc, &[(5, 1)]);
         assert_ne!(again[0], ObjectId(5));
-        assert_ne!(again[0], alias, "alias ids are never reused");
+        assert_ne!(again[0], alias, "the cursor moved past the retired alias");
         // Once gen 0 retires too, the external id is free to re-bind.
         lc.retire(&[ObjectId(5), again[0]]);
         assert_eq!(resolve(&mut lc, &[(5, 1)]), vec![ObjectId(5)]);
@@ -525,13 +524,10 @@ mod tests {
         lc.end_tracks(&[ObjectId(5)]);
         assert_eq!(lc.tracks_ended(), 1);
         assert!(lc.binding_of(ObjectId(5)).is_none());
-        // The ended generation's store reference survives until epoch
+        // The ended generation's class entry survives until epoch
         // retirement — its states may still be live inside the window.
         assert_eq!(lc.tracked_objects(), 1);
-        assert_eq!(
-            lc.store().read().unwrap().class_of(ObjectId(5)),
-            Some(ClassId(1))
-        );
+        assert_eq!(class_of(&lc, ObjectId(5)), Some(ClassId(1)));
         // Id 5 recycled for a *same-class* newcomer: without the end event
         // this would be indistinguishable from a bridged occlusion and
         // splice into gen 0; with it, a fresh alias generation starts.
@@ -571,84 +567,28 @@ mod tests {
     }
 
     #[test]
-    fn aliases_are_unique_across_lifecycles_sharing_a_store() {
-        // Two engines share one store (and a coherent global id space).
-        // Each detects a class-change reuse on a *different* object; the
-        // minted aliases must differ, or the first-writer-wins store would
-        // cross-pollute classes between the feeds.
-        let store: SharedClassMap = Arc::new(RwLock::new(ClassStore::new()));
-        let mut a = ObjectLifecycle::new(Arc::clone(&store));
-        let mut b = ObjectLifecycle::new(Arc::clone(&store));
-        let mut out = Vec::new();
-        a.resolve_frame(&[(ObjectId(1), ClassId(1))], &relevant(&[0, 1]), &mut out);
-        b.resolve_frame(&[(ObjectId(2), ClassId(0))], &relevant(&[0, 1]), &mut out);
-        out.clear();
-        a.resolve_frame(&[(ObjectId(1), ClassId(0))], &relevant(&[0, 1]), &mut out);
-        b.resolve_frame(&[(ObjectId(2), ClassId(1))], &relevant(&[0, 1]), &mut out);
-        let (alias_a, alias_b) = (out[0], out[1]);
-        assert_ne!(alias_a, alias_b, "store-minted aliases never collide");
-        let store = store.read().unwrap();
-        assert_eq!(store.class_of(alias_a), Some(ClassId(0)));
-        assert_eq!(store.class_of(alias_b), Some(ClassId(1)));
-    }
-
-    #[test]
-    fn cross_shard_recycle_with_conflicting_class_mints_an_alias() {
-        // Feeds A and B share the store and both track global id 5 as a
-        // car. A's epoch retires it locally; B's reference keeps the entry
-        // live. When the tracker recycles id 5 as a person on A, A must
-        // not rebind to the external id — B's live car entry is exactly as
-        // untouchable as a local registration.
-        let store: SharedClassMap = Arc::new(RwLock::new(ClassStore::new()));
-        let mut a = ObjectLifecycle::new(Arc::clone(&store));
-        let mut b = ObjectLifecycle::new(Arc::clone(&store));
-        let mut out = Vec::new();
-        a.resolve_frame(&[(ObjectId(5), ClassId(1))], &relevant(&[0, 1]), &mut out);
-        b.resolve_frame(&[(ObjectId(5), ClassId(1))], &relevant(&[0, 1]), &mut out);
-        a.retire(&[ObjectId(5)]);
-        assert_eq!(
-            store.read().unwrap().class_of(ObjectId(5)),
-            Some(ClassId(1))
-        );
-
-        out.clear();
-        a.resolve_frame(&[(ObjectId(5), ClassId(0))], &relevant(&[0, 1]), &mut out);
-        let internal = out[0];
-        assert_ne!(internal, ObjectId(5), "must not inherit B's live entry");
-        assert_eq!(a.external_of(internal), ObjectId(5));
-        let guard = store.read().unwrap();
-        assert_eq!(guard.class_of(internal), Some(ClassId(0)));
-        assert_eq!(guard.class_of(ObjectId(5)), Some(ClassId(1)), "B untouched");
-    }
-
-    #[test]
     fn mint_alias_skips_live_identifiers() {
-        let mut store = ClassStore::new();
-        // A stray external registered at the very top of the id space must
-        // not be handed out again as an alias.
-        store.register(ObjectId(u32::MAX), ClassId(0));
-        let minted = store.mint_alias();
-        assert_ne!(minted, ObjectId(u32::MAX));
-        assert!(minted.raw() < u32::MAX);
+        // A tracker id at the very top of the id space is registered; when
+        // it changes class, the alias minted for the newcomer must not be
+        // the id itself.
+        let mut lc = lifecycle();
+        assert_eq!(resolve(&mut lc, &[(u32::MAX, 0)]), vec![ObjectId(u32::MAX)]);
+        let alias = resolve(&mut lc, &[(u32::MAX, 1)])[0];
+        assert_eq!(alias, ObjectId(u32::MAX - 1));
+        assert_eq!(class_of(&lc, ObjectId(u32::MAX)), Some(ClassId(0)));
+        assert_eq!(class_of(&lc, alias), Some(ClassId(1)));
     }
 
     #[test]
-    fn shared_store_survives_one_engines_retirement() {
-        let store: SharedClassMap = Arc::new(RwLock::new(ClassStore::new()));
-        let mut a = ObjectLifecycle::new(Arc::clone(&store));
-        let mut b = ObjectLifecycle::new(Arc::clone(&store));
-        let detections = vec![(ObjectId(3), ClassId(1))];
-        let mut out = Vec::new();
-        a.resolve_frame(&detections, &relevant(&[1]), &mut out);
-        b.resolve_frame(&detections, &relevant(&[1]), &mut out);
-        assert_eq!(store.read().unwrap().ref_count(ObjectId(3)), 2);
-        a.retire(&[ObjectId(3)]);
-        assert_eq!(
-            store.read().unwrap().class_of(ObjectId(3)),
-            Some(ClassId(1)),
-            "b's reference keeps the entry alive"
-        );
-        b.retire(&[ObjectId(3)]);
-        assert!(store.read().unwrap().is_empty());
+    fn the_alias_cursor_wraps_instead_of_running_out() {
+        // A cursor at the bottom of the range (a restored snapshot may hold
+        // any value) skips the registered id 0 and wraps to the top.
+        let mut lc = lifecycle();
+        lc.next_alias = 0;
+        resolve(&mut lc, &[(0, 0)]);
+        let alias = resolve(&mut lc, &[(0, 1)])[0];
+        assert_eq!(alias, ObjectId(u32::MAX));
+        assert_eq!(lc.external_of(alias), ObjectId(0));
+        assert_eq!(lc.next_alias, u32::MAX - 1);
     }
 }

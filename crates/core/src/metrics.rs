@@ -63,15 +63,13 @@ pub struct MaintenanceMetrics {
     /// MFS, which never allocates the memo.
     pub intersection_cache_slots: u64,
     /// Object identifiers the engine currently tracks (holds class-store
-    /// references for). A gauge; bounded by the live window on retiring
+    /// entries for). A gauge; bounded by the live window on retiring
     /// configurations, monotone otherwise.
     pub tracked_objects: u64,
-    /// Approximate bytes held by the shared class store. A gauge — when
-    /// several feeds share one store, each feed reports the whole store, so
-    /// merged totals over-count (documented in [`merge`](Self::merge)).
+    /// Approximate bytes held by the engine's class store. A gauge.
     pub class_map_bytes: u64,
-    /// Approximate bytes held by the engine's object-lifecycle maps
-    /// (tracking set, live bindings, aliases). A gauge.
+    /// Approximate bytes held by the engine's object-lifecycle maps (live
+    /// bindings, aliases). A gauge.
     pub lifecycle_bytes: u64,
     /// Objects retired at compaction epoch boundaries so far (dropped from
     /// the engine's tracking maps and released from the class store).

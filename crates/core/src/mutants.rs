@@ -9,7 +9,7 @@
 //! the first violating level) — so each planted bug gets a process-global
 //! toggle the tests flip around their traversal. The default preserves the
 //! historical behaviour of the bare feature flag: the end-of-track blind
-//! spot is armed. (The feed-asymmetric retirement mutant is planted in
+//! spot is armed. (The class-asymmetric retirement mutant is planted in
 //! `tvq-check`'s own replay and its toggle lives there.)
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -7,11 +7,11 @@
 //! the registered CNF queries over the resulting Result State Set, producing
 //! [`QueryMatch`]es per frame.
 
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError};
 
 use tvq_common::{
-    ClassRegistry, ClassStore, Error, FrameId, FrameObjects, ObjectId, ObjectSet, QueryId, Result,
-    SetInterner, SharedClassMap,
+    shared_class_store, ClassRegistry, Error, FrameId, FrameObjects, ObjectId, ObjectSet, QueryId,
+    Result, SetInterner, SharedClassMap,
 };
 use tvq_core::{MaintenanceMetrics, ObjectLifecycle, SharedPruner, StateMaintainer, StatePruner};
 use tvq_query::{evaluate_result_set, ClassCounts, CnfQuery, QueryMatch};
@@ -71,10 +71,9 @@ impl StatePruner for LivePruner {
         let Some(evaluator) = self.active_evaluator() else {
             return false;
         };
-        // Live store entries are immutable, so a poisoned lock (a panicking
-        // thread elsewhere in the process) leaves it in a usable state:
-        // recover the guard instead of cascading the panic into every shard
-        // that shares the store.
+        // Store entries are immutable while they exist, so a poisoned lock
+        // (a panicking thread elsewhere in the process) leaves it in a
+        // usable state: recover the guard instead of cascading the panic.
         let store = self.classes.read().unwrap_or_else(PoisonError::into_inner);
         let counts = ClassCounts::of(objects, store.classes());
         !evaluator.any_satisfied(&counts)
@@ -85,8 +84,8 @@ impl StatePruner for LivePruner {
         objects: &ObjectSet,
         counts: Option<&tvq_common::ClassCounts>,
     ) -> bool {
-        // Aggregated from the same shared class map, once per judged
-        // handle; skip the lock and the re-aggregation.
+        // Aggregated from the same class store, once per judged handle;
+        // skip the lock and the re-aggregation.
         match counts {
             Some(counts) => match self.active_evaluator() {
                 Some(evaluator) => !evaluator.any_satisfied(counts),
@@ -108,7 +107,6 @@ pub struct EngineBuilder {
     config: EngineConfig,
     registry: ClassRegistry,
     queries: Vec<CnfQuery>,
-    class_store: Option<SharedClassMap>,
     allow_empty: bool,
     catalog_seed: u64,
 }
@@ -121,7 +119,6 @@ impl EngineBuilder {
             config,
             registry: ClassRegistry::with_default_classes(),
             queries: Vec::new(),
-            class_store: None,
             allow_empty: false,
             catalog_seed: 0,
         }
@@ -142,16 +139,6 @@ impl EngineBuilder {
     /// fleet's current version rather than restarting at zero.
     pub(crate) fn with_catalog_seed(mut self, version: u64) -> Self {
         self.catalog_seed = version;
-        self
-    }
-
-    /// Registers into a caller-provided (possibly shared) class store
-    /// instead of a private one. Sharing is only sound across feeds with a
-    /// common object-id space; the store's reference counts keep eviction
-    /// correct across sharers either way. Sharing is in memory only: a
-    /// durable engine recovers into a private store.
-    pub fn with_class_store(mut self, store: SharedClassMap) -> Self {
-        self.class_store = Some(store);
         self
     }
 
@@ -184,14 +171,11 @@ impl EngineBuilder {
             ));
         }
         let catalog = QueryCatalog::new(self.queries, self.catalog_seed)?;
-        let classes: SharedClassMap = self
-            .class_store
-            .unwrap_or_else(|| Arc::new(RwLock::new(ClassStore::new())));
         Ok(TemporalVideoQueryEngine::assemble(
             self.config,
             self.registry,
             catalog,
-            classes,
+            ObjectLifecycle::new(shared_class_store()),
         ))
     }
 }
@@ -205,10 +189,9 @@ pub struct TemporalVideoQueryEngine {
     pub(crate) catalog: QueryCatalog,
     pub(crate) maintainer: Box<dyn StateMaintainer>,
     /// Generation-aware tracker-id resolution, class-store registration and
-    /// epoch retirement (see [`ObjectLifecycle`]). Holds the engine's
-    /// (possibly shared) class store; its live-binding map doubles as the
-    /// per-frame fast path that skips the store's write lock in steady
-    /// state.
+    /// epoch retirement (see [`ObjectLifecycle`]). Owns the engine's class
+    /// store; its live-binding map doubles as the per-frame fast path that
+    /// skips the store's write lock in steady state.
     pub(crate) lifecycle: ObjectLifecycle,
     /// Frames since the compaction policy was last consulted.
     pub(crate) frames_since_compaction_check: u64,
@@ -243,18 +226,18 @@ impl TemporalVideoQueryEngine {
     /// Assembles an engine around already-validated parts. Shared by
     /// [`EngineBuilder::build`] and the snapshot-restore path in
     /// [`persist`](crate::persist), so both wire the interner, pruner and
-    /// maintainer identically.
+    /// maintainer identically around the lifecycle's class store.
     pub(crate) fn assemble(
         config: EngineConfig,
         registry: ClassRegistry,
         catalog: QueryCatalog,
-        classes: SharedClassMap,
+        lifecycle: ObjectLifecycle,
     ) -> TemporalVideoQueryEngine {
-        // The per-feed interner shares the engine's live class store, so a
-        // reported set's class counts are computed once while it stays
-        // reported and the evaluator skips the per-frame histogram rebuild.
-        let interner =
-            SetInterner::with_classes(Arc::clone(&classes)).with_memo_config(config.memo);
+        // The interner reads the lifecycle's class store, so a reported
+        // set's class counts are computed once while it stays reported and
+        // the evaluator skips the per-frame histogram rebuild.
+        let classes = lifecycle.store();
+        let interner = SetInterner::with_classes(Arc::clone(classes)).with_memo_config(config.memo);
         // The pruner is attached whenever pruning is configured — even if
         // the *current* catalog cannot prune — because the catalog may swap
         // to a prunable workload later. The LivePruner reads the snapshot's
@@ -263,7 +246,7 @@ impl TemporalVideoQueryEngine {
         let pruner: Option<SharedPruner> = if config.pruning {
             Some(Arc::new(LivePruner {
                 catalog: catalog.shared(),
-                classes: Arc::clone(&classes),
+                classes: Arc::clone(classes),
             }))
         } else {
             None
@@ -276,7 +259,7 @@ impl TemporalVideoQueryEngine {
             registry,
             catalog,
             maintainer,
-            lifecycle: ObjectLifecycle::new(classes),
+            lifecycle,
             frames_since_compaction_check: 0,
             total_matches: 0,
             matching_frames: 0,
@@ -479,7 +462,7 @@ impl TemporalVideoQueryEngine {
     /// detections pass through the [`ObjectLifecycle`]: tracker ids are
     /// resolved to generation-aware internal ids (a reused id never splices
     /// into an old generation's states) and first-time bindings register
-    /// their class in the shared store. Between frames the engine consults
+    /// their class in the engine's store. Between frames the engine consults
     /// the configured compaction policy (if any) every `check_interval`
     /// frames; a compaction epoch bounds the maintainer-side state (arena,
     /// bitmaps, universe map) *and* retires dead object ids upward, so the
@@ -579,7 +562,8 @@ impl TemporalVideoQueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tvq_common::{ClassId, WindowSpec};
+    use std::sync::RwLock;
+    use tvq_common::{ClassId, ClassStore, WindowSpec};
     use tvq_core::MaintainerKind;
 
     fn frame(fid: u64, detections: &[(u32, u16)]) -> FrameObjects {
@@ -943,8 +927,8 @@ mod tests {
             .any(|m| m.objects == ObjectSet::from_raw([1]) && m.frames.len() == 3));
     }
 
-    /// Tracker ids at the top of `u32` share the range the class store
-    /// mints aliases from (downward from `u32::MAX`). They must neither
+    /// Tracker ids at the top of `u32` share the range the lifecycle mints
+    /// aliases from (downward from `u32::MAX`). They must neither
     /// panic nor change a match: the feed with every id `k` renamed to
     /// `u32::MAX - k` reports the low-id feed's matches, renamed.
     #[test]

@@ -2,7 +2,7 @@
 //! the fleet catalog.
 //!
 //! Every persisted type owns its bytes: `encode`/`decode` sit next to
-//! [`ClassRegistry`], [`ClassStore`], [`CnfQuery`], [`EngineConfig`],
+//! [`ClassRegistry`], [`CnfQuery`], [`EngineConfig`],
 //! [`QueryCatalog`], [`ObjectLifecycle`] and the maintainers' state. This
 //! module only says which of them make up an artifact and in what order;
 //! the storage layer (`tvq-store`) frames, seals and publishes the result
@@ -22,13 +22,9 @@
 //! damage — corrupt state is *detected*, never silently replayed.
 
 use std::path::Path;
-use std::sync::{Arc, PoisonError, RwLock};
 
 use tvq_common::codec::{Decoder, Encoder};
-use tvq_common::{
-    ClassId, ClassRegistry, ClassStore, Error, FrameId, FrameObjects, ObjectId, QueryId, Result,
-    SharedClassMap,
-};
+use tvq_common::{ClassId, ClassRegistry, Error, FrameId, FrameObjects, ObjectId, QueryId, Result};
 use tvq_core::ObjectLifecycle;
 use tvq_query::CnfQuery;
 use tvq_store::{publish, seal, unseal, SharedIo};
@@ -39,8 +35,10 @@ use crate::engine::TemporalVideoQueryEngine;
 
 /// Magic of the engine snapshot payload (inside the store's `TVQS` framing).
 const MAGIC: [u8; 4] = *b"TVQE";
-/// Version of the engine snapshot payload.
-const VERSION: u32 = 1;
+/// Version of the engine snapshot payload. Version 2 dropped the class-store
+/// section (the lifecycle's registrations carry the classes); version 1
+/// payloads are refused, not read.
+const VERSION: u32 = 2;
 
 const RECORD_FRAME: u8 = 0;
 const RECORD_ADD_QUERY: u8 = 1;
@@ -210,12 +208,6 @@ pub(crate) fn encode_engine(engine: &TemporalVideoQueryEngine) -> Result<Vec<u8>
     enc.put_header(MAGIC, VERSION);
     engine.config.encode(&mut enc);
     engine.registry.encode(&mut enc);
-    engine
-        .lifecycle
-        .store()
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .encode(&mut enc);
     engine.catalog.encode(&mut enc);
     engine.lifecycle.encode(&mut enc);
     // Engine-side cursor.
@@ -241,14 +233,17 @@ pub(crate) fn encode_engine(engine: &TemporalVideoQueryEngine) -> Result<Vec<u8>
 /// replaying the WAL tail.
 pub(crate) fn restore_engine(payload: &[u8]) -> Result<TemporalVideoQueryEngine> {
     let mut dec = Decoder::new(payload);
-    dec.check_header(MAGIC, VERSION)?;
+    let version = dec.check_header(MAGIC, VERSION)?;
+    if version < VERSION {
+        return Err(Error::Codec(format!(
+            "engine snapshot version {version} is no longer read (this build reads {VERSION})"
+        )));
+    }
     let config = EngineConfig::decode(&mut dec)?;
     let registry = ClassRegistry::decode(&mut dec)?;
-    let classes: SharedClassMap = Arc::new(RwLock::new(ClassStore::decode(&mut dec)?));
     let catalog = QueryCatalog::decode(&mut dec)?;
-    let lifecycle = ObjectLifecycle::decode(&mut dec, Arc::clone(&classes))?;
-    let mut engine = TemporalVideoQueryEngine::assemble(config, registry, catalog, classes);
-    engine.lifecycle = lifecycle;
+    let lifecycle = ObjectLifecycle::decode(&mut dec)?;
+    let mut engine = TemporalVideoQueryEngine::assemble(config, registry, catalog, lifecycle);
     engine.frames_since_compaction_check = dec.take_u64()?;
     let mut blob = Decoder::new(dec.take_bytes()?);
     engine.maintainer.restore_state(&mut blob)?;
@@ -508,14 +503,20 @@ mod tests {
     /// intersection memo: the envelope around the maintainer blob is
     /// byte-identical, the blob's arena, handles and states decode equal,
     /// and only `intersection_cache_{hits,misses,slots}` changed
-    /// (73/137/4096 → 0).
+    /// (73/137/4096 → 0). Both moved again (315 → 291 B, 405 → 381 B) in
+    /// version 2, when the class-store section went: config, registry,
+    /// catalog, live bindings, aliases, counters and everything after the
+    /// lifecycle decode equal; the store's `(id, class)` entries now ride in
+    /// the lifecycle's registered-id list, its alias cursor follows the
+    /// alias list, and only the store's reference counts (all 1) and
+    /// eviction counter are gone.
     #[test]
     fn engine_snapshot_bytes_are_pinned() {
         let pins = [MaintainerKind::Mfs, MaintainerKind::Ssg].map(|kind| {
             let payload = encode_engine(&pinned_script(kind)).unwrap();
             (payload.len(), tvq_common::crc32(&payload))
         });
-        assert_eq!(pins, [(315, 3908825123), (405, 2154315761)]);
+        assert_eq!(pins, [(291, 410558253), (381, 1674365782)]);
     }
 
     /// The same pin for the sealed `TVQF` fleet catalog.
@@ -543,10 +544,9 @@ mod tests {
         );
     }
 
-    /// The class-store, live-binding, registered-id and alias lists are
-    /// written strictly increasing by key, every class-store entry with at
-    /// least one reference. A list that repeats or reorders a key, or an
-    /// unreferenced entry, is corrupt — not a map that kept the last entry.
+    /// The live-binding, registration and alias lists are written strictly
+    /// increasing by key. A list that repeats or reorders a key is corrupt
+    /// — not a map that kept the last entry.
     #[test]
     fn decoders_reject_lists_no_encoder_writes() {
         let engine = TemporalVideoQueryEngine::builder(EngineConfig::default())
@@ -554,22 +554,13 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        // A `TVQE` payload of a frameless engine around hand-built lists:
-        // class-store `(id, refs)` entries, then the keys of the three
-        // lifecycle lists.
-        let payload = |store: &[(u32, u32)], live: &[u32], registered: &[u32], aliases: &[u32]| {
+        // A `TVQE` payload of a frameless engine around hand-built keys of
+        // the three lifecycle lists.
+        let payload = |live: &[u32], registered: &[u32], aliases: &[u32]| {
             let mut enc = Encoder::new();
             enc.put_header(MAGIC, VERSION);
             engine.config.encode(&mut enc);
             engine.registry.encode(&mut enc);
-            enc.put_usize(store.len());
-            for &(id, refs) in store {
-                enc.put_u32(id);
-                enc.put_u16(1);
-                enc.put_u32(refs);
-            }
-            enc.put_u32(u32::MAX - 2);
-            enc.put_u64(0);
             engine.catalog.encode(&mut enc);
             enc.put_usize(live.len());
             for &external in live {
@@ -581,12 +572,14 @@ mod tests {
             enc.put_usize(registered.len());
             for &id in registered {
                 enc.put_u32(id);
+                enc.put_u16(1);
             }
             enc.put_usize(aliases.len());
             for &alias in aliases {
                 enc.put_u32(alias);
                 enc.put_u32(1);
             }
+            enc.put_u32(u32::MAX - 2); // the alias cursor
             (0..4).for_each(|_| enc.put_u64(0)); // three counters, the cursor
             let mut blob = Encoder::new();
             engine.maintainer.snapshot_state(&mut blob).unwrap();
@@ -595,26 +588,15 @@ mod tests {
             enc.into_bytes()
         };
         let (a, b) = (u32::MAX - 1, u32::MAX);
-        let (store, keys, aliases) = ([(1, 1), (2, 3)], [1, 2], [a, b]);
-        restore_engine(&payload(&store, &keys, &keys, &aliases))
+        let (keys, aliases) = ([1, 2], [a, b]);
+        restore_engine(&payload(&keys, &keys, &aliases))
             .expect("the hand-built layout is the real one");
 
         let cases = [
-            (
-                "class store",
-                payload(&[(2, 1), (2, 1)], &keys, &keys, &aliases),
-            ),
-            (
-                "class store",
-                payload(&[(2, 1), (1, 1)], &keys, &keys, &aliases),
-            ),
-            (
-                "class store",
-                payload(&[(1, 1), (2, 0)], &keys, &keys, &aliases),
-            ),
-            ("live binding", payload(&store, &[2, 2], &keys, &aliases)),
-            ("registered id", payload(&store, &keys, &[2, 1], &aliases)),
-            ("alias", payload(&store, &keys, &keys, &[b, b])),
+            ("live binding", payload(&[2, 2], &keys, &aliases)),
+            ("registered id", payload(&keys, &[2, 1], &aliases)),
+            ("registered id", payload(&keys, &[1, 1], &aliases)),
+            ("alias", payload(&keys, &keys, &[b, b])),
         ];
         for (list, bytes) in cases {
             let err = restore_engine(&bytes).unwrap_err();
@@ -627,10 +609,12 @@ mod tests {
 
     #[test]
     fn snapshot_version_skew_fails_cleanly() {
-        let mut enc = Encoder::new();
-        enc.put_header(MAGIC, VERSION + 1);
-        let err = restore_engine(&enc.into_bytes()).unwrap_err();
-        assert!(matches!(err, Error::Codec(_)), "{err}");
+        for version in [VERSION - 1, VERSION + 1] {
+            let mut enc = Encoder::new();
+            enc.put_header(MAGIC, version);
+            let err = restore_engine(&enc.into_bytes()).unwrap_err();
+            assert!(matches!(err, Error::Codec(_)), "{version}: {err}");
+        }
     }
 
     #[test]
@@ -869,15 +853,14 @@ mod tests {
                 };
                 let mut payload = encode_engine(&engine).unwrap();
                 mutate(&mut payload);
-                // Two mutations leave a legal engine that the frames below
+                // One mutation leaves a legal engine that the frames below
                 // must not drive: a memo size that asks the first
-                // intersection for up to 12 GiB, and an alias cursor lowered
-                // into the tracker ids they use (minting skips those ids and
-                // can run the cursor out of the alias range).
-                let restored = restore_engine(&payload).ok().filter(|engine| {
-                    let floor = engine.lifecycle.store().read().unwrap().alias_floor();
-                    engine.config.memo.bits <= 20 && floor > 1 << 16
-                });
+                // intersection for up to 12 GiB. An alias cursor lowered into
+                // the tracker ids they use is fine: minting skips those ids
+                // and wraps below zero.
+                let restored = restore_engine(&payload)
+                    .ok()
+                    .filter(|engine| engine.config.memo.bits <= 20);
                 if let Some(mut restored) = restored {
                     let fid0 = engine.metrics().frames_processed;
                     for i in 0..10u64 {

@@ -157,7 +157,7 @@ fn oversized_polls_split_instead_of_destroying_events() {
     handle.stop().unwrap();
 }
 
-/// A tracker id at the top of `u32` lies in the class store's alias range;
+/// A tracker id at the top of `u32` lies in the lifecycle's alias range;
 /// it is a valid id, not a reason to panic while the engine lock is held.
 #[test]
 fn tracker_id_in_the_alias_range_is_served() {

@@ -9,13 +9,9 @@
 //! and seeds, interleaved fleet-wide catalog ops, and the skewed camera
 //! grid whose hot cameras collide under a static `feed mod 4` split.
 
-use std::sync::Arc;
-
-use tvq_common::{
-    shared_class_store, ClassId, FrameId, FrameObjects, ObjectId, SharedClassMap, WindowSpec,
-};
-use tvq_core::{CompactionPolicy, MaintainerKind};
-use tvq_engine::{EngineConfig, MultiFeedConfig, TemporalVideoQueryEngine};
+use tvq_common::WindowSpec;
+use tvq_core::MaintainerKind;
+use tvq_engine::{EngineConfig, MultiFeedConfig};
 use tvq_testkit::{
     assert_multifeed_config_equals_single, assert_multifeed_equals_single, multi_feed_classed,
     skewed_grid, SkewProfile,
@@ -115,81 +111,4 @@ fn skewed_grid_at_four_workers_matches_oracles() {
             catalog_ops,
         );
     }
-}
-
-/// Store sharing: with one class store across engines, epoch retirement in
-/// one engine must never evict a class mapping another engine still tracks.
-/// Feed 0 churns through throwaway objects (its early ids retire under the
-/// forced compaction policy) while feed 1 keeps observing the same global
-/// ids 1 and 2 every frame; feed 1's results must stay frame-for-frame
-/// identical to a dedicated single-feed engine with a private store.
-#[test]
-fn shared_store_retirement_on_one_shard_does_not_starve_another() {
-    let engine_config = EngineConfig::new(WindowSpec::new(4, 2).unwrap())
-        .with_maintainer(MaintainerKind::Ssg)
-        .with_compaction(Some(CompactionPolicy::every(1)));
-    let store = shared_class_store();
-    let build = |store: Option<&SharedClassMap>| {
-        let mut builder = TemporalVideoQueryEngine::builder(engine_config)
-            .with_query_text("car >= 1 AND person >= 1")
-            .unwrap();
-        if let Some(store) = store {
-            builder = builder.with_class_store(Arc::clone(store));
-        }
-        builder.build().unwrap()
-    };
-    let mut feeds = [build(Some(&store)), build(Some(&store))];
-    let mut oracle = build(None);
-
-    let churn_frame = |fid: u64| {
-        // Feed 0 sees the shared pair briefly, then rotating throwaway
-        // cars: ids 1 and 2 leave its window and retire on shard 0.
-        let detections = if fid < 3 {
-            vec![(ObjectId(1), ClassId(1)), (ObjectId(2), ClassId(0))]
-        } else {
-            vec![
-                (ObjectId(100 + fid as u32), ClassId(1)),
-                (ObjectId(200 + fid as u32), ClassId(0)),
-            ]
-        };
-        FrameObjects::new(FrameId(fid), detections)
-    };
-    let stable_frame = |fid: u64| {
-        // The pair plus a rotating guest: every couple of frames feed 1
-        // interns a *new* set containing ids 1 and 2, whose class counts
-        // are aggregated from the shared store when it is first reported —
-        // so a wrong eviction of 1 or 2 surfaces as a result divergence
-        // instead of hiding behind previously cached counts.
-        FrameObjects::new(
-            FrameId(fid),
-            vec![
-                (ObjectId(1), ClassId(1)),
-                (ObjectId(2), ClassId(0)),
-                (ObjectId(300 + (fid / 2) as u32), ClassId(0)),
-            ],
-        )
-    };
-
-    for fid in 0..40u64 {
-        feeds[0].observe(&churn_frame(fid)).unwrap();
-        let result = feeds[1].observe(&stable_frame(fid)).unwrap();
-        let expected = oracle.observe(&stable_frame(fid)).unwrap();
-        assert_eq!(
-            result, expected,
-            "feed 1 diverged from its oracle at frame {fid} — a shared-store \
-             eviction took a mapping a live sharer still needed"
-        );
-    }
-
-    let feed0 = feeds[0].metrics();
-    assert!(
-        feed0.objects_retired > 0,
-        "feed 0 never retired anything — the test is not exercising \
-         shared-store eviction (compactions: {})",
-        feed0.compactions
-    );
-    assert!(
-        feeds[1].match_counters().1 >= 38,
-        "feed 1 should keep matching throughout"
-    );
 }
