@@ -4,13 +4,12 @@
 //! non-zero after printing the shortest counterexample trace.
 //!
 //! Usage: `model_check [--lifecycle-depth N] [--engine-depth N]
-//! [--catalog-depth N] [--skip-engine] [--workers N] [--symmetry]`
+//! [--catalog-depth N] [--skip-engine] [--symmetry]`
 //!
 //! `--symmetry` explores each model's symmetry quotient (class swap for
-//! the lifecycle model, version-residue rotation for the catalog
-//! model) and `--workers N` shards the frontier across N threads. Both are
-//! report-preserving: any configuration prints byte-identical output for
-//! the same depths.
+//! the lifecycle model, version-residue rotation for the catalog model).
+//! Each BFS level is expanded on one thread per available CPU; the report
+//! is the same on any machine.
 
 use std::process::ExitCode;
 
@@ -21,7 +20,6 @@ struct Args {
     engine_depth: usize,
     catalog_depth: usize,
     skip_engine: bool,
-    workers: usize,
     symmetry: bool,
 }
 
@@ -35,7 +33,6 @@ fn parse_args() -> Result<Args, String> {
         engine_depth: 6,
         catalog_depth: 8,
         skip_engine: false,
-        workers: 1,
         symmetry: false,
     };
     let mut iter = std::env::args().skip(1);
@@ -49,21 +46,11 @@ fn parse_args() -> Result<Args, String> {
             "--engine-depth" => args.engine_depth = depth("--engine-depth")?,
             "--catalog-depth" => args.catalog_depth = depth("--catalog-depth")?,
             "--skip-engine" => args.skip_engine = true,
-            "--workers" => args.workers = depth("--workers")?.max(1),
             "--symmetry" => args.symmetry = true,
             other => return Err(format!("unknown flag {other}")),
         }
     }
     Ok(args)
-}
-
-impl Args {
-    /// Applies the shared exploration flags to a traversal.
-    fn configure<M: Machine>(&self, traversal: Traversal<M>) -> Traversal<M> {
-        traversal
-            .with_workers(self.workers)
-            .with_symmetry(self.symmetry)
-    }
 }
 
 fn run<M: Machine>(name: &str, report: &Report<M>) -> bool {
@@ -83,10 +70,10 @@ fn main() -> ExitCode {
 
     // Lifecycle model with component-level conformance replay: every edge's
     // witness path drives ObjectLifecycle (with its ClassStore) +
-    // SetInterner (one independent replay stack per worker lane).
-    let lifecycle = args.configure(Traversal::new(LifecycleModel, args.lifecycle_depth));
-    let report =
-        lifecycle.run_sharded(|_worker| |path: &[_], _: &_| conformance::replay_component(path));
+    // SetInterner.
+    let report = Traversal::new(LifecycleModel, args.lifecycle_depth)
+        .with_symmetry(args.symmetry)
+        .run_with(|| |path: &[_], _: &_| conformance::replay_component(path));
     ok &= run("lifecycle (component replay)", &report);
 
     // The same model replayed through a full engine — shallower (each edge
@@ -94,16 +81,16 @@ fn main() -> ExitCode {
     if args.skip_engine {
         println!("model lifecycle (engine replay): skipped");
     } else {
-        let engine = args.configure(Traversal::new(LifecycleModel, args.engine_depth));
-        let report =
-            engine.run_sharded(|_worker| |path: &[_], _: &_| conformance::replay_engine(path));
+        let report = Traversal::new(LifecycleModel, args.engine_depth)
+            .with_symmetry(args.symmetry)
+            .run_with(|| |path: &[_], _: &_| conformance::replay_engine(path));
         ok &= run("lifecycle (engine replay)", &report);
     }
 
     // Catalog-swap model with verdict-cache conformance replay.
-    let catalog = args.configure(Traversal::new(CatalogModel, args.catalog_depth));
-    let report =
-        catalog.run_sharded(|_worker| |path: &[_], _: &_| conformance::replay_catalog(path));
+    let report = Traversal::new(CatalogModel, args.catalog_depth)
+        .with_symmetry(args.symmetry)
+        .run_with(|| |path: &[_], _: &_| conformance::replay_catalog(path));
     ok &= run("catalog-swap (verdict-cache replay)", &report);
 
     if ok {

@@ -11,11 +11,11 @@
 //! * [`machine::Machine`] + [`traversal::Traversal`] — a small
 //!   explicit-state model checker: breadth-first enumeration of every
 //!   reachable canonical state within a depth bound, invariants checked at
-//!   every state, shortest counterexample trace on violation. The frontier
-//!   can be sharded across worker threads (`--workers`) and explored in the
-//!   quotient of a model-declared symmetry group (`--symmetry`) — both are
-//!   report-preserving, so any configuration prints the same counters and
-//!   counterexamples;
+//!   every state, shortest counterexample trace on violation. Each level
+//!   is expanded on one thread per available CPU, and the frontier can be
+//!   explored in the quotient of a model-declared symmetry group
+//!   (`--symmetry`) — both are report-preserving, so any machine and
+//!   configuration prints the same counters and counterexamples;
 //! * [`lifecycle_model`] and [`catalog_model`] — the two protocol models:
 //!   one feed's tracker-id lifecycle with its class store, and
 //!   catalog-swap verdict coherence;

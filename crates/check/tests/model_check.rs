@@ -5,10 +5,9 @@
 //! * **Default build** — exhaustiveness gates: each model explores well past
 //!   10k canonical states with zero invariant violations, every enumerated
 //!   action sequence replays conformantly through the real
-//!   lifecycle/interner stack (and the full engine, shallower), and the
-//!   parallel / symmetry-reduced configurations are pinned to the
-//!   sequential reports (identical counters, byte-identical rendering and
-//!   counterexamples).
+//!   lifecycle/interner stack (and the full engine, shallower), symmetry
+//!   reduction shrinks the space without changing the verdict, and reports
+//!   render byte-identically at every lane count.
 //! * **`--features check-mutants`** — negative controls: the same replays
 //!   run against deliberately broken implementations and the checker must
 //!   *find* every planted bug, each with a shortest printed counterexample
@@ -34,7 +33,7 @@ mod conformant {
     #[test]
     fn lifecycle_model_explores_past_10k_states_and_replays_conformantly() {
         let report = Traversal::new(LifecycleModel, 6)
-            .run_with(|path, _| conformance::replay_component(path));
+            .run_with(|| |path: &[_], _: &_| conformance::replay_component(path));
         assert!(report.ok(), "{}", report.render("lifecycle"));
         assert!(
             report.states_explored >= 10_000,
@@ -48,8 +47,8 @@ mod conformant {
     /// that pins match output and `live_states`.
     #[test]
     fn engine_replay_conforms() {
-        let report =
-            Traversal::new(LifecycleModel, 4).run_with(|path, _| conformance::replay_engine(path));
+        let report = Traversal::new(LifecycleModel, 4)
+            .run_with(|| |path: &[_], _: &_| conformance::replay_engine(path));
         assert!(report.ok(), "{}", report.render("engine"));
         assert!(
             report.states_explored >= 1_000,
@@ -62,8 +61,8 @@ mod conformant {
     /// always agreeing with the catalog version it was populated under.
     #[test]
     fn catalog_model_explores_past_10k_states_and_replays_conformantly() {
-        let report =
-            Traversal::new(CatalogModel, 7).run_with(|path, _| conformance::replay_catalog(path));
+        let report = Traversal::new(CatalogModel, 7)
+            .run_with(|| |path: &[_], _: &_| conformance::replay_catalog(path));
         assert!(report.ok(), "{}", report.render("catalog"));
         assert!(
             report.states_explored >= 10_000,
@@ -93,47 +92,6 @@ mod conformant {
         }
     }
 
-    /// Parallel exploration is report-preserving: `--workers 4` produces
-    /// the same state/transition counts as the sequential run, on both
-    /// models, with and without symmetry reduction.
-    #[test]
-    fn parallel_runs_match_sequential_reports() {
-        for symmetry in [false, true] {
-            let sequential = Traversal::new(LifecycleModel, 4)
-                .with_symmetry(symmetry)
-                .run();
-            let parallel = Traversal::new(LifecycleModel, 4)
-                .with_symmetry(symmetry)
-                .with_workers(4)
-                .run();
-            assert_reports_match("lifecycle", &sequential, &parallel);
-            assert!(sequential.ok());
-
-            let sequential = Traversal::new(CatalogModel, 6)
-                .with_symmetry(symmetry)
-                .run();
-            let parallel = Traversal::new(CatalogModel, 6)
-                .with_symmetry(symmetry)
-                .with_workers(4)
-                .run();
-            assert_reports_match("catalog", &sequential, &parallel);
-            assert!(sequential.ok());
-        }
-    }
-
-    /// Sharded conformance replay (one replay stack per worker) sees the
-    /// same exploration as the single-hook sequential run.
-    #[test]
-    fn sharded_replay_matches_single_hook_replay() {
-        let sequential = Traversal::new(LifecycleModel, 3)
-            .run_with(|path, _| conformance::replay_component(path));
-        let sharded = Traversal::new(LifecycleModel, 3)
-            .with_workers(4)
-            .run_sharded(|_worker| |path: &[_], _: &_| conformance::replay_component(path));
-        assert_reports_match("lifecycle replay", &sequential, &sharded);
-        assert!(sequential.ok(), "{}", sequential.render("lifecycle"));
-    }
-
     /// Symmetry reduction shrinks the canonical state space without
     /// changing the verdict, and actually fires (the relabel counter is
     /// nonzero). The conformance replay stays green through the quotient —
@@ -143,7 +101,7 @@ mod conformant {
         let full = Traversal::new(LifecycleModel, 4).run();
         let reduced = Traversal::new(LifecycleModel, 4)
             .with_symmetry(true)
-            .run_with(|path, _| conformance::replay_component(path));
+            .run_with(|| |path: &[_], _: &_| conformance::replay_component(path));
         assert!(reduced.ok(), "{}", reduced.render("lifecycle quotient"));
         // The class swap is a two-element group, so the quotient is at most
         // half the space plus the swap's fixed points.
@@ -158,7 +116,7 @@ mod conformant {
         let full = Traversal::new(CatalogModel, 6).run();
         let reduced = Traversal::new(CatalogModel, 6)
             .with_symmetry(true)
-            .run_with(|path, _| conformance::replay_catalog(path));
+            .run_with(|| |path: &[_], _: &_| conformance::replay_catalog(path));
         assert!(reduced.ok(), "{}", reduced.render("catalog quotient"));
         assert!(
             reduced.states_explored < full.states_explored,
@@ -207,33 +165,81 @@ mod conformant {
         }
     }
 
-    /// Violating runs pin byte-identical reports across worker counts: the
-    /// shortest counterexample, the full sorted violation list, and the
-    /// rendered artifact must not depend on parallelism.
-    #[test]
-    fn shortest_counterexample_is_byte_identical_across_worker_counts() {
-        let sequential = Traversal::new(Toy, 8).run();
-        assert!(!sequential.ok());
-        let primary = sequential.violation().expect("toy machine violates");
-        assert_eq!(primary.trace.len(), 3, "shortest: three double-increments");
-        // The render self-describes its configuration (`workers N, ...`);
-        // everything *about the exploration* must be byte-identical.
-        let strip_config = |render: String| -> String {
-            render
-                .lines()
-                .filter(|line| !line.trim_start().starts_with("workers "))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        for workers in [2, 4, 7] {
-            let parallel = Traversal::new(Toy, 8).with_workers(workers).run();
-            assert_reports_match("toy", &sequential, &parallel);
+    /// Runs `run` on 1, 2, 4 and 7 lanes and asserts every report equals
+    /// the one-lane report, rendering included; returns that report.
+    fn same_at_every_lane_count<M: Machine>(
+        name: &str,
+        run: impl Fn(usize) -> Report<M>,
+    ) -> Report<M> {
+        let reference = run(1);
+        for lanes in [2, 4, 7] {
+            let report = run(lanes);
+            assert_reports_match(name, &reference, &report);
             assert_eq!(
-                strip_config(sequential.render("toy")),
-                strip_config(parallel.render("toy")),
-                "rendered report differs at {workers} workers"
+                reference.render(name),
+                report.render(name),
+                "{name} at {lanes} lanes"
             );
         }
+        reference
+    }
+
+    /// Exploration does not depend on the lane count: both models, with
+    /// and without symmetry reduction, report the same counters and render
+    /// byte-identically at 1, 2, 4 and 7 lanes.
+    #[test]
+    fn parallel_runs_match_sequential_reports() {
+        for symmetry in [false, true] {
+            let lifecycle = same_at_every_lane_count("lifecycle", |lanes| {
+                Traversal::new(LifecycleModel, 4)
+                    .with_symmetry(symmetry)
+                    .with_workers(lanes)
+                    .run()
+            });
+            assert!(lifecycle.ok(), "{}", lifecycle.render("lifecycle"));
+            let catalog = same_at_every_lane_count("catalog", |lanes| {
+                Traversal::new(CatalogModel, 6)
+                    .with_symmetry(symmetry)
+                    .with_workers(lanes)
+                    .run()
+            });
+            assert!(catalog.ok(), "{}", catalog.render("catalog"));
+        }
+    }
+
+    /// Conformance replay through one hook per lane sees the same
+    /// exploration as the one-lane run: lifecycle component replay and
+    /// catalog replay, with and without symmetry reduction.
+    #[test]
+    fn sharded_replay_matches_single_hook_replay() {
+        for symmetry in [false, true] {
+            let lifecycle = same_at_every_lane_count("lifecycle replay", |lanes| {
+                Traversal::new(LifecycleModel, 4)
+                    .with_symmetry(symmetry)
+                    .with_workers(lanes)
+                    .run_with(|| |path: &[_], _: &_| conformance::replay_component(path))
+            });
+            assert!(lifecycle.ok(), "{}", lifecycle.render("lifecycle replay"));
+            let catalog = same_at_every_lane_count("catalog replay", |lanes| {
+                Traversal::new(CatalogModel, 5)
+                    .with_symmetry(symmetry)
+                    .with_workers(lanes)
+                    .run_with(|| |path: &[_], _: &_| conformance::replay_catalog(path))
+            });
+            assert!(catalog.ok(), "{}", catalog.render("catalog replay"));
+        }
+    }
+
+    /// Violating runs are byte-identical across lane counts: the shortest
+    /// counterexample, the full sorted violation list and the rendered
+    /// report.
+    #[test]
+    fn shortest_counterexample_is_byte_identical_across_worker_counts() {
+        let toy = same_at_every_lane_count("toy", |lanes| {
+            Traversal::new(Toy, 8).with_workers(lanes).run()
+        });
+        let primary = toy.violation().expect("toy machine violates");
+        assert_eq!(primary.trace.len(), 3, "shortest: three double-increments");
     }
 }
 
@@ -275,7 +281,7 @@ mod mutants {
     fn checker_catches_the_end_tracks_noop_mutant() {
         let _arm = Arm::new(true, false);
         let report = Traversal::new(LifecycleModel, 3)
-            .run_with(|path, _| conformance::replay_component(path));
+            .run_with(|| |path: &[_], _: &_| conformance::replay_component(path));
         println!("{}", report.render("lifecycle vs end_tracks mutant"));
         let violation = report
             .violation()
@@ -300,8 +306,8 @@ mod mutants {
     /// sequence must surface as a divergence ending at the `Swap`.
     #[test]
     fn checker_catches_the_verdict_cache_clear_noop_mutant() {
-        let report =
-            Traversal::new(CatalogModel, 3).run_with(|path, _| conformance::replay_catalog(path));
+        let report = Traversal::new(CatalogModel, 3)
+            .run_with(|| |path: &[_], _: &_| conformance::replay_catalog(path));
         println!("{}", report.render("catalog vs clear mutant"));
         let violation = report
             .violation()
@@ -320,7 +326,7 @@ mod mutants {
 
     /// The symmetry soundness control: a bug that exists for class 1
     /// *only* (retirement skipped when a class-1 object retires) must still
-    /// be found by the symmetry-reduced parallel traversal, even though the
+    /// be found by the symmetry-reduced traversal, even though the
     /// quotient stores representatives that prefer class 0. The replayed
     /// counterexample must be a concrete run ending in the Compact whose
     /// retirement the mutant swallowed.
@@ -329,8 +335,7 @@ mod mutants {
         let _arm = Arm::new(false, true);
         let report = Traversal::new(LifecycleModel, 6)
             .with_symmetry(true)
-            .with_workers(2)
-            .run_sharded(|_worker| |path: &[_], _: &_| conformance::replay_component(path));
+            .run_with(|| |path: &[_], _: &_| conformance::replay_component(path));
         println!("{}", report.render("lifecycle vs asymmetric-retire mutant"));
         let violation = report
             .violation()
@@ -355,7 +360,7 @@ mod mutants {
         let _arm = Arm::new(false, false);
         let report = Traversal::new(LifecycleModel, 3)
             .with_symmetry(true)
-            .run_with(|path, _| conformance::replay_component(path));
+            .run_with(|| |path: &[_], _: &_| conformance::replay_component(path));
         assert!(report.ok(), "{}", report.render("lifecycle disarmed"));
     }
 }

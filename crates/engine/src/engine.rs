@@ -433,25 +433,21 @@ impl TemporalVideoQueryEngine {
 
     /// Runs one compaction check (and possibly a compaction epoch) right
     /// now, regardless of the configured cadence. Returns whether an epoch
-    /// ran. Normally the engine does this between frames per the configured
-    /// [`CompactionPolicy`](tvq_core::CompactionPolicy); this entry point
-    /// exists for deployments that want to compact at their own quiet
-    /// moments (e.g. scene changes) and for tests.
+    /// ran; one retires the objects it dropped and marks a snapshot due.
+    /// The engine runs this between frames every `check_interval` frames of
+    /// the configured [`CompactionPolicy`](tvq_core::CompactionPolicy);
+    /// calling it directly lets deployments compact at their own quiet
+    /// moments (e.g. scene changes).
     pub fn compact_now(&mut self) -> bool {
-        let compacted = match &self.config.compaction {
-            Some(policy) => match self.maintainer.maybe_compact(policy) {
-                Some(outcome) => {
-                    self.lifecycle.retire(&outcome.retired_objects);
-                    true
-                }
-                None => false,
-            },
-            None => false,
+        let Some(policy) = self.config.compaction else {
+            return false;
         };
-        if compacted {
-            self.mark_snapshot_due();
-        }
-        compacted
+        let Some(outcome) = self.maintainer.maybe_compact(&policy) else {
+            return false;
+        };
+        self.lifecycle.retire(&outcome.retired_objects);
+        self.mark_snapshot_due();
+        true
     }
 
     /// Processes one frame of detections and returns the query matches of the
@@ -502,22 +498,15 @@ impl TemporalVideoQueryEngine {
             .resolve_frame(&frame.classes, snapshot.relevant_classes(), &mut internal);
         let objects = ObjectSet::from_ids(internal);
         self.maintainer.advance(frame.fid, &objects)?;
-        let mut compacted = false;
         if let Some(policy) = &self.config.compaction {
             self.frames_since_compaction_check += 1;
             if self.frames_since_compaction_check >= policy.check_interval {
                 self.frames_since_compaction_check = 0;
-                if let Some(outcome) = self.maintainer.maybe_compact(policy) {
-                    self.lifecycle.retire(&outcome.retired_objects);
-                    compacted = true;
-                }
+                // An epoch only marks the snapshot due: this frame's record
+                // is not in the WAL yet, and a snapshot covers exactly the
+                // records logged before it.
+                self.compact_now();
             }
-        }
-        if compacted {
-            // The snapshot itself is deferred to the next durable operation:
-            // this frame's record is not in the WAL yet, and a snapshot
-            // covers exactly the records logged before it.
-            self.mark_snapshot_due();
         }
         let mut matches = {
             let store = self

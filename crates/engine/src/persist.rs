@@ -35,10 +35,10 @@ use crate::engine::TemporalVideoQueryEngine;
 
 /// Magic of the engine snapshot payload (inside the store's `TVQS` framing).
 const MAGIC: [u8; 4] = *b"TVQE";
-/// Version of the engine snapshot payload. Version 2 dropped the class-store
-/// section (the lifecycle's registrations carry the classes); version 1
-/// payloads are refused, not read.
-const VERSION: u32 = 2;
+/// Version of the engine snapshot payload. Version 3 writes the
+/// maintainer kind and memo size once each and the two match counters
+/// without a length prefix; older payloads are refused, not read.
+const VERSION: u32 = 3;
 
 const RECORD_FRAME: u8 = 0;
 const RECORD_ADD_QUERY: u8 = 1;
@@ -217,14 +217,9 @@ pub(crate) fn encode_engine(engine: &TemporalVideoQueryEngine) -> Result<Vec<u8>
     let mut blob = Encoder::with_capacity(4096);
     engine.maintainer.snapshot_state(&mut blob)?;
     enc.put_bytes(blob.as_bytes());
-    // Trailer: the feed counters, in the byte string (and the encoding) a
-    // multi-feed worker's tally used to ride in. The frame count repeats
-    // the maintainer's `frames_processed` and is not read back.
-    let mut counters = Encoder::new();
-    counters.put_u64(engine.maintainer.metrics().frames_processed);
-    counters.put_u64(engine.total_matches);
-    counters.put_u64(engine.matching_frames);
-    enc.put_bytes(counters.as_bytes());
+    // Trailer: the lifetime match counters.
+    enc.put_u64(engine.total_matches);
+    enc.put_u64(engine.matching_frames);
     Ok(enc.into_bytes())
 }
 
@@ -248,16 +243,8 @@ pub(crate) fn restore_engine(payload: &[u8]) -> Result<TemporalVideoQueryEngine>
     let mut blob = Decoder::new(dec.take_bytes()?);
     engine.maintainer.restore_state(&mut blob)?;
     blob.finish()?;
-    // An empty trailer (a snapshot from before the counters were engine
-    // state, taken by an engine outside a fleet) restores them as zero.
-    let counters = dec.take_bytes()?;
-    if !counters.is_empty() {
-        let mut counters = Decoder::new(counters);
-        counters.take_u64()?;
-        engine.total_matches = counters.take_u64()?;
-        engine.matching_frames = counters.take_u64()?;
-        counters.finish()?;
-    }
+    engine.total_matches = dec.take_u64()?;
+    engine.matching_frames = dec.take_u64()?;
     dec.finish()?;
     Ok(engine)
 }
@@ -265,7 +252,7 @@ pub(crate) fn restore_engine(payload: &[u8]) -> Result<TemporalVideoQueryEngine>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tvq_common::{MemoConfig, ObjectSet, WindowSpec};
+    use tvq_common::{ObjectSet, WindowSpec};
     use tvq_core::{CompactionPolicy, MaintainerKind};
     use tvq_query::Condition;
 
@@ -367,94 +354,6 @@ mod tests {
         assert_eq!(a.compactions, b.compactions);
     }
 
-    /// The three strategy bytes of `TVQE` version 1 outlive the `Auto`
-    /// knob: the encoder still writes `1, kind, kind`, a tag-0 snapshot
-    /// from an `Auto` build restores onto the resolved kind that follows
-    /// it, and a tag-1 snapshot whose two kinds disagree is corrupt.
-    #[test]
-    fn selection_bytes_stay_readable_without_the_auto_knob() {
-        let window = WindowSpec::new(6, 3).unwrap();
-        let mut engine = TemporalVideoQueryEngine::builder(
-            EngineConfig::new(window).with_maintainer(MaintainerKind::Mfs),
-        )
-        .with_query_text("car >= 1")
-        .unwrap()
-        .build()
-        .unwrap();
-        for fid in 0..4 {
-            engine.observe_applied(&frame(fid, &[(1, 1)], &[])).unwrap();
-        }
-        let payload = encode_engine(&engine).unwrap();
-        let mut prefix = Encoder::new();
-        prefix.put_header(MAGIC, VERSION);
-        prefix.put_usize(window.window());
-        prefix.put_usize(window.duration());
-        let at = prefix.len();
-        let mfs = MaintainerKind::Mfs.codec_tag();
-        assert_eq!(payload[at..at + 3], [1, mfs, mfs]);
-
-        // What an `Auto` build that resolved to MFS wrote: tag 0, no
-        // selected kind, then the resolved kind.
-        let mut auto = payload.clone();
-        auto[at] = 0;
-        auto.remove(at + 1);
-        let mut restored = restore_engine(&auto).unwrap();
-        assert_eq!(restored.config().maintainer, MaintainerKind::Mfs);
-        let next = frame(4, &[(1, 1)], &[]);
-        assert_eq!(
-            restored.observe_applied(&next).unwrap(),
-            engine.observe_applied(&next).unwrap()
-        );
-
-        let mut mismatched = payload;
-        mismatched[at + 1] = MaintainerKind::Ssg.codec_tag();
-        let err = restore_engine(&mismatched).unwrap_err();
-        assert!(matches!(err, Error::Corrupt(_)), "{err}");
-    }
-
-    /// The four memo words of `TVQE` version 1 outlive the adaptive memo:
-    /// the encoder writes what a fixed size serialised as, and a snapshot
-    /// from an adaptive build (`12, 20, 4096, 0.5`) restores at its initial
-    /// size.
-    #[test]
-    fn memo_words_stay_readable_without_the_adaptive_memo() {
-        let window = WindowSpec::new(6, 3).unwrap();
-        let config = EngineConfig::new(window).with_compaction(None);
-        let mut engine = TemporalVideoQueryEngine::builder(config)
-            .with_query_text("car >= 1")
-            .unwrap()
-            .build()
-            .unwrap();
-        for fid in 0..4 {
-            engine.observe_applied(&frame(fid, &[(1, 1)], &[])).unwrap();
-        }
-        let payload = encode_engine(&engine).unwrap();
-        let mut prefix = Encoder::new();
-        prefix.put_header(MAGIC, VERSION);
-        prefix.put_usize(window.window());
-        prefix.put_usize(window.duration());
-        // Three strategy bytes, the pruning flag, "no compaction policy".
-        let at = prefix.len() + 5;
-        let words = |words: [u32; 3], rate: f64| {
-            let mut enc = Encoder::new();
-            words.into_iter().for_each(|word| enc.put_u32(word));
-            enc.put_f64(rate);
-            enc.into_bytes()
-        };
-        let written = words([12, 12, u32::MAX], 2.0);
-        assert_eq!(payload[at..at + written.len()], written);
-
-        let mut adaptive = payload.clone();
-        adaptive.splice(at..at + written.len(), words([12, 20, 4096], 0.5));
-        let mut restored = restore_engine(&adaptive).unwrap();
-        assert_eq!(restored.config().memo, MemoConfig { bits: 12 });
-        let next = frame(4, &[(1, 1)], &[]);
-        assert_eq!(
-            restored.observe_applied(&next).unwrap(),
-            engine.observe_applied(&next).unwrap()
-        );
-    }
-
     /// The fixed script behind [`engine_snapshot_bytes_are_pinned`]: 40
     /// frames, compaction every 4, one mid-stream registration, and track
     /// ends on an id that returns while its old generation is still in the
@@ -509,14 +408,17 @@ mod tests {
     /// lifecycle decode equal; the store's `(id, class)` entries now ride in
     /// the lifecycle's registered-id list, its alias cursor follows the
     /// alias list, and only the store's reference counts (all 1) and
-    /// eviction counter are gone.
+    /// eviction counter are gone. Version 3 took 18 B off each (291 → 273
+    /// B, 381 → 363 B): the config decodes to the same `EngineConfig` from
+    /// 16 B instead of 32, the trailer to the same two match counters from
+    /// 2 B instead of 4, and every section in between is byte-identical.
     #[test]
     fn engine_snapshot_bytes_are_pinned() {
         let pins = [MaintainerKind::Mfs, MaintainerKind::Ssg].map(|kind| {
             let payload = encode_engine(&pinned_script(kind)).unwrap();
             (payload.len(), tvq_common::crc32(&payload))
         });
-        assert_eq!(pins, [(291, 410558253), (381, 1674365782)]);
+        assert_eq!(pins, [(273, 3842867886), (363, 137411522)]);
     }
 
     /// The same pin for the sealed `TVQF` fleet catalog.
@@ -584,7 +486,7 @@ mod tests {
             let mut blob = Encoder::new();
             engine.maintainer.snapshot_state(&mut blob).unwrap();
             enc.put_bytes(blob.as_bytes());
-            enc.put_bytes(&[]);
+            (0..2).for_each(|_| enc.put_u64(0)); // the match counters
             enc.into_bytes()
         };
         let (a, b) = (u32::MAX - 1, u32::MAX);
