@@ -22,7 +22,7 @@ use crate::ids::{ClassId, ObjectId};
 use crate::object_set::ObjectSet;
 
 /// Per-class object counts of one MCOS.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct ClassCounts {
     /// Sorted by class; counts are always non-zero.
     counts: Vec<(ClassId, u32)>,

@@ -115,9 +115,12 @@ pub(crate) fn check_queries(queries: &[CnfQuery]) -> Result<()> {
     Ok(())
 }
 
-/// The smallest query id above every id in use.
-pub(crate) fn next_query_id(queries: &[CnfQuery]) -> QueryId {
-    QueryId(queries.iter().map(|q| q.id.0 + 1).max().unwrap_or(0))
+/// The smallest query id above every id in use; fails once `u32::MAX` is.
+pub(crate) fn next_query_id(queries: &[CnfQuery]) -> Result<QueryId> {
+    let max = queries.iter().map(|q| q.id.0).max();
+    max.map_or(Some(0), |id| id.checked_add(1))
+        .map(QueryId)
+        .ok_or_else(|| Error::InvalidConfig("query id space exhausted".into()))
 }
 
 /// `queries` plus `query`; fails if it is malformed or its id is taken.
@@ -250,11 +253,12 @@ impl QueryCatalog {
         self.current.version() - self.seed_version
     }
 
-    /// The smallest query id not yet in use (what [`add_query`] callers
-    /// parsing textual queries should mint).
+    /// The smallest query id above every id in use (what [`add_query`]
+    /// callers parsing textual queries should mint). Fails when a query
+    /// holds id `u32::MAX`.
     ///
     /// [`add_query`]: Self::add_query
-    pub fn next_query_id(&self) -> QueryId {
+    pub fn next_query_id(&self) -> Result<QueryId> {
         next_query_id(self.current.queries())
     }
 
@@ -303,7 +307,7 @@ mod tests {
         catalog.add_query(geq(1, 0, 2)).unwrap();
         assert_eq!(catalog.version(), 1);
         assert_eq!(catalog.snapshot().queries().len(), 2);
-        assert_eq!(catalog.next_query_id(), QueryId(2));
+        assert_eq!(catalog.next_query_id().unwrap(), QueryId(2));
         catalog.remove_query(QueryId(0)).unwrap();
         assert_eq!(catalog.version(), 2);
         assert_eq!(catalog.swaps(), 2);
@@ -337,7 +341,7 @@ mod tests {
     fn empty_catalog_never_prunes() {
         let mut catalog = QueryCatalog::new(Vec::new(), 0).unwrap();
         assert!(!catalog.snapshot().prune_active());
-        assert_eq!(catalog.next_query_id(), QueryId(0));
+        assert_eq!(catalog.next_query_id().unwrap(), QueryId(0));
         catalog.add_query(geq(0, 1, 1)).unwrap();
         assert!(catalog.snapshot().prune_active());
         // Mixed polarity turns pruning back off; removal restores it.
@@ -349,6 +353,38 @@ mod tests {
         assert!(!catalog.snapshot().prune_active());
         catalog.remove_query(QueryId(1)).unwrap();
         assert!(catalog.snapshot().prune_active());
+    }
+
+    #[test]
+    fn next_query_id_refuses_to_wrap_past_u32_max() {
+        let mut catalog = QueryCatalog::new(vec![geq(u32::MAX, 1, 1)], 0).unwrap();
+        assert!(matches!(
+            catalog.next_query_id(),
+            Err(Error::InvalidConfig(msg)) if msg == "query id space exhausted"
+        ));
+        catalog.add_query(geq(7, 1, 1)).unwrap();
+        assert!(catalog.next_query_id().is_err());
+        catalog.remove_query(QueryId(u32::MAX)).unwrap();
+        assert_eq!(catalog.next_query_id().unwrap(), QueryId(8));
+    }
+
+    /// Each swap's evaluator answers for its own query set: counts answered
+    /// (and memoized) before `add_query` / `remove_query` are re-evaluated
+    /// by the new snapshot, while the old snapshot keeps its answers.
+    #[test]
+    fn swaps_do_not_serve_answers_memoized_by_the_old_snapshot() {
+        let counts = tvq_common::ClassCounts::from_map([(ClassId(1), 2)].into_iter().collect());
+        let satisfied =
+            |catalog: &QueryCatalog| catalog.snapshot().evaluator().any_satisfied(&counts);
+        let mut catalog = QueryCatalog::new(vec![geq(0, 1, 3)], 0).unwrap();
+        let before = Arc::clone(catalog.snapshot());
+        // Each version is asked twice: a first lookup, then a memo hit.
+        assert!(!satisfied(&catalog) && !satisfied(&catalog));
+        catalog.add_query(geq(1, 1, 2)).unwrap();
+        assert!(satisfied(&catalog) && satisfied(&catalog));
+        catalog.remove_query(QueryId(1)).unwrap();
+        assert!(!satisfied(&catalog) && !satisfied(&catalog));
+        assert!(!before.evaluator().any_satisfied(&counts));
     }
 
     #[test]

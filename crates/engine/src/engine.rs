@@ -327,7 +327,7 @@ impl TemporalVideoQueryEngine {
     /// mid-stream, minting the next free query id. Returns the id so the
     /// caller can [`remove_query`](Self::remove_query) it later.
     pub fn add_query_text(&mut self, text: &str) -> Result<QueryId> {
-        let id = self.catalog.next_query_id();
+        let id = self.catalog.next_query_id()?;
         let query = tvq_query::parse_query(text, id, &mut self.registry)?;
         self.add_query(query)?;
         Ok(id)
@@ -964,6 +964,21 @@ mod tests {
             assert!(low.iter().any(|m| m.2 == [0, 1, 3]), "{kind:?}: {low:?}");
             assert_eq!(run(kind, |id| u32::MAX - id), low, "{kind:?}");
         }
+    }
+
+    #[test]
+    fn add_query_text_fails_once_the_id_space_is_exhausted() {
+        let last = CnfQuery::conjunction(
+            tvq_common::QueryId(u32::MAX),
+            vec![tvq_query::Condition::at_least(ClassId(0), 1)],
+        );
+        let mut engine = TemporalVideoQueryEngine::builder(small_config(MaintainerKind::Mfs))
+            .with_query(last)
+            .build()
+            .unwrap();
+        let err = engine.add_query_text("car >= 1").unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(msg) if msg == "query id space exhausted"));
+        assert_eq!(engine.catalog_version(), 0);
     }
 
     #[test]

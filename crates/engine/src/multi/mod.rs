@@ -475,7 +475,7 @@ impl MultiFeedEngine {
     /// Parses and registers a textual query (e.g. `"car >= 2"`) across the
     /// fleet, minting the next free query id.
     pub fn add_query_text(&mut self, text: &str) -> Result<QueryId> {
-        let id = catalog::next_query_id(&self.queries);
+        let id = catalog::next_query_id(&self.queries)?;
         let query = tvq_query::parse_query(text, id, &mut self.registry)?;
         self.add_query(query)?;
         Ok(id)

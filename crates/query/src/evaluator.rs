@@ -10,11 +10,18 @@
 //! MCOS, the evaluator collects the postings of all satisfied conditions,
 //! counts distinct satisfied disjunctions per query, and reports the queries
 //! whose every disjunction is covered.
+//!
+//! A state's answer depends only on its [`ClassCounts`], and films repeat a
+//! few dozen count vectors, so [`evaluate_result_set`] and `any_satisfied`
+//! answer through a memo keyed by the counts, filled from the uncached
+//! `evaluate`. A catalog swap builds a fresh evaluator, `add_query` and a
+//! clone start with an empty memo, so it is never invalidated; it is
+//! emptied when it reaches 4,096 entries.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use tvq_common::{ClassId, FrameId, ObjectSet, QueryId};
+use tvq_common::{ClassId, FrameId, FxHashMap, ObjectSet, QueryId};
 use tvq_core::ResultStateSet;
 
 use crate::aggregates::ClassCounts;
@@ -48,6 +55,21 @@ impl OrderedIndex {
     }
 }
 
+/// Memo entries at which the memo is emptied before the next insert.
+const MEMO_CAP: usize = 4096;
+
+type Answers = FxHashMap<ClassCounts, Arc<[QueryId]>>;
+
+/// The memo of satisfied queries by class counts (see the module doc).
+#[derive(Debug, Default)]
+struct Memo(Mutex<Answers>);
+
+impl Clone for Memo {
+    fn clone(&self) -> Self {
+        Memo::default()
+    }
+}
+
 /// The CNF evaluator holding the registered queries and their inverted
 /// indexes.
 #[derive(Debug, Clone, Default)]
@@ -67,6 +89,7 @@ pub struct CnfEvaluator {
     ge_index: HashMap<ClassId, OrderedIndex>,
     /// `<=` index per class, ordered ascending by threshold.
     le_index: HashMap<ClassId, OrderedIndex>,
+    memo: Memo,
 }
 
 /// Mask words needed to give every one of `clauses` disjunctions its own bit.
@@ -86,6 +109,7 @@ impl CnfEvaluator {
 
     /// Registers one more query, extending the indexes incrementally.
     pub fn add_query(&mut self, query: CnfQuery) {
+        self.memo = Memo::default();
         let query_index = self.queries.len();
         let clauses = query.clauses.len() as u32;
         self.clause_counts.push(clauses);
@@ -149,15 +173,8 @@ impl CnfEvaluator {
     /// the input aggregate are treated as count 0.
     pub fn evaluate(&self, counts: &ClassCounts) -> Vec<QueryId> {
         // Every query owns a run of mask words (one bit per disjunction) at
-        // `mask_offsets[query]`, so disjunction indexes past 64 keep their
-        // own bits. The previous single-word-per-query scheme folded
-        // disjunctions with `% 64`: two satisfied clauses of a >64-clause
-        // query could share a bit while the satisfaction target was capped
-        // at 64, silently reporting false matches. Query mask runs are
-        // dense, and workloads are small (the paper sweeps up to 50
-        // queries of a handful of clauses each), so the words live on the
-        // stack in the common case: the per-frame evaluation loop
-        // allocates nothing for bookkeeping.
+        // `mask_offsets[query]`, so a >64-clause query's bits never alias.
+        // Workloads are small, so the words usually live on the stack.
         const STACK_WORDS: usize = 64;
         let mut stack = [0u64; STACK_WORDS];
         let mut heap: Vec<u64>;
@@ -220,7 +237,25 @@ impl CnfEvaluator {
 
     /// Whether at least one registered query is satisfied by the counts.
     pub fn any_satisfied(&self, counts: &ClassCounts) -> bool {
-        !self.evaluate(counts).is_empty()
+        !self.answer(&mut self.memo(), counts).is_empty()
+    }
+
+    /// Locks the memo (entries are inserted whole, so poison is harmless).
+    fn memo(&self) -> MutexGuard<'_, Answers> {
+        self.memo.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `evaluate`'s answer for `counts`, from the memo or computed into it.
+    fn answer(&self, memo: &mut Answers, counts: &ClassCounts) -> Arc<[QueryId]> {
+        if let Some(answer) = memo.get(counts) {
+            return Arc::clone(answer);
+        }
+        if memo.len() >= MEMO_CAP {
+            memo.clear();
+        }
+        let answer: Arc<[QueryId]> = self.evaluate(counts).into();
+        memo.insert(counts.clone(), Arc::clone(&answer));
+        answer
     }
 }
 
@@ -245,29 +280,29 @@ pub struct QueryMatch {
 ///
 /// When a result entry carries the class counts its producing maintainer
 /// keeps for the reported set, those are used directly; otherwise the aggregate
-/// is computed from `classes` on the spot.
+/// is computed from `classes` on the spot. Answers come from the memo.
 pub fn evaluate_result_set<S: std::hash::BuildHasher>(
     evaluator: &CnfEvaluator,
     results: &ResultStateSet,
     classes: &HashMap<tvq_common::ObjectId, ClassId, S>,
 ) -> Vec<QueryMatch> {
-    let mut matches = Vec::new();
-    for (objects, frames, cached) in results.iter_with_counts() {
-        let computed;
-        let counts = match cached {
-            Some(counts) => &**counts,
-            None => {
-                computed = ClassCounts::of(objects, classes);
-                &computed
-            }
-        };
-        for query in evaluator.evaluate(counts) {
-            matches.push(QueryMatch {
-                query,
-                objects: objects.clone(),
-                frames: Arc::clone(frames),
-            });
-        }
+    let answers: Vec<Arc<[QueryId]>> = {
+        let mut memo = evaluator.memo();
+        results
+            .iter_with_counts()
+            .map(|(objects, _, cached)| match cached {
+                Some(counts) => evaluator.answer(&mut memo, counts),
+                None => evaluator.answer(&mut memo, &ClassCounts::of(objects, classes)),
+            })
+            .collect()
+    };
+    let mut matches = Vec::with_capacity(answers.iter().map(|a| a.len()).sum());
+    for ((objects, frames, _), queries) in results.iter_with_counts().zip(&answers) {
+        matches.extend(queries.iter().map(|&query| QueryMatch {
+            query,
+            objects: objects.clone(),
+            frames: Arc::clone(frames),
+        }));
     }
     matches
 }
@@ -443,15 +478,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn randomised_equivalence_with_direct_evaluation() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(99);
-        for _ in 0..200 {
-            // Random workload of up to 5 queries with up to 3 clauses each.
-            let mut queries = Vec::new();
-            for qid in 0..rng.gen_range(1..=5) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A random workload of up to 5 queries with up to 3 clauses of up to 3
+    /// conditions each, over classes 0..4 and values 0..5.
+    fn random_workload(rng: &mut StdRng) -> Vec<CnfQuery> {
+        (0..rng.gen_range(1..=5))
+            .map(|qid| {
                 let clauses: Vec<Vec<Condition>> = (0..rng.gen_range(1..=3))
                     .map(|_| {
                         (0..rng.gen_range(1..=3))
@@ -470,21 +504,114 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                queries.push(CnfQuery::new(QueryId(qid), clauses));
-            }
+                CnfQuery::new(QueryId(qid), clauses)
+            })
+            .collect()
+    }
+
+    fn random_counts(rng: &mut StdRng) -> ClassCounts {
+        counts(&[
+            (0, rng.gen_range(0..6)),
+            (1, rng.gen_range(0..6)),
+            (2, rng.gen_range(0..6)),
+            (3, rng.gen_range(0..6)),
+        ])
+    }
+
+    fn direct(queries: &[CnfQuery], counts: &ClassCounts) -> Vec<QueryId> {
+        queries
+            .iter()
+            .filter(|q| q.eval(counts))
+            .map(|q| q.id)
+            .collect()
+    }
+
+    #[test]
+    fn randomised_equivalence_with_direct_evaluation() {
+        let mut rng = StdRng::seed_from_u64(99);
+        for _ in 0..200 {
+            let queries = random_workload(&mut rng);
             let evaluator = CnfEvaluator::new(queries.clone());
-            let sample = counts(&[
-                (0, rng.gen_range(0..6)),
-                (1, rng.gen_range(0..6)),
-                (2, rng.gen_range(0..6)),
-                (3, rng.gen_range(0..6)),
-            ]);
-            let expected: Vec<QueryId> = queries
-                .iter()
-                .filter(|q| q.eval(&sample))
-                .map(|q| q.id)
-                .collect();
-            assert_eq!(evaluator.evaluate(&sample), expected);
+            let sample = random_counts(&mut rng);
+            assert_eq!(evaluator.evaluate(&sample), direct(&queries, &sample));
         }
+    }
+
+    /// The memo answers exactly what `CnfQuery::eval` does: on the first
+    /// lookup of a count vector, on repeated lookups (vectors are drawn
+    /// from a small pool, so most are hits), and through a result set
+    /// whose states share counts.
+    #[test]
+    fn memoized_answers_agree_with_direct_evaluation() {
+        let mut rng = StdRng::seed_from_u64(34);
+        for _ in 0..100 {
+            let queries = random_workload(&mut rng);
+            let evaluator = CnfEvaluator::new(queries.clone());
+            let pool: Vec<ClassCounts> = (0..6).map(|_| random_counts(&mut rng)).collect();
+            for _ in 0..40 {
+                let sample = &pool[rng.gen_range(0..pool.len())];
+                let expected = direct(&queries, sample);
+                assert_eq!(evaluator.any_satisfied(sample), !expected.is_empty());
+            }
+            let mut results = ResultStateSet::new();
+            let frames: tvq_common::MarkedFrameSet = [(FrameId(1), true)].into_iter().collect();
+            let mut expected = Vec::new();
+            for object in 0..12u32 {
+                let sample = &pool[rng.gen_range(0..pool.len())];
+                let objects = ObjectSet::from_raw([object]);
+                for query in direct(&queries, sample) {
+                    expected.push((query, objects.clone()));
+                }
+                results.insert_with_counts(objects, &frames, Some(Arc::new(sample.clone())));
+            }
+            expected.sort_by(|a, b| a.1.cmp(&b.1));
+            for _ in 0..2 {
+                let got: Vec<(QueryId, ObjectSet)> =
+                    evaluate_result_set(&evaluator, &results, &HashMap::<ObjectId, ClassId>::new())
+                        .into_iter()
+                        .map(|m| (m.query, m.objects))
+                        .collect();
+                assert_eq!(got, expected);
+            }
+            assert!(evaluator.memo().len() <= pool.len());
+        }
+    }
+
+    /// More distinct count vectors than the memo holds: it empties at the
+    /// cap and keeps answering correctly, on misses and hits alike.
+    #[test]
+    fn memo_stays_bounded_and_correct_across_the_cap() {
+        let mut rng = StdRng::seed_from_u64(4096);
+        let queries = random_workload(&mut rng);
+        let evaluator = CnfEvaluator::new(queries.clone());
+        // 6^5 = 7,776 distinct vectors over classes 0..5, swept twice.
+        let all: Vec<ClassCounts> = (0..6u32.pow(5))
+            .map(|n| {
+                counts(
+                    &(0..5u16)
+                        .map(|c| (c, n / 6u32.pow(c.into()) % 6))
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+        let mut peak = 0;
+        for sample in all.iter().chain(&all) {
+            assert_eq!(
+                evaluator.any_satisfied(sample),
+                !direct(&queries, sample).is_empty()
+            );
+            peak = peak.max(evaluator.memo().len());
+        }
+        assert_eq!(peak, MEMO_CAP);
+        // `add_query` changes the query set, so it empties the memo.
+        let mut grown = evaluator.clone();
+        assert_eq!(grown.memo().len(), 0, "a clone starts empty");
+        grown.any_satisfied(&all[0]);
+        grown.add_query(CnfQuery::conjunction(
+            QueryId(9),
+            vec![Condition::at_most(ClassId(0), 5)],
+        ));
+        assert_eq!(grown.memo().len(), 0);
+        assert!(grown.any_satisfied(&all[0]));
     }
 }
