@@ -60,9 +60,8 @@ pub enum Error {
         queue_depth: usize,
     },
     /// A multi-feed fleet lost this feed: a share carrying it panicked, or
-    /// its engine failed a catalog op. Reports are refused until a durable
-    /// fleet recovers the feed at its next frame; a fleet without a store
-    /// can never serve it again and refuses every batch holding it.
+    /// its engine failed a catalog op. The fleet can never serve it again
+    /// and refuses every batch holding it, and every report.
     FeedLost(crate::FeedId),
 }
 
@@ -97,7 +96,7 @@ impl fmt::Display for Error {
                      frame(s) (panic or spawn failure)"
                 )
             }
-            Error::FeedLost(feed) => write!(f, "{feed} was lost and the fleet has no store"),
+            Error::FeedLost(feed) => write!(f, "{feed} was lost"),
         }
     }
 }

@@ -77,7 +77,7 @@ pub use maintainer::{MaintainerKind, StateMaintainer};
 pub use metrics::MaintenanceMetrics;
 pub use mfs::MfsMaintainer;
 pub use naive::NaiveMaintainer;
-pub use prune::{MinCardinalityPruner, NeverPrune, PrunerVerdictCache, SharedPruner, StatePruner};
+pub use prune::{MinCardinalityPruner, PrunerVerdictCache, SharedPruner, StatePruner};
 pub use reference::{mcos_of_window, ReferenceMaintainer};
 pub use result_set::{ResultState, ResultStateSet};
 pub use ssg::SsgMaintainer;

@@ -153,16 +153,6 @@ impl PrunerVerdictCache {
     }
 }
 
-/// A pruner that never terminates anything (the `*_E` method variants).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NeverPrune;
-
-impl StatePruner for NeverPrune {
-    fn should_terminate(&self, _objects: &ObjectSet) -> bool {
-        false
-    }
-}
-
 /// A pruner that terminates states smaller than a fixed number of objects.
 ///
 /// This is the simplest sound pruner (cardinality is monotone): it mirrors a
@@ -190,13 +180,6 @@ mod tests {
 
     fn set(ids: &[u32]) -> ObjectSet {
         ObjectSet::from_raw(ids.iter().copied())
-    }
-
-    #[test]
-    fn never_prune_keeps_everything() {
-        let p = NeverPrune;
-        assert!(!p.should_terminate(&ObjectSet::empty()));
-        assert!(!p.should_terminate(&set(&[1, 2, 3])));
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl CatalogSnapshot {
 
 /// The catalog rules, written once for every holder of a query list (the
 /// catalog below, and the fleet's master copy in [`multi`](crate::multi),
-/// which must know the next list *before* it persists and applies an op):
+/// which must know the next list *before* it applies an op):
 /// queries validate, ids are unique, the next id is max + 1, and removing
 /// an unknown id is an error. Each op returns the next list and leaves the
 /// current one untouched.
@@ -214,24 +214,6 @@ impl QueryCatalog {
         Ok(catalog)
     }
 
-    /// Replaces the whole query set and jumps straight to `version`,
-    /// publishing through the *existing* shared cell (followers keep
-    /// working). Used when a recovered engine must catch up with catalog
-    /// swaps it missed while it was lost: the version jump makes
-    /// [`swaps`](Self::swaps) report the same count as an engine that
-    /// applied every op live.
-    pub(crate) fn force(&mut self, queries: Vec<CnfQuery>, version: u64) -> Result<()> {
-        if version < self.current.version() {
-            return Err(Error::InvalidConfig(format!(
-                "cannot force catalog version {version} below current {}",
-                self.current.version()
-            )));
-        }
-        check_queries(&queries)?;
-        self.publish(version, queries);
-        Ok(())
-    }
-
     /// The current snapshot (lock-free: the owner's cached copy).
     pub fn snapshot(&self) -> &Arc<CatalogSnapshot> {
         &self.current
@@ -266,7 +248,7 @@ impl QueryCatalog {
     /// the catalog untouched) if the query is malformed or its id is taken.
     pub fn add_query(&mut self, query: CnfQuery) -> Result<()> {
         let queries = with_query(self.current.queries(), query)?;
-        self.publish(self.version() + 1, queries);
+        self.publish(queries);
         Ok(())
     }
 
@@ -274,12 +256,12 @@ impl QueryCatalog {
     /// (leaving the catalog untouched) if the id is unknown.
     pub fn remove_query(&mut self, id: QueryId) -> Result<()> {
         let queries = without_query(self.current.queries(), id)?;
-        self.publish(self.version() + 1, queries);
+        self.publish(queries);
         Ok(())
     }
 
-    fn publish(&mut self, version: u64, queries: Vec<CnfQuery>) {
-        let next = Arc::new(CatalogSnapshot::build(version, queries));
+    fn publish(&mut self, queries: Vec<CnfQuery>) {
+        let next = Arc::new(CatalogSnapshot::build(self.version() + 1, queries));
         // Snapshots are immutable, so a poisoned cell still holds a usable
         // Arc; recover the guard rather than cascade the panic.
         *self.cell.write().unwrap_or_else(PoisonError::into_inner) = Arc::clone(&next);

@@ -16,7 +16,7 @@ use tvq_common::{
 use tvq_core::{MaintenanceMetrics, ObjectLifecycle, SharedPruner, StateMaintainer, StatePruner};
 use tvq_query::{evaluate_result_set, ClassCounts, CnfQuery, QueryMatch};
 
-use crate::catalog::{QueryCatalog, SharedCatalog};
+use crate::catalog::{self, QueryCatalog, SharedCatalog};
 use crate::config::EngineConfig;
 use crate::durable::Durability;
 use crate::persist;
@@ -157,7 +157,7 @@ impl EngineBuilder {
     /// Registers a query written in the textual language, e.g.
     /// `"car >= 2 AND person >= 1"`. New class labels are registered.
     pub fn with_query_text(mut self, text: &str) -> Result<Self> {
-        let id = tvq_common::QueryId(self.queries.len() as u32);
+        let id = catalog::next_query_id(&self.queries)?;
         let query = tvq_query::parse_query(text, id, &mut self.registry)?;
         self.queries.push(query);
         Ok(self)
@@ -355,22 +355,6 @@ impl TemporalVideoQueryEngine {
     pub(crate) fn apply_remove_query(&mut self, id: QueryId) -> Result<()> {
         self.catalog.remove_query(id)?;
         self.maintainer.pruner_changed();
-        Ok(())
-    }
-
-    /// Fast-forwards the catalog to the fleet's master query set at
-    /// `version`, skipping the intermediate swaps this engine missed while
-    /// it was lost. No-op when already current. Publishes through
-    /// the existing shared cell (the live pruner keeps observing swaps) and
-    /// schedules a snapshot so the catch-up is durable before the next
-    /// logged operation.
-    pub(crate) fn reconcile_catalog(&mut self, queries: &[CnfQuery], version: u64) -> Result<()> {
-        if self.catalog.version() == version {
-            return Ok(());
-        }
-        self.catalog.force(queries.to_vec(), version)?;
-        self.maintainer.pruner_changed();
-        self.mark_snapshot_due();
         Ok(())
     }
 
@@ -573,6 +557,19 @@ mod tests {
     fn builder_requires_queries() {
         let err = EngineBuilder::new(EngineConfig::default()).build();
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn text_queries_take_the_next_free_id() {
+        let person = tvq_query::Condition::at_least(ClassId(0), 1);
+        let engine = EngineBuilder::new(EngineConfig::default())
+            .with_query(CnfQuery::conjunction(QueryId(1), vec![person]))
+            .with_query_text("car >= 1")
+            .unwrap()
+            .build()
+            .unwrap();
+        let ids: Vec<QueryId> = engine.queries().iter().map(|q| q.id).collect();
+        assert_eq!(ids, [QueryId(1), QueryId(2)]);
     }
 
     #[test]

@@ -29,9 +29,8 @@
 //!
 //! The engines never leave the fleet's map: a share's thread only borrows
 //! them, and hands back the engines it built for feeds that had none. So a
-//! report is a read, and a catalog op or
-//! [`sync_store`](MultiFeedEngine::sync_store) is a loop over the engines on
-//! the caller's thread, whose errors reach the caller. Three rules hold:
+//! report is a read, and a catalog op is a loop over the engines on the
+//! caller's thread, whose errors reach the caller. Two rules hold:
 //!
 //! 1. **Engines stay home.** `push_batch` returns — `Ok` or `Err` — only
 //!    after every thread it spawned has joined, so no engine is ever
@@ -39,13 +38,9 @@
 //!    be spawned runs nothing and loses nothing.
 //! 2. **Lost is lost.** A share whose thread panics loses every feed it
 //!    carried (the engines may be torn mid-frame), and an engine that fails
-//!    a catalog op loses its feed. A durable fleet recovers a lost feed
-//!    from the store at its next frame, fast-forwarded to the master
-//!    catalog; a non-durable fleet answers [`Error::FeedLost`] for it from
-//!    then on, refusing any batch that holds it before a share runs —
-//!    never a silently fresh engine.
-//! 3. **Drop flushes.** Dropping the fleet flushes its engines
-//!    (`sync_store`, errors ignored).
+//!    a catalog op loses its feed. The fleet answers [`Error::FeedLost`]
+//!    for a lost feed from then on, refusing any batch that holds it before
+//!    a share runs — never a silently fresh engine.
 //!
 //! # Example
 //!
@@ -87,17 +82,14 @@
 mod worker;
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 
 use tvq_common::{ClassRegistry, Error, FeedId, FrameObjects, QueryId, Result};
 use tvq_core::MaintenanceMetrics;
 use tvq_query::CnfQuery;
-use tvq_store::{RealIo, SharedIo};
 
 use crate::catalog;
 use crate::config::{EngineConfig, MultiFeedConfig};
 use crate::engine::{FrameResult, TemporalVideoQueryEngine};
-use crate::persist;
 
 /// One frame of detections tagged with the feed (camera) it came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -237,10 +229,6 @@ impl SchedulingStats {
 struct EngineSpec {
     config: EngineConfig,
     registry: ClassRegistry,
-    /// The fleet's store and data directory, when durability is on: each
-    /// per-feed engine persists under `<dir>/feed-<id>`, and the master
-    /// catalog under `<dir>/fleet-catalog.tvqf`.
-    store: Option<(SharedIo, PathBuf)>,
 }
 
 impl EngineSpec {
@@ -269,7 +257,6 @@ pub struct MultiFeedBuilder {
     registry: ClassRegistry,
     queries: Vec<CnfQuery>,
     allow_empty: bool,
-    store: Option<(SharedIo, PathBuf)>,
 }
 
 impl MultiFeedBuilder {
@@ -281,7 +268,6 @@ impl MultiFeedBuilder {
             registry: ClassRegistry::with_default_classes(),
             queries: Vec::new(),
             allow_empty: false,
-            store: None,
         }
     }
 
@@ -308,27 +294,10 @@ impl MultiFeedBuilder {
     /// Registers a query written in the textual language, e.g.
     /// `"car >= 2 AND person >= 1"`. New class labels are registered.
     pub fn with_query_text(mut self, text: &str) -> Result<Self> {
-        let id = QueryId(self.queries.len() as u32);
+        let id = catalog::next_query_id(&self.queries)?;
         let query = tvq_query::parse_query(text, id, &mut self.registry)?;
         self.queries.push(query);
         Ok(self)
-    }
-
-    /// Makes the fleet durable under `dir` through the given store: every
-    /// per-feed engine gets a WAL and epoch snapshots in `<dir>/feed-<id>`,
-    /// the master catalog persists in `<dir>/fleet-catalog.tvqf`, lost
-    /// feeds are recovered from the store at their next frame, and
-    /// building over a directory that already holds fleet data *restarts*
-    /// it — the persisted catalog supersedes the builder's queries and
-    /// registry.
-    pub fn with_store(mut self, io: SharedIo, dir: &Path) -> Self {
-        self.store = Some((io, dir.to_path_buf()));
-        self
-    }
-
-    /// [`with_store`](Self::with_store) against the real filesystem.
-    pub fn with_data_dir(self, dir: &Path) -> Self {
-        self.with_store(RealIo::shared(), dir)
     }
 
     /// Builds the engine.
@@ -338,48 +307,25 @@ impl MultiFeedBuilder {
                 "multi-feed engine needs at least one worker".to_owned(),
             ));
         }
-        // A durable fleet building over a directory that already holds a
-        // master catalog is a *restart*: the persisted registry, query set
-        // and version supersede the builder's (exactly as single-engine
-        // `recover` ignores the builder). A fresh durable fleet persists
-        // its build-time catalog as version 0 before any frame runs.
-        let mut registry = self.registry;
-        let mut queries = self.queries;
-        let mut catalog_version = 0u64;
-        let mut restarted = false;
-        if let Some((io, root)) = &self.store {
-            match persist::load_fleet_catalog(io, root)? {
-                Some((persisted_registry, persisted_queries, version)) => {
-                    registry = persisted_registry;
-                    queries = persisted_queries;
-                    catalog_version = version;
-                    restarted = true;
-                }
-                None => persist::save_fleet_catalog(io, root, &registry, &queries, 0)?,
-            }
-        }
-        // A restarted fleet may legitimately resume with zero queries (all
-        // removed before the shutdown); only fresh builds require some.
-        if queries.is_empty() && !self.allow_empty && !restarted {
+        if self.queries.is_empty() && !self.allow_empty {
             return Err(Error::InvalidConfig(
                 "at least one query must be registered".to_owned(),
             ));
         }
         let spec = EngineSpec {
             config: self.config.engine,
-            registry: registry.clone(),
-            store: self.store,
+            registry: self.registry.clone(),
         };
         // Validate the spec once, up front, so that per-feed engine
         // construction inside a share cannot fail later.
-        spec.build_engine(&queries, catalog_version)?;
+        spec.build_engine(&self.queries, 0)?;
         Ok(MultiFeedEngine {
             config: self.config,
             spec,
             engines: BTreeMap::new(),
-            queries,
-            registry,
-            catalog_version,
+            queries: self.queries,
+            registry: self.registry,
+            catalog_version: 0,
             peak_shard_depth: 0,
             sched: SchedulingStats::default(),
         })
@@ -448,13 +394,6 @@ impl MultiFeedEngine {
         self.catalog_version
     }
 
-    /// Whether the fleet persists its feeds (built with
-    /// [`with_store`](MultiFeedBuilder::with_store) /
-    /// [`with_data_dir`](MultiFeedBuilder::with_data_dir)).
-    pub fn is_durable(&self) -> bool {
-        self.spec.store.is_some()
-    }
-
     /// The currently registered queries (the master copy every per-feed
     /// engine mirrors).
     pub fn queries(&self) -> &[CnfQuery] {
@@ -463,10 +402,6 @@ impl MultiFeedEngine {
 
     /// Registers a query across the whole fleet: behind every frame already
     /// pushed and ahead of every frame pushed later, for every feed alike.
-    ///
-    /// On a durable fleet an `Err` from a *feed's* store does not undo the
-    /// op (the master catalog is already published): the feed that could
-    /// not log it is lost and recovers under the new catalog.
     pub fn add_query(&mut self, query: CnfQuery) -> Result<()> {
         let next = catalog::with_query(&self.queries, query.clone())?;
         self.swap_catalog(next, |engine| engine.add_query(query.clone()))
@@ -488,23 +423,16 @@ impl MultiFeedEngine {
         self.swap_catalog(next, |engine| engine.remove_query(id))
     }
 
-    /// Moves the fleet to the already-validated query list `next`. Durable
-    /// fleets publish the master catalog *before* any engine applies the
-    /// op: after any crash the persisted master version is at least every
-    /// feed's, so a restart only ever fast-forwards recovered feeds — never
-    /// the reverse. Publishing commits the op; an engine whose own `apply`
-    /// then fails is lost, and the first such error is returned.
+    /// Moves the fleet to the already-validated query list `next`, which
+    /// commits the op; an engine whose own `apply` then fails is lost, and
+    /// the first such error is returned.
     fn swap_catalog(
         &mut self,
         next: Vec<CnfQuery>,
         apply: impl Fn(&mut TemporalVideoQueryEngine) -> Result<()>,
     ) -> Result<()> {
-        let version = self.catalog_version + 1;
-        if let Some((io, root)) = &self.spec.store {
-            persist::save_fleet_catalog(io, root, &self.registry, &next, version)?;
-        }
         self.queries = next;
-        self.catalog_version = version;
+        self.catalog_version += 1;
         let mut outcome = Ok(());
         for slot in self.engines.values_mut() {
             if let Some(Err(error)) = slot.as_deref_mut().map(&apply) {
@@ -515,10 +443,9 @@ impl MultiFeedEngine {
         outcome
     }
 
-    /// Whether `feed` can never be served again: lost, with no store to
-    /// recover it from.
-    fn is_dead(&self, feed: FeedId) -> bool {
-        !self.is_durable() && self.engines.get(&feed).is_some_and(Option::is_none)
+    /// Whether `feed` was lost (ownership rule 2).
+    fn is_lost(&self, feed: FeedId) -> bool {
+        self.engines.get(&feed).is_some_and(Option::is_none)
     }
 
     /// Processes a single feed-tagged frame. Equivalent to a one-element
@@ -534,9 +461,9 @@ impl MultiFeedEngine {
     ///
     /// Within a batch, a feed's frames must appear in increasing frame-id
     /// order (the usual streaming contract); frames of different feeds may
-    /// be interleaved arbitrarily. A batch holding a feed a non-durable
-    /// fleet has lost is refused with [`Error::FeedLost`], naming the lowest
-    /// such feed, before any share runs, so it applies nothing.
+    /// be interleaved arbitrarily. A batch holding a feed the fleet has lost
+    /// is refused with [`Error::FeedLost`], naming the lowest such feed,
+    /// before any share runs, so it applies nothing.
     ///
     /// The batch places its own feeds on the workers' shares, from its own
     /// costs (one unit per frame plus one per detection): feeds go in
@@ -554,7 +481,7 @@ impl MultiFeedEngine {
     /// [`Error::ShardLost`].
     pub fn push_batch(&mut self, batch: &[FeedFrame]) -> Result<Vec<FeedFrameResult>> {
         let costs = costs(batch);
-        if let Some(&lost) = costs.keys().find(|&&feed| self.is_dead(feed)) {
+        if let Some(&lost) = costs.keys().find(|&&feed| self.is_lost(feed)) {
             return Err(Error::FeedLost(lost));
         }
         // Group the batch's positions per share, in batch order (which
@@ -680,21 +607,6 @@ impl MultiFeedEngine {
             catalog_version: self.catalog_version,
         })
     }
-
-    /// Flushes every per-feed engine's durable state: due snapshots are
-    /// written and the WALs fsynced, one feed after another on the caller's
-    /// thread; the first failure is returned after every feed was tried.
-    /// No-op on a non-durable fleet; lost feeds are skipped (the
-    /// per-operation fsync discipline already made all their acknowledged
-    /// work durable). Dropping the engine flushes too — this is the
-    /// explicit, fallible graceful-shutdown path.
-    pub fn sync_store(&mut self) -> Result<()> {
-        let mut outcome = Ok(());
-        for engine in self.engines.values_mut().flatten() {
-            outcome = outcome.and(engine.sync_store());
-        }
-        outcome
-    }
 }
 
 /// A batch's cost per feed: one unit per frame plus one per detection.
@@ -725,18 +637,9 @@ fn place(costs: &BTreeMap<FeedId, u64>, workers: usize) -> BTreeMap<FeedId, usiz
         .collect()
 }
 
-impl Drop for MultiFeedEngine {
-    /// Ownership rule 3.
-    fn drop(&mut self) {
-        let _ = self.sync_store();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
     use tvq_common::{ClassId, FrameId, ObjectId, WindowSpec};
     use tvq_core::MaintainerKind;
 
@@ -770,6 +673,19 @@ mod tests {
             .unwrap()
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn text_queries_take_the_next_free_id() {
+        let person = tvq_query::Condition::at_least(ClassId(0), 1);
+        let fleet = MultiFeedEngine::builder(config(1))
+            .with_query(CnfQuery::conjunction(QueryId(1), vec![person]))
+            .with_query_text("car >= 1")
+            .unwrap()
+            .build()
+            .unwrap();
+        let ids: Vec<QueryId> = fleet.queries().iter().map(|q| q.id).collect();
+        assert_eq!(ids, [QueryId(1), QueryId(2)]);
     }
 
     #[test]
@@ -980,12 +896,15 @@ mod tests {
         }
     }
 
-    /// A share that panics is named by its index within the batch, with
-    /// its frame count: feed 1's three frames cost more than feed 0's one,
-    /// so they run on share 0, whatever `feed mod 2` would say.
+    /// Ownership rule 2 with a share that really panics (a test build
+    /// panics a share on frame id `u64::MAX`). The failed share is named by
+    /// its index within the batch, with its frame count: feed 1's three
+    /// frames cost more than feed 0's one, so they run on share 0, whatever
+    /// `feed mod 2` would say. The other share's frame is applied, and feed
+    /// 1 is lost from then on.
     #[test]
     fn shard_lost_names_the_worker_and_its_queue_depth() {
-        let (io, mut fleet) = PanicOnFeed1::fleet();
+        let mut fleet = engine(2);
         for fid in 0..2u64 {
             let batch = vec![
                 FeedFrame::new(FeedId(0), frame(fid, &[(1, 1), (2, 0)])),
@@ -993,23 +912,29 @@ mod tests {
             ];
             fleet.push_batch(&batch).unwrap();
         }
-        io.armed.store(true, Ordering::SeqCst);
         let batch = vec![
             FeedFrame::new(FeedId(0), frame(2, &[(1, 1), (2, 0)])),
             FeedFrame::new(FeedId(1), frame(2, &[(1, 1)])),
             FeedFrame::new(FeedId(1), frame(3, &[(1, 1)])),
-            FeedFrame::new(FeedId(1), frame(4, &[(1, 1)])),
+            FeedFrame::new(FeedId(1), frame(u64::MAX, &[(1, 1)])),
         ];
-        match fleet.push_batch(&batch).unwrap_err() {
-            Error::ShardLost {
-                worker,
-                queue_depth,
-            } => {
-                assert_eq!(worker, 0);
-                assert_eq!(queue_depth, 3, "the error reports the failed share's size");
-            }
-            other => panic!("expected ShardLost, got {other:?}"),
-        }
+        assert!(matches!(
+            fleet.push_batch(&batch),
+            Err(Error::ShardLost {
+                worker: 0,
+                queue_depth: 3
+            })
+        ));
+        assert!(matches!(
+            fleet.push(FeedId(0), frame(2, &[(1, 1), (2, 0)])),
+            Err(Error::OutOfOrderFrame { .. })
+        ));
+        fleet.push(FeedId(0), frame(3, &[(1, 1), (2, 0)])).unwrap();
+        assert!(matches!(
+            fleet.push(FeedId(1), frame(5, &[(1, 1)])),
+            Err(Error::FeedLost(FeedId(1)))
+        ));
+        assert!(matches!(fleet.report(), Err(Error::FeedLost(FeedId(1)))));
     }
 
     /// A batch holding a lost feed is refused before any share runs, so the
@@ -1222,282 +1147,9 @@ mod tests {
         assert!(report.feeds.windows(2).all(|w| w[0].feed < w[1].feed));
     }
 
-    fn durable_fleet(disk: &tvq_store::MemDisk, workers: usize) -> MultiFeedEngine {
-        MultiFeedEngine::builder(config(workers))
-            .with_query_text("car >= 1 AND person >= 1")
-            .unwrap()
-            .with_store(disk.io(), Path::new("/fleet"))
-            .build()
-            .unwrap()
-    }
-
-    fn mixed_batch(fid: u64) -> Vec<FeedFrame> {
-        (0..4u32)
-            .map(|feed| {
-                FeedFrame::new(
-                    FeedId(feed),
-                    frame(fid, &[(feed + 1, 1), (9, 0), (feed, (fid % 2) as u16)]),
-                )
-            })
-            .collect()
-    }
-
-    /// The recovery path: losing a worker's feeds in a durable fleet must
-    /// be invisible — a catalog op skips the lost feeds, the next frame
-    /// push recovers them from the store under the master catalog, and
-    /// every result and per-feed tally matches a fleet that never lost a
-    /// feed.
-    #[test]
-    fn durable_fleet_survives_worker_loss_transparently() {
-        let disk = tvq_store::MemDisk::new();
-        let mut oracle = engine(2);
-        let mut subject = durable_fleet(&disk, 2);
-        assert!(subject.is_durable() && !oracle.is_durable());
-        for fid in 0..3u64 {
-            let batch = mixed_batch(fid);
-            let expected = oracle.push_batch(&batch).unwrap();
-            let got = subject.push_batch(&batch).unwrap();
-            assert_eq!(got, expected, "pre-crash frame {fid}");
-        }
-        // Lose feeds 1 and 3, then swap the catalog: the op must succeed
-        // on the feeds still in the fleet rather than error.
-        subject.lose_feed(FeedId(1));
-        subject.lose_feed(FeedId(3));
-        let person_s = subject.add_query_text("person >= 1").unwrap();
-        let person_o = oracle.add_query_text("person >= 1").unwrap();
-        assert_eq!(person_s, person_o);
-        for fid in 3..7u64 {
-            let batch = mixed_batch(fid);
-            let expected = oracle.push_batch(&batch).unwrap();
-            let got = subject.push_batch(&batch).unwrap();
-            assert_eq!(got, expected, "post-recovery frame {fid}");
-        }
-        // Lose the other two; the frames path heals these.
-        subject.lose_feed(FeedId(0));
-        subject.lose_feed(FeedId(2));
-        for fid in 7..9u64 {
-            let batch = mixed_batch(fid);
-            let expected = oracle.push_batch(&batch).unwrap();
-            let got = subject.push_batch(&batch).unwrap();
-            assert_eq!(got, expected, "second-recovery frame {fid}");
-        }
-        let subject_report = subject.report().unwrap();
-        let oracle_report = oracle.report().unwrap();
-        assert_eq!(
-            subject_report.catalog_version,
-            oracle_report.catalog_version
-        );
-        assert_eq!(subject_report.feeds.len(), oracle_report.feeds.len());
-        for (a, b) in subject_report.feeds.iter().zip(&oracle_report.feeds) {
-            assert_eq!(a.feed, b.feed);
-            assert_eq!(a.frames, b.frames, "feed {} frames", a.feed);
-            assert_eq!(a.total_matches, b.total_matches);
-            assert_eq!(a.matching_frames, b.matching_frames);
-            assert_eq!(a.catalog_version, b.catalog_version);
-        }
-        assert_eq!(
-            subject_report.metrics.frames_processed,
-            oracle_report.metrics.frames_processed
-        );
-        assert!(
-            subject_report.metrics.recoveries > 0,
-            "the lost feeds were recovered from the store"
-        );
-    }
-
-    /// The restart path: dropping a durable fleet and rebuilding over the
-    /// same directory resumes it — persisted master catalog (superseding
-    /// the builder's queries), recovered per-feed engines, whole-lifetime
-    /// tallies — and continues frame-for-frame like a fleet that never
-    /// stopped.
-    #[test]
-    fn durable_fleet_restarts_from_the_store() {
-        let disk = tvq_store::MemDisk::new();
-        let mut oracle = engine(2);
-        let person_o = {
-            let mut fleet = durable_fleet(&disk, 2);
-            for fid in 0..4u64 {
-                let batch = mixed_batch(fid);
-                assert_eq!(
-                    fleet.push_batch(&batch).unwrap(),
-                    oracle.push_batch(&batch).unwrap()
-                );
-            }
-            let person_f = fleet.add_query_text("person >= 1").unwrap();
-            let person_o = oracle.add_query_text("person >= 1").unwrap();
-            assert_eq!(person_f, person_o);
-            for fid in 4..6u64 {
-                let batch = mixed_batch(fid);
-                assert_eq!(
-                    fleet.push_batch(&batch).unwrap(),
-                    oracle.push_batch(&batch).unwrap()
-                );
-            }
-            fleet.sync_store().unwrap();
-            person_o
-            // Dropping the fleet flushes the engines and releases every
-            // per-feed directory lock.
-        };
-        let mut fleet = durable_fleet(&disk, 2);
-        assert_eq!(
-            fleet.catalog_version(),
-            1,
-            "the persisted master catalog supersedes the builder's"
-        );
-        assert_eq!(fleet.queries().len(), 2);
-        for fid in 6..9u64 {
-            let batch = mixed_batch(fid);
-            assert_eq!(
-                fleet.push_batch(&batch).unwrap(),
-                oracle.push_batch(&batch).unwrap(),
-                "post-restart frame {fid}"
-            );
-        }
-        // Removing the recovered query proves the restarted master list is
-        // live, not just displayed.
-        fleet.remove_query(person_o).unwrap();
-        oracle.remove_query(person_o).unwrap();
-        let batch = mixed_batch(9);
-        assert_eq!(
-            fleet.push_batch(&batch).unwrap(),
-            oracle.push_batch(&batch).unwrap()
-        );
-        let fleet_report = fleet.report().unwrap();
-        let oracle_report = oracle.report().unwrap();
-        for (a, b) in fleet_report.feeds.iter().zip(&oracle_report.feeds) {
-            assert_eq!(
-                a.frames, b.frames,
-                "whole-lifetime tally of feed {}",
-                a.feed
-            );
-            assert_eq!(a.total_matches, b.total_matches);
-            assert_eq!(a.matching_frames, b.matching_frames);
-        }
-        assert_eq!(
-            fleet_report.metrics.frames_processed,
-            oracle_report.metrics.frames_processed
-        );
-        assert_eq!(fleet_report.metrics.recoveries, 4, "one per recovered feed");
-        assert_eq!(fleet_report.catalog_version, 2);
-    }
-
-    /// A damaged master catalog must never decode: a flipped bit inside a
-    /// persisted threshold (`car >= 1` → `car >= 65`) is still well-formed
-    /// `TVQF`, and only the checksum keeps every feed from being
-    /// fast-forwarded to a silently different query. Every byte of the file
-    /// is covered, and the intact file still restarts afterwards. A publish
-    /// that fails is [`Error::Store`] naming the step that failed.
-    #[test]
-    fn damaged_fleet_catalog_is_corrupt_never_a_different_query() {
-        let disk = tvq_store::MemDisk::new();
-        durable_fleet(&disk, 2).sync_store().unwrap();
-        let path = Path::new("/fleet").join(persist::FLEET_CATALOG);
-        let len = disk.io().read(&path).unwrap().len();
-        for offset in 0..len {
-            assert!(disk.flip_bit(&path, offset));
-            let err = MultiFeedEngine::builder(config(2))
-                .with_store(disk.io(), Path::new("/fleet"))
-                .build()
-                .err()
-                .unwrap_or_else(|| panic!("flipped byte {offset} of {len} went unnoticed"));
-            assert!(matches!(err, Error::Corrupt(_)), "byte {offset}: {err}");
-            assert!(disk.flip_bit(&path, offset), "flip it back");
-        }
-        assert_eq!(durable_fleet(&disk, 2).queries().len(), 1);
-
-        // A failed publish names its step, as a failed snapshot save does.
-        for (op, step) in ["write", "fsync", "rename", "fsync"]
-            .into_iter()
-            .enumerate()
-        {
-            let err = MultiFeedEngine::builder(config(2))
-                .with_query_text("car >= 1")
-                .unwrap()
-                .with_store(
-                    disk.fault_io(op as u64 + 1, tvq_store::TornTail::Drop),
-                    Path::new("/fresh"),
-                )
-                .build()
-                .err()
-                .unwrap_or_else(|| panic!("crash at publish op {op} went unnoticed"));
-            assert!(
-                matches!(&err, Error::Store(m) if m.starts_with(&format!("{step} fleet catalog"))),
-                "op {op}: {err}"
-            );
-        }
-    }
-
-    /// A feed's store failing inside a catalog op used to vanish into a
-    /// worker thread (`debug_assert!` there, nothing in release). Now the
-    /// caller gets the error, and whatever the crash point — inside the
-    /// master publish or inside any feed's WAL append/fsync — a fleet
-    /// reopened on the healthy disk has every feed at the master version
-    /// and continues like a fleet that applied (or never saw) the op.
-    #[test]
-    fn durable_fleet_surfaces_a_failed_catalog_op_and_restarts_coherent() {
-        let warm = |fleet: &mut MultiFeedEngine| {
-            for fid in 0..3u64 {
-                fleet.push_batch(&mixed_batch(fid)).unwrap();
-            }
-        };
-        let on = |io: SharedIo| {
-            MultiFeedEngine::builder(config(2))
-                .with_query_text("car >= 1 AND person >= 1")
-                .unwrap()
-                .with_store(io, Path::new("/fleet"))
-                .build()
-                .unwrap()
-        };
-        // A fault-free pass counts the store operations the op spans.
-        let (before, after) = {
-            let io = tvq_store::MemDisk::new().fault_io(u64::MAX, tvq_store::TornTail::Drop);
-            let mut fleet = on(io.clone());
-            warm(&mut fleet);
-            let before = io.ops();
-            fleet.add_query_text("person >= 1").unwrap();
-            (before, io.ops())
-        };
-        assert!(after - before > 4, "the op reaches the feeds' WALs");
-        for crash_at in before + 1..=after {
-            for torn in tvq_store::TornTail::ALL {
-                let disk = tvq_store::MemDisk::new();
-                let mut fleet = on(disk.fault_io(crash_at, torn));
-                warm(&mut fleet);
-                let err = fleet.add_query_text("person >= 1").unwrap_err();
-                assert!(matches!(err, Error::Store(_)), "op {crash_at}: {err}");
-                drop(fleet);
-
-                let mut fleet = on(disk.io());
-                let mut oracle = engine(2);
-                warm(&mut oracle);
-                if fleet.catalog_version() == 1 {
-                    oracle.add_query_text("person >= 1").unwrap();
-                } else {
-                    assert!(
-                        crash_at <= before + 4,
-                        "past the publish the op is in force"
-                    );
-                }
-                for fid in 3..6u64 {
-                    assert_eq!(
-                        fleet.push_batch(&mixed_batch(fid)).unwrap(),
-                        oracle.push_batch(&mixed_batch(fid)).unwrap(),
-                        "op {crash_at} {torn:?} frame {fid}"
-                    );
-                }
-                let report = fleet.report().unwrap();
-                assert_eq!(report.feeds.len(), 4);
-                assert!(report
-                    .feeds
-                    .iter()
-                    .all(|feed| feed.catalog_version == fleet.catalog_version()));
-            }
-        }
-    }
-
-    /// Ownership rule 2 without a store: a lost feed stays lost. Every batch
-    /// holding it is refused whole, naming the lowest lost feed, and so is
-    /// the report; the rest of the fleet carries on.
+    /// Ownership rule 2: a lost feed stays lost. Every batch holding it is
+    /// refused whole, naming the lowest lost feed, and so is the report; the
+    /// rest of the fleet carries on.
     #[test]
     fn lost_feeds_of_a_non_durable_fleet_are_never_resurrected() {
         let mut engine = engine(2);
@@ -1525,139 +1177,6 @@ mod tests {
         assert!(matches!(engine.report(), Err(Error::FeedLost(FeedId(1)))));
         // Feed 0's frame 4 was refused with the batch, so it is still next.
         engine.push(FeedId(0), frame(4, &hot)).unwrap();
-    }
-
-    /// Non-durable fleets keep the fail-fast contract: a lost feed is an
-    /// error, never a silent partial answer (`shard_lost_names_the_worker`
-    /// pins a failed share's diagnostics; this pins that durability is what
-    /// opts into healing).
-    #[test]
-    fn non_durable_fleets_do_not_respawn() {
-        let mut engine = engine(2);
-        engine.push(FeedId(1), frame(0, &[(1, 1), (2, 0)])).unwrap();
-        engine.lose_feed(FeedId(1));
-        assert!(matches!(
-            engine.push(FeedId(1), frame(1, &[(1, 1), (2, 0)])),
-            Err(Error::FeedLost(FeedId(1)))
-        ));
-        assert!(!engine.is_durable());
-        engine.sync_store().unwrap();
-    }
-
-    /// A view of a [`MemDisk`](tvq_store::MemDisk) that panics on an
-    /// `append` under `/fleet/feed-1` while armed.
-    struct PanicOnFeed1 {
-        disk: SharedIo,
-        armed: AtomicBool,
-    }
-
-    impl PanicOnFeed1 {
-        /// A durable two-worker fleet on a disarmed view.
-        fn fleet() -> (Arc<PanicOnFeed1>, MultiFeedEngine) {
-            let io = Arc::new(PanicOnFeed1 {
-                disk: tvq_store::MemDisk::new().io(),
-                armed: AtomicBool::new(false),
-            });
-            let fleet = MultiFeedEngine::builder(config(2))
-                .with_query_text("car >= 1 AND person >= 1")
-                .unwrap()
-                .with_store(io.clone(), Path::new("/fleet"))
-                .build()
-                .unwrap();
-            (io, fleet)
-        }
-    }
-
-    impl tvq_store::StoreIo for PanicOnFeed1 {
-        fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
-            self.disk.create_dir_all(dir)
-        }
-        fn list(&self, dir: &Path) -> std::io::Result<Vec<String>> {
-            self.disk.list(dir)
-        }
-        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
-            self.disk.read(path)
-        }
-        fn append(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-            if self.armed.load(Ordering::SeqCst) && path.starts_with("/fleet/feed-1") {
-                panic!("injected panic appending to {}", path.display());
-            }
-            self.disk.append(path, bytes)
-        }
-        fn write_file(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-            self.disk.write_file(path, bytes)
-        }
-        fn truncate(&self, path: &Path, len: u64) -> std::io::Result<()> {
-            self.disk.truncate(path, len)
-        }
-        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
-            self.disk.rename(from, to)
-        }
-        fn remove(&self, path: &Path) -> std::io::Result<()> {
-            self.disk.remove(path)
-        }
-        fn fsync(&self, path: &Path) -> std::io::Result<()> {
-            self.disk.fsync(path)
-        }
-        fn fsync_dir(&self, dir: &Path) -> std::io::Result<()> {
-            self.disk.fsync_dir(dir)
-        }
-        fn exists(&self, path: &Path) -> bool {
-            self.disk.exists(path)
-        }
-        fn disk_id(&self) -> usize {
-            self.disk.disk_id()
-        }
-    }
-
-    /// Ownership rule 2 with a share that really panics: feed 1's thread
-    /// dies logging frame 3. The batch names that share, the other share's
-    /// frame is applied, and feed 1 is recovered from the store at its next
-    /// frame — holding exactly the frames it acknowledged.
-    #[test]
-    fn a_panicking_share_loses_its_feeds_and_the_store_recovers_them() {
-        let (io, mut fleet) = PanicOnFeed1::fleet();
-        let mut oracle = engine(2);
-        let pair = |fid: u64| -> Vec<FeedFrame> {
-            (0..2u32)
-                .map(|feed| FeedFrame::new(FeedId(feed), frame(fid, &[(1, 1), (2, 0)])))
-                .collect()
-        };
-        for fid in 0..3u64 {
-            assert_eq!(
-                fleet.push_batch(&pair(fid)).unwrap(),
-                oracle.push_batch(&pair(fid)).unwrap()
-            );
-        }
-        io.armed.store(true, Ordering::SeqCst);
-        assert!(matches!(
-            fleet.push_batch(&pair(3)),
-            Err(Error::ShardLost {
-                worker: 1,
-                queue_depth: 1
-            })
-        ));
-        io.armed.store(false, Ordering::SeqCst);
-        assert!(matches!(fleet.report(), Err(Error::FeedLost(FeedId(1)))));
-        // Only feed 0's frame 3 was applied and acknowledged to the store.
-        oracle.push_batch(&pair(3)[..1]).unwrap();
-        for fid in 4..8u64 {
-            assert_eq!(
-                fleet.push_batch(&pair(fid)).unwrap(),
-                oracle.push_batch(&pair(fid)).unwrap(),
-                "frame {fid}"
-            );
-        }
-        let tallies = |report: MultiFeedReport| -> Vec<(u64, u64, u64)> {
-            (report.feeds.iter())
-                .map(|f| (f.frames, f.total_matches, f.matching_frames))
-                .collect()
-        };
-        let report = fleet.report().unwrap();
-        assert_eq!(report.metrics.recoveries, 1, "feed 1, once");
-        let tallies = (tallies(report), tallies(oracle.report().unwrap()));
-        assert_eq!(tallies.0, tallies.1);
-        assert_eq!((tallies.0[0].0, tallies.0[1].0), (8, 7));
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! [`push_batch`](super::MultiFeedEngine::push_batch) spawns one thread per
 //! non-empty share. The thread borrows the engines of its share's feeds
-//! from the fleet's map, runs the frames in order, builds (or recovers) the
-//! engine of any feed that has none, and hands back only those new engines
-//! in one [`Done`] — so after the join every engine is where it was, and a
-//! feed's engine is never in two places.
+//! from the fleet's map, runs the frames in order, builds the engine of any
+//! feed that has none, and hands back only those new engines in one
+//! [`Done`] — so after the join every engine is where it was, and a feed's
+//! engine is never in two places.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -20,8 +20,8 @@ use crate::engine::{FrameResult, TemporalVideoQueryEngine};
 /// The per-feed engines, keyed so every walk is in ascending feed order.
 pub(super) type Engines = BTreeMap<FeedId, Box<TemporalVideoQueryEngine>>;
 
-/// A finished share: the engines it built or recovered, the per-frame
-/// outcomes by batch position, and the nanoseconds the share took (see
+/// A finished share: the engines it built, the per-frame outcomes by batch
+/// position, and the nanoseconds the share took (see
 /// [`SchedulingStats`](super::SchedulingStats)).
 pub(super) struct Done {
     pub(super) built: Engines,
@@ -29,36 +29,9 @@ pub(super) struct Done {
     pub(super) busy_nanos: u64,
 }
 
-/// Builds (or, on a durable fleet, recovers) the engine of a feed that
-/// has none. Recovery fast-forwards the engine's catalog to the fleet's
-/// current version — the swaps it missed while it was gone land at the
-/// stream position they originally had (ops only ever apply between
-/// batches).
-fn materialise_feed(
-    spec: &EngineSpec,
-    feed: FeedId,
-    queries: &[CnfQuery],
-    version: u64,
-) -> Result<Box<TemporalVideoQueryEngine>> {
-    let Some((io, root)) = &spec.store else {
-        return Ok(Box::new(spec.build_engine(queries, version)?));
-    };
-    let dir = root.join(format!("feed-{}", feed.0));
-    let engine = if TemporalVideoQueryEngine::has_data(io, &dir) {
-        let (mut engine, _) = TemporalVideoQueryEngine::recover(io.clone(), &dir)?;
-        engine.reconcile_catalog(queries, version)?;
-        engine
-    } else {
-        let mut engine = spec.build_engine(queries, version)?;
-        engine.attach_durability(io.clone(), &dir)?;
-        engine
-    };
-    Ok(Box::new(engine))
-}
-
 /// Runs the frames at batch positions `share`, in order, each on its feed's
-/// engine: the one lent from the fleet's map, or one materialised here
-/// under the master catalog `queries` at `version`.
+/// engine: the one lent from the fleet's map, or one built here under the
+/// master catalog `queries` at `version`.
 pub(super) fn run_share(
     spec: &EngineSpec,
     queries: &[CnfQuery],
@@ -72,16 +45,17 @@ pub(super) fn run_share(
     let mut outcomes = Vec::with_capacity(share.len());
     for &seq in share {
         let FeedFrame { feed, frame } = &batch[seq];
+        #[cfg(test)]
+        assert_ne!(frame.fid.raw(), u64::MAX, "a test panics this share");
         let engine: &mut TemporalVideoQueryEngine = match lent.get_mut(feed) {
             Some(engine) => engine,
             None => match built.entry(*feed) {
                 Entry::Occupied(entry) => entry.into_mut(),
-                Entry::Vacant(vacant) => match materialise_feed(spec, *feed, queries, version) {
-                    Ok(engine) => vacant.insert(engine),
+                Entry::Vacant(vacant) => match spec.build_engine(queries, version) {
+                    Ok(engine) => vacant.insert(Box::new(engine)),
                     Err(error) => {
-                        // Without a store, unreachable in practice (the
-                        // builder validated the spec); with one, a store
-                        // error. Report instead of panicking.
+                        // Unreachable in practice (the builder validated
+                        // the spec); report instead of panicking.
                         outcomes.push((seq, Err(error)));
                         continue;
                     }

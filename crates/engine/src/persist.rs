@@ -1,12 +1,11 @@
-//! The engine's durable formats: WAL record bodies, the engine snapshot and
-//! the fleet catalog.
+//! The engine's durable formats: WAL record bodies and the engine snapshot.
 //!
 //! Every persisted type owns its bytes: `encode`/`decode` sit next to
 //! [`ClassRegistry`], [`CnfQuery`], [`EngineConfig`],
 //! [`QueryCatalog`], [`ObjectLifecycle`] and the maintainers' state. This
 //! module only says which of them make up an artifact and in what order;
 //! the storage layer (`tvq-store`) frames, seals and publishes the result
-//! as *opaque* byte strings. Three formats:
+//! as *opaque* byte strings. Two formats:
 //!
 //! * **WAL records** — every state-changing engine operation (an observed
 //!   frame, a query registration, a query cancellation) as a tagged body.
@@ -14,20 +13,15 @@
 //!   same code paths the live engine used reproduces its state exactly.
 //! * **engine snapshots** (`TVQE`) — the complete engine at a WAL sequence
 //!   boundary, as the section list of `encode_engine`.
-//! * **the fleet catalog** (`TVQF`) — the multi-feed fleet's master
-//!   registry, query set and catalog version.
 //!
-//! All are versioned through [`tvq_common::codec`] headers and fail with
+//! Both are versioned through [`tvq_common::codec`] headers and fail with
 //! clean [`Error::Codec`] / [`Error::Corrupt`] errors on version skew or
 //! damage — corrupt state is *detected*, never silently replayed.
-
-use std::path::Path;
 
 use tvq_common::codec::{Decoder, Encoder};
 use tvq_common::{ClassId, ClassRegistry, Error, FrameId, FrameObjects, ObjectId, QueryId, Result};
 use tvq_core::ObjectLifecycle;
 use tvq_query::CnfQuery;
-use tvq_store::{publish, seal, unseal, SharedIo};
 
 use crate::catalog::QueryCatalog;
 use crate::config::EngineConfig;
@@ -117,88 +111,6 @@ pub fn decode_record(body: &[u8]) -> Result<WalRecord> {
     };
     dec.finish()?;
     Ok(record)
-}
-
-/// Magic of the fleet-catalog payload (`TVQF`).
-const FLEET_MAGIC: [u8; 4] = *b"TVQF";
-/// Version of the fleet-catalog payload (2 added the CRC-32 trailer).
-const FLEET_VERSION: u32 = 2;
-/// File under a durable fleet's data directory holding the fleet's
-/// master catalog (registry, query set, version). Always written *ahead*
-/// of applying an op, so the master version is never behind a feed's.
-pub(crate) const FLEET_CATALOG: &str = "fleet-catalog.tvqf";
-/// Scratch name the fleet catalog is staged under before the atomic
-/// rename into [`FLEET_CATALOG`].
-const FLEET_CATALOG_TMP: &str = "fleet-catalog.tmp";
-
-/// Atomically publishes the master catalog under `root` through the
-/// store's [`publish`] — the snapshot store's recipe, so a crash leaves
-/// either the old file or the new.
-pub(crate) fn save_fleet_catalog(
-    io: &SharedIo,
-    root: &Path,
-    registry: &ClassRegistry,
-    queries: &[CnfQuery],
-    version: u64,
-) -> Result<()> {
-    io.create_dir_all(root)?;
-    let bytes = encode_fleet_catalog(registry, queries, version);
-    publish(
-        &**io,
-        root,
-        FLEET_CATALOG_TMP,
-        FLEET_CATALOG,
-        &bytes,
-        "fleet catalog",
-    )
-}
-
-/// Loads the master catalog a previous fleet persisted under `root`, or
-/// `None` when the directory has never held one.
-pub(crate) fn load_fleet_catalog(
-    io: &SharedIo,
-    root: &Path,
-) -> Result<Option<(ClassRegistry, Vec<CnfQuery>, u64)>> {
-    let path = root.join(FLEET_CATALOG);
-    if !io.exists(&path) {
-        return Ok(None);
-    }
-    decode_fleet_catalog(&io.read(&path)?).map(Some)
-}
-
-/// Serializes the multi-feed fleet's master catalog — header, version,
-/// registry, queries — closed by the store's [`seal`] (the snapshot store's
-/// framing). Written *ahead* of each catalog op (and at fleet build), so
-/// after any crash the master version is at least every feed's — restart
-/// fast-forwards recovered feeds to the master, never the reverse.
-fn encode_fleet_catalog(registry: &ClassRegistry, queries: &[CnfQuery], version: u64) -> Vec<u8> {
-    let mut enc = Encoder::with_capacity(256);
-    enc.put_header(FLEET_MAGIC, FLEET_VERSION);
-    enc.put_u64(version);
-    registry.encode(&mut enc);
-    enc.put_usize(queries.len());
-    for query in queries {
-        query.encode(&mut enc);
-    }
-    seal(enc.into_bytes())
-}
-
-/// Rebuilds the fleet master catalog persisted by
-/// [`encode_fleet_catalog`]: `(registry, queries, version)`. A checksum
-/// mismatch is [`Error::Corrupt`] — there is no older generation to fall
-/// back to, because the master must never fall behind a feed.
-fn decode_fleet_catalog(payload: &[u8]) -> Result<(ClassRegistry, Vec<CnfQuery>, u64)> {
-    let mut dec = Decoder::new(unseal(payload, "fleet catalog")?);
-    dec.check_header(FLEET_MAGIC, FLEET_VERSION)?;
-    let version = dec.take_u64()?;
-    let registry = ClassRegistry::decode(&mut dec)?;
-    let count = dec.take_len()?;
-    let mut queries = Vec::with_capacity(count);
-    for _ in 0..count {
-        queries.push(CnfQuery::decode(&mut dec)?);
-    }
-    dec.finish()?;
-    Ok((registry, queries, version))
 }
 
 /// Serializes the complete engine state as a `TVQE` snapshot payload: the
@@ -421,31 +333,6 @@ mod tests {
         assert_eq!(pins, [(273, 3842867886), (363, 137411522)]);
     }
 
-    /// The same pin for the sealed `TVQF` fleet catalog.
-    #[test]
-    fn fleet_catalog_bytes_are_pinned() {
-        let mut registry = ClassRegistry::with_default_classes();
-        let bicycle = registry.register("bicycle");
-        let queries = [
-            CnfQuery::new(
-                QueryId(0),
-                vec![
-                    vec![
-                        Condition::at_least(ClassId(1), 2),
-                        Condition::at_most(ClassId(0), 1),
-                    ],
-                    vec![Condition::exactly(bicycle, 300)],
-                ],
-            ),
-            CnfQuery::conjunction(QueryId(7), vec![Condition::at_least(ClassId(3), 1)]),
-        ];
-        let payload = encode_fleet_catalog(&registry, &queries, 1 << 40);
-        assert_eq!(
-            (payload.len(), tvq_common::crc32(&payload)),
-            (66, 558161692)
-        );
-    }
-
     /// The live-binding, registration and alias lists are written strictly
     /// increasing by key. A list that repeats or reorders a key is corrupt
     /// — not a map that kept the last entry.
@@ -533,7 +420,7 @@ mod tests {
         assert!(decode_record(&add[..add.len() - 1]).is_err(), "truncated");
     }
 
-    /// Property coverage of the snapshot and fleet codecs: arbitrary
+    /// Property coverage of the snapshot and WAL codecs: arbitrary
     /// workloads — churny detections, track ends that recycle ids across
     /// alias generations, live catalog edits, dense compaction — must
     /// round-trip through the `TVQE` codec into an engine that continues
@@ -614,36 +501,6 @@ mod tests {
             engine
         }
 
-        /// Raw material for one CNF query: an id plus clauses of
-        /// `(class, value, op)` triples.
-        type RawQuery = (u32, Vec<Vec<(u16, u32, u8)>>);
-
-        fn raw_queries() -> impl Strategy<Value = Vec<RawQuery>> {
-            vec(
-                (0u32..1000, vec(vec((0u16..6, 0u32..5, 0u8..3), 1..4), 1..4)),
-                0..5,
-            )
-        }
-
-        fn build_query((id, clauses): &RawQuery) -> CnfQuery {
-            CnfQuery::new(
-                QueryId(*id),
-                clauses
-                    .iter()
-                    .map(|clause| {
-                        clause
-                            .iter()
-                            .map(|&(class, value, op)| match op {
-                                0 => Condition::at_least(ClassId(class), value),
-                                1 => Condition::at_most(ClassId(class), value),
-                                _ => Condition::exactly(ClassId(class), value),
-                            })
-                            .collect()
-                    })
-                    .collect(),
-            )
-        }
-
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -687,37 +544,9 @@ mod tests {
             }
 
             #[test]
-            fn fleet_catalogs_round_trip(
-                labels in vec(vec(0u8..26, 1..8), 0..6),
-                queries_raw in raw_queries(),
-                version in any::<u64>(),
-            ) {
-                let mut registry = ClassRegistry::new();
-                for label in &labels {
-                    let label: String =
-                        label.iter().map(|&b| (b + b'a') as char).collect();
-                    registry.register(label);
-                }
-                let queries: Vec<CnfQuery> = queries_raw.iter().map(build_query).collect();
-                let payload = encode_fleet_catalog(&registry, &queries, version);
-                let (decoded_registry, decoded_queries, decoded_version) =
-                    decode_fleet_catalog(&payload).unwrap();
-                prop_assert_eq!(decoded_version, version);
-                prop_assert_eq!(decoded_queries, queries);
-                prop_assert_eq!(decoded_registry.len(), registry.len());
-                for ((id, label), (got_id, got_label)) in
-                    registry.iter().zip(decoded_registry.iter())
-                {
-                    prop_assert_eq!(id, got_id);
-                    prop_assert_eq!(label, got_label);
-                }
-            }
-
-            #[test]
             fn decoders_never_panic_on_garbage(bytes in vec(0u8..=255, 0..256)) {
                 let _ = restore_engine(&bytes);
                 let _ = decode_record(&bytes);
-                let _ = decode_fleet_catalog(&bytes);
             }
 
             #[test]
@@ -736,8 +565,7 @@ mod tests {
 
             /// Random bytes rarely get past a 4-byte magic; a valid payload
             /// with a few bytes overwritten reaches every per-type decoder.
-            /// Whatever still restores must also keep running, and a fleet
-            /// catalog must not survive at all (its CRC covers every byte).
+            /// Whatever still restores must also keep running.
             #[test]
             fn mutated_payloads_fail_or_keep_running(
                 window in 2usize..9,
@@ -747,14 +575,11 @@ mod tests {
                 edits in vec((any::<u64>(), 1u8..=255), 1..5),
             ) {
                 let engine = run_workload(window, duration_raw, every_raw, &steps);
-                let mutate = |bytes: &mut [u8]| {
-                    let len = bytes.len() as u64;
-                    for &(at, mask) in &edits {
-                        bytes[(at % len) as usize] ^= mask;
-                    }
-                };
                 let mut payload = encode_engine(&engine).unwrap();
-                mutate(&mut payload);
+                let len = payload.len() as u64;
+                for &(at, mask) in &edits {
+                    payload[(at % len) as usize] ^= mask;
+                }
                 // One mutation leaves a legal engine that the frames below
                 // must not drive: a memo size that asks the first
                 // intersection for up to 12 GiB. An alias cursor lowered into
@@ -769,14 +594,6 @@ mod tests {
                         let detections = [(i as u32 % 5, 1), ((i as u32 + 3) % 7, (i % 4) as u16)];
                         let _ = restored.observe(&frame(fid0 + i, &detections, &[11]));
                     }
-                }
-
-                let sealed =
-                    encode_fleet_catalog(&engine.registry, engine.queries(), engine.catalog_version());
-                let mut mutated = sealed.clone();
-                mutate(&mut mutated);
-                if mutated != sealed {
-                    prop_assert!(decode_fleet_catalog(&mutated).is_err());
                 }
             }
         }

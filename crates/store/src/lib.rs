@@ -37,5 +37,5 @@ pub mod wal;
 pub use io::FaultIo;
 pub use io::{MemDisk, RealIo, SharedIo, StoreIo, TornTail};
 pub use lock::DirLock;
-pub use snap::{publish, seal, unseal, LoadedSnapshot, SnapshotStore};
+pub use snap::{LoadedSnapshot, SnapshotStore};
 pub use wal::{Wal, WalOpenReport};

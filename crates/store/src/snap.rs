@@ -11,12 +11,12 @@
 //! sequence). The payload is opaque to this module — the engine's own
 //! versioned codec lives in `tvq-engine`.
 //!
-//! The trailing checksum is the store's one whole-file seal ([`seal`] /
-//! [`unseal`]) and writes go through its one atomic publish ([`publish`]):
-//! the bytes go to a `.tmp` file, which is fsynced, renamed into place, and
-//! the directory fsynced — a crash at any point leaves either the old set
-//! of snapshots or the old set plus the complete new one, never a
-//! half-written `.snap`. The engine's fleet catalog uses the same pair.
+//! The trailing checksum is the store's one whole-file seal (`seal` /
+//! `unseal`) and writes go through its one atomic publish (`publish`): the
+//! bytes go to a `.tmp` file, which is fsynced, renamed into place, and the
+//! directory fsynced — a crash at any point leaves either the old set of
+//! snapshots or the old set plus the complete new one, never a
+//! half-written `.snap`.
 //! [`load_latest`] walks snapshots newest-first and falls back past corrupt
 //! ones (reporting how many were skipped), so one bad checkpoint costs an
 //! epoch of replay, not the store.
@@ -42,7 +42,7 @@ fn store_err(context: &str, err: std::io::Error) -> Error {
 }
 
 /// Closes `body` with the CRC-32 (little-endian) of every byte before it.
-pub fn seal(mut body: Vec<u8>) -> Vec<u8> {
+fn seal(mut body: Vec<u8>) -> Vec<u8> {
     let crc = crc32(&body);
     body.extend_from_slice(&crc.to_le_bytes());
     body
@@ -50,7 +50,7 @@ pub fn seal(mut body: Vec<u8>) -> Vec<u8> {
 
 /// Verifies and strips the trailer [`seal`] wrote, returning the body.
 /// Anything else is [`Error::Corrupt`], naming `what` failed the check.
-pub fn unseal<'a>(bytes: &'a [u8], what: &str) -> Result<&'a [u8]> {
+fn unseal<'a>(bytes: &'a [u8], what: &str) -> Result<&'a [u8]> {
     let (body, crc) = bytes
         .split_last_chunk::<4>()
         .ok_or_else(|| Error::Corrupt(format!("{what} shorter than its checksum")))?;
@@ -64,7 +64,7 @@ pub fn unseal<'a>(bytes: &'a [u8], what: &str) -> Result<&'a [u8]> {
 /// fsynced, renamed into place, directory fsynced — after a crash at any
 /// point `dest` holds either its complete old contents or the complete new
 /// ones. A failure is [`Error::Store`] naming the step and `what`.
-pub fn publish(
+fn publish(
     io: &dyn StoreIo,
     dir: &Path,
     tmp: &str,
