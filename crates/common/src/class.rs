@@ -47,7 +47,7 @@ impl<T: AsRef<str>> From<T> for ClassLabel {
 ///
 /// The registry is append-only: classes are never removed, so a [`ClassId`]
 /// handed out once stays valid for the lifetime of the registry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassRegistry {
     labels: Vec<ClassLabel>,
     by_label: HashMap<ClassLabel, ClassId>,

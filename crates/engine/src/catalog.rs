@@ -35,7 +35,7 @@
 
 use std::sync::{Arc, PoisonError, RwLock};
 
-use tvq_common::{ClassId, Decoder, Encoder, Error, FxHashSet, QueryId, Result};
+use tvq_common::{ClassId, ClassRegistry, Decoder, Encoder, Error, FxHashSet, QueryId, Result};
 use tvq_query::{CnfEvaluator, CnfQuery};
 
 /// One immutable version of the query workload: the evaluator (whose mask
@@ -95,73 +95,23 @@ impl CatalogSnapshot {
     }
 }
 
-/// The catalog rules, written once for every holder of a query list (the
-/// catalog below, and the fleet's master copy in [`multi`](crate::multi),
-/// which must know the next list *before* it applies an op):
-/// queries validate, ids are unique, the next id is max + 1, and removing
-/// an unknown id is an error. Each op returns the next list and leaves the
-/// current one untouched.
-pub(crate) fn check_queries(queries: &[CnfQuery]) -> Result<()> {
-    let mut seen: FxHashSet<QueryId> = FxHashSet::default();
-    for query in queries {
-        query.validate().map_err(Error::InvalidConfig)?;
-        if !seen.insert(query.id) {
-            return Err(Error::InvalidConfig(format!(
-                "duplicate query id {:?}",
-                query.id
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// The smallest query id above every id in use; fails once `u32::MAX` is.
-pub(crate) fn next_query_id(queries: &[CnfQuery]) -> Result<QueryId> {
-    let max = queries.iter().map(|q| q.id.0).max();
-    max.map_or(Some(0), |id| id.checked_add(1))
-        .map(QueryId)
-        .ok_or_else(|| Error::InvalidConfig("query id space exhausted".into()))
-}
-
-/// `queries` plus `query`; fails if it is malformed or its id is taken.
-pub(crate) fn with_query(queries: &[CnfQuery], query: CnfQuery) -> Result<Vec<CnfQuery>> {
-    query.validate().map_err(Error::InvalidConfig)?;
-    if queries.iter().any(|q| q.id == query.id) {
-        return Err(Error::InvalidConfig(format!(
-            "query id {:?} is already registered",
-            query.id
-        )));
-    }
-    let mut next = queries.to_vec();
-    next.push(query);
-    Ok(next)
-}
-
-/// `queries` minus the query `id` names; fails if none does.
-pub(crate) fn without_query(queries: &[CnfQuery], id: QueryId) -> Result<Vec<CnfQuery>> {
-    let next: Vec<CnfQuery> = queries.iter().filter(|q| q.id != id).cloned().collect();
-    if next.len() == queries.len() {
-        return Err(Error::InvalidConfig(format!("unknown query id {id:?}")));
-    }
-    Ok(next)
-}
-
 /// The shared cell a [`QueryCatalog`]'s owner and its pruner read the
 /// current snapshot through. Readers clone the inner `Arc` (cheap) and
 /// never hold the lock across real work.
 pub type SharedCatalog = Arc<RwLock<Arc<CatalogSnapshot>>>;
 
 /// The engine-side handle: owns the master query list, numbers versions,
-/// and publishes snapshots. The engine is the cell's only writer, so it
-/// also keeps a lock-free cached copy of the current snapshot for the
-/// per-frame hot path.
+/// and publishes snapshots. It holds the catalog rules, for both engines:
+/// queries validate, ids are unique, the next id is max + 1, removing an
+/// unknown id is an error, and a failed op leaves the catalog untouched.
+/// Its owner is the cell's only writer, so it also keeps a lock-free cached
+/// copy of the current snapshot for the per-frame hot path.
 #[derive(Debug)]
 pub struct QueryCatalog {
     cell: SharedCatalog,
     current: Arc<CatalogSnapshot>,
     /// Version the catalog was seeded at (swaps applied *here* = version -
-    /// seed; the multi-feed engine seeds lazily built engines at its
-    /// current version).
+    /// seed; a [`fork`](Self::fork) is seeded at the version it forks).
     seed_version: u64,
 }
 
@@ -169,13 +119,54 @@ impl QueryCatalog {
     /// Validates the queries (well-formed CNF, unique ids) and builds
     /// version `seed` of the catalog.
     pub fn new(queries: Vec<CnfQuery>, seed: u64) -> Result<Self> {
-        check_queries(&queries)?;
-        let current = Arc::new(CatalogSnapshot::build(seed, queries));
-        Ok(QueryCatalog {
+        let mut seen: FxHashSet<QueryId> = FxHashSet::default();
+        for query in &queries {
+            query.validate().map_err(Error::InvalidConfig)?;
+            if !seen.insert(query.id) {
+                return Err(Error::InvalidConfig(format!(
+                    "duplicate query id {:?}",
+                    query.id
+                )));
+            }
+        }
+        Ok(Self::at(seed, queries))
+    }
+
+    /// Version `version` of already-validated `queries`, seeded there.
+    fn at(version: u64, queries: Vec<CnfQuery>) -> Self {
+        let current = Arc::new(CatalogSnapshot::build(version, queries));
+        QueryCatalog {
             cell: Arc::new(RwLock::new(Arc::clone(&current))),
             current,
-            seed_version: seed,
-        })
+            seed_version: version,
+        }
+    }
+
+    /// A fresh catalog of this one's queries at its version: seeded there,
+    /// so it counts no swaps, with its own evaluator and answer memo. The
+    /// multi-feed engine builds each per-feed engine on a fork of its
+    /// master catalog, so no two feeds share a memo's lock.
+    pub(crate) fn fork(&self) -> Self {
+        Self::at(self.version(), self.current.queries().to_vec())
+    }
+
+    /// Parses `text` as the query that follows `queries`, minting the
+    /// smallest id above every id in use and registering new class labels
+    /// into `registry`. Fails when a query holds id `u32::MAX`. Shared by
+    /// both builders and both engines' `add_query_text`.
+    pub(crate) fn parse(
+        queries: &[CnfQuery],
+        text: &str,
+        registry: &mut ClassRegistry,
+    ) -> Result<CnfQuery> {
+        tvq_query::parse_query(text, Self::next_id(queries)?, registry)
+    }
+
+    fn next_id(queries: &[CnfQuery]) -> Result<QueryId> {
+        let max = queries.iter().map(|q| q.id.0).max();
+        max.map_or(Some(0), |id| id.checked_add(1))
+            .map(QueryId)
+            .ok_or_else(|| Error::InvalidConfig("query id space exhausted".into()))
     }
 
     /// Appends the catalog: version, seed and the registered queries.
@@ -241,13 +232,21 @@ impl QueryCatalog {
     ///
     /// [`add_query`]: Self::add_query
     pub fn next_query_id(&self) -> Result<QueryId> {
-        next_query_id(self.current.queries())
+        Self::next_id(self.current.queries())
     }
 
     /// Registers a query, publishing a new catalog version. Fails (leaving
     /// the catalog untouched) if the query is malformed or its id is taken.
     pub fn add_query(&mut self, query: CnfQuery) -> Result<()> {
-        let queries = with_query(self.current.queries(), query)?;
+        query.validate().map_err(Error::InvalidConfig)?;
+        let current = self.current.queries();
+        if current.iter().any(|q| q.id == query.id) {
+            return Err(Error::InvalidConfig(format!(
+                "query id {:?} is already registered",
+                query.id
+            )));
+        }
+        let queries = current.iter().cloned().chain([query]).collect();
         self.publish(queries);
         Ok(())
     }
@@ -255,7 +254,11 @@ impl QueryCatalog {
     /// Cancels a query by id, publishing a new catalog version. Fails
     /// (leaving the catalog untouched) if the id is unknown.
     pub fn remove_query(&mut self, id: QueryId) -> Result<()> {
-        let queries = without_query(self.current.queries(), id)?;
+        let current = self.current.queries();
+        let queries: Vec<CnfQuery> = current.iter().filter(|q| q.id != id).cloned().collect();
+        if queries.len() == current.len() {
+            return Err(Error::InvalidConfig(format!("unknown query id {id:?}")));
+        }
         self.publish(queries);
         Ok(())
     }

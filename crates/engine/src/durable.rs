@@ -188,7 +188,20 @@ impl TemporalVideoQueryEngine {
                     })?;
                     report.replayed_frames.push(result);
                 }
-                WalRecord::AddQuery(query) => {
+                WalRecord::AddQuery(query, logged) => {
+                    // The logged registry extends the engine's, label for
+                    // label: ids past the snapshot's registry are registered.
+                    for (id, label) in logged.iter() {
+                        let same = match engine.registry.label(id) {
+                            Some(known) => known == label,
+                            None => engine.registry.register(label.clone()) == id,
+                        };
+                        if !same {
+                            return Err(Error::Corrupt(format!(
+                                "wal add-query {seq}: class {id:?} is {label} in the log, not in the registry"
+                            )));
+                        }
+                    }
                     engine.apply_add_query(query).map_err(|e| {
                         Error::Corrupt(format!("wal add-query {seq} does not replay: {e}"))
                     })?;
@@ -256,7 +269,9 @@ impl TemporalVideoQueryEngine {
             return Ok(());
         }
         let payload = persist::encode_engine(self)?;
-        let d = self.durability.as_mut().expect("checked above");
+        let Some(d) = self.durability.as_mut() else {
+            return Ok(());
+        };
         let seq = d.wal.next_seq() - 1;
         d.snaps.save(seq, &payload)?;
         if let Some(prev) = d.prev_snapshot_seq {

@@ -16,7 +16,7 @@ use tvq_common::{
 use tvq_core::{MaintenanceMetrics, ObjectLifecycle, SharedPruner, StateMaintainer, StatePruner};
 use tvq_query::{evaluate_result_set, ClassCounts, CnfQuery, QueryMatch};
 
-use crate::catalog::{self, QueryCatalog, SharedCatalog};
+use crate::catalog::{QueryCatalog, SharedCatalog};
 use crate::config::EngineConfig;
 use crate::durable::Durability;
 use crate::persist;
@@ -101,44 +101,40 @@ impl StatePruner for LivePruner {
     }
 }
 
-/// Builder for [`TemporalVideoQueryEngine`].
+/// The builder of both engines: a configuration, a class registry and the
+/// queries the engine starts with. `build` comes from the configuration:
+/// an [`EngineConfig`] builds a [`TemporalVideoQueryEngine`], a
+/// [`MultiFeedConfig`](crate::MultiFeedConfig) a
+/// [`MultiFeedEngine`](crate::MultiFeedEngine).
 #[derive(Debug, Clone)]
-pub struct EngineBuilder {
-    config: EngineConfig,
+pub struct Builder<C> {
+    config: C,
     registry: ClassRegistry,
     queries: Vec<CnfQuery>,
     allow_empty: bool,
-    catalog_seed: u64,
 }
 
-impl EngineBuilder {
+/// Builder for [`TemporalVideoQueryEngine`].
+pub type EngineBuilder = Builder<EngineConfig>;
+
+impl<C> Builder<C> {
     /// Starts a builder with the given configuration and the default class
     /// registry.
-    pub fn new(config: EngineConfig) -> Self {
-        EngineBuilder {
+    pub fn new(config: C) -> Self {
+        Builder {
             config,
             registry: ClassRegistry::with_default_classes(),
             queries: Vec::new(),
             allow_empty: false,
-            catalog_seed: 0,
         }
     }
 
     /// Permits building with zero registered queries. Off by default (an
     /// embedded engine with no queries is almost always a configuration
     /// mistake); server deployments turn it on so the engine can start idle
-    /// and receive its workload over the wire via
-    /// [`TemporalVideoQueryEngine::add_query`].
+    /// and receive its workload over the wire via `add_query`.
     pub fn allow_empty_catalog(mut self) -> Self {
         self.allow_empty = true;
-        self
-    }
-
-    /// Seeds the catalog's version counter. The multi-feed engine uses this
-    /// so a per-feed engine built lazily *after* catalog swaps reports the
-    /// fleet's current version rather than restarting at zero.
-    pub(crate) fn with_catalog_seed(mut self, version: u64) -> Self {
-        self.catalog_seed = version;
         self
     }
 
@@ -148,35 +144,39 @@ impl EngineBuilder {
         self
     }
 
-    /// Registers a structured query.
+    /// Registers a structured query (a fleet applies it to every feed).
     pub fn with_query(mut self, query: CnfQuery) -> Self {
         self.queries.push(query);
         self
     }
 
     /// Registers a query written in the textual language, e.g.
-    /// `"car >= 2 AND person >= 1"`. New class labels are registered.
+    /// `"car >= 2 AND person >= 1"`, under the next free query id. New
+    /// class labels are registered.
     pub fn with_query_text(mut self, text: &str) -> Result<Self> {
-        let id = catalog::next_query_id(&self.queries)?;
-        let query = tvq_query::parse_query(text, id, &mut self.registry)?;
+        let query = QueryCatalog::parse(&self.queries, text, &mut self.registry)?;
         self.queries.push(query);
         Ok(self)
     }
 
-    /// Builds the engine.
-    pub fn build(self) -> Result<TemporalVideoQueryEngine> {
+    /// The configuration, the registry and version 0 of the catalog; fails
+    /// on an invalid query set, or an empty one unless allowed.
+    pub(crate) fn into_parts(self) -> Result<(C, ClassRegistry, QueryCatalog)> {
         if self.queries.is_empty() && !self.allow_empty {
             return Err(Error::InvalidConfig(
                 "at least one query must be registered".to_owned(),
             ));
         }
-        let catalog = QueryCatalog::new(self.queries, self.catalog_seed)?;
-        Ok(TemporalVideoQueryEngine::assemble(
-            self.config,
-            self.registry,
-            catalog,
-            ObjectLifecycle::new(shared_class_store()),
-        ))
+        let catalog = QueryCatalog::new(self.queries, 0)?;
+        Ok((self.config, self.registry, catalog))
+    }
+}
+
+impl Builder<EngineConfig> {
+    /// Builds the engine.
+    pub fn build(self) -> Result<TemporalVideoQueryEngine> {
+        let (config, registry, catalog) = self.into_parts()?;
+        Ok(TemporalVideoQueryEngine::new(config, registry, catalog))
     }
 }
 
@@ -223,8 +223,19 @@ impl TemporalVideoQueryEngine {
         EngineBuilder::new(config)
     }
 
+    /// A fresh engine over `catalog`: what [`EngineBuilder::build`] builds,
+    /// and what a multi-feed engine builds for a feed it has not seen.
+    pub(crate) fn new(
+        config: EngineConfig,
+        registry: ClassRegistry,
+        catalog: QueryCatalog,
+    ) -> TemporalVideoQueryEngine {
+        let lifecycle = ObjectLifecycle::new(shared_class_store());
+        Self::assemble(config, registry, catalog, lifecycle)
+    }
+
     /// Assembles an engine around already-validated parts. Shared by
-    /// [`EngineBuilder::build`] and the snapshot-restore path in
+    /// [`new`](Self::new) and the snapshot-restore path in
     /// [`persist`](crate::persist), so both wire the interner, pruner and
     /// maintainer identically around the lifecycle's class store.
     pub(crate) fn assemble(
@@ -307,7 +318,7 @@ impl TemporalVideoQueryEngine {
         let record = self
             .durability
             .is_some()
-            .then(|| persist::encode_add_query_record(&query));
+            .then(|| persist::encode_add_query_record(&query, &self.registry));
         self.apply_add_query(query)?;
         if let Some(body) = record {
             self.log_durable(&body)?;
@@ -327,8 +338,9 @@ impl TemporalVideoQueryEngine {
     /// mid-stream, minting the next free query id. Returns the id so the
     /// caller can [`remove_query`](Self::remove_query) it later.
     pub fn add_query_text(&mut self, text: &str) -> Result<QueryId> {
-        let id = self.catalog.next_query_id()?;
-        let query = tvq_query::parse_query(text, id, &mut self.registry)?;
+        let queries = self.catalog.snapshot().queries();
+        let query = QueryCatalog::parse(queries, text, &mut self.registry)?;
+        let id = query.id;
         self.add_query(query)?;
         Ok(id)
     }

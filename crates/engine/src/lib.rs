@@ -31,6 +31,11 @@
 //! costliest first onto the least-loaded share, so a hot camera is spread
 //! in the batch where it appears, without changing any result.
 //!
+//! The two engines share one API core: one [`Builder`](engine::Builder)
+//! ([`EngineBuilder`] and [`MultiFeedBuilder`] are its aliases), and one
+//! [`QueryCatalog`] type that holds the catalog rules — each engine owns
+//! one, and the fleet's master catalog is forked for every new feed.
+//!
 //! # Quickstart
 //!
 //! ```

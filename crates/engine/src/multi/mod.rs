@@ -28,8 +28,10 @@
 //! # Ownership
 //!
 //! The engines never leave the fleet's map: a share's thread only borrows
-//! them, and hands back the engines it built for feeds that had none. So a
-//! report is a read, and a catalog op is a loop over the engines on the
+//! them, and hands back the engines it built for feeds that had none, each
+//! on a fork of the fleet's master [`QueryCatalog`]. So a report is a read,
+//! and a catalog op is a master-catalog op (which holds the rules, so a
+//! refused op touches no engine) followed by a loop over the engines on the
 //! caller's thread, whose errors reach the caller. Two rules hold:
 //!
 //! 1. **Engines stay home.** `push_batch` returns — `Ok` or `Err` — only
@@ -87,9 +89,9 @@ use tvq_common::{ClassRegistry, Error, FeedId, FrameObjects, QueryId, Result};
 use tvq_core::MaintenanceMetrics;
 use tvq_query::CnfQuery;
 
-use crate::catalog;
-use crate::config::{EngineConfig, MultiFeedConfig};
-use crate::engine::{FrameResult, TemporalVideoQueryEngine};
+use crate::catalog::QueryCatalog;
+use crate::config::MultiFeedConfig;
+use crate::engine::{Builder, FrameResult, TemporalVideoQueryEngine};
 
 /// One frame of detections tagged with the feed (camera) it came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -224,108 +226,24 @@ impl SchedulingStats {
     }
 }
 
-/// The immutable build recipe: everything a share's thread needs to build
-/// the single-feed engine of a feed that has none.
-struct EngineSpec {
-    config: EngineConfig,
-    registry: ClassRegistry,
-}
-
-impl EngineSpec {
-    /// Builds a per-feed engine for the *current* catalog state: a feed
-    /// first seen after swaps must answer under the swapped query set and
-    /// report the fleet's version, not the build-time spec — per-feed
-    /// engines built lazily from a stale spec were exactly the
-    /// stale-report bug the version plumbing exists to prevent.
-    fn build_engine(&self, queries: &[CnfQuery], version: u64) -> Result<TemporalVideoQueryEngine> {
-        let mut builder = TemporalVideoQueryEngine::builder(self.config)
-            .with_registry(self.registry.clone())
-            .allow_empty_catalog()
-            .with_catalog_seed(version);
-        for query in queries {
-            builder = builder.with_query(query.clone());
-        }
-        builder.build()
-    }
-}
-
-/// Builder for [`MultiFeedEngine`]. Mirrors the single-feed
-/// [`EngineBuilder`](crate::EngineBuilder): queries registered here form the
+/// Builder for [`MultiFeedEngine`]: queries registered here form the
 /// catalog every per-feed engine is built from.
-pub struct MultiFeedBuilder {
-    config: MultiFeedConfig,
-    registry: ClassRegistry,
-    queries: Vec<CnfQuery>,
-    allow_empty: bool,
-}
+pub type MultiFeedBuilder = Builder<MultiFeedConfig>;
 
-impl MultiFeedBuilder {
-    /// Starts a builder with the given configuration and the default class
-    /// registry.
-    pub fn new(config: MultiFeedConfig) -> Self {
-        MultiFeedBuilder {
-            config,
-            registry: ClassRegistry::with_default_classes(),
-            queries: Vec::new(),
-            allow_empty: false,
-        }
-    }
-
-    /// Permits building with zero registered queries (the server starts
-    /// idle and receives its workload over the wire via
-    /// [`MultiFeedEngine::add_query`]).
-    pub fn allow_empty_catalog(mut self) -> Self {
-        self.allow_empty = true;
-        self
-    }
-
-    /// Uses a custom class registry.
-    pub fn with_registry(mut self, registry: ClassRegistry) -> Self {
-        self.registry = registry;
-        self
-    }
-
-    /// Registers a structured query (applied to every feed).
-    pub fn with_query(mut self, query: CnfQuery) -> Self {
-        self.queries.push(query);
-        self
-    }
-
-    /// Registers a query written in the textual language, e.g.
-    /// `"car >= 2 AND person >= 1"`. New class labels are registered.
-    pub fn with_query_text(mut self, text: &str) -> Result<Self> {
-        let id = catalog::next_query_id(&self.queries)?;
-        let query = tvq_query::parse_query(text, id, &mut self.registry)?;
-        self.queries.push(query);
-        Ok(self)
-    }
-
-    /// Builds the engine.
+impl Builder<MultiFeedConfig> {
+    /// Builds the engine; fails on a zero worker count too.
     pub fn build(self) -> Result<MultiFeedEngine> {
-        if self.config.workers == 0 {
+        let (config, registry, catalog) = self.into_parts()?;
+        if config.workers == 0 {
             return Err(Error::InvalidConfig(
                 "multi-feed engine needs at least one worker".to_owned(),
             ));
         }
-        if self.queries.is_empty() && !self.allow_empty {
-            return Err(Error::InvalidConfig(
-                "at least one query must be registered".to_owned(),
-            ));
-        }
-        let spec = EngineSpec {
-            config: self.config.engine,
-            registry: self.registry.clone(),
-        };
-        // Validate the spec once, up front, so that per-feed engine
-        // construction inside a share cannot fail later.
-        spec.build_engine(&self.queries, 0)?;
         Ok(MultiFeedEngine {
-            config: self.config,
-            spec,
+            config,
+            registry,
+            catalog,
             engines: BTreeMap::new(),
-            queries: self.queries,
-            registry: self.registry,
-            catalog_version: 0,
             peak_shard_depth: 0,
             sched: SchedulingStats::default(),
         })
@@ -339,19 +257,17 @@ impl MultiFeedBuilder {
 /// example. Constructed via [`MultiFeedEngine::builder`].
 pub struct MultiFeedEngine {
     config: MultiFeedConfig,
-    /// The immutable build recipe shares materialise feeds from.
-    spec: EngineSpec,
+    /// The master class registry: textual queries added over
+    /// [`add_query_text`](Self::add_query_text) register their labels here,
+    /// and a new per-feed engine starts with a copy.
+    registry: ClassRegistry,
+    /// The master catalog: every engine's catalog mirrors it, at its
+    /// version, and a share builds a feed's missing engine on a
+    /// [`fork`](QueryCatalog::fork) of it.
+    catalog: QueryCatalog,
     /// Every feed's engine. An empty slot is a *lost* feed: its share's
     /// thread panicked or it failed a catalog op (ownership rule 2).
     engines: BTreeMap<FeedId, Option<Box<TemporalVideoQueryEngine>>>,
-    /// The master query list: every engine mirrors it, and shares build
-    /// the engines they materialise from it.
-    queries: Vec<CnfQuery>,
-    /// The master class registry, used to parse textual queries added over
-    /// [`add_query_text`](Self::add_query_text).
-    registry: ClassRegistry,
-    /// The fleet-wide catalog version (one increment per catalog op).
-    catalog_version: u64,
     /// Peak frames one batch queued to a single share.
     peak_shard_depth: u64,
     /// Worker-time telemetry (see [`SchedulingStats`]).
@@ -391,27 +307,28 @@ impl MultiFeedEngine {
 
     /// The fleet-wide query-catalog version.
     pub fn catalog_version(&self) -> u64 {
-        self.catalog_version
+        self.catalog.version()
     }
 
     /// The currently registered queries (the master copy every per-feed
     /// engine mirrors).
     pub fn queries(&self) -> &[CnfQuery] {
-        &self.queries
+        self.catalog.snapshot().queries()
     }
 
     /// Registers a query across the whole fleet: behind every frame already
     /// pushed and ahead of every frame pushed later, for every feed alike.
     pub fn add_query(&mut self, query: CnfQuery) -> Result<()> {
-        let next = catalog::with_query(&self.queries, query.clone())?;
-        self.swap_catalog(next, |engine| engine.add_query(query.clone()))
+        self.catalog.add_query(query.clone())?;
+        self.apply_to_engines(|engine| engine.add_query(query.clone()))
     }
 
     /// Parses and registers a textual query (e.g. `"car >= 2"`) across the
     /// fleet, minting the next free query id.
     pub fn add_query_text(&mut self, text: &str) -> Result<QueryId> {
-        let id = catalog::next_query_id(&self.queries)?;
-        let query = tvq_query::parse_query(text, id, &mut self.registry)?;
+        let queries = self.catalog.snapshot().queries();
+        let query = QueryCatalog::parse(queries, text, &mut self.registry)?;
+        let id = query.id;
         self.add_query(query)?;
         Ok(id)
     }
@@ -419,20 +336,17 @@ impl MultiFeedEngine {
     /// Cancels a query across the whole fleet (same alignment and error
     /// contract as [`add_query`](Self::add_query)).
     pub fn remove_query(&mut self, id: QueryId) -> Result<()> {
-        let next = catalog::without_query(&self.queries, id)?;
-        self.swap_catalog(next, |engine| engine.remove_query(id))
+        self.catalog.remove_query(id)?;
+        self.apply_to_engines(|engine| engine.remove_query(id))
     }
 
-    /// Moves the fleet to the already-validated query list `next`, which
-    /// commits the op; an engine whose own `apply` then fails is lost, and
-    /// the first such error is returned.
-    fn swap_catalog(
+    /// Applies an op the master catalog has committed to every engine; an
+    /// engine whose own `apply` then fails is lost, and the first such
+    /// error is returned.
+    fn apply_to_engines(
         &mut self,
-        next: Vec<CnfQuery>,
         apply: impl Fn(&mut TemporalVideoQueryEngine) -> Result<()>,
     ) -> Result<()> {
-        self.queries = next;
-        self.catalog_version += 1;
         let mut outcome = Ok(());
         for slot in self.engines.values_mut() {
             if let Some(Err(error)) = slot.as_deref_mut().map(&apply) {
@@ -452,6 +366,7 @@ impl MultiFeedEngine {
     /// [`push_batch`](Self::push_batch).
     pub fn push(&mut self, feed: FeedId, frame: FrameObjects) -> Result<FeedFrameResult> {
         let mut results = self.push_batch(std::slice::from_ref(&FeedFrame::new(feed, frame)))?;
+        // infallible: push_batch answers each frame of its batch once.
         Ok(results.pop().expect("one result per pushed frame"))
     }
 
@@ -501,14 +416,17 @@ impl MultiFeedEngine {
                 lent[share].insert(feed, engine);
             }
         }
-        let (spec, queries, version) = (&self.spec, &self.queries[..], self.catalog_version);
+        let (config, registry, catalog) = (&self.config.engine, &self.registry, &self.catalog);
+        let new_engine =
+            || TemporalVideoQueryEngine::new(*config, registry.clone(), catalog.fork());
         let joined: Vec<_> = std::thread::scope(|scope| {
             let threads: Vec<_> = (shares.iter().zip(lent).enumerate())
                 .map(|(worker, (share, lent))| {
                     if share.is_empty() {
                         return None;
                     }
-                    let run = move || worker::run_share(spec, queries, version, batch, share, lent);
+                    let new_engine = &new_engine;
+                    let run = move || worker::run_share(new_engine, batch, share, lent);
                     (std::thread::Builder::new().name(format!("tvq-shard-{worker}")))
                         .spawn_scoped(scope, run)
                         .ok()
@@ -568,6 +486,8 @@ impl MultiFeedEngine {
         for (tagged, slot) in batch.iter().zip(slots) {
             out.push(FeedFrameResult {
                 feed: tagged.feed,
+                // infallible: a failed share returned above, and every
+                // share that ran answered each of its frames once.
                 result: slot.expect("every share ran, answering each frame once")?,
             });
         }
@@ -604,7 +524,7 @@ impl MultiFeedEngine {
         Ok(MultiFeedReport {
             feeds,
             metrics,
-            catalog_version: self.catalog_version,
+            catalog_version: self.catalog.version(),
         })
     }
 }
@@ -630,6 +550,7 @@ fn place(costs: &BTreeMap<FeedId, u64>, workers: usize) -> BTreeMap<FeedId, usiz
     (order.into_iter())
         .map(|(feed, cost)| {
             let share = (0..workers).min_by_key(|&share| loads[share]);
+            // infallible: the builder refuses zero workers.
             let share = share.expect("a fleet has at least one worker");
             loads[share] += cost;
             (feed, share)
@@ -640,6 +561,7 @@ fn place(costs: &BTreeMap<FeedId, u64>, workers: usize) -> BTreeMap<FeedId, usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EngineConfig;
     use tvq_common::{ClassId, FrameId, ObjectId, WindowSpec};
     use tvq_core::MaintainerKind;
 
@@ -696,6 +618,49 @@ mod tests {
             .unwrap()
             .build();
         assert!(matches!(err, Err(Error::InvalidConfig(_))));
+    }
+
+    /// One builder serves both engines, so both refuse a duplicate id with
+    /// the same error.
+    #[test]
+    fn both_builders_reject_a_duplicate_query_id_alike() {
+        let q0 = CnfQuery::conjunction(
+            QueryId(0),
+            vec![tvq_query::Condition::at_least(ClassId(1), 1)],
+        );
+        let single = TemporalVideoQueryEngine::builder(config(1).engine)
+            .with_query(q0.clone())
+            .with_query(q0.clone())
+            .build()
+            .unwrap_err();
+        let fleet = MultiFeedEngine::builder(config(1))
+            .with_query(q0.clone())
+            .with_query(q0)
+            .build()
+            .unwrap_err();
+        assert!(matches!(&single, Error::InvalidConfig(msg) if msg.contains("duplicate")));
+        assert_eq!(fleet.to_string(), single.to_string());
+    }
+
+    /// The single engine's exhausted-id edge, on the fleet: minting fails,
+    /// the version stays put and no feed is lost.
+    #[test]
+    fn add_query_text_fails_once_the_id_space_is_exhausted() {
+        let mut fleet = engine(2);
+        for feed in 0..2u32 {
+            fleet.push(FeedId(feed), frame(0, &[(1, 1)])).unwrap();
+        }
+        let last = CnfQuery::conjunction(
+            QueryId(u32::MAX),
+            vec![tvq_query::Condition::at_least(ClassId(0), 1)],
+        );
+        fleet.add_query(last).unwrap();
+        let err = fleet.add_query_text("car >= 1").unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(msg) if msg == "query id space exhausted"));
+        assert_eq!(fleet.catalog_version(), 1);
+        let report = fleet.report().unwrap();
+        assert_eq!(report.num_feeds(), 2);
+        assert!(report.feeds.iter().all(|feed| feed.catalog_version == 1));
     }
 
     fn costs_of(entries: &[(u32, u64)]) -> BTreeMap<FeedId, u64> {

@@ -7,14 +7,12 @@
 //! [`Done`] — so after the join every engine is where it was, and a feed's
 //! engine is never in two places.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use tvq_common::{FeedId, Result};
-use tvq_query::CnfQuery;
 
-use super::{EngineSpec, FeedFrame};
+use super::FeedFrame;
 use crate::engine::{FrameResult, TemporalVideoQueryEngine};
 
 /// The per-feed engines, keyed so every walk is in ascending feed order.
@@ -30,12 +28,9 @@ pub(super) struct Done {
 }
 
 /// Runs the frames at batch positions `share`, in order, each on its feed's
-/// engine: the one lent from the fleet's map, or one built here under the
-/// master catalog `queries` at `version`.
+/// engine: the one lent from the fleet's map, or one `new_engine` builds.
 pub(super) fn run_share(
-    spec: &EngineSpec,
-    queries: &[CnfQuery],
-    version: u64,
+    new_engine: &impl Fn() -> TemporalVideoQueryEngine,
     batch: &[FeedFrame],
     share: &[usize],
     mut lent: BTreeMap<FeedId, &mut TemporalVideoQueryEngine>,
@@ -49,18 +44,7 @@ pub(super) fn run_share(
         assert_ne!(frame.fid.raw(), u64::MAX, "a test panics this share");
         let engine: &mut TemporalVideoQueryEngine = match lent.get_mut(feed) {
             Some(engine) => engine,
-            None => match built.entry(*feed) {
-                Entry::Occupied(entry) => entry.into_mut(),
-                Entry::Vacant(vacant) => match spec.build_engine(queries, version) {
-                    Ok(engine) => vacant.insert(Box::new(engine)),
-                    Err(error) => {
-                        // Unreachable in practice (the builder validated
-                        // the spec); report instead of panicking.
-                        outcomes.push((seq, Err(error)));
-                        continue;
-                    }
-                },
-            },
+            None => built.entry(*feed).or_insert_with(|| Box::new(new_engine())),
         };
         outcomes.push((seq, engine.observe(frame)));
     }

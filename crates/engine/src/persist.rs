@@ -35,7 +35,9 @@ const MAGIC: [u8; 4] = *b"TVQE";
 const VERSION: u32 = 3;
 
 const RECORD_FRAME: u8 = 0;
-const RECORD_ADD_QUERY: u8 = 1;
+/// Tag 1 was the add-query record without the registry: a log holding one
+/// is refused, not read.
+const RECORD_ADD_QUERY: u8 = 3;
 const RECORD_REMOVE_QUERY: u8 = 2;
 
 /// One durable engine operation, decoded from a WAL record body.
@@ -43,8 +45,10 @@ const RECORD_REMOVE_QUERY: u8 = 2;
 pub enum WalRecord {
     /// A frame of detections passed to `observe`.
     Frame(FrameObjects),
-    /// A query registered mid-stream.
-    AddQuery(CnfQuery),
+    /// A query registered mid-stream, with the class registry it was
+    /// registered against: replay re-registers the labels a textual query
+    /// added, so every class id keeps its label across a crash.
+    AddQuery(CnfQuery, ClassRegistry),
     /// A query cancelled mid-stream.
     RemoveQuery(QueryId),
 }
@@ -66,11 +70,13 @@ pub fn encode_frame_record(frame: &FrameObjects) -> Vec<u8> {
     enc.into_bytes()
 }
 
-/// Encodes a mid-stream query registration as a WAL record body.
-pub fn encode_add_query_record(query: &CnfQuery) -> Vec<u8> {
+/// Encodes a mid-stream query registration, and the registry its class
+/// labels live in, as a WAL record body.
+pub fn encode_add_query_record(query: &CnfQuery, registry: &ClassRegistry) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_u8(RECORD_ADD_QUERY);
     query.encode(&mut enc);
+    registry.encode(&mut enc);
     enc.into_bytes()
 }
 
@@ -103,7 +109,10 @@ pub fn decode_record(body: &[u8]) -> Result<WalRecord> {
             }
             WalRecord::Frame(FrameObjects::new(fid, classes).with_track_ends(track_ends))
         }
-        RECORD_ADD_QUERY => WalRecord::AddQuery(CnfQuery::decode(&mut dec)?),
+        RECORD_ADD_QUERY => WalRecord::AddQuery(
+            CnfQuery::decode(&mut dec)?,
+            ClassRegistry::decode(&mut dec)?,
+        ),
         RECORD_REMOVE_QUERY => WalRecord::RemoveQuery(QueryId(dec.take_u32()?)),
         other => {
             return Err(Error::Codec(format!("unknown wal record tag {other}")));
@@ -184,22 +193,25 @@ mod tests {
         let records = [
             WalRecord::Frame(frame(7, &[(1, 1), (2, 0)], &[9])),
             WalRecord::Frame(frame(8, &[], &[])),
-            WalRecord::AddQuery(CnfQuery::new(
-                QueryId(3),
-                vec![
+            WalRecord::AddQuery(
+                CnfQuery::new(
+                    QueryId(3),
                     vec![
-                        Condition::at_least(ClassId(1), 2),
-                        Condition::at_most(ClassId(0), 1),
+                        vec![
+                            Condition::at_least(ClassId(1), 2),
+                            Condition::at_most(ClassId(0), 1),
+                        ],
+                        vec![Condition::exactly(ClassId(2), 4)],
                     ],
-                    vec![Condition::exactly(ClassId(2), 4)],
-                ],
-            )),
+                ),
+                ClassRegistry::with_default_classes(),
+            ),
             WalRecord::RemoveQuery(QueryId(11)),
         ];
         for record in &records {
             let body = match record {
                 WalRecord::Frame(f) => encode_frame_record(f),
-                WalRecord::AddQuery(q) => encode_add_query_record(q),
+                WalRecord::AddQuery(q, registry) => encode_add_query_record(q, registry),
                 WalRecord::RemoveQuery(id) => encode_remove_query_record(*id),
             };
             assert_eq!(&decode_record(&body).unwrap(), record);
@@ -413,11 +425,13 @@ mod tests {
         assert!(decode_record(&body).is_err());
         assert!(decode_record(&[9]).is_err(), "unknown tag");
         assert!(decode_record(&[]).is_err(), "empty body");
-        let add = encode_add_query_record(&CnfQuery::conjunction(
-            QueryId(0),
-            vec![Condition::at_least(ClassId(0), 1)],
-        ));
+        let query = CnfQuery::conjunction(QueryId(0), vec![Condition::at_least(ClassId(0), 1)]);
+        let add = encode_add_query_record(&query, &ClassRegistry::with_default_classes());
         assert!(decode_record(&add[..add.len() - 1]).is_err(), "truncated");
+        let mut label_less = Encoder::new();
+        label_less.put_u8(1);
+        query.encode(&mut label_less);
+        assert!(decode_record(label_less.as_bytes()).is_err(), "retired tag");
     }
 
     /// Property coverage of the snapshot and WAL codecs: arbitrary

@@ -581,3 +581,91 @@ fn wal_bit_flips_are_detected() {
         "mid-log damage must refuse recovery, got {err}"
     );
 }
+
+/// A label `add_query_text` registers is as durable as its query. The
+/// engine crashes at the first frame's WAL append after the registration
+/// was acknowledged, before any snapshot holds the new label. The recovered
+/// registry still names the class the query counts, and a label registered
+/// after recovery gets a class of its own, so its frames match only its
+/// own query.
+#[test]
+fn text_query_labels_survive_a_crash_before_the_next_snapshot() {
+    let dir = Path::new("/labels");
+    // No compaction: the bootstrap snapshot stays the only one.
+    let build = || {
+        TemporalVideoQueryEngine::builder(
+            EngineConfig::new(WindowSpec::new(4, 2).unwrap()).with_compaction(None),
+        )
+        .with_query(geq(0, 1, 1))
+        .build()
+        .unwrap()
+    };
+    let counter = MemDisk::new().fault_io(u64::MAX, TornTail::Drop);
+    let acked_ops = {
+        let mut engine = build();
+        engine.attach_durability(counter.clone(), dir).unwrap();
+        engine.add_query_text("bicycle >= 1").unwrap();
+        counter.ops()
+    };
+
+    let disk = MemDisk::new();
+    let faulty = disk.fault_io(acked_ops + 1, TornTail::Drop);
+    let (bicycle, class) = {
+        let mut engine = build();
+        engine.attach_durability(faulty.clone(), dir).unwrap();
+        let bicycle = engine.add_query_text("bicycle >= 1").unwrap();
+        let class = engine.registry().id("bicycle").unwrap();
+        assert_eq!(class, ClassId(4), "the first label past the defaults");
+        assert!(engine.observe(&frame(0, &[(1, 4)], &[])).is_err());
+        (bicycle, class)
+    };
+    assert!(faulty.crashed());
+
+    let (mut engine, _) = TemporalVideoQueryEngine::recover(disk.io(), dir).unwrap();
+    assert_eq!(engine.registry().id("bicycle"), Some(class));
+    let counted: Vec<ClassId> = (engine.queries().iter())
+        .filter(|q| q.id == bicycle)
+        .flat_map(|q| q.classes())
+        .collect();
+    assert_eq!(counted, [class]);
+
+    let skateboard = engine.add_query_text("skateboard >= 1").unwrap();
+    let board = engine.registry().id("skateboard").unwrap();
+    assert_ne!(board, class, "a lost label's id must not be minted again");
+    let mut matched = Vec::new();
+    for fid in 0..3u64 {
+        let result = engine
+            .observe(&frame(fid, &[(1, board.raw())], &[]))
+            .unwrap();
+        matched.extend(result.matches.iter().map(|m| m.query));
+    }
+    assert!(!matched.is_empty());
+    assert!(
+        matched.iter().all(|&query| query == skateboard),
+        "{matched:?}"
+    );
+}
+
+/// An add-query record whose registry disagrees with the recovered one (a
+/// class id under another label) is corruption, never replayed.
+#[test]
+fn add_query_records_with_a_conflicting_registry_are_corrupt() {
+    let dir = Path::new("/conflict");
+    let disk = MemDisk::new();
+    {
+        let mut engine = build_engine();
+        engine.attach_durability(disk.io(), dir).unwrap();
+        engine.sync_store().unwrap();
+    }
+    let mut registry = tvq_common::ClassRegistry::new();
+    registry.register("bicycle");
+    let body = tvq_engine::persist::encode_add_query_record(&geq(1, 0, 1), &registry);
+    let (mut wal, _) = tvq_store::Wal::open(disk.io(), dir).unwrap();
+    wal.append(&body).unwrap();
+    wal.sync().unwrap();
+    let err = TemporalVideoQueryEngine::recover(disk.io(), dir).unwrap_err();
+    assert!(
+        matches!(&err, Error::Corrupt(msg) if msg.contains("bicycle")),
+        "{err}"
+    );
+}

@@ -20,13 +20,15 @@ pub const MAX_FRAME_LEN: usize = 1 << 20;
 /// second then waits for the peer's delayed ACK of the first.
 pub fn write_frame(writer: &mut impl Write, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
-    if bytes.len() > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds MAX_FRAME_LEN", bytes.len()),
-        ));
-    }
-    let len = u32::try_from(bytes.len()).expect("MAX_FRAME_LEN fits in u32");
+    let len = match u32::try_from(bytes.len()) {
+        Ok(len) if bytes.len() <= MAX_FRAME_LEN => len,
+        _ => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("frame of {} bytes exceeds MAX_FRAME_LEN", bytes.len()),
+            ))
+        }
+    };
     let mut frame = Vec::with_capacity(4 + bytes.len());
     frame.extend_from_slice(&len.to_be_bytes());
     frame.extend_from_slice(bytes);

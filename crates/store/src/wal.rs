@@ -47,6 +47,14 @@ struct Segment {
     len: usize,
 }
 
+/// The `(payload length, crc)` header of the record at `pos`, or `None`
+/// when fewer than [`FRAME_HEADER`] bytes remain there.
+fn record_header(data: &[u8], pos: usize) -> Option<(usize, u32)> {
+    let (len, rest) = data.get(pos..)?.split_first_chunk::<4>()?;
+    let (crc, _) = rest.split_first_chunk::<4>()?;
+    Some((u32::from_le_bytes(*len) as usize, u32::from_le_bytes(*crc)))
+}
+
 fn segment_name(start_seq: u64) -> String {
     format!("wal-{start_seq:020}.log")
 }
@@ -175,11 +183,9 @@ impl Wal {
         let mut pos = 0usize;
         let mut records = 0u64;
         while pos < data.len() {
-            if data.len() - pos < FRAME_HEADER {
+            let Some((len, crc)) = record_header(data, pos) else {
                 return Ok((pos, records, Some("truncated record header".into())));
-            }
-            let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap());
+            };
             if data.len() - pos - FRAME_HEADER < len {
                 return Ok((pos, records, Some("truncated record payload".into())));
             }
@@ -230,6 +236,7 @@ impl Wal {
         frame.extend_from_slice(payload.as_bytes());
         frame.extend_from_slice(body);
 
+        // infallible: a WAL without a segment rotated one in above.
         let segment = self.segments.last_mut().expect("rotate ensured a segment");
         self.io
             .append(&segment.path, &frame)
@@ -294,11 +301,9 @@ impl Wal {
             let mut pos = 0usize;
             let mut expect = segment.start_seq;
             while pos < segment.len.min(data.len()) {
-                if data.len() - pos < FRAME_HEADER {
+                let Some((len, crc)) = record_header(&data, pos) else {
                     return Err(Error::Corrupt("wal record header vanished".into()));
-                }
-                let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-                let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap());
+                };
                 if data.len() - pos - FRAME_HEADER < len {
                     return Err(Error::Corrupt("wal record payload vanished".into()));
                 }
