@@ -521,11 +521,9 @@ impl SetInterner {
     /// wins only if its words equal the scratch run. Both are read after
     /// the memo lookup, so answers and memo counters are `intersect`'s.
     pub fn intersect_within(&mut self, a: SetId, b: SetId, bound: SetId, guess: SetId) -> SetId {
-        if a == b {
-            return a;
-        }
-        if a == SetId::EMPTY || b == SetId::EMPTY {
-            return SetId::EMPTY;
+        // a ∩ a = a, and ∅ (handle 0, the least) absorbs.
+        if a == b || a == SetId::EMPTY || b == SetId::EMPTY {
+            return a.min(b);
         }
         let (lo, hi) = if a.0 <= b.0 { (a, b) } else { (b, a) };
         let bits = self.memo_config.clamped_bits();
@@ -549,11 +547,15 @@ impl SetInterner {
 
     /// `a ∩ b` without the memo (neither read, written nor counted): the
     /// memo-miss path of [`intersect_within`](Self::intersect_within),
-    /// hints included, for callers whose pairs rarely repeat. Disjoint and
-    /// subset pairs resolve without hashing; a proper overlap is settled by
-    /// a hint when it can be, else hashed and probed, and only a new set
-    /// appends its words.
+    /// hints and fast paths included, for callers whose pairs rarely repeat.
+    /// Disjoint and subset pairs resolve without hashing; a proper overlap
+    /// is settled by a hint when it can be, else hashed and probed, and only
+    /// a new set appends its words.
     pub fn intersect_uncached(&mut self, a: SetId, b: SetId, bound: SetId, guess: SetId) -> SetId {
+        // a ∩ a = a, and ∅ (handle 0, the least) absorbs.
+        if a == b || a == SetId::EMPTY || b == SetId::EMPTY {
+            return a.min(b);
+        }
         let overlap = self
             .bitmaps
             .and_into(a.index(), b.index(), &mut self.scratch);

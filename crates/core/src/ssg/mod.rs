@@ -32,13 +32,13 @@
 //!   an MCOS (Theorem 4). When every marked frame has expired the state is
 //!   pruned.
 //!
-//! Two deliberate deviations from the paper's pseudocode, both documented in
-//! DESIGN.md: (1) when an already-materialised state is re-derived from a
-//! second parent, its frame set is merged with the parent's so frame sets
-//! stay complete (the union of all windows frames containing the object
-//! set); (2) invalid nodes are removed after the traversal, reconnecting
-//! their parents to their children, so reachability from principal states is
-//! preserved.
+//! Two deliberate deviations from the paper's pseudocode: (1) when an
+//! already-materialised state is re-derived from a second parent, its frame
+//! set is merged with the parent's, so frame sets stay complete (the union
+//! of all window frames containing the object set) whichever parent found
+//! the state first; (2) invalid nodes are removed after the traversal, and
+//! each removal reconnects the node's parents to its children, so no
+//! descendant is cut off from the node's surviving ancestors.
 //!
 //! **Window expiry** reaches a node when a frame first does: on the
 //! traversal's visit, or when `ensure_state` touches a node the traversal
@@ -51,19 +51,28 @@
 //! or swept (once per window of frames).
 //!
 //! **Each step runs once per frame.** A node is visited at most once (its
-//! `visited` stamp), has the frame appended at most once (`touched`), and
-//! derives its intersection state at most once (`ensured`). The last holds
-//! because every `ensure_state` call is `ensure_state(X.last_inter, X)` for
-//! an `X` visited this frame that does not contain the frame, so nothing
-//! later in the frame adds frames or marks to `X`, and a repeat would find
-//! the derived state already holding `X`'s frames and reachable from `X`.
-//! The nodes a frame touches are a bitset over slab slots, read out in
-//! ascending slot order for pruning and result collection.
+//! `visited` stamp) and has the frame appended at most once (`touched`).
+//! Its intersection is materialised where lines 25-29 of Algorithm 1 put
+//! it: by its own visit, after its subtree, when it is a proper new set.
+//! (Lines 5-16 would make the same `(parent, set)` call earlier, from a
+//! child's visit; it is not made.) The `ensured` stamp lets `attach` stop
+//! at a sibling that already holds the new state. The touched nodes are a
+//! bitset over slab slots, read out in ascending slot order.
+//!
+//! **The walk reads child lists in place.** No edit inside a node's subtree
+//! reaches the list of a node on the walk stack: `attach(p, …)` edits only
+//! lists at or below `p`, where `p` is the node being visited (its
+//! `F ⊊ node` attach runs before its walk, its `ensure_state` after) or lies
+//! below it, and every node further up is a proper superset. `insert`
+//! never moves a slot; removal and CNPS run after the traversal.
 //!
 //! **The traversal reuses what its stamps already say.** A visit passes
 //! the parent's intersection (a superset of its own) and its previous one
-//! to `intersect_within`, which then rarely probes the content index;
-//! `attach` answers for nodes visited this frame from their `last_inter`.
+//! to the interner, which then rarely probes the content index. Siblings
+//! have ended their visits when their parent materialises its
+//! intersection, so `attach` answers for them from their `last_inter`. A
+//! frame set interned by this frame's own `intern` is in no memo entry, so
+//! its visits call `intersect_uncached` and leave the memo alone.
 
 mod graph;
 
@@ -90,6 +99,9 @@ struct Arrival {
     /// The new principal state: the node holding `sid`.
     ns: NodeId,
     oldest: FrameId,
+    /// Whether this frame's `intern` call created `sid`: then no memo entry
+    /// names it, so the traversal intersects without the memo.
+    fresh: bool,
 }
 
 /// The Strict State Graph state maintainer.
@@ -97,10 +109,9 @@ struct Arrival {
 /// The graph's handle index, the termination cache and every traversal
 /// comparison operate on interned [`SetId`] handles. Each visit intersects
 /// its state with the arriving frame once; on dense feeds that is nearly
-/// always a real word-parallel AND (the interner's memo hit ratio is 0.066
-/// on the `dense-embedded` benchmark film), though rarely a content-index
-/// probe. Every per-node step runs at most once per frame — see the module
-/// docs.
+/// always a real word-parallel AND (most frames there bring a new set, which
+/// skips the memo), though rarely a content-index probe. Every per-node
+/// step runs at most once per frame — see the module docs.
 pub struct SsgMaintainer {
     core: Substrate,
     graph: StateGraph,
@@ -112,14 +123,10 @@ pub struct SsgMaintainer {
     frames_since_sweep: usize,
     /// The slab slots this frame touched, one bit each.
     touched: Vec<u64>,
-    /// Reusable buffers for the traversal's child snapshots (one per
-    /// recursion depth), so `visit_children` never allocates in steady state.
-    child_scratch: Vec<Vec<NodeId>>,
-    /// Pooled per-frame buffers (touched read-out, root snapshot, CNPS
-    /// candidates, CNPS reachability set + DFS stack): cleared and reused
-    /// so the steady-state advance loop performs no transient allocations.
+    /// Pooled per-frame buffers (touched read-out, CNPS candidates, CNPS
+    /// reachability set + DFS stack): cleared and reused so the
+    /// steady-state advance loop performs no transient allocations.
     touched_scratch: Vec<NodeId>,
-    roots_scratch: Vec<NodeId>,
     candidates_scratch: Vec<NodeId>,
     cnps_reachable: FxHashSet<NodeId>,
     cnps_stack: Vec<NodeId>,
@@ -157,9 +164,7 @@ impl SsgMaintainer {
             prev_results: Vec::new(),
             frames_since_sweep: 0,
             touched: Vec::new(),
-            child_scratch: Vec::new(),
             touched_scratch: Vec::new(),
-            roots_scratch: Vec::new(),
             candidates_scratch: Vec::new(),
             cnps_reachable: FxHashSet::default(),
             cnps_stack: Vec::new(),
@@ -192,19 +197,17 @@ impl SsgMaintainer {
         self.touched[word] |= 1 << (id % 64);
     }
 
-    /// Ensures the state holding `sid` — always `parent.last_inter`, its
-    /// intersection with the arriving frame — exists, is attached under
-    /// `parent`, and carries the frame, unless `sid` is empty, `parent`'s
-    /// own set or the frame's (the new principal already holds it). Runs
-    /// once per parent per frame (the module docs say why a repeat is a
-    /// no-op).
+    /// Materialises `sid` — always `parent.last_inter`, a proper, new
+    /// intersection with the arriving frame — once `parent`'s subtree has
+    /// been walked (lines 25-29 of Algorithm 1): the state holding it exists,
+    /// carries the frame and sits below `parent`. Runs once per node per
+    /// frame, from the node's own visit.
     fn ensure_state(&mut self, sid: SetId, parent: NodeId, at: Arrival) {
         let node = self.graph.node_mut(parent);
         debug_assert_eq!((sid, node.visited), (node.last_inter, at.frame.raw()));
-        if node.ensured == at.frame.raw() || sid.is_empty_set() || sid == node.sid || sid == at.sid
-        {
-            return;
-        }
+        debug_assert!(
+            node.ensured != at.frame.raw() && ![SetId::EMPTY, node.sid, at.sid].contains(&sid)
+        );
         node.ensured = at.frame.raw();
         if self.core.is_terminated(sid) {
             return;
@@ -249,20 +252,14 @@ impl SsgMaintainer {
         self.core.metrics.states_visited += 1;
         self.core.metrics.intersections += 1;
         // node ⊊ parent bounds the answer by p_inter; `previous` often repeats.
-        let inter = self
-            .core
-            .interner
-            .intersect_within(node_sid, at.sid, p_inter, previous);
+        let interner = &mut self.core.interner;
+        let inter = if at.fresh {
+            interner.intersect_uncached(node_sid, at.sid, p_inter, previous)
+        } else {
+            interner.intersect_within(node_sid, at.sid, p_inter, previous)
+        };
         self.graph.node_mut(node).last_inter = inter;
 
-        // Lines 5-8 and 11-16 of Algorithm 1: the parent's intersection is
-        // strictly larger than ours (for an empty one: is not empty), so this
-        // subtree cannot represent it; materialise it under the parent.
-        if let Some(parent) = parent {
-            if self.core.interner.len_of(p_inter) > self.core.interner.len_of(inter) {
-                self.ensure_state(p_inter, parent, at);
-            }
-        }
         if inter.is_empty_set() {
             // No descendant of this node can intersect the frame either.
             return;
@@ -305,18 +302,15 @@ impl SsgMaintainer {
         }
     }
 
+    /// Visits `node`'s children in place: no edit inside a child's subtree
+    /// reaches `node`'s list (the module docs say why).
     fn visit_children(&mut self, node: NodeId, inter: SetId, at: Arrival) {
-        // Snapshot: the traversal below may attach new children to `node`,
-        // and those must not be revisited within this frame. The snapshot
-        // buffer is pooled per recursion depth, so steady-state traversal
-        // performs no allocation here.
-        let mut children = self.child_scratch.pop().unwrap_or_default();
-        children.clear();
-        children.extend_from_slice(&self.graph.node(node).children);
-        for &child in &children {
+        let count = self.graph.node(node).children.len();
+        for index in 0..count {
+            debug_assert_eq!(self.graph.node(node).children.len(), count);
+            let child = self.graph.node(node).children[index];
             self.st_visit(child, Some(node), inter, at);
         }
-        self.child_scratch.push(children);
     }
 
     /// CNPS (Algorithm 2): connect the new principal state to the candidate
@@ -419,6 +413,7 @@ impl StateMaintainer for SsgMaintainer {
             self.frames_since_sweep = 0;
         }
 
+        let interned = self.core.interner.len();
         let frame_sid = self.core.interner.intern(objects);
         if !frame_sid.is_empty_set()
             && !self.core.is_terminated(frame_sid)
@@ -442,18 +437,17 @@ impl StateMaintainer for SsgMaintainer {
                 sid: frame_sid,
                 ns,
                 oldest,
+                fresh: frame_sid.raw() as usize >= interned,
             };
 
             // State Traversal from every principal state in arrival order.
             // Traversing the new principal first extends its existing
-            // descendants (they are all subsets of the arriving frame).
-            let mut roots_snapshot = std::mem::take(&mut self.roots_scratch);
-            roots_snapshot.clear();
-            roots_snapshot.push(ns);
-            roots_snapshot.extend_from_slice(&self.roots);
+            // descendants (they are all subsets of the arriving frame). The
+            // root list is read in place after it: it changes only after the
+            // traversal, and all roots are alive until then.
             self.candidates_scratch.clear();
-            // All roots are alive: nothing is removed until the traversal ends.
-            for &root in &roots_snapshot {
+            for index in 0..=self.roots.len() {
+                let root = index.checked_sub(1).map_or(ns, |i| self.roots[i]);
                 self.st_visit(root, None, SetId::EMPTY, at);
                 // Candidate for CNPS plus principal-based marking: the state
                 // holding this principal's intersection with the new frame is
@@ -480,8 +474,6 @@ impl StateMaintainer for SsgMaintainer {
                     }
                 }
             }
-            roots_snapshot.clear();
-            self.roots_scratch = roots_snapshot;
             self.connect_new_principal(ns);
             if !self.roots.contains(&ns) {
                 self.roots.push(ns);
@@ -871,6 +863,82 @@ mod tests {
             assert_eq!(ssg.results(), mfs.results(), "frame {i}");
         }
         assert!(ssg.live_states() > 100 && !ssg.results().is_empty());
+    }
+
+    /// A frame whose object set this frame's `intern` created is in no memo
+    /// entry, so its traversal neither probes the memo nor writes it; a
+    /// frame set interned earlier still probes. Results equal MFS's.
+    #[test]
+    fn fresh_frames_skip_the_memo() {
+        let spec = WindowSpec::new(4, 2).unwrap();
+        let mut ssg = SsgMaintainer::new(spec);
+        let mut mfs = crate::mfs::MfsMaintainer::new(spec);
+        let probes =
+            |m: &SsgMaintainer| m.core.interner.memo_hits() + m.core.interner.memo_misses();
+        let (mut fresh_frames, mut recurring_frames) = (0, 0);
+        for (i, frame) in paper_frames().iter().cycle().take(12).enumerate() {
+            let (fresh, before) = (ssg.core.interner.get(frame).is_none(), probes(&ssg));
+            ssg.advance(FrameId(i as u64), frame).unwrap();
+            mfs.advance(FrameId(i as u64), frame).unwrap();
+            assert_eq!(ssg.results(), mfs.results(), "frame {i}");
+            if fresh {
+                assert_eq!(probes(&ssg), before, "fresh frame {i} probed the memo");
+                fresh_frames += 1;
+            } else {
+                assert!(
+                    probes(&ssg) > before,
+                    "recurring frame {i} skipped the memo"
+                );
+                recurring_frames += 1;
+            }
+        }
+        assert_eq!((fresh_frames, recurring_frames), (5, 7));
+    }
+
+    /// Most frames drop a few objects from a stable scene, so they are
+    /// proper subsets of live states: the `inter == F` branch runs on most
+    /// frames and states are re-derived from several parents. Properties 1
+    /// and 2 hold after every frame and the results equal MFS's; the debug
+    /// build also checks that no walk edits a child list it is reading.
+    #[test]
+    fn subset_frames_keep_properties_1_and_2_on_every_frame() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let spec = WindowSpec::new(60, 20).unwrap();
+        let mut ssg = SsgMaintainer::new(spec);
+        let mut mfs = crate::mfs::MfsMaintainer::new(spec);
+        let (mut subset_frames, mut shared_states) = (0, 0);
+        for i in 0..300u32 {
+            // Twelve slots, each slot's object replaced every 240 frames
+            // (staggered by 20). A quarter of the frames show the whole
+            // scene; the rest drop one to three of its objects.
+            let mut objects: Vec<u32> = (0..12u32).map(|s| s * 100 + (i + s * 20) / 240).collect();
+            if rng.gen_bool(0.75) {
+                for _ in 0..rng.gen_range(1..=3) {
+                    objects.swap_remove(rng.gen_range(0..objects.len()));
+                }
+            }
+            let frame = ObjectSet::from_raw(objects);
+            if ssg
+                .states()
+                .iter()
+                .any(|(set, _)| frame.is_proper_subset_of(set))
+            {
+                subset_frames += 1;
+            }
+            ssg.advance(FrameId(u64::from(i)), &frame).unwrap();
+            mfs.advance(FrameId(u64::from(i)), &frame).unwrap();
+            ssg.graph.check_invariants(&ssg.core.interner);
+            assert_eq!(ssg.results(), mfs.results(), "frame {i}");
+            shared_states += ssg
+                .graph
+                .live_ids()
+                .into_iter()
+                .filter(|&id| ssg.graph.node(id).parents.len() > 1)
+                .count();
+        }
+        assert!(subset_frames > 150, "only {subset_frames} subset frames");
+        assert!(shared_states > 0 && !ssg.results().is_empty());
     }
 
     #[test]
