@@ -4,10 +4,11 @@
 //! the ROADMAP's north star ("millions of users") needs queries that
 //! register and cancel *while feeds run*. [`QueryCatalog`] makes the query
 //! set itself a piece of versioned state: every [`add_query`] /
-//! [`remove_query`] produces a fresh immutable [`CatalogSnapshot`] —
-//! rebuilt evaluator (re-keyed mask slots), recomputed relevant-class set,
-//! re-derived ≥-only pruning decision — and publishes it atomically through
-//! a shared cell that the engine's live pruner reads.
+//! [`remove_query`] edits the master query list, and the ops since the last
+//! frame are published as one snapshot, built when the next frame reads it
+//! — a fresh immutable [`CatalogSnapshot`] (rebuilt evaluator, recomputed
+//! relevant-class set, re-derived ≥-only pruning decision) written
+//! atomically to a shared cell that the engine's live pruner reads.
 //!
 //! # Convergence contract
 //!
@@ -46,20 +47,19 @@ pub struct CatalogSnapshot {
     version: u64,
     evaluator: Arc<CnfEvaluator>,
     relevant_classes: FxHashSet<ClassId>,
-    geq_only: bool,
+    prune_active: bool,
 }
 
 impl CatalogSnapshot {
     fn build(version: u64, queries: Vec<CnfQuery>) -> Self {
         let relevant_classes: FxHashSet<ClassId> =
             queries.iter().flat_map(|q| q.classes()).collect();
-        let evaluator = Arc::new(CnfEvaluator::new(queries));
-        let geq_only = evaluator.all_geq_only();
+        let prune_active = prunes(&queries);
         CatalogSnapshot {
             version,
-            evaluator,
+            evaluator: Arc::new(CnfEvaluator::new(queries)),
             relevant_classes,
-            geq_only,
+            prune_active,
         }
     }
 
@@ -91,8 +91,13 @@ impl CatalogSnapshot {
     /// but "no query is satisfiable" must keep states alive for queries
     /// added later, not terminate everything.
     pub fn prune_active(&self) -> bool {
-        self.geq_only && !self.evaluator.is_empty()
+        self.prune_active
     }
+}
+
+/// The rule behind [`CatalogSnapshot::prune_active`].
+fn prunes(queries: &[CnfQuery]) -> bool {
+    !queries.is_empty() && queries.iter().all(CnfQuery::is_geq_only)
 }
 
 /// The shared cell a [`QueryCatalog`]'s owner and its pruner read the
@@ -104,12 +109,19 @@ pub type SharedCatalog = Arc<RwLock<Arc<CatalogSnapshot>>>;
 /// and publishes snapshots. It holds the catalog rules, for both engines:
 /// queries validate, ids are unique, the next id is max + 1, removing an
 /// unknown id is an error, and a failed op leaves the catalog untouched.
-/// Its owner is the cell's only writer, so it also keeps a lock-free cached
-/// copy of the current snapshot for the per-frame hot path.
+/// An op only edits the master list, which everything but
+/// [`snapshot`](Self::snapshot) reads; `snapshot` publishes the ops since
+/// the last one as one snapshot. The owner is the cell's only writer, so it
+/// also keeps a lock-free copy of that snapshot for the per-frame hot path.
 #[derive(Debug)]
 pub struct QueryCatalog {
     cell: SharedCatalog,
+    /// The last published snapshot: the cell's value.
     current: Arc<CatalogSnapshot>,
+    /// The master query list once an op has made it differ from
+    /// `current`'s; the next snapshot takes it.
+    pending: Option<Vec<CnfQuery>>,
+    version: u64,
     /// Version the catalog was seeded at (swaps applied *here* = version -
     /// seed; a [`fork`](Self::fork) is seeded at the version it forks).
     seed_version: u64,
@@ -138,6 +150,8 @@ impl QueryCatalog {
         QueryCatalog {
             cell: Arc::new(RwLock::new(Arc::clone(&current))),
             current,
+            pending: None,
+            version,
             seed_version: version,
         }
     }
@@ -147,7 +161,7 @@ impl QueryCatalog {
     /// multi-feed engine builds each per-feed engine on a fork of its
     /// master catalog, so no two feeds share a memo's lock.
     pub(crate) fn fork(&self) -> Self {
-        Self::at(self.version(), self.current.queries().to_vec())
+        Self::at(self.version, self.queries().to_vec())
     }
 
     /// Parses `text` as the query that follows `queries`, minting the
@@ -173,11 +187,10 @@ impl QueryCatalog {
     /// Persisting the seed keeps [`swaps`](Self::swaps) (version − seed)
     /// exact across restarts.
     pub(crate) fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.version());
+        enc.put_u64(self.version);
         enc.put_u64(self.seed_version);
-        let queries = self.current.queries();
-        enc.put_usize(queries.len());
-        for query in queries {
+        enc.put_usize(self.queries().len());
+        for query in self.queries() {
             query.encode(enc);
         }
     }
@@ -205,8 +218,17 @@ impl QueryCatalog {
         Ok(catalog)
     }
 
-    /// The current snapshot (lock-free: the owner's cached copy).
-    pub fn snapshot(&self) -> &Arc<CatalogSnapshot> {
+    /// The current snapshot. Publishes first when ops are pending: builds
+    /// one snapshot of the master list and writes it to the shared cell.
+    /// Otherwise lock-free: the owner's copy of what it last published.
+    pub fn snapshot(&mut self) -> &Arc<CatalogSnapshot> {
+        if let Some(queries) = self.pending.take() {
+            let next = Arc::new(CatalogSnapshot::build(self.version, queries));
+            // Snapshots are immutable, so a poisoned cell still holds a
+            // usable Arc; recover the guard rather than cascade the panic.
+            *self.cell.write().unwrap_or_else(PoisonError::into_inner) = Arc::clone(&next);
+            self.current = next;
+        }
         &self.current
     }
 
@@ -216,14 +238,35 @@ impl QueryCatalog {
         Arc::clone(&self.cell)
     }
 
+    /// The registered queries (the master list, current after every op).
+    pub fn queries(&self) -> &[CnfQuery] {
+        self.pending.as_deref().unwrap_or(self.current.queries())
+    }
+
+    /// Bumps the version and returns the master list for the op to edit:
+    /// the first op after a publish copies it out of the published snapshot.
+    fn next_version(&mut self) -> &mut Vec<CnfQuery> {
+        self.version += 1;
+        let current = &self.current;
+        self.pending
+            .get_or_insert_with(|| current.queries().to_vec())
+    }
+
     /// The current version.
     pub fn version(&self) -> u64 {
-        self.current.version()
+        self.version
     }
 
     /// Swaps applied through *this* handle (version minus seed).
     pub fn swaps(&self) -> u64 {
-        self.current.version() - self.seed_version
+        self.version - self.seed_version
+    }
+
+    /// Whether the ≥-only pruning strategy applies to the registered
+    /// queries (what the next snapshot's
+    /// [`prune_active`](CatalogSnapshot::prune_active) will say).
+    pub fn prune_active(&self) -> bool {
+        prunes(self.queries())
     }
 
     /// The smallest query id above every id in use (what [`add_query`]
@@ -232,43 +275,32 @@ impl QueryCatalog {
     ///
     /// [`add_query`]: Self::add_query
     pub fn next_query_id(&self) -> Result<QueryId> {
-        Self::next_id(self.current.queries())
+        Self::next_id(self.queries())
     }
 
-    /// Registers a query, publishing a new catalog version. Fails (leaving
-    /// the catalog untouched) if the query is malformed or its id is taken.
+    /// Registers a query as the next catalog version, published at the
+    /// next [`snapshot`](Self::snapshot). Fails (leaving the catalog
+    /// untouched) if the query is malformed or its id is taken.
     pub fn add_query(&mut self, query: CnfQuery) -> Result<()> {
         query.validate().map_err(Error::InvalidConfig)?;
-        let current = self.current.queries();
-        if current.iter().any(|q| q.id == query.id) {
+        if self.queries().iter().any(|q| q.id == query.id) {
             return Err(Error::InvalidConfig(format!(
                 "query id {:?} is already registered",
                 query.id
             )));
         }
-        let queries = current.iter().cloned().chain([query]).collect();
-        self.publish(queries);
+        self.next_version().push(query);
         Ok(())
     }
 
-    /// Cancels a query by id, publishing a new catalog version. Fails
-    /// (leaving the catalog untouched) if the id is unknown.
+    /// Cancels a query by id as the next catalog version, published at the
+    /// next [`snapshot`](Self::snapshot). Fails (leaving the catalog
+    /// untouched) if the id is unknown.
     pub fn remove_query(&mut self, id: QueryId) -> Result<()> {
-        let current = self.current.queries();
-        let queries: Vec<CnfQuery> = current.iter().filter(|q| q.id != id).cloned().collect();
-        if queries.len() == current.len() {
-            return Err(Error::InvalidConfig(format!("unknown query id {id:?}")));
-        }
-        self.publish(queries);
+        let index = (self.queries().iter().position(|q| q.id == id))
+            .ok_or_else(|| Error::InvalidConfig(format!("unknown query id {id:?}")))?;
+        self.next_version().remove(index);
         Ok(())
-    }
-
-    fn publish(&mut self, queries: Vec<CnfQuery>) {
-        let next = Arc::new(CatalogSnapshot::build(self.version() + 1, queries));
-        // Snapshots are immutable, so a poisoned cell still holds a usable
-        // Arc; recover the guard rather than cascade the panic.
-        *self.cell.write().unwrap_or_else(PoisonError::into_inner) = Arc::clone(&next);
-        self.current = next;
     }
 }
 
@@ -309,8 +341,40 @@ mod tests {
         let mut catalog = QueryCatalog::new(vec![geq(0, 1, 1)], 0).unwrap();
         let cell = catalog.shared();
         catalog.add_query(geq(1, 1, 3)).unwrap();
+        // The op is not published until the owner next reads the snapshot.
+        assert_eq!(cell.read().unwrap().version(), 0);
+        catalog.snapshot();
         assert_eq!(cell.read().unwrap().version(), 1);
         assert_eq!(cell.read().unwrap().queries().len(), 2);
+    }
+
+    /// Registering n queries builds one snapshot, not n: no op replaces the
+    /// cell's `Arc`, and the next `snapshot` replaces it exactly once.
+    #[test]
+    fn ops_publish_nothing_until_the_next_snapshot() {
+        let mut catalog = QueryCatalog::new(Vec::new(), 0).unwrap();
+        let cell = catalog.shared();
+        let published = Arc::clone(&cell.read().unwrap());
+        for id in 0..2_000 {
+            catalog
+                .add_query(geq(id, (id % 7) as u16, 1 + id % 3))
+                .unwrap();
+            assert!(Arc::ptr_eq(&cell.read().unwrap(), &published));
+        }
+        for id in (0..2_000).step_by(2) {
+            catalog.remove_query(QueryId(id)).unwrap();
+            assert!(Arc::ptr_eq(&cell.read().unwrap(), &published));
+        }
+        assert_eq!((catalog.version(), catalog.queries().len()), (3_000, 1_000));
+        assert_eq!(catalog.next_query_id().unwrap(), QueryId(2_000));
+        let snapshot = Arc::clone(catalog.snapshot());
+        assert!(!Arc::ptr_eq(&snapshot, &published));
+        assert!(Arc::ptr_eq(&cell.read().unwrap(), &snapshot));
+        assert_eq!(snapshot.version(), 3_000);
+        assert_eq!(snapshot.queries(), catalog.queries());
+        // Nothing pending: the next read publishes nothing.
+        assert!(Arc::ptr_eq(catalog.snapshot(), &snapshot));
+        assert!(Arc::ptr_eq(&cell.read().unwrap(), &snapshot));
     }
 
     #[test]
@@ -360,15 +424,15 @@ mod tests {
     fn swaps_do_not_serve_answers_memoized_by_the_old_snapshot() {
         let counts = tvq_common::ClassCounts::from_map([(ClassId(1), 2)].into_iter().collect());
         let satisfied =
-            |catalog: &QueryCatalog| catalog.snapshot().evaluator().any_satisfied(&counts);
+            |catalog: &mut QueryCatalog| catalog.snapshot().evaluator().any_satisfied(&counts);
         let mut catalog = QueryCatalog::new(vec![geq(0, 1, 3)], 0).unwrap();
         let before = Arc::clone(catalog.snapshot());
         // Each version is asked twice: a first lookup, then a memo hit.
-        assert!(!satisfied(&catalog) && !satisfied(&catalog));
+        assert!(!satisfied(&mut catalog) && !satisfied(&mut catalog));
         catalog.add_query(geq(1, 1, 2)).unwrap();
-        assert!(satisfied(&catalog) && satisfied(&catalog));
+        assert!(satisfied(&mut catalog) && satisfied(&mut catalog));
         catalog.remove_query(QueryId(1)).unwrap();
-        assert!(!satisfied(&catalog) && !satisfied(&catalog));
+        assert!(!satisfied(&mut catalog) && !satisfied(&mut catalog));
         assert!(!before.evaluator().any_satisfied(&counts));
     }
 

@@ -40,8 +40,8 @@ impl FrameResult {
 /// Streaming-safe pruner (shared with the restore path in
 /// [`persist`](crate::persist) via [`TemporalVideoQueryEngine::assemble`]):
 /// reads the engine's live class store and its
-/// *current* query-catalog snapshot, so catalog swaps take effect on the
-/// very next judged state.
+/// *current* query-catalog snapshot, which the engine publishes at the top
+/// of each frame, so catalog swaps take effect from the next frame on.
 ///
 /// Soundness across swaps: when the current catalog is not ≥-only (or is
 /// empty), [`CatalogSnapshot::prune_active`](crate::catalog::CatalogSnapshot::prune_active)
@@ -211,7 +211,7 @@ impl std::fmt::Debug for TemporalVideoQueryEngine {
         f.debug_struct("TemporalVideoQueryEngine")
             .field("config", &self.config)
             .field("strategy", &self.strategy())
-            .field("queries", &self.catalog.snapshot().queries().len())
+            .field("queries", &self.catalog.queries().len())
             .field("catalog_version", &self.catalog.version())
             .finish()
     }
@@ -289,7 +289,7 @@ impl TemporalVideoQueryEngine {
     /// terminate states (≥-only and non-empty).
     pub fn strategy(&self) -> &'static str {
         let name = self.maintainer.name();
-        if self.catalog.snapshot().prune_active() {
+        if self.catalog.prune_active() {
             name
         } else {
             name.trim_end_matches("_O")
@@ -305,7 +305,7 @@ impl TemporalVideoQueryEngine {
 
     /// The currently registered queries.
     pub fn queries(&self) -> &[CnfQuery] {
-        self.catalog.snapshot().queries()
+        self.catalog.queries()
     }
 
     /// Registers a query mid-stream, swapping in a new catalog version
@@ -338,8 +338,7 @@ impl TemporalVideoQueryEngine {
     /// mid-stream, minting the next free query id. Returns the id so the
     /// caller can [`remove_query`](Self::remove_query) it later.
     pub fn add_query_text(&mut self, text: &str) -> Result<QueryId> {
-        let queries = self.catalog.snapshot().queries();
-        let query = QueryCatalog::parse(queries, text, &mut self.registry)?;
+        let query = QueryCatalog::parse(self.catalog.queries(), text, &mut self.registry)?;
         let id = query.id;
         self.add_query(query)?;
         Ok(id)
@@ -488,6 +487,8 @@ impl TemporalVideoQueryEngine {
         if !frame.track_ends.is_empty() {
             self.lifecycle.end_tracks(&frame.track_ends);
         }
+        // Publishes the catalog ops since the last frame as one snapshot,
+        // before `advance` lets the pruner read the shared cell.
         let snapshot = Arc::clone(self.catalog.snapshot());
         let mut internal: Vec<ObjectId> = Vec::with_capacity(frame.classes.len());
         self.lifecycle
@@ -1063,5 +1064,63 @@ mod tests {
         }
         let result = engine.observe(&frame(4, &[(1, 1)])).unwrap();
         assert!(result.any(), "queries added to an idle engine take effect");
+    }
+
+    /// A server registers its workload op by op before the first frame:
+    /// 30 adds and 10 removes are published as one snapshot at that frame,
+    /// and every frame answers as an engine built with the final set.
+    #[test]
+    fn ops_before_the_first_frame_answer_as_the_final_catalog() {
+        let labels = ["person", "car", "truck"];
+        for kind in [MaintainerKind::Mfs, MaintainerKind::Ssg] {
+            let config = EngineConfig::new(WindowSpec::new(8, 4).unwrap()).with_maintainer(kind);
+            let mut engine = TemporalVideoQueryEngine::builder(config)
+                .allow_empty_catalog()
+                .build()
+                .unwrap();
+            let mut mixed = Vec::new();
+            for i in 0..30usize {
+                let (a, b) = (labels[i % 3], labels[(i / 3) % 3]);
+                if i % 3 == 2 {
+                    mixed.push(engine.add_query_text(&format!("{a} <= {}", i % 4)).unwrap());
+                } else {
+                    let text = format!("{a} >= {} AND {b} >= 2", 1 + i % 3);
+                    engine.add_query_text(&text).unwrap();
+                }
+            }
+            assert_eq!(engine.strategy(), kind.name().trim_end_matches("_O"));
+            for id in mixed {
+                engine.remove_query(id).unwrap();
+            }
+            assert_eq!(engine.catalog_version(), 40);
+            assert_eq!(engine.queries().len(), 20);
+            let mut fresh = TemporalVideoQueryEngine::builder(config);
+            for query in engine.queries() {
+                fresh = fresh.with_query(query.clone());
+            }
+            let mut fresh = fresh.build().unwrap();
+            assert_eq!(engine.strategy(), fresh.strategy());
+            let mut matched = 0;
+            for fid in 0..80u64 {
+                let detections: Vec<(u32, u16)> = (1..=10u32)
+                    .filter(|&id| (fid / u64::from(1 + id % 3) + u64::from(id)) % 4 != 0)
+                    .map(|id| (id, (id % 4) as u16))
+                    .collect();
+                let frame = frame(fid, &detections);
+                let result = engine.observe(&frame).unwrap();
+                assert_eq!(
+                    result,
+                    fresh.observe(&frame).unwrap(),
+                    "{kind:?} frame {fid}"
+                );
+                matched += result.matches.len();
+            }
+            assert!(matched > 0, "the workload matches somewhere");
+            // The pruner read the published snapshot too, not the empty one.
+            let terminated = engine.metrics().states_terminated;
+            assert!(terminated > 0);
+            assert_eq!(terminated, fresh.metrics().states_terminated);
+            assert_eq!(engine.catalog_version(), 40);
+        }
     }
 }

@@ -313,7 +313,7 @@ impl MultiFeedEngine {
     /// The currently registered queries (the master copy every per-feed
     /// engine mirrors).
     pub fn queries(&self) -> &[CnfQuery] {
-        self.catalog.snapshot().queries()
+        self.catalog.queries()
     }
 
     /// Registers a query across the whole fleet: behind every frame already
@@ -326,8 +326,7 @@ impl MultiFeedEngine {
     /// Parses and registers a textual query (e.g. `"car >= 2"`) across the
     /// fleet, minting the next free query id.
     pub fn add_query_text(&mut self, text: &str) -> Result<QueryId> {
-        let queries = self.catalog.snapshot().queries();
-        let query = QueryCatalog::parse(queries, text, &mut self.registry)?;
+        let query = QueryCatalog::parse(self.catalog.queries(), text, &mut self.registry)?;
         let id = query.id;
         self.add_query(query)?;
         Ok(id)

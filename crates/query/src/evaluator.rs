@@ -84,11 +84,11 @@ pub struct CnfEvaluator {
     /// Total mask words across all registered queries.
     mask_words: usize,
     /// Equality index: (class, value) → postings.
-    eq_index: HashMap<(ClassId, u32), Vec<Posting>>,
+    eq_index: FxHashMap<(ClassId, u32), Vec<Posting>>,
     /// `>=` index per class, ordered ascending by threshold.
-    ge_index: HashMap<ClassId, OrderedIndex>,
+    ge_index: FxHashMap<ClassId, OrderedIndex>,
     /// `<=` index per class, ordered ascending by threshold.
-    le_index: HashMap<ClassId, OrderedIndex>,
+    le_index: FxHashMap<ClassId, OrderedIndex>,
     memo: Memo,
 }
 
