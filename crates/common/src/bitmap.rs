@@ -133,6 +133,8 @@ impl BitmapArena {
     /// must fit the current stride (callers run
     /// [`BitmapArena::ensure_slot`] first).
     pub fn push_run(&mut self, run: &[u64]) {
+        // infallible: the interner, the one caller, runs `ensure_slot` for
+        // every slot its universe hands out, and builds runs over those.
         debug_assert!(run.len() <= self.stride, "run beyond stride");
         let base = self.words.len();
         self.words.extend_from_slice(run);

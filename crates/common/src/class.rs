@@ -82,18 +82,18 @@ impl ClassRegistry {
     }
 
     /// Registers a class label, returning its identifier. Registering an
-    /// already-known label returns the existing identifier.
-    pub fn register(&mut self, label: impl Into<ClassLabel>) -> ClassId {
+    /// already-known label returns the existing identifier. Ids are dense
+    /// and handed out in registration order, so a new label takes id
+    /// [`len`](Self::len); `None` when all 65,536 `u16` ids are taken.
+    pub fn register(&mut self, label: impl Into<ClassLabel>) -> Option<ClassId> {
         let label = label.into();
         if let Some(&id) = self.by_label.get(&label) {
-            return id;
+            return Some(id);
         }
-        let id = ClassId(
-            u16::try_from(self.labels.len()).expect("more than u16::MAX registered classes"),
-        );
+        let id = ClassId(u16::try_from(self.labels.len()).ok()?);
         self.labels.push(label.clone());
         self.by_label.insert(label, id);
-        id
+        Some(id)
     }
 
     /// Looks up the identifier for a label.
@@ -143,13 +143,14 @@ impl ClassRegistry {
 
     /// Reads a registry written by [`encode`](Self::encode): labels
     /// registered in order reproduce their ids, so a label that lands on
-    /// another id (a repeat, or one past the `u16` id space) is corrupt.
+    /// another id (a repeat) or on none (one past the `u16` id space) is
+    /// corrupt.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<ClassRegistry> {
         let labels = dec.take_len()?;
         let mut registry = ClassRegistry::new();
         for index in 0..labels {
             let label = dec.take_str()?;
-            if index > usize::from(u16::MAX) || registry.register(label).raw() as usize != index {
+            if registry.register(label).map(|id| usize::from(id.raw())) != Some(index) {
                 return Err(Error::Corrupt(format!(
                     "registry label {index} ({label:?}) does not register as class {index}"
                 )));
@@ -191,6 +192,7 @@ mod tests {
         let mut registry = ClassRegistry::new();
         let a = registry.register("car");
         let b = registry.register("CAR");
+        assert_eq!(a, Some(ClassId(0)));
         assert_eq!(a, b);
         assert_eq!(registry.len(), 1);
     }
@@ -198,7 +200,7 @@ mod tests {
     #[test]
     fn lookup_by_id_round_trips() {
         let mut registry = ClassRegistry::new();
-        let id = registry.register("bicycle");
+        let id = registry.register("bicycle").unwrap();
         assert_eq!(registry.label(id).unwrap().as_str(), "bicycle");
         assert!(registry.label(ClassId(99)).is_none());
     }
@@ -246,5 +248,20 @@ mod tests {
         let registry = ClassRegistry::new();
         assert!(registry.is_empty());
         assert_eq!(registry.len(), 0);
+    }
+
+    #[test]
+    fn register_refuses_past_the_u16_id_space() {
+        let mut registry = ClassRegistry::new();
+        for index in 0..=u32::from(u16::MAX) {
+            assert_eq!(
+                registry.register(format!("c{index}")),
+                Some(ClassId(index as u16))
+            );
+        }
+        assert_eq!(registry.register("one_too_many"), None);
+        assert_eq!(registry.len(), 65_536);
+        // Known labels still resolve.
+        assert_eq!(registry.register("C7"), Some(ClassId(7)));
     }
 }

@@ -209,6 +209,15 @@ impl MarkedFrameSet {
         })
     }
 
+    /// Both lanes of word `index` of a layout based at `base`: the 64 frames
+    /// from `base + 64 index` on, or none when that start lies past
+    /// `u64::MAX` (no frame can).
+    fn lanes_at(&self, base: u64, index: usize) -> Lanes {
+        (64 * index as u64)
+            .checked_add(base)
+            .map_or([0; 2], |start| self.lanes_from(start))
+    }
+
     /// The contents independent of base and storage: the first frame, then
     /// both lanes' words from it through the last frame. Nothing for an
     /// empty set.
@@ -235,7 +244,7 @@ impl MarkedFrameSet {
         self.base = lo;
         self.words = Words::zeroed(((hi - lo) / 64 + 1) as usize);
         for (index, word) in self.words_mut().iter_mut().enumerate() {
-            *word = old.lanes_from(lo + 64 * index as u64);
+            *word = old.lanes_at(lo, index);
         }
     }
 
@@ -245,6 +254,7 @@ impl MarkedFrameSet {
     /// and so the word count — within the window.
     pub fn push(&mut self, frame: FrameId, marked: bool) {
         self.reserve(frame.raw(), frame.raw());
+        // infallible: `reserve` leaves the words covering `frame`.
         let (index, bit) = self.slot(frame).expect("reserved above");
         let word = &mut self.words_mut()[index];
         word[PRESENT] |= bit;
@@ -316,7 +326,7 @@ impl MarkedFrameSet {
         }
         // In place: word `index` is rebuilt from words at or above it.
         for index in 0..self.words().len() {
-            let lanes = self.lanes_from(oldest + 64 * index as u64);
+            let lanes = self.lanes_at(oldest, index);
             self.words_mut()[index] = lanes;
         }
         self.base = oldest;
@@ -369,7 +379,7 @@ impl MarkedFrameSet {
         self.reserve(first.raw(), last.raw());
         let base = self.base;
         for (index, word) in self.words_mut().iter_mut().enumerate() {
-            let lanes = other.lanes_from(base + 64 * index as u64);
+            let lanes = other.lanes_at(base, index);
             *word = [word[PRESENT] | lanes[PRESENT], word[MARKED] | lanes[MARKED]];
         }
     }
@@ -386,7 +396,7 @@ impl MarkedFrameSet {
             let lanes = if base == parent.base {
                 parent.words().get(index).copied().unwrap_or_default()
             } else {
-                parent.lanes_from(base + 64 * index as u64)
+                parent.lanes_at(base, index)
             };
             let mut marks = lanes[MARKED] & word[PRESENT];
             if let Some((_, bit)) = arriving.filter(|&(at, _)| at == index) {

@@ -44,6 +44,7 @@ impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for chunk in chunks.by_ref() {
+            // infallible: `chunks_exact(8)` yields 8-byte chunks.
             self.add_to_hash(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
         }
         let rest = chunks.remainder();

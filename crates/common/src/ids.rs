@@ -11,6 +11,8 @@ use std::fmt;
 ///
 /// Frames are numbered `0..N` in presentation order; the sliding window and
 /// all expiry logic rely on frame identifiers being monotonically increasing.
+/// `FrameId(u64::MAX)` is reserved: State Traversal stamps never-visited
+/// states with it, so every maintainer refuses a frame carrying it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FrameId(pub u64);
 

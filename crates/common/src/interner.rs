@@ -453,6 +453,8 @@ impl SetInterner {
 
     /// Appends a set (not yet indexed) and returns its handle.
     fn push_entry(&mut self, run: &[u64], len: usize) -> SetId {
+        // infallible: 2^32 sets would need 16 GiB for their lengths alone,
+        // before their bitmaps; memory runs out first.
         debug_assert!(self.lens.len() < u32::MAX as usize, "interner arena full");
         let id = SetId(self.lens.len() as u32);
         self.bitmaps.push_run(run);
@@ -566,6 +568,8 @@ impl SetInterner {
         } else if overlap == self.len_of(b) {
             b
         } else if overlap == self.len_of(bound) {
+            // infallible: `bound` contains `a ∩ b` by contract, and a
+            // subset of equal size is the set itself.
             debug_assert_eq!(self.bitmaps.entry(bound.index()), &self.scratch[..]);
             bound
         } else if overlap == self.len_of(guess) && self.bitmaps.entry(guess.index()) == self.scratch

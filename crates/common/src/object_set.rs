@@ -67,6 +67,9 @@ impl ObjectSet {
     /// downstream merge, subset test and hash.
     pub fn from_sorted_unchecked(mut ids: Vec<ObjectId>) -> Self {
         let strictly_increasing = ids.windows(2).all(|w| w[0] < w[1]);
+        // infallible: the workspace's callers sort and deduplicate first; a
+        // caller that does not is caught here in debug builds and repaired
+        // below in release builds.
         debug_assert!(
             strictly_increasing,
             "from_sorted_unchecked requires strictly increasing ids \

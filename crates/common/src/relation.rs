@@ -6,10 +6,9 @@
 //! relation frame by frame and is the only interface between the vision
 //! substrate and the query-processing layers.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crate::class::ClassRegistry;
-use crate::error::{Error, Result};
 use crate::ids::{ClassId, FrameId, ObjectId};
 use crate::object_set::ObjectSet;
 
@@ -119,53 +118,15 @@ impl VideoRelation {
         VideoRelation::new(ClassRegistry::with_default_classes())
     }
 
-    /// Builds a relation from a flat list of records.
-    ///
-    /// Frames absent from the records become empty frames; the relation spans
-    /// frame 0 through the maximum frame id present.
-    pub fn from_records(registry: ClassRegistry, records: &[ObjectRecord]) -> Result<Self> {
-        let mut per_frame: BTreeMap<FrameId, Vec<(ObjectId, ClassId)>> = BTreeMap::new();
-        let mut max_frame = FrameId(0);
-        for record in records {
-            if record.class.raw() as usize >= registry.len() {
-                return Err(Error::UnknownClassId(record.class.raw()));
-            }
-            per_frame
-                .entry(record.fid)
-                .or_default()
-                .push((record.id, record.class));
-            max_frame = max_frame.max(record.fid);
-        }
-        let mut relation = VideoRelation::new(registry);
-        if records.is_empty() {
-            return Ok(relation);
-        }
-        for raw_fid in 0..=max_frame.raw() {
-            let fid = FrameId(raw_fid);
-            let detections = per_frame.remove(&fid).unwrap_or_default();
-            relation.push_frame(FrameObjects::new(fid, detections));
-        }
-        Ok(relation)
-    }
-
-    /// Appends a frame. The frame id must equal the current frame count
-    /// (frames are dense and in order).
-    pub fn push_frame(&mut self, frame: FrameObjects) {
-        debug_assert_eq!(
-            frame.fid.raw() as usize,
-            self.frames.len(),
-            "frames must be appended densely in order"
-        );
+    /// Appends the next frame, described by `(object id, class id)` pairs,
+    /// and returns its id (the frame count before the call).
+    pub fn push_detections(&mut self, detections: Vec<(ObjectId, ClassId)>) -> FrameId {
+        let fid = FrameId(self.frames.len() as u64);
+        let frame = FrameObjects::new(fid, detections);
         for &(id, class) in &frame.classes {
             self.classes.entry(id).or_insert(class);
         }
         self.frames.push(frame);
-    }
-
-    /// Convenience: append a frame described by `(object id, class id)` pairs.
-    pub fn push_detections(&mut self, detections: Vec<(ObjectId, ClassId)>) -> FrameId {
-        let fid = FrameId(self.frames.len() as u64);
-        self.push_frame(FrameObjects::new(fid, detections));
         fid
     }
 
@@ -291,53 +252,6 @@ mod tests {
         let f1 = vr.frame(FrameId(1)).unwrap();
         assert_eq!(f1.class_of(ObjectId(1)), Some(person));
         assert_eq!(f1.class_of(ObjectId(9)), None);
-    }
-
-    #[test]
-    fn records_round_trip_through_from_records() {
-        let vr = small_relation();
-        let records: Vec<ObjectRecord> = vr.records().collect();
-        let rebuilt = VideoRelation::from_records(vr.registry().clone(), &records).unwrap();
-        assert_eq!(rebuilt.num_frames(), vr.num_frames());
-        for fid in 0..vr.num_frames() as u64 {
-            assert_eq!(
-                rebuilt.frame(FrameId(fid)).unwrap().objects,
-                vr.frame(FrameId(fid)).unwrap().objects
-            );
-        }
-    }
-
-    #[test]
-    fn from_records_rejects_unknown_class() {
-        let registry = ClassRegistry::with_default_classes();
-        let records = vec![ObjectRecord {
-            fid: FrameId(0),
-            id: ObjectId(1),
-            class: ClassId(42),
-        }];
-        assert!(VideoRelation::from_records(registry, &records).is_err());
-    }
-
-    #[test]
-    fn from_records_fills_missing_frames() {
-        let registry = ClassRegistry::with_default_classes();
-        let car = registry.id("car").unwrap();
-        let records = vec![
-            ObjectRecord {
-                fid: FrameId(0),
-                id: ObjectId(1),
-                class: car,
-            },
-            ObjectRecord {
-                fid: FrameId(3),
-                id: ObjectId(1),
-                class: car,
-            },
-        ];
-        let vr = VideoRelation::from_records(registry, &records).unwrap();
-        assert_eq!(vr.num_frames(), 4);
-        assert!(vr.frame(FrameId(1)).unwrap().is_empty());
-        assert!(vr.frame(FrameId(2)).unwrap().is_empty());
     }
 
     #[test]

@@ -55,6 +55,8 @@ impl DatasetStats {
                 .filter(|w| w[1].raw() > w[0].raw() + 1)
                 .count();
         }
+        // infallible: both sum one entry per (frame, object) pair, since a
+        // frame's objects are deduplicated.
         debug_assert_eq!(total_appearances, total_detections);
         let objects_f = objects.max(1) as f64;
         DatasetStats {

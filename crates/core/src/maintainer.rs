@@ -97,8 +97,15 @@ pub trait StateMaintainer: Send {
     }
 }
 
-/// Helper shared by the maintainers: validates frame ordering.
+/// Helper shared by the maintainers: validates frame ordering, and refuses
+/// the reserved id `FrameId(u64::MAX)` (see [`FrameId`]).
 pub(crate) fn check_order(last: Option<FrameId>, next: FrameId) -> Result<()> {
+    if next.raw() == u64::MAX {
+        return Err(Error::InvalidConfig(format!(
+            "frame id {} is reserved",
+            next.raw()
+        )));
+    }
     if let Some(last) = last {
         if next <= last {
             return Err(Error::OutOfOrderFrame {
@@ -218,6 +225,9 @@ mod tests {
         assert!(check_order(Some(FrameId(3)), FrameId(4)).is_ok());
         assert!(check_order(Some(FrameId(3)), FrameId(3)).is_err());
         assert!(check_order(Some(FrameId(3)), FrameId(1)).is_err());
+        assert!(check_order(None, FrameId(u64::MAX - 1)).is_ok());
+        assert!(check_order(None, FrameId(u64::MAX)).is_err());
+        assert!(check_order(Some(FrameId(u64::MAX - 1)), FrameId(u64::MAX)).is_err());
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! touched, earlier pruning); these counters make that reasoning measurable
 //! and drive the ablation benchmarks.
 
-use std::fmt;
-
 use tvq_common::{Decoder, Encoder, Error, Result};
 
 /// Counters accumulated by a state maintainer over its lifetime.
@@ -304,48 +302,6 @@ impl MaintenanceMetrics {
     }
 }
 
-impl fmt::Display for MaintenanceMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "frames={} created={} pruned={} terminated={} intersections={} visited={} edges+={} edges-={} peak={} interned={} arena={}B bitmaps={}B compactions={} cache={}h/{}m/{}r@{} tracked={} classmap={}B lifecycle={}B retired={} generations={} ends={} swaps={} shard_depth={} migrated={} rebalances={} wal={}rec/{}B snapshots={}@{}B fsyncs={} recoveries={}",
-            self.frames_processed,
-            self.states_created,
-            self.states_pruned,
-            self.states_terminated,
-            self.intersections,
-            self.states_visited,
-            self.edges_added,
-            self.edges_removed,
-            self.peak_live_states,
-            self.interned_sets,
-            self.arena_bytes,
-            self.bitmap_bytes,
-            self.compactions,
-            self.intersection_cache_hits,
-            self.intersection_cache_misses,
-            self.intersection_cache_resizes,
-            self.intersection_cache_slots,
-            self.tracked_objects,
-            self.class_map_bytes,
-            self.lifecycle_bytes,
-            self.objects_retired,
-            self.generations_started,
-            self.tracks_ended,
-            self.catalog_swaps,
-            self.per_shard_queue_depth,
-            self.feeds_migrated,
-            self.rebalances,
-            self.wal_records,
-            self.wal_bytes,
-            self.snapshots_written,
-            self.snapshot_bytes,
-            self.fsyncs,
-            self.recoveries
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,28 +431,5 @@ mod tests {
         assert_eq!(merged, a);
         let empty = std::iter::empty::<&MaintenanceMetrics>();
         assert_eq!(MaintenanceMetrics::merged(empty), MaintenanceMetrics::new());
-    }
-
-    #[test]
-    fn display_mentions_all_counters() {
-        let mut m = MaintenanceMetrics::new();
-        m.states_created = 7;
-        let text = m.to_string();
-        assert!(text.contains("created=7"));
-        assert!(text.contains("peak=0"));
-        assert!(text.contains("compactions=0"));
-        assert!(text.contains("cache=0h/0m/0r@0"));
-        assert!(text.contains("tracked=0"));
-        assert!(text.contains("retired=0"));
-        assert!(text.contains("generations=0"));
-        assert!(text.contains("ends=0"));
-        assert!(text.contains("swaps=0"));
-        assert!(text.contains("shard_depth=0"));
-        assert!(text.contains("migrated=0"));
-        assert!(text.contains("rebalances=0"));
-        assert!(text.contains("wal=0rec/0B"));
-        assert!(text.contains("snapshots=0@0B"));
-        assert!(text.contains("fsyncs=0"));
-        assert!(text.contains("recoveries=0"));
     }
 }

@@ -1,9 +1,7 @@
 //! The versioned, swappable query catalog.
 //!
-//! PR-1..5 baked the query workload into an immutable `Arc` at build time;
-//! the ROADMAP's north star ("millions of users") needs queries that
-//! register and cancel *while feeds run*. [`QueryCatalog`] makes the query
-//! set itself a piece of versioned state: every [`add_query`] /
+//! Queries register and cancel *while feeds run*. [`QueryCatalog`] makes
+//! the query set itself a piece of versioned state: every [`add_query`] /
 //! [`remove_query`] edits the master query list, and the ops since the last
 //! frame are published as one snapshot, built when the next frame reads it
 //! — a fresh immutable [`CatalogSnapshot`] (rebuilt evaluator, recomputed
@@ -37,6 +35,7 @@
 use std::sync::{Arc, PoisonError, RwLock};
 
 use tvq_common::{ClassId, ClassRegistry, Decoder, Encoder, Error, FxHashSet, QueryId, Result};
+use tvq_query::prune::pruning_applies;
 use tvq_query::{CnfEvaluator, CnfQuery};
 
 /// One immutable version of the query workload: the evaluator (whose mask
@@ -54,7 +53,7 @@ impl CatalogSnapshot {
     fn build(version: u64, queries: Vec<CnfQuery>) -> Self {
         let relevant_classes: FxHashSet<ClassId> =
             queries.iter().flat_map(|q| q.classes()).collect();
-        let prune_active = prunes(&queries);
+        let prune_active = pruning_applies(&queries);
         CatalogSnapshot {
             version,
             evaluator: Arc::new(CnfEvaluator::new(queries)),
@@ -86,18 +85,10 @@ impl CatalogSnapshot {
     }
 
     /// Whether the ≥-only pruning strategy may terminate states under this
-    /// catalog. Requires every query to be ≥-only (Proposition 1) **and**
-    /// at least one query to exist — an empty catalog is vacuously ≥-only,
-    /// but "no query is satisfiable" must keep states alive for queries
-    /// added later, not terminate everything.
+    /// catalog ([`pruning_applies`] to its queries).
     pub fn prune_active(&self) -> bool {
         self.prune_active
     }
-}
-
-/// The rule behind [`CatalogSnapshot::prune_active`].
-fn prunes(queries: &[CnfQuery]) -> bool {
-    !queries.is_empty() && queries.iter().all(CnfQuery::is_geq_only)
 }
 
 /// The shared cell a [`QueryCatalog`]'s owner and its pruner read the
@@ -173,14 +164,10 @@ impl QueryCatalog {
         text: &str,
         registry: &mut ClassRegistry,
     ) -> Result<CnfQuery> {
-        tvq_query::parse_query(text, Self::next_id(queries)?, registry)
-    }
-
-    fn next_id(queries: &[CnfQuery]) -> Result<QueryId> {
         let max = queries.iter().map(|q| q.id.0).max();
-        max.map_or(Some(0), |id| id.checked_add(1))
-            .map(QueryId)
-            .ok_or_else(|| Error::InvalidConfig("query id space exhausted".into()))
+        let id = (max.map_or(Some(0), |id| id.checked_add(1)))
+            .ok_or_else(|| Error::InvalidConfig("query id space exhausted".into()))?;
+        tvq_query::parse_query(text, QueryId(id), registry)
     }
 
     /// Appends the catalog: version, seed and the registered queries.
@@ -266,16 +253,7 @@ impl QueryCatalog {
     /// queries (what the next snapshot's
     /// [`prune_active`](CatalogSnapshot::prune_active) will say).
     pub fn prune_active(&self) -> bool {
-        prunes(self.queries())
-    }
-
-    /// The smallest query id above every id in use (what [`add_query`]
-    /// callers parsing textual queries should mint). Fails when a query
-    /// holds id `u32::MAX`.
-    ///
-    /// [`add_query`]: Self::add_query
-    pub fn next_query_id(&self) -> Result<QueryId> {
-        Self::next_id(self.queries())
+        pruning_applies(self.queries())
     }
 
     /// Registers a query as the next catalog version, published at the
@@ -324,7 +302,6 @@ mod tests {
         catalog.add_query(geq(1, 0, 2)).unwrap();
         assert_eq!(catalog.version(), 1);
         assert_eq!(catalog.snapshot().queries().len(), 2);
-        assert_eq!(catalog.next_query_id().unwrap(), QueryId(2));
         catalog.remove_query(QueryId(0)).unwrap();
         assert_eq!(catalog.version(), 2);
         assert_eq!(catalog.swaps(), 2);
@@ -366,7 +343,6 @@ mod tests {
             assert!(Arc::ptr_eq(&cell.read().unwrap(), &published));
         }
         assert_eq!((catalog.version(), catalog.queries().len()), (3_000, 1_000));
-        assert_eq!(catalog.next_query_id().unwrap(), QueryId(2_000));
         let snapshot = Arc::clone(catalog.snapshot());
         assert!(!Arc::ptr_eq(&snapshot, &published));
         assert!(Arc::ptr_eq(&cell.read().unwrap(), &snapshot));
@@ -390,7 +366,6 @@ mod tests {
     fn empty_catalog_never_prunes() {
         let mut catalog = QueryCatalog::new(Vec::new(), 0).unwrap();
         assert!(!catalog.snapshot().prune_active());
-        assert_eq!(catalog.next_query_id().unwrap(), QueryId(0));
         catalog.add_query(geq(0, 1, 1)).unwrap();
         assert!(catalog.snapshot().prune_active());
         // Mixed polarity turns pruning back off; removal restores it.
@@ -404,17 +379,27 @@ mod tests {
         assert!(catalog.snapshot().prune_active());
     }
 
+    /// [`QueryCatalog::parse`] mints the smallest id above every id in use,
+    /// and refuses once id `u32::MAX` is taken.
     #[test]
     fn next_query_id_refuses_to_wrap_past_u32_max() {
-        let mut catalog = QueryCatalog::new(vec![geq(u32::MAX, 1, 1)], 0).unwrap();
+        let mut registry = ClassRegistry::with_default_classes();
+        let mut parse = |catalog: &QueryCatalog| {
+            QueryCatalog::parse(catalog.queries(), "bicycle >= 1", &mut registry).map(|q| q.id)
+        };
+        let mut catalog = QueryCatalog::new(Vec::new(), 0).unwrap();
+        assert_eq!(parse(&catalog).unwrap(), QueryId(0));
+        catalog.add_query(geq(u32::MAX, 1, 1)).unwrap();
         assert!(matches!(
-            catalog.next_query_id(),
+            parse(&catalog),
             Err(Error::InvalidConfig(msg)) if msg == "query id space exhausted"
         ));
         catalog.add_query(geq(7, 1, 1)).unwrap();
-        assert!(catalog.next_query_id().is_err());
+        assert!(parse(&catalog).is_err());
         catalog.remove_query(QueryId(u32::MAX)).unwrap();
-        assert_eq!(catalog.next_query_id().unwrap(), QueryId(8));
+        assert_eq!(parse(&catalog).unwrap(), QueryId(8));
+        catalog.add_query(geq(1_999, 1, 1)).unwrap();
+        assert_eq!(parse(&catalog).unwrap(), QueryId(2_000));
     }
 
     /// Each swap's evaluator answers for its own query set: counts answered

@@ -11,7 +11,8 @@
 //!
 //! # Write discipline
 //!
-//! Per durable operation the order is **apply → append → fsync → ack**: a
+//! Per durable operation the order is **apply → append → fsync → ack**
+//! (one private step, `durably`, runs it for every operation): a
 //! record reaches the log only for operations that succeeded, so replay
 //! never re-executes a rejected operation, and the fsync-before-ack means
 //! an acknowledged operation is always recovered. A crash *between* apply
@@ -37,7 +38,7 @@
 
 use std::path::Path;
 
-use tvq_common::{Error, FrameObjects, Result};
+use tvq_common::{Error, Result};
 use tvq_store::{DirLock, RealIo, SharedIo, SnapshotStore, Wal};
 
 use crate::engine::{FrameResult, TemporalVideoQueryEngine};
@@ -194,7 +195,7 @@ impl TemporalVideoQueryEngine {
                     for (id, label) in logged.iter() {
                         let same = match engine.registry.label(id) {
                             Some(known) => known == label,
-                            None => engine.registry.register(label.clone()) == id,
+                            None => engine.registry.register(label.clone()) == Some(id),
                         };
                         if !same {
                             return Err(Error::Corrupt(format!(
@@ -282,22 +283,69 @@ impl TemporalVideoQueryEngine {
         Ok(())
     }
 
-    /// Logs and fsyncs an applied operation's record. Called after the
-    /// in-memory apply succeeded; the `Ok` it gates is the caller's
-    /// durability acknowledgement.
-    pub(crate) fn log_durable(&mut self, body: &[u8]) -> Result<()> {
-        if let Some(d) = &mut self.durability {
-            d.wal.append(body)?;
+    /// Runs one state-changing operation under the write discipline:
+    /// flush a due snapshot, encode the operation's record (only when
+    /// durable, and before `apply` consumes `input`), apply, then append
+    /// and fsync the record. The `Ok` it returns is the caller's
+    /// durability acknowledgement. `observe`, `add_query` and
+    /// `remove_query` all run through it; WAL replay calls their `apply`
+    /// halves directly, so it never re-logs what it replays.
+    pub(crate) fn durably<I, T>(
+        &mut self,
+        input: I,
+        record: impl FnOnce(&I, &Self) -> Vec<u8>,
+        apply: impl FnOnce(&mut Self, I) -> Result<T>,
+    ) -> Result<T> {
+        self.flush_due_snapshot()?;
+        let body = self.durability.is_some().then(|| record(&input, self));
+        let output = apply(self, input)?;
+        if let (Some(d), Some(body)) = (&mut self.durability, body) {
+            d.wal.append(&body)?;
             d.wal.sync()?;
         }
-        Ok(())
+        Ok(output)
     }
+}
 
-    /// Encodes `frame`'s WAL record if durability is attached (before the
-    /// apply, so the apply can consume the frame).
-    pub(crate) fn pending_frame_record(&self, frame: &FrameObjects) -> Option<Vec<u8>> {
-        self.durability
-            .is_some()
-            .then(|| persist::encode_frame_record(frame))
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tvq_common::{ClassId, FrameId, FrameObjects, ObjectId, QueryId, WindowSpec};
+    use tvq_query::{CnfQuery, Condition};
+    use tvq_store::MemDisk;
+
+    use crate::config::EngineConfig;
+
+    /// An operation its apply half rejects reaches the log neither before
+    /// nor after the rejection, so replay never meets an operation that
+    /// fails and recovery resumes exactly the acknowledged history.
+    #[test]
+    fn rejected_operations_are_never_logged() {
+        let disk = MemDisk::new();
+        let dir = Path::new("/engine");
+        let mut engine =
+            TemporalVideoQueryEngine::builder(EngineConfig::new(WindowSpec::new(4, 2).unwrap()))
+                .with_query_text("car >= 1")
+                .unwrap()
+                .build()
+                .unwrap();
+        engine.attach_durability(disk.io(), dir).unwrap();
+        let frame = |fid| FrameObjects::new(FrameId(fid), vec![(ObjectId(1), ClassId(1))]);
+        engine.observe(&frame(0)).unwrap();
+        let duplicate = CnfQuery::conjunction(QueryId(0), vec![Condition::at_least(ClassId(0), 1)]);
+        assert!(engine.add_query(duplicate).is_err());
+        assert!(engine.remove_query(QueryId(9)).is_err());
+        let person = engine.add_query_text("person >= 1").unwrap();
+        engine.observe(&frame(1)).unwrap();
+        assert_eq!(engine.metrics().wal_records, 3);
+        let expected = engine.observe(&frame(2)).unwrap();
+        drop(engine);
+
+        let (mut recovered, report) = TemporalVideoQueryEngine::recover(disk.io(), dir).unwrap();
+        assert_eq!(report.records_replayed, 4);
+        assert_eq!(recovered.queries().len(), 2);
+        assert!(recovered.queries().iter().any(|q| q.id == person));
+        assert_eq!(report.replayed_frames.last(), Some(&expected));
+        assert!(recovered.observe(&frame(3)).unwrap().any());
     }
 }

@@ -314,16 +314,11 @@ impl TemporalVideoQueryEngine {
     /// catalog pruned, and detections its class filter dropped, are not
     /// resurrected — see the [catalog docs](crate::catalog)).
     pub fn add_query(&mut self, query: CnfQuery) -> Result<()> {
-        self.flush_due_snapshot()?;
-        let record = self
-            .durability
-            .is_some()
-            .then(|| persist::encode_add_query_record(&query, &self.registry));
-        self.apply_add_query(query)?;
-        if let Some(body) = record {
-            self.log_durable(&body)?;
-        }
-        Ok(())
+        self.durably(
+            query,
+            |query, engine| persist::encode_add_query_record(query, &engine.registry),
+            Self::apply_add_query,
+        )
     }
 
     /// The in-memory half of [`add_query`](Self::add_query) — also the
@@ -349,16 +344,11 @@ impl TemporalVideoQueryEngine {
     /// (removal only narrows evaluation and widens ≥-only pruning, which
     /// Proposition 1 keeps sound).
     pub fn remove_query(&mut self, id: QueryId) -> Result<()> {
-        self.flush_due_snapshot()?;
-        let record = self
-            .durability
-            .is_some()
-            .then(|| persist::encode_remove_query_record(id));
-        self.apply_remove_query(id)?;
-        if let Some(body) = record {
-            self.log_durable(&body)?;
-        }
-        Ok(())
+        self.durably(
+            id,
+            |&id, _| persist::encode_remove_query_record(id),
+            Self::apply_remove_query,
+        )
     }
 
     /// The in-memory half of [`remove_query`](Self::remove_query) — also
@@ -468,13 +458,11 @@ impl TemporalVideoQueryEngine {
     ///
     /// [`attach_durability`]: Self::attach_durability
     pub fn observe(&mut self, frame: &FrameObjects) -> Result<FrameResult> {
-        self.flush_due_snapshot()?;
-        let record = self.pending_frame_record(frame);
-        let result = self.observe_applied(frame)?;
-        if let Some(body) = record {
-            self.log_durable(&body)?;
-        }
-        Ok(result)
+        self.durably(
+            frame,
+            |frame, _| persist::encode_frame_record(frame),
+            Self::observe_applied,
+        )
     }
 
     /// The in-memory half of [`observe`](Self::observe) — also the

@@ -47,7 +47,10 @@ pub enum WalRecord {
     Frame(FrameObjects),
     /// A query registered mid-stream, with the class registry it was
     /// registered against: replay re-registers the labels a textual query
-    /// added, so every class id keeps its label across a crash.
+    /// added, so every class id keeps its label across a crash. The
+    /// registry is logged whole because a query can parse (registering its
+    /// labels) and then fail its durable step, leaving labels no record
+    /// names; the next add-query record carries them.
     AddQuery(CnfQuery, ClassRegistry),
     /// A query cancelled mid-stream.
     RemoveQuery(QueryId),

@@ -5,9 +5,8 @@
 //! — the example `q2` of Section 5.2. Queries are evaluated against the
 //! class-count aggregates of a maximum co-occurrence object set.
 
-use tvq_common::{ClassId, Decoder, Encoder, Error, QueryId};
+use tvq_common::{ClassCounts, ClassId, Decoder, Encoder, Error, QueryId};
 
-use crate::aggregates::ClassCounts;
 use crate::condition::{CmpOp, Condition};
 
 /// A disjunction (OR) of conditions.

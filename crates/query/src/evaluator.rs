@@ -21,10 +21,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use tvq_common::{ClassId, FrameId, FxHashMap, ObjectSet, QueryId};
+use tvq_common::{ClassCounts, ClassId, FrameId, FxHashMap, ObjectSet, QueryId};
 use tvq_core::ResultStateSet;
 
-use crate::aggregates::ClassCounts;
 use crate::cnf::CnfQuery;
 use crate::condition::CmpOp;
 
@@ -156,12 +155,6 @@ impl CnfEvaluator {
     /// Whether no queries are registered.
     pub fn is_empty(&self) -> bool {
         self.queries.is_empty()
-    }
-
-    /// Whether every registered query uses only `>=` conditions
-    /// (the applicability condition of the Section 5.3 pruning strategy).
-    pub fn all_geq_only(&self) -> bool {
-        self.queries.iter().all(CnfQuery::is_geq_only)
     }
 
     /// Evaluates all queries against one set of class counts, returning the
@@ -379,8 +372,12 @@ mod tests {
         let car = ClassId(1);
         let geq = CnfQuery::conjunction(QueryId(0), vec![Condition::at_least(car, 1)]);
         let mixed = paper_q2();
-        assert!(CnfEvaluator::new(vec![geq.clone()]).all_geq_only());
-        assert!(!CnfEvaluator::new(vec![geq, mixed]).all_geq_only());
+        let applies = |queries: Vec<CnfQuery>| {
+            crate::prune::pruning_applies(CnfEvaluator::new(queries).queries())
+        };
+        assert!(applies(vec![geq.clone()]));
+        assert!(!applies(vec![geq, mixed]));
+        assert!(!applies(Vec::new()));
     }
 
     #[test]

@@ -67,6 +67,9 @@ impl WorkloadConfig {
 /// Generates a workload. Deterministic for a given seed; query identifiers
 /// are `0..num_queries`.
 pub fn generate_workload(config: &WorkloadConfig, seed: u64) -> Vec<CnfQuery> {
+    // infallible: no wire command reaches the generator, and every config
+    // in the workspace names classes; an empty list is a caller's bug,
+    // which `empty_class_list_is_rejected` pins as a panic.
     assert!(
         !config.classes.is_empty(),
         "workload needs at least one class"

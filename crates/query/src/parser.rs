@@ -14,21 +14,25 @@
 //! condition := IDENT OP INTEGER        OP := ">=" | "<=" | "="
 //! ```
 //!
-//! Class identifiers are resolved against (and registered into) a
-//! [`ClassRegistry`].
+//! Class identifiers are resolved against (and, once the whole query
+//! parses, registered into) a [`ClassRegistry`].
 
-use tvq_common::{ClassRegistry, Error, QueryId, Result};
+use tvq_common::{ClassId, ClassRegistry, Error, QueryId, Result};
 
 use crate::cnf::{Clause, CnfQuery};
 use crate::condition::{CmpOp, Condition};
 
-/// Parses a CNF query, registering any new class labels into `registry`.
+/// Parses a CNF query, registering its new class labels into `registry`.
+/// The registry changes only when the parse succeeds; a query whose new
+/// labels would not fit the 16-bit class-id space fails like any other
+/// parse error.
 pub fn parse_query(input: &str, id: QueryId, registry: &mut ClassRegistry) -> Result<CnfQuery> {
     let mut parser = Parser {
         input,
         tokens: tokenize(input)?,
         position: 0,
         registry,
+        new_labels: ClassRegistry::new(),
     };
     let query = parser.parse_query(id)?;
     if parser.position != parser.tokens.len() {
@@ -38,6 +42,10 @@ pub fn parse_query(input: &str, id: QueryId, registry: &mut ClassRegistry) -> Re
         message,
         position: input.len(),
     })?;
+    // Registered in order, each new label takes the id `class` gave it.
+    for (_, label) in parser.new_labels.iter() {
+        registry.register(label.clone());
+    }
     Ok(query)
 }
 
@@ -145,7 +153,10 @@ struct Parser<'a> {
     input: &'a str,
     tokens: Vec<Token>,
     position: usize,
-    registry: &'a mut ClassRegistry,
+    registry: &'a ClassRegistry,
+    /// Labels `registry` does not know yet, numbered from 0 in first-use
+    /// order: each will take its number past `registry`'s last id.
+    new_labels: ClassRegistry,
 }
 
 impl Parser<'_> {
@@ -163,6 +174,23 @@ impl Parser<'_> {
 
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.position)
+    }
+
+    /// The id `name` has, or will have once the query's new labels are
+    /// registered after the known ones.
+    fn class(&mut self, name: &str, position: usize) -> Result<ClassId> {
+        if let Some(id) = self.registry.id(name) {
+            return Ok(id);
+        }
+        let offset = self
+            .new_labels
+            .register(name)
+            .map(|id| usize::from(id.raw()));
+        let id = offset.and_then(|offset| u16::try_from(self.registry.len() + offset).ok());
+        id.map(ClassId).ok_or_else(|| Error::QueryParse {
+            message: format!("class {name:?} does not fit: all 65,536 class ids are taken"),
+            position,
+        })
     }
 
     fn parse_query(&mut self, id: QueryId) -> Result<CnfQuery> {
@@ -194,10 +222,10 @@ impl Parser<'_> {
 
     fn parse_condition(&mut self) -> Result<Condition> {
         let class = match self.peek() {
-            Some(Token::Ident(name, _)) => {
-                let name = name.clone();
+            Some(Token::Ident(name, position)) => {
+                let (name, position) = (name.clone(), *position);
                 self.position += 1;
-                self.registry.register(name)
+                self.class(&name, position)?
             }
             _ => return Err(self.error("expected a class name")),
         };
@@ -222,9 +250,8 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregates::ClassCounts;
     use std::collections::HashMap;
-    use tvq_common::ClassId;
+    use tvq_common::ClassCounts;
 
     fn counts(pairs: &[(&str, u32)], registry: &ClassRegistry) -> ClassCounts {
         let map: HashMap<ClassId, u32> = pairs
@@ -347,5 +374,68 @@ mod tests {
                 "input {input:?}: expected {fragment:?} in {text:?}"
             );
         }
+    }
+
+    /// New labels take the ids the parse resolved them to, in first-use
+    /// order, and a repeated new label resolves to one id.
+    #[test]
+    fn new_labels_register_in_first_use_order() {
+        let mut registry = ClassRegistry::with_default_classes();
+        let q = parse_query(
+            "zebra >= 1 AND (yak >= 2 OR Zebra >= 3) AND car >= 1",
+            QueryId(0),
+            &mut registry,
+        )
+        .unwrap();
+        assert_eq!(registry.id("zebra"), Some(ClassId(4)));
+        assert_eq!(registry.id("yak"), Some(ClassId(5)));
+        assert_eq!(q.classes(), [ClassId(1), ClassId(4), ClassId(5)]);
+    }
+
+    /// A parse that fails leaves the registry as it was, wherever it fails.
+    #[test]
+    fn failed_parses_register_nothing() {
+        let mut registry = ClassRegistry::with_default_classes();
+        for text in [
+            "newlabel >=",
+            "newlabel >= 1 AND",
+            "(newlabel >= 1 OR other >= 2",
+            "newlabel >= 1 trailing",
+            "newlabel >= 1 AND other > 2",
+        ] {
+            assert!(
+                parse_query(text, QueryId(0), &mut registry).is_err(),
+                "{text}"
+            );
+            assert_eq!(registry.len(), 4, "{text}");
+            assert_eq!(registry.id("newlabel"), None, "{text}");
+        }
+    }
+
+    /// One query naming more new labels than the 16-bit class-id space has
+    /// left fails as a parse error, registering none of them.
+    #[test]
+    fn running_out_of_class_ids_is_a_parse_error() {
+        let mut registry = ClassRegistry::with_default_classes();
+        let fits = 65_536 - registry.len();
+        let text = |labels: usize| {
+            (0..labels)
+                .map(|i| format!("l{i} >= 1"))
+                .collect::<Vec<_>>()
+                .join(" AND ")
+        };
+        let err = parse_query(&text(fits + 1), QueryId(0), &mut registry).unwrap_err();
+        assert!(
+            matches!(&err, Error::QueryParse { message, .. } if message.contains("65,536")),
+            "{err}"
+        );
+        assert_eq!(registry.len(), 4);
+        // Exactly filling the id space is fine.
+        parse_query(&text(fits), QueryId(0), &mut registry).unwrap();
+        assert_eq!(registry.len(), 65_536);
+        assert_eq!(
+            registry.id(format!("l{}", fits - 1)),
+            Some(ClassId(u16::MAX))
+        );
     }
 }

@@ -4,17 +4,26 @@
 //! it will also fail it for every subset of that MCOS (counts only shrink).
 //! Hence, when *every* registered query is `>=`-only, a freshly created state
 //! whose MCOS satisfies no query can be terminated outright — none of its
-//! descendants can ever satisfy anything either. [`GeqOnlyPruner`] packages
-//! this check as the [`StatePruner`] hook consumed by the MCOS maintainers.
+//! descendants can ever satisfy anything either. [`pruning_applies`] states
+//! when that holds, and [`GeqOnlyPruner`] packages the check as the
+//! [`StatePruner`] hook consumed by the MCOS maintainers.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use tvq_common::{ClassId, ObjectId, ObjectSet};
+use tvq_common::{ClassCounts, ClassId, ObjectId, ObjectSet};
 use tvq_core::{SharedPruner, StatePruner};
 
-use crate::aggregates::ClassCounts;
+use crate::cnf::CnfQuery;
 use crate::evaluator::CnfEvaluator;
+
+/// Whether the pruning strategy may terminate states under `queries`:
+/// every query is `>=`-only (Proposition 1) **and** at least one exists —
+/// an empty workload is vacuously `>=`-only, but "no query is satisfiable"
+/// must keep states alive for queries added later.
+pub fn pruning_applies(queries: &[CnfQuery]) -> bool {
+    !queries.is_empty() && queries.iter().all(CnfQuery::is_geq_only)
+}
 
 /// A pruner that terminates states failing every registered `>=`-only query.
 #[derive(Debug, Clone)]
@@ -24,16 +33,13 @@ pub struct GeqOnlyPruner {
 }
 
 impl GeqOnlyPruner {
-    /// Builds the pruner, returning `None` when the workload contains any
-    /// non-`>=` condition (the strategy would then be unsound, Section 5.3).
+    /// Builds the pruner, returning `None` unless [`pruning_applies`] to
+    /// the workload (the strategy would then be unsound, Section 5.3).
     pub fn new(
         evaluator: Arc<CnfEvaluator>,
         classes: Arc<HashMap<ObjectId, ClassId>>,
     ) -> Option<Self> {
-        if evaluator.is_empty() || !evaluator.all_geq_only() {
-            return None;
-        }
-        Some(GeqOnlyPruner { evaluator, classes })
+        pruning_applies(evaluator.queries()).then_some(GeqOnlyPruner { evaluator, classes })
     }
 
     /// Convenience: builds the pruner and wraps it for the maintainer API.
@@ -62,7 +68,6 @@ impl StatePruner for GeqOnlyPruner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cnf::CnfQuery;
     use crate::condition::Condition;
     use tvq_common::QueryId;
 

@@ -170,6 +170,32 @@ fn tracker_id_in_the_alias_range_is_served() {
     handle.stop().unwrap();
 }
 
+/// One `ADD` under the frame limit can name more new class labels than
+/// the 16-bit class-id space holds. It must answer `ERR` and register
+/// nothing, not panic while the engine lock is held.
+#[test]
+fn an_add_that_exhausts_the_class_ids_is_refused() {
+    let handle = start();
+    let mut client = ServerClient::connect(handle.addr()).unwrap();
+    client.expect_ok("ADD car >= 1").unwrap();
+    // The four default classes leave 65,532 ids; this names one more.
+    let labels: Vec<String> = (0..65_533).map(|i| format!("l{i} >= 1")).collect();
+    let add = format!("ADD {}", labels.join(" AND "));
+    assert!(
+        add.len() < tvq_server::protocol::MAX_FRAME_LEN,
+        "{}",
+        add.len()
+    );
+    let reply = client.request(&add).unwrap();
+    assert!(reply.starts_with("ERR"), "{reply}");
+    assert_eq!(client.expect_ok("PING").unwrap(), "OK pong");
+    let stats = client.expect_ok("STATS").unwrap();
+    assert_eq!(field(&stats, "queries"), 1, "{stats}");
+    assert_eq!(field(&stats, "version"), 1, "{stats}");
+    client.quit().unwrap();
+    handle.stop().unwrap();
+}
+
 #[test]
 fn two_clients_share_one_engine() {
     let handle = start();

@@ -55,6 +55,47 @@ fn record_header(data: &[u8], pos: usize) -> Option<(usize, u32)> {
     Some((u32::from_le_bytes(*len) as usize, u32::from_le_bytes(*crc)))
 }
 
+/// The one record parser, behind both [`Wal::open`]'s scan and
+/// [`Wal::read_from`]: reads `data`'s records in order from sequence `seq`,
+/// checking each header, length, CRC-32 and sequence, and hands each
+/// `(seq, body)` to `visit`. Returns the valid prefix's length, the
+/// sequence after it, and why the bytes past it do not parse (a torn tail
+/// at the end of the log, damage anywhere else). A CRC-valid record
+/// carrying the wrong sequence is not a torn write: it fails with
+/// [`Error::Corrupt`].
+fn read_records<'a>(
+    data: &'a [u8],
+    mut seq: u64,
+    mut visit: impl FnMut(u64, &'a [u8]),
+) -> Result<(usize, u64, Option<String>)> {
+    let mut pos = 0usize;
+    while pos < data.len() {
+        let Some((len, crc)) = record_header(data, pos) else {
+            return Ok((pos, seq, Some("truncated record header".into())));
+        };
+        let Some(payload) = data.get(pos + FRAME_HEADER..pos + FRAME_HEADER + len) else {
+            return Ok((pos, seq, Some("truncated record payload".into())));
+        };
+        if crc32(payload) != crc {
+            let reason = format!("record checksum mismatch at seq {seq}");
+            return Ok((pos, seq, Some(reason)));
+        }
+        let mut dec = Decoder::new(payload);
+        let found = dec
+            .take_u64()
+            .map_err(|e| Error::Corrupt(format!("wal record sequence: {e}")))?;
+        if found != seq {
+            return Err(Error::Corrupt(format!(
+                "wal record carries seq {found} where seq {seq} was expected"
+            )));
+        }
+        visit(seq, &payload[payload.len() - dec.remaining()..]);
+        seq += 1;
+        pos += FRAME_HEADER + len;
+    }
+    Ok((pos, seq, None))
+}
+
 fn segment_name(start_seq: u64) -> String {
     format!("wal-{start_seq:020}.log")
 }
@@ -148,7 +189,9 @@ impl Wal {
                 .io
                 .read(&path)
                 .map_err(|e| store_err("read wal segment", e))?;
-            let (valid_len, records, failure) = wal.scan_segment(&data)?;
+            let (valid_len, next_seq, failure) = read_records(&data, wal.next_seq, |_, _| {})?;
+            report.records += next_seq - wal.next_seq;
+            wal.next_seq = next_seq;
             if let Some(reason) = failure {
                 if !last {
                     return Err(Error::Corrupt(format!(
@@ -162,7 +205,6 @@ impl Wal {
                     .truncate(&path, valid_len as u64)
                     .map_err(|e| store_err("truncate torn wal tail", e))?;
             }
-            report.records += records;
             wal.segments.push(Segment {
                 start_seq,
                 path,
@@ -172,46 +214,6 @@ impl Wal {
 
         report.last_seq = wal.next_seq - 1;
         Ok((wal, report))
-    }
-
-    /// Validates a segment's bytes, advancing `self.next_seq` past every
-    /// valid record. Returns the valid byte prefix, the record count, and
-    /// the torn-tail reason if the segment does not parse to its end.
-    /// CRC-valid records carrying an unexpected sequence are not a torn
-    /// tail — they fail hard.
-    fn scan_segment(&mut self, data: &[u8]) -> Result<(usize, u64, Option<String>)> {
-        let mut pos = 0usize;
-        let mut records = 0u64;
-        while pos < data.len() {
-            let Some((len, crc)) = record_header(data, pos) else {
-                return Ok((pos, records, Some("truncated record header".into())));
-            };
-            if data.len() - pos - FRAME_HEADER < len {
-                return Ok((pos, records, Some("truncated record payload".into())));
-            }
-            let payload = &data[pos + FRAME_HEADER..pos + FRAME_HEADER + len];
-            if crc32(payload) != crc {
-                return Ok((
-                    pos,
-                    records,
-                    Some(format!("record checksum mismatch at seq {}", self.next_seq)),
-                ));
-            }
-            let mut dec = Decoder::new(payload);
-            let seq = dec
-                .take_u64()
-                .map_err(|e| Error::Corrupt(format!("wal record sequence: {e}")))?;
-            if seq != self.next_seq {
-                return Err(Error::Corrupt(format!(
-                    "wal record carries seq {seq} where seq {} was expected",
-                    self.next_seq
-                )));
-            }
-            self.next_seq += 1;
-            records += 1;
-            pos += FRAME_HEADER + len;
-        }
-        Ok((pos, records, None))
     }
 
     /// Appends a record with the next sequence number, rotating to a fresh
@@ -298,35 +300,17 @@ impl Wal {
                 .io
                 .read(&segment.path)
                 .map_err(|e| store_err("read wal segment", e))?;
-            let mut pos = 0usize;
-            let mut expect = segment.start_seq;
-            while pos < segment.len.min(data.len()) {
-                let Some((len, crc)) = record_header(&data, pos) else {
-                    return Err(Error::Corrupt("wal record header vanished".into()));
-                };
-                if data.len() - pos - FRAME_HEADER < len {
-                    return Err(Error::Corrupt("wal record payload vanished".into()));
-                }
-                let payload = &data[pos + FRAME_HEADER..pos + FRAME_HEADER + len];
-                if crc32(payload) != crc {
-                    return Err(Error::Corrupt(format!(
-                        "wal record checksum mismatch at seq {expect}"
-                    )));
-                }
-                let mut dec = Decoder::new(payload);
-                let seq = dec
-                    .take_u64()
-                    .map_err(|e| Error::Corrupt(format!("wal record sequence: {e}")))?;
-                if seq != expect {
-                    return Err(Error::Corrupt(format!(
-                        "wal record carries seq {seq} where seq {expect} was expected"
-                    )));
-                }
+            let valid = &data[..segment.len.min(data.len())];
+            let (_, _, failure) = read_records(valid, segment.start_seq, |seq, body| {
                 if seq > after_seq {
-                    out.push((seq, payload[payload.len() - dec.remaining()..].to_vec()));
+                    out.push((seq, body.to_vec()));
                 }
-                expect += 1;
-                pos += FRAME_HEADER + len;
+            })?;
+            if let Some(reason) = failure {
+                return Err(Error::Corrupt(format!(
+                    "wal segment {} is damaged since open: {reason}",
+                    segment.path.display()
+                )));
             }
         }
         Ok(out)
@@ -561,6 +545,40 @@ mod tests {
                 .map(|(_, body)| body)
                 .collect::<Vec<_>>(),
             vec![b"".to_vec(), b"x".to_vec(), b"y".to_vec()]
+        );
+    }
+
+    /// `read_from` re-validates through the reader `open` uses: a record
+    /// damaged after the log was opened fails the read, and so does a
+    /// segment cut short mid-record.
+    #[test]
+    fn damage_after_open_fails_read_from() {
+        let disk = MemDisk::new();
+        let (mut wal, _) = Wal::open(disk.io(), &dir()).unwrap();
+        for body in [b"alpha".as_slice(), b"beta", b"gamma"] {
+            wal.append(body).unwrap();
+        }
+        wal.sync().unwrap();
+        assert_eq!(wal.read_from(0).unwrap().len(), 3);
+
+        let path = dir().join(segment_name(1));
+        let len = disk.io().read(&path).unwrap().len();
+        // The last payload byte: record 3's body.
+        assert!(disk.flip_bit(&path, len - 1));
+        let err = wal.read_from(0).unwrap_err();
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("checksum")),
+            "{err}"
+        );
+        assert!(matches!(wal.read_from(2), Err(Error::Corrupt(_))));
+        assert!(disk.flip_bit(&path, len - 1));
+        assert_eq!(wal.read_from(0).unwrap().len(), 3);
+
+        disk.io().truncate(&path, (len - 2) as u64).unwrap();
+        let err = wal.read_from(0).unwrap_err();
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("payload")),
+            "{err}"
         );
     }
 }

@@ -20,10 +20,12 @@
 //! arena's live ratio decays as turnover retires sets.
 //!
 //! Classes alternate car/person per population slot so classed CNF queries
-//! keep matching throughout the feed's lifetime.
+//! keep matching throughout the feed's lifetime. The feed is the
+//! [`id_reuse`](crate::id_reuse) generator's schedule with recycling off.
 
-use tvq_common::{ClassId, FeedId, FrameId, FrameObjects, ObjectId};
+use tvq_common::FeedId;
 
+use crate::id_reuse::{id_reuse_feed, IdReuseProfile};
 use crate::multifeed::CameraFeed;
 
 /// Shape of a long-churn feed. See the [module docs](self).
@@ -61,63 +63,37 @@ impl ChurnProfile {
     /// interval (the last frame's cohort is `(frames - 1) /
     /// turnover_interval + population` members, numbered from zero).
     pub fn universe_size(&self) -> u64 {
-        if self.frames == 0 {
-            return 0;
+        self.without_recycling().generations()
+    }
+
+    /// The id-recycling shape of this feed with a released id never
+    /// recycled: each generation keeps the fresh id it was admitted with.
+    fn without_recycling(&self) -> IdReuseProfile {
+        IdReuseProfile {
+            frames: self.frames,
+            population: self.population,
+            turnover_interval: self.turnover_interval,
+            recycle_delay: u64::MAX,
+            occlusion_period: self.occlusion_period,
+            occlusion_duty: self.occlusion_duty,
+            emit_track_ends: false,
         }
-        u64::from(self.population) + (self.frames - 1) / self.turnover_interval
     }
 }
 
-/// Synthesises one long-churn feed. Fully deterministic — the schedule is
-/// arithmetic, no RNG involved — so identical profiles produce identical
-/// feeds on every run and platform.
+/// Synthesises one long-churn feed: the [`id_reuse_feed`] generator with
+/// recycling off, so every replacement takes a fresh identifier. Fully
+/// deterministic — the schedule is arithmetic, no RNG involved — so
+/// identical profiles produce identical feeds on every run and platform.
 pub fn long_churn_feed(feed: FeedId, profile: &ChurnProfile) -> CameraFeed {
-    assert!(profile.population > 0, "population must be positive");
-    assert!(
-        profile.turnover_interval > 0,
-        "turnover interval must be positive"
-    );
-    assert!(
-        profile.occlusion_period > 0,
-        "occlusion period must be positive"
-    );
-    let population = u64::from(profile.population);
-    // Decorrelate feeds: each feed's ids live in their own block, so
-    // multi-feed deployments never share objects across cameras.
-    let id_base = u64::from(feed.raw()) * 1_000_000_007 % u64::from(u32::MAX - 1_000_000);
-    let frames = (0..profile.frames)
-        .map(|i| {
-            let replacements = i / profile.turnover_interval;
-            // The rotation starts at slot 1, not slot 0: the very first
-            // population member (id 0, slot 0) lives only for the first
-            // turnover interval, and an occlusion window opening at frame 0
-            // on its slot would hide it for its entire lifetime — the feed
-            // would then mint one id fewer than `universe_size` promises.
-            let occluded_slot = (i / profile.occlusion_period + 1) % population;
-            let occlusion_active = i % profile.occlusion_period < profile.occlusion_duty;
-            let detections = (0..population)
-                // The population is a sliding range of ids: the k-th oldest
-                // member is `replacements + k`. Slot index = id mod population
-                // keeps each id's class stable for its whole lifetime.
-                .map(|k| replacements + k)
-                .filter(|&member| !(occlusion_active && member % population == occluded_slot))
-                .map(|member| {
-                    (
-                        ObjectId((id_base + member) as u32),
-                        ClassId((member % 2) as u16),
-                    )
-                })
-                .collect();
-            FrameObjects::new(FrameId(i), detections)
-        })
-        .collect();
-    CameraFeed { feed, frames }
+    id_reuse_feed(feed, &profile.without_recycling())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use tvq_common::{ClassId, ObjectId};
 
     #[test]
     fn churn_feed_is_deterministic_and_sized() {

@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use tvq_common::{ClassId, ClassRegistry, FrameId, ObjectId, ObjectRecord, VideoRelation};
+use tvq_common::{ClassId, ClassRegistry, FrameId, ObjectId, VideoRelation};
 
 use crate::profiles::DatasetProfile;
 
@@ -31,7 +31,12 @@ pub fn generate(profile: &DatasetProfile, seed: u64) -> VideoRelation {
     let class_ids: Vec<(ClassId, f64)> = profile
         .class_mix
         .iter()
-        .map(|&(label, weight)| (registry.register(label), weight))
+        .map(|&(label, weight)| {
+            let class = registry
+                .register(label)
+                .expect("a class mix fits the class ids");
+            (class, weight)
+        })
         .collect();
     let total_weight: f64 = class_ids.iter().map(|&(_, w)| w).sum();
 
@@ -105,19 +110,21 @@ pub fn generate_with_id_reuse(profile: &DatasetProfile, po: u32, seed: u64) -> V
 /// per identifier (Section 6.2's occlusion parameter). The remapping is
 /// deterministic: identifiers are reassigned in order of first appearance.
 pub fn apply_id_reuse(relation: &VideoRelation, po: u32) -> VideoRelation {
-    // Last frame in which every original identifier appears.
+    // Last frame in which every original identifier appears (frames come
+    // in increasing order, so the last write wins).
     let mut last_seen: HashMap<ObjectId, FrameId> = HashMap::new();
-    for record in relation.records() {
-        let entry = last_seen.entry(record.id).or_insert(record.fid);
-        *entry = (*entry).max(record.fid);
+    for frame in relation.frames() {
+        for &(id, _) in &frame.classes {
+            last_seen.insert(id, frame.fid);
+        }
     }
 
     let mut mapping: HashMap<ObjectId, ObjectId> = HashMap::new();
     let mut pool: VecDeque<ObjectId> = VecDeque::new();
     let mut reuse_counts: HashMap<ObjectId, u32> = HashMap::new();
     let mut next_id = 0u32;
-    let mut records: Vec<ObjectRecord> = Vec::with_capacity(relation.num_records());
     let mut pending_release: Vec<(FrameId, ObjectId)> = Vec::new();
+    let mut rebuilt = VideoRelation::new(relation.registry().clone());
 
     for frame in relation.frames() {
         // Release identifiers whose owners disappeared before this frame.
@@ -132,6 +139,7 @@ pub fn apply_id_reuse(relation: &VideoRelation, po: u32) -> VideoRelation {
                 true
             }
         });
+        let mut detections = Vec::with_capacity(frame.classes.len());
         for &(original, class) in &frame.classes {
             let mapped = *mapping.entry(original).or_insert_with(|| {
                 let id = match pool.pop_front() {
@@ -148,18 +156,9 @@ pub fn apply_id_reuse(relation: &VideoRelation, po: u32) -> VideoRelation {
                 pending_release.push((last_seen[&original], id));
                 id
             });
-            records.push(ObjectRecord {
-                fid: frame.fid,
-                id: mapped,
-                class,
-            });
+            detections.push((mapped, class));
         }
-    }
-    let mut rebuilt = VideoRelation::from_records(relation.registry().clone(), &records)
-        .expect("classes are registered");
-    // Preserve trailing empty frames lost by the record round-trip.
-    while rebuilt.num_frames() < relation.num_frames() {
-        rebuilt.push_detections(Vec::new());
+        rebuilt.push_detections(detections);
     }
     rebuilt
 }

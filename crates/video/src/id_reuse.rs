@@ -1,7 +1,8 @@
 //! Tracker-id recycling feeds.
 //!
-//! The [`churn`](crate::churn) generator mints a **fresh** identifier for
-//! every replacement object — the regime that exercises arena compaction.
+//! The [`churn`](crate::churn) feed is this generator with recycling off: a
+//! **fresh** identifier for every replacement object — the regime that
+//! exercises arena compaction.
 //! Real trackers do the opposite: identifiers come from a finite counter or
 //! pool and are **recycled** once their previous owner is gone. The next
 //! object behind a recycled id is a different physical object and may well
@@ -39,7 +40,7 @@ pub struct IdReuseProfile {
     /// Frames between object replacements (one per interval).
     pub turnover_interval: u64,
     /// Frames a released identifier rests in the pool before it may be
-    /// recycled to a new object.
+    /// recycled to a new object; `u64::MAX` never recycles.
     pub recycle_delay: u64,
     /// Length of the rolling occlusion rotation (frames per slot).
     pub occlusion_period: u64,
@@ -125,7 +126,7 @@ pub fn id_reuse_feed(feed: FeedId, profile: &IdReuseProfile) -> CameraFeed {
 
     let mut admit = |pool: &mut std::collections::VecDeque<(u32, u64)>, frame: u64| -> Member {
         let id = match pool.front() {
-            Some(&(id, released)) if frame >= released + profile.recycle_delay => {
+            Some(&(id, released)) if frame >= released.saturating_add(profile.recycle_delay) => {
                 pool.pop_front();
                 id
             }
