@@ -59,9 +59,9 @@ pub enum Error {
         /// Frames in the failed share.
         queue_depth: usize,
     },
-    /// A multi-feed fleet lost this feed: a share carrying it panicked, or
-    /// its engine failed a catalog op. The fleet can never serve it again
-    /// and refuses every batch holding it, and every report.
+    /// A multi-feed fleet lost this feed: a share carrying it panicked. The
+    /// fleet can never serve it again and refuses every batch holding it,
+    /// and every report.
     FeedLost(crate::FeedId),
 }
 

@@ -73,7 +73,7 @@ mod substrate;
 
 pub use compaction::{CompactionOutcome, CompactionPolicy};
 pub use lifecycle::{LiveBinding, ObjectLifecycle};
-pub use maintainer::{MaintainerKind, StateMaintainer};
+pub use maintainer::{check_order, MaintainerKind, StateMaintainer};
 pub use metrics::MaintenanceMetrics;
 pub use mfs::MfsMaintainer;
 pub use naive::NaiveMaintainer;

@@ -112,6 +112,7 @@ impl ObjectLifecycle {
         relevant: &FxHashSet<ClassId>,
         out: &mut Vec<ObjectId>,
     ) {
+        // infallible: the slow path below drains `pending` before putting it back.
         debug_assert!(self.pending.is_empty());
         for &(external, class) in detections {
             if !relevant.contains(&class) {

@@ -27,6 +27,10 @@ pub trait StateMaintainer: Send {
     /// increasing identifiers; the maintainer slides its window accordingly.
     fn advance(&mut self, frame: FrameId, objects: &ObjectSet) -> Result<()>;
 
+    /// The last frame [`advance`](Self::advance) admitted (`None` before the
+    /// first): [`check_order`] on it says whether the next one is refused.
+    fn last_frame(&self) -> Option<FrameId>;
+
     /// The satisfied, valid states (MCOS + frame sets) of the window ending
     /// at the most recently processed frame.
     fn results(&self) -> &ResultStateSet;
@@ -97,9 +101,10 @@ pub trait StateMaintainer: Send {
     }
 }
 
-/// Helper shared by the maintainers: validates frame ordering, and refuses
-/// the reserved id `FrameId(u64::MAX)` (see [`FrameId`]).
-pub(crate) fn check_order(last: Option<FrameId>, next: FrameId) -> Result<()> {
+/// The frame-order rule every maintainer's [`advance`](StateMaintainer::advance)
+/// applies: frame ids strictly increase after `last`, and the reserved id
+/// `FrameId(u64::MAX)` is refused (see [`FrameId`]).
+pub fn check_order(last: Option<FrameId>, next: FrameId) -> Result<()> {
     if next.raw() == u64::MAX {
         return Err(Error::InvalidConfig(format!(
             "frame id {} is reserved",

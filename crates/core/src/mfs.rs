@@ -159,6 +159,8 @@ impl MfsMaintainer {
                 let [(_, existing), (_, parent)] = self
                     .states
                     .get_disjoint_mut([at, row])
+                    // infallible: two live rows, and `at != row` as `target !=
+                    // sid` (checked above) and no two rows hold one set.
                     .expect("a target is a subset of the frame, its parent is not");
                 if at < live {
                     // Frame Marking Rule 2 onto a state that existed.
@@ -217,6 +219,10 @@ impl StateMaintainer for MfsMaintainer {
         Ok(())
     }
 
+    fn last_frame(&self) -> Option<FrameId> {
+        self.core.last_frame
+    }
+
     fn results(&self) -> &ResultStateSet {
         &self.core.results
     }
@@ -244,6 +250,7 @@ impl StateMaintainer for MfsMaintainer {
         self.rows.clear();
         self.rows.resize(self.core.interner.len(), NO_ROW);
         for (row, (sid, _)) in self.states.iter_mut().enumerate() {
+            // infallible: `compact` kept these rows' handles, its live list.
             *sid = table.remap(*sid).expect("live handles are kept");
             self.rows[sid.raw() as usize] = row as u32;
         }

@@ -177,6 +177,10 @@ impl StateMaintainer for NaiveMaintainer {
         Ok(())
     }
 
+    fn last_frame(&self) -> Option<FrameId> {
+        self.core.last_frame
+    }
+
     fn results(&self) -> &ResultStateSet {
         &self.core.results
     }

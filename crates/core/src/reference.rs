@@ -127,6 +127,10 @@ impl StateMaintainer for ReferenceMaintainer {
         Ok(())
     }
 
+    fn last_frame(&self) -> Option<FrameId> {
+        self.last_frame
+    }
+
     fn results(&self) -> &ResultStateSet {
         &self.results
     }

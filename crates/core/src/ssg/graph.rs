@@ -107,6 +107,7 @@ impl StateGraph {
     /// reference to `source`. Lets frame sets merge between two nodes
     /// without cloning either (`target` and `source` must differ).
     pub fn pair_mut(&mut self, target: NodeId, source: NodeId) -> (&mut Node, &Node) {
+        // infallible: callers pass nodes with different sets or check first.
         debug_assert_ne!(target, source, "pair_mut needs two distinct nodes");
         if target < source {
             let (left, right) = self.nodes.split_at_mut(source);
@@ -126,6 +127,7 @@ impl StateGraph {
     /// Inserts a new node for the interned set `sid`; the handle must not
     /// already be present.
     pub fn insert(&mut self, sid: SetId) -> NodeId {
+        // infallible: both callers insert after `id_of(sid)` answered `None`.
         debug_assert!(self.id_of(sid).is_none(), "duplicate node for {sid:?}");
         let node = Node::new(sid);
         let id = match self.free.pop() {
@@ -168,6 +170,7 @@ impl StateGraph {
             let node = &mut self.nodes[id];
             node.sid = table
                 .remap(node.sid)
+                // infallible: the compaction kept `live_sids()`, its live list.
                 .expect("every live node's set is in the compaction live list");
             node.last_inter = table.remap(node.last_inter).unwrap_or(SetId::EMPTY);
             self.by_set[node.sid.raw() as usize] = id;
@@ -224,6 +227,9 @@ impl StateGraph {
             return bitmaps();
         }
         let answer = (node.last_inter == sid, node.last_inter == node.sid);
+        // infallible: `sid` is `parent ∩ F`, and this child of it, visited at
+        // `frame`, holds `last_inter = node ∩ F`; as node ⊊ parent, `sid ⊆
+        // node` iff `node ∩ F = sid`, and `node ⊆ sid` iff `node ∩ F = node`.
         debug_assert_eq!(answer, bitmaps(), "handle answer for {sid:?}");
         answer
     }
@@ -286,6 +292,8 @@ impl StateGraph {
                 // A tighter ancestor exists among the siblings; attach below
                 // it, unless it already did so this frame.
                 if frame == Some(self.nodes[sibling].ensured) {
+                    // infallible: the sibling's `ensure_state` ran this frame
+                    // on its `last_inter`, `sid`, attaching `child` below it.
                     debug_assert!(self.reaches(sibling, child));
                     return;
                 }

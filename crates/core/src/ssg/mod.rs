@@ -204,7 +204,10 @@ impl SsgMaintainer {
     /// frame, from the node's own visit.
     fn ensure_state(&mut self, sid: SetId, parent: NodeId, at: Arrival) {
         let node = self.graph.node_mut(parent);
+        // infallible: the caller is `parent`'s visit, which stamped both.
         debug_assert_eq!((sid, node.visited), (node.last_inter, at.frame.raw()));
+        // infallible: a node is visited once a frame, and calls this only for
+        // an `inter` that is not empty, its own set or the frame's.
         debug_assert!(
             node.ensured != at.frame.raw() && ![SetId::EMPTY, node.sid, at.sid].contains(&sid)
         );
@@ -307,6 +310,7 @@ impl SsgMaintainer {
     fn visit_children(&mut self, node: NodeId, inter: SetId, at: Arrival) {
         let count = self.graph.node(node).children.len();
         for index in 0..count {
+            // infallible: module docs, "The walk reads child lists in place".
             debug_assert_eq!(self.graph.node(node).children.len(), count);
             let child = self.graph.node(node).children[index];
             self.st_visit(child, Some(node), inter, at);
@@ -456,9 +460,9 @@ impl StateMaintainer for SsgMaintainer {
                 // names no node).
                 if let Some(candidate) = self.graph.id_of(self.graph.node(root).last_inter) {
                     self.candidates_scratch.push(candidate);
-                    // The candidate was expired when the frame reached it,
-                    // so only in-window creation frames find a frame to
-                    // mark. It may be the root itself.
+                    // infallible: the candidate was expired when the frame
+                    // reached it ("Window expiry"), so only in-window creation
+                    // frames find a frame to mark. It may be the root itself.
                     debug_assert!(self
                         .graph
                         .node(candidate)
@@ -512,6 +516,10 @@ impl StateMaintainer for SsgMaintainer {
         Ok(())
     }
 
+    fn last_frame(&self) -> Option<FrameId> {
+        self.core.last_frame
+    }
+
     fn results(&self) -> &ResultStateSet {
         &self.core.results
     }
@@ -540,6 +548,8 @@ impl StateMaintainer for SsgMaintainer {
         for sid in &mut self.prev_results {
             *sid = table
                 .remap(*sid)
+                // infallible: between frames the last results are live nodes,
+                // and the compaction kept `live_sids()`, its live list.
                 .expect("result states are live graph nodes");
         }
         self.prev_results.sort_unstable();

@@ -32,7 +32,7 @@ pub(crate) struct Substrate {
     /// The Section 5.3 pruner (the `_O` variants) and its verdicts.
     pruner: Option<SharedPruner>,
     verdicts: PrunerVerdictCache,
-    last_frame: Option<FrameId>,
+    pub(crate) last_frame: Option<FrameId>,
 }
 
 impl Substrate {

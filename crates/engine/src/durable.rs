@@ -54,7 +54,7 @@ pub(crate) struct Durability {
     /// written.
     snapshot_due: bool,
     /// Sequence of the previous retained snapshot — the WAL prune cursor.
-    prev_snapshot_seq: Option<u64>,
+    prev_snapshot_seq: u64,
     /// Recoveries this engine went through (1 after `recover`).
     pub(crate) recoveries: u64,
 }
@@ -115,7 +115,7 @@ impl TemporalVideoQueryEngine {
             wal,
             snaps,
             snapshot_due: false,
-            prev_snapshot_seq: Some(seq),
+            prev_snapshot_seq: seq,
             recoveries: 0,
         });
         Ok(())
@@ -223,7 +223,7 @@ impl TemporalVideoQueryEngine {
             // Checkpoint the replayed state at the next opportunity so a
             // crash loop cannot grow the unpruned tail without bound.
             snapshot_due: true,
-            prev_snapshot_seq: Some(loaded.seq),
+            prev_snapshot_seq: loaded.seq,
             recoveries: 1,
         });
         Ok((engine, report))
@@ -275,10 +275,8 @@ impl TemporalVideoQueryEngine {
         };
         let seq = d.wal.next_seq() - 1;
         d.snaps.save(seq, &payload)?;
-        if let Some(prev) = d.prev_snapshot_seq {
-            d.wal.prune_through(prev)?;
-        }
-        d.prev_snapshot_seq = Some(seq);
+        d.wal.prune_through(d.prev_snapshot_seq)?;
+        d.prev_snapshot_seq = seq;
         d.snapshot_due = false;
         Ok(())
     }
@@ -347,5 +345,47 @@ mod tests {
         assert!(recovered.queries().iter().any(|q| q.id == person));
         assert_eq!(report.replayed_frames.last(), Some(&expected));
         assert!(recovered.observe(&frame(3)).unwrap().any());
+    }
+
+    /// A frame the maintainer refuses between acknowledged ones is never
+    /// logged, so it must not change the live engine either: recovery
+    /// replays exactly what was acknowledged, and the recovered engine
+    /// continues as a run that never saw the refused frame.
+    #[test]
+    fn a_refused_frame_between_acked_ones_survives_recovery_unseen() {
+        let build = || {
+            TemporalVideoQueryEngine::builder(EngineConfig::new(WindowSpec::new(4, 2).unwrap()))
+                .with_query_text("car >= 1 AND person >= 1")
+                .unwrap()
+                .build()
+                .unwrap()
+        };
+        let frame = |fid| {
+            let detections = vec![(ObjectId(1), ClassId(1)), (ObjectId(2), ClassId(0))];
+            FrameObjects::new(FrameId(fid), detections)
+        };
+        let disk = MemDisk::new();
+        let dir = Path::new("/engine");
+        let (mut subject, mut uninterrupted) = (build(), build());
+        subject.attach_durability(disk.io(), dir).unwrap();
+        let mut acked = Vec::new();
+        for fid in 0..4u64 {
+            if fid == 2 {
+                let refused = FrameObjects::new(FrameId(1), vec![(ObjectId(1), ClassId(0))])
+                    .with_track_ends(vec![ObjectId(1)]);
+                assert!(subject.observe(&refused).is_err());
+            }
+            let result = subject.observe(&frame(fid)).unwrap();
+            assert_eq!(result, uninterrupted.observe(&frame(fid)).unwrap());
+            acked.push(result);
+        }
+        drop(subject);
+
+        let (mut recovered, report) = TemporalVideoQueryEngine::recover(disk.io(), dir).unwrap();
+        assert_eq!(report.replayed_frames, acked);
+        for fid in 4..8u64 {
+            let expected = uninterrupted.observe(&frame(fid)).unwrap();
+            assert_eq!(recovered.observe(&frame(fid)).unwrap(), expected);
+        }
     }
 }

@@ -13,7 +13,9 @@ use tvq_common::{
     shared_class_store, ClassRegistry, Error, FrameId, FrameObjects, ObjectId, ObjectSet, QueryId,
     Result, SetInterner, SharedClassMap,
 };
-use tvq_core::{MaintenanceMetrics, ObjectLifecycle, SharedPruner, StateMaintainer, StatePruner};
+use tvq_core::{
+    check_order, MaintenanceMetrics, ObjectLifecycle, SharedPruner, StateMaintainer, StatePruner,
+};
 use tvq_query::{evaluate_result_set, ClassCounts, CnfQuery, QueryMatch};
 
 use crate::catalog::{QueryCatalog, SharedCatalog};
@@ -468,6 +470,9 @@ impl TemporalVideoQueryEngine {
     /// The in-memory half of [`observe`](Self::observe) — also the
     /// WAL-replay path, which must not re-log the records it replays.
     pub(crate) fn observe_applied(&mut self, frame: &FrameObjects) -> Result<FrameResult> {
+        // A frame the maintainer will refuse changes nothing, lifecycle
+        // included.
+        check_order(self.maintainer.last_frame(), frame.fid)?;
         // Apply track-end events *before* resolving this frame's detections:
         // an id the tracker ended and immediately recycled (same frame or a
         // later one, same class or not) must start a new generation rather
@@ -885,6 +890,46 @@ mod tests {
             matched |= engine.observe(f).unwrap().any();
         }
         assert!(matched, "without end events the splice false-matches");
+    }
+
+    /// A frame the maintainer refuses, out of order or at the reserved id,
+    /// leaves the lifecycle and every metric as they were, so the stream
+    /// continues exactly as if it had never been sent.
+    #[test]
+    fn a_refused_frame_changes_nothing() {
+        for kind in MaintainerKind::PRODUCTION {
+            let build = || {
+                TemporalVideoQueryEngine::builder(small_config(kind))
+                    .with_query_text("car >= 1 AND person >= 1")
+                    .unwrap()
+                    .build()
+                    .unwrap()
+            };
+            let (mut subject, mut twin) = (build(), build());
+            for engine in [&mut subject, &mut twin] {
+                engine.observe(&frame(5, &[(1, 1)])).unwrap();
+            }
+            let before = subject.metrics();
+            let late = frame(3, &[(1, 0), (2, 1)]).with_track_ends(vec![ObjectId(1)]);
+            assert!(matches!(
+                subject.observe(&late),
+                Err(Error::OutOfOrderFrame { last: 5, got: 3 })
+            ));
+            assert_eq!(subject.metrics(), before, "{kind:?}: out of order");
+            assert!(!subject.lifecycle().has_aliases(), "{kind:?}");
+            let reserved = frame(u64::MAX, &[(3, 1)]);
+            assert!(matches!(
+                subject.observe(&reserved),
+                Err(Error::InvalidConfig(_))
+            ));
+            assert_eq!(subject.metrics(), before, "{kind:?}: reserved id");
+            for fid in 6..10u64 {
+                let next = frame(fid, &[(1, 1), (2, 0)]);
+                let expected = twin.observe(&next).unwrap();
+                assert_eq!(subject.observe(&next).unwrap(), expected, "{kind:?}");
+            }
+            assert_eq!(subject.metrics(), twin.metrics(), "{kind:?}");
+        }
     }
 
     /// Ending a track and recycling its id in the *same* frame still

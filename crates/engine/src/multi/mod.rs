@@ -6,11 +6,12 @@
 //! [`MultiFeedEngine`] owns those engines, keyed by [`FeedId`], and runs
 //! each batch as a fork/join:
 //!
-//! * [`MultiFeedEngine::push_batch`] splits a batch into one share per
-//!   worker and runs every non-empty share on its own scoped thread
-//!   (`std::thread::scope`), which borrows the engines of the share's feeds
-//!   from the fleet's map; the per-frame results come back in the batch's
-//!   input order once every thread has joined;
+//! * [`MultiFeedEngine::push_batch`] builds the engine of each new feed,
+//!   splits the batch into one share per worker and runs every non-empty
+//!   share on its own scoped thread (`std::thread::scope`), which borrows
+//!   the engines of the share's feeds from the fleet's map; the per-frame
+//!   results come back in the batch's input order once every thread has
+//!   joined;
 //! * which share gets a feed is a pure function of the batch: feeds go in
 //!   descending cost (frames plus detections), each to the share with the
 //!   least cost so far (see [`push_batch`](MultiFeedEngine::push_batch)).
@@ -27,22 +28,22 @@
 //!
 //! # Ownership
 //!
-//! The engines never leave the fleet's map: a share's thread only borrows
-//! them, and hands back the engines it built for feeds that had none, each
-//! on a fork of the fleet's master [`QueryCatalog`]. So a report is a read,
-//! and a catalog op is a master-catalog op (which holds the rules, so a
-//! refused op touches no engine) followed by a loop over the engines on the
-//! caller's thread, whose errors reach the caller. Two rules hold:
+//! The fleet's map owns every engine from birth: `push_batch` builds the
+//! engine of a feed it sees for the first time in the map, on the caller's
+//! thread and on a fork of the fleet's master [`QueryCatalog`], before it
+//! places the shares. A share's thread only borrows engines, so a report is
+//! a read, and a catalog op is a master-catalog op (which holds the rules,
+//! so a refused op touches no engine) followed by the same op on every
+//! engine. Two rules hold:
 //!
 //! 1. **Engines stay home.** `push_batch` returns — `Ok` or `Err` — only
 //!    after every thread it spawned has joined, so no engine is ever
 //!    anywhere but in its slot between calls. A share whose thread cannot
 //!    be spawned runs nothing and loses nothing.
 //! 2. **Lost is lost.** A share whose thread panics loses every feed it
-//!    carried (the engines may be torn mid-frame), and an engine that fails
-//!    a catalog op loses its feed. The fleet answers [`Error::FeedLost`]
-//!    for a lost feed from then on, refusing any batch that holds it before
-//!    a share runs — never a silently fresh engine.
+//!    carried (the engines may be torn mid-frame). The fleet answers
+//!    [`Error::FeedLost`] for a lost feed from then on, refusing any batch
+//!    that holds it before a share runs — never a silently fresh engine.
 //!
 //! # Example
 //!
@@ -81,9 +82,8 @@
 //! assert_eq!(report.metrics.frames_processed, 6);
 //! ```
 
-mod worker;
-
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 use tvq_common::{ClassRegistry, Error, FeedId, FrameObjects, QueryId, Result};
 use tvq_core::MaintenanceMetrics;
@@ -262,12 +262,12 @@ pub struct MultiFeedEngine {
     /// and a new per-feed engine starts with a copy.
     registry: ClassRegistry,
     /// The master catalog: every engine's catalog mirrors it, at its
-    /// version, and a share builds a feed's missing engine on a
+    /// version, and a new feed's engine is built on a
     /// [`fork`](QueryCatalog::fork) of it.
     catalog: QueryCatalog,
-    /// Every feed's engine. An empty slot is a *lost* feed: its share's
-    /// thread panicked or it failed a catalog op (ownership rule 2).
-    engines: BTreeMap<FeedId, Option<Box<TemporalVideoQueryEngine>>>,
+    /// Every feed's engine. An empty slot is a *lost* feed: a share
+    /// carrying it panicked (ownership rule 2).
+    engines: BTreeMap<FeedId, Option<TemporalVideoQueryEngine>>,
     /// Peak frames one batch queued to a single share.
     peak_shard_depth: u64,
     /// Worker-time telemetry (see [`SchedulingStats`]).
@@ -318,9 +318,13 @@ impl MultiFeedEngine {
 
     /// Registers a query across the whole fleet: behind every frame already
     /// pushed and ahead of every frame pushed later, for every feed alike.
+    ///
+    /// Once the master catalog accepts the op, every engine does too: each
+    /// engine's catalog is the master's, at the same version, and no fleet
+    /// engine is durable.
     pub fn add_query(&mut self, query: CnfQuery) -> Result<()> {
         self.catalog.add_query(query.clone())?;
-        self.apply_to_engines(|engine| engine.add_query(query.clone()))
+        (self.engines.values_mut().flatten()).try_for_each(|engine| engine.add_query(query.clone()))
     }
 
     /// Parses and registers a textual query (e.g. `"car >= 2"`) across the
@@ -336,24 +340,7 @@ impl MultiFeedEngine {
     /// contract as [`add_query`](Self::add_query)).
     pub fn remove_query(&mut self, id: QueryId) -> Result<()> {
         self.catalog.remove_query(id)?;
-        self.apply_to_engines(|engine| engine.remove_query(id))
-    }
-
-    /// Applies an op the master catalog has committed to every engine; an
-    /// engine whose own `apply` then fails is lost, and the first such
-    /// error is returned.
-    fn apply_to_engines(
-        &mut self,
-        apply: impl Fn(&mut TemporalVideoQueryEngine) -> Result<()>,
-    ) -> Result<()> {
-        let mut outcome = Ok(());
-        for slot in self.engines.values_mut() {
-            if let Some(Err(error)) = slot.as_deref_mut().map(&apply) {
-                *slot = None;
-                outcome = outcome.and(Err(error));
-            }
-        }
-        outcome
+        (self.engines.values_mut().flatten()).try_for_each(|engine| engine.remove_query(id))
     }
 
     /// Whether `feed` was lost (ownership rule 2).
@@ -377,7 +364,9 @@ impl MultiFeedEngine {
     /// order (the usual streaming contract); frames of different feeds may
     /// be interleaved arbitrarily. A batch holding a feed the fleet has lost
     /// is refused with [`Error::FeedLost`], naming the lowest such feed,
-    /// before any share runs, so it applies nothing.
+    /// before any share runs, so it applies nothing. Otherwise each feed
+    /// the fleet has not seen gets its engine in the fleet's map, on a fork
+    /// of the master catalog, before the shares are placed.
     ///
     /// The batch places its own feeds on the workers' shares, from its own
     /// costs (one unit per frame plus one per detection): feeds go in
@@ -398,6 +387,16 @@ impl MultiFeedEngine {
         if let Some(&lost) = costs.keys().find(|&&feed| self.is_lost(feed)) {
             return Err(Error::FeedLost(lost));
         }
+        for &feed in costs.keys() {
+            self.engines.entry(feed).or_insert_with(|| {
+                let catalog = self.catalog.fork();
+                Some(TemporalVideoQueryEngine::new(
+                    self.config.engine,
+                    self.registry.clone(),
+                    catalog,
+                ))
+            });
+        }
         // Group the batch's positions per share, in batch order (which
         // preserves per-feed frame order).
         let placement = place(&costs, self.config.workers);
@@ -411,23 +410,18 @@ impl MultiFeedEngine {
         let mut lent: Vec<BTreeMap<FeedId, &mut TemporalVideoQueryEngine>> =
             shares.iter().map(|_| BTreeMap::new()).collect();
         for (&feed, slot) in &mut self.engines {
-            if let (Some(&share), Some(engine)) = (placement.get(&feed), slot.as_deref_mut()) {
+            if let (Some(&share), Some(engine)) = (placement.get(&feed), slot.as_mut()) {
                 lent[share].insert(feed, engine);
             }
         }
-        let (config, registry, catalog) = (&self.config.engine, &self.registry, &self.catalog);
-        let new_engine =
-            || TemporalVideoQueryEngine::new(*config, registry.clone(), catalog.fork());
         let joined: Vec<_> = std::thread::scope(|scope| {
             let threads: Vec<_> = (shares.iter().zip(lent).enumerate())
                 .map(|(worker, (share, lent))| {
                     if share.is_empty() {
                         return None;
                     }
-                    let new_engine = &new_engine;
-                    let run = move || worker::run_share(new_engine, batch, share, lent);
                     (std::thread::Builder::new().name(format!("tvq-shard-{worker}")))
-                        .spawn_scoped(scope, run)
+                        .spawn_scoped(scope, move || run_share(batch, share, lent))
                         .ok()
                 })
                 .collect();
@@ -440,13 +434,10 @@ impl MultiFeedEngine {
         let mut failure = None;
         for (worker, (share, joined)) in shares.iter().zip(joined).enumerate() {
             let failed = match joined {
-                Some(Ok(done)) => {
-                    busy += done.busy_nanos;
-                    busiest = busiest.max(done.busy_nanos);
-                    for (feed, engine) in done.built {
-                        self.engines.insert(feed, Some(engine));
-                    }
-                    for (seq, outcome) in done.outcomes {
+                Some(Ok((outcomes, busy_nanos))) => {
+                    busy += busy_nanos;
+                    busiest = busiest.max(busy_nanos);
+                    for (seq, outcome) in outcomes {
                         slots[seq] = Some(outcome);
                     }
                     false
@@ -526,6 +517,29 @@ impl MultiFeedEngine {
             catalog_version: self.catalog.version(),
         })
     }
+}
+
+/// Runs the frames at batch positions `share`, in order, each on its feed's
+/// engine lent from the fleet's map. Returns the per-frame outcomes by batch
+/// position and the nanoseconds the share took (see [`SchedulingStats`]).
+fn run_share(
+    batch: &[FeedFrame],
+    share: &[usize],
+    mut lent: BTreeMap<FeedId, &mut TemporalVideoQueryEngine>,
+) -> (Vec<(usize, Result<FrameResult>)>, u64) {
+    let started = Instant::now();
+    let outcomes = (share.iter())
+        .map(|&seq| {
+            let FeedFrame { feed, frame } = &batch[seq];
+            #[cfg(test)]
+            assert_ne!(frame.fid.raw(), u64::MAX, "a test panics this share");
+            // infallible: push_batch gives every feed of the batch an engine
+            // and lends it to the feed's share.
+            let engine = lent.get_mut(feed).expect("a share's feeds are lent");
+            (seq, engine.observe(frame))
+        })
+        .collect();
+    (outcomes, started.elapsed().as_nanos() as u64)
 }
 
 /// A batch's cost per feed: one unit per frame plus one per detection.

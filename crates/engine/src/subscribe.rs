@@ -73,6 +73,12 @@ impl Subscription {
         self.queue.len()
     }
 
+    /// The queued events, oldest first, read in place: the next
+    /// [`poll`](SubscriptionHub::poll) returns a prefix of them.
+    pub fn events(&self) -> impl Iterator<Item = &Arc<MatchEvent>> {
+        self.queue.iter()
+    }
+
     /// The queue bound.
     pub fn capacity(&self) -> usize {
         self.capacity

@@ -13,7 +13,7 @@
 //! | `SUBSCRIBE [cap=<n>] [<qid>...]` | register a match subscriber; no ids = all queries |
 //! | `UNSUBSCRIBE <sub>` | drop a subscriber and its queue |
 //! | `FRAME <fid> [<id>:<label>...] [END <id>,...]` | ingest one frame; `END` ids are track ends |
-//! | `POLL <sub> [max]` | drain up to `max` queued match events (as many as fit one frame) |
+//! | `POLL <sub> [max]` | take up to `max` queued match events, as many as fit one frame; the rest stay queued |
 //! | `STATS` | catalog version, counters, strategy |
 //! | `SHUTDOWN` | flush + fsync durable state, then stop the server |
 //! | `PING` / `QUIT` | liveness / close |
@@ -25,7 +25,6 @@
 //! counted as `ignored` rather than rejected, mirroring the engine's own
 //! relevant-class filter.
 
-use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
@@ -35,7 +34,7 @@ use std::thread::JoinHandle;
 
 use tvq_common::{Error, FeedId, FrameId, FrameObjects, ObjectId, Result};
 use tvq_engine::{
-    EngineConfig, MatchEvent, SubscriberId, Subscription, SubscriptionHub, TemporalVideoQueryEngine,
+    EngineConfig, SubscriberId, Subscription, SubscriptionHub, TemporalVideoQueryEngine,
 };
 use tvq_store::{RealIo, SharedIo};
 
@@ -48,9 +47,6 @@ use crate::protocol::{read_frame_bytes, write_frame, MAX_FRAME_LEN};
 struct ServerState {
     engine: TemporalVideoQueryEngine,
     hub: SubscriptionHub,
-    /// Per subscriber, the event a `POLL` drained but could not fit: it
-    /// heads that subscriber's queue.
-    held: BTreeMap<SubscriberId, Arc<MatchEvent>>,
 }
 
 impl ServerState {
@@ -58,7 +54,6 @@ impl ServerState {
         ServerState {
             engine,
             hub: SubscriptionHub::new(),
-            held: BTreeMap::new(),
         }
     }
 
@@ -107,7 +102,6 @@ impl ServerState {
         let id: u32 = parse(rest, "REMOVE needs a query id")?;
         self.engine.remove_query(tvq_common::QueryId(id))?;
         self.hub.retract_query(tvq_common::QueryId(id));
-        self.held.retain(|_, event| event.matched.query.0 != id);
         Ok(format!(
             "OK removed={} version={}",
             id,
@@ -133,7 +127,6 @@ impl ServerState {
     fn unsubscribe(&mut self, rest: &str) -> Result<String> {
         let id: u64 = parse(rest, "UNSUBSCRIBE needs a subscriber id")?;
         self.hub.unsubscribe(SubscriberId(id))?;
-        self.held.remove(&SubscriberId(id));
         Ok(format!("OK unsubscribed={id}"))
     }
 
@@ -178,9 +171,10 @@ impl ServerState {
         ))
     }
 
-    /// Drains events one at a time until `max`, the queue's end, or an
-    /// event that would push the reply past [`MAX_FRAME_LEN`]: that one is
-    /// held, and `remaining=` counts it.
+    /// Formats the subscriber's queued events in place until `max`, the
+    /// queue's end, or an event that would push the reply past
+    /// [`MAX_FRAME_LEN`], then takes exactly the formatted ones from the
+    /// hub: the rest stay queued, and `remaining=` counts them.
     fn poll(&mut self, rest: &str) -> Result<String> {
         let mut tokens = rest.split_whitespace();
         let sub = SubscriberId(parse(
@@ -192,17 +186,14 @@ impl ServerState {
             None => usize::MAX,
         };
         self.hub.poll(sub, 0)?; // rejects an unknown subscriber
-        let queued = |hub: &SubscriptionHub| hub.subscription(sub).map_or(0, Subscription::queued);
-        let dropped = self.hub.subscription(sub).map_or(0, Subscription::dropped);
-        let header = |events: usize, remaining: usize| {
+        let subscription = self.hub.subscription(sub);
+        let (queued, dropped) = subscription.map_or((0, 0), |s| (s.queued(), s.dropped()));
+        let header = |events: usize| {
+            let remaining = queued - events;
             format!("OK events={events} dropped={dropped} remaining={remaining}")
         };
         let (mut events, mut lines) = (0, String::new());
-        while events < max {
-            let next = self.held.remove(&sub);
-            let Some(event) = next.or_else(|| self.hub.poll(sub, 1).ok()?.pop()) else {
-                break;
-            };
+        for event in (subscription.into_iter().flat_map(Subscription::events)).take(max) {
             let objects: Vec<String> = (event.matched.objects.iter())
                 .map(|o| o.0.to_string())
                 .collect();
@@ -213,16 +204,14 @@ impl ServerState {
                 event.matched.query.0,
                 objects.join(",")
             );
-            let after = header(events + 1, queued(&self.hub)).len() + lines.len() + line.len();
-            if after > MAX_FRAME_LEN {
-                self.held.insert(sub, event);
+            if header(events + 1).len() + lines.len() + line.len() > MAX_FRAME_LEN {
                 break;
             }
             lines.push_str(&line);
             events += 1;
         }
-        let held = usize::from(self.held.contains_key(&sub));
-        Ok(header(events, queued(&self.hub) + held) + &lines)
+        self.hub.poll(sub, events)?;
+        Ok(header(events) + &lines)
     }
 
     fn stats(&self) -> String {
@@ -585,6 +574,34 @@ mod tests {
         assert!(response.contains("matches=1"), "{response}");
         drop(client);
         handle.stop().unwrap();
+    }
+
+    /// A `POLL` cut short by the frame limit takes from the hub exactly the
+    /// events it sends: the rest stay queued, so the subscription's
+    /// counters agree with the reply.
+    #[test]
+    fn a_poll_cut_short_delivers_exactly_what_it_sends() {
+        let mut state = state();
+        state.execute("ADD car >= 1");
+        state.execute("SUBSCRIBE cap=1000");
+        let cars: String = (0..1000)
+            .map(|id| format!(" {}:car", 100_000 + id))
+            .collect();
+        for fid in 0..200 {
+            state.execute(&format!("FRAME {fid}{cars}"));
+        }
+        let poll = state.execute("POLL 0");
+        let field = |name: &str| -> usize {
+            let header = poll.lines().next().unwrap();
+            let value = header.split(&format!("{name}=")).nth(1).unwrap();
+            value.split_whitespace().next().unwrap().parse().unwrap()
+        };
+        let (events, remaining) = (field("events"), field("remaining"));
+        assert_eq!(poll.lines().count() - 1, events);
+        assert!(remaining > 0, "the reply must stop short: {remaining}");
+        let subscription = state.hub.subscription(SubscriberId(0)).unwrap();
+        assert_eq!(subscription.delivered(), events as u64);
+        assert_eq!(subscription.queued(), remaining);
     }
 
     #[test]
