@@ -22,14 +22,14 @@
 //! would be created, and rejected object sets are remembered as *terminated*
 //! so they are never materialised again while they remain hopeless.
 //!
-//! A frame is **one sweep** over a dense state table: each live state is
-//! intersected with the frame once, without the interner's memo (the frame
-//! is usually a set MFS has not met), and the outcome is applied on the
-//! spot — no pair list, no sort, no hash lookup.
+//! A frame is **one sweep** over the dense state table it shares with SSG
+//! (`substrate::StateTable`): each live state is intersected with the frame
+//! once, without the interner's memo (the frame is usually a set MFS has
+//! not met), and the outcome is applied on the spot — no pair list, no
+//! sort, no hash lookup.
 
 use tvq_common::{
-    Decoder, Encoder, Error, FrameId, MarkedFrameSet, ObjectSet, Result, SetId, SetInterner,
-    WindowSpec,
+    Decoder, Encoder, FrameId, MarkedFrameSet, ObjectSet, Result, SetId, SetInterner, WindowSpec,
 };
 
 use crate::compaction::{CompactionOutcome, CompactionPolicy};
@@ -37,31 +37,23 @@ use crate::maintainer::StateMaintainer;
 use crate::metrics::MaintenanceMetrics;
 use crate::prune::SharedPruner;
 use crate::result_set::ResultStateSet;
-use crate::substrate::Substrate;
-
-/// Marks a handle that is not a live state in [`MfsMaintainer::rows`].
-const NO_ROW: u32 = u32::MAX;
+use crate::substrate::{StateTable, Substrate};
 
 /// The Marked Frame Set state maintainer.
 ///
-/// The live states are rows of one vector, each an interned [`SetId`] and
-/// its marked frame set, found by handle through a dense `rows` column. A
-/// frame costs one word-AND over two bitmaps per live state, then a few
-/// word operations on the frame sets.
+/// The live states are the rows of a `StateTable` shared with SSG. A frame
+/// costs one word-AND over two bitmaps per live state, then a few word
+/// operations on the frame sets.
 pub struct MfsMaintainer {
     core: Substrate,
-    /// The live states, in no order the algorithm relies on.
-    states: Vec<(SetId, MarkedFrameSet)>,
-    /// Raw handle → its row in `states`, or [`NO_ROW`]; grown to the
-    /// interner's length when a row is added.
-    rows: Vec<u32>,
+    table: StateTable,
 }
 
 impl std::fmt::Debug for MfsMaintainer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MfsMaintainer")
             .field("spec", &self.core.spec)
-            .field("live_states", &self.states.len())
+            .field("live_states", &self.table.len())
             .finish()
     }
 }
@@ -83,48 +75,14 @@ impl MfsMaintainer {
     ) -> Self {
         MfsMaintainer {
             core: Substrate::new(spec, interner, pruner),
-            states: Vec::new(),
-            rows: Vec::new(),
+            table: StateTable::default(),
         }
     }
 
     /// Exposes the live states (object set → marked frame set) for the
     /// worked-example assertions.
     pub fn states(&self) -> impl Iterator<Item = (ObjectSet, &MarkedFrameSet)> {
-        self.states
-            .iter()
-            .map(|(sid, frames)| (self.core.interner.resolve(*sid), frames))
-    }
-
-    /// The row holding the live state of `sid`, if it is one.
-    fn row_of(&self, sid: SetId) -> Option<usize> {
-        let row = *self.rows.get(sid.raw() as usize)?;
-        (row != NO_ROW).then_some(row as usize)
-    }
-
-    /// Appends a row for a handle that is not a live state.
-    fn push_row(&mut self, sid: SetId, frames: MarkedFrameSet) {
-        let at = sid.raw() as usize;
-        if at >= self.rows.len() {
-            self.rows.resize(self.core.interner.len(), NO_ROW);
-        }
-        self.rows[at] = self.states.len() as u32;
-        self.states.push((sid, frames));
-    }
-
-    fn expire(&mut self, oldest: FrameId) {
-        let before = self.states.len();
-        let (rows, mut kept) = (&mut self.rows, 0);
-        self.states.retain_mut(|(sid, frames)| {
-            frames.expire_before(oldest);
-            // A state with no marked frame left is invalid (Theorem 1) and is
-            // dropped even though its frame set may still be non-empty.
-            let keep = frames.has_marked();
-            rows[sid.raw() as usize] = if keep { kept } else { NO_ROW };
-            kept += u32::from(keep);
-            keep
-        });
-        self.core.metrics.states_pruned += (before - self.states.len()) as u64;
+        self.table.states(&self.core.interner)
     }
 
     fn process_frame(&mut self, frame: FrameId, objects: &ObjectSet) {
@@ -138,9 +96,9 @@ impl MfsMaintainer {
         // is a subset of the frame and its parent is not, so no row is
         // both: every parent is read with its pre-frame frames and marks,
         // and the rows the sweep appends (from `live` on) are never swept.
-        let live = self.states.len();
+        let live = self.table.len();
         for row in 0..live {
-            let sid = self.states[row].0;
+            let sid = self.table.sid(row);
             let target =
                 self.core
                     .interner
@@ -151,71 +109,56 @@ impl MfsMaintainer {
             if target == sid {
                 // Contained in the arriving frame: only the frame id is
                 // appended (the hot path on feeds with long-lived objects).
-                self.states[row].1.push(frame, false);
+                self.table.frames_mut(row).push(frame, false);
                 self.core.metrics.frames_appended += 1;
                 continue;
             }
-            if let Some(at) = self.row_of(target) {
-                let [(_, existing), (_, parent)] = self
-                    .states
-                    .get_disjoint_mut([at, row])
-                    // infallible: two live rows, and `at != row` as `target !=
-                    // sid` (checked above) and no two rows hold one set.
-                    .expect("a target is a subset of the frame, its parent is not");
+            if let Some(at) = self.table.row_of(target) {
                 if at < live {
                     // Frame Marking Rule 2 onto a state that existed.
-                    existing.inherit_marks(parent, frame);
+                    self.table.inherit_marks(at, row, frame);
                 } else {
                     // New this sweep: it co-occurs in every frame any parent
                     // does and keeps their key frames (Rule 2).
-                    existing.merge_from(parent);
+                    self.table.merge_from(at, row);
                 }
                 continue;
             }
             if self.core.is_terminated(target) || self.core.terminate_if_hopeless(target) {
                 continue;
             }
-            let frames = self.states[row].1.clone();
-            self.push_row(target, frames);
+            let frames = self.table.frames(row).clone();
+            self.table.push(target, frames, &self.core.interner);
             self.core.metrics.states_created += 1;
         }
         self.core.metrics.intersections += live as u64;
         self.core.metrics.states_visited += live as u64;
         // The states the sweep created gain the arriving frame, unmarked.
-        for (_, frames) in &mut self.states[live..] {
-            frames.push(frame, false);
+        for row in live..self.table.len() {
+            self.table.frames_mut(row).push(frame, false);
         }
 
         // The arriving frame's own object set becomes (or stays) a state,
         // and the arriving frame is its key frame (Rule 1).
         if !self.core.is_terminated(frame_sid) && !self.core.terminate_if_hopeless(frame_sid) {
-            match self.row_of(frame_sid) {
-                Some(row) => self.states[row].1.push(frame, true),
+            match self.table.row_of(frame_sid) {
+                Some(row) => self.table.frames_mut(row).push(frame, true),
                 None => {
-                    self.push_row(frame_sid, MarkedFrameSet::singleton(frame, true));
+                    let frames = MarkedFrameSet::singleton(frame, true);
+                    self.table.push(frame_sid, frames, &self.core.interner);
                     self.core.metrics.states_created += 1;
                 }
             }
         }
-    }
-
-    fn collect_results(&mut self) {
-        self.core.begin_results(self.states.len());
-        for (sid, frames) in &self.states {
-            if frames.has_marked() && self.core.spec.satisfies_duration(frames.len()) {
-                self.core.report(*sid, frames);
-            }
-        }
-        self.core.end_results();
     }
 }
 
 impl StateMaintainer for MfsMaintainer {
     fn advance(&mut self, frame: FrameId, objects: &ObjectSet) -> Result<()> {
         let oldest = self.core.begin_frame(frame)?;
-        self.expire(oldest);
+        self.table.expire(oldest, &mut self.core.metrics, |_| {});
         self.process_frame(frame, objects);
-        self.collect_results();
+        self.table.collect_results(&mut self.core);
         Ok(())
     }
 
@@ -232,7 +175,7 @@ impl StateMaintainer for MfsMaintainer {
     }
 
     fn live_states(&self) -> usize {
-        self.states.len()
+        self.table.len()
     }
 
     fn name(&self) -> &'static str {
@@ -244,16 +187,10 @@ impl StateMaintainer for MfsMaintainer {
     }
 
     fn maybe_compact(&mut self, policy: &CompactionPolicy) -> Option<CompactionOutcome> {
-        let (table, outcome) = self.core.compact(policy, self.states.len(), || {
-            self.states.iter().map(|(sid, _)| *sid).collect()
-        })?;
-        self.rows.clear();
-        self.rows.resize(self.core.interner.len(), NO_ROW);
-        for (row, (sid, _)) in self.states.iter_mut().enumerate() {
-            // infallible: `compact` kept these rows' handles, its live list.
-            *sid = table.remap(*sid).expect("live handles are kept");
-            self.rows[sid.raw() as usize] = row as u32;
-        }
+        let (table, outcome) = self
+            .core
+            .compact(policy, self.table.len(), || self.table.live())?;
+        self.table.remap(&table);
         Some(outcome)
     }
 
@@ -263,38 +200,14 @@ impl StateMaintainer for MfsMaintainer {
 
     fn snapshot_state(&self, enc: &mut Encoder) -> Result<()> {
         self.core.put_head(enc);
-        // Handle order keeps the format independent of row order.
-        let mut sorted: Vec<&(SetId, MarkedFrameSet)> = self.states.iter().collect();
-        sorted.sort_unstable_by_key(|(sid, _)| *sid);
-        enc.put_usize(sorted.len());
-        for (sid, frames) in sorted {
-            enc.put_u32(sid.raw());
-            frames.encode(enc);
-        }
+        self.table.encode(enc);
         self.core.metrics.encode(enc);
         Ok(())
     }
 
     fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
         self.core.take_head(dec)?;
-        let states = dec.take_len()?;
-        for _ in 0..states {
-            let sid = SetId::from_raw(dec.take_u32()?);
-            let frames = MarkedFrameSet::decode(dec, self.core.spec.window())?;
-            if sid.is_empty_set() || sid.raw() as usize >= self.core.interner.len() {
-                return Err(Error::Corrupt(format!(
-                    "MFS state references handle {} outside the restored arena",
-                    sid.raw()
-                )));
-            }
-            if self.row_of(sid).is_some() {
-                return Err(Error::Corrupt(format!(
-                    "duplicate MFS state for handle {}",
-                    sid.raw()
-                )));
-            }
-            self.push_row(sid, frames);
-        }
+        self.table = StateTable::decode(dec, &self.core)?;
         self.core.metrics = MaintenanceMetrics::decode(dec)?;
         Ok(())
     }
@@ -506,16 +419,6 @@ mod tests {
         assert_eq!(restored.metrics(), original.metrics());
     }
 
-    /// Every row's `rows` entry points back to it, and no other entry
-    /// names a row.
-    fn assert_rows_point_back(m: &MfsMaintainer) {
-        for (row, (sid, _)) in m.states.iter().enumerate() {
-            assert_eq!(m.row_of(*sid), Some(row), "handle {}", sid.raw());
-        }
-        let named = m.rows.iter().filter(|&&row| row != NO_ROW).count();
-        assert_eq!(named, m.states.len());
-    }
-
     #[test]
     fn rows_point_back_after_expiry_compaction_and_restore() {
         let spec = WindowSpec::new(3, 1).unwrap();
@@ -527,9 +430,9 @@ mod tests {
             let extra = base + 2 + (i % 3) as u32;
             m.advance(FrameId(i), &set(&[base, base + 1, extra]))
                 .unwrap();
-            assert_rows_point_back(&m);
+            m.table.assert_rows_point_back();
             m.maybe_compact(&policy);
-            assert_rows_point_back(&m);
+            m.table.assert_rows_point_back();
         }
         assert!(m.metrics().states_pruned > 0);
         assert!(m.metrics().compactions > 0);
@@ -542,7 +445,7 @@ mod tests {
             .restore_state(&mut tvq_common::Decoder::new(&bytes))
             .unwrap();
         assert_eq!(restored.live_states(), m.live_states());
-        assert_rows_point_back(&restored);
+        restored.table.assert_rows_point_back();
     }
 
     /// The sweep's two less common shapes, against NAIVE: a frame that is
@@ -568,7 +471,7 @@ mod tests {
             mfs.advance(FrameId(i as u64), objects).unwrap();
             naive.advance(FrameId(i as u64), objects).unwrap();
             assert_eq!(mfs.results(), naive.results(), "diverged at frame {i}");
-            assert_rows_point_back(&mfs);
+            mfs.table.assert_rows_point_back();
         }
         let states = states_at(&mfs);
         let frames_of = |ids: &[u32]| &states.iter().find(|(s, _)| *s == set(ids)).unwrap().1;
@@ -623,6 +526,42 @@ mod tests {
             .restore_state(&mut tvq_common::Decoder::new(&bytes))
             .unwrap_err();
         assert!(matches!(err, tvq_common::Error::Corrupt(_)), "{err}");
+    }
+
+    /// A restored row must lie in the window ending at the restored cursor.
+    /// A row `{1,2}` marked at frames 0 and 3 under a cursor of 0 would
+    /// still be valid, and reported, after frame 4 had expired frame 0.
+    #[test]
+    fn restore_rejects_rows_outside_the_cursor_window() {
+        let spec = WindowSpec::new(4, 2).unwrap();
+        let mut original = MfsMaintainer::new(spec);
+        original.advance(FrameId(0), &set(&[1, 2])).unwrap();
+        let sid = original.core.interner.get(&set(&[1, 2])).unwrap();
+        let restore = |cursor: Option<u64>, frames: &[(u64, bool)]| {
+            let mut enc = tvq_common::Encoder::new();
+            original.core.interner.encode(&mut enc);
+            enc.put_opt_u64(cursor);
+            enc.put_usize(1);
+            enc.put_u32(sid.raw());
+            let frames: MarkedFrameSet = frames.iter().map(|&(f, m)| (FrameId(f), m)).collect();
+            frames.encode(&mut enc);
+            original.metrics().encode(&mut enc);
+            MfsMaintainer::new(spec).restore_state(&mut tvq_common::Decoder::new(enc.as_bytes()))
+        };
+        // A frame after the cursor, one before the window [2, 5] of a
+        // cursor of 5, and a row with no cursor at all.
+        for (cursor, frames) in [
+            (Some(0), &[(0, true), (3, true)][..]),
+            (Some(5), &[(1, true), (5, false)]),
+            (None, &[(0, true)]),
+        ] {
+            let err = restore(cursor, frames).unwrap_err();
+            assert!(
+                matches!(err, tvq_common::Error::Corrupt(_)),
+                "{cursor:?}: {err}"
+            );
+        }
+        assert!(restore(Some(5), &[(2, true), (5, false)]).is_ok());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The Strict State Graph structure.
 //!
-//! Nodes are states (object set + marked frame set); a directed edge
+//! Nodes are states, found in the maintainer's state table by their
+//! interned object set; a directed edge
 //! `(s, s')` records that `s'` was generated from `s`, which implies
 //! `IDs' ⊂ IDs` (Property 1). Among the children of any node, no child's
 //! object set may contain another child's object set (Property 2) — the
@@ -11,6 +12,8 @@ use tvq_common::{
     Decoder, Encoder, Error, FrameId, FxHashSet, MarkedFrameSet, RemapTable, Result, SetId,
     SetInterner,
 };
+
+use crate::substrate::StateTable;
 
 /// Index of a node inside the graph's slab.
 pub(crate) type NodeId = usize;
@@ -25,10 +28,8 @@ const VACANT: NodeId = NodeId::MAX;
 #[derive(Debug)]
 pub(crate) struct Node {
     /// Interned handle of the state's object set — the key every lookup
-    /// and comparison uses, and the only form of the set a node holds.
+    /// and comparison uses, and the key of the state's row in the table.
     pub sid: SetId,
-    /// The state's marked frame set.
-    pub frames: MarkedFrameSet,
     /// Children: states generated from this one (proper subsets).
     pub children: Vec<NodeId>,
     /// Parents: states this one was generated from (proper supersets).
@@ -40,8 +41,6 @@ pub(crate) struct Node {
     /// `attach` read it instead of intersecting or testing subsets again;
     /// the next visit offers it to the interner as its guess.
     pub last_inter: SetId,
-    /// Frame id of the last frame appended to this node's frame set.
-    pub touched: u64,
     /// Frame id of the last frame whose traversal ensured the state holding
     /// `last_inter` below this node. Not persisted: it only ever matches
     /// the frame being processed.
@@ -58,12 +57,10 @@ impl Node {
     fn new(sid: SetId) -> Self {
         Node {
             sid,
-            frames: MarkedFrameSet::new(),
             children: Vec::new(),
             parents: Vec::new(),
             visited: NEVER,
             last_inter: SetId::EMPTY,
-            touched: NEVER,
             ensured: NEVER,
             principal_frames: MarkedFrameSet::new(),
             alive: true,
@@ -90,32 +87,12 @@ impl StateGraph {
         StateGraph::default()
     }
 
-    /// Number of live nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len() - self.free.len()
-    }
-
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id]
     }
 
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
         &mut self.nodes[id]
-    }
-
-    /// Split borrow: a mutable reference to `target` alongside a shared
-    /// reference to `source`. Lets frame sets merge between two nodes
-    /// without cloning either (`target` and `source` must differ).
-    pub fn pair_mut(&mut self, target: NodeId, source: NodeId) -> (&mut Node, &Node) {
-        // infallible: callers pass nodes with different sets or check first.
-        debug_assert_ne!(target, source, "pair_mut needs two distinct nodes");
-        if target < source {
-            let (left, right) = self.nodes.split_at_mut(source);
-            (&mut left[target], &right[0])
-        } else {
-            let (left, right) = self.nodes.split_at_mut(target);
-            (&mut right[0], &left[source])
-        }
     }
 
     /// Looks up the live node holding the interned set `sid`.
@@ -148,18 +125,9 @@ impl StateGraph {
         id
     }
 
-    /// The interned handles of all live nodes — the live list a compaction
-    /// epoch preserves.
-    pub fn live_sids(&self) -> Vec<SetId> {
-        self.nodes
-            .iter()
-            .filter(|n| n.alive)
-            .map(|n| n.sid)
-            .collect()
-    }
-
-    /// Re-keys the graph through a compaction epoch's remap table: every
-    /// live node's `sid` moves to its new value and the handle index is
+    /// Re-keys the graph through a compaction epoch's remap table (the
+    /// state table's live list kept every node's handle): every live
+    /// node's `sid` moves to its new value and the handle index is
     /// rebuilt over them. Per-node `last_inter` hints are remapped too — a
     /// hint whose set was retired resets to the empty handle (no guess for
     /// the next visit); a guess is compared, never trusted, so this only
@@ -170,17 +138,14 @@ impl StateGraph {
             let node = &mut self.nodes[id];
             node.sid = table
                 .remap(node.sid)
-                // infallible: the compaction kept `live_sids()`, its live list.
+                // infallible: the compaction kept the state table's live list.
                 .expect("every live node's set is in the compaction live list");
             node.last_inter = table.remap(node.last_inter).unwrap_or(SetId::EMPTY);
             self.by_set[node.sid.raw() as usize] = id;
         }
     }
 
-    /// Identifiers of all live nodes, in ascending slab order — the
-    /// deterministic order bulk operations (the maintainer's periodic
-    /// sweep) need: removal rewires edges, so the order shapes the edge
-    /// counters and the intermediate graph.
+    /// Identifiers of all live nodes, in ascending slab order.
     pub fn live_ids(&self) -> Vec<NodeId> {
         (0..self.nodes.len())
             .filter(|&id| self.nodes[id].alive)
@@ -283,10 +248,6 @@ impl StateGraph {
         let mut index = 0;
         while index < self.nodes[parent].children.len() {
             let sibling = self.nodes[parent].children[index];
-            if !self.nodes[sibling].alive {
-                index += 1;
-                continue;
-            }
             let (inside, holds) = self.relation(sibling, sid, interner, frame);
             if inside {
                 // A tighter ancestor exists among the siblings; attach below
@@ -311,12 +272,10 @@ impl StateGraph {
         self.add_edge(parent, child);
     }
 
-    /// Removes a node, reconnecting its parents to its children so that every
-    /// descendant stays reachable from the surviving ancestors.
+    /// Removes a live node, reconnecting its parents to its children so
+    /// that every descendant stays reachable from the surviving ancestors.
+    /// (Edge lists name live nodes only.)
     pub fn remove(&mut self, id: NodeId, interner: &SetInterner) {
-        if !self.nodes[id].alive {
-            return;
-        }
         // Take the edge lists instead of cloning them: the node is being
         // dismantled, so its own vectors can be emptied up front. Each taken
         // edge still exists in the opposite direction; splice those out
@@ -337,18 +296,12 @@ impl StateGraph {
             self.edges_removed += 1;
         }
         for &parent in &parents {
-            if !self.nodes[parent].alive {
-                continue;
-            }
             for &child in &children {
-                if self.nodes[child].alive {
-                    self.attach(parent, child, interner, None);
-                }
+                self.attach(parent, child, interner, None);
             }
         }
         self.by_set[self.nodes[id].sid.raw() as usize] = VACANT;
         self.nodes[id].alive = false;
-        self.nodes[id].frames = MarkedFrameSet::new();
         self.nodes[id].principal_frames = MarkedFrameSet::new();
         self.free.push(id);
     }
@@ -363,13 +316,13 @@ impl StateGraph {
     /// lists, the free list and the maintainer's root list, so the slab
     /// layout — including dead slots — is part of the graph's persistent
     /// identity. Dead slots carry only their `alive = false` marker
-    /// ([`remove`](Self::remove) already emptied their lists and frames);
-    /// per-node traversal scratch (`visited`, `last_inter`, `touched`) is
-    /// persisted as-is, which keeps restored state byte-comparable to the
-    /// original. The stamps are only read within the frame that wrote them;
-    /// `last_inter` also feeds the next visit's guess, where a stale one
-    /// costs one compare and is never trusted. The `ensured` stamp and the
-    /// handle index are not written.
+    /// ([`remove`](Self::remove) already emptied their lists); per-node
+    /// traversal scratch (`visited`, `last_inter`) is persisted as-is,
+    /// which keeps restored state byte-comparable to the original. The
+    /// stamps are only read within the frame that wrote them; `last_inter`
+    /// also feeds the next visit's guess, where a stale one costs one
+    /// compare and is never trusted. Frame sets live in the state table;
+    /// the `ensured` stamp and the handle index are not written.
     pub fn encode(&self, enc: &mut Encoder) {
         enc.put_usize(self.nodes.len());
         for node in &self.nodes {
@@ -378,7 +331,6 @@ impl StateGraph {
                 continue;
             }
             enc.put_u32(node.sid.raw());
-            node.frames.encode(enc);
             for list in [&node.children, &node.parents] {
                 enc.put_usize(list.len());
                 for &edge in list {
@@ -387,7 +339,6 @@ impl StateGraph {
             }
             enc.put_u64(node.visited);
             enc.put_u32(node.last_inter.raw());
-            enc.put_u64(node.touched);
             enc.put_usize(node.principal_frames.len());
             for frame in node.principal_frames.frames() {
                 enc.put_u64(frame.raw());
@@ -402,14 +353,15 @@ impl StateGraph {
     }
 
     /// Rebuilds a graph written by [`encode`](Self::encode) against the
-    /// restored interner (nodes persist handles, not object sets). Every
-    /// structural violation —
-    /// dangling handles, out-of-range or asymmetric edges, a free list that
+    /// restored interner and state table (nodes persist handles, not object
+    /// sets). Every structural violation — a node without a row or a row
+    /// without a node, out-of-range or asymmetric edges, a free list that
     /// does not cover exactly the dead slots — is corrupt data and surfaces
     /// as [`Error::Corrupt`], never a panic or a silently patched graph.
     pub fn decode(
         dec: &mut Decoder<'_>,
         interner: &SetInterner,
+        table: &StateTable,
         window: usize,
     ) -> Result<StateGraph> {
         let slots = dec.take_len()?;
@@ -424,9 +376,9 @@ impl StateGraph {
                 continue;
             }
             let sid = SetId::from_raw(dec.take_u32()?);
-            if sid.is_empty_set() || sid.raw() as usize >= interner.len() {
+            if table.row_of(sid).is_none() {
                 return Err(Error::Corrupt(format!(
-                    "graph node {id} holds dangling handle {}",
+                    "graph node {id} holds handle {} with no state row",
                     sid.raw()
                 )));
             }
@@ -436,7 +388,6 @@ impl StateGraph {
                     sid.raw()
                 )));
             }
-            let frames = MarkedFrameSet::decode(dec, window)?;
             let children = Self::take_edge_list(dec, slots)?;
             let parents = Self::take_edge_list(dec, slots)?;
             let visited = dec.take_u64()?;
@@ -447,7 +398,6 @@ impl StateGraph {
                     last_inter.raw()
                 )));
             }
-            let touched = dec.take_u64()?;
             let count = dec.take_len()?;
             let mut principal_frames = MarkedFrameSet::new();
             for _ in 0..count {
@@ -456,12 +406,10 @@ impl StateGraph {
             }
             nodes.push(Node {
                 sid,
-                frames,
                 children,
                 parents,
                 visited,
                 last_inter,
-                touched,
                 ensured: NEVER,
                 principal_frames,
                 alive: true,
@@ -485,6 +433,13 @@ impl StateGraph {
             return Err(Error::Corrupt(format!(
                 "free list covers {} slots but the slab holds {dead} dead slots",
                 free.len()
+            )));
+        }
+        if slots - dead != table.len() {
+            return Err(Error::Corrupt(format!(
+                "{} state rows but {} live graph nodes",
+                table.len(),
+                slots - dead
             )));
         }
         // Edge symmetry: removal relies on every child edge having its
@@ -535,6 +490,18 @@ impl StateGraph {
         Ok(ids)
     }
 
+    /// The first live node, in slab order, that no root reaches.
+    pub fn orphan(&self, roots: &[NodeId]) -> Option<NodeId> {
+        let mut reached = vec![false; self.nodes.len()];
+        let mut stack = roots.to_vec();
+        while let Some(id) = stack.pop() {
+            if !std::mem::replace(&mut reached[id], true) {
+                stack.extend(&self.nodes[id].children);
+            }
+        }
+        (0..self.nodes.len()).find(|&id| self.nodes[id].alive && !reached[id])
+    }
+
     /// Whether `target` is `from` or lies below it (debug-build checks).
     fn reaches(&self, from: NodeId, target: NodeId) -> bool {
         let mut seen = FxHashSet::default();
@@ -551,8 +518,27 @@ impl StateGraph {
 
 #[cfg(test)]
 impl StateGraph {
+    /// Number of live nodes.
+    pub fn len(&self) -> usize {
+        self.nodes.len() - self.free.len()
+    }
+
+    /// Verifies that the graph indexes exactly the table's rows, each of
+    /// them valid (it holds a marked frame) and reachable from a root, and
+    /// Properties 1 and 2 (test support).
+    pub fn check_invariants(&self, interner: &SetInterner, table: &StateTable, roots: &[NodeId]) {
+        assert_eq!(self.len(), table.len(), "one node per state row");
+        for id in self.live_ids() {
+            let row = table.row_of(self.nodes[id].sid);
+            let row = row.unwrap_or_else(|| panic!("node {id} has no state row"));
+            assert!(table.frames(row).has_marked(), "node {id} is invalid");
+        }
+        assert_eq!(self.orphan(roots), None, "a node no root reaches");
+        self.check_properties(interner);
+    }
+
     /// Verifies Properties 1 and 2 over the whole graph (test support).
-    pub fn check_invariants(&self, interner: &SetInterner) {
+    pub fn check_properties(&self, interner: &SetInterner) {
         let set_of = |id: NodeId| interner.resolve(self.nodes[id].sid);
         let indexed = self.by_set.iter().filter(|&&id| id != VACANT).count();
         assert_eq!(
@@ -594,6 +580,15 @@ mod tests {
         ObjectSet::from_raw(ids.iter().copied())
     }
 
+    /// A state table with one row for each live node of `g`.
+    fn rows_of(g: &StateGraph, interner: &SetInterner) -> StateTable {
+        let mut table = StateTable::default();
+        for id in g.live_ids() {
+            table.push(g.node(id).sid, MarkedFrameSet::new(), interner);
+        }
+        table
+    }
+
     /// Test helper: interns `ids` and inserts the node.
     fn insert(g: &mut StateGraph, interner: &mut SetInterner, ids: &[u32]) -> NodeId {
         let sid = interner.intern(&set(ids));
@@ -620,7 +615,7 @@ mod tests {
         // {2,3} is not a subset of {1,2}: the edge is refused.
         g.attach(a, b, &interner, None);
         assert!(g.node(a).children.is_empty());
-        g.check_invariants(&interner);
+        g.check_properties(&interner);
     }
 
     /// The example of Figure 3: adding {ABF} below {ABCF} must rewire the
@@ -645,7 +640,7 @@ mod tests {
         assert!(g.node(abf).children.contains(&ab));
         // {ABD} still points at {AB} (Figure 3d).
         assert!(g.node(abd).children.contains(&ab));
-        g.check_invariants(&interner);
+        g.check_properties(&interner);
     }
 
     #[test]
@@ -660,7 +655,7 @@ mod tests {
         g.attach(abc, a, &interner, None);
         assert!(!g.node(abc).children.contains(&a));
         assert!(g.node(ab).children.contains(&a));
-        g.check_invariants(&interner);
+        g.check_properties(&interner);
     }
 
     #[test]
@@ -692,7 +687,7 @@ mod tests {
         assert!(g.node(abcd).children.contains(&ab));
         // Both of the removed node's edges are accounted for.
         assert_eq!(g.edges_removed, removed_edges_before + 2);
-        g.check_invariants(&interner);
+        g.check_properties(&interner);
     }
 
     #[test]
@@ -736,7 +731,7 @@ mod tests {
         g.encode(&mut enc);
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
-        let mut back = StateGraph::decode(&mut dec, &interner, 8).unwrap();
+        let mut back = StateGraph::decode(&mut dec, &interner, &rows_of(&g, &interner), 8).unwrap();
         dec.finish().unwrap();
 
         assert_eq!(back.len(), 1);
@@ -756,15 +751,42 @@ mod tests {
         g.attach(a, b, &interner, None);
         let mut enc = Encoder::new();
         g.encode(&mut enc);
+        let rows = rows_of(&g, &interner);
         let mut clean =
-            StateGraph::decode(&mut Decoder::new(enc.as_bytes()), &interner, 8).unwrap();
+            StateGraph::decode(&mut Decoder::new(enc.as_bytes()), &interner, &rows, 8).unwrap();
         assert_eq!(clean.node(a).children, vec![b]);
 
         // Drop one direction of the edge: the snapshot is now corrupt.
         clean.node_mut(b).parents.clear();
         let mut enc = Encoder::new();
         clean.encode(&mut enc);
-        let err = StateGraph::decode(&mut Decoder::new(enc.as_bytes()), &interner, 8).unwrap_err();
+        let err =
+            StateGraph::decode(&mut Decoder::new(enc.as_bytes()), &interner, &rows, 8).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err}");
+    }
+
+    /// The graph indexes exactly the table's rows: a node with no row, or a
+    /// row with no node, is corrupt.
+    #[test]
+    fn decode_rejects_nodes_and_rows_that_do_not_pair() {
+        let mut interner = SetInterner::new();
+        let mut g = StateGraph::new();
+        let a = insert(&mut g, &mut interner, &[1, 2]);
+        insert(&mut g, &mut interner, &[1]);
+        let stray = interner.intern(&set(&[7]));
+        let mut enc = Encoder::new();
+        g.encode(&mut enc);
+        let decode = |rows: &StateTable| {
+            StateGraph::decode(&mut Decoder::new(enc.as_bytes()), &interner, rows, 8)
+        };
+        let mut rows = rows_of(&g, &interner);
+        assert!(decode(&rows).is_ok());
+        rows.push(stray, MarkedFrameSet::new(), &interner);
+        assert!(matches!(decode(&rows), Err(Error::Corrupt(_))));
+        g.remove(a, &interner);
+        assert!(matches!(
+            decode(&rows_of(&g, &interner)),
+            Err(Error::Corrupt(_))
+        ));
     }
 }

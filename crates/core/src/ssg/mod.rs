@@ -29,42 +29,42 @@
 //!   `f` is only marked in state `X` when the intersection of the object sets
 //!   of all of `X`'s frames from `f` onward equals `X`, so as long as one
 //!   marked frame survives in the window the state is guaranteed to still be
-//!   an MCOS (Theorem 4). When every marked frame has expired the state is
-//!   pruned.
+//!   an MCOS (Theorem 4).
 //!
 //! Two deliberate deviations from the paper's pseudocode: (1) when an
 //! already-materialised state is re-derived from a second parent, its frame
 //! set is merged with the parent's, so frame sets stay complete (the union
 //! of all window frames containing the object set) whichever parent found
-//! the state first; (2) invalid nodes are removed after the traversal, and
-//! each removal reconnects the node's parents to its children, so no
+//! the state first; (2) invalid states are dropped before the traversal,
+//! and each removal reconnects the node's parents to its children, so no
 //! descendant is cut off from the node's surviving ancestors.
 //!
-//! **Window expiry** reaches a node when a frame first does: on the
-//! traversal's visit, or when `ensure_state` touches a node the traversal
-//! has not visited, and always before a frame is pushed, merged or marked
-//! there. Every frame set the traversal reads or writes therefore holds
-//! in-window frames only — a merge never copies an expired frame — and a
-//! set's span, which is what its storage grows with, stays within one
-//! window however far the frame ids jump. A node no frame reaches keeps its
-//! stale frames until it is next reached, revalidated as a previous result,
-//! or swept (once per window of frames).
+//! **The graph is an index over MFS's state table.** The states themselves
+//! — object-set handles, marked frame sets, Rule 2, expiry and result
+//! collection — are the rows of the `substrate::StateTable` MFS also runs
+//! on; a node finds its row by handle. At the start of each frame the table
+//! expires every row and drops those left with no marked frame, and the
+//! graph removes their nodes in the same frame, in slab order (which a
+//! snapshot restores, so a restored maintainer removes in the same order).
+//! Every node the traversal reaches is therefore valid and holds in-window
+//! frames only, and no valid node is left without a path from a principal
+//! state (a debug build checks this after each frame's drops). What SSG adds
+//! is the walk, which decides which rows a frame reaches.
 //!
 //! **Each step runs once per frame.** A node is visited at most once (its
-//! `visited` stamp) and has the frame appended at most once (`touched`).
-//! Its intersection is materialised where lines 25-29 of Algorithm 1 put
-//! it: by its own visit, after its subtree, when it is a proper new set.
-//! (Lines 5-16 would make the same `(parent, set)` call earlier, from a
-//! child's visit; it is not made.) The `ensured` stamp lets `attach` stop
-//! at a sibling that already holds the new state. The touched nodes are a
-//! bitset over slab slots, read out in ascending slot order.
+//! `visited` stamp) and has the frame appended at most once (its row's last
+//! frame). Its intersection is materialised where lines 25-29 of Algorithm
+//! 1 put it: by its own visit, after its subtree, when it is a proper new
+//! set. (Lines 5-16 would make the same `(parent, set)` call earlier, from
+//! a child's visit; it is not made.) The `ensured` stamp lets `attach` stop
+//! at a sibling that already holds the new state.
 //!
 //! **The walk reads child lists in place.** No edit inside a node's subtree
 //! reaches the list of a node on the walk stack: `attach(p, …)` edits only
 //! lists at or below `p`, where `p` is the node being visited (its
 //! `F ⊊ node` attach runs before its walk, its `ensure_state` after) or lies
 //! below it, and every node further up is a proper superset. `insert`
-//! never moves a slot; removal and CNPS run after the traversal.
+//! never moves a slot; removal runs before the traversal and CNPS after it.
 //!
 //! **The traversal reuses what its stamps already say.** A visit passes
 //! the parent's intersection (a superset of its own) and its previous one
@@ -86,7 +86,7 @@ use crate::maintainer::StateMaintainer;
 use crate::metrics::MaintenanceMetrics;
 use crate::prune::SharedPruner;
 use crate::result_set::ResultStateSet;
-use crate::substrate::Substrate;
+use crate::substrate::{StateTable, Substrate};
 
 use graph::{NodeId, StateGraph};
 
@@ -98,7 +98,6 @@ struct Arrival {
     sid: SetId,
     /// The new principal state: the node holding `sid`.
     ns: NodeId,
-    oldest: FrameId,
     /// Whether this frame's `intern` call created `sid`: then no memo entry
     /// names it, so the traversal intersects without the memo.
     fresh: bool,
@@ -114,19 +113,14 @@ struct Arrival {
 /// step runs at most once per frame — see the module docs.
 pub struct SsgMaintainer {
     core: Substrate,
+    /// The states, one row per graph node.
+    table: StateTable,
     graph: StateGraph,
     /// Principal states in their order of arrival (kept while alive).
     roots: Vec<NodeId>,
-    /// Handles of the states reported in the results (revalidated first on
-    /// the next frame — the `SR'_i` part of `SR_{i'} = SR'_i ∪ SR_{G'}`).
-    prev_results: Vec<SetId>,
-    frames_since_sweep: usize,
-    /// The slab slots this frame touched, one bit each.
-    touched: Vec<u64>,
-    /// Pooled per-frame buffers (touched read-out, CNPS candidates, CNPS
+    /// Pooled per-frame buffers (dropped nodes, then CNPS candidates; CNPS
     /// reachability set + DFS stack): cleared and reused so the
     /// steady-state advance loop performs no transient allocations.
-    touched_scratch: Vec<NodeId>,
     candidates_scratch: Vec<NodeId>,
     cnps_reachable: FxHashSet<NodeId>,
     cnps_stack: Vec<NodeId>,
@@ -136,7 +130,7 @@ impl std::fmt::Debug for SsgMaintainer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SsgMaintainer")
             .field("spec", &self.core.spec)
-            .field("live_states", &self.graph.len())
+            .field("live_states", &self.table.len())
             .field("principal_states", &self.roots.len())
             .finish()
     }
@@ -159,12 +153,9 @@ impl SsgMaintainer {
     ) -> Self {
         SsgMaintainer {
             core: Substrate::new(spec, interner, pruner),
+            table: StateTable::default(),
             graph: StateGraph::new(),
             roots: Vec::new(),
-            prev_results: Vec::new(),
-            frames_since_sweep: 0,
-            touched: Vec::new(),
-            touched_scratch: Vec::new(),
             candidates_scratch: Vec::new(),
             cnps_reachable: FxHashSet::default(),
             cnps_stack: Vec::new(),
@@ -176,25 +167,27 @@ impl SsgMaintainer {
         self.roots.len()
     }
 
-    /// Exposes the live states (object set, marked frame set) for tests.
-    pub fn states(&self) -> Vec<(ObjectSet, MarkedFrameSet)> {
-        self.graph
-            .live_ids()
-            .into_iter()
-            .map(|id| {
-                let node = self.graph.node(id);
-                (self.core.interner.resolve(node.sid), node.frames.clone())
-            })
-            .collect()
+    /// Exposes the live states (object set → marked frame set) for tests.
+    pub fn states(&self) -> impl Iterator<Item = (ObjectSet, &MarkedFrameSet)> {
+        self.table.states(&self.core.interner)
     }
 
-    /// Marks the slab slot `id` touched by this frame.
-    fn touch(&mut self, id: NodeId) {
-        let word = id / 64;
-        if word >= self.touched.len() {
-            self.touched.resize(word + 1, 0);
+    /// The state row of the live node `id`.
+    fn row(&self, id: NodeId) -> usize {
+        self.table
+            .row_of(self.graph.node(id).sid)
+            // infallible: the table and the graph add and drop a state
+            // together, so every live node has a row.
+            .expect("every live node has a state row")
+    }
+
+    /// Appends the arriving frame to `row`, once a frame.
+    fn append(&mut self, row: usize, frame: FrameId) {
+        let frames = self.table.frames_mut(row);
+        if frames.last() != Some(frame) {
+            frames.push(frame, false);
+            self.core.metrics.frames_appended += 1;
         }
-        self.touched[word] |= 1 << (id % 64);
     }
 
     /// Materialises `sid` — always `parent.last_inter`, a proper, new
@@ -222,21 +215,16 @@ impl SsgMaintainer {
                     return;
                 }
                 self.core.metrics.states_created += 1;
+                self.table
+                    .push(sid, MarkedFrameSet::new(), &self.core.interner);
                 self.graph.insert(sid)
             }
         };
-        let node = self.graph.node_mut(id);
-        if node.touched != at.frame.raw() {
-            node.frames.expire_before(at.oldest);
-            node.frames.push(at.frame, false);
-            node.touched = at.frame.raw();
-            self.core.metrics.frames_appended += 1;
-            self.touch(id);
-        }
+        let row = self.row(id);
+        self.append(row, at.frame);
         // Frame-set completeness and Rule-2 mark inheritance: the parent's
         // frames all contain the parent's object set, hence this subset too.
-        let (target, source) = self.graph.pair_mut(id, parent);
-        target.frames.merge_from(&source.frames);
+        self.table.merge_from(row, self.row(parent));
         self.graph
             .attach(parent, id, &self.core.interner, Some(at.frame.raw()));
     }
@@ -245,13 +233,11 @@ impl SsgMaintainer {
     /// intersection of the parent state with the arriving frame.
     fn st_visit(&mut self, node: NodeId, parent: Option<NodeId>, p_inter: SetId, at: Arrival) {
         let state = self.graph.node_mut(node);
-        if !state.alive || state.visited == at.frame.raw() {
+        if state.visited == at.frame.raw() {
             return;
         }
         state.visited = at.frame.raw();
-        state.frames.expire_before(at.oldest);
         let (node_sid, previous) = (state.sid, state.last_inter);
-        self.touch(node);
         self.core.metrics.states_visited += 1;
         self.core.metrics.intersections += 1;
         // node ⊊ parent bounds the answer by p_inter; `previous` often repeats.
@@ -272,16 +258,11 @@ impl SsgMaintainer {
             // The whole state co-occurs in the arriving frame: append it
             // (lines 18-21) and inherit the parent's frames when the parent's
             // intersection is exactly this state (line 19).
-            let state = self.graph.node_mut(node);
-            if state.touched != at.frame.raw() {
-                state.frames.push(at.frame, false);
-                state.touched = at.frame.raw();
-                self.core.metrics.frames_appended += 1;
-            }
+            let row = self.row(node);
+            self.append(row, at.frame);
             if let Some(parent) = parent {
                 if p_inter == node_sid {
-                    let (target, source) = self.graph.pair_mut(node, parent);
-                    target.frames.merge_from(&source.frames);
+                    self.table.merge_from(row, self.row(parent));
                 }
             }
             self.visit_children(node, inter, at);
@@ -290,8 +271,7 @@ impl SsgMaintainer {
             // state: the new principal co-occurs in all of this state's frames
             // (lines 22-24).
             if at.ns != node {
-                let (target, source) = self.graph.pair_mut(at.ns, node);
-                target.frames.merge_from(&source.frames);
+                self.table.merge_from(self.row(at.ns), self.row(node));
             }
             self.graph
                 .attach(node, at.ns, &self.core.interner, Some(at.frame.raw()));
@@ -328,10 +308,7 @@ impl SsgMaintainer {
         ordered.dedup();
         self.cnps_reachable.clear();
         for &candidate in &ordered {
-            if candidate == ns || !self.graph.node(candidate).alive {
-                continue;
-            }
-            if self.cnps_reachable.contains(&candidate) {
+            if candidate == ns || self.cnps_reachable.contains(&candidate) {
                 continue;
             }
             self.graph.attach(ns, candidate, &self.core.interner, None);
@@ -343,7 +320,7 @@ impl SsgMaintainer {
             self.cnps_reachable.insert(candidate);
             while let Some(id) = self.cnps_stack.pop() {
                 for &child in &self.graph.node(id).children {
-                    if self.graph.node(child).alive && self.cnps_reachable.insert(child) {
+                    if self.cnps_reachable.insert(child) {
                         self.cnps_stack.push(child);
                     }
                 }
@@ -353,69 +330,41 @@ impl SsgMaintainer {
         self.candidates_scratch = ordered;
     }
 
-    fn remove_node(&mut self, id: NodeId) {
-        self.graph.remove(id, &self.core.interner);
-        self.core.metrics.states_pruned += 1;
-        self.roots.retain(|&root| root != id);
-    }
-
-    /// Periodic full sweep: expires frames of nodes that were never visited
-    /// recently and drops the ones that became invalid. Bounds memory between
-    /// traversals without paying a full scan on every frame.
-    fn sweep(&mut self, oldest: FrameId) {
-        for id in self.graph.live_ids() {
-            let node = self.graph.node_mut(id);
-            node.frames.expire_before(oldest);
-            node.principal_frames.expire_before(oldest);
-            if !node.frames.has_marked() {
-                self.remove_node(id);
-            }
+    /// The start of a frame: the table drops every row left with no marked
+    /// frame, and the graph removes those nodes, in slab order. Roots lose
+    /// the creation frames that left the window.
+    fn expire(&mut self, oldest: FrameId) {
+        let mut dropped = std::mem::take(&mut self.candidates_scratch);
+        dropped.clear();
+        let graph = &self.graph;
+        self.table.expire(oldest, &mut self.core.metrics, |sid| {
+            // infallible: every state row has a live node.
+            dropped.push(graph.id_of(sid).expect("every state row has a node"));
+        });
+        dropped.sort_unstable();
+        for &id in &dropped {
+            self.graph.remove(id, &self.core.interner);
         }
-    }
-
-    fn collect_results(&mut self, touched: &[NodeId], oldest: FrameId) {
-        // SR_{i'} = SR'_i ∪ SR_{G'}: previously satisfied states are
-        // revalidated (by handle — no set hashing), newly touched states are
-        // examined. Buffers are pooled: `candidates_scratch` is free after
-        // CNPS, and the result set / id list are rebuilt in place.
-        let mut candidates = std::mem::take(&mut self.candidates_scratch);
-        candidates.clear();
-        for &sid in &self.prev_results {
-            if let Some(id) = self.graph.id_of(sid) {
-                candidates.push(id);
-            }
+        if !dropped.is_empty() {
+            self.roots.retain(|&root| self.graph.is_alive(root));
+            // infallible: a valid state reaches a marked frame's principal
+            // state through the states it was derived from.
+            debug_assert_eq!(self.graph.orphan(&self.roots), None);
         }
-        candidates.extend_from_slice(touched);
-
-        self.core.begin_results(self.graph.len());
-        self.prev_results.clear();
-        for id in candidates.drain(..) {
-            if !self.graph.node(id).alive {
-                continue;
-            }
-            self.graph.node_mut(id).frames.expire_before(oldest);
-            let node = self.graph.node(id);
-            if node.frames.has_marked() && self.core.spec.satisfies_duration(node.frames.len()) {
-                self.core.report(node.sid, &node.frames);
-                self.prev_results.push(node.sid);
-            }
+        self.candidates_scratch = dropped;
+        for &root in &self.roots {
+            self.graph
+                .node_mut(root)
+                .principal_frames
+                .expire_before(oldest);
         }
-        self.core.end_results();
-        self.candidates_scratch = candidates;
-        self.prev_results.sort_unstable();
-        self.prev_results.dedup();
     }
 }
 
 impl StateMaintainer for SsgMaintainer {
     fn advance(&mut self, frame: FrameId, objects: &ObjectSet) -> Result<()> {
         let oldest = self.core.begin_frame(frame)?;
-
-        self.frames_since_sweep += 1;
-        if self.frames_since_sweep >= self.core.spec.window() {
-            self.sweep(oldest);
-            self.frames_since_sweep = 0;
-        }
+        self.expire(oldest);
 
         let interned = self.core.interner.len();
         let frame_sid = self.core.interner.intern(objects);
@@ -424,23 +373,25 @@ impl StateMaintainer for SsgMaintainer {
             && !self.core.terminate_if_hopeless(frame_sid)
         {
             // The arriving frame's own object set becomes (or stays) the new
-            // principal state.
-            let ns = self.graph.id_of(frame_sid).unwrap_or_else(|| {
-                self.core.metrics.states_created += 1;
-                self.graph.insert(frame_sid)
-            });
-            let node = self.graph.node_mut(ns);
-            node.frames.expire_before(oldest);
-            node.frames.push(frame, true);
-            node.touched = frame.raw();
-            node.principal_frames.expire_before(oldest);
-            node.principal_frames.push(frame, true);
-            self.touch(ns);
+            // principal state, and the frame is its key frame (Rule 1).
+            let ns = match self.graph.id_of(frame_sid) {
+                Some(ns) => {
+                    let row = self.row(ns);
+                    self.table.frames_mut(row).push(frame, true);
+                    ns
+                }
+                None => {
+                    self.core.metrics.states_created += 1;
+                    let frames = MarkedFrameSet::singleton(frame, true);
+                    self.table.push(frame_sid, frames, &self.core.interner);
+                    self.graph.insert(frame_sid)
+                }
+            };
+            self.graph.node_mut(ns).principal_frames.push(frame, true);
             let at = Arrival {
                 frame,
                 sid: frame_sid,
                 ns,
-                oldest,
                 fresh: frame_sid.raw() as usize >= interned,
             };
 
@@ -457,25 +408,12 @@ impl StateMaintainer for SsgMaintainer {
                 // holding this principal's intersection with the new frame is
                 // pinned down by the principal's creation frames. The visit
                 // above recorded that intersection on the root (an empty one
-                // names no node).
+                // names no node). It may be the root itself.
                 if let Some(candidate) = self.graph.id_of(self.graph.node(root).last_inter) {
                     self.candidates_scratch.push(candidate);
-                    // infallible: the candidate was expired when the frame
-                    // reached it ("Window expiry"), so only in-window creation
-                    // frames find a frame to mark. It may be the root itself.
-                    debug_assert!(self
-                        .graph
-                        .node(candidate)
-                        .frames
-                        .first()
-                        .is_none_or(|first| first >= oldest));
-                    if candidate == root {
-                        let node = self.graph.node_mut(root);
-                        node.frames.inherit_marks(&node.principal_frames, frame);
-                    } else {
-                        let (target, source) = self.graph.pair_mut(candidate, root);
-                        target.frames.inherit_marks(&source.principal_frames, frame);
-                    }
+                    let row = self.row(candidate);
+                    let principal = &self.graph.node(root).principal_frames;
+                    self.table.frames_mut(row).inherit_marks(principal, frame);
                 }
             }
             self.connect_new_principal(ns);
@@ -484,35 +422,9 @@ impl StateMaintainer for SsgMaintainer {
             }
         }
 
-        // Drop principal status of roots whose creating frames all expired and
-        // prune nodes invalidated by this frame's expiry.
-        for &root in &self.roots {
-            let node = self.graph.node_mut(root);
-            if node.alive {
-                node.principal_frames.expire_before(oldest);
-            }
-        }
-        // Read the touched slots out in ascending order, clearing the bits.
-        let mut touched = std::mem::take(&mut self.touched_scratch);
-        for (index, word) in self.touched.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                touched.push(index * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
-        // Remove the touched nodes this frame invalidated (each was expired
-        // when the frame first reached it: validity is judged in-window).
-        for &id in &touched {
-            if self.graph.node(id).alive && !self.graph.node(id).frames.has_marked() {
-                self.remove_node(id);
-            }
-        }
         self.core.metrics.edges_added = self.graph.edges_added;
         self.core.metrics.edges_removed = self.graph.edges_removed;
-        self.collect_results(&touched, oldest);
-        touched.clear();
-        self.touched_scratch = touched;
+        self.table.collect_results(&mut self.core);
         Ok(())
     }
 
@@ -529,7 +441,7 @@ impl StateMaintainer for SsgMaintainer {
     }
 
     fn live_states(&self) -> usize {
-        self.graph.len()
+        self.table.len()
     }
 
     fn name(&self) -> &'static str {
@@ -543,16 +455,9 @@ impl StateMaintainer for SsgMaintainer {
     fn maybe_compact(&mut self, policy: &CompactionPolicy) -> Option<CompactionOutcome> {
         let (table, outcome) = self
             .core
-            .compact(policy, self.graph.len(), || self.graph.live_sids())?;
+            .compact(policy, self.table.len(), || self.table.live())?;
+        self.table.remap(&table);
         self.graph.remap(&table);
-        for sid in &mut self.prev_results {
-            *sid = table
-                .remap(*sid)
-                // infallible: between frames the last results are live nodes,
-                // and the compaction kept `live_sids()`, its live list.
-                .expect("result states are live graph nodes");
-        }
-        self.prev_results.sort_unstable();
         Some(outcome)
     }
 
@@ -562,15 +467,11 @@ impl StateMaintainer for SsgMaintainer {
 
     fn snapshot_state(&self, enc: &mut Encoder) -> Result<()> {
         self.core.put_head(enc);
-        enc.put_usize(self.frames_since_sweep);
+        self.table.encode(enc);
         self.graph.encode(enc);
         enc.put_usize(self.roots.len());
         for &root in &self.roots {
             enc.put_usize(root);
-        }
-        enc.put_usize(self.prev_results.len());
-        for &sid in &self.prev_results {
-            enc.put_u32(sid.raw());
         }
         self.core.metrics.encode(enc);
         Ok(())
@@ -578,8 +479,9 @@ impl StateMaintainer for SsgMaintainer {
 
     fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
         self.core.take_head(dec)?;
-        self.frames_since_sweep = dec.take_usize()?;
-        self.graph = StateGraph::decode(dec, &self.core.interner, self.core.spec.window())?;
+        self.table = StateTable::decode(dec, &self.core)?;
+        let window = self.core.spec.window();
+        self.graph = StateGraph::decode(dec, &self.core.interner, &self.table, window)?;
         let root_count = dec.take_len()?;
         let mut roots = Vec::with_capacity(root_count);
         for _ in 0..root_count {
@@ -592,24 +494,8 @@ impl StateMaintainer for SsgMaintainer {
             roots.push(root);
         }
         self.roots = roots;
-        let result_count = dec.take_len()?;
-        let mut prev_results = Vec::with_capacity(result_count);
-        for _ in 0..result_count {
-            let sid = SetId::from_raw(dec.take_u32()?);
-            if self.graph.id_of(sid).is_none() {
-                return Err(Error::Corrupt(format!(
-                    "result list references handle {} with no live graph node",
-                    sid.raw()
-                )));
-            }
-            prev_results.push(sid);
-        }
-        prev_results.sort_unstable();
-        prev_results.dedup();
-        self.prev_results = prev_results;
-        // The results stay empty: the next frame's collect_results
-        // revalidates `prev_results` by handle, reproducing the reported set
-        // exactly.
+        // The results stay empty: the next frame collects them from the
+        // table.
         self.core.metrics = MaintenanceMetrics::decode(dec)?;
         Ok(())
     }
@@ -620,6 +506,23 @@ mod tests {
     use super::*;
     use crate::prune::MinCardinalityPruner;
     use std::sync::Arc;
+
+    /// The states in object-set order (a restore lays rows out in handle
+    /// order).
+    fn sorted_states(m: &SsgMaintainer) -> Vec<(ObjectSet, MarkedFrameSet)> {
+        let mut states: Vec<_> = m.states().map(|(set, f)| (set, f.clone())).collect();
+        states.sort_by(|a, b| a.0.cmp(&b.0));
+        states
+    }
+
+    impl SsgMaintainer {
+        fn check_invariants(&self) {
+            let interner = &self.core.interner;
+            self.graph
+                .check_invariants(interner, &self.table, &self.roots);
+            self.table.assert_rows_point_back();
+        }
+    }
 
     fn set(ids: &[u32]) -> ObjectSet {
         ObjectSet::from_raw(ids.iter().copied())
@@ -671,7 +574,7 @@ mod tests {
         // After frame 4 the graph holds the states of Table 2 (without {B});
         // the principal states are the distinct in-window frame object sets.
         assert!(m.principal_states() >= 4);
-        let sets: Vec<ObjectSet> = m.states().into_iter().map(|(s, _)| s).collect();
+        let sets: Vec<ObjectSet> = m.states().map(|(s, _)| s).collect();
         assert!(sets.contains(&set(&[1, 2])));
         assert!(sets.contains(&set(&[1, 2, 4])));
         assert!(!sets.contains(&set(&[2])), "invalid {{B}} must be pruned");
@@ -770,7 +673,7 @@ mod tests {
 
         assert_eq!(restored.live_states(), original.live_states());
         assert_eq!(restored.principal_states(), original.principal_states());
-        assert_eq!(restored.states(), original.states());
+        assert_eq!(sorted_states(&restored), sorted_states(&original));
         assert_eq!(restored.metrics(), original.metrics());
         for (i, frame) in patterns.iter().cycle().take(25).enumerate().skip(9) {
             original.advance(FrameId(i as u64), frame).unwrap();
@@ -826,21 +729,21 @@ mod tests {
         restored
             .restore_state(&mut Decoder::new(enc.as_bytes()))
             .unwrap();
-        restored.graph.check_invariants(&restored.core.interner);
+        restored.check_invariants();
         let mut epochs = 0;
         for i in 150..film.len() {
             let outcome = step(&mut original, i);
             assert_eq!(step(&mut restored, i), outcome, "epoch at frame {i}");
             if outcome.is_some() {
                 // The rebuilt handle index holds exactly the live nodes.
-                restored.graph.check_invariants(&restored.core.interner);
+                restored.check_invariants();
                 epochs += 1;
             }
             assert_eq!(restored.results(), original.results(), "frame {i}");
         }
         assert!(epochs >= 2, "only {epochs} epochs after the restore");
         assert!(original.live_states() > 100 && !original.results().is_empty());
-        assert_eq!(restored.states(), original.states());
+        assert_eq!(sorted_states(&restored), sorted_states(&original));
         assert_eq!(
             restored.metrics().without_cache_gauges(),
             original.metrics().without_cache_gauges()
@@ -869,7 +772,7 @@ mod tests {
             );
             ssg.advance(FrameId(u64::from(i)), &frame).unwrap();
             mfs.advance(FrameId(u64::from(i)), &frame).unwrap();
-            ssg.graph.check_invariants(&ssg.core.interner);
+            ssg.check_invariants();
             assert_eq!(ssg.results(), mfs.results(), "frame {i}");
         }
         assert!(ssg.live_states() > 100 && !ssg.results().is_empty());
@@ -929,16 +832,12 @@ mod tests {
                 }
             }
             let frame = ObjectSet::from_raw(objects);
-            if ssg
-                .states()
-                .iter()
-                .any(|(set, _)| frame.is_proper_subset_of(set))
-            {
+            if ssg.states().any(|(set, _)| frame.is_proper_subset_of(&set)) {
                 subset_frames += 1;
             }
             ssg.advance(FrameId(u64::from(i)), &frame).unwrap();
             mfs.advance(FrameId(u64::from(i)), &frame).unwrap();
-            ssg.graph.check_invariants(&ssg.core.interner);
+            ssg.check_invariants();
             assert_eq!(ssg.results(), mfs.results(), "frame {i}");
             shared_states += ssg
                 .graph
@@ -968,11 +867,10 @@ mod tests {
         // A root entry naming no live graph node is corrupt, not a panic.
         let mut enc = Encoder::new();
         original.core.put_head(&mut enc);
-        enc.put_usize(1); // frames_since_sweep
+        original.table.encode(&mut enc);
         original.graph.encode(&mut enc);
         enc.put_usize(1);
         enc.put_usize(17); // dangling root slot
-        enc.put_usize(0); // no previous results
         original.metrics().encode(&mut enc);
         let bytes = enc.into_bytes();
         let mut fresh = SsgMaintainer::new(spec);
@@ -982,8 +880,8 @@ mod tests {
 
     #[test]
     fn long_run_prunes_expired_states() {
-        // Disjoint bursts: states from old bursts must eventually disappear
-        // even if never visited again (periodic sweep).
+        // Disjoint bursts: states from old bursts disappear once their key
+        // frames leave the window, though no frame reaches them again.
         let spec = WindowSpec::new(5, 2).unwrap();
         let mut m = SsgMaintainer::new(spec);
         for i in 0..100u64 {

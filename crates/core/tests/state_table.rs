@@ -1,0 +1,121 @@
+//! The state-table oracle: MFS and SSG hold the same states.
+//!
+//! Both maintainers apply the same Frame Marking Rules and the same
+//! validity test (a state lives while one of its marked frames is in the
+//! window, Theorems 1 and 4), so after every frame their live states must
+//! agree exactly: the same object sets, frame sets and marks, with and
+//! without the Section 5.3 pruner. Equal tables imply equal results; this
+//! checks the stronger claim on the states themselves. It also pins SSG's
+//! table-level counters (states created, states pruned, peak live states)
+//! to MFS's.
+
+use std::sync::Arc;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use tvq_common::{FrameId, MarkedFrameSet, ObjectSet, SetInterner, WindowSpec};
+use tvq_core::{
+    MaintenanceMetrics, MfsMaintainer, MinCardinalityPruner, SharedPruner, SsgMaintainer,
+    StateMaintainer,
+};
+
+/// A film that varies a lot from frame to frame: twelve object slots, each
+/// present with probability 0.7, each slot's object replaced every 50
+/// frames (staggered by 5 frames a slot).
+fn random_film(seed: u64, frames: u32) -> Vec<ObjectSet> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..frames)
+        .map(|i| {
+            ObjectSet::from_raw(
+                (0..12u32)
+                    .filter(|_| rng.gen_bool(0.7))
+                    .map(|s| s * 100 + (i + s * 5) / 50),
+            )
+        })
+        .collect()
+}
+
+/// Objects of the paper's running example: A=1, B=2, C=3, D=4, F=6.
+fn paper_frames() -> Vec<ObjectSet> {
+    [
+        &[2][..],
+        &[1, 2, 3],
+        &[1, 2, 4, 6],
+        &[1, 2, 3, 6],
+        &[1, 2, 4],
+    ]
+    .iter()
+    .map(|ids| ObjectSet::from_raw(ids.iter().copied()))
+    .collect()
+}
+
+type Table = Vec<(ObjectSet, MarkedFrameSet)>;
+
+/// A maintainer's states in a form independent of its interner, sorted by
+/// object set.
+fn table<'a>(states: impl Iterator<Item = (ObjectSet, &'a MarkedFrameSet)>) -> Table {
+    let mut rows: Table = states.map(|(set, frames)| (set, frames.clone())).collect();
+    rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    rows
+}
+
+/// Advances MFS and SSG (both with `min_objects`' pruner, or both without)
+/// over `film` and asserts equal state tables after every frame, then equal
+/// table-level counters. Returns MFS's peak live states.
+fn assert_equal_tables(film: &[ObjectSet], spec: WindowSpec, min_objects: Option<usize>) -> u64 {
+    let pruner = || -> Option<SharedPruner> {
+        Some(Arc::new(MinCardinalityPruner {
+            min_objects: min_objects?,
+        }))
+    };
+    let mut mfs = MfsMaintainer::with_options(spec, SetInterner::new(), pruner());
+    let mut ssg = SsgMaintainer::with_options(spec, SetInterner::new(), pruner());
+    let label = format!(
+        "w={} d={} pruner={min_objects:?}",
+        spec.window(),
+        spec.duration()
+    );
+    for (i, objects) in film.iter().enumerate() {
+        mfs.advance(FrameId(i as u64), objects).unwrap();
+        ssg.advance(FrameId(i as u64), objects).unwrap();
+        assert_eq!(
+            table(ssg.states()),
+            table(mfs.states()),
+            "{label}, frame {i}"
+        );
+    }
+    let (m, s) = (mfs.metrics(), ssg.metrics());
+    let counters = |m: &MaintenanceMetrics| (m.states_created, m.states_pruned, m.peak_live_states);
+    assert_eq!(counters(s), counters(m), "{label}: created, pruned, peak");
+    assert_eq!(ssg.results(), mfs.results(), "{label}");
+    m.peak_live_states
+}
+
+#[test]
+fn mfs_and_ssg_hold_equal_tables_on_random_films() {
+    for seed in 0..3u64 {
+        let film = random_film(seed, 500);
+        for window in [8, 30, 60] {
+            let spec = WindowSpec::new(window, window / 3).unwrap();
+            let peak = assert_equal_tables(&film, spec, None);
+            if (seed, window) == (0, 60) {
+                assert_eq!(peak, 1_846);
+            }
+            assert_equal_tables(&film, spec, Some(3));
+        }
+    }
+}
+
+#[test]
+fn mfs_and_ssg_hold_equal_tables_on_the_paper_example() {
+    let film = paper_frames();
+    for window in 2..=5 {
+        for duration in 1..=window {
+            let spec = WindowSpec::new(window, duration).unwrap();
+            for min_objects in [None, Some(2)] {
+                assert_equal_tables(&film, spec, min_objects);
+            }
+        }
+    }
+}

@@ -110,7 +110,7 @@ fn a_jump_in_frame_ids_expires_the_window_and_nothing_else() {
         if index >= jump_at {
             let words = (mfs.states().map(|(_, frames)| frames.word_count()))
                 .chain(naive.states().map(|(_, frames)| frames.word_count()))
-                .chain(ssg.states().iter().map(|(_, frames)| frames.word_count()))
+                .chain(ssg.states().map(|(_, frames)| frames.word_count()))
                 .max();
             assert!(
                 words.is_some_and(|words| words <= word_bound),

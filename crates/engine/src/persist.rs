@@ -31,8 +31,10 @@ use crate::engine::TemporalVideoQueryEngine;
 const MAGIC: [u8; 4] = *b"TVQE";
 /// Version of the engine snapshot payload. Version 3 writes the
 /// maintainer kind and memo size once each and the two match counters
-/// without a length prefix; older payloads are refused, not read.
-const VERSION: u32 = 3;
+/// without a length prefix; version 4 writes SSG's states as MFS's state
+/// table, ahead of a graph without frame sets. Older payloads are refused,
+/// not read.
+const VERSION: u32 = 4;
 
 const RECORD_FRAME: u8 = 0;
 /// Tag 1 was the add-query record without the registry: a log holding one
@@ -343,13 +345,26 @@ mod tests {
     /// consulting the memo for a frame's newly interned set: every section
     /// outside the maintainer blob is byte-identical, and inside it only
     /// `intersection_cache_{hits,misses}` changed (75/143 → 56/102).
+    /// Version 4 moved both again. MFS's payload (273 B) differs from
+    /// version 3's only in the version word. SSG's (362 → 356 B) differs
+    /// outside the blob only in the version word and the blob's length
+    /// prefix, since the blob became MFS's state table followed by a graph
+    /// without frame sets. Decoded, the blob holds the same arena, cursor,
+    /// states (object sets, frames, marks), roots, edges and stamps as
+    /// before, on renumbered slab slots (an invalid state's slot is freed
+    /// when the table drops it, at frame start, so later states reuse
+    /// different slots). `prev_results` and the sweep counter are gone.
+    /// Five counters moved, all because SSG no longer walks nodes of
+    /// states that are no longer valid: `states_visited` and
+    /// `intersections` fell 258 → 250, `frames_appended` 68 → 67 and
+    /// `intersection_cache_{hits,misses}` 56/102 → 55/97.
     #[test]
     fn engine_snapshot_bytes_are_pinned() {
         let pins = [MaintainerKind::Mfs, MaintainerKind::Ssg].map(|kind| {
             let payload = encode_engine(&pinned_script(kind)).unwrap();
             (payload.len(), tvq_common::crc32(&payload))
         });
-        assert_eq!(pins, [(273, 3842867886), (362, 77283747)]);
+        assert_eq!(pins, [(273, 2907743901), (356, 1806267455)]);
     }
 
     /// The live-binding, registration and alias lists are written strictly

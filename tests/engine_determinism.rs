@@ -3,12 +3,13 @@
 //! Two engines built from the same configuration must produce *identical*
 //! results **and metrics** when fed the same frames — even within one
 //! process, where every `HashMap` instance gets its own random hash seed.
-//! The SSG maintainer's periodic sweep used to remove expired nodes in
-//! `HashMap` iteration order, which rewired edges in a run-dependent order
-//! and made `edges_added`/`edges_removed` differ between identical runs;
-//! `StateGraph::live_ids` now iterates in sorted slab order. Without this
-//! property the multi-feed engine's merged reports could not be compared
-//! against single-feed oracles.
+//! SSG removes the nodes of the states its table drops at the start of a
+//! frame, and each removal rewires edges, so the removal order shapes
+//! `edges_added`/`edges_removed`. An early build removed expired nodes in
+//! `HashMap` iteration order, which differed between identical runs; the
+//! order is now ascending slab slot, which a snapshot also restores.
+//! Without this property the multi-feed engine's merged reports could not
+//! be compared against single-feed oracles.
 
 use tvq_common::WindowSpec;
 use tvq_core::{CompactionPolicy, MaintainerKind};
