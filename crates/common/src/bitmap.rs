@@ -4,11 +4,12 @@
 //! and disjointness tests over small object sets. The interner makes set
 //! *identity* O(1); this module makes the set *algebra* word-parallel and is
 //! the **only stored form** of an interned set: one dense bitmap over the
-//! feed's object universe per set, so an intersection is a loop of `AND` +
-//! `count_ones` over a handful of `u64` words, and the content index hashes
-//! and compares those same words. A sorted [`ObjectSet`](crate::ObjectSet)
-//! exists only at the edges (frames in, results out) and is rebuilt from
-//! the bits on demand through the universe's `slot → ObjectId` table.
+//! feed's object universe per set, so an intersection is one pass of `AND`s
+//! over a handful of `u64` words, and the content index hashes and compares
+//! those same words (a cardinality is their popcount). A sorted
+//! [`ObjectSet`](crate::ObjectSet) exists only at the edges (frames in,
+//! results out) and is rebuilt from the bits on demand through the
+//! universe's `slot → ObjectId` table.
 //!
 //! [`BitmapArena`] stores one fixed-stride bitmap per interned set in a
 //! single flat `Vec<u64>`:
@@ -21,13 +22,14 @@
 //!   and back (owned by the [`SetInterner`](crate::SetInterner), which
 //!   assigns slots first-seen). When a new slot exceeds the current stride
 //!   the arena re-strides: every entry is copied into a wider, zero-padded
-//!   layout (amortised — strides double). [`hash_run`] ignores trailing
-//!   zero words, so a re-stride never changes an entry's hash;
+//!   layout, at least a quarter wider (O(log n) re-strides, padding under a
+//!   quarter). [`hash_run`] ignores trailing zero words, so a re-stride
+//!   never changes an entry's hash;
 //! * a compaction epoch keeps the live entries and rewrites their bits
 //!   through an `old slot → new slot` table against a re-densified universe
-//!   ([`UniverseMap::retain_slots`], [`BitmapArena::retain_remapped`]),
-//!   which is what keeps long-running unbounded feeds bounded (see
-//!   `SetInterner::compact`).
+//!   ([`UniverseMap::retain_slots`], [`BitmapArena::retain_remapped`]) at
+//!   the stride that universe needs exactly, which is what keeps
+//!   long-running unbounded feeds bounded (see `SetInterner::compact`).
 
 use crate::hash::{FxHashMap, K};
 use crate::ids::ObjectId;
@@ -72,6 +74,19 @@ pub fn hash_run(run: &[u64]) -> u64 {
     })
 }
 
+/// How a pair `(a, b)` of bitmaps relates ([`BitmapArena::relate_into`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Relation {
+    /// No shared bit: `a ∩ b = ∅`.
+    Disjoint,
+    /// `a ⊆ b`, so `a ∩ b = a`.
+    FirstInside,
+    /// `b ⊊ a`, so `a ∩ b = b`.
+    SecondInside,
+    /// A shared bit, and each has one the other lacks: `a ∩ b` is a third set.
+    Overlap,
+}
+
 /// A flat arena of fixed-stride `u64` bitmaps, one per interned set.
 ///
 /// Slots are assigned by the owning interner; this type only concerns
@@ -88,16 +103,6 @@ pub struct BitmapArena {
 }
 
 impl BitmapArena {
-    /// Creates an empty arena (stride 1: a 64-object universe fits the
-    /// common tracked-feed case without any re-stride).
-    pub fn new() -> Self {
-        BitmapArena {
-            words: Vec::new(),
-            stride: 1,
-            entries: 0,
-        }
-    }
-
     /// Words per entry.
     #[inline]
     pub fn stride(&self) -> usize {
@@ -109,16 +114,22 @@ impl BitmapArena {
         self.words.capacity() * std::mem::size_of::<u64>()
     }
 
+    /// Number of entries pushed.
+    #[inline]
+    pub fn entries(&self) -> usize {
+        self.entries
+    }
+
     /// Grows the stride so that bit `max_slot` fits, re-laying out every
-    /// existing entry. No-op when the slot already fits.
+    /// existing entry. No-op when the slot already fits. The new stride,
+    /// `max(needed, stride + ⌈stride/4⌉)`, keeps padding under a quarter of
+    /// it and a growing universe's re-strides O(log n).
     pub fn ensure_slot(&mut self, max_slot: u32) {
         let needed = max_slot as usize / WORD_BITS + 1;
         if needed <= self.stride {
             return;
         }
-        // Double instead of fitting exactly so a steadily growing universe
-        // re-strides O(log n) times.
-        let new_stride = needed.max(self.stride * 2);
+        let new_stride = needed.max(self.stride + self.stride.div_ceil(4));
         let mut words = vec![0u64; self.entries * new_stride];
         for entry in 0..self.entries {
             let src = entry * self.stride;
@@ -148,19 +159,29 @@ impl BitmapArena {
         &self.words[index * self.stride..(index + 1) * self.stride]
     }
 
-    /// Writes `a ∩ b` into `out` (resized to the stride) and returns
-    /// `|a ∩ b|`: the interner's memo-miss kernel, which needs the count to
-    /// recognise disjoint and subset pairs and the words only when the
-    /// intersection turns out to be a new set.
+    /// Writes `a ∩ b` into `out` (resized to the stride) and says how the
+    /// entries relate, in one pass of three accumulators and no bit count:
+    /// the interner's memo-miss kernel, which needs the relation to settle
+    /// disjoint and subset pairs and the words only for a proper overlap.
     #[inline]
-    pub fn and_into(&self, a: usize, b: usize, out: &mut Vec<u64>) -> usize {
-        let mut count = 0;
+    pub fn relate_into(&self, a: usize, b: usize, out: &mut Vec<u64>) -> Relation {
+        let (mut any, mut a_out, mut b_out) = (0u64, 0u64, 0u64);
         out.clear();
         out.extend(self.entry(a).iter().zip(self.entry(b)).map(|(&x, &y)| {
-            count += (x & y).count_ones() as usize;
+            any |= x & y;
+            a_out |= x & !y;
+            b_out |= y & !x;
             x & y
         }));
-        count
+        if any == 0 {
+            Relation::Disjoint
+        } else if a_out == 0 {
+            Relation::FirstInside
+        } else if b_out == 0 {
+            Relation::SecondInside
+        } else {
+            Relation::Overlap
+        }
     }
 
     /// Whether `a ⊆ b` — true when no word of `a` has a bit outside `b`.
@@ -185,12 +206,10 @@ impl BitmapArena {
 
     /// Compaction: keeps exactly the entries listed in `keep` (in that
     /// order), moving every set bit from its old slot to `slot_map[old]`.
-    /// Stride and capacity are sized once for the `slots`-object universe
-    /// the map targets; the stride stays on [`ensure_slot`](Self::ensure_slot)'s
-    /// doubling ladder so a universe that grows back does not immediately
-    /// re-stride.
+    /// Stride and capacity are sized once, exactly, for the `slots`-object
+    /// universe the map targets: no padding word survives an epoch.
     pub fn retain_remapped(&mut self, keep: &[usize], slot_map: &[u32], slots: usize) {
-        let stride = slots.div_ceil(WORD_BITS).next_power_of_two();
+        let stride = slots.div_ceil(WORD_BITS);
         let mut words = vec![0u64; keep.len() * stride];
         for (new, &old) in keep.iter().enumerate() {
             let target = &mut words[new * stride..(new + 1) * stride];
@@ -219,11 +238,6 @@ pub struct UniverseMap {
 }
 
 impl UniverseMap {
-    /// Creates an empty universe.
-    pub fn new() -> Self {
-        UniverseMap::default()
-    }
-
     /// Number of objects observed.
     #[inline]
     pub fn len(&self) -> usize {
@@ -309,13 +323,15 @@ mod tests {
         run
     }
 
-    /// `|a ∩ b|` through the one counting kernel the arena has.
+    /// `|a ∩ b|`: the popcount of the words the relation kernel writes.
     fn and_count(arena: &BitmapArena, a: usize, b: usize) -> usize {
-        arena.and_into(a, b, &mut Vec::new())
+        let mut out = Vec::new();
+        arena.relate_into(a, b, &mut out);
+        slots_of(&out).count()
     }
 
     fn arena_with(sets: &[&[u32]]) -> BitmapArena {
-        let mut arena = BitmapArena::new();
+        let mut arena = BitmapArena::default();
         for slots in sets {
             if let Some(&max) = slots.iter().max() {
                 arena.ensure_slot(max);
@@ -327,15 +343,22 @@ mod tests {
 
     #[test]
     fn and_count_subset_disjoint_on_one_word() {
-        let arena = arena_with(&[&[0, 2, 5], &[2, 5, 9], &[1, 3], &[]]);
+        let arena = arena_with(&[&[0, 2, 5], &[2, 5, 9], &[1, 3], &[], &[2, 5]]);
+        let relate = |a, b| arena.relate_into(a, b, &mut Vec::new());
+        assert_eq!(relate(0, 1), Relation::Overlap);
         assert_eq!(and_count(&arena, 0, 1), 2);
-        assert_eq!(and_count(&arena, 0, 2), 0);
+        assert_eq!(relate(0, 2), Relation::Disjoint);
+        assert_eq!(
+            relate(3, 0),
+            Relation::Disjoint,
+            "the empty set shares no bit"
+        );
+        assert_eq!(relate(4, 0), Relation::FirstInside);
+        assert_eq!(relate(0, 4), Relation::SecondInside);
+        assert_eq!(slots_of(arena.entry(0)).count(), 3);
         assert!(arena.is_subset(3, 0), "empty set is a subset of anything");
-        assert_eq!(and_count(&arena, 3, 0), 0);
         assert!(!arena.is_subset(0, 1));
-        let sub = arena_with(&[&[2, 5], &[0, 2, 5]]);
-        assert!(sub.is_subset(0, 1));
-        assert!(!sub.is_subset(1, 0));
+        assert!(arena.is_subset(4, 0) && !arena.is_subset(0, 4));
     }
 
     #[test]
@@ -349,10 +372,13 @@ mod tests {
         assert_eq!(and_count(&arena, 0, 1), 1, "bit 0 survives the re-stride");
         assert!(!arena.is_subset(1, 0));
         arena.ensure_slot(1000);
-        assert!(arena.stride() >= 16);
+        assert_eq!(arena.stride(), 16, "a jump past a quarter fits exactly");
+        arena.ensure_slot(16 * 64);
+        assert_eq!(arena.stride(), 20, "one more word grows the stride by 4");
         assert_eq!(and_count(&arena, 0, 1), 1);
         assert_eq!(hash_run(arena.entry(0)), hash, "zero padding is not hashed");
         assert_ne!(hash_run(arena.entry(1)), hash);
+        assert_eq!(arena.entries(), 2);
     }
 
     #[test]
@@ -362,7 +388,7 @@ mod tests {
         assert!(arena.is_subset(1, 0));
         assert_eq!(and_count(&arena, 0, 2), 0);
         let mut out = vec![7; 9];
-        assert_eq!(arena.and_into(0, 1, &mut out), 2);
+        assert_eq!(arena.relate_into(0, 1, &mut out), Relation::SecondInside);
         assert_eq!(slots_of(&out).collect::<Vec<_>>(), vec![64, 129]);
         assert_eq!(out.len(), arena.stride());
         assert_eq!(
@@ -384,6 +410,11 @@ mod tests {
         assert_eq!(slots_of(arena.entry(0)).count(), 0);
         assert_eq!(slots_of(arena.entry(1)).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(arena.bytes(), 2 * 8, "sized once, exactly");
+        // A 320-slot universe keeps five words, not the next power of two.
+        let mut wide = arena_with(&[&[0, 319]]);
+        wide.retain_remapped(&[0], &(0..320).collect::<Vec<_>>(), 320);
+        assert_eq!(wide.stride(), 5);
+        assert_eq!(slots_of(wide.entry(0)).collect::<Vec<_>>(), vec![0, 319]);
     }
 
     mod kernel_proptests {
@@ -395,7 +426,8 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(96))]
             // Random slot sets over universes from one word to nine: raw
             // slots reduce modulo the universe so every sampled universe
-            // size sees dense occupancy.
+            // size sees dense occupancy. `a` is pushed before the arena
+            // grows to the whole universe, so most cases re-stride it.
             #[test]
             fn kernels_agree_with_the_set_oracle(
                 universe in 1u32..=576,
@@ -404,15 +436,27 @@ mod tests {
             ) {
                 let a: Vec<u32> = raw_a.iter().map(|s| s % universe).collect();
                 let b: Vec<u32> = raw_b.iter().map(|s| s % universe).collect();
-                let mut arena = BitmapArena::new();
-                arena.ensure_slot(universe - 1);
+                let mut arena = BitmapArena::default();
+                if let Some(&max) = a.iter().max() {
+                    arena.ensure_slot(max);
+                }
                 arena.push_run(&run_of(&a));
+                arena.ensure_slot(universe - 1);
                 arena.push_run(&run_of(&b));
                 let sa: BTreeSet<u32> = a.iter().copied().collect();
                 let sb: BTreeSet<u32> = b.iter().copied().collect();
                 prop_assert_eq!(arena.is_subset(0, 1), sa.is_subset(&sb));
+                                let expected = if sa.is_disjoint(&sb) {
+                    Relation::Disjoint
+                } else if sa.is_subset(&sb) {
+                    Relation::FirstInside
+                } else if sb.is_subset(&sa) {
+                    Relation::SecondInside
+                } else {
+                    Relation::Overlap
+                };
                 let mut out = Vec::new();
-                prop_assert_eq!(arena.and_into(0, 1, &mut out), sa.intersection(&sb).count());
+                prop_assert_eq!(arena.relate_into(0, 1, &mut out), expected);
                 prop_assert_eq!(
                     slots_of(&out).collect::<Vec<_>>(),
                     sa.intersection(&sb).copied().collect::<Vec<_>>()
@@ -424,7 +468,7 @@ mod tests {
 
     #[test]
     fn universe_assigns_dense_slots_first_seen() {
-        let mut universe = UniverseMap::new();
+        let mut universe = UniverseMap::default();
         assert_eq!(universe.slot_of(ObjectId(40)), 0);
         assert_eq!(universe.slot_of(ObjectId(7)), 1);
         assert_eq!(universe.slot_of(ObjectId(40)), 0, "stable on re-query");
@@ -436,7 +480,7 @@ mod tests {
 
     #[test]
     fn universe_retain_slots_renumbers_in_slot_order() {
-        let mut universe = UniverseMap::new();
+        let mut universe = UniverseMap::default();
         for id in [40, 7, 99, 3] {
             universe.slot_of(ObjectId(id));
         }

@@ -10,22 +10,23 @@
 //! **The dense bitmap is the only stored form of an interned set.** The
 //! interner owns a [`UniverseMap`] assigning each observed `ObjectId` a bit
 //! slot (and back), and a [`BitmapArena`] holding one fixed-stride `u64`
-//! bitmap per handle. Beside the bitmap a set costs a `u32` cardinality and
-//! its share of the content index — no sorted slice, no `ObjectSet`-keyed
-//! map, no class counts. On top of that the interner:
+//! bitmap per handle, less than a quarter of it padding. Beside the bitmap
+//! a set costs only its share of the content index — no cardinality (a
+//! popcount answers it), no sorted slice, no `ObjectSet`-keyed map, no
+//! class counts. On top of that the interner:
 //!
 //! * **indexes content by the bitmap words** — an open-addressed table of
 //!   bare `SetId`s (linear probing, at most half full), hashed with
 //!   [`hash_run`] and compared on the entry's words. The hash ignores
 //!   trailing zero words, so the zero-padding a re-stride adds when the
-//!   universe crosses 64/128/256… slots never moves an entry;
+//!   universe outgrows the stride never moves an entry;
 //! * **runs the set algebra word-parallel** —
 //!   [`is_subset_of`](SetInterner::is_subset_of) is a word-AND loop, and
 //!   [`intersect_uncached`](SetInterner::intersect_uncached) ANDs the two
-//!   entries into a scratch run while counting the overlap, hashes it,
-//!   probes, and appends the words only when the result is a genuinely new
-//!   set — no allocation either way (it takes a known superset or a likely
-//!   answer that can spare the probe);
+//!   entries into a scratch run while sorting the pair into disjoint,
+//!   subset or proper overlap; only an overlap is compared with the
+//!   caller's hints, hashed and probed, and only a new set appends its
+//!   words — no allocation and no bit count either way;
 //! * **materialises tracker ids on demand** —
 //!   [`resolve`](SetInterner::resolve) rebuilds a sorted [`ObjectSet`] from
 //!   a handle's bits for the few consumers that need one (result
@@ -61,7 +62,7 @@
 use std::sync::PoisonError;
 
 use crate::aggregates::ClassCounts;
-use crate::bitmap::{hash_run, set_bit, slots_of, BitmapArena, UniverseMap};
+use crate::bitmap::{hash_run, set_bit, slots_of, BitmapArena, Relation, UniverseMap};
 use crate::class_store::SharedClassMap;
 use crate::codec::{Decoder, Encoder};
 use crate::error::{Error, Result};
@@ -206,8 +207,6 @@ const MIN_INDEX_SLOTS: usize = 16;
 pub struct SetInterner {
     /// `SetId` → the set, as a dense bitmap. Index 0 is always the empty set.
     bitmaps: BitmapArena,
-    /// `SetId` → number of objects in the set.
-    lens: Vec<u32>,
     /// Content index: open-addressed, power-of-two sized, at most half full.
     /// A slot holds the raw `SetId` of an entry, hashed and compared on that
     /// entry's bitmap words; 0 marks a free slot (the empty set is never
@@ -236,7 +235,7 @@ impl SetInterner {
     /// [`SetInterner::counts_of`] returns `None`.
     pub fn new() -> Self {
         let mut interner = SetInterner::default();
-        interner.push_entry(&[], 0);
+        interner.push_entry(&[]);
         interner.rebuild_index();
         interner
     }
@@ -268,12 +267,17 @@ impl SetInterner {
 
     /// Number of distinct sets interned (including the empty set).
     pub fn len(&self) -> usize {
-        self.lens.len()
+        self.bitmaps.entries()
     }
 
     /// Whether only the empty set has been interned.
     pub fn is_empty(&self) -> bool {
-        self.lens.len() <= 1
+        self.len() <= 1
+    }
+
+    /// Words per bitmap: the universe's, plus under a quarter of headroom.
+    pub fn stride(&self) -> usize {
+        self.bitmaps.stride()
     }
 
     /// Number of distinct objects in the current epoch's universe.
@@ -300,7 +304,7 @@ impl SetInterner {
     /// not persisted — only its hit/miss counters drift after recovery.
     pub fn encode(&self, enc: &mut Encoder) {
         enc.put_usize(self.len() - 1);
-        for index in 1..self.lens.len() {
+        for index in 1..self.len() {
             let set = self.resolve(SetId(index as u32));
             enc.put_usize(set.len());
             for id in set.iter() {
@@ -368,11 +372,10 @@ impl SetInterner {
         self.memo.len()
     }
 
-    /// Bytes held per set beside its bitmap: the cardinality column plus
-    /// the content index. Bitmap storage is reported separately by
-    /// [`SetInterner::bitmap_bytes`].
+    /// Bytes held per set beside its bitmap: the content index. Bitmap
+    /// storage is reported separately by [`SetInterner::bitmap_bytes`].
     pub fn arena_bytes(&self) -> usize {
-        (self.lens.capacity() + self.index.capacity()) * std::mem::size_of::<u32>()
+        self.index.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Bytes held by the dense bitmaps (the scratch run included) and the
@@ -396,7 +399,7 @@ impl SetInterner {
         }
         self.bitmaps.ensure_slot(self.universe.len() as u32 - 1);
         run.resize(self.bitmaps.stride(), 0);
-        let id = self.find_or_insert(&run, set.len());
+        let id = self.find_or_insert(&run);
         self.scratch = run;
         id
     }
@@ -430,35 +433,34 @@ impl SetInterner {
     /// Re-creates the content index for the current entries at the smallest
     /// power-of-two size they fill at most half of.
     fn rebuild_index(&mut self) {
-        let slots = (self.lens.len() * 2).next_power_of_two();
+        let slots = (self.len() * 2).next_power_of_two();
         self.index = vec![0; slots.max(MIN_INDEX_SLOTS)];
-        for id in 1..self.lens.len() {
+        for id in 1..self.len() {
             let slot = self.probe(self.bitmaps.entry(id));
             self.index[slot] = id as u32;
         }
     }
 
-    fn find_or_insert(&mut self, run: &[u64], len: usize) -> SetId {
+    fn find_or_insert(&mut self, run: &[u64]) -> SetId {
         let slot = self.probe(run);
         if self.index[slot] != 0 {
             return SetId(self.index[slot]);
         }
-        let id = self.push_entry(run, len);
+        let id = self.push_entry(run);
         self.index[slot] = id.0;
-        if self.lens.len() * 2 > self.index.len() {
+        if self.len() * 2 > self.index.len() {
             self.rebuild_index();
         }
         id
     }
 
     /// Appends a set (not yet indexed) and returns its handle.
-    fn push_entry(&mut self, run: &[u64], len: usize) -> SetId {
-        // infallible: 2^32 sets would need 16 GiB for their lengths alone,
-        // before their bitmaps; memory runs out first.
-        debug_assert!(self.lens.len() < u32::MAX as usize, "interner arena full");
-        let id = SetId(self.lens.len() as u32);
+    fn push_entry(&mut self, run: &[u64]) -> SetId {
+        // infallible: 2^32 sets would need 32 GiB for their bitmaps at one
+        // word each; memory runs out first.
+        debug_assert!(self.len() < u32::MAX as usize, "interner arena full");
+        let id = SetId(self.len() as u32);
         self.bitmaps.push_run(run);
-        self.lens.push(len as u32);
         id
     }
 
@@ -475,10 +477,11 @@ impl SetInterner {
         ObjectSet::from_sorted_unchecked(ids)
     }
 
-    /// Number of objects in the set behind a handle.
+    /// Number of objects in the set behind a handle: its bitmap's popcount.
     #[inline]
     pub fn len_of(&self, id: SetId) -> usize {
-        self.lens[id.index()] as usize
+        let words = self.bitmaps.entry(id.index());
+        words.iter().map(|word| word.count_ones() as usize).sum()
     }
 
     /// The class counts of the set behind a handle, aggregated from its
@@ -518,10 +521,10 @@ impl SetInterner {
     }
 
     /// [`intersect`](Self::intersect) with two hints that let a memo miss
-    /// skip the content-index probe: `bound` contains `a ∩ b` (or is empty),
-    /// so an overlap of its size *is* `bound`; `guess` is any handle and
-    /// wins only if its words equal the scratch run. Both are read after
-    /// the memo lookup, so answers and memo counters are `intersect`'s.
+    /// skip the content-index probe: `bound` should contain `a ∩ b` and
+    /// `guess` is any handle; either wins only if its words equal `a ∩ b`,
+    /// and `SetId::EMPTY` means no hint. Both are read after the memo
+    /// lookup, so answers and memo counters are `intersect`'s.
     pub fn intersect_within(&mut self, a: SetId, b: SetId, bound: SetId, guess: SetId) -> SetId {
         // a ∩ a = a, and ∅ (handle 0, the least) absorbs.
         if a == b || a == SetId::EMPTY || b == SetId::EMPTY {
@@ -550,36 +553,31 @@ impl SetInterner {
     /// `a ∩ b` without the memo (neither read, written nor counted): the
     /// memo-miss path of [`intersect_within`](Self::intersect_within),
     /// hints and fast paths included, for callers whose pairs rarely repeat.
-    /// Disjoint and subset pairs resolve without hashing; a proper overlap
-    /// is settled by a hint when it can be, else hashed and probed, and only
-    /// a new set appends its words.
+    /// One pass sorts the pair into disjoint, `a ⊆ b`, `b ⊆ a` or a proper
+    /// overlap; only an overlap reads the hints' words, then the content
+    /// index, and only a new set appends its words.
     pub fn intersect_uncached(&mut self, a: SetId, b: SetId, bound: SetId, guess: SetId) -> SetId {
         // a ∩ a = a, and ∅ (handle 0, the least) absorbs.
         if a == b || a == SetId::EMPTY || b == SetId::EMPTY {
             return a.min(b);
         }
-        let overlap = self
+        let relation = self
             .bitmaps
-            .and_into(a.index(), b.index(), &mut self.scratch);
-        if overlap == 0 {
-            SetId::EMPTY
-        } else if overlap == self.len_of(a) {
-            a
-        } else if overlap == self.len_of(b) {
-            b
-        } else if overlap == self.len_of(bound) {
-            // infallible: `bound` contains `a ∩ b` by contract, and a
-            // subset of equal size is the set itself.
-            debug_assert_eq!(self.bitmaps.entry(bound.index()), &self.scratch[..]);
-            bound
-        } else if overlap == self.len_of(guess) && self.bitmaps.entry(guess.index()) == self.scratch
-        {
-            guess
-        } else {
-            let run = std::mem::take(&mut self.scratch);
-            let id = self.find_or_insert(&run, overlap);
-            self.scratch = run;
-            id
+            .relate_into(a.index(), b.index(), &mut self.scratch);
+        let is_scratch =
+            |hint: SetId| hint != SetId::EMPTY && self.bitmaps.entry(hint.index()) == self.scratch;
+        match relation {
+            Relation::Disjoint => SetId::EMPTY,
+            Relation::FirstInside => a,
+            Relation::SecondInside => b,
+            Relation::Overlap if is_scratch(bound) => bound,
+            Relation::Overlap if is_scratch(guess) => guess,
+            Relation::Overlap => {
+                let run = std::mem::take(&mut self.scratch);
+                let id = self.find_or_insert(&run);
+                self.scratch = run;
+                id
+            }
         }
     }
 
@@ -592,9 +590,9 @@ impl SetInterner {
     }
 
     /// Starts a new compaction epoch: keeps the given live handles (their
-    /// bitmaps and cardinalities), drops everything else,
-    /// re-densifies the universe and returns the [`RemapTable`] translating
-    /// old handles to their replacements.
+    /// bitmaps, at the stride the surviving universe needs exactly), drops
+    /// everything else, re-densifies the universe and returns the
+    /// [`RemapTable`] translating old handles to their replacements.
     ///
     /// The live list may contain duplicates and need not mention
     /// [`SetId::EMPTY`] (the empty set always survives as id 0). Surviving
@@ -616,16 +614,14 @@ impl SetInterner {
         // One OR over the survivors fixes the new universe: which slots
         // stay (renumbered by rank), hence the stride, and which objects
         // retire. The bitmaps are then rewritten in a single sized pass.
+        let mut map: Vec<Option<SetId>> = vec![None; self.len()];
+        for (new, &old) in keep.iter().enumerate() {
+            map[old] = Some(SetId(new as u32));
+        }
         let live_slots = self.bitmaps.union_of(keep.iter().copied());
         let (slot_map, mut retired_objects) = self.universe.retain_slots(&live_slots);
         self.bitmaps
             .retain_remapped(&keep, &slot_map, self.universe.len());
-
-        let mut map: Vec<Option<SetId>> = vec![None; self.lens.len()];
-        for (new, &old) in keep.iter().enumerate() {
-            map[old] = Some(SetId(new as u32));
-        }
-        self.lens = keep.iter().map(|&old| self.lens[old]).collect();
         self.rebuild_index();
         // The memo references retired handles; drop it wholesale (it refills
         // within a window's worth of frames).
@@ -926,6 +922,37 @@ mod tests {
         }
     }
 
+    /// A universe growing one object at a time from 0 to 4,096 re-strides
+    /// about 15 times (a quarter step each), the words past the universe's
+    /// last stay under a quarter of the stride throughout, and every set
+    /// keeps its content and cardinality.
+    #[test]
+    fn growing_universes_restride_logarithmically_with_little_padding() {
+        let mut interner = SetInterner::new();
+        let first = interner.intern(&set(&[0]));
+        let mut restrides = 0;
+        for id in 0..4096u32 {
+            let stride = interner.stride();
+            interner.intern(&set(&[id]));
+            restrides += usize::from(interner.stride() != stride);
+            let padding = interner.stride() - interner.universe_len().div_ceil(64);
+            assert!(
+                4 * padding < interner.stride(),
+                "{padding} padding words at stride {} for {} objects",
+                interner.stride(),
+                interner.universe_len()
+            );
+        }
+        assert_eq!((interner.universe_len(), interner.stride()), (4096, 75));
+        assert!(restrides <= 16, "{restrides} re-strides");
+        assert_eq!(interner.resolve(first), set(&[0]));
+        assert_eq!(interner.len_of(first), 1);
+        // Compaction fits the stride to the surviving universe exactly.
+        let wide = interner.intern(&ObjectSet::from_raw(0..300));
+        interner.compact(&[wide]);
+        assert_eq!((interner.universe_len(), interner.stride()), (300, 5));
+    }
+
     #[test]
     fn algebra_stays_correct_across_epochs() {
         let mut interner = SetInterner::new();
@@ -1161,6 +1188,52 @@ mod proptests {
                     prop_assert_eq!(&interner.resolve(id), set);
                 }
             }
+        }
+
+        /// `len_of` is the resolved set's size, and `intersect_uncached`
+        /// answers every pair with the set oracle's intersection, through
+        /// universes that grow by random steps (so strides that are not
+        /// powers of two, and re-strides between interns) and a compaction
+        /// to a random live subset (so strides fitted exactly).
+        #[test]
+        fn cardinalities_and_relations_match_the_oracle_across_restrides(
+            raw in wide_sets(),
+            growth in proptest::collection::vec(0u32..160, 2..6),
+            keep_mask in 0u32..256,
+        ) {
+            let sets = widen(&raw);
+            let mut interner = SetInterner::new();
+            let mut fresh = 10_000u32;
+            let mut ids = Vec::new();
+            for (i, set) in sets.iter().enumerate() {
+                // Unseen objects widen the universe before some sets.
+                let step = growth[i % growth.len()];
+                interner.intern(&ObjectSet::from_raw(fresh..fresh + step));
+                fresh += step;
+                ids.push(interner.intern(set));
+            }
+            let check = |interner: &mut SetInterner, ids: &[SetId]| {
+                for (i, &a) in ids.iter().enumerate() {
+                    prop_assert_eq!(interner.len_of(a), interner.resolve(a).len());
+                    prop_assert_eq!(interner.len_of(a), sets[i].len());
+                    for (j, &b) in ids.iter().enumerate() {
+                        let inter = interner.intersect_uncached(a, b, SetId::EMPTY, SetId::EMPTY);
+                        prop_assert_eq!(interner.resolve(inter), sets[i].intersect(&sets[j]));
+                        prop_assert_eq!(interner.len_of(inter), interner.resolve(inter).len());
+                    }
+                }
+            };
+            check(&mut interner, &ids);
+            let live: Vec<SetId> = ids
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| keep_mask & (1 << (i % 8)) != 0)
+                .map(|(_, &id)| id)
+                .collect();
+            interner.compact(&live);
+            prop_assert_eq!(interner.stride(), interner.universe_len().div_ceil(64));
+            let again: Vec<SetId> = sets.iter().map(|s| interner.intern(s)).collect();
+            check(&mut interner, &again);
         }
 
         /// Compacting to a random live subset preserves the algebra: every

@@ -68,6 +68,12 @@ fn gauges_match_the_allocator() {
         + interner.bitmap_bytes()
         + interner.memo_slots() * std::mem::size_of::<[SetId; 3]>();
     assert!(interner.len() > 1_000, "the family must mint many sets");
+    assert_eq!(
+        interner.stride(),
+        5,
+        "{} objects take five words a set",
+        interner.universe_len()
+    );
     assert!(interner.memo_slots() > 0);
     let ratio = held as f64 / gauge as f64;
     assert!(

@@ -39,9 +39,8 @@ pub struct MaintenanceMetrics {
     /// back to the live set, so on compacting configurations this plateaus
     /// instead of tracking the lifetime total.
     pub interned_sets: u64,
-    /// Bytes the interner holds per set beside its bitmap (cardinality and
-    /// class-count-handle columns, content index). A gauge, sampled after
-    /// each frame.
+    /// Bytes the interner holds beside its bitmaps: the content index. A
+    /// gauge, sampled after each frame.
     pub arena_bytes: u64,
     /// Bytes held by the interner's dense bitmaps and universe map (with
     /// its reverse table). A gauge, sampled after each frame.

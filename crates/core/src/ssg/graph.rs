@@ -9,8 +9,7 @@
 //! exactly as described in Section 4.3.4 of the paper.
 
 use tvq_common::{
-    Decoder, Encoder, Error, FrameId, FxHashSet, MarkedFrameSet, RemapTable, Result, SetId,
-    SetInterner,
+    Decoder, Encoder, Error, FrameId, MarkedFrameSet, RemapTable, Result, SetId, SetInterner,
 };
 
 use crate::substrate::StateTable;
@@ -41,10 +40,6 @@ pub(crate) struct Node {
     /// `attach` read it instead of intersecting or testing subsets again;
     /// the next visit offers it to the interner as its guess.
     pub last_inter: SetId,
-    /// Frame id of the last frame whose traversal ensured the state holding
-    /// `last_inter` below this node. Not persisted: it only ever matches
-    /// the frame being processed.
-    pub ensured: u64,
     /// In-window frames whose object set equals this node's object set
     /// (non-empty while the node is a principal state), each of them a key
     /// frame: the marks a derived state inherits from this principal.
@@ -61,7 +56,6 @@ impl Node {
             parents: Vec::new(),
             visited: NEVER,
             last_inter: SetId::EMPTY,
-            ensured: NEVER,
             principal_frames: MarkedFrameSet::new(),
             alive: true,
         }
@@ -214,9 +208,8 @@ impl StateGraph {
     /// `I = parent.last_inter = parent ∩ F`. Every `t` the walk compares
     /// lies below `parent`, so `t ∩ F ⊆ I`, and for a `t` visited this frame
     /// `I ⊊ t ⟺ t.last_inter == I` and `t ⊊ I ⟺ t.last_inter == t.sid`.
-    /// A containing sibling that ensured its intersection this frame already
-    /// holds `I` below it, so the walk ends there. Other tests (and every
-    /// test without a `frame`) run word-parallel on the interner's bitmaps.
+    /// Other tests (and every test without a `frame`) run word-parallel on
+    /// the interner's bitmaps.
     pub fn attach(
         &mut self,
         parent: NodeId,
@@ -250,14 +243,7 @@ impl StateGraph {
             let sibling = self.nodes[parent].children[index];
             let (inside, holds) = self.relation(sibling, sid, interner, frame);
             if inside {
-                // A tighter ancestor exists among the siblings; attach below
-                // it, unless it already did so this frame.
-                if frame == Some(self.nodes[sibling].ensured) {
-                    // infallible: the sibling's `ensure_state` ran this frame
-                    // on its `last_inter`, `sid`, attaching `child` below it.
-                    debug_assert!(self.reaches(sibling, child));
-                    return;
-                }
+                // A tighter ancestor exists among the siblings: attach below it.
                 self.attach(sibling, child, interner, frame);
                 return;
             }
@@ -322,7 +308,7 @@ impl StateGraph {
     /// stamps are only read within the frame that wrote them; `last_inter`
     /// also feeds the next visit's guess, where a stale one costs one
     /// compare and is never trusted. Frame sets live in the state table;
-    /// the `ensured` stamp and the handle index are not written.
+    /// the handle index is not written.
     pub fn encode(&self, enc: &mut Encoder) {
         enc.put_usize(self.nodes.len());
         for node in &self.nodes {
@@ -410,7 +396,6 @@ impl StateGraph {
                 parents,
                 visited,
                 last_inter,
-                ensured: NEVER,
                 principal_frames,
                 alive: true,
             });
@@ -500,19 +485,6 @@ impl StateGraph {
             }
         }
         (0..self.nodes.len()).find(|&id| self.nodes[id].alive && !reached[id])
-    }
-
-    /// Whether `target` is `from` or lies below it (debug-build checks).
-    fn reaches(&self, from: NodeId, target: NodeId) -> bool {
-        let mut seen = FxHashSet::default();
-        let mut stack = vec![from];
-        while let Some(id) = stack.pop() {
-            if id == target {
-                return true;
-            }
-            stack.extend(self.nodes[id].children.iter().filter(|&&c| seen.insert(c)));
-        }
-        false
     }
 }
 
@@ -700,22 +672,6 @@ mod tests {
         assert_eq!(a, b, "slab slot should be recycled");
         assert_eq!(g.len(), 1);
         assert!(g.id_of(interner.intern(&set(&[1]))).is_none());
-    }
-
-    #[test]
-    fn reachability_follows_child_edges() {
-        let mut interner = SetInterner::new();
-        let mut g = StateGraph::new();
-        let abcd = insert(&mut g, &mut interner, &[1, 2, 3, 4]);
-        let abc = insert(&mut g, &mut interner, &[1, 2, 3]);
-        let ab = insert(&mut g, &mut interner, &[1, 2]);
-        let cd = insert(&mut g, &mut interner, &[3, 4]);
-        g.attach(abcd, abc, &interner, None);
-        g.attach(abc, ab, &interner, None);
-        g.attach(abcd, cd, &interner, None);
-        assert!(g.reaches(abc, abc) && g.reaches(abc, ab));
-        assert!(!g.reaches(abc, cd) && !g.reaches(abc, abcd));
-        assert!([abc, ab, cd].iter().all(|&id| g.reaches(abcd, id)));
     }
 
     #[test]

@@ -56,8 +56,9 @@
 //! frame). Its intersection is materialised where lines 25-29 of Algorithm
 //! 1 put it: by its own visit, after its subtree, when it is a proper new
 //! set. (Lines 5-16 would make the same `(parent, set)` call earlier, from
-//! a child's visit; it is not made.) The `ensured` stamp lets `attach` stop
-//! at a sibling that already holds the new state.
+//! a child's visit; it is not made.) A node one of whose children
+//! intersected the frame to the same set makes no `attach` call: that
+//! child holds the state or has it below, so by Property 2 no edge is due.
 //!
 //! **The walk reads child lists in place.** No edit inside a node's subtree
 //! reaches the list of a node on the walk stack: `attach(p, …)` edits only
@@ -184,7 +185,7 @@ impl SsgMaintainer {
     /// Appends the arriving frame to `row`, once a frame.
     fn append(&mut self, row: usize, frame: FrameId) {
         let frames = self.table.frames_mut(row);
-        if frames.last() != Some(frame) {
+        if !frames.contains(frame) {
             frames.push(frame, false);
             self.core.metrics.frames_appended += 1;
         }
@@ -194,17 +195,15 @@ impl SsgMaintainer {
     /// intersection with the arriving frame — once `parent`'s subtree has
     /// been walked (lines 25-29 of Algorithm 1): the state holding it exists,
     /// carries the frame and sits below `parent`. Runs once per node per
-    /// frame, from the node's own visit.
-    fn ensure_state(&mut self, sid: SetId, parent: NodeId, at: Arrival) {
-        let node = self.graph.node_mut(parent);
+    /// frame, from the node's own visit. `held`: a child of `parent` holds
+    /// `sid` or has it below, so no attach is due (module docs).
+    fn ensure_state(&mut self, sid: SetId, parent: NodeId, at: Arrival, held: bool) {
+        let node = self.graph.node(parent);
         // infallible: the caller is `parent`'s visit, which stamped both.
         debug_assert_eq!((sid, node.visited), (node.last_inter, at.frame.raw()));
-        // infallible: a node is visited once a frame, and calls this only for
-        // an `inter` that is not empty, its own set or the frame's.
-        debug_assert!(
-            node.ensured != at.frame.raw() && ![SetId::EMPTY, node.sid, at.sid].contains(&sid)
-        );
-        node.ensured = at.frame.raw();
+        // infallible: a visit calls this only for an `inter` that is not
+        // empty, its own set or the frame's.
+        debug_assert!(![SetId::EMPTY, node.sid, at.sid].contains(&sid));
         if self.core.is_terminated(sid) {
             return;
         }
@@ -225,8 +224,13 @@ impl SsgMaintainer {
         // Frame-set completeness and Rule-2 mark inheritance: the parent's
         // frames all contain the parent's object set, hence this subset too.
         self.table.merge_from(row, self.row(parent));
-        self.graph
-            .attach(parent, id, &self.core.interner, Some(at.frame.raw()));
+        let edges = (self.graph.edges_added, self.graph.edges_removed);
+        if !held || cfg!(debug_assertions) {
+            let frame = Some(at.frame.raw());
+            self.graph.attach(parent, id, &self.core.interner, frame);
+        }
+        // infallible: a held attach is a no-op (see above).
+        debug_assert!(!held || edges == (self.graph.edges_added, self.graph.edges_removed));
     }
 
     /// State Traversal (Algorithm 1), visiting `node` with `p_inter` being the
@@ -280,21 +284,25 @@ impl SsgMaintainer {
             // A proper, new intersection: descend first (a child subtree may
             // already own it), then make sure it exists under this node
             // (lines 25-29).
-            self.visit_children(node, inter, at);
-            self.ensure_state(inter, node, at);
+            let held = self.visit_children(node, inter, at);
+            self.ensure_state(inter, node, at, held);
         }
     }
 
     /// Visits `node`'s children in place: no edit inside a child's subtree
-    /// reaches `node`'s list (the module docs say why).
-    fn visit_children(&mut self, node: NodeId, inter: SetId, at: Arrival) {
+    /// reaches `node`'s list (the module docs say why). Returns whether
+    /// some child's intersection with the frame is `inter` too.
+    fn visit_children(&mut self, node: NodeId, inter: SetId, at: Arrival) -> bool {
         let count = self.graph.node(node).children.len();
+        let mut held = false;
         for index in 0..count {
             // infallible: module docs, "The walk reads child lists in place".
             debug_assert_eq!(self.graph.node(node).children.len(), count);
             let child = self.graph.node(node).children[index];
             self.st_visit(child, Some(node), inter, at);
+            held |= self.graph.node(child).last_inter == inter;
         }
+        held
     }
 
     /// CNPS (Algorithm 2): connect the new principal state to the candidate
