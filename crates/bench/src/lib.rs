@@ -14,7 +14,7 @@
 //! | `fig8` | [`experiments::fig8`] | Figure 8 (time vs #queries) |
 //! | `fig9` | [`experiments::fig9`] | Figure 9 (pruning vs n_min) |
 //! | `fig10` | [`experiments::fig10`] | Figure 10 (end-to-end per query) |
-//! | `long_churn` | [`experiments::long_churn`] | arena plateau under compaction (gated) |
+//! | `long_churn` | [`experiments::long_churn`] | interner plateau under compaction (gated) |
 //! | `id_reuse` | [`experiments::id_reuse`] | engine-memory plateau under retirement (gated) |
 //! | `skew` | [`experiments::skew`] | per-batch placement on 1 vs 4 workers over a skewed grid (gated) |
 //!

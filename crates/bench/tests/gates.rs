@@ -21,9 +21,9 @@ fn long_churn_arena_plateaus_under_compaction() {
     for run in &runs {
         let method = &run.timing.method;
         assert_eq!(
-            run.passes_arena_gate(),
+            run.passes_interner_gate(),
             run.enabled(),
-            "{method}: peak arena {} B vs first-epoch ceiling {:?} ({} epochs)",
+            "{method}: peak interner {} B (index + bitmaps) vs first-epoch ceiling {:?} ({} epochs)",
             run.peak_bytes,
             run.first_epoch_ceiling,
             run.timing.metrics.compactions

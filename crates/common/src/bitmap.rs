@@ -25,6 +25,9 @@
 //!   layout, at least a quarter wider (O(log n) re-strides, padding under a
 //!   quarter). [`hash_run`] ignores trailing zero words, so a re-stride
 //!   never changes an entry's hash;
+//! * the flat vector grows by the same rule: out of room it reserves a
+//!   quarter more words (at least one entry), not double, and a re-stride
+//!   allocates its wider layout with that headroom already in place;
 //! * a compaction epoch keeps the live entries and rewrites their bits
 //!   through an `old slot → new slot` table against a re-densified universe
 //!   ([`UniverseMap::retain_slots`], [`BitmapArena::retain_remapped`]) at
@@ -74,6 +77,12 @@ pub fn hash_run(run: &[u64]) -> u64 {
     })
 }
 
+/// Words reserved past `len` whenever the arena grows: a quarter of it,
+/// and at least one `stride`-word entry.
+fn headroom(stride: usize, len: usize) -> usize {
+    stride.max(len / 4)
+}
+
 /// How a pair `(a, b)` of bitmaps relates ([`BitmapArena::relate_into`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Relation {
@@ -109,7 +118,8 @@ impl BitmapArena {
         self.stride
     }
 
-    /// Bytes held by the bitmap words.
+    /// Bytes held by the bitmap words: their length plus at most
+    /// `max(stride, len/4)` words of headroom (none after a compaction).
     pub fn bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
     }
@@ -123,14 +133,18 @@ impl BitmapArena {
     /// Grows the stride so that bit `max_slot` fits, re-laying out every
     /// existing entry. No-op when the slot already fits. The new stride,
     /// `max(needed, stride + ⌈stride/4⌉)`, keeps padding under a quarter of
-    /// it and a growing universe's re-strides O(log n).
+    /// it and a growing universe's re-strides O(log n). The new layout is
+    /// allocated with [`push_run`](Self::push_run)'s quarter of headroom,
+    /// so the next push does not copy the whole arena again.
     pub fn ensure_slot(&mut self, max_slot: u32) {
         let needed = max_slot as usize / WORD_BITS + 1;
         if needed <= self.stride {
             return;
         }
         let new_stride = needed.max(self.stride + self.stride.div_ceil(4));
-        let mut words = vec![0u64; self.entries * new_stride];
+        let len = self.entries * new_stride;
+        let mut words = Vec::with_capacity(len + headroom(new_stride, len));
+        words.resize(len, 0);
         for entry in 0..self.entries {
             let src = entry * self.stride;
             let dst = entry * new_stride;
@@ -142,12 +156,17 @@ impl BitmapArena {
 
     /// Appends one entry holding `run`, zero-padded to the stride. The run
     /// must fit the current stride (callers run
-    /// [`BitmapArena::ensure_slot`] first).
+    /// [`BitmapArena::ensure_slot`] first). Out of room, the words grow by
+    /// exactly `max(stride, len/4)`, not by doubling: the unused tail is at
+    /// most a quarter of the words, or one entry while the arena is small.
     pub fn push_run(&mut self, run: &[u64]) {
         // infallible: the interner, the one caller, runs `ensure_slot` for
         // every slot its universe hands out, and builds runs over those.
         debug_assert!(run.len() <= self.stride, "run beyond stride");
         let base = self.words.len();
+        if base + self.stride > self.words.capacity() {
+            self.words.reserve_exact(headroom(self.stride, base));
+        }
         self.words.extend_from_slice(run);
         self.words.resize(base + self.stride, 0);
         self.entries += 1;
@@ -157,6 +176,16 @@ impl BitmapArena {
     #[inline]
     pub fn entry(&self, index: usize) -> &[u64] {
         &self.words[index * self.stride..(index + 1) * self.stride]
+    }
+
+    /// Whether entry `index` holds exactly the words of `run` (a run of
+    /// stride words). A word loop the compiler inlines, not a `memcmp`
+    /// call: the content index compares an entry at every probe step
+    /// (several at ¾ load), and MFS probes on every overlap.
+    #[inline]
+    pub fn entry_is(&self, index: usize, run: &[u64]) -> bool {
+        let entry = self.entry(index);
+        entry.len() == run.len() && entry.iter().zip(run).all(|(x, y)| x == y)
     }
 
     /// Writes `a ∩ b` into `out` (resized to the stride) and says how the

@@ -13,13 +13,18 @@
 //! bitmap per handle, less than a quarter of it padding. Beside the bitmap
 //! a set costs only its share of the content index — no cardinality (a
 //! popcount answers it), no sorted slice, no `ObjectSet`-keyed map, no
-//! class counts. On top of that the interner:
+//! class counts. What grows, grows by a quarter: the stride, the bitmap
+//! words and the content index each keep at most about a quarter of
+//! their room unused. On top of that the interner:
 //!
 //! * **indexes content by the bitmap words** — an open-addressed table of
-//!   bare `SetId`s (linear probing, at most half full), hashed with
-//!   [`hash_run`] and compared on the entry's words. The hash ignores
-//!   trailing zero words, so the zero-padding a re-stride adds when the
-//!   universe outgrows the stride never moves an entry;
+//!   bare `SetId`s, hashed with [`hash_run`] and compared on the entry's
+//!   words. The table's length is no power of two: a set's home slot is
+//!   the multiply-high of its hash and that length, the linear probe
+//!   wraps at the end, and the table is rebuilt when more than ¾ full, to
+//!   ⅗ full. The hash ignores trailing zero words, so the zero-padding a
+//!   re-stride adds when the universe outgrows the stride never moves an
+//!   entry;
 //! * **runs the set algebra word-parallel** —
 //!   [`is_subset_of`](SetInterner::is_subset_of) is a word-AND loop, and
 //!   [`intersect_uncached`](SetInterner::intersect_uncached) ANDs the two
@@ -197,7 +202,8 @@ impl Default for MemoConfig {
 /// Sentinel for an unused memo slot (`a == b` pairs never reach the cache).
 const MEMO_FREE: (SetId, SetId) = (SetId::EMPTY, SetId::EMPTY);
 
-/// Fewest content-index slots allocated (the index doubles from here).
+/// Fewest content-index slots allocated (the index grows by a quarter
+/// from here).
 const MIN_INDEX_SLOTS: usize = 16;
 
 /// The object-set arena with word-parallel set algebra, intersection
@@ -207,10 +213,10 @@ const MIN_INDEX_SLOTS: usize = 16;
 pub struct SetInterner {
     /// `SetId` → the set, as a dense bitmap. Index 0 is always the empty set.
     bitmaps: BitmapArena,
-    /// Content index: open-addressed, power-of-two sized, at most half full.
-    /// A slot holds the raw `SetId` of an entry, hashed and compared on that
-    /// entry's bitmap words; 0 marks a free slot (the empty set is never
-    /// indexed).
+    /// Content index: open-addressed, of any length, ⅗ to ¾ full (or at
+    /// [`MIN_INDEX_SLOTS`]). A slot holds the raw `SetId` of an entry,
+    /// hashed and compared on that entry's bitmap words; 0 marks a free
+    /// slot (the empty set is never indexed).
     index: Vec<u32>,
     /// The `ObjectId ↔ bit slot` universe of the current epoch.
     universe: UniverseMap,
@@ -372,8 +378,9 @@ impl SetInterner {
         self.memo.len()
     }
 
-    /// Bytes held per set beside its bitmap: the content index. Bitmap
-    /// storage is reported separately by [`SetInterner::bitmap_bytes`].
+    /// Bytes held per set beside its bitmap: the content index, 5.3–6.7 B
+    /// a set above its minimum size. Bitmap storage is reported separately
+    /// by [`SetInterner::bitmap_bytes`].
     pub fn arena_bytes(&self) -> usize {
         self.index.capacity() * std::mem::size_of::<u32>()
     }
@@ -422,19 +429,34 @@ impl SetInterner {
     /// holding the handle whose bitmap equals it, or else the free slot that
     /// ends its probe sequence — where it would be inserted.
     fn probe(&self, run: &[u64]) -> usize {
-        let mask = self.index.len() - 1;
-        let mut slot = (hash_run(run) >> (u64::BITS - self.index.len().trailing_zeros())) as usize;
-        while self.index[slot] != 0 && self.bitmaps.entry(self.index[slot] as usize) != run {
-            slot = (slot + 1) & mask;
+        let mut slot = self.home_slot(run);
+        while self.index[slot] != 0 && !self.bitmaps.entry_is(self.index[slot] as usize, run) {
+            slot += 1;
+            if slot == self.index.len() {
+                slot = 0;
+            }
         }
         slot
     }
 
-    /// Re-creates the content index for the current entries at the smallest
-    /// power-of-two size they fill at most half of.
+    /// Where `run`'s probe sequence starts: the multiply-high of its hash
+    /// and the table length, which spreads the hash's high bits over a
+    /// table of any size.
+    #[inline]
+    fn home_slot(&self, run: &[u64]) -> usize {
+        ((u128::from(hash_run(run)) * self.index.len() as u128) >> u64::BITS) as usize
+    }
+
+    /// Number of sets in the content index (every one but the empty set).
+    fn indexed(&self) -> usize {
+        self.len() - 1
+    }
+
+    /// Re-creates the content index for the current entries, ⅗ full: ¾
+    /// (the load that triggers a rebuild) divided by 1.25, so the table
+    /// grows by a quarter from one rebuild to the next.
     fn rebuild_index(&mut self) {
-        let slots = (self.len() * 2).next_power_of_two();
-        self.index = vec![0; slots.max(MIN_INDEX_SLOTS)];
+        self.index = vec![0; (self.indexed() * 5 / 3).max(MIN_INDEX_SLOTS)];
         for id in 1..self.len() {
             let slot = self.probe(self.bitmaps.entry(id));
             self.index[slot] = id as u32;
@@ -448,7 +470,7 @@ impl SetInterner {
         }
         let id = self.push_entry(run);
         self.index[slot] = id.0;
-        if self.len() * 2 > self.index.len() {
+        if self.indexed() * 4 > self.index.len() * 3 {
             self.rebuild_index();
         }
         id
@@ -564,8 +586,9 @@ impl SetInterner {
         let relation = self
             .bitmaps
             .relate_into(a.index(), b.index(), &mut self.scratch);
-        let is_scratch =
-            |hint: SetId| hint != SetId::EMPTY && self.bitmaps.entry(hint.index()) == self.scratch;
+        let is_scratch = |hint: SetId| {
+            hint != SetId::EMPTY && self.bitmaps.entry_is(hint.index(), &self.scratch)
+        };
         match relation {
             Relation::Disjoint => SetId::EMPTY,
             Relation::FirstInside => a,
@@ -660,6 +683,25 @@ mod tests {
         assert_eq!(interner.len(), 1);
     }
 
+    /// Every handle in `sets` looks up and re-interns to itself.
+    fn assert_content_addressed(interner: &mut SetInterner, sets: &[(ObjectSet, SetId)]) {
+        for (set, id) in sets {
+            assert_eq!(interner.get(set), Some(*id), "{set:?}");
+            assert_eq!(interner.intern(set), *id, "{set:?}");
+        }
+    }
+
+    /// Whether `id` sits before its home slot: its probe ran past the
+    /// table's last slot and wrapped to the front.
+    fn probe_wraps(interner: &SetInterner, id: SetId) -> bool {
+        let run = interner.bitmaps.entry(id.index());
+        interner.probe(run) < interner.home_slot(run)
+    }
+
+    /// Content addressing holds for two equal sets, and for 11,175 pairs
+    /// over a 150-object universe: they rebuild the non-power-of-two
+    /// content index about 30 times, each rebuild rehashes every earlier
+    /// set, and some probe wraps around the table's end.
     #[test]
     fn interning_is_idempotent_and_content_addressed() {
         let mut interner = SetInterner::new();
@@ -672,6 +714,42 @@ mod tests {
         assert_eq!(interner.get(&set(&[1, 2, 3])), Some(a));
         assert_eq!(interner.get(&set(&[9])), None);
         assert_eq!(interner.universe_len(), 3);
+
+        let mut sets = vec![(set(&[1, 2, 3]), a)];
+        let (mut rebuilds, mut wrapped) = (0, false);
+        for hi in 0..150u32 {
+            for lo in 0..hi {
+                let slots = interner.index.len();
+                let pair = set(&[lo, hi]);
+                let id = interner.intern(&pair);
+                if probe_wraps(&interner, id) {
+                    wrapped = true;
+                    assert_eq!(interner.get(&pair), Some(id), "wrapped probe");
+                }
+                sets.push((pair, id));
+                if interner.index.len() != slots {
+                    rebuilds += 1;
+                    assert_content_addressed(&mut interner, &sets);
+                }
+            }
+        }
+        assert_eq!(interner.len(), 11_177);
+        assert!(rebuilds >= 10, "{rebuilds} rebuilds");
+        assert!(wrapped, "no probe passed the last slot");
+        assert_content_addressed(&mut interner, &sets);
+        // A compaction rebuilds the index for the survivors, every third
+        // pair; the rest re-intern to fresh handles.
+        let live: Vec<SetId> = sets.iter().step_by(3).map(|&(_, id)| id).collect();
+        let table = interner.compact(&live);
+        let survivors: Vec<(ObjectSet, SetId)> = (sets.iter().step_by(3))
+            .map(|(set, id)| (set.clone(), table.remap(*id).expect("live")))
+            .collect();
+        assert_content_addressed(&mut interner, &survivors);
+        for (set, _) in &sets {
+            let id = interner.intern(set);
+            assert_eq!(interner.resolve(id), *set);
+        }
+        assert_content_addressed(&mut interner, &survivors);
     }
 
     #[test]
@@ -922,10 +1000,29 @@ mod tests {
         }
     }
 
+    /// What grows is at most a quarter unused: the bitmap words hold at
+    /// most `max(stride, len/4)` words past their length, and the content
+    /// index is at most ¾ and (above its minimum) at least ⅗ full.
+    fn assert_little_slack(interner: &SetInterner) {
+        let (stride, len) = (interner.stride(), interner.len() * interner.stride());
+        let capacity = interner.bitmaps.bytes() / std::mem::size_of::<u64>();
+        assert!(
+            capacity <= len + stride.max(len / 4),
+            "{capacity} words for {len} at stride {stride}"
+        );
+        let (used, slots) = (interner.indexed(), interner.index.len());
+        assert!(4 * used <= 3 * slots, "{used} sets in {slots} slots");
+        assert!(
+            slots == MIN_INDEX_SLOTS || 5 * used >= 3 * slots,
+            "{used} sets in {slots} slots"
+        );
+    }
+
     /// A universe growing one object at a time from 0 to 4,096 re-strides
     /// about 15 times (a quarter step each), the words past the universe's
-    /// last stay under a quarter of the stride throughout, and every set
-    /// keeps its content and cardinality.
+    /// last stay under a quarter of the stride throughout, the words and
+    /// the content index keep little slack, and every set keeps its
+    /// content and cardinality.
     #[test]
     fn growing_universes_restride_logarithmically_with_little_padding() {
         let mut interner = SetInterner::new();
@@ -942,6 +1039,7 @@ mod tests {
                 interner.stride(),
                 interner.universe_len()
             );
+            assert_little_slack(&interner);
         }
         assert_eq!((interner.universe_len(), interner.stride()), (4096, 75));
         assert!(restrides <= 16, "{restrides} re-strides");
@@ -951,6 +1049,7 @@ mod tests {
         let wide = interner.intern(&ObjectSet::from_raw(0..300));
         interner.compact(&[wide]);
         assert_eq!((interner.universe_len(), interner.stride()), (300, 5));
+        assert_little_slack(&interner);
     }
 
     #[test]

@@ -39,8 +39,9 @@ pub struct MaintenanceMetrics {
     /// back to the live set, so on compacting configurations this plateaus
     /// instead of tracking the lifetime total.
     pub interned_sets: u64,
-    /// Bytes the interner holds beside its bitmaps: the content index. A
-    /// gauge, sampled after each frame.
+    /// Bytes the interner holds beside its bitmaps: the content index, a
+    /// `u32` slot table kept ⅗ to ¾ full (5.3–6.7 B a set). A gauge,
+    /// sampled after each frame.
     pub arena_bytes: u64,
     /// Bytes held by the interner's dense bitmaps and universe map (with
     /// its reverse table). A gauge, sampled after each frame.
