@@ -76,8 +76,11 @@ pub trait StateMaintainer: Send {
     /// yields identical results for every subsequent frame.
     ///
     /// Pruner verdict caches are *not* serialized — verdicts are
-    /// re-derivable under the live catalog, so only the
-    /// `states_terminated` counter may drift after recovery. The default
+    /// re-derivable under the live catalog, so the `states_terminated`
+    /// counter may drift after recovery. Neither is SSG's graph: a restore
+    /// rebuilds it from the states, so SSG's traversal counters
+    /// (`states_visited`, `intersections`, `edges_added`, `edges_removed`)
+    /// may drift too, while states and results do not. The default
     /// errors: the two baselines (NAIVE and the brute-force reference
     /// oracle) are not durable.
     fn snapshot_state(&self, enc: &mut Encoder) -> Result<()> {

@@ -7,12 +7,13 @@
 //! object set may contain another child's object set (Property 2) — the
 //! [`StateGraph::attach`] operation enforces both properties, rewiring edges
 //! exactly as described in Section 4.3.4 of the paper.
+//!
+//! Nothing here is persisted. A snapshot holds the state table and the
+//! principal states; a restore inserts one node per row and attaches the
+//! rest under the principal states through `attach`, so a restored graph
+//! satisfies both properties by construction.
 
-use tvq_common::{
-    Decoder, Encoder, Error, FrameId, MarkedFrameSet, RemapTable, Result, SetId, SetInterner,
-};
-
-use crate::substrate::StateTable;
+use tvq_common::{MarkedFrameSet, RemapTable, SetId, SetInterner};
 
 /// Index of a node inside the graph's slab.
 pub(crate) type NodeId = usize;
@@ -69,8 +70,8 @@ pub(crate) struct StateGraph {
     /// Exactly the dead slots.
     free: Vec<NodeId>,
     /// The live node of each handle, or [`VACANT`]: handles are dense
-    /// arena indices, so the index is a table over them. Not persisted —
-    /// [`decode`](Self::decode) and [`remap`](Self::remap) rebuild it.
+    /// arena indices, so the index is a table over them.
+    /// [`remap`](Self::remap) rebuilds it.
     by_set: Vec<NodeId>,
     pub edges_added: u64,
     pub edges_removed: u64,
@@ -292,189 +293,6 @@ impl StateGraph {
         self.free.push(id);
     }
 
-    /// Whether `id` names a live slab slot (restore-time validation of
-    /// persisted node references; [`node`](Self::node) panics out of range).
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        self.nodes.get(id).is_some_and(|node| node.alive)
-    }
-
-    /// Serializes the slab positionally. Slot ids are referenced by edge
-    /// lists, the free list and the maintainer's root list, so the slab
-    /// layout — including dead slots — is part of the graph's persistent
-    /// identity. Dead slots carry only their `alive = false` marker
-    /// ([`remove`](Self::remove) already emptied their lists); per-node
-    /// traversal scratch (`visited`, `last_inter`) is persisted as-is,
-    /// which keeps restored state byte-comparable to the original. The
-    /// stamps are only read within the frame that wrote them; `last_inter`
-    /// also feeds the next visit's guess, where a stale one costs one
-    /// compare and is never trusted. Frame sets live in the state table;
-    /// the handle index is not written.
-    pub fn encode(&self, enc: &mut Encoder) {
-        enc.put_usize(self.nodes.len());
-        for node in &self.nodes {
-            enc.put_bool(node.alive);
-            if !node.alive {
-                continue;
-            }
-            enc.put_u32(node.sid.raw());
-            for list in [&node.children, &node.parents] {
-                enc.put_usize(list.len());
-                for &edge in list {
-                    enc.put_usize(edge);
-                }
-            }
-            enc.put_u64(node.visited);
-            enc.put_u32(node.last_inter.raw());
-            enc.put_usize(node.principal_frames.len());
-            for frame in node.principal_frames.frames() {
-                enc.put_u64(frame.raw());
-            }
-        }
-        enc.put_usize(self.free.len());
-        for &id in &self.free {
-            enc.put_usize(id);
-        }
-        enc.put_u64(self.edges_added);
-        enc.put_u64(self.edges_removed);
-    }
-
-    /// Rebuilds a graph written by [`encode`](Self::encode) against the
-    /// restored interner and state table (nodes persist handles, not object
-    /// sets). Every structural violation — a node without a row or a row
-    /// without a node, out-of-range or asymmetric edges, a free list that
-    /// does not cover exactly the dead slots — is corrupt data and surfaces
-    /// as [`Error::Corrupt`], never a panic or a silently patched graph.
-    pub fn decode(
-        dec: &mut Decoder<'_>,
-        interner: &SetInterner,
-        table: &StateTable,
-        window: usize,
-    ) -> Result<StateGraph> {
-        let slots = dec.take_len()?;
-        let mut nodes = Vec::with_capacity(slots);
-        let mut by_set = vec![VACANT; interner.len()];
-        for id in 0..slots {
-            if !dec.take_bool()? {
-                nodes.push(Node {
-                    alive: false,
-                    ..Node::new(SetId::EMPTY)
-                });
-                continue;
-            }
-            let sid = SetId::from_raw(dec.take_u32()?);
-            if table.row_of(sid).is_none() {
-                return Err(Error::Corrupt(format!(
-                    "graph node {id} holds handle {} with no state row",
-                    sid.raw()
-                )));
-            }
-            if std::mem::replace(&mut by_set[sid.raw() as usize], id) != VACANT {
-                return Err(Error::Corrupt(format!(
-                    "two graph nodes hold handle {}",
-                    sid.raw()
-                )));
-            }
-            let children = Self::take_edge_list(dec, slots)?;
-            let parents = Self::take_edge_list(dec, slots)?;
-            let visited = dec.take_u64()?;
-            let last_inter = SetId::from_raw(dec.take_u32()?);
-            if last_inter.raw() as usize >= interner.len() {
-                return Err(Error::Corrupt(format!(
-                    "graph node {id} caches dangling intersection handle {}",
-                    last_inter.raw()
-                )));
-            }
-            let count = dec.take_len()?;
-            let mut principal_frames = MarkedFrameSet::new();
-            for _ in 0..count {
-                let frame = FrameId(dec.take_u64()?);
-                principal_frames.push_decoded(frame, true, window)?;
-            }
-            nodes.push(Node {
-                sid,
-                children,
-                parents,
-                visited,
-                last_inter,
-                principal_frames,
-                alive: true,
-            });
-        }
-        let free_len = dec.take_len()?;
-        let mut free = Vec::with_capacity(free_len);
-        let mut in_free = vec![false; slots];
-        for _ in 0..free_len {
-            let id = dec.take_usize()?;
-            if nodes.get(id).is_none_or(|node| node.alive) || in_free[id] {
-                return Err(Error::Corrupt(format!(
-                    "free list entry {id} is not a distinct dead slot"
-                )));
-            }
-            in_free[id] = true;
-            free.push(id);
-        }
-        let dead = nodes.iter().filter(|node| !node.alive).count();
-        if free.len() != dead {
-            return Err(Error::Corrupt(format!(
-                "free list covers {} slots but the slab holds {dead} dead slots",
-                free.len()
-            )));
-        }
-        if slots - dead != table.len() {
-            return Err(Error::Corrupt(format!(
-                "{} state rows but {} live graph nodes",
-                table.len(),
-                slots - dead
-            )));
-        }
-        // Edge symmetry: removal relies on every child edge having its
-        // reverse parent edge (and vice versa), and live nodes never point
-        // at dead slots.
-        for id in 0..slots {
-            if !nodes[id].alive {
-                continue;
-            }
-            for &child in &nodes[id].children {
-                if !nodes[child].alive || !nodes[child].parents.contains(&id) {
-                    return Err(Error::Corrupt(format!(
-                        "child edge {id} -> {child} has no live reverse edge"
-                    )));
-                }
-            }
-            for &parent in &nodes[id].parents {
-                if !nodes[parent].alive || !nodes[parent].children.contains(&id) {
-                    return Err(Error::Corrupt(format!(
-                        "parent edge {id} -> {parent} has no live reverse edge"
-                    )));
-                }
-            }
-        }
-        let edges_added = dec.take_u64()?;
-        let edges_removed = dec.take_u64()?;
-        Ok(StateGraph {
-            nodes,
-            free,
-            by_set,
-            edges_added,
-            edges_removed,
-        })
-    }
-
-    fn take_edge_list(dec: &mut Decoder<'_>, slots: usize) -> Result<Vec<NodeId>> {
-        let len = dec.take_len()?;
-        let mut ids = Vec::with_capacity(len);
-        for _ in 0..len {
-            let id = dec.take_usize()?;
-            if id >= slots {
-                return Err(Error::Corrupt(format!(
-                    "graph edge references slot {id} beyond a slab of {slots}"
-                )));
-            }
-            ids.push(id);
-        }
-        Ok(ids)
-    }
-
     /// The first live node, in slab order, that no root reaches.
     pub fn orphan(&self, roots: &[NodeId]) -> Option<NodeId> {
         let mut reached = vec![false; self.nodes.len()];
@@ -498,7 +316,12 @@ impl StateGraph {
     /// Verifies that the graph indexes exactly the table's rows, each of
     /// them valid (it holds a marked frame) and reachable from a root, and
     /// Properties 1 and 2 (test support).
-    pub fn check_invariants(&self, interner: &SetInterner, table: &StateTable, roots: &[NodeId]) {
+    pub fn check_invariants(
+        &self,
+        interner: &SetInterner,
+        table: &crate::substrate::StateTable,
+        roots: &[NodeId],
+    ) {
         assert_eq!(self.len(), table.len(), "one node per state row");
         for id in self.live_ids() {
             let row = table.row_of(self.nodes[id].sid);
@@ -550,15 +373,6 @@ mod tests {
 
     fn set(ids: &[u32]) -> ObjectSet {
         ObjectSet::from_raw(ids.iter().copied())
-    }
-
-    /// A state table with one row for each live node of `g`.
-    fn rows_of(g: &StateGraph, interner: &SetInterner) -> StateTable {
-        let mut table = StateTable::default();
-        for id in g.live_ids() {
-            table.push(g.node(id).sid, MarkedFrameSet::new(), interner);
-        }
-        table
     }
 
     /// Test helper: interns `ids` and inserts the node.
@@ -672,77 +486,5 @@ mod tests {
         assert_eq!(a, b, "slab slot should be recycled");
         assert_eq!(g.len(), 1);
         assert!(g.id_of(interner.intern(&set(&[1]))).is_none());
-    }
-
-    #[test]
-    fn codec_round_trips_dead_slots_and_free_list() {
-        let mut interner = SetInterner::new();
-        let mut g = StateGraph::new();
-        let a = insert(&mut g, &mut interner, &[1]);
-        let b = insert(&mut g, &mut interner, &[1, 2]);
-        g.attach(b, a, &interner, None);
-        g.remove(a, &interner);
-
-        let mut enc = Encoder::new();
-        g.encode(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let mut back = StateGraph::decode(&mut dec, &interner, &rows_of(&g, &interner), 8).unwrap();
-        dec.finish().unwrap();
-
-        assert_eq!(back.len(), 1);
-        assert_eq!(back.edges_added, g.edges_added);
-        assert_eq!(back.edges_removed, g.edges_removed);
-        assert!(!back.is_alive(a) && back.is_alive(b));
-        let c = back.insert(interner.intern(&set(&[3])));
-        assert_eq!(c, a, "recycled slot must survive the round trip");
-    }
-
-    #[test]
-    fn decode_rejects_asymmetric_edges() {
-        let mut interner = SetInterner::new();
-        let mut g = StateGraph::new();
-        let a = insert(&mut g, &mut interner, &[1, 2]);
-        let b = insert(&mut g, &mut interner, &[1]);
-        g.attach(a, b, &interner, None);
-        let mut enc = Encoder::new();
-        g.encode(&mut enc);
-        let rows = rows_of(&g, &interner);
-        let mut clean =
-            StateGraph::decode(&mut Decoder::new(enc.as_bytes()), &interner, &rows, 8).unwrap();
-        assert_eq!(clean.node(a).children, vec![b]);
-
-        // Drop one direction of the edge: the snapshot is now corrupt.
-        clean.node_mut(b).parents.clear();
-        let mut enc = Encoder::new();
-        clean.encode(&mut enc);
-        let err =
-            StateGraph::decode(&mut Decoder::new(enc.as_bytes()), &interner, &rows, 8).unwrap_err();
-        assert!(matches!(err, Error::Corrupt(_)), "{err}");
-    }
-
-    /// The graph indexes exactly the table's rows: a node with no row, or a
-    /// row with no node, is corrupt.
-    #[test]
-    fn decode_rejects_nodes_and_rows_that_do_not_pair() {
-        let mut interner = SetInterner::new();
-        let mut g = StateGraph::new();
-        let a = insert(&mut g, &mut interner, &[1, 2]);
-        insert(&mut g, &mut interner, &[1]);
-        let stray = interner.intern(&set(&[7]));
-        let mut enc = Encoder::new();
-        g.encode(&mut enc);
-        let decode = |rows: &StateTable| {
-            StateGraph::decode(&mut Decoder::new(enc.as_bytes()), &interner, rows, 8)
-        };
-        let mut rows = rows_of(&g, &interner);
-        assert!(decode(&rows).is_ok());
-        rows.push(stray, MarkedFrameSet::new(), &interner);
-        assert!(matches!(decode(&rows), Err(Error::Corrupt(_))));
-        g.remove(a, &interner);
-        assert!(matches!(
-            decode(&rows_of(&g, &interner)),
-            Err(Error::Corrupt(_))
-        ));
     }
 }

@@ -44,12 +44,26 @@
 //! collection — are the rows of the `substrate::StateTable` MFS also runs
 //! on; a node finds its row by handle. At the start of each frame the table
 //! expires every row and drops those left with no marked frame, and the
-//! graph removes their nodes in the same frame, in slab order (which a
-//! snapshot restores, so a restored maintainer removes in the same order).
+//! graph removes their nodes in the same frame, in slab order. (Each
+//! removal re-attaches the node's children under its parents, so the order
+//! decides the rewiring and with it the edge and visit counters; slab order
+//! is deterministic and is the order those counters were pinned under.)
 //! Every node the traversal reaches is therefore valid and holds in-window
 //! frames only, and no valid node is left without a path from a principal
 //! state (a debug build checks this after each frame's drops). What SSG adds
 //! is the walk, which decides which rows a frame reaches.
+//!
+//! **A snapshot holds the states, not the graph**: the table (MFS's row
+//! codec) and the principal states in arrival order, each with its
+//! principal frames. A restore inserts one node per row and attaches each
+//! row, largest set first, under every principal state that strictly
+//! contains it (a principal state too, as the traversal and CNPS do),
+//! through `attach`, so the rebuilt graph holds Properties 1 and 2 and
+//! reaches every state by construction. Which rows a frame reaches, and so
+//! every state and result, does not depend on the edges: a row is reached
+//! when it meets the frame, along any path of supersets. The traversal's
+//! work counters (`states_visited`, `intersections`, `edges_*`) do, and
+//! may drift after a restore.
 //!
 //! **Each step runs once per frame.** A node is visited at most once (its
 //! `visited` stamp) and has the frame appended at most once (its row's last
@@ -354,7 +368,7 @@ impl SsgMaintainer {
             self.graph.remove(id, &self.core.interner);
         }
         if !dropped.is_empty() {
-            self.roots.retain(|&root| self.graph.is_alive(root));
+            self.roots.retain(|&root| self.graph.node(root).alive);
             // infallible: a valid state reaches a marked frame's principal
             // state through the states it was derived from.
             debug_assert_eq!(self.graph.orphan(&self.roots), None);
@@ -476,35 +490,78 @@ impl StateMaintainer for SsgMaintainer {
     fn snapshot_state(&self, enc: &mut Encoder) -> Result<()> {
         self.core.put_head(enc);
         self.table.encode(enc);
-        self.graph.encode(enc);
         enc.put_usize(self.roots.len());
         for &root in &self.roots {
-            enc.put_usize(root);
+            let node = self.graph.node(root);
+            enc.put_u32(node.sid.raw());
+            enc.put_usize(node.principal_frames.len());
+            for frame in node.principal_frames.frames() {
+                enc.put_u64(frame.raw());
+            }
         }
         self.core.metrics.encode(enc);
         Ok(())
     }
 
+    /// Reads the table and the principal states, then rebuilds the graph
+    /// over them (module docs). A root that names no state or repeats one,
+    /// a principal frame its state does not hold as a key frame, or a state
+    /// no root contains is corrupt data.
     fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
         self.core.take_head(dec)?;
         self.table = StateTable::decode(dec, &self.core)?;
-        let window = self.core.spec.window();
-        self.graph = StateGraph::decode(dec, &self.core.interner, &self.table, window)?;
-        let root_count = dec.take_len()?;
-        let mut roots = Vec::with_capacity(root_count);
-        for _ in 0..root_count {
-            let root = dec.take_usize()?;
-            if !self.graph.is_alive(root) || roots.contains(&root) {
-                return Err(Error::Corrupt(format!(
-                    "root list entry {root} is not a distinct live graph node"
-                )));
-            }
-            roots.push(root);
+        for row in 0..self.table.len() {
+            self.graph.insert(self.table.sid(row));
         }
-        self.roots = roots;
+        let mut is_root = vec![false; self.table.len()];
+        for _ in 0..dec.take_len()? {
+            let sid = SetId::from_raw(dec.take_u32()?);
+            let root = match self.graph.id_of(sid) {
+                Some(root) if !is_root[root] => root,
+                _ => {
+                    return Err(Error::Corrupt(format!(
+                        "root handle {} is not a distinct state",
+                        sid.raw()
+                    )))
+                }
+            };
+            is_root[root] = true;
+            let frames = self.table.frames(self.row(root));
+            let principal = &mut self.graph.node_mut(root).principal_frames;
+            for _ in 0..dec.take_len()? {
+                let frame = FrameId(dec.take_u64()?);
+                principal.push_decoded(frame, true, self.core.spec.window())?;
+                if !frames.is_marked(frame) {
+                    return Err(Error::Corrupt(format!(
+                        "root handle {} names principal frame {} that is no key frame of its state",
+                        sid.raw(),
+                        frame.raw()
+                    )));
+                }
+            }
+            self.roots.push(root);
+        }
         // The results stay empty: the next frame collects them from the
         // table.
         self.core.metrics = MaintenanceMetrics::decode(dec)?;
+        // Largest set first: a state's tighter containers are in place
+        // before it, so `attach` descends to them instead of rewiring.
+        let interner = &self.core.interner;
+        let mut ordered: Vec<NodeId> = (0..is_root.len()).collect();
+        ordered.sort_by_key(|&id| std::cmp::Reverse(interner.len_of(self.graph.node(id).sid)));
+        for id in ordered {
+            for &root in &self.roots {
+                self.graph.attach(root, id, interner, None);
+            }
+            if !is_root[id] && self.graph.node(id).parents.is_empty() {
+                return Err(Error::Corrupt(format!(
+                    "state for handle {} lies in no principal state",
+                    self.graph.node(id).sid.raw()
+                )));
+            }
+        }
+        self.graph.edges_added = self.core.metrics.edges_added;
+        self.graph.edges_removed = self.core.metrics.edges_removed;
         Ok(())
     }
 }
@@ -700,11 +757,14 @@ mod tests {
         );
     }
 
-    /// Neither the per-frame stamps nor the handle index are persisted:
-    /// restore and every compaction epoch rebuild them. A snapshot taken
-    /// mid-way through a dense `w=60` film, restored into a fresh maintainer
-    /// and run on across forced epochs, must stay equal to the uninterrupted
-    /// run — results on every frame, every counter but the memo's.
+    /// The graph is not persisted: a restore rebuilds it from the table,
+    /// and every compaction epoch re-keys it. A snapshot taken mid-way
+    /// through a dense `w=60` film, restored into a fresh maintainer and run
+    /// on across forced epochs, must stay equal to the uninterrupted run:
+    /// results on every frame, the epochs, the final states and every
+    /// counter the state table decides. The rebuilt edges differ from the
+    /// uninterrupted ones, so the traversal's work counters (visits,
+    /// intersections, edges added and removed) and the memo's may drift.
     #[test]
     fn restore_then_compaction_epochs_match_the_uninterrupted_run() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -752,10 +812,14 @@ mod tests {
         assert!(epochs >= 2, "only {epochs} epochs after the restore");
         assert!(original.live_states() > 100 && !original.results().is_empty());
         assert_eq!(sorted_states(&restored), sorted_states(&original));
-        assert_eq!(
-            restored.metrics().without_cache_gauges(),
-            original.metrics().without_cache_gauges()
-        );
+        let table_counters = |m: &SsgMaintainer| MaintenanceMetrics {
+            states_visited: 0,
+            intersections: 0,
+            edges_added: 0,
+            edges_removed: 0,
+            ..m.metrics().without_cache_gauges()
+        };
+        assert_eq!(table_counters(&restored), table_counters(&original));
     }
 
     /// `attach` answers its subset tests by handle for nodes the frame
@@ -862,7 +926,9 @@ mod tests {
     fn restore_rejects_used_maintainers_and_dangling_roots() {
         let spec = WindowSpec::new(4, 2).unwrap();
         let mut original = SsgMaintainer::new(spec);
-        original.advance(FrameId(0), &set(&[1, 2])).unwrap();
+        for (i, frame) in paper_frames().iter().enumerate() {
+            original.advance(FrameId(i as u64), frame).unwrap();
+        }
         let mut enc = Encoder::new();
         original.snapshot_state(&mut enc).unwrap();
         let bytes = enc.into_bytes();
@@ -872,18 +938,54 @@ mod tests {
         used.advance(FrameId(0), &set(&[9])).unwrap();
         assert!(used.restore_state(&mut Decoder::new(&bytes)).is_err());
 
-        // A root entry naming no live graph node is corrupt, not a panic.
-        let mut enc = Encoder::new();
-        original.core.put_head(&mut enc);
-        original.table.encode(&mut enc);
-        original.graph.encode(&mut enc);
-        enc.put_usize(1);
-        enc.put_usize(17); // dangling root slot
-        original.metrics().encode(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut fresh = SsgMaintainer::new(spec);
-        let err = fresh.restore_state(&mut Decoder::new(&bytes)).unwrap_err();
-        assert!(matches!(err, Error::Corrupt(_)), "{err}");
+        // The snapshot with a hand-written roots section: `(handle,
+        // principal frames)` in order.
+        let with_roots = |roots: &[(u32, Vec<u64>)]| {
+            let mut enc = Encoder::new();
+            original.core.put_head(&mut enc);
+            original.table.encode(&mut enc);
+            enc.put_usize(roots.len());
+            for (sid, frames) in roots {
+                enc.put_u32(*sid);
+                enc.put_usize(frames.len());
+                frames.iter().for_each(|&frame| enc.put_u64(frame));
+            }
+            original.metrics().encode(&mut enc);
+            enc.into_bytes()
+        };
+        let roots: Vec<(u32, Vec<u64>)> = original
+            .roots
+            .iter()
+            .map(|&root| {
+                let node = original.graph.node(root);
+                let frames = node.principal_frames.frames().map(FrameId::raw);
+                (node.sid.raw(), frames.collect())
+            })
+            .collect();
+        assert!(roots.len() >= 3, "{roots:?}");
+        assert_eq!(with_roots(&roots), bytes, "the hand-written section");
+        let restore =
+            |bytes: &[u8]| SsgMaintainer::new(spec).restore_state(&mut Decoder::new(bytes));
+        restore(&bytes).unwrap();
+
+        let mut cases = vec![
+            ("root outside the arena", vec![(9_999, vec![])]),
+            ("root with no state row", vec![(SetId::EMPTY.raw(), vec![])]),
+            ("duplicate root", vec![roots[0].clone(), roots[0].clone()]),
+            ("states no root contains", vec![]),
+        ];
+        // Principal frames past the cursor, before the window, and of
+        // another root's set.
+        let cursor = original.core.last_frame.unwrap().raw();
+        for frame in [cursor + 1, cursor - 4, roots[1].1[0]] {
+            let mut hostile = roots.clone();
+            hostile[0].1 = vec![frame];
+            cases.push(("principal frame outside its state", hostile));
+        }
+        for (case, roots) in cases {
+            let err = restore(&with_roots(&roots)).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{case}: {err}");
+        }
     }
 
     #[test]

@@ -7,17 +7,18 @@
 //! without the Section 5.3 pruner. Equal tables imply equal results; this
 //! checks the stronger claim on the states themselves. It also pins SSG's
 //! table-level counters (states created, states pruned, peak live states)
-//! to MFS's.
+//! to MFS's, and checks that an SSG restored from its snapshot, whose graph
+//! is rebuilt from the table, holds the uninterrupted run's states.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use tvq_common::{FrameId, MarkedFrameSet, ObjectSet, SetInterner, WindowSpec};
+use tvq_common::{Decoder, Encoder, FrameId, MarkedFrameSet, ObjectSet, SetInterner, WindowSpec};
 use tvq_core::{
-    MaintenanceMetrics, MfsMaintainer, MinCardinalityPruner, SharedPruner, SsgMaintainer,
-    StateMaintainer,
+    CompactionPolicy, MaintenanceMetrics, MfsMaintainer, MinCardinalityPruner, SharedPruner,
+    SsgMaintainer, StateMaintainer,
 };
 
 /// A film that varies a lot from frame to frame: twelve object slots, each
@@ -115,6 +116,53 @@ fn mfs_and_ssg_hold_equal_tables_on_the_paper_example() {
             let spec = WindowSpec::new(window, duration).unwrap();
             for min_objects in [None, Some(2)] {
                 assert_equal_tables(&film, spec, min_objects);
+            }
+        }
+    }
+}
+
+/// SSG snapshotted and restored into a fresh maintainer every 37 frames,
+/// each restore from the previous restored copy, with a compaction epoch
+/// checked every 16 frames: on every frame the chained copy holds the
+/// uninterrupted run's states and results, and each epoch retires the same
+/// sets and objects. A restore rebuilds the graph from the table, so the
+/// two runs walk different edges to the same rows.
+#[test]
+fn chained_ssg_restores_hold_the_uninterrupted_states() {
+    let policy = CompactionPolicy::every(16);
+    for seed in 0..4u64 {
+        let film = random_film(seed, 320);
+        for window in [8, 30, 60] {
+            let spec = WindowSpec::new(window, window / 3).unwrap();
+            for min_objects in [None, Some(3)] {
+                let build = || {
+                    let pruner = min_objects.map(|min_objects| -> SharedPruner {
+                        Arc::new(MinCardinalityPruner { min_objects })
+                    });
+                    SsgMaintainer::with_options(spec, SetInterner::new(), pruner)
+                };
+                let label = format!("seed {seed} w={window} pruner={min_objects:?}");
+                let (mut original, mut restored) = (build(), build());
+                for (i, objects) in film.iter().enumerate() {
+                    if i % 37 == 36 {
+                        let mut enc = Encoder::new();
+                        restored.snapshot_state(&mut enc).unwrap();
+                        restored = build();
+                        let mut dec = Decoder::new(enc.as_bytes());
+                        restored.restore_state(&mut dec).unwrap();
+                        dec.finish().unwrap();
+                    }
+                    for m in [&mut original, &mut restored] {
+                        m.advance(FrameId(i as u64), objects).unwrap();
+                    }
+                    if (i + 1) % 16 == 0 {
+                        let epoch = original.maybe_compact(&policy);
+                        assert_eq!(restored.maybe_compact(&policy), epoch, "{label}, frame {i}");
+                    }
+                    let states = table(original.states());
+                    assert_eq!(table(restored.states()), states, "{label}, frame {i}");
+                    assert_eq!(restored.results(), original.results(), "{label}, frame {i}");
+                }
             }
         }
     }
