@@ -289,7 +289,7 @@ impl MarkedFrameSet {
     /// writes — frames out of order, or further apart than one window. The
     /// storage grows with the span, so the span of decoded input is bounded
     /// here.
-    pub fn push_decoded(&mut self, frame: FrameId, marked: bool, window: usize) -> Result<()> {
+    fn push_decoded(&mut self, frame: FrameId, marked: bool, window: usize) -> Result<()> {
         let first = self.first().unwrap_or(frame);
         if self.last().is_some_and(|last| last >= frame)
             || frame.raw() - first.raw() >= window as u64

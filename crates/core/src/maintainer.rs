@@ -69,20 +69,22 @@ pub trait StateMaintainer: Send {
     fn pruner_changed(&mut self) {}
 
     /// Serializes the maintainer's complete between-frames state (interner
-    /// arena, state tables, last frame, metrics) so the durability layer
-    /// can persist it inside an epoch snapshot. Restoring the bytes via
-    /// [`restore_state`](Self::restore_state) into a freshly built
-    /// maintainer of the same kind (same spec, pruner and interner wiring)
-    /// yields identical results for every subsequent frame.
+    /// arena, last frame, state table, metrics) so the durability layer
+    /// can persist it inside an epoch snapshot. MFS and SSG write one
+    /// format. Restoring the bytes via
+    /// [`restore_state`](Self::restore_state) into a freshly built MFS or
+    /// SSG maintainer (same spec, pruner and interner wiring) yields
+    /// identical results for every subsequent frame.
     ///
     /// Pruner verdict caches are *not* serialized — verdicts are
     /// re-derivable under the live catalog, so the `states_terminated`
     /// counter may drift after recovery. Neither is SSG's graph: a restore
-    /// rebuilds it from the states, so SSG's traversal counters
-    /// (`states_visited`, `intersections`, `edges_added`, `edges_removed`)
-    /// may drift too, while states and results do not. The default
-    /// errors: the two baselines (NAIVE and the brute-force reference
-    /// oracle) are not durable.
+    /// derives the principal states from the table and rebuilds the graph
+    /// over them, so SSG's traversal counters (`states_visited`,
+    /// `intersections`, `edges_added`, `edges_removed`) may drift too,
+    /// while states and results do not. The default errors: the two
+    /// baselines (NAIVE and the brute-force reference oracle) are not
+    /// durable.
     fn snapshot_state(&self, enc: &mut Encoder) -> Result<()> {
         let _ = enc;
         Err(Error::Store(format!(

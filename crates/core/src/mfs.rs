@@ -199,16 +199,12 @@ impl StateMaintainer for MfsMaintainer {
     }
 
     fn snapshot_state(&self, enc: &mut Encoder) -> Result<()> {
-        self.core.put_head(enc);
-        self.table.encode(enc);
-        self.core.metrics.encode(enc);
+        self.table.snapshot(&self.core, enc);
         Ok(())
     }
 
     fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
-        self.core.take_head(dec)?;
-        self.table = StateTable::decode(dec, &self.core)?;
-        self.core.metrics = MaintenanceMetrics::decode(dec)?;
+        self.table = StateTable::restore(&mut self.core, dec)?;
         Ok(())
     }
 }
@@ -515,7 +511,8 @@ mod tests {
 
         // A state entry pointing outside the arena is corrupt, not a panic.
         let mut enc = tvq_common::Encoder::new();
-        original.core.put_head(&mut enc);
+        original.core.interner.encode(&mut enc);
+        enc.put_opt_u64(Some(0));
         enc.put_usize(1);
         enc.put_u32(77); // dangling handle
         MarkedFrameSet::singleton(FrameId(0), true).encode(&mut enc);

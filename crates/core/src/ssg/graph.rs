@@ -8,12 +8,13 @@
 //! [`StateGraph::attach`] operation enforces both properties, rewiring edges
 //! exactly as described in Section 4.3.4 of the paper.
 //!
-//! Nothing here is persisted. A snapshot holds the state table and the
-//! principal states; a restore inserts one node per row and attaches the
-//! rest under the principal states through `attach`, so a restored graph
-//! satisfies both properties by construction.
+//! Nothing here is persisted. A snapshot holds the state table only; a
+//! restore inserts one node per row, takes as principal states the rows
+//! that are in-window frames' own object sets, and attaches the rest under
+//! them through `attach`, so a restored graph satisfies both properties by
+//! construction.
 
-use tvq_common::{MarkedFrameSet, RemapTable, SetId, SetInterner};
+use tvq_common::{RemapTable, SetId, SetInterner};
 
 /// Index of a node inside the graph's slab.
 pub(crate) type NodeId = usize;
@@ -41,10 +42,6 @@ pub(crate) struct Node {
     /// `attach` read it instead of intersecting or testing subsets again;
     /// the next visit offers it to the interner as its guess.
     pub last_inter: SetId,
-    /// In-window frames whose object set equals this node's object set
-    /// (non-empty while the node is a principal state), each of them a key
-    /// frame: the marks a derived state inherits from this principal.
-    pub principal_frames: MarkedFrameSet,
     /// Whether the node is live (false once removed; slots are reused).
     pub alive: bool,
 }
@@ -57,7 +54,6 @@ impl Node {
             parents: Vec::new(),
             visited: NEVER,
             last_inter: SetId::EMPTY,
-            principal_frames: MarkedFrameSet::new(),
             alive: true,
         }
     }
@@ -289,7 +285,6 @@ impl StateGraph {
         }
         self.by_set[self.nodes[id].sid.raw() as usize] = VACANT;
         self.nodes[id].alive = false;
-        self.nodes[id].principal_frames = MarkedFrameSet::new();
         self.free.push(id);
     }
 

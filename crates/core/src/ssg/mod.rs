@@ -21,15 +21,16 @@
 //! * **Connecting the New Principal State / Algorithm 2 (CNPS)** — candidates
 //!   (one per principal state) are sorted by object-set size and connected to
 //!   the new principal unless already reachable.
-//! * **State Marking Procedure (4.3.6)** — marks are produced from two sound
-//!   sources: frames whose own object set pins a state down (principal-state
-//!   creation frames whose intersection with the arriving frame equals the
-//!   state), and marks inherited from parent states when a state is derived
-//!   from them. Both preserve the *suffix-intersection invariant*: a frame
-//!   `f` is only marked in state `X` when the intersection of the object sets
-//!   of all of `X`'s frames from `f` onward equals `X`, so as long as one
-//!   marked frame survives in the window the state is guaranteed to still be
-//!   an MCOS (Theorem 4).
+//! * **State Marking Procedure (4.3.6)** — marks come from two sound
+//!   sources: the arriving frame is a key frame of its own principal state
+//!   (Rule 1), and a state derived from a parent inherits the parent's
+//!   marks through `merge_from` (Rule 2). A principal state's creation
+//!   frames reach the states derived from it the same way, as its row holds
+//!   them as key frames. Both preserve the *suffix-intersection invariant*: a
+//!   frame `f` is only marked in state `X` when the intersection of the
+//!   object sets of all of `X`'s frames from `f` onward equals `X`, so as
+//!   long as one marked frame survives in the window the state is
+//!   guaranteed to still be an MCOS (Theorem 4).
 //!
 //! Two deliberate deviations from the paper's pseudocode: (1) when an
 //! already-materialised state is re-derived from a second parent, its frame
@@ -53,17 +54,22 @@
 //! state (a debug build checks this after each frame's drops). What SSG adds
 //! is the walk, which decides which rows a frame reaches.
 //!
-//! **A snapshot holds the states, not the graph**: the table (MFS's row
-//! codec) and the principal states in arrival order, each with its
-//! principal frames. A restore inserts one node per row and attaches each
-//! row, largest set first, under every principal state that strictly
-//! contains it (a principal state too, as the traversal and CNPS do),
-//! through `attach`, so the rebuilt graph holds Properties 1 and 2 and
-//! reaches every state by construction. Which rows a frame reaches, and so
-//! every state and result, does not depend on the edges: a row is reached
-//! when it meets the frame, along any path of supersets. The traversal's
-//! work counters (`states_visited`, `intersections`, `edges_*`) do, and
-//! may drift after a restore.
+//! **A snapshot holds the states, not the graph**: it is MFS's snapshot,
+//! the state table between the substrate's head and the metrics. The table
+//! names the principal states: for each in-window frame, the largest row
+//! that marks it is the frame's own object set. A restore inserts one node
+//! per row, takes those rows as the principal states, ordered by their
+//! earliest such frame, and attaches each row, largest set first, under
+//! every principal state that strictly contains it (a principal state too,
+//! as the traversal and CNPS do), through `attach`, so the rebuilt graph
+//! holds Properties 1 and 2 and reaches every state by construction. The
+//! live path keeps a principal state as a root while its row lives, also
+//! once its frames have left the window, so a restore may start with fewer
+//! roots. Which rows a frame reaches, and so every state and result, does
+//! not depend on the roots or edges: a row is reached when it meets the
+//! frame, along any path of supersets. The traversal's work counters
+//! (`states_visited`, `intersections`, `edges_*`) do, and may drift after
+//! a restore.
 //!
 //! **Each step runs once per frame.** A node is visited at most once (its
 //! `visited` stamp) and has the frame appended at most once (its row's last
@@ -90,6 +96,8 @@
 //! its visits call `intersect_uncached` and leave the memo alone.
 
 mod graph;
+
+use std::cmp::Reverse;
 
 use tvq_common::{
     Decoder, Encoder, Error, FrameId, FxHashSet, MarkedFrameSet, ObjectSet, Result, SetId,
@@ -131,7 +139,8 @@ pub struct SsgMaintainer {
     /// The states, one row per graph node.
     table: StateTable,
     graph: StateGraph,
-    /// Principal states in their order of arrival (kept while alive).
+    /// Principal states in their order of arrival (kept while alive; a
+    /// restore orders them by their earliest in-window frame).
     roots: Vec<NodeId>,
     /// Pooled per-frame buffers (dropped nodes, then CNPS candidates; CNPS
     /// reachability set + DFS stack): cleared and reused so the
@@ -324,9 +333,7 @@ impl SsgMaintainer {
     /// candidates already reachable from the new principal.
     fn connect_new_principal(&mut self, ns: NodeId) {
         let mut ordered = std::mem::take(&mut self.candidates_scratch);
-        ordered.sort_by_key(|&id| {
-            std::cmp::Reverse(self.core.interner.len_of(self.graph.node(id).sid))
-        });
+        ordered.sort_by_key(|&id| Reverse(self.core.interner.len_of(self.graph.node(id).sid)));
         ordered.dedup();
         self.cnps_reachable.clear();
         for &candidate in &ordered {
@@ -353,8 +360,8 @@ impl SsgMaintainer {
     }
 
     /// The start of a frame: the table drops every row left with no marked
-    /// frame, and the graph removes those nodes, in slab order. Roots lose
-    /// the creation frames that left the window.
+    /// frame, and the graph removes those nodes, in slab order, and those
+    /// roots.
     fn expire(&mut self, oldest: FrameId) {
         let mut dropped = std::mem::take(&mut self.candidates_scratch);
         dropped.clear();
@@ -374,12 +381,38 @@ impl SsgMaintainer {
             debug_assert_eq!(self.graph.orphan(&self.roots), None);
         }
         self.candidates_scratch = dropped;
-        for &root in &self.roots {
-            self.graph
-                .node_mut(root)
-                .principal_frames
-                .expire_before(oldest);
+    }
+
+    /// The principal states the table names: for each in-window frame, the
+    /// largest row that marks it, which is the frame's own object set (a
+    /// row marks only frames that contain it, and Rule 1 marks the frame in
+    /// its own set's row). Ordered by their earliest such frame.
+    fn derived_roots(&self) -> Vec<NodeId> {
+        // Every mark as (frame, largest set first, row), sorted: the first
+        // entry of each frame names its largest row. Sorting the marks, not
+        // indexing a window-long table, keeps the cost to the rows' own
+        // size whatever the window.
+        let mut marks = Vec::new();
+        for row in 0..self.table.len() {
+            let len = Reverse(self.core.interner.len_of(self.table.sid(row)));
+            let frames = self.table.frames(row).iter();
+            marks.extend(
+                frames
+                    .filter(|&(_, marked)| marked)
+                    .map(|(frame, _)| (frame, len, row)),
+            );
         }
+        marks.sort_unstable();
+        marks.dedup_by_key(|&mut (frame, _, _)| frame);
+        let (mut taken, mut roots) = (vec![false; self.table.len()], Vec::new());
+        for (_, _, row) in marks {
+            if !std::mem::replace(&mut taken[row], true) {
+                let sid = self.table.sid(row);
+                // infallible: every state row has a live node.
+                roots.push(self.graph.id_of(sid).expect("every state row has a node"));
+            }
+        }
+        roots
     }
 }
 
@@ -409,7 +442,6 @@ impl StateMaintainer for SsgMaintainer {
                     self.graph.insert(frame_sid)
                 }
             };
-            self.graph.node_mut(ns).principal_frames.push(frame, true);
             let at = Arrival {
                 frame,
                 sid: frame_sid,
@@ -426,16 +458,12 @@ impl StateMaintainer for SsgMaintainer {
             for index in 0..=self.roots.len() {
                 let root = index.checked_sub(1).map_or(ns, |i| self.roots[i]);
                 self.st_visit(root, None, SetId::EMPTY, at);
-                // Candidate for CNPS plus principal-based marking: the state
-                // holding this principal's intersection with the new frame is
-                // pinned down by the principal's creation frames. The visit
-                // above recorded that intersection on the root (an empty one
-                // names no node). It may be the root itself.
+                // Candidate for CNPS: the state holding this principal's
+                // intersection with the new frame, which the visit above
+                // recorded on the root (an empty one names no node). It may
+                // be the root itself.
                 if let Some(candidate) = self.graph.id_of(self.graph.node(root).last_inter) {
                     self.candidates_scratch.push(candidate);
-                    let row = self.row(candidate);
-                    let principal = &self.graph.node(root).principal_frames;
-                    self.table.frames_mut(row).inherit_marks(principal, frame);
                 }
             }
             self.connect_new_principal(ns);
@@ -488,77 +516,34 @@ impl StateMaintainer for SsgMaintainer {
     }
 
     fn snapshot_state(&self, enc: &mut Encoder) -> Result<()> {
-        self.core.put_head(enc);
-        self.table.encode(enc);
-        enc.put_usize(self.roots.len());
-        for &root in &self.roots {
-            let node = self.graph.node(root);
-            enc.put_u32(node.sid.raw());
-            enc.put_usize(node.principal_frames.len());
-            for frame in node.principal_frames.frames() {
-                enc.put_u64(frame.raw());
-            }
-        }
-        self.core.metrics.encode(enc);
+        self.table.snapshot(&self.core, enc);
         Ok(())
     }
 
-    /// Reads the table and the principal states, then rebuilds the graph
-    /// over them (module docs). A root that names no state or repeats one,
-    /// a principal frame its state does not hold as a key frame, or a state
-    /// no root contains is corrupt data.
+    /// Reads the table, derives the principal states from it, then
+    /// rebuilds the graph over them (module docs). A state no principal
+    /// state contains is corrupt data.
     fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
-        self.core.take_head(dec)?;
-        self.table = StateTable::decode(dec, &self.core)?;
+        self.table = StateTable::restore(&mut self.core, dec)?;
         for row in 0..self.table.len() {
             self.graph.insert(self.table.sid(row));
         }
-        let mut is_root = vec![false; self.table.len()];
-        for _ in 0..dec.take_len()? {
-            let sid = SetId::from_raw(dec.take_u32()?);
-            let root = match self.graph.id_of(sid) {
-                Some(root) if !is_root[root] => root,
-                _ => {
-                    return Err(Error::Corrupt(format!(
-                        "root handle {} is not a distinct state",
-                        sid.raw()
-                    )))
-                }
-            };
-            is_root[root] = true;
-            let frames = self.table.frames(self.row(root));
-            let principal = &mut self.graph.node_mut(root).principal_frames;
-            for _ in 0..dec.take_len()? {
-                let frame = FrameId(dec.take_u64()?);
-                principal.push_decoded(frame, true, self.core.spec.window())?;
-                if !frames.is_marked(frame) {
-                    return Err(Error::Corrupt(format!(
-                        "root handle {} names principal frame {} that is no key frame of its state",
-                        sid.raw(),
-                        frame.raw()
-                    )));
-                }
-            }
-            self.roots.push(root);
-        }
-        // The results stay empty: the next frame collects them from the
-        // table.
-        self.core.metrics = MaintenanceMetrics::decode(dec)?;
+        self.roots = self.derived_roots();
         // Largest set first: a state's tighter containers are in place
         // before it, so `attach` descends to them instead of rewiring.
         let interner = &self.core.interner;
-        let mut ordered: Vec<NodeId> = (0..is_root.len()).collect();
-        ordered.sort_by_key(|&id| std::cmp::Reverse(interner.len_of(self.graph.node(id).sid)));
+        let mut ordered: Vec<NodeId> = self.graph.live_ids();
+        ordered.sort_by_key(|&id| Reverse(interner.len_of(self.graph.node(id).sid)));
         for id in ordered {
             for &root in &self.roots {
                 self.graph.attach(root, id, interner, None);
             }
-            if !is_root[id] && self.graph.node(id).parents.is_empty() {
-                return Err(Error::Corrupt(format!(
-                    "state for handle {} lies in no principal state",
-                    self.graph.node(id).sid.raw()
-                )));
-            }
+        }
+        if let Some(id) = self.graph.orphan(&self.roots) {
+            return Err(Error::Corrupt(format!(
+                "state for handle {} lies in no principal state",
+                self.graph.node(id).sid.raw()
+            )));
         }
         self.graph.edges_added = self.core.metrics.edges_added;
         self.graph.edges_removed = self.core.metrics.edges_removed;
@@ -922,6 +907,8 @@ mod tests {
         assert!(shared_states > 0 && !ssg.results().is_empty());
     }
 
+    /// The roots a restore derives name no state when no row carries a
+    /// marked frame, so every state dangles from no principal state.
     #[test]
     fn restore_rejects_used_maintainers_and_dangling_roots() {
         let spec = WindowSpec::new(4, 2).unwrap();
@@ -932,59 +919,84 @@ mod tests {
         let mut enc = Encoder::new();
         original.snapshot_state(&mut enc).unwrap();
         let bytes = enc.into_bytes();
+        let restore =
+            |bytes: &[u8]| SsgMaintainer::new(spec).restore_state(&mut Decoder::new(bytes));
+        restore(&bytes).unwrap();
 
         // A maintainer that already advanced refuses to restore.
         let mut used = SsgMaintainer::new(spec);
         used.advance(FrameId(0), &set(&[9])).unwrap();
         assert!(used.restore_state(&mut Decoder::new(&bytes)).is_err());
 
-        // The snapshot with a hand-written roots section: `(handle,
-        // principal frames)` in order.
-        let with_roots = |roots: &[(u32, Vec<u64>)]| {
-            let mut enc = Encoder::new();
-            original.core.put_head(&mut enc);
-            original.table.encode(&mut enc);
-            enc.put_usize(roots.len());
-            for (sid, frames) in roots {
-                enc.put_u32(*sid);
-                enc.put_usize(frames.len());
-                frames.iter().for_each(|&frame| enc.put_u64(frame));
-            }
-            original.metrics().encode(&mut enc);
-            enc.into_bytes()
-        };
-        let roots: Vec<(u32, Vec<u64>)> = original
-            .roots
-            .iter()
-            .map(|&root| {
-                let node = original.graph.node(root);
-                let frames = node.principal_frames.frames().map(FrameId::raw);
-                (node.sid.raw(), frames.collect())
-            })
-            .collect();
-        assert!(roots.len() >= 3, "{roots:?}");
-        assert_eq!(with_roots(&roots), bytes, "the hand-written section");
-        let restore =
-            |bytes: &[u8]| SsgMaintainer::new(spec).restore_state(&mut Decoder::new(bytes));
-        restore(&bytes).unwrap();
-
-        let mut cases = vec![
-            ("root outside the arena", vec![(9_999, vec![])]),
-            ("root with no state row", vec![(SetId::EMPTY.raw(), vec![])]),
-            ("duplicate root", vec![roots[0].clone(), roots[0].clone()]),
-            ("states no root contains", vec![]),
-        ];
-        // Principal frames past the cursor, before the window, and of
-        // another root's set.
-        let cursor = original.core.last_frame.unwrap().raw();
-        for frame in [cursor + 1, cursor - 4, roots[1].1[0]] {
-            let mut hostile = roots.clone();
-            hostile[0].1 = vec![frame];
-            cases.push(("principal frame outside its state", hostile));
+        // The same rows with every mark cleared.
+        let mut unmarked = StateTable::default();
+        for row in 0..original.table.len() {
+            let frames = original.table.frames(row).frames().map(|f| (f, false));
+            let sid = original.table.sid(row);
+            unmarked.push(sid, frames.collect(), &original.core.interner);
         }
-        for (case, roots) in cases {
-            let err = restore(&with_roots(&roots)).unwrap_err();
-            assert!(matches!(err, Error::Corrupt(_)), "{case}: {err}");
+        assert!(unmarked.len() >= 3);
+        let mut enc = Encoder::new();
+        unmarked.snapshot(&original.core, &mut enc);
+        let err = restore(enc.as_bytes()).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err}");
+    }
+
+    /// The roots a restore derives from the table are exactly the distinct
+    /// object sets of the in-window frames that hold a row. The live path
+    /// keeps a principal state as a root while its row lives, so it may
+    /// also hold roots whose frames all left the window: each such stale
+    /// root equals no in-window frame's set.
+    #[test]
+    fn derived_roots_are_the_in_window_frame_sets() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::{BTreeSet, VecDeque};
+        let spec = WindowSpec::new(60, 20).unwrap();
+        for min_objects in [None, Some(3)] {
+            let mut rng = StdRng::seed_from_u64(7);
+            let pruner = min_objects.map(|min_objects| -> SharedPruner {
+                Arc::new(MinCardinalityPruner { min_objects })
+            });
+            let mut m = SsgMaintainer::with_options(spec, SetInterner::new(), pruner);
+            let mut window = VecDeque::new();
+            let mut stale = 0;
+            for i in 0..300u32 {
+                let frame = ObjectSet::from_raw(
+                    (0..10u32)
+                        .filter(|_| rng.gen_bool(0.7))
+                        .map(|s| s * 100 + (i + s * 5) / 50),
+                );
+                m.advance(FrameId(u64::from(i)), &frame).unwrap();
+                window.push_back(frame);
+                if window.len() > spec.window() {
+                    window.pop_front();
+                }
+                let interner = &m.core.interner;
+                let resolve = |ids: &[NodeId]| -> BTreeSet<ObjectSet> {
+                    let sets = ids.iter().map(|&id| interner.resolve(m.graph.node(id).sid));
+                    sets.collect()
+                };
+                let derived = m.derived_roots();
+                assert_eq!(resolve(&derived).len(), derived.len(), "distinct roots");
+                let held: BTreeSet<ObjectSet> = window
+                    .iter()
+                    .filter(|set| {
+                        interner
+                            .get(set)
+                            .and_then(|sid| m.table.row_of(sid))
+                            .is_some()
+                    })
+                    .cloned()
+                    .collect();
+                assert_eq!(resolve(&derived), held, "{min_objects:?}, frame {i}");
+                let live = resolve(&m.roots);
+                assert!(live.is_superset(&held), "{min_objects:?}, frame {i}");
+                for root in live.difference(&held) {
+                    assert!(!window.contains(root), "{min_objects:?}, frame {i}");
+                    stale += 1;
+                }
+            }
+            assert!(stale > 0, "{min_objects:?}: no stale root");
         }
     }
 

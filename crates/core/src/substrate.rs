@@ -4,13 +4,13 @@
 //! everything around that is the same job and is done here, once. A
 //! strategy owns a [`Substrate`] next to its own states and leaves to it:
 //! frame-order checking, pruner judgement, result reporting, the
-//! compaction epoch, `pruner_changed`, and the interner / cursor / metrics
-//! parts of the snapshot.
+//! compaction epoch and `pruner_changed`.
 //!
 //! MFS and SSG also share their states: one [`StateTable`] of marked frame
 //! sets, with the Frame Marking Rules' Rule 2, the validity test of
-//! Theorems 1 and 4, result collection and the row codec. What differs is
-//! which rows a frame reaches: MFS sweeps all of them, SSG walks its graph.
+//! Theorems 1 and 4, result collection and the one snapshot codec both
+//! write. What differs is which rows a frame reaches: MFS sweeps all of
+//! them, SSG walks its graph.
 
 use tvq_common::{
     Decoder, Encoder, Error, FrameId, MarkedFrameSet, ObjectSet, RemapTable, Result, SetId,
@@ -138,28 +138,6 @@ impl Substrate {
             retired_objects: table.take_retired_objects(),
         };
         Some((table, outcome))
-    }
-
-    /// Opens a maintainer snapshot: interner arena and frame cursor. The
-    /// strategy's own state follows, then the `metrics`.
-    pub(crate) fn put_head(&self, enc: &mut Encoder) {
-        self.interner.encode(enc);
-        enc.put_opt_u64(self.last_frame.map(FrameId::raw));
-    }
-
-    /// Reads what [`put_head`](Self::put_head) wrote, into a freshly built
-    /// maintainer only (nothing advanced, nothing interned). Verdicts and
-    /// results are not persisted: the next `advance` re-collects results and
-    /// the pruner re-judges handles on demand.
-    pub(crate) fn take_head(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
-        if self.last_frame.is_some() {
-            return Err(Error::Store(
-                "restore_state requires a freshly built maintainer".into(),
-            ));
-        }
-        self.interner.restore_into_fresh(dec)?;
-        self.last_frame = dec.take_opt_u64()?.map(FrameId);
-        Ok(())
     }
 }
 
@@ -302,9 +280,12 @@ impl StateTable {
             .map(|(sid, frames)| (interner.resolve(*sid), frames))
     }
 
-    /// Writes the rows in handle order, which keeps the format independent
-    /// of row order.
-    pub(crate) fn encode(&self, enc: &mut Encoder) {
+    /// The snapshot MFS and SSG both write: `core`'s interner arena and
+    /// frame cursor, the rows in handle order (which keeps the format
+    /// independent of row order), then `core`'s metrics.
+    pub(crate) fn snapshot(&self, core: &Substrate, enc: &mut Encoder) {
+        core.interner.encode(enc);
+        enc.put_opt_u64(core.last_frame.map(FrameId::raw));
         let mut sorted: Vec<&(SetId, MarkedFrameSet)> = self.states.iter().collect();
         sorted.sort_unstable_by_key(|(sid, _)| *sid);
         enc.put_usize(sorted.len());
@@ -312,13 +293,24 @@ impl StateTable {
             enc.put_u32(sid.raw());
             frames.encode(enc);
         }
+        core.metrics.encode(enc);
     }
 
-    /// Reads what [`encode`](Self::encode) wrote, after `core` took the
-    /// snapshot's head. A handle outside the restored arena, a second row
+    /// Reads what [`snapshot`](Self::snapshot) wrote into `core`, which
+    /// must be freshly built (nothing advanced, nothing interned), and
+    /// returns the table. A handle outside the restored arena, a second row
     /// for one handle, or a frame outside the window ending at the restored
-    /// cursor is corrupt data.
-    pub(crate) fn decode(dec: &mut Decoder<'_>, core: &Substrate) -> Result<StateTable> {
+    /// cursor is corrupt data. Verdicts and results are not persisted: the
+    /// next `advance` re-collects results and the pruner re-judges handles
+    /// on demand.
+    pub(crate) fn restore(core: &mut Substrate, dec: &mut Decoder<'_>) -> Result<StateTable> {
+        if core.last_frame.is_some() {
+            return Err(Error::Store(
+                "restore_state requires a freshly built maintainer".into(),
+            ));
+        }
+        core.interner.restore_into_fresh(dec)?;
+        core.last_frame = dec.take_opt_u64()?.map(FrameId);
         let mut table = StateTable::default();
         for _ in 0..dec.take_len()? {
             let sid = SetId::from_raw(dec.take_u32()?);
@@ -349,6 +341,7 @@ impl StateTable {
             }
             table.push(sid, frames, &core.interner);
         }
+        core.metrics = MaintenanceMetrics::decode(dec)?;
         Ok(table)
     }
 }

@@ -8,7 +8,8 @@
 //! checks the stronger claim on the states themselves. It also pins SSG's
 //! table-level counters (states created, states pruned, peak live states)
 //! to MFS's, and checks that an SSG restored from its snapshot, whose graph
-//! is rebuilt from the table, holds the uninterrupted run's states.
+//! is rebuilt from the table, holds the uninterrupted run's states, and
+//! that either maintainer restores the other's snapshot.
 
 use std::sync::Arc;
 
@@ -162,6 +163,81 @@ fn chained_ssg_restores_hold_the_uninterrupted_states() {
                     let states = table(original.states());
                     assert_eq!(table(restored.states()), states, "{label}, frame {i}");
                     assert_eq!(restored.results(), original.results(), "{label}, frame {i}");
+                }
+            }
+        }
+    }
+}
+
+/// One of the two maintainers that write the state-table snapshot.
+enum Durable {
+    Mfs(MfsMaintainer),
+    Ssg(SsgMaintainer),
+}
+
+impl Durable {
+    fn maintainer(&mut self) -> &mut dyn StateMaintainer {
+        match self {
+            Durable::Mfs(m) => m,
+            Durable::Ssg(m) => m,
+        }
+    }
+
+    fn table(&self) -> Table {
+        match self {
+            Durable::Mfs(m) => table(m.states()),
+            Durable::Ssg(m) => table(m.states()),
+        }
+    }
+}
+
+/// MFS and SSG write one snapshot format, so either restores the other's.
+/// A copy restored into a fresh maintainer every 37 frames, alternating
+/// MFS → SSG → MFS, each from the previous copy's snapshot, with a
+/// compaction epoch checked every 16 frames: on every frame it holds the
+/// uninterrupted MFS run's states and results.
+#[test]
+fn restores_alternating_mfs_and_ssg_hold_the_uninterrupted_states() {
+    let policy = CompactionPolicy::every(16);
+    for seed in 0..4u64 {
+        let film = random_film(seed, 320);
+        for window in [8, 30, 60] {
+            let spec = WindowSpec::new(window, window / 3).unwrap();
+            for min_objects in [None, Some(3)] {
+                let pruner = || {
+                    min_objects.map(|min_objects| -> SharedPruner {
+                        Arc::new(MinCardinalityPruner { min_objects })
+                    })
+                };
+                let mfs = || MfsMaintainer::with_options(spec, SetInterner::new(), pruner());
+                let ssg = || SsgMaintainer::with_options(spec, SetInterner::new(), pruner());
+                let label = format!("seed {seed} w={window} pruner={min_objects:?}");
+                let (mut original, mut copy) = (mfs(), Durable::Mfs(mfs()));
+                for (i, objects) in film.iter().enumerate() {
+                    if i % 37 == 36 {
+                        let mut enc = Encoder::new();
+                        copy.maintainer().snapshot_state(&mut enc).unwrap();
+                        copy = match copy {
+                            Durable::Mfs(_) => Durable::Ssg(ssg()),
+                            Durable::Ssg(_) => Durable::Mfs(mfs()),
+                        };
+                        let mut dec = Decoder::new(enc.as_bytes());
+                        copy.maintainer().restore_state(&mut dec).unwrap();
+                        dec.finish().unwrap();
+                    }
+                    original.advance(FrameId(i as u64), objects).unwrap();
+                    copy.maintainer()
+                        .advance(FrameId(i as u64), objects)
+                        .unwrap();
+                    if (i + 1) % 16 == 0 {
+                        let epoch = original.maybe_compact(&policy);
+                        let copied = copy.maintainer().maybe_compact(&policy);
+                        assert_eq!(copied, epoch, "{label}, frame {i}");
+                    }
+                    let states = table(original.states());
+                    assert_eq!(copy.table(), states, "{label}, frame {i}");
+                    let results = copy.maintainer().results();
+                    assert_eq!(results, original.results(), "{label}, frame {i}");
                 }
             }
         }
