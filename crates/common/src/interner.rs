@@ -62,15 +62,20 @@
 //! translating old handles to their new values is handed back so every
 //! handle-keyed downstream structure can re-key itself. The engine triggers
 //! compaction between frames when live-set occupancy falls below a
-//! configured ratio.
+//! configured ratio. The interner does not number its epochs: a
+//! maintainer's compaction count is its `MaintenanceMetrics::compactions`.
+//!
+//! The interner persists nothing itself. A maintainer's snapshot writes its
+//! arena's sets in handle order, and a restore re-interns them into a fresh
+//! interner, which reproduces every handle (not the bit slots: a compaction
+//! keeps the survivors' slot order, re-interning assigns slots by first
+//! appearance).
 
 use std::sync::PoisonError;
 
 use crate::aggregates::ClassCounts;
 use crate::bitmap::{hash_run, set_bit, slots_of, BitmapArena, Relation, UniverseMap};
 use crate::class_store::SharedClassMap;
-use crate::codec::{Decoder, Encoder};
-use crate::error::{Error, Result};
 use crate::ids::ObjectId;
 use crate::object_set::ObjectSet;
 
@@ -94,9 +99,10 @@ impl SetId {
         self.0
     }
 
-    /// Rebuilds a handle from its raw arena index. For the durability codec,
-    /// which persists handles alongside the exact arena state that defines
-    /// them; a handle reconstructed against any other arena is meaningless.
+    /// Rebuilds a handle from its raw arena index, for walking an arena by
+    /// position. No handle is persisted: a snapshot stores the sets in
+    /// handle order, so a handle is only meaningful against the arena
+    /// that issued it.
     #[inline]
     pub fn from_raw(raw: u32) -> SetId {
         SetId(raw)
@@ -128,7 +134,6 @@ impl SetId {
 #[derive(Debug, Clone)]
 pub struct RemapTable {
     map: Vec<Option<SetId>>,
-    epoch: u64,
     live: usize,
     retired_objects: Vec<ObjectId>,
 }
@@ -139,11 +144,6 @@ impl RemapTable {
     #[inline]
     pub fn remap(&self, old: SetId) -> Option<SetId> {
         self.map.get(old.index()).copied().flatten()
-    }
-
-    /// The epoch this table transitions *into*.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Number of handles that survived (including the empty set).
@@ -233,7 +233,6 @@ pub struct SetInterner {
     memo_hits: u64,
     memo_misses: u64,
     memo_entries: usize,
-    epoch: u64,
 }
 
 impl SetInterner {
@@ -300,59 +299,6 @@ impl SetInterner {
         let mut ids: Vec<ObjectId> = self.universe.object_ids().collect();
         ids.sort_unstable();
         ids
-    }
-
-    /// Appends the interner's entire persistent identity: the non-empty
-    /// arena sets in handle order (`SetId(1)..`), each a length-prefixed
-    /// sorted identifier list, then the compaction epoch (not derivable from
-    /// the arena, and compaction outcomes must keep numbering from where the
-    /// snapshotted engine left off). The intersection memo is a cache and is
-    /// not persisted — only its hit/miss counters drift after recovery.
-    pub fn encode(&self, enc: &mut Encoder) {
-        enc.put_usize(self.len() - 1);
-        for index in 1..self.len() {
-            let set = self.resolve(SetId(index as u32));
-            enc.put_usize(set.len());
-            for id in set.iter() {
-                enc.put_u32(id.raw());
-            }
-        }
-        enc.put_u64(self.epoch);
-    }
-
-    /// Reads what [`encode`](Self::encode) wrote into a freshly built
-    /// interner (same class store, same memo policy, nothing interned yet):
-    /// re-interning the sets in handle order reproduces identical handles,
-    /// universe slots and bitmaps. Each set must land
-    /// on the handle it was persisted under — a duplicate or out-of-order
-    /// arena is corrupt data, and silently re-keying it would detach every
-    /// handle-keyed map restored afterwards.
-    pub fn restore_into_fresh(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
-        if self.len() != 1 {
-            return Err(Error::Store(
-                "interner restore requires a freshly built interner".into(),
-            ));
-        }
-        let sets = dec.take_len()?;
-        for index in 0..sets {
-            let len = dec.take_len()?;
-            let mut ids = Vec::with_capacity(len);
-            for _ in 0..len {
-                ids.push(ObjectId(dec.take_u32()?));
-            }
-            // The persisted order is sorted, but the input is untrusted, so
-            // the sort is re-established rather than assumed.
-            let sid = self.intern(&ObjectSet::from_ids(ids));
-            if sid.raw() as usize != index + 1 {
-                return Err(Error::Corrupt(format!(
-                    "arena set {} re-interned to handle {} (duplicate or empty set in snapshot)",
-                    index + 1,
-                    sid.raw()
-                )));
-            }
-        }
-        self.epoch = dec.take_u64()?;
-        Ok(())
     }
 
     /// Number of occupied intersection-cache slots.
@@ -650,13 +596,11 @@ impl SetInterner {
         // within a window's worth of frames).
         self.memo = Vec::new();
         self.memo_entries = 0;
-        self.epoch += 1;
 
         retired_objects.sort_unstable();
         RemapTable {
             live: keep.len(),
             map,
-            epoch: self.epoch,
             retired_objects,
         }
     }
@@ -908,8 +852,6 @@ mod tests {
         assert_eq!(interner.universe_len(), 6);
 
         let table = interner.compact(&[b, c, c]);
-        assert_eq!(table.epoch(), 1);
-        assert_eq!(interner.epoch, 1);
         assert_eq!(table.live(), 3, "empty + two survivors");
         assert_eq!(table.retired(), 1);
         assert_eq!(table.remap(SetId::EMPTY), Some(SetId::EMPTY));
@@ -1072,66 +1014,6 @@ mod tests {
                 assert_eq!(interner.resolve(inter), sa.intersect(&sb));
             }
         }
-    }
-
-    #[test]
-    fn interner_round_trip_reproduces_handles_and_counts() {
-        let store = crate::class_store::shared_class_store();
-        {
-            let mut guard = store.write().unwrap();
-            for id in 1..=6u32 {
-                guard.register(ObjectId(id), ClassId((id % 2) as u16));
-            }
-        }
-        let mut original = SetInterner::with_classes(store.clone());
-        let a = original.intern(&set(&[1, 2, 3]));
-        let b = original.intern(&set(&[4, 5]));
-        let c = original.intersect(a, b);
-        assert!(c.is_empty_set());
-        let d = original.intern(&set(&[2, 3, 6]));
-
-        let mut enc = Encoder::new();
-        original.encode(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut restored = SetInterner::with_classes(store);
-        let mut dec = Decoder::new(&bytes);
-        restored.restore_into_fresh(&mut dec).unwrap();
-        dec.finish().unwrap();
-
-        assert_eq!(restored.len(), original.len());
-        assert_eq!(restored.epoch, original.epoch);
-        assert_eq!(restored.get(&set(&[1, 2, 3])), Some(a));
-        assert_eq!(restored.get(&set(&[4, 5])), Some(b));
-        assert_eq!(restored.get(&set(&[2, 3, 6])), Some(d));
-        assert_eq!(
-            restored.universe_object_ids(),
-            original.universe_object_ids()
-        );
-        assert_eq!(restored.counts_of(d), original.counts_of(d));
-        // Fresh intersections agree handle-for-handle.
-        assert_eq!(restored.intersect(a, d), original.intersect(a, d));
-        // Only a freshly built interner may be restored into.
-        let err = restored
-            .restore_into_fresh(&mut Decoder::new(&bytes))
-            .unwrap_err();
-        assert!(matches!(err, Error::Store(_)), "{err}");
-    }
-
-    #[test]
-    fn interner_restore_rejects_duplicate_arena_sets() {
-        let mut enc = Encoder::new();
-        enc.put_usize(2);
-        for _ in 0..2 {
-            enc.put_usize(2);
-            enc.put_u32(1);
-            enc.put_u32(2);
-        }
-        enc.put_u64(0);
-        let bytes = enc.into_bytes();
-        let err = SetInterner::new()
-            .restore_into_fresh(&mut Decoder::new(&bytes))
-            .unwrap_err();
-        assert!(matches!(err, Error::Corrupt(_)), "{err}");
     }
 }
 

@@ -33,7 +33,8 @@ use tvq_common::{Decoder, Encoder, Result};
 /// the maintainer arena) a function of the live window.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactionOutcome {
-    /// The epoch the interner transitioned into.
+    /// The epoch the maintainer entered: its `compactions` metric after
+    /// this compaction, which a snapshot carries across a restore.
     pub epoch: u64,
     /// Number of interned sets retired by the epoch.
     pub retired_sets: usize,

@@ -68,13 +68,14 @@ pub trait StateMaintainer: Send {
     /// (NAIVE and the reference oracle never cache verdicts).
     fn pruner_changed(&mut self) {}
 
-    /// Serializes the maintainer's complete between-frames state (interner
-    /// arena, last frame, state table, metrics) so the durability layer
-    /// can persist it inside an epoch snapshot. MFS and SSG write one
-    /// format. Restoring the bytes via
-    /// [`restore_state`](Self::restore_state) into a freshly built MFS or
-    /// SSG maintainer (same spec, pruner and interner wiring) yields
-    /// identical results for every subsequent frame.
+    /// Serializes the maintainer's complete between-frames state (last
+    /// frame, the interner's sets in handle order each with its state
+    /// row's marked frames, metrics) so the durability layer can persist
+    /// it inside an epoch snapshot. MFS and SSG write one format.
+    /// Restoring the bytes via [`restore_state`](Self::restore_state) into
+    /// a freshly built MFS or SSG maintainer (same spec, pruner and
+    /// interner wiring) yields the same handles and identical results for
+    /// every subsequent frame.
     ///
     /// Pruner verdict caches are *not* serialized — verdicts are
     /// re-derivable under the live catalog, so the `states_terminated`

@@ -46,7 +46,8 @@ pub struct MaintenanceMetrics {
     /// Bytes held by the interner's dense bitmaps and universe map (with
     /// its reverse table). A gauge, sampled after each frame.
     pub bitmap_bytes: u64,
-    /// Interner compaction epochs run so far.
+    /// Interner compaction epochs run so far: the one epoch count, which
+    /// `CompactionOutcome::epoch` reports and a snapshot carries.
     pub compactions: u64,
     /// Intersections answered from the interner's memo cache. Always 0 for
     /// MFS, which intersects without the memo.

@@ -493,36 +493,65 @@ mod tests {
         assert_eq!(m.metrics(), &m.metrics().without_cache_gauges());
     }
 
-    #[test]
-    fn restore_rejects_used_maintainers_and_dangling_handles() {
-        let spec = WindowSpec::new(4, 2).unwrap();
-        let mut original = MfsMaintainer::new(spec);
-        original.advance(FrameId(0), &set(&[1, 2])).unwrap();
-        let mut enc = tvq_common::Encoder::new();
-        original.snapshot_state(&mut enc).unwrap();
-        let bytes = enc.into_bytes();
+    /// A set's object ids and its row's `(frame, marked)` pairs.
+    type Entry<'a> = (&'a [u32], &'a [(u64, bool)]);
 
-        // A maintainer that already advanced refuses to restore.
+    /// A hand-written snapshot: the cursor, the interner's length, each
+    /// set with its row's frames (none for a set without a row), and
+    /// fresh metrics.
+    fn blob(cursor: Option<u64>, sets: &[Entry<'_>]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_opt_u64(cursor);
+        enc.put_usize(sets.len() + 1);
+        for (ids, frames) in sets {
+            enc.put_usize(ids.len());
+            ids.iter().for_each(|&id| enc.put_u32(id));
+            let frames: MarkedFrameSet = frames.iter().map(|&(f, m)| (FrameId(f), m)).collect();
+            frames.encode(&mut enc);
+        }
+        MaintenanceMetrics::new().encode(&mut enc);
+        enc.into_bytes()
+    }
+
+    fn restore(spec: WindowSpec, bytes: &[u8]) -> Result<MfsMaintainer> {
+        let mut m = MfsMaintainer::new(spec);
+        let mut dec = Decoder::new(bytes);
+        m.restore_state(&mut dec)?;
+        dec.finish()?;
+        Ok(m)
+    }
+
+    #[test]
+    fn restore_rejects_used_maintainers_and_repeated_or_empty_sets() {
+        let spec = WindowSpec::new(4, 2).unwrap();
+        let bytes = blob(Some(0), &[(&[1, 2], &[(0, true)]), (&[2], &[])]);
+        let restored = restore(spec, &bytes).unwrap();
+        assert_eq!(
+            (restored.live_states(), restored.core.interner.len()),
+            (1, 3)
+        );
+
+        // A maintainer that already advanced, or whose interner already
+        // holds a set, refuses to restore.
         let mut used = MfsMaintainer::new(spec);
         used.advance(FrameId(0), &set(&[9])).unwrap();
-        assert!(used
-            .restore_state(&mut tvq_common::Decoder::new(&bytes))
-            .is_err());
+        let mut interned = SetInterner::new();
+        interned.intern(&set(&[9]));
+        let mut seeded = MfsMaintainer::with_options(spec, interned, None);
+        for m in [&mut used, &mut seeded] {
+            let err = m.restore_state(&mut Decoder::new(&bytes)).unwrap_err();
+            assert!(matches!(err, tvq_common::Error::Store(_)), "{err}");
+        }
 
-        // A state entry pointing outside the arena is corrupt, not a panic.
-        let mut enc = tvq_common::Encoder::new();
-        original.core.interner.encode(&mut enc);
-        enc.put_opt_u64(Some(0));
-        enc.put_usize(1);
-        enc.put_u32(77); // dangling handle
-        MarkedFrameSet::singleton(FrameId(0), true).encode(&mut enc);
-        original.metrics().encode(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut fresh = MfsMaintainer::new(spec);
-        let err = fresh
-            .restore_state(&mut tvq_common::Decoder::new(&bytes))
-            .unwrap_err();
-        assert!(matches!(err, tvq_common::Error::Corrupt(_)), "{err}");
+        // A set written twice, or the empty set, lands on another handle
+        // than its position: corrupt, not a panic.
+        for sets in [
+            &[(&[1, 2][..], &[(0, true)][..]), (&[2, 1], &[])][..],
+            &[(&[1, 2], &[(0, true)]), (&[], &[])],
+        ] {
+            let err = restore(spec, &blob(Some(0), sets)).unwrap_err();
+            assert!(matches!(err, tvq_common::Error::Corrupt(_)), "{err}");
+        }
     }
 
     /// A restored row must lie in the window ending at the restored cursor.
@@ -531,20 +560,7 @@ mod tests {
     #[test]
     fn restore_rejects_rows_outside_the_cursor_window() {
         let spec = WindowSpec::new(4, 2).unwrap();
-        let mut original = MfsMaintainer::new(spec);
-        original.advance(FrameId(0), &set(&[1, 2])).unwrap();
-        let sid = original.core.interner.get(&set(&[1, 2])).unwrap();
-        let restore = |cursor: Option<u64>, frames: &[(u64, bool)]| {
-            let mut enc = tvq_common::Encoder::new();
-            original.core.interner.encode(&mut enc);
-            enc.put_opt_u64(cursor);
-            enc.put_usize(1);
-            enc.put_u32(sid.raw());
-            let frames: MarkedFrameSet = frames.iter().map(|&(f, m)| (FrameId(f), m)).collect();
-            frames.encode(&mut enc);
-            original.metrics().encode(&mut enc);
-            MfsMaintainer::new(spec).restore_state(&mut tvq_common::Decoder::new(enc.as_bytes()))
-        };
+        let restore = |cursor, frames| restore(spec, &blob(cursor, &[(&[1, 2], frames)]));
         // A frame after the cursor, one before the window [2, 5] of a
         // cursor of 5, and a row with no cursor at all.
         for (cursor, frames) in [
@@ -559,6 +575,17 @@ mod tests {
             );
         }
         assert!(restore(Some(5), &[(2, true), (5, false)]).is_ok());
+    }
+
+    /// A mid-epoch snapshot brings back the arena's handles, counts and
+    /// intersections (`substrate::tests`).
+    #[test]
+    fn restore_reproduces_handles_counts_and_intersections() {
+        let spec = WindowSpec::new(12, 3).unwrap();
+        crate::substrate::tests::restore_reproduces_the_arena(
+            |interner| MfsMaintainer::with_options(spec, interner, None),
+            |m| &mut m.core.interner,
+        );
     }
 
     #[test]

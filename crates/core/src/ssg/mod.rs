@@ -8,7 +8,9 @@
 //! and *stopping as soon as an intersection becomes empty*: whole subtrees of
 //! states that share nothing with the arriving frame are skipped. (On dense
 //! windows that rarely happens — the traversal visits nearly every live
-//! state, and MFS is faster on every film we run; see README.)
+//! state, and at w=60, the benchmark's window, MFS is faster on every film
+//! (README). At w=300 SSG makes 21–40 % of MFS's visits and is still
+//! 1.04–1.88× slower on the video profiles: ROADMAP item 4.)
 //!
 //! The implementation follows the paper's procedures:
 //!
@@ -55,21 +57,21 @@
 //! is the walk, which decides which rows a frame reaches.
 //!
 //! **A snapshot holds the states, not the graph**: it is MFS's snapshot,
-//! the state table between the substrate's head and the metrics. The table
-//! names the principal states: for each in-window frame, the largest row
-//! that marks it is the frame's own object set. A restore inserts one node
-//! per row, takes those rows as the principal states, ordered by their
-//! earliest such frame, and attaches each row, largest set first, under
-//! every principal state that strictly contains it (a principal state too,
-//! as the traversal and CNPS do), through `attach`, so the rebuilt graph
-//! holds Properties 1 and 2 and reaches every state by construction. The
-//! live path keeps a principal state as a root while its row lives, also
-//! once its frames have left the window, so a restore may start with fewer
-//! roots. Which rows a frame reaches, and so every state and result, does
-//! not depend on the roots or edges: a row is reached when it meets the
-//! frame, along any path of supersets. The traversal's work counters
-//! (`states_visited`, `intersections`, `edges_*`) do, and may drift after
-//! a restore.
+//! the interned sets in handle order, each with its state-table row,
+//! between the cursor and the metrics. The table names the principal
+//! states: for each in-window frame, the largest row that marks it is the
+//! frame's own object set. A restore inserts one node per row, takes those
+//! rows as the principal states, ordered by their earliest such frame, and
+//! attaches each row, largest set first, under every principal state that
+//! strictly contains it (a principal state too, as the traversal and CNPS
+//! do), through `attach`, so the rebuilt graph holds Properties 1 and 2 and
+//! reaches every state by construction. The live path keeps a principal
+//! state as a root while its row lives, also once its frames have left the
+//! window, so a restore may start with fewer roots. Which rows a frame
+//! reaches, and so every state and result, does not depend on the roots or
+//! edges: a row is reached when it meets the frame, along any path of
+//! supersets. The traversal's work counters (`states_visited`,
+//! `intersections`, `edges_*`) do, and may drift after a restore.
 //!
 //! **Each step runs once per frame.** A node is visited at most once (its
 //! `visited` stamp) and has the frame appended at most once (its row's last
@@ -940,6 +942,17 @@ mod tests {
         unmarked.snapshot(&original.core, &mut enc);
         let err = restore(enc.as_bytes()).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err}");
+    }
+
+    /// A mid-epoch snapshot brings back the arena's handles, counts and
+    /// intersections (`substrate::tests`).
+    #[test]
+    fn restore_reproduces_handles_counts_and_intersections() {
+        let spec = WindowSpec::new(12, 3).unwrap();
+        crate::substrate::tests::restore_reproduces_the_arena(
+            |interner| SsgMaintainer::with_options(spec, interner, None),
+            |m| &mut m.core.interner,
+        );
     }
 
     /// The roots a restore derives from the table are exactly the distinct

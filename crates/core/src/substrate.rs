@@ -8,13 +8,14 @@
 //!
 //! MFS and SSG also share their states: one [`StateTable`] of marked frame
 //! sets, with the Frame Marking Rules' Rule 2, the validity test of
-//! Theorems 1 and 4, result collection and the one snapshot codec both
-//! write. What differs is which rows a frame reaches: MFS sweeps all of
-//! them, SSG walks its graph.
+//! Theorems 1 and 4, result collection and the one snapshot both write:
+//! the cursor, each interned set in handle order with its row's marked
+//! frame set, and the metrics. What differs is which rows a frame reaches:
+//! MFS sweeps all of them, SSG walks its graph.
 
 use tvq_common::{
-    Decoder, Encoder, Error, FrameId, MarkedFrameSet, ObjectSet, RemapTable, Result, SetId,
-    SetInterner, WindowSpec,
+    Decoder, Encoder, Error, FrameId, MarkedFrameSet, ObjectId, ObjectSet, RemapTable, Result,
+    SetId, SetInterner, WindowSpec,
 };
 
 use crate::compaction::{CompactionOutcome, CompactionPolicy};
@@ -133,7 +134,7 @@ impl Substrate {
         self.metrics.compactions += 1;
         self.metrics.observe_interner(&self.interner);
         let outcome = CompactionOutcome {
-            epoch: table.epoch(),
+            epoch: self.metrics.compactions,
             retired_sets: table.retired(),
             retired_objects: table.take_retired_objects(),
         };
@@ -280,64 +281,63 @@ impl StateTable {
             .map(|(sid, frames)| (interner.resolve(*sid), frames))
     }
 
-    /// The snapshot MFS and SSG both write: `core`'s interner arena and
-    /// frame cursor, the rows in handle order (which keeps the format
-    /// independent of row order), then `core`'s metrics.
+    /// The snapshot MFS and SSG both write, one section: `core`'s cursor,
+    /// its interner's length, then each set from handle 1 on, as its sorted
+    /// object ids and its row's marked frame set (empty without a row: a
+    /// row holds a frame between frames), then `core`'s metrics.
     pub(crate) fn snapshot(&self, core: &Substrate, enc: &mut Encoder) {
-        core.interner.encode(enc);
         enc.put_opt_u64(core.last_frame.map(FrameId::raw));
-        let mut sorted: Vec<&(SetId, MarkedFrameSet)> = self.states.iter().collect();
-        sorted.sort_unstable_by_key(|(sid, _)| *sid);
-        enc.put_usize(sorted.len());
-        for (sid, frames) in sorted {
-            enc.put_u32(sid.raw());
-            frames.encode(enc);
+        enc.put_usize(core.interner.len());
+        let no_row = MarkedFrameSet::new();
+        for sid in (1..core.interner.len() as u32).map(SetId::from_raw) {
+            let set = core.interner.resolve(sid);
+            enc.put_usize(set.len());
+            set.iter().for_each(|id| enc.put_u32(id.raw()));
+            let row = self.row_of(sid);
+            row.map_or(&no_row, |row| self.frames(row)).encode(enc);
         }
         core.metrics.encode(enc);
     }
 
     /// Reads what [`snapshot`](Self::snapshot) wrote into `core`, which
     /// must be freshly built (nothing advanced, nothing interned), and
-    /// returns the table. A handle outside the restored arena, a second row
-    /// for one handle, or a frame outside the window ending at the restored
-    /// cursor is corrupt data. Verdicts and results are not persisted: the
-    /// next `advance` re-collects results and the pruner re-judges handles
-    /// on demand.
+    /// returns the table. Each set is re-interned and must land on its own
+    /// handle, which reproduces every handle of the snapshotted arena; a
+    /// set written twice, the empty set, or a frame outside the window
+    /// ending at the restored cursor is corrupt data. Verdicts, results and
+    /// the intersection memo are not persisted: the next `advance`
+    /// re-collects results, the pruner re-judges handles on demand, and the
+    /// memo refills (so its hit and miss counters may drift).
     pub(crate) fn restore(core: &mut Substrate, dec: &mut Decoder<'_>) -> Result<StateTable> {
-        if core.last_frame.is_some() {
+        if core.last_frame.is_some() || core.interner.len() != 1 {
             return Err(Error::Store(
                 "restore_state requires a freshly built maintainer".into(),
             ));
         }
-        core.interner.restore_into_fresh(dec)?;
         core.last_frame = dec.take_opt_u64()?.map(FrameId);
         let mut table = StateTable::default();
-        for _ in 0..dec.take_len()? {
-            let sid = SetId::from_raw(dec.take_u32()?);
+        for index in 1..dec.take_len()? {
+            let ids = (0..dec.take_len()?).map(|_| dec.take_u32().map(ObjectId));
+            // Collecting re-sorts the untrusted ids.
+            let sid = core.interner.intern(&ids.collect::<Result<ObjectSet>>()?);
+            if sid.raw() as usize != index {
+                return Err(Error::Corrupt(format!(
+                    "set {index} re-interned to handle {} (a repeated or empty set)",
+                    sid.raw()
+                )));
+            }
             let frames = MarkedFrameSet::decode(dec, core.spec.window())?;
-            if sid.is_empty_set() || sid.raw() as usize >= core.interner.len() {
+            let Some((first, last)) = frames.first().zip(frames.last()) else {
+                continue;
+            };
+            let cursor = core.last_frame;
+            if cursor.is_none_or(|at| last > at || first < core.spec.oldest_valid(at)) {
                 return Err(Error::Corrupt(format!(
-                    "state references handle {} outside the restored arena",
-                    sid.raw()
+                    "state for handle {index} holds frames {}..={} outside the window ending \
+                     at the restored cursor",
+                    first.raw(),
+                    last.raw()
                 )));
-            }
-            if table.row_of(sid).is_some() {
-                return Err(Error::Corrupt(format!(
-                    "duplicate state for handle {}",
-                    sid.raw()
-                )));
-            }
-            if let Some((first, last)) = frames.first().zip(frames.last()) {
-                let cursor = core.last_frame;
-                if cursor.is_none_or(|at| last > at || first < core.spec.oldest_valid(at)) {
-                    return Err(Error::Corrupt(format!(
-                        "state for handle {} holds frames {}..={} outside the window ending at \
-                         the restored cursor",
-                        sid.raw(),
-                        first.raw(),
-                        last.raw()
-                    )));
-                }
             }
             table.push(sid, frames, &core.interner);
         }
@@ -356,5 +356,82 @@ impl StateTable {
         }
         let named = self.rows.iter().filter(|&&row| row != NO_ROW).count();
         assert_eq!(named, self.states.len());
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::maintainer::StateMaintainer;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::sync::Arc;
+    use tvq_common::{shared_class_store, ClassId};
+
+    /// A snapshot taken mid-epoch (sets without a row are still in the
+    /// arena) restores, into a maintainer built by `build` around a fresh
+    /// interner on the same class store, an arena with the original's
+    /// handles: each resolves to the original's set and counts the same
+    /// classes, the universe holds the same objects, and every fresh
+    /// intersection returns the same handle on both. `interner` reaches a
+    /// maintainer's interner.
+    pub(crate) fn restore_reproduces_the_arena<M: StateMaintainer>(
+        build: impl Fn(SetInterner) -> M,
+        interner: impl Fn(&mut M) -> &mut SetInterner,
+    ) {
+        let store = shared_class_store();
+        let mut original = build(SetInterner::with_classes(Arc::clone(&store)));
+        let mut rng = StdRng::seed_from_u64(5);
+        let policy = CompactionPolicy::every(8);
+        for i in 0..62u64 {
+            // Eight object slots, each present 60 % of the time; a slot's
+            // object changes every 12 frames, so compactions retire sets.
+            let objects: ObjectSet = (0..8u32)
+                .filter(|_| rng.gen_bool(0.6))
+                .map(|slot| ObjectId(slot * 100 + (i as u32 + slot * 3) / 12))
+                .collect();
+            // Classes are registered before the frame, as the engine's
+            // lifecycle does.
+            let mut classes = store.write().unwrap();
+            for object in objects.iter() {
+                classes.register(object, ClassId((object.raw() % 3) as u16));
+            }
+            drop(classes);
+            original.advance(FrameId(i), &objects).unwrap();
+            if (i + 1) % policy.check_interval == 0 {
+                original.maybe_compact(&policy);
+            }
+        }
+        assert!(original.metrics().compactions > 0);
+        let arena = interner(&mut original).len();
+        assert!(arena > original.live_states() + 1, "no set without a row");
+
+        let mut enc = Encoder::new();
+        original.snapshot_state(&mut enc).unwrap();
+        let mut restored = build(SetInterner::with_classes(store));
+        let mut dec = Decoder::new(enc.as_bytes());
+        restored.restore_state(&mut dec).unwrap();
+        dec.finish().unwrap();
+
+        let (a, b) = (interner(&mut original), interner(&mut restored));
+        assert_eq!(b.len(), arena);
+        assert_eq!(b.universe_object_ids(), a.universe_object_ids());
+        let mut handles: Vec<SetId> = (0..arena as u32).map(SetId::from_raw).collect();
+        for &sid in &handles {
+            assert_eq!(b.resolve(sid), a.resolve(sid), "handle {}", sid.raw());
+            assert_eq!(b.counts_of(sid), a.counts_of(sid), "handle {}", sid.raw());
+            assert!(b.counts_of(sid).is_some());
+        }
+        // A new set, every other object of the universe, meets most sets
+        // in a part the arena does not hold yet.
+        let probe: ObjectSet = a.universe_object_ids().into_iter().step_by(2).collect();
+        handles.push(a.intern(&probe));
+        assert_eq!(b.intern(&probe), handles[arena]);
+        for &x in &handles {
+            for &y in &handles {
+                assert_eq!(b.intersect(x, y), a.intersect(x, y));
+            }
+        }
+        assert_eq!(b.len(), a.len());
+        assert!(a.len() > arena + 1, "no intersection made a new set");
     }
 }

@@ -33,8 +33,10 @@ impl EngineConfig {
     /// pruning enabled, the default compaction policy and the default
     /// intersection memo. The paper (§6.2) expects SSG to win on dense
     /// feeds, but over this bitmap substrate MFS is faster on every
-    /// measured workload (README, "SSG vs MFS"); both report the same
-    /// results, and [`with_maintainer`](Self::with_maintainer) selects SSG.
+    /// benchmark workload, at w=60 (README, "SSG vs MFS"); at w=300 SSG is
+    /// 1.04–1.88× slower with 21–40 % of MFS's visits (ROADMAP item 4).
+    /// Both report the same results; [`with_maintainer`](Self::with_maintainer)
+    /// selects SSG.
     pub fn new(window: WindowSpec) -> Self {
         EngineConfig {
             window,

@@ -29,15 +29,11 @@ use crate::engine::TemporalVideoQueryEngine;
 
 /// Magic of the engine snapshot payload (inside the store's `TVQS` framing).
 const MAGIC: [u8; 4] = *b"TVQE";
-/// Version of the engine snapshot payload. Version 3 writes the
-/// maintainer kind and memo size once each and the two match counters
-/// without a length prefix; version 4 writes SSG's states as MFS's state
-/// table, ahead of a graph without frame sets; version 5 writes SSG's
-/// principal states in place of its graph, which a restore rebuilds;
-/// version 6 writes SSG's blob as MFS's (head, state table, metrics), and a
-/// restore derives the principal states from the table. Older payloads are
-/// refused, not read.
-const VERSION: u32 = 6;
+/// Version of the engine snapshot payload. Version 7 writes either
+/// maintainer's state as one section: the cursor, the interner's sets in
+/// handle order each with its state row's frames, and the metrics. Older
+/// payloads are refused, not read.
+const VERSION: u32 = 7;
 
 const RECORD_FRAME: u8 = 0;
 /// Tag 1 was the add-query record without the registry: a log holding one
@@ -379,13 +375,20 @@ mod tests {
     /// prefix (151 → 136); inside the blob the head and state table bytes
     /// (97 B) and the metric bytes (39 B) are identical, and the roots
     /// section (15 B) is gone.
+    /// Version 7 moved both once more (273 → 263 B, 274 → 264 B): the blob
+    /// became one section, each interned set followed by its row's frames.
+    /// Outside the blob only the version word and the blob's length prefix
+    /// (two bytes → one) differ. Decoded, each blob holds the same cursor,
+    /// arena sets by handle, rows by handle and metrics as version 6's;
+    /// the 9 B it lost are the handle column (7 B), the row count and the
+    /// interner's epoch word (equal to `compactions`, 6).
     #[test]
     fn engine_snapshot_bytes_are_pinned() {
         let pins = [MaintainerKind::Mfs, MaintainerKind::Ssg].map(|kind| {
             let payload = encode_engine(&pinned_script(kind)).unwrap();
             (payload.len(), tvq_common::crc32(&payload))
         });
-        assert_eq!(pins, [(273, 3716922235), (274, 2446678911)]);
+        assert_eq!(pins, [(263, 3741781599), (264, 2105416281)]);
     }
 
     /// The live-binding, registration and alias lists are written strictly
