@@ -522,7 +522,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_used_maintainers_and_repeated_or_empty_sets() {
+    fn restore_rejects_used_maintainers_and_dangling_handles() {
         let spec = WindowSpec::new(4, 2).unwrap();
         let bytes = blob(Some(0), &[(&[1, 2], &[(0, true)]), (&[2], &[])]);
         let restored = restore(spec, &bytes).unwrap();
@@ -543,8 +543,10 @@ mod tests {
             assert!(matches!(err, tvq_common::Error::Store(_)), "{err}");
         }
 
-        // A set written twice, or the empty set, lands on another handle
-        // than its position: corrupt, not a panic.
+        // No handle is written any more, so none can dangle. A set written
+        // twice, or the empty set, lands on another handle than its
+        // position, which would leave that position's handle dangling:
+        // corrupt, not a panic.
         for sets in [
             &[(&[1, 2][..], &[(0, true)][..]), (&[2, 1], &[])][..],
             &[(&[1, 2], &[(0, true)]), (&[], &[])],
