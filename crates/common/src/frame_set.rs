@@ -12,10 +12,11 @@
 //! of word `j` ↔ frame `base + 64 j + i`). Spans of up to 128 frames live
 //! inline; longer windows (the paper's `w = 300`) spill to the heap. Every
 //! operation the maintainers run per state per frame is a few word
-//! operations: `push`/`mark` set a bit, `expire_before` is a shift,
-//! `len`/`has_marked` are popcounts, `merge_from` (the paper's
-//! `merge(Fs, Fns)`) is align-and-OR, and `inherit_marks` (Frame Marking
-//! Rule 2) is an AND-OR. The set is lossless — it holds exactly the
+//! operations: `push` sets a bit (and, marked, a mark bit: Frame Marking
+//! Rule 1), `contains` tests one, `expire_before` is a shift, `len` is a
+//! popcount, `has_marked` a test for a non-zero mark word, and `merge_from`
+//! (the paper's `merge(Fs, Fns)`, which also carries Rule 2's marks) is
+//! align-and-OR. The set is lossless — it holds exactly the
 //! `(frame, marked)` pairs pushed or merged into it until they are expired —
 //! and makes no assumption that frame ids are consecutive. Its span is only
 //! bounded by the caller expiring before it pushes, which every maintainer
@@ -117,29 +118,19 @@ impl MarkedFrameSet {
         self.words().len()
     }
 
-    fn count(&self, lane: usize) -> usize {
-        self.words()
-            .iter()
-            .map(|word| word[lane].count_ones() as usize)
-            .sum()
-    }
-
     /// Number of frames in the set.
     #[inline]
     pub fn len(&self) -> usize {
-        self.count(PRESENT)
+        self.words()
+            .iter()
+            .map(|word| word[PRESENT].count_ones() as usize)
+            .sum()
     }
 
     /// Whether the set contains no frames.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.words().iter().all(|word| word[PRESENT] == 0)
-    }
-
-    /// Number of marked (key) frames.
-    #[inline]
-    pub fn marked_count(&self) -> usize {
-        self.count(MARKED)
     }
 
     /// Whether at least one frame is marked — per Theorem 1 / Theorem 4 this
@@ -173,19 +164,10 @@ impl MarkedFrameSet {
         (index < self.words().len()).then_some((index, 1 << (offset % 64)))
     }
 
-    fn test(&self, frame: FrameId, lane: usize) -> bool {
-        self.slot(frame)
-            .is_some_and(|(index, bit)| self.words()[index][lane] & bit != 0)
-    }
-
     /// Whether `frame` is a member of the set.
     pub fn contains(&self, frame: FrameId) -> bool {
-        self.test(frame, PRESENT)
-    }
-
-    /// Whether `frame` is a member and marked.
-    pub fn is_marked(&self, frame: FrameId) -> bool {
-        self.test(frame, MARKED)
+        self.slot(frame)
+            .is_some_and(|(index, bit)| self.words()[index][PRESENT] & bit != 0)
     }
 
     /// Both lanes' bits for the 64 frames from `start` on, wherever `start`
@@ -304,18 +286,6 @@ impl MarkedFrameSet {
         Ok(())
     }
 
-    /// Marks an existing frame as a key frame. Returns `true` when the frame
-    /// is present (whether or not it was already marked).
-    pub fn mark(&mut self, frame: FrameId) -> bool {
-        match self.slot(frame) {
-            Some((index, bit)) if self.words()[index][PRESENT] & bit != 0 => {
-                self.words_mut()[index][MARKED] |= bit;
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Removes every frame strictly older than `oldest_valid` by shifting
     /// the words down to a base of `oldest_valid`. A jump in frame ids
     /// larger than the span simply clears the set.
@@ -381,28 +351,6 @@ impl MarkedFrameSet {
         for (index, word) in self.words_mut().iter_mut().enumerate() {
             let lanes = other.lanes_at(base, index);
             *word = [word[PRESENT] | lanes[PRESENT], word[MARKED] | lanes[MARKED]];
-        }
-    }
-
-    /// Frame Marking Rule 2 as one word-level pass: every key frame of
-    /// `parent` that this set already contains becomes a key frame here,
-    /// except the `arriving` frame (a mark on it is only ever set by the
-    /// frame's own principal state). No frame is added.
-    pub fn inherit_marks(&mut self, parent: &MarkedFrameSet, arriving: FrameId) {
-        let base = self.base;
-        let arriving = self.slot(arriving);
-        for (index, word) in self.words_mut().iter_mut().enumerate() {
-            // Sets on one base align word by word, with no shifting.
-            let lanes = if base == parent.base {
-                parent.words().get(index).copied().unwrap_or_default()
-            } else {
-                parent.lanes_at(base, index)
-            };
-            let mut marks = lanes[MARKED] & word[PRESENT];
-            if let Some((_, bit)) = arriving.filter(|&(at, _)| at == index) {
-                marks &= !bit;
-            }
-            word[MARKED] |= marks;
         }
     }
 }
@@ -471,7 +419,7 @@ mod tests {
         s.push(FrameId(1), false);
         s.push(FrameId(2), true);
         assert_eq!(s.len(), 3);
-        assert_eq!(s.marked_count(), 2);
+        assert_eq!(s.iter().filter(|&(_, marked)| marked).count(), 2);
         assert!(s.has_marked());
         assert_eq!(s.first(), Some(FrameId(0)));
         assert_eq!(s.last(), Some(FrameId(2)));
@@ -482,33 +430,34 @@ mod tests {
         let mut s = MarkedFrameSet::new();
         s.push(FrameId(4), false);
         s.push(FrameId(4), true);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.marked_count(), 1);
+        assert_eq!(s.iter().collect::<Vec<_>>(), [(FrameId(4), true)]);
         s.push(FrameId(4), false);
-        assert_eq!(s.marked_count(), 1);
+        assert_eq!(s.iter().collect::<Vec<_>>(), [(FrameId(4), true)]);
     }
 
+    /// Rule 1 marks a frame a state already holds by pushing it again,
+    /// marked.
     #[test]
     fn mark_existing_frame() {
         let mut s = fs(&[(1, false), (2, false), (3, false)]);
         assert!(!s.has_marked());
-        assert!(s.mark(FrameId(2)));
-        assert!(s.is_marked(FrameId(2)));
-        assert!(!s.is_marked(FrameId(1)));
-        assert_eq!(s.marked_count(), 1);
+        s.push(FrameId(2), true);
+        assert!(s.has_marked());
+        let expected = fs(&[(1, false), (2, true), (3, false)]);
+        assert_eq!(s, expected);
         // Re-marking is idempotent.
-        assert!(s.mark(FrameId(2)));
-        assert_eq!(s.marked_count(), 1);
-        // Marking an absent frame reports false.
-        assert!(!s.mark(FrameId(9)));
+        s.push(FrameId(2), true);
+        assert_eq!(s, expected);
     }
 
     #[test]
     fn expiry_removes_old_frames_and_marks() {
         let mut s = fs(&[(0, true), (1, false), (2, true), (3, false)]);
         s.expire_before(FrameId(2));
-        assert_eq!(s.frames().collect::<Vec<_>>(), [FrameId(2), FrameId(3)]);
-        assert_eq!(s.marked_count(), 1);
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            [(FrameId(2), true), (FrameId(3), false)]
+        );
         // Expiring before an older frame is a no-op.
         s.expire_before(FrameId(1));
         assert_eq!(s.len(), 2);
@@ -532,7 +481,6 @@ mod tests {
                 (FrameId(4), false)
             ]
         );
-        assert_eq!(a.marked_count(), 3);
     }
 
     #[test]
@@ -556,7 +504,7 @@ mod tests {
         let back = MarkedFrameSet::decode(&mut dec, 8).unwrap();
         dec.finish().unwrap();
         assert_eq!(back, frames);
-        assert_eq!(back.marked_count(), 2);
+        assert_eq!(back.iter().filter(|&(_, marked)| marked).count(), 2);
         // The same bytes under a narrower window are corrupt, not a set
         // whose storage the input chose.
         let err = MarkedFrameSet::decode(&mut Decoder::new(&bytes), 4).unwrap_err();
@@ -595,9 +543,9 @@ mod proptests {
 
     proptest! {
         /// Counters stay consistent with the stored data under arbitrary
-        /// sequences of pushes, marks and expirations.
+        /// sequences of pushes and expirations.
         #[test]
-        fn counters_stay_consistent(ops in proptest::collection::vec((0u64..60, any::<bool>(), 0u8..3), 1..80)) {
+        fn counters_stay_consistent(ops in proptest::collection::vec((0u64..60, any::<bool>(), 0u8..2), 1..80)) {
             let mut s = MarkedFrameSet::new();
             let mut next_frame = 0u64;
             for (value, flag, op) in ops {
@@ -606,15 +554,11 @@ mod proptests {
                         next_frame += value % 3;
                         s.push(FrameId(next_frame), flag);
                     }
-                    1 => {
-                        s.mark(FrameId(value));
-                    }
                     _ => {
                         s.expire_before(FrameId(value));
                     }
                 }
-                let recomputed_marked = s.iter().filter(|&(_, m)| m).count();
-                prop_assert_eq!(recomputed_marked, s.marked_count());
+                prop_assert_eq!(s.iter().any(|(_, m)| m), s.has_marked());
                 prop_assert_eq!(s.iter().count(), s.len());
                 // Frames stay strictly increasing.
                 let frames: Vec<_> = s.frames().collect();
@@ -628,7 +572,7 @@ mod proptests {
         /// crossed in both directions. Sets that compare equal hash equal.
         #[test]
         fn agrees_with_a_btreemap_model(
-            ops in proptest::collection::vec((0u8..7, any::<bool>(), 0u64..400, any::<bool>()), 1..160),
+            ops in proptest::collection::vec((0u8..5, any::<bool>(), 0u64..400, any::<bool>()), 1..160),
         ) {
             use std::collections::BTreeMap;
             let hash_of = |set: &MarkedFrameSet| {
@@ -650,14 +594,6 @@ mod proptests {
                         *models[dst].entry(now).or_insert(false) |= flag;
                     }
                     2 => {
-                        let frame = now.saturating_sub(value % 150);
-                        let present = sets[dst].mark(FrameId(frame));
-                        prop_assert_eq!(present, models[dst].contains_key(&frame));
-                        if let Some(marked) = models[dst].get_mut(&frame) {
-                            *marked = true;
-                        }
-                    }
-                    3 => {
                         // Expiry runs on both sets, as the maintainers do
                         // before they push or merge.
                         let oldest = now.saturating_sub(value);
@@ -669,22 +605,11 @@ mod proptests {
                             }
                         }
                     }
-                    4 | 5 => {
+                    _ => {
                         let source = sets[src].clone();
                         sets[dst].merge_from(&source);
                         for (frame, marked) in models[src].clone() {
                             *models[dst].entry(frame).or_insert(false) |= marked;
-                        }
-                    }
-                    _ => {
-                        let source = sets[src].clone();
-                        sets[dst].inherit_marks(&source, FrameId(now));
-                        for (frame, marked) in models[src].clone() {
-                            if marked && frame != now {
-                                if let Some(own) = models[dst].get_mut(&frame) {
-                                    *own = true;
-                                }
-                            }
                         }
                     }
                 }
@@ -694,13 +619,11 @@ mod proptests {
                     prop_assert_eq!(&pairs, &expected);
                     prop_assert_eq!(set.len(), model.len());
                     prop_assert_eq!(set.is_empty(), model.is_empty());
-                    prop_assert_eq!(set.marked_count(), model.values().filter(|&&m| m).count());
                     prop_assert_eq!(set.has_marked(), model.values().any(|&m| m));
                     prop_assert_eq!(set.first().map(FrameId::raw), model.keys().next().copied());
                     prop_assert_eq!(set.last().map(FrameId::raw), model.keys().next_back().copied());
                     for probe in [now, now.saturating_sub(63), now.saturating_sub(64), now + 1] {
                         prop_assert_eq!(set.contains(FrameId(probe)), model.contains_key(&probe));
-                        prop_assert_eq!(set.is_marked(FrameId(probe)), model.get(&probe) == Some(&true));
                     }
                     // Equality is by content, whatever base and storage.
                     let rebuilt: MarkedFrameSet =
@@ -711,39 +634,6 @@ mod proptests {
                 if sets[0] == sets[1] {
                     prop_assert_eq!(hash_of(&sets[0]), hash_of(&sets[1]));
                 }
-            }
-        }
-
-        /// The same-base fast path of `inherit_marks` on two inline sets
-        /// answers like the general path (either side re-laid on an earlier
-        /// base) and like the op on heap-spilled copies of either side. The
-        /// arriving frame falls in word 0, in word 1 or past the span.
-        #[test]
-        fn inherit_marks_fast_path_matches_the_general_path(
-            bits in proptest::collection::vec(any::<u64>(), 8..9),
-            base in 64u64..100_000,
-            arriving in (0u64..3, 0u64..64),
-        ) {
-            let inline = |lanes: &[u64]| MarkedFrameSet {
-                base,
-                words: Words::Inline([0, 1].map(|i| [lanes[i], lanes[i] & lanes[i + 2]])),
-            };
-            let (child, parent) = (inline(&bits[..4]), inline(&bits[4..]));
-            let relaid = |set: &MarkedFrameSet, from: u64| MarkedFrameSet {
-                base: from,
-                words: Words::Heap((0..3).map(|i| set.lanes_from(from + 64 * i)).collect()),
-            };
-            let arriving = FrameId(base + 64 * arriving.0 + arriving.1);
-            let mut fast = child.clone();
-            fast.inherit_marks(&parent, arriving);
-            for (mut general, source) in [
-                (relaid(&child, base), parent.clone()),
-                (child.clone(), relaid(&parent, base)),
-                (child.clone(), relaid(&parent, base - 37)),
-                (relaid(&child, base - 37), parent.clone()),
-            ] {
-                general.inherit_marks(&source, arriving);
-                prop_assert_eq!(&general, &fast);
             }
         }
 

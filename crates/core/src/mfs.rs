@@ -25,8 +25,9 @@
 //! A frame is **one sweep** over the dense state table it shares with SSG
 //! (`substrate::StateTable`): each live state is intersected with the frame
 //! once, without the interner's memo (the frame is usually a set MFS has
-//! not met), and the outcome is applied on the spot — no pair list, no
-//! sort, no hash lookup.
+//! not met), and the table applies the outcome on the spot — no pair list,
+//! no sort, no hash lookup. The sweep decides only which rows a frame
+//! reaches; every edit is a table call.
 
 use tvq_common::{
     Decoder, Encoder, FrameId, MarkedFrameSet, ObjectSet, Result, SetId, SetInterner, WindowSpec,
@@ -95,7 +96,7 @@ impl MfsMaintainer {
         // intersection's outcome at once. A proper intersection (a target)
         // is a subset of the frame and its parent is not, so no row is
         // both: every parent is read with its pre-frame frames and marks,
-        // and the rows the sweep appends (from `live` on) are never swept.
+        // and the rows the sweep adds (from `live` on) are never swept.
         let live = self.table.len();
         for row in 0..live {
             let sid = self.table.sid(row);
@@ -109,47 +110,20 @@ impl MfsMaintainer {
             if target == sid {
                 // Contained in the arriving frame: only the frame id is
                 // appended (the hot path on feeds with long-lived objects).
-                self.table.frames_mut(row).push(frame, false);
-                self.core.metrics.frames_appended += 1;
-                continue;
+                self.table.append(row, frame, &mut self.core.metrics);
+            } else if let Some(at) = self.table.row_of(target) {
+                // Rule 2 onto a state that existed or that this sweep made.
+                // Frame sets are complete, so on a row live before the frame
+                // this adds only marks.
+                self.table.merge_from(at, row);
+            } else {
+                self.table.derive(&mut self.core, target, row, frame, false);
             }
-            if let Some(at) = self.table.row_of(target) {
-                if at < live {
-                    // Frame Marking Rule 2 onto a state that existed.
-                    self.table.inherit_marks(at, row, frame);
-                } else {
-                    // New this sweep: it co-occurs in every frame any parent
-                    // does and keeps their key frames (Rule 2).
-                    self.table.merge_from(at, row);
-                }
-                continue;
-            }
-            if self.core.is_terminated(target) || self.core.terminate_if_hopeless(target) {
-                continue;
-            }
-            let frames = self.table.frames(row).clone();
-            self.table.push(target, frames, &self.core.interner);
-            self.core.metrics.states_created += 1;
         }
         self.core.metrics.intersections += live as u64;
         self.core.metrics.states_visited += live as u64;
-        // The states the sweep created gain the arriving frame, unmarked.
-        for row in live..self.table.len() {
-            self.table.frames_mut(row).push(frame, false);
-        }
-
-        // The arriving frame's own object set becomes (or stays) a state,
-        // and the arriving frame is its key frame (Rule 1).
-        if !self.core.is_terminated(frame_sid) && !self.core.terminate_if_hopeless(frame_sid) {
-            match self.table.row_of(frame_sid) {
-                Some(row) => self.table.frames_mut(row).push(frame, true),
-                None => {
-                    let frames = MarkedFrameSet::singleton(frame, true);
-                    self.table.push(frame_sid, frames, &self.core.interner);
-                    self.core.metrics.states_created += 1;
-                }
-            }
-        }
+        // The arriving frame is a key frame of its own set's state (Rule 1).
+        self.table.principal(&mut self.core, frame_sid, frame);
     }
 }
 
@@ -447,8 +421,8 @@ mod tests {
     /// The sweep's two less common shapes, against NAIVE: a frame that is
     /// a proper subset of live states (so its own set is a target, created
     /// by the sweep and then marked by Rule 1), and targets reached by
-    /// several parents in one frame, first new (merged), then existing
-    /// (marks inherited).
+    /// several parents in one frame, first new, then existing (both
+    /// merged).
     #[test]
     fn frame_targets_and_many_parent_targets_agree_with_naive() {
         let spec = WindowSpec::new(6, 1).unwrap();
@@ -556,9 +530,11 @@ mod tests {
         }
     }
 
-    /// A restored row must lie in the window ending at the restored cursor.
-    /// A row `{1,2}` marked at frames 0 and 3 under a cursor of 0 would
-    /// still be valid, and reported, after frame 4 had expired frame 0.
+    /// A restored row must lie in the window ending at the restored cursor
+    /// and hold a key frame. A row `{1,2}` marked at frames 0 and 3 under a
+    /// cursor of 0 would still be valid, and reported, after frame 4 had
+    /// expired frame 0; a row with no key frame would be dropped only at
+    /// the next frame, and counted as pruned.
     #[test]
     fn restore_rejects_rows_outside_the_cursor_window() {
         let spec = WindowSpec::new(4, 2).unwrap();
@@ -569,6 +545,8 @@ mod tests {
             (Some(0), &[(0, true), (3, true)][..]),
             (Some(5), &[(1, true), (5, false)]),
             (None, &[(0, true)]),
+            // A row with no key frame: between frames every row holds one.
+            (Some(5), &[(2, false), (5, false)]),
         ] {
             let err = restore(cursor, frames).unwrap_err();
             assert!(

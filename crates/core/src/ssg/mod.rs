@@ -23,16 +23,17 @@
 //! * **Connecting the New Principal State / Algorithm 2 (CNPS)** — candidates
 //!   (one per principal state) are sorted by object-set size and connected to
 //!   the new principal unless already reachable.
-//! * **State Marking Procedure (4.3.6)** — marks come from two sound
-//!   sources: the arriving frame is a key frame of its own principal state
-//!   (Rule 1), and a state derived from a parent inherits the parent's
-//!   marks through `merge_from` (Rule 2). A principal state's creation
-//!   frames reach the states derived from it the same way, as its row holds
-//!   them as key frames. Both preserve the *suffix-intersection invariant*: a
-//!   frame `f` is only marked in state `X` when the intersection of the
-//!   object sets of all of `X`'s frames from `f` onward equals `X`, so as
-//!   long as one marked frame survives in the window the state is
-//!   guaranteed to still be an MCOS (Theorem 4).
+//! * **State Marking Procedure (4.3.6)** — the state table's calls, as in
+//!   MFS: marks come from two sound sources, the arriving frame as a key
+//!   frame of its own principal state (`principal`, Rule 1) and a parent's
+//!   marks passed to a state derived from it (`derive` for a new state,
+//!   `merge_from` for one that exists, Rule 2). A principal state's
+//!   creation frames reach the states derived from it the same way, as its
+//!   row holds them as key frames. Both preserve the *suffix-intersection
+//!   invariant*: a frame `f` is only marked in state `X` when the
+//!   intersection of the object sets of all of `X`'s frames from `f` onward
+//!   equals `X`, so as long as one marked frame survives in the window the
+//!   state is guaranteed to still be an MCOS (Theorem 4).
 //!
 //! Two deliberate deviations from the paper's pseudocode: (1) when an
 //! already-materialised state is re-derived from a second parent, its frame
@@ -207,15 +208,6 @@ impl SsgMaintainer {
             .expect("every live node has a state row")
     }
 
-    /// Appends the arriving frame to `row`, once a frame.
-    fn append(&mut self, row: usize, frame: FrameId) {
-        let frames = self.table.frames_mut(row);
-        if !frames.contains(frame) {
-            frames.push(frame, false);
-            self.core.metrics.frames_appended += 1;
-        }
-    }
-
     /// Materialises `sid` — always `parent.last_inter`, a proper, new
     /// intersection with the arriving frame — once `parent`'s subtree has
     /// been walked (lines 25-29 of Algorithm 1): the state holding it exists,
@@ -232,23 +224,25 @@ impl SsgMaintainer {
         if self.core.is_terminated(sid) {
             return;
         }
+        let parent_row = self.row(parent);
         let id = match self.graph.id_of(sid) {
-            Some(id) => id,
+            Some(id) => {
+                let row = self.row(id);
+                self.table.append(row, at.frame, &mut self.core.metrics);
+                // Frame-set completeness and Rule-2 mark inheritance: the
+                // parent's frames all contain the parent's object set, hence
+                // this subset too.
+                self.table.merge_from(row, parent_row);
+                id
+            }
             None => {
-                if self.core.terminate_if_hopeless(sid) {
+                let core = &mut self.core;
+                if !self.table.derive(core, sid, parent_row, at.frame, true) {
                     return;
                 }
-                self.core.metrics.states_created += 1;
-                self.table
-                    .push(sid, MarkedFrameSet::new(), &self.core.interner);
                 self.graph.insert(sid)
             }
         };
-        let row = self.row(id);
-        self.append(row, at.frame);
-        // Frame-set completeness and Rule-2 mark inheritance: the parent's
-        // frames all contain the parent's object set, hence this subset too.
-        self.table.merge_from(row, self.row(parent));
         let edges = (self.graph.edges_added, self.graph.edges_removed);
         if !held || cfg!(debug_assertions) {
             let frame = Some(at.frame.raw());
@@ -288,7 +282,7 @@ impl SsgMaintainer {
             // (lines 18-21) and inherit the parent's frames when the parent's
             // intersection is exactly this state (line 19).
             let row = self.row(node);
-            self.append(row, at.frame);
+            self.table.append(row, at.frame, &mut self.core.metrics);
             if let Some(parent) = parent {
                 if p_inter == node_sid {
                     self.table.merge_from(row, self.row(parent));
@@ -425,25 +419,13 @@ impl StateMaintainer for SsgMaintainer {
 
         let interned = self.core.interner.len();
         let frame_sid = self.core.interner.intern(objects);
-        if !frame_sid.is_empty_set()
-            && !self.core.is_terminated(frame_sid)
-            && !self.core.terminate_if_hopeless(frame_sid)
-        {
-            // The arriving frame's own object set becomes (or stays) the new
-            // principal state, and the frame is its key frame (Rule 1).
-            let ns = match self.graph.id_of(frame_sid) {
-                Some(ns) => {
-                    let row = self.row(ns);
-                    self.table.frames_mut(row).push(frame, true);
-                    ns
-                }
-                None => {
-                    self.core.metrics.states_created += 1;
-                    let frames = MarkedFrameSet::singleton(frame, true);
-                    self.table.push(frame_sid, frames, &self.core.interner);
-                    self.graph.insert(frame_sid)
-                }
-            };
+        // The arriving frame is a key frame of its own set's state, the new
+        // principal state (Rule 1).
+        if !frame_sid.is_empty_set() && self.table.principal(&mut self.core, frame_sid, frame) {
+            let ns = self
+                .graph
+                .id_of(frame_sid)
+                .unwrap_or_else(|| self.graph.insert(frame_sid));
             let at = Arrival {
                 frame,
                 sid: frame_sid,

@@ -7,11 +7,13 @@
 //! compaction epoch and `pruner_changed`.
 //!
 //! MFS and SSG also share their states: one [`StateTable`] of marked frame
-//! sets, with the Frame Marking Rules' Rule 2, the validity test of
-//! Theorems 1 and 4, result collection and the one snapshot both write:
-//! the cursor, each interned set in handle order with its row's marked
-//! frame set, and the metrics. What differs is which rows a frame reaches:
-//! MFS sweeps all of them, SSG walks its graph.
+//! sets, the only code that edits a state. Within a frame it has four
+//! calls: `principal` (Rule 1 of the Frame Marking Rules), `derive` (a new
+//! state from one parent), `append` (the frame joins a row it contains)
+//! and `merge_from` (Rule 2 and frame-set completeness). Around them it
+//! holds the validity test of Theorems 1 and 4 (expiry), result collection
+//! and the one snapshot both write. What differs is which rows a frame
+//! reaches: MFS sweeps all of them, SSG walks its graph.
 
 use tvq_common::{
     Decoder, Encoder, Error, FrameId, MarkedFrameSet, ObjectId, ObjectSet, RemapTable, Result,
@@ -177,10 +179,6 @@ impl StateTable {
         &self.states[row].1
     }
 
-    pub(crate) fn frames_mut(&mut self, row: usize) -> &mut MarkedFrameSet {
-        &mut self.states[row].1
-    }
-
     /// Adds a row for `sid`, a handle of `interner` with no row yet.
     pub(crate) fn push(&mut self, sid: SetId, frames: MarkedFrameSet, interner: &SetInterner) {
         let at = sid.raw() as usize;
@@ -191,30 +189,67 @@ impl StateTable {
         self.states.push((sid, frames));
     }
 
-    /// `row`'s frame set and, read-only, `source`'s.
-    fn pair(&mut self, row: usize, source: usize) -> (&mut MarkedFrameSet, &MarkedFrameSet) {
-        let [(_, target), (_, source)] = self
-            .states
-            .get_disjoint_mut([row, source])
-            // infallible: Rule 2 runs from a state onto a proper subset of
-            // it, and no two rows hold one set.
-            .expect("a state and a proper subset of it are two rows");
-        (target, source)
+    /// Frame Marking Rule 1: the arriving `frame` is a key frame of the
+    /// state of its own object set `sid`, which the pruner judges first.
+    /// Marks the frame in `sid`'s row, or adds the row (a new state).
+    /// Returns whether `sid` holds a row now.
+    pub(crate) fn principal(&mut self, core: &mut Substrate, sid: SetId, frame: FrameId) -> bool {
+        if core.terminate_if_hopeless(sid) {
+            return false;
+        }
+        match self.row_of(sid) {
+            Some(row) => self.states[row].1.push(frame, true),
+            None => {
+                self.push(sid, MarkedFrameSet::singleton(frame, true), &core.interner);
+                core.metrics.states_created += 1;
+            }
+        }
+        true
     }
 
-    /// Frame Marking Rule 2 onto `row`, a proper subset of `parent`, that
-    /// already holds every frame `parent` does: `parent`'s key frames other
-    /// than `arriving` become key frames of `row`.
-    pub(crate) fn inherit_marks(&mut self, row: usize, parent: usize, arriving: FrameId) {
-        let (target, source) = self.pair(row, parent);
-        target.inherit_marks(source, arriving);
+    /// A new state for `sid`, a proper subset of `parent`'s set in the
+    /// arriving `frame`, unless the pruner judges it hopeless (`false`): it
+    /// holds `parent`'s frames and marks (Rule 2) and `frame`, unmarked,
+    /// which counts in `frames_appended` if `appended` (SSG counts it, MFS
+    /// only counts rows that were live before the frame).
+    pub(crate) fn derive(
+        &mut self,
+        core: &mut Substrate,
+        sid: SetId,
+        parent: usize,
+        frame: FrameId,
+        appended: bool,
+    ) -> bool {
+        if core.terminate_if_hopeless(sid) {
+            return false;
+        }
+        let mut frames = self.frames(parent).clone();
+        frames.push(frame, false);
+        self.push(sid, frames, &core.interner);
+        core.metrics.states_created += 1;
+        core.metrics.frames_appended += u64::from(appended);
+        true
+    }
+
+    /// Gives the arriving `frame` to `row`, a state it contains, once.
+    pub(crate) fn append(&mut self, row: usize, frame: FrameId, metrics: &mut MaintenanceMetrics) {
+        let frames = &mut self.states[row].1;
+        if !frames.contains(frame) {
+            frames.push(frame, false);
+            metrics.frames_appended += 1;
+        }
     }
 
     /// Frame-set completeness and Rule 2 onto `row`, a proper subset of
     /// `parent`: it co-occurs in every frame `parent` does and keeps their
     /// key frames.
     pub(crate) fn merge_from(&mut self, row: usize, parent: usize) {
-        let (target, source) = self.pair(row, parent);
+        let [(_, target), (_, source)] = self
+            .states
+            .get_disjoint_mut([row, parent])
+            // infallible: Rule 2 runs from a state onto a proper subset of
+            // it, and no two rows hold one set.
+            .expect("a state and a proper subset of it are two rows");
         target.merge_from(source);
     }
 
@@ -303,11 +338,12 @@ impl StateTable {
     /// must be freshly built (nothing advanced, nothing interned), and
     /// returns the table. Each set is re-interned and must land on its own
     /// handle, which reproduces every handle of the snapshotted arena; a
-    /// set written twice, the empty set, or a frame outside the window
-    /// ending at the restored cursor is corrupt data. Verdicts, results and
-    /// the intersection memo are not persisted: the next `advance`
-    /// re-collects results, the pruner re-judges handles on demand, and the
-    /// memo refills (so its hit and miss counters may drift).
+    /// set written twice, the empty set, a frame outside the window ending
+    /// at the restored cursor, or a row with no key frame (between frames
+    /// every row holds one) is corrupt data. Verdicts, results and the
+    /// intersection memo are not persisted: the next `advance` re-collects
+    /// results, the pruner re-judges handles on demand, and the memo refills
+    /// (so its hit and miss counters may drift).
     pub(crate) fn restore(core: &mut Substrate, dec: &mut Decoder<'_>) -> Result<StateTable> {
         if core.last_frame.is_some() || core.interner.len() != 1 {
             return Err(Error::Store(
@@ -339,6 +375,10 @@ impl StateTable {
                     last.raw()
                 )));
             }
+            if !frames.has_marked() {
+                let error = format!("state for handle {index} holds no key frame");
+                return Err(Error::Corrupt(error));
+            }
             table.push(sid, frames, &core.interner);
         }
         core.metrics = MaintenanceMetrics::decode(dec)?;
@@ -366,6 +406,70 @@ pub(crate) mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::sync::Arc;
     use tvq_common::{shared_class_store, ClassId};
+
+    /// Frame sets are complete: after every frame, each MFS and SSG row
+    /// holds exactly the in-window frames whose object set contains the
+    /// row's set. So a Rule-2 `merge_from` onto a row that existed before
+    /// the frame only adds marks: the row already holds every frame of its
+    /// parent, a superset, and no parent holds the arriving frame.
+    #[test]
+    fn rows_hold_every_in_window_frame_containing_their_set() {
+        use crate::mfs::MfsMaintainer;
+        use crate::prune::MinCardinalityPruner;
+        use crate::ssg::SsgMaintainer;
+        use std::collections::VecDeque;
+        // Twelve object slots, each present 70 % of the time; a slot's
+        // object changes every 50 frames. Object `100 s + g` is bit
+        // `6 s + g` (g ≤ 5 over 200 frames), so a set is a `u128`.
+        let mask = |set: &ObjectSet| {
+            set.iter()
+                .map(|id| 1u128 << (id.raw() / 100 * 6 + id.raw() % 100))
+                .fold(0, |acc, bit| acc | bit)
+        };
+        for (seed, w, min_objects) in (0..2u64)
+            .flat_map(|seed| [8, 30, 60].map(|w| (seed, w)))
+            .flat_map(|(seed, w)| [None, Some(3)].map(|min| (seed, w, min)))
+        {
+            let spec = WindowSpec::new(w, w / 2).unwrap();
+            let pruner = min_objects.map(|min_objects| -> SharedPruner {
+                Arc::new(MinCardinalityPruner { min_objects })
+            });
+            let mut mfs = MfsMaintainer::with_options(spec, SetInterner::new(), pruner.clone());
+            let mut ssg = SsgMaintainer::with_options(spec, SetInterner::new(), pruner);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut window = VecDeque::new();
+            for i in 0..200u32 {
+                let objects = ObjectSet::from_raw(
+                    (0..12u32)
+                        .filter(|_| rng.gen_bool(0.7))
+                        .map(|s| s * 100 + (i + s * 5) / 50),
+                );
+                let frame = FrameId(u64::from(i));
+                mfs.advance(frame, &objects).unwrap();
+                ssg.advance(frame, &objects).unwrap();
+                window.push_back((frame, mask(&objects)));
+                if window.len() > w {
+                    window.pop_front();
+                }
+                for (name, states) in [
+                    ("MFS", mfs.states().collect::<Vec<_>>()),
+                    ("SSG", ssg.states().collect()),
+                ] {
+                    for (set, frames) in states {
+                        let bits = mask(&set);
+                        let complete = window
+                            .iter()
+                            .filter(|&&(_, objects)| bits & !objects == 0)
+                            .map(|&(frame, _)| frame);
+                        assert!(
+                            frames.frames().eq(complete),
+                            "{name} seed {seed} w={w} {min_objects:?} frame {i}: {set:?} {frames:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     /// A snapshot taken mid-epoch (sets without a row are still in the
     /// arena) restores, into a maintainer built by `build` around a fresh
