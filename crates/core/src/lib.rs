@@ -79,5 +79,5 @@ pub use mfs::MfsMaintainer;
 pub use naive::NaiveMaintainer;
 pub use prune::{MinCardinalityPruner, PrunerVerdictCache, SharedPruner, StatePruner};
 pub use reference::{mcos_of_window, ReferenceMaintainer};
-pub use result_set::{ResultState, ResultStateSet};
+pub use result_set::ResultStateSet;
 pub use ssg::SsgMaintainer;

@@ -21,7 +21,9 @@ pub struct MaintenanceMetrics {
     pub states_terminated: u64,
     /// Object-set intersections computed.
     pub intersections: u64,
-    /// Frame identifiers appended to existing states.
+    /// Appends: an in-window frame joining a state that was live before
+    /// that frame, once per state and frame. A new state's first frame is
+    /// not one.
     pub frames_appended: u64,
     /// States visited (touched) while processing frames. For MFS/NAIVE this
     /// counts every state scanned per frame; for SSG it counts graph nodes

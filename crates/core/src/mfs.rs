@@ -117,7 +117,7 @@ impl MfsMaintainer {
                 // this adds only marks.
                 self.table.merge_from(at, row);
             } else {
-                self.table.derive(&mut self.core, target, row, frame, false);
+                self.table.derive(&mut self.core, target, row, frame);
             }
         }
         self.core.metrics.intersections += live as u64;

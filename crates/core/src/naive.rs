@@ -8,7 +8,8 @@
 //! set, only the largest object set is kept.
 //!
 //! That is the whole algorithm, and it is kept this plain on purpose: NAIVE
-//! is the oracle the differential suites compare MFS and SSG against.
+//! is the paper's baseline, and the differential suites (`tvq-testkit`)
+//! hold it, like MFS and SSG, to the brute-force reference oracle.
 
 use std::collections::hash_map::Entry;
 

@@ -20,15 +20,6 @@ use std::sync::Arc;
 
 use tvq_common::{ClassCounts, FrameId, FxHashMap, MarkedFrameSet, ObjectSet, SetId, SetInterner};
 
-/// A satisfied, valid state as reported to the query layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResultState {
-    /// The maximum co-occurrence object set.
-    pub objects: ObjectSet,
-    /// The window frames in which it co-occurs.
-    pub frames: Vec<FrameId>,
-}
-
 /// One result entry: the state's frame set plus (optionally) the class
 /// counts the producing maintainer keeps for the reported set. The frame
 /// set is `Arc`-shared so downstream consumers (one `QueryMatch` per
@@ -114,17 +105,6 @@ impl ResultStateSet {
         self.states
             .iter()
             .map(|(k, e)| (k, &e.frames, e.counts.as_ref()))
-    }
-
-    /// Materialises the results as owned [`ResultState`] values.
-    pub fn to_vec(&self) -> Vec<ResultState> {
-        self.states
-            .iter()
-            .map(|(objects, entry)| ResultState {
-                objects: objects.clone(),
-                frames: entry.frames.to_vec(),
-            })
-            .collect()
     }
 
     /// The object sets only, in deterministic order — the common currency for
@@ -267,7 +247,6 @@ mod tests {
         rs.insert(set(&[1]), &frames(&[0]));
         rs.clear();
         assert!(rs.is_empty());
-        assert_eq!(rs.to_vec().len(), 0);
     }
 
     #[test]

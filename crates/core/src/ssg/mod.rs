@@ -48,10 +48,9 @@
 //! collection — are the rows of the `substrate::StateTable` MFS also runs
 //! on; a node finds its row by handle. At the start of each frame the table
 //! expires every row and drops those left with no marked frame, and the
-//! graph removes their nodes in the same frame, in slab order. (Each
+//! graph removes each one's node as the table drops it, in row order (a
 //! removal re-attaches the node's children under its parents, so the order
-//! decides the rewiring and with it the edge and visit counters; slab order
-//! is deterministic and is the order those counters were pinned under.)
+//! moves the work counters, not which rows a frame reaches: see below).
 //! Every node the traversal reaches is therefore valid and holds in-window
 //! frames only, and no valid node is left without a path from a principal
 //! state (a debug build checks this after each frame's drops). What SSG adds
@@ -145,9 +144,9 @@ pub struct SsgMaintainer {
     /// Principal states in their order of arrival (kept while alive; a
     /// restore orders them by their earliest in-window frame).
     roots: Vec<NodeId>,
-    /// Pooled per-frame buffers (dropped nodes, then CNPS candidates; CNPS
-    /// reachability set + DFS stack): cleared and reused so the
-    /// steady-state advance loop performs no transient allocations.
+    /// Pooled per-frame buffers (CNPS candidates, reachability set and DFS
+    /// stack): cleared and reused so the steady-state advance loop performs
+    /// no transient allocations.
     candidates_scratch: Vec<NodeId>,
     cnps_reachable: FxHashSet<NodeId>,
     cnps_stack: Vec<NodeId>,
@@ -237,7 +236,7 @@ impl SsgMaintainer {
             }
             None => {
                 let core = &mut self.core;
-                if !self.table.derive(core, sid, parent_row, at.frame, true) {
+                if !self.table.derive(core, sid, parent_row, at.frame) {
                     return;
                 }
                 self.graph.insert(sid)
@@ -356,27 +355,22 @@ impl SsgMaintainer {
     }
 
     /// The start of a frame: the table drops every row left with no marked
-    /// frame, and the graph removes those nodes, in slab order, and those
-    /// roots.
+    /// frame, the graph removes each one's node as the table drops it, and
+    /// the roots lose the removed nodes.
     fn expire(&mut self, oldest: FrameId) {
-        let mut dropped = std::mem::take(&mut self.candidates_scratch);
-        dropped.clear();
-        let graph = &self.graph;
+        let (graph, interner, mut dropped) = (&mut self.graph, &self.core.interner, false);
         self.table.expire(oldest, &mut self.core.metrics, |sid| {
             // infallible: every state row has a live node.
-            dropped.push(graph.id_of(sid).expect("every state row has a node"));
+            let id = graph.id_of(sid).expect("every state row has a node");
+            graph.remove(id, interner);
+            dropped = true;
         });
-        dropped.sort_unstable();
-        for &id in &dropped {
-            self.graph.remove(id, &self.core.interner);
-        }
-        if !dropped.is_empty() {
+        if dropped {
             self.roots.retain(|&root| self.graph.node(root).alive);
             // infallible: a valid state reaches a marked frame's principal
             // state through the states it was derived from.
             debug_assert_eq!(self.graph.orphan(&self.roots), None);
         }
-        self.candidates_scratch = dropped;
     }
 
     /// The principal states the table names: for each in-window frame, the

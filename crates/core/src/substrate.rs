@@ -191,14 +191,18 @@ impl StateTable {
 
     /// Frame Marking Rule 1: the arriving `frame` is a key frame of the
     /// state of its own object set `sid`, which the pruner judges first.
-    /// Marks the frame in `sid`'s row, or adds the row (a new state).
-    /// Returns whether `sid` holds a row now.
+    /// Appends the frame to `sid`'s row (once, as [`append`](Self::append)
+    /// does) and marks it there, or adds the row (a new state). Returns
+    /// whether `sid` holds a row now.
     pub(crate) fn principal(&mut self, core: &mut Substrate, sid: SetId, frame: FrameId) -> bool {
         if core.terminate_if_hopeless(sid) {
             return false;
         }
         match self.row_of(sid) {
-            Some(row) => self.states[row].1.push(frame, true),
+            Some(row) => {
+                self.append(row, frame, &mut core.metrics);
+                self.states[row].1.push(frame, true);
+            }
             None => {
                 self.push(sid, MarkedFrameSet::singleton(frame, true), &core.interner);
                 core.metrics.states_created += 1;
@@ -209,16 +213,14 @@ impl StateTable {
 
     /// A new state for `sid`, a proper subset of `parent`'s set in the
     /// arriving `frame`, unless the pruner judges it hopeless (`false`): it
-    /// holds `parent`'s frames and marks (Rule 2) and `frame`, unmarked,
-    /// which counts in `frames_appended` if `appended` (SSG counts it, MFS
-    /// only counts rows that were live before the frame).
+    /// holds `parent`'s frames and marks (Rule 2) and `frame`, unmarked. The
+    /// state is new, so `frame` is not an append.
     pub(crate) fn derive(
         &mut self,
         core: &mut Substrate,
         sid: SetId,
         parent: usize,
         frame: FrameId,
-        appended: bool,
     ) -> bool {
         if core.terminate_if_hopeless(sid) {
             return false;
@@ -227,11 +229,11 @@ impl StateTable {
         frames.push(frame, false);
         self.push(sid, frames, &core.interner);
         core.metrics.states_created += 1;
-        core.metrics.frames_appended += u64::from(appended);
         true
     }
 
-    /// Gives the arriving `frame` to `row`, a state it contains, once.
+    /// Gives the arriving `frame` to `row`, a state it contains, once; the
+    /// first time counts in `frames_appended`.
     pub(crate) fn append(&mut self, row: usize, frame: FrameId, metrics: &mut MaintenanceMetrics) {
         let frames = &mut self.states[row].1;
         if !frames.contains(frame) {
@@ -411,7 +413,9 @@ pub(crate) mod tests {
     /// holds exactly the in-window frames whose object set contains the
     /// row's set. So a Rule-2 `merge_from` onto a row that existed before
     /// the frame only adds marks: the row already holds every frame of its
-    /// parent, a superset, and no parent holds the arriving frame.
+    /// parent, a superset, and no parent holds the arriving frame. The
+    /// counters the table keeps mean one thing for both: MFS and SSG count
+    /// equal states created and pruned, frames appended and peak states.
     #[test]
     fn rows_hold_every_in_window_frame_containing_their_set() {
         use crate::mfs::MfsMaintainer;
@@ -447,6 +451,19 @@ pub(crate) mod tests {
                 let frame = FrameId(u64::from(i));
                 mfs.advance(frame, &objects).unwrap();
                 ssg.advance(frame, &objects).unwrap();
+                let table_counters = |m: &MaintenanceMetrics| {
+                    [
+                        m.states_created,
+                        m.states_pruned,
+                        m.frames_appended,
+                        m.peak_live_states,
+                    ]
+                };
+                assert_eq!(
+                    table_counters(mfs.metrics()),
+                    table_counters(ssg.metrics()),
+                    "seed {seed} w={w} {min_objects:?} frame {i}"
+                );
                 window.push_back((frame, mask(&objects)));
                 if window.len() > w {
                     window.pop_front();
