@@ -497,8 +497,9 @@ fn turnover_frames(scale: Scale) -> u64 {
 /// (classed queries evaluated per frame) once with compaction off and once
 /// with it on, for MFS and SSG. The interesting read-outs are sustained
 /// frames/sec and the peak `interned_sets` and interner bytes
-/// (`arena_bytes + bitmap_bytes`): monotone growth with compaction off, a
-/// plateau with it on.
+/// (`arena_bytes + bitmap_bytes`). The interner holds only the live
+/// states' sets either way, but without compaction every object keeps its
+/// bit slot, so the bytes grow with the universe; with it on they plateau.
 pub fn long_churn(scale: Scale) -> Vec<MemoryRun> {
     let feed = long_churn_feed(FeedId(0), &ChurnProfile::new(turnover_frames(scale)));
     // Checked every 32 frames, compact once less than half of an

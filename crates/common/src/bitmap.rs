@@ -172,6 +172,14 @@ impl BitmapArena {
         self.entries += 1;
     }
 
+    /// Overwrites entry `index` with `run`, zero-padded to the stride (an
+    /// empty run zeroes it): how a released handle's entry is reused.
+    pub fn write_run(&mut self, index: usize, run: &[u64]) {
+        let entry = &mut self.words[index * self.stride..(index + 1) * self.stride];
+        entry[..run.len()].copy_from_slice(run);
+        entry[run.len()..].fill(0);
+    }
+
     /// The words of entry `index`.
     #[inline]
     pub fn entry(&self, index: usize) -> &[u64] {

@@ -30,7 +30,7 @@
 //!   [`intersect_uncached`](SetInterner::intersect_uncached) ANDs the two
 //!   entries into a scratch run while sorting the pair into disjoint,
 //!   subset or proper overlap; only an overlap is compared with the
-//!   caller's hints, hashed and probed, and only a new set appends its
+//!   caller's hints, hashed and probed, and only a new set stores its
 //!   words — no allocation and no bit count either way;
 //! * **materialises tracker ids on demand** —
 //!   [`resolve`](SetInterner::resolve) rebuilds a sorted [`ObjectSet`] from
@@ -42,7 +42,10 @@
 //!   commutative pair shares one slot. The cache has a fixed size
 //!   ([`MemoConfig`], 4096 slots by default): a miss costs a word-AND, so a
 //!   table that grows past the CPU cache loses more on every probe than its
-//!   extra hits save;
+//!   extra hits save. Each entry carries the mint clock it was written at,
+//!   and each handle the clock its set was minted at: an entry answers only
+//!   while its pair and its answer were all minted before it was written,
+//!   so a released or reused handle never reads an older set's answer;
 //! * **counts classes on demand** — when constructed with a class source
 //!   ([`SetInterner::with_classes`]), [`counts_of`](SetInterner::counts_of)
 //!   aggregates a handle's bits into a [`ClassCounts`]. Nothing is computed
@@ -53,39 +56,53 @@
 //!   (identifier reuse mints fresh internal ids) and a live set's objects
 //!   are never retired.
 //!
-//! Within one epoch the arena and the memo are **append-only**: interning is
-//! cheap and ids stay stable, at the cost of memory that grows with the
-//! number of distinct sets ever observed. For long-running unbounded-universe
-//! deployments, [`SetInterner::compact`] starts a new **epoch**: the
-//! caller's live handles keep their bitmaps (rewritten against a
-//! re-densified universe), everything else is dropped, and a [`RemapTable`]
-//! translating old handles to their new values is handed back so every
-//! handle-keyed downstream structure can re-key itself. The engine triggers
-//! compaction between frames when live-set occupancy falls below a
-//! configured ratio. The interner does not number its epochs: a
-//! maintainer's compaction count is its `MaintenanceMetrics::compactions`.
+//! **A set lives while something holds it.** The caller
+//! [`release`](SetInterner::release)s a set it no longer holds: the set
+//! leaves the content index (backward-shift deletion, wrapping at the
+//! table's end), its words are zeroed, and its handle is free: its birth
+//! stamp says so, and no other list holds it. The next new set takes the
+//! lowest free handle and so reuses its bitmap stride and index room.
+//! [`release_unheld`](SetInterner::release_unheld) releases, in one call
+//! at the end of a frame, every set minted since the previous call that
+//! the caller's holder test does not keep, so between frames the arena
+//! holds what the maintainer's states hold.
+//!
+//! Bit slots are not released with sets: a universe object keeps its slot
+//! until a compaction **epoch**. [`SetInterner::compact`] keeps the
+//! caller's live handles (their bitmaps rewritten against a re-densified
+//! universe), drops every other handle, free ones included, and hands back
+//! a [`RemapTable`] translating old handles to new ones, so every
+//! handle-keyed structure can re-key itself and the caller can retire the
+//! objects that lost their slot. The engine triggers compaction between
+//! frames when the live states are few against the sets
+//! [`minted`](SetInterner::minted) this epoch. The interner does not number
+//! its epochs: a maintainer's compaction count is its
+//! `MaintenanceMetrics::compactions`.
 //!
 //! The interner persists nothing itself. A maintainer's snapshot writes its
-//! arena's sets in handle order, and a restore re-interns them into a fresh
-//! interner, which reproduces every handle (not the bit slots: a compaction
-//! keeps the survivors' slot order, re-interning assigns slots by first
-//! appearance).
+//! universe in slot order and its arena's sets in handle order, a free
+//! handle as the empty set, and a restore puts them back into a fresh
+//! interner through [`restore_universe`](SetInterner::restore_universe)
+//! and [`push_restored`](SetInterner::push_restored), which reproduces
+//! every bit slot and every handle, free ones included.
 
 use std::sync::PoisonError;
 
 use crate::aggregates::ClassCounts;
 use crate::bitmap::{hash_run, set_bit, slots_of, BitmapArena, Relation, UniverseMap};
 use crate::class_store::SharedClassMap;
+use crate::error::{Error, Result};
 use crate::ids::ObjectId;
 use crate::object_set::ObjectSet;
 
 /// Dense handle of an interned [`ObjectSet`].
 ///
 /// Handles are only meaningful relative to the [`SetInterner`] that issued
-/// them — and only within the epoch that issued them: a compaction epoch
-/// retires every handle it does not keep, and the accompanying
-/// [`RemapTable`] is the sole bridge between epochs. `SetId::EMPTY` is
-/// always the empty set, in every interner and every epoch.
+/// them, and only while their set is held: a released handle may name
+/// another set next, and a compaction epoch retires every handle it does
+/// not keep (the accompanying [`RemapTable`] is the sole bridge between
+/// epochs). `SetId::EMPTY` is always the empty set, in every interner and
+/// every epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SetId(u32);
 
@@ -123,8 +140,9 @@ impl SetId {
 /// The `old SetId → new SetId` translation produced by one compaction epoch.
 ///
 /// Handles the caller declared live are mapped to their new, denser ids;
-/// every other handle of the previous epoch maps to `None` (the set was
-/// dropped from the arena and must be re-interned if it ever reappears).
+/// every other handle of the previous epoch, free ones included, maps to
+/// `None` (the set was dropped from the arena and must be re-interned if it
+/// ever reappears).
 ///
 /// The table also carries the epoch's **retire set**: the objects whose bit
 /// slots were re-densified away because no surviving set contains them.
@@ -151,7 +169,7 @@ impl RemapTable {
         self.live
     }
 
-    /// Number of handles retired by the compaction.
+    /// Number of handles retired by the compaction, free ones included.
     pub fn retired(&self) -> usize {
         self.map.len() - self.live
     }
@@ -170,63 +188,103 @@ impl RemapTable {
 }
 
 /// Size of the intersection memo: a direct-mapped `(SetId, SetId) → SetId`
-/// cache of `2^bits` slots (12 bytes each), allocated on first use and
-/// dropped at every compaction (its entries reference retired handles).
+/// cache of `2^bits` slots (16 bytes each: the pair, the answer and the
+/// mint clock the entry was written at), allocated on first use and dropped
+/// at every compaction (its entries reference retired handles).
 ///
-/// The size is fixed on purpose. Since the miss path became a word-AND over
-/// two bitmaps, hit rate stopped predicting time: a table grown to fit the
-/// live pair working set (2^20 slots on a dense film) turns every probe
-/// into a DRAM miss and runs slower than 4096 slots that stay in cache.
+/// The size is fixed on purpose, and at most 2^16 slots (1 MiB). Since the
+/// miss path became a word-AND over two bitmaps, hit rate stopped
+/// predicting time: a table grown to fit the live pair working set (2^20
+/// slots on a dense film) turns every probe into a DRAM miss and runs
+/// slower than 4096 slots that stay in cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoConfig {
-    /// log2 of the slot count, clamped to `1..=30` when the memo is built.
+    /// log2 of the slot count, clamped to `1..=16` when the memo is built.
     pub bits: u32,
 }
 
 impl MemoConfig {
     /// The slot-count exponent in effect: a nonsensical request (0 bits, 99
-    /// bits) degrades to the nearest supported size instead of panicking on
-    /// shift overflow.
+    /// bits, or a size read from a corrupt snapshot) degrades to the
+    /// nearest supported size instead of panicking on shift overflow or
+    /// allocating gigabytes.
     fn clamped_bits(self) -> u32 {
-        self.bits.clamp(1, 30)
+        self.bits.clamp(1, 16)
     }
 }
 
 impl Default for MemoConfig {
-    /// 4096 slots (48 KiB).
+    /// 4096 slots (64 KiB).
     fn default() -> Self {
         MemoConfig { bits: 12 }
     }
 }
 
-/// Sentinel for an unused memo slot (`a == b` pairs never reach the cache).
-const MEMO_FREE: (SetId, SetId) = (SetId::EMPTY, SetId::EMPTY);
+/// One memo slot: `lo ∩ hi = answer`, written when the mint clock read
+/// `stamp`. Unused while `lo == hi` (such pairs never reach the cache).
+#[derive(Debug, Clone, Copy)]
+struct MemoEntry {
+    lo: SetId,
+    hi: SetId,
+    answer: SetId,
+    stamp: u32,
+}
+
+/// An unused memo slot.
+const MEMO_FREE: MemoEntry = MemoEntry {
+    lo: SetId::EMPTY,
+    hi: SetId::EMPTY,
+    answer: SetId::EMPTY,
+    stamp: 0,
+};
+
+/// The birth stamp of a free handle: later than every memo entry, so no
+/// entry naming it answers.
+const FREE: u32 = u32::MAX;
 
 /// Fewest content-index slots allocated (the index grows by a quarter
 /// from here).
 const MIN_INDEX_SLOTS: usize = 16;
 
 /// The object-set arena with word-parallel set algebra, intersection
-/// memoization, on-demand class counts and epoch compaction. See the
-/// [module docs](self).
+/// memoization, on-demand class counts, handle release and epoch
+/// compaction. See the [module docs](self).
 #[derive(Debug, Default)]
 pub struct SetInterner {
-    /// `SetId` → the set, as a dense bitmap. Index 0 is always the empty set.
+    /// `SetId` → the set, as a dense bitmap (all zero for a free handle).
+    /// Index 0 is always the empty set.
     bitmaps: BitmapArena,
-    /// Content index: open-addressed, of any length, ⅗ to ¾ full (or at
-    /// [`MIN_INDEX_SLOTS`]). A slot holds the raw `SetId` of an entry,
-    /// hashed and compared on that entry's bitmap words; 0 marks a free
-    /// slot (the empty set is never indexed).
+    /// Content index: open-addressed, of any length, at most ¾ full, and ⅗
+    /// full (or at [`MIN_INDEX_SLOTS`]) when rebuilt. A slot holds the raw
+    /// `SetId` of a held entry, hashed and compared on that entry's bitmap
+    /// words; 0 marks a free slot (the empty set is never indexed).
     index: Vec<u32>,
+    /// `SetId` → the mint clock its set was minted at: 0 for the empty set
+    /// and a compaction's survivors, [`FREE`] for a free handle.
+    births: Vec<u32>,
+    /// Number of free handles.
+    free: usize,
+    /// No handle below it is free: where the search for the lowest free
+    /// handle starts.
+    first_free: usize,
+    /// The handles minted since the last
+    /// [`release_unheld`](Self::release_unheld), which drops the list.
+    recent: Vec<SetId>,
+    /// The birth stamp of the last set minted. Never reaches [`FREE`]:
+    /// [`restamp`](Self::restamp) winds it back first.
+    clock: u32,
+    /// Sets minted this epoch: the handles a compaction kept, plus one for
+    /// every set minted since.
+    minted: usize,
     /// The `ObjectId ↔ bit slot` universe of the current epoch.
     universe: UniverseMap,
     /// Reusable word run: the set being interned or intersected.
     scratch: Vec<u64>,
-    /// Direct-mapped intersection cache: `(a, b, a ∩ b)` keyed by the
-    /// normalised (smaller, larger) pair; collisions overwrite. Allocated
-    /// lazily on the first intersection, cleared by compaction (its entries
-    /// reference retired handles) at `2^memo_config.bits` slots.
-    memo: Vec<(SetId, SetId, SetId)>,
+    /// Direct-mapped intersection cache keyed by the normalised (smaller,
+    /// larger) pair; collisions overwrite. Allocated lazily on the first
+    /// intersection, at `2^memo_config.bits` slots, and cleared by
+    /// compaction (its entries reference retired handles).
+    memo: Vec<MemoEntry>,
     memo_config: MemoConfig,
     /// The engine's class store, when class counts are wanted.
     classes: Option<SharedClassMap>,
@@ -241,6 +299,8 @@ impl SetInterner {
     pub fn new() -> Self {
         let mut interner = SetInterner::default();
         interner.push_entry(&[]);
+        interner.births.push(0);
+        interner.minted = 1;
         interner.rebuild_index();
         interner
     }
@@ -270,14 +330,47 @@ impl SetInterner {
         self
     }
 
-    /// Number of distinct sets interned (including the empty set).
+    /// Number of handles issued: one per held set (the empty set included)
+    /// and one per free handle. Every handle is below it.
     pub fn len(&self) -> usize {
         self.bitmaps.entries()
     }
 
-    /// Whether only the empty set has been interned.
+    /// Number of sets held (the empty set included).
+    pub fn held(&self) -> usize {
+        self.len() - self.free
+    }
+
+    /// Whether only the empty set is held.
     pub fn is_empty(&self) -> bool {
-        self.len() <= 1
+        self.held() <= 1
+    }
+
+    /// Whether `id` names a held set (not a free handle).
+    pub fn is_held(&self, id: SetId) -> bool {
+        self.births
+            .get(id.index())
+            .is_some_and(|&birth| birth != FREE)
+    }
+
+    /// Sets minted this epoch: the handles the last compaction kept (1 for
+    /// a new interner) plus every set minted since, so equal to
+    /// [`len`](Self::len) until a handle is released. The compaction
+    /// policy weighs the live states against it.
+    pub fn minted(&self) -> usize {
+        self.minted
+    }
+
+    /// The mint clock: the birth stamp of the last set minted. A set
+    /// minted later is [`born_after`](Self::born_after) it.
+    pub fn clock(&self) -> u32 {
+        self.clock
+    }
+
+    /// Whether `id`'s set was minted after the mint clock read `clock` (a
+    /// free handle counts as minted after every clock).
+    pub fn born_after(&self, id: SetId, clock: u32) -> bool {
+        self.births[id.index()] > clock
     }
 
     /// Words per bitmap: the universe's, plus under a quarter of headroom.
@@ -288,6 +381,29 @@ impl SetInterner {
     /// Number of distinct objects in the current epoch's universe.
     pub fn universe_len(&self) -> usize {
         self.universe.len()
+    }
+
+    /// The current epoch's universe in slot order, as a snapshot writes it
+    /// for [`restore_universe`](Self::restore_universe).
+    pub fn universe_slots(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        self.universe.object_ids()
+    }
+
+    /// Gives a fresh interner the universe a snapshot wrote, in slot
+    /// order, before its sets are put back: the objects of released sets
+    /// keep their slots until the next compaction retires them. An object
+    /// written twice is corrupt data.
+    pub fn restore_universe(&mut self, objects: &[ObjectId]) -> Result<()> {
+        for &object in objects {
+            self.universe.slot_of(object);
+        }
+        if self.universe.len() != objects.len() {
+            return Err(Error::Corrupt("an object holds two bit slots".into()));
+        }
+        if let Some(last) = objects.len().checked_sub(1) {
+            self.bitmaps.ensure_slot(last as u32);
+        }
+        Ok(())
     }
 
     /// The current epoch's universe as a sorted identifier list. Test hook:
@@ -324,11 +440,14 @@ impl SetInterner {
         self.memo.len()
     }
 
-    /// Bytes held per set beside its bitmap: the content index, 5.3–6.7 B
-    /// a set above its minimum size. Bitmap storage is reported separately
-    /// by [`SetInterner::bitmap_bytes`].
+    /// Bytes held per handle beside its bitmap: the content index (5.3–6.7
+    /// B a held set above its minimum size), the birth stamps and the
+    /// handles minted since the last frame's end, 4 B an entry each (the
+    /// last are none between frames). Bitmap storage is reported
+    /// separately by [`SetInterner::bitmap_bytes`].
     pub fn arena_bytes(&self) -> usize {
-        self.index.capacity() * std::mem::size_of::<u32>()
+        (self.index.capacity() + self.births.capacity() + self.recent.capacity())
+            * std::mem::size_of::<u32>()
     }
 
     /// Bytes held by the dense bitmaps (the scratch run included) and the
@@ -339,8 +458,10 @@ impl SetInterner {
             + self.universe.bytes()
     }
 
-    /// Interns a set, returning its stable handle. Objects seen for the
-    /// first time are assigned bit slots (such a set is necessarily new).
+    /// Interns a set, returning its handle: the held one, or a new one
+    /// minted on the lowest free handle (or past the last). Objects seen
+    /// for the first time are assigned bit slots (such a set is
+    /// necessarily new).
     pub fn intern(&mut self, set: &ObjectSet) -> SetId {
         if set.is_empty() {
             return SetId::EMPTY;
@@ -355,6 +476,40 @@ impl SetInterner {
         let id = self.find_or_insert(&run);
         self.scratch = run;
         id
+    }
+
+    /// Puts back the set a snapshot wrote at the next handle, [`len`]: the
+    /// empty set marks a free handle. Returns the handle the set holds now,
+    /// which is an older one when the set was written twice. The free
+    /// handles are hidden meanwhile, so a set lands past the last handle.
+    ///
+    /// [`len`]: Self::len
+    pub fn push_restored(&mut self, set: &ObjectSet) -> SetId {
+        let free = std::mem::take(&mut self.free);
+        let id = if set.is_empty() {
+            let id = self.push_entry(&[]);
+            self.births.push(FREE);
+            self.first_free = self.first_free.min(id.index());
+            id
+        } else {
+            self.intern(set)
+        };
+        self.free = free + usize::from(!self.is_held(id));
+        id
+    }
+
+    /// Sets the count [`minted`](Self::minted) reports, as a snapshot
+    /// carried it once every set is back. A count below
+    /// [`len`](Self::len) is corrupt: every handle was minted once.
+    pub fn restore_minted(&mut self, minted: usize) -> Result<()> {
+        if minted < self.len() {
+            let len = self.len();
+            return Err(Error::Corrupt(format!(
+                "{minted} sets minted for {len} handles"
+            )));
+        }
+        self.minted = minted;
+        Ok(())
     }
 
     /// Looks a set up without interning it (and without assigning slots: a
@@ -393,19 +548,22 @@ impl SetInterner {
         ((u128::from(hash_run(run)) * self.index.len() as u128) >> u64::BITS) as usize
     }
 
-    /// Number of sets in the content index (every one but the empty set).
+    /// Number of sets in the content index (every held one but the empty
+    /// set).
     fn indexed(&self) -> usize {
-        self.len() - 1
+        self.held() - 1
     }
 
-    /// Re-creates the content index for the current entries, ⅗ full: ¾
-    /// (the load that triggers a rebuild) divided by 1.25, so the table
-    /// grows by a quarter from one rebuild to the next.
+    /// Re-creates the content index for the held entries, ⅗ full: ¾ (the
+    /// load that triggers a rebuild) divided by 1.25, so the table grows by
+    /// a quarter from one rebuild to the next.
     fn rebuild_index(&mut self) {
         self.index = vec![0; (self.indexed() * 5 / 3).max(MIN_INDEX_SLOTS)];
         for id in 1..self.len() {
-            let slot = self.probe(self.bitmaps.entry(id));
-            self.index[slot] = id as u32;
+            if self.births[id] != FREE {
+                let slot = self.probe(self.bitmaps.entry(id));
+                self.index[slot] = id as u32;
+            }
         }
     }
 
@@ -414,7 +572,7 @@ impl SetInterner {
         if self.index[slot] != 0 {
             return SetId(self.index[slot]);
         }
-        let id = self.push_entry(run);
+        let id = self.mint(run);
         self.index[slot] = id.0;
         if self.indexed() * 4 > self.index.len() * 3 {
             self.rebuild_index();
@@ -422,7 +580,54 @@ impl SetInterner {
         id
     }
 
-    /// Appends a set (not yet indexed) and returns its handle.
+    /// Stores a new set (not yet indexed) on the lowest free handle, or
+    /// past the last, stamps its birth and returns the handle.
+    fn mint(&mut self, run: &[u64]) -> SetId {
+        if self.clock == FREE - 1 {
+            self.restamp();
+        }
+        self.clock += 1;
+        self.minted += 1;
+        // Every handle below `first_free` is held, so the first free birth
+        // from there is the lowest free handle.
+        let births = &self.births[self.first_free..];
+        let reuse = (self.free > 0)
+            .then(|| births.iter().position(|&birth| birth == FREE))
+            .flatten();
+        let id = match reuse {
+            Some(offset) => {
+                let at = self.first_free + offset;
+                self.bitmaps.write_run(at, run);
+                self.births[at] = self.clock;
+                (self.free, self.first_free) = (self.free - 1, at + 1);
+                SetId(at as u32)
+            }
+            None => {
+                let id = self.push_entry(run);
+                self.births.push(self.clock);
+                id
+            }
+        };
+        self.recent.push(id);
+        id
+    }
+
+    /// Winds the mint clock back to 0 before it reaches [`FREE`]: every
+    /// held set counts as born at 0, and the memo, whose stamps no longer
+    /// order against the births, is dropped.
+    fn restamp(&mut self) {
+        for birth in &mut self.births {
+            if *birth != FREE {
+                *birth = 0;
+            }
+        }
+        self.clock = 0;
+        self.memo = Vec::new();
+        self.memo_entries = 0;
+    }
+
+    /// Appends an entry holding `run` and returns its handle; the caller
+    /// pushes its birth.
     fn push_entry(&mut self, run: &[u64]) -> SetId {
         // infallible: 2^32 sets would need 32 GiB for their bitmaps at one
         // word each; memory runs out first.
@@ -430,6 +635,63 @@ impl SetInterner {
         let id = SetId(self.len() as u32);
         self.bitmaps.push_run(run);
         id
+    }
+
+    /// Releases a held set the caller no longer holds: it leaves the
+    /// content index, its words are zeroed (so a stale hint naming the
+    /// handle never equals a proper intersection), and its handle is free
+    /// for the next new set. Every memo entry naming the handle stops
+    /// answering. The empty set is never released.
+    pub fn release(&mut self, id: SetId) {
+        // infallible: callers release a handle once, when the last row
+        // (or, for a set minted this frame, the frame) that held it goes.
+        debug_assert!(self.is_held(id) && !id.is_empty_set(), "release of {id:?}");
+        self.unindex(id);
+        self.bitmaps.write_run(id.index(), &[]);
+        self.births[id.index()] = FREE;
+        self.free += 1;
+        self.first_free = self.first_free.min(id.index());
+    }
+
+    /// Takes `id` out of the content index by backward-shift deletion: each
+    /// later entry of the probe run moves back into the hole when its home
+    /// slot does not lie after the hole, so every held set stays on its
+    /// probe sequence and no tombstone is left.
+    fn unindex(&mut self, id: SetId) {
+        let mut hole = self.probe(self.bitmaps.entry(id.index()));
+        let len = self.index.len();
+        let mut next = hole;
+        loop {
+            next = if next + 1 == len { 0 } else { next + 1 };
+            let occupant = self.index[next];
+            if occupant == 0 {
+                break;
+            }
+            // The occupant may fill the hole when its home slot lies
+            // cyclically at or before the hole, seen from `next`.
+            let home = self.home_slot(self.bitmaps.entry(occupant as usize));
+            if (next + len - home) % len >= (next + len - hole) % len {
+                self.index[hole] = occupant;
+                hole = next;
+            }
+        }
+        self.index[hole] = 0;
+    }
+
+    /// The end of a frame: releases every set minted since the last call
+    /// that `holds` does not keep, and tells `released` each one. A handle
+    /// released meanwhile (and not minted again) is skipped.
+    pub fn release_unheld(
+        &mut self,
+        mut holds: impl FnMut(SetId) -> bool,
+        mut released: impl FnMut(SetId),
+    ) {
+        for id in std::mem::take(&mut self.recent) {
+            if self.is_held(id) && !holds(id) {
+                self.release(id);
+                released(id);
+            }
+        }
     }
 
     /// The set behind a handle, materialised as a sorted [`ObjectSet`] from
@@ -481,9 +743,11 @@ impl SetInterner {
     /// Memoized intersection: `a ∩ b` as a handle.
     ///
     /// Fast paths: `a ∩ a = a` and `∅ ∩ x = ∅` never touch the cache. The
-    /// cache key is normalised so `(a, b)` and `(b, a)` share one slot. A
-    /// miss runs [`intersect_uncached`](Self::intersect_uncached), which
-    /// allocates nothing.
+    /// cache key is normalised so `(a, b)` and `(b, a)` share one slot. An
+    /// entry answers only if `a`, `b` and the answer were all minted before
+    /// it was written (so none was released or reused since). A miss runs
+    /// [`intersect_uncached`](Self::intersect_uncached), which allocates
+    /// nothing.
     pub fn intersect(&mut self, a: SetId, b: SetId) -> SetId {
         self.intersect_within(a, b, SetId::EMPTY, SetId::EMPTY)
     }
@@ -501,21 +765,27 @@ impl SetInterner {
         let (lo, hi) = if a.0 <= b.0 { (a, b) } else { (b, a) };
         let bits = self.memo_config.clamped_bits();
         if self.memo.is_empty() {
-            self.memo = vec![(MEMO_FREE.0, MEMO_FREE.1, SetId::EMPTY); 1usize << bits];
+            self.memo = vec![MEMO_FREE; 1usize << bits];
         }
         let slot = Self::memo_slot(lo, hi, bits);
         let entry = self.memo[slot];
-        if (entry.0, entry.1) == (lo, hi) {
+        let born_by = |id: SetId| self.births[id.index()] <= entry.stamp;
+        if (entry.lo, entry.hi) == (lo, hi) && born_by(lo) && born_by(hi) && born_by(entry.answer) {
             self.memo_hits += 1;
-            return entry.2;
+            return entry.answer;
         }
         self.memo_misses += 1;
-        let id = self.intersect_uncached(a, b, bound, guess);
-        if (entry.0, entry.1) == MEMO_FREE {
+        let answer = self.intersect_uncached(a, b, bound, guess);
+        if entry.lo == entry.hi {
             self.memo_entries += 1;
         }
-        self.memo[slot] = (lo, hi, id);
-        id
+        self.memo[slot] = MemoEntry {
+            lo,
+            hi,
+            answer,
+            stamp: self.clock,
+        };
+        answer
     }
 
     /// `a ∩ b` without the memo (neither read, written nor counted): the
@@ -523,7 +793,7 @@ impl SetInterner {
     /// hints and fast paths included, for callers whose pairs rarely repeat.
     /// One pass sorts the pair into disjoint, `a ⊆ b`, `b ⊆ a` or a proper
     /// overlap; only an overlap reads the hints' words, then the content
-    /// index, and only a new set appends its words.
+    /// index, and only a new set stores its words.
     pub fn intersect_uncached(&mut self, a: SetId, b: SetId, bound: SetId, guess: SetId) -> SetId {
         // a ∩ a = a, and ∅ (handle 0, the least) absorbs.
         if a == b || a == SetId::EMPTY || b == SetId::EMPTY {
@@ -560,11 +830,14 @@ impl SetInterner {
 
     /// Starts a new compaction epoch: keeps the given live handles (their
     /// bitmaps, at the stride the surviving universe needs exactly), drops
-    /// everything else, re-densifies the universe and returns the
-    /// [`RemapTable`] translating old handles to their replacements.
+    /// everything else, free handles included, re-densifies the universe
+    /// and returns the [`RemapTable`] translating old handles to their
+    /// replacements. The survivors are the epoch's first
+    /// [`minted`](Self::minted) sets.
     ///
-    /// The live list may contain duplicates and need not mention
-    /// [`SetId::EMPTY`] (the empty set always survives as id 0). Surviving
+    /// The live list must name held sets; it may contain duplicates and
+    /// need not mention [`SetId::EMPTY`] (the empty set always survives as
+    /// id 0). Surviving
     /// sets keep their relative id order and surviving objects their
     /// relative slot order, so compaction is deterministic for deterministic
     /// inputs. Objects that only occurred in retired sets lose their bit
@@ -591,6 +864,10 @@ impl SetInterner {
         let (slot_map, mut retired_objects) = self.universe.retain_slots(&live_slots);
         self.bitmaps
             .retain_remapped(&keep, &slot_map, self.universe.len());
+        self.births = vec![0; keep.len()];
+        (self.free, self.first_free) = (0, 0);
+        self.recent = Vec::new();
+        self.minted = keep.len();
         self.rebuild_index();
         // The memo references retired handles; drop it wholesale (it refills
         // within a window's worth of frames).
@@ -812,10 +1089,98 @@ mod tests {
         let ab = interner.intersect(a, b);
         assert_eq!(interner.resolve(ab), set(&[2, 3]));
         assert_eq!(interner.memo_slots(), 2, "floored at one bit");
-        // 99 bits would overflow `1usize << bits`; allocating the clamped
-        // 2^30 slots is not something a test should do, so only the clamp
-        // itself is checked.
-        assert_eq!(MemoConfig { bits: 99 }.clamped_bits(), 30);
+        // 99 bits would overflow `1usize << bits`; 30, which a corrupt
+        // snapshot can ask for, would allocate 16 GiB. Both get 2^16 slots.
+        for bits in [30, 99] {
+            let mut interner = SetInterner::new().with_memo_config(MemoConfig { bits });
+            let a = interner.intern(&set(&[1, 2, 3]));
+            let b = interner.intern(&set(&[2, 3, 4]));
+            interner.intersect(a, b);
+            assert_eq!(interner.memo_slots(), 1 << 16, "capped at 16 bits");
+        }
+    }
+
+    /// A memo entry stops answering once its answer's or an operand's
+    /// handle was released, whether or not a new set took the handle.
+    #[test]
+    fn memo_entries_die_with_their_handles() {
+        let mut interner = SetInterner::new();
+        let a = interner.intern(&set(&[1, 2, 3]));
+        let b = interner.intern(&set(&[2, 3, 4]));
+        let ab = interner.intersect(a, b);
+        interner.release(ab);
+        let other = interner.intern(&set(&[7, 8]));
+        assert_eq!(other, ab, "the lowest free handle is reused");
+        let again = interner.intersect_within(a, b, SetId::EMPTY, other);
+        assert_eq!(interner.resolve(again), set(&[2, 3]));
+        assert_eq!(interner.memo_hits(), 0);
+        // An operand's handle reused: the pair names another set now.
+        assert_eq!(interner.intersect(a, b), again);
+        assert_eq!(interner.memo_hits(), 1);
+        interner.release(again);
+        interner.release(b);
+        let c = interner.intern(&set(&[1, 9]));
+        assert_eq!(c, b);
+        let ac = interner.intersect(a, c);
+        assert_eq!(interner.resolve(ac), set(&[1]));
+        assert_eq!(interner.memo_hits(), 1);
+    }
+
+    /// The mint clock winds back before it reaches the free stamp: held
+    /// sets count as born at 0, the memo is dropped, and answers and
+    /// birth order stay right.
+    #[test]
+    fn the_mint_clock_winds_back_before_it_runs_out() {
+        let mut interner = SetInterner::new();
+        let a = interner.intern(&set(&[1, 2, 3]));
+        let b = interner.intern(&set(&[2, 3, 4]));
+        interner.intersect(a, b);
+        interner.clock = FREE - 2;
+        let c = interner.intern(&set(&[5]));
+        assert_eq!(interner.clock(), FREE - 1);
+        assert_eq!(interner.memo_slots(), 1 << 12, "memo kept");
+        let d = interner.intern(&set(&[6]));
+        assert_eq!((interner.clock(), interner.memo_slots()), (1, 0));
+        assert!(interner.born_after(d, 0) && !interner.born_after(c, 0));
+        let ab = interner.intersect(a, b);
+        assert_eq!(interner.resolve(ab), set(&[2, 3]));
+        assert_eq!(interner.memo_hits(), 0);
+    }
+
+    /// Pairs over a 150-object universe are interned until one's probe
+    /// wraps past the table's end; releasing every other one then shifts
+    /// entries back across that end, and leaves every held set found at
+    /// its handle and no released one. Re-interning them fills the free
+    /// handles lowest first.
+    #[test]
+    fn released_sets_leave_the_content_index() {
+        let mut interner = SetInterner::new();
+        let mut sets = Vec::new();
+        let pairs = (0..150u32).flat_map(|hi| (0..hi).map(move |lo| set(&[lo, hi])));
+        for pair in pairs {
+            let id = interner.intern(&pair);
+            sets.push((id, pair));
+            if probe_wraps(&interner, id) {
+                break;
+            }
+        }
+        let wrapped = sets.len() - 1;
+        assert!(probe_wraps(&interner, sets[wrapped].0), "no probe wraps");
+        let released = |k: usize| k.is_multiple_of(2) && k != wrapped;
+        for (_, (id, _)) in sets.iter().enumerate().filter(|&(k, _)| released(k)) {
+            interner.release(*id);
+        }
+        for (k, (id, pair)) in sets.iter().enumerate() {
+            assert_eq!(
+                interner.get(pair),
+                (!released(k)).then_some(*id),
+                "{pair:?}"
+            );
+        }
+        for (_, (id, pair)) in sets.iter().enumerate().filter(|&(k, _)| released(k)) {
+            assert_eq!(interner.intern(pair), *id, "lowest free handle first");
+        }
+        assert_eq!(interner.held(), interner.len());
     }
 
     #[test]
@@ -1215,6 +1580,59 @@ mod proptests {
             prop_assert_eq!(interner.stride(), interner.universe_len().div_ceil(64));
             let again: Vec<SetId> = sets.iter().map(|s| interner.intern(s)).collect();
             check(&mut interner, &again);
+        }
+
+        /// Random intern / release / re-intern sequences against a
+        /// `HashMap<ObjectSet, SetId>` model, over sets of ten objects:
+        /// the content index stays between 16 and a few dozen slots, so
+        /// probes wrap past its end and deletions cross its ¾ rebuilds.
+        /// After every step each held set is found at its own handle, no
+        /// released set is found, and each new set took the lowest free
+        /// handle.
+        #[test]
+        fn release_and_reintern_match_a_map_model(
+            ops in proptest::collection::vec((any::<bool>(), 0u32..1024), 1..160),
+        ) {
+            use std::collections::{BTreeSet, HashMap};
+            let mut interner = SetInterner::new();
+            let mut model: HashMap<ObjectSet, SetId> = HashMap::new();
+            let (mut free, mut released) = (BTreeSet::new(), BTreeSet::new());
+            for (intern, bits) in ops {
+                if intern {
+                    let set = ObjectSet::from_raw((0..10).filter(|b| bits >> b & 1 == 1));
+                    if set.is_empty() {
+                        continue;
+                    }
+                    let expected = model.get(&set).copied().unwrap_or_else(|| {
+                        let raw = free.pop_first().unwrap_or(interner.len() as u32);
+                        SetId::from_raw(raw)
+                    });
+                    prop_assert_eq!(interner.intern(&set), expected, "{:?}", set);
+                    released.remove(&set);
+                    model.insert(set, expected);
+                } else {
+                    let mut held: Vec<(ObjectSet, SetId)> =
+                        model.iter().map(|(s, &id)| (s.clone(), id)).collect();
+                    if held.is_empty() {
+                        continue;
+                    }
+                    held.sort();
+                    let (set, id) = held.swap_remove(bits as usize % held.len());
+                    interner.release(id);
+                    model.remove(&set);
+                    free.insert(id.raw());
+                    released.insert(set);
+                }
+                for (set, &id) in &model {
+                    prop_assert_eq!(interner.get(set), Some(id), "{:?}", set);
+                    prop_assert_eq!(&interner.resolve(id), set);
+                }
+                for set in &released {
+                    prop_assert_eq!(interner.get(set), None, "{:?}", set);
+                }
+                prop_assert_eq!(interner.held(), model.len() + 1);
+                prop_assert!(4 * interner.indexed() <= 3 * interner.index.len());
+            }
         }
 
         /// Compacting to a random live subset preserves the algebra: every

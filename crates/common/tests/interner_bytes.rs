@@ -52,6 +52,27 @@ fn nth_set(n: u32) -> ObjectSet {
     ObjectSet::from_raw(start..start + 4 + n % 16)
 }
 
+/// One memo slot: the pair, the answer and the clock it was written at.
+const MEMO_ENTRY_BYTES: usize = 16;
+
+/// The allocator's live bytes since `before` over the gauges (`memo`: count
+/// the memo's slots too), which must lie in `0.8..=1.25`.
+fn assert_gauged(interner: &SetInterner, before: usize, memo: bool, phase: &str) {
+    let held = LIVE.load(Ordering::Relaxed) - before;
+    let memo = if memo {
+        interner.memo_slots() * MEMO_ENTRY_BYTES
+    } else {
+        0
+    };
+    let gauge = interner.arena_bytes() + interner.bitmap_bytes() + memo;
+    let ratio = held as f64 / gauge as f64;
+    assert!(
+        (0.8..=1.25).contains(&ratio),
+        "{phase}: allocator holds {held} B, gauges report {gauge} B (ratio {ratio:.3}, {} handles)",
+        interner.len()
+    );
+}
+
 #[test]
 fn gauges_match_the_allocator() {
     const SETS: u32 = 3_000;
@@ -63,10 +84,6 @@ fn gauges_match_the_allocator() {
         interner.intersect(id, previous);
         previous = id;
     }
-    let held = LIVE.load(Ordering::Relaxed) - before;
-    let gauge = interner.arena_bytes()
-        + interner.bitmap_bytes()
-        + interner.memo_slots() * std::mem::size_of::<[SetId; 3]>();
     assert!(interner.len() > 1_000, "the family must mint many sets");
     assert_eq!(
         interner.stride(),
@@ -75,21 +92,37 @@ fn gauges_match_the_allocator() {
         interner.universe_len()
     );
     assert!(interner.memo_slots() > 0);
-    let ratio = held as f64 / gauge as f64;
-    assert!(
-        (0.8..=1.25).contains(&ratio),
-        "allocator holds {held} B, gauges report {gauge} B (ratio {ratio:.3}, {} sets)",
-        interner.len()
-    );
+    assert_gauged(&interner, before, true, "interned");
+
+    // Releasing two sets in three, then minting as many again, refills the
+    // free handles: the birth stamps (which mark the free handles) and the
+    // list of sets minted since the last frame's end are counted with the
+    // content index.
+    let handles = interner.len() as u32;
+    let released: Vec<SetId> = (1..handles)
+        .filter(|raw| raw % 3 != 0)
+        .map(SetId::from_raw)
+        .collect();
+    for &id in &released {
+        interner.release(id);
+    }
+    let released_bytes = released.capacity() * std::mem::size_of::<SetId>();
+    assert_gauged(&interner, before + released_bytes, true, "released");
+    for n in SETS..SETS + released.len() as u32 {
+        interner.intern(&nth_set(n));
+    }
+    assert_eq!(interner.len(), handles as usize, "every free handle reused");
+    drop(released);
+    assert_gauged(&interner, before, true, "re-interned");
+    interner.release_unheld(|id| id.raw() % 3 == 0, |_| {});
+    assert_gauged(&interner, before, true, "released at frame end");
 
     // Compaction must give the memory back, not just stop counting it.
-    let live: Vec<SetId> = (1..1_000).map(SetId::from_raw).collect();
+    let live: Vec<SetId> = (1..1_000)
+        .filter(|raw| raw % 3 == 0)
+        .map(SetId::from_raw)
+        .collect();
     interner.compact(&live);
-    let held = LIVE.load(Ordering::Relaxed) - before;
-    let gauge = interner.arena_bytes() + interner.bitmap_bytes();
-    let ratio = held as f64 / gauge as f64;
-    assert!(
-        (0.8..=1.25).contains(&ratio),
-        "after compaction: allocator holds {held} B, gauges report {gauge} B (ratio {ratio:.3})"
-    );
+    drop(live);
+    assert_gauged(&interner, before, false, "after compaction");
 }

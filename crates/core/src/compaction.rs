@@ -1,23 +1,30 @@
-//! Epoch-based interner-arena compaction policy.
+//! Epoch-based interner compaction policy.
 //!
-//! Within one epoch a maintainer's [`SetInterner`](tvq_common::SetInterner)
-//! arena is append-only: memory grows with the number of distinct object
-//! sets ever observed. Bounded-universe feeds saturate quickly, but a
-//! long-running feed with object turnover (new track ids forever) grows
-//! monotonically. Compaction fixes that: when the share of arena entries
-//! still referenced by live states falls below a configured ratio, the
-//! maintainer rebuilds its interner from the live handles
-//! ([`SetInterner::compact`](tvq_common::SetInterner::compact)) and re-keys
-//! every handle-keyed structure through the returned
-//! [`RemapTable`](tvq_common::RemapTable).
+//! A maintainer's [`SetInterner`](tvq_common::SetInterner) frees a set
+//! when its last state dies, and reuses the handle, so between frames it
+//! holds only the live states' sets. What it does not free is bit slots: a
+//! universe object keeps its slot, and the bitmaps their width, until a
+//! compaction epoch. On a long-running feed with object turnover (new
+//! track ids forever) the universe would grow without bound. An epoch
+//! rebuilds the interner from the live handles
+//! ([`SetInterner::compact`](tvq_common::SetInterner::compact)), which
+//! re-densifies the universe, renumbers the handles (the one place they
+//! move) and hands back a [`RemapTable`](tvq_common::RemapTable) through
+//! which every handle-keyed structure re-keys itself, together with the
+//! objects no live set holds any more, which the engine's lifecycle then
+//! retires.
 //!
 //! [`CompactionPolicy`] describes *when* that is worth doing. The engine
 //! checks the policy between frames (every
 //! [`check_interval`](CompactionPolicy::check_interval) frames) and calls
 //! [`StateMaintainer::maybe_compact`](crate::StateMaintainer::maybe_compact);
-//! the maintainer supplies the live-handle count and compacts if the policy
-//! agrees. Compaction is semantically invisible — results before and after
-//! are identical — and deterministic: identical runs compact at identical
+//! the maintainer supplies its live-state count and the interner's count of
+//! sets [`minted`](tvq_common::SetInterner::minted) this epoch, and
+//! compacts if the policy agrees. Minted sets count churn: a set minted,
+//! released and minted again counts twice, so the epoch cadence follows
+//! the sets a feed turns over, as it did when nothing was released.
+//! Compaction is semantically invisible — results before and after are
+//! identical — and deterministic: identical runs compact at identical
 //! frames into identical arenas.
 
 use tvq_common::{Decoder, Encoder, Result};
@@ -51,18 +58,19 @@ pub struct CompactionPolicy {
     /// Checking is O(live states) only when the other thresholds pass, but
     /// there is no point re-deciding every frame.
     pub check_interval: u64,
-    /// Compact when `live handles / arena entries` falls below this ratio.
-    /// `1.0` compacts whenever any entry is retired; values above `1.0`
-    /// never trigger on their own (the `arena > live` guard still applies).
+    /// Compact when `live handles / sets minted` falls below this ratio.
+    /// `1.0` compacts whenever a set minted this epoch died; values above
+    /// `1.0` never trigger on their own (the `minted > live` guard still
+    /// applies).
     pub max_live_ratio: f64,
-    /// Skip compaction while the arena holds fewer entries than this —
+    /// Skip compaction while fewer sets than this were minted this epoch —
     /// small arenas are not worth rebuilding, whatever their occupancy.
     pub min_interned: usize,
 }
 
 impl CompactionPolicy {
-    /// The production default: check every 256 frames, compact once less
-    /// than half of an at-least-4096-entry arena is live.
+    /// The production default: check every 256 frames, compact once the
+    /// live states are fewer than half of at least 4096 sets minted.
     pub const fn default_policy() -> Self {
         CompactionPolicy {
             check_interval: 256,
@@ -71,9 +79,10 @@ impl CompactionPolicy {
         }
     }
 
-    /// A policy that compacts at every check with at least one retired
-    /// entry — used by the determinism suite to force compaction every `n`
-    /// frames and by tests that want the epoch lifecycle exercised densely.
+    /// A policy that compacts at every check after at least one set minted
+    /// this epoch died — used by the determinism suite to force compaction
+    /// every `n` frames and by tests that want the epoch lifecycle
+    /// exercised densely.
     pub const fn every(n: u64) -> Self {
         CompactionPolicy {
             check_interval: if n == 0 { 1 } else { n },
@@ -82,13 +91,13 @@ impl CompactionPolicy {
         }
     }
 
-    /// Whether an arena with `arena` entries, of which `live` are still
-    /// referenced, should be compacted now. Both counts include the
-    /// always-live empty set.
-    pub fn should_compact(&self, live: usize, arena: usize) -> bool {
-        arena > live
-            && arena >= self.min_interned
-            && (live as f64) < self.max_live_ratio * (arena as f64)
+    /// Whether an interner that minted `minted` sets this epoch, of which
+    /// `live` are still referenced, should be compacted now. Both counts
+    /// include the always-live empty set.
+    pub fn should_compact(&self, live: usize, minted: usize) -> bool {
+        minted > live
+            && minted >= self.min_interned
+            && (live as f64) < self.max_live_ratio * (minted as f64)
     }
 
     /// Appends the three thresholds in declaration order.

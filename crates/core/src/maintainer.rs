@@ -69,8 +69,9 @@ pub trait StateMaintainer: Send {
     fn pruner_changed(&mut self) {}
 
     /// Serializes the maintainer's complete between-frames state (last
-    /// frame, the interner's sets in handle order each with its state
-    /// row's marked frames, metrics) so the durability layer can persist
+    /// frame, the interner's universe and its sets in handle order, a free
+    /// handle as the empty set, each with its state row's marked frames,
+    /// metrics) so the durability layer can persist
     /// it inside an epoch snapshot. MFS and SSG write one format.
     /// Restoring the bytes via [`restore_state`](Self::restore_state) into
     /// a freshly built MFS or SSG maintainer (same spec, pruner and
@@ -78,8 +79,8 @@ pub trait StateMaintainer: Send {
     /// every subsequent frame.
     ///
     /// Pruner verdict caches are *not* serialized — verdicts are
-    /// re-derivable under the live catalog, so the `states_terminated`
-    /// counter may drift after recovery. Neither is SSG's graph: a restore
+    /// re-derivable under the live catalog (and between frames name only
+    /// the live states' sets). Neither is SSG's graph: a restore
     /// derives the principal states from the table and rebuilds the graph
     /// over them, so SSG's traversal counters (`states_visited`,
     /// `intersections`, `edges_added`, `edges_removed`) may drift too,

@@ -17,7 +17,10 @@ pub struct MaintenanceMetrics {
     /// States removed because they became invalid (all key frames expired)
     /// or their frame set emptied.
     pub states_pruned: u64,
-    /// States terminated by the query-driven pruning strategy (Section 5.3).
+    /// States terminated by the query-driven pruning strategy (Section 5.3):
+    /// one per judgement that found a set hopeless. A hopeless set holds no
+    /// state, so its set is released at the end of the frame and judged
+    /// again whenever a later frame mints it.
     pub states_terminated: u64,
     /// Object-set intersections computed.
     pub intersections: u64,
@@ -36,14 +39,14 @@ pub struct MaintenanceMetrics {
     pub edges_removed: u64,
     /// Largest number of simultaneously live states observed.
     pub peak_live_states: u64,
-    /// Distinct object sets currently held by the maintainer's set interner.
-    /// Within one epoch the arena only grows; a compaction epoch shrinks it
-    /// back to the live set, so on compacting configurations this plateaus
-    /// instead of tracking the lifetime total.
+    /// Non-empty object sets currently held by the maintainer's set
+    /// interner, sampled after each frame, once the sets the frame minted
+    /// without a state are released: the live states' sets.
     pub interned_sets: u64,
     /// Bytes the interner holds beside its bitmaps: the content index, a
-    /// `u32` slot table kept ⅗ to ¾ full (5.3–6.7 B a set). A gauge,
-    /// sampled after each frame.
+    /// `u32` slot table at most ¾ full (5.3–6.7 B a set when rebuilt), and
+    /// the birth stamps, free list and sets minted this frame, 4 B an
+    /// entry each. A gauge, sampled after each frame.
     pub arena_bytes: u64,
     /// Bytes held by the interner's dense bitmaps and universe map (with
     /// its reverse table). A gauge, sampled after each frame.
@@ -130,7 +133,7 @@ impl MaintenanceMetrics {
     /// bytes, memo hit/miss counters). Maintainers call this once per frame
     /// and after every compaction epoch; all reads are O(1).
     pub fn observe_interner(&mut self, interner: &tvq_common::SetInterner) {
-        self.interned_sets = interner.len().saturating_sub(1) as u64;
+        self.interned_sets = interner.held().saturating_sub(1) as u64;
         self.arena_bytes = interner.arena_bytes() as u64;
         self.bitmap_bytes = interner.bitmap_bytes() as u64;
         self.intersection_cache_hits = interner.memo_hits();

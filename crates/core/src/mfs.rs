@@ -130,7 +130,7 @@ impl MfsMaintainer {
 impl StateMaintainer for MfsMaintainer {
     fn advance(&mut self, frame: FrameId, objects: &ObjectSet) -> Result<()> {
         let oldest = self.core.begin_frame(frame)?;
-        self.table.expire(oldest, &mut self.core.metrics, |_| {});
+        self.table.expire(oldest, &mut self.core, |_, _| {});
         self.process_frame(frame, objects);
         self.table.collect_results(&mut self.core);
         Ok(())
@@ -188,6 +188,12 @@ mod tests {
     use super::*;
     use crate::prune::MinCardinalityPruner;
     use std::sync::Arc;
+
+    impl MfsMaintainer {
+        pub(crate) fn interner(&self) -> &SetInterner {
+            &self.core.interner
+        }
+    }
 
     fn set(ids: &[u32]) -> ObjectSet {
         ObjectSet::from_raw(ids.iter().copied())
@@ -470,13 +476,17 @@ mod tests {
     /// A set's object ids and its row's `(frame, marked)` pairs.
     type Entry<'a> = (&'a [u32], &'a [(u64, bool)]);
 
-    /// A hand-written snapshot: the cursor, the interner's length, each
-    /// set with its row's frames (none for a set without a row), and
-    /// fresh metrics.
+    /// A hand-written snapshot: the cursor, the interner's length and
+    /// minted count (equal: nothing was released), an empty universe (each
+    /// set's objects take slots as it is put back), each set with its
+    /// row's frames (none for a set without a row; no objects for a free
+    /// handle), and fresh metrics.
     fn blob(cursor: Option<u64>, sets: &[Entry<'_>]) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.put_opt_u64(cursor);
         enc.put_usize(sets.len() + 1);
+        enc.put_usize(sets.len() + 1);
+        enc.put_usize(0);
         for (ids, frames) in sets {
             enc.put_usize(ids.len());
             ids.iter().for_each(|&id| enc.put_u32(id));
@@ -498,12 +508,17 @@ mod tests {
     #[test]
     fn restore_rejects_used_maintainers_and_dangling_handles() {
         let spec = WindowSpec::new(4, 2).unwrap();
-        let bytes = blob(Some(0), &[(&[1, 2], &[(0, true)]), (&[2], &[])]);
-        let restored = restore(spec, &bytes).unwrap();
-        assert_eq!(
-            (restored.live_states(), restored.core.interner.len()),
-            (1, 3)
-        );
+        let bytes = blob(Some(0), &[(&[1, 2], &[(0, true)]), (&[], &[]), (&[2], &[])]);
+        let mut restored = restore(spec, &bytes).unwrap();
+        let interner = &restored.core.interner;
+        assert_eq!((restored.live_states(), interner.len()), (1, 4));
+        assert!(!interner.is_held(SetId::from_raw(2)), "a free handle");
+        // The set without a row goes at the end of the next frame, and a
+        // new set takes the free handle.
+        restored.advance(FrameId(1), &set(&[1, 2, 5])).unwrap();
+        let interner = &restored.core.interner;
+        assert_eq!(interner.get(&set(&[1, 2, 5])), Some(SetId::from_raw(2)));
+        assert_eq!((interner.get(&set(&[2])), interner.held()), (None, 3));
 
         // A maintainer that already advanced, or whose interner already
         // holds a set, refuses to restore.
@@ -518,12 +533,12 @@ mod tests {
         }
 
         // No handle is written any more, so none can dangle. A set written
-        // twice, or the empty set, lands on another handle than its
-        // position, which would leave that position's handle dangling:
-        // corrupt, not a panic.
+        // twice lands on another handle than its position, which would
+        // leave that position's handle dangling, and a free handle cannot
+        // hold a row: corrupt, not a panic.
         for sets in [
             &[(&[1, 2][..], &[(0, true)][..]), (&[2, 1], &[])][..],
-            &[(&[1, 2], &[(0, true)]), (&[], &[])],
+            &[(&[1, 2], &[(0, true)]), (&[], &[(0, true)])],
         ] {
             let err = restore(spec, &blob(Some(0), sets)).unwrap_err();
             assert!(matches!(err, tvq_common::Error::Corrupt(_)), "{err}");

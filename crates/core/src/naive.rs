@@ -73,10 +73,14 @@ impl NaiveMaintainer {
 
     /// Window expiry: a state lives until its frame set empties.
     fn expire(&mut self, oldest: FrameId) {
-        let before = self.states.len();
-        self.states.retain(|_, frames| {
+        let (before, core) = (self.states.len(), &mut self.core);
+        self.states.retain(|&sid, frames| {
             frames.expire_before(oldest);
-            !frames.is_empty()
+            let keep = !frames.is_empty();
+            if !keep {
+                core.release(sid);
+            }
+            keep
         });
         self.core.metrics.states_pruned += (before - self.states.len()) as u64;
     }
@@ -142,11 +146,15 @@ impl NaiveMaintainer {
         }
     }
 
-    /// The a-posteriori MCOS step: among the states that meet the duration
-    /// threshold, each distinct frame set contributes its largest object
-    /// set. (Two same-size rivals never lead a frame set: the intersection
-    /// of its frames contains both and is a state with the same frames.)
+    /// The end of a frame: releases the sets the frame minted that got no
+    /// state, then the a-posteriori MCOS step: among the states that meet
+    /// the duration threshold, each distinct frame set contributes its
+    /// largest object set. (Two same-size rivals never lead a frame set:
+    /// the intersection of its frames contains both and is a state with
+    /// the same frames.)
     fn collect_results(&mut self) {
+        let states = &self.states;
+        self.core.release_unheld(|sid| states.contains_key(&sid));
         self.core.begin_results(self.states.len());
         let interner = &self.core.interner;
         let mut largest: FxHashMap<&MarkedFrameSet, SetId> = FxHashMap::default();
@@ -213,6 +221,12 @@ impl StateMaintainer for NaiveMaintainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl NaiveMaintainer {
+        pub(crate) fn interner(&self) -> &SetInterner {
+            &self.core.interner
+        }
+    }
 
     fn set(ids: &[u32]) -> ObjectSet {
         ObjectSet::from_raw(ids.iter().copied())

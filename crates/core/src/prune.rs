@@ -57,9 +57,12 @@ pub trait StatePruner {
 /// *different* handles), and a post-retirement reappearance re-interns its
 /// sets under fresh handles whose counts are re-aggregated from the
 /// re-resolved class — in both cases [`judge`](Self::judge) runs afresh
-/// instead of trusting a verdict formed under the stale class. The
-/// [`remap`](Self::remap) step closes the loop by dropping verdicts for
-/// retired handles at every compaction epoch.
+/// instead of trusting a verdict formed under the stale class. A verdict
+/// lasts while its handle's set is held: [`forget`](Self::forget) drops it
+/// when the interner releases the set (a terminated set holds no row, so
+/// it is released at the end of the frame that judged it and judged again
+/// when it comes back), and [`remap`](Self::remap) re-keys the rest at
+/// every compaction epoch.
 #[derive(Debug, Default)]
 pub struct PrunerVerdictCache {
     terminated: tvq_common::FxHashSet<tvq_common::SetId>,
@@ -103,6 +106,13 @@ impl PrunerVerdictCache {
         }
         self.terminated.clear();
         self.cleared.clear();
+    }
+
+    /// Forgets the verdict on a released handle: the next set minted on it
+    /// is judged afresh.
+    pub fn forget(&mut self, sid: tvq_common::SetId) {
+        self.terminated.remove(&sid);
+        self.cleared.remove(&sid);
     }
 
     /// Re-keys the cache through a compaction epoch's remap table: verdicts
@@ -263,6 +273,34 @@ mod tests {
             assert_eq!(terminated, slow.metrics().states_terminated, "{kind:?}");
             assert_eq!(gated.consulted_off.load(Ordering::SeqCst), 0, "{kind:?}");
             assert!(always.consulted_off.load(Ordering::SeqCst) > 0, "{kind:?}");
+        }
+    }
+
+    /// A verdict dies with its handle's set: a hopeless set is released at
+    /// the end of its frame and a kept one with its state, and the next set
+    /// minted on the handle is judged afresh, in both directions.
+    #[test]
+    fn a_reused_handle_is_judged_again() {
+        use crate::maintainer::MaintainerKind;
+        use std::sync::Arc;
+        use tvq_common::{FrameId, SetInterner, WindowSpec};
+
+        let spec = WindowSpec::new(1, 1).unwrap();
+        for kind in [MaintainerKind::Mfs, MaintainerKind::Ssg] {
+            let pruner: SharedPruner = Arc::new(MinCardinalityPruner { min_objects: 2 });
+            let mut m = kind.build_with_options(spec, Some(pruner), SetInterner::new());
+            // {1} is hopeless; {2,3} takes its handle and is kept; {4} takes
+            // that handle once {2,3} expired and is hopeless again.
+            for (fid, ids, reported) in [(0, &[1][..], false), (1, &[2, 3], true), (2, &[4], false)]
+            {
+                m.advance(FrameId(fid), &set(ids)).unwrap();
+                assert_eq!(
+                    m.results().contains(&set(ids)),
+                    reported,
+                    "{kind:?} frame {fid}"
+                );
+            }
+            assert_eq!(m.metrics().states_terminated, 2, "{kind:?}");
         }
     }
 

@@ -150,6 +150,12 @@ impl ReportedSets {
         }
     }
 
+    /// Forgets a released handle's set, which the next set minted on the
+    /// handle must not report.
+    pub fn forget(&mut self, sid: SetId) {
+        self.sets.remove(&sid);
+    }
+
     /// Forgets everything: a compaction epoch re-issues every handle, and
     /// like the intersection memo this cache refills on the next frame.
     pub fn clear(&mut self) {
@@ -302,6 +308,33 @@ mod tests {
                 }
             }
             assert!(first.is_some(), "{kind:?}: {{1, 2}} is never reported");
+        }
+    }
+
+    /// A state reported in one frame dies at the start of the next, and a
+    /// new result state takes its handle there. The cache holds as many
+    /// sets as the results then, so only forgetting the released handle
+    /// keeps the old set out of the results.
+    #[test]
+    fn a_reused_handle_reports_its_new_set() {
+        use crate::maintainer::MaintainerKind;
+        use tvq_common::WindowSpec;
+
+        let spec = WindowSpec::new(2, 1).unwrap();
+        for kind in [
+            MaintainerKind::Naive,
+            MaintainerKind::Mfs,
+            MaintainerKind::Ssg,
+        ] {
+            let mut m = kind.build(spec);
+            for (fid, ids) in [&[1, 2], &[3, 4], &[5, 6]].into_iter().enumerate() {
+                m.advance(FrameId(fid as u64), &set(ids)).unwrap();
+            }
+            assert_eq!(
+                m.results().object_sets(),
+                vec![set(&[3, 4]), set(&[5, 6])],
+                "{kind:?}"
+            );
         }
     }
 

@@ -3,17 +3,19 @@
 //! The three strategies differ in how they derive the states of a window;
 //! everything around that is the same job and is done here, once. A
 //! strategy owns a [`Substrate`] next to its own states and leaves to it:
-//! frame-order checking, pruner judgement, result reporting, the
-//! compaction epoch and `pruner_changed`.
+//! frame-order checking, pruner judgement, result reporting, releasing the
+//! sets no state holds, the compaction epoch and `pruner_changed`.
 //!
 //! MFS and SSG also share their states: one [`StateTable`] of marked frame
 //! sets, the only code that edits a state. Within a frame it has four
 //! calls: `principal` (Rule 1 of the Frame Marking Rules), `derive` (a new
 //! state from one parent), `append` (the frame joins a row it contains)
 //! and `merge_from` (Rule 2 and frame-set completeness). Around them it
-//! holds the validity test of Theorems 1 and 4 (expiry), result collection
-//! and the one snapshot both write. What differs is which rows a frame
-//! reaches: MFS sweeps all of them, SSG walks its graph.
+//! holds the validity test of Theorems 1 and 4 (expiry, which releases a
+//! dropped row's set), result collection (which first releases the sets
+//! the frame minted without a row) and the one snapshot both write. What
+//! differs is which rows a frame reaches: MFS sweeps all of them, SSG
+//! walks its graph.
 
 use tvq_common::{
     Decoder, Encoder, Error, FrameId, MarkedFrameSet, ObjectId, ObjectSet, RemapTable, Result,
@@ -98,6 +100,25 @@ impl Substrate {
         self.verdicts.clear();
     }
 
+    /// Releases the set of a state that died: the interner frees its
+    /// handle, and the verdict and reported set kept for it go.
+    pub(crate) fn release(&mut self, sid: SetId) {
+        self.interner.release(sid);
+        self.verdicts.forget(sid);
+        self.reported.forget(sid);
+    }
+
+    /// The end of a frame's edits: releases every set the frame minted
+    /// that `holds` says no state keeps, so between frames the interner
+    /// holds exactly the states' sets and the empty set.
+    pub(crate) fn release_unheld(&mut self, holds: impl FnMut(SetId) -> bool) {
+        let (verdicts, reported) = (&mut self.verdicts, &mut self.reported);
+        self.interner.release_unheld(holds, |sid| {
+            verdicts.forget(sid);
+            reported.forget(sid);
+        });
+    }
+
     /// End-of-frame gauges, then an empty result set for
     /// [`report`](Self::report) to fill.
     pub(crate) fn begin_results(&mut self, live_states: usize) {
@@ -118,16 +139,17 @@ impl Substrate {
     }
 
     /// One compaction check over `live_states` live handles (listed by
-    /// `live` only if the policy agrees). An epoch compacts the interner and
-    /// re-keys the verdict cache; the strategy must then re-key its own
-    /// handles through the returned table and pass the outcome upward.
+    /// `live` only if the policy agrees), weighed against the sets minted
+    /// this epoch. An epoch compacts the interner and re-keys the verdict
+    /// cache; the strategy must then re-key its own handles through the
+    /// returned table and pass the outcome upward.
     pub(crate) fn compact(
         &mut self,
         policy: &CompactionPolicy,
         live_states: usize,
         live: impl FnOnce() -> Vec<SetId>,
     ) -> Option<(RemapTable, CompactionOutcome)> {
-        if !policy.should_compact(live_states + 1, self.interner.len()) {
+        if !policy.should_compact(live_states + 1, self.interner.minted()) {
             return None;
         }
         let mut table = self.interner.compact(&live());
@@ -258,12 +280,12 @@ impl StateTable {
     /// The start of a frame whose window begins at `oldest`: expires every
     /// row and drops each one left with no marked frame (Theorems 1 and 4:
     /// its object set is no longer an MCOS), handing its handle to
-    /// `dropped` in row order.
+    /// `dropped` in row order and then releasing its set.
     pub(crate) fn expire(
         &mut self,
         oldest: FrameId,
-        metrics: &mut MaintenanceMetrics,
-        mut dropped: impl FnMut(SetId),
+        core: &mut Substrate,
+        mut dropped: impl FnMut(SetId, &SetInterner),
     ) {
         let before = self.states.len();
         let (rows, mut kept) = (&mut self.rows, 0);
@@ -273,16 +295,18 @@ impl StateTable {
             rows[sid.raw() as usize] = if keep { kept } else { NO_ROW };
             kept += u32::from(keep);
             if !keep {
-                dropped(*sid);
+                dropped(*sid, &core.interner);
+                core.release(*sid);
             }
             keep
         });
-        metrics.states_pruned += (before - self.states.len()) as u64;
+        core.metrics.states_pruned += (before - self.states.len()) as u64;
     }
 
-    /// The end of a frame: reports every valid row that meets the duration
-    /// threshold.
+    /// The end of a frame: releases the sets the frame minted that got no
+    /// row, then reports every valid row that meets the duration threshold.
     pub(crate) fn collect_results(&self, core: &mut Substrate) {
+        core.release_unheld(|sid| self.row_of(sid).is_some());
         core.begin_results(self.states.len());
         for (sid, frames) in &self.states {
             if frames.has_marked() && core.spec.satisfies_duration(frames.len()) {
@@ -319,12 +343,17 @@ impl StateTable {
     }
 
     /// The snapshot MFS and SSG both write, one section: `core`'s cursor,
-    /// its interner's length, then each set from handle 1 on, as its sorted
-    /// object ids and its row's marked frame set (empty without a row: a
+    /// its interner's length and minted count, its universe in slot order
+    /// (objects of released sets among them), then each handle from 1 on,
+    /// as its set's sorted object ids (none for a free handle, whose words
+    /// are zero) and its row's marked frame set (empty without a row: a
     /// row holds a frame between frames), then `core`'s metrics.
     pub(crate) fn snapshot(&self, core: &Substrate, enc: &mut Encoder) {
         enc.put_opt_u64(core.last_frame.map(FrameId::raw));
         enc.put_usize(core.interner.len());
+        enc.put_usize(core.interner.minted());
+        enc.put_usize(core.interner.universe_len());
+        (core.interner.universe_slots()).for_each(|id| enc.put_u32(id.raw()));
         let no_row = MarkedFrameSet::new();
         for sid in (1..core.interner.len() as u32).map(SetId::from_raw) {
             let set = core.interner.resolve(sid);
@@ -338,14 +367,17 @@ impl StateTable {
 
     /// Reads what [`snapshot`](Self::snapshot) wrote into `core`, which
     /// must be freshly built (nothing advanced, nothing interned), and
-    /// returns the table. Each set is re-interned and must land on its own
-    /// handle, which reproduces every handle of the snapshotted arena; a
-    /// set written twice, the empty set, a frame outside the window ending
-    /// at the restored cursor, or a row with no key frame (between frames
-    /// every row holds one) is corrupt data. Verdicts, results and the
+    /// returns the table. The universe is put back first, then each set on
+    /// its own handle, an empty one as a free handle, which reproduces
+    /// every bit slot and handle of the snapshotted arena; an object or a
+    /// set written twice, a free handle with a row, a
+    /// frame outside the window ending at the restored cursor, a row with
+    /// no key frame (between frames every row holds one) or fewer sets
+    /// minted than handles is corrupt data. A set without a row is
+    /// released at the end of the next frame. Verdicts, results and the
     /// intersection memo are not persisted: the next `advance` re-collects
-    /// results, the pruner re-judges handles on demand, and the memo refills
-    /// (so its hit and miss counters may drift).
+    /// results, the pruner re-judges handles on demand, and the memo
+    /// refills (so its hit and miss counters may drift).
     pub(crate) fn restore(core: &mut Substrate, dec: &mut Decoder<'_>) -> Result<StateTable> {
         if core.last_frame.is_some() || core.interner.len() != 1 {
             return Err(Error::Store(
@@ -353,14 +385,20 @@ impl StateTable {
             ));
         }
         core.last_frame = dec.take_opt_u64()?.map(FrameId);
+        let (handles, minted) = (dec.take_len()?, dec.take_usize()?);
+        let universe = (0..dec.take_len()?).map(|_| dec.take_u32().map(ObjectId));
+        core.interner
+            .restore_universe(&universe.collect::<Result<Vec<_>>>()?)?;
         let mut table = StateTable::default();
-        for index in 1..dec.take_len()? {
+        for index in 1..handles {
             let ids = (0..dec.take_len()?).map(|_| dec.take_u32().map(ObjectId));
             // Collecting re-sorts the untrusted ids.
-            let sid = core.interner.intern(&ids.collect::<Result<ObjectSet>>()?);
+            let sid = core
+                .interner
+                .push_restored(&ids.collect::<Result<ObjectSet>>()?);
             if sid.raw() as usize != index {
                 return Err(Error::Corrupt(format!(
-                    "set {index} re-interned to handle {} (a repeated or empty set)",
+                    "set {index} re-interned to handle {} (a repeated set)",
                     sid.raw()
                 )));
             }
@@ -368,6 +406,10 @@ impl StateTable {
             let Some((first, last)) = frames.first().zip(frames.last()) else {
                 continue;
             };
+            if !core.interner.is_held(sid) {
+                let error = format!("free handle {index} holds a row");
+                return Err(Error::Corrupt(error));
+            }
             let cursor = core.last_frame;
             if cursor.is_none_or(|at| last > at || first < core.spec.oldest_valid(at)) {
                 return Err(Error::Corrupt(format!(
@@ -383,6 +425,7 @@ impl StateTable {
             }
             table.push(sid, frames, &core.interner);
         }
+        core.interner.restore_minted(minted)?;
         core.metrics = MaintenanceMetrics::decode(dec)?;
         Ok(table)
     }
@@ -488,13 +531,94 @@ pub(crate) mod tests {
         }
     }
 
-    /// A snapshot taken mid-epoch (sets without a row are still in the
-    /// arena) restores, into a maintainer built by `build` around a fresh
+    /// Between frames the interner holds exactly the live states' sets and
+    /// the empty set, for MFS, SSG and NAIVE, with and without the pruner
+    /// (whose hopeless sets hold no state), across compaction epochs: on
+    /// random films at w = 8, 30 and 60, checked after every frame.
+    #[test]
+    fn held_sets_are_the_live_states_and_the_empty_set() {
+        use crate::mfs::MfsMaintainer;
+        use crate::naive::NaiveMaintainer;
+        use crate::prune::MinCardinalityPruner;
+        use crate::ssg::SsgMaintainer;
+        use std::collections::BTreeSet;
+        /// A maintainer's held sets and its live states' sets.
+        trait Holds: StateMaintainer {
+            fn held_and_states(&self) -> (BTreeSet<ObjectSet>, BTreeSet<ObjectSet>);
+        }
+        macro_rules! holds {
+            ($($kind:ty),*) => {$(
+                impl Holds for $kind {
+                    fn held_and_states(&self) -> (BTreeSet<ObjectSet>, BTreeSet<ObjectSet>) {
+                        let interner = self.interner();
+                        let handles = (0..interner.len() as u32).map(SetId::from_raw);
+                        let held: Vec<SetId> = handles.filter(|&s| interner.is_held(s)).collect();
+                        assert_eq!(held.len(), interner.held());
+                        let held = held.into_iter().map(|sid| interner.resolve(sid)).collect();
+                        (held, self.states().map(|(set, _)| set).collect())
+                    }
+                }
+            )*};
+        }
+        holds!(NaiveMaintainer, MfsMaintainer, SsgMaintainer);
+        let policy = CompactionPolicy::every(16);
+        for (seed, w) in (0..2u64).flat_map(|seed| [8, 30, 60].map(|w| (seed, w))) {
+            let spec = WindowSpec::new(w, w / 3).unwrap();
+            let pruner: SharedPruner = Arc::new(MinCardinalityPruner { min_objects: 3 });
+            let mut maintainers: Vec<(&str, Box<dyn Holds>)> = vec![
+                ("NAIVE", Box::new(NaiveMaintainer::new(spec))),
+                ("MFS", Box::new(MfsMaintainer::new(spec))),
+                ("SSG", Box::new(SsgMaintainer::new(spec))),
+                (
+                    "MFS_O",
+                    Box::new(MfsMaintainer::with_options(
+                        spec,
+                        SetInterner::new(),
+                        Some(Arc::clone(&pruner)),
+                    )),
+                ),
+                (
+                    "SSG_O",
+                    Box::new(SsgMaintainer::with_options(
+                        spec,
+                        SetInterner::new(),
+                        Some(pruner),
+                    )),
+                ),
+            ];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut epochs = 0;
+            for i in 0..240u32 {
+                // Ten object slots, each present 70 % of the time; a slot's
+                // object changes every 40 frames (staggered).
+                let objects = ObjectSet::from_raw(
+                    (0..10u32)
+                        .filter(|_| rng.gen_bool(0.7))
+                        .map(|s| s * 100 + (i + s * 4) / 40),
+                );
+                for (name, m) in &mut maintainers {
+                    m.advance(FrameId(u64::from(i)), &objects).unwrap();
+                    if (i + 1) % 16 == 0 && m.maybe_compact(&policy).is_some() {
+                        epochs += 1;
+                    }
+                    let (held, mut expected) = m.held_and_states();
+                    assert_eq!(expected.len(), m.live_states());
+                    expected.insert(ObjectSet::empty());
+                    assert_eq!(held, expected, "{name} seed {seed} w={w} frame {i}");
+                }
+            }
+            assert!(epochs > 0, "seed {seed} w={w}");
+        }
+    }
+
+    /// A snapshot taken mid-epoch (free handles lie among the held ones)
+    /// restores, into a maintainer built by `build` around a fresh
     /// interner on the same class store, an arena with the original's
-    /// handles: each resolves to the original's set and counts the same
-    /// classes, the universe holds the same objects, and every fresh
-    /// intersection returns the same handle on both. `interner` reaches a
-    /// maintainer's interner.
+    /// handles: each resolves to the original's set (a free one to the
+    /// empty set) and counts the same classes, the same handles are free,
+    /// the universe holds the same objects, and every fresh intersection
+    /// returns the same handle on both, the free ones first. `interner`
+    /// reaches a maintainer's interner.
     pub(crate) fn restore_reproduces_the_arena<M: StateMaintainer>(
         build: impl Fn(SetInterner) -> M,
         interner: impl Fn(&mut M) -> &mut SetInterner,
@@ -506,8 +630,10 @@ pub(crate) mod tests {
         for i in 0..62u64 {
             // Eight object slots, each present 60 % of the time; a slot's
             // object changes every 12 frames, so compactions retire sets.
+            // The last two frames are empty: states expire and mint nothing,
+            // so the snapshot holds free handles.
             let objects: ObjectSet = (0..8u32)
-                .filter(|_| rng.gen_bool(0.6))
+                .filter(|_| i < 60 && rng.gen_bool(0.6))
                 .map(|slot| ObjectId(slot * 100 + (i as u32 + slot * 3) / 12))
                 .collect();
             // Classes are registered before the frame, as the engine's
@@ -524,7 +650,9 @@ pub(crate) mod tests {
         }
         assert!(original.metrics().compactions > 0);
         let arena = interner(&mut original).len();
-        assert!(arena > original.live_states() + 1, "no set without a row");
+        let held = interner(&mut original).held();
+        assert_eq!(held, original.live_states() + 1, "a set without a row");
+        assert!(arena > held, "no free handle");
 
         let mut enc = Encoder::new();
         original.snapshot_state(&mut enc).unwrap();
@@ -538,6 +666,7 @@ pub(crate) mod tests {
         assert_eq!(b.universe_object_ids(), a.universe_object_ids());
         let mut handles: Vec<SetId> = (0..arena as u32).map(SetId::from_raw).collect();
         for &sid in &handles {
+            assert_eq!(b.is_held(sid), a.is_held(sid), "handle {}", sid.raw());
             assert_eq!(b.resolve(sid), a.resolve(sid), "handle {}", sid.raw());
             assert_eq!(b.counts_of(sid), a.counts_of(sid), "handle {}", sid.raw());
             assert!(b.counts_of(sid).is_some());
@@ -545,14 +674,20 @@ pub(crate) mod tests {
         // A new set, every other object of the universe, meets most sets
         // in a part the arena does not hold yet.
         let probe: ObjectSet = a.universe_object_ids().into_iter().step_by(2).collect();
-        handles.push(a.intern(&probe));
-        assert_eq!(b.intern(&probe), handles[arena]);
+        let probe = a.intern(&probe);
+        assert_eq!(b.intern(&a.resolve(probe)), probe);
+        assert!(
+            (probe.raw() as usize) < arena,
+            "a new set takes a free handle"
+        );
+        handles.retain(|&sid| a.is_held(sid));
+        handles.push(probe);
         for &x in &handles {
             for &y in &handles {
                 assert_eq!(b.intersect(x, y), a.intersect(x, y));
             }
         }
-        assert_eq!(b.len(), a.len());
-        assert!(a.len() > arena + 1, "no intersection made a new set");
+        assert_eq!((b.len(), b.held()), (a.len(), a.held()));
+        assert!(a.held() > held + 1, "no intersection made a new set");
     }
 }

@@ -15,10 +15,11 @@ pub struct EngineConfig {
     pub pruning: bool,
     /// Interner-arena compaction between frames: `Some(policy)` lets the
     /// engine consult the policy every `policy.check_interval` frames and
-    /// compact the maintainer's arena when live-set occupancy has fallen
-    /// below the policy's ratio; `None` keeps the arena append-only (the
-    /// pre-compaction behaviour — memory then grows with the number of
-    /// distinct object sets ever seen by the feed). Compaction epochs also
+    /// compact the maintainer's arena when the live states have fallen
+    /// below the policy's ratio of the sets minted this epoch; `None` never
+    /// compacts (sets still die with their last state, but every object
+    /// keeps its bit slot, so the bitmaps widen with the number of distinct
+    /// objects ever seen by the feed). Compaction epochs also
     /// drive **object retirement**: the retire set each epoch reports is
     /// what lets the engine's class store and tracking maps forget dead
     /// identifiers, so disabling compaction also re-enables the
