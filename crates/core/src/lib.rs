@@ -13,25 +13,23 @@
 //! * [`NaiveMaintainer`] — the paper's NAIVE baseline: keep every object set
 //!   with its frame set, establish the MCOS property at result-collection
 //!   time.
-//! * [`MfsMaintainer`] — the Marked Frame Set approach (Section 4.2): track
-//!   key frames per state so that invalid states are pruned as soon as their
-//!   key frames expire.
-//! * [`SsgMaintainer`] — the Strict State Graph approach (Section 4.3): keep
-//!   states in a subset graph rooted at the principal states and process new
-//!   frames with the State Traversal algorithm, skipping whole subtrees that
-//!   share no object with the arriving frame.
+//! * [`MfsMaintainer`] — the Marked Frame Set approach (Section 4.2): mark
+//!   each state's key frames, so that a state is pruned as soon as its key
+//!   frames expire; each frame sweeps every state.
+//! * [`SsgMaintainer`] — the Strict State Graph approach (Section 4.3): the
+//!   same states, reached by State Traversal down a subset graph rooted at
+//!   the principal states, skipping whole subtrees that share no object with
+//!   the arriving frame.
 //!
 //! A brute-force [`reference`](mod@reference) oracle pins down the intended semantics and is
 //! used by the differential tests; [`prune::StatePruner`] is the hook through
 //! which the query layer terminates hopeless states (Section 5.3).
 //!
-//! The three interner-backed maintainers share one crate-private substrate
-//! (`substrate.rs`): window spec, interner, [`ResultStateSet`], metrics,
-//! optional pruner with its verdict cache, frame cursor — plus frame-order
-//! checking, pruner judgement, result reporting, the compaction epoch and
-//! the shared snapshot parts. Each adds only its state structure and its
-//! algorithm. MFS and SSG are durable; NAIVE and the reference oracle are
-//! baselines that do not support snapshots.
+//! The three share one crate-private substrate (`substrate.rs`: window,
+//! interner, results, metrics, pruner, frame cursor, compaction epoch).
+//! MFS and SSG are one maintainer type over one state table, with two ways
+//! of reaching its rows, and are durable; NAIVE and the reference oracle
+//! are baselines that do not support snapshots.
 //!
 //! # Example
 //!

@@ -32,7 +32,7 @@ use crate::substrate::Substrate;
 /// NAIVE is a baseline and differential oracle: it takes no pruner (the
 /// paper defines only `MFS_O` and `SSG_O`) and does not support snapshots.
 pub struct NaiveMaintainer {
-    core: Substrate,
+    pub(crate) core: Substrate,
     /// Object set → the window frames it appears in (never marked).
     states: FxHashMap<SetId, MarkedFrameSet>,
 }
@@ -221,27 +221,7 @@ impl StateMaintainer for NaiveMaintainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl NaiveMaintainer {
-        pub(crate) fn interner(&self) -> &SetInterner {
-            &self.core.interner
-        }
-    }
-
-    fn set(ids: &[u32]) -> ObjectSet {
-        ObjectSet::from_raw(ids.iter().copied())
-    }
-
-    /// Objects of the paper's running example: A=1, B=2, C=3, D=4, F=6.
-    fn paper_frames() -> Vec<ObjectSet> {
-        vec![
-            set(&[2]),
-            set(&[1, 2, 3]),
-            set(&[1, 2, 4, 6]),
-            set(&[1, 2, 3, 6]),
-            set(&[1, 2, 4]),
-        ]
-    }
+    use crate::substrate::tests::{paper_frames, set};
 
     /// Table 1 of the paper: the states maintained per frame with w=4, d=3.
     #[test]

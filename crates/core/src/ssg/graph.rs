@@ -8,11 +8,8 @@
 //! [`StateGraph::attach`] operation enforces both properties, rewiring edges
 //! exactly as described in Section 4.3.4 of the paper.
 //!
-//! Nothing here is persisted. A snapshot holds the state table only; a
-//! restore inserts one node per row, takes as principal states the rows
-//! that are in-window frames' own object sets, and attaches the rest under
-//! them through `attach`, so a restored graph satisfies both properties by
-//! construction.
+//! Nothing here is persisted: a restore rebuilds the graph through
+//! `attach` (the `ssg` module docs say how).
 
 use tvq_common::{RemapTable, SetId, SetInterner};
 
@@ -74,10 +71,6 @@ pub(crate) struct StateGraph {
 }
 
 impl StateGraph {
-    pub fn new() -> Self {
-        StateGraph::default()
-    }
-
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id]
     }
@@ -379,7 +372,7 @@ mod tests {
     #[test]
     fn insert_and_lookup() {
         let mut interner = SetInterner::new();
-        let mut g = StateGraph::new();
+        let mut g = StateGraph::default();
         let a = insert(&mut g, &mut interner, &[1, 2, 3]);
         let sid = interner.intern(&set(&[1, 2, 3]));
         assert_eq!(g.id_of(sid), Some(a));
@@ -390,7 +383,7 @@ mod tests {
     #[test]
     fn attach_enforces_property_1() {
         let mut interner = SetInterner::new();
-        let mut g = StateGraph::new();
+        let mut g = StateGraph::default();
         let a = insert(&mut g, &mut interner, &[1, 2]);
         let b = insert(&mut g, &mut interner, &[2, 3]);
         // {2,3} is not a subset of {1,2}: the edge is refused.
@@ -405,7 +398,7 @@ mod tests {
     fn attach_rewires_contained_siblings_like_figure_3() {
         // A=1, B=2, C=3, D=4, F=6.
         let mut interner = SetInterner::new();
-        let mut g = StateGraph::new();
+        let mut g = StateGraph::default();
         let abcf = insert(&mut g, &mut interner, &[1, 2, 3, 6]);
         let abd = insert(&mut g, &mut interner, &[1, 2, 4]);
         let ab = insert(&mut g, &mut interner, &[1, 2]);
@@ -427,7 +420,7 @@ mod tests {
     #[test]
     fn attach_descends_into_tighter_parent() {
         let mut interner = SetInterner::new();
-        let mut g = StateGraph::new();
+        let mut g = StateGraph::default();
         let abc = insert(&mut g, &mut interner, &[1, 2, 3]);
         let ab = insert(&mut g, &mut interner, &[1, 2]);
         g.attach(abc, ab, &interner, None);
@@ -442,7 +435,7 @@ mod tests {
     #[test]
     fn attach_is_idempotent() {
         let mut interner = SetInterner::new();
-        let mut g = StateGraph::new();
+        let mut g = StateGraph::default();
         let abc = insert(&mut g, &mut interner, &[1, 2, 3]);
         let ab = insert(&mut g, &mut interner, &[1, 2]);
         g.attach(abc, ab, &interner, None);
@@ -455,7 +448,7 @@ mod tests {
     #[test]
     fn remove_reconnects_parents_to_children() {
         let mut interner = SetInterner::new();
-        let mut g = StateGraph::new();
+        let mut g = StateGraph::default();
         let abcd = insert(&mut g, &mut interner, &[1, 2, 3, 4]);
         let abc = insert(&mut g, &mut interner, &[1, 2, 3]);
         let ab = insert(&mut g, &mut interner, &[1, 2]);
@@ -474,7 +467,7 @@ mod tests {
     #[test]
     fn removed_slots_are_reused() {
         let mut interner = SetInterner::new();
-        let mut g = StateGraph::new();
+        let mut g = StateGraph::default();
         let a = insert(&mut g, &mut interner, &[1]);
         g.remove(a, &interner);
         let b = insert(&mut g, &mut interner, &[2]);

@@ -1,77 +1,53 @@
-//! The Strict State Graph (SSG) approach with State Traversal (Section 4.3).
+//! The Strict State Graph (SSG) approach with State Traversal (Section
+//! 4.3): the state table reached by walking a graph down from the
+//! principal states.
 //!
-//! SSG organises the states of the current window in a directed graph whose
-//! roots are the *principal states* — states whose object set equals the
-//! object set of some in-window frame. Every other state is generated from
-//! principal states by intersection, directly or transitively, so processing
-//! a new frame only requires traversing the graph from the principal states
-//! and *stopping as soon as an intersection becomes empty*: whole subtrees of
-//! states that share nothing with the arriving frame are skipped. (On dense
-//! windows that rarely happens — the traversal visits nearly every live
-//! state, and at w=60, the benchmark's window, MFS is faster on every film
-//! (README). At w=300 SSG makes 21–40 % of MFS's visits and is still
-//! 1.04–1.88× slower on the video profiles: ROADMAP item 4.)
+//! SSG indexes the table's rows in a directed graph whose roots are the
+//! *principal states* — states whose object set equals the object set of
+//! some in-window frame. Every other state is generated from principal
+//! states by intersection, directly or transitively, so a new frame needs
+//! only a traversal from the principal states that *stops as soon as an
+//! intersection becomes empty*: whole subtrees of states that share nothing
+//! with the arriving frame are skipped. (On dense windows that rarely
+//! happens — the traversal visits nearly every live state, and at w=60, the
+//! benchmark's window, MFS is faster on every film (README). At w=300 SSG
+//! makes 21–40 % of MFS's visits and is still 1.04–1.88× slower on the
+//! video profiles: ROADMAP item 4.)
 //!
-//! The implementation follows the paper's procedures:
+//! The walk follows the paper's procedures:
 //!
-//! * **Graph Maintenance Procedure / Algorithm 1 (ST)** — [`SsgMaintainer`]
-//!   traverses from each principal state, appends the arriving frame to
-//!   states fully contained in it, materialises missing intersection states,
-//!   and skips subtrees with empty intersections.
+//! * **Graph Maintenance Procedure / Algorithm 1 (ST)** — traverses from
+//!   each principal state, appends the arriving frame to states fully
+//!   contained in it, materialises missing intersection states, and skips
+//!   subtrees with empty intersections.
 //! * **Modifying Existing Edges (4.3.4) and Property 2** — performed by
 //!   `StateGraph::attach`.
 //! * **Connecting the New Principal State / Algorithm 2 (CNPS)** — candidates
 //!   (one per principal state) are sorted by object-set size and connected to
 //!   the new principal unless already reachable.
 //! * **State Marking Procedure (4.3.6)** — the state table's calls, as in
-//!   MFS: marks come from two sound sources, the arriving frame as a key
-//!   frame of its own principal state (`principal`, Rule 1) and a parent's
-//!   marks passed to a state derived from it (`derive` for a new state,
-//!   `merge_from` for one that exists, Rule 2). A principal state's
-//!   creation frames reach the states derived from it the same way, as its
-//!   row holds them as key frames. Both preserve the *suffix-intersection
-//!   invariant*: a frame `f` is only marked in state `X` when the
-//!   intersection of the object sets of all of `X`'s frames from `f` onward
-//!   equals `X`, so as long as one marked frame survives in the window the
-//!   state is guaranteed to still be an MCOS (Theorem 4).
+//!   MFS.
 //!
-//! Two deliberate deviations from the paper's pseudocode: (1) when an
-//! already-materialised state is re-derived from a second parent, its frame
-//! set is merged with the parent's, so frame sets stay complete (the union
-//! of all window frames containing the object set) whichever parent found
-//! the state first; (2) invalid states are dropped before the traversal,
-//! and each removal reconnects the node's parents to its children, so no
-//! descendant is cut off from the node's surviving ancestors.
+//! A node finds its row by handle. The graph removes a node as expiry drops
+//! its row, at the start of the frame and in row order, and reconnects the
+//! node's parents to its children (a deviation from the paper's
+//! pseudocode), so every node the traversal reaches is valid and no valid
+//! node loses its path from a principal state (a debug build checks this
+//! after each frame's drops).
 //!
-//! **The graph is an index over MFS's state table.** The states themselves
-//! — object-set handles, marked frame sets, Rule 2, expiry and result
-//! collection — are the rows of the `substrate::StateTable` MFS also runs
-//! on; a node finds its row by handle. At the start of each frame the table
-//! expires every row and drops those left with no marked frame, and the
-//! graph removes each one's node as the table drops it, in row order (a
-//! removal re-attaches the node's children under its parents, so the order
-//! moves the work counters, not which rows a frame reaches: see below).
-//! Every node the traversal reaches is therefore valid and holds in-window
-//! frames only, and no valid node is left without a path from a principal
-//! state (a debug build checks this after each frame's drops). What SSG adds
-//! is the walk, which decides which rows a frame reaches.
-//!
-//! **A snapshot holds the states, not the graph**: it is MFS's snapshot,
-//! the interned sets in handle order, each with its state-table row,
-//! between the cursor and the metrics. The table names the principal
-//! states: for each in-window frame, the largest row that marks it is the
-//! frame's own object set. A restore inserts one node per row, takes those
-//! rows as the principal states, ordered by their earliest such frame, and
-//! attaches each row, largest set first, under every principal state that
-//! strictly contains it (a principal state too, as the traversal and CNPS
-//! do), through `attach`, so the rebuilt graph holds Properties 1 and 2 and
-//! reaches every state by construction. The live path keeps a principal
-//! state as a root while its row lives, also once its frames have left the
-//! window, so a restore may start with fewer roots. Which rows a frame
-//! reaches, and so every state and result, does not depend on the roots or
-//! edges: a row is reached when it meets the frame, along any path of
-//! supersets. The traversal's work counters (`states_visited`,
-//! `intersections`, `edges_*`) do, and may drift after a restore.
+//! **A restore rebuilds the graph from the table**, as a snapshot holds no
+//! graph. For each in-window frame, the largest row that marks it is the
+//! frame's own object set: those rows are the principal states, ordered by
+//! their earliest such frame. Each row, largest set first, is attached
+//! through `attach` under the principal states of its own frames, which are
+//! exactly those that contain it, as frame sets are complete; so the graph
+//! holds Properties 1 and 2 and reaches every state by construction. The
+//! live path keeps a principal state while its row lives, also once its
+//! frames have left the window, so a restore may start with fewer roots.
+//! Which rows a frame reaches, and so every state and result, does not
+//! depend on the roots or edges; the traversal's work counters
+//! (`states_visited`, `intersections`, `edges_*`) do, and may drift after a
+//! restore.
 //!
 //! **Each step runs once per frame.** A node is visited at most once (its
 //! `visited` stamp) and has the frame appended at most once (its row's last
@@ -101,17 +77,9 @@ mod graph;
 
 use std::cmp::Reverse;
 
-use tvq_common::{
-    Decoder, Encoder, Error, FrameId, FxHashSet, MarkedFrameSet, ObjectSet, Result, SetId,
-    SetInterner, WindowSpec,
-};
+use tvq_common::{Error, FrameId, FxHashSet, ObjectSet, RemapTable, Result, SetId};
 
-use crate::compaction::{CompactionOutcome, CompactionPolicy};
-use crate::maintainer::StateMaintainer;
-use crate::metrics::MaintenanceMetrics;
-use crate::prune::SharedPruner;
-use crate::result_set::ResultStateSet;
-use crate::substrate::{StateTable, Substrate};
+use crate::substrate::{Maintainer, Reach};
 
 use graph::{NodeId, StateGraph};
 
@@ -128,7 +96,8 @@ struct Arrival {
     fresh: bool,
 }
 
-/// The Strict State Graph state maintainer.
+/// The Strict State Graph state maintainer: the state table reached by
+/// [`Traversal`].
 ///
 /// The graph's handle index, the termination cache and every traversal
 /// comparison operate on interned [`SetId`] handles. Each visit intersects
@@ -136,10 +105,11 @@ struct Arrival {
 /// always a real word-parallel AND (most frames there bring a new set, which
 /// skips the memo), though rarely a content-index probe. Every per-node
 /// step runs at most once per frame — see the module docs.
-pub struct SsgMaintainer {
-    core: Substrate,
-    /// The states, one row per graph node.
-    table: StateTable,
+pub type SsgMaintainer = Maintainer<Traversal>;
+
+/// SSG's reach: State Traversal down the graph from the principal states.
+#[derive(Default)]
+pub struct Traversal {
     graph: StateGraph,
     /// Principal states in their order of arrival (kept while alive; a
     /// restore orders them by their earliest in-window frame).
@@ -152,56 +122,11 @@ pub struct SsgMaintainer {
     cnps_stack: Vec<NodeId>,
 }
 
-impl std::fmt::Debug for SsgMaintainer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SsgMaintainer")
-            .field("spec", &self.core.spec)
-            .field("live_states", &self.table.len())
-            .field("principal_states", &self.roots.len())
-            .finish()
-    }
-}
-
 impl SsgMaintainer {
-    /// Creates an SSG maintainer for the given window specification, with a
-    /// private interner (no class source) and no pruner.
-    pub fn new(spec: WindowSpec) -> Self {
-        SsgMaintainer::with_options(spec, SetInterner::new(), None)
-    }
-
-    /// Creates an SSG maintainer around a caller-provided interner (the
-    /// engine wires one per feed, sharing its object → class map) and an
-    /// optional pruner — with one this is the `SSG_O` variant of Section 5.3.
-    pub fn with_options(
-        spec: WindowSpec,
-        interner: SetInterner,
-        pruner: Option<SharedPruner>,
-    ) -> Self {
-        SsgMaintainer {
-            core: Substrate::new(spec, interner, pruner),
-            table: StateTable::default(),
-            graph: StateGraph::new(),
-            roots: Vec::new(),
-            candidates_scratch: Vec::new(),
-            cnps_reachable: FxHashSet::default(),
-            cnps_stack: Vec::new(),
-        }
-    }
-
-    /// Number of principal states currently tracked.
-    pub fn principal_states(&self) -> usize {
-        self.roots.len()
-    }
-
-    /// Exposes the live states (object set → marked frame set) for tests.
-    pub fn states(&self) -> impl Iterator<Item = (ObjectSet, &MarkedFrameSet)> {
-        self.table.states(&self.core.interner)
-    }
-
     /// The state row of the live node `id`.
     fn row(&self, id: NodeId) -> usize {
         self.table
-            .row_of(self.graph.node(id).sid)
+            .row_of(self.reach.graph.node(id).sid)
             // infallible: the table and the graph add and drop a state
             // together, so every live node has a row.
             .expect("every live node has a state row")
@@ -214,7 +139,7 @@ impl SsgMaintainer {
     /// frame, from the node's own visit. `held`: a child of `parent` holds
     /// `sid` or has it below, so no attach is due (module docs).
     fn ensure_state(&mut self, sid: SetId, parent: NodeId, at: Arrival, held: bool) {
-        let node = self.graph.node(parent);
+        let node = self.reach.graph.node(parent);
         // infallible: the caller is `parent`'s visit, which stamped both.
         debug_assert_eq!((sid, node.visited), (node.last_inter, at.frame.raw()));
         // infallible: a visit calls this only for an `inter` that is not
@@ -224,7 +149,7 @@ impl SsgMaintainer {
             return;
         }
         let parent_row = self.row(parent);
-        let id = match self.graph.id_of(sid) {
+        let id = match self.reach.graph.id_of(sid) {
             Some(id) => {
                 let row = self.row(id);
                 self.table.append(row, at.frame, &mut self.core.metrics);
@@ -239,22 +164,26 @@ impl SsgMaintainer {
                 if !self.table.derive(core, sid, parent_row, at.frame) {
                     return;
                 }
-                self.graph.insert(sid)
+                self.reach.graph.insert(sid)
             }
         };
-        let edges = (self.graph.edges_added, self.graph.edges_removed);
+        let edges = (self.reach.graph.edges_added, self.reach.graph.edges_removed);
         if !held || cfg!(debug_assertions) {
             let frame = Some(at.frame.raw());
-            self.graph.attach(parent, id, &self.core.interner, frame);
+            self.reach
+                .graph
+                .attach(parent, id, &self.core.interner, frame);
         }
         // infallible: a held attach is a no-op (see above).
-        debug_assert!(!held || edges == (self.graph.edges_added, self.graph.edges_removed));
+        debug_assert!(
+            !held || edges == (self.reach.graph.edges_added, self.reach.graph.edges_removed)
+        );
     }
 
     /// State Traversal (Algorithm 1), visiting `node` with `p_inter` being the
     /// intersection of the parent state with the arriving frame.
     fn st_visit(&mut self, node: NodeId, parent: Option<NodeId>, p_inter: SetId, at: Arrival) {
-        let state = self.graph.node_mut(node);
+        let state = self.reach.graph.node_mut(node);
         if state.visited == at.frame.raw() {
             return;
         }
@@ -269,7 +198,7 @@ impl SsgMaintainer {
         } else {
             interner.intersect_within(node_sid, at.sid, p_inter, previous)
         };
-        self.graph.node_mut(node).last_inter = inter;
+        self.reach.graph.node_mut(node).last_inter = inter;
 
         if inter.is_empty_set() {
             // No descendant of this node can intersect the frame either.
@@ -295,7 +224,8 @@ impl SsgMaintainer {
             if at.ns != node {
                 self.table.merge_from(self.row(at.ns), self.row(node));
             }
-            self.graph
+            self.reach
+                .graph
                 .attach(node, at.ns, &self.core.interner, Some(at.frame.raw()));
             self.visit_children(node, inter, at);
         } else {
@@ -311,14 +241,14 @@ impl SsgMaintainer {
     /// reaches `node`'s list (the module docs say why). Returns whether
     /// some child's intersection with the frame is `inter` too.
     fn visit_children(&mut self, node: NodeId, inter: SetId, at: Arrival) -> bool {
-        let count = self.graph.node(node).children.len();
+        let count = self.reach.graph.node(node).children.len();
         let mut held = false;
         for index in 0..count {
             // infallible: module docs, "The walk reads child lists in place".
-            debug_assert_eq!(self.graph.node(node).children.len(), count);
-            let child = self.graph.node(node).children[index];
+            debug_assert_eq!(self.reach.graph.node(node).children.len(), count);
+            let child = self.reach.graph.node(node).children[index];
             self.st_visit(child, Some(node), inter, at);
-            held |= self.graph.node(child).last_inter == inter;
+            held |= self.reach.graph.node(child).last_inter == inter;
         }
         held
     }
@@ -326,58 +256,42 @@ impl SsgMaintainer {
     /// CNPS (Algorithm 2): connect the new principal state to the candidate
     /// states derived from each principal, largest object set first, skipping
     /// candidates already reachable from the new principal.
+    #[inline]
     fn connect_new_principal(&mut self, ns: NodeId) {
-        let mut ordered = std::mem::take(&mut self.candidates_scratch);
-        ordered.sort_by_key(|&id| Reverse(self.core.interner.len_of(self.graph.node(id).sid)));
+        let (reach, interner) = (&mut self.reach, &self.core.interner);
+        let mut ordered = std::mem::take(&mut reach.candidates_scratch);
+        ordered.sort_by_key(|&id| Reverse(interner.len_of(reach.graph.node(id).sid)));
         ordered.dedup();
-        self.cnps_reachable.clear();
+        reach.cnps_reachable.clear();
         for &candidate in &ordered {
-            if candidate == ns || self.cnps_reachable.contains(&candidate) {
+            if candidate == ns || reach.cnps_reachable.contains(&candidate) {
                 continue;
             }
-            self.graph.attach(ns, candidate, &self.core.interner, None);
+            reach.graph.attach(ns, candidate, interner, None);
             // Incremental DFS: regions already known to be reachable are not
             // re-traversed, so the whole CNPS pass is bounded by the size of
             // the subgraph below the new principal.
-            self.cnps_stack.clear();
-            self.cnps_stack.push(candidate);
-            self.cnps_reachable.insert(candidate);
-            while let Some(id) = self.cnps_stack.pop() {
-                for &child in &self.graph.node(id).children {
-                    if self.cnps_reachable.insert(child) {
-                        self.cnps_stack.push(child);
+            reach.cnps_stack.clear();
+            reach.cnps_stack.push(candidate);
+            reach.cnps_reachable.insert(candidate);
+            while let Some(id) = reach.cnps_stack.pop() {
+                for &child in &reach.graph.node(id).children {
+                    if reach.cnps_reachable.insert(child) {
+                        reach.cnps_stack.push(child);
                     }
                 }
             }
         }
         ordered.clear();
-        self.candidates_scratch = ordered;
-    }
-
-    /// The start of a frame: the table drops every row left with no marked
-    /// frame, the graph removes each one's node as the table drops it, and
-    /// the roots lose the removed nodes.
-    fn expire(&mut self, oldest: FrameId) {
-        let (graph, mut dropped) = (&mut self.graph, false);
-        self.table.expire(oldest, &mut self.core, |sid, interner| {
-            // infallible: every state row has a live node.
-            let id = graph.id_of(sid).expect("every state row has a node");
-            graph.remove(id, interner);
-            dropped = true;
-        });
-        if dropped {
-            self.roots.retain(|&root| self.graph.node(root).alive);
-            // infallible: a valid state reaches a marked frame's principal
-            // state through the states it was derived from.
-            debug_assert_eq!(self.graph.orphan(&self.roots), None);
-        }
+        reach.candidates_scratch = ordered;
     }
 
     /// The principal states the table names: for each in-window frame, the
     /// largest row that marks it, which is the frame's own object set (a
     /// row marks only frames that contain it, and Rule 1 marks the frame in
-    /// its own set's row). Ordered by their earliest such frame.
-    fn derived_roots(&self) -> Vec<NodeId> {
+    /// its own set's row). Ordered by their earliest such frame, and listed
+    /// with each such frame's root as an index into them, by frame.
+    fn derived_roots(&self) -> (Vec<NodeId>, Vec<(FrameId, usize)>) {
         // Every mark as (frame, largest set first, row), sorted: the first
         // entry of each frame names its largest row. Sorting the marks, not
         // indexing a window-long table, keeps the cost to the rows' own
@@ -394,37 +308,72 @@ impl SsgMaintainer {
         }
         marks.sort_unstable();
         marks.dedup_by_key(|&mut (frame, _, _)| frame);
-        let (mut taken, mut roots) = (vec![false; self.table.len()], Vec::new());
-        for (_, _, row) in marks {
-            if !std::mem::replace(&mut taken[row], true) {
+        let (graph, mut index_of) = (&self.reach.graph, vec![usize::MAX; self.table.len()]);
+        let (mut roots, mut by_frame) = (Vec::new(), Vec::with_capacity(marks.len()));
+        for (frame, _, row) in marks {
+            if index_of[row] == usize::MAX {
+                index_of[row] = roots.len();
                 let sid = self.table.sid(row);
                 // infallible: every state row has a live node.
-                roots.push(self.graph.id_of(sid).expect("every state row has a node"));
+                roots.push(graph.id_of(sid).expect("every state row has a node"));
+            }
+            by_frame.push((frame, index_of[row]));
+        }
+        (roots, by_frame)
+    }
+
+    /// Builds the graph over a freshly restored table (module docs): one
+    /// node per row, the derived principal states as roots, and each row,
+    /// largest set first, attached under the roots of its own frames in
+    /// root order. Frame sets are complete, so those are exactly the roots
+    /// that contain the row; under any other root `attach` would make no
+    /// edit.
+    fn build_graph(&mut self) {
+        for row in 0..self.table.len() {
+            self.reach.graph.insert(self.table.sid(row));
+        }
+        let (roots, by_frame) = self.derived_roots();
+        // Largest set first: a state's tighter containers are in place
+        // before it, so `attach` descends to them instead of rewiring.
+        let interner = &self.core.interner;
+        let mut ordered: Vec<NodeId> = self.reach.graph.live_ids();
+        ordered.sort_by_key(|&id| Reverse(interner.len_of(self.reach.graph.node(id).sid)));
+        let mut under = Vec::new();
+        for id in ordered {
+            let frames = self.table.frames(self.row(id)).frames();
+            under.extend(frames.filter_map(|frame| {
+                let at = by_frame.binary_search_by_key(&frame, |&(f, _)| f).ok()?;
+                Some(by_frame[at].1)
+            }));
+            under.sort_unstable();
+            under.dedup();
+            for index in under.drain(..) {
+                self.reach.graph.attach(roots[index], id, interner, None);
             }
         }
-        roots
+        self.reach.roots = roots;
     }
 }
 
-impl StateMaintainer for SsgMaintainer {
-    fn advance(&mut self, frame: FrameId, objects: &ObjectSet) -> Result<()> {
-        let oldest = self.core.begin_frame(frame)?;
-        self.expire(oldest);
+impl Reach for Traversal {
+    const NAMES: [&'static str; 2] = ["SSG", "SSG_O"];
 
-        let clock = self.core.interner.clock();
-        let frame_sid = self.core.interner.intern(objects);
+    #[inline]
+    fn walk(m: &mut SsgMaintainer, frame: FrameId, objects: &ObjectSet) {
+        let clock = m.core.interner.clock();
+        let frame_sid = m.core.interner.intern(objects);
         // The arriving frame is a key frame of its own set's state, the new
         // principal state (Rule 1).
-        if !frame_sid.is_empty_set() && self.table.principal(&mut self.core, frame_sid, frame) {
-            let ns = self
-                .graph
+        if !frame_sid.is_empty_set() && m.table.principal(&mut m.core, frame_sid, frame) {
+            let graph = &mut m.reach.graph;
+            let ns = graph
                 .id_of(frame_sid)
-                .unwrap_or_else(|| self.graph.insert(frame_sid));
+                .unwrap_or_else(|| graph.insert(frame_sid));
             let at = Arrival {
                 frame,
                 sid: frame_sid,
                 ns,
-                fresh: self.core.interner.born_after(frame_sid, clock),
+                fresh: m.core.interner.born_after(frame_sid, clock),
             };
 
             // State Traversal from every principal state in arrival order.
@@ -432,99 +381,63 @@ impl StateMaintainer for SsgMaintainer {
             // descendants (they are all subsets of the arriving frame). The
             // root list is read in place after it: it changes only after the
             // traversal, and all roots are alive until then.
-            self.candidates_scratch.clear();
-            for index in 0..=self.roots.len() {
-                let root = index.checked_sub(1).map_or(ns, |i| self.roots[i]);
-                self.st_visit(root, None, SetId::EMPTY, at);
+            m.reach.candidates_scratch.clear();
+            for index in 0..=m.reach.roots.len() {
+                let root = index.checked_sub(1).map_or(ns, |i| m.reach.roots[i]);
+                m.st_visit(root, None, SetId::EMPTY, at);
                 // Candidate for CNPS: the state holding this principal's
                 // intersection with the new frame, which the visit above
                 // recorded on the root (an empty one names no node). It may
                 // be the root itself.
-                if let Some(candidate) = self.graph.id_of(self.graph.node(root).last_inter) {
-                    self.candidates_scratch.push(candidate);
+                let graph = &m.reach.graph;
+                if let Some(candidate) = graph.id_of(graph.node(root).last_inter) {
+                    m.reach.candidates_scratch.push(candidate);
                 }
             }
-            self.connect_new_principal(ns);
-            if !self.roots.contains(&ns) {
-                self.roots.push(ns);
+            m.connect_new_principal(ns);
+            if !m.reach.roots.contains(&ns) {
+                m.reach.roots.push(ns);
             }
         }
-
-        self.core.metrics.edges_added = self.graph.edges_added;
-        self.core.metrics.edges_removed = self.graph.edges_removed;
-        self.table.collect_results(&mut self.core);
-        Ok(())
+        m.core.metrics.edges_added = m.reach.graph.edges_added;
+        m.core.metrics.edges_removed = m.reach.graph.edges_removed;
     }
 
-    fn last_frame(&self) -> Option<FrameId> {
-        self.core.last_frame
-    }
-
-    fn results(&self) -> &ResultStateSet {
-        &self.core.results
-    }
-
-    fn metrics(&self) -> &MaintenanceMetrics {
-        &self.core.metrics
-    }
-
-    fn live_states(&self) -> usize {
-        self.table.len()
-    }
-
-    fn name(&self) -> &'static str {
-        if self.core.has_pruner() {
-            "SSG_O"
-        } else {
-            "SSG"
+    /// The graph removes each dropped row's node as the table drops it,
+    /// and the roots lose the removed nodes.
+    #[inline]
+    fn expire(m: &mut SsgMaintainer, oldest: FrameId) {
+        let (reach, mut dropped) = (&mut m.reach, false);
+        m.table.expire(oldest, &mut m.core, |sid, interner| {
+            // infallible: every state row has a live node.
+            let id = reach.graph.id_of(sid).expect("every state row has a node");
+            reach.graph.remove(id, interner);
+            dropped = true;
+        });
+        if dropped {
+            reach.roots.retain(|&root| reach.graph.node(root).alive);
+            // infallible: a valid state reaches a marked frame's principal
+            // state through the states it was derived from.
+            debug_assert_eq!(reach.graph.orphan(&reach.roots), None);
         }
     }
 
-    fn maybe_compact(&mut self, policy: &CompactionPolicy) -> Option<CompactionOutcome> {
-        let (table, outcome) = self
-            .core
-            .compact(policy, self.table.len(), || self.table.live())?;
-        self.table.remap(&table);
-        self.graph.remap(&table);
-        Some(outcome)
+    fn remap(&mut self, table: &RemapTable) {
+        self.graph.remap(table);
     }
 
-    fn pruner_changed(&mut self) {
-        self.core.pruner_changed();
-    }
-
-    fn snapshot_state(&self, enc: &mut Encoder) -> Result<()> {
-        self.table.snapshot(&self.core, enc);
-        Ok(())
-    }
-
-    /// Reads the table, derives the principal states from it, then
-    /// rebuilds the graph over them (module docs). A state no principal
-    /// state contains is corrupt data.
-    fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
-        self.table = StateTable::restore(&mut self.core, dec)?;
-        for row in 0..self.table.len() {
-            self.graph.insert(self.table.sid(row));
-        }
-        self.roots = self.derived_roots();
-        // Largest set first: a state's tighter containers are in place
-        // before it, so `attach` descends to them instead of rewiring.
-        let interner = &self.core.interner;
-        let mut ordered: Vec<NodeId> = self.graph.live_ids();
-        ordered.sort_by_key(|&id| Reverse(interner.len_of(self.graph.node(id).sid)));
-        for id in ordered {
-            for &root in &self.roots {
-                self.graph.attach(root, id, interner, None);
-            }
-        }
-        if let Some(id) = self.graph.orphan(&self.roots) {
+    /// A state no principal state contains is corrupt data.
+    fn rebuild(m: &mut SsgMaintainer) -> Result<()> {
+        m.build_graph();
+        let graph = &mut m.reach.graph;
+        if let Some(id) = graph.orphan(&m.reach.roots) {
             return Err(Error::Corrupt(format!(
                 "state for handle {} lies in no principal state",
-                self.graph.node(id).sid.raw()
+                graph.node(id).sid.raw()
             )));
         }
-        self.graph.edges_added = self.core.metrics.edges_added;
-        self.graph.edges_removed = self.core.metrics.edges_removed;
+        graph.edges_added = m.core.metrics.edges_added;
+        graph.edges_removed = m.core.metrics.edges_removed;
         Ok(())
     }
 }
@@ -532,67 +445,27 @@ impl StateMaintainer for SsgMaintainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prune::MinCardinalityPruner;
+    use crate::compaction::CompactionPolicy;
+    use crate::maintainer::StateMaintainer;
+    use crate::metrics::MaintenanceMetrics;
+    use crate::prune::{MinCardinalityPruner, SharedPruner};
+    use crate::substrate::tests::{blob, paper_frames, restore, set, sorted_states};
     use std::sync::Arc;
-
-    /// The states in object-set order (a restore lays rows out in handle
-    /// order).
-    fn sorted_states(m: &SsgMaintainer) -> Vec<(ObjectSet, MarkedFrameSet)> {
-        let mut states: Vec<_> = m.states().map(|(set, f)| (set, f.clone())).collect();
-        states.sort_by(|a, b| a.0.cmp(&b.0));
-        states
-    }
+    use tvq_common::{Decoder, Encoder, SetInterner, WindowSpec};
 
     impl SsgMaintainer {
-        pub(crate) fn interner(&self) -> &SetInterner {
-            &self.core.interner
+        /// Number of principal states currently tracked.
+        pub(crate) fn principal_states(&self) -> usize {
+            self.reach.roots.len()
         }
 
         fn check_invariants(&self) {
             let interner = &self.core.interner;
-            self.graph
-                .check_invariants(interner, &self.table, &self.roots);
+            self.reach
+                .graph
+                .check_invariants(interner, &self.table, &self.reach.roots);
             self.table.assert_rows_point_back();
         }
-    }
-
-    fn set(ids: &[u32]) -> ObjectSet {
-        ObjectSet::from_raw(ids.iter().copied())
-    }
-
-    /// Objects of the paper's running example: A=1, B=2, C=3, D=4, F=6.
-    fn paper_frames() -> Vec<ObjectSet> {
-        vec![
-            set(&[2]),
-            set(&[1, 2, 3]),
-            set(&[1, 2, 4, 6]),
-            set(&[1, 2, 3, 6]),
-            set(&[1, 2, 4]),
-        ]
-    }
-
-    /// SSG must produce exactly the satisfied MCOS of Table 1's EXP column.
-    #[test]
-    fn paper_example_results_match_table_1() {
-        let spec = WindowSpec::new(4, 3).unwrap();
-        let mut m = SsgMaintainer::new(spec);
-        let frames = paper_frames();
-
-        m.advance(FrameId(0), &frames[0]).unwrap();
-        assert!(m.results().is_empty());
-        m.advance(FrameId(1), &frames[1]).unwrap();
-        assert!(m.results().is_empty());
-        m.advance(FrameId(2), &frames[2]).unwrap();
-        assert_eq!(m.results().object_sets(), vec![set(&[2])]);
-        m.advance(FrameId(3), &frames[3]).unwrap();
-        assert_eq!(m.results().object_sets(), vec![set(&[1, 2]), set(&[2])]);
-        m.advance(FrameId(4), &frames[4]).unwrap();
-        assert_eq!(m.results().object_sets(), vec![set(&[1, 2])]);
-        // The reported frame set covers all frames where {A,B} co-occur.
-        assert_eq!(
-            m.results().frames_of(&set(&[1, 2])).unwrap(),
-            &[FrameId(1), FrameId(2), FrameId(3), FrameId(4)]
-        );
     }
 
     #[test]
@@ -631,49 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_frames_and_disjoint_objects() {
-        let spec = WindowSpec::new(3, 1).unwrap();
-        let mut m = SsgMaintainer::new(spec);
-        m.advance(FrameId(0), &ObjectSet::empty()).unwrap();
-        m.advance(FrameId(1), &set(&[1, 2])).unwrap();
-        m.advance(FrameId(2), &set(&[7, 8])).unwrap();
-        assert!(m.results().contains(&set(&[1, 2])));
-        assert!(m.results().contains(&set(&[7, 8])));
-        m.advance(FrameId(3), &set(&[7, 8])).unwrap();
-        m.advance(FrameId(4), &set(&[7, 8])).unwrap();
-        // {1,2} has left the window.
-        assert!(!m.results().contains(&set(&[1, 2])));
-        assert_eq!(
-            m.results().frames_of(&set(&[7, 8])).unwrap(),
-            &[FrameId(2), FrameId(3), FrameId(4)]
-        );
-    }
-
-    #[test]
-    fn termination_suppresses_hopeless_states() {
-        let spec = WindowSpec::new(4, 1).unwrap();
-        let pruner = Arc::new(MinCardinalityPruner { min_objects: 2 });
-        let mut m = SsgMaintainer::with_options(spec, SetInterner::new(), Some(pruner));
-        m.advance(FrameId(0), &set(&[1, 2])).unwrap();
-        m.advance(FrameId(1), &set(&[2, 3])).unwrap();
-        // {2} = {1,2} ∩ {2,3} is hopeless and never materialised.
-        assert!(!m.results().contains(&set(&[2])));
-        assert!(m.results().contains(&set(&[1, 2])));
-        assert!(m.results().contains(&set(&[2, 3])));
-        assert_eq!(m.metrics().states_terminated, 1);
-        assert_eq!(m.name(), "SSG_O");
-    }
-
-    #[test]
-    fn rejects_out_of_order_frames() {
-        let spec = WindowSpec::new(4, 1).unwrap();
-        let mut m = SsgMaintainer::new(spec);
-        m.advance(FrameId(1), &set(&[1])).unwrap();
-        assert!(m.advance(FrameId(1), &set(&[1])).is_err());
-        assert!(m.advance(FrameId(0), &set(&[1])).is_err());
-    }
-
-    #[test]
     fn repeated_identical_frames_stay_compact() {
         let spec = WindowSpec::new(10, 5).unwrap();
         let mut m = SsgMaintainer::new(spec);
@@ -684,44 +514,6 @@ mod tests {
         assert_eq!(m.live_states(), 1);
         assert_eq!(m.results().object_sets(), vec![set(&[1, 2, 3])]);
         assert_eq!(m.results().frames_of(&set(&[1, 2, 3])).unwrap().len(), 10);
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_bit_identically() {
-        let spec = WindowSpec::new(4, 2).unwrap();
-        let mut original = SsgMaintainer::new(spec);
-        let patterns = paper_frames();
-        for (i, frame) in patterns.iter().cycle().take(9).enumerate() {
-            original.advance(FrameId(i as u64), frame).unwrap();
-        }
-
-        let mut enc = Encoder::new();
-        original.snapshot_state(&mut enc).unwrap();
-        let bytes = enc.into_bytes();
-        let mut restored = SsgMaintainer::new(spec);
-        let mut dec = Decoder::new(&bytes);
-        restored.restore_state(&mut dec).unwrap();
-        dec.finish().unwrap();
-
-        assert_eq!(restored.live_states(), original.live_states());
-        assert_eq!(restored.principal_states(), original.principal_states());
-        assert_eq!(sorted_states(&restored), sorted_states(&original));
-        assert_eq!(restored.metrics(), original.metrics());
-        for (i, frame) in patterns.iter().cycle().take(25).enumerate().skip(9) {
-            original.advance(FrameId(i as u64), frame).unwrap();
-            restored.advance(FrameId(i as u64), frame).unwrap();
-            assert_eq!(
-                restored.results(),
-                original.results(),
-                "diverged at frame {i}"
-            );
-        }
-        // Memo gauges drift (the intersection cache is not persisted); every
-        // other counter must agree.
-        assert_eq!(
-            restored.metrics().without_cache_gauges(),
-            original.metrics().without_cache_gauges()
-        );
     }
 
     /// The graph is not persisted: a restore rebuilds it from the table,
@@ -881,60 +673,15 @@ mod tests {
             ssg.check_invariants();
             assert_eq!(ssg.results(), mfs.results(), "frame {i}");
             shared_states += ssg
+                .reach
                 .graph
                 .live_ids()
                 .into_iter()
-                .filter(|&id| ssg.graph.node(id).parents.len() > 1)
+                .filter(|&id| ssg.reach.graph.node(id).parents.len() > 1)
                 .count();
         }
         assert!(subset_frames > 150, "only {subset_frames} subset frames");
         assert!(shared_states > 0 && !ssg.results().is_empty());
-    }
-
-    /// The roots a restore derives name no state when no row carries a
-    /// marked frame, so every state dangles from no principal state.
-    #[test]
-    fn restore_rejects_used_maintainers_and_dangling_roots() {
-        let spec = WindowSpec::new(4, 2).unwrap();
-        let mut original = SsgMaintainer::new(spec);
-        for (i, frame) in paper_frames().iter().enumerate() {
-            original.advance(FrameId(i as u64), frame).unwrap();
-        }
-        let mut enc = Encoder::new();
-        original.snapshot_state(&mut enc).unwrap();
-        let bytes = enc.into_bytes();
-        let restore =
-            |bytes: &[u8]| SsgMaintainer::new(spec).restore_state(&mut Decoder::new(bytes));
-        restore(&bytes).unwrap();
-
-        // A maintainer that already advanced refuses to restore.
-        let mut used = SsgMaintainer::new(spec);
-        used.advance(FrameId(0), &set(&[9])).unwrap();
-        assert!(used.restore_state(&mut Decoder::new(&bytes)).is_err());
-
-        // The same rows with every mark cleared.
-        let mut unmarked = StateTable::default();
-        for row in 0..original.table.len() {
-            let frames = original.table.frames(row).frames().map(|f| (f, false));
-            let sid = original.table.sid(row);
-            unmarked.push(sid, frames.collect(), &original.core.interner);
-        }
-        assert!(unmarked.len() >= 3);
-        let mut enc = Encoder::new();
-        unmarked.snapshot(&original.core, &mut enc);
-        let err = restore(enc.as_bytes()).unwrap_err();
-        assert!(matches!(err, Error::Corrupt(_)), "{err}");
-    }
-
-    /// A mid-epoch snapshot brings back the arena's handles, counts and
-    /// intersections (`substrate::tests`).
-    #[test]
-    fn restore_reproduces_handles_counts_and_intersections() {
-        let spec = WindowSpec::new(12, 3).unwrap();
-        crate::substrate::tests::restore_reproduces_the_arena(
-            |interner| SsgMaintainer::with_options(spec, interner, None),
-            |m| &mut m.core.interner,
-        );
     }
 
     /// The roots a restore derives from the table are exactly the distinct
@@ -968,10 +715,12 @@ mod tests {
                 }
                 let interner = &m.core.interner;
                 let resolve = |ids: &[NodeId]| -> BTreeSet<ObjectSet> {
-                    let sets = ids.iter().map(|&id| interner.resolve(m.graph.node(id).sid));
+                    let sets = ids
+                        .iter()
+                        .map(|&id| interner.resolve(m.reach.graph.node(id).sid));
                     sets.collect()
                 };
-                let derived = m.derived_roots();
+                let (derived, _) = m.derived_roots();
                 assert_eq!(resolve(&derived).len(), derived.len(), "distinct roots");
                 let held: BTreeSet<ObjectSet> = window
                     .iter()
@@ -984,7 +733,7 @@ mod tests {
                     .cloned()
                     .collect();
                 assert_eq!(resolve(&derived), held, "{min_objects:?}, frame {i}");
-                let live = resolve(&m.roots);
+                let live = resolve(&m.reach.roots);
                 assert!(live.is_superset(&held), "{min_objects:?}, frame {i}");
                 for root in live.difference(&held) {
                     assert!(!window.contains(root), "{min_objects:?}, frame {i}");
@@ -993,6 +742,91 @@ mod tests {
             }
             assert!(stale > 0, "{min_objects:?}: no stale root");
         }
+    }
+
+    /// A restore attaches each row only under the roots of its own frames.
+    /// On random films at w=60, with the pruner off and on, the graph that
+    /// rule builds from a snapshot every 25 frames equals the one built by
+    /// attaching every row under every root: the same children and parents
+    /// per node, compared by object set, and the same edge churn.
+    #[test]
+    fn rebuild_under_own_frames_roots_equals_every_root() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::{BTreeMap, BTreeSet};
+        type Edges = BTreeMap<ObjectSet, [BTreeSet<ObjectSet>; 2]>;
+        let built = |m: &SsgMaintainer| -> (Edges, u64, u64) {
+            let graph = &m.reach.graph;
+            let set_of = |&id: &NodeId| m.core.interner.resolve(graph.node(id).sid);
+            let edges = graph.live_ids().into_iter().map(|id| {
+                let node = graph.node(id);
+                let sets = |ids: &[NodeId]| ids.iter().map(set_of).collect();
+                (set_of(&id), [sets(&node.children), sets(&node.parents)])
+            });
+            (edges.collect(), graph.edges_added, graph.edges_removed)
+        };
+        let spec = WindowSpec::new(60, 20).unwrap();
+        for min_objects in [None, Some(3)] {
+            let mut rng = StdRng::seed_from_u64(13);
+            let pruner = min_objects.map(|min_objects| -> SharedPruner {
+                Arc::new(MinCardinalityPruner { min_objects })
+            });
+            let build = || SsgMaintainer::with_options(spec, SetInterner::new(), pruner.clone());
+            let mut m = build();
+            for i in 0..300u32 {
+                // Ten slots, each present 75 % of the time, each slot's
+                // object replaced every 50 frames (staggered).
+                let frame = ObjectSet::from_raw(
+                    (0..10u32)
+                        .filter(|_| rng.gen_bool(0.75))
+                        .map(|s| s * 100 + (i + s * 5) / 50),
+                );
+                m.advance(FrameId(u64::from(i)), &frame).unwrap();
+                if (i + 1) % 25 != 0 {
+                    continue;
+                }
+                let mut enc = Encoder::new();
+                m.snapshot_state(&mut enc).unwrap();
+                let mut r = build();
+                r.restore_state(&mut Decoder::new(enc.as_bytes())).unwrap();
+                let restored = built(&r).0;
+                // The rule a restore runs, on an empty graph.
+                r.reach = Traversal::default();
+                r.build_graph();
+                let narrowed = built(&r);
+                // The reference: every row under every root.
+                r.reach = Traversal::default();
+                for row in 0..r.table.len() {
+                    r.reach.graph.insert(r.table.sid(row));
+                }
+                let (roots, _) = r.derived_roots();
+                let (graph, interner) = (&mut r.reach.graph, &r.core.interner);
+                let mut ordered = graph.live_ids();
+                ordered.sort_by_key(|&id| Reverse(interner.len_of(graph.node(id).sid)));
+                for id in ordered {
+                    for &root in &roots {
+                        graph.attach(root, id, interner, None);
+                    }
+                }
+                assert_eq!(narrowed, built(&r), "{min_objects:?}, frame {i}");
+                assert_eq!(restored, narrowed.0, "{min_objects:?}, frame {i}");
+            }
+            assert!(m.live_states() > 100, "{min_objects:?}");
+        }
+    }
+
+    /// A restored state that no principal state contains is corrupt: frame
+    /// 0's largest marking row, {3,4,5}, is its principal state, and {1,2}
+    /// lies in none. MFS keeps no graph and restores the same bytes.
+    #[test]
+    fn restore_rejects_a_state_no_principal_state_contains() {
+        let spec = WindowSpec::new(4, 2).unwrap();
+        let bytes = blob(
+            Some(0),
+            &[(&[1, 2], &[(0, true)]), (&[3, 4, 5], &[(0, true)])],
+        );
+        let err = restore::<Traversal>(spec, &bytes).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err}");
+        assert!(restore::<crate::mfs::Sweep>(spec, &bytes).is_ok());
     }
 
     #[test]

@@ -1,21 +1,32 @@
-//! The substrate MFS, SSG and NAIVE run on.
+//! The substrate MFS, SSG and NAIVE run on, and the one maintainer of MFS
+//! and SSG.
 //!
-//! The three strategies differ in how they derive the states of a window;
-//! everything around that is the same job and is done here, once. A
-//! strategy owns a [`Substrate`] next to its own states and leaves to it:
-//! frame-order checking, pruner judgement, result reporting, releasing the
-//! sets no state holds, the compaction epoch and `pruner_changed`.
+//! Each strategy holds a [`Substrate`]: frame-order checking, pruner
+//! judgement, result reporting, releasing the sets no state holds, the
+//! compaction epoch and `pruner_changed`.
 //!
-//! MFS and SSG also share their states: one [`StateTable`] of marked frame
-//! sets, the only code that edits a state. Within a frame it has four
-//! calls: `principal` (Rule 1 of the Frame Marking Rules), `derive` (a new
-//! state from one parent), `append` (the frame joins a row it contains)
-//! and `merge_from` (Rule 2 and frame-set completeness). Around them it
-//! holds the validity test of Theorems 1 and 4 (expiry, which releases a
-//! dropped row's set), result collection (which first releases the sets
-//! the frame minted without a row) and the one snapshot both write. What
-//! differs is which rows a frame reaches: MFS sweeps all of them, SSG
-//! walks its graph.
+//! MFS and SSG keep the same states under the same rules, so they are one
+//! [`Maintainer`] over one [`StateTable`], the only code that edits a state.
+//! A row is a state's object set and its frames, of which the *key frames*
+//! are marked by the Frame Marking Rules:
+//!
+//! 1. the arriving frame is a key frame of the state of its own object set
+//!    (`principal`);
+//! 2. a state that is a parent's intersection with the arriving frame
+//!    inherits the parent's key frames (`derive` for a new state,
+//!    `merge_from` for one that exists, which also keeps frame sets
+//!    complete: a row holds every in-window frame that contains its set).
+//!
+//! A frame `f` is marked in state `X` only when the intersection of `X`'s
+//! frames from `f` on is `X`, so while a key frame is in the window the
+//! state is an MCOS of its frames (Theorems 1 and 4). Expiry drops every
+//! other row and releases its set; result collection reports the rows that
+//! meet the duration threshold; and the table writes the one snapshot. With
+//! the pruner of Section 5.3 (the `_O` variants), a hopeless set is never
+//! materialised. What differs between MFS and SSG is which rows a frame
+//! reaches, the maintainer's [`Reach`]: MFS sweeps all of them
+//! (`mfs::Sweep`), SSG walks its graph down from the principal states
+//! (`ssg::Traversal`).
 
 use tvq_common::{
     Decoder, Encoder, Error, FrameId, MarkedFrameSet, ObjectId, ObjectSet, RemapTable, Result,
@@ -23,7 +34,7 @@ use tvq_common::{
 };
 
 use crate::compaction::{CompactionOutcome, CompactionPolicy};
-use crate::maintainer::check_order;
+use crate::maintainer::{check_order, StateMaintainer};
 use crate::metrics::MaintenanceMetrics;
 use crate::prune::{PrunerVerdictCache, SharedPruner};
 use crate::result_set::{ReportedSets, ResultStateSet};
@@ -316,11 +327,6 @@ impl StateTable {
         core.end_results();
     }
 
-    /// Every row's handle: the live list a compaction epoch keeps.
-    pub(crate) fn live(&self) -> Vec<SetId> {
-        self.states.iter().map(|(sid, _)| *sid).collect()
-    }
-
     /// Re-keys every row through a compaction epoch's remap table.
     pub(crate) fn remap(&mut self, table: &RemapTable) {
         self.rows.clear();
@@ -330,16 +336,6 @@ impl StateTable {
             *sid = table.remap(*sid).expect("live handles are kept");
             self.rows[sid.raw() as usize] = row as u32;
         }
-    }
-
-    /// The rows as (object set, marked frame set) pairs, in row order.
-    pub(crate) fn states<'a>(
-        &'a self,
-        interner: &'a SetInterner,
-    ) -> impl Iterator<Item = (ObjectSet, &'a MarkedFrameSet)> {
-        self.states
-            .iter()
-            .map(|(sid, frames)| (interner.resolve(*sid), frames))
     }
 
     /// The snapshot MFS and SSG both write, one section: `core`'s cursor,
@@ -431,6 +427,136 @@ impl StateTable {
     }
 }
 
+/// Which rows of the [`StateTable`] a frame reaches, and the state that
+/// decision keeps. A reach edits states only through the table's calls.
+/// The module is private, so no other crate can name this trait.
+pub trait Reach: Default + Send + Sized {
+    /// The maintainer's name without and with a pruner (Section 5.3).
+    const NAMES: [&'static str; 2];
+
+    /// The frame's walk, after expiry: interns `objects` and makes the
+    /// table's calls on the rows it reaches, Rule 1 among them.
+    fn walk(m: &mut Maintainer<Self>, frame: FrameId, objects: &ObjectSet);
+
+    /// The start of a frame: the table's expiry, whose drop callback sees
+    /// each dropped row's handle.
+    fn expire(m: &mut Maintainer<Self>, oldest: FrameId) {
+        m.table.expire(oldest, &mut m.core, |_, _| {});
+    }
+
+    /// Re-keys the reach's own handles after a compaction epoch.
+    fn remap(&mut self, _table: &RemapTable) {}
+
+    /// Builds the reach's state over a table just restored from a snapshot.
+    fn rebuild(_m: &mut Maintainer<Self>) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// The maintainer of MFS and SSG: a [`Substrate`], the [`StateTable`] of
+/// the window's states and the reach `R` that decides which rows a frame
+/// reaches. A frame is `begin_frame`, expiry, the reach's walk, then
+/// result collection.
+pub struct Maintainer<R> {
+    pub(crate) core: Substrate,
+    pub(crate) table: StateTable,
+    pub(crate) reach: R,
+}
+
+impl<R: Reach> std::fmt::Debug for Maintainer<R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Maintainer")
+            .field("name", &self.name())
+            .field("spec", &self.core.spec)
+            .field("live_states", &self.table.len())
+            .finish()
+    }
+}
+
+impl<R: Reach> Maintainer<R> {
+    /// Creates a maintainer for the given window specification, with a
+    /// private interner (no class source) and no pruner.
+    pub fn new(spec: WindowSpec) -> Self {
+        Self::with_options(spec, SetInterner::new(), None)
+    }
+
+    /// Creates a maintainer around a caller-provided interner (the engine
+    /// wires one per feed, sharing its object → class map) and an optional
+    /// pruner: with one this is the `MFS_O` or `SSG_O` variant of
+    /// Section 5.3.
+    pub fn with_options(
+        spec: WindowSpec,
+        interner: SetInterner,
+        pruner: Option<SharedPruner>,
+    ) -> Self {
+        Maintainer {
+            core: Substrate::new(spec, interner, pruner),
+            table: StateTable::default(),
+            reach: R::default(),
+        }
+    }
+
+    /// Exposes the live states (object set → marked frame set) for tests
+    /// and the worked-example assertions.
+    pub fn states(&self) -> impl Iterator<Item = (ObjectSet, &MarkedFrameSet)> {
+        let states = self.table.states.iter();
+        states.map(|(sid, frames)| (self.core.interner.resolve(*sid), frames))
+    }
+}
+
+impl<R: Reach> StateMaintainer for Maintainer<R> {
+    fn advance(&mut self, frame: FrameId, objects: &ObjectSet) -> Result<()> {
+        let oldest = self.core.begin_frame(frame)?;
+        R::expire(self, oldest);
+        R::walk(self, frame, objects);
+        self.table.collect_results(&mut self.core);
+        Ok(())
+    }
+
+    fn last_frame(&self) -> Option<FrameId> {
+        self.core.last_frame
+    }
+
+    fn results(&self) -> &ResultStateSet {
+        &self.core.results
+    }
+
+    fn metrics(&self) -> &MaintenanceMetrics {
+        &self.core.metrics
+    }
+
+    fn live_states(&self) -> usize {
+        self.table.len()
+    }
+
+    fn name(&self) -> &'static str {
+        R::NAMES[usize::from(self.core.has_pruner())]
+    }
+
+    fn maybe_compact(&mut self, policy: &CompactionPolicy) -> Option<CompactionOutcome> {
+        // A compaction epoch keeps every row's handle.
+        let live = || self.table.states.iter().map(|(sid, _)| *sid).collect();
+        let (table, outcome) = self.core.compact(policy, self.table.len(), live)?;
+        self.table.remap(&table);
+        self.reach.remap(&table);
+        Some(outcome)
+    }
+
+    fn pruner_changed(&mut self) {
+        self.core.pruner_changed();
+    }
+
+    fn snapshot_state(&self, enc: &mut Encoder) -> Result<()> {
+        self.table.snapshot(&self.core, enc);
+        Ok(())
+    }
+
+    fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<()> {
+        self.table = StateTable::restore(&mut self.core, dec)?;
+        R::rebuild(self)
+    }
+}
+
 #[cfg(test)]
 impl StateTable {
     /// Every row's `rows` entry points back to it, and no other entry
@@ -447,10 +573,233 @@ impl StateTable {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::maintainer::StateMaintainer;
+    use crate::maintainer::MaintainerKind;
+    use crate::mfs::{MfsMaintainer, Sweep};
+    use crate::naive::NaiveMaintainer;
+    use crate::prune::MinCardinalityPruner;
+    use crate::ssg::{SsgMaintainer, Traversal};
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::sync::Arc;
     use tvq_common::{shared_class_store, ClassId};
+
+    pub(crate) fn set(ids: &[u32]) -> ObjectSet {
+        ObjectSet::from_raw(ids.iter().copied())
+    }
+
+    /// Objects of the paper's running example: A=1, B=2, C=3, D=4, F=6.
+    pub(crate) fn paper_frames() -> Vec<ObjectSet> {
+        vec![
+            set(&[2]),
+            set(&[1, 2, 3]),
+            set(&[1, 2, 4, 6]),
+            set(&[1, 2, 3, 6]),
+            set(&[1, 2, 4]),
+        ]
+    }
+
+    /// MFS and SSG, each built by `build` with its paper name.
+    fn both(
+        build: impl Fn(MaintainerKind) -> Box<dyn StateMaintainer>,
+    ) -> [(&'static str, Box<dyn StateMaintainer>); 2] {
+        [MaintainerKind::Mfs, MaintainerKind::Ssg].map(|kind| (kind.name(), build(kind)))
+    }
+
+    /// The states in object-set order (a restore lays rows out in handle
+    /// order).
+    pub(crate) fn sorted_states<R: Reach>(m: &Maintainer<R>) -> Vec<(ObjectSet, MarkedFrameSet)> {
+        let mut states: Vec<_> = m.states().map(|(set, f)| (set, f.clone())).collect();
+        states.sort_by(|a, b| a.0.cmp(&b.0));
+        states
+    }
+
+    /// A set's object ids and its row's `(frame, marked)` pairs.
+    pub(crate) type Entry<'a> = (&'a [u32], &'a [(u64, bool)]);
+
+    /// A hand-written snapshot: the cursor, the interner's length and
+    /// minted count (equal: nothing was released), an empty universe (each
+    /// set's objects take slots as it is put back), each set with its
+    /// row's frames (none for a set without a row; no objects for a free
+    /// handle), and fresh metrics.
+    pub(crate) fn blob(cursor: Option<u64>, sets: &[Entry<'_>]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_opt_u64(cursor);
+        enc.put_usize(sets.len() + 1);
+        enc.put_usize(sets.len() + 1);
+        enc.put_usize(0);
+        for (ids, frames) in sets {
+            enc.put_usize(ids.len());
+            ids.iter().for_each(|&id| enc.put_u32(id));
+            let frames: MarkedFrameSet = frames.iter().map(|&(f, m)| (FrameId(f), m)).collect();
+            frames.encode(&mut enc);
+        }
+        MaintenanceMetrics::new().encode(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// `bytes` restored into a fresh maintainer, which must read them all.
+    pub(crate) fn restore<R: Reach>(spec: WindowSpec, bytes: &[u8]) -> Result<Maintainer<R>> {
+        let mut m = Maintainer::new(spec);
+        let mut dec = Decoder::new(bytes);
+        m.restore_state(&mut dec)?;
+        dec.finish()?;
+        Ok(m)
+    }
+
+    #[test]
+    fn rejects_out_of_order_frames() {
+        let spec = WindowSpec::new(4, 1).unwrap();
+        for (name, mut m) in both(|kind| kind.build(spec)) {
+            m.advance(FrameId(1), &set(&[1])).unwrap();
+            assert!(m.advance(FrameId(1), &set(&[1])).is_err(), "{name}");
+            assert!(m.advance(FrameId(0), &set(&[1])).is_err(), "{name}");
+        }
+    }
+
+    #[test]
+    fn empty_frames_are_tolerated() {
+        let spec = WindowSpec::new(3, 1).unwrap();
+        for (name, mut m) in both(|kind| kind.build(spec)) {
+            m.advance(FrameId(0), &ObjectSet::empty()).unwrap();
+            m.advance(FrameId(1), &set(&[1, 2])).unwrap();
+            m.advance(FrameId(2), &ObjectSet::empty()).unwrap();
+            assert!(m.results().contains(&set(&[1, 2])), "{name}");
+            for i in 3..6 {
+                m.advance(FrameId(i), &set(&[7, 8])).unwrap();
+            }
+            // {1,2} has left the window.
+            assert!(!m.results().contains(&set(&[1, 2])), "{name}");
+            let frames = m.results().frames_of(&set(&[7, 8])).unwrap();
+            assert_eq!(frames, &[FrameId(3), FrameId(4), FrameId(5)], "{name}");
+        }
+    }
+
+    /// The pruner's hopeless sets are never materialised, as principal
+    /// states or as intersections, and the maintainer takes its `_O` name.
+    #[test]
+    fn termination_suppresses_hopeless_states() {
+        let spec = WindowSpec::new(4, 1).unwrap();
+        let pruner = Arc::new(MinCardinalityPruner { min_objects: 2 });
+        for (name, mut m) in both(|kind| kind.build_with_pruner(spec, pruner.clone())) {
+            m.advance(FrameId(0), &set(&[1])).unwrap();
+            // The single-object state is terminated, not materialised.
+            assert_eq!(m.live_states(), 0, "{name}");
+            assert_eq!(m.metrics().states_terminated, 1, "{name}");
+            m.advance(FrameId(1), &set(&[1, 2])).unwrap();
+            assert_eq!(m.live_states(), 1, "{name}");
+            m.advance(FrameId(2), &set(&[2, 3])).unwrap();
+            // {2} = {1,2} ∩ {2,3} would be a new state but is terminated.
+            assert!(!m.results().contains(&set(&[2])), "{name}");
+            assert!(m.results().contains(&set(&[1, 2])), "{name}");
+            assert!(m.results().contains(&set(&[2, 3])), "{name}");
+            assert_eq!(m.metrics().states_terminated, 2, "{name}");
+            assert_eq!(m.name(), format!("{name}_O"));
+        }
+    }
+
+    /// The satisfied, valid result states must match Table 1's EXP column.
+    #[test]
+    fn paper_example_results_match_table_1() {
+        let spec = WindowSpec::new(4, 3).unwrap();
+        for (name, mut m) in both(|kind| kind.build(spec)) {
+            let frames = paper_frames();
+            let expected: [&[ObjectSet]; 5] = [
+                &[],
+                &[],
+                &[set(&[2])],
+                &[set(&[1, 2]), set(&[2])],
+                &[set(&[1, 2])],
+            ];
+            for (i, (frame, expected)) in frames.iter().zip(expected).enumerate() {
+                m.advance(FrameId(i as u64), frame).unwrap();
+                assert_eq!(m.results().object_sets(), expected, "{name} frame {i}");
+            }
+            // The reported frame set covers all frames where {A,B} co-occur.
+            assert_eq!(
+                m.results().frames_of(&set(&[1, 2])).unwrap(),
+                &[FrameId(1), FrameId(2), FrameId(3), FrameId(4)],
+                "{name}"
+            );
+        }
+    }
+
+    /// A snapshot restored into a fresh maintainer holds the original's
+    /// states and metrics, and both run on with equal results. The memo is
+    /// not persisted, so only its gauges may drift (MFS never uses it).
+    #[test]
+    fn snapshot_restore_resumes_bit_identically() {
+        fn run<R: Reach>() -> [Maintainer<R>; 2] {
+            let spec = WindowSpec::new(4, 2).unwrap();
+            let mut original = Maintainer::<R>::new(spec);
+            let patterns = paper_frames();
+            for (i, frame) in patterns.iter().cycle().take(9).enumerate() {
+                original.advance(FrameId(i as u64), frame).unwrap();
+            }
+            let mut enc = Encoder::new();
+            original.snapshot_state(&mut enc).unwrap();
+            let mut restored = restore::<R>(spec, enc.as_bytes()).unwrap();
+            assert_eq!(restored.live_states(), original.live_states());
+            assert_eq!(sorted_states(&restored), sorted_states(&original));
+            assert_eq!(restored.metrics(), original.metrics());
+            for (i, frame) in patterns.iter().cycle().take(25).enumerate().skip(9) {
+                original.advance(FrameId(i as u64), frame).unwrap();
+                restored.advance(FrameId(i as u64), frame).unwrap();
+                assert_eq!(restored.results(), original.results(), "frame {i}");
+            }
+            assert_eq!(
+                restored.metrics().without_cache_gauges(),
+                original.metrics().without_cache_gauges()
+            );
+            [original, restored]
+        }
+        let [original, restored] = run::<Sweep>();
+        assert_eq!(restored.metrics(), original.metrics());
+        let [original, restored] = run::<Traversal>();
+        assert_eq!(restored.principal_states(), original.principal_states());
+    }
+
+    #[test]
+    fn restore_rejects_used_maintainers_and_dangling_handles() {
+        fn check<R: Reach>() {
+            let spec = WindowSpec::new(4, 2).unwrap();
+            let bytes = blob(Some(0), &[(&[1, 2], &[(0, true)]), (&[], &[]), (&[2], &[])]);
+            let mut restored = restore::<R>(spec, &bytes).unwrap();
+            let interner = &restored.core.interner;
+            assert_eq!((restored.live_states(), interner.len()), (1, 4));
+            assert!(!interner.is_held(SetId::from_raw(2)), "a free handle");
+            // The set without a row goes at the end of the next frame, and a
+            // new set takes the free handle.
+            restored.advance(FrameId(1), &set(&[1, 2, 5])).unwrap();
+            let interner = &restored.core.interner;
+            assert_eq!(interner.get(&set(&[1, 2, 5])), Some(SetId::from_raw(2)));
+            assert_eq!((interner.get(&set(&[2])), interner.held()), (None, 3));
+
+            // A maintainer that already advanced, or whose interner already
+            // holds a set, refuses to restore.
+            let mut used = Maintainer::<R>::new(spec);
+            used.advance(FrameId(0), &set(&[9])).unwrap();
+            let mut interned = SetInterner::new();
+            interned.intern(&set(&[9]));
+            let mut seeded = Maintainer::<R>::with_options(spec, interned, None);
+            for m in [&mut used, &mut seeded] {
+                let err = m.restore_state(&mut Decoder::new(&bytes)).unwrap_err();
+                assert!(matches!(err, Error::Store(_)), "{err}");
+            }
+
+            // No handle is written any more, so none can dangle. A set
+            // written twice lands on another handle than its position, which
+            // would leave that position's handle dangling, and a free handle
+            // cannot hold a row: corrupt, not a panic.
+            for sets in [
+                &[(&[1, 2][..], &[(0, true)][..]), (&[2, 1], &[])][..],
+                &[(&[1, 2], &[(0, true)]), (&[], &[(0, true)])],
+            ] {
+                let err = restore::<R>(spec, &blob(Some(0), sets)).unwrap_err();
+                assert!(matches!(err, Error::Corrupt(_)), "{err}");
+            }
+        }
+        check::<Sweep>();
+        check::<Traversal>();
+    }
 
     /// Frame sets are complete: after every frame, each MFS and SSG row
     /// holds exactly the in-window frames whose object set contains the
@@ -461,9 +810,6 @@ pub(crate) mod tests {
     /// equal states created and pruned, frames appended and peak states.
     #[test]
     fn rows_hold_every_in_window_frame_containing_their_set() {
-        use crate::mfs::MfsMaintainer;
-        use crate::prune::MinCardinalityPruner;
-        use crate::ssg::SsgMaintainer;
         use std::collections::VecDeque;
         // Twelve object slots, each present 70 % of the time; a slot's
         // object changes every 50 frames. Object `100 s + g` is bit
@@ -537,10 +883,6 @@ pub(crate) mod tests {
     /// random films at w = 8, 30 and 60, checked after every frame.
     #[test]
     fn held_sets_are_the_live_states_and_the_empty_set() {
-        use crate::mfs::MfsMaintainer;
-        use crate::naive::NaiveMaintainer;
-        use crate::prune::MinCardinalityPruner;
-        use crate::ssg::SsgMaintainer;
         use std::collections::BTreeSet;
         /// A maintainer's held sets and its live states' sets.
         trait Holds: StateMaintainer {
@@ -550,7 +892,7 @@ pub(crate) mod tests {
             ($($kind:ty),*) => {$(
                 impl Holds for $kind {
                     fn held_and_states(&self) -> (BTreeSet<ObjectSet>, BTreeSet<ObjectSet>) {
-                        let interner = self.interner();
+                        let interner = &self.core.interner;
                         let handles = (0..interner.len() as u32).map(SetId::from_raw);
                         let held: Vec<SetId> = handles.filter(|&s| interner.is_held(s)).collect();
                         assert_eq!(held.len(), interner.held());
@@ -612,82 +954,89 @@ pub(crate) mod tests {
     }
 
     /// A snapshot taken mid-epoch (free handles lie among the held ones)
-    /// restores, into a maintainer built by `build` around a fresh
-    /// interner on the same class store, an arena with the original's
-    /// handles: each resolves to the original's set (a free one to the
-    /// empty set) and counts the same classes, the same handles are free,
-    /// the universe holds the same objects, and every fresh intersection
-    /// returns the same handle on both, the free ones first. `interner`
-    /// reaches a maintainer's interner.
-    pub(crate) fn restore_reproduces_the_arena<M: StateMaintainer>(
-        build: impl Fn(SetInterner) -> M,
-        interner: impl Fn(&mut M) -> &mut SetInterner,
-    ) {
-        let store = shared_class_store();
-        let mut original = build(SetInterner::with_classes(Arc::clone(&store)));
-        let mut rng = StdRng::seed_from_u64(5);
-        let policy = CompactionPolicy::every(8);
-        for i in 0..62u64 {
-            // Eight object slots, each present 60 % of the time; a slot's
-            // object changes every 12 frames, so compactions retire sets.
-            // The last two frames are empty: states expire and mint nothing,
-            // so the snapshot holds free handles.
-            let objects: ObjectSet = (0..8u32)
-                .filter(|_| i < 60 && rng.gen_bool(0.6))
-                .map(|slot| ObjectId(slot * 100 + (i as u32 + slot * 3) / 12))
-                .collect();
-            // Classes are registered before the frame, as the engine's
-            // lifecycle does.
-            let mut classes = store.write().unwrap();
-            for object in objects.iter() {
-                classes.register(object, ClassId((object.raw() % 3) as u16));
+    /// restores, into a fresh maintainer around a fresh interner on the
+    /// same class store, an arena with the original's handles: each
+    /// resolves to the original's set (a free one to the empty set) and
+    /// counts the same classes, the same handles are free, the universe
+    /// holds the same objects, and every fresh intersection returns the
+    /// same handle on both, the free ones first.
+    #[test]
+    fn restore_reproduces_handles_counts_and_intersections() {
+        fn check<R: Reach>() {
+            let spec = WindowSpec::new(12, 3).unwrap();
+            let store = shared_class_store();
+            let mut original = Maintainer::<R>::with_options(
+                spec,
+                SetInterner::with_classes(Arc::clone(&store)),
+                None,
+            );
+            let mut rng = StdRng::seed_from_u64(5);
+            let policy = CompactionPolicy::every(8);
+            for i in 0..62u64 {
+                // Eight object slots, each present 60 % of the time; a slot's
+                // object changes every 12 frames, so compactions retire sets.
+                // The last two frames are empty: states expire and mint nothing,
+                // so the snapshot holds free handles.
+                let objects: ObjectSet = (0..8u32)
+                    .filter(|_| i < 60 && rng.gen_bool(0.6))
+                    .map(|slot| ObjectId(slot * 100 + (i as u32 + slot * 3) / 12))
+                    .collect();
+                // Classes are registered before the frame, as the engine's
+                // lifecycle does.
+                let mut classes = store.write().unwrap();
+                for object in objects.iter() {
+                    classes.register(object, ClassId((object.raw() % 3) as u16));
+                }
+                drop(classes);
+                original.advance(FrameId(i), &objects).unwrap();
+                if (i + 1) % policy.check_interval == 0 {
+                    original.maybe_compact(&policy);
+                }
             }
-            drop(classes);
-            original.advance(FrameId(i), &objects).unwrap();
-            if (i + 1) % policy.check_interval == 0 {
-                original.maybe_compact(&policy);
-            }
-        }
-        assert!(original.metrics().compactions > 0);
-        let arena = interner(&mut original).len();
-        let held = interner(&mut original).held();
-        assert_eq!(held, original.live_states() + 1, "a set without a row");
-        assert!(arena > held, "no free handle");
+            assert!(original.metrics().compactions > 0);
+            let arena = original.core.interner.len();
+            let held = original.core.interner.held();
+            assert_eq!(held, original.live_states() + 1, "a set without a row");
+            assert!(arena > held, "no free handle");
 
-        let mut enc = Encoder::new();
-        original.snapshot_state(&mut enc).unwrap();
-        let mut restored = build(SetInterner::with_classes(store));
-        let mut dec = Decoder::new(enc.as_bytes());
-        restored.restore_state(&mut dec).unwrap();
-        dec.finish().unwrap();
+            let mut enc = Encoder::new();
+            original.snapshot_state(&mut enc).unwrap();
+            let mut restored =
+                Maintainer::<R>::with_options(spec, SetInterner::with_classes(store), None);
+            let mut dec = Decoder::new(enc.as_bytes());
+            restored.restore_state(&mut dec).unwrap();
+            dec.finish().unwrap();
 
-        let (a, b) = (interner(&mut original), interner(&mut restored));
-        assert_eq!(b.len(), arena);
-        assert_eq!(b.universe_object_ids(), a.universe_object_ids());
-        let mut handles: Vec<SetId> = (0..arena as u32).map(SetId::from_raw).collect();
-        for &sid in &handles {
-            assert_eq!(b.is_held(sid), a.is_held(sid), "handle {}", sid.raw());
-            assert_eq!(b.resolve(sid), a.resolve(sid), "handle {}", sid.raw());
-            assert_eq!(b.counts_of(sid), a.counts_of(sid), "handle {}", sid.raw());
-            assert!(b.counts_of(sid).is_some());
-        }
-        // A new set, every other object of the universe, meets most sets
-        // in a part the arena does not hold yet.
-        let probe: ObjectSet = a.universe_object_ids().into_iter().step_by(2).collect();
-        let probe = a.intern(&probe);
-        assert_eq!(b.intern(&a.resolve(probe)), probe);
-        assert!(
-            (probe.raw() as usize) < arena,
-            "a new set takes a free handle"
-        );
-        handles.retain(|&sid| a.is_held(sid));
-        handles.push(probe);
-        for &x in &handles {
-            for &y in &handles {
-                assert_eq!(b.intersect(x, y), a.intersect(x, y));
+            let (a, b) = (&mut original.core.interner, &mut restored.core.interner);
+            assert_eq!(b.len(), arena);
+            assert_eq!(b.universe_object_ids(), a.universe_object_ids());
+            let mut handles: Vec<SetId> = (0..arena as u32).map(SetId::from_raw).collect();
+            for &sid in &handles {
+                assert_eq!(b.is_held(sid), a.is_held(sid), "handle {}", sid.raw());
+                assert_eq!(b.resolve(sid), a.resolve(sid), "handle {}", sid.raw());
+                assert_eq!(b.counts_of(sid), a.counts_of(sid), "handle {}", sid.raw());
+                assert!(b.counts_of(sid).is_some());
             }
+            // A new set, every other object of the universe, meets most sets
+            // in a part the arena does not hold yet.
+            let probe: ObjectSet = a.universe_object_ids().into_iter().step_by(2).collect();
+            let probe = a.intern(&probe);
+            assert_eq!(b.intern(&a.resolve(probe)), probe);
+            assert!(
+                (probe.raw() as usize) < arena,
+                "a new set takes a free handle"
+            );
+            handles.retain(|&sid| a.is_held(sid));
+            handles.push(probe);
+            for &x in &handles {
+                for &y in &handles {
+                    assert_eq!(b.intersect(x, y), a.intersect(x, y));
+                }
+            }
+            assert_eq!((b.len(), b.held()), (a.len(), a.held()));
+            assert!(a.held() > held + 1, "no intersection made a new set");
         }
-        assert_eq!((b.len(), b.held()), (a.len(), a.held()));
-        assert!(a.held() > held + 1, "no intersection made a new set");
+        check::<Sweep>();
+        check::<Traversal>();
     }
 }
