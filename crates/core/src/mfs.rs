@@ -73,7 +73,7 @@ mod tests {
     use super::*;
     use crate::compaction::CompactionPolicy;
     use crate::maintainer::StateMaintainer;
-    use crate::substrate::tests::{blob, paper_frames, restore, set};
+    use crate::substrate::tests::{self as shared, blob, paper_frames, restore, set};
     use tvq_common::{Encoder, WindowSpec};
 
     fn states_at(m: &MfsMaintainer) -> Vec<(ObjectSet, Vec<(u64, bool)>)> {
@@ -157,6 +157,47 @@ mod tests {
                 (set(&[1, 2, 6]), vec![(2, true), (3, false)]),
             ]
         );
+    }
+
+    /// The satisfied, valid result states must match Table 1's EXP column.
+    #[test]
+    fn table_2_expected_results() {
+        shared::paper_example_results_match_table_1::<Sweep>();
+    }
+
+    #[test]
+    fn termination_suppresses_small_states() {
+        let m = shared::termination_suppresses_hopeless_states::<Sweep>();
+        assert_eq!(m.name(), "MFS_O");
+    }
+
+    #[test]
+    fn empty_frames_are_tolerated() {
+        shared::empty_frames_are_tolerated::<Sweep>();
+    }
+
+    #[test]
+    fn rejects_out_of_order_frames() {
+        shared::rejects_out_of_order_frames::<Sweep>();
+    }
+
+    #[test]
+    fn snapshot_restore_resumes_bit_identically() {
+        let [original, restored] = shared::snapshot_restore_resumes_bit_identically::<Sweep>();
+        // MFS never consults the intersection memo, so no counter drifts.
+        assert_eq!(restored.metrics(), original.metrics());
+    }
+
+    #[test]
+    fn restore_rejects_used_maintainers_and_dangling_handles() {
+        shared::restore_rejects_used_maintainers_and_dangling_handles::<Sweep>();
+    }
+
+    /// A mid-epoch snapshot brings back the arena's handles, counts and
+    /// intersections.
+    #[test]
+    fn restore_reproduces_handles_counts_and_intersections() {
+        shared::restore_reproduces_handles_counts_and_intersections::<Sweep>();
     }
 
     #[test]

@@ -449,7 +449,9 @@ mod tests {
     use crate::maintainer::StateMaintainer;
     use crate::metrics::MaintenanceMetrics;
     use crate::prune::{MinCardinalityPruner, SharedPruner};
-    use crate::substrate::tests::{blob, paper_frames, restore, set, sorted_states};
+    use crate::substrate::tests::{
+        self as shared, blob, paper_frames, restore, set, sorted_states,
+    };
     use std::sync::Arc;
     use tvq_common::{Decoder, Encoder, SetInterner, WindowSpec};
 
@@ -466,6 +468,12 @@ mod tests {
                 .check_invariants(interner, &self.table, &self.reach.roots);
             self.table.assert_rows_point_back();
         }
+    }
+
+    /// SSG must produce exactly the satisfied MCOS of Table 1's EXP column.
+    #[test]
+    fn paper_example_results_match_table_1() {
+        shared::paper_example_results_match_table_1::<Traversal>();
     }
 
     #[test]
@@ -504,6 +512,22 @@ mod tests {
     }
 
     #[test]
+    fn empty_frames_and_disjoint_objects() {
+        shared::empty_frames_are_tolerated::<Traversal>();
+    }
+
+    #[test]
+    fn termination_suppresses_hopeless_states() {
+        let m = shared::termination_suppresses_hopeless_states::<Traversal>();
+        assert_eq!(m.name(), "SSG_O");
+    }
+
+    #[test]
+    fn rejects_out_of_order_frames() {
+        shared::rejects_out_of_order_frames::<Traversal>();
+    }
+
+    #[test]
     fn repeated_identical_frames_stay_compact() {
         let spec = WindowSpec::new(10, 5).unwrap();
         let mut m = SsgMaintainer::new(spec);
@@ -524,6 +548,12 @@ mod tests {
     /// counter the state table decides. The rebuilt edges differ from the
     /// uninterrupted ones, so the traversal's work counters (visits,
     /// intersections, edges added and removed) and the memo's may drift.
+    #[test]
+    fn snapshot_restore_resumes_bit_identically() {
+        let [original, restored] = shared::snapshot_restore_resumes_bit_identically::<Traversal>();
+        assert_eq!(restored.principal_states(), original.principal_states());
+    }
+
     #[test]
     fn restore_then_compaction_epochs_match_the_uninterrupted_run() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -682,6 +712,20 @@ mod tests {
         }
         assert!(subset_frames > 150, "only {subset_frames} subset frames");
         assert!(shared_states > 0 && !ssg.results().is_empty());
+    }
+
+    /// A maintainer that already advanced refuses to restore, and bytes
+    /// that would leave a handle dangling are corrupt.
+    #[test]
+    fn restore_rejects_used_maintainers_and_dangling_roots() {
+        shared::restore_rejects_used_maintainers_and_dangling_handles::<Traversal>();
+    }
+
+    /// A mid-epoch snapshot brings back the arena's handles, counts and
+    /// intersections.
+    #[test]
+    fn restore_reproduces_handles_counts_and_intersections() {
+        shared::restore_reproduces_handles_counts_and_intersections::<Traversal>();
     }
 
     /// The roots a restore derives from the table are exactly the distinct

@@ -573,11 +573,10 @@ impl StateTable {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::maintainer::MaintainerKind;
-    use crate::mfs::{MfsMaintainer, Sweep};
+    use crate::mfs::MfsMaintainer;
     use crate::naive::NaiveMaintainer;
     use crate::prune::MinCardinalityPruner;
-    use crate::ssg::{SsgMaintainer, Traversal};
+    use crate::ssg::SsgMaintainer;
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::sync::Arc;
     use tvq_common::{shared_class_store, ClassId};
@@ -595,13 +594,6 @@ pub(crate) mod tests {
             set(&[1, 2, 3, 6]),
             set(&[1, 2, 4]),
         ]
-    }
-
-    /// MFS and SSG, each built by `build` with its paper name.
-    fn both(
-        build: impl Fn(MaintainerKind) -> Box<dyn StateMaintainer>,
-    ) -> [(&'static str, Box<dyn StateMaintainer>); 2] {
-        [MaintainerKind::Mfs, MaintainerKind::Ssg].map(|kind| (kind.name(), build(kind)))
     }
 
     /// The states in object-set order (a restore lays rows out in handle
@@ -645,160 +637,150 @@ pub(crate) mod tests {
         Ok(m)
     }
 
-    #[test]
-    fn rejects_out_of_order_frames() {
+    // The behaviours MFS and SSG share are written once here, generic over
+    // the reach, and run by one test per reach in `mfs::tests` and
+    // `ssg::tests`.
+
+    pub(crate) fn rejects_out_of_order_frames<R: Reach>() {
         let spec = WindowSpec::new(4, 1).unwrap();
-        for (name, mut m) in both(|kind| kind.build(spec)) {
-            m.advance(FrameId(1), &set(&[1])).unwrap();
-            assert!(m.advance(FrameId(1), &set(&[1])).is_err(), "{name}");
-            assert!(m.advance(FrameId(0), &set(&[1])).is_err(), "{name}");
-        }
+        let mut m = Maintainer::<R>::new(spec);
+        m.advance(FrameId(1), &set(&[1])).unwrap();
+        assert!(m.advance(FrameId(1), &set(&[1])).is_err());
+        assert!(m.advance(FrameId(0), &set(&[1])).is_err());
     }
 
-    #[test]
-    fn empty_frames_are_tolerated() {
+    /// Empty frames first and between, a disjoint set beside an older one,
+    /// and the older one leaving the window.
+    pub(crate) fn empty_frames_are_tolerated<R: Reach>() {
         let spec = WindowSpec::new(3, 1).unwrap();
-        for (name, mut m) in both(|kind| kind.build(spec)) {
-            m.advance(FrameId(0), &ObjectSet::empty()).unwrap();
-            m.advance(FrameId(1), &set(&[1, 2])).unwrap();
-            m.advance(FrameId(2), &ObjectSet::empty()).unwrap();
-            assert!(m.results().contains(&set(&[1, 2])), "{name}");
-            for i in 3..6 {
-                m.advance(FrameId(i), &set(&[7, 8])).unwrap();
-            }
-            // {1,2} has left the window.
-            assert!(!m.results().contains(&set(&[1, 2])), "{name}");
-            let frames = m.results().frames_of(&set(&[7, 8])).unwrap();
-            assert_eq!(frames, &[FrameId(3), FrameId(4), FrameId(5)], "{name}");
+        let mut m = Maintainer::<R>::new(spec);
+        m.advance(FrameId(0), &ObjectSet::empty()).unwrap();
+        m.advance(FrameId(1), &set(&[1, 2])).unwrap();
+        m.advance(FrameId(2), &ObjectSet::empty()).unwrap();
+        assert!(m.results().contains(&set(&[1, 2])));
+        m.advance(FrameId(3), &set(&[7, 8])).unwrap();
+        assert!(m.results().contains(&set(&[1, 2])));
+        assert!(m.results().contains(&set(&[7, 8])));
+        for i in 4..6 {
+            m.advance(FrameId(i), &set(&[7, 8])).unwrap();
         }
+        // {1,2} has left the window.
+        assert!(!m.results().contains(&set(&[1, 2])));
+        let frames = m.results().frames_of(&set(&[7, 8])).unwrap();
+        assert_eq!(frames, &[FrameId(3), FrameId(4), FrameId(5)]);
     }
 
     /// The pruner's hopeless sets are never materialised, as principal
-    /// states or as intersections, and the maintainer takes its `_O` name.
-    #[test]
-    fn termination_suppresses_hopeless_states() {
+    /// states or as intersections. Returns the maintainer, whose name the
+    /// caller checks.
+    pub(crate) fn termination_suppresses_hopeless_states<R: Reach>() -> Maintainer<R> {
         let spec = WindowSpec::new(4, 1).unwrap();
         let pruner = Arc::new(MinCardinalityPruner { min_objects: 2 });
-        for (name, mut m) in both(|kind| kind.build_with_pruner(spec, pruner.clone())) {
-            m.advance(FrameId(0), &set(&[1])).unwrap();
-            // The single-object state is terminated, not materialised.
-            assert_eq!(m.live_states(), 0, "{name}");
-            assert_eq!(m.metrics().states_terminated, 1, "{name}");
-            m.advance(FrameId(1), &set(&[1, 2])).unwrap();
-            assert_eq!(m.live_states(), 1, "{name}");
-            m.advance(FrameId(2), &set(&[2, 3])).unwrap();
-            // {2} = {1,2} ∩ {2,3} would be a new state but is terminated.
-            assert!(!m.results().contains(&set(&[2])), "{name}");
-            assert!(m.results().contains(&set(&[1, 2])), "{name}");
-            assert!(m.results().contains(&set(&[2, 3])), "{name}");
-            assert_eq!(m.metrics().states_terminated, 2, "{name}");
-            assert_eq!(m.name(), format!("{name}_O"));
-        }
+        let mut m = Maintainer::<R>::with_options(spec, SetInterner::new(), Some(pruner));
+        m.advance(FrameId(0), &set(&[1])).unwrap();
+        // The single-object state is terminated, not materialised.
+        assert_eq!(m.live_states(), 0);
+        assert_eq!(m.metrics().states_terminated, 1);
+        m.advance(FrameId(1), &set(&[1, 2])).unwrap();
+        assert_eq!(m.live_states(), 1);
+        m.advance(FrameId(2), &set(&[2, 3])).unwrap();
+        // {2} = {1,2} ∩ {2,3} would be a new state but is terminated.
+        assert!(!m.results().contains(&set(&[2])));
+        assert!(m.results().contains(&set(&[1, 2])));
+        assert!(m.results().contains(&set(&[2, 3])));
+        assert_eq!(m.metrics().states_terminated, 2);
+        m
     }
 
     /// The satisfied, valid result states must match Table 1's EXP column.
-    #[test]
-    fn paper_example_results_match_table_1() {
+    pub(crate) fn paper_example_results_match_table_1<R: Reach>() {
         let spec = WindowSpec::new(4, 3).unwrap();
-        for (name, mut m) in both(|kind| kind.build(spec)) {
-            let frames = paper_frames();
-            let expected: [&[ObjectSet]; 5] = [
-                &[],
-                &[],
-                &[set(&[2])],
-                &[set(&[1, 2]), set(&[2])],
-                &[set(&[1, 2])],
-            ];
-            for (i, (frame, expected)) in frames.iter().zip(expected).enumerate() {
-                m.advance(FrameId(i as u64), frame).unwrap();
-                assert_eq!(m.results().object_sets(), expected, "{name} frame {i}");
-            }
-            // The reported frame set covers all frames where {A,B} co-occur.
-            assert_eq!(
-                m.results().frames_of(&set(&[1, 2])).unwrap(),
-                &[FrameId(1), FrameId(2), FrameId(3), FrameId(4)],
-                "{name}"
-            );
+        let mut m = Maintainer::<R>::new(spec);
+        let frames = paper_frames();
+        let expected: [&[ObjectSet]; 5] = [
+            &[],
+            &[],
+            &[set(&[2])],
+            &[set(&[1, 2]), set(&[2])],
+            &[set(&[1, 2])],
+        ];
+        for (i, (frame, expected)) in frames.iter().zip(expected).enumerate() {
+            m.advance(FrameId(i as u64), frame).unwrap();
+            assert_eq!(m.results().object_sets(), expected, "frame {i}");
         }
+        // The reported frame set covers all frames where {A,B} co-occur.
+        assert_eq!(
+            m.results().frames_of(&set(&[1, 2])).unwrap(),
+            &[FrameId(1), FrameId(2), FrameId(3), FrameId(4)]
+        );
     }
 
     /// A snapshot restored into a fresh maintainer holds the original's
     /// states and metrics, and both run on with equal results. The memo is
-    /// not persisted, so only its gauges may drift (MFS never uses it).
-    #[test]
-    fn snapshot_restore_resumes_bit_identically() {
-        fn run<R: Reach>() -> [Maintainer<R>; 2] {
-            let spec = WindowSpec::new(4, 2).unwrap();
-            let mut original = Maintainer::<R>::new(spec);
-            let patterns = paper_frames();
-            for (i, frame) in patterns.iter().cycle().take(9).enumerate() {
-                original.advance(FrameId(i as u64), frame).unwrap();
-            }
-            let mut enc = Encoder::new();
-            original.snapshot_state(&mut enc).unwrap();
-            let mut restored = restore::<R>(spec, enc.as_bytes()).unwrap();
-            assert_eq!(restored.live_states(), original.live_states());
-            assert_eq!(sorted_states(&restored), sorted_states(&original));
-            assert_eq!(restored.metrics(), original.metrics());
-            for (i, frame) in patterns.iter().cycle().take(25).enumerate().skip(9) {
-                original.advance(FrameId(i as u64), frame).unwrap();
-                restored.advance(FrameId(i as u64), frame).unwrap();
-                assert_eq!(restored.results(), original.results(), "frame {i}");
-            }
-            assert_eq!(
-                restored.metrics().without_cache_gauges(),
-                original.metrics().without_cache_gauges()
-            );
-            [original, restored]
+    /// not persisted, so only its gauges may drift; the caller checks what
+    /// its reach keeps beyond that. Returns the original and the restored.
+    pub(crate) fn snapshot_restore_resumes_bit_identically<R: Reach>() -> [Maintainer<R>; 2] {
+        let spec = WindowSpec::new(4, 2).unwrap();
+        let mut original = Maintainer::<R>::new(spec);
+        let patterns = paper_frames();
+        for (i, frame) in patterns.iter().cycle().take(9).enumerate() {
+            original.advance(FrameId(i as u64), frame).unwrap();
         }
-        let [original, restored] = run::<Sweep>();
+        let mut enc = Encoder::new();
+        original.snapshot_state(&mut enc).unwrap();
+        let mut restored = restore::<R>(spec, enc.as_bytes()).unwrap();
+        assert_eq!(restored.live_states(), original.live_states());
+        assert_eq!(sorted_states(&restored), sorted_states(&original));
         assert_eq!(restored.metrics(), original.metrics());
-        let [original, restored] = run::<Traversal>();
-        assert_eq!(restored.principal_states(), original.principal_states());
+        for (i, frame) in patterns.iter().cycle().take(25).enumerate().skip(9) {
+            original.advance(FrameId(i as u64), frame).unwrap();
+            restored.advance(FrameId(i as u64), frame).unwrap();
+            assert_eq!(restored.results(), original.results(), "frame {i}");
+        }
+        assert_eq!(
+            restored.metrics().without_cache_gauges(),
+            original.metrics().without_cache_gauges()
+        );
+        [original, restored]
     }
 
-    #[test]
-    fn restore_rejects_used_maintainers_and_dangling_handles() {
-        fn check<R: Reach>() {
-            let spec = WindowSpec::new(4, 2).unwrap();
-            let bytes = blob(Some(0), &[(&[1, 2], &[(0, true)]), (&[], &[]), (&[2], &[])]);
-            let mut restored = restore::<R>(spec, &bytes).unwrap();
-            let interner = &restored.core.interner;
-            assert_eq!((restored.live_states(), interner.len()), (1, 4));
-            assert!(!interner.is_held(SetId::from_raw(2)), "a free handle");
-            // The set without a row goes at the end of the next frame, and a
-            // new set takes the free handle.
-            restored.advance(FrameId(1), &set(&[1, 2, 5])).unwrap();
-            let interner = &restored.core.interner;
-            assert_eq!(interner.get(&set(&[1, 2, 5])), Some(SetId::from_raw(2)));
-            assert_eq!((interner.get(&set(&[2])), interner.held()), (None, 3));
+    pub(crate) fn restore_rejects_used_maintainers_and_dangling_handles<R: Reach>() {
+        let spec = WindowSpec::new(4, 2).unwrap();
+        let bytes = blob(Some(0), &[(&[1, 2], &[(0, true)]), (&[], &[]), (&[2], &[])]);
+        let mut restored = restore::<R>(spec, &bytes).unwrap();
+        let interner = &restored.core.interner;
+        assert_eq!((restored.live_states(), interner.len()), (1, 4));
+        assert!(!interner.is_held(SetId::from_raw(2)), "a free handle");
+        // The set without a row goes at the end of the next frame, and a
+        // new set takes the free handle.
+        restored.advance(FrameId(1), &set(&[1, 2, 5])).unwrap();
+        let interner = &restored.core.interner;
+        assert_eq!(interner.get(&set(&[1, 2, 5])), Some(SetId::from_raw(2)));
+        assert_eq!((interner.get(&set(&[2])), interner.held()), (None, 3));
 
-            // A maintainer that already advanced, or whose interner already
-            // holds a set, refuses to restore.
-            let mut used = Maintainer::<R>::new(spec);
-            used.advance(FrameId(0), &set(&[9])).unwrap();
-            let mut interned = SetInterner::new();
-            interned.intern(&set(&[9]));
-            let mut seeded = Maintainer::<R>::with_options(spec, interned, None);
-            for m in [&mut used, &mut seeded] {
-                let err = m.restore_state(&mut Decoder::new(&bytes)).unwrap_err();
-                assert!(matches!(err, Error::Store(_)), "{err}");
-            }
-
-            // No handle is written any more, so none can dangle. A set
-            // written twice lands on another handle than its position, which
-            // would leave that position's handle dangling, and a free handle
-            // cannot hold a row: corrupt, not a panic.
-            for sets in [
-                &[(&[1, 2][..], &[(0, true)][..]), (&[2, 1], &[])][..],
-                &[(&[1, 2], &[(0, true)]), (&[], &[(0, true)])],
-            ] {
-                let err = restore::<R>(spec, &blob(Some(0), sets)).unwrap_err();
-                assert!(matches!(err, Error::Corrupt(_)), "{err}");
-            }
+        // A maintainer that already advanced, or whose interner already
+        // holds a set, refuses to restore.
+        let mut used = Maintainer::<R>::new(spec);
+        used.advance(FrameId(0), &set(&[9])).unwrap();
+        let mut interned = SetInterner::new();
+        interned.intern(&set(&[9]));
+        let mut seeded = Maintainer::<R>::with_options(spec, interned, None);
+        for m in [&mut used, &mut seeded] {
+            let err = m.restore_state(&mut Decoder::new(&bytes)).unwrap_err();
+            assert!(matches!(err, Error::Store(_)), "{err}");
         }
-        check::<Sweep>();
-        check::<Traversal>();
+
+        // No handle is written any more, so none can dangle. A set written
+        // twice lands on another handle than its position, which would
+        // leave that position's handle dangling, and a free handle cannot
+        // hold a row: corrupt, not a panic.
+        for sets in [
+            &[(&[1, 2][..], &[(0, true)][..]), (&[2, 1], &[])][..],
+            &[(&[1, 2], &[(0, true)]), (&[], &[(0, true)])],
+        ] {
+            let err = restore::<R>(spec, &blob(Some(0), sets)).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{err}");
+        }
     }
 
     /// Frame sets are complete: after every frame, each MFS and SSG row
@@ -960,83 +942,78 @@ pub(crate) mod tests {
     /// counts the same classes, the same handles are free, the universe
     /// holds the same objects, and every fresh intersection returns the
     /// same handle on both, the free ones first.
-    #[test]
-    fn restore_reproduces_handles_counts_and_intersections() {
-        fn check<R: Reach>() {
-            let spec = WindowSpec::new(12, 3).unwrap();
-            let store = shared_class_store();
-            let mut original = Maintainer::<R>::with_options(
-                spec,
-                SetInterner::with_classes(Arc::clone(&store)),
-                None,
-            );
-            let mut rng = StdRng::seed_from_u64(5);
-            let policy = CompactionPolicy::every(8);
-            for i in 0..62u64 {
-                // Eight object slots, each present 60 % of the time; a slot's
-                // object changes every 12 frames, so compactions retire sets.
-                // The last two frames are empty: states expire and mint nothing,
-                // so the snapshot holds free handles.
-                let objects: ObjectSet = (0..8u32)
-                    .filter(|_| i < 60 && rng.gen_bool(0.6))
-                    .map(|slot| ObjectId(slot * 100 + (i as u32 + slot * 3) / 12))
-                    .collect();
-                // Classes are registered before the frame, as the engine's
-                // lifecycle does.
-                let mut classes = store.write().unwrap();
-                for object in objects.iter() {
-                    classes.register(object, ClassId((object.raw() % 3) as u16));
-                }
-                drop(classes);
-                original.advance(FrameId(i), &objects).unwrap();
-                if (i + 1) % policy.check_interval == 0 {
-                    original.maybe_compact(&policy);
-                }
+    pub(crate) fn restore_reproduces_handles_counts_and_intersections<R: Reach>() {
+        let spec = WindowSpec::new(12, 3).unwrap();
+        let store = shared_class_store();
+        let mut original = Maintainer::<R>::with_options(
+            spec,
+            SetInterner::with_classes(Arc::clone(&store)),
+            None,
+        );
+        let mut rng = StdRng::seed_from_u64(5);
+        let policy = CompactionPolicy::every(8);
+        for i in 0..62u64 {
+            // Eight object slots, each present 60 % of the time; a slot's
+            // object changes every 12 frames, so compactions retire sets.
+            // The last two frames are empty: states expire and mint nothing,
+            // so the snapshot holds free handles.
+            let objects: ObjectSet = (0..8u32)
+                .filter(|_| i < 60 && rng.gen_bool(0.6))
+                .map(|slot| ObjectId(slot * 100 + (i as u32 + slot * 3) / 12))
+                .collect();
+            // Classes are registered before the frame, as the engine's
+            // lifecycle does.
+            let mut classes = store.write().unwrap();
+            for object in objects.iter() {
+                classes.register(object, ClassId((object.raw() % 3) as u16));
             }
-            assert!(original.metrics().compactions > 0);
-            let arena = original.core.interner.len();
-            let held = original.core.interner.held();
-            assert_eq!(held, original.live_states() + 1, "a set without a row");
-            assert!(arena > held, "no free handle");
-
-            let mut enc = Encoder::new();
-            original.snapshot_state(&mut enc).unwrap();
-            let mut restored =
-                Maintainer::<R>::with_options(spec, SetInterner::with_classes(store), None);
-            let mut dec = Decoder::new(enc.as_bytes());
-            restored.restore_state(&mut dec).unwrap();
-            dec.finish().unwrap();
-
-            let (a, b) = (&mut original.core.interner, &mut restored.core.interner);
-            assert_eq!(b.len(), arena);
-            assert_eq!(b.universe_object_ids(), a.universe_object_ids());
-            let mut handles: Vec<SetId> = (0..arena as u32).map(SetId::from_raw).collect();
-            for &sid in &handles {
-                assert_eq!(b.is_held(sid), a.is_held(sid), "handle {}", sid.raw());
-                assert_eq!(b.resolve(sid), a.resolve(sid), "handle {}", sid.raw());
-                assert_eq!(b.counts_of(sid), a.counts_of(sid), "handle {}", sid.raw());
-                assert!(b.counts_of(sid).is_some());
+            drop(classes);
+            original.advance(FrameId(i), &objects).unwrap();
+            if (i + 1) % policy.check_interval == 0 {
+                original.maybe_compact(&policy);
             }
-            // A new set, every other object of the universe, meets most sets
-            // in a part the arena does not hold yet.
-            let probe: ObjectSet = a.universe_object_ids().into_iter().step_by(2).collect();
-            let probe = a.intern(&probe);
-            assert_eq!(b.intern(&a.resolve(probe)), probe);
-            assert!(
-                (probe.raw() as usize) < arena,
-                "a new set takes a free handle"
-            );
-            handles.retain(|&sid| a.is_held(sid));
-            handles.push(probe);
-            for &x in &handles {
-                for &y in &handles {
-                    assert_eq!(b.intersect(x, y), a.intersect(x, y));
-                }
-            }
-            assert_eq!((b.len(), b.held()), (a.len(), a.held()));
-            assert!(a.held() > held + 1, "no intersection made a new set");
         }
-        check::<Sweep>();
-        check::<Traversal>();
+        assert!(original.metrics().compactions > 0);
+        let arena = original.core.interner.len();
+        let held = original.core.interner.held();
+        assert_eq!(held, original.live_states() + 1, "a set without a row");
+        assert!(arena > held, "no free handle");
+
+        let mut enc = Encoder::new();
+        original.snapshot_state(&mut enc).unwrap();
+        let mut restored =
+            Maintainer::<R>::with_options(spec, SetInterner::with_classes(store), None);
+        let mut dec = Decoder::new(enc.as_bytes());
+        restored.restore_state(&mut dec).unwrap();
+        dec.finish().unwrap();
+
+        let (a, b) = (&mut original.core.interner, &mut restored.core.interner);
+        assert_eq!(b.len(), arena);
+        assert_eq!(b.universe_object_ids(), a.universe_object_ids());
+        let mut handles: Vec<SetId> = (0..arena as u32).map(SetId::from_raw).collect();
+        for &sid in &handles {
+            assert_eq!(b.is_held(sid), a.is_held(sid), "handle {}", sid.raw());
+            assert_eq!(b.resolve(sid), a.resolve(sid), "handle {}", sid.raw());
+            assert_eq!(b.counts_of(sid), a.counts_of(sid), "handle {}", sid.raw());
+            assert!(b.counts_of(sid).is_some());
+        }
+        // A new set, every other object of the universe, meets most sets
+        // in a part the arena does not hold yet.
+        let probe: ObjectSet = a.universe_object_ids().into_iter().step_by(2).collect();
+        let probe = a.intern(&probe);
+        assert_eq!(b.intern(&a.resolve(probe)), probe);
+        assert!(
+            (probe.raw() as usize) < arena,
+            "a new set takes a free handle"
+        );
+        handles.retain(|&sid| a.is_held(sid));
+        handles.push(probe);
+        for &x in &handles {
+            for &y in &handles {
+                assert_eq!(b.intersect(x, y), a.intersect(x, y));
+            }
+        }
+        assert_eq!((b.len(), b.held()), (a.len(), a.held()));
+        assert!(a.held() > held + 1, "no intersection made a new set");
     }
 }
