@@ -169,11 +169,6 @@ impl RemapTable {
         self.live
     }
 
-    /// Number of handles retired by the compaction, free ones included.
-    pub fn retired(&self) -> usize {
-        self.map.len() - self.live
-    }
-
     /// The objects retired by this epoch (no surviving set contains them),
     /// in ascending identifier order.
     pub fn retired_objects(&self) -> &[ObjectId] {
@@ -290,7 +285,6 @@ pub struct SetInterner {
     classes: Option<SharedClassMap>,
     memo_hits: u64,
     memo_misses: u64,
-    memo_entries: usize,
 }
 
 impl SetInterner {
@@ -326,7 +320,6 @@ impl SetInterner {
     pub fn with_memo_config(mut self, config: MemoConfig) -> Self {
         self.memo_config = config;
         self.memo = Vec::new();
-        self.memo_entries = 0;
         self
     }
 
@@ -415,11 +408,6 @@ impl SetInterner {
         let mut ids: Vec<ObjectId> = self.universe.object_ids().collect();
         ids.sort_unstable();
         ids
-    }
-
-    /// Number of occupied intersection-cache slots.
-    pub fn memo_len(&self) -> usize {
-        self.memo_entries
     }
 
     /// How many intersections were answered from the memo (lifetime,
@@ -623,7 +611,6 @@ impl SetInterner {
         }
         self.clock = 0;
         self.memo = Vec::new();
-        self.memo_entries = 0;
     }
 
     /// Appends an entry holding `run` and returns its handle; the caller
@@ -776,9 +763,6 @@ impl SetInterner {
         }
         self.memo_misses += 1;
         let answer = self.intersect_uncached(a, b, bound, guess);
-        if entry.lo == entry.hi {
-            self.memo_entries += 1;
-        }
         self.memo[slot] = MemoEntry {
             lo,
             hi,
@@ -872,7 +856,6 @@ impl SetInterner {
         // The memo references retired handles; drop it wholesale (it refills
         // within a window's worth of frames).
         self.memo = Vec::new();
-        self.memo_entries = 0;
 
         retired_objects.sort_unstable();
         RemapTable {
@@ -892,6 +875,11 @@ mod tests {
 
     fn set(ids: &[u32]) -> ObjectSet {
         ObjectSet::from_raw(ids.iter().copied())
+    }
+
+    /// Number of occupied intersection-cache slots.
+    fn memo_len(interner: &SetInterner) -> usize {
+        interner.memo.iter().filter(|e| e.lo != e.hi).count()
     }
 
     #[test]
@@ -982,7 +970,7 @@ mod tests {
         assert_eq!(interner.resolve(ab), set(&[2, 3]));
         // Commutative and memoized.
         assert_eq!(interner.intersect(b, a), ab);
-        assert_eq!(interner.memo_len(), 1);
+        assert_eq!(memo_len(&interner), 1);
         assert_eq!(interner.memo_hits(), 1);
         assert_eq!(interner.memo_misses(), 1);
     }
@@ -994,7 +982,7 @@ mod tests {
         assert_eq!(interner.intersect(a, a), a);
         assert_eq!(interner.intersect(a, SetId::EMPTY), SetId::EMPTY);
         assert_eq!(interner.intersect(SetId::EMPTY, a), SetId::EMPTY);
-        assert_eq!(interner.memo_len(), 0);
+        assert_eq!(memo_len(&interner), 0);
     }
 
     #[test]
@@ -1018,7 +1006,7 @@ mod tests {
         assert!(!interner.is_subset_of(a, b));
         assert!(interner.is_subset_of(SetId::EMPTY, c));
         assert!(interner.is_subset_of(a, a));
-        assert_eq!(interner.memo_len(), 0);
+        assert_eq!(memo_len(&interner), 0);
     }
 
     #[test]
@@ -1218,7 +1206,7 @@ mod tests {
 
         let table = interner.compact(&[b, c, c]);
         assert_eq!(table.live(), 3, "empty + two survivors");
-        assert_eq!(table.retired(), 1);
+        assert_eq!(table.retired_objects(), [ObjectId(1), ObjectId(2)]);
         assert_eq!(table.remap(SetId::EMPTY), Some(SetId::EMPTY));
         assert_eq!(table.remap(a), None, "retired handle");
 
@@ -1232,7 +1220,7 @@ mod tests {
             4,
             "objects 1 and 2 re-densified away"
         );
-        assert_eq!(interner.memo_len(), 0, "memo dropped with the old epoch");
+        assert_eq!(memo_len(&interner), 0, "memo dropped with the old epoch");
 
         // The rebuilt content index and bitmaps answer like a fresh interner.
         assert_eq!(interner.get(&set(&[3, 4])), Some(new_b));

@@ -43,8 +43,6 @@ pub struct CompactionOutcome {
     /// The epoch the maintainer entered: its `compactions` metric after
     /// this compaction, which a snapshot carries across a restore.
     pub epoch: u64,
-    /// Number of interned sets retired by the epoch.
-    pub retired_sets: usize,
     /// Objects whose bit slots were re-densified away (ascending order).
     /// An identifier in this list is referenced by no live state; if it
     /// ever reappears in the feed it is, by contract, a **new object**.

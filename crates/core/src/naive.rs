@@ -14,13 +14,14 @@
 use std::collections::hash_map::Entry;
 
 use tvq_common::{
-    FrameId, FxHashMap, MarkedFrameSet, ObjectSet, Result, SetId, SetInterner, WindowSpec,
+    FrameId, FxHashMap, FxHashSet, MarkedFrameSet, ObjectSet, Result, SetId, SetInterner,
+    WindowSpec,
 };
 
 use crate::compaction::{CompactionOutcome, CompactionPolicy};
 use crate::maintainer::StateMaintainer;
 use crate::metrics::MaintenanceMetrics;
-use crate::result_set::ResultStateSet;
+use crate::result_set::{Reported, ResultStateSet};
 use crate::substrate::Substrate;
 
 /// The NAIVE state maintainer.
@@ -33,8 +34,9 @@ use crate::substrate::Substrate;
 /// paper defines only `MFS_O` and `SSG_O`) and does not support snapshots.
 pub struct NaiveMaintainer {
     pub(crate) core: Substrate,
-    /// Object set → the window frames it appears in (never marked).
-    states: FxHashMap<SetId, MarkedFrameSet>,
+    /// Object set → the window frames it appears in (never marked) and,
+    /// while it is a result, its reported set.
+    states: FxHashMap<SetId, (MarkedFrameSet, Reported)>,
 }
 
 impl std::fmt::Debug for NaiveMaintainer {
@@ -68,13 +70,13 @@ impl NaiveMaintainer {
     pub fn states(&self) -> impl Iterator<Item = (ObjectSet, &MarkedFrameSet)> {
         self.states
             .iter()
-            .map(|(&sid, frames)| (self.core.interner.resolve(sid), frames))
+            .map(|(&sid, (frames, _))| (self.core.interner.resolve(sid), frames))
     }
 
     /// Window expiry: a state lives until its frame set empties.
     fn expire(&mut self, oldest: FrameId) {
         let (before, core) = (self.states.len(), &mut self.core);
-        self.states.retain(|&sid, frames| {
+        self.states.retain(|&sid, (frames, _)| {
             frames.expire_before(oldest);
             let keep = !frames.is_empty();
             if !keep {
@@ -112,7 +114,7 @@ impl NaiveMaintainer {
 
         // Pass 2a: append the new frame to states fully contained in it.
         for sid in appenders {
-            if let Some(frames) = self.states.get_mut(&sid) {
+            if let Some((frames, _)) = self.states.get_mut(&sid) {
                 frames.push(frame, false);
                 self.core.metrics.frames_appended += 1;
             }
@@ -130,10 +132,10 @@ impl NaiveMaintainer {
             }
             let mut frames = MarkedFrameSet::new();
             for (_, parent) in group {
-                frames.merge_from(&self.states[parent]);
+                frames.merge_from(&self.states[parent].0);
             }
             frames.push(frame, false);
-            self.states.insert(target, frames);
+            self.states.insert(target, (frames, None));
             self.core.metrics.states_created += 1;
         }
 
@@ -141,7 +143,7 @@ impl NaiveMaintainer {
         // (one that exists already carries the frame: it was an appender or
         // was created by pass 2b).
         if let Entry::Vacant(slot) = self.states.entry(frame_sid) {
-            slot.insert(MarkedFrameSet::singleton(frame, false));
+            slot.insert((MarkedFrameSet::singleton(frame, false), None));
             self.core.metrics.states_created += 1;
         }
     }
@@ -149,16 +151,16 @@ impl NaiveMaintainer {
     /// The end of a frame: releases the sets the frame minted that got no
     /// state, then the a-posteriori MCOS step: among the states that meet
     /// the duration threshold, each distinct frame set contributes its
-    /// largest object set. (Two same-size rivals never lead a frame set:
-    /// the intersection of its frames contains both and is a state with
-    /// the same frames.)
+    /// largest object set; no other state keeps a reported set. (Two
+    /// same-size rivals never lead a frame set: the intersection of its
+    /// frames contains both and is a state with the same frames.)
     fn collect_results(&mut self) {
         let states = &self.states;
         self.core.release_unheld(|sid| states.contains_key(&sid));
         self.core.begin_results(self.states.len());
         let interner = &self.core.interner;
         let mut largest: FxHashMap<&MarkedFrameSet, SetId> = FxHashMap::default();
-        for (&sid, frames) in &self.states {
+        for (&sid, (frames, _)) in &self.states {
             if self.core.spec.satisfies_duration(frames.len()) {
                 largest
                     .entry(frames)
@@ -170,10 +172,14 @@ impl NaiveMaintainer {
                     .or_insert(sid);
             }
         }
-        for (frames, sid) in largest {
-            self.core.report(sid, frames);
+        let winners: FxHashSet<SetId> = largest.into_values().collect();
+        for (&sid, (frames, reported)) in &mut self.states {
+            if winners.contains(&sid) {
+                self.core.report(sid, frames, reported);
+            } else {
+                *reported = None;
+            }
         }
-        self.core.end_results();
     }
 }
 
@@ -212,7 +218,7 @@ impl StateMaintainer for NaiveMaintainer {
         })?;
         self.states = std::mem::take(&mut self.states)
             .into_iter()
-            .filter_map(|(sid, frames)| table.remap(sid).map(|new| (new, frames)))
+            .filter_map(|(sid, state)| table.remap(sid).map(|new| (new, state)))
             .collect();
         Some(outcome)
     }
@@ -440,7 +446,7 @@ mod tests {
         }
         assert_eq!(naive.live_states(), 1 << K);
         let frame_sets: std::collections::HashSet<&MarkedFrameSet> =
-            naive.states.values().collect();
+            naive.states.values().map(|(frames, _)| frames).collect();
         assert_eq!(frame_sets.len(), 1, "every state spans the whole window");
         assert_eq!(naive.results().object_sets(), vec![set(&everyone)]);
     }
@@ -459,7 +465,6 @@ mod tests {
         let outcome = m
             .maybe_compact(&CompactionPolicy::every(1))
             .expect("sparse arena compacts");
-        assert!(outcome.retired_sets > 0);
         assert!(
             !outcome.retired_objects.is_empty(),
             "rotated-away objects are reported retired"

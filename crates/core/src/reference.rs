@@ -122,7 +122,7 @@ impl StateMaintainer for ReferenceMaintainer {
         self.results.clear();
         for (objects, frames) in mcos {
             let marked: MarkedFrameSet = frames.into_iter().map(|f| (f, true)).collect();
-            self.results.insert(objects, &marked);
+            self.results.insert(objects, &marked, None);
         }
         Ok(())
     }

@@ -7,18 +7,18 @@
 //! holds that per-window snapshot in a canonical, order-independent form so
 //! that the three maintainers can be compared state-for-state.
 //!
-//! When the producing maintainer runs on top of a
-//! [`SetInterner`] with a class source, each entry
-//! also carries the [`ClassCounts`] of its object set, computed once when
-//! the set is first reported and kept while it stays reported
-//! (`ReportedSets`), so the CNF evaluator downstream skips the per-frame
-//! histogram rebuild. Cached counts are an evaluation accelerator, not part
-//! of the result semantics: equality between result sets ignores them.
+//! When the producing maintainer's `SetInterner` has a class source, each
+//! entry also carries the [`ClassCounts`] of its object set, computed once
+//! when the state is first reported and kept in its record while it stays
+//! reported (`Reported`), so the CNF evaluator downstream skips the
+//! per-frame histogram rebuild. Cached counts are an evaluation accelerator,
+//! not part of the result semantics: equality between result sets ignores
+//! them.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tvq_common::{ClassCounts, FrameId, FxHashMap, MarkedFrameSet, ObjectSet, SetId, SetInterner};
+use tvq_common::{ClassCounts, FrameId, MarkedFrameSet, ObjectSet};
 
 /// One result entry: the state's frame set plus (optionally) the class
 /// counts the producing maintainer keeps for the reported set. The frame
@@ -49,14 +49,9 @@ impl ResultStateSet {
         self.states.clear();
     }
 
-    /// Inserts (or replaces) a result state.
-    pub fn insert(&mut self, objects: ObjectSet, frames: &MarkedFrameSet) {
-        self.insert_with_counts(objects, frames, None);
-    }
-
-    /// Inserts (or replaces) a result state together with the class counts
-    /// its producer has cached for the object set.
-    pub fn insert_with_counts(
+    /// Inserts (or replaces) a result state, with the class counts its
+    /// producer keeps for the object set, if any.
+    pub fn insert(
         &mut self,
         objects: ObjectSet,
         frames: &MarkedFrameSet,
@@ -114,54 +109,15 @@ impl ResultStateSet {
     }
 }
 
-/// A reported set's sorted objects and (with a class source) class counts.
-type Reported = (ObjectSet, Option<Arc<ClassCounts>>);
-
-/// The materialised object sets and class counts of the states a maintainer
-/// currently reports, by handle.
-///
-/// The interner stores bitmaps only, so the sorted [`ObjectSet`] the query
-/// layer wants costs an allocation and a sort ([`SetInterner::resolve`]),
-/// and its counts an aggregation ([`SetInterner::counts_of`]). Result
-/// states recur frame after frame; this cache pays both once per *reported*
-/// state and makes every later frame two `Arc` bumps. Kept counts stay
-/// right: an internal id's class never changes, and a live set's objects
-/// are never retired.
-#[derive(Debug, Default)]
-pub(crate) struct ReportedSets {
-    sets: FxHashMap<SetId, Reported>,
-}
-
-impl ReportedSets {
-    /// The object set and counts behind `sid`, materialised on first report.
-    pub fn set_of(&mut self, interner: &SetInterner, sid: SetId) -> Reported {
-        self.sets
-            .entry(sid)
-            .or_insert_with(|| (interner.resolve(sid), interner.counts_of(sid).map(Arc::new)))
-            .clone()
-    }
-
-    /// Drops the sets of states that left `results`. Call once `results`
-    /// has been rebuilt from [`set_of`](Self::set_of) values only: the cache
-    /// then holds every reported set, so equal sizes mean nothing is stale.
-    pub fn retain_reported(&mut self, results: &ResultStateSet) {
-        if self.sets.len() != results.len() {
-            self.sets.retain(|_, (set, _)| results.contains(set));
-        }
-    }
-
-    /// Forgets a released handle's set, which the next set minted on the
-    /// handle must not report.
-    pub fn forget(&mut self, sid: SetId) {
-        self.sets.remove(&sid);
-    }
-
-    /// Forgets everything: a compaction epoch re-issues every handle, and
-    /// like the intersection memo this cache refills on the next frame.
-    pub fn clear(&mut self) {
-        self.sets.clear();
-    }
-}
+/// A live state's slot for its materialised object set and (with a class
+/// source) class counts: filled when the state is first reported, emptied
+/// when it stops being a result, dropped with the state. The interner holds
+/// bitmaps only, so a set costs a sort (`SetInterner::resolve`) and its
+/// counts an aggregation (`SetInterner::counts_of`); result states recur
+/// frame after frame, and the slot makes every later frame two `Arc` bumps.
+/// Kept counts stay right: an object's class never changes, and a live
+/// set's objects are never retired. Boxed, it costs a state one word.
+pub(crate) type Reported = Option<Box<(ObjectSet, Option<Arc<ClassCounts>>)>>;
 
 /// Result sets compare by their semantic content — object sets and frame
 /// sets — ignoring cached class counts, so maintainers with and without an
@@ -215,7 +171,7 @@ mod tests {
     #[test]
     fn insert_and_lookup() {
         let mut rs = ResultStateSet::new();
-        rs.insert(set(&[1, 2]), &frames(&[0, 1, 2]));
+        rs.insert(set(&[1, 2]), &frames(&[0, 1, 2]), None);
         assert_eq!(rs.len(), 1);
         assert!(rs.contains(&set(&[2, 1])));
         assert_eq!(
@@ -228,8 +184,8 @@ mod tests {
     #[test]
     fn insert_replaces_existing_entry() {
         let mut rs = ResultStateSet::new();
-        rs.insert(set(&[1]), &frames(&[0]));
-        rs.insert(set(&[1]), &frames(&[0, 1]));
+        rs.insert(set(&[1]), &frames(&[0]), None);
+        rs.insert(set(&[1]), &frames(&[0, 1]), None);
         assert_eq!(rs.len(), 1);
         assert_eq!(rs.frames_of(&set(&[1])).unwrap().len(), 2);
     }
@@ -237,9 +193,9 @@ mod tests {
     #[test]
     fn iteration_is_deterministic() {
         let mut rs = ResultStateSet::new();
-        rs.insert(set(&[3]), &frames(&[2]));
-        rs.insert(set(&[1, 2]), &frames(&[0]));
-        rs.insert(set(&[1]), &frames(&[1]));
+        rs.insert(set(&[3]), &frames(&[2]), None);
+        rs.insert(set(&[1, 2]), &frames(&[0]), None);
+        rs.insert(set(&[1]), &frames(&[1]), None);
         let keys: Vec<ObjectSet> = rs.iter().map(|(k, _)| k.clone()).collect();
         let mut sorted = keys.clone();
         sorted.sort();
@@ -250,7 +206,7 @@ mod tests {
     #[test]
     fn clear_empties_the_set() {
         let mut rs = ResultStateSet::new();
-        rs.insert(set(&[1]), &frames(&[0]));
+        rs.insert(set(&[1]), &frames(&[0]), None);
         rs.clear();
         assert!(rs.is_empty());
     }
@@ -259,9 +215,9 @@ mod tests {
     fn cached_counts_are_exposed_but_ignored_by_equality() {
         let counts = Arc::new(ClassCounts::from_map(HashMap::from([(ClassId(1), 2)])));
         let mut with_counts = ResultStateSet::new();
-        with_counts.insert_with_counts(set(&[1, 2]), &frames(&[0, 1]), Some(Arc::clone(&counts)));
+        with_counts.insert(set(&[1, 2]), &frames(&[0, 1]), Some(Arc::clone(&counts)));
         let mut without = ResultStateSet::new();
-        without.insert(set(&[1, 2]), &frames(&[0, 1]));
+        without.insert(set(&[1, 2]), &frames(&[0, 1]), None);
 
         assert_eq!(with_counts, without, "counts must not affect equality");
         let cached: Vec<_> = with_counts
@@ -275,24 +231,41 @@ mod tests {
     }
 
     /// A set's class counts are aggregated once, when it is first reported,
-    /// and every later frame that reports it shares them.
+    /// and every later frame that reports it shares them, across a
+    /// compaction epoch too: the reported set moves with its state.
     #[test]
     fn reported_counts_are_computed_once_while_reported() {
+        use crate::compaction::CompactionPolicy;
         use crate::maintainer::MaintainerKind;
-        use tvq_common::{shared_class_store, ObjectId, WindowSpec};
+        use tvq_common::{shared_class_store, ObjectId, SetInterner, WindowSpec};
 
         let store = shared_class_store();
-        for id in 1..=3u32 {
+        for id in 1..=4u32 {
             (store.write().unwrap()).register(ObjectId(id), ClassId((id % 2) as u16));
         }
         let pair = set(&[1, 2]);
-        for kind in [MaintainerKind::Mfs, MaintainerKind::Ssg] {
+        for kind in [
+            MaintainerKind::Naive,
+            MaintainerKind::Mfs,
+            MaintainerKind::Ssg,
+        ] {
             let interner = SetInterner::with_classes(Arc::clone(&store));
             let mut m = kind.build_with_options(WindowSpec::new(3, 2).unwrap(), None, interner);
             let mut first: Option<Arc<ClassCounts>> = None;
-            for fid in 0..8u64 {
-                let objects = set(if fid % 2 == 0 { &[1, 2] } else { &[1, 2, 3] });
+            for fid in 0..10u64 {
+                // {1, 2} in every frame; {1, 2, 4} leaves the window at
+                // frame 6, so the epoch after it has a set to retire.
+                let objects = set(match fid % 4 {
+                    1 => &[1, 2, 3],
+                    3 => &[1, 2, 4],
+                    _ => &[1, 2],
+                });
                 m.advance(FrameId(fid), &objects).unwrap();
+                if fid == 6 {
+                    let before = m.metrics().compactions;
+                    m.maybe_compact(&CompactionPolicy::every(1));
+                    assert_eq!(m.metrics().compactions, before + 1, "{kind:?}");
+                }
                 let found = m.results().iter_with_counts().find(|(s, ..)| **s == pair);
                 let Some((_, _, counts)) = found else {
                     continue;
@@ -341,12 +314,12 @@ mod tests {
     #[test]
     fn equality_detects_frame_set_differences() {
         let mut a = ResultStateSet::new();
-        a.insert(set(&[1]), &frames(&[0]));
+        a.insert(set(&[1]), &frames(&[0]), None);
         let mut b = ResultStateSet::new();
-        b.insert(set(&[1]), &frames(&[0, 1]));
+        b.insert(set(&[1]), &frames(&[0, 1]), None);
         assert_ne!(a, b);
         let mut c = ResultStateSet::new();
-        c.insert(set(&[2]), &frames(&[0]));
+        c.insert(set(&[2]), &frames(&[0]), None);
         assert_ne!(a, c);
     }
 }

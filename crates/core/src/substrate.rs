@@ -37,7 +37,7 @@ use crate::compaction::{CompactionOutcome, CompactionPolicy};
 use crate::maintainer::{check_order, StateMaintainer};
 use crate::metrics::MaintenanceMetrics;
 use crate::prune::{PrunerVerdictCache, SharedPruner};
-use crate::result_set::{ReportedSets, ResultStateSet};
+use crate::result_set::{Reported, ResultStateSet};
 
 /// What every interner-backed maintainer holds besides its own states.
 pub(crate) struct Substrate {
@@ -46,9 +46,6 @@ pub(crate) struct Substrate {
     pub(crate) interner: SetInterner,
     /// The Result State Set of the window ending at `last_frame`.
     pub(crate) results: ResultStateSet,
-    /// Materialised object sets and class counts of the reported states,
-    /// by handle.
-    reported: ReportedSets,
     pub(crate) metrics: MaintenanceMetrics,
     /// The Section 5.3 pruner (the `_O` variants) and its verdicts.
     pruner: Option<SharedPruner>,
@@ -66,7 +63,6 @@ impl Substrate {
             spec,
             interner,
             results: ResultStateSet::new(),
-            reported: ReportedSets::default(),
             metrics: MaintenanceMetrics::new(),
             pruner,
             verdicts: PrunerVerdictCache::new(),
@@ -112,22 +108,18 @@ impl Substrate {
     }
 
     /// Releases the set of a state that died: the interner frees its
-    /// handle, and the verdict and reported set kept for it go.
+    /// handle, and the verdict kept for it goes.
     pub(crate) fn release(&mut self, sid: SetId) {
         self.interner.release(sid);
         self.verdicts.forget(sid);
-        self.reported.forget(sid);
     }
 
     /// The end of a frame's edits: releases every set the frame minted
     /// that `holds` says no state keeps, so between frames the interner
     /// holds exactly the states' sets and the empty set.
     pub(crate) fn release_unheld(&mut self, holds: impl FnMut(SetId) -> bool) {
-        let (verdicts, reported) = (&mut self.verdicts, &mut self.reported);
-        self.interner.release_unheld(holds, |sid| {
-            verdicts.forget(sid);
-            reported.forget(sid);
-        });
+        self.interner
+            .release_unheld(holds, |sid| self.verdicts.forget(sid));
     }
 
     /// End-of-frame gauges, then an empty result set for
@@ -138,15 +130,14 @@ impl Substrate {
         self.results.clear();
     }
 
-    /// Reports the satisfied, valid state behind `sid`.
-    pub(crate) fn report(&mut self, sid: SetId, frames: &MarkedFrameSet) {
-        let (objects, counts) = self.reported.set_of(&self.interner, sid);
-        self.results.insert_with_counts(objects, frames, counts);
-    }
-
-    /// Forgets the object sets and counts of states that left the results.
-    pub(crate) fn end_results(&mut self) {
-        self.reported.retain_reported(&self.results);
+    /// Reports the satisfied, valid state behind `sid`, whose record holds
+    /// `frames` and `reported`, materialising its set there on first report.
+    pub(crate) fn report(&mut self, sid: SetId, frames: &MarkedFrameSet, reported: &mut Reported) {
+        let (objects, counts) = &**reported.get_or_insert_with(|| {
+            let counts = self.interner.counts_of(sid).map(Into::into);
+            Box::new((self.interner.resolve(sid), counts))
+        });
+        self.results.insert(objects.clone(), frames, counts.clone());
     }
 
     /// One compaction check over `live_states` live handles (listed by
@@ -164,13 +155,11 @@ impl Substrate {
             return None;
         }
         let mut table = self.interner.compact(&live());
-        self.reported.clear();
         self.verdicts.remap(&table);
         self.metrics.compactions += 1;
         self.metrics.observe_interner(&self.interner);
         let outcome = CompactionOutcome {
             epoch: self.metrics.compactions,
-            retired_sets: table.retired(),
             retired_objects: table.take_retired_objects(),
         };
         Some((table, outcome))
@@ -180,14 +169,15 @@ impl Substrate {
 /// Marks a handle that is not a live state in [`StateTable::rows`].
 const NO_ROW: u32 = u32::MAX;
 
-/// The live states of MFS and SSG. Each row is an interned [`SetId`] and
-/// its marked frame set, found by handle through a dense `rows` column.
-/// Every row holds a marked in-window frame between frames: expiry drops
-/// the rest at the start of the next one.
+/// The live states of MFS and SSG. Each row is an interned [`SetId`], its
+/// marked frame set and, while it is a result, its [`Reported`] set; a row
+/// is found by handle through a dense `rows` column. Every row holds a
+/// marked in-window frame between frames: expiry drops the rest at the
+/// start of the next one.
 #[derive(Default)]
 pub(crate) struct StateTable {
     /// The live states, in the order they were added.
-    states: Vec<(SetId, MarkedFrameSet)>,
+    states: Vec<(SetId, MarkedFrameSet, Reported)>,
     /// Raw handle → its row in `states`, or [`NO_ROW`]; grown to the
     /// interner's length when a row is added.
     rows: Vec<u32>,
@@ -219,7 +209,7 @@ impl StateTable {
             self.rows.resize(interner.len(), NO_ROW);
         }
         self.rows[at] = self.states.len() as u32;
-        self.states.push((sid, frames));
+        self.states.push((sid, frames, None));
     }
 
     /// Frame Marking Rule 1: the arriving `frame` is a key frame of the
@@ -279,7 +269,7 @@ impl StateTable {
     /// `parent`: it co-occurs in every frame `parent` does and keeps their
     /// key frames.
     pub(crate) fn merge_from(&mut self, row: usize, parent: usize) {
-        let [(_, target), (_, source)] = self
+        let [(_, target, _), (_, source, _)] = self
             .states
             .get_disjoint_mut([row, parent])
             // infallible: Rule 2 runs from a state onto a proper subset of
@@ -300,7 +290,7 @@ impl StateTable {
     ) {
         let before = self.states.len();
         let (rows, mut kept) = (&mut self.rows, 0);
-        self.states.retain_mut(|(sid, frames)| {
+        self.states.retain_mut(|(sid, frames, _)| {
             frames.expire_before(oldest);
             let keep = frames.has_marked();
             rows[sid.raw() as usize] = if keep { kept } else { NO_ROW };
@@ -315,23 +305,25 @@ impl StateTable {
     }
 
     /// The end of a frame: releases the sets the frame minted that got no
-    /// row, then reports every valid row that meets the duration threshold.
-    pub(crate) fn collect_results(&self, core: &mut Substrate) {
+    /// row, then reports every valid row that meets the duration threshold
+    /// and empties the reported set of every other row.
+    pub(crate) fn collect_results(&mut self, core: &mut Substrate) {
         core.release_unheld(|sid| self.row_of(sid).is_some());
         core.begin_results(self.states.len());
-        for (sid, frames) in &self.states {
+        for (sid, frames, reported) in &mut self.states {
             if frames.has_marked() && core.spec.satisfies_duration(frames.len()) {
-                core.report(*sid, frames);
+                core.report(*sid, frames, reported);
+            } else {
+                *reported = None;
             }
         }
-        core.end_results();
     }
 
     /// Re-keys every row through a compaction epoch's remap table.
     pub(crate) fn remap(&mut self, table: &RemapTable) {
         self.rows.clear();
         self.rows.resize(table.live(), NO_ROW);
-        for (row, (sid, _)) in self.states.iter_mut().enumerate() {
+        for (row, (sid, ..)) in self.states.iter_mut().enumerate() {
             // infallible: the compaction kept `live()`, these rows' handles.
             *sid = table.remap(*sid).expect("live handles are kept");
             self.rows[sid.raw() as usize] = row as u32;
@@ -500,7 +492,7 @@ impl<R: Reach> Maintainer<R> {
     /// and the worked-example assertions.
     pub fn states(&self) -> impl Iterator<Item = (ObjectSet, &MarkedFrameSet)> {
         let states = self.table.states.iter();
-        states.map(|(sid, frames)| (self.core.interner.resolve(*sid), frames))
+        states.map(|(sid, frames, _)| (self.core.interner.resolve(*sid), frames))
     }
 }
 
@@ -534,8 +526,9 @@ impl<R: Reach> StateMaintainer for Maintainer<R> {
     }
 
     fn maybe_compact(&mut self, policy: &CompactionPolicy) -> Option<CompactionOutcome> {
-        // A compaction epoch keeps every row's handle.
-        let live = || self.table.states.iter().map(|(sid, _)| *sid).collect();
+        // A compaction epoch keeps every row, its handle re-keyed and its
+        // reported set carried along.
+        let live = || self.table.states.iter().map(|(sid, ..)| *sid).collect();
         let (table, outcome) = self.core.compact(policy, self.table.len(), live)?;
         self.table.remap(&table);
         self.reach.remap(&table);
@@ -562,7 +555,7 @@ impl StateTable {
     /// Every row's `rows` entry points back to it, and no other entry
     /// names a row.
     pub(crate) fn assert_rows_point_back(&self) {
-        for (row, (sid, _)) in self.states.iter().enumerate() {
+        for (row, (sid, ..)) in self.states.iter().enumerate() {
             assert_eq!(self.row_of(*sid), Some(row), "handle {}", sid.raw());
         }
         let named = self.rows.iter().filter(|&&row| row != NO_ROW).count();

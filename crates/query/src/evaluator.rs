@@ -401,8 +401,8 @@ mod tests {
         let frames: tvq_common::MarkedFrameSet = [(FrameId(3), true), (FrameId(4), false)]
             .into_iter()
             .collect();
-        results.insert(ObjectSet::from_raw([1, 2, 3]), &frames);
-        results.insert(ObjectSet::from_raw([1, 3]), &frames);
+        results.insert(ObjectSet::from_raw([1, 2, 3]), &frames, None);
+        results.insert(ObjectSet::from_raw([1, 3]), &frames, None);
 
         let matches = evaluate_result_set(&evaluator, &results, &classes);
         assert_eq!(matches.len(), 1);
@@ -559,7 +559,7 @@ mod tests {
                 for query in direct(&queries, sample) {
                     expected.push((query, objects.clone()));
                 }
-                results.insert_with_counts(objects, &frames, Some(Arc::new(sample.clone())));
+                results.insert(objects, &frames, Some(Arc::new(sample.clone())));
             }
             expected.sort_by(|a, b| a.1.cmp(&b.1));
             for _ in 0..2 {
