@@ -18,10 +18,12 @@
 //!   so entry `i` occupies `words[i * stride .. (i + 1) * stride]` — no
 //!   per-entry allocation, no pointer chasing, and the pairwise kernels
 //!   below walk two contiguous word runs;
-//! * the [`UniverseMap`] maps each observed `ObjectId` to a dense bit slot
-//!   and back (owned by the [`SetInterner`](crate::SetInterner), which
-//!   assigns slots first-seen). When a new slot exceeds the current stride
-//!   the arena re-strides: every entry is copied into a wider, zero-padded
+//! * the [`UniverseMap`] maps each object a held set contains to a dense
+//!   bit slot and back (owned by the [`SetInterner`](crate::SetInterner)):
+//!   a slot is freed with the last held set that has its bit, and a new
+//!   object takes the lowest free slot, so the slots in use follow the
+//!   held sets' objects. When a new slot exceeds the current stride the
+//!   arena re-strides: every entry is copied into a wider, zero-padded
 //!   layout, at least a quarter wider (O(log n) re-strides, padding under a
 //!   quarter). [`hash_run`] ignores trailing zero words, so a re-stride
 //!   never changes an entry's hash;
@@ -34,6 +36,7 @@
 //!   the stride that universe needs exactly, which is what keeps
 //!   long-running unbounded feeds bounded (see `SetInterner::compact`).
 
+use crate::error::{Error, Result};
 use crate::hash::{FxHashMap, K};
 use crate::ids::ObjectId;
 
@@ -261,47 +264,89 @@ impl BitmapArena {
     }
 }
 
+/// The slot value of a parked object: registered, but holding no slot.
+const PARKED: u32 = u32::MAX;
+
 /// The dense `ObjectId ↔ bit slot` universe map owned by an interner.
 ///
-/// Slots are handed out first-seen and never reused within an epoch; a
-/// compaction epoch keeps only the slots some surviving set uses and
-/// renumbers them densely (re-densification).
+/// A slot lives while a held set has its bit: each slot counts its
+/// holders, the interner adds one for every bit of a set it mints and
+/// takes one away for every bit of a set it releases, and the slot is
+/// free once its count reaches 0. Its object is then *parked*: still
+/// registered, but holding no slot, so no lookup finds it until
+/// [`slot_of`](Self::slot_of) gives it one again. A new slot is the lowest
+/// free one, so the slots in use, and the bitmaps' width, follow the
+/// objects the held sets contain. A compaction epoch keeps the slots some
+/// surviving set uses, renumbers them densely and retires every other
+/// registered object, parked ones included.
 #[derive(Debug, Default, Clone)]
 pub struct UniverseMap {
+    /// Every registered object → its slot, or [`PARKED`].
     slots: FxHashMap<ObjectId, u32>,
-    /// Reverse table: `objects[slot]` is the object holding `slot`. Lets a
-    /// bitmap be turned back into tracker ids without a stored sorted copy.
+    /// Reverse table: `objects[slot]` is the object holding `slot` (stale
+    /// for a free slot). Lets a bitmap be turned back into tracker ids
+    /// without a stored sorted copy.
     objects: Vec<ObjectId>,
+    /// `holders[slot]`: how many held sets have the slot's bit.
+    holders: Vec<u32>,
+    /// The free slots, as a word run: bit `slot` is set while it is free.
+    free: Vec<u64>,
 }
 
 impl UniverseMap {
-    /// Number of objects observed.
+    /// Number of registered objects, parked ones included.
     #[inline]
     pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether no object is registered.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Number of slots handed out, free ones included: every slot is
+    /// below it.
+    #[inline]
+    pub fn slot_count(&self) -> usize {
         self.objects.len()
     }
 
-    /// Whether no object has been observed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
-    }
-
-    /// The slot of `id`, assigning the next free one on first sight.
+    /// The slot of `id`, registering it on first sight. An object without
+    /// a slot takes the lowest free one, or the next past the last.
     #[inline]
     pub fn slot_of(&mut self, id: ObjectId) -> u32 {
-        let next = self.objects.len() as u32;
-        let slot = *self.slots.entry(id).or_insert(next);
-        if slot == next {
-            self.objects.push(id);
+        match self.get(id) {
+            Some(slot) => slot,
+            None => self.take_slot(id),
         }
+    }
+
+    /// Gives `id` the lowest free slot, or the next past the last.
+    fn take_slot(&mut self, id: ObjectId) -> u32 {
+        let slot = match self.free.iter().position(|&word| word != 0) {
+            Some(index) => {
+                let word = &mut self.free[index];
+                let slot = (index * WORD_BITS) as u32 + word.trailing_zeros();
+                *word &= *word - 1;
+                self.objects[slot as usize] = id;
+                slot
+            }
+            None => {
+                self.objects.push(id);
+                self.holders.push(0);
+                self.objects.len() as u32 - 1
+            }
+        };
+        self.slots.insert(id, slot);
         slot
     }
 
-    /// The slot of `id`, if observed.
+    /// The slot of `id`, if it holds one.
     #[inline]
     pub fn get(&self, id: ObjectId) -> Option<u32> {
-        self.slots.get(&id).copied()
+        self.slots.get(&id).copied().filter(|&slot| slot != PARKED)
     }
 
     /// The object holding `slot` (which must have been assigned).
@@ -310,31 +355,110 @@ impl UniverseMap {
         self.objects[slot as usize]
     }
 
-    /// Every object currently holding a bit slot, in slot order.
-    pub fn object_ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.objects.iter().copied()
+    /// One more held set has the bit of `slot`.
+    #[inline]
+    pub fn hold(&mut self, slot: u32) {
+        self.holders[slot as usize] += 1;
     }
 
-    /// Approximate bytes held by the map and its reverse table.
+    /// One held set fewer has the bit of `slot`; at none the slot is free
+    /// and its object parked.
+    #[inline]
+    pub fn unhold(&mut self, slot: u32) {
+        let holders = &mut self.holders[slot as usize];
+        *holders -= 1;
+        if *holders == 0 {
+            self.slots.insert(self.objects[slot as usize], PARKED);
+            set_bit(&mut self.free, slot);
+        }
+    }
+
+    /// How many held sets have the bit of `slot`.
+    #[inline]
+    pub fn holders(&self, slot: u32) -> u32 {
+        self.holders[slot as usize]
+    }
+
+    /// Whether `slot` is free.
+    #[inline]
+    pub fn is_free(&self, slot: u32) -> bool {
+        let word = self
+            .free
+            .get(slot as usize / WORD_BITS)
+            .copied()
+            .unwrap_or(0);
+        (word >> (slot as usize % WORD_BITS)) & 1 == 1
+    }
+
+    /// Every registered object, parked ones included, in no order.
+    pub fn object_ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        self.slots.keys().copied()
+    }
+
+    /// The parked objects, ascending.
+    pub fn parked(&self) -> Vec<ObjectId> {
+        let parked = self.slots.iter().filter(|&(_, &slot)| slot == PARKED);
+        let mut parked: Vec<ObjectId> = parked.map(|(&id, _)| id).collect();
+        parked.sort_unstable();
+        parked
+    }
+
+    /// The slots in order, each as its object or `None` when free.
+    pub fn slot_table(&self) -> impl ExactSizeIterator<Item = Option<ObjectId>> + '_ {
+        (0..self.objects.len() as u32)
+            .map(|slot| (!self.is_free(slot)).then(|| self.object_at(slot)))
+    }
+
+    /// Gives an empty map the slot table and the parked objects a snapshot
+    /// wrote ([`slot_table`](Self::slot_table), [`parked`](Self::parked)),
+    /// every slot with no holder yet. An object written twice is corrupt
+    /// data.
+    pub fn restore(&mut self, slots: &[Option<ObjectId>], parked: &[ObjectId]) -> Result<()> {
+        for (slot, object) in (0u32..).zip(slots) {
+            self.holders.push(0);
+            match *object {
+                Some(id) => {
+                    self.objects.push(id);
+                    self.slots.insert(id, slot);
+                }
+                None => {
+                    self.objects.push(ObjectId(0));
+                    set_bit(&mut self.free, slot);
+                }
+            }
+        }
+        for &id in parked {
+            self.slots.insert(id, PARKED);
+        }
+        if self.slots.len() != slots.iter().flatten().count() + parked.len() {
+            return Err(Error::Corrupt("an object is written twice".into()));
+        }
+        Ok(())
+    }
+
+    /// Approximate bytes held by the map, its reverse table, the holder
+    /// counts and the free slots.
     pub fn bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<(ObjectId, u32, u64)>()
-            + self.objects.capacity() * std::mem::size_of::<ObjectId>()
+            + (self.objects.capacity() + self.holders.capacity()) * std::mem::size_of::<u32>()
+            + self.free.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Compaction: keeps the slots whose bit is set in `live` (a word run
-    /// over the current slots) and renumbers them densely in slot order.
-    /// Returns the `old slot → new slot` table (entries of dropped slots
-    /// are meaningless) and the objects that lost their slot.
+    /// over the current slots) and renumbers them densely in slot order,
+    /// each with no holder yet. Returns the `old slot → new slot` table
+    /// (entries of dropped slots are meaningless) and the objects that
+    /// lost their registration: the parked ones and those of dropped slots.
     pub fn retain_slots(&mut self, live: &[u64]) -> (Vec<u32>, Vec<ObjectId>) {
+        let mut retired = self.parked();
         let old = std::mem::take(&mut self.objects);
         let mut slot_map = vec![0u32; old.len()];
-        let mut retired = Vec::new();
         let mut kept = Vec::with_capacity(live.iter().map(|w| w.count_ones() as usize).sum());
-        for (slot, &id) in old.iter().enumerate() {
-            if (live[slot / WORD_BITS] >> (slot % WORD_BITS)) & 1 == 1 {
-                slot_map[slot] = kept.len() as u32;
+        for (slot, &id) in (0u32..).zip(&old) {
+            if (live[slot as usize / WORD_BITS] >> (slot as usize % WORD_BITS)) & 1 == 1 {
+                slot_map[slot as usize] = kept.len() as u32;
                 kept.push(id);
-            } else {
+            } else if !self.is_free(slot) {
                 retired.push(id);
             }
         }
@@ -343,6 +467,8 @@ impl UniverseMap {
             .zip(0u32..)
             .map(|(&id, slot)| (id, slot))
             .collect();
+        self.holders = vec![0; kept.len()];
+        self.free = Vec::new();
         self.objects = kept;
         (slot_map, retired)
     }

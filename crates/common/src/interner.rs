@@ -67,24 +67,35 @@
 //! the caller's holder test does not keep, so between frames the arena
 //! holds what the maintainer's states hold.
 //!
-//! Bit slots are not released with sets: a universe object keeps its slot
-//! until a compaction **epoch**. [`SetInterner::compact`] keeps the
-//! caller's live handles (their bitmaps rewritten against a re-densified
-//! universe), drops every other handle, free ones included, and hands back
-//! a [`RemapTable`] translating old handles to new ones, so every
-//! handle-keyed structure can re-key itself and the caller can retire the
-//! objects that lost their slot. The engine triggers compaction between
-//! frames when the live states are few against the sets
+//! **A bit slot lives while a held set has its bit.** Each slot counts the
+//! held sets that have its bit: minting a set adds one for each of its
+//! bits, and releasing it takes one away before its words are zeroed. The
+//! release that takes a slot's count to 0 frees the slot and *parks* its
+//! object: the object stays registered but holds no slot, so no lookup
+//! finds it, until a set holding it is interned again and it takes the
+//! lowest free slot. The stride thus follows the objects the held sets
+//! contain, not every object seen.
+//!
+//! Registered objects retire at a compaction **epoch**.
+//! [`SetInterner::compact`] keeps the caller's live handles (their bitmaps
+//! rewritten against a re-densified universe), drops every other handle,
+//! free ones included, and hands back a [`RemapTable`] translating old
+//! handles to new ones, so every handle-keyed structure can re-key itself
+//! and the caller can retire the objects no surviving set holds: the
+//! parked ones and those of the slots the epoch drops. The engine triggers
+//! compaction between frames when the live states are few against the sets
 //! [`minted`](SetInterner::minted) this epoch. The interner does not number
 //! its epochs: a maintainer's compaction count is its
 //! `MaintenanceMetrics::compactions`.
 //!
 //! The interner persists nothing itself. A maintainer's snapshot writes its
-//! universe in slot order and its arena's sets in handle order, a free
-//! handle as the empty set, and a restore puts them back into a fresh
-//! interner through [`restore_universe`](SetInterner::restore_universe)
-//! and [`push_restored`](SetInterner::push_restored), which reproduces
-//! every bit slot and every handle, free ones included.
+//! slot table (a free slot as none), its parked objects in ascending order
+//! and its arena's sets in handle order, a free handle as the empty set,
+//! and a restore puts them back into a fresh interner through
+//! [`restore_universe`](SetInterner::restore_universe),
+//! [`push_restored`](SetInterner::push_restored) and
+//! [`finish_restore`](SetInterner::finish_restore), which reproduces every
+//! bit slot, free slot, parked object and handle.
 
 use std::sync::PoisonError;
 
@@ -144,8 +155,8 @@ impl SetId {
 /// `None` (the set was dropped from the arena and must be re-interned if it
 /// ever reappears).
 ///
-/// The table also carries the epoch's **retire set**: the objects whose bit
-/// slots were re-densified away because no surviving set contains them.
+/// The table also carries the epoch's **retire set**: the registered
+/// objects no surviving set contains, parked ones included.
 /// Upstream layers use it to drop those identifiers from their own
 /// per-object state (bindings, class-store entries), which is
 /// what bounds the *engine-side* memory to the live window.
@@ -255,7 +266,8 @@ pub struct SetInterner {
     /// words; 0 marks a free slot (the empty set is never indexed).
     index: Vec<u32>,
     /// `SetId` → the mint clock its set was minted at: 0 for the empty set
-    /// and a compaction's survivors, [`FREE`] for a free handle.
+    /// and a compaction's survivors, [`FREE`] for a free handle. Grows by
+    /// a quarter ([`push_birth`](Self::push_birth)).
     births: Vec<u32>,
     /// Number of free handles.
     free: usize,
@@ -271,7 +283,8 @@ pub struct SetInterner {
     /// Sets minted this epoch: the handles a compaction kept, plus one for
     /// every set minted since.
     minted: usize,
-    /// The `ObjectId ↔ bit slot` universe of the current epoch.
+    /// The `ObjectId ↔ bit slot` universe: the held sets' objects in slots
+    /// that count their holders, and the parked objects.
     universe: UniverseMap,
     /// Reusable word run: the set being interned or intersected.
     scratch: Vec<u64>,
@@ -293,7 +306,7 @@ impl SetInterner {
     pub fn new() -> Self {
         let mut interner = SetInterner::default();
         interner.push_entry(&[]);
-        interner.births.push(0);
+        interner.push_birth(0);
         interner.minted = 1;
         interner.rebuild_index();
         interner
@@ -366,44 +379,48 @@ impl SetInterner {
         self.births[id.index()] > clock
     }
 
-    /// Words per bitmap: the universe's, plus under a quarter of headroom.
+    /// Words per bitmap: what the highest slot handed out needs, plus under
+    /// a quarter of headroom.
     pub fn stride(&self) -> usize {
         self.bitmaps.stride()
     }
 
-    /// Number of distinct objects in the current epoch's universe.
+    /// Number of registered objects: those in a slot and the parked ones.
     pub fn universe_len(&self) -> usize {
         self.universe.len()
     }
 
-    /// The current epoch's universe in slot order, as a snapshot writes it
-    /// for [`restore_universe`](Self::restore_universe).
-    pub fn universe_slots(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.universe.object_ids()
+    /// The slot table in slot order, a free slot as `None`, as a snapshot
+    /// writes it for [`restore_universe`](Self::restore_universe).
+    pub fn slot_table(&self) -> impl ExactSizeIterator<Item = Option<ObjectId>> + '_ {
+        self.universe.slot_table()
     }
 
-    /// Gives a fresh interner the universe a snapshot wrote, in slot
-    /// order, before its sets are put back: the objects of released sets
-    /// keep their slots until the next compaction retires them. An object
-    /// written twice is corrupt data.
-    pub fn restore_universe(&mut self, objects: &[ObjectId]) -> Result<()> {
-        for &object in objects {
-            self.universe.slot_of(object);
-        }
-        if self.universe.len() != objects.len() {
-            return Err(Error::Corrupt("an object holds two bit slots".into()));
-        }
-        if let Some(last) = objects.len().checked_sub(1) {
+    /// The parked objects (registered, in no slot), ascending.
+    pub fn parked_objects(&self) -> Vec<ObjectId> {
+        self.universe.parked()
+    }
+
+    /// Gives a fresh interner the slot table and the parked objects a
+    /// snapshot wrote, before its sets are put back. An object written
+    /// twice is corrupt data.
+    pub fn restore_universe(
+        &mut self,
+        slots: &[Option<ObjectId>],
+        parked: &[ObjectId],
+    ) -> Result<()> {
+        self.universe.restore(slots, parked)?;
+        if let Some(last) = slots.len().checked_sub(1) {
             self.bitmaps.ensure_slot(last as u32);
         }
         Ok(())
     }
 
-    /// The current epoch's universe as a sorted identifier list. Test hook:
-    /// the model checker asserts the universe tracks the lifecycle's
-    /// registered-object set exactly (their agreement is what makes each
-    /// epoch's retire set total), which needs the members, not just
-    /// [`universe_len`](Self::universe_len).
+    /// The registered objects (in a slot or parked) as a sorted identifier
+    /// list. Test hook: the model checker asserts they track the
+    /// lifecycle's registered-object set exactly (their agreement is what
+    /// makes each epoch's retire set total), which needs the members, not
+    /// just [`universe_len`](Self::universe_len).
     pub fn universe_object_ids(&self) -> Vec<ObjectId> {
         let mut ids: Vec<ObjectId> = self.universe.object_ids().collect();
         ids.sort_unstable();
@@ -429,17 +446,17 @@ impl SetInterner {
     }
 
     /// Bytes held per handle beside its bitmap: the content index (5.3–6.7
-    /// B a held set above its minimum size), the birth stamps and the
-    /// handles minted since the last frame's end, 4 B an entry each (the
-    /// last are none between frames). Bitmap storage is reported
-    /// separately by [`SetInterner::bitmap_bytes`].
+    /// B a held set above its minimum size), the birth stamps (at most a
+    /// quarter unused, or 16) and the handles minted since the last frame's
+    /// end, 4 B an entry each (the last are none between frames). Bitmap
+    /// storage is reported separately by [`SetInterner::bitmap_bytes`].
     pub fn arena_bytes(&self) -> usize {
         (self.index.capacity() + self.births.capacity() + self.recent.capacity())
             * std::mem::size_of::<u32>()
     }
 
     /// Bytes held by the dense bitmaps (the scratch run included) and the
-    /// universe map with its reverse table.
+    /// universe map with its reverse table, holder counts and free slots.
     pub fn bitmap_bytes(&self) -> usize {
         self.bitmaps.bytes()
             + self.scratch.capacity() * std::mem::size_of::<u64>()
@@ -447,9 +464,9 @@ impl SetInterner {
     }
 
     /// Interns a set, returning its handle: the held one, or a new one
-    /// minted on the lowest free handle (or past the last). Objects seen
-    /// for the first time are assigned bit slots (such a set is
-    /// necessarily new).
+    /// minted on the lowest free handle (or past the last). An object in no
+    /// slot takes the lowest free slot (such a set is necessarily new: no
+    /// held set contains the object).
     pub fn intern(&mut self, set: &ObjectSet) -> SetId {
         if set.is_empty() {
             return SetId::EMPTY;
@@ -459,7 +476,8 @@ impl SetInterner {
         for object in set.iter() {
             set_bit(&mut run, self.universe.slot_of(object));
         }
-        self.bitmaps.ensure_slot(self.universe.len() as u32 - 1);
+        self.bitmaps
+            .ensure_slot(self.universe.slot_count() as u32 - 1);
         run.resize(self.bitmaps.stride(), 0);
         let id = self.find_or_insert(&run);
         self.scratch = run;
@@ -470,31 +488,47 @@ impl SetInterner {
     /// empty set marks a free handle. Returns the handle the set holds now,
     /// which is an older one when the set was written twice. The free
     /// handles are hidden meanwhile, so a set lands past the last handle.
+    /// A set naming an object in no slot of the restored universe is
+    /// corrupt data.
     ///
     /// [`len`]: Self::len
-    pub fn push_restored(&mut self, set: &ObjectSet) -> SetId {
+    pub fn push_restored(&mut self, set: &ObjectSet) -> Result<SetId> {
+        if let Some(object) = set
+            .iter()
+            .find(|&object| self.universe.get(object).is_none())
+        {
+            let error = format!("a set holds object {} in no bit slot", object.raw());
+            return Err(Error::Corrupt(error));
+        }
         let free = std::mem::take(&mut self.free);
         let id = if set.is_empty() {
             let id = self.push_entry(&[]);
-            self.births.push(FREE);
+            self.push_birth(FREE);
             self.first_free = self.first_free.min(id.index());
             id
         } else {
             self.intern(set)
         };
         self.free = free + usize::from(!self.is_held(id));
-        id
+        Ok(id)
     }
 
-    /// Sets the count [`minted`](Self::minted) reports, as a snapshot
-    /// carried it once every set is back. A count below
-    /// [`len`](Self::len) is corrupt: every handle was minted once.
-    pub fn restore_minted(&mut self, minted: usize) -> Result<()> {
+    /// Ends a restore once every set is back: sets the count
+    /// [`minted`](Self::minted) reports, as the snapshot carried it. A
+    /// count below [`len`](Self::len) is corrupt (every handle was minted
+    /// once), and so is a slot that holds an object but no held set has
+    /// its bit.
+    pub fn finish_restore(&mut self, minted: usize) -> Result<()> {
         if minted < self.len() {
             let len = self.len();
             return Err(Error::Corrupt(format!(
                 "{minted} sets minted for {len} handles"
             )));
+        }
+        let unheld = (0..self.universe.slot_count() as u32)
+            .find(|&slot| !self.universe.is_free(slot) && self.universe.holders(slot) == 0);
+        if let Some(slot) = unheld {
+            return Err(Error::Corrupt(format!("bit slot {slot} has no held set")));
         }
         self.minted = minted;
         Ok(())
@@ -569,13 +603,15 @@ impl SetInterner {
     }
 
     /// Stores a new set (not yet indexed) on the lowest free handle, or
-    /// past the last, stamps its birth and returns the handle.
+    /// past the last, stamps its birth, counts it as a holder of each of
+    /// its bit slots and returns the handle.
     fn mint(&mut self, run: &[u64]) -> SetId {
         if self.clock == FREE - 1 {
             self.restamp();
         }
         self.clock += 1;
         self.minted += 1;
+        slots_of(run).for_each(|slot| self.universe.hold(slot));
         // Every handle below `first_free` is held, so the first free birth
         // from there is the lowest free handle.
         let births = &self.births[self.first_free..];
@@ -592,7 +628,7 @@ impl SetInterner {
             }
             None => {
                 let id = self.push_entry(run);
-                self.births.push(self.clock);
+                self.push_birth(self.clock);
                 id
             }
         };
@@ -613,6 +649,15 @@ impl SetInterner {
         self.memo = Vec::new();
     }
 
+    /// Appends a birth stamp. Out of room, the column grows by a quarter
+    /// (at least 16 stamps), as the bitmap words and the content index do.
+    fn push_birth(&mut self, birth: u32) {
+        if self.births.len() == self.births.capacity() {
+            self.births.reserve_exact((self.births.len() / 4).max(16));
+        }
+        self.births.push(birth);
+    }
+
     /// Appends an entry holding `run` and returns its handle; the caller
     /// pushes its birth.
     fn push_entry(&mut self, run: &[u64]) -> SetId {
@@ -625,15 +670,19 @@ impl SetInterner {
     }
 
     /// Releases a held set the caller no longer holds: it leaves the
-    /// content index, its words are zeroed (so a stale hint naming the
-    /// handle never equals a proper intersection), and its handle is free
-    /// for the next new set. Every memo entry naming the handle stops
-    /// answering. The empty set is never released.
+    /// content index, each of its bit slots loses a holder (a slot left
+    /// with none is freed and its object parked), its words are zeroed (so
+    /// a stale hint naming the handle never equals a proper intersection),
+    /// and its handle is free for the next new set. Every memo entry naming
+    /// the handle stops answering. The empty set is never released.
     pub fn release(&mut self, id: SetId) {
         // infallible: callers release a handle once, when the last row
         // (or, for a set minted this frame, the frame) that held it goes.
         debug_assert!(self.is_held(id) && !id.is_empty_set(), "release of {id:?}");
         self.unindex(id);
+        for slot in slots_of(self.bitmaps.entry(id.index())) {
+            self.universe.unhold(slot);
+        }
         self.bitmaps.write_run(id.index(), &[]);
         self.births[id.index()] = FREE;
         self.free += 1;
@@ -682,9 +731,9 @@ impl SetInterner {
     }
 
     /// The set behind a handle, materialised as a sorted [`ObjectSet`] from
-    /// its bits (slot order is first-seen order, not identifier order, hence
-    /// the sort). Allocates: callers that report the same handle frame after
-    /// frame keep the result instead of asking again.
+    /// its bits (slot order is not identifier order, hence the sort).
+    /// Allocates: callers that report the same handle frame after frame
+    /// keep the result instead of asking again.
     pub fn resolve(&self, id: SetId) -> ObjectSet {
         let mut ids = Vec::with_capacity(self.len_of(id));
         ids.extend(
@@ -814,19 +863,20 @@ impl SetInterner {
 
     /// Starts a new compaction epoch: keeps the given live handles (their
     /// bitmaps, at the stride the surviving universe needs exactly), drops
-    /// everything else, free handles included, re-densifies the universe
-    /// and returns the [`RemapTable`] translating old handles to their
-    /// replacements. The survivors are the epoch's first
-    /// [`minted`](Self::minted) sets.
+    /// everything else, free handles included, re-densifies the universe,
+    /// recounts each slot's holders from the survivors and returns the
+    /// [`RemapTable`] translating old handles to their replacements. The
+    /// survivors are the epoch's first [`minted`](Self::minted) sets.
     ///
     /// The live list must name held sets; it may contain duplicates and
     /// need not mention [`SetId::EMPTY`] (the empty set always survives as
     /// id 0). Surviving
     /// sets keep their relative id order and surviving objects their
     /// relative slot order, so compaction is deterministic for deterministic
-    /// inputs. Objects that only occurred in retired sets lose their bit
-    /// slots, which is what lets a long-running feed with object turnover
-    /// plateau instead of growing monotonically.
+    /// inputs. The registered objects no survivor holds retire: the parked
+    /// ones and those that only occurred in dropped sets. That is what lets
+    /// a long-running feed with object turnover plateau instead of growing
+    /// monotonically.
     ///
     /// Every handle issued before the call — including those inside the
     /// intersection memo, which is cleared here — is invalid afterwards
@@ -847,7 +897,12 @@ impl SetInterner {
         let live_slots = self.bitmaps.union_of(keep.iter().copied());
         let (slot_map, mut retired_objects) = self.universe.retain_slots(&live_slots);
         self.bitmaps
-            .retain_remapped(&keep, &slot_map, self.universe.len());
+            .retain_remapped(&keep, &slot_map, self.universe.slot_count());
+        for entry in 0..keep.len() {
+            for slot in slots_of(self.bitmaps.entry(entry)) {
+                self.universe.hold(slot);
+            }
+        }
         self.births = vec![0; keep.len()];
         (self.free, self.first_free) = (0, 0);
         self.recent = Vec::new();
@@ -1620,6 +1675,102 @@ mod proptests {
                 }
                 prop_assert_eq!(interner.held(), model.len() + 1);
                 prop_assert!(4 * interner.indexed() <= 3 * interner.index.len());
+            }
+        }
+
+        /// Random intern, release, re-intern and compact steps against a
+        /// model of the held sets and the slot table, over sets of one to
+        /// ten objects from a pool of 200, so the slots outgrow one word.
+        /// After every step: each slot counts the held sets that have its
+        /// bit; the slot table is the model's, in which an object without
+        /// a slot took the lowest free one; the parked objects are the
+        /// registered ones in no slot; the stride is the smallest the slot
+        /// high-water mark allows under the quarter rule; and a compaction
+        /// retires exactly the registered objects no surviving set holds.
+        #[test]
+        fn bit_slots_follow_the_held_sets_of_a_map_model(
+            ops in proptest::collection::vec((0u8..32, any::<u64>()), 1..240),
+        ) {
+            use std::collections::{BTreeMap, BTreeSet};
+            let set_of = |seed: u64| {
+                let next = |x: u64| x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let ids = std::iter::successors(Some(next(seed)), |&x| Some(next(x)));
+                ObjectSet::from_raw(ids.take(1 + seed as usize % 10).map(|x| (x >> 33) as u32 % 200))
+            };
+            let mut interner = SetInterner::new();
+            let mut held: BTreeMap<ObjectSet, SetId> = BTreeMap::new();
+            let mut released: Vec<ObjectSet> = Vec::new();
+            let mut slots: Vec<Option<ObjectId>> = Vec::new();
+            let mut registered: BTreeSet<ObjectId> = BTreeSet::new();
+            let mut stride = 0;
+            for (op, seed) in ops {
+                match op {
+                    0..=19 => {
+                        let set = match released.len() {
+                            n if op >= 16 && n > 0 => released[seed as usize % n].clone(),
+                            _ => set_of(seed),
+                        };
+                        for object in set.iter() {
+                            registered.insert(object);
+                            if !slots.contains(&Some(object)) {
+                                match slots.iter().position(Option::is_none) {
+                                    Some(free) => slots[free] = Some(object),
+                                    None => slots.push(Some(object)),
+                                }
+                            }
+                        }
+                        let needed = slots.len().div_ceil(64);
+                        if needed > stride {
+                            stride = needed.max(stride + stride.div_ceil(4));
+                        }
+                        let id = interner.intern(&set);
+                        prop_assert_eq!(*held.entry(set).or_insert(id), id);
+                    }
+                    20..=30 => {
+                        let Some(set) = held.keys().nth(seed as usize % held.len().max(1)).cloned()
+                        else {
+                            continue;
+                        };
+                        interner.release(held.remove(&set).unwrap());
+                        for object in set.iter() {
+                            if !held.keys().any(|other| other.contains(object)) {
+                                let slot = slots.iter().position(|&s| s == Some(object)).unwrap();
+                                slots[slot] = None;
+                            }
+                        }
+                        released.push(set);
+                    }
+                    _ => {
+                        held.retain(|_, id| seed >> (id.raw() % 64) & 1 == 1);
+                        let live: Vec<SetId> = held.values().copied().collect();
+                        let table = interner.compact(&live);
+                        let kept: BTreeSet<ObjectId> = held.keys().flat_map(|s| s.iter()).collect();
+                        let retired: Vec<ObjectId> = registered.difference(&kept).copied().collect();
+                        prop_assert_eq!(table.retired_objects(), &retired[..]);
+                        for id in held.values_mut() {
+                            *id = table.remap(*id).unwrap();
+                        }
+                        slots.retain(|slot| slot.is_some_and(|object| kept.contains(&object)));
+                        registered = kept;
+                        stride = slots.len().div_ceil(64);
+                    }
+                }
+                prop_assert_eq!(interner.slot_table().collect::<Vec<_>>(), slots.clone());
+                let holders = slots.iter().map(|slot| {
+                    slot.map_or(0, |object| held.keys().filter(|s| s.contains(object)).count() as u32)
+                });
+                let counts = (0..slots.len() as u32).map(|slot| interner.universe.holders(slot));
+                prop_assert_eq!(counts.collect::<Vec<_>>(), holders.collect::<Vec<_>>());
+                let in_slots: BTreeSet<ObjectId> = slots.iter().flatten().copied().collect();
+                let parked: Vec<ObjectId> = registered.difference(&in_slots).copied().collect();
+                prop_assert_eq!(interner.parked_objects(), parked);
+                let registered_ids: Vec<ObjectId> = registered.iter().copied().collect();
+                prop_assert_eq!(interner.universe_object_ids(), registered_ids);
+                prop_assert_eq!(interner.stride(), stride);
+                for (set, &id) in &held {
+                    prop_assert_eq!(interner.get(set), Some(id), "{:?}", set);
+                    prop_assert_eq!(&interner.resolve(id), set);
+                }
             }
         }
 

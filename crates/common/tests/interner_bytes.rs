@@ -2,7 +2,9 @@
 //!
 //! `arena_bytes()` and `bitmap_bytes()` feed the benchmark's gated
 //! `state_bytes_peak`; this test pins them to what the process actually
-//! holds, so the number cannot be made small by redefining it. Own test
+//! holds, so the number cannot be made small by redefining it: through
+//! interning, releasing, parking objects and reusing their bit slots, and
+//! a compaction. Own test
 //! binary (the allocator is process-global) with a single `#[test]` (no
 //! sibling test allocates while the measurement runs).
 
@@ -116,6 +118,34 @@ fn gauges_match_the_allocator() {
     assert_gauged(&interner, before, true, "re-interned");
     interner.release_unheld(|id| id.raw() % 3 == 0, |_| {});
     assert_gauged(&interner, before, true, "released at frame end");
+
+    // Releasing every set that holds an object below 150 frees those
+    // objects' bit slots and parks the objects: the holder counts and the
+    // free slots are counted with the universe map. 100 new objects then
+    // take free slots, so no slot is added and the stride stays.
+    let slots = interner.slot_table().len();
+    let parking: Vec<SetId> = (1..interner.len() as u32)
+        .map(SetId::from_raw)
+        .filter(|&id| interner.is_held(id))
+        .filter(|&id| interner.resolve(id).iter().any(|object| object.raw() < 150))
+        .collect();
+    for &id in &parking {
+        interner.release(id);
+    }
+    let parking_bytes = parking.capacity() * std::mem::size_of::<SetId>();
+    assert_gauged(&interner, before + parking_bytes, true, "parked");
+    drop(parking);
+    assert!(interner.parked_objects().len() >= 150, "objects parked");
+    for start in (1_000..1_100).step_by(4) {
+        interner.intern(&ObjectSet::from_raw(start..start + 4));
+    }
+    assert_eq!(
+        interner.slot_table().len(),
+        slots,
+        "new objects reuse slots"
+    );
+    assert_eq!(interner.stride(), 5);
+    assert_gauged(&interner, before, true, "slots reused");
 
     // Compaction must give the memory back, not just stop counting it.
     let live: Vec<SetId> = (1..1_000)

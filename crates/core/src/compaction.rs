@@ -2,17 +2,18 @@
 //!
 //! A maintainer's [`SetInterner`](tvq_common::SetInterner) frees a set
 //! when its last state dies, and reuses the handle, so between frames it
-//! holds only the live states' sets. What it does not free is bit slots: a
-//! universe object keeps its slot, and the bitmaps their width, until a
+//! holds only the live states' sets; a bit slot is freed with the last
+//! held set that has its bit, and its object is parked. What it does not
+//! free is the registration: a parked object stays registered until a
 //! compaction epoch. On a long-running feed with object turnover (new
-//! track ids forever) the universe would grow without bound. An epoch
-//! rebuilds the interner from the live handles
+//! track ids forever) the registered objects would grow without bound. An
+//! epoch rebuilds the interner from the live handles
 //! ([`SetInterner::compact`](tvq_common::SetInterner::compact)), which
-//! re-densifies the universe, renumbers the handles (the one place they
+//! re-densifies the slots, renumbers the handles (the one place they
 //! move) and hands back a [`RemapTable`](tvq_common::RemapTable) through
 //! which every handle-keyed structure re-keys itself, together with the
-//! objects no live set holds any more, which the engine's lifecycle then
-//! retires.
+//! objects no live set holds any more (the parked ones among them), which
+//! the engine's lifecycle then retires.
 //!
 //! [`CompactionPolicy`] describes *when* that is worth doing. The engine
 //! checks the policy between frames (every
@@ -43,7 +44,8 @@ pub struct CompactionOutcome {
     /// The epoch the maintainer entered: its `compactions` metric after
     /// this compaction, which a snapshot carries across a restore.
     pub epoch: u64,
-    /// Objects whose bit slots were re-densified away (ascending order).
+    /// Registered objects no surviving set holds, parked ones included
+    /// (ascending order).
     /// An identifier in this list is referenced by no live state; if it
     /// ever reappears in the feed it is, by contract, a **new object**.
     pub retired_objects: Vec<tvq_common::ObjectId>,

@@ -285,9 +285,10 @@ mod tests {
     }
 
     /// A state reported in one frame dies at the start of the next, and a
-    /// new result state takes its handle there. The cache holds as many
-    /// sets as the results then, so only forgetting the released handle
-    /// keeps the old set out of the results.
+    /// new result state takes its handle there. The reported set lives in
+    /// the dying state's record (its `Reported` slot), not under its
+    /// handle, so it goes with the record and the new state materialises
+    /// its own set on its first report.
     #[test]
     fn a_reused_handle_reports_its_new_set() {
         use crate::maintainer::MaintainerKind;

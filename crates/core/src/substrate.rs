@@ -331,8 +331,9 @@ impl StateTable {
     }
 
     /// The snapshot MFS and SSG both write, one section: `core`'s cursor,
-    /// its interner's length and minted count, its universe in slot order
-    /// (objects of released sets among them), then each handle from 1 on,
+    /// its interner's length and minted count, its slot table in slot order
+    /// (a slot as its object id plus one, 0 for a free slot), its parked
+    /// objects ascending, then each handle from 1 on,
     /// as its set's sorted object ids (none for a free handle, whose words
     /// are zero) and its row's marked frame set (empty without a row: a
     /// row holds a frame between frames), then `core`'s metrics.
@@ -340,8 +341,12 @@ impl StateTable {
         enc.put_opt_u64(core.last_frame.map(FrameId::raw));
         enc.put_usize(core.interner.len());
         enc.put_usize(core.interner.minted());
-        enc.put_usize(core.interner.universe_len());
-        (core.interner.universe_slots()).for_each(|id| enc.put_u32(id.raw()));
+        let slots = core.interner.slot_table();
+        enc.put_usize(slots.len());
+        slots.for_each(|slot| enc.put_u64(slot.map_or(0, |id| u64::from(id.raw()) + 1)));
+        let parked = core.interner.parked_objects();
+        enc.put_usize(parked.len());
+        parked.iter().for_each(|id| enc.put_u32(id.raw()));
         let no_row = MarkedFrameSet::new();
         for sid in (1..core.interner.len() as u32).map(SetId::from_raw) {
             let set = core.interner.resolve(sid);
@@ -355,14 +360,15 @@ impl StateTable {
 
     /// Reads what [`snapshot`](Self::snapshot) wrote into `core`, which
     /// must be freshly built (nothing advanced, nothing interned), and
-    /// returns the table. The universe is put back first, then each set on
-    /// its own handle, an empty one as a free handle, which reproduces
-    /// every bit slot and handle of the snapshotted arena; an object or a
-    /// set written twice, a free handle with a row, a
-    /// frame outside the window ending at the restored cursor, a row with
-    /// no key frame (between frames every row holds one) or fewer sets
-    /// minted than handles is corrupt data. A set without a row is
-    /// released at the end of the next frame. Verdicts, results and the
+    /// returns the table. The slot table and the parked objects are put
+    /// back first, then each set on its own handle, an empty one as a free
+    /// handle, which reproduces every bit slot, free slot, parked object
+    /// and handle of the snapshotted arena; an object or a set written
+    /// twice, a set naming an object in no slot, a slot no set holds, a
+    /// free handle with a row, a frame outside the window ending at the
+    /// restored cursor, a row with no key frame (between frames every row
+    /// holds one) or fewer sets minted than handles is corrupt data. A set
+    /// without a row is released at the end of the next frame. Verdicts, results and the
     /// intersection memo are not persisted: the next `advance` re-collects
     /// results, the pruner re-judges handles on demand, and the memo
     /// refills (so its hit and miss counters may drift).
@@ -374,16 +380,27 @@ impl StateTable {
         }
         core.last_frame = dec.take_opt_u64()?.map(FrameId);
         let (handles, minted) = (dec.take_len()?, dec.take_usize()?);
-        let universe = (0..dec.take_len()?).map(|_| dec.take_u32().map(ObjectId));
-        core.interner
-            .restore_universe(&universe.collect::<Result<Vec<_>>>()?)?;
+        let slot = |dec: &mut Decoder<'_>| -> Result<Option<ObjectId>> {
+            let Some(id) = dec.take_u64()?.checked_sub(1) else {
+                return Ok(None);
+            };
+            let id = u32::try_from(id)
+                .map_err(|_| Error::Corrupt(format!("slot object {id} overflows u32")))?;
+            Ok(Some(ObjectId(id)))
+        };
+        let slots = (0..dec.take_len()?)
+            .map(|_| slot(dec))
+            .collect::<Result<Vec<_>>>()?;
+        let parked = (0..dec.take_len()?).map(|_| dec.take_u32().map(ObjectId));
+        let parked = parked.collect::<Result<Vec<_>>>()?;
+        core.interner.restore_universe(&slots, &parked)?;
         let mut table = StateTable::default();
         for index in 1..handles {
             let ids = (0..dec.take_len()?).map(|_| dec.take_u32().map(ObjectId));
             // Collecting re-sorts the untrusted ids.
             let sid = core
                 .interner
-                .push_restored(&ids.collect::<Result<ObjectSet>>()?);
+                .push_restored(&ids.collect::<Result<ObjectSet>>()?)?;
             if sid.raw() as usize != index {
                 return Err(Error::Corrupt(format!(
                     "set {index} re-interned to handle {} (a repeated set)",
@@ -413,7 +430,7 @@ impl StateTable {
             }
             table.push(sid, frames, &core.interner);
         }
-        core.interner.restore_minted(minted)?;
+        core.interner.finish_restore(minted)?;
         core.metrics = MaintenanceMetrics::decode(dec)?;
         Ok(table)
     }
@@ -571,6 +588,7 @@ pub(crate) mod tests {
     use crate::prune::MinCardinalityPruner;
     use crate::ssg::SsgMaintainer;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::BTreeSet;
     use std::sync::Arc;
     use tvq_common::{shared_class_store, ClassId};
 
@@ -601,16 +619,41 @@ pub(crate) mod tests {
     pub(crate) type Entry<'a> = (&'a [u32], &'a [(u64, bool)]);
 
     /// A hand-written snapshot: the cursor, the interner's length and
-    /// minted count (equal: nothing was released), an empty universe (each
-    /// set's objects take slots as it is put back), each set with its
-    /// row's frames (none for a set without a row; no objects for a free
-    /// handle), and fresh metrics.
+    /// minted count (equal: nothing was released), the sets' objects in
+    /// ascending slots and no parked object, each set with its row's frames
+    /// (none for a set without a row; no objects for a free handle), and
+    /// fresh metrics.
     pub(crate) fn blob(cursor: Option<u64>, sets: &[Entry<'_>]) -> Vec<u8> {
+        let objects: BTreeSet<u32> = sets
+            .iter()
+            .flat_map(|(ids, _)| ids.iter().copied())
+            .collect();
+        blob_with_universe(
+            cursor,
+            &objects.into_iter().map(Some).collect::<Vec<_>>(),
+            &[],
+            sets,
+        )
+    }
+
+    /// [`blob`] with the given slot table (`None` for a free slot) and
+    /// parked objects.
+    fn blob_with_universe(
+        cursor: Option<u64>,
+        slots: &[Option<u32>],
+        parked: &[u32],
+        sets: &[Entry<'_>],
+    ) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.put_opt_u64(cursor);
         enc.put_usize(sets.len() + 1);
         enc.put_usize(sets.len() + 1);
-        enc.put_usize(0);
+        enc.put_usize(slots.len());
+        slots
+            .iter()
+            .for_each(|&slot| enc.put_u64(slot.map_or(0, |id| u64::from(id) + 1)));
+        enc.put_usize(parked.len());
+        parked.iter().for_each(|&id| enc.put_u32(id));
         for (ids, frames) in sets {
             enc.put_usize(ids.len());
             ids.iter().for_each(|&id| enc.put_u32(id));
@@ -774,6 +817,31 @@ pub(crate) mod tests {
             let err = restore::<R>(spec, &blob(Some(0), sets)).unwrap_err();
             assert!(matches!(err, Error::Corrupt(_)), "{err}");
         }
+
+        // A free slot and a parked object come back as written. An object
+        // written twice, a set naming an object in no slot (parked or
+        // never written) and a slot no set holds are corrupt.
+        let row: &[Entry<'_>] = &[(&[1, 2], &[(0, true)])];
+        let bytes = blob_with_universe(Some(0), &[Some(2), None, Some(1)], &[7], row);
+        let restored = restore::<R>(spec, &bytes).unwrap();
+        let interner = &restored.core.interner;
+        let slots: Vec<Option<ObjectId>> = interner.slot_table().collect();
+        assert_eq!(slots, [Some(ObjectId(2)), None, Some(ObjectId(1))]);
+        assert_eq!(interner.parked_objects(), [ObjectId(7)]);
+        for (slots, parked) in [
+            (&[Some(1), Some(2), Some(1)][..], &[][..]),
+            (&[Some(1), Some(2)], &[2]),
+            (&[Some(1), None], &[2]),
+            (&[Some(1)], &[]),
+            (&[Some(1), Some(2), Some(3)], &[]),
+        ] {
+            let bytes = blob_with_universe(Some(0), slots, parked, row);
+            let err = restore::<R>(spec, &bytes).unwrap_err();
+            assert!(
+                matches!(err, Error::Corrupt(_)),
+                "{slots:?} {parked:?}: {err}"
+            );
+        }
     }
 
     /// Frame sets are complete: after every frame, each MFS and SSG row
@@ -852,32 +920,40 @@ pub(crate) mod tests {
         }
     }
 
-    /// Between frames the interner holds exactly the live states' sets and
-    /// the empty set, for MFS, SSG and NAIVE, with and without the pruner
-    /// (whose hopeless sets hold no state), across compaction epochs: on
-    /// random films at w = 8, 30 and 60, checked after every frame.
-    #[test]
-    fn held_sets_are_the_live_states_and_the_empty_set() {
-        use std::collections::BTreeSet;
-        /// A maintainer's held sets and its live states' sets.
-        trait Holds: StateMaintainer {
-            fn held_and_states(&self) -> (BTreeSet<ObjectSet>, BTreeSet<ObjectSet>);
-        }
-        macro_rules! holds {
-            ($($kind:ty),*) => {$(
-                impl Holds for $kind {
-                    fn held_and_states(&self) -> (BTreeSet<ObjectSet>, BTreeSet<ObjectSet>) {
-                        let interner = &self.core.interner;
-                        let handles = (0..interner.len() as u32).map(SetId::from_raw);
-                        let held: Vec<SetId> = handles.filter(|&s| interner.is_held(s)).collect();
-                        assert_eq!(held.len(), interner.held());
-                        let held = held.into_iter().map(|sid| interner.resolve(sid)).collect();
-                        (held, self.states().map(|(set, _)| set).collect())
-                    }
+    /// A maintainer whose interner and states the tests below compare.
+    trait Holds: StateMaintainer {
+        fn interner(&self) -> &SetInterner;
+        fn state_sets(&self) -> BTreeSet<ObjectSet>;
+    }
+
+    macro_rules! holds {
+        ($($kind:ty),*) => {$(
+            impl Holds for $kind {
+                fn interner(&self) -> &SetInterner {
+                    &self.core.interner
                 }
-            )*};
-        }
-        holds!(NaiveMaintainer, MfsMaintainer, SsgMaintainer);
+                fn state_sets(&self) -> BTreeSet<ObjectSet> {
+                    self.states().map(|(set, _)| set).collect()
+                }
+            }
+        )*};
+    }
+    holds!(NaiveMaintainer, MfsMaintainer, SsgMaintainer);
+
+    /// The sets `interner` holds, the empty set included.
+    fn held_sets(interner: &SetInterner) -> Vec<ObjectSet> {
+        let handles = (0..interner.len() as u32).map(SetId::from_raw);
+        let held: Vec<SetId> = handles.filter(|&s| interner.is_held(s)).collect();
+        assert_eq!(held.len(), interner.held());
+        held.into_iter().map(|sid| interner.resolve(sid)).collect()
+    }
+
+    /// Runs NAIVE, MFS, SSG, MFS_O and SSG_O over random films at w = 8,
+    /// 30 and 60, with a compaction check every 16 frames, and calls
+    /// `check` with each maintainer after every frame. Ten object slots,
+    /// each present 70 % of the time; a slot's object changes every 40
+    /// frames (staggered). Every film runs a compaction epoch.
+    fn on_random_films(mut check: impl FnMut(&dyn Holds, &str)) {
         let policy = CompactionPolicy::every(16);
         for (seed, w) in (0..2u64).flat_map(|seed| [8, 30, 60].map(|w| (seed, w))) {
             let spec = WindowSpec::new(w, w / 3).unwrap();
@@ -906,8 +982,6 @@ pub(crate) mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut epochs = 0;
             for i in 0..240u32 {
-                // Ten object slots, each present 70 % of the time; a slot's
-                // object changes every 40 frames (staggered).
                 let objects = ObjectSet::from_raw(
                     (0..10u32)
                         .filter(|_| rng.gen_bool(0.7))
@@ -918,14 +992,149 @@ pub(crate) mod tests {
                     if (i + 1) % 16 == 0 && m.maybe_compact(&policy).is_some() {
                         epochs += 1;
                     }
-                    let (held, mut expected) = m.held_and_states();
-                    assert_eq!(expected.len(), m.live_states());
-                    expected.insert(ObjectSet::empty());
-                    assert_eq!(held, expected, "{name} seed {seed} w={w} frame {i}");
+                    check(m.as_ref(), &format!("{name} seed {seed} w={w} frame {i}"));
                 }
             }
             assert!(epochs > 0, "seed {seed} w={w}");
         }
+    }
+
+    /// Between frames the interner holds exactly the live states' sets and
+    /// the empty set, for MFS, SSG and NAIVE, with and without the pruner
+    /// (whose hopeless sets hold no state), across compaction epochs: on
+    /// random films at w = 8, 30 and 60, checked after every frame.
+    #[test]
+    fn held_sets_are_the_live_states_and_the_empty_set() {
+        on_random_films(|m, at| {
+            let held: BTreeSet<ObjectSet> = held_sets(m.interner()).into_iter().collect();
+            let mut expected = m.state_sets();
+            assert_eq!(expected.len(), m.live_states());
+            expected.insert(ObjectSet::empty());
+            assert_eq!(held, expected, "{at}");
+        });
+    }
+
+    /// Between frames the objects in a bit slot are the union of the held
+    /// sets' objects (none in two slots): a slot is freed exactly when its
+    /// last holder goes. Those and the parked objects are the registered
+    /// ones. For the maintainers and films of the test above; some frames
+    /// have free slots and parked objects.
+    #[test]
+    fn bit_slots_hold_the_held_sets_objects() {
+        let mut parked_seen = 0;
+        on_random_films(|m, at| {
+            let interner = m.interner();
+            let held = held_sets(interner);
+            let slots: Vec<Option<ObjectId>> = interner.slot_table().collect();
+            let in_slots: BTreeSet<ObjectId> = slots.iter().flatten().copied().collect();
+            let union: BTreeSet<ObjectId> = held.iter().flat_map(|s| s.iter()).collect();
+            assert_eq!(in_slots, union, "{at}");
+            assert_eq!(in_slots.len(), slots.iter().flatten().count(), "{at}");
+            let parked = interner.parked_objects();
+            parked_seen += usize::from(!parked.is_empty());
+            let mut registered: Vec<ObjectId> = in_slots.into_iter().chain(parked).collect();
+            registered.sort_unstable();
+            assert_eq!(registered, interner.universe_object_ids(), "{at}");
+        });
+        assert!(parked_seen > 0, "no frame had a parked object");
+    }
+
+    /// A snapshot taken with free bit slots and parked objects, on a film
+    /// whose objects churn, restores into a maintainer whose every later
+    /// snapshot equals the uninterrupted one's, across compaction epochs:
+    /// the head and the universe section (slot table, parked objects) byte
+    /// for byte, and the sets section as the same handle records (each
+    /// set's bytes with its row's) byte for byte, up to handle order, since
+    /// a restore lays its rows out in handle order and MFS's sweep interns
+    /// a frame's new sets in row order. The table's and the interner's
+    /// counters are equal too (SSG's walk counters are not: a restore
+    /// rebuilds its graph).
+    #[test]
+    fn a_restore_with_free_slots_resumes_byte_identically() {
+        fn run<R: Reach>() {
+            let spec = WindowSpec::new(10, 3).unwrap();
+            let policy = CompactionPolicy::every(25);
+            let mut rng = StdRng::seed_from_u64(11);
+            // Eight object slots, each present 60 % of the time; a slot's
+            // object changes every 9 frames (staggered).
+            let film: Vec<ObjectSet> = (0..160u32)
+                .map(|i| {
+                    let present = (0..8u32).filter(|_| rng.gen_bool(0.6));
+                    ObjectSet::from_raw(present.map(|s| s * 100 + (i + s) / 9))
+                })
+                .collect();
+            // The head and universe bytes, the sorted handle records and
+            // the table's and the interner's counters.
+            let snapshot = |m: &Maintainer<R>| {
+                let mut enc = Encoder::new();
+                m.snapshot_state(&mut enc).unwrap();
+                let bytes = enc.into_bytes();
+                let mut dec = Decoder::new(&bytes);
+                let at = |dec: &Decoder<'_>| bytes.len() - dec.remaining();
+                dec.take_opt_u64().unwrap();
+                let handles = dec.take_len().unwrap();
+                dec.take_usize().unwrap();
+                (0..dec.take_len().unwrap()).for_each(|_| assert!(dec.take_u64().is_ok()));
+                (0..dec.take_len().unwrap()).for_each(|_| assert!(dec.take_u32().is_ok()));
+                let head = bytes[..at(&dec)].to_vec();
+                let mut records: Vec<&[u8]> = (1..handles)
+                    .map(|_| {
+                        let start = at(&dec);
+                        (0..dec.take_len().unwrap()).for_each(|_| assert!(dec.take_u32().is_ok()));
+                        MarkedFrameSet::decode(&mut dec, spec.window()).unwrap();
+                        &bytes[start..at(&dec)]
+                    })
+                    .collect();
+                records.sort_unstable();
+                let records: Vec<Vec<u8>> = records.into_iter().map(<[u8]>::to_vec).collect();
+                let m = MaintenanceMetrics::decode(&mut dec).unwrap();
+                let metrics = [
+                    m.frames_processed,
+                    m.states_created,
+                    m.states_pruned,
+                    m.frames_appended,
+                    m.peak_live_states,
+                    m.interned_sets,
+                    m.compactions,
+                ];
+                dec.finish().unwrap();
+                (head, records, metrics)
+            };
+            let mut original = Maintainer::<R>::new(spec);
+            let mut restored: Option<Maintainer<R>> = None;
+            for (i, objects) in film.iter().enumerate() {
+                let frame = FrameId(i as u64);
+                original.advance(frame, objects).unwrap();
+                if let Some(restored) = &mut restored {
+                    restored.advance(frame, objects).unwrap();
+                }
+                if (i as u64 + 1).is_multiple_of(policy.check_interval) {
+                    original.maybe_compact(&policy);
+                    if let Some(restored) = &mut restored {
+                        restored.maybe_compact(&policy);
+                    }
+                }
+                let interner = &original.core.interner;
+                let free_slots = interner.slot_table().any(|slot| slot.is_none());
+                if restored.is_none() && i >= 40 && free_slots {
+                    assert!(!interner.parked_objects().is_empty());
+                    let mut enc = Encoder::new();
+                    original.snapshot_state(&mut enc).unwrap();
+                    restored = Some(restore::<R>(spec, enc.as_bytes()).unwrap());
+                }
+                if let Some(restored) = &restored {
+                    let (a, b) = (snapshot(restored), snapshot(&original));
+                    assert_eq!(a.0, b.0, "frame {i}: head and universe");
+                    assert_eq!(a.1, b.1, "frame {i}: handle records");
+                    assert_eq!(a.2, b.2, "frame {i}: metrics");
+                }
+            }
+            let restored = restored.expect("no frame had a free slot");
+            // Epochs at frames 25, 50, …, 150: five after the restore.
+            assert_eq!(restored.metrics().compactions, 6);
+        }
+        run::<crate::mfs::Sweep>();
+        run::<crate::ssg::Traversal>();
     }
 
     /// A snapshot taken mid-epoch (free handles lie among the held ones)

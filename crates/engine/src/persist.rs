@@ -29,12 +29,13 @@ use crate::engine::TemporalVideoQueryEngine;
 
 /// Magic of the engine snapshot payload (inside the store's `TVQS` framing).
 const MAGIC: [u8; 4] = *b"TVQE";
-/// Version of the engine snapshot payload. Version 8 writes either
+/// Version of the engine snapshot payload. Version 9 writes either
 /// maintainer's state as one section: the cursor, the interner's handle
-/// and minted counts and its universe, its sets in handle order (a free
-/// handle as the empty set) each with its state row's frames, and the
-/// metrics. Older payloads are refused, not read.
-const VERSION: u32 = 8;
+/// and minted counts, its slot table (free slots marked) and parked
+/// objects, its sets in handle order (a free handle as the empty set) each
+/// with its state row's frames, and the metrics. Older payloads are
+/// refused, not read.
+const VERSION: u32 = 9;
 
 const RECORD_FRAME: u8 = 0;
 /// Tag 1 was the add-query record without the registry: a log holding one
@@ -398,13 +399,22 @@ mod tests {
     /// count (8) and the universe in slot order (nine objects, 14 B). Of
     /// the metrics only `arena_bytes` differs (64 → 96: the birth stamps),
     /// at equal varint length.
+    /// Version 9 moved both once more (279 → 280 B, 280 → 281 B), when a
+    /// bit slot began to die with its last set. Walked section by section,
+    /// the config, registry, catalog, lifecycle, cursor and trailer bytes
+    /// are identical, and the blob grew by 1 B. Decoded, each blob holds
+    /// the same cursor, handle and minted counts, sets and rows on the same
+    /// handles; its universe section (14 → 15 B) is the same nine objects
+    /// in the same slots, each written as its id plus one (no free slot),
+    /// and an empty parked list. Of the metrics only `bitmap_bytes` differs
+    /// (356 → 392: the slots' holder counts), at equal varint length.
     #[test]
     fn engine_snapshot_bytes_are_pinned() {
         let pins = [MaintainerKind::Mfs, MaintainerKind::Ssg].map(|kind| {
             let payload = encode_engine(&pinned_script(kind)).unwrap();
             (payload.len(), tvq_common::crc32(&payload))
         });
-        assert_eq!(pins, [(279, 947021990), (280, 684054698)]);
+        assert_eq!(pins, [(280, 2138009612), (281, 3123335964)]);
     }
 
     /// The live-binding, registration and alias lists are written strictly
