@@ -36,7 +36,6 @@
 //!   the stride that universe needs exactly, which is what keeps
 //!   long-running unbounded feeds bounded (see `SetInterner::compact`).
 
-use crate::error::{Error, Result};
 use crate::hash::{FxHashMap, K};
 use crate::ids::ObjectId;
 
@@ -403,37 +402,14 @@ impl UniverseMap {
         parked
     }
 
-    /// The slots in order, each as its object or `None` when free.
-    pub fn slot_table(&self) -> impl ExactSizeIterator<Item = Option<ObjectId>> + '_ {
-        (0..self.objects.len() as u32)
-            .map(|slot| (!self.is_free(slot)).then(|| self.object_at(slot)))
-    }
-
-    /// Gives an empty map the slot table and the parked objects a snapshot
-    /// wrote ([`slot_table`](Self::slot_table), [`parked`](Self::parked)),
-    /// every slot with no holder yet. An object written twice is corrupt
-    /// data.
-    pub fn restore(&mut self, slots: &[Option<ObjectId>], parked: &[ObjectId]) -> Result<()> {
-        for (slot, object) in (0u32..).zip(slots) {
-            self.holders.push(0);
-            match *object {
-                Some(id) => {
-                    self.objects.push(id);
-                    self.slots.insert(id, slot);
-                }
-                None => {
-                    self.objects.push(ObjectId(0));
-                    set_bit(&mut self.free, slot);
-                }
-            }
+    /// Registers `id` as parked: known, in no slot. `false`, and nothing
+    /// changes, when `id` is registered already.
+    pub fn park(&mut self, id: ObjectId) -> bool {
+        if self.slots.contains_key(&id) {
+            return false;
         }
-        for &id in parked {
-            self.slots.insert(id, PARKED);
-        }
-        if self.slots.len() != slots.iter().flatten().count() + parked.len() {
-            return Err(Error::Corrupt("an object is written twice".into()));
-        }
-        Ok(())
+        self.slots.insert(id, PARKED);
+        true
     }
 
     /// Approximate bytes held by the map, its reverse table, the holder

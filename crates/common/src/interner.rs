@@ -88,14 +88,13 @@
 //! its epochs: a maintainer's compaction count is its
 //! `MaintenanceMetrics::compactions`.
 //!
-//! The interner persists nothing itself. A maintainer's snapshot writes its
-//! slot table (a free slot as none), its parked objects in ascending order
-//! and its arena's sets in handle order, a free handle as the empty set,
-//! and a restore puts them back into a fresh interner through
-//! [`restore_universe`](SetInterner::restore_universe),
-//! [`push_restored`](SetInterner::push_restored) and
-//! [`finish_restore`](SetInterner::finish_restore), which reproduces every
-//! bit slot, free slot, parked object and handle.
+//! The interner persists nothing itself, and no handle or bit slot is
+//! persisted. A maintainer's snapshot writes its states' sets by content,
+//! with the [`minted`](SetInterner::minted) count and the parked objects,
+//! and [`SetInterner::restore`] puts them back into a fresh interner in one
+//! call: each set on the next handle, its objects in slots first seen in
+//! that order, the stride fitted once. The restored interner holds the same
+//! sets, registered objects and minted count, with no free handle or slot.
 
 use std::sync::PoisonError;
 
@@ -128,9 +127,9 @@ impl SetId {
     }
 
     /// Rebuilds a handle from its raw arena index, for walking an arena by
-    /// position. No handle is persisted: a snapshot stores the sets in
-    /// handle order, so a handle is only meaningful against the arena
-    /// that issued it.
+    /// position (handles `0..len()`, free ones included). No handle is
+    /// persisted: a snapshot writes sets by content, so a handle is only
+    /// meaningful against the arena that issued it.
     #[inline]
     pub fn from_raw(raw: u32) -> SetId {
         SetId(raw)
@@ -390,30 +389,14 @@ impl SetInterner {
         self.universe.len()
     }
 
-    /// The slot table in slot order, a free slot as `None`, as a snapshot
-    /// writes it for [`restore_universe`](Self::restore_universe).
-    pub fn slot_table(&self) -> impl ExactSizeIterator<Item = Option<ObjectId>> + '_ {
-        self.universe.slot_table()
+    /// Number of bit slots handed out, free ones included.
+    pub fn slot_count(&self) -> usize {
+        self.universe.slot_count()
     }
 
     /// The parked objects (registered, in no slot), ascending.
     pub fn parked_objects(&self) -> Vec<ObjectId> {
         self.universe.parked()
-    }
-
-    /// Gives a fresh interner the slot table and the parked objects a
-    /// snapshot wrote, before its sets are put back. An object written
-    /// twice is corrupt data.
-    pub fn restore_universe(
-        &mut self,
-        slots: &[Option<ObjectId>],
-        parked: &[ObjectId],
-    ) -> Result<()> {
-        self.universe.restore(slots, parked)?;
-        if let Some(last) = slots.len().checked_sub(1) {
-            self.bitmaps.ensure_slot(last as u32);
-        }
-        Ok(())
     }
 
     /// The registered objects (in a slot or parked) as a sorted identifier
@@ -484,54 +467,53 @@ impl SetInterner {
         id
     }
 
-    /// Puts back the set a snapshot wrote at the next handle, [`len`]: the
-    /// empty set marks a free handle. Returns the handle the set holds now,
-    /// which is an older one when the set was written twice. The free
-    /// handles are hidden meanwhile, so a set lands past the last handle.
-    /// A set naming an object in no slot of the restored universe is
-    /// corrupt data.
-    ///
-    /// [`len`]: Self::len
-    pub fn push_restored(&mut self, set: &ObjectSet) -> Result<SetId> {
-        if let Some(object) = set
-            .iter()
-            .find(|&object| self.universe.get(object).is_none())
-        {
-            let error = format!("a set holds object {} in no bit slot", object.raw());
-            return Err(Error::Corrupt(error));
-        }
-        let free = std::mem::take(&mut self.free);
-        let id = if set.is_empty() {
-            let id = self.push_entry(&[]);
-            self.push_birth(FREE);
-            self.first_free = self.first_free.min(id.index());
-            id
-        } else {
-            self.intern(set)
-        };
-        self.free = free + usize::from(!self.is_held(id));
-        Ok(id)
-    }
-
-    /// Ends a restore once every set is back: sets the count
-    /// [`minted`](Self::minted) reports, as the snapshot carried it. A
-    /// count below [`len`](Self::len) is corrupt (every handle was minted
-    /// once), and so is a slot that holds an object but no held set has
-    /// its bit.
-    pub fn finish_restore(&mut self, minted: usize) -> Result<()> {
-        if minted < self.len() {
-            let len = self.len();
+    /// Fills a fresh interner (nothing interned) with what a snapshot
+    /// wrote, and returns the sets' handles: each set on the next handle,
+    /// from 1 on, in order, its objects in bit slots first seen in that
+    /// order, the stride fitted once to those slots; then the parked
+    /// objects, registered in no slot; then the count of sets
+    /// [`minted`](Self::minted) this epoch. The empty set, a set or a
+    /// parked object written twice, a parked object some set holds, or a
+    /// minted count below the handles is corrupt data.
+    pub fn restore(
+        &mut self,
+        sets: &[ObjectSet],
+        parked: &[ObjectId],
+        minted: usize,
+    ) -> Result<Vec<SetId>> {
+        if minted <= sets.len() {
+            let handles = sets.len() + 1;
             return Err(Error::Corrupt(format!(
-                "{minted} sets minted for {len} handles"
+                "{minted} sets minted for {handles} handles"
             )));
         }
-        let unheld = (0..self.universe.slot_count() as u32)
-            .find(|&slot| !self.universe.is_free(slot) && self.universe.holders(slot) == 0);
-        if let Some(slot) = unheld {
-            return Err(Error::Corrupt(format!("bit slot {slot} has no held set")));
+        for object in sets.iter().flat_map(ObjectSet::iter) {
+            self.universe.slot_of(object);
+        }
+        if let Some(last) = self.universe.slot_count().checked_sub(1) {
+            self.bitmaps.ensure_slot(last as u32);
+        }
+        let mut ids = Vec::with_capacity(sets.len());
+        for set in sets {
+            let id = self.intern(set);
+            if id.index() != ids.len() + 1 {
+                let what = if set.is_empty() {
+                    "the empty set"
+                } else {
+                    "a set written twice"
+                };
+                return Err(Error::Corrupt(format!("row {} holds {what}", ids.len())));
+            }
+            ids.push(id);
+        }
+        for &object in parked {
+            if !self.universe.park(object) {
+                let error = format!("parked object {} is written twice or held", object.raw());
+                return Err(Error::Corrupt(error));
+            }
         }
         self.minted = minted;
-        Ok(())
+        Ok(ids)
     }
 
     /// Looks a set up without interning it (and without assigning slots: a
@@ -1755,7 +1737,10 @@ mod proptests {
                         stride = slots.len().div_ceil(64);
                     }
                 }
-                prop_assert_eq!(interner.slot_table().collect::<Vec<_>>(), slots.clone());
+                let universe = &interner.universe;
+                let table = (0..interner.slot_count() as u32)
+                    .map(|slot| (!universe.is_free(slot)).then(|| universe.object_at(slot)));
+                prop_assert_eq!(table.collect::<Vec<_>>(), slots.clone());
                 let holders = slots.iter().map(|slot| {
                     slot.map_or(0, |object| held.keys().filter(|s| s.contains(object)).count() as u32)
                 });

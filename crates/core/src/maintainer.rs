@@ -69,14 +69,14 @@ pub trait StateMaintainer: Send {
     fn pruner_changed(&mut self) {}
 
     /// Serializes the maintainer's complete between-frames state (last
-    /// frame, the interner's universe and its sets in handle order, a free
-    /// handle as the empty set, each with its state row's marked frames,
-    /// metrics) so the durability layer can persist
-    /// it inside an epoch snapshot. MFS and SSG write one format.
-    /// Restoring the bytes via [`restore_state`](Self::restore_state) into
-    /// a freshly built MFS or SSG maintainer (same spec, pruner and
-    /// interner wiring) yields the same handles and identical results for
-    /// every subsequent frame.
+    /// frame, the count of sets minted this epoch, the parked objects,
+    /// each state row in row order as its object set and marked frames,
+    /// metrics) so the durability layer can persist it inside an epoch
+    /// snapshot. MFS and SSG write one format. Restoring the bytes via
+    /// [`restore_state`](Self::restore_state) into a freshly built MFS or
+    /// SSG maintainer (same spec, pruner and interner wiring) yields the
+    /// same rows in the same order and identical results for every
+    /// subsequent frame.
     ///
     /// Pruner verdict caches are *not* serialized — verdicts are
     /// re-derivable under the live catalog (and between frames name only

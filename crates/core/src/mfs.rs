@@ -193,11 +193,11 @@ mod tests {
         shared::restore_rejects_used_maintainers_and_dangling_handles::<Sweep>();
     }
 
-    /// A mid-epoch snapshot brings back the arena's handles, counts and
-    /// intersections.
+    /// A mid-epoch snapshot brings back the rows in row order, their
+    /// class counts and their intersections, by content.
     #[test]
-    fn restore_reproduces_handles_counts_and_intersections() {
-        shared::restore_reproduces_handles_counts_and_intersections::<Sweep>();
+    fn restore_reproduces_rows_counts_and_intersections() {
+        shared::restore_reproduces_rows_counts_and_intersections::<Sweep>();
     }
 
     #[test]
@@ -296,7 +296,8 @@ mod tests {
     #[test]
     fn restore_rejects_rows_outside_the_cursor_window() {
         let spec = WindowSpec::new(4, 2).unwrap();
-        let restore = |cursor, frames| restore::<Sweep>(spec, &blob(cursor, &[(&[1, 2], frames)]));
+        let restore =
+            |cursor, frames| restore::<Sweep>(spec, &blob(cursor, 2, &[], &[(&[1, 2], frames)]));
         // A frame after the cursor, one before the window [2, 5] of a
         // cursor of 5, and a row with no cursor at all.
         for (cursor, frames) in [

@@ -714,18 +714,18 @@ mod tests {
         assert!(shared_states > 0 && !ssg.results().is_empty());
     }
 
-    /// A maintainer that already advanced refuses to restore, and bytes
-    /// that would leave a handle dangling are corrupt.
+    /// A maintainer that already advanced refuses to restore, and
+    /// malformed bytes are corrupt.
     #[test]
     fn restore_rejects_used_maintainers_and_dangling_roots() {
         shared::restore_rejects_used_maintainers_and_dangling_handles::<Traversal>();
     }
 
-    /// A mid-epoch snapshot brings back the arena's handles, counts and
-    /// intersections.
+    /// A mid-epoch snapshot brings back the rows in row order, their
+    /// class counts and their intersections, by content.
     #[test]
-    fn restore_reproduces_handles_counts_and_intersections() {
-        shared::restore_reproduces_handles_counts_and_intersections::<Traversal>();
+    fn restore_reproduces_rows_counts_and_intersections() {
+        shared::restore_reproduces_rows_counts_and_intersections::<Traversal>();
     }
 
     /// The roots a restore derives from the table are exactly the distinct
@@ -866,6 +866,8 @@ mod tests {
         let spec = WindowSpec::new(4, 2).unwrap();
         let bytes = blob(
             Some(0),
+            3,
+            &[],
             &[(&[1, 2], &[(0, true)]), (&[3, 4, 5], &[(0, true)])],
         );
         let err = restore::<Traversal>(spec, &bytes).unwrap_err();

@@ -29,13 +29,12 @@ use crate::engine::TemporalVideoQueryEngine;
 
 /// Magic of the engine snapshot payload (inside the store's `TVQS` framing).
 const MAGIC: [u8; 4] = *b"TVQE";
-/// Version of the engine snapshot payload. Version 9 writes either
-/// maintainer's state as one section: the cursor, the interner's handle
-/// and minted counts, its slot table (free slots marked) and parked
-/// objects, its sets in handle order (a free handle as the empty set) each
-/// with its state row's frames, and the metrics. Older payloads are
-/// refused, not read.
-const VERSION: u32 = 9;
+/// Version of the engine snapshot payload. Version 10 writes either
+/// maintainer's state as its state table: the cursor, the count of sets
+/// minted this epoch, the parked objects, each row in row order as its
+/// set's object ids and its marked frames, and the metrics; no handle or
+/// bit slot. Older payloads are refused, not read.
+const VERSION: u32 = 10;
 
 const RECORD_FRAME: u8 = 0;
 /// Tag 1 was the add-query record without the registry: a log holding one
@@ -408,13 +407,23 @@ mod tests {
     /// in the same slots, each written as its id plus one (no free slot),
     /// and an empty parked list. Of the metrics only `bitmap_bytes` differs
     /// (356 → 392: the slots' holder counts), at equal varint length.
+    /// Version 10 moved both once more (280 → 266 B, 281 → 267 B), when the
+    /// blob became the state table. Outside the blob only the version word
+    /// differs: the config, registry, catalog, lifecycle, cursor and trailer
+    /// bytes are identical, and the blob's length prefix keeps two bytes.
+    /// Decoded, each blob holds the same cursor, minted count (8), parked
+    /// objects (none), the same seven rows as an `object set → marked
+    /// frames` map, now in row order, and identical metric bytes. The 14 B
+    /// it lost are the slot table (nine objects, no free slot); the handle
+    /// count (8) became the row count (7), one byte each, and no handle was
+    /// free.
     #[test]
     fn engine_snapshot_bytes_are_pinned() {
         let pins = [MaintainerKind::Mfs, MaintainerKind::Ssg].map(|kind| {
             let payload = encode_engine(&pinned_script(kind)).unwrap();
             (payload.len(), tvq_common::crc32(&payload))
         });
-        assert_eq!(pins, [(280, 2138009612), (281, 3123335964)]);
+        assert_eq!(pins, [(266, 3122210918), (267, 3800833881)]);
     }
 
     /// The live-binding, registration and alias lists are written strictly
